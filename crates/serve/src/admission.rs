@@ -34,7 +34,7 @@
 //! after every drain (on telemetry lane 0, which serving otherwise leaves
 //! unused; the dispatcher thread is its single writer).
 
-use crate::engine::{scan_shard, QueryPrep, ServeEngine};
+use crate::engine::{finish_all, scan_shard_batch, QueryScan, ServeEngine};
 use crate::error::ServeError;
 use crate::model::ServedModel;
 use crate::topk::TopK;
@@ -100,14 +100,12 @@ impl Ticket {
     }
 }
 
-/// One micro-batch in flight: a model snapshot, the admitted queries with
-/// their per-query scan state, one partial-result slot per worker, and the
-/// countdown that elects the merging worker.
+/// One micro-batch in flight: a model snapshot, the admitted queries (every
+/// user validated against that snapshot), one partial-result slot per
+/// worker, and the countdown that elects the merging worker.
 struct BatchJob {
     model: Arc<ServedModel>,
     queries: Vec<Request>,
-    preps: Vec<QueryPrep>,
-    seens: Vec<Vec<u32>>,
     /// `partials[w][qi]`: worker `w`'s best candidates for query `qi`.
     /// Each slot is written by exactly one worker; the mutex hands the
     /// contents to the merging worker.
@@ -280,8 +278,8 @@ impl std::fmt::Debug for AdmissionPipeline {
     }
 }
 
-/// Dispatcher: drain a micro-batch, snapshot the model, precompute
-/// per-query scan state, fan the job out, sample telemetry. Exits once
+/// Dispatcher: drain a micro-batch, snapshot the model, validate the
+/// users against it, fan the job out, sample telemetry. Exits once
 /// shutdown is flagged *and* the queue is empty, so everything admitted
 /// before a drop still gets answered.
 fn dispatcher_loop(
@@ -321,20 +319,10 @@ fn dispatcher_loop(
             }
         }
         if !queries.is_empty() {
-            let preps: Vec<QueryPrep> = queries
-                .iter()
-                .map(|r| {
-                    let row = model.user_row(r.user).unwrap_or(&[]);
-                    QueryPrep::new(&model, row)
-                })
-                .collect();
-            let seens: Vec<Vec<u32>> = queries.iter().map(|r| model.seen_items(r.user)).collect();
             let nq = queries.len();
             let job = Arc::new(BatchJob {
                 model,
                 queries,
-                preps,
-                seens,
                 partials: (0..senders.len())
                     .map(|_| Mutex::new(vec![Vec::new(); nq]))
                     .collect(),
@@ -369,8 +357,9 @@ fn dispatcher_loop(
 }
 
 /// Scan worker `w` of `total`: scores its shards (strided `w, w+total, …`)
-/// for every query of every job; the last worker done with a job merges
-/// the partial heaps and answers the callers.
+/// for all queries of a job at once — the micro-batch is the query group of
+/// the tile-major scan — and the last worker done with a job merges the
+/// partial heaps and answers the callers.
 fn worker_loop(
     w: usize,
     total: usize,
@@ -378,30 +367,24 @@ fn worker_loop(
     engine: Arc<ServeEngine>,
 ) {
     while let Ok(job) = rx.recv() {
-        let mut mine: Vec<Vec<(u32, f32)>> = Vec::with_capacity(job.queries.len());
-        let mut visited = 0u64;
+        let model = &job.model;
+        let mut queries: Vec<QueryScan<'_>> = job
+            .queries
+            .iter()
+            .map(|req| {
+                // Validated by the dispatcher against this same snapshot;
+                // an empty row (unreachable) scores nothing rather than
+                // panicking.
+                let row = model.user_row(req.user).unwrap_or(&[]);
+                QueryScan::new(row, model.seen_ranks(req.user), req.count)
+            })
+            .collect();
         let mut possible = 0u64;
-        for (qi, req) in job.queries.iter().enumerate() {
-            // Validated by the dispatcher against this same snapshot; an
-            // empty row (unreachable) scores nothing rather than panicking.
-            let row = job.model.user_row(req.user).unwrap_or(&[]);
-            let mut best = TopK::new(req.count);
-            for (si, shard) in job.model.shards().iter().enumerate() {
-                if si % total != w {
-                    continue;
-                }
-                visited += scan_shard(
-                    shard,
-                    row,
-                    &job.preps[qi],
-                    &job.seens[qi],
-                    job.model.pruned(),
-                    &mut best,
-                );
-                possible += shard.len as u64;
-            }
-            mine.push(best.into_sorted());
+        for shard in model.shards().iter().skip(w).step_by(total) {
+            scan_shard_batch(shard, model.pruned(), &mut queries);
+            possible += (shard.len * job.queries.len()) as u64;
         }
+        let (mine, visited) = finish_all(queries);
         engine.note_scan(visited, possible);
         *job.partials[w].lock() = mine;
         // ordering: AcqRel — the Release half publishes this worker's

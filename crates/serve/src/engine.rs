@@ -15,15 +15,20 @@
 //!
 //! ## Query plan
 //!
-//! Queries scan the item shards with the precision tier's dot kernel into a
-//! size-`k` heap. On a pruned model the rows come in descending-norm order
-//! with per-block norm maxima, so once the heap is full the scan checks
-//! `‖p_u‖ · block_norm < heap floor` per block and stops at the first
-//! block that cannot beat the floor — the Cauchy–Schwarz bound makes the
-//! early exit *exact* (any remaining item's score is bounded by the
-//! product of norms). On realistic factor distributions this skips the
-//! large majority of items; [`ServeStats::scan_frac`] reports the measured
-//! fraction actually scored.
+//! Every path — a single query, a batch, an admission micro-batch — runs
+//! one tile-major scan (`scan_shard_batch`): a shard is walked in tiles
+//! of `NORM_BLOCK` item rows, and while a tile sits in L1 every query of the
+//! group scores it with the precision tier's multi-row dot kernel and
+//! offers into its own size-`k` heap. The item matrix is streamed once per
+//! query group instead of once per query; a single query is a group of one.
+//! On a pruned model the rows come in descending-norm order with per-block
+//! norm maxima, so once a query's heap is full the scan checks
+//! `‖p_u‖ · block_norm < heap floor` per block and the query leaves the
+//! group at the first block that cannot beat its floor — the Cauchy–Schwarz
+//! bound makes the early exit *exact* (any remaining item's score is
+//! bounded by the product of norms). On realistic factor distributions
+//! this skips the large majority of items; [`ServeStats::scan_frac`]
+//! reports the measured fraction actually scored.
 //!
 //! Calls on this type run the scan on the caller's thread; the concurrent
 //! fan-out lives in [`crate::AdmissionPipeline`], which feeds persistent
@@ -35,7 +40,6 @@
 use crate::error::ServeError;
 use crate::foldin::{fold_in, FoldInConfig};
 use crate::model::{ItemShard, ServedModel, ShardData, NORM_BLOCK};
-use crate::precision::Precision;
 use crate::topk::TopK;
 use hcc_sgd::{int8, simd};
 use hcc_sync::{Arc, AtomicU64, Mutex, Ordering, RwLock};
@@ -124,40 +128,140 @@ impl LatencyReservoir {
     }
 }
 
-/// Per-query precomputation the scan kernels need beyond the f32 user row:
-/// the user-side norm for the pruning bound (in the same representation the
-/// scores are computed in), and — for int8 models — the quantized user row.
-/// Built once per query, reused across every shard.
-pub(crate) struct QueryPrep {
-    /// ‖û‖ of the scoring representation: the f32 row's norm for f32/fp16
-    /// models, the *dequantized* quantized row's norm for int8 (the scan
-    /// scores `scale_i·scale_u·⟨q_u, q_i⟩ = ⟨û, q̂_i⟩`, so the bound must
-    /// use `‖û‖`, not `‖u‖`).
+/// A query row quantized for the int8 tier: symmetric per-row scale, and
+/// the norm of the *dequantized* row — the scan scores
+/// `scale_i·scale_u·⟨q_u, q_i⟩ = ⟨û, q̂_i⟩`, so the pruning bound must use
+/// `‖û‖`, not `‖u‖`.
+struct QuantRow {
+    row: Vec<i8>,
+    scale: f32,
     norm: f32,
-    /// `(quantized row, scale)` — present iff the model's tier is int8.
-    i8: Option<(Vec<i8>, f32)>,
 }
 
-impl QueryPrep {
-    pub(crate) fn new(model: &ServedModel, row: &[f32]) -> QueryPrep {
-        match model.precision() {
-            Precision::Int8 => {
-                let scale = int8::scale_for(row);
-                let mut q = vec![0i8; row.len()];
-                int8::quantize(row, scale, &mut q);
-                let norm = scale * (int8::dot_i8_scalar(&q, &q) as f32).sqrt();
-                QueryPrep {
-                    norm,
-                    i8: Some((q, scale)),
-                }
-            }
-            _ => QueryPrep {
-                norm: simd::dot(row, row).sqrt(),
-                i8: None,
-            },
+impl QuantRow {
+    fn new(row: &[f32]) -> QuantRow {
+        let scale = int8::scale_for(row);
+        let mut q = vec![0i8; row.len()];
+        int8::quantize(row, scale, &mut q);
+        let norm = scale * (int8::dot_i8_scalar(&q, &q) as f32).sqrt();
+        QuantRow {
+            row: q,
+            scale,
+            norm,
         }
     }
 }
+
+/// One query's state across the shards of a scan: its user row, its seen
+/// items, its heap and its scored-item count.
+///
+/// The row in a tier's scoring representation is derived from the f32 row
+/// where a shard of that tier is scanned (`float_norm`, `quant`) and kept
+/// for the next shard, so a query can only ever be scored in the
+/// representation the shard in hand stores.
+pub(crate) struct QueryScan<'a> {
+    row: &'a [f32],
+    /// Ascending scan ranks (`ServedModel::seen_ranks`) of the items to
+    /// skip, and not count as scored.
+    seen: &'a [u32],
+    /// The part of `seen` inside the shard being scanned that the scan has
+    /// not passed yet.
+    seen_ahead: &'a [u32],
+    best: TopK,
+    visited: u64,
+    /// ‖row‖, the user-side norm of the f32 and fp16 tiers' bound.
+    float_norm: Option<f32>,
+    quant: Option<QuantRow>,
+}
+
+impl<'a> QueryScan<'a> {
+    /// A query for the `count` best items of `row` outside `seen_ranks`
+    /// (ascending scan ranks).
+    pub(crate) fn new(row: &'a [f32], seen_ranks: &'a [u32], count: usize) -> QueryScan<'a> {
+        QueryScan {
+            row,
+            seen: seen_ranks,
+            seen_ahead: &[],
+            best: TopK::new(count),
+            visited: 0,
+            float_norm: None,
+            quant: None,
+        }
+    }
+
+    /// The best-first answer and the number of items scored for it.
+    pub(crate) fn finish(self) -> (Vec<(u32, f32)>, u64) {
+        (self.best.into_sorted(), self.visited)
+    }
+
+    fn quant(&mut self) -> &QuantRow {
+        let row = self.row;
+        self.quant.get_or_insert_with(|| QuantRow::new(row))
+    }
+
+    /// ‖û‖ in the representation `data`'s tier scores in.
+    fn norm(&mut self, data: &ShardData) -> f32 {
+        match data {
+            ShardData::F32(_) | ShardData::Fp16(_) => {
+                let row = self.row;
+                *self
+                    .float_norm
+                    .get_or_insert_with(|| simd::dot(row, row).sqrt())
+            }
+            ShardData::Int8 { .. } => self.quant().norm,
+        }
+    }
+
+    /// Whether no row of a block whose largest stored norm is `block_norm`
+    /// can enter this query's heap. Only a *full* heap has a floor to
+    /// miss, and only a bound *strictly below* it may skip: a candidate
+    /// tying the floor would need to be scored (equal scores win on
+    /// smaller item id).
+    fn cannot_enter(&mut self, data: &ShardData, block_norm: f32) -> bool {
+        if !self.best.is_full() {
+            return false;
+        }
+        match self.best.floor() {
+            // k = 0: nothing can ever enter the heap.
+            None => true,
+            Some(floor) => self.norm(data) * block_norm < floor,
+        }
+    }
+
+    /// Offers the unseen items of the tile at scan ranks `lo..lo + ids.len()`
+    /// in scan order. Tiles of a shard arrive in ascending order, so the
+    /// seen ranks of this tile are the head of `seen_ahead`.
+    fn offer(&mut self, lo: u32, ids: &[u32], scores: &[f32]) {
+        let mut seen = 0u64;
+        while let Some((&rank, rest)) = self.seen_ahead.split_first() {
+            if rank - lo >= ids.len() as u32 {
+                break;
+            }
+            seen |= 1 << (rank - lo);
+            self.seen_ahead = rest;
+        }
+        let mut unseen = !seen & (u64::MAX >> (TILE_BITS - ids.len()));
+        self.visited += u64::from(unseen.count_ones());
+        if let (true, Some(floor)) = (self.best.is_full(), self.best.floor()) {
+            // The floor only rises, so a score below it now would be
+            // refused by `TopK::offer` anyway; a tie or a NaN is left to it.
+            let mut below = 0u64;
+            for (i, &score) in scores.iter().enumerate() {
+                below |= u64::from(score < floor) << i;
+            }
+            unseen &= !below;
+        }
+        while unseen != 0 {
+            let i = unseen.trailing_zeros() as usize;
+            unseen &= unseen - 1;
+            self.best.offer(ids[i], scores[i]);
+        }
+    }
+}
+
+/// A tile's seen set is one `u64`, a bit per row.
+const TILE_BITS: usize = u64::BITS as usize;
+const _: () = assert!(NORM_BLOCK <= TILE_BITS);
 
 impl ServeEngine {
     /// An engine serving `model`, with telemetry off.
@@ -233,24 +337,18 @@ impl ServeEngine {
         let t0 = Instant::now();
         // Resolve every user row up front: validates the whole batch before
         // any scoring work.
-        let rows: Vec<&[f32]> = users
+        let mut queries = users
             .iter()
-            .map(|&u| model.user_row(u))
-            .collect::<Result<_, ServeError>>()?;
-        let mut visited = 0u64;
-        let result = rows
-            .iter()
-            .zip(users)
-            .map(|(&row, &u)| {
-                let seen = model.seen_items(u);
-                let prep = QueryPrep::new(&model, row);
-                let mut best = TopK::new(count);
-                for shard in model.shards() {
-                    visited += scan_shard(shard, row, &prep, &seen, model.pruned(), &mut best);
-                }
-                best.into_sorted()
+            .map(|&u| {
+                Ok(QueryScan::new(
+                    model.user_row(u)?,
+                    model.seen_ranks(u),
+                    count,
+                ))
             })
-            .collect();
+            .collect::<Result<Vec<_>, ServeError>>()?;
+        scan_model(&model, &mut queries);
+        let (result, visited) = finish_all(queries);
         self.note_scan(visited, (users.len() * model.items()) as u64);
         self.note_queries(users.len() as u64, t0);
         Ok(result)
@@ -286,17 +384,11 @@ impl ServeEngine {
             )));
         }
         let t0 = Instant::now();
-        let mut seen = exclude.to_vec();
-        seen.sort_unstable();
-        let prep = QueryPrep::new(&model, user_row);
-        let mut best = TopK::new(count);
-        let mut visited = 0u64;
-        for shard in model.shards() {
-            visited += scan_shard(shard, user_row, &prep, &seen, model.pruned(), &mut best);
-        }
+        let seen = model.scan_ranks(exclude);
+        let (result, visited) = scan_one(&model, user_row, &seen, count);
         self.note_scan(visited, model.items() as u64);
         self.note_queries(1, t0);
-        Ok(best.into_sorted())
+        Ok(result)
     }
 
     /// Serving statistics so far. Percentiles come from a bounded
@@ -460,88 +552,161 @@ fn top_k_counted(
     count: usize,
 ) -> Result<(Vec<(u32, f32)>, u64), ServeError> {
     let row = model.user_row(user)?;
-    let seen = model.seen_items(user);
-    let prep = QueryPrep::new(model, row);
-    let mut best = TopK::new(count);
-    let mut visited = 0u64;
-    for shard in model.shards() {
-        visited += scan_shard(shard, row, &prep, &seen, model.pruned(), &mut best);
-    }
-    Ok((best.into_sorted(), visited))
+    Ok(scan_one(model, row, model.seen_ranks(user), count))
 }
 
-/// Scores one shard for one user into `best`, returning the number of
-/// items scored. `seen_sorted` must be ascending; items on it are skipped
-/// (and not counted as scored).
+/// A batch of one: the answer for `row` and the number of items scored.
+fn scan_one(
+    model: &ServedModel,
+    row: &[f32],
+    seen_ranks: &[u32],
+    count: usize,
+) -> (Vec<(u32, f32)>, u64) {
+    let mut query = [QueryScan::new(row, seen_ranks, count)];
+    scan_model(model, &mut query);
+    let [query] = query;
+    query.finish()
+}
+
+/// Scans every shard of `model`, in order, for every query.
+fn scan_model(model: &ServedModel, queries: &mut [QueryScan<'_>]) {
+    for shard in model.shards() {
+        scan_shard_batch(shard, model.pruned(), queries);
+    }
+}
+
+/// The answers in query order, and the items scored for them in total.
+pub(crate) fn finish_all(queries: Vec<QueryScan<'_>>) -> (Vec<Vec<(u32, f32)>>, u64) {
+    let mut visited = 0u64;
+    let answers = queries
+        .into_iter()
+        .map(|q| {
+            let (answer, scored) = q.finish();
+            visited += scored;
+            answer
+        })
+        .collect();
+    (answers, visited)
+}
+
+/// Bytes of L1 one tile plus the f32 rows of one query group may occupy:
+/// three quarters of a 32 KiB L1d (half of a 48 KiB one), which leaves the
+/// rest to the heaps, the seen lists and the stack.
+const TILE_GROUP_BYTES: usize = 24 << 10;
+
+/// Queries scored against one resident tile before the scan moves on: as
+/// many f32 rows as fit beside a tile in [`TILE_GROUP_BYTES`] (32 at
+/// k = 64), within `[MIN_GROUP, MAX_GROUP]` — wide rows still share each
+/// tile fetch among a few queries out of L2, and narrow ones do not grow
+/// the per-group state without bound.
+fn group_len(k: usize) -> usize {
+    let row_bytes = (k * std::mem::size_of::<f32>()).max(1);
+    (TILE_GROUP_BYTES / row_bytes)
+        .saturating_sub(NORM_BLOCK)
+        .clamp(MIN_GROUP, MAX_GROUP)
+}
+
+const MIN_GROUP: usize = 8;
+const MAX_GROUP: usize = 64;
+
+/// Scores one shard for every query, tile-major: for each [`NORM_BLOCK`]
+/// tile of item rows, every still-active query of a group scores the tile
+/// while it is cache-resident and offers the unseen items into its own heap.
+/// Queries are walked in groups of [`group_len`], so the shard is streamed
+/// once per group rather than once per query; each query's items are still
+/// scored in scan order, so its answer, its ties and its scored-item count
+/// are those of scanning alone.
 ///
 /// On a pruned model the shard's rows are in descending stored-norm order:
-/// once the heap is full, a block whose `‖û‖ · block_norm` bound is
-/// *strictly below* the heap floor ends the scan — every later block's
-/// bound is no larger, and a candidate tying the floor would need to be
-/// scored (equal scores win on smaller item id), so only a strict
-/// shortfall may skip.
-///
-/// # Panics
-/// Panics if `prep` was built for a different model precision than the
-/// shard stores (an int8 shard requires the quantized query row).
-/// `QueryPrep::new` on the owning model makes this unreachable.
-pub(crate) fn scan_shard(
-    shard: &ItemShard,
-    row: &[f32],
-    prep: &QueryPrep,
-    seen_sorted: &[u32],
-    pruned: bool,
-    best: &mut TopK,
-) -> u64 {
-    // Narrow the seen list to this shard's contiguous id range once; the
-    // inner loop binary-searches the window (the scan order is norm-rank,
-    // not id order, so a merge cursor no longer applies).
+/// a query leaves its group at the first block its full heap's floor rules
+/// out (see `QueryScan::cannot_enter`) — every later block's bound is no
+/// larger — and rejoins at the next shard.
+pub(crate) fn scan_shard_batch(shard: &ItemShard, pruned: bool, queries: &mut [QueryScan<'_>]) {
     let end = shard.start + shard.len as u32;
-    let lo = seen_sorted.partition_point(|&s| s < shard.start);
-    let hi = seen_sorted.partition_point(|&s| s < end);
-    let seen = &seen_sorted[lo..hi];
-    let k = shard.k;
-    let mut visited = 0u64;
-    for (b, &block_norm) in shard.block_norms.iter().enumerate() {
-        if pruned && best.is_full() {
-            match best.floor() {
-                // k = 0: nothing can ever enter the heap.
-                None => break,
-                // Cauchy–Schwarz cutoff (see the function docs).
-                Some(floor) if prep.norm * block_norm < floor => break,
-                _ => {}
-            }
-        }
-        let blo = b * NORM_BLOCK;
-        let bhi = (blo + NORM_BLOCK).min(shard.len);
-        for pos in blo..bhi {
-            let item = shard.ids[pos];
-            if !seen.is_empty() && seen.binary_search(&item).is_ok() {
+    for group in queries.chunks_mut(group_len(shard.k)) {
+        // A row of another width cannot come from this shard's model
+        // (callers resolve rows against the snapshot they scan); it scores
+        // nothing rather than reaching the kernels' shape check.
+        let mut active = [0u8; MAX_GROUP];
+        let mut n_active = 0;
+        for (qi, q) in group.iter_mut().enumerate() {
+            if q.row.len() != shard.k {
                 continue;
             }
-            visited += 1;
-            let (rlo, rhi) = (pos * k, (pos + 1) * k);
-            let score = match &shard.data {
-                ShardData::F32(d) => simd::dot(row, &d[rlo..rhi]),
-                ShardData::Fp16(d) => simd::dot_f16(row, &d[rlo..rhi]),
-                ShardData::Int8 { data, scale } => {
-                    let (qrow, qscale) = prep
-                        .i8
-                        .as_ref()
-                        .expect("QueryPrep built for a non-int8 model fed to an int8 shard");
-                    (scale * qscale) * simd::dot_i8(qrow, &data[rlo..rhi]) as f32
+            let lo = q.seen.partition_point(|&s| s < shard.start);
+            let hi = q.seen.partition_point(|&s| s < end);
+            q.seen_ahead = &q.seen[lo..hi];
+            active[n_active] = qi as u8;
+            n_active += 1;
+        }
+        for (tile, &block_norm) in shard.block_norms.iter().enumerate() {
+            if pruned {
+                let mut kept = 0;
+                for i in 0..n_active {
+                    if !group[active[i] as usize].cannot_enter(&shard.data, block_norm) {
+                        active[kept] = active[i];
+                        kept += 1;
+                    }
                 }
-            };
-            best.offer(item, score);
+                n_active = kept;
+            }
+            if n_active == 0 {
+                break;
+            }
+            for pair in active[..n_active].chunks(2) {
+                match *pair {
+                    [a, b] => {
+                        let (head, rest) = group.split_at_mut(b as usize);
+                        scan_tile(shard, tile, [&mut head[a as usize], &mut rest[0]]);
+                    }
+                    [a] => scan_tile(shard, tile, [&mut group[a as usize]]),
+                    _ => {}
+                }
+            }
         }
     }
-    visited
+}
+
+/// Scores tile `tile` of `shard` for `NQ` queries with one multi-row kernel
+/// call, then lets each query offer the tile's unseen items.
+fn scan_tile<const NQ: usize>(
+    shard: &ItemShard,
+    tile: usize,
+    mut queries: [&mut QueryScan<'_>; NQ],
+) {
+    let lo = tile * NORM_BLOCK;
+    let hi = (lo + NORM_BLOCK).min(shard.len);
+    let (n, span) = (hi - lo, lo * shard.k..hi * shard.k);
+    let mut scores = [[0.0f32; NORM_BLOCK]; NQ];
+    let out = scores.each_mut().map(|s| &mut s[..n]);
+    match &shard.data {
+        ShardData::F32(d) => simd::dot_rows(queries.each_ref().map(|q| q.row), &d[span], out),
+        ShardData::Fp16(d) => simd::dot_rows_f16(queries.each_ref().map(|q| q.row), &d[span], out),
+        ShardData::Int8 { data, scale } => {
+            let rows = queries.each_mut().map(|q| q.quant());
+            let mut dots = [[0i32; NORM_BLOCK]; NQ];
+            simd::dot_rows_i8(
+                rows.each_ref().map(|r| &r.row[..]),
+                &data[span],
+                dots.each_mut().map(|d| &mut d[..n]),
+            );
+            for ((scores, dots), row) in out.into_iter().zip(&dots).zip(rows) {
+                for (score, &dot) in scores.iter_mut().zip(dots) {
+                    *score = (scale * row.scale) * dot as f32;
+                }
+            }
+        }
+    }
+    for (q, scores) in queries.iter_mut().zip(&scores) {
+        q.offer(shard.start + lo as u32, &shard.ids[lo..hi], &scores[..n]);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::naive_top_k;
+    use crate::precision::Precision;
     use hcc_sgd::FactorMatrix;
     use hcc_sparse::{CooMatrix, CsrMatrix, Rating};
 

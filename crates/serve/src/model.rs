@@ -108,7 +108,71 @@ pub struct ServedModel {
     pruned: bool,
     /// Per-user seen items from the training matrix (`None` = serve
     /// everything, nothing is filtered).
-    seen: Option<CsrMatrix>,
+    seen: Option<SeenItems>,
+}
+
+/// What each user rated, sorted once at build time so a query borrows its
+/// lists instead of sorting a copy: as item ids, and as *scan ranks* for the
+/// scan's seen filter.
+///
+/// An item's scan rank is its shard's `start` plus its scan position in
+/// that shard. Shards tile the id space contiguously, so the ranks of one
+/// shard fill exactly its id range: a user's seen items of a shard are one
+/// window of the user's ascending ranks, in the order the scan meets them.
+#[derive(Debug, Clone)]
+struct SeenItems {
+    /// `items[row_ptr[u]..row_ptr[u + 1]]` and the same range of `ranks`
+    /// are user `u`'s runs, each ascending.
+    row_ptr: Vec<usize>,
+    items: Vec<u32>,
+    ranks: Vec<u32>,
+}
+
+impl SeenItems {
+    fn build(train: &CooMatrix, shards: &[ItemShard]) -> SeenItems {
+        // `CsrMatrix::from` keeps COO order within a row.
+        let csr = CsrMatrix::from(train);
+        let mut items = Vec::with_capacity(csr.nnz());
+        let mut ranks = Vec::with_capacity(csr.nnz());
+        for u in 0..csr.rows() {
+            let lo = items.len();
+            items.extend_from_slice(csr.row(u).0);
+            items[lo..].sort_unstable();
+            // An id past the catalogue (only an unchecked matrix has one)
+            // keeps its slot with a rank no shard's window reaches.
+            let rank = |&i: &u32| scan_rank(shards, i).unwrap_or(u32::MAX);
+            ranks.extend(items[lo..].iter().map(rank));
+            ranks[lo..].sort_unstable();
+        }
+        SeenItems {
+            row_ptr: csr.row_ptr().to_vec(),
+            items,
+            ranks,
+        }
+    }
+
+    /// User `user`'s run of `of` (`items` or `ranks`); empty out of range.
+    fn run<'a>(&self, of: &'a [u32], user: u32) -> &'a [u32] {
+        match self.row_ptr.get(user as usize..).and_then(|p| p.get(..2)) {
+            Some(&[lo, hi]) => &of[lo..hi],
+            _ => &[],
+        }
+    }
+}
+
+/// The shard owning `item`, `None` past the catalogue.
+fn owner(shards: &[ItemShard], item: u32) -> Option<&ItemShard> {
+    // Shards are contiguous and sorted by `start`: the owner is the last
+    // shard starting at or before `item`.
+    let last = shards.partition_point(|s| s.start <= item).checked_sub(1)?;
+    let shard = &shards[last];
+    (((item - shard.start) as usize) < shard.len).then_some(shard)
+}
+
+/// `item`'s scan rank (see [`SeenItems`]), `None` past the catalogue.
+fn scan_rank(shards: &[ItemShard], item: u32) -> Option<u32> {
+    let shard = owner(shards, item)?;
+    Some(shard.start + shard.pos[(item - shard.start) as usize])
 }
 
 impl ServedModel {
@@ -166,13 +230,14 @@ impl ServedModel {
             .windows(2)
             .map(|w| build_shard(&q, w[0], w[1], precision, prune))
             .collect();
+        let seen = train.map(|t| SeenItems::build(t, &shard_stores));
         Ok(ServedModel {
             p,
             shards: shard_stores,
             items,
             precision,
             pruned: prune,
-            seen: train.map(CsrMatrix::from),
+            seen,
         })
     }
 
@@ -242,33 +307,37 @@ impl ServedModel {
 
     /// The shard owning `item`, or a typed error for an out-of-range id.
     fn shard_of(&self, item: u32) -> Result<&ItemShard, ServeError> {
-        if (item as usize) >= self.items {
-            return Err(ServeError::UnknownItem {
-                item,
-                items: self.items,
-            });
-        }
-        // Shards are contiguous and sorted by `start`: the owner is the
-        // last shard starting at or before `item`.
-        let idx = self
-            .shards
-            .partition_point(|s| s.start <= item)
-            .saturating_sub(1);
-        Ok(&self.shards[idx])
+        owner(&self.shards, item).ok_or(ServeError::UnknownItem {
+            item,
+            items: self.items,
+        })
     }
 
     /// The items `user` rated during training, sorted ascending (empty when
-    /// no training matrix was attached). Allocates; callers cache per query.
-    pub fn seen_items(&self, user: u32) -> Vec<u32> {
-        match &self.seen {
-            Some(csr) if (user as usize) < csr.rows() as usize => {
-                let (items, _) = csr.row(user);
-                let mut v = items.to_vec();
-                v.sort_unstable();
-                v
-            }
-            _ => Vec::new(),
-        }
+    /// no training matrix was attached or `user` is out of range).
+    pub fn seen_items(&self, user: u32) -> &[u32] {
+        self.seen
+            .as_ref()
+            .map_or(&[], |seen| seen.run(&seen.items, user))
+    }
+
+    /// [`seen_items`](Self::seen_items) as ascending scan ranks, the form
+    /// the scan filters on.
+    pub(crate) fn seen_ranks(&self, user: u32) -> &[u32] {
+        self.seen
+            .as_ref()
+            .map_or(&[], |seen| seen.run(&seen.ranks, user))
+    }
+
+    /// The scan ranks of `items` (any order, ids past the catalogue
+    /// dropped), ascending — a caller-supplied seen list in the scan's form.
+    pub(crate) fn scan_ranks(&self, items: &[u32]) -> Vec<u32> {
+        let mut ranks: Vec<u32> = items
+            .iter()
+            .filter_map(|&i| scan_rank(&self.shards, i))
+            .collect();
+        ranks.sort_unstable();
+        ranks
     }
 
     #[inline]

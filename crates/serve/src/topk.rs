@@ -47,22 +47,25 @@ impl TopK {
     pub fn new(k: usize) -> TopK {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            // `k` is the caller's number ("everything" may be usize::MAX):
+            // reserve for ordinary answers, let an enormous one grow.
+            heap: BinaryHeap::with_capacity(k.min(1024)),
         }
     }
 
-    /// Offers a candidate; keeps it only if it beats the current worst.
+    /// Offers a candidate; keeps it only if it beats the current worst. A
+    /// full heap compares against its root first — nearly every offer of a
+    /// scan ends there — and an accepted candidate overwrites the root in
+    /// place, one sift-down instead of a pop and a push.
     #[inline]
     pub fn offer(&mut self, item: u32, score: f32) {
-        if self.k == 0 {
-            return;
-        }
         let cand = Candidate { item, score };
         if self.heap.len() < self.k {
             self.heap.push(std::cmp::Reverse(cand));
-        } else if self.heap.peek().is_some_and(|worst| cand > worst.0) {
-            self.heap.pop();
-            self.heap.push(std::cmp::Reverse(cand));
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if cand > worst.0 {
+                *worst = std::cmp::Reverse(cand);
+            }
         }
     }
 
@@ -113,6 +116,17 @@ mod tests {
             t.offer(i, 7.0);
         }
         assert_eq!(t.into_sorted(), vec![(1, 7.0), (2, 7.0)]);
+        // A full heap whose floor ties the newcomer's score: the smaller id
+        // evicts the larger one, the larger id is refused.
+        let mut t = TopK::new(3);
+        for (i, s) in [(4u32, 9.0), (8, 7.0), (6, 7.0)] {
+            t.offer(i, s);
+        }
+        t.offer(9, 7.0); // ties the floor with a larger id than the root (8)
+        t.offer(7, 7.0); // evicts 8
+        t.offer(2, 7.0); // evicts 7
+        assert_eq!(t.floor(), Some(7.0));
+        assert_eq!(t.into_sorted(), vec![(4, 9.0), (2, 7.0), (6, 7.0)]);
     }
 
     #[test]
@@ -120,9 +134,11 @@ mod tests {
         let mut t = TopK::new(0);
         t.offer(0, 1.0);
         assert!(t.into_sorted().is_empty());
-        let mut t = TopK::new(10);
-        t.offer(0, 1.0);
-        assert_eq!(t.into_sorted().len(), 1);
+        for k in [10, usize::MAX] {
+            let mut t = TopK::new(k);
+            t.offer(0, 1.0);
+            assert_eq!(t.into_sorted().len(), 1);
+        }
     }
 
     #[test]

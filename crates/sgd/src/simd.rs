@@ -24,6 +24,10 @@
 //!   ≤ ~k·ε). Within one process the backend is fixed, so the plain and
 //!   shared SGD paths — both of which route through [`fused_step_ptr`] —
 //!   produce identical results to each other.
+//! * `dot_rows` / `dot_rows_f16` / `dot_rows_i8` (many query rows against a
+//!   tile of item rows, for the serving scan): every score is **bit-exact**
+//!   with the single-row kernel of the same backend on that pair — blocking
+//!   changes which pairs are in flight together, never one pair's reduction.
 
 use hcc_sync::{AtomicU8, Ordering};
 
@@ -165,13 +169,7 @@ pub fn dot_f16(a: &[f32], b: &[u16]) -> f32 {
             // because the dispatcher's contract is equal lengths).
             unsafe { avx2::dot_f16_ptr(a.as_ptr(), b.as_ptr(), a.len().min(b.len())) }
         }
-        _ => {
-            let mut acc = 0.0f32;
-            for (&x, &h) in a.iter().zip(b.iter()) {
-                acc += x * crate::fp16::f16_to_f32(h);
-            }
-            acc
-        }
+        _ => scalar::dot_f16(a, b),
     }
 }
 
@@ -190,6 +188,114 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
         }
         _ => crate::int8::dot_i8_scalar(a, b),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-row dot products (the serving tile scan)
+// ---------------------------------------------------------------------------
+
+/// Shape of a multi-row call: `(k, ni)` from `NQ` query rows of `k`
+/// elements, `ni · k` item elements and `NQ` output rows of `ni` scores.
+///
+/// # Panics
+/// Panics when the lengths disagree (the kernels index by this shape).
+fn rows_shape<const NQ: usize>(
+    query_lens: [usize; NQ],
+    items_len: usize,
+    out_lens: [usize; NQ],
+) -> (usize, usize) {
+    let k = query_lens.first().copied().unwrap_or(0);
+    let ni = out_lens.first().copied().unwrap_or(0);
+    assert!(
+        query_lens.iter().all(|&l| l == k)
+            && out_lens.iter().all(|&l| l == ni)
+            && items_len == ni * k,
+        "multi-row dot: {NQ} queries of {query_lens:?}, {items_len} item elements, outputs {out_lens:?}"
+    );
+    (k, ni)
+}
+
+/// Stamps out one dispatched multi-row dot product: the shape check, the
+/// AVX2 tile kernel, and the scalar fallback that calls the single-row
+/// reference once per pair.
+macro_rules! dot_rows_dispatch {
+    ($(#[$doc:meta])* $name:ident, $q:ty, $item:ty, $out:ty, $avx2:ident, $scalar:path) => {
+        $(#[$doc])*
+        #[inline]
+        pub fn $name<const NQ: usize>(
+            queries: [&[$q]; NQ],
+            items: &[$item],
+            mut out: [&mut [$out]; NQ],
+        ) {
+            let (k, ni) = rows_shape(
+                queries.map(<[$q]>::len),
+                items.len(),
+                out.each_ref().map(|o| o.len()),
+            );
+            match active_backend() {
+                #[cfg(target_arch = "x86_64")]
+                Backend::Avx2 => {
+                    // SAFETY: the backend implies the kernel's CPU features
+                    // were detected; `rows_shape` checked that every query
+                    // holds `k` elements, `items` holds `ni * k` and every
+                    // output row `ni`; the output rows are distinct `&mut`s.
+                    unsafe {
+                        avx2::$avx2(
+                            queries.map(<[$q]>::as_ptr),
+                            items.as_ptr(),
+                            ni,
+                            k,
+                            out.each_mut().map(|o| o.as_mut_ptr()),
+                        )
+                    }
+                }
+                _ => {
+                    for (q, o) in queries.iter().zip(out.iter_mut()) {
+                        for (i, s) in o.iter_mut().enumerate() {
+                            *s = $scalar(q, &items[i * k..(i + 1) * k]);
+                        }
+                    }
+                }
+            }
+        }
+    };
+}
+
+dot_rows_dispatch! {
+    /// Scores `NQ` query rows against every row of `items` (`ni` rows of
+    /// `k = queries[0].len()`, row-major): `out[a][i] = dot(queries[a], item i)`.
+    ///
+    /// One call loads each item row once for all `NQ` queries, and the AVX2
+    /// path works on 2 items at a time, so an `NQ = 2` call issues one load
+    /// per FMA where [`dot`] issues two. Each pair's arithmetic is exactly
+    /// [`dot`]'s — the same chunk split over the same two accumulators, the
+    /// same horizontal sum, the same scalar tail — so every score is
+    /// bit-identical to a [`dot`] call on that pair, on either backend.
+    ///
+    /// # Panics
+    /// Panics if the query rows differ in length, the output rows differ in
+    /// length, or `items.len() != out[0].len() * queries[0].len()`.
+    dot_rows, f32, f32, f32, dot_rows_ptr, scalar::dot
+}
+
+dot_rows_dispatch! {
+    /// [`dot_rows`] against binary16-encoded item rows: every score is
+    /// bit-identical to [`dot_f16`] on that pair. The AVX2 path widens each
+    /// group of 8 halves once for all `NQ` queries.
+    ///
+    /// # Panics
+    /// Same shape contract as [`dot_rows`].
+    dot_rows_f16, f32, u16, f32, dot_rows_f16_ptr, scalar::dot_f16
+}
+
+dot_rows_dispatch! {
+    /// [`dot_rows`] over int8 rows with exact i32 accumulation: every score
+    /// equals [`dot_i8`] on that pair (integer arithmetic, so any blocking
+    /// agrees).
+    ///
+    /// # Panics
+    /// Same shape contract as [`dot_rows`].
+    dot_rows_i8, i8, i8, i32, dot_rows_i8_ptr, crate::int8::dot_i8_scalar
 }
 
 // ---------------------------------------------------------------------------
@@ -301,6 +407,17 @@ pub mod scalar {
         let mut acc = 0.0f32;
         for (&x, &y) in a.iter().zip(b.iter()) {
             acc += x * y;
+        }
+        acc
+    }
+
+    /// Plain-loop mixed-precision inner product: `Σ a[j]·decode(b[j])`.
+    #[inline]
+    pub fn dot_f16(a: &[f32], b: &[u16]) -> f32 {
+        debug_assert_eq!(a.len(), b.len());
+        let mut acc = 0.0f32;
+        for (&x, &h) in a.iter().zip(b.iter()) {
+            acc += x * crate::fp16::f16_to_f32(h);
         }
         acc
     }
@@ -547,6 +664,238 @@ pub mod avx2 {
         }
     }
 
+    /// Loads 8 binary16 lanes widened to f32 (VCVTPH2PS, exact).
+    ///
+    /// # Safety
+    /// Requires AVX+F16C; `p` must point to 8 valid u16 half patterns.
+    // SHARED: p — a serving shard row, read-only while queries run.
+    #[inline]
+    #[target_feature(enable = "avx,f16c")]
+    unsafe fn load8_f16(p: *const u16) -> __m256 {
+        // SAFETY: the caller guarantees 8 readable u16s = the 16 bytes of
+        // the unaligned 128-bit load.
+        unsafe { _mm256_cvtph_ps(_mm_loadu_si128(p as *const __m128i)) }
+    }
+
+    /// Stamps out an `NQ × NI` register block of a float dot kernel: `NQ`
+    /// query rows against `NI` item rows, each item vector loaded (`$load8`)
+    /// once for all queries. Per pair the arithmetic is the single-row
+    /// kernel's, step for step — 16-element chunks split over `acc0`/`acc1`,
+    /// an 8-element remainder into `acc0`, `hsum(acc0 + acc1)`, then the
+    /// scalar tail (`$widen` an item element, multiply, add) — which is what
+    /// makes every block score bit-identical to the single-row one.
+    macro_rules! float_block {
+        ($(#[$doc:meta])* $name:ident, $item:ty, $features:literal, $load8:path, $widen:path) => {
+            $(#[$doc])*
+            // SAFETY: an `unsafe fn`; the `# Safety` section each invocation
+            // passes in states the caller's contract.
+            // SHARED: q, it — serving query and shard rows, read-only while
+            // queries run.
+            #[inline]
+            #[target_feature(enable = $features)]
+            unsafe fn $name<const NQ: usize, const NI: usize>(
+                q: [*const f32; NQ],
+                it: [*const $item; NI],
+                k: usize,
+            ) -> [[f32; NI]; NQ] {
+                // SAFETY: every access below is at an offset in `0..k` of a
+                // pointer the caller guarantees covers `k` elements; vector
+                // loads are unaligned and read 8 elements at `j` only while
+                // `j + 8 <= k`.
+                unsafe {
+                    let mut acc0 = [[_mm256_setzero_ps(); NI]; NQ];
+                    let mut acc1 = [[_mm256_setzero_ps(); NI]; NQ];
+                    let mut iv = [_mm256_setzero_ps(); NI];
+                    let mut j = 0usize;
+                    while j + 16 <= k {
+                        for b in 0..NI {
+                            iv[b] = $load8(it[b].add(j));
+                        }
+                        for a in 0..NQ {
+                            let qv = _mm256_loadu_ps(q[a].add(j));
+                            for b in 0..NI {
+                                acc0[a][b] = _mm256_fmadd_ps(qv, iv[b], acc0[a][b]);
+                            }
+                        }
+                        for b in 0..NI {
+                            iv[b] = $load8(it[b].add(j + 8));
+                        }
+                        for a in 0..NQ {
+                            let qv = _mm256_loadu_ps(q[a].add(j + 8));
+                            for b in 0..NI {
+                                acc1[a][b] = _mm256_fmadd_ps(qv, iv[b], acc1[a][b]);
+                            }
+                        }
+                        j += 16;
+                    }
+                    if j + 8 <= k {
+                        for b in 0..NI {
+                            iv[b] = $load8(it[b].add(j));
+                        }
+                        for a in 0..NQ {
+                            let qv = _mm256_loadu_ps(q[a].add(j));
+                            for b in 0..NI {
+                                acc0[a][b] = _mm256_fmadd_ps(qv, iv[b], acc0[a][b]);
+                            }
+                        }
+                        j += 8;
+                    }
+                    let mut out = [[0.0f32; NI]; NQ];
+                    for a in 0..NQ {
+                        for b in 0..NI {
+                            let mut acc = hsum(_mm256_add_ps(acc0[a][b], acc1[a][b]));
+                            for t in j..k {
+                                acc += *q[a].add(t) * $widen(*it[b].add(t));
+                            }
+                            out[a][b] = acc;
+                        }
+                    }
+                    out
+                }
+            }
+        };
+    }
+
+    float_block! {
+        /// `NQ × NI` block of [`dot_ptr`].
+        ///
+        /// # Safety
+        /// Requires AVX2+FMA; every pointer must cover `k` valid f32s.
+        dot_block, f32, "avx2,fma", _mm256_loadu_ps, std::convert::identity
+    }
+
+    float_block! {
+        /// `NQ × NI` block of [`dot_f16_ptr`]: each 8 halves are widened once
+        /// for all `NQ` queries.
+        ///
+        /// # Safety
+        /// Requires AVX2+FMA+F16C; `q` pointers must cover `k` valid f32s
+        /// and `it` pointers `k` valid u16 half patterns.
+        dot_f16_block, u16, "avx2,fma,f16c", load8_f16, crate::fp16::f16_to_f32
+    }
+
+    /// `NQ × NI` block of [`dot_i8_ptr`]: each 16 item bytes are widened
+    /// once for all `NQ` queries. Integer accumulation, so the totals equal
+    /// the single-row kernel's exactly.
+    ///
+    /// # Safety
+    /// Requires AVX2; every pointer must cover `k` valid i8s.
+    // SHARED: q, it — quantized serving query and shard rows, read-only
+    // while queries run.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot_i8_block<const NQ: usize, const NI: usize>(
+        q: [*const i8; NQ],
+        it: [*const i8; NI],
+        k: usize,
+    ) -> [[i32; NI]; NQ] {
+        // SAFETY: every access is at an offset in `0..k` of a pointer the
+        // caller guarantees covers `k` i8s; each 128-bit load reads 16 bytes
+        // at `j` only while `j + 16 <= k`. Lanes cannot overflow, as in
+        // `dot_i8_ptr`.
+        unsafe {
+            let mut acc = [[_mm256_setzero_si256(); NI]; NQ];
+            let mut iv = [_mm256_setzero_si256(); NI];
+            let mut j = 0usize;
+            while j + 16 <= k {
+                for b in 0..NI {
+                    iv[b] = _mm256_cvtepi8_epi16(_mm_loadu_si128(it[b].add(j) as *const __m128i));
+                }
+                for a in 0..NQ {
+                    let qv = _mm256_cvtepi8_epi16(_mm_loadu_si128(q[a].add(j) as *const __m128i));
+                    for b in 0..NI {
+                        acc[a][b] = _mm256_add_epi32(acc[a][b], _mm256_madd_epi16(qv, iv[b]));
+                    }
+                }
+                j += 16;
+            }
+            let mut out = [[0i32; NI]; NQ];
+            for a in 0..NQ {
+                for b in 0..NI {
+                    let mut total = hsum_epi32(acc[a][b]);
+                    for t in j..k {
+                        total += *q[a].add(t) as i32 * *it[b].add(t) as i32;
+                    }
+                    out[a][b] = total;
+                }
+            }
+            out
+        }
+    }
+
+    /// Stamps out a tile kernel over a block: `NQ` query rows against `ni`
+    /// consecutive item rows, two item rows per block and a one-row block
+    /// for an odd tail; `out[a][i]` receives query `a` · item `i`.
+    macro_rules! rows_kernel {
+        ($(#[$doc:meta])* $name:ident, $block:ident, $q:ty, $item:ty, $out:ty, $features:literal) => {
+            $(#[$doc])*
+            // SAFETY: an `unsafe fn`; the `# Safety` section each invocation
+            // passes in states the caller's contract.
+            // SHARED: q, items — serving query and shard rows, read-only
+            // while queries run; out — the caller's private score scratch.
+            #[target_feature(enable = $features)]
+            pub unsafe fn $name<const NQ: usize>(
+                q: [*const $q; NQ],
+                items: *const $item,
+                ni: usize,
+                k: usize,
+                out: [*mut $out; NQ],
+            ) {
+                // SAFETY: item row `i < ni` starts at `items + i·k` and holds
+                // `k` elements, inside the `ni·k` the caller guarantees; the
+                // block reads only those rows and the `k`-element queries;
+                // `out[a] + i` stays inside the `ni` writable elements.
+                unsafe {
+                    let mut i = 0usize;
+                    while i + 2 <= ni {
+                        let s = $block::<NQ, 2>(q, [items.add(i * k), items.add((i + 1) * k)], k);
+                        for a in 0..NQ {
+                            *out[a].add(i) = s[a][0];
+                            *out[a].add(i + 1) = s[a][1];
+                        }
+                        i += 2;
+                    }
+                    if i < ni {
+                        let s = $block::<NQ, 1>(q, [items.add(i * k)], k);
+                        for a in 0..NQ {
+                            *out[a].add(i) = s[a][0];
+                        }
+                    }
+                }
+            }
+        };
+    }
+
+    rows_kernel! {
+        /// Multi-row f32 dot: see [`super::dot_rows`].
+        ///
+        /// # Safety
+        /// Requires AVX2+FMA; each `q[a]` must point to `k` valid f32s,
+        /// `items` to `ni·k`, and each `out[a]` to `ni` writable f32s that
+        /// overlap nothing else passed in.
+        dot_rows_ptr, dot_block, f32, f32, f32, "avx2,fma"
+    }
+
+    rows_kernel! {
+        /// Multi-row f32 × binary16 dot: see [`super::dot_rows_f16`].
+        ///
+        /// # Safety
+        /// Requires AVX2+FMA+F16C; each `q[a]` must point to `k` valid f32s,
+        /// `items` to `ni·k` u16 half patterns, and each `out[a]` to `ni`
+        /// writable f32s that overlap nothing else passed in.
+        dot_rows_f16_ptr, dot_f16_block, f32, u16, f32, "avx2,fma,f16c"
+    }
+
+    rows_kernel! {
+        /// Multi-row int8 dot: see [`super::dot_rows_i8`].
+        ///
+        /// # Safety
+        /// Requires AVX2; each `q[a]` must point to `k` valid i8s, `items`
+        /// to `ni·k`, and each `out[a]` to `ni` writable i32s that overlap
+        /// nothing else passed in.
+        dot_rows_i8_ptr, dot_i8_block, i8, i8, i32, "avx2"
+    }
+
     /// Bulk f32 → f16 via VCVTPS2PH (round-to-nearest-even), 8 lanes/iter.
     ///
     /// # Safety
@@ -726,6 +1075,84 @@ mod tests {
             let v = unsafe { avx2::dot_i8_ptr(a.as_ptr(), b.as_ptr(), k) };
             assert_eq!(s, v, "k {k}");
         }
+    }
+
+    /// Every score of a multi-row call must be the single-row kernel's on
+    /// that pair — to the bit for the float tiers, equal for int8 — on
+    /// both backends, across the chunk, remainder and tail lengths of `k`
+    /// and even, odd and empty item counts. A changed per-pair reduction
+    /// order in the tile kernels fails here.
+    #[test]
+    fn multi_row_kernels_match_the_single_row_ones_on_both_backends() {
+        let _guard = test_lock();
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            if set_backend(backend).is_err() {
+                continue;
+            }
+            for k in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 128] {
+                for ni in [0usize, 1, 2, 3, 63, 64] {
+                    let wave = |n: usize, salt: usize| -> Vec<f32> {
+                        (0..n)
+                            .map(|j| ((j * 37 + salt) as f32 * 0.013).sin() * 1.7)
+                            .collect()
+                    };
+                    let q = [wave(k, 11), wave(k, 501)];
+                    let items = wave(ni * k, 97);
+                    let halves: Vec<u16> =
+                        items.iter().map(|&x| crate::fp16::f32_to_f16(x)).collect();
+                    let bytes =
+                        |v: &[f32]| -> Vec<i8> { v.iter().map(|&x| (x * 70.0) as i8).collect() };
+                    let (q8, items8) = ([bytes(&q[0]), bytes(&q[1])], bytes(&items));
+                    let ctx = format!("{} k {k} ni {ni}", backend.name());
+
+                    let (mut a, mut b, mut c) = (vec![0f32; ni], vec![0f32; ni], vec![0f32; ni]);
+                    dot_rows([&q[0], &q[1]], &items, [&mut a, &mut b]);
+                    dot_rows([&q[1]], &items, [&mut c]);
+                    let (mut ha, mut hb, mut hc) = (vec![0f32; ni], vec![0f32; ni], vec![0f32; ni]);
+                    dot_rows_f16([&q[0], &q[1]], &halves, [&mut ha, &mut hb]);
+                    dot_rows_f16([&q[1]], &halves, [&mut hc]);
+                    let (mut ia, mut ib, mut ic) = (vec![0i32; ni], vec![0i32; ni], vec![0i32; ni]);
+                    dot_rows_i8([&q8[0], &q8[1]], &items8, [&mut ia, &mut ib]);
+                    dot_rows_i8([&q8[1]], &items8, [&mut ic]);
+
+                    for i in 0..ni {
+                        let row = i * k..(i + 1) * k;
+                        let want = [
+                            dot(&q[0], &items[row.clone()]),
+                            dot(&q[1], &items[row.clone()]),
+                        ];
+                        assert_eq!(a[i].to_bits(), want[0].to_bits(), "f32 {ctx} item {i}");
+                        assert_eq!(b[i].to_bits(), want[1].to_bits(), "f32 {ctx} item {i}");
+                        assert_eq!(c[i].to_bits(), want[1].to_bits(), "f32 x1 {ctx} item {i}");
+                        let want = [
+                            dot_f16(&q[0], &halves[row.clone()]),
+                            dot_f16(&q[1], &halves[row.clone()]),
+                        ];
+                        assert_eq!(ha[i].to_bits(), want[0].to_bits(), "f16 {ctx} item {i}");
+                        assert_eq!(hb[i].to_bits(), want[1].to_bits(), "f16 {ctx} item {i}");
+                        assert_eq!(hc[i].to_bits(), want[1].to_bits(), "f16 x1 {ctx} item {i}");
+                        let want = [
+                            dot_i8(&q8[0], &items8[row.clone()]),
+                            dot_i8(&q8[1], &items8[row]),
+                        ];
+                        assert_eq!(
+                            (ia[i], ib[i], ic[i]),
+                            (want[0], want[1], want[1]),
+                            "i8 {ctx} item {i}"
+                        );
+                    }
+                }
+            }
+        }
+        reset_backend();
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-row dot")]
+    fn multi_row_shape_mismatch_panics_before_any_kernel_runs() {
+        let (q, items) = ([0.0f32; 4], [0.0f32; 9]);
+        let mut out = [0.0f32; 2];
+        dot_rows([&q], &items, [&mut out]);
     }
 
     #[cfg(target_arch = "x86_64")]

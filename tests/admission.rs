@@ -190,3 +190,73 @@ fn overload_sheds_typed_and_keeps_admitted_tail_latency_bounded() {
         "per-drain admitted counts sum to the admitted total"
     );
 }
+
+/// A hot reload to a model with different factors *and* a different shard
+/// count lands while 256 admitted queries are in flight. A micro-batch is
+/// scanned against the one snapshot its dispatcher took — every worker of
+/// the job strides over that snapshot's shards — so each answer must be
+/// exactly `top_k` on the old model or exactly `top_k` on the new one:
+/// never shards of one merged with shards of the other. Queries answered
+/// before the reload saw the old model; queries submitted after `reload`
+/// returned are dispatched after it and see the new one.
+#[test]
+fn reload_to_another_shard_count_mid_stream_never_mixes_snapshots() {
+    let seed = chaos_seed();
+    let build = |seed: u64, shards: usize| {
+        ServedModel::build_with(
+            FactorMatrix::random(USERS, K, seed),
+            FactorMatrix::random(ITEMS, K, seed ^ 0x5eed),
+            None,
+            shards,
+            Precision::F32,
+            false,
+        )
+        .unwrap()
+    };
+    let (old, new) = (build(seed, 3), build(seed + 100, 5));
+    let on_old = ServeEngine::new(old.clone());
+    let on_new = ServeEngine::new(new.clone());
+    let engine = Arc::new(ServeEngine::new(old));
+    let pipeline = AdmissionPipeline::new(
+        Arc::clone(&engine),
+        AdmissionConfig {
+            capacity: 256,
+            max_batch: 16,
+        },
+    );
+
+    let submit = |i: u32| {
+        let user = (i * 37) % USERS as u32;
+        (
+            user,
+            pipeline.submit(user, 10).expect("queue holds all 256"),
+        )
+    };
+    // The first answer back means the dispatcher is draining the queue in
+    // batches of 16 on the old model while ~100 queries still wait: the
+    // reload below lands in the middle of them.
+    let mut before: Vec<(u32, Ticket)> = (0..128).map(submit).collect();
+    let (first_user, first) = before.remove(0);
+    assert_eq!(first.wait().unwrap(), on_old.top_k(first_user, 10).unwrap());
+    engine.reload(new);
+    let after: Vec<(u32, Ticket)> = (128..256).map(submit).collect();
+
+    for (user, ticket) in before {
+        let got = ticket.wait().unwrap();
+        let is_old = got == on_old.top_k(user, 10).unwrap();
+        let is_new = got == on_new.top_k(user, 10).unwrap();
+        assert!(
+            is_old != is_new,
+            "user {user}: old {is_old}, new {is_new}: {got:?}"
+        );
+    }
+    for (user, ticket) in after {
+        assert_eq!(
+            ticket.wait().unwrap(),
+            on_new.top_k(user, 10).unwrap(),
+            "user {user}"
+        );
+    }
+    assert_eq!(pipeline.stats().shed, 0);
+    assert_eq!(engine.stats().reloads, 1);
+}

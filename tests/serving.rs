@@ -13,7 +13,7 @@ use hcc_mf::{
     LearningRate, PartitionMode, WorkerSpec,
 };
 use hcc_serve::{naive_top_k, FoldInConfig, Precision, ServeEngine, ServedModel};
-use hcc_sgd::{int8, FactorMatrix};
+use hcc_sgd::{int8, simd, FactorMatrix};
 use hcc_sparse::{CooMatrix, CsrMatrix, GenConfig, Rating, SyntheticDataset};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -187,7 +187,7 @@ fn fold_in_is_deterministic_and_pure_over_256_cases() {
 // Property: quantized precision tiers
 // ---------------------------------------------------------------------------
 
-/// Round-trips a row through the int8 codec exactly the way `QueryPrep`
+/// Round-trips a row through the int8 codec exactly the way the scan
 /// and the shard builder do: per-row scale, quantize, dequantize.
 fn int8_roundtrip(row: &[f32]) -> (Vec<f32>, f32) {
     let scale = int8::scale_for(row);
@@ -196,6 +196,30 @@ fn int8_roundtrip(row: &[f32]) -> (Vec<f32>, f32) {
     let mut back = vec![0.0f32; row.len()];
     int8::dequantize(&q, scale, &mut back);
     (back, scale)
+}
+
+/// The factors a model of any tier actually scores with, for the oracle:
+/// the user rows as the tier represents a query (int8 quantizes the query
+/// row too, with its own scale; f32 and fp16 leave it f32), and the item
+/// rows the shards stored, read back dequantized (which also exercises
+/// `item_row` per tier).
+fn effective_factors(model: &ServedModel, p: &FactorMatrix) -> (FactorMatrix, FactorMatrix) {
+    let eff_p = match model.precision() {
+        Precision::Int8 => {
+            let data: Vec<f32> = (0..p.rows())
+                .flat_map(|r| int8_roundtrip(p.row(r)).0)
+                .collect();
+            FactorMatrix::from_vec(p.rows(), p.k(), data)
+        }
+        _ => p.clone(),
+    };
+    let eff_q_data: Vec<f32> = (0..model.items() as u32)
+        .flat_map(|i| model.item_row(i).unwrap())
+        .collect();
+    (
+        eff_p,
+        FactorMatrix::from_vec(model.items(), p.k(), eff_q_data),
+    )
 }
 
 /// The int8 codec contract the serving tiers rest on: round-to-nearest
@@ -235,17 +259,6 @@ fn quantized_tiers_match_their_dequantized_oracle_over_256_cases() {
     run_scenarios(0x0a17_f16e, |s| {
         let (p, q, train) = build_scenario(s);
         for precision in [Precision::Fp16, Precision::Int8] {
-            // Effective user factors: int8 scoring quantizes the query row
-            // too (per-row scale, like `QueryPrep`); fp16 leaves it f32.
-            let eff_p = match precision {
-                Precision::Int8 => {
-                    let data: Vec<f32> = (0..p.rows())
-                        .flat_map(|r| int8_roundtrip(p.row(r)).0)
-                        .collect();
-                    FactorMatrix::from_vec(p.rows(), s.k, data)
-                }
-                _ => p.clone(),
-            };
             for pruned in [false, true] {
                 let model = ServedModel::build_with(
                     p.clone(),
@@ -256,12 +269,7 @@ fn quantized_tiers_match_their_dequantized_oracle_over_256_cases() {
                     pruned,
                 )
                 .unwrap();
-                // Effective item factors: whatever the shards stored, read
-                // back dequantized (also exercises `item_row` per tier).
-                let eff_q_data: Vec<f32> = (0..s.items)
-                    .flat_map(|i| model.item_row(i).unwrap())
-                    .collect();
-                let eff_q = FactorMatrix::from_vec(s.items as usize, s.k, eff_q_data);
+                let (eff_p, eff_q) = effective_factors(&model, &p);
                 let seen = train.as_ref().map(CsrMatrix::from);
                 let engine = ServeEngine::new(model);
 
@@ -287,6 +295,126 @@ fn quantized_tiers_match_their_dequantized_oracle_over_256_cases() {
             }
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// Differential: a batch of N is N batches of one
+// ---------------------------------------------------------------------------
+
+/// The tile-major scan scores a whole query group against each tile, a
+/// single query being a group of one: a batch must therefore answer exactly
+/// what its queries answer alone — same items, same score bits, same number
+/// of items scored — and both must be rank-equivalent to the oracle.
+///
+/// The grid crosses every tier with pruned and exhaustive scans, 1 and 3
+/// shards, batch sizes around the pair (1, 2, 3) and group (63, 64, 65,
+/// 256) boundaries of the scan, and latent dimensions that exercise the
+/// kernels' 16-chunk, 8-remainder and scalar-tail paths. Item norms are
+/// skewed so pruned queries leave their group at different blocks; user 0
+/// has seen all but three items; counts include 0 and more than the
+/// catalogue holds.
+fn batches_equal_singles_over_the_grid() {
+    const USERS: u32 = 40;
+    const ITEMS: u32 = 200;
+    for k in [1usize, 7, 8, 16, 64, 100] {
+        let p = FactorMatrix::random(USERS as usize, k, 0xba7c + k as u64);
+        let flat = FactorMatrix::random(ITEMS as usize, k, 0x71e5 + k as u64);
+        let skewed: Vec<f32> = (0..ITEMS as usize)
+            .flat_map(|r| {
+                let scale = 1.0 / (1.0 + ((r * 37) % ITEMS as usize) as f32 * 0.02);
+                flat.row(r).iter().map(move |&x| x * scale)
+            })
+            .collect();
+        let q = FactorMatrix::from_vec(ITEMS as usize, k, skewed);
+        let mut rng = TestRng::seed_from_u64(k as u64);
+        let strat = proptest::collection::vec((1..USERS, 0..ITEMS), 300..400);
+        let mut entries: Vec<Rating> = Strategy::generate(&strat, &mut rng)
+            .into_iter()
+            .map(|(u, i)| Rating::new(u, i, 1.0))
+            .collect();
+        entries.extend((3..ITEMS).map(|i| Rating::new(0, i, 1.0)));
+        let train = CooMatrix::new(USERS, ITEMS, entries).unwrap();
+        let seen = CsrMatrix::from(&train);
+
+        for precision in [Precision::F32, Precision::Fp16, Precision::Int8] {
+            for pruned in [false, true] {
+                for shards in [1usize, 3] {
+                    let model = ServedModel::build_with(
+                        p.clone(),
+                        q.clone(),
+                        Some(&train),
+                        shards,
+                        precision,
+                        pruned,
+                    )
+                    .unwrap();
+                    let (eff_p, eff_q) = effective_factors(&model, &p);
+                    let batches = [1usize, 2, 3, 63, 64, 65, 256];
+                    let counts = [10usize, 0, ITEMS as usize + 10, 1, 7, 10, 3];
+                    for (n, count) in batches.into_iter().zip(counts) {
+                        let ctx = format!(
+                            "{} pruned={pruned} shards={shards} k={k} n={n} count={count}",
+                            precision.name()
+                        );
+                        let users: Vec<u32> = (0..n as u32).map(|i| (i * 7) % USERS).collect();
+                        let batched = ServeEngine::new(model.clone());
+                        let single = ServeEngine::new(model.clone());
+                        let batch = batched.top_k_batch(&users, count).unwrap();
+                        assert_eq!(batch.len(), n, "{ctx}");
+                        for (i, (&user, got)) in users.iter().zip(&batch).enumerate() {
+                            let alone = single.top_k(user, count).unwrap();
+                            let bits = |a: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                                a.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+                            };
+                            assert_eq!(bits(got), bits(&alone), "{ctx} user {user}");
+                            // Users repeat from position `USERS` on.
+                            if i < USERS as usize {
+                                let want = naive_top_k(&eff_p, &eff_q, Some(&seen), user, count);
+                                assert_rank_equivalent(got, &want, &format!("{ctx} user {user}"));
+                            }
+                        }
+                        // Same queries, same denominators: equal fractions
+                        // are equal scored-item counts.
+                        let (b, s) = (batched.stats(), single.stats());
+                        assert_eq!(b.queries, s.queries, "{ctx}");
+                        assert_eq!(b.scan_frac, s.scan_frac, "{ctx}: items scored");
+                        if pruned && shards == 1 && (1..=10).contains(&count) {
+                            assert!(b.scan_frac < 0.9, "{ctx}: skewed norms must prune");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_batch_of_n_is_n_batches_of_one_on_every_tier_and_shape() {
+    batches_equal_singles_over_the_grid();
+}
+
+/// The same grid on the scalar kernels. The backend switch is process-wide
+/// and other tests of this binary compare answers bit for bit across calls,
+/// so the scalar pass runs in a child process of this test binary that runs
+/// nothing else.
+#[test]
+fn a_batch_of_n_is_n_batches_of_one_on_the_scalar_backend() {
+    const CHILD: &str = "HCC_SERVING_SCALAR_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        simd::set_backend(simd::Backend::Scalar).unwrap();
+        batches_equal_singles_over_the_grid();
+        return;
+    }
+    let status = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "a_batch_of_n_is_n_batches_of_one_on_the_scalar_backend",
+            "--test-threads=1",
+        ])
+        .env(CHILD, "1")
+        .status()
+        .unwrap();
+    assert!(status.success(), "scalar-backend grid failed: {status}");
 }
 
 // ---------------------------------------------------------------------------
