@@ -27,10 +27,11 @@
 //!   [`CommError::PartitionedLink`]; the supervisor marks the worker dead
 //!   and survivors re-plan.
 //!
-//! Chaos requires a supervised run: the plain training loop's blocking
-//! `collect` would wait forever on a dropped push, so configuration
-//! validation ties `--net-chaos` to `--fault-tolerant`.
+//! Chaos requires a supervised run: an unsupervised one has nobody to
+//! classify the worker behind a dropped push and fails on it, so
+//! configuration validation ties `--net-chaos` to `--fault-tolerant`.
 
+use crate::socket::NetEvent;
 use crate::transport::{CommError, Transport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -287,16 +288,16 @@ impl Transport for ChaosTransport {
         self.inner.collect_timeout(worker, dst, timeout)
     }
 
-    fn wire_bytes(&self) -> u64 {
-        self.inner.wire_bytes()
-    }
-
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
         self.inner.wire_bytes_by_dir()
     }
 
     fn workers(&self) -> usize {
         self.inner.workers()
+    }
+
+    fn drain_net_events(&self) -> Vec<NetEvent> {
+        self.inner.drain_net_events()
     }
 }
 

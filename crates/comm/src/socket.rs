@@ -581,13 +581,6 @@ impl CommSocket {
         }
     }
 
-    /// Removes and returns the resilience events accumulated since the
-    /// last drain (the training loop forwards them to telemetry once per
-    /// epoch, keeping the telemetry lanes single-writer).
-    pub fn drain_net_events(&self) -> Vec<NetEvent> {
-        std::mem::take(&mut *self.events.lock())
-    }
-
     fn record_event(&self, ev: NetEvent) {
         self.events.lock().push(ev);
     }
@@ -818,11 +811,6 @@ impl Transport for CommSocket {
         Ok(())
     }
 
-    fn wire_bytes(&self) -> u64 {
-        let (pull, push) = self.wire_bytes_by_dir();
-        pull + push
-    }
-
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
         // ordering: Relaxed — statistics read for end-of-run reports.
         (
@@ -834,6 +822,10 @@ impl Transport for CommSocket {
 
     fn workers(&self) -> usize {
         self.conns.len()
+    }
+
+    fn drain_net_events(&self) -> Vec<NetEvent> {
+        std::mem::take(&mut *self.events.lock())
     }
 }
 

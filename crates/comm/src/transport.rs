@@ -14,6 +14,7 @@
 //! {P&Q, Q, half-Q} × {COMM, COMM-P} is expressible.
 
 use crate::buffer::SharedBuffer;
+use crate::socket::NetEvent;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hcc_sgd::fp16;
 use parking_lot::{Mutex, RwLock};
@@ -105,7 +106,10 @@ pub trait Transport: Send + Sync {
         timeout: Duration,
     ) -> Result<(), CommError>;
     /// Total bytes that crossed the wire so far.
-    fn wire_bytes(&self) -> u64;
+    fn wire_bytes(&self) -> u64 {
+        let (pull, push) = self.wire_bytes_by_dir();
+        pull + push
+    }
     /// Wire bytes split by direction as `(pull, push)`: publish/pull
     /// traffic (server → workers) vs push/collect traffic (workers →
     /// server). Sums to [`wire_bytes`](Transport::wire_bytes); telemetry
@@ -114,6 +118,13 @@ pub trait Transport: Send + Sync {
     fn wire_bytes_by_dir(&self) -> (u64, u64);
     /// Number of workers this transport serves.
     fn workers(&self) -> usize;
+    /// Removes and returns the resilience events (retries, reconnects)
+    /// accumulated since the last drain. The training loop forwards them to
+    /// telemetry once per epoch, which also bounds the buffer. Only wire
+    /// transports have any; decorators and routers forward to their inners.
+    fn drain_net_events(&self) -> Vec<NetEvent> {
+        Vec::new()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -146,21 +157,13 @@ impl WireBuffer {
     }
 
     fn write_f32(&self, src: &[f32]) {
-        self.write_f32_at(0, src);
-    }
-
-    fn read_f32(&self, dst: &mut [f32]) {
-        self.read_f32_at(0, dst);
-    }
-
-    fn write_f32_at(&self, offset: usize, src: &[f32]) {
         match &self.store {
-            WireStore::F32(buf) => buf.write(offset, src),
+            WireStore::F32(buf) => buf.write(0, src),
             WireStore::F16(cells) => {
                 // Large payloads use the rayon codec — the paper's
                 // multi-threaded AVX conversion analog.
                 let mut guard = cells.write();
-                let dst = &mut guard[offset..offset + src.len()];
+                let dst = &mut guard[..src.len()];
                 if src.len() >= 1 << 16 {
                     fp16::encode_parallel(src, dst);
                 } else {
@@ -174,12 +177,12 @@ impl WireBuffer {
         );
     }
 
-    fn read_f32_at(&self, offset: usize, dst: &mut [f32]) {
+    fn read_f32(&self, dst: &mut [f32]) {
         match &self.store {
-            WireStore::F32(buf) => buf.read(offset, dst),
+            WireStore::F32(buf) => buf.read(0, dst),
             WireStore::F16(cells) => {
                 let guard = cells.read();
-                let src = &guard[offset..offset + dst.len()];
+                let src = &guard[..dst.len()];
                 if dst.len() >= 1 << 16 {
                     fp16::decode_parallel(src, dst);
                 } else {
@@ -206,18 +209,6 @@ impl WireBuffer {
     }
 }
 
-/// Identifies a chunk pushed through the asynchronous pipeline: which
-/// worker, at which float offset in its push buffer, how many floats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkTag {
-    /// Pushing worker.
-    pub worker: usize,
-    /// Float offset within the push buffer.
-    pub offset: usize,
-    /// Chunk length in floats.
-    pub len: usize,
-}
-
 /// The paper's COMM: one shared pull region + one push buffer per worker.
 /// Every transfer is a single copy into/out of shared storage.
 pub struct CommShared {
@@ -225,16 +216,12 @@ pub struct CommShared {
     push_buffers: Vec<WireBuffer>,
     /// One-shot signals that a worker's push landed (server may collect).
     push_ready: Vec<(Mutex<bool>, parking_lot::Condvar)>,
-    /// Chunk arrival queue for the asynchronous (Strategy 3) path.
-    chunk_tx: Sender<ChunkTag>,
-    chunk_rx: Receiver<ChunkTag>,
 }
 
 impl CommShared {
     /// Creates a transport for `workers` workers exchanging payloads of
     /// `pull_len` / `push_len` floats at the given wire precision.
     pub fn new(workers: usize, pull_len: usize, push_len: usize, precision: Precision) -> Self {
-        let (chunk_tx, chunk_rx) = unbounded();
         CommShared {
             pull_region: WireBuffer::new(pull_len, precision),
             push_buffers: (0..workers)
@@ -243,46 +230,7 @@ impl CommShared {
             push_ready: (0..workers)
                 .map(|_| (Mutex::new(false), parking_lot::Condvar::new()))
                 .collect(),
-            chunk_tx,
-            chunk_rx,
         }
-    }
-
-    /// Writes a region of the pull area (server side, Strategy 3: publish a
-    /// column chunk of `Q`).
-    pub fn publish_at(&self, offset: usize, src: &[f32]) {
-        self.pull_region.write_f32_at(offset, src);
-    }
-
-    /// Reads a region of the pull area (worker side).
-    pub fn pull_at(&self, offset: usize, dst: &mut [f32]) {
-        self.pull_region.read_f32_at(offset, dst);
-    }
-
-    /// Worker side: writes a chunk into its push buffer and signals the
-    /// server's chunk queue.
-    pub fn push_chunk(&self, worker: usize, offset: usize, src: &[f32]) {
-        self.push_buffers[worker].write_f32_at(offset, src);
-        self.chunk_tx
-            .send(ChunkTag {
-                worker,
-                offset,
-                len: src.len(),
-            })
-            .expect("chunk receiver dropped");
-    }
-
-    /// Server side: blocks for the next pushed chunk and copies it into
-    /// `dst` (which must be at least `tag.len` floats).
-    pub fn collect_chunk(&self, dst: &mut [f32]) -> ChunkTag {
-        let tag = self.chunk_rx.recv().expect("chunk sender dropped");
-        self.push_buffers[tag.worker].read_f32_at(tag.offset, &mut dst[..tag.len]);
-        tag
-    }
-
-    /// Number of chunks currently queued (for draining checks).
-    pub fn pending_chunks(&self) -> usize {
-        self.chunk_rx.len()
     }
 }
 
@@ -334,10 +282,6 @@ impl Transport for CommShared {
         drop(ready);
         self.push_buffers[worker].read_f32(dst);
         Ok(())
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        self.pull_region.bytes() + self.push_buffers.iter().map(WireBuffer::bytes).sum::<u64>()
     }
 
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
@@ -488,11 +432,6 @@ impl Transport for CommP {
             .fetch_add(msg.len() as u64, Ordering::Relaxed);
         self.deserialize(&msg, dst);
         Ok(())
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        let (pull, push) = self.wire_bytes_by_dir();
-        pull + push
     }
 
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
@@ -674,59 +613,5 @@ mod tests {
                 });
             }
         });
-    }
-}
-
-#[cfg(test)]
-mod chunk_tests {
-    use super::*;
-
-    #[test]
-    fn chunked_push_collect_roundtrip() {
-        let t = CommShared::new(2, 8, 8, Precision::Fp32);
-        t.push_chunk(1, 4, &[1.0, 2.0]);
-        t.push_chunk(0, 0, &[3.0]);
-        let mut buf = vec![0f32; 8];
-        let tag = t.collect_chunk(&mut buf);
-        assert_eq!(
-            tag,
-            ChunkTag {
-                worker: 1,
-                offset: 4,
-                len: 2
-            }
-        );
-        assert_eq!(&buf[..2], &[1.0, 2.0]);
-        let tag = t.collect_chunk(&mut buf);
-        assert_eq!(
-            tag,
-            ChunkTag {
-                worker: 0,
-                offset: 0,
-                len: 1
-            }
-        );
-        assert_eq!(buf[0], 3.0);
-        assert_eq!(t.pending_chunks(), 0);
-    }
-
-    #[test]
-    fn publish_at_and_pull_at_are_ranged() {
-        let t = CommShared::new(1, 10, 10, Precision::Fp32);
-        t.publish_at(3, &[7.0, 8.0]);
-        let mut out = vec![0f32; 2];
-        t.pull_at(3, &mut out);
-        assert_eq!(out, vec![7.0, 8.0]);
-        t.pull_at(0, &mut out);
-        assert_eq!(out, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn ranged_fp16_roundtrip() {
-        let t = CommShared::new(1, 6, 6, Precision::Fp16);
-        t.publish_at(2, &[0.5, 0.25, 1.5]);
-        let mut out = vec![0f32; 3];
-        t.pull_at(2, &mut out);
-        assert_eq!(out, vec![0.5, 0.25, 1.5]); // exactly representable
     }
 }

@@ -159,7 +159,8 @@ impl Default for TrainArgs {
 /// Usage text shown on parse errors.
 pub const USAGE: &str = "usage:
   hcc train <ratings.txt> [--k N] [--epochs N] [--lr F] [--lambda F]
-            [--workers cpu2,gpu4[@0.5]] [--strategy pq|q|halfq] [--streams N]
+            [--workers cpu2,gpu4[@0.5]] [--strategy pq|q|halfq]
+            [--streams N  (pipelined Q chunks; any --transport, not with pq)]
             [--partition auto|uniform|dp0|dp1|dp2] [--schedule stripe|tiled]
             [--test-frac F] [--seed N] [--out PREFIX] [--rank-metrics]
             [--checkpoint-every N [--checkpoint-path FILE]] [--resume FILE]

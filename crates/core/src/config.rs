@@ -159,7 +159,9 @@ pub struct HccConfig {
     /// per-shard row-delta shipping. Requires the synchronous path
     /// (`streams == 1`) and a row-aligned region (`strategy != FullPq`).
     pub server_shards: usize,
-    /// Pipeline streams for asynchronous computing–transmission (1 = off).
+    /// Pipeline streams for asynchronous computing–transmission (1 = off):
+    /// `Q` is tiled into this many column chunks, each behind its own
+    /// endpoint of `transport`. `> 1` requires `strategy != FullPq`.
     pub streams: usize,
     /// Epochs at the start reserved for Algorithm-1 adaptation (partition
     /// may be revised after each of these).
@@ -184,15 +186,15 @@ pub struct HccConfig {
     /// ratings arrive).
     pub warm_start: Option<(hcc_sgd::FactorMatrix, hcc_sgd::FactorMatrix)>,
     /// Enables the fault-tolerance layer (heartbeats, divergence rollback,
-    /// survivor re-planning). `None` runs the original unsupervised loop.
+    /// survivor re-planning). `None` runs the same epochs unsupervised.
     pub fault_tolerance: Option<crate::supervisor::SupervisorConfig>,
     /// Deterministic fault-injection script (requires `fault_tolerance`).
     pub fault_plan: Option<crate::fault::FaultPlan>,
     /// Seeded network chaos: wraps the transport in
     /// [`hcc_comm::ChaosTransport`], which drops/delays/duplicates/corrupts
     /// pushes (and optionally partitions a link) on a deterministic
-    /// schedule. Requires `fault_tolerance` — the unsupervised loop's
-    /// blocking collect would hang forever on a dropped push.
+    /// schedule. Requires `fault_tolerance` — an unsupervised run treats a
+    /// push that never arrives as fatal.
     pub net_chaos: Option<hcc_comm::NetChaosPlan>,
     /// Write a crash-safe v2 checkpoint every N epochs (requires
     /// `checkpoint_path`).
@@ -232,19 +234,32 @@ impl HccConfig {
         if self.server_shards == 0 {
             return Err(HccError::BadConfig("server_shards must be >= 1".into()));
         }
-        if self.server_shards > 1 {
-            if self.streams != 1 {
+        // The rules for asynchronous computing–transmission, all here: a
+        // chunk is a column range of Q, so P cannot ride along; pipelining
+        // over a sharded server or under supervision is not wired up yet.
+        if self.streams > 1 {
+            if self.strategy == TransferStrategy::FullPq {
+                return Err(HccError::BadConfig(
+                    "asynchronous computing-transmission requires Q-only transfers".into(),
+                ));
+            }
+            if self.server_shards > 1 {
                 return Err(HccError::BadConfig(
                     "sharded server supports only the synchronous path (streams = 1)".into(),
                 ));
             }
-            if self.strategy == TransferStrategy::FullPq {
+            if self.fault_tolerance.is_some() {
                 return Err(HccError::BadConfig(
-                    "sharded server requires a row-aligned region \
-                     (strategy QOnly or HalfQ, not FullPq)"
-                        .into(),
+                    "fault tolerance supports only the synchronous path (streams = 1)".into(),
                 ));
             }
+        }
+        if self.server_shards > 1 && self.strategy == TransferStrategy::FullPq {
+            return Err(HccError::BadConfig(
+                "sharded server requires a row-aligned region \
+                 (strategy QOnly or HalfQ, not FullPq)"
+                    .into(),
+            ));
         }
         if self.early_stop.is_some() && !self.track_rmse {
             return Err(HccError::BadConfig(
@@ -273,14 +288,9 @@ impl HccConfig {
         }
         if self.net_chaos.is_some() && self.fault_tolerance.is_none() {
             return Err(HccError::BadConfig(
-                "net_chaos requires fault_tolerance (the unsupervised collect \
-                 would block forever on a dropped push)"
+                "net_chaos requires fault_tolerance (an unsupervised run \
+                 fails on the first dropped push)"
                     .into(),
-            ));
-        }
-        if self.fault_tolerance.is_some() && self.streams != 1 {
-            return Err(HccError::BadConfig(
-                "fault tolerance supports only the synchronous path (streams = 1)".into(),
             ));
         }
         if self.checkpoint_every == Some(0) {
@@ -584,13 +594,39 @@ mod tests {
     }
 
     #[test]
+    fn validation_gates_pipelining_by_strategy_not_by_transport() {
+        // A chunk is a column range of Q: P cannot ride along.
+        assert!(HccConfig::builder()
+            .streams(2)
+            .strategy(TransferStrategy::FullPq)
+            .try_build()
+            .is_err());
+        // Every transport carries chunks.
+        for transport in [
+            TransportKind::Shared,
+            TransportKind::CommP,
+            TransportKind::Socket,
+            TransportKind::Tcp,
+        ] {
+            for strategy in [TransferStrategy::QOnly, TransferStrategy::HalfQ] {
+                assert!(HccConfig::builder()
+                    .streams(3)
+                    .transport(transport)
+                    .strategy(strategy)
+                    .try_build()
+                    .is_ok());
+            }
+        }
+    }
+
+    #[test]
     fn validation_catches_fault_tolerance_misuse() {
         // Fault plan without supervision.
         assert!(HccConfig::builder()
             .fault_plan(crate::fault::FaultPlan::new(1))
             .try_build()
             .is_err());
-        // Network chaos without supervision would hang the blocking collect.
+        // Network chaos without supervision would fail on the first dropped push.
         assert!(HccConfig::builder().net_chaos(7).try_build().is_err());
         assert!(HccConfig::builder()
             .net_chaos(7)

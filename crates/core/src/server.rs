@@ -15,9 +15,9 @@
 //! actually touched since the last publish.
 
 use hcc_comm::delta::{apply_delta, encode_delta, max_delta_len};
-use hcc_comm::{CommError, Precision, TransferStrategy, Transport};
+use hcc_comm::{CommError, NetEvent, Precision, TransferStrategy, Transport};
 use hcc_partition::ShardRouter;
-use hcc_sync::{Arc, AtomicU64, Ordering, RwLock};
+use hcc_sync::{Arc, AtomicU64, Mutex, Ordering, RwLock};
 use std::time::{Duration, Instant};
 
 /// Float offsets/lengths of a worker's view of the pull and push regions.
@@ -67,18 +67,6 @@ pub fn merge_weighted(acc: &mut [f32], src: &[f32], w: f32) {
     assert_eq!(acc.len(), src.len(), "merge length mismatch");
     for (a, &s) in acc.iter_mut().zip(src) {
         *a += w * s;
-    }
-}
-
-/// In-place incremental merge used by the asynchronous path:
-/// `global = (1−w)·global + w·src` per element.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn merge_incremental(global: &mut [f32], src: &[f32], w: f32) {
-    assert_eq!(global.len(), src.len(), "merge length mismatch");
-    for (g, &s) in global.iter_mut().zip(src) {
-        *g = (1.0 - w) * *g + w * s;
     }
 }
 
@@ -142,6 +130,12 @@ pub struct ShardedServer {
     /// Server-side copy of the last published region: the delta base for
     /// pushes and the reconstruction base for collects.
     published: RwLock<Vec<f32>>,
+    /// `collected[w]`: how many shards of worker `w`'s current push have
+    /// already been applied. A push arrives as one message per shard, so a
+    /// collect deadline can expire between two of them; the retry resumes
+    /// at the first outstanding shard instead of waiting again on one
+    /// whose message it already consumed. Cleared by `publish`.
+    collected: Mutex<Vec<usize>>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
     rows_shipped: AtomicU64,
@@ -175,12 +169,14 @@ impl ShardedServer {
             region_len - region_len % k,
             "router must tile the region's whole rows"
         );
+        let workers = shards[0].workers();
         ShardedServer {
             router,
             k,
             precision,
             shards,
             published: RwLock::new(vec![0f32; region_len]),
+            collected: Mutex::new(vec![0; workers]),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
             rows_shipped: AtomicU64::new(0),
@@ -286,10 +282,32 @@ impl ShardedServer {
         let _ = apply_delta(&staging, self.k, region);
         Ok(())
     }
+
+    /// Collects worker `worker`'s outstanding shards into `dst`, all under
+    /// one deadline: a slow shard eats into the remaining budget instead of
+    /// multiplying it. On error `dst` keeps the shards applied so far and a
+    /// retry with the same buffer picks up where this call stopped.
+    fn collect_from(
+        &self,
+        worker: usize,
+        dst: &mut [f32],
+        deadline: Option<Instant>,
+    ) -> Result<(), CommError> {
+        let first = self.collected.lock()[worker];
+        for s in first..self.shards.len() {
+            if let Err(err) = self.apply_shard(s, worker, dst, deadline) {
+                self.collected.lock()[worker] = s;
+                return Err(err);
+            }
+        }
+        self.collected.lock()[worker] = 0;
+        Ok(())
+    }
 }
 
 impl Transport for ShardedServer {
     fn publish(&self, src: &[f32]) {
+        self.collected.lock().fill(0);
         {
             let mut snapshot = self.published.write();
             let n = src.len().min(snapshot.len());
@@ -332,9 +350,8 @@ impl Transport for ShardedServer {
     }
 
     fn collect(&self, worker: usize, dst: &mut [f32]) {
-        for s in 0..self.shards.len() {
-            let _ = self.apply_shard(s, worker, dst, None);
-        }
+        // Without a deadline no shard collect can fail.
+        let _ = self.collect_from(worker, dst, None);
     }
 
     fn collect_timeout(
@@ -343,18 +360,7 @@ impl Transport for ShardedServer {
         dst: &mut [f32],
         timeout: Duration,
     ) -> Result<(), CommError> {
-        // One deadline across all shards: a slow shard eats into the
-        // remaining budget instead of multiplying it.
-        let deadline = Instant::now() + timeout;
-        for s in 0..self.shards.len() {
-            self.apply_shard(s, worker, dst, Some(deadline))?;
-        }
-        Ok(())
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        let (pull, push) = self.wire_bytes_by_dir();
-        pull + push
+        self.collect_from(worker, dst, Some(Instant::now() + timeout))
     }
 
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
@@ -369,10 +375,18 @@ impl Transport for ShardedServer {
     fn workers(&self) -> usize {
         self.shards.first().map_or(0, |s| s.workers())
     }
+
+    fn drain_net_events(&self) -> Vec<NetEvent> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.drain_net_events())
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::fake::{self, FakeTransport};
     use super::*;
 
     #[test]
@@ -400,15 +414,6 @@ mod tests {
         merge_weighted(&mut acc, &[1.0, 2.0, 3.0], 0.25);
         merge_weighted(&mut acc, &[5.0, 6.0, 7.0], 0.75);
         assert_eq!(acc, vec![4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn incremental_merge_moves_toward_src() {
-        let mut g = vec![0.0f32, 10.0];
-        merge_incremental(&mut g, &[10.0, 0.0], 0.5);
-        assert_eq!(g, vec![5.0, 5.0]);
-        merge_incremental(&mut g, &[5.0, 5.0], 1.0);
-        assert_eq!(g, vec![5.0, 5.0]);
     }
 
     #[test]
@@ -520,5 +525,129 @@ mod tests {
         assert_eq!(pull, 48);
         assert_eq!(push, 0);
         assert_eq!(t.wire_bytes(), 48);
+    }
+
+    #[test]
+    fn sharded_collect_resumes_after_a_deadline_between_shard_arrivals() {
+        // A push is one message per shard. Deliver shard 0's only: the
+        // collect consumes it, then times out on shard 1.
+        let (rows, k) = (8, 2);
+        let router = ShardRouter::uniform(rows, 2);
+        let links: Vec<Arc<dyn Transport>> = (0..2)
+            .map(|s| {
+                let push = ShardedServer::shard_push_len(&router, s, k);
+                Arc::new(hcc_comm::CommShared::new(1, 4 * k, push, Precision::Fp32))
+                    as Arc<dyn Transport>
+            })
+            .collect();
+        let t = ShardedServer::new(router, k, rows * k, Precision::Fp32, links.clone());
+        let region = vec![0.5f32; rows * k];
+        t.publish(&region);
+        let mut local = region.clone();
+        local[1] = 7.0; // row 0 → shard 0
+        local[15] = 9.0; // row 7 → shard 1
+        links[0].push(0, &encode_delta(&region[..8], &local[..8], k));
+        let mut dst = vec![0f32; rows * k];
+        assert_eq!(
+            t.collect_timeout(0, &mut dst, Duration::from_millis(20)),
+            Err(CommError::Timeout)
+        );
+        // The retry must wait on shard 1 alone — shard 0's message is gone
+        // from its link — and keep what shard 0 delivered.
+        links[1].push(0, &encode_delta(&region[8..], &local[8..], k));
+        t.collect_timeout(0, &mut dst, Duration::from_secs(1))
+            .unwrap();
+        assert_eq!(dst, local);
+    }
+
+    #[test]
+    fn sharded_drain_gathers_every_shards_net_events_once() {
+        let router = ShardRouter::uniform(4, 2);
+        let links: Vec<Arc<dyn Transport>> = (0..2)
+            .map(|s| Arc::new(FakeTransport::new(1, 4).with_event(fake::retry(s))) as _)
+            .collect();
+        let t = ShardedServer::new(router, 2, 8, Precision::Fp32, links);
+        assert_eq!(t.drain_net_events(), vec![fake::retry(0), fake::retry(1)]);
+        assert!(t.drain_net_events().is_empty());
+    }
+}
+
+/// A scriptable [`Transport`] for tests here and in `train.rs`: a
+/// `CommShared` that can hand back canned resilience events, panic in one
+/// worker's pull, or lose one worker's pushes.
+#[cfg(test)]
+pub(crate) mod fake {
+    use hcc_comm::{CommError, CommShared, NetEvent, NetEventKind, Precision, Transport};
+    use parking_lot::Mutex;
+    use std::time::Duration;
+
+    pub(crate) struct FakeTransport {
+        inner: CommShared,
+        events: Mutex<Vec<NetEvent>>,
+        pub pull_panics_for: Option<usize>,
+        pub loses_pushes_of: Option<usize>,
+    }
+
+    /// A canned retry event on `worker`'s link.
+    pub(crate) fn retry(worker: usize) -> NetEvent {
+        NetEvent {
+            worker,
+            kind: NetEventKind::Retry {
+                cause: CommError::Timeout,
+                bytes: 64,
+            },
+            delay_us: 250,
+        }
+    }
+
+    impl FakeTransport {
+        pub fn new(workers: usize, len: usize) -> FakeTransport {
+            FakeTransport {
+                inner: CommShared::new(workers, len, len, Precision::Fp32),
+                events: Mutex::new(Vec::new()),
+                pull_panics_for: None,
+                loses_pushes_of: None,
+            }
+        }
+
+        pub fn with_event(self, event: NetEvent) -> FakeTransport {
+            self.events.lock().push(event);
+            self
+        }
+    }
+
+    impl Transport for FakeTransport {
+        fn publish(&self, src: &[f32]) {
+            self.inner.publish(src);
+        }
+        fn pull(&self, worker: usize, dst: &mut [f32]) {
+            assert_ne!(Some(worker), self.pull_panics_for, "scripted pull panic");
+            self.inner.pull(worker, dst);
+        }
+        fn push(&self, worker: usize, src: &[f32]) {
+            if Some(worker) != self.loses_pushes_of {
+                self.inner.push(worker, src);
+            }
+        }
+        fn collect(&self, worker: usize, dst: &mut [f32]) {
+            self.inner.collect(worker, dst);
+        }
+        fn collect_timeout(
+            &self,
+            worker: usize,
+            dst: &mut [f32],
+            timeout: Duration,
+        ) -> Result<(), CommError> {
+            self.inner.collect_timeout(worker, dst, timeout)
+        }
+        fn wire_bytes_by_dir(&self) -> (u64, u64) {
+            self.inner.wire_bytes_by_dir()
+        }
+        fn workers(&self) -> usize {
+            self.inner.workers()
+        }
+        fn drain_net_events(&self) -> Vec<NetEvent> {
+            std::mem::take(&mut *self.events.lock())
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Training supervisor: heartbeats, health classification, divergence guard.
 //!
-//! The supervisor wraps the synchronous epoch loop (Fig. 4 steps ①–④). Each
-//! worker stamps a heartbeat when it finishes computing; the server side
-//! collects pushes with a bounded-retry timeout instead of blocking forever.
+//! The supervisor is a policy the epoch engine consults (Fig. 4 steps ①–④),
+//! not a loop of its own. Each worker stamps a heartbeat when it finishes
+//! computing; the server side collects pushes with a bounded-retry timeout.
 //! At every epoch boundary the supervisor:
 //!
 //! 1. classifies each worker **healthy / straggler / dead** from its

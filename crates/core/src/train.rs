@@ -8,11 +8,11 @@ use crate::fault::FaultKind;
 use crate::report::{HccReport, WorkerEpochStats};
 use crate::server::{merge_weighted, merge_weights, region_layout, RegionLayout, ShardedServer};
 use crate::supervisor::{Supervisor, WorkerHealth};
-use crate::worker::{bucket_by_stream, rebase_entries, stream_col_range, WorkerState};
+use crate::worker::{chunk_col_ranges, group_by_chunk, rebase_entries, WorkerState};
 use hcc_comm::socket::NetEventKind;
 use hcc_comm::{
-    Backoff, ChaosTransport, CommError, CommP, CommShared, CommSocket, Precision, TransferStrategy,
-    Transport,
+    run_pipeline, Backoff, ChaosTransport, CommError, CommP, CommShared, CommSocket, Precision,
+    SocketConfig, TransferStrategy, Transport,
 };
 use hcc_partition::{
     dp0, dp1_step, dp2, replan_survivors, ShardRouter, StrategyChoice, WorkerClass,
@@ -23,9 +23,16 @@ use hcc_telemetry::{Dir, Event, NetCause, Phase, Telemetry};
 use parking_lot::Mutex;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long an unsupervised server waits on a push before it re-checks
+/// that the worker is still running. A push that arrives ends the wait at
+/// once; the slice only bounds how late a push that will never arrive is
+/// noticed.
+const LOST_PUSH_POLL: Duration = Duration::from_millis(50);
 
 /// The HCC-MF framework entry point.
 #[derive(Debug, Clone)]
@@ -50,19 +57,6 @@ impl HccMf {
         if matrix.nnz() == 0 {
             return Err(HccError::BadInput("matrix has no observed entries".into()));
         }
-        if self.config.streams > 1 {
-            if self.config.transport != TransportKind::Shared {
-                return Err(HccError::BadConfig(
-                    "asynchronous computing-transmission requires the shared COMM".into(),
-                ));
-            }
-            if self.config.strategy == TransferStrategy::FullPq {
-                return Err(HccError::BadConfig(
-                    "asynchronous computing-transmission requires Q-only transfers".into(),
-                ));
-            }
-        }
-
         // Preprocessing (Fig. 4 steps ①–③): pick the grid axis by the longer
         // dimension; internally we always row-grid, transposing when needed
         // (the "Transmit P only" switch of Strategy 1).
@@ -181,12 +175,109 @@ fn filter_alive<T: Clone>(items: &[T], alive: &[bool]) -> Vec<T> {
         .collect()
 }
 
+/// Spans a pipeline stage by telemetry start time and busy duration.
+type Span = (u64, Duration);
+
+/// Runs `f`, returning its result and the span it took.
+fn timed<T>(telemetry: &Telemetry, f: impl FnOnce() -> T) -> (T, Span) {
+    let start = telemetry.now_us();
+    let t0 = Instant::now();
+    let out = f();
+    (out, (start, t0.elapsed()))
+}
+
 /// Result of one executed (not yet accepted) epoch.
 struct EpochOutcome {
     stats: Vec<WorkerEpochStats>,
     sync_time: Duration,
     /// `missed[w]`: the server got no valid push from worker `w` this epoch.
     missed: Vec<bool>,
+}
+
+/// How a worker thread's epoch ended: its stats, or the message of the
+/// panic that ended it. `None` in a slot means the thread is still running.
+type WorkerExit = Result<WorkerEpochStats, String>;
+
+/// A contiguous column range of `Q` with its own transport endpoint — the
+/// unit an epoch publishes, pulls, computes on, pushes and merges. A
+/// synchronous run has one chunk covering the whole synchronized region
+/// (`[P | Q]` under `FullPq`); `streams > 1` tiles `Q`'s columns into that
+/// many, which is all the asynchronous computing–transmission pipeline of
+/// Strategy 3 needs from the transport layer.
+struct Chunk {
+    cols: Range<usize>,
+    /// Float layout of this chunk's pull and push regions.
+    layout: RegionLayout,
+    /// Carries this chunk's regions; wrapped in a [`ChaosTransport`] when
+    /// `config.net_chaos` is set.
+    endpoint: Arc<dyn Transport>,
+}
+
+/// Builds the transport endpoint for regions of `pull_len` / `push_len`
+/// floats. `shards > 1` makes it a node-sharded parameter server: the
+/// region is tiled by contiguous row range across that many links of
+/// `kind`, always at Fp32 — row-delta shipping replaces fp16 compression,
+/// and delta framing (count + indices as f32) must stay exact.
+fn build_endpoint(
+    kind: TransportKind,
+    workers: usize,
+    k: usize,
+    pull_len: usize,
+    push_len: usize,
+    precision: Precision,
+    shards: usize,
+) -> Result<Arc<dyn Transport>, HccError> {
+    if shards == 1 {
+        return build_link(kind, workers, pull_len, push_len, precision, false);
+    }
+    let router = ShardRouter::uniform(pull_len / k, shards);
+    let links = (0..shards)
+        .map(|s| {
+            let pull = router.range(s).len() * k;
+            let push = ShardedServer::shard_push_len(&router, s, k);
+            build_link(kind, workers, pull, push, Precision::Fp32, true)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let server = ShardedServer::new(router, k, pull_len, Precision::Fp32, links);
+    Ok(Arc::new(server))
+}
+
+/// One concrete transport of `kind`; `delta_push` tags a socket's pushes as
+/// row deltas (the shards of a sharded server). Fallible because the socket
+/// transports bind an OS resource.
+fn build_link(
+    kind: TransportKind,
+    workers: usize,
+    pull_len: usize,
+    push_len: usize,
+    precision: Precision,
+    delta_push: bool,
+) -> Result<Arc<dyn Transport>, HccError> {
+    let cfg = SocketConfig {
+        delta_push,
+        ..SocketConfig::default()
+    };
+    let bind_err = |e| HccError::Comm(format!("binding {kind:?} transport: {e}"));
+    Ok(match kind {
+        TransportKind::Shared => Arc::new(CommShared::new(workers, pull_len, push_len, precision)),
+        TransportKind::CommP => Arc::new(CommP::new(workers, precision)),
+        TransportKind::Socket => Arc::new(
+            CommSocket::with_config(workers, pull_len, push_len, precision, cfg)
+                .map_err(bind_err)?,
+        ),
+        TransportKind::Tcp => Arc::new(
+            CommSocket::with_config_tcp(workers, pull_len, push_len, precision, cfg)
+                .map_err(bind_err)?,
+        ),
+    })
+}
+
+/// Fault-tolerance state of a supervised run. The rollback snapshot lives
+/// beside the supervisor, so a supervised run always has one.
+struct Supervision {
+    supervisor: Supervisor,
+    /// Last-good `(P, Q)` for divergence rollback.
+    snapshot: (FactorMatrix, Vec<f32>),
 }
 
 /// Everything a training run owns.
@@ -206,20 +297,13 @@ struct Session<'a> {
     /// display names keep addressing the machine a worker started as.
     orig_ids: Vec<usize>,
     workers: Vec<WorkerState>,
-    layout: RegionLayout,
-    transport: TransportArc,
-    /// Deterministic network-chaos wrapper around `transport`, built when
-    /// `config.net_chaos` is set. The epoch loop routes pull/push/collect
-    /// through it via [`active_transport`](Session::active_transport);
-    /// wire-byte accounting keeps reading the inner transport directly.
-    net_chaos: Option<Arc<ChaosTransport>>,
-    // Fault tolerance.
-    supervisor: Option<Supervisor>,
-    /// Last-good `(P, Q)` for divergence rollback.
-    snapshot: Option<(FactorMatrix, Vec<f32>)>,
+    /// What an epoch walks: `config.streams` column chunks of `Q` (fewer
+    /// when `Q` has fewer columns), rebuilt with the workers.
+    chunks: Vec<Chunk>,
     start_epoch: usize,
     /// Cumulative learning-rate backoff from divergence rollbacks.
     lr_scale: f64,
+    rollbacks: usize,
     health_history: Vec<Vec<WorkerHealth>>,
     // Accumulated report data.
     rmse_history: Vec<f64>,
@@ -234,48 +318,6 @@ struct Session<'a> {
     /// worker id plus the server lane, so a shrinking fleet keeps stable
     /// attribution via `orig_ids`.
     telemetry: Telemetry,
-}
-
-/// Transport handle: the async path needs the concrete `CommShared` for
-/// ranged/chunked operations; the sync path only the trait. The socket
-/// variant is additionally queried for its resilience counters/events, and
-/// the sharded variant for its delta-shipping accounting.
-enum TransportArc {
-    Shared(Arc<CommShared>),
-    CommP(Arc<CommP>),
-    Socket(Arc<CommSocket>),
-    Sharded(Arc<ShardedServer>),
-}
-
-impl TransportArc {
-    fn as_dyn(&self) -> &dyn Transport {
-        match self {
-            TransportArc::Shared(t) => t.as_ref(),
-            TransportArc::CommP(t) => t.as_ref(),
-            TransportArc::Socket(t) => t.as_ref(),
-            TransportArc::Sharded(t) => t.as_ref(),
-        }
-    }
-
-    fn as_dyn_arc(&self) -> Arc<dyn Transport> {
-        match self {
-            TransportArc::Shared(t) => Arc::clone(t) as Arc<dyn Transport>,
-            TransportArc::CommP(t) => Arc::clone(t) as Arc<dyn Transport>,
-            TransportArc::Socket(t) => Arc::clone(t) as Arc<dyn Transport>,
-            TransportArc::Sharded(t) => Arc::clone(t) as Arc<dyn Transport>,
-        }
-    }
-
-    fn socket(&self) -> Option<&CommSocket> {
-        match self {
-            TransportArc::Socket(t) => Some(t.as_ref()),
-            _ => None,
-        }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        self.as_dyn().wire_bytes()
-    }
 }
 
 impl<'a> Session<'a> {
@@ -349,17 +391,11 @@ impl<'a> Session<'a> {
             specs: config.workers.clone(),
             orig_ids: (0..worker_count).collect(),
             workers: Vec::new(),
-            supervisor: config
-                .fault_tolerance
-                .clone()
-                .map(|cfg| Supervisor::new(cfg, worker_count)),
-            snapshot: None,
+            chunks: Vec::new(),
             start_epoch: 0,
             lr_scale: 1.0,
+            rollbacks: 0,
             health_history: Vec::new(),
-            layout: region_layout(config.strategy, m, n, k, m),
-            transport: TransportArc::Shared(Arc::new(CommShared::new(1, 1, 1, Precision::Fp32))),
-            net_chaos: None,
             rmse_history: Vec::new(),
             epoch_times: Vec::new(),
             worker_stats: Vec::new(),
@@ -378,34 +414,21 @@ impl<'a> Session<'a> {
         Ok(session)
     }
 
-    /// The transport the epoch loop should use: the chaos wrapper when
-    /// network-fault injection is configured, the bare transport otherwise.
-    fn active_transport(&self) -> &dyn Transport {
-        match &self.net_chaos {
-            Some(chaos) => chaos.as_ref(),
-            None => self.transport.as_dyn(),
-        }
-    }
-
-    /// (Re)builds worker states and the transport for a partition vector.
-    /// Worker-held `P` rows are flushed into `global_p` first so no training
-    /// progress is lost across repartitions. Fallible because the socket
-    /// transport binds an OS resource.
+    /// (Re)builds worker states and the chunk endpoints for a partition
+    /// vector. Worker-held `P` rows are flushed into `global_p` first so no
+    /// training progress is lost across repartitions.
     fn rebuild_workers(&mut self, fractions: Vec<f64>) -> Result<(), HccError> {
         self.flush_local_p();
         let grid = GridPartition::build(&self.work, Axis::Row, &fractions);
         let k = self.k;
+        let cols = chunk_col_ranges(self.n, self.config.streams);
         let mut workers = Vec::with_capacity(self.specs.len());
         let mut max_rows = 0usize;
         for (w, spec) in self.specs.iter().enumerate() {
             let range = grid.range(w);
             max_rows = max_rows.max((range.end - range.start) as usize);
-            let entries = rebase_entries(grid.shard(w), range.start);
-            let stream_buckets = if self.config.streams > 1 {
-                bucket_by_stream(&entries, self.n as u32, self.config.streams)
-            } else {
-                Vec::new()
-            };
+            let mut entries = rebase_entries(grid.shard(w), range.start);
+            let chunk_entries = group_by_chunk(&mut entries, &cols);
             let rows = (range.end - range.start) as usize;
             let local_p = SharedFactors::zeros(rows.max(1), k);
             if rows > 0 {
@@ -430,7 +453,7 @@ impl<'a> Session<'a> {
             workers.push(WorkerState {
                 spec: spec.clone(),
                 entries,
-                stream_buckets,
+                chunk_entries,
                 row_range: range,
                 local_p,
                 local_q,
@@ -440,107 +463,45 @@ impl<'a> Session<'a> {
                 schedule: self.config.schedule,
             });
         }
-        self.layout = region_layout(self.config.strategy, self.m, self.n, k, max_rows);
         let precision = if self.config.strategy.is_compressed() {
             Precision::Fp16
         } else {
             Precision::Fp32
         };
-        self.transport = if self.config.server_shards > 1 {
-            // Node-sharded parameter server: the synchronized region is
-            // tiled by contiguous row range across N shard endpoints of
-            // the configured transport kind. The sharded wire is always
-            // Fp32 — row-delta shipping replaces fp16 compression, and
-            // delta framing (count + indices as f32) must stay exact.
-            let shards = self.config.server_shards;
-            let rows = self.layout.pull_len / k;
-            let router = ShardRouter::uniform(rows, shards);
-            let mut inners: Vec<Arc<dyn Transport>> = Vec::with_capacity(shards);
-            for s in 0..shards {
-                let pull = router.range(s).len() * k;
-                let push = ShardedServer::shard_push_len(&router, s, k);
-                let inner: Arc<dyn Transport> = match self.config.transport {
-                    TransportKind::Shared => {
-                        Arc::new(CommShared::new(workers.len(), pull, push, Precision::Fp32))
-                    }
-                    TransportKind::CommP => Arc::new(CommP::new(workers.len(), Precision::Fp32)),
-                    TransportKind::Socket | TransportKind::Tcp => {
-                        let cfg = hcc_comm::SocketConfig {
-                            delta_push: true,
-                            ..hcc_comm::SocketConfig::default()
-                        };
-                        let sock = if self.config.transport == TransportKind::Tcp {
-                            CommSocket::with_config_tcp(
-                                workers.len(),
-                                pull,
-                                push,
-                                Precision::Fp32,
-                                cfg,
-                            )
-                        } else {
-                            CommSocket::with_config(workers.len(), pull, push, Precision::Fp32, cfg)
-                        }
-                        .map_err(|e| HccError::Comm(format!("binding shard {s} transport: {e}")))?;
-                        Arc::new(sock)
-                    }
-                };
-                inners.push(inner);
-            }
-            TransportArc::Sharded(Arc::new(ShardedServer::new(
-                router,
-                k,
-                self.layout.pull_len,
-                Precision::Fp32,
-                inners,
-            )))
-        } else {
-            match self.config.transport {
-                TransportKind::Shared => TransportArc::Shared(Arc::new(CommShared::new(
-                    workers.len(),
-                    self.layout.pull_len,
-                    self.layout.push_len,
-                    precision,
-                ))),
-                TransportKind::CommP => {
-                    TransportArc::CommP(Arc::new(CommP::new(workers.len(), precision)))
-                }
-                TransportKind::Socket => TransportArc::Socket(Arc::new(
-                    CommSocket::new(
-                        workers.len(),
-                        self.layout.pull_len,
-                        self.layout.push_len,
-                        precision,
-                    )
-                    .map_err(|e| HccError::Comm(format!("binding socket transport: {e}")))?,
-                )),
-                TransportKind::Tcp => TransportArc::Socket(Arc::new(
-                    CommSocket::new_tcp(
-                        workers.len(),
-                        self.layout.pull_len,
-                        self.layout.push_len,
-                        precision,
-                    )
-                    .map_err(|e| HccError::Comm(format!("binding tcp transport: {e}")))?,
-                )),
-            }
-        };
-        self.net_chaos = self.config.net_chaos.as_ref().map(|plan| {
-            // The plan addresses workers by *starting-fleet* id; remap its
-            // partition to the current fleet index, dropping it once that
-            // worker has been removed (its link is already gone).
-            let mut plan = plan.clone();
-            if let Some(part) = plan.partition {
-                plan.partition = self
-                    .orig_ids
-                    .iter()
-                    .position(|&id| id == part.worker)
-                    .map(|w| hcc_comm::Partition {
-                        worker: w,
-                        from_epoch: part.from_epoch,
-                    });
-            }
-            Arc::new(ChaosTransport::new(self.transport.as_dyn_arc(), plan))
+        // The chaos plan addresses workers by *starting-fleet* id; remap its
+        // partition to the current fleet index, dropping it once that
+        // worker has been removed (its link is already gone).
+        let chaos = self.config.net_chaos.clone().map(|mut plan| {
+            plan.partition = plan.partition.and_then(|part| {
+                let worker = self.orig_ids.iter().position(|&id| id == part.worker)?;
+                Some(hcc_comm::Partition { worker, ..part })
+            });
+            plan
         });
+        self.chunks = cols
+            .into_iter()
+            .map(|cols| {
+                let layout = region_layout(self.config.strategy, self.m, cols.len(), k, max_rows);
+                let endpoint = build_endpoint(
+                    self.config.transport,
+                    workers.len(),
+                    k,
+                    layout.pull_len,
+                    layout.push_len,
+                    precision,
+                    self.config.server_shards,
+                )?;
+                let endpoint: Arc<dyn Transport> = match &chaos {
+                    Some(plan) => Arc::new(ChaosTransport::new(endpoint, plan.clone())),
+                    None => endpoint,
+                };
+                Ok(Chunk {
+                    cols,
+                    layout,
+                    endpoint,
+                })
+            })
+            .collect::<Result<_, HccError>>()?;
         self.workers = workers;
         self.fractions = fractions;
         Ok(())
@@ -552,9 +513,6 @@ impl<'a> Session<'a> {
         self.global_q = state.q.into_vec();
         self.start_epoch = state.meta.epoch;
         self.lr_scale = state.meta.lr_scale as f64;
-        if let Some(sup) = self.supervisor.as_mut() {
-            sup.set_lr_scale(self.lr_scale);
-        }
         // Worker states were seeded from the random init; re-copy the
         // restored rows. Clearing first stops rebuild flushing stale P.
         self.workers.clear();
@@ -578,99 +536,72 @@ impl<'a> Session<'a> {
         }
     }
 
+    /// Wire bytes over all chunk endpoints, split `(pull, push)`.
+    fn wire_bytes_by_dir(&self) -> (u64, u64) {
+        self.chunks
+            .iter()
+            .map(|chunk| chunk.endpoint.wire_bytes_by_dir())
+            .fold((0, 0), |(pull, push), (p, q)| (pull + p, push + q))
+    }
+
     fn run(&mut self, transposed: bool) -> Result<(), HccError> {
-        if self.supervisor.is_some() {
+        let mut supervision = self.config.fault_tolerance.clone().map(|cfg| {
+            let mut supervisor = Supervisor::new(cfg, self.workers.len());
+            supervisor.set_lr_scale(self.lr_scale);
             // Baseline for the divergence guard + rollback snapshot.
-            let baseline = self.evaluate();
-            if let Some(sup) = self.supervisor.as_mut() {
-                sup.observe_baseline(baseline);
+            supervisor.observe_baseline(self.evaluate());
+            Supervision {
+                supervisor,
+                snapshot: (self.global_p.clone(), self.global_q.clone()),
             }
-            self.snapshot = Some((self.global_p.clone(), self.global_q.clone()));
-        }
+        });
 
         let mut epoch = self.start_epoch;
         while epoch < self.config.epochs {
             let lr = (f64::from(self.config.learning_rate.at(epoch)) * self.lr_scale) as f32;
             // Wire-byte baseline for this attempt (counters reset whenever
-            // the transport is rebuilt, e.g. on rollback or repartition).
-            let wire_base = self.transport.as_dyn().wire_bytes_by_dir();
+            // the endpoints are rebuilt, e.g. on rollback or repartition).
+            let wire_base = self.wire_bytes_by_dir();
             let epoch_start = Instant::now();
-            let outcome = if self.supervisor.is_some() {
-                self.run_epoch_supervised(lr, epoch)
-            } else {
-                // Unsupervised path: a worker panic would otherwise abort
-                // the process at the scope join — surface it typed instead.
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if self.config.streams > 1 {
-                        self.run_epoch_async(lr, epoch)
-                    } else {
-                        self.run_epoch_sync(lr, epoch)
-                    }
-                }));
-                match caught {
-                    Ok((stats, sync_time)) => {
-                        let missed = vec![false; stats.len()];
-                        EpochOutcome {
-                            stats,
-                            sync_time,
-                            missed,
-                        }
-                    }
-                    Err(payload) => {
-                        return Err(HccError::WorkerLost(format!(
-                            "worker thread panicked during epoch {epoch}: {}",
-                            panic_message(payload.as_ref())
-                        )))
-                    }
-                }
-            };
+            let supervisor = supervision.as_ref().map(|s| &s.supervisor);
+            let outcome = self.run_epoch(lr, epoch, supervisor)?;
             let elapsed = epoch_start.elapsed();
 
             // Divergence guard: NaN or explosion → rollback + LR backoff,
             // bounded by the supervisor's budget.
             let mut loss = None;
-            if self.supervisor.is_some() {
+            if let Some(sup) = supervision.as_mut() {
                 let l = self.evaluate();
-                let sup = self.supervisor.as_mut().expect("supervised");
-                if sup.is_diverged(l) {
-                    match sup.rollback() {
-                        Some(scale) => {
-                            self.lr_scale = scale;
-                            self.telemetry.record(
-                                self.telemetry.server_lane(),
-                                Event::Rollback {
-                                    epoch: epoch as u32,
-                                    lr_scale: scale,
-                                },
-                            );
-                            let (p, q) = self
-                                .snapshot
-                                .clone()
-                                .expect("snapshot precedes first epoch");
-                            self.global_p = p;
-                            self.global_q = q;
-                            // Clear first: the diverged local factors must
-                            // not be flushed over the restored snapshot.
-                            self.workers.clear();
-                            self.rebuild_workers(self.fractions.clone())?;
-                            continue; // retry the same epoch at reduced LR
-                        }
-                        None => {
-                            return Err(HccError::Diverged {
-                                epoch,
-                                rollbacks: sup.rollbacks_used() as usize,
-                            })
-                        }
-                    }
+                if sup.supervisor.is_diverged(l) {
+                    let Some(scale) = sup.supervisor.rollback() else {
+                        return Err(HccError::Diverged {
+                            epoch,
+                            rollbacks: sup.supervisor.rollbacks_used() as usize,
+                        });
+                    };
+                    self.lr_scale = scale;
+                    self.telemetry.record(
+                        self.telemetry.server_lane(),
+                        Event::Rollback {
+                            epoch: epoch as u32,
+                            lr_scale: scale,
+                        },
+                    );
+                    (self.global_p, self.global_q) = sup.snapshot.clone();
+                    // Clear first: the diverged local factors must not be
+                    // flushed over the restored snapshot.
+                    self.workers.clear();
+                    self.rebuild_workers(self.fractions.clone())?;
+                    continue; // retry the same epoch at reduced LR
                 }
-                sup.accept(l);
+                sup.supervisor.accept(l);
                 loss = Some(l);
             }
 
             // The epoch is accepted: record it.
             if self.telemetry.is_enabled() {
                 let lane = self.telemetry.server_lane();
-                let (pull_now, push_now) = self.transport.as_dyn().wire_bytes_by_dir();
+                let (pull_now, push_now) = self.wire_bytes_by_dir();
                 self.telemetry.bytes(
                     epoch as u32,
                     Dir::Pull,
@@ -689,34 +620,7 @@ impl<'a> Session<'a> {
                     },
                 );
             }
-            // Drain the socket transport's resilience events every epoch
-            // (bounding their buffer) and attribute them to this epoch on
-            // the server lane via the workers' starting-fleet ids.
-            if let Some(socket) = self.transport.socket() {
-                let events = socket.drain_net_events();
-                if self.telemetry.is_enabled() {
-                    let lane = self.telemetry.server_lane();
-                    for ev in events {
-                        let worker = self.orig_ids.get(ev.worker).copied().unwrap_or(ev.worker);
-                        let event = match ev.kind {
-                            NetEventKind::Retry { cause, bytes } => Event::NetRetry {
-                                epoch: epoch as u32,
-                                worker: worker as u32,
-                                cause: net_cause(cause),
-                                delay_us: ev.delay_us,
-                                bytes,
-                            },
-                            NetEventKind::Reconnect { attempt } => Event::Reconnect {
-                                epoch: epoch as u32,
-                                worker: worker as u32,
-                                attempt,
-                                delay_us: ev.delay_us,
-                            },
-                        };
-                        self.telemetry.record(lane, event);
-                    }
-                }
-            }
+            self.record_net_events(epoch);
             self.epoch_times.push(elapsed);
             self.total_updates += outcome.stats.iter().map(|s| s.updates).sum::<u64>();
             self.sync_times.push(outcome.sync_time);
@@ -731,9 +635,9 @@ impl<'a> Session<'a> {
 
             // Health classification and survivor re-planning, then a fresh
             // rollback snapshot of the accepted state.
-            if self.supervisor.is_some() {
-                self.handle_health(&outcome, epoch)?;
-                self.snapshot = Some((self.global_p.clone(), self.global_q.clone()));
+            if let Some(sup) = supervision.as_mut() {
+                self.handle_health(&mut sup.supervisor, &outcome, epoch)?;
+                sup.snapshot = (self.global_p.clone(), self.global_q.clone());
             }
             self.worker_stats.push(outcome.stats);
 
@@ -744,8 +648,37 @@ impl<'a> Session<'a> {
             self.adapt(epoch)?;
             epoch += 1;
         }
+        self.rollbacks = supervision.map_or(0, |s| s.supervisor.rollbacks_used() as usize);
         self.flush_local_p();
         Ok(())
+    }
+
+    /// Drains every endpoint's resilience events once per epoch (bounding
+    /// their buffers) and attributes them to this epoch on the server lane
+    /// via the workers' starting-fleet ids.
+    fn record_net_events(&self, epoch: usize) {
+        let lane = self.telemetry.server_lane();
+        for chunk in &self.chunks {
+            for ev in chunk.endpoint.drain_net_events() {
+                let worker = self.orig_ids.get(ev.worker).copied().unwrap_or(ev.worker) as u32;
+                let event = match ev.kind {
+                    NetEventKind::Retry { cause, bytes } => Event::NetRetry {
+                        epoch: epoch as u32,
+                        worker,
+                        cause: net_cause(cause),
+                        delay_us: ev.delay_us,
+                        bytes,
+                    },
+                    NetEventKind::Reconnect { attempt } => Event::Reconnect {
+                        epoch: epoch as u32,
+                        worker,
+                        attempt,
+                        delay_us: ev.delay_us,
+                    },
+                };
+                self.telemetry.record(lane, event);
+            }
+        }
     }
 
     /// Periodic crash-safe checkpoint (after epoch `epoch` is accepted).
@@ -781,13 +714,17 @@ impl<'a> Session<'a> {
 
     /// Classifies worker health after an accepted epoch; removes dead
     /// workers and re-plans the partition over the survivors.
-    fn handle_health(&mut self, outcome: &EpochOutcome, epoch: usize) -> Result<(), HccError> {
+    fn handle_health(
+        &mut self,
+        sup: &mut Supervisor,
+        outcome: &EpochOutcome,
+        epoch: usize,
+    ) -> Result<(), HccError> {
         let compute: Vec<f64> = outcome
             .stats
             .iter()
             .map(|s| s.compute.as_secs_f64())
             .collect();
-        let sup = self.supervisor.as_ref().expect("supervised");
         let beat: Vec<bool> = (0..self.workers.len())
             .map(|w| sup.board.has_beat(w, epoch))
             .collect();
@@ -832,146 +769,134 @@ impl<'a> Session<'a> {
         self.orig_ids = filter_alive(&self.orig_ids, &alive);
         self.classes = filter_alive(&self.classes, &alive);
         self.rebuild_workers(fractions)?;
-        if let Some(sup) = self.supervisor.as_mut() {
-            sup.board.resize(survivors);
-        }
+        sup.board.resize(survivors);
         Ok(())
     }
 
-    /// Synchronous epoch: publish, parallel worker pull/compute/push, server
-    /// collect+merge (overlapped with still-running workers).
-    fn run_epoch_sync(&mut self, lr: f32, epoch: usize) -> (Vec<WorkerEpochStats>, Duration) {
-        let k = self.k;
-        let n = self.n;
-        let layout = self.layout;
-        let strategy = self.config.strategy;
-        let transport = self.active_transport();
-        let telemetry = &self.telemetry;
-        let epoch_u32 = epoch as u32;
-        let orig_ids = &self.orig_ids;
+    /// One epoch of Fig. 4, the only epoch loop there is: publish every
+    /// chunk; every worker walks its chunks `pull → compute → push`
+    /// ([`worker_epoch`](Self::worker_epoch)) while this thread, the server,
+    /// collects and merges them in fixed `(chunk, worker)` order,
+    /// overlapping the still-running workers (the DP2 hiding effect).
+    ///
+    /// A chunk is merged like any region, `q = Σ wᵢ·qᵢ` over the pushes
+    /// that arrived, so the result does not depend on arrival order or on
+    /// how `Q` is chunked. A supervisor, when present, is consulted at four
+    /// points — fault lookup and heartbeat on the worker side, the bounded
+    /// collect ladder and the non-finite-push check here; a missing or
+    /// poisoned push is left out of its chunk's merge and the remaining
+    /// weights renormalized, and a chunk that lost every push keeps the
+    /// previous global `Q`. With no fault the supervised epoch is
+    /// bit-identical to the plain one.
+    fn run_epoch(
+        &mut self,
+        lr: f32,
+        epoch: usize,
+        sup: Option<&Supervisor>,
+    ) -> Result<EpochOutcome, HccError> {
+        let this = &*self;
+        let k = this.k;
+        let full_pq = this.config.strategy == TransferStrategy::FullPq;
+        let telemetry = &this.telemetry;
 
-        // Publish: [P | Q] under FullPq, [Q] otherwise.
-        let mut pull_staging = vec![0f32; layout.pull_len];
-        if strategy == TransferStrategy::FullPq {
-            pull_staging[..self.m * k].copy_from_slice(self.global_p.as_slice());
+        // Publish: [P | Q] under FullPq, the chunk's Q columns otherwise.
+        for chunk in &this.chunks {
+            let mut region = vec![0f32; chunk.layout.pull_len];
+            if full_pq {
+                region[..this.m * k].copy_from_slice(this.global_p.as_slice());
+            }
+            region[chunk.layout.pull_q_offset..]
+                .copy_from_slice(&this.global_q[chunk.cols.start * k..chunk.cols.end * k]);
+            chunk.endpoint.publish(&region);
         }
-        pull_staging[layout.pull_q_offset..layout.pull_q_offset + n * k]
-            .copy_from_slice(&self.global_q);
-        transport.publish(&pull_staging);
 
-        let weights = merge_weights(
-            &self
-                .workers
-                .iter()
-                .map(|w| w.entries.len())
-                .collect::<Vec<_>>(),
-        );
-        let lambda_p = self.config.lambda_p;
-        let lambda_q = self.config.lambda_q;
-
-        let stats: Mutex<Vec<WorkerEpochStats>> =
-            Mutex::new(vec![WorkerEpochStats::default(); self.workers.len()]);
-        let mut q_acc = vec![0f32; n * k];
+        let shard_sizes: Vec<usize> = this.workers.iter().map(|w| w.entries.len()).collect();
+        let weights = merge_weights(&shard_sizes);
+        let exits: Mutex<Vec<Option<WorkerExit>>> = Mutex::new(vec![None; this.workers.len()]);
+        let mut q_acc = vec![0f32; this.n * k];
         let mut p_updates: Vec<(usize, Vec<f32>)> = Vec::new();
         let mut sync_time = Duration::ZERO;
+        let mut missed = vec![false; this.workers.len()];
 
-        std::thread::scope(|scope| {
-            for (w, state) in self.workers.iter().enumerate() {
-                let stats = &stats;
+        std::thread::scope(|scope| -> Result<(), HccError> {
+            for w in 0..this.workers.len() {
+                let exits = &exits;
                 scope.spawn(move || {
-                    let lane = orig_ids[w] as u32;
-                    // Fresh scoped thread each epoch: the previous epoch's
-                    // scope join orders this writer after the last one.
-                    telemetry.adopt_lane(lane);
-                    let mut staging = vec![0f32; layout.pull_len.max(layout.push_len)];
-
-                    // Pull.
-                    let start = telemetry.now_us();
-                    let t0 = Instant::now();
-                    transport.pull(w, &mut staging[..layout.pull_len]);
-                    state.local_q.copy_rows_from_slice(
-                        0,
-                        n,
-                        &staging[layout.pull_q_offset..layout.pull_q_offset + n * k],
-                    );
-                    if strategy == TransferStrategy::FullPq && state.rows() > 0 {
-                        let lo = state.row_range.start as usize;
-                        state.local_p.copy_rows_from_slice(
-                            0,
-                            state.rows(),
-                            &staging[lo * k..(lo + state.rows()) * k],
-                        );
+                    // A worker panic would otherwise abort the process at
+                    // the scope join — contain it.
+                    let exit =
+                        catch_unwind(AssertUnwindSafe(|| this.worker_epoch(w, lr, epoch, sup)))
+                            .map_err(|payload| panic_message(payload.as_ref()));
+                    if let (Err(_), Some(sup)) = (&exit, sup) {
+                        sup.board.mark_dead(w);
                     }
-                    let pull = t0.elapsed();
-                    telemetry.phase(lane, epoch_u32, lane, Phase::Pull, start, pull);
-
-                    // Compute.
-                    let start = telemetry.now_us();
-                    let compute = state.compute(&state.entries, lr, lambda_p, lambda_q);
-                    telemetry.phase(lane, epoch_u32, lane, Phase::Comp, start, compute);
-
-                    // Push.
-                    let start = telemetry.now_us();
-                    let t0 = Instant::now();
-                    let rows = state.rows();
-                    let push_len = if strategy == TransferStrategy::FullPq {
-                        let p_rows = state.local_p.snapshot_rows(0, rows);
-                        staging[..rows * k].copy_from_slice(&p_rows);
-                        let q = state.local_q.snapshot_rows(0, n);
-                        staging[layout.push_q_offset..layout.push_q_offset + n * k]
-                            .copy_from_slice(&q);
-                        layout.push_q_offset + n * k
-                    } else {
-                        let q = state.local_q.snapshot_rows(0, n);
-                        staging[..n * k].copy_from_slice(&q);
-                        n * k
-                    };
-                    transport.push(w, &staging[..push_len]);
-                    let push = t0.elapsed();
-                    telemetry.phase(lane, epoch_u32, lane, Phase::Push, start, push);
-
-                    stats.lock()[w] = WorkerEpochStats {
-                        pull,
-                        compute,
-                        push,
-                        updates: state.entries.len() as u64,
-                    };
+                    exits.lock()[w] = Some(exit);
                 });
             }
 
-            // Server: collect and merge on this thread, overlapping the
-            // remaining workers' computation (the DP2 hiding effect).
             let server_lane = telemetry.server_lane();
-            let mut collect_staging = vec![0f32; layout.push_len];
-            #[allow(clippy::needless_range_loop)] // w indexes three arrays
-            for w in 0..self.workers.len() {
-                transport.collect(w, &mut collect_staging[..layout.push_len]);
-                let start = telemetry.now_us();
-                let t0 = Instant::now();
-                merge_weighted(
-                    &mut q_acc,
-                    &collect_staging[layout.push_q_offset..layout.push_q_offset + n * k],
-                    weights[w],
-                );
-                if strategy == TransferStrategy::FullPq {
-                    let rows = self.workers[w].rows();
-                    p_updates.push((w, collect_staging[..rows * k].to_vec()));
+            for chunk in &this.chunks {
+                let q_range = chunk.cols.start * k..chunk.cols.end * k;
+                let mut staging = vec![0f32; chunk.layout.push_len];
+                // Weight of the pushes merged into this chunk: all of it
+                // (`merge_weights` sums to one) unless some were left out.
+                let mut accepted = 0f32;
+                let mut left_out = false;
+                for w in 0..this.workers.len() {
+                    if !this.collect_push(chunk, w, &mut staging, sup, &exits, epoch)? {
+                        (missed[w], left_out) = (true, true);
+                        continue;
+                    }
+                    let start = telemetry.now_us();
+                    let t0 = Instant::now();
+                    let q_part = &staging[chunk.layout.push_q_offset..][..q_range.len()];
+                    if sup.is_some() && q_part.iter().any(|v| !v.is_finite()) {
+                        // Poisoned push: discard the shard.
+                        (missed[w], left_out) = (true, true);
+                    } else {
+                        merge_weighted(&mut q_acc[q_range.clone()], q_part, weights[w]);
+                        accepted += weights[w];
+                        if full_pq {
+                            let rows = this.workers[w].rows();
+                            p_updates.push((w, staging[..rows * k].to_vec()));
+                        }
+                    }
+                    let merged = t0.elapsed();
+                    sync_time += merged;
+                    // Sync spans live on the server lane but carry the merged
+                    // worker's id, so per-worker epoch sums include their share.
+                    telemetry.phase(
+                        server_lane,
+                        epoch as u32,
+                        this.orig_ids[w] as u32,
+                        Phase::Sync,
+                        start,
+                        merged,
+                    );
                 }
-                let merged = t0.elapsed();
-                sync_time += merged;
-                // Sync spans live on the server lane but carry the merged
-                // worker's id, so per-worker epoch sums include their share.
-                telemetry.phase(
-                    server_lane,
-                    epoch_u32,
-                    orig_ids[w] as u32,
-                    Phase::Sync,
-                    start,
-                    merged,
-                );
+                if accepted == 0.0 {
+                    q_acc[q_range.clone()].copy_from_slice(&this.global_q[q_range]);
+                } else if left_out {
+                    // Renormalize over the accepted pushes so missing shards
+                    // don't shrink Q toward zero.
+                    let inv = 1.0 / accepted;
+                    for v in &mut q_acc[q_range] {
+                        *v *= inv;
+                    }
+                }
             }
-        });
+            Ok(())
+        })?;
 
+        let mut stats = Vec::with_capacity(missed.len());
+        for (w, exit) in exits.into_inner().into_iter().enumerate() {
+            stats.push(match exit {
+                Some(Ok(stats)) => stats,
+                Some(Err(panic)) if sup.is_none() => return Err(self.worker_lost(w, epoch, &panic)),
+                // Supervised: marked dead above, the epoch stands without it.
+                _ => WorkerEpochStats::default(),
+            });
+        }
         self.global_q.copy_from_slice(&q_acc);
         for (w, p_rows) in p_updates {
             let lo = self.workers[w].row_range.start as usize;
@@ -982,396 +907,196 @@ impl<'a> Session<'a> {
                     .copy_from_slice(&p_rows[r * k..(r + 1) * k]);
             }
         }
-        (stats.into_inner(), sync_time)
-    }
-
-    /// Supervised synchronous epoch: [`run_epoch_sync`](Self::run_epoch_sync)
-    /// plus heartbeats, per-worker panic capture, deterministic fault
-    /// injection, bounded-timeout collects with backoff, and push integrity
-    /// checks. Missing or poisoned pushes are excluded from the merge and
-    /// the remaining weights renormalized; when every push is lost the
-    /// previous global `Q` is kept. Bit-identical to the plain sync epoch
-    /// when no fault fires.
-    fn run_epoch_supervised(&mut self, lr: f32, epoch: usize) -> EpochOutcome {
-        let k = self.k;
-        let n = self.n;
-        let layout = self.layout;
-        let strategy = self.config.strategy;
-        let transport = self.active_transport();
-        let telemetry = &self.telemetry;
-        let epoch_u32 = epoch as u32;
-        let sup = self.supervisor.as_ref().expect("supervised");
-        let board = &sup.board;
-        let timeout0 = sup.cfg.heartbeat_timeout;
-        let retries = sup.cfg.collect_retries.max(1);
-        let backoff = sup.cfg.retry_backoff.max(1.0);
-        let plan = self.config.fault_plan.as_ref();
-        let orig_ids = &self.orig_ids;
-
-        let mut pull_staging = vec![0f32; layout.pull_len];
-        if strategy == TransferStrategy::FullPq {
-            pull_staging[..self.m * k].copy_from_slice(self.global_p.as_slice());
-        }
-        pull_staging[layout.pull_q_offset..layout.pull_q_offset + n * k]
-            .copy_from_slice(&self.global_q);
-        transport.publish(&pull_staging);
-
-        let weights = merge_weights(
-            &self
-                .workers
-                .iter()
-                .map(|w| w.entries.len())
-                .collect::<Vec<_>>(),
-        );
-        let lambda_p = self.config.lambda_p;
-        let lambda_q = self.config.lambda_q;
-
-        let stats: Mutex<Vec<WorkerEpochStats>> =
-            Mutex::new(vec![WorkerEpochStats::default(); self.workers.len()]);
-        let mut q_acc = vec![0f32; n * k];
-        let mut p_updates: Vec<(usize, Vec<f32>)> = Vec::new();
-        let mut sync_time = Duration::ZERO;
-        let mut missed = vec![false; self.workers.len()];
-        let mut accepted_weight = 0f32;
-
-        std::thread::scope(|scope| {
-            for (w, state) in self.workers.iter().enumerate() {
-                let stats = &stats;
-                scope.spawn(move || {
-                    let body =
-                        || {
-                            let fault = plan.and_then(|p| p.at(orig_ids[w], epoch));
-                            if fault == Some(FaultKind::Crash) {
-                                return None; // no heartbeat, no push: dead
-                            }
-                            let lane = orig_ids[w] as u32;
-                            // Writer handoff (see the stripe path above).
-                            telemetry.adopt_lane(lane);
-                            let mut staging = vec![0f32; layout.pull_len.max(layout.push_len)];
-
-                            // Pull.
-                            let start = telemetry.now_us();
-                            let t0 = Instant::now();
-                            transport.pull(w, &mut staging[..layout.pull_len]);
-                            state.local_q.copy_rows_from_slice(
-                                0,
-                                n,
-                                &staging[layout.pull_q_offset..layout.pull_q_offset + n * k],
-                            );
-                            if strategy == TransferStrategy::FullPq && state.rows() > 0 {
-                                let lo = state.row_range.start as usize;
-                                state.local_p.copy_rows_from_slice(
-                                    0,
-                                    state.rows(),
-                                    &staging[lo * k..(lo + state.rows()) * k],
-                                );
-                            }
-                            let pull = t0.elapsed();
-                            telemetry.phase(lane, epoch_u32, lane, Phase::Pull, start, pull);
-
-                            // Compute (an injected stall counts as compute time,
-                            // so the supervisor's straggler rule sees it).
-                            let start = telemetry.now_us();
-                            let t0 = Instant::now();
-                            if let Some(FaultKind::Stall { millis }) = fault {
-                                std::thread::sleep(Duration::from_millis(millis));
-                            }
-                            state.compute(&state.entries, lr, lambda_p, lambda_q);
-                            let compute = t0.elapsed();
-                            telemetry.phase(lane, epoch_u32, lane, Phase::Comp, start, compute);
-                            board.beat(w, epoch);
-
-                            // Push.
-                            let start = telemetry.now_us();
-                            let t0 = Instant::now();
-                            let rows = state.rows();
-                            let push_len = if strategy == TransferStrategy::FullPq {
-                                let p_rows = state.local_p.snapshot_rows(0, rows);
-                                staging[..rows * k].copy_from_slice(&p_rows);
-                                let q = state.local_q.snapshot_rows(0, n);
-                                staging[layout.push_q_offset..layout.push_q_offset + n * k]
-                                    .copy_from_slice(&q);
-                                layout.push_q_offset + n * k
-                            } else {
-                                let q = state.local_q.snapshot_rows(0, n);
-                                staging[..n * k].copy_from_slice(&q);
-                                n * k
-                            };
-                            if fault == Some(FaultKind::CorruptPush) {
-                                let positions = plan
-                                    .expect("fault implies plan")
-                                    .corrupt_positions(orig_ids[w], epoch, push_len);
-                                state.poison_push(&mut staging[..push_len], &positions);
-                            }
-                            if fault != Some(FaultKind::DropPush) {
-                                transport.push(w, &staging[..push_len]);
-                            }
-                            let push = t0.elapsed();
-                            telemetry.phase(lane, epoch_u32, lane, Phase::Push, start, push);
-
-                            Some(WorkerEpochStats {
-                                pull,
-                                compute,
-                                push,
-                                updates: state.entries.len() as u64,
-                            })
-                        };
-                    match catch_unwind(AssertUnwindSafe(body)) {
-                        Ok(Some(s)) => stats.lock()[w] = s,
-                        Ok(None) | Err(_) => board.mark_dead(w),
-                    }
-                });
-            }
-
-            // Server: bounded-timeout collect per worker with backoff;
-            // missing or non-finite pushes are skipped and flagged.
-            let server_lane = telemetry.server_lane();
-            let mut collect_staging = vec![0f32; layout.push_len];
-            #[allow(clippy::needless_range_loop)] // w indexes several arrays
-            for w in 0..self.workers.len() {
-                // Jitter-free `Backoff` reproduces the historical
-                // `timeout → timeout·factor → …` ladder bit-for-bit.
-                let mut ladder = Backoff::new(timeout0, backoff);
-                let mut got = false;
-                for _attempt in 0..retries {
-                    if board.is_dead(w) {
-                        break;
-                    }
-                    let timeout = ladder.next_delay();
-                    match transport.collect_timeout(
-                        w,
-                        &mut collect_staging[..layout.push_len],
-                        timeout,
-                    ) {
-                        Ok(()) => {
-                            got = true;
-                            break;
-                        }
-                        // A corrupt frame degrades to a dropped one: wait
-                        // out the next ladder step in case a retransmit
-                        // (or a slow worker) still delivers a clean push.
-                        Err(err @ (CommError::Timeout | CommError::Corrupt)) => {
-                            telemetry.record(
-                                server_lane,
-                                Event::NetRetry {
-                                    epoch: epoch_u32,
-                                    worker: orig_ids[w] as u32,
-                                    cause: net_cause(err),
-                                    delay_us: timeout.as_micros() as u64,
-                                    bytes: 0,
-                                },
-                            );
-                        }
-                        Err(CommError::Disconnected) => break,
-                        // A partitioned worker keeps computing and beating
-                        // its heartbeat, so classification alone would call
-                        // it a straggler forever; declare the link dead so
-                        // the survivors re-plan.
-                        Err(CommError::PartitionedLink) => {
-                            board.mark_dead(w);
-                            break;
-                        }
-                    }
-                }
-                if !got {
-                    missed[w] = true;
-                    continue;
-                }
-                let start = telemetry.now_us();
-                let t0 = Instant::now();
-                let q_part = &collect_staging[layout.push_q_offset..layout.push_q_offset + n * k];
-                if q_part.iter().any(|v| !v.is_finite()) {
-                    missed[w] = true; // poisoned push: discard the shard
-                    let merged = t0.elapsed();
-                    sync_time += merged;
-                    telemetry.phase(
-                        server_lane,
-                        epoch_u32,
-                        orig_ids[w] as u32,
-                        Phase::Sync,
-                        start,
-                        merged,
-                    );
-                    continue;
-                }
-                merge_weighted(&mut q_acc, q_part, weights[w]);
-                accepted_weight += weights[w];
-                if strategy == TransferStrategy::FullPq {
-                    let rows = self.workers[w].rows();
-                    p_updates.push((w, collect_staging[..rows * k].to_vec()));
-                }
-                let merged = t0.elapsed();
-                sync_time += merged;
-                telemetry.phase(
-                    server_lane,
-                    epoch_u32,
-                    orig_ids[w] as u32,
-                    Phase::Sync,
-                    start,
-                    merged,
-                );
-            }
-        });
-
-        if accepted_weight > 0.0 {
-            if missed.iter().any(|&m| m) {
-                // Renormalize over the accepted pushes so missing shards
-                // don't shrink Q toward zero.
-                let inv = 1.0 / accepted_weight;
-                for v in q_acc.iter_mut() {
-                    *v *= inv;
-                }
-            }
-            self.global_q.copy_from_slice(&q_acc);
-        }
-        for (w, p_rows) in p_updates {
-            let lo = self.workers[w].row_range.start as usize;
-            let rows = self.workers[w].rows();
-            for r in 0..rows {
-                self.global_p
-                    .row_mut(lo + r)
-                    .copy_from_slice(&p_rows[r * k..(r + 1) * k]);
-            }
-        }
-        EpochOutcome {
-            stats: stats.into_inner(),
+        Ok(EpochOutcome {
+            stats,
             sync_time,
             missed,
+        })
+    }
+
+    fn worker_lost(&self, w: usize, epoch: usize, panic: &str) -> HccError {
+        HccError::WorkerLost(format!(
+            "worker {} panicked during epoch {epoch}: {panic}",
+            self.orig_ids[w]
+        ))
+    }
+
+    /// Worker `w`'s side of an epoch, on its own thread: walk the chunks
+    /// `pull → compute → push` — inline for one chunk, through
+    /// [`run_pipeline`] for several, so the pull of chunk `c + 1` and the
+    /// push of chunk `c − 1` overlap the computation of chunk `c`
+    /// (Strategy 3). Chunks touch disjoint columns of the local `Q`, and
+    /// each stage runs its chunks in order, so the overlap moves no bits.
+    fn worker_epoch(
+        &self,
+        w: usize,
+        lr: f32,
+        epoch: usize,
+        sup: Option<&Supervisor>,
+    ) -> WorkerEpochStats {
+        let state = &self.workers[w];
+        let telemetry = &self.telemetry;
+        let strategy = self.config.strategy;
+        let (lambda_p, lambda_q) = (self.config.lambda_p, self.config.lambda_q);
+        let worker_id = self.orig_ids[w];
+        // Faults are injected only where a supervisor can absorb them.
+        let fault = sup
+            .zip(self.config.fault_plan.as_ref())
+            .and_then(|(sup, plan)| {
+                let kind = plan.at(worker_id, epoch)?;
+                Some((sup, plan, kind))
+            });
+        if let Some((sup, _, FaultKind::Crash)) = fault {
+            sup.board.mark_dead(w); // no heartbeat, no push: dead
+            return WorkerEpochStats::default();
+        }
+        let lane = worker_id as u32;
+        // Fresh scoped thread each epoch: the previous epoch's scope join
+        // orders this writer after the last one.
+        telemetry.adopt_lane(lane);
+
+        let pull = |c: usize| {
+            let chunk = &self.chunks[c];
+            let mut region = vec![0f32; chunk.layout.pull_len.max(chunk.layout.push_len)];
+            chunk.endpoint.pull(w, &mut region[..chunk.layout.pull_len]);
+            state.load_region(&region, &chunk.layout, &chunk.cols, strategy);
+            region
+        };
+        let compute = |c: usize, region: Vec<f32>| {
+            // An injected stall counts as compute time, so the
+            // supervisor's straggler rule sees it.
+            if let Some((_, _, FaultKind::Stall { millis })) = fault {
+                std::thread::sleep(Duration::from_millis(millis));
+            }
+            let entries = &state.entries[state.chunk_entries[c].clone()];
+            state.compute(entries, lr, lambda_p, lambda_q);
+            if let Some(sup) = sup {
+                sup.board.beat(w, epoch);
+            }
+            region
+        };
+        let push = |c: usize, mut region: Vec<f32>| {
+            let chunk = &self.chunks[c];
+            let len = state.store_region(&mut region, &chunk.layout, &chunk.cols, strategy);
+            match fault {
+                Some((_, _, FaultKind::DropPush)) => return,
+                Some((_, plan, FaultKind::CorruptPush)) => {
+                    let positions = plan.corrupt_positions(worker_id, epoch, len);
+                    state.poison_push(&mut region[..len], &positions);
+                }
+                _ => {}
+            }
+            chunk.endpoint.push(w, &region[..len]);
+        };
+
+        let spans: [Span; 3] = if self.chunks.len() == 1 {
+            let (region, pulled) = timed(telemetry, || pull(0));
+            let (region, computed) = timed(telemetry, || compute(0, region));
+            let ((), pushed) = timed(telemetry, || push(0, region));
+            [pulled, computed, pushed]
+        } else {
+            // The stages run on the pipeline's own threads, which must not
+            // write this single-writer lane: only per-stage busy totals
+            // come back, recorded as three spans sharing the pipeline's
+            // start time.
+            let start = telemetry.now_us();
+            let chunks = self.chunks.len();
+            let busy = run_pipeline(chunks, chunks, pull, compute, push);
+            [busy.pull_busy, busy.compute_busy, busy.push_busy].map(|b| (start, b))
+        };
+        for (phase, (start, busy)) in [Phase::Pull, Phase::Comp, Phase::Push]
+            .into_iter()
+            .zip(spans)
+        {
+            telemetry.phase(lane, epoch as u32, lane, phase, start, busy);
+        }
+        WorkerEpochStats {
+            pull: spans[0].1,
+            compute: spans[1].1,
+            push: spans[2].1,
+            updates: state.entries.len() as u64,
         }
     }
 
-    /// Asynchronous epoch (Strategy 3): each worker pipelines
-    /// `pull(s) → compute(s) → push(s)` over column chunks of `Q`; the
-    /// server merges chunks as they arrive.
-    fn run_epoch_async(&mut self, lr: f32, epoch: usize) -> (Vec<WorkerEpochStats>, Duration) {
-        let comm = match &self.transport {
-            TransportArc::Shared(c) => Arc::clone(c),
-            TransportArc::CommP(_) | TransportArc::Socket(_) | TransportArc::Sharded(_) => {
-                unreachable!("validated in train()")
+    /// Server side: waits for worker `w`'s push of `chunk` into `dst`.
+    /// `Ok(false)` means the supervisor gave up on it for this epoch.
+    ///
+    /// Supervised, this is the bounded-retry ladder: each timeout or
+    /// corrupt frame is a `NetRetry` event, and a worker that exhausts the
+    /// ladder is `missed`. Unsupervised there is nobody to classify a
+    /// missing worker, so the server waits for as long as the worker's
+    /// thread runs — silently, a slow worker is not a fault — and fails
+    /// typed once the thread has ended without the push arriving (it
+    /// panicked, or its transport gave up on the push).
+    fn collect_push(
+        &self,
+        chunk: &Chunk,
+        w: usize,
+        dst: &mut [f32],
+        sup: Option<&Supervisor>,
+        exits: &Mutex<Vec<Option<WorkerExit>>>,
+        epoch: usize,
+    ) -> Result<bool, HccError> {
+        let Some(sup) = sup else {
+            loop {
+                // Read before the wait: a push precedes its thread's exit,
+                // so a wait that starts after the exit cannot miss it.
+                let exited = exits.lock()[w].is_some();
+                if chunk
+                    .endpoint
+                    .collect_timeout(w, dst, LOST_PUSH_POLL)
+                    .is_ok()
+                {
+                    return Ok(true);
+                }
+                if exited {
+                    return Err(match &exits.lock()[w] {
+                        Some(Err(panic)) => self.worker_lost(w, epoch, panic),
+                        _ => HccError::Comm(format!(
+                            "worker {}'s push never reached the server in epoch {epoch}",
+                            self.orig_ids[w]
+                        )),
+                    });
+                }
             }
         };
-        let telemetry = &self.telemetry;
-        let epoch_u32 = epoch as u32;
-        let orig_ids = &self.orig_ids;
-        let k = self.k;
-        let n = self.n;
-        let streams = self.config.streams;
-        let lambda_p = self.config.lambda_p;
-        let lambda_q = self.config.lambda_q;
-        let weights = merge_weights(
-            &self
-                .workers
-                .iter()
-                .map(|w| w.entries.len())
-                .collect::<Vec<_>>(),
-        );
-
-        // Publish the whole Q once; workers pull it chunk-wise.
-        comm.publish_at(0, &self.global_q);
-
-        let stats: Mutex<Vec<WorkerEpochStats>> =
-            Mutex::new(vec![WorkerEpochStats::default(); self.workers.len()]);
-        let mut sync_time = Duration::ZERO;
-        let global_q = &mut self.global_q;
-        let total_chunks = self.workers.len() * streams;
-
-        std::thread::scope(|scope| {
-            for (w, state) in self.workers.iter().enumerate() {
-                let comm = Arc::clone(&comm);
-                let stats = &stats;
-                scope.spawn(move || {
-                    let lane = orig_ids[w] as u32;
-                    // Writer handoff (see the stripe path above).
-                    telemetry.adopt_lane(lane);
-                    let start = telemetry.now_us();
-                    let pipe_stats = hcc_comm::run_pipeline(
-                        streams,
-                        streams,
-                        // Pull stage: read this chunk's Q columns.
-                        |s| {
-                            let range = stream_col_range(n as u32, streams, s);
-                            let lo = range.start as usize;
-                            let hi = range.end as usize;
-                            let mut buf = vec![0f32; (hi - lo) * k];
-                            comm.pull_at(lo * k, &mut buf);
-                            state.local_q.copy_rows_from_slice(lo, hi, &buf);
-                        },
-                        // Compute stage: train the entries touching them.
-                        |s, ()| {
-                            state.compute(&state.stream_buckets[s], lr, lambda_p, lambda_q);
-                        },
-                        // Push stage: write the chunk back.
-                        |s, ()| {
-                            let range = stream_col_range(n as u32, streams, s);
-                            let lo = range.start as usize;
-                            let hi = range.end as usize;
-                            let buf = state.local_q.snapshot_rows(lo, hi);
-                            comm.push_chunk(w, lo * k, &buf);
-                        },
-                    );
-                    // The pipeline interleaves the three stages, so only
-                    // per-stage busy totals exist; record them as three
-                    // spans sharing the pipeline's start time.
-                    telemetry.phase(
-                        lane,
-                        epoch_u32,
-                        lane,
-                        Phase::Pull,
-                        start,
-                        pipe_stats.pull_busy,
-                    );
-                    telemetry.phase(
-                        lane,
-                        epoch_u32,
-                        lane,
-                        Phase::Comp,
-                        start,
-                        pipe_stats.compute_busy,
-                    );
-                    telemetry.phase(
-                        lane,
-                        epoch_u32,
-                        lane,
-                        Phase::Push,
-                        start,
-                        pipe_stats.push_busy,
-                    );
-                    stats.lock()[w] = WorkerEpochStats {
-                        pull: pipe_stats.pull_busy,
-                        compute: pipe_stats.compute_busy,
-                        push: pipe_stats.push_busy,
-                        updates: state.entries.len() as u64,
-                    };
-                });
+        // Jitter-free `Backoff` reproduces the historical
+        // `timeout → timeout·factor → …` ladder bit-for-bit.
+        let mut ladder = Backoff::new(sup.cfg.heartbeat_timeout, sup.cfg.retry_backoff.max(1.0));
+        for _attempt in 0..sup.cfg.collect_retries.max(1) {
+            if sup.board.is_dead(w) {
+                break;
             }
-
-            // Server: merge chunks as they arrive (incremental multiply-add;
-            // §4.2 notes the async path trades exactness for speed).
-            let server_lane = telemetry.server_lane();
-            let mut staging = vec![0f32; n * k];
-            for _ in 0..total_chunks {
-                let tag = comm.collect_chunk(&mut staging);
-                let start = telemetry.now_us();
-                let t0 = Instant::now();
-                crate::server::merge_incremental(
-                    &mut global_q[tag.offset..tag.offset + tag.len],
-                    &staging[..tag.len],
-                    weights[tag.worker],
-                );
-                let merged = t0.elapsed();
-                sync_time += merged;
-                telemetry.phase(
-                    server_lane,
-                    epoch_u32,
-                    orig_ids[tag.worker] as u32,
-                    Phase::Sync,
-                    start,
-                    merged,
-                );
+            let timeout = ladder.next_delay();
+            match chunk.endpoint.collect_timeout(w, dst, timeout) {
+                Ok(()) => return Ok(true),
+                // A corrupt frame degrades to a dropped one: wait out the
+                // next ladder step in case a retransmit (or a slow worker)
+                // still delivers a clean push.
+                Err(err @ (CommError::Timeout | CommError::Corrupt)) => {
+                    self.telemetry.record(
+                        self.telemetry.server_lane(),
+                        Event::NetRetry {
+                            epoch: epoch as u32,
+                            worker: self.orig_ids[w] as u32,
+                            cause: net_cause(err),
+                            delay_us: timeout.as_micros() as u64,
+                            bytes: 0,
+                        },
+                    );
+                }
+                Err(CommError::Disconnected) => break,
+                // A partitioned worker keeps computing and beating its
+                // heartbeat, so classification alone would call it a
+                // straggler forever; declare the link dead so the
+                // survivors re-plan.
+                Err(CommError::PartitionedLink) => {
+                    sup.board.mark_dead(w);
+                    break;
+                }
             }
-        });
-
-        (stats.into_inner(), sync_time)
+        }
+        Ok(false)
     }
 
     /// Early-stopping check: the best RMSE of the last `patience` epochs
@@ -1460,6 +1185,7 @@ impl<'a> Session<'a> {
         let p = std::mem::replace(&mut self.global_p, FactorMatrix::zeros(1, 1));
         let (p, q) = if transposed { (q, p) } else { (p, q) };
         let timeline = std::mem::replace(&mut self.telemetry, Telemetry::disabled()).finish();
+        let wire_bytes = self.wire_bytes_by_dir();
         HccReport {
             p,
             q,
@@ -1470,13 +1196,10 @@ impl<'a> Session<'a> {
             partition_history: self.partition_history,
             strategy_used: self.strategy_used,
             total_updates: self.total_updates,
-            wire_bytes: self.transport.wire_bytes(),
+            wire_bytes: wire_bytes.0 + wire_bytes.1,
             transposed,
             health_history: self.health_history,
-            rollbacks: self
-                .supervisor
-                .as_ref()
-                .map_or(0, |s| s.rollbacks_used() as usize),
+            rollbacks: self.rollbacks,
             start_epoch: self.start_epoch,
             timeline,
         }
@@ -1502,7 +1225,7 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
         let state = WorkerState {
             spec: spec.clone(),
             entries: Vec::new(),
-            stream_buckets: Vec::new(),
+            chunk_entries: Vec::new(),
             row_range: 0..work.rows(),
             local_p: SharedFactors::zeros(m, k),
             local_q: SharedFactors::zeros(n, k),
@@ -1618,16 +1341,19 @@ mod tests {
     #[test]
     fn async_rejects_full_pq_and_comm_p() {
         let ds = dataset(50, 30, 500);
-        let cfg = base_config()
+        // FullPq cannot be chunked; the config says so before train() runs.
+        assert!(base_config()
             .streams(2)
             .strategy(TransferStrategy::FullPq)
-            .build();
-        assert!(HccMf::new(cfg).train(&ds.matrix).is_err());
+            .try_build()
+            .is_err());
+        // COMM-P carries chunks like any other transport.
         let cfg = base_config()
             .streams(2)
             .transport(TransportKind::CommP)
             .build();
-        assert!(HccMf::new(cfg).train(&ds.matrix).is_err());
+        let report = HccMf::new(cfg).train(&ds.matrix).unwrap();
+        assert!(report.rmse_history.last().unwrap() < &report.rmse_history[0]);
     }
 
     #[test]
@@ -1700,5 +1426,83 @@ mod tests {
         // Every entry is swept once per epoch.
         assert_eq!(report.total_updates, 3_000 * 3);
         assert!(report.computing_power() > 0.0);
+    }
+    /// A session over `ds` whose single chunk's endpoint is `fake`.
+    fn session_over<'a>(
+        config: &'a HccConfig,
+        ds: &SyntheticDataset,
+        fake: crate::server::fake::FakeTransport,
+    ) -> Session<'a> {
+        let mut session = Session::create(config, ds.matrix.clone()).unwrap();
+        assert_eq!(session.chunks.len(), 1);
+        session.chunks[0].endpoint = Arc::new(fake);
+        session
+    }
+
+    #[test]
+    fn endpoint_net_events_reach_telemetry_under_starting_fleet_ids() {
+        use crate::server::fake::{retry, FakeTransport};
+        let ds = dataset(60, 30, 600);
+        let config = base_config()
+            .workers(vec![WorkerSpec::cpu(1); 3])
+            .telemetry("never-written.jsonl")
+            .build();
+        let fake = FakeTransport::new(3, 30 * 8).with_event(retry(1));
+        let mut session = session_over(&config, &ds, fake);
+        // Starting-fleet worker 1 has died: fleet index 1 is now worker 2.
+        session.orig_ids = vec![0, 2];
+        session.record_net_events(4);
+        session.record_net_events(5); // drained: nothing left to attribute
+        let retries: Vec<Event> = session
+            .into_report(false)
+            .timeline
+            .unwrap()
+            .events
+            .into_iter()
+            .filter(|e| matches!(e, Event::NetRetry { .. }))
+            .collect();
+        assert_eq!(
+            retries,
+            vec![Event::NetRetry {
+                epoch: 4,
+                worker: 2,
+                cause: NetCause::Timeout,
+                delay_us: 250,
+                bytes: 64,
+            }]
+        );
+    }
+
+    #[test]
+    fn unsupervised_run_fails_typed_when_a_push_never_comes() {
+        use crate::server::fake::FakeTransport;
+        let ds = dataset(60, 30, 600);
+        let config = base_config().build();
+        let started = Instant::now();
+
+        // Worker 1 panics before its push.
+        let mut fake = FakeTransport::new(2, 30 * 8);
+        fake.pull_panics_for = Some(1);
+        let err = session_over(&config, &ds, fake).run(false).unwrap_err();
+        match err {
+            HccError::WorkerLost(msg) => {
+                assert!(msg.contains("worker 1") && msg.contains("epoch 0"), "{msg}");
+                assert!(msg.contains("scripted pull panic"), "{msg}");
+            }
+            other => panic!("expected WorkerLost, got {other:?}"),
+        }
+
+        // Worker 0's transport gives up on the push (what a socket whose
+        // retry budget ran out does); the thread itself ends normally.
+        let mut fake = FakeTransport::new(2, 30 * 8);
+        fake.loses_pushes_of = Some(0);
+        let err = session_over(&config, &ds, fake).run(false).unwrap_err();
+        match err {
+            HccError::Comm(msg) => {
+                assert!(msg.contains("worker 0") && msg.contains("epoch 0"), "{msg}");
+            }
+            other => panic!("expected Comm, got {other:?}"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 }

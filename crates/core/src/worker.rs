@@ -6,6 +6,8 @@
 //! so the hot loop indexes `local_p` directly.
 
 use crate::config::{Optimizer, WorkerSpec};
+use crate::server::RegionLayout;
+use hcc_comm::TransferStrategy;
 use hcc_sgd::adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
 use hcc_sgd::momentum::{momentum_hogwild_epoch, MomentumConfig, MomentumState};
 use hcc_sgd::{hogwild_epoch, HogwildConfig, Schedule, SharedFactors};
@@ -22,12 +24,12 @@ const THROTTLE_CHUNK: usize = 65_536;
 pub(crate) struct WorkerState {
     /// Static description.
     pub spec: WorkerSpec,
-    /// Shard entries; `u` is rebased by `row_range.start`.
+    /// Shard entries; `u` is rebased by `row_range.start`. Stably grouped
+    /// by column chunk ([`group_by_chunk`]).
     pub entries: Vec<Rating>,
-    /// Entry buckets per pipeline stream (column-chunked; empty when the
-    /// async path is off). `stream_buckets[s]` holds the entries whose
-    /// column falls in stream `s`'s chunk of `Q`.
-    pub stream_buckets: Vec<Vec<Rating>>,
+    /// `entries[chunk_entries[c]]` are the entries whose column falls in
+    /// chunk `c` of `Q` — the work of pipeline step `c`.
+    pub chunk_entries: Vec<Range<usize>>,
     /// Owned global `P` rows.
     pub row_range: Range<u32>,
     /// Local `P` slice, `row_range.len() × k`.
@@ -47,7 +49,7 @@ pub(crate) struct WorkerState {
 }
 
 impl WorkerState {
-    /// Runs one epoch of Hogwild SGD over the shard (or one stream bucket),
+    /// Runs one epoch of Hogwild SGD over the shard (or one chunk of it),
     /// honouring the throttle. Returns elapsed compute time.
     pub fn compute(&self, entries: &[Rating], lr: f32, lambda_p: f32, lambda_q: f32) -> Duration {
         let start = Instant::now();
@@ -103,6 +105,51 @@ impl WorkerState {
         (self.row_range.end - self.row_range.start) as usize
     }
 
+    /// Unpacks a pulled region into the local factors: `Q` rows `cols`,
+    /// and under `FullPq` this worker's own rows of the shipped `P`.
+    pub fn load_region(
+        &self,
+        region: &[f32],
+        layout: &RegionLayout,
+        cols: &Range<usize>,
+        strategy: TransferStrategy,
+    ) {
+        let k = self.local_q.k();
+        self.local_q.copy_rows_from_slice(
+            cols.start,
+            cols.end,
+            &region[layout.pull_q_offset..layout.pull_q_offset + cols.len() * k],
+        );
+        if strategy == TransferStrategy::FullPq && self.rows() > 0 {
+            let lo = self.row_range.start as usize;
+            self.local_p.copy_rows_from_slice(
+                0,
+                self.rows(),
+                &region[lo * k..(lo + self.rows()) * k],
+            );
+        }
+    }
+
+    /// Packs the region this worker pushes — `Q` rows `cols`, preceded
+    /// under `FullPq` by its `P` rows — into `region`; returns its length.
+    pub fn store_region(
+        &self,
+        region: &mut [f32],
+        layout: &RegionLayout,
+        cols: &Range<usize>,
+        strategy: TransferStrategy,
+    ) -> usize {
+        let k = self.local_q.k();
+        if strategy == TransferStrategy::FullPq {
+            let p_rows = self.local_p.snapshot_rows(0, self.rows());
+            region[..p_rows.len()].copy_from_slice(&p_rows);
+        }
+        let q = self.local_q.snapshot_rows(cols.start, cols.end);
+        let end = layout.push_q_offset + cols.len() * k;
+        region[layout.push_q_offset..end].copy_from_slice(&q);
+        end
+    }
+
     /// Applies a [`FaultKind`](crate::fault::FaultKind) hook to this
     /// worker's outgoing push buffer (the CorruptPush fault): NaN-poisons
     /// the planned positions so the server's integrity check has something
@@ -127,29 +174,30 @@ pub(crate) fn rebase_entries(entries: &[Rating], row_lo: u32) -> Vec<Rating> {
         .collect()
 }
 
-/// Buckets rebased entries by pipeline stream: stream `s` owns columns
-/// `[s·n/streams, (s+1)·n/streams)`.
-pub(crate) fn bucket_by_stream(entries: &[Rating], n: u32, streams: usize) -> Vec<Vec<Rating>> {
-    assert!(streams >= 1);
-    let chunk = n.div_ceil(streams as u32).max(1);
-    let mut buckets: Vec<Vec<Rating>> = vec![Vec::new(); streams];
-    for &e in entries {
-        let s = ((e.i / chunk) as usize).min(streams - 1);
-        buckets[s].push(e);
-    }
-    buckets
+/// Tiles `n` columns of `Q` into at most `chunks` contiguous, non-empty
+/// ranges of equal width (the last may be short) — the same range tiling
+/// the sharded server uses for rows.
+pub(crate) fn chunk_col_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
+    let width = n.div_ceil(chunks).max(1);
+    (0..n)
+        .step_by(width)
+        .map(|lo| lo..(lo + width).min(n))
+        .collect()
 }
 
-/// Column range of stream `s` (matching [`bucket_by_stream`]).
-pub(crate) fn stream_col_range(n: u32, streams: usize, s: usize) -> Range<u32> {
-    let chunk = n.div_ceil(streams as u32).max(1);
-    let lo = (s as u32 * chunk).min(n);
-    let hi = if s + 1 == streams {
-        n
-    } else {
-        ((s as u32 + 1) * chunk).min(n)
-    };
-    lo..hi
+/// Stably groups `entries` by the column range of `cols` (as tiled by
+/// [`chunk_col_ranges`]) they fall in; returns each range's slice of
+/// `entries`. One range leaves the order untouched.
+pub(crate) fn group_by_chunk(entries: &mut [Rating], cols: &[Range<usize>]) -> Vec<Range<usize>> {
+    let width = cols.first().map_or(1, |r| r.len());
+    entries.sort_by_key(|e| e.i as usize / width);
+    let mut lo = 0;
+    (0..cols.len())
+        .map(|c| {
+            let hi = lo + entries[lo..].partition_point(|e| e.i as usize / width <= c);
+            std::mem::replace(&mut lo, hi)..hi
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -161,7 +209,7 @@ mod tests {
         WorkerState {
             spec: WorkerSpec::cpu(2).throttled(speed),
             entries,
-            stream_buckets: Vec::new(),
+            chunk_entries: Vec::new(),
             row_range: 0..10,
             local_p: SharedFactors::from_matrix(&FactorMatrix::random(10, 4, 1)),
             local_q: SharedFactors::from_matrix(&FactorMatrix::random(8, 4, 2)),
@@ -211,29 +259,66 @@ mod tests {
     }
 
     #[test]
-    fn stream_buckets_partition_by_column() {
-        let all = entries(100);
-        let buckets = bucket_by_stream(&all, 8, 3);
-        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 100);
-        for (s, bucket) in buckets.iter().enumerate() {
-            let range = stream_col_range(8, 3, s);
-            for e in bucket {
-                assert!(range.contains(&e.i), "col {} outside {:?}", e.i, range);
-            }
+    fn chunk_groups_partition_by_column_and_keep_order() {
+        let mut all = entries(100);
+        let original = all.clone();
+        let cols = chunk_col_ranges(8, 3);
+        let groups = group_by_chunk(&mut all, &cols);
+        assert_eq!(groups.len(), cols.len());
+        assert_eq!(groups.last().unwrap().end, 100);
+        for (range, group) in cols.iter().zip(&groups) {
+            let want: Vec<Rating> = original
+                .iter()
+                .filter(|e| range.contains(&(e.i as usize)))
+                .copied()
+                .collect();
+            assert_eq!(all[group.clone()], want[..], "columns {range:?}");
         }
     }
 
     #[test]
-    fn stream_ranges_tile_the_columns() {
-        for (n, streams) in [(8u32, 3usize), (10, 4), (5, 5), (3, 8), (100, 1)] {
-            let mut covered = 0u32;
-            for s in 0..streams {
-                let r = stream_col_range(n, streams, s);
-                assert_eq!(r.start, covered.min(n));
-                covered = r.end.max(covered);
+    fn chunk_ranges_tile_the_columns_without_empties() {
+        for (n, chunks) in [(8usize, 3usize), (10, 4), (5, 5), (3, 8), (100, 1)] {
+            let ranges = chunk_col_ranges(n, chunks);
+            assert!(ranges.len() <= chunks, "n={n} chunks={chunks}");
+            let mut covered = 0;
+            for r in &ranges {
+                assert_eq!(r.start, covered);
+                assert!(!r.is_empty());
+                covered = r.end;
             }
-            assert_eq!(covered, n, "n={n} streams={streams}");
+            assert_eq!(covered, n, "n={n} chunks={chunks}");
         }
+    }
+
+    #[test]
+    fn region_helpers_round_trip_q_only_and_full_pq() {
+        use crate::server::region_layout;
+        let state = make_state(1.0, vec![]);
+        let (m, n, k) = (30, 8, 4);
+        let before = (state.local_p.snapshot(), state.local_q.snapshot());
+        // Q-only, a middle chunk: the region is exactly those Q rows.
+        let cols = 2..5;
+        let layout = region_layout(TransferStrategy::QOnly, m, cols.len(), k, 10);
+        let mut region = vec![0f32; layout.push_len];
+        let len = state.store_region(&mut region, &layout, &cols, TransferStrategy::QOnly);
+        assert_eq!(len, 3 * k);
+        assert_eq!(region, state.local_q.snapshot_rows(2, 5));
+        // FullPq: [P rows | Q] out, and back in from a [P | Q] pull region
+        // in which this worker's rows sit at its row range.
+        let cols = 0..n;
+        let layout = region_layout(TransferStrategy::FullPq, m, n, k, 12);
+        let mut pushed = vec![0f32; layout.push_len];
+        let len = state.store_region(&mut pushed, &layout, &cols, TransferStrategy::FullPq);
+        assert_eq!(len, layout.push_q_offset + n * k);
+        assert_eq!(pushed[..10 * k], state.local_p.snapshot_rows(0, 10)[..]);
+        let mut pulled = vec![0f32; layout.pull_len];
+        pulled[..10 * k].copy_from_slice(&pushed[..10 * k]);
+        pulled[layout.pull_q_offset..].copy_from_slice(&pushed[layout.push_q_offset..len]);
+        state.local_p.copy_from(&FactorMatrix::zeros(10, k));
+        state.local_q.copy_from(&FactorMatrix::zeros(n, k));
+        state.load_region(&pulled, &layout, &cols, TransferStrategy::FullPq);
+        assert_eq!((state.local_p.snapshot(), state.local_q.snapshot()), before);
     }
 
     #[test]
