@@ -253,7 +253,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"cluster_scaling\",\n  \"epochs\": {epochs},\n  \
+        "{{\n  \"bench\": \"cluster_scaling\",\n  \"virtual_time\": true,\n  \"epochs\": {epochs},\n  \
          \"node_counts\": [1, 2, 4],\n  \"datasets\": [\n{}\n  ],\n  \
          \"scaling_4node_min\": {:.4},\n  \"delta\": {{\"workers\": {}, \"region_rows\": {}, \
          \"k\": {}, \"epochs\": {}, \"rows_shipped\": {}, \"rows_total\": {}, \
@@ -276,5 +276,5 @@ fn main() {
         }
     }
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!("wrote {out}");
+    eprintln!("wrote {out}");
 }

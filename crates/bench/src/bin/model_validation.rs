@@ -16,7 +16,8 @@
 //! with telemetry enabled and the *measured* per-worker `t_comp` is scored
 //! against the model's prediction from the partition fractions — the
 //! workflow described in DESIGN.md §9.3. `results/model_validation.txt`
-//! archives the combined output.
+//! archives the deterministic simulator section and
+//! `results/model_validation_measured.txt` the wall-clock one.
 
 use hcc_bench::{fmt_secs, plan, print_table};
 use hcc_hetsim::{cost_model_for, simulate_epoch, standalone_times, Platform, SimConfig, Workload};

@@ -3,27 +3,22 @@
 //! throughput dropped by more than the threshold.
 //!
 //! ```sh
-//! cargo run --release -p hcc-bench --bin hotpath -- --quick --out current.json
-//! cargo run --release -p hcc-bench --bin perf_gate -- \
-//!     --baseline results/BENCH_hotpath_quick.json --current current.json \
-//!     [--threshold 0.15]
-//!
-//! # optionally also gate the serving bench in the same invocation:
+//! cargo run --release -p hcc-bench --bin hotpath -- --quick --out hotpath.json
 //! cargo run --release -p hcc-bench --bin serving -- --quick --out serving.json
-//! cargo run --release -p hcc-bench --bin perf_gate -- \
-//!     --baseline results/BENCH_hotpath_quick.json --current current.json \
-//!     --serving-baseline results/BENCH_serving_quick.json --serving-current serving.json
-//!
-//! # and/or the quantized serving bench (also enforces the recall floor):
 //! cargo run --release -p hcc-bench --bin serving_quant -- --quick --out quant.json
-//! cargo run --release -p hcc-bench --bin perf_gate -- \
-//!     --quant-baseline results/BENCH_serving_quant_quick.json --quant-current quant.json
-//!
-//! # and/or the cluster-scaling bench (also enforces the 3.2x scaling floor):
 //! cargo run --release -p hcc-bench --bin cluster_scaling -- --out cluster.json
-//! cargo run --release -p hcc-bench --bin perf_gate -- \
-//!     --cluster-baseline results/BENCH_cluster.json --cluster-current cluster.json
+//! cargo run --release -p hcc-bench --bin perf_gate -- [--threshold 0.15] \
+//!     results/BENCH_hotpath_quick.json hotpath.json \
+//!     results/BENCH_serving_quick.json serving.json \
+//!     results/BENCH_serving_quant_quick.json quant.json \
+//!     results/BENCH_cluster.json cluster.json
 //! ```
+//!
+//! Arguments are `BASELINE CURRENT` pairs, any number of them. Each
+//! artifact says what it is in its `"bench"` tag, so the gate works the
+//! kind out of the files: `serving_quant` pairs also enforce the recall
+//! floor and `cluster_scaling` pairs the 3.2x scaling floor. A pair whose
+//! tags differ, or whose tag has no gate, fails.
 //!
 //! A cell that exists in a baseline but not in the current run (e.g. the
 //! SIMD tier stopped being detected, or a batch size was dropped) also
@@ -32,22 +27,11 @@
 //! `perf-override` label to the PR (documented in
 //! `.github/workflows/ci.yml` and `results/README.md`).
 
-use hcc_bench::gate::{
-    compare, compare_cluster, compare_serving, compare_serving_quant, parse_cluster, parse_hotpath,
-    parse_serving, parse_serving_quant, Verdict,
-};
+use hcc_bench::gate::{gate_pair, Verdict};
 
-/// Recall floor for the quantized serving gate: quantization or pruning
-/// changes that trade more than a point of recall@topk for speed fail even
-/// when throughput holds.
-const QUANT_RECALL_FLOOR: f64 = 0.99;
+const USAGE: &str = "usage: perf_gate [--threshold F] BASELINE CURRENT [BASELINE CURRENT ...]";
 
-/// Scaling floor for the cluster gate: the node-sharded server must keep
-/// at least 3.2x of the 1-node throughput at 4 nodes on every dataset.
-const CLUSTER_SCALING_FLOOR: f64 = 3.2;
-
-fn print_verdicts(title: &str, baseline_path: &str, current_path: &str, verdicts: &[Verdict]) {
-    println!("perf gate [{title}]: {current_path} vs {baseline_path}");
+fn print_verdicts(verdicts: &[Verdict]) {
     for v in verdicts {
         match (v.current, v.ratio) {
             (Some(cur), Some(r)) => println!(
@@ -67,52 +51,26 @@ fn print_verdicts(title: &str, baseline_path: &str, current_path: &str, verdicts
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path = "results/BENCH_hotpath_quick.json".to_string();
-    let mut current_path: Option<String> = None;
-    let mut serving_baseline_path = "results/BENCH_serving_quick.json".to_string();
-    let mut serving_current_path: Option<String> = None;
-    let mut quant_baseline_path = "results/BENCH_serving_quant_quick.json".to_string();
-    let mut quant_current_path: Option<String> = None;
-    let mut cluster_baseline_path = "results/BENCH_cluster.json".to_string();
-    let mut cluster_current_path: Option<String> = None;
     let mut threshold = 0.15f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut paths: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--baseline" => baseline_path = it.next().expect("--baseline FILE").clone(),
-            "--current" => current_path = Some(it.next().expect("--current FILE").clone()),
-            "--serving-baseline" => {
-                serving_baseline_path = it.next().expect("--serving-baseline FILE").clone()
-            }
-            "--serving-current" => {
-                serving_current_path = Some(it.next().expect("--serving-current FILE").clone())
-            }
-            "--quant-baseline" => {
-                quant_baseline_path = it.next().expect("--quant-baseline FILE").clone()
-            }
-            "--quant-current" => {
-                quant_current_path = Some(it.next().expect("--quant-current FILE").clone())
-            }
-            "--cluster-baseline" => {
-                cluster_baseline_path = it.next().expect("--cluster-baseline FILE").clone()
-            }
-            "--cluster-current" => {
-                cluster_current_path = Some(it.next().expect("--cluster-current FILE").clone())
-            }
             "--threshold" => {
-                threshold = it
+                threshold = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--threshold F (fraction, e.g. 0.15)")
             }
-            other => panic!(
-                "unknown flag {other} (supported: --baseline FILE, --current FILE, \
-                 --serving-baseline FILE, --serving-current FILE, \
-                 --quant-baseline FILE, --quant-current FILE, \
-                 --cluster-baseline FILE, --cluster-current FILE, --threshold F)"
-            ),
+            flag if flag.starts_with("--") => panic!("unknown flag {flag}\n{USAGE}"),
+            _ => paths.push(a),
         }
+    }
+    if paths.is_empty() || paths.len() % 2 != 0 {
+        panic!(
+            "expected BASELINE CURRENT pairs, got {} path(s)\n{USAGE}",
+            paths.len()
+        );
     }
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
@@ -123,97 +81,35 @@ fn main() {
     );
 
     let mut pass = true;
-    let mut gated = false;
-    if let Some(current_path) = &current_path {
-        let baseline = parse_hotpath(&read(&baseline_path))
-            .unwrap_or_else(|e| panic!("parsing baseline {baseline_path}: {e}"));
-        let current = parse_hotpath(&read(current_path))
-            .unwrap_or_else(|e| panic!("parsing current {current_path}: {e}"));
-        let (verdicts, ok) = compare(&baseline, &current, threshold);
-        print_verdicts("hotpath", &baseline_path, current_path, &verdicts);
-        pass &= ok;
-        gated = true;
-    }
-    if let Some(serving_current_path) = &serving_current_path {
-        let (baseline, _) = parse_serving(&read(&serving_baseline_path))
-            .unwrap_or_else(|e| panic!("parsing serving baseline {serving_baseline_path}: {e}"));
-        let (current, speedup) = parse_serving(&read(serving_current_path))
-            .unwrap_or_else(|e| panic!("parsing serving current {serving_current_path}: {e}"));
-        let (verdicts, ok) = compare_serving(&baseline, &current, threshold);
-        print_verdicts(
-            "serving",
-            &serving_baseline_path,
-            serving_current_path,
-            &verdicts,
-        );
-        println!("  batch-256 vs naive speedup: {speedup:.2}x");
-        pass &= ok;
-        gated = true;
-    }
-    if let Some(quant_current_path) = &quant_current_path {
-        let (baseline, _) = parse_serving_quant(&read(&quant_baseline_path))
-            .unwrap_or_else(|e| panic!("parsing quant baseline {quant_baseline_path}: {e}"));
-        let (current, speedup) = parse_serving_quant(&read(quant_current_path))
-            .unwrap_or_else(|e| panic!("parsing quant current {quant_current_path}: {e}"));
-        let (verdicts, ok) =
-            compare_serving_quant(&baseline, &current, threshold, QUANT_RECALL_FLOOR);
-        print_verdicts(
-            "serving_quant",
-            &quant_baseline_path,
-            quant_current_path,
-            &verdicts,
-        );
-        for r in &current {
-            if r.recall_at_topk < QUANT_RECALL_FLOOR {
+    for pair in paths.chunks(2) {
+        let (baseline_path, current_path) = (&pair[0], &pair[1]);
+        match gate_pair(&read(baseline_path), &read(current_path), threshold) {
+            Ok(outcome) => {
                 println!(
-                    "  {}+{} recall {:.4} below the {QUANT_RECALL_FLOOR} floor  REGRESSED",
-                    r.precision,
-                    if r.pruned { "pruned" } else { "exhaustive" },
-                    r.recall_at_topk
+                    "perf gate [{}]: {current_path} vs {baseline_path}",
+                    outcome.kind
                 );
+                print_verdicts(&outcome.verdicts);
+                for note in &outcome.notes {
+                    println!("  {note}");
+                }
+                pass &= outcome.pass;
+            }
+            Err(e) => {
+                println!("perf gate: {current_path} vs {baseline_path}: {e}  FAILED");
+                pass = false;
             }
         }
-        println!("  best cell vs f32 exhaustive speedup: {speedup:.2}x");
-        pass &= ok;
-        gated = true;
-    }
-    if let Some(cluster_current_path) = &cluster_current_path {
-        let (baseline, _) = parse_cluster(&read(&cluster_baseline_path))
-            .unwrap_or_else(|e| panic!("parsing cluster baseline {cluster_baseline_path}: {e}"));
-        let (current, scaling_min) = parse_cluster(&read(cluster_current_path))
-            .unwrap_or_else(|e| panic!("parsing cluster current {cluster_current_path}: {e}"));
-        let (verdicts, ok) = compare_cluster(&baseline, &current, threshold);
-        print_verdicts(
-            "cluster",
-            &cluster_baseline_path,
-            cluster_current_path,
-            &verdicts,
-        );
-        if scaling_min < CLUSTER_SCALING_FLOOR {
-            println!(
-                "  4-node scaling {scaling_min:.2}x below the {CLUSTER_SCALING_FLOOR}x floor  \
-                 REGRESSED"
-            );
-        }
-        println!("  worst-case 4-node scaling: {scaling_min:.2}x");
-        pass &= ok && scaling_min >= CLUSTER_SCALING_FLOOR;
-        gated = true;
-    }
-    if !gated {
-        panic!(
-            "perf_gate requires --current FILE, --serving-current FILE, \
-             --quant-current FILE and/or --cluster-current FILE"
-        );
     }
 
     if pass {
         println!("perf gate: PASS");
     } else {
         println!(
-            "perf gate: FAIL — throughput regressed more than {:.0}%. If this is machine \
-             variance rather than a real regression, apply the `perf-override` label to the PR \
-             or regenerate the baseline with `cargo run --release -p hcc-bench --bin hotpath -- \
-             --quick` / `--bin serving -- --quick`.",
+            "perf gate: FAIL — throughput regressed more than {:.0}%, or a pair could not be \
+             gated. If this is machine variance rather than a real regression, apply the \
+             `perf-override` label to the PR or regenerate the baseline with `cargo run \
+             --release -p hcc-bench --bin hotpath -- --quick` / `--bin serving -- --quick`.",
             threshold * 100.0
         );
         std::process::exit(1);

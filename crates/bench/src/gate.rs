@@ -470,16 +470,22 @@ pub fn compare_cluster(
 }
 
 /// Validates the `BENCH_cluster.json` schema (see `results/README.md`).
-/// Beyond shape, this encodes the artifact's two load-bearing claims: every
-/// dataset carries a 1-node reference and a 4-node cell (so the scaling
-/// ratio is well-defined), and the delta section ships strictly fewer bytes
-/// than full-buffer pushing would.
+/// Beyond shape, this encodes the artifact's load-bearing claims: it says of
+/// itself that its throughputs are virtual time, every dataset carries a
+/// 1-node reference and a 4-node cell (so the scaling ratio is
+/// well-defined), and the delta section ships strictly fewer bytes than
+/// full-buffer pushing would.
 pub fn validate_cluster_schema(doc: &Value) -> Result<(), String> {
     let what = "cluster";
     let bench = require_str(doc, "bench", what)?;
     if bench != "cluster_scaling" {
         return Err(format!(
             "{what}: \"bench\" is \"{bench}\", expected \"cluster_scaling\""
+        ));
+    }
+    if !matches!(require(doc, "virtual_time", what)?, Value::Bool(true)) {
+        return Err(format!(
+            "{what}: \"virtual_time\" must be true — every cell is simulator time"
         ));
     }
     require_num(doc, "epochs", what)?;
@@ -552,6 +558,123 @@ pub fn validate_cluster_schema(doc: &Value) -> Result<(), String> {
         return Err(format!("{what}: shipped_ratio outside [0, 1)"));
     }
     Ok(())
+}
+
+/// Recall floor for the quantized serving gate: quantization or pruning
+/// changes that trade more than a point of recall@topk for speed fail even
+/// when throughput holds.
+pub const QUANT_RECALL_FLOOR: f64 = 0.99;
+
+/// Scaling floor for the cluster gate: the node-sharded server must keep
+/// at least 3.2x of the 1-node throughput at 4 nodes on every dataset.
+pub const CLUSTER_SCALING_FLOOR: f64 = 3.2;
+
+/// Why a baseline/current pair could not be gated at all.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GateError {
+    /// One side failed to parse or failed its schema (`role` is `"baseline"`
+    /// or `"current"`).
+    Invalid { role: &'static str, reason: String },
+    /// The two artifacts carry different `"bench"` tags.
+    KindMismatch { baseline: String, current: String },
+    /// Both carry this `"bench"` tag, and no gate exists for it.
+    UnknownKind(String),
+}
+
+impl std::fmt::Display for GateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GateError::Invalid { role, reason } => write!(f, "{role} is invalid: {reason}"),
+            GateError::KindMismatch { baseline, current } => write!(
+                f,
+                "baseline is a \"{baseline}\" artifact but current is \"{current}\""
+            ),
+            GateError::UnknownKind(kind) => write!(f, "no gate for \"{kind}\" artifacts"),
+        }
+    }
+}
+
+/// The gate's result for one baseline/current pair.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateOutcome {
+    /// The pair's shared `"bench"` tag.
+    pub kind: String,
+    pub verdicts: Vec<Verdict>,
+    /// Kind-specific lines for the report: headline ratios, floor breaches.
+    pub notes: Vec<String>,
+    pub pass: bool,
+}
+
+/// Gates one pair of `BENCH_*.json` documents, working the artifact kind
+/// out of their `"bench"` tags: per-cell throughput against `threshold`
+/// for every kind, plus the recall floor for `serving_quant` and the
+/// scaling floor for `cluster_scaling`.
+pub fn gate_pair(baseline: &str, current: &str, threshold: f64) -> Result<GateOutcome, GateError> {
+    let invalid = |role| move |reason| GateError::Invalid { role, reason };
+    let tag = |src, role| -> Result<String, GateError> {
+        let doc = json::parse(src).map_err(invalid(role))?;
+        let tag = require_str(&doc, "bench", role).map_err(invalid(role))?;
+        Ok(tag.to_string())
+    };
+    let kind = tag(baseline, "baseline")?;
+    let current_kind = tag(current, "current")?;
+    if kind != current_kind {
+        return Err(GateError::KindMismatch {
+            baseline: kind,
+            current: current_kind,
+        });
+    }
+    let mut notes = Vec::new();
+    let (verdicts, pass) = match kind.as_str() {
+        "hotpath" => {
+            let base = parse_hotpath(baseline).map_err(invalid("baseline"))?;
+            let cur = parse_hotpath(current).map_err(invalid("current"))?;
+            compare(&base, &cur, threshold)
+        }
+        "serving" => {
+            let (base, _) = parse_serving(baseline).map_err(invalid("baseline"))?;
+            let (cur, speedup) = parse_serving(current).map_err(invalid("current"))?;
+            notes.push(format!("batch-256 vs naive speedup: {speedup:.2}x"));
+            compare_serving(&base, &cur, threshold)
+        }
+        "serving_quant" => {
+            let (base, _) = parse_serving_quant(baseline).map_err(invalid("baseline"))?;
+            let (cur, speedup) = parse_serving_quant(current).map_err(invalid("current"))?;
+            for r in cur.iter().filter(|r| r.recall_at_topk < QUANT_RECALL_FLOOR) {
+                notes.push(format!(
+                    "{}+{} recall {:.4} below the {QUANT_RECALL_FLOOR} floor  REGRESSED",
+                    r.precision,
+                    if r.pruned { "pruned" } else { "exhaustive" },
+                    r.recall_at_topk
+                ));
+            }
+            notes.push(format!(
+                "best cell vs f32 exhaustive speedup: {speedup:.2}x"
+            ));
+            compare_serving_quant(&base, &cur, threshold, QUANT_RECALL_FLOOR)
+        }
+        "cluster_scaling" => {
+            let (base, _) = parse_cluster(baseline).map_err(invalid("baseline"))?;
+            let (cur, scaling_min) = parse_cluster(current).map_err(invalid("current"))?;
+            let floor_held = scaling_min >= CLUSTER_SCALING_FLOOR;
+            if !floor_held {
+                notes.push(format!(
+                    "4-node scaling {scaling_min:.2}x below the {CLUSTER_SCALING_FLOOR}x floor  \
+                     REGRESSED"
+                ));
+            }
+            notes.push(format!("worst-case 4-node scaling: {scaling_min:.2}x"));
+            let (verdicts, pass) = compare_cluster(&base, &cur, threshold);
+            (verdicts, pass && floor_held)
+        }
+        _ => return Err(GateError::UnknownKind(kind)),
+    };
+    Ok(GateOutcome {
+        kind,
+        verdicts,
+        notes,
+        pass,
+    })
 }
 
 #[cfg(test)]
@@ -823,8 +946,8 @@ mod tests {
         };
         reject(r#"{"bench": "wrong"}"#, "wrong bench tag");
         reject(
-            r#"{"bench": "cluster_scaling", "epochs": 20, "node_counts": [1],
-                "datasets": [], "scaling_4node_min": 3.5,
+            r#"{"bench": "cluster_scaling", "virtual_time": true, "epochs": 20,
+                "node_counts": [1], "datasets": [], "scaling_4node_min": 3.5,
                 "delta": {"workers": 4, "region_rows": 10, "k": 8, "epochs": 1,
                           "rows_shipped": 1, "rows_total": 10,
                           "bytes_shipped": 10, "bytes_full": 100,
@@ -834,7 +957,8 @@ mod tests {
         // A delta section whose shipped bytes do not beat full shipping is
         // rejected outright — the artifact's whole point.
         reject(
-            r#"{"bench": "cluster_scaling", "epochs": 20, "node_counts": [1, 4],
+            r#"{"bench": "cluster_scaling", "virtual_time": true, "epochs": 20,
+                "node_counts": [1, 4],
                 "datasets": [{"name": "Netflix", "scaling_4node": 3.5, "results": [
                     {"nodes": 1, "workers": 4, "server_shards": 1, "strategy": "Dp1",
                      "updates_per_sec": 100, "ideal_updates_per_sec": 120},
@@ -849,7 +973,8 @@ mod tests {
         );
         // Missing the 4-node cell: scaling would be undefined.
         reject(
-            r#"{"bench": "cluster_scaling", "epochs": 20, "node_counts": [1],
+            r#"{"bench": "cluster_scaling", "virtual_time": true, "epochs": 20,
+                "node_counts": [1],
                 "datasets": [{"name": "Netflix", "scaling_4node": 3.5, "results": [
                     {"nodes": 1, "workers": 4, "server_shards": 1, "strategy": "Dp1",
                      "updates_per_sec": 100, "ideal_updates_per_sec": 120}]}],
@@ -860,5 +985,71 @@ mod tests {
                           "shipped_ratio": 0.1}}"#,
             "missing 4-node cell",
         );
+    }
+
+    #[test]
+    fn cluster_schema_requires_the_virtual_time_stamp() {
+        let committed = committed("BENCH_cluster.json").expect("BENCH_cluster.json missing");
+        assert!(parse_cluster(&committed).is_ok());
+        for unstamped in [
+            committed.replace("  \"virtual_time\": true,\n", ""),
+            committed.replace("\"virtual_time\": true", "\"virtual_time\": false"),
+        ] {
+            assert_ne!(unstamped, committed);
+            let err = parse_cluster(&unstamped).unwrap_err();
+            assert!(err.contains("virtual_time"), "{err}");
+        }
+    }
+
+    #[test]
+    fn gate_pair_dispatches_on_the_bench_tag() {
+        // Every gated baseline passes against itself, whatever its kind.
+        for (name, kind) in [
+            ("BENCH_hotpath_quick.json", "hotpath"),
+            ("BENCH_serving_quick.json", "serving"),
+            ("BENCH_serving_quant_quick.json", "serving_quant"),
+            ("BENCH_cluster.json", "cluster_scaling"),
+        ] {
+            let src = committed(name).unwrap_or_else(|| panic!("{name} missing from results/"));
+            let outcome = gate_pair(&src, &src, 0.15).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(outcome.kind, kind);
+            assert!(outcome.pass, "{name} fails against itself: {outcome:?}");
+            assert!(outcome.verdicts.iter().all(|v| v.ratio == Some(1.0)));
+        }
+    }
+
+    #[test]
+    fn gate_pair_fails_typed_on_mismatched_unknown_or_invalid_artifacts() {
+        let hotpath = committed("BENCH_hotpath_quick.json").unwrap();
+        let cluster = committed("BENCH_cluster.json").unwrap();
+        assert_eq!(
+            gate_pair(&hotpath, &cluster, 0.15),
+            Err(GateError::KindMismatch {
+                baseline: "hotpath".into(),
+                current: "cluster_scaling".into(),
+            })
+        );
+        // A known artifact that has no gate, and a tag nobody emits.
+        let breakdown = committed("BENCH_epoch_breakdown.json").unwrap();
+        assert_eq!(
+            gate_pair(&breakdown, &breakdown, 0.15),
+            Err(GateError::UnknownKind("epoch_breakdown".into()))
+        );
+        let novel = r#"{"bench": "novel"}"#;
+        assert_eq!(
+            gate_pair(novel, novel, 0.15),
+            Err(GateError::UnknownKind("novel".into()))
+        );
+        // A side that is not JSON, lacks the tag, or fails its schema.
+        for (baseline, current, role) in [
+            ("not json", hotpath.as_str(), "baseline"),
+            (hotpath.as_str(), "{}", "current"),
+            (hotpath.as_str(), r#"{"bench": "hotpath"}"#, "current"),
+        ] {
+            match gate_pair(baseline, current, 0.15) {
+                Err(GateError::Invalid { role: got, .. }) => assert_eq!(got, role),
+                other => panic!("expected an invalid {role}, got {other:?}"),
+            }
+        }
     }
 }

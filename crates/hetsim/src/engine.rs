@@ -3,7 +3,8 @@
 //! One simulated epoch reproduces the paper's
 //! `pull → compute → push → sync` sequence (Fig. 4 steps ⑤–⑦ + ④):
 //!
-//! * every worker pulls over its own bus (independent channels, Fig. 2),
+//! * every worker pulls over its bus (independent channels, Fig. 2, unless
+//!   the platform puts several workers on one link),
 //! * computes its shard at its calibrated rate,
 //! * pushes back, and
 //! * the server merges pushes FIFO at `3·bytes/B_server` (Eq. 3).
@@ -17,7 +18,8 @@
 //! Fig. 5 timelines, Fig. 8 stacked bars, Table 4/Fig. 9 computing power
 //! and Table 5/6 communication costs are all derived.
 
-use crate::platform::Platform;
+use crate::fault::{SimFault, SimFaultKind};
+use crate::platform::{Platform, WorkerSlot};
 use hcc_comm::TransferStrategy;
 use hcc_sparse::DatasetProfile;
 use serde::{Deserialize, Serialize};
@@ -134,8 +136,9 @@ impl WorkerTotals {
 /// The result of simulating one epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochTrace {
-    /// Every phase span, workers first (in chunk order), then syncs in
-    /// service order.
+    /// Every phase span: worker phases in the order the calendar served
+    /// them (a worker's chunks stay in chunk order), then syncs in service
+    /// order.
     pub spans: Vec<PhaseSpan>,
     /// Per-worker totals.
     pub totals: Vec<WorkerTotals>,
@@ -146,15 +149,6 @@ pub struct EpochTrace {
 }
 
 impl EpochTrace {
-    /// Makespan excluding the trailing sync (the "max{T_i}" of Eq. 1).
-    pub fn max_worker_time(&self) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.phase != Phase::Sync)
-            .map(|s| s.end)
-            .fold(0.0f64, f64::max)
-    }
-
     /// Spans of one worker.
     pub fn worker_spans(&self, worker: usize) -> Vec<PhaseSpan> {
         self.spans
@@ -165,19 +159,121 @@ impl EpochTrace {
     }
 }
 
+/// One worker's epoch costs at a partition fraction — the quantities behind
+/// Eqs. 1–3, derived here for the calendar and for [`crate::measure`] alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct WorkerCosts {
+    /// Seconds the worker spends pulling, computing and pushing.
+    pub phases: WorkerTotals,
+    /// Bytes the server merges: the *decompressed* push (always FP32).
+    pub sync_bytes: f64,
+    /// Pipeline chunks per epoch ([`WorkerSlot::streams`]).
+    pub streams: usize,
+}
+
+impl WorkerCosts {
+    /// Costs of worker `w` on fraction `x` of the data, its payloads moving
+    /// at `link_bandwidth` bytes/s before transport efficiency: the full link
+    /// in the calendar, where contention is queueing; the planner's fair share.
+    pub(crate) fn derive(
+        platform: &Platform,
+        workload: &Workload,
+        config: &SimConfig,
+        w: usize,
+        x: f64,
+        link_bandwidth: f64,
+    ) -> WorkerCosts {
+        let m_assigned = (x * workload.m as f64).round() as u64;
+        let (m, n, k) = (workload.m, workload.n, config.k);
+        let bus = link_bandwidth * config.transport_efficiency;
+        WorkerCosts {
+            phases: WorkerTotals {
+                pull: config.strategy.pull_bytes(m, n, k) as f64 / bus,
+                compute: compute_time(platform, workload, w, x),
+                push: config.strategy.push_bytes(m_assigned, n, k) as f64 / bus,
+            },
+            sync_bytes: (config.strategy.push_elements(m_assigned, n, k) * 4) as f64,
+            streams: platform.workers[w].streams(config.streams),
+        }
+    }
+}
+
+/// Seconds worker `w` computes on fraction `x` of `workload`.
+pub(crate) fn compute_time(platform: &Platform, workload: &Workload, w: usize, x: f64) -> f64 {
+    if x > 0.0 {
+        x * workload.nnz as f64 / compute_rate(platform, workload, w, x)
+    } else {
+        0.0
+    }
+}
+
+/// Updates/s of worker `w` on fraction `x` of `workload` during training:
+/// the calibrated rate, less the time-sharing penalty on the server's CPU.
+pub(crate) fn compute_rate(platform: &Platform, workload: &Workload, w: usize, x: f64) -> f64 {
+    let slot = &platform.workers[w];
+    let rate = standalone_rate(slot, workload, x);
+    if slot.timeshare_server {
+        rate * platform.timeshare_efficiency
+    } else {
+        rate
+    }
+}
+
+/// Calibrated updates/s of `slot`'s processor alone on fraction `x` of `workload`.
+pub(crate) fn standalone_rate(slot: &WorkerSlot, workload: &Workload, x: f64) -> f64 {
+    let Workload { name, m, n, nnz } = workload;
+    slot.profile.rate_at(name, *m, *n, *nnz, x)
+}
+
+/// A worker-side stage of one chunk. `Phase::Sync` is the server's and is
+/// drained after the calendar, never through it.
+#[derive(Clone, Copy)]
+enum Stage {
+    Pull,
+    Compute,
+    Push,
+}
+
 /// Simulates one epoch of HCC-MF on `platform` with data partition `x`.
 ///
 /// # Panics
 /// Panics if `x.len()` differs from the worker count, any fraction is
-/// negative/non-finite, or the platform has no workers.
+/// negative/non-finite, the platform has no workers, `config.streams` is 0
+/// or `config.transport_efficiency` lies outside `(0, 1]`.
 pub fn simulate_epoch(
     platform: &Platform,
     workload: &Workload,
     config: &SimConfig,
     x: &[f64],
 ) -> EpochTrace {
-    assert!(!platform.workers.is_empty(), "platform has no workers");
-    assert_eq!(x.len(), platform.workers.len(), "partition length mismatch");
+    simulate_epoch_faulty(platform, workload, config, x, &[])
+}
+
+/// [`simulate_epoch`] under faults: `Crash` kills the worker after its first
+/// pull (no compute, no push, no merge), `Stall` delays the worker's first
+/// compute by a fixed virtual time, and `DropPush` lets pushes occupy the
+/// link but never reach the server. A worker's first listed fault applies.
+///
+/// The epoch is a task DAG drained through FIFO resources in global time
+/// order: per worker one compute unit, per link (a dedicated bus, or one
+/// shared through [`WorkerSlot::bus_group`](crate::platform::WorkerSlot))
+/// one channel per direction at full link bandwidth, so contention on a
+/// shared link emerges as queueing. A chunk's compute is released when its
+/// pull ends, its push when its compute ends, and the next chunk's pull
+/// when this one's ends; the server merges pushes in arrival order.
+///
+/// # Panics
+/// As [`simulate_epoch`], and if a fault names a worker the platform lacks.
+pub fn simulate_epoch_faulty(
+    platform: &Platform,
+    workload: &Workload,
+    config: &SimConfig,
+    x: &[f64],
+    faults: &[SimFault],
+) -> EpochTrace {
+    let workers = platform.workers.len();
+    assert!(workers > 0, "platform has no workers");
+    assert_eq!(x.len(), workers, "partition length mismatch");
     assert!(
         x.iter().all(|&v| v >= 0.0 && v.is_finite()),
         "fractions must be non-negative and finite"
@@ -187,118 +283,112 @@ pub fn simulate_epoch(
         config.transport_efficiency > 0.0 && config.transport_efficiency <= 1.0,
         "transport efficiency must lie in (0, 1]"
     );
-
-    let mut spans = Vec::new();
-    let mut totals = vec![WorkerTotals::default(); platform.workers.len()];
-    // (arrival time, worker, sync payload bytes)
-    let mut arrivals: Vec<(f64, usize, f64)> = Vec::new();
-
-    for (w, slot) in platform.workers.iter().enumerate() {
-        let rate_raw =
-            slot.profile
-                .rate_at(&workload.name, workload.m, workload.n, workload.nnz, x[w]);
-        let rate = if slot.timeshare_server {
-            rate_raw * platform.timeshare_efficiency
-        } else {
-            rate_raw
-        };
-        let compute_total = if x[w] > 0.0 {
-            x[w] * workload.nnz as f64 / rate
-        } else {
-            0.0
-        };
-
-        let m_assigned = (x[w] * workload.m as f64).round() as u64;
-        let pull_bytes = config.strategy.pull_bytes(workload.m, workload.n, config.k) as f64;
-        let push_bytes = config.strategy.push_bytes(m_assigned, workload.n, config.k) as f64;
-        // The server merges the *decompressed* payload (always FP32).
-        let sync_bytes = (config
-            .strategy
-            .push_elements(m_assigned, workload.n, config.k)
-            * 4) as f64;
-
-        let bus = platform.effective_bus_bandwidth(w) * config.transport_efficiency;
-        let pull_total = pull_bytes / bus;
-        let push_total = push_bytes / bus;
-
-        let streams = config.streams.min(slot.profile.max_streams).max(1);
-        let s64 = streams as f64;
-
-        // Independent DMA channels per direction (GPU copy engines).
-        let mut pull_free = 0.0f64;
-        let mut compute_free = 0.0f64;
-        let mut push_free = 0.0f64;
-        for _ in 0..streams {
-            let pull_start = pull_free;
-            let pull_end = pull_start + pull_total / s64;
-            pull_free = pull_end;
-            spans.push(PhaseSpan {
-                worker: w,
-                phase: Phase::Pull,
-                start: pull_start,
-                end: pull_end,
-            });
-
-            let comp_start = pull_end.max(compute_free);
-            let comp_end = comp_start + compute_total / s64;
-            compute_free = comp_end;
-            spans.push(PhaseSpan {
-                worker: w,
-                phase: Phase::Compute,
-                start: comp_start,
-                end: comp_end,
-            });
-
-            let push_start = comp_end.max(push_free);
-            let push_end = push_start + push_total / s64;
-            push_free = push_end;
-            spans.push(PhaseSpan {
-                worker: w,
-                phase: Phase::Push,
-                start: push_start,
-                end: push_end,
-            });
-
-            arrivals.push((push_end, w, sync_bytes / s64));
-        }
-
-        totals[w] = WorkerTotals {
-            pull: pull_total,
-            compute: compute_total,
-            push: push_total,
-        };
+    for f in faults {
+        let w = f.worker;
+        assert!(w < workers, "fault names worker {w} of {workers}");
     }
 
-    // Server merges pushes in arrival order (FIFO). With one shard this is
-    // the paper's single serialized queue; with N shards each push's merge
-    // splits into N equal slices draining through N concurrent queues.
-    arrivals.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
-    let shards = config.server_shards.max(1);
-    let mut server_free = vec![0.0f64; shards];
-    let mut sync_total = 0.0f64;
-    for (arrival, w, bytes) in arrivals {
-        let dur = 3.0 * (bytes / shards as f64) / platform.server_bandwidth;
-        let mut start_min = f64::INFINITY;
-        let mut end_max = 0.0f64;
-        for free in server_free.iter_mut() {
-            let start = arrival.max(*free);
-            *free = start + dur;
-            sync_total += dur;
-            start_min = start_min.min(start);
-            end_max = end_max.max(*free);
-        }
+    let costs: Vec<WorkerCosts> = (0..workers)
+        .map(|w| {
+            let link = platform.workers[w].bus.bandwidth();
+            WorkerCosts::derive(platform, workload, config, w, x[w], link)
+        })
+        .collect();
+
+    // The calendar: `pending` holds `(ready time, task id)` and is served
+    // earliest first, ties by id. An id indexes `tasks`; a worker's pulls
+    // take consecutive ids up front and later stages are appended as they
+    // are released, so every run breaks ties the same way. Only a few tasks
+    // per worker are pending at once, so the earliest is found by scanning.
+    let mut tasks: Vec<(usize, usize, Stage)> = Vec::new(); // (worker, chunk, stage)
+    let mut pending: Vec<(f64, usize)> = Vec::new();
+    for (w, cost) in costs.iter().enumerate() {
+        pending.push((0.0, tasks.len()));
+        tasks.extend((0..cost.streams).map(|chunk| (w, chunk, Stage::Pull)));
+    }
+    // Resource clocks; a link's channels are indexed by its first worker.
+    let link: Vec<usize> = (0..workers).map(|w| platform.link_of(w)).collect();
+    let mut pull_free = vec![0.0f64; workers];
+    let mut compute_free = vec![0.0f64; workers];
+    let mut push_free = vec![0.0f64; workers];
+    let mut spans = Vec::new();
+    let mut arrivals: Vec<(f64, usize, f64)> = Vec::new(); // (time, worker, sync bytes)
+
+    while let Some(next) = (0..pending.len()).min_by(|&a, &b| {
+        let ((ready_a, id_a), (ready_b, id_b)) = (pending[a], pending[b]);
+        ready_a.total_cmp(&ready_b).then(id_a.cmp(&id_b))
+    }) {
+        let (ready, id) = pending.swap_remove(next);
+        let (w, chunk, stage) = tasks[id];
+        let cost = &costs[w];
+        let chunks = cost.streams as f64;
+        let (phase, clock, total) = match stage {
+            Stage::Pull => (Phase::Pull, &mut pull_free[link[w]], cost.phases.pull),
+            Stage::Compute => (Phase::Compute, &mut compute_free[w], cost.phases.compute),
+            Stage::Push => (Phase::Push, &mut push_free[link[w]], cost.phases.push),
+        };
+        let start = ready.max(*clock);
+        let end = start + total / chunks;
+        *clock = end;
         spans.push(PhaseSpan {
             worker: w,
+            phase,
+            start,
+            end,
+        });
+
+        let fault = faults.iter().find(|f| f.worker == w).map(|f| f.kind);
+        let mut release = |stage, ready| {
+            pending.push((ready, tasks.len()));
+            tasks.push((w, chunk, stage));
+        };
+        match stage {
+            // A crashed worker stops here: nothing of its pipeline is
+            // released, so its later chunks never become pending.
+            Stage::Pull if fault == Some(SimFaultKind::Crash) => {}
+            Stage::Pull => {
+                let stall = match fault {
+                    Some(SimFaultKind::Stall(secs)) if chunk == 0 => secs,
+                    _ => 0.0,
+                };
+                release(Stage::Compute, end + stall);
+                if chunk + 1 < cost.streams {
+                    pending.push((end, id + 1));
+                }
+            }
+            Stage::Compute => release(Stage::Push, end),
+            Stage::Push if fault == Some(SimFaultKind::DropPush) => {}
+            Stage::Push => arrivals.push((end, w, cost.sync_bytes / chunks)),
+        }
+    }
+
+    // The server merges pushes in arrival order (FIFO) at `3·bytes/B_server`
+    // (Eq. 3). With N shards each push splits into N equal slices draining
+    // through N concurrent queues; every queue sees the same arrivals and
+    // slice sizes, so one clock stands for all N.
+    arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let shards = config.server_shards.max(1);
+    let mut server_free = 0.0f64;
+    let mut sync_total = 0.0f64;
+    for (arrival, worker, bytes) in arrivals {
+        let dur = 3.0 * (bytes / shards as f64) / platform.server_bandwidth;
+        let start = arrival.max(server_free);
+        server_free = start + dur;
+        for _ in 0..shards {
+            sync_total += dur;
+        }
+        spans.push(PhaseSpan {
+            worker,
             phase: Phase::Sync,
-            start: start_min,
-            end: end_max,
+            start,
+            end: server_free,
         });
     }
 
     let epoch_time = spans.iter().map(|s| s.end).fold(0.0f64, f64::max);
     EpochTrace {
         spans,
-        totals,
+        totals: costs.iter().map(|c| c.phases).collect(),
         sync_total,
         epoch_time,
     }
@@ -345,14 +435,8 @@ pub fn simulate_training(
 /// worker's standalone (full-data, no-communication) rate — Table 4's
 /// "Ideal" column.
 pub fn ideal_computing_power(platform: &Platform, workload: &Workload) -> f64 {
-    platform
-        .workers
-        .iter()
-        .map(|slot| {
-            slot.profile
-                .rate_at(&workload.name, workload.m, workload.n, workload.nnz, 1.0)
-        })
-        .sum()
+    let alone = |slot| standalone_rate(slot, workload, 1.0);
+    platform.workers.iter().map(alone).sum()
 }
 
 #[cfg(test)]
@@ -561,13 +645,49 @@ mod tests {
 
     #[test]
     fn determinism() {
-        let p = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&hcc_sparse::DatasetProfile::netflix());
-        let cfg = SimConfig::default();
-        let x = [0.1, 0.2, 0.3, 0.4];
-        let a = simulate_epoch(&p, &wl, &cfg, &x);
-        let b = simulate_epoch(&p, &wl, &cfg, &x);
-        assert_eq!(a, b);
+        for (p, streams, x) in [
+            (
+                Platform::paper_testbed_4workers(),
+                1,
+                vec![0.1, 0.2, 0.3, 0.4],
+            ),
+            (Platform::paper_testbed_3workers(), 4, vec![0.2, 0.4, 0.4]),
+        ] {
+            let cfg = SimConfig {
+                streams,
+                ..Default::default()
+            };
+            let a = simulate_epoch(&p, &wl, &cfg, &x);
+            let b = simulate_epoch(&p, &wl, &cfg, &x);
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn pipelined_phases_respect_dependencies() {
+        let platform = Platform::paper_testbed_3workers();
+        let wl = Workload::from_profile(&hcc_sparse::DatasetProfile::netflix());
+        let cfg = SimConfig {
+            streams: 4,
+            ..Default::default()
+        };
+        let trace = simulate_epoch(&platform, &wl, &cfg, &[0.3, 0.3, 0.4]);
+        // Within a worker, chunk pipelines never compute before pulling.
+        for w in 0..3 {
+            let spans = trace.worker_spans(w);
+            let first_compute = spans
+                .iter()
+                .filter(|s| s.phase == Phase::Compute)
+                .map(|s| s.start)
+                .fold(f64::INFINITY, f64::min);
+            let first_pull_end = spans
+                .iter()
+                .filter(|s| s.phase == Phase::Pull)
+                .map(|s| s.end)
+                .fold(f64::INFINITY, f64::min);
+            assert!(first_compute >= first_pull_end - 1e-12);
+        }
     }
 
     #[test]
@@ -582,5 +702,27 @@ mod tests {
     fn negative_fraction_panics() {
         let p = uniform_platform(1, 1e8);
         simulate_epoch(&p, &workload(), &SimConfig::default(), &[-0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "transport efficiency")]
+    fn out_of_range_transport_efficiency_panics() {
+        let p = uniform_platform(1, 1e8);
+        let cfg = SimConfig {
+            transport_efficiency: 1.5,
+            ..Default::default()
+        };
+        simulate_epoch(&p, &workload(), &cfg, &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream count")]
+    fn zero_streams_panics() {
+        let p = uniform_platform(1, 1e8);
+        let cfg = SimConfig {
+            streams: 0,
+            ..Default::default()
+        };
+        simulate_epoch(&p, &workload(), &cfg, &[1.0]);
     }
 }

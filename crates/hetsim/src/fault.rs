@@ -1,20 +1,18 @@
-//! Fault events for the discrete-event simulator.
+//! Fault events for the simulator.
 //!
 //! The threaded engine's fault-injection harness
 //! (`hcc_mf::FaultPlan`) exercises real threads, real transports, and real
 //! factor matrices. This module is its virtual-time twin: the same fault
-//! vocabulary expressed as perturbations of the DES calendar, so partition
-//! planning and supervisor policies can be studied against crashes and
-//! stragglers on platforms the host machine cannot physically run.
+//! vocabulary expressed as perturbations of the event calendar
+//! ([`crate::engine::simulate_epoch_faulty`]), so partition planning and
+//! supervisor policies can be studied against crashes and stragglers on
+//! platforms the host machine cannot physically run.
 //!
 //! Faults are deterministic by construction — they name a worker and a
 //! fixed perturbation; no randomness, no wall clock. The same
 //! `(platform, workload, config, x, faults)` tuple always yields a
 //! bit-identical [`crate::engine::EpochTrace`].
 
-use crate::des::simulate_epoch_des_impl;
-use crate::engine::{EpochTrace, SimConfig, Workload};
-use crate::platform::Platform;
 use hcc_comm::chaos::{chaos_roll, OP_CORRUPT, OP_DELAY, OP_DROP};
 use hcc_comm::NetChaosPlan;
 
@@ -64,153 +62,56 @@ impl SimFault {
 }
 
 /// Derives this epoch's simulator faults from a network chaos plan, using
-/// the *same* `(seed, worker, epoch, op)` rolls as the live
-/// [`hcc_comm::ChaosTransport`]. A dropped or corrupt push becomes
-/// [`SimFaultKind::DropPush`] (the server's merge never sees it either
-/// way), a delayed push becomes a [`SimFaultKind::Stall`] of the plan's
-/// delay, and a partitioned worker drops its push from `from_epoch` on.
-/// Duplicates are invisible here — the real transport dedups them, so
-/// their only cost is wire bytes, which the DES bus model doesn't charge
-/// for retransmits.
-pub fn derive_net_faults(plan: &NetChaosPlan, workers: usize, epoch: u64) -> Vec<SimFault> {
-    let mut faults = Vec::new();
-    for w in 0..workers {
-        if let Some(part) = plan.partition {
-            if part.worker == w && epoch >= part.from_epoch {
-                faults.push(SimFault::drop_push(w));
-                continue;
-            }
-        }
-        if chaos_roll(plan.seed, w, epoch, OP_DROP) < plan.drop_rate
-            || chaos_roll(plan.seed, w, epoch, OP_CORRUPT) < plan.corrupt_rate
-        {
-            faults.push(SimFault::drop_push(w));
-            continue;
-        }
-        if chaos_roll(plan.seed, w, epoch, OP_DELAY) < plan.delay_rate {
-            faults.push(SimFault::stall(w, plan.delay.as_secs_f64()));
-        }
-    }
-    faults
-}
-
-/// One fault on a single worker→shard link of a sharded parameter server.
+/// the *same* `(seed, link, epoch, op)` rolls as the live
+/// [`hcc_comm::ChaosTransport`]. With `shards` server shards a worker holds
+/// `shards` independent links, and link `worker * shards + shard` draws its
+/// own stream, so one lossy shard hits only the workers whose roll it was.
+/// The links fold into one fault per worker on the spot:
 ///
-/// With `N` server shards a worker holds `N` independent links; chaos
-/// rolls per link, so one lossy shard degrades only its own row range.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardLinkFault {
-    /// Index into `platform.workers`.
-    pub worker: usize,
-    /// Server shard on the far end of the link.
-    pub shard: usize,
-    pub kind: SimFaultKind,
-}
-
-/// [`derive_net_faults`] generalized to a sharded server: rolls the chaos
-/// dice once per `(worker, shard)` link, mixing the shard into the roll's
-/// worker coordinate (`worker * shards + shard`) so each link draws an
-/// independent deterministic stream. A plan partition severs *all* of the
-/// worker's links (the node, not one link, is unreachable). With
-/// `shards == 1` the rolls coincide with [`derive_net_faults`] exactly.
-pub fn derive_shard_net_faults(
+/// * a dropped or corrupt push on *any* link becomes
+///   [`SimFaultKind::DropPush`] — the server cannot assemble a partial row
+///   update, so the merge never sees the push either way;
+/// * otherwise delayed links add up to one [`SimFaultKind::Stall`] (shard
+///   RPCs are sequential on the worker's connection);
+/// * a partitioned worker loses every link from `from_epoch` on (the node,
+///   not one link, is unreachable).
+///
+/// Duplicates are invisible here — the real transport dedups them, so
+/// their only cost is wire bytes, which the bus model doesn't charge for
+/// retransmits.
+pub fn derive_net_faults(
     plan: &NetChaosPlan,
     workers: usize,
     shards: usize,
     epoch: u64,
-) -> Vec<ShardLinkFault> {
+) -> Vec<SimFault> {
+    let delay = plan.delay.as_secs_f64();
     let mut faults = Vec::new();
     for w in 0..workers {
-        for s in 0..shards {
-            if let Some(part) = plan.partition {
-                if part.worker == w && epoch >= part.from_epoch {
-                    faults.push(ShardLinkFault {
-                        worker: w,
-                        shard: s,
-                        kind: SimFaultKind::DropPush,
-                    });
-                    continue;
-                }
-            }
-            let link = w * shards + s;
-            if chaos_roll(plan.seed, link, epoch, OP_DROP) < plan.drop_rate
-                || chaos_roll(plan.seed, link, epoch, OP_CORRUPT) < plan.corrupt_rate
-            {
-                faults.push(ShardLinkFault {
-                    worker: w,
-                    shard: s,
-                    kind: SimFaultKind::DropPush,
-                });
-                continue;
-            }
-            if chaos_roll(plan.seed, link, epoch, OP_DELAY) < plan.delay_rate {
-                faults.push(ShardLinkFault {
-                    worker: w,
-                    shard: s,
-                    kind: SimFaultKind::Stall(plan.delay.as_secs_f64()),
-                });
-            }
+        let severed = plan
+            .partition
+            .is_some_and(|part| part.worker == w && epoch >= part.from_epoch);
+        // Links of this worker whose roll for `op` fell below `rate`.
+        let hits = |op, rate: f64| {
+            (w * shards..(w + 1) * shards)
+                .filter(|&link| chaos_roll(plan.seed, link, epoch, op) < rate)
+                .count()
+        };
+        let delayed = hits(OP_DELAY, plan.delay_rate);
+        if severed || hits(OP_DROP, plan.drop_rate) + hits(OP_CORRUPT, plan.corrupt_rate) > 0 {
+            faults.push(SimFault::drop_push(w));
+        } else if delayed > 0 {
+            faults.push(SimFault::stall(w, delayed as f64 * delay));
         }
     }
     faults
-}
-
-/// Collapses per-link faults to the DES calendar's worker-level
-/// vocabulary: a worker with any dropped link loses its merge (the server
-/// cannot assemble a partial row update), otherwise its stalls add up
-/// (shard RPCs are sequential on the worker's connection).
-pub fn collapse_shard_faults(link_faults: &[ShardLinkFault]) -> Vec<SimFault> {
-    let workers: usize = link_faults.iter().map(|f| f.worker + 1).max().unwrap_or(0);
-    let mut out = Vec::new();
-    for w in 0..workers {
-        let mine = link_faults.iter().filter(|f| f.worker == w);
-        let mut stall = 0.0f64;
-        let mut dropped = false;
-        for f in mine {
-            match f.kind {
-                SimFaultKind::DropPush | SimFaultKind::Crash => dropped = true,
-                SimFaultKind::Stall(s) => stall += s,
-            }
-        }
-        if dropped {
-            out.push(SimFault::drop_push(w));
-        } else if stall > 0.0 {
-            out.push(SimFault::stall(w, stall));
-        }
-    }
-    out
-}
-
-/// Simulates one epoch under the given faults with the strict event
-/// calendar. An empty fault list reproduces
-/// [`simulate_epoch_des`](crate::des::simulate_epoch_des) bit-for-bit.
-///
-/// # Panics
-/// Same contract as the fault-free scheduler, plus any `fault.worker` must
-/// index into the platform.
-pub fn simulate_epoch_des_faulty(
-    platform: &Platform,
-    workload: &Workload,
-    config: &SimConfig,
-    x: &[f64],
-    faults: &[SimFault],
-) -> EpochTrace {
-    for f in faults {
-        assert!(
-            f.worker < platform.workers.len(),
-            "fault names worker {} but platform has {}",
-            f.worker,
-            platform.workers.len()
-        );
-    }
-    simulate_epoch_des_impl(platform, workload, config, x, faults)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::des::simulate_epoch_des;
-    use crate::engine::Phase;
+    use crate::engine::{simulate_epoch, simulate_epoch_faulty, Phase, SimConfig, Workload};
+    use crate::platform::Platform;
     use hcc_sparse::DatasetProfile;
 
     fn netflix() -> Workload {
@@ -228,31 +129,30 @@ mod tests {
     #[test]
     fn empty_faults_match_fault_free_trace() {
         let (platform, cfg, x) = testbed();
-        let plain = simulate_epoch_des(&platform, &netflix(), &cfg, &x);
-        let faulty = simulate_epoch_des_faulty(&platform, &netflix(), &cfg, &x, &[]);
+        let plain = simulate_epoch(&platform, &netflix(), &cfg, &x);
+        let faulty = simulate_epoch_faulty(&platform, &netflix(), &cfg, &x, &[]);
         assert_eq!(plain, faulty);
     }
 
     #[test]
     fn crash_removes_compute_push_and_sync_for_that_worker() {
         let (platform, cfg, x) = testbed();
-        let trace =
-            simulate_epoch_des_faulty(&platform, &netflix(), &cfg, &x, &[SimFault::crash(2)]);
+        let trace = simulate_epoch_faulty(&platform, &netflix(), &cfg, &x, &[SimFault::crash(2)]);
         let spans = trace.worker_spans(2);
         assert!(spans.iter().any(|s| s.phase == Phase::Pull));
         assert!(spans
             .iter()
             .all(|s| !matches!(s.phase, Phase::Compute | Phase::Push | Phase::Sync)));
         // The survivors' sync work shrinks accordingly.
-        let plain = simulate_epoch_des(&platform, &netflix(), &cfg, &x);
+        let plain = simulate_epoch(&platform, &netflix(), &cfg, &x);
         assert!(trace.sync_total < plain.sync_total);
     }
 
     #[test]
     fn stall_delays_the_epoch() {
         let (platform, cfg, x) = testbed();
-        let plain = simulate_epoch_des(&platform, &netflix(), &cfg, &x);
-        let stalled = simulate_epoch_des_faulty(
+        let plain = simulate_epoch(&platform, &netflix(), &cfg, &x);
+        let stalled = simulate_epoch_faulty(
             &platform,
             &netflix(),
             &cfg,
@@ -268,7 +168,7 @@ mod tests {
     fn dropped_push_never_reaches_the_server() {
         let (platform, cfg, x) = testbed();
         let trace =
-            simulate_epoch_des_faulty(&platform, &netflix(), &cfg, &x, &[SimFault::drop_push(1)]);
+            simulate_epoch_faulty(&platform, &netflix(), &cfg, &x, &[SimFault::drop_push(1)]);
         let spans = trace.worker_spans(1);
         assert!(spans.iter().any(|s| s.phase == Phase::Push)); // bus used
         assert!(spans.iter().all(|s| s.phase != Phase::Sync)); // merge skipped
@@ -278,25 +178,33 @@ mod tests {
     fn faulty_trace_is_deterministic() {
         let (platform, cfg, x) = testbed();
         let faults = [SimFault::crash(3), SimFault::stall(1, 0.5)];
-        let a = simulate_epoch_des_faulty(&platform, &netflix(), &cfg, &x, &faults);
-        let b = simulate_epoch_des_faulty(&platform, &netflix(), &cfg, &x, &faults);
+        let a = simulate_epoch_faulty(&platform, &netflix(), &cfg, &x, &faults);
+        let b = simulate_epoch_faulty(&platform, &netflix(), &cfg, &x, &faults);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault names worker")]
+    fn out_of_range_worker_panics() {
+        let (platform, cfg, x) = testbed();
+        simulate_epoch_faulty(&platform, &netflix(), &cfg, &x, &[SimFault::crash(9)]);
     }
 
     #[test]
     fn net_faults_derive_deterministically_from_a_chaos_plan() {
         let plan = NetChaosPlan::from_seed(42);
-        let a = derive_net_faults(&plan, 4, 3);
-        let b = derive_net_faults(&plan, 4, 3);
+        let a = derive_net_faults(&plan, 4, 1, 3);
+        let b = derive_net_faults(&plan, 4, 1, 3);
         assert_eq!(a, b, "same plan+epoch must derive identical faults");
-        // A quiet plan derives nothing.
-        assert!(derive_net_faults(&NetChaosPlan::quiet(42), 4, 3).is_empty());
+        // A quiet plan derives nothing, however many links it rolls.
+        assert!(derive_net_faults(&NetChaosPlan::quiet(42), 4, 1, 3).is_empty());
+        assert!(derive_net_faults(&NetChaosPlan::quiet(42), 4, 4, 3).is_empty());
         // Over many epochs, a 10%-drop/5%-corrupt plan must produce some
         // dropped pushes and some stalls, but nowhere near every epoch.
         let mut drops = 0usize;
         let mut stalls = 0usize;
         for epoch in 0..200 {
-            for f in derive_net_faults(&plan, 4, epoch) {
+            for f in derive_net_faults(&plan, 4, 1, epoch) {
                 match f.kind {
                     SimFaultKind::DropPush => drops += 1,
                     SimFaultKind::Stall(s) => {
@@ -313,123 +221,77 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_worker_drops_pushes_from_its_epoch() {
+    fn partition_severs_every_link_of_its_worker_from_its_epoch() {
         let plan = NetChaosPlan::quiet(7).with_partition(2, 5);
-        assert!(derive_net_faults(&plan, 4, 4).is_empty());
-        for epoch in 5..8 {
-            let faults = derive_net_faults(&plan, 4, epoch);
-            assert_eq!(faults, vec![SimFault::drop_push(2)], "epoch {epoch}");
-        }
-    }
-
-    #[test]
-    fn derived_faults_feed_the_des_calendar() {
-        let (platform, cfg, x) = testbed();
-        let plan = NetChaosPlan::quiet(1).with_partition(1, 0);
-        let faults = derive_net_faults(&plan, platform.workers.len(), 0);
-        let trace = simulate_epoch_des_faulty(&platform, &netflix(), &cfg, &x, &faults);
-        // The partitioned worker pushes into the void: no sync span.
-        assert!(trace.worker_spans(1).iter().all(|s| s.phase != Phase::Sync));
-    }
-
-    #[test]
-    #[should_panic(expected = "fault names worker")]
-    fn out_of_range_worker_panics() {
-        let (platform, cfg, x) = testbed();
-        simulate_epoch_des_faulty(&platform, &netflix(), &cfg, &x, &[SimFault::crash(9)]);
-    }
-
-    #[test]
-    fn one_shard_reduces_to_the_unsharded_derivation() {
-        let plan = NetChaosPlan::from_seed(42);
-        for epoch in 0..50 {
-            let flat = derive_net_faults(&plan, 4, epoch);
-            let linked = derive_shard_net_faults(&plan, 4, 1, epoch);
-            let collapsed: Vec<SimFault> = linked
-                .iter()
-                .map(|f| SimFault {
-                    worker: f.worker,
-                    kind: f.kind,
-                })
-                .collect();
-            assert_eq!(flat, collapsed, "epoch {epoch}");
-            assert!(linked.iter().all(|f| f.shard == 0));
-        }
-    }
-
-    #[test]
-    fn partition_severs_every_shard_link_of_its_worker() {
-        let plan = NetChaosPlan::quiet(7).with_partition(2, 5);
-        assert!(derive_shard_net_faults(&plan, 4, 4, 4).is_empty());
-        let faults = derive_shard_net_faults(&plan, 4, 4, 6);
-        assert_eq!(faults.len(), 4);
-        for (s, f) in faults.iter().enumerate() {
-            assert_eq!(f.worker, 2);
-            assert_eq!(f.shard, s);
-            assert_eq!(f.kind, SimFaultKind::DropPush);
-        }
-    }
-
-    #[test]
-    fn shard_links_roll_independent_chaos_streams() {
-        let plan = NetChaosPlan::from_seed(42);
-        // Over many epochs, sibling links of the same worker must disagree
-        // sometimes: one drops while the other stays clean.
-        let mut disagreements = 0usize;
-        for epoch in 0..200 {
-            let faults = derive_shard_net_faults(&plan, 2, 2, epoch);
-            for w in 0..2 {
-                let hit: Vec<bool> = (0..2)
-                    .map(|s| faults.iter().any(|f| f.worker == w && f.shard == s))
-                    .collect();
-                if hit[0] != hit[1] {
-                    disagreements += 1;
-                }
+        for shards in [1, 4] {
+            assert!(derive_net_faults(&plan, 4, shards, 4).is_empty());
+            for epoch in 5..8 {
+                let faults = derive_net_faults(&plan, 4, shards, epoch);
+                assert_eq!(faults, vec![SimFault::drop_push(2)], "epoch {epoch}");
             }
         }
-        assert!(disagreements > 20, "only {disagreements} disagreements");
+    }
+
+    /// The per-link outcome the fold starts from: `None`, a drop, or a delay.
+    fn link_outcome(plan: &NetChaosPlan, link: usize, epoch: u64) -> Option<SimFaultKind> {
+        match derive_net_faults(plan, link + 1, 1, epoch).last() {
+            Some(f) if f.worker == link => Some(f.kind),
+            _ => None,
+        }
     }
 
     #[test]
-    fn collapse_drops_dominate_and_stalls_add_up() {
-        let links = [
-            ShardLinkFault {
-                worker: 0,
-                shard: 0,
-                kind: SimFaultKind::Stall(0.25),
-            },
-            ShardLinkFault {
-                worker: 0,
-                shard: 2,
-                kind: SimFaultKind::Stall(0.5),
-            },
-            ShardLinkFault {
-                worker: 1,
-                shard: 1,
-                kind: SimFaultKind::Stall(1.0),
-            },
-            ShardLinkFault {
-                worker: 1,
-                shard: 3,
-                kind: SimFaultKind::DropPush,
-            },
-        ];
-        let collapsed = collapse_shard_faults(&links);
-        assert_eq!(
-            collapsed,
-            vec![SimFault::stall(0, 0.75), SimFault::drop_push(1)]
+    fn shard_links_fold_drops_dominate_and_stalls_add() {
+        // With one shard, link `l` is worker `l`; with `shards` shards,
+        // worker `w` owns links `w * shards..(w + 1) * shards`. So the
+        // sharded derivation must equal the fold of those one-shard rolls.
+        let plan = NetChaosPlan::from_seed(42);
+        let (workers, shards) = (3usize, 4usize);
+        let (mut drops, mut multi_stalls, mut spared) = (0, 0, 0);
+        for epoch in 0..200 {
+            let faults = derive_net_faults(&plan, workers, shards, epoch);
+            for w in 0..workers {
+                let links: Vec<_> = (w * shards..(w + 1) * shards)
+                    .map(|link| link_outcome(&plan, link, epoch))
+                    .collect();
+                let delayed = links
+                    .iter()
+                    .filter(|k| matches!(k, Some(SimFaultKind::Stall(_))))
+                    .count();
+                let want = if links.contains(&Some(SimFaultKind::DropPush)) {
+                    drops += 1;
+                    // A clean or delayed sibling link does not save the push.
+                    spared += usize::from(links.iter().any(|k| *k != Some(SimFaultKind::DropPush)));
+                    Some(SimFault::drop_push(w))
+                } else if delayed > 0 {
+                    multi_stalls += usize::from(delayed > 1);
+                    Some(SimFault::stall(
+                        w,
+                        delayed as f64 * plan.delay.as_secs_f64(),
+                    ))
+                } else {
+                    None
+                };
+                let got = faults.iter().find(|f| f.worker == w).copied();
+                assert_eq!(got, want, "epoch {epoch} worker {w}: links {links:?}");
+            }
+        }
+        // The grid must actually exercise each rule.
+        assert!(
+            drops > 100 && spared > 100,
+            "drops {drops}, spared {spared}"
         );
-        assert!(collapse_shard_faults(&[]).is_empty());
+        assert!(multi_stalls > 5, "only {multi_stalls} multi-link stalls");
     }
 
     #[test]
-    fn collapsed_shard_faults_feed_the_des_calendar() {
+    fn derived_faults_feed_the_calendar() {
         let (platform, cfg, x) = testbed();
         let plan = NetChaosPlan::quiet(1).with_partition(1, 0);
-        let links = derive_shard_net_faults(&plan, platform.workers.len(), 4, 0);
-        let faults = collapse_shard_faults(&links);
+        let faults = derive_net_faults(&plan, platform.workers.len(), 4, 0);
         assert_eq!(faults, vec![SimFault::drop_push(1)]);
-        let trace = simulate_epoch_des_faulty(&platform, &netflix(), &cfg, &x, &faults);
+        let trace = simulate_epoch_faulty(&platform, &netflix(), &cfg, &x, &faults);
+        // The partitioned worker pushes into the void: no sync span.
         assert!(trace.worker_spans(1).iter().all(|s| s.phase != Phase::Sync));
     }
 }

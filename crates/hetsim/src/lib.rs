@@ -12,11 +12,15 @@
 //!   exists). Plus Fig. 3(b)'s price catalog.
 //! * [`platform`] — topologies: which processors, on which buses, which one
 //!   time-shares with the parameter server.
-//! * [`engine`] — the epoch pipeline in virtual time: per-worker
-//!   pull → compute → push with per-direction DMA channels, multi-stream
-//!   chunking (Strategy 3), and the server's FIFO synchronization queue.
-//!   Produces [`engine::EpochTrace`]s with full phase spans — the Fig. 5 /
-//!   Fig. 8 timelines.
+//! * [`engine`] — the one epoch simulator: an event calendar draining each
+//!   worker's pull → compute → push chunks (Strategy 3's multi-stream
+//!   pipeline) through per-direction link channels, per-worker compute
+//!   units and the server's FIFO synchronization queue, in global time
+//!   order. Produces [`engine::EpochTrace`]s with full phase spans — the
+//!   Fig. 5 / Fig. 8 timelines.
+//! * [`fault`] — crashes, stalls and dropped pushes as perturbations of
+//!   that calendar ([`simulate_epoch_faulty`]), and their derivation from a
+//!   network chaos plan ([`derive_net_faults`]).
 //! * [`measure`] — "virtual profiling": standalone execution times (DP0's
 //!   input), the `measure` callback DP1's Algorithm-1 loop needs, the
 //!   [`hcc_partition::CostModel`] for a platform/workload pair, and the
@@ -38,7 +42,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cluster;
-pub mod des;
 pub mod engine;
 pub mod export;
 pub mod fault;
@@ -47,15 +50,11 @@ pub mod platform;
 pub mod profile;
 
 pub use cluster::ClusterBuilder;
-pub use des::simulate_epoch_des;
 pub use engine::{
-    ideal_computing_power, simulate_epoch, simulate_training, EpochTrace, Phase, PhaseSpan,
-    SimConfig, TrainingSim, Workload,
+    ideal_computing_power, simulate_epoch, simulate_epoch_faulty, simulate_training, EpochTrace,
+    Phase, PhaseSpan, SimConfig, TrainingSim, Workload,
 };
-pub use fault::{
-    collapse_shard_faults, derive_net_faults, derive_shard_net_faults, simulate_epoch_des_faulty,
-    ShardLinkFault, SimFault, SimFaultKind,
-};
+pub use fault::{derive_net_faults, SimFault, SimFaultKind};
 pub use measure::{
     bandwidth_table, cost_model_for, standalone_times, virtual_measure, virtual_measure_total,
     worker_classes,

@@ -5,7 +5,9 @@
 //! from the calibrated profiles, so DP0/DP1/DP2 planning runs identically on
 //! hardware we don't have.
 
-use crate::engine::{SimConfig, Workload};
+use crate::engine::{
+    compute_rate, compute_time, standalone_rate, SimConfig, WorkerCosts, Workload,
+};
 use crate::platform::Platform;
 use hcc_partition::{CostModel, WorkerClass};
 
@@ -17,16 +19,8 @@ use hcc_partition::{CostModel, WorkerClass};
 /// DP0 misjudges that worker during real training and Algorithm 1 (DP1)
 /// exists to compensate (the paper's Fig. 8 narrative).
 pub fn standalone_times(platform: &Platform, workload: &Workload) -> Vec<f64> {
-    platform
-        .workers
-        .iter()
-        .map(|slot| {
-            let rate =
-                slot.profile
-                    .rate_at(&workload.name, workload.m, workload.n, workload.nnz, 1.0);
-            workload.nnz as f64 / rate
-        })
-        .collect()
+    let alone = |slot| workload.nnz as f64 / standalone_rate(slot, workload, 1.0);
+    platform.workers.iter().map(alone).collect()
 }
 
 /// The `measure` callback for DP1's Algorithm-1 loop: per-worker *compute*
@@ -38,25 +32,8 @@ pub fn virtual_measure<'a>(
 ) -> impl FnMut(&[f64]) -> Vec<f64> + 'a {
     move |x: &[f64]| {
         assert_eq!(x.len(), platform.workers.len(), "partition length mismatch");
-        platform
-            .workers
-            .iter()
-            .zip(x)
-            .map(|(slot, &xi)| {
-                let rate =
-                    slot.profile
-                        .rate_at(&workload.name, workload.m, workload.n, workload.nnz, xi)
-                        * if slot.timeshare_server {
-                            platform.timeshare_efficiency
-                        } else {
-                            1.0
-                        };
-                if xi > 0.0 {
-                    xi * workload.nnz as f64 / rate
-                } else {
-                    0.0
-                }
-            })
+        (0..x.len())
+            .map(|w| compute_time(platform, workload, w, x[w]))
             .collect()
     }
 }
@@ -73,26 +50,17 @@ pub fn virtual_measure_total<'a>(
     workload: &'a Workload,
     config: &'a SimConfig,
 ) -> impl FnMut(&[f64]) -> Vec<f64> + 'a {
-    let mut compute = virtual_measure(platform, workload);
     move |x: &[f64]| {
-        let times = compute(x);
-        platform
-            .workers
-            .iter()
-            .zip(x)
-            .zip(times)
-            .enumerate()
-            .map(|(w, ((slot, &xi), t))| {
-                let streams = config.streams.min(slot.profile.max_streams).max(1) as f64;
-                let bus = platform.effective_bus_bandwidth(w) * config.transport_efficiency;
-                let m_assigned = (xi * workload.m as f64).round() as u64;
-                let pull =
-                    config.strategy.pull_bytes(workload.m, workload.n, config.k) as f64 / bus;
-                let push =
-                    config.strategy.push_bytes(m_assigned, workload.n, config.k) as f64 / bus;
+        assert_eq!(x.len(), platform.workers.len(), "partition length mismatch");
+        (0..x.len())
+            .map(|w| {
+                // Fair share, not the simulator's full link speed: a formula
+                // cannot queue a contended transfer.
+                let link = platform.effective_bus_bandwidth(w);
+                let c = WorkerCosts::derive(platform, workload, config, w, x[w], link);
                 // With S streams, roughly one chunk's transfer each side
                 // stays exposed at the pipeline's ends.
-                t + (pull + push) / streams
+                c.phases.compute + (c.phases.pull + c.phases.push) / c.streams as f64
             })
             .collect()
     }
@@ -119,32 +87,22 @@ pub fn worker_classes(platform: &Platform) -> Vec<WorkerClass> {
 /// and the calibration stay consistent.
 pub fn cost_model_for(platform: &Platform, workload: &Workload, config: &SimConfig) -> CostModel {
     let bytes_per_update = 16.0 * config.k as f64 + 4.0;
-    let worker_bandwidth = platform
-        .workers
-        .iter()
-        .map(|slot| {
-            let rate =
-                slot.profile
-                    .rate_at(&workload.name, workload.m, workload.n, workload.nnz, 1.0)
-                    * if slot.timeshare_server {
-                        platform.timeshare_efficiency
-                    } else {
-                        1.0
-                    };
-            rate * bytes_per_update
-        })
+    let workers = platform.workers.len();
+    let worker_bandwidth = (0..workers)
+        .map(|w| compute_rate(platform, workload, w, 1.0) * bytes_per_update)
         .collect();
-    let bus_bandwidth = (0..platform.workers.len())
+    // Fair share, as in `virtual_measure_total`: Eq. 2 cannot queue either.
+    let bus_bandwidth = (0..workers)
         .map(|w| platform.effective_bus_bandwidth(w) * config.transport_efficiency)
         .collect();
     // Sync merges the decompressed payload of an average worker's push.
     // Under Strategy 3 pushes arrive in `streams` chunks, so the unit of
     // synchronization (and the tail Eq. 5 cares about) shrinks accordingly.
-    let m_avg = workload.m / platform.workers.len().max(1) as u64;
+    let m_avg = workload.m / workers.max(1) as u64;
     let effective_streams = platform
         .workers
         .iter()
-        .map(|slot| config.streams.min(slot.profile.max_streams).max(1))
+        .map(|slot| slot.streams(config.streams))
         .max()
         .unwrap_or(1) as u64;
     // A sharded server merges each push's slices on N concurrent shard

@@ -21,10 +21,19 @@
 use crate::source::Line;
 
 /// Crates whose library code must stay panic-free (R3). These carry the
-/// typed `HccError`/`CommError`/`ServeError` taxonomies; the remaining
-/// crates (baselines, bench, hetsim, sparse internals) are experiment
-/// drivers where abort-on-bug is acceptable.
-pub const R3_CRATES: &[&str] = &["sgd", "comm", "core", "serve", "telemetry", "partition"];
+/// typed `HccError`/`CommError`/`ServeError` taxonomies, plus the
+/// simulator every quoted timing shape comes from; the remaining crates
+/// (baselines, bench, sparse internals) are experiment drivers where
+/// abort-on-bug is acceptable.
+pub const R3_CRATES: &[&str] = &[
+    "sgd",
+    "comm",
+    "core",
+    "serve",
+    "telemetry",
+    "partition",
+    "hetsim",
+];
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone)]
@@ -777,6 +786,7 @@ mod tests {
     fn r3_flags_panics_only_in_listed_crates_outside_tests_and_bins() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n#[cfg(test)]\nmod tests {\n    fn t() { None::<u32>.unwrap(); }\n}\n";
         assert_eq!(check("crates/core/src/x.rs", src).len(), 1);
+        assert_eq!(check("crates/hetsim/src/engine.rs", src).len(), 1);
         assert!(check("crates/baselines/src/x.rs", src).is_empty());
         assert!(check("crates/core/src/bin/hcc.rs", src).is_empty());
         let not_really = "fn f() { x.unwrap_or(3); no_panic(); }\n";

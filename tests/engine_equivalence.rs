@@ -3,7 +3,7 @@
 //!
 //! The threaded engine (`hcc_mf::HccMf` under a `FaultPlan`) runs real
 //! threads against real factors; the hetsim discrete-event simulator
-//! (`simulate_epoch_des_faulty`) replays the same fault vocabulary on a
+//! (`simulate_epoch_faulty`) replays the same fault vocabulary on a
 //! virtual calendar. Neither knows about the other, so agreement is
 //! evidence both implement the *model* — per-epoch update counts follow the
 //! partition plan exactly, and a fault changes participation identically in
@@ -18,7 +18,7 @@
 //!   never the compute, in both engines.
 
 use hcc_hetsim::{
-    simulate_epoch_des_faulty, BusKind, Phase, Platform, ProcessorProfile, SimConfig, SimFault,
+    simulate_epoch_faulty, BusKind, Phase, Platform, ProcessorProfile, SimConfig, SimFault,
     Workload,
 };
 use hcc_mf::{
@@ -87,7 +87,7 @@ fn des_trace(workers: usize, faults: &[SimFault]) -> hcc_hetsim::EpochTrace {
         ..SimConfig::default()
     };
     let x = vec![1.0 / workers as f64; workers];
-    simulate_epoch_des_faulty(&platform, &workload, &config, &x, faults)
+    simulate_epoch_faulty(&platform, &workload, &config, &x, faults)
 }
 
 fn has_compute(trace: &hcc_hetsim::EpochTrace, worker: usize) -> bool {
