@@ -5,7 +5,7 @@
 //! a worker only touches the parameter rows its ratings reference, so a
 //! push to a shard need only carry the rows that changed since the shard
 //! last published. The codec here packs such a delta into a flat f32
-//! payload that rides inside an ordinary [`crate::Frame`]
+//! payload that rides inside an ordinary [`crate::frame`] frame
 //! ([`crate::RpcKind::DeltaPush`]):
 //!
 //! ```text
@@ -50,12 +50,15 @@ pub fn delta_len(touched: usize, k: usize) -> usize {
     1 + touched + touched * k
 }
 
-/// Encodes the rows of `cur` that differ bitwise from `base`. Both slices
-/// must hold the same whole number of `k`-element rows; extra trailing
-/// elements (a non-row-aligned tail) are never shipped.
-pub fn encode_delta(base: &[f32], cur: &[f32], k: usize) -> Vec<f32> {
+/// Encodes the rows of `cur` that differ bitwise from `base` into `out`,
+/// replacing its contents. Both slices must hold the same whole number of
+/// `k`-element rows; extra trailing elements (a non-row-aligned tail) are
+/// never shipped. Allocates nothing when `out` already has
+/// [`max_delta_len`] capacity — the sharded server's per-worker buffers do.
+pub fn encode_delta(base: &[f32], cur: &[f32], k: usize, out: &mut Vec<f32>) {
     let rows = cur.len().min(base.len()).checked_div(k).unwrap_or(0);
-    let mut touched: Vec<usize> = Vec::new();
+    out.clear();
+    out.push(0.0);
     for r in 0..rows.min(MAX_DELTA_ROWS) {
         let at = r * k;
         let changed = cur[at..at + k]
@@ -63,18 +66,15 @@ pub fn encode_delta(base: &[f32], cur: &[f32], k: usize) -> Vec<f32> {
             .zip(&base[at..at + k])
             .any(|(a, b)| a.to_bits() != b.to_bits());
         if changed {
-            touched.push(r);
+            out.push(r as f32);
         }
     }
-    let mut out = Vec::with_capacity(delta_len(touched.len(), k));
-    out.push(touched.len() as f32);
-    for &r in &touched {
-        out.push(r as f32);
+    let touched = out.len() - 1;
+    out[0] = touched as f32;
+    for i in 1..=touched {
+        let at = out[i] as usize * k;
+        out.extend_from_slice(&cur[at..at + k]);
     }
-    for &r in &touched {
-        out.extend_from_slice(&cur[r * k..r * k + k]);
-    }
-    out
 }
 
 /// Applies a delta on top of `dst` (which must already hold the published
@@ -111,6 +111,37 @@ pub fn apply_delta(delta: &[f32], k: usize, dst: &mut [f32]) -> Result<usize, De
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `Vec`-returning encoder the buffer-filling one replaced, kept
+    /// as its reference; every test here encodes through both.
+    fn encode_delta(base: &[f32], cur: &[f32], k: usize) -> Vec<f32> {
+        let rows = cur.len().min(base.len()).checked_div(k).unwrap_or(0);
+        let mut touched: Vec<usize> = Vec::new();
+        for r in 0..rows.min(MAX_DELTA_ROWS) {
+            let at = r * k;
+            let changed = cur[at..at + k]
+                .iter()
+                .zip(&base[at..at + k])
+                .any(|(a, b)| a.to_bits() != b.to_bits());
+            if changed {
+                touched.push(r);
+            }
+        }
+        let mut out = Vec::with_capacity(delta_len(touched.len(), k));
+        out.push(touched.len() as f32);
+        for &r in &touched {
+            out.push(r as f32);
+        }
+        for &r in &touched {
+            out.extend_from_slice(&cur[r * k..r * k + k]);
+        }
+        // A reused buffer's previous contents must not leak into the result.
+        let mut filled = vec![f32::NAN; 3];
+        super::encode_delta(base, cur, k, &mut filled);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&filled), bits(&out), "encoders disagree");
+        out
+    }
 
     #[test]
     fn empty_delta_when_nothing_changed() {

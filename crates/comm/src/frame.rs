@@ -16,24 +16,27 @@
 //! anywhere in the metadata or data is caught before the payload is
 //! applied. Payloads are f32 at the API and optionally IEEE binary16 on
 //! the wire, reusing the [`Precision`] codec the shared-memory transports
-//! already speak. The length prefix is capped at [`MAX_PAYLOAD_BYTES`] so
-//! a corrupt prefix can never coerce the receiver into a giant
-//! allocation.
+//! already speak. The length prefix is capped at [`MAX_PAYLOAD_BYTES`],
+//! and a receiver never reads more than the buffer it was handed holds.
 //!
-//! The CRC implementation here is the single source of truth for the
-//! workspace — the checkpoint-v2 footer (`hcc_mf::checkpoint`) reuses
-//! [`crc32`] rather than keeping its own copy of the table.
+//! **Ownership rule: this codec allocates nothing.** [`write_frame`]
+//! converts and checksums the caller's `&[f32]` through a scratch block
+//! the caller owns; [`read_frame`] lands the wire bytes in a buffer the
+//! caller owns and verifies the CRC *before* [`decode_payload`] converts
+//! anything into the caller's `&mut [f32]`. The buffers are allocated
+//! where their owner is built (see [`crate::socket`]), never per RPC.
 //!
-//! What the CRC costs: [`crc32`] is slicing-by-8 and runs at about
-//! 1.4 GB/s on the 2.1 GHz benchmark box, 0.75 ms per MiB (the
-//! byte-at-a-time loop it replaced: 0.33 GB/s, 3.1 ms per MiB). A socket
-//! round trip checksums its payload four times — encode and decode of the
-//! request and of the reply — so a 4 MiB pull + push pays about 12 ms of
-//! CRC where it used to pay about 48 of its 57 ms; `save_model` and
-//! `load_model` pay one pass each over the file.
+//! [`Crc32`] is the workspace's one CRC — the checkpoint-v2 footer
+//! (`hcc_mf::checkpoint`) reuses [`crc32`]. Slicing-by-8, about 1.4 GB/s
+//! on the 2.1 GHz benchmark box, 0.75 ms per MiB (the byte-at-a-time loop
+//! it replaced: 3.1 ms). A socket round trip checksums its payload four
+//! times — send and receive of the request and of the reply — so a 4 MiB
+//! pull + push pays about 12 ms of CRC; `save_model` and `load_model` pay
+//! one pass each over the file.
 
 use crate::transport::Precision;
 use hcc_sgd::fp16;
+use std::io::{Read, Write};
 
 /// Frame magic: "HCC frame, version 1".
 pub const MAGIC: [u8; 4] = *b"HCF1";
@@ -46,8 +49,11 @@ pub const TRAILER_LEN: usize = 4;
 
 /// Hard cap on the payload length prefix (64 MiB). A corrupted or hostile
 /// length prefix beyond this is rejected as [`FrameError::Oversized`]
-/// instead of driving an allocation.
+/// whatever the receive buffer holds.
 pub const MAX_PAYLOAD_BYTES: u32 = 1 << 26;
+
+/// Elements the fp16 codec converts per step through its stack scratch.
+const FP16_LANE: usize = 512;
 
 /// CRC-32/IEEE slicing-by-8 tables (reflected polynomial 0xEDB8_8320),
 /// built at compile time: `[0]` is the classic byte table and `[s][b]` is
@@ -83,28 +89,47 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32/IEEE over `data` (init `0xFFFF_FFFF`, final complement; check
-/// value `crc32(b"123456789") == 0xCBF4_3926`), eight bytes per step with a
-/// byte loop for the tail.
+/// A running CRC-32/IEEE (init `0xFFFF_FFFF`, final complement; check value
+/// `crc32(b"123456789") == 0xCBF4_3926`), held complemented so that the
+/// default value is the CRC of no bytes: feeding a buffer in any split
+/// gives the CRC of the whole.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    /// Folds `data` in, eight bytes per step with a byte loop for the tail.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC32_TABLES;
+        let mut c = !self.0;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][(lo >> 8 & 0xFF) as usize]
+                ^ t[5][(lo >> 16 & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = !c;
+    }
+
+    /// The CRC of everything fed so far.
+    pub fn finish(&self) -> u32 {
+        self.0
+    }
+}
+
+/// CRC-32/IEEE over `data` in one call.
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    let mut crc = Crc32::default();
+    crc.update(data);
+    crc.finish()
 }
 
 /// Which RPC a frame carries.
@@ -165,8 +190,9 @@ fn precision_from_u8(b: u8) -> Result<Precision, FrameError> {
 }
 
 /// Everything that can go wrong parsing a frame. IO errors are not here —
-/// the socket layer maps those to `CommError` itself; this taxonomy covers
-/// malformed bytes only.
+/// the socket layer maps those to `CommError` itself (a stream that ends
+/// mid-frame is one: `UnexpectedEof`); this taxonomy covers malformed bytes
+/// only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
     /// The first four bytes are not [`MAGIC`].
@@ -175,15 +201,8 @@ pub enum FrameError {
     BadKind(u8),
     /// Unknown precision byte.
     BadPrecision(u8),
-    /// The buffer ends before the declared frame does.
-    Truncated {
-        /// Bytes the declared frame requires.
-        needed: usize,
-        /// Bytes actually available.
-        got: usize,
-    },
-    /// The length prefix exceeds [`MAX_PAYLOAD_BYTES`] (or is not a whole
-    /// number of wire elements).
+    /// The length prefix exceeds [`MAX_PAYLOAD_BYTES`] or the receive
+    /// buffer (or is not a whole number of wire elements).
     Oversized {
         /// Declared payload length in bytes.
         len: u32,
@@ -205,9 +224,6 @@ impl std::fmt::Display for FrameError {
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             FrameError::BadKind(b) => write!(f, "unknown RPC kind byte {b}"),
             FrameError::BadPrecision(b) => write!(f, "unknown precision byte {b}"),
-            FrameError::Truncated { needed, got } => {
-                write!(f, "truncated frame: need {needed} bytes, have {got}")
-            }
             FrameError::Oversized { len, max } => {
                 write!(f, "length prefix {len} exceeds cap {max}")
             }
@@ -223,10 +239,20 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// One decoded RPC frame. Payload is f32 at this API regardless of the
-/// wire precision.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frame {
+impl FrameError {
+    /// True when the receiver consumed the whole frame before rejecting it
+    /// (bad CRC, unknown kind): the stream is still on a frame boundary, so
+    /// the receiver may answer and carry on. Every other error leaves the
+    /// body unread and the boundary lost.
+    pub fn keeps_sync(&self) -> bool {
+        matches!(self, FrameError::BadKind(_) | FrameError::BadCrc { .. })
+    }
+}
+
+/// A frame's metadata — everything but the payload, which stays in the
+/// caller's slice on both sides of the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
     /// RPC kind.
     pub kind: RpcKind,
     /// Wire precision of the payload.
@@ -239,161 +265,352 @@ pub struct Frame {
     /// Chunk index within the epoch (0 for whole-buffer RPCs); doubles as
     /// the status code on [`RpcKind::Sync`] frames.
     pub chunk: u32,
-    /// Decoded payload.
-    pub payload: Vec<f32>,
 }
 
-impl Frame {
-    /// A payload-free control frame.
-    pub fn control(kind: RpcKind, worker: u16, epoch: u32, chunk: u32) -> Frame {
-        Frame {
+impl Header {
+    /// The header of a payload-free control frame.
+    pub fn control(kind: RpcKind, worker: u16, epoch: u32, chunk: u32) -> Header {
+        Header {
             kind,
             precision: Precision::Fp32,
             worker,
             epoch,
             chunk,
-            payload: Vec::new(),
         }
     }
 
-    /// Serializes the frame, encoding the payload at `self.precision` and
-    /// appending the CRC trailer.
-    pub fn encode(&self) -> Vec<u8> {
-        let payload_bytes = self.payload.len() * self.precision.bytes_per_element() as usize;
-        let mut out = Vec::with_capacity(HEADER_LEN + payload_bytes + TRAILER_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.push(self.kind.as_u8());
-        out.push(precision_to_u8(self.precision));
-        out.extend_from_slice(&self.worker.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.chunk.to_le_bytes());
-        out.extend_from_slice(&(payload_bytes as u32).to_le_bytes());
-        match self.precision {
-            Precision::Fp32 => {
-                for &v in &self.payload {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Precision::Fp16 => {
-                let mut half = vec![0u16; self.payload.len()];
-                fp16::encode_slice(&self.payload, &mut half);
-                for h in half {
-                    out.extend_from_slice(&h.to_le_bytes());
-                }
-            }
-        }
-        let crc = crc32(&out[4..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+    fn to_bytes(self, payload_bytes: u32) -> [u8; HEADER_LEN] {
+        let mut out = [0u8; HEADER_LEN];
+        out[..4].copy_from_slice(&MAGIC);
+        out[4] = self.kind.as_u8();
+        out[5] = precision_to_u8(self.precision);
+        out[6..8].copy_from_slice(&self.worker.to_le_bytes());
+        out[8..12].copy_from_slice(&self.epoch.to_le_bytes());
+        out[12..16].copy_from_slice(&self.chunk.to_le_bytes());
+        out[16..].copy_from_slice(&payload_bytes.to_le_bytes());
         out
     }
+}
 
-    /// Parses a complete frame from `buf`. `buf` must contain exactly one
-    /// frame (header + payload + trailer); trailing bytes are a
-    /// [`FrameError::Truncated`]-style length disagreement caught by the
-    /// byte count check.
-    pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
-        if buf.len() < HEADER_LEN {
-            return Err(FrameError::Truncated {
-                needed: HEADER_LEN,
-                got: buf.len(),
-            });
-        }
-        let magic = [buf[0], buf[1], buf[2], buf[3]];
-        if magic != MAGIC {
-            return Err(FrameError::BadMagic(magic));
-        }
-        let kind = RpcKind::from_u8(buf[4])?;
-        let precision = precision_from_u8(buf[5])?;
-        let worker = u16::from_le_bytes([buf[6], buf[7]]);
-        let epoch = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        let chunk = u32::from_le_bytes([buf[12], buf[13], buf[14], buf[15]]);
-        let payload_bytes = u32::from_le_bytes([buf[16], buf[17], buf[18], buf[19]]);
-        let bpe = precision.bytes_per_element() as u32;
-        if payload_bytes > MAX_PAYLOAD_BYTES || payload_bytes % bpe != 0 {
-            return Err(FrameError::Oversized {
-                len: payload_bytes,
-                max: MAX_PAYLOAD_BYTES,
-            });
-        }
-        let total = HEADER_LEN + payload_bytes as usize + TRAILER_LEN;
-        if buf.len() < total {
-            return Err(FrameError::Truncated {
-                needed: total,
-                got: buf.len(),
-            });
-        }
-        let body = &buf[4..HEADER_LEN + payload_bytes as usize];
-        let trailer_at = HEADER_LEN + payload_bytes as usize;
-        let expected = u32::from_le_bytes([
-            buf[trailer_at],
-            buf[trailer_at + 1],
-            buf[trailer_at + 2],
-            buf[trailer_at + 3],
-        ]);
-        let got = crc32(body);
-        if expected != got {
-            return Err(FrameError::BadCrc { expected, got });
-        }
-        let wire = &buf[HEADER_LEN..trailer_at];
-        let payload = match precision {
-            Precision::Fp32 => wire
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect(),
-            Precision::Fp16 => {
-                let half: Vec<u16> = wire
-                    .chunks_exact(2)
-                    .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                    .collect();
-                let mut out = vec![0f32; half.len()];
-                fp16::decode_slice(&half, &mut out);
-                out
+/// Bytes a frame of `elems` payload elements takes on the wire, header and
+/// trailer included — also what a buffer must hold to send or receive it.
+pub fn frame_len(precision: Precision, elems: usize) -> usize {
+    HEADER_LEN + elems * precision.bytes_per_element() as usize + TRAILER_LEN
+}
+
+/// Converts `src` to its wire bytes; `dst` holds exactly that many.
+fn encode_payload(precision: Precision, src: &[f32], dst: &mut [u8]) {
+    match precision {
+        Precision::Fp32 => {
+            for (d, v) in dst.chunks_exact_mut(4).zip(src) {
+                d.copy_from_slice(&v.to_le_bytes());
             }
+        }
+        Precision::Fp16 => {
+            let mut half = [0u16; FP16_LANE];
+            for (d, s) in dst.chunks_mut(2 * FP16_LANE).zip(src.chunks(FP16_LANE)) {
+                let half = &mut half[..s.len()];
+                fp16::encode_slice(s, half);
+                for (b, h) in d.chunks_exact_mut(2).zip(half.iter()) {
+                    b.copy_from_slice(&h.to_le_bytes());
+                }
+            }
+        }
+    }
+}
+
+/// Decodes wire bytes (already CRC-checked by [`read_frame`]) into `dst`:
+/// as many elements as both hold. Returns that count.
+pub fn decode_payload(precision: Precision, wire: &[u8], dst: &mut [f32]) -> usize {
+    let n = dst
+        .len()
+        .min(wire.len() / precision.bytes_per_element() as usize);
+    match precision {
+        Precision::Fp32 => {
+            for (v, c) in dst.iter_mut().zip(wire.chunks_exact(4)) {
+                *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            }
+        }
+        Precision::Fp16 => {
+            let mut half = [0u16; FP16_LANE];
+            for (d, w) in dst[..n]
+                .chunks_mut(FP16_LANE)
+                .zip(wire.chunks(2 * FP16_LANE))
+            {
+                let half = &mut half[..d.len()];
+                for (h, c) in half.iter_mut().zip(w.chunks_exact(2)) {
+                    *h = u16::from_le_bytes([c[0], c[1]]);
+                }
+                fp16::decode_slice(half, d);
+            }
+        }
+    }
+    n
+}
+
+/// Streams one frame — `header`, `payload` encoded at `header.precision`,
+/// CRC trailer — to `stream`, converting and checksumming through `block`
+/// one blockful at a time, so nothing is allocated and a small frame is a
+/// single write. The bytes do not depend on the block size.
+///
+/// # Panics
+/// Panics if `block` is shorter than `HEADER_LEN + TRAILER_LEN`.
+pub fn write_frame<W: Write>(
+    stream: &mut W,
+    header: &Header,
+    payload: &[f32],
+    block: &mut [u8],
+) -> std::io::Result<()> {
+    assert!(
+        block.len() >= HEADER_LEN + TRAILER_LEN,
+        "frame block too short"
+    );
+    let bpe = header.precision.bytes_per_element() as usize;
+    block[..HEADER_LEN].copy_from_slice(&header.to_bytes((payload.len() * bpe) as u32));
+    let mut crc = Crc32::default();
+    // `block[unsummed..filled]` is encoded but not yet in the CRC (which
+    // skips the magic) or on the stream.
+    let (mut unsummed, mut filled) = (MAGIC.len(), HEADER_LEN);
+    let mut rest = payload;
+    loop {
+        let (now, later) = rest.split_at(rest.len().min((block.len() - filled) / bpe));
+        encode_payload(
+            header.precision,
+            now,
+            &mut block[filled..filled + now.len() * bpe],
+        );
+        filled += now.len() * bpe;
+        rest = later;
+        crc.update(&block[unsummed..filled]);
+        if rest.is_empty() && block.len() - filled >= TRAILER_LEN {
+            break;
+        }
+        stream.write_all(&block[..filled])?;
+        (unsummed, filled) = (0, 0);
+    }
+    block[filled..filled + TRAILER_LEN].copy_from_slice(&crc.finish().to_le_bytes());
+    stream.write_all(&block[..filled + TRAILER_LEN])
+}
+
+/// The validated header of a frame whose body is still on the stream.
+#[derive(Debug, Clone, Copy)]
+pub struct Incoming {
+    raw: [u8; HEADER_LEN],
+    precision: Precision,
+    /// The worker field — like `epoch`, unauthenticated until the body's
+    /// CRC has passed.
+    pub worker: u16,
+    /// The epoch field.
+    pub epoch: u32,
+    /// Payload bytes that follow, at most [`MAX_PAYLOAD_BYTES`].
+    pub wire_len: usize,
+}
+
+/// Reads and validates a frame header: magic, precision and the length
+/// prefix (cap and element alignment), the fields a receiver needs before
+/// it can pick a buffer. An `Err` here means the frame boundary is lost.
+pub fn read_header<R: Read>(stream: &mut R) -> std::io::Result<Result<Incoming, FrameError>> {
+    let mut raw = [0u8; HEADER_LEN];
+    stream.read_exact(&mut raw)?;
+    let magic = [raw[0], raw[1], raw[2], raw[3]];
+    if magic != MAGIC {
+        return Ok(Err(FrameError::BadMagic(magic)));
+    }
+    let precision = match precision_from_u8(raw[5]) {
+        Ok(p) => p,
+        Err(err) => return Ok(Err(err)),
+    };
+    let len = u32::from_le_bytes([raw[16], raw[17], raw[18], raw[19]]);
+    if len > MAX_PAYLOAD_BYTES || len % precision.bytes_per_element() as u32 != 0 {
+        return Ok(Err(FrameError::Oversized {
+            len,
+            max: MAX_PAYLOAD_BYTES,
+        }));
+    }
+    Ok(Ok(Incoming {
+        raw,
+        precision,
+        worker: u16::from_le_bytes([raw[6], raw[7]]),
+        epoch: u32::from_le_bytes([raw[8], raw[9], raw[10], raw[11]]),
+        wire_len: len as usize,
+    }))
+}
+
+impl Incoming {
+    /// Reads the payload and trailer into `buf[..wire_len + TRAILER_LEN]`
+    /// and verifies kind and CRC. On `Ok(Ok(_))` the payload's wire bytes
+    /// are `buf[..wire_len]`, ready for [`decode_payload`]; a frame longer
+    /// than `buf` is [`FrameError::Oversized`] with nothing read.
+    pub fn read_body<R: Read>(
+        &self,
+        stream: &mut R,
+        buf: &mut [u8],
+    ) -> std::io::Result<Result<Header, FrameError>> {
+        let Some(body) = buf.get_mut(..self.wire_len + TRAILER_LEN) else {
+            return Ok(Err(FrameError::Oversized {
+                len: self.wire_len as u32,
+                max: buf.len().saturating_sub(TRAILER_LEN) as u32,
+            }));
         };
-        Ok(Frame {
+        stream.read_exact(body)?;
+        let (wire, trailer) = body.split_at(self.wire_len);
+        let raw = &self.raw;
+        let kind = match RpcKind::from_u8(raw[4]) {
+            Ok(kind) => kind,
+            Err(err) => return Ok(Err(err)),
+        };
+        let mut crc = Crc32::default();
+        crc.update(&raw[MAGIC.len()..]);
+        crc.update(wire);
+        let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+        if expected != crc.finish() {
+            return Ok(Err(FrameError::BadCrc {
+                expected,
+                got: crc.finish(),
+            }));
+        }
+        Ok(Ok(Header {
             kind,
-            precision,
-            worker,
-            epoch,
-            chunk,
-            payload,
-        })
+            precision: self.precision,
+            worker: self.worker,
+            epoch: self.epoch,
+            chunk: u32::from_le_bytes([raw[12], raw[13], raw[14], raw[15]]),
+        }))
+    }
+}
+
+/// Reads one whole frame into `buf`: [`read_header`] then
+/// [`Incoming::read_body`]. Returns the header and the payload's length in
+/// wire bytes. IO failures (a short stream included) are the outer error,
+/// malformed bytes the inner one; either way nothing has been decoded.
+pub fn read_frame<R: Read>(
+    stream: &mut R,
+    buf: &mut [u8],
+) -> std::io::Result<Result<(Header, usize), FrameError>> {
+    let incoming = match read_header(stream)? {
+        Ok(incoming) => incoming,
+        Err(err) => return Ok(Err(err)),
+    };
+    let header = incoming.read_body(stream, buf)?;
+    Ok(header.map(|h| (h, incoming.wire_len)))
+}
+
+/// The codec [`write_frame`] replaced — one `Vec` for the frame, one for the
+/// fp16 halves — kept as the differential reference and as the way tests
+/// hand-build frames.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct Frame {
+        pub header: Header,
+        pub payload: Vec<f32>,
     }
 
-    /// Validates a raw header and returns the number of bytes that follow
-    /// it (payload + trailer) — what a streaming reader must read next.
-    /// Catches bad magic and oversized/misaligned length prefixes before
-    /// any allocation.
-    pub fn body_len(header: &[u8; HEADER_LEN]) -> Result<usize, FrameError> {
-        let magic = [header[0], header[1], header[2], header[3]];
-        if magic != MAGIC {
-            return Err(FrameError::BadMagic(magic));
+    impl Frame {
+        pub(crate) fn encode(&self) -> Vec<u8> {
+            let Header {
+                kind,
+                precision,
+                worker,
+                epoch,
+                chunk,
+            } = self.header;
+            let payload_bytes = self.payload.len() * precision.bytes_per_element() as usize;
+            let mut out = Vec::with_capacity(HEADER_LEN + payload_bytes + TRAILER_LEN);
+            out.extend_from_slice(&MAGIC);
+            out.push(kind.as_u8());
+            out.push(precision_to_u8(precision));
+            out.extend_from_slice(&worker.to_le_bytes());
+            out.extend_from_slice(&epoch.to_le_bytes());
+            out.extend_from_slice(&chunk.to_le_bytes());
+            out.extend_from_slice(&(payload_bytes as u32).to_le_bytes());
+            match precision {
+                Precision::Fp32 => {
+                    for &v in &self.payload {
+                        out.extend_from_slice(&v.to_le_bytes());
+                    }
+                }
+                Precision::Fp16 => {
+                    let mut half = vec![0u16; self.payload.len()];
+                    fp16::encode_slice(&self.payload, &mut half);
+                    for h in half {
+                        out.extend_from_slice(&h.to_le_bytes());
+                    }
+                }
+            }
+            let crc = crc32(&out[4..]);
+            out.extend_from_slice(&crc.to_le_bytes());
+            out
         }
-        let precision = precision_from_u8(header[5])?;
-        let payload_bytes = u32::from_le_bytes([header[16], header[17], header[18], header[19]]);
-        let bpe = precision.bytes_per_element() as u32;
-        if payload_bytes > MAX_PAYLOAD_BYTES || payload_bytes % bpe != 0 {
-            return Err(FrameError::Oversized {
-                len: payload_bytes,
-                max: MAX_PAYLOAD_BYTES,
-            });
-        }
-        Ok(payload_bytes as usize + TRAILER_LEN)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::Frame;
     use super::*;
+    use crate::socket::WRITE_BLOCK;
+    use std::io::ErrorKind;
 
     fn sample(precision: Precision) -> Frame {
         Frame {
-            kind: RpcKind::Push,
-            precision,
-            worker: 3,
-            epoch: 17,
-            chunk: 2,
+            header: Header {
+                kind: RpcKind::Push,
+                precision,
+                worker: 3,
+                epoch: 17,
+                chunk: 2,
+            },
             payload: vec![0.5, -1.25, 3.0, 0.0],
+        }
+    }
+
+    /// `frame` through [`write_frame`] with a `block_len`-byte block.
+    fn stream_encode(frame: &Frame, block_len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut block = vec![0u8; block_len];
+        write_frame(&mut out, &frame.header, &frame.payload, &mut block).unwrap();
+        out
+    }
+
+    /// Receives `bytes` the way a link does: [`read_frame`] into a buffer
+    /// sized for `dst`, then — only on success — [`decode_payload`] into it.
+    fn receive(mut bytes: &[u8], dst: &mut [f32]) -> std::io::Result<Result<Header, FrameError>> {
+        let mut buf = vec![0u8; dst.len() * 4 + TRAILER_LEN];
+        Ok(read_frame(&mut bytes, &mut buf)?.map(|(header, wire_len)| {
+            decode_payload(header.precision, &buf[..wire_len], dst);
+            header
+        }))
+    }
+
+    fn roundtrip(frame: &Frame) -> Frame {
+        let mut payload = vec![f32::NAN; frame.payload.len()];
+        let header = receive(&stream_encode(frame, 64), &mut payload)
+            .unwrap()
+            .unwrap();
+        Frame { header, payload }
+    }
+
+    /// `receive` must fail and leave `dst` bit-for-bit as it was.
+    fn assert_rejected(bytes: &[u8], elems: usize, what: &str) -> Option<FrameError> {
+        let before: Vec<f32> = (0..elems).map(|i| i as f32 - 7.5).collect();
+        let mut dst = before.clone();
+        let outcome = receive(bytes, &mut dst);
+        assert!(
+            dst.iter()
+                .zip(&before)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{what}: a rejected frame wrote to the destination"
+        );
+        match outcome {
+            Ok(Ok(header)) => panic!("{what}: accepted as {header:?}"),
+            Ok(Err(err)) => Some(err),
+            Err(io) => {
+                assert_eq!(io.kind(), ErrorKind::UnexpectedEof, "{what}");
+                None
+            }
         }
     }
 
@@ -425,58 +642,121 @@ mod tests {
     }
 
     #[test]
+    fn running_crc_over_any_split_equals_the_whole() {
+        let buf: Vec<u8> = (0..257u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b1) >> 24) as u8)
+            .collect();
+        let whole = crc32(&buf);
+        for a in 0..=buf.len() {
+            for b in (a..=buf.len()).step_by(7) {
+                let mut crc = Crc32::default();
+                crc.update(&buf[..a]);
+                crc.update(&buf[a..b]);
+                crc.update(&buf[b..]);
+                assert_eq!(crc.finish(), whole, "split at {a}, {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_codec_is_the_old_codec() {
+        let values: Vec<f32> = (0..3 * WRITE_BLOCK / 2 + 2)
+            .map(|i| (i as f32 * 0.37).sin() * 40.0)
+            .collect();
+        for precision in [Precision::Fp32, Precision::Fp16] {
+            let bpe = precision.bytes_per_element() as usize;
+            let frame = |len: usize| Frame {
+                header: Header {
+                    precision,
+                    ..sample(precision).header
+                },
+                payload: values[..len].to_vec(),
+            };
+            // Every length through a block small enough that each crosses
+            // many boundaries, including blocks that end inside the trailer.
+            for len in 0..=1_031 {
+                let want = frame(len).encode();
+                for block_len in [HEADER_LEN + TRAILER_LEN, 61, 64, 4_096] {
+                    assert_eq!(
+                        stream_encode(&frame(len), block_len),
+                        want,
+                        "{precision:?} len {len} block {block_len}"
+                    );
+                }
+            }
+            // The shipped block size: payloads ending one element either
+            // side of the first three block boundaries, and of the point
+            // where the trailer stops fitting in the last block.
+            for blocks in 1..=3 {
+                for edge in [blocks * WRITE_BLOCK - HEADER_LEN, blocks * WRITE_BLOCK] {
+                    for len in (edge / bpe).saturating_sub(2)..=edge / bpe + 1 {
+                        assert_eq!(
+                            stream_encode(&frame(len), WRITE_BLOCK),
+                            frame(len).encode(),
+                            "{precision:?} len {len} at block {blocks}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn fp32_roundtrip_is_exact() {
         let f = sample(Precision::Fp32);
-        let decoded = Frame::decode(&f.encode()).unwrap();
-        assert_eq!(decoded, f);
+        assert_eq!(roundtrip(&f), f);
     }
 
     #[test]
     fn fp16_roundtrip_quantizes() {
         let f = sample(Precision::Fp16);
-        let decoded = Frame::decode(&f.encode()).unwrap();
         // These values are exactly representable in binary16.
-        assert_eq!(decoded.payload, f.payload);
-        assert_eq!(decoded.kind, RpcKind::Push);
+        assert_eq!(roundtrip(&f), f);
     }
 
     #[test]
     fn control_frames_are_empty() {
-        let f = Frame::control(RpcKind::Sync, 1, 9, 0);
-        let bytes = f.encode();
+        let f = Frame {
+            header: Header::control(RpcKind::Sync, 1, 9, 0),
+            payload: Vec::new(),
+        };
+        let bytes = stream_encode(&f, HEADER_LEN + TRAILER_LEN);
         assert_eq!(bytes.len(), HEADER_LEN + TRAILER_LEN);
-        assert_eq!(Frame::decode(&bytes).unwrap(), f);
+        assert_eq!(bytes.len(), frame_len(Precision::Fp32, 0));
+        assert_eq!(roundtrip(&f), f);
     }
 
     #[test]
     fn bad_magic_rejected() {
         let mut bytes = sample(Precision::Fp32).encode();
         bytes[0] = b'X';
-        assert!(matches!(
-            Frame::decode(&bytes),
-            Err(FrameError::BadMagic(_))
-        ));
+        let err = assert_rejected(&bytes, 4, "magic").unwrap();
+        assert!(matches!(err, FrameError::BadMagic(_)));
+        assert!(!err.keeps_sync());
     }
 
     #[test]
     fn bad_kind_and_precision_rejected() {
         let mut bytes = sample(Precision::Fp32).encode();
         bytes[4] = 0xEE;
-        assert_eq!(Frame::decode(&bytes), Err(FrameError::BadKind(0xEE)));
+        let err = assert_rejected(&bytes, 4, "kind").unwrap();
+        assert_eq!(err, FrameError::BadKind(0xEE));
+        assert!(err.keeps_sync(), "the body was consumed");
         let mut bytes = sample(Precision::Fp32).encode();
         bytes[5] = 9;
-        assert_eq!(Frame::decode(&bytes), Err(FrameError::BadPrecision(9)));
+        assert_eq!(
+            assert_rejected(&bytes, 4, "precision"),
+            Some(FrameError::BadPrecision(9))
+        );
     }
 
     #[test]
     fn delta_push_roundtrips_and_first_unused_kind_byte_rejected() {
-        let f = Frame {
-            kind: RpcKind::DeltaPush,
-            ..sample(Precision::Fp32)
-        };
+        let mut f = sample(Precision::Fp32);
+        f.header.kind = RpcKind::DeltaPush;
         let bytes = f.encode();
         assert_eq!(bytes[4], 4, "DeltaPush wire byte");
-        assert_eq!(Frame::decode(&bytes).unwrap(), f);
+        assert_eq!(roundtrip(&f), f);
         // Byte 5 is the first unassigned kind: it must stay rejected so a
         // future kind cannot silently alias an old deployment's frames.
         let mut bytes = bytes;
@@ -485,21 +765,19 @@ mod tests {
         let crc_at = bytes.len() - TRAILER_LEN;
         let crc = crc32(&bytes[4..crc_at]);
         bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(Frame::decode(&bytes), Err(FrameError::BadKind(5)));
+        assert_eq!(
+            assert_rejected(&bytes, 4, "kind 5"),
+            Some(FrameError::BadKind(5))
+        );
     }
 
     #[test]
     fn truncated_frame_rejected() {
+        // A stream that ends mid-frame is an IO error, in the body or in
+        // the header.
         let bytes = sample(Precision::Fp32).encode();
-        let cut = &bytes[..bytes.len() - 3];
-        assert!(matches!(
-            Frame::decode(cut),
-            Err(FrameError::Truncated { .. })
-        ));
-        assert!(matches!(
-            Frame::decode(&bytes[..7]),
-            Err(FrameError::Truncated { .. })
-        ));
+        assert_eq!(assert_rejected(&bytes[..bytes.len() - 3], 4, "body"), None);
+        assert_eq!(assert_rejected(&bytes[..7], 4, "header"), None);
     }
 
     #[test]
@@ -507,37 +785,44 @@ mod tests {
         let mut bytes = sample(Precision::Fp32).encode();
         bytes[16..20].copy_from_slice(&(MAX_PAYLOAD_BYTES + 4).to_le_bytes());
         assert!(matches!(
-            Frame::decode(&bytes),
-            Err(FrameError::Oversized { .. })
+            assert_rejected(&bytes, 4, "cap"),
+            Some(FrameError::Oversized { .. })
         ));
         // Misaligned prefix (not a whole number of elements) is also
         // oversized-class: the declared length can't be trusted.
         let mut bytes = sample(Precision::Fp32).encode();
         bytes[16..20].copy_from_slice(&3u32.to_le_bytes());
         assert!(matches!(
-            Frame::decode(&bytes),
-            Err(FrameError::Oversized { .. })
+            assert_rejected(&bytes, 4, "misaligned"),
+            Some(FrameError::Oversized { .. })
         ));
+        // A well-formed frame longer than the receiver's buffer: refused
+        // before a byte of the body is read, whatever the cap allows.
+        let bytes = sample(Precision::Fp32).encode();
+        let err = assert_rejected(&bytes, 3, "buffer").unwrap();
+        assert_eq!(err, FrameError::Oversized { len: 16, max: 12 });
+        assert!(!err.keeps_sync());
     }
 
     #[test]
     fn body_len_validates_header() {
         let bytes = sample(Precision::Fp32).encode();
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&bytes[..HEADER_LEN]);
-        assert_eq!(Frame::body_len(&header).unwrap(), 16 + TRAILER_LEN);
-        header[2] = 0;
+        let incoming = read_header(&mut &bytes[..]).unwrap().unwrap();
+        assert_eq!((incoming.worker, incoming.wire_len), (3, 16));
+        let mut bad = bytes.clone();
+        bad[2] = 0;
         assert!(matches!(
-            Frame::body_len(&header),
+            read_header(&mut &bad[..]).unwrap(),
             Err(FrameError::BadMagic(_))
         ));
     }
 
     // Satellite: 256-case codec property — round-trip at both precisions,
     // plus rejection of truncation, bit flips, and oversized prefixes, on
-    // arbitrary frames. The vendored proptest shim has a fixed default
-    // case count, so the cases are driven explicitly through its Strategy
-    // API with one deterministic seed per case.
+    // arbitrary frames, through the streaming entry points. The vendored
+    // proptest shim has a fixed default case count, so the cases are driven
+    // explicitly through its Strategy API with one deterministic seed per
+    // case.
     #[test]
     fn codec_roundtrip_and_rejection_256_cases() {
         use proptest::{collection, Strategy};
@@ -562,22 +847,21 @@ mod tests {
                 Precision::Fp32
             };
             let frame = Frame {
-                kind: RpcKind::from_u8(kind_b).unwrap(),
-                precision,
-                worker,
-                epoch,
-                chunk,
+                header: Header {
+                    kind: RpcKind::from_u8(kind_b).unwrap(),
+                    precision,
+                    worker,
+                    epoch,
+                    chunk,
+                },
                 payload: payload.clone(),
             };
-            let bytes = frame.encode();
+            let bytes = stream_encode(&frame, 64);
+            assert_eq!(bytes, frame.encode(), "case {case}");
 
             // Round-trip: exact at fp32, within binary16 tolerance at fp16.
-            let decoded = Frame::decode(&bytes).unwrap();
-            assert_eq!(decoded.kind, frame.kind);
-            assert_eq!(decoded.worker, worker);
-            assert_eq!(decoded.epoch, epoch);
-            assert_eq!(decoded.chunk, chunk);
-            assert_eq!(decoded.payload.len(), payload.len());
+            let decoded = roundtrip(&frame);
+            assert_eq!(decoded.header, frame.header, "case {case}");
             for (a, b) in payload.iter().zip(&decoded.payload) {
                 match precision {
                     Precision::Fp32 => assert_eq!(a, b),
@@ -588,21 +872,26 @@ mod tests {
                 }
             }
 
-            // Truncation: any strict prefix is rejected.
+            // Truncation: any strict prefix is an IO error.
             let cut = cut % bytes.len();
-            assert!(Frame::decode(&bytes[..cut]).is_err(), "case {case}");
+            let what = format!("case {case} cut {cut}");
+            assert_eq!(assert_rejected(&bytes[..cut], payload.len(), &what), None);
 
-            // Bit flip after the magic: CRC (or a field validator) rejects.
+            // Bit flip after the magic: the CRC or a field validator
+            // rejects it, or a grown length prefix no longer fits the buffer.
             let mut corrupt = bytes.clone();
             let at = 4 + flip_at % (corrupt.len() - 4);
             corrupt[at] ^= 0x01;
-            assert!(Frame::decode(&corrupt).is_err(), "case {case} flip {at}");
+            assert_rejected(&corrupt, payload.len(), &format!("case {case} flip {at}"));
 
             // Oversized prefix: rejected without reading the payload.
             let mut oversized = bytes.clone();
             oversized[16..20].copy_from_slice(&(MAX_PAYLOAD_BYTES + 1).to_le_bytes());
             assert!(
-                matches!(Frame::decode(&oversized), Err(FrameError::Oversized { .. })),
+                matches!(
+                    assert_rejected(&oversized, payload.len(), "oversized"),
+                    Some(FrameError::Oversized { .. })
+                ),
                 "case {case}"
             );
         }

@@ -60,8 +60,8 @@ pub use backoff::Backoff;
 pub use buffer::SharedBuffer;
 pub use chaos::{ChaosStats, ChaosTransport, NetChaosPlan, Partition};
 pub use delta::{apply_delta, delta_len, encode_delta, max_delta_len, DeltaError};
-pub use frame::{crc32, Frame, FrameError, RpcKind};
+pub use frame::{crc32, Crc32, FrameError, Header, RpcKind};
 pub use pipeline::{run_pipeline, PipelineStats};
 pub use socket::{CommSocket, NetEvent, NetEventKind, NetStats, SocketConfig};
 pub use strategy::TransferStrategy;
-pub use transport::{CommError, CommP, CommShared, Payload, Precision, Transport};
+pub use transport::{CommError, CommP, CommShared, Precision, Transport};

@@ -27,9 +27,24 @@
 //! Failures degrade instead of propagating: a push that cannot be
 //! delivered is dropped after the retry budget, and the supervisor sees it
 //! as a missing collect — the same path a crashed worker takes.
+//!
+//! **Ownership rule: an RPC allocates nothing.** The published region,
+//! the push slots and one wire buffer per worker at each end of the link
+//! are allocated by the constructor, on the thread that builds the
+//! endpoint, and live as long as it. A request streams from the caller's
+//! slice through the link's wire buffer; a reply or push lands in the
+//! receiver's, is CRC-checked there, and is decoded straight into the
+//! caller's `dst` or the push slot. A frame longer than the buffer it
+//! would land in is refused before its body is read. The server streams
+//! a pull reply out of the published region under its read guard, so a
+//! `publish` can wait behind a pull in flight — for at most one
+//! `rpc_timeout`, the write deadline every accepted connection carries.
 
 use crate::backoff::Backoff;
-use crate::frame::{Frame, RpcKind, HEADER_LEN};
+use crate::frame::{
+    decode_payload, frame_len, read_frame, read_header, write_frame, FrameError, Header, RpcKind,
+    HEADER_LEN, TRAILER_LEN,
+};
 use crate::transport::{CommError, Precision, Transport};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::io::{Read, Write};
@@ -136,6 +151,15 @@ impl Write for SockStream {
         }
     }
 }
+
+/// Most bytes of a frame handed to the socket in one write, and so the
+/// scratch a sender needs. A constant, not a knob: on the benchmark box a
+/// 4 MiB round trip reads the same within run-to-run noise at 64 KiB,
+/// 256 KiB, 1 MiB and whole-frame writes (UDS 14.6–16.0 ms, TCP
+/// 15.9–16.7 ms, two traced runs each); ISSUE 19's prototype saw TCP lose a
+/// fifth at 64 KiB, so the block stays at the large end of what costs
+/// nothing.
+pub(crate) const WRITE_BLOCK: usize = 1 << 20;
 
 /// Push acknowledged and applied (or deduplicated).
 const STATUS_OK: u32 = 0;
@@ -251,8 +275,13 @@ struct PushSlot {
 
 struct ServerState {
     precision: Precision,
+    /// Write deadline of every accepted connection.
+    rpc_timeout: Duration,
     published: RwLock<Vec<f32>>,
     slots: Vec<PushSlot>,
+    /// `wire[w]`: where worker `w`'s pushes land before their CRC is
+    /// checked, and the block its pull replies stream out through.
+    wire: Vec<Mutex<Vec<u8>>>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
     dedup_hits: AtomicU64,
@@ -263,57 +292,66 @@ impl ServerState {
     /// Handles one accepted connection until EOF or an unrecoverable
     /// framing error.
     fn serve_conn(&self, mut stream: SockStream) {
-        let mut header = [0u8; HEADER_LEN];
+        // A pull reply streams out under `published`'s read guard: bound
+        // how long a stalled peer can hold it, and a publisher behind it.
+        if stream.set_write_timeout(Some(self.rpc_timeout)).is_err() {
+            return;
+        }
+        let mut status = [0u8; HEADER_LEN + TRAILER_LEN];
         loop {
             // ordering: Relaxed — shutdown flag; the dummy wake-up connect
             // in Drop provides the actual hand-off.
             if self.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            if stream.read_exact(&mut header).is_err() {
-                return; // EOF / reset: the client will re-dial.
-            }
-            let body_len = match Frame::body_len(&header) {
-                Ok(n) => n,
-                // Corrupt header: frame boundaries are lost, so the only
-                // safe recovery is dropping the connection.
-                Err(_) => return,
-            };
-            let mut buf = vec![0u8; HEADER_LEN + body_len];
-            buf[..HEADER_LEN].copy_from_slice(&header);
-            if stream.read_exact(&mut buf[HEADER_LEN..]).is_err() {
+            // EOF / reset (the client will re-dial), or a corrupt header:
+            // frame boundaries are lost, so the only safe recovery is
+            // dropping the connection.
+            let Ok(Ok(incoming)) = read_header(&mut stream) else {
                 return;
-            }
-            let frame = match Frame::decode(&buf) {
-                Ok(f) => f,
-                Err(_) => {
-                    // Framing held but the body failed its CRC: nack so
-                    // the sender retries the same sequence number.
-                    let worker = u16::from_le_bytes([header[6], header[7]]);
-                    let epoch = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-                    let nack = Frame::control(RpcKind::Sync, worker, epoch, STATUS_CORRUPT);
-                    if stream.write_all(&nack.encode()).is_err() {
+            };
+            let w = incoming.worker as usize;
+            let Some(wire) = self.wire.get(w) else {
+                return; // malformed peer: drop the connection.
+            };
+            let mut wire = wire.lock();
+            let frame = match incoming.read_body(&mut stream, &mut wire) {
+                Ok(Ok(frame)) => frame,
+                // Framing held but the body failed its CRC: nack so the
+                // sender retries the same sequence number.
+                Ok(Err(err)) if err.keeps_sync() => {
+                    let nack = Header::control(
+                        RpcKind::Sync,
+                        incoming.worker,
+                        incoming.epoch,
+                        STATUS_CORRUPT,
+                    );
+                    if write_frame(&mut stream, &nack, &[], &mut status).is_err() {
                         return;
                     }
                     continue;
                 }
+                // A body longer than the buffer was never read, or the
+                // stream broke mid-frame.
+                _ => return,
             };
             match frame.kind {
                 RpcKind::Pull => {
-                    let payload = self.published.read().clone();
-                    let reply = Frame {
+                    let published = self.published.read();
+                    let reply = Header {
                         kind: RpcKind::Pull,
                         precision: self.precision,
                         worker: frame.worker,
                         epoch: frame.epoch,
                         chunk: 0,
-                        payload,
                     };
-                    let bytes = reply.encode();
                     // ordering: Relaxed — wire-byte statistic.
-                    self.pull_bytes
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    if stream.write_all(&bytes).is_err() {
+                    self.pull_bytes.fetch_add(
+                        frame_len(self.precision, published.len()) as u64,
+                        Ordering::Relaxed,
+                    );
+                    let block = wire.len().min(WRITE_BLOCK);
+                    if write_frame(&mut stream, &reply, &published, &mut wire[..block]).is_err() {
                         return;
                     }
                 }
@@ -321,33 +359,34 @@ impl ServerState {
                 // *means* (a row-delta vs a full buffer); on the server it
                 // is plain bytes into the slot, same dedup, same ack.
                 RpcKind::Push | RpcKind::DeltaPush => {
-                    // ordering: Relaxed — wire-byte statistic.
-                    self.push_bytes
-                        .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                    let w = frame.worker as usize;
-                    if w >= self.slots.len() {
-                        return; // malformed peer: drop the connection.
-                    }
-                    let key = (frame.epoch, frame.chunk);
+                    let payload = &wire[..incoming.wire_len];
+                    let elems = payload.len() / frame.precision.bytes_per_element() as usize;
                     let slot = &self.slots[w];
                     {
                         let mut data = slot.data.lock();
+                        if elems > data.buf.len() {
+                            // Malformed peer: truncating and acking would
+                            // tell it a push landed that did not.
+                            return;
+                        }
+                        // ordering: Relaxed — wire-byte statistic.
+                        self.push_bytes
+                            .fetch_add(frame_len(frame.precision, elems) as u64, Ordering::Relaxed);
+                        let key = (frame.epoch, frame.chunk);
                         if data.last_applied == Some(key) {
                             // Idempotent dedup: the original already
                             // applied; only the ack was lost.
                             // ordering: Relaxed — statistic.
                             self.dedup_hits.fetch_add(1, Ordering::Relaxed);
                         } else {
-                            let n = frame.payload.len().min(data.buf.len());
-                            data.buf[..n].copy_from_slice(&frame.payload[..n]);
-                            data.len = n;
+                            data.len = decode_payload(frame.precision, payload, &mut data.buf);
                             data.ready = true;
                             data.last_applied = Some(key);
                             slot.cv.notify_all();
                         }
                     }
-                    let ack = Frame::control(RpcKind::Sync, frame.worker, frame.epoch, STATUS_OK);
-                    if stream.write_all(&ack.encode()).is_err() {
+                    let ack = Header::control(RpcKind::Sync, frame.worker, frame.epoch, STATUS_OK);
+                    if write_frame(&mut stream, &ack, &[], &mut status).is_err() {
                         return;
                     }
                 }
@@ -368,6 +407,8 @@ struct WorkerConn {
     /// Per-worker push sequence number (the idempotency key's coarse
     /// half; one push per supervised epoch makes it the epoch counter).
     push_seq: u32,
+    /// The block requests stream out through, then where the reply lands.
+    wire: Vec<u8>,
 }
 
 // ---------------------------------------------------------------------------
@@ -484,8 +525,13 @@ impl CommSocket {
         precision: Precision,
         cfg: SocketConfig,
     ) -> std::io::Result<CommSocket> {
+        // Either end's wire buffer holds the largest frame it receives and
+        // is the block it sends through.
+        let pull_frame = frame_len(precision, pull_len);
+        let push_frame = frame_len(precision, push_len);
         let state = Arc::new(ServerState {
             precision,
+            rpc_timeout: cfg.rpc_timeout.max(Duration::from_millis(1)),
             published: RwLock::new(vec![0f32; pull_len]),
             slots: (0..workers)
                 .map(|_| PushSlot {
@@ -497,6 +543,9 @@ impl CommSocket {
                     }),
                     cv: Condvar::new(),
                 })
+                .collect(),
+            wire: (0..workers)
+                .map(|_| Mutex::new(vec![0u8; push_frame.max(pull_frame.min(WRITE_BLOCK))]))
                 .collect(),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
@@ -526,7 +575,12 @@ impl CommSocket {
                     }
                     let st = accept_state.clone();
                     let h = std::thread::spawn(move || st.serve_conn(stream));
-                    accept_conns.lock().push(h);
+                    // A re-dialled link leaves its old connection's thread
+                    // finished; keeping its handle would leak one per
+                    // reconnect for the life of the endpoint.
+                    let mut handles = accept_conns.lock();
+                    handles.retain(|h| !h.is_finished());
+                    handles.push(h);
                 }
                 Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
@@ -541,6 +595,7 @@ impl CommSocket {
                     Mutex::new(WorkerConn {
                         stream: None,
                         push_seq: 0,
+                        wire: vec![0u8; pull_frame.max(push_frame.min(WRITE_BLOCK))],
                     })
                 })
                 .collect(),
@@ -630,36 +685,35 @@ impl CommSocket {
         false
     }
 
-    /// One framed request/response exchange with the deadline applied.
+    /// One framed request/response exchange with the deadline applied:
+    /// the request streams out through `wire`, the reply lands in it.
     fn exchange(
         stream: &mut SockStream,
-        request: &[u8],
+        request: &Header,
+        payload: &[f32],
+        wire: &mut [u8],
         timeout: Duration,
-    ) -> std::io::Result<Result<Frame, CommError>> {
+    ) -> std::io::Result<Result<(Header, usize), FrameError>> {
         let deadline = timeout.max(Duration::from_millis(1));
         stream.set_write_timeout(Some(deadline))?;
         stream.set_read_timeout(Some(deadline))?;
-        stream.write_all(request)?;
-        let mut header = [0u8; HEADER_LEN];
-        stream.read_exact(&mut header)?;
-        let body_len = match Frame::body_len(&header) {
-            Ok(n) => n,
-            Err(_) => return Ok(Err(CommError::Corrupt)),
-        };
-        let mut buf = vec![0u8; HEADER_LEN + body_len];
-        buf[..HEADER_LEN].copy_from_slice(&header);
-        stream.read_exact(&mut buf[HEADER_LEN..])?;
-        match Frame::decode(&buf) {
-            Ok(frame) => Ok(Ok(frame)),
-            Err(_) => Ok(Err(CommError::Corrupt)),
-        }
+        let block = wire.len().min(WRITE_BLOCK);
+        write_frame(stream, request, payload, &mut wire[..block])?;
+        read_frame(stream, wire)
     }
 
     /// Runs one RPC with the full resilience stack: deadline per attempt,
-    /// bounded retries, reconnect-on-breakage. Returns the response frame
-    /// or the terminal error.
-    fn rpc(&self, worker: usize, request: &Frame) -> Result<Frame, CommError> {
-        let bytes = request.encode();
+    /// bounded retries, reconnect-on-breakage. Decodes the reply's payload
+    /// into `dst` (as much as both hold) and returns its header, or the
+    /// terminal error with `dst` untouched.
+    fn rpc(
+        &self,
+        worker: usize,
+        request: &Header,
+        payload: &[f32],
+        dst: &mut [f32],
+    ) -> Result<Header, CommError> {
+        let bytes = frame_len(request.precision, payload.len()) as u64;
         let mut conn = self.conns[worker].lock();
         let mut backoff = self.backoff_for(worker);
         let mut last_err = CommError::Timeout;
@@ -667,13 +721,12 @@ impl CommSocket {
             if attempt > 0 {
                 let delay = backoff.next_delay();
                 // ordering: Relaxed — statistic.
-                self.retrans_bytes
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                self.retrans_bytes.fetch_add(bytes, Ordering::Relaxed);
                 self.record_event(NetEvent {
                     worker,
                     kind: NetEventKind::Retry {
                         cause: last_err,
-                        bytes: bytes.len() as u64,
+                        bytes,
                     },
                     delay_us: delay.as_micros() as u64,
                 });
@@ -682,21 +735,27 @@ impl CommSocket {
             if !self.ensure_connected(worker, &mut conn) {
                 return Err(CommError::PartitionedLink);
             }
-            let Some(stream) = conn.stream.as_mut() else {
+            let WorkerConn {
+                stream: Some(stream),
+                wire,
+                ..
+            } = &mut *conn
+            else {
                 return Err(CommError::PartitionedLink);
             };
-            match Self::exchange(stream, &bytes, self.cfg.rpc_timeout) {
-                Ok(Ok(frame)) => {
-                    if frame.kind == RpcKind::Sync && frame.chunk == STATUS_CORRUPT {
+            match Self::exchange(stream, request, payload, wire, self.cfg.rpc_timeout) {
+                Ok(Ok((reply, wire_len))) => {
+                    if reply.kind == RpcKind::Sync && reply.chunk == STATUS_CORRUPT {
                         last_err = CommError::Corrupt; // server nack: retry
                         continue;
                     }
-                    return Ok(frame);
+                    decode_payload(reply.precision, &wire[..wire_len], dst);
+                    return Ok(reply);
                 }
-                Ok(Err(err)) => {
+                Ok(Err(_)) => {
                     // Corrupt response: the stream may be mid-frame, so
                     // re-dial before retrying.
-                    last_err = err;
+                    last_err = CommError::Corrupt;
                     conn.stream = None;
                 }
                 Err(io) => {
@@ -713,6 +772,24 @@ impl CommSocket {
         }
         Err(last_err)
     }
+
+    /// Sends `src` as worker `worker`'s push number `seq`. A push that
+    /// exhausts its budget is dropped; the server-side collect times out
+    /// and the supervisor classifies the worker.
+    fn send_push(&self, worker: usize, seq: u32, src: &[f32]) {
+        let header = Header {
+            kind: if self.cfg.delta_push {
+                RpcKind::DeltaPush
+            } else {
+                RpcKind::Push
+            },
+            precision: self.precision,
+            worker: worker as u16,
+            epoch: seq,
+            chunk: 0,
+        };
+        let _ = self.rpc(worker, &header, src, &mut []);
+    }
 }
 
 impl Transport for CommSocket {
@@ -723,13 +800,10 @@ impl Transport for CommSocket {
     }
 
     fn pull(&self, worker: usize, dst: &mut [f32]) {
-        let req = Frame::control(RpcKind::Pull, worker as u16, 0, 0);
-        if let Ok(reply) = self.rpc(worker, &req) {
-            let n = reply.payload.len().min(dst.len());
-            dst[..n].copy_from_slice(&reply.payload[..n]);
-        }
+        let req = Header::control(RpcKind::Pull, worker as u16, 0, 0);
         // On total failure dst keeps its previous contents; the worker's
         // next push will be stale and the supervisor handles the fallout.
+        let _ = self.rpc(worker, &req, &[], dst);
     }
 
     fn push(&self, worker: usize, src: &[f32]) {
@@ -738,22 +812,7 @@ impl Transport for CommSocket {
             conn.push_seq = conn.push_seq.wrapping_add(1);
             conn.push_seq
         };
-        let kind = if self.cfg.delta_push {
-            RpcKind::DeltaPush
-        } else {
-            RpcKind::Push
-        };
-        let frame = Frame {
-            kind,
-            precision: self.precision,
-            worker: worker as u16,
-            epoch: seq,
-            chunk: 0,
-            payload: src.to_vec(),
-        };
-        // A push that exhausts its budget is dropped; the server-side
-        // collect times out and the supervisor classifies the worker.
-        let _ = self.rpc(worker, &frame);
+        self.send_push(worker, seq, src);
     }
 
     fn push_duplicate(&self, worker: usize, src: &[f32]) {
@@ -761,20 +820,7 @@ impl Transport for CommSocket {
         // of the last push. The server's (worker, seq, chunk) dedup must
         // acknowledge it without re-applying.
         let seq = self.conns[worker].lock().push_seq;
-        let kind = if self.cfg.delta_push {
-            RpcKind::DeltaPush
-        } else {
-            RpcKind::Push
-        };
-        let frame = Frame {
-            kind,
-            precision: self.precision,
-            worker: worker as u16,
-            epoch: seq,
-            chunk: 0,
-            payload: src.to_vec(),
-        };
-        let _ = self.rpc(worker, &frame);
+        self.send_push(worker, seq, src);
     }
 
     fn collect(&self, worker: usize, dst: &mut [f32]) {
@@ -855,9 +901,37 @@ impl Drop for CommSocket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::reference::Frame;
 
     fn socket(workers: usize, len: usize) -> CommSocket {
         CommSocket::new(workers, len, len, Precision::Fp32).unwrap()
+    }
+
+    fn push_frame(epoch: u32, payload: Vec<f32>) -> Frame {
+        Frame {
+            header: Header {
+                kind: RpcKind::Push,
+                precision: Precision::Fp32,
+                worker: 0,
+                epoch,
+                chunk: 0,
+            },
+            payload,
+        }
+    }
+
+    /// Sends `frame` through the transport's own RPC path.
+    fn rpc(t: &CommSocket, frame: &Frame) -> Result<Header, CommError> {
+        t.rpc(0, &frame.header, &frame.payload, &mut [])
+    }
+
+    /// Polls `cond` until it holds; panics after five seconds.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -920,22 +994,15 @@ mod tests {
         let t = socket(1, 4);
         // Hand-roll two pushes with the same seq (a retry whose original
         // landed): the second must dedup, not re-apply.
-        let frame = Frame {
-            kind: RpcKind::Push,
-            precision: Precision::Fp32,
-            worker: 0,
-            epoch: 42,
-            chunk: 0,
-            payload: vec![1.0, 2.0, 3.0, 4.0],
-        };
-        assert_eq!(t.rpc(0, &frame).unwrap().chunk, STATUS_OK);
+        let frame = push_frame(42, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(rpc(&t, &frame).unwrap().chunk, STATUS_OK);
         let mut dst = vec![0f32; 4];
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
         assert_eq!(dst, vec![1.0, 2.0, 3.0, 4.0]);
 
         // Duplicate: acked but not re-applied, so collect times out.
-        assert_eq!(t.rpc(0, &frame).unwrap().chunk, STATUS_OK);
+        assert_eq!(rpc(&t, &frame).unwrap().chunk, STATUS_OK);
         assert_eq!(t.net_stats().dedup_hits, 1);
         assert_eq!(
             t.collect_timeout(0, &mut dst, Duration::from_millis(30)),
@@ -943,12 +1010,8 @@ mod tests {
         );
 
         // A fresh sequence number applies again.
-        let next = Frame {
-            epoch: 43,
-            payload: vec![9.0; 4],
-            ..frame
-        };
-        assert_eq!(t.rpc(0, &next).unwrap().chunk, STATUS_OK);
+        let next = push_frame(43, vec![9.0; 4]);
+        assert_eq!(rpc(&t, &next).unwrap().chunk, STATUS_OK);
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
         assert_eq!(dst, vec![9.0; 4]);
@@ -978,18 +1041,11 @@ mod tests {
             let mut conn = t.conns[0].lock();
             assert!(t.ensure_connected(0, &mut conn));
             let stream = conn.stream.as_mut().unwrap();
-            let mut bytes = Frame {
-                kind: RpcKind::Push,
-                precision: Precision::Fp32,
-                worker: 0,
-                epoch: 7,
-                chunk: 0,
-                payload: vec![1.0; 4],
-            }
-            .encode();
+            let mut bytes = push_frame(7, vec![1.0; 4]).encode();
             let mid = HEADER_LEN + 2;
             bytes[mid] ^= 0xFF; // corrupt the payload, CRC now mismatches
-            let reply = CommSocket::exchange(stream, &bytes, Duration::from_secs(1))
+            stream.write_all(&bytes).unwrap();
+            let (reply, _) = read_frame(stream, &mut [0u8; TRAILER_LEN])
                 .unwrap()
                 .unwrap();
             assert_eq!(reply.kind, RpcKind::Sync);
@@ -1034,8 +1090,8 @@ mod tests {
         let t = CommSocket::with_config(1, 4, 4, Precision::Fp32, cfg).unwrap();
         // Tear the listener down by stealing its socket file.
         std::fs::remove_file(t.socket_path().unwrap()).unwrap();
-        let req = Frame::control(RpcKind::Pull, 0, 0, 0);
-        let err = t.rpc(0, &req).unwrap_err();
+        let req = Header::control(RpcKind::Pull, 0, 0, 0);
+        let err = t.rpc(0, &req, &[], &mut []).unwrap_err();
         assert_eq!(err, CommError::PartitionedLink);
     }
 
@@ -1072,16 +1128,9 @@ mod tests {
         t.pull(0, &mut dst);
         assert_eq!(dst, vec![1.0, 2.0, 3.0, 4.0], "tcp re-dial served the pull");
         // Same-seq duplicate dedups over TCP exactly as over UDS.
-        let frame = Frame {
-            kind: RpcKind::Push,
-            precision: Precision::Fp32,
-            worker: 0,
-            epoch: 9,
-            chunk: 0,
-            payload: vec![7.0; 4],
-        };
-        assert_eq!(t.rpc(0, &frame).unwrap().chunk, STATUS_OK);
-        assert_eq!(t.rpc(0, &frame).unwrap().chunk, STATUS_OK);
+        let frame = push_frame(9, vec![7.0; 4]);
+        assert_eq!(rpc(&t, &frame).unwrap().chunk, STATUS_OK);
+        assert_eq!(rpc(&t, &frame).unwrap().chunk, STATUS_OK);
         assert_eq!(t.net_stats().dedup_hits, 1);
     }
 
@@ -1098,7 +1147,8 @@ mod tests {
         let mut cur = base.clone();
         cur[2] = 5.0; // row 1
         cur[7] = -3.0; // row 3
-        let delta = crate::delta::encode_delta(&base, &cur, 2);
+        let mut delta = Vec::new();
+        crate::delta::encode_delta(&base, &cur, 2, &mut delta);
         t.push(0, &delta);
         // Collect must yield exactly the pushed delta, not a stale tail of
         // the staging-sized slot.
@@ -1112,7 +1162,8 @@ mod tests {
         // A shorter follow-up delta must not expose the longer one's tail.
         let mut cur2 = cur.clone();
         cur2[0] = 1.0; // row 0 only
-        let delta2 = crate::delta::encode_delta(&cur, &cur2, 2);
+        let mut delta2 = Vec::new();
+        crate::delta::encode_delta(&cur, &cur2, 2, &mut delta2);
         assert!(delta2.len() < delta.len());
         t.push(0, &delta2);
         let mut got2 = vec![f32::NAN; staging];
@@ -1120,6 +1171,68 @@ mod tests {
         let mut dst2 = cur.clone();
         assert_eq!(crate::delta::apply_delta(&got2, 2, &mut dst2), Ok(1));
         assert_eq!(dst2, cur2);
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let t = socket(1, 4);
+        t.publish(&[1.0, 2.0, 3.0, 4.0]);
+        let mut dst = vec![0f32; 4];
+        for _ in 0..8 {
+            t.pull(0, &mut dst);
+            // Break the stream: its server thread sees EOF and ends.
+            t.conns[0].lock().stream = None;
+            wait_until("the old connection's thread has ended", || {
+                t.conn_handles.lock().iter().all(|h| h.is_finished())
+            });
+        }
+        t.pull(0, &mut dst);
+        assert_eq!(dst, vec![1.0, 2.0, 3.0, 4.0]);
+        // Eight re-dials later the endpoint holds one handle, the live one.
+        wait_until("only the live connection's handle is held", || {
+            let handles = t.conn_handles.lock();
+            handles.len() == 1 && !handles[0].is_finished()
+        });
+    }
+
+    #[test]
+    fn oversized_push_drops_the_connection_and_applies_nothing() {
+        // Five elements for a four-element slot. With `pull_len` 4 the wire
+        // buffer cannot hold the frame either (refused before its body is
+        // read); with 8 it can, and the slot's own length check refuses it.
+        for pull_len in [4, 8] {
+            let t = CommSocket::new(1, pull_len, 4, Precision::Fp32).unwrap();
+            {
+                let mut conn = t.conns[0].lock();
+                assert!(t.ensure_connected(0, &mut conn));
+                let stream = conn.stream.as_mut().unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                stream
+                    .write_all(&push_frame(1, vec![6.0; 5]).encode())
+                    .unwrap();
+                // No ack, truncated or otherwise: the server hangs up.
+                let mut byte = [0u8; 1];
+                assert!(
+                    !matches!(stream.read(&mut byte), Ok(n) if n > 0),
+                    "pull_len {pull_len}: an oversized push was answered"
+                );
+                conn.stream = None;
+            }
+            let mut dst = vec![0f32; 4];
+            assert_eq!(
+                t.collect_timeout(0, &mut dst, Duration::from_millis(20)),
+                Err(CommError::Timeout),
+                "pull_len {pull_len}: an oversized push was applied"
+            );
+            assert_eq!(t.wire_bytes_by_dir(), (0, 0));
+            // The link re-dials and a well-formed push lands as usual.
+            t.push(0, &[3.0; 4]);
+            t.collect_timeout(0, &mut dst, Duration::from_secs(1))
+                .unwrap();
+            assert_eq!(dst, vec![3.0; 4]);
+        }
     }
 
     #[test]

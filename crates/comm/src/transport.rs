@@ -74,9 +74,6 @@ impl Precision {
     }
 }
 
-/// An owned f32 payload (convenience for tests and the pipeline stage API).
-pub type Payload = Vec<f32>;
-
 /// A bidirectional server↔worker transport.
 pub trait Transport: Send + Sync {
     /// Server side: publish the shared feature data for workers to pull.

@@ -136,6 +136,14 @@ pub struct ShardedServer {
     /// at the first outstanding shard instead of waiting again on one
     /// whose message it already consumed. Cleared by `publish`.
     collected: Mutex<Vec<usize>>,
+    /// `encoded[w]`: where worker `w`'s pushes are delta-encoded, shard by
+    /// shard. Like `staging`, sized for the largest shard when the server
+    /// is built, so a push or a collect allocates nothing.
+    encoded: Vec<Mutex<Vec<f32>>>,
+    /// `staging[w]`: where worker `w`'s shard deltas are collected before
+    /// they are applied. Apart from `encoded[w]` because the server waits
+    /// in a collect holding it while the worker encodes its push.
+    staging: Vec<Mutex<Vec<f32>>>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
     rows_shipped: AtomicU64,
@@ -170,7 +178,19 @@ impl ShardedServer {
             "router must tile the region's whole rows"
         );
         let workers = shards[0].workers();
+        let largest = router
+            .ranges()
+            .map(|r| max_delta_len(r.len(), k))
+            .max()
+            .unwrap_or(0);
+        let buffers = || {
+            (0..workers)
+                .map(|_| Mutex::new(vec![0f32; largest]))
+                .collect()
+        };
         ShardedServer {
+            encoded: buffers(),
+            staging: buffers(),
             router,
             k,
             precision,
@@ -223,14 +243,21 @@ impl ShardedServer {
 
     /// Encodes the delta for one worker push against the current snapshot
     /// and ships it to shard `s` via `send`.
-    fn push_shard(&self, shard: usize, src: &[f32], send: impl FnOnce(&[f32])) {
+    fn push_shard(&self, shard: usize, worker: usize, src: &[f32], send: impl FnOnce(&[f32])) {
         let elems = self.elems(shard);
         if src.len() < elems.end {
             return; // short push: nothing for this shard's range
         }
-        let snapshot = self.published.read();
-        let delta = encode_delta(&snapshot[elems.clone()], &src[elems.clone()], self.k);
-        drop(snapshot);
+        let mut delta = self.encoded[worker].lock();
+        {
+            let snapshot = self.published.read();
+            encode_delta(
+                &snapshot[elems.clone()],
+                &src[elems.clone()],
+                self.k,
+                &mut delta,
+            );
+        }
         let touched = delta[0] as u64;
         let bpe = self.precision.bytes_per_element();
         // ordering: Relaxed — delta-accounting statistics.
@@ -260,15 +287,16 @@ impl ShardedServer {
         if dst.len() < elems.end {
             return Ok(()); // short destination: range not requested
         }
-        let mut staging = vec![0f32; max_delta_len(elems.len() / self.k, self.k)];
+        let mut staging = self.staging[worker].lock();
+        let staging = &mut staging[..max_delta_len(elems.len() / self.k, self.k)];
         match deadline {
-            None => self.shards[shard].collect(worker, &mut staging),
+            None => self.shards[shard].collect(worker, staging),
             Some(d) => {
                 let now = Instant::now();
                 if now >= d {
                     return Err(CommError::Timeout);
                 }
-                self.shards[shard].collect_timeout(worker, &mut staging, d - now)?;
+                self.shards[shard].collect_timeout(worker, staging, d - now)?;
             }
         }
         let region = &mut dst[elems.clone()];
@@ -279,7 +307,7 @@ impl ShardedServer {
         // A malformed delta (possible only under deliberate corruption
         // that beat the CRC) leaves the snapshot rows in place — the same
         // degradation as a dropped push.
-        let _ = apply_delta(&staging, self.k, region);
+        let _ = apply_delta(staging, self.k, region);
         Ok(())
     }
 
@@ -336,7 +364,7 @@ impl Transport for ShardedServer {
 
     fn push(&self, worker: usize, src: &[f32]) {
         for s in 0..self.shards.len() {
-            self.push_shard(s, src, |delta| self.shards[s].push(worker, delta));
+            self.push_shard(s, worker, src, |delta| self.shards[s].push(worker, delta));
         }
     }
 
@@ -345,7 +373,9 @@ impl Transport for ShardedServer {
         // a push and its wire duplicate in the lock-step loop), so the
         // duplicate carries identical bytes and the per-shard dedup holds.
         for s in 0..self.shards.len() {
-            self.push_shard(s, src, |delta| self.shards[s].push_duplicate(worker, delta));
+            self.push_shard(s, worker, src, |delta| {
+                self.shards[s].push_duplicate(worker, delta)
+            });
         }
     }
 
@@ -546,7 +576,12 @@ mod tests {
         let mut local = region.clone();
         local[1] = 7.0; // row 0 → shard 0
         local[15] = 9.0; // row 7 → shard 1
-        links[0].push(0, &encode_delta(&region[..8], &local[..8], k));
+        let delta = |range: std::ops::Range<usize>| {
+            let mut out = Vec::new();
+            encode_delta(&region[range.clone()], &local[range], k, &mut out);
+            out
+        };
+        links[0].push(0, &delta(0..8));
         let mut dst = vec![0f32; rows * k];
         assert_eq!(
             t.collect_timeout(0, &mut dst, Duration::from_millis(20)),
@@ -554,7 +589,7 @@ mod tests {
         );
         // The retry must wait on shard 1 alone — shard 0's message is gone
         // from its link — and keep what shard 0 delivered.
-        links[1].push(0, &encode_delta(&region[8..], &local[8..], k));
+        links[1].push(0, &delta(8..16));
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
         assert_eq!(dst, local);

@@ -277,7 +277,20 @@ fn build_link(
 struct Supervision {
     supervisor: Supervisor,
     /// Last-good `(P, Q)` for divergence rollback.
-    snapshot: (FactorMatrix, Vec<f32>),
+    snapshot: (FactorMatrix, FactorMatrix),
+}
+
+/// The server's region-sized buffers: built with the workers, on the
+/// session's thread, and reused by every epoch, so an epoch allocates none.
+struct ServerBuffers {
+    /// The merge accumulator `Σ wᵢ·qᵢ`; swapped with `global_q` when the
+    /// epoch's merge is complete.
+    q_acc: FactorMatrix,
+    /// Where each push is collected, sized for the longest.
+    staging: Vec<f32>,
+    /// The `[P | Q]` pull region under `FullPq`; empty otherwise, when
+    /// `Q`'s column slices are published in place.
+    pull_region: Vec<f32>,
 }
 
 /// Everything a training run owns.
@@ -288,7 +301,10 @@ struct Session<'a> {
     n: usize,
     k: usize,
     global_p: FactorMatrix,
-    global_q: Vec<f32>,
+    global_q: FactorMatrix,
+    /// Locked by the server side of an epoch only; the mutex is what lets
+    /// the epoch fill them while its workers borrow the session shared.
+    buffers: Mutex<ServerBuffers>,
     fractions: Vec<f64>,
     classes: Vec<WorkerClass>,
     /// Worker specs currently in the fleet (shrinks when workers die).
@@ -340,11 +356,11 @@ impl<'a> Session<'a> {
                         q0.rows()
                     )));
                 };
-                (p0, q0.into_vec())
+                (p0, q0)
             }
             None => (
                 FactorMatrix::random(m, k, config.seed),
-                FactorMatrix::random(n, k, config.seed ^ 0x9e37_79b9).into_vec(),
+                FactorMatrix::random(n, k, config.seed ^ 0x9e37_79b9),
             ),
         };
         let classes: Vec<WorkerClass> = config
@@ -386,6 +402,12 @@ impl<'a> Session<'a> {
             k,
             global_p,
             global_q,
+            // Sized by `rebuild_workers` below, like `workers` and `chunks`.
+            buffers: Mutex::new(ServerBuffers {
+                q_acc: FactorMatrix::zeros(0, k),
+                staging: Vec::new(),
+                pull_region: Vec::new(),
+            }),
             fractions: fractions.clone(),
             classes,
             specs: config.workers.clone(),
@@ -419,6 +441,10 @@ impl<'a> Session<'a> {
     /// training progress is lost across repartitions.
     fn rebuild_workers(&mut self, fractions: Vec<f64>) -> Result<(), HccError> {
         self.flush_local_p();
+        // The old fleet's regions and endpoints go before their successors
+        // are built: a repartition must not hold two sets at once.
+        self.workers.clear();
+        self.chunks.clear();
         let grid = GridPartition::build(&self.work, Axis::Row, &fractions);
         let k = self.k;
         let cols = chunk_col_ranges(self.n, self.config.streams);
@@ -431,12 +457,8 @@ impl<'a> Session<'a> {
             let chunk_entries = group_by_chunk(&mut entries, &cols);
             let rows = (range.end - range.start) as usize;
             let local_p = SharedFactors::zeros(rows.max(1), k);
-            if rows > 0 {
-                let packed: Vec<f32> = (range.start as usize..range.end as usize)
-                    .flat_map(|r| self.global_p.row(r).iter().copied())
-                    .collect();
-                local_p.copy_rows_from_slice(0, rows, &packed);
-            }
+            let owned = range.start as usize * k..range.end as usize * k;
+            local_p.copy_rows_from_slice(0, rows, &self.global_p.as_slice()[owned]);
             let local_q = SharedFactors::zeros(self.n, k);
             let adagrad = match self.config.optimizer {
                 Optimizer::AdaGrad { .. } => {
@@ -457,6 +479,7 @@ impl<'a> Session<'a> {
                 row_range: range,
                 local_p,
                 local_q,
+                regions: Vec::new(), // sized below, once `max_rows` is known
                 optimizer: self.config.optimizer,
                 adagrad,
                 momentum,
@@ -478,10 +501,33 @@ impl<'a> Session<'a> {
             });
             plan
         });
+        let layouts: Vec<RegionLayout> = cols
+            .iter()
+            .map(|cols| region_layout(self.config.strategy, self.m, cols.len(), k, max_rows))
+            .collect();
+        // Every region-sized buffer of the epoch loop is allocated here, by
+        // the thread that builds the endpoints, not by whichever worker or
+        // connection thread first needs it.
+        for worker in &mut workers {
+            worker.regions = layouts
+                .iter()
+                .map(|l| Mutex::new(vec![0f32; l.pull_len.max(l.push_len)]))
+                .collect();
+        }
+        let full_pq = self.config.strategy == TransferStrategy::FullPq;
+        // Sized in place: a repartition that moves no length allocates none.
+        let buffers = self.buffers.get_mut();
+        if buffers.q_acc.rows() != self.n {
+            buffers.q_acc = FactorMatrix::zeros(self.n, k);
+        }
+        let longest_push = layouts.iter().map(|l| l.push_len).max().unwrap_or(0);
+        buffers.staging.resize(longest_push, 0.0);
+        let pull_region = if full_pq { layouts[0].pull_len } else { 0 };
+        buffers.pull_region.resize(pull_region, 0.0);
         self.chunks = cols
             .into_iter()
-            .map(|cols| {
-                let layout = region_layout(self.config.strategy, self.m, cols.len(), k, max_rows);
+            .zip(layouts)
+            .map(|(cols, layout)| {
                 let endpoint = build_endpoint(
                     self.config.transport,
                     workers.len(),
@@ -510,7 +556,7 @@ impl<'a> Session<'a> {
     /// Restores factors and loop state from a validated v2 checkpoint.
     fn apply_resume(&mut self, state: ResumeState) -> Result<(), HccError> {
         self.global_p = state.p;
-        self.global_q = state.q.into_vec();
+        self.global_q = state.q;
         self.start_epoch = state.meta.epoch;
         self.lr_scale = state.meta.lr_scale as f64;
         // Worker states were seeded from the random init; re-copy the
@@ -522,17 +568,8 @@ impl<'a> Session<'a> {
     /// Writes every worker's `P` rows back into the global matrix.
     fn flush_local_p(&mut self) {
         for state in &self.workers {
-            let lo = state.row_range.start as usize;
-            let rows = state.rows();
-            if rows == 0 {
-                continue;
-            }
-            let packed = state.local_p.snapshot_rows(0, rows);
-            for r in 0..rows {
-                self.global_p
-                    .row_mut(lo + r)
-                    .copy_from_slice(&packed[r * self.k..(r + 1) * self.k]);
-            }
+            let owned = &mut self.global_p.as_mut_slice()[state.p_elems()];
+            state.local_p.read_rows_into(0, state.rows(), owned);
         }
     }
 
@@ -637,7 +674,9 @@ impl<'a> Session<'a> {
             // rollback snapshot of the accepted state.
             if let Some(sup) = supervision.as_mut() {
                 self.handle_health(&mut sup.supervisor, &outcome, epoch)?;
-                sup.snapshot = (self.global_p.clone(), self.global_q.clone());
+                let (p, q) = &mut sup.snapshot;
+                p.as_mut_slice().copy_from_slice(self.global_p.as_slice());
+                q.as_mut_slice().copy_from_slice(self.global_q.as_slice());
             }
             self.worker_stats.push(outcome.stats);
 
@@ -694,14 +733,13 @@ impl<'a> Session<'a> {
         }
         let t0 = Instant::now();
         self.flush_local_p();
-        let q = FactorMatrix::from_vec(self.n, self.k, self.global_q.clone());
         let meta = TrainingMeta {
             epoch: epoch + 1,
             seed: self.config.seed,
             lr_scale: self.lr_scale as f32,
             transposed,
         };
-        let result = save_checkpoint(path, &self.global_p, &q, &meta);
+        let result = save_checkpoint(path, &self.global_p, &self.global_q, &meta);
         self.telemetry.record(
             self.telemetry.server_lane(),
             Event::Checkpoint {
@@ -799,24 +837,33 @@ impl<'a> Session<'a> {
         let full_pq = this.config.strategy == TransferStrategy::FullPq;
         let telemetry = &this.telemetry;
 
-        // Publish: [P | Q] under FullPq, the chunk's Q columns otherwise.
-        for chunk in &this.chunks {
-            let mut region = vec![0f32; chunk.layout.pull_len];
-            if full_pq {
-                region[..this.m * k].copy_from_slice(this.global_p.as_slice());
-            }
-            region[chunk.layout.pull_q_offset..]
-                .copy_from_slice(&this.global_q[chunk.cols.start * k..chunk.cols.end * k]);
-            chunk.endpoint.publish(&region);
-        }
-
         let shard_sizes: Vec<usize> = this.workers.iter().map(|w| w.entries.len()).collect();
         let weights = merge_weights(&shard_sizes);
         let exits: Mutex<Vec<Option<WorkerExit>>> = Mutex::new(vec![None; this.workers.len()]);
-        let mut q_acc = vec![0f32; this.n * k];
-        let mut p_updates: Vec<(usize, Vec<f32>)> = Vec::new();
         let mut sync_time = Duration::ZERO;
         let mut missed = vec![false; this.workers.len()];
+
+        let mut buffers = this.buffers.lock();
+        let ServerBuffers {
+            q_acc,
+            staging,
+            pull_region,
+        } = &mut *buffers;
+        let q_acc = q_acc.as_mut_slice();
+        q_acc.fill(0.0);
+        let global_q = this.global_q.as_slice();
+
+        // Publish: the chunk's Q columns in place, [P | Q] under FullPq.
+        for chunk in &this.chunks {
+            let q = &global_q[chunk.cols.start * k..chunk.cols.end * k];
+            if full_pq {
+                pull_region[..this.m * k].copy_from_slice(this.global_p.as_slice());
+                pull_region[chunk.layout.pull_q_offset..].copy_from_slice(q);
+                chunk.endpoint.publish(pull_region);
+            } else {
+                chunk.endpoint.publish(q);
+            }
+        }
 
         std::thread::scope(|scope| -> Result<(), HccError> {
             for w in 0..this.workers.len() {
@@ -837,13 +884,13 @@ impl<'a> Session<'a> {
             let server_lane = telemetry.server_lane();
             for chunk in &this.chunks {
                 let q_range = chunk.cols.start * k..chunk.cols.end * k;
-                let mut staging = vec![0f32; chunk.layout.push_len];
+                let staging = &mut staging[..chunk.layout.push_len];
                 // Weight of the pushes merged into this chunk: all of it
                 // (`merge_weights` sums to one) unless some were left out.
                 let mut accepted = 0f32;
                 let mut left_out = false;
                 for w in 0..this.workers.len() {
-                    if !this.collect_push(chunk, w, &mut staging, sup, &exits, epoch)? {
+                    if !this.collect_push(chunk, w, staging, sup, &exits, epoch)? {
                         (missed[w], left_out) = (true, true);
                         continue;
                     }
@@ -857,8 +904,10 @@ impl<'a> Session<'a> {
                         merge_weighted(&mut q_acc[q_range.clone()], q_part, weights[w]);
                         accepted += weights[w];
                         if full_pq {
-                            let rows = this.workers[w].rows();
-                            p_updates.push((w, staging[..rows * k].to_vec()));
+                            // A worker owns its `P` rows outright: they
+                            // replace the ones published this epoch.
+                            let owned = this.workers[w].p_elems();
+                            pull_region[owned.clone()].copy_from_slice(&staging[..owned.len()]);
                         }
                     }
                     let merged = t0.elapsed();
@@ -875,7 +924,7 @@ impl<'a> Session<'a> {
                     );
                 }
                 if accepted == 0.0 {
-                    q_acc[q_range.clone()].copy_from_slice(&this.global_q[q_range]);
+                    q_acc[q_range.clone()].copy_from_slice(&global_q[q_range]);
                 } else if left_out {
                     // Renormalize over the accepted pushes so missing shards
                     // don't shrink Q toward zero.
@@ -887,6 +936,7 @@ impl<'a> Session<'a> {
             }
             Ok(())
         })?;
+        drop(buffers);
 
         let mut stats = Vec::with_capacity(missed.len());
         for (w, exit) in exits.into_inner().into_iter().enumerate() {
@@ -897,15 +947,11 @@ impl<'a> Session<'a> {
                 _ => WorkerEpochStats::default(),
             });
         }
-        self.global_q.copy_from_slice(&q_acc);
-        for (w, p_rows) in p_updates {
-            let lo = self.workers[w].row_range.start as usize;
-            let rows = self.workers[w].rows();
-            for r in 0..rows {
-                self.global_p
-                    .row_mut(lo + r)
-                    .copy_from_slice(&p_rows[r * k..(r + 1) * k]);
-            }
+        let buffers = self.buffers.get_mut();
+        std::mem::swap(&mut self.global_q, &mut buffers.q_acc);
+        if full_pq {
+            let p = self.global_p.as_mut_slice();
+            p.copy_from_slice(&buffers.pull_region[..p.len()]);
         }
         Ok(EpochOutcome {
             stats,
@@ -955,14 +1001,15 @@ impl<'a> Session<'a> {
         // orders this writer after the last one.
         telemetry.adopt_lane(lane);
 
+        // Each stage locks chunk `c`'s region for as long as it works on
+        // it; the stages of one chunk run in order, so they never contend.
         let pull = |c: usize| {
             let chunk = &self.chunks[c];
-            let mut region = vec![0f32; chunk.layout.pull_len.max(chunk.layout.push_len)];
+            let mut region = state.regions[c].lock();
             chunk.endpoint.pull(w, &mut region[..chunk.layout.pull_len]);
             state.load_region(&region, &chunk.layout, &chunk.cols, strategy);
-            region
         };
-        let compute = |c: usize, region: Vec<f32>| {
+        let compute = |c: usize, ()| {
             // An injected stall counts as compute time, so the
             // supervisor's straggler rule sees it.
             if let Some((_, _, FaultKind::Stall { millis })) = fault {
@@ -973,10 +1020,10 @@ impl<'a> Session<'a> {
             if let Some(sup) = sup {
                 sup.board.beat(w, epoch);
             }
-            region
         };
-        let push = |c: usize, mut region: Vec<f32>| {
+        let push = |c: usize, ()| {
             let chunk = &self.chunks[c];
+            let mut region = state.regions[c].lock();
             let len = state.store_region(&mut region, &chunk.layout, &chunk.cols, strategy);
             match fault {
                 Some((_, _, FaultKind::DropPush)) => return,
@@ -990,9 +1037,9 @@ impl<'a> Session<'a> {
         };
 
         let spans: [Span; 3] = if self.chunks.len() == 1 {
-            let (region, pulled) = timed(telemetry, || pull(0));
-            let (region, computed) = timed(telemetry, || compute(0, region));
-            let ((), pushed) = timed(telemetry, || push(0, region));
+            let ((), pulled) = timed(telemetry, || pull(0));
+            let ((), computed) = timed(telemetry, || compute(0, ()));
+            let ((), pushed) = timed(telemetry, || push(0, ()));
             [pulled, computed, pushed]
         } else {
             // The stages run on the pipeline's own threads, which must not
@@ -1119,8 +1166,7 @@ impl<'a> Session<'a> {
     /// read directly; they never travel for evaluation).
     fn evaluate(&mut self) -> f64 {
         self.flush_local_p();
-        let q = FactorMatrix::from_vec(self.n, self.k, self.global_q.clone());
-        rmse_parallel(self.work.entries(), &self.global_p, &q)
+        rmse_parallel(self.work.entries(), &self.global_p, &self.global_q)
     }
 
     /// Post-epoch partition adaptation (Algorithm 1 / Eq. 7).
@@ -1181,7 +1227,7 @@ impl<'a> Session<'a> {
 
     fn into_report(mut self, transposed: bool) -> HccReport {
         self.flush_local_p();
-        let q = FactorMatrix::from_vec(self.n, self.k, std::mem::take(&mut self.global_q));
+        let q = std::mem::replace(&mut self.global_q, FactorMatrix::zeros(1, 1));
         let p = std::mem::replace(&mut self.global_p, FactorMatrix::zeros(1, 1));
         let (p, q) = if transposed { (q, p) } else { (p, q) };
         let timeline = std::mem::replace(&mut self.telemetry, Telemetry::disabled()).finish();
@@ -1229,6 +1275,7 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             row_range: 0..work.rows(),
             local_p: SharedFactors::zeros(m, k),
             local_q: SharedFactors::zeros(n, k),
+            regions: Vec::new(),
             optimizer: crate::config::Optimizer::Sgd,
             adagrad: None,
             momentum: None,
@@ -1471,6 +1518,69 @@ mod tests {
                 bytes: 64,
             }]
         );
+    }
+
+    #[test]
+    fn a_failed_epoch_leaves_every_buffer_in_place_for_the_next() {
+        use crate::server::fake::FakeTransport;
+        let ds = dataset(60, 30, 600);
+        let config = base_config().build();
+        let mut fake = FakeTransport::new(2, 30 * 8);
+        fake.loses_pushes_of = Some(0);
+        let mut session = session_over(&config, &ds, fake);
+        let buffer_lens = |session: &mut Session| -> Vec<usize> {
+            let server = session.buffers.get_mut();
+            let regions = session.workers.iter().flat_map(|w| &w.regions);
+            [server.q_acc.as_slice().len(), server.staging.len()]
+                .into_iter()
+                .chain(regions.map(|r| r.lock().len()))
+                .collect()
+        };
+        let built = buffer_lens(&mut session);
+        assert_eq!(built, vec![30 * 8; 4], "Q-sized, one region a worker");
+
+        let failed = session.run_epoch(0.02, 0, None);
+        assert!(matches!(failed, Err(HccError::Comm(_))));
+        assert_eq!(buffer_lens(&mut session), built);
+
+        // Over a working endpoint the same session runs its next epoch.
+        session.chunks[0].endpoint = Arc::new(FakeTransport::new(2, 30 * 8));
+        let q_before = session.global_q.clone();
+        let outcome = session.run_epoch(0.02, 1, None).unwrap();
+        assert_eq!(outcome.missed, vec![false, false]);
+        assert_ne!(session.global_q, q_before);
+        assert!(session.global_q.as_slice().iter().all(|v| v.is_finite()));
+        assert_eq!(buffer_lens(&mut session), built);
+    }
+
+    #[test]
+    fn one_epoch_moves_the_same_wire_bytes_as_before_the_streaming_codec() {
+        // Frames count header and trailer on a socket (2 workers x one
+        // 24 + 240 x 4 byte frame each way); a sharded server counts payload
+        // elements x 4, and its pushes are row deltas: both workers touch
+        // all 30 rows of `Q`, so 4 deltas of 1 + t + 8t elements with the
+        // t summing to 60. Recorded at the commit before the streaming
+        // codec.
+        let ds = dataset(60, 30, 600);
+        for (transport, shards, want) in [
+            (TransportKind::Socket, 1, (1_968, 1_968)),
+            (TransportKind::Tcp, 1, (1_968, 1_968)),
+            (TransportKind::Tcp, 2, (1_920, 2_176)),
+        ] {
+            let config = base_config()
+                .workers(vec![WorkerSpec::cpu(1), WorkerSpec::cpu(1)])
+                .partition(PartitionMode::Uniform)
+                .transport(transport)
+                .server_shards(shards)
+                .build();
+            let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+            session.run_epoch(0.02, 0, None).unwrap();
+            assert_eq!(
+                session.wire_bytes_by_dir(),
+                want,
+                "{transport:?} x {shards} shard(s)"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use hcc_sgd::adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
 use hcc_sgd::momentum::{momentum_hogwild_epoch, MomentumConfig, MomentumState};
 use hcc_sgd::{hogwild_epoch, HogwildConfig, Schedule, SharedFactors};
 use hcc_sparse::Rating;
+use parking_lot::Mutex;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -36,6 +37,11 @@ pub(crate) struct WorkerState {
     pub local_p: SharedFactors,
     /// Local `Q` copy, `n × k`.
     pub local_q: SharedFactors,
+    /// `regions[c]`: the staging region chunk `c` is pulled into and pushed
+    /// from, sized for the larger of the two when the worker is built — on
+    /// the session's thread, not by the first epoch's worker thread — so an
+    /// epoch allocates none. Only the stage working on chunk `c` locks it.
+    pub regions: Vec<Mutex<Vec<f32>>>,
     /// The optimizer this worker runs.
     pub optimizer: Optimizer,
     /// AdaGrad accumulators (present iff `optimizer` is AdaGrad; reset on
@@ -105,6 +111,12 @@ impl WorkerState {
         (self.row_range.end - self.row_range.start) as usize
     }
 
+    /// The element range of this worker's rows within the global `P`.
+    pub fn p_elems(&self) -> Range<usize> {
+        let k = self.local_p.k();
+        self.row_range.start as usize * k..self.row_range.end as usize * k
+    }
+
     /// Unpacks a pulled region into the local factors: `Q` rows `cols`,
     /// and under `FullPq` this worker's own rows of the shipped `P`.
     pub fn load_region(
@@ -141,12 +153,12 @@ impl WorkerState {
     ) -> usize {
         let k = self.local_q.k();
         if strategy == TransferStrategy::FullPq {
-            let p_rows = self.local_p.snapshot_rows(0, self.rows());
-            region[..p_rows.len()].copy_from_slice(&p_rows);
+            self.local_p
+                .read_rows_into(0, self.rows(), &mut region[..self.rows() * k]);
         }
-        let q = self.local_q.snapshot_rows(cols.start, cols.end);
         let end = layout.push_q_offset + cols.len() * k;
-        region[layout.push_q_offset..end].copy_from_slice(&q);
+        self.local_q
+            .read_rows_into(cols.start, cols.end, &mut region[layout.push_q_offset..end]);
         end
     }
 
@@ -213,6 +225,7 @@ mod tests {
             row_range: 0..10,
             local_p: SharedFactors::from_matrix(&FactorMatrix::random(10, 4, 1)),
             local_q: SharedFactors::from_matrix(&FactorMatrix::random(8, 4, 2)),
+            regions: Vec::new(),
             optimizer: Optimizer::Sgd,
             adagrad: None,
             momentum: None,

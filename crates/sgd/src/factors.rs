@@ -110,11 +110,6 @@ impl FactorMatrix {
         &mut self.data
     }
 
-    /// Consumes into the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Frobenius norm (for regularization diagnostics).
     pub fn frobenius_norm(&self) -> f64 {
         self.data
@@ -257,15 +252,23 @@ impl SharedFactors {
         }
     }
 
+    /// Reads rows `lo..hi` into `dst`, a packed slice of `(hi-lo)*k` floats.
+    pub fn read_rows_into(&self, lo: usize, hi: usize, dst: &mut [f32]) {
+        assert!(lo <= hi && hi <= self.rows, "row range out of bounds");
+        assert_eq!(dst.len(), (hi - lo) * self.k, "destination length mismatch");
+        let cells = &self.data[lo * self.k..hi * self.k];
+        for (v, cell) in dst.iter_mut().zip(cells) {
+            // ordering: Relaxed — see `snapshot`; row reads need no ordering
+            // beyond per-cell atomicity.
+            *v = f32::from_bits(cell.load(Ordering::Relaxed));
+        }
+    }
+
     /// Reads rows `lo..hi` into a packed vector of `(hi-lo)*k` floats.
     pub fn snapshot_rows(&self, lo: usize, hi: usize) -> Vec<f32> {
-        assert!(lo <= hi && hi <= self.rows, "row range out of bounds");
-        let base = lo * self.k;
-        // ordering: Relaxed — see `snapshot`; row reads need no ordering
-        // beyond per-cell atomicity.
-        (0..(hi - lo) * self.k)
-            .map(|off| f32::from_bits(self.data[base + off].load(Ordering::Relaxed)))
-            .collect()
+        let mut out = vec![0f32; hi.saturating_sub(lo) * self.k];
+        self.read_rows_into(lo, hi, &mut out);
+        out
     }
 }
 
@@ -351,6 +354,9 @@ mod tests {
         assert_eq!(s.snapshot_rows(1, 3), vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(s.snapshot_rows(0, 1), vec![0.0, 0.0]);
         assert_eq!(s.snapshot_rows(2, 2), Vec::<f32>::new());
+        let mut rows = [9.0f32; 4];
+        s.read_rows_into(1, 3, &mut rows);
+        assert_eq!(rows, [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
