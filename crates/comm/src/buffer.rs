@@ -6,7 +6,13 @@
 //! buffer*, and the opposite side reads directly from the mapping — so one
 //! transfer is exactly one copy. In-process, a `SharedBuffer` is an
 //! `Arc<RwLock<Vec<f32>>>` with explicit copy-in/copy-out operations, which
-//! keeps the copy count observable (the Table 5 benches count bytes moved).
+//! keeps the copy count observable: [`SharedBuffer::bytes_written`] and
+//! [`SharedBuffer::bytes_read`] count the *physical* copies. Over
+//! [`CommShared`](crate::CommShared) a 2-worker epoch is five — one publish,
+//! two pulls, two pushes — because **a collect is a view**
+//! ([`SharedBuffer::with_read`]): the server merges a push where the worker
+//! wrote it. The four a worker made are the link traffic
+//! [`Transport::wire_bytes_by_dir`](crate::Transport::wire_bytes_by_dir) counts.
 
 use parking_lot::RwLock;
 use rayon::prelude::*;

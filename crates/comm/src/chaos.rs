@@ -10,7 +10,7 @@
 //!
 //! Fault semantics at the [`Transport`] boundary:
 //!
-//! * **drop** — the push is swallowed; the server's `collect_timeout`
+//! * **drop** — the push is swallowed; the server's timed collect
 //!   expires and the supervisor classifies the worker, the same path a
 //!   crashed worker takes.
 //! * **delay** — the push is delivered after a fixed sleep, turning the
@@ -18,8 +18,8 @@
 //! * **duplicate** — the push is delivered, then delivered *again* via
 //!   [`Transport::push_duplicate`] (same sequence number on framed
 //!   transports), exercising the server's idempotency dedup.
-//! * **corrupt** — the push is swallowed and the next `collect_timeout`
-//!   for that worker returns [`CommError::Corrupt`] — what a CRC-rejected
+//! * **corrupt** — the push is swallowed and the next collect for that
+//!   worker, timed or not, returns [`CommError::Corrupt`] — what a CRC-rejected
 //!   frame looks like from the server. The supervisor treats it exactly
 //!   like a dropped push: retry, then classify.
 //! * **partition** — from a given epoch on, one worker's pushes are
@@ -151,8 +151,8 @@ pub struct ChaosTransport {
     /// Per-worker count of push *attempts* — the epoch coordinate of the
     /// fault schedule (supervised training pushes once per epoch).
     push_epochs: Vec<AtomicU64>,
-    /// Set when a corrupt push was injected; the next `collect_timeout`
-    /// for that worker reports it.
+    /// Set when a corrupt push was injected; the next collect for that
+    /// worker reports it.
     pending_corrupt: Vec<AtomicBool>,
     dropped: AtomicU64,
     delayed: AtomicU64,
@@ -264,15 +264,11 @@ impl Transport for ChaosTransport {
         }
     }
 
-    fn collect(&self, worker: usize, dst: &mut [f32]) {
-        self.inner.collect(worker, dst);
-    }
-
-    fn collect_timeout(
+    fn collect_with(
         &self,
         worker: usize,
-        dst: &mut [f32],
-        timeout: Duration,
+        timeout: Option<Duration>,
+        consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
         if let Some(p) = self.partition_for(worker) {
             // ordering: Relaxed — see `pull`.
@@ -285,7 +281,7 @@ impl Transport for ChaosTransport {
         if self.pending_corrupt[worker].swap(false, Ordering::Relaxed) {
             return Err(CommError::Corrupt);
         }
-        self.inner.collect_timeout(worker, dst, timeout)
+        self.inner.collect_with(worker, timeout, consume)
     }
 
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
@@ -401,6 +397,27 @@ mod tests {
     }
 
     #[test]
+    fn the_untimed_collect_runs_the_same_fault_checks() {
+        let never = &mut |_: &[f32]| panic!("consume ran on a failed collect");
+        // A partitioned link fails fast instead of blocking for ever.
+        let plan = NetChaosPlan::quiet(5).with_partition(0, 0);
+        let t = ChaosTransport::new(shared(1, 4), plan);
+        t.push(0, &[1.0; 4]);
+        assert_eq!(
+            t.collect_with(0, None, never),
+            Err(CommError::PartitionedLink)
+        );
+        // A corrupt push is reported once, to whichever collect comes next.
+        let mut plan = NetChaosPlan::quiet(4);
+        plan.corrupt_rate = 1.0;
+        let t = ChaosTransport::new(shared(1, 4), plan);
+        t.push(0, &[1.0; 4]);
+        assert_eq!(t.collect_with(0, None, never), Err(CommError::Corrupt));
+        let timeout = Some(Duration::from_millis(10));
+        assert_eq!(t.collect_with(0, timeout, never), Err(CommError::Timeout));
+    }
+
+    #[test]
     fn duplicate_roll_calls_push_duplicate() {
         struct CountingInner {
             inner: CommShared,
@@ -420,16 +437,13 @@ mod tests {
                 // ordering: Relaxed — test statistic.
                 self.dups.fetch_add(1, Ordering::Relaxed);
             }
-            fn collect(&self, w: usize, dst: &mut [f32]) {
-                self.inner.collect(w, dst);
-            }
-            fn collect_timeout(
+            fn collect_with(
                 &self,
                 w: usize,
-                dst: &mut [f32],
-                t: Duration,
+                t: Option<Duration>,
+                consume: &mut dyn FnMut(&[f32]),
             ) -> Result<(), CommError> {
-                self.inner.collect_timeout(w, dst, t)
+                self.inner.collect_with(w, t, consume)
             }
             fn wire_bytes(&self) -> u64 {
                 self.inner.wire_bytes()

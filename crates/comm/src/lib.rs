@@ -49,6 +49,7 @@
 pub mod backoff;
 pub mod buffer;
 pub mod chaos;
+mod clmul;
 pub mod delta;
 pub mod frame;
 pub mod pipeline;

@@ -34,8 +34,9 @@
 //! endpoint, and live as long as it. A request streams from the caller's
 //! slice through the link's wire buffer; a reply or push lands in the
 //! receiver's, is CRC-checked there, and is decoded straight into the
-//! caller's `dst` or the push slot. A frame longer than the buffer it
-//! would land in is refused before its body is read. The server streams
+//! caller's `dst` or the push slot — where the server's collect views it
+//! under the slot's lock, with no second copy. A frame longer than the
+//! buffer it would land in is refused before its body is read. The server streams
 //! a pull reply out of the published region under its read guard, so a
 //! `publish` can wait behind a pull in flight — for at most one
 //! `rpc_timeout`, the write deadline every accepted connection carries.
@@ -45,7 +46,7 @@ use crate::frame::{
     decode_payload, frame_len, read_frame, read_header, write_frame, FrameError, Header, RpcKind,
     HEADER_LEN, TRAILER_LEN,
 };
-use crate::transport::{CommError, Precision, Transport};
+use crate::transport::{wait_ready, CommError, Precision, Transport};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -53,7 +54,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Where a [`CommSocket`] listens: a Unix socket path or a TCP address.
 #[derive(Debug, Clone)]
@@ -79,7 +80,7 @@ impl SockListener {
     fn accept(&self) -> std::io::Result<SockStream> {
         match self {
             SockListener::Unix(l) => l.accept().map(|(s, _)| SockStream::Unix(s)),
-            SockListener::Tcp(l) => l.accept().map(|(s, _)| SockStream::Tcp(s)),
+            SockListener::Tcp(l) => l.accept().and_then(|(s, _)| SockStream::tcp(s)),
         }
     }
 }
@@ -95,14 +96,17 @@ impl SockStream {
     fn connect(addr: &SockAddr) -> std::io::Result<SockStream> {
         match addr {
             SockAddr::Unix(path) => UnixStream::connect(path).map(SockStream::Unix),
-            SockAddr::Tcp(sa) => {
-                let s = TcpStream::connect(sa)?;
-                // Request/response RPCs are latency-bound: never batch the
-                // small request frames behind Nagle.
-                s.set_nodelay(true)?;
-                Ok(SockStream::Tcp(s))
-            }
+            SockAddr::Tcp(sa) => TcpStream::connect(sa).and_then(SockStream::tcp),
         }
+    }
+
+    /// Either end of a TCP link. Request/response RPCs are latency-bound:
+    /// never batch the small frames — the dialing side's requests, the
+    /// accepting side's 24-byte acks and the tail segment of a pull reply —
+    /// behind Nagle.
+    fn tcp(stream: TcpStream) -> std::io::Result<SockStream> {
+        stream.set_nodelay(true)?;
+        Ok(SockStream::Tcp(stream))
     }
 
     fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
@@ -345,9 +349,9 @@ impl ServerState {
                         epoch: frame.epoch,
                         chunk: 0,
                     };
-                    // ordering: Relaxed — wire-byte statistic.
+                    // ordering: Relaxed — wire-byte statistic: the payload.
                     self.pull_bytes.fetch_add(
-                        frame_len(self.precision, published.len()) as u64,
+                        published.len() as u64 * self.precision.bytes_per_element(),
                         Ordering::Relaxed,
                     );
                     let block = wire.len().min(WRITE_BLOCK);
@@ -369,9 +373,9 @@ impl ServerState {
                             // tell it a push landed that did not.
                             return;
                         }
-                        // ordering: Relaxed — wire-byte statistic.
+                        // ordering: Relaxed — wire-byte statistic: the payload.
                         self.push_bytes
-                            .fetch_add(frame_len(frame.precision, elems) as u64, Ordering::Relaxed);
+                            .fetch_add(payload.len() as u64, Ordering::Relaxed);
                         let key = (frame.epoch, frame.chunk);
                         if data.last_applied == Some(key) {
                             // Idempotent dedup: the original already
@@ -823,37 +827,19 @@ impl Transport for CommSocket {
         self.send_push(worker, seq, src);
     }
 
-    fn collect(&self, worker: usize, dst: &mut [f32]) {
-        let slot = &self.state.slots[worker];
-        let mut data = slot.data.lock();
-        while !data.ready {
-            slot.cv.wait(&mut data);
-        }
-        data.ready = false;
-        let n = data.len.min(data.buf.len()).min(dst.len());
-        dst[..n].copy_from_slice(&data.buf[..n]);
-    }
-
-    fn collect_timeout(
+    fn collect_with(
         &self,
         worker: usize,
-        dst: &mut [f32],
-        timeout: Duration,
+        timeout: Option<Duration>,
+        consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
         let slot = &self.state.slots[worker];
-        let deadline = Instant::now() + timeout;
         let mut data = slot.data.lock();
-        while !data.ready {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout);
-            }
-            // Spurious wakeups re-enter the loop with the original deadline.
-            slot.cv.wait_for(&mut data, deadline - now);
-        }
+        wait_ready(&slot.cv, &mut data, timeout, |data| data.ready)?;
         data.ready = false;
-        let n = data.len.min(data.buf.len()).min(dst.len());
-        dst[..n].copy_from_slice(&data.buf[..n]);
+        // The decoded slot, under its lock: a push that arrives meanwhile
+        // (a wire duplicate) waits there and is then deduplicated.
+        consume(&data.buf[..data.len]);
         Ok(())
     }
 
@@ -902,6 +888,7 @@ impl Drop for CommSocket {
 mod tests {
     use super::*;
     use crate::frame::reference::Frame;
+    use std::time::Instant;
 
     fn socket(workers: usize, len: usize) -> CommSocket {
         CommSocket::new(workers, len, len, Precision::Fp32).unwrap()
@@ -1026,9 +1013,9 @@ mod tests {
         t.pull(0, &mut buf);
         t.push(1, &[2.0f32; 16]);
         t.collect(1, &mut buf);
-        let (pull, push) = t.wire_bytes_by_dir();
-        assert!(pull > 0 && push > 0);
-        assert_eq!(pull + push, t.wire_bytes());
+        // Payload bytes: 16 elements each way, no header or trailer.
+        assert_eq!(t.wire_bytes_by_dir(), (64, 64));
+        assert_eq!(t.wire_bytes(), 128);
     }
 
     #[test]
@@ -1093,6 +1080,22 @@ mod tests {
         let req = Header::control(RpcKind::Pull, 0, 0, 0);
         let err = t.rpc(0, &req, &[], &mut []).unwrap_err();
         assert_eq!(err, CommError::PartitionedLink);
+    }
+
+    #[test]
+    fn both_ends_of_a_tcp_link_turn_nagle_off() {
+        // The two calls every `new_tcp` link is made of: the client's dial
+        // and the accept loop's accept.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = SockAddr::Tcp(listener.local_addr().unwrap());
+        let dialed = SockStream::connect(&addr).unwrap();
+        let accepted = SockListener::Tcp(listener).accept().unwrap();
+        for (end, stream) in [("dialing", dialed), ("accepting", accepted)] {
+            let SockStream::Tcp(stream) = stream else {
+                panic!("{end} end is not TCP");
+            };
+            assert!(stream.nodelay().unwrap(), "{end} end keeps Nagle on");
+        }
     }
 
     #[test]

@@ -12,12 +12,18 @@
 //! Both transports speak f32 payloads at the API and optionally compress to
 //! FP16 on the wire ([`Precision::Fp16`]), so the Table 5 grid
 //! {P&Q, Q, half-Q} × {COMM, COMM-P} is expressible.
+//!
+//! **Wire bytes are defined once, on [`Transport::wire_bytes_by_dir`], and
+//! mean the same on every transport**: the payload bytes worker links
+//! carried. **A collect is a view**: [`Transport::collect_with`] hands the
+//! server a push where it landed, and `collect`/`collect_timeout` are
+//! wrappers that copy out of that view.
 
 use crate::buffer::SharedBuffer;
 use crate::socket::NetEvent;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hcc_sgd::fp16;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,9 +97,27 @@ pub trait Transport: Send + Sync {
     fn push_duplicate(&self, worker: usize, src: &[f32]) {
         let _ = (worker, src);
     }
-    /// Server side: obtain worker `worker`'s most recent push into `dst`.
-    /// Blocks until a push is available.
-    fn collect(&self, worker: usize, dst: &mut [f32]);
+    /// Server side: waits for worker `worker`'s next push — for ever when
+    /// `timeout` is `None` — and hands it to `consume` *where it landed*: a
+    /// view of the push buffer or slot, or of the transport's own decode
+    /// buffer when the wire is not f32. The one collect every transport
+    /// implements. `consume` runs exactly once on `Ok` and not at all on
+    /// `Err`; it may hold a lock the next push to that worker's buffer
+    /// needs, so it should merge and return.
+    fn collect_with(
+        &self,
+        worker: usize,
+        timeout: Option<Duration>,
+        consume: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), CommError>;
+    /// Copies worker `worker`'s next push into `dst` (as much as both
+    /// hold), blocking until there is one: [`collect_with`] plus a copy. A
+    /// link that fails instead of delivering leaves `dst` as it was.
+    ///
+    /// [`collect_with`]: Transport::collect_with
+    fn collect(&self, worker: usize, dst: &mut [f32]) {
+        let _ = self.collect_with(worker, None, &mut |src| copy_prefix(src, dst));
+    }
     /// Like [`collect`](Transport::collect) but gives up after `timeout`,
     /// letting a supervisor distinguish a dead worker from a slow one.
     fn collect_timeout(
@@ -101,15 +125,24 @@ pub trait Transport: Send + Sync {
         worker: usize,
         dst: &mut [f32],
         timeout: Duration,
-    ) -> Result<(), CommError>;
+    ) -> Result<(), CommError> {
+        self.collect_with(worker, Some(timeout), &mut |src| copy_prefix(src, dst))
+    }
     /// Total bytes that crossed the wire so far.
     fn wire_bytes(&self) -> u64 {
         let (pull, push) = self.wire_bytes_by_dir();
         pull + push
     }
-    /// Wire bytes split by direction as `(pull, push)`: publish/pull
-    /// traffic (server → workers) vs push/collect traffic (workers →
-    /// server). Sums to [`wire_bytes`](Transport::wire_bytes); telemetry
+    /// The payload bytes worker links carried so far, as `(pull, push)`:
+    /// elements pulled × bytes per element on the wire, and elements pushed
+    /// × bytes per element. Every transport counts exactly this. A
+    /// `publish` is the server writing its own region and a collect is a
+    /// view of a push that already crossed, so neither is link traffic; nor
+    /// are the 24 header and trailer bytes of a frame. An epoch in which
+    /// `W` workers each pull and push the region once therefore reads
+    /// `(W·pull_len·bpe, W·push_len·bpe)` — the paper's Table 5 quantity —
+    /// and fp16 reads exactly half of fp32. (A sharded server's pushes are
+    /// row deltas: it counts the delta elements it shipped.) Telemetry
     /// records the two directions separately because the communication
     /// strategies (Q-only, half-Q, FP16) trade them off asymmetrically.
     fn wire_bytes_by_dir(&self) -> (u64, u64);
@@ -124,37 +157,57 @@ pub trait Transport: Send + Sync {
     }
 }
 
+/// Copies as many leading elements of `src` into `dst` as both hold.
+fn copy_prefix(src: &[f32], dst: &mut [f32]) {
+    let n = src.len().min(dst.len());
+    dst[..n].copy_from_slice(&src[..n]);
+}
+
 // ---------------------------------------------------------------------------
 // COMM: shared-memory transport
 // ---------------------------------------------------------------------------
 
-/// Wire storage at a given precision with byte accounting.
+/// The one wait of a collect: sleeps on `cv` until `ready` holds for the
+/// value behind `guard` — for ever, or until `timeout` has passed.
+pub(crate) fn wait_ready<T>(
+    cv: &Condvar,
+    guard: &mut MutexGuard<'_, T>,
+    timeout: Option<Duration>,
+    ready: impl Fn(&T) -> bool,
+) -> Result<(), CommError> {
+    let deadline = timeout.map(|t| Instant::now() + t);
+    while !ready(guard) {
+        let Some(deadline) = deadline else {
+            cv.wait(guard);
+            continue;
+        };
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(CommError::Timeout);
+        }
+        // Spurious wakeups re-enter the loop with the original deadline.
+        cv.wait_for(guard, deadline - now);
+    }
+    Ok(())
+}
+
+/// Wire storage at a given precision.
 #[derive(Debug)]
 enum WireStore {
     F32(SharedBuffer),
     F16(RwLock<Vec<u16>>),
 }
 
-#[derive(Debug)]
-struct WireBuffer {
-    store: WireStore,
-    bytes: AtomicU64,
-}
-
-impl WireBuffer {
-    fn new(len: usize, precision: Precision) -> WireBuffer {
-        let store = match precision {
+impl WireStore {
+    fn new(len: usize, precision: Precision) -> WireStore {
+        match precision {
             Precision::Fp32 => WireStore::F32(SharedBuffer::new(len)),
             Precision::Fp16 => WireStore::F16(RwLock::new(vec![0u16; len])),
-        };
-        WireBuffer {
-            store,
-            bytes: AtomicU64::new(0),
         }
     }
 
     fn write_f32(&self, src: &[f32]) {
-        match &self.store {
+        match self {
             WireStore::F32(buf) => buf.write(0, src),
             WireStore::F16(cells) => {
                 // Large payloads use the rayon codec — the paper's
@@ -168,14 +221,10 @@ impl WireBuffer {
                 }
             }
         }
-        self.bytes.fetch_add(
-            src.len() as u64 * self.precision().bytes_per_element(),
-            Ordering::Relaxed,
-        );
     }
 
     fn read_f32(&self, dst: &mut [f32]) {
-        match &self.store {
+        match self {
             WireStore::F32(buf) => buf.read(0, dst),
             WireStore::F16(cells) => {
                 let guard = cells.read();
@@ -187,47 +236,50 @@ impl WireBuffer {
                 }
             }
         }
-        self.bytes.fetch_add(
-            dst.len() as u64 * self.precision().bytes_per_element(),
-            Ordering::Relaxed,
-        );
-    }
-
-    fn precision(&self) -> Precision {
-        match &self.store {
-            WireStore::F32(_) => Precision::Fp32,
-            WireStore::F16(_) => Precision::Fp16,
-        }
-    }
-
-    fn bytes(&self) -> u64 {
-        // ordering: Relaxed — wire-byte statistic, reported after joins.
-        self.bytes.load(Ordering::Relaxed)
     }
 }
 
 /// The paper's COMM: one shared pull region + one push buffer per worker.
-/// Every transfer is a single copy into/out of shared storage.
+/// Every transfer is a single copy into/out of shared storage, and the
+/// server reads a push where the worker wrote it.
 pub struct CommShared {
-    pull_region: WireBuffer,
-    push_buffers: Vec<WireBuffer>,
+    precision: Precision,
+    pull_region: WireStore,
+    push_buffers: Vec<WireStore>,
     /// One-shot signals that a worker's push landed (server may collect).
-    push_ready: Vec<(Mutex<bool>, parking_lot::Condvar)>,
+    push_ready: Vec<(Mutex<bool>, Condvar)>,
+    /// Where an fp16 push is widened for the server to view; empty at fp32,
+    /// whose push buffers are viewed in place.
+    decoded: Mutex<Vec<f32>>,
+    pull_bytes: AtomicU64,
+    push_bytes: AtomicU64,
 }
 
 impl CommShared {
     /// Creates a transport for `workers` workers exchanging payloads of
     /// `pull_len` / `push_len` floats at the given wire precision.
     pub fn new(workers: usize, pull_len: usize, push_len: usize, precision: Precision) -> Self {
+        let decoded = match precision {
+            Precision::Fp32 => 0,
+            Precision::Fp16 => push_len,
+        };
         CommShared {
-            pull_region: WireBuffer::new(pull_len, precision),
+            precision,
+            pull_region: WireStore::new(pull_len, precision),
             push_buffers: (0..workers)
-                .map(|_| WireBuffer::new(push_len, precision))
+                .map(|_| WireStore::new(push_len, precision))
                 .collect(),
             push_ready: (0..workers)
-                .map(|_| (Mutex::new(false), parking_lot::Condvar::new()))
+                .map(|_| (Mutex::new(false), Condvar::new()))
                 .collect(),
+            decoded: Mutex::new(vec![0f32; decoded]),
+            pull_bytes: AtomicU64::new(0),
+            push_bytes: AtomicU64::new(0),
         }
+    }
+
+    fn wire_len(&self, elems: usize) -> u64 {
+        elems as u64 * self.precision.bytes_per_element()
     }
 }
 
@@ -238,53 +290,49 @@ impl Transport for CommShared {
 
     fn pull(&self, _worker: usize, dst: &mut [f32]) {
         self.pull_region.read_f32(dst);
+        // ordering: Relaxed — wire-byte statistic, reported after joins.
+        self.pull_bytes
+            .fetch_add(self.wire_len(dst.len()), Ordering::Relaxed);
     }
 
     fn push(&self, worker: usize, src: &[f32]) {
         self.push_buffers[worker].write_f32(src);
+        // ordering: Relaxed — wire-byte statistic, reported after joins.
+        self.push_bytes
+            .fetch_add(self.wire_len(src.len()), Ordering::Relaxed);
         let (lock, cv) = &self.push_ready[worker];
         *lock.lock() = true;
         cv.notify_all();
     }
 
-    fn collect(&self, worker: usize, dst: &mut [f32]) {
-        let (lock, cv) = &self.push_ready[worker];
-        let mut ready = lock.lock();
-        while !*ready {
-            cv.wait(&mut ready);
-        }
-        *ready = false;
-        drop(ready);
-        self.push_buffers[worker].read_f32(dst);
-    }
-
-    fn collect_timeout(
+    fn collect_with(
         &self,
         worker: usize,
-        dst: &mut [f32],
-        timeout: Duration,
+        timeout: Option<Duration>,
+        consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
         let (lock, cv) = &self.push_ready[worker];
-        let deadline = Instant::now() + timeout;
         let mut ready = lock.lock();
-        while !*ready {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout);
-            }
-            // Spurious wakeups re-enter the loop with the original deadline.
-            cv.wait_for(&mut ready, deadline - now);
-        }
+        wait_ready(cv, &mut ready, timeout, |ready| *ready)?;
         *ready = false;
         drop(ready);
-        self.push_buffers[worker].read_f32(dst);
+        match &self.push_buffers[worker] {
+            WireStore::F32(buf) => buf.with_read(|pushed| consume(pushed)),
+            store @ WireStore::F16(_) => {
+                let mut decoded = self.decoded.lock();
+                store.read_f32(&mut decoded);
+                consume(&decoded);
+            }
+        }
         Ok(())
     }
 
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
+        // ordering: Relaxed — statistics read for end-of-run reports.
         (
-            self.pull_region.bytes(),
-            self.push_buffers.iter().map(WireBuffer::bytes).sum(),
+            self.pull_bytes.load(Ordering::Relaxed),
+            // ordering: Relaxed — statistic (see above).
+            self.push_bytes.load(Ordering::Relaxed),
         )
     }
 
@@ -305,9 +353,11 @@ pub struct CommP {
     /// Per-worker push channels.
     senders: Vec<Sender<Vec<u8>>>,
     receivers: Vec<Mutex<Receiver<Vec<u8>>>>,
-    /// Publish/pull traffic (server → workers).
+    /// Where a collected message is deserialized for the server to view.
+    decoded: Mutex<Vec<f32>>,
+    /// Pull traffic (server → workers).
     pull_bytes: AtomicU64,
-    /// Push/collect traffic (workers → server).
+    /// Push traffic (workers → server).
     push_bytes: AtomicU64,
 }
 
@@ -326,6 +376,7 @@ impl CommP {
             published: RwLock::new(Arc::new(Vec::new())),
             senders,
             receivers,
+            decoded: Mutex::new(Vec::new()),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
         }
@@ -376,17 +427,13 @@ impl CommP {
 
 impl Transport for CommP {
     fn publish(&self, src: &[f32]) {
-        let msg = self.serialize(src);
-        // ordering: Relaxed — wire-byte statistics on every path below;
-        // the channels/RwLock carry the actual data synchronization.
-        self.pull_bytes
-            .fetch_add(msg.len() as u64, Ordering::Relaxed);
-        *self.published.write() = Arc::new(msg);
+        *self.published.write() = Arc::new(self.serialize(src));
     }
 
     fn pull(&self, _worker: usize, dst: &mut [f32]) {
         let msg = self.published.read().clone();
-        // ordering: Relaxed — statistic (see `publish`).
+        // ordering: Relaxed — wire-byte statistic here and in `push`; the
+        // channels/RwLock carry the actual data synchronization.
         self.pull_bytes
             .fetch_add(msg.len() as u64, Ordering::Relaxed);
         self.deserialize(&msg, dst);
@@ -394,7 +441,7 @@ impl Transport for CommP {
 
     fn push(&self, worker: usize, src: &[f32]) {
         let msg = self.serialize(src);
-        // ordering: Relaxed — statistic (see `publish`).
+        // ordering: Relaxed — statistic (see `pull`).
         self.push_bytes
             .fetch_add(msg.len() as u64, Ordering::Relaxed);
         self.senders[worker]
@@ -402,32 +449,25 @@ impl Transport for CommP {
             .expect("server receiver dropped");
     }
 
-    fn collect(&self, worker: usize, dst: &mut [f32]) {
-        let msg = self.receivers[worker]
-            .lock()
-            .recv()
-            .expect("worker sender dropped");
-        // ordering: Relaxed — statistic (see `publish`).
-        self.push_bytes
-            .fetch_add(msg.len() as u64, Ordering::Relaxed);
-        self.deserialize(&msg, dst);
-    }
-
-    fn collect_timeout(
+    fn collect_with(
         &self,
         worker: usize,
-        dst: &mut [f32],
-        timeout: Duration,
+        timeout: Option<Duration>,
+        consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
-        let msg = match self.receivers[worker].lock().recv_timeout(timeout) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => return Err(CommError::Disconnected),
+        let receiver = self.receivers[worker].lock();
+        let msg = match timeout {
+            None => receiver.recv().map_err(|_| CommError::Disconnected)?,
+            Some(timeout) => receiver.recv_timeout(timeout).map_err(|err| match err {
+                RecvTimeoutError::Timeout => CommError::Timeout,
+                RecvTimeoutError::Disconnected => CommError::Disconnected,
+            })?,
         };
-        // ordering: Relaxed — statistic (see `publish`).
-        self.push_bytes
-            .fetch_add(msg.len() as u64, Ordering::Relaxed);
-        self.deserialize(&msg, dst);
+        drop(receiver);
+        let mut decoded = self.decoded.lock();
+        decoded.resize(msg.len() / self.precision.bytes_per_element() as usize, 0.0);
+        self.deserialize(&msg, &mut decoded);
+        consume(&decoded);
         Ok(())
     }
 
@@ -435,6 +475,7 @@ impl Transport for CommP {
         // ordering: Relaxed — statistics read for end-of-run reports.
         (
             self.pull_bytes.load(Ordering::Relaxed),
+            // ordering: Relaxed — statistic (see above).
             self.push_bytes.load(Ordering::Relaxed),
         )
     }
@@ -494,13 +535,28 @@ mod tests {
 
     #[test]
     fn fp16_wire_uses_half_the_bytes() {
-        let t32 = CommShared::new(1, 100, 100, Precision::Fp32);
-        let t16 = CommShared::new(1, 100, 100, Precision::Fp16);
-        let data = vec![1.0f32; 100];
-        t32.publish(&data);
-        t16.publish(&data);
-        assert_eq!(t32.wire_bytes(), 400);
-        assert_eq!(t16.wire_bytes(), 200);
+        for (pull_len, push_len) in [(100, 100), (100, 36)] {
+            let links = |precision| -> [Box<dyn Transport>; 2] {
+                [
+                    Box::new(CommShared::new(1, pull_len, push_len, precision)),
+                    Box::new(CommP::new(1, precision)),
+                ]
+            };
+            for (t32, t16) in links(Precision::Fp32)
+                .into_iter()
+                .zip(links(Precision::Fp16))
+            {
+                for t in [&t32, &t16] {
+                    t.publish(&vec![1.0f32; pull_len]);
+                    t.pull(0, &mut vec![0f32; pull_len]);
+                    t.push(0, &vec![1.0f32; push_len]);
+                    t.collect(0, &mut vec![0f32; push_len]);
+                }
+                let want = (pull_len as u64 * 4, push_len as u64 * 4);
+                assert_eq!(t32.wire_bytes_by_dir(), want);
+                assert_eq!(t16.wire_bytes_by_dir(), (want.0 / 2, want.1 / 2));
+            }
+        }
     }
 
     #[test]
@@ -511,6 +567,7 @@ mod tests {
         ] {
             let pub_data = vec![1.0f32; 100];
             t.publish(&pub_data);
+            assert_eq!(t.wire_bytes(), 0, "a publish crosses no worker link");
             let mut pulled = vec![0f32; 100];
             t.pull(0, &mut pulled);
             t.push(1, &[2.0f32; 50]);
@@ -518,8 +575,64 @@ mod tests {
             t.collect(1, &mut collected);
             let (pull, push) = t.wire_bytes_by_dir();
             assert_eq!(pull + push, t.wire_bytes());
-            assert_eq!(pull, 800, "publish + one pull, 4 bytes/elem");
-            assert_eq!(push, 400, "push + collect, 4 bytes/elem");
+            assert_eq!(pull, 400, "one pull, 4 bytes/elem");
+            assert_eq!(push, 200, "one push, 4 bytes/elem; the collect is a view");
+        }
+    }
+
+    #[test]
+    fn an_epoch_over_comm_shared_copies_the_region_five_times_not_seven() {
+        // What a 2-worker epoch does to the transport. The physical copies
+        // are `SharedBuffer`'s own counters: 1 publish + W pulls + W pushes
+        // + 0 collects (two `slot → staging` copies before this test).
+        const LEN: usize = 64;
+        let t = CommShared::new(2, LEN, LEN, Precision::Fp32);
+        let region = vec![0.5f32; LEN];
+        t.publish(&region);
+        for w in 0..2 {
+            let mut local = vec![0f32; LEN];
+            t.pull(w, &mut local);
+            t.push(w, &local);
+        }
+        let mut merged = 0;
+        for w in 0..2 {
+            t.collect_with(w, None, &mut |pushed| {
+                assert_eq!(pushed, &region[..]);
+                merged += 1;
+            })
+            .unwrap();
+        }
+        assert_eq!(merged, 2);
+        let (written, read) = std::iter::once(&t.pull_region)
+            .chain(&t.push_buffers)
+            .map(|store| match store {
+                WireStore::F32(buf) => (buf.bytes_written(), buf.bytes_read()),
+                WireStore::F16(_) => unreachable!("built at fp32"),
+            })
+            .fold((0, 0), |(w, r), (dw, dr)| (w + dw, r + dr));
+        let region_bytes = (LEN * 4) as u64;
+        assert_eq!(written, 3 * region_bytes, "1 publish + 2 pushes");
+        assert_eq!(read, 2 * region_bytes, "2 pulls + 0 collects");
+        // The link traffic is the four of those five that a worker made.
+        assert_eq!(t.wire_bytes_by_dir(), (2 * region_bytes, 2 * region_bytes));
+    }
+
+    #[test]
+    fn a_failed_collect_never_calls_consume() {
+        let shared = CommShared::new(1, 4, 4, Precision::Fp32);
+        let p = CommP::new(1, Precision::Fp16);
+        for t in [&shared as &dyn Transport, &p] {
+            let mut calls = 0;
+            let timeout = Some(Duration::from_millis(10));
+            assert_eq!(
+                t.collect_with(0, timeout, &mut |_| calls += 1),
+                Err(CommError::Timeout)
+            );
+            t.push(0, &[1.0, 2.0, 3.0, 4.0]);
+            let mut got = Vec::new();
+            t.collect_with(0, timeout, &mut |pushed| got.extend_from_slice(pushed))
+                .unwrap();
+            assert_eq!((calls, got), (0, vec![1.0, 2.0, 3.0, 4.0]));
         }
     }
 

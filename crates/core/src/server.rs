@@ -115,9 +115,11 @@ pub struct DeltaStats {
 /// * `push` encodes, per shard, only the rows that differ bitwise from the
 ///   snapshot ([`encode_delta`]) — the "Transmit Q only" idea applied
 ///   row-wise within each shard;
-/// * `collect` seeds the destination from the snapshot and applies each
-///   shard's delta, reconstructing the worker's buffer bit-for-bit (an
-///   unshipped row is, by construction, bit-equal to the snapshot).
+/// * a collect seeds the server's one reconstruction region from the
+///   snapshot and applies each shard's delta to it where the delta landed,
+///   rebuilding the worker's buffer bit-for-bit (an unshipped row is, by
+///   construction, bit-equal to the snapshot), then hands the caller a
+///   view of that region.
 ///
 /// Sequence numbering and idempotent dedup live in the inner transports
 /// (each [`hcc_comm::CommSocket`] shard keeps its own per-worker seq), so
@@ -137,13 +139,14 @@ pub struct ShardedServer {
     /// whose message it already consumed. Cleared by `publish`.
     collected: Mutex<Vec<usize>>,
     /// `encoded[w]`: where worker `w`'s pushes are delta-encoded, shard by
-    /// shard. Like `staging`, sized for the largest shard when the server
-    /// is built, so a push or a collect allocates nothing.
+    /// shard. Sized for the largest shard when the server is built, so a
+    /// push allocates nothing.
     encoded: Vec<Mutex<Vec<f32>>>,
-    /// `staging[w]`: where worker `w`'s shard deltas are collected before
-    /// they are applied. Apart from `encoded[w]` because the server waits
-    /// in a collect holding it while the worker encodes its push.
-    staging: Vec<Mutex<Vec<f32>>>,
+    /// Where a collect rebuilds the push it hands out, also built here. One
+    /// for all workers: the server collects them one at a time, and a
+    /// collect that failed between two shards must be resumed (or given up
+    /// until the next `publish`) before another worker's is started.
+    rebuilt: Mutex<Vec<f32>>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
     rows_shipped: AtomicU64,
@@ -183,14 +186,11 @@ impl ShardedServer {
             .map(|r| max_delta_len(r.len(), k))
             .max()
             .unwrap_or(0);
-        let buffers = || {
-            (0..workers)
-                .map(|_| Mutex::new(vec![0f32; largest]))
-                .collect()
-        };
         ShardedServer {
-            encoded: buffers(),
-            staging: buffers(),
+            encoded: (0..workers)
+                .map(|_| Mutex::new(vec![0f32; largest]))
+                .collect(),
+            rebuilt: Mutex::new(vec![0f32; region_len]),
             router,
             k,
             precision,
@@ -274,62 +274,28 @@ impl ShardedServer {
         send(&delta);
     }
 
-    /// Collects one shard's delta into `dst` (the full region buffer),
-    /// seeding the shard's range from the snapshot first.
+    /// Waits for one shard's delta and applies it to that shard's range of
+    /// `region`, seeded from the snapshot first.
     fn apply_shard(
         &self,
         shard: usize,
         worker: usize,
-        dst: &mut [f32],
+        region: &mut [f32],
         deadline: Option<Instant>,
     ) -> Result<(), CommError> {
+        let timeout = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+            Some(Duration::ZERO) => return Err(CommError::Timeout),
+            left => left,
+        };
         let elems = self.elems(shard);
-        if dst.len() < elems.end {
-            return Ok(()); // short destination: range not requested
-        }
-        let mut staging = self.staging[worker].lock();
-        let staging = &mut staging[..max_delta_len(elems.len() / self.k, self.k)];
-        match deadline {
-            None => self.shards[shard].collect(worker, staging),
-            Some(d) => {
-                let now = Instant::now();
-                if now >= d {
-                    return Err(CommError::Timeout);
-                }
-                self.shards[shard].collect_timeout(worker, staging, d - now)?;
-            }
-        }
-        let region = &mut dst[elems.clone()];
-        {
-            let snapshot = self.published.read();
-            region.copy_from_slice(&snapshot[elems]);
-        }
-        // A malformed delta (possible only under deliberate corruption
-        // that beat the CRC) leaves the snapshot rows in place — the same
-        // degradation as a dropped push.
-        let _ = apply_delta(staging, self.k, region);
-        Ok(())
-    }
-
-    /// Collects worker `worker`'s outstanding shards into `dst`, all under
-    /// one deadline: a slow shard eats into the remaining budget instead of
-    /// multiplying it. On error `dst` keeps the shards applied so far and a
-    /// retry with the same buffer picks up where this call stopped.
-    fn collect_from(
-        &self,
-        worker: usize,
-        dst: &mut [f32],
-        deadline: Option<Instant>,
-    ) -> Result<(), CommError> {
-        let first = self.collected.lock()[worker];
-        for s in first..self.shards.len() {
-            if let Err(err) = self.apply_shard(s, worker, dst, deadline) {
-                self.collected.lock()[worker] = s;
-                return Err(err);
-            }
-        }
-        self.collected.lock()[worker] = 0;
-        Ok(())
+        let range = &mut region[elems.clone()];
+        self.shards[shard].collect_with(worker, timeout, &mut |delta| {
+            range.copy_from_slice(&self.published.read()[elems.clone()]);
+            // A malformed delta (possible only under deliberate corruption
+            // that beat the CRC) leaves the snapshot rows in place — the
+            // same degradation as a dropped push.
+            let _ = apply_delta(delta, self.k, range);
+        })
     }
 }
 
@@ -379,18 +345,28 @@ impl Transport for ShardedServer {
         }
     }
 
-    fn collect(&self, worker: usize, dst: &mut [f32]) {
-        // Without a deadline no shard collect can fail.
-        let _ = self.collect_from(worker, dst, None);
-    }
-
-    fn collect_timeout(
+    /// All of the worker's outstanding shards under one deadline: a slow
+    /// shard eats into the remaining budget instead of multiplying it. On
+    /// error the rebuilt region keeps the shards applied so far and a retry
+    /// picks up where this call stopped.
+    fn collect_with(
         &self,
         worker: usize,
-        dst: &mut [f32],
-        timeout: Duration,
+        timeout: Option<Duration>,
+        consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
-        self.collect_from(worker, dst, Some(Instant::now() + timeout))
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut region = self.rebuilt.lock();
+        let first = self.collected.lock()[worker];
+        for s in first..self.shards.len() {
+            if let Err(err) = self.apply_shard(s, worker, &mut region, deadline) {
+                self.collected.lock()[worker] = s;
+                return Err(err);
+            }
+        }
+        self.collected.lock()[worker] = 0;
+        consume(&region);
+        Ok(())
     }
 
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
@@ -664,16 +640,13 @@ pub(crate) mod fake {
                 self.inner.push(worker, src);
             }
         }
-        fn collect(&self, worker: usize, dst: &mut [f32]) {
-            self.inner.collect(worker, dst);
-        }
-        fn collect_timeout(
+        fn collect_with(
             &self,
             worker: usize,
-            dst: &mut [f32],
-            timeout: Duration,
+            timeout: Option<Duration>,
+            consume: &mut dyn FnMut(&[f32]),
         ) -> Result<(), CommError> {
-            self.inner.collect_timeout(worker, dst, timeout)
+            self.inner.collect_with(worker, timeout, consume)
         }
         fn wire_bytes_by_dir(&self) -> (u64, u64) {
             self.inner.wire_bytes_by_dir()

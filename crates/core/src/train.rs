@@ -286,8 +286,6 @@ struct ServerBuffers {
     /// The merge accumulator `Σ wᵢ·qᵢ`; swapped with `global_q` when the
     /// epoch's merge is complete.
     q_acc: FactorMatrix,
-    /// Where each push is collected, sized for the longest.
-    staging: Vec<f32>,
     /// The `[P | Q]` pull region under `FullPq`; empty otherwise, when
     /// `Q`'s column slices are published in place.
     pull_region: Vec<f32>,
@@ -405,7 +403,6 @@ impl<'a> Session<'a> {
             // Sized by `rebuild_workers` below, like `workers` and `chunks`.
             buffers: Mutex::new(ServerBuffers {
                 q_acc: FactorMatrix::zeros(0, k),
-                staging: Vec::new(),
                 pull_region: Vec::new(),
             }),
             fractions: fractions.clone(),
@@ -520,8 +517,6 @@ impl<'a> Session<'a> {
         if buffers.q_acc.rows() != self.n {
             buffers.q_acc = FactorMatrix::zeros(self.n, k);
         }
-        let longest_push = layouts.iter().map(|l| l.push_len).max().unwrap_or(0);
-        buffers.staging.resize(longest_push, 0.0);
         let pull_region = if full_pq { layouts[0].pull_len } else { 0 };
         buffers.pull_region.resize(pull_region, 0.0);
         self.chunks = cols
@@ -844,11 +839,7 @@ impl<'a> Session<'a> {
         let mut missed = vec![false; this.workers.len()];
 
         let mut buffers = this.buffers.lock();
-        let ServerBuffers {
-            q_acc,
-            staging,
-            pull_region,
-        } = &mut *buffers;
+        let ServerBuffers { q_acc, pull_region } = &mut *buffers;
         let q_acc = q_acc.as_mut_slice();
         q_acc.fill(0.0);
         let global_q = this.global_q.as_slice();
@@ -884,44 +875,49 @@ impl<'a> Session<'a> {
             let server_lane = telemetry.server_lane();
             for chunk in &this.chunks {
                 let q_range = chunk.cols.start * k..chunk.cols.end * k;
-                let staging = &mut staging[..chunk.layout.push_len];
+                let q_at = chunk.layout.push_q_offset;
                 // Weight of the pushes merged into this chunk: all of it
                 // (`merge_weights` sums to one) unless some were left out.
                 let mut accepted = 0f32;
                 let mut left_out = false;
                 for w in 0..this.workers.len() {
-                    if !this.collect_push(chunk, w, staging, sup, &exits, epoch)? {
-                        (missed[w], left_out) = (true, true);
-                        continue;
-                    }
-                    let start = telemetry.now_us();
-                    let t0 = Instant::now();
-                    let q_part = &staging[chunk.layout.push_q_offset..][..q_range.len()];
-                    if sup.is_some() && q_part.iter().any(|v| !v.is_finite()) {
-                        // Poisoned push: discard the shard.
-                        (missed[w], left_out) = (true, true);
-                    } else {
-                        merge_weighted(&mut q_acc[q_range.clone()], q_part, weights[w]);
-                        accepted += weights[w];
-                        if full_pq {
-                            // A worker owns its `P` rows outright: they
-                            // replace the ones published this epoch.
-                            let owned = this.workers[w].p_elems();
-                            pull_region[owned.clone()].copy_from_slice(&staging[..owned.len()]);
+                    // Runs inside the collect, on the push where it landed.
+                    let mut merged = false;
+                    let mut merge = |push: &[f32]| {
+                        let start = telemetry.now_us();
+                        let t0 = Instant::now();
+                        // A poisoned (or malformed, short) push is discarded.
+                        let sound = push
+                            .get(q_at..q_at + q_range.len())
+                            .filter(|q| sup.is_none() || q.iter().all(|v| v.is_finite()));
+                        if let Some(q_part) = sound {
+                            merge_weighted(&mut q_acc[q_range.clone()], q_part, weights[w]);
+                            accepted += weights[w];
+                            merged = true;
+                            if full_pq {
+                                // A worker owns its `P` rows outright: they
+                                // replace the ones published this epoch.
+                                let owned = this.workers[w].p_elems();
+                                pull_region[owned.clone()].copy_from_slice(&push[..owned.len()]);
+                            }
                         }
+                        let took = t0.elapsed();
+                        sync_time += took;
+                        // Sync spans live on the server lane but carry the merged
+                        // worker's id, so per-worker epoch sums include their share.
+                        telemetry.phase(
+                            server_lane,
+                            epoch as u32,
+                            this.orig_ids[w] as u32,
+                            Phase::Sync,
+                            start,
+                            took,
+                        );
+                    };
+                    this.collect_push(chunk, w, sup, &exits, epoch, &mut merge)?;
+                    if !merged {
+                        (missed[w], left_out) = (true, true);
                     }
-                    let merged = t0.elapsed();
-                    sync_time += merged;
-                    // Sync spans live on the server lane but carry the merged
-                    // worker's id, so per-worker epoch sums include their share.
-                    telemetry.phase(
-                        server_lane,
-                        epoch as u32,
-                        this.orig_ids[w] as u32,
-                        Phase::Sync,
-                        start,
-                        merged,
-                    );
                 }
                 if accepted == 0.0 {
                     q_acc[q_range.clone()].copy_from_slice(&global_q[q_range]);
@@ -1065,8 +1061,9 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Server side: waits for worker `w`'s push of `chunk` into `dst`.
-    /// `Ok(false)` means the supervisor gave up on it for this epoch.
+    /// Server side: waits for worker `w`'s push of `chunk` and runs `merge`
+    /// on it where it landed. Returning `Ok` without having run `merge`
+    /// means the supervisor gave up on the push for this epoch.
     ///
     /// Supervised, this is the bounded-retry ladder: each timeout or
     /// corrupt frame is a `NetRetry` event, and a worker that exhausts the
@@ -1079,22 +1076,19 @@ impl<'a> Session<'a> {
         &self,
         chunk: &Chunk,
         w: usize,
-        dst: &mut [f32],
         sup: Option<&Supervisor>,
         exits: &Mutex<Vec<Option<WorkerExit>>>,
         epoch: usize,
-    ) -> Result<bool, HccError> {
+        merge: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), HccError> {
         let Some(sup) = sup else {
             loop {
                 // Read before the wait: a push precedes its thread's exit,
                 // so a wait that starts after the exit cannot miss it.
                 let exited = exits.lock()[w].is_some();
-                if chunk
-                    .endpoint
-                    .collect_timeout(w, dst, LOST_PUSH_POLL)
-                    .is_ok()
-                {
-                    return Ok(true);
+                let polled = chunk.endpoint.collect_with(w, Some(LOST_PUSH_POLL), merge);
+                if polled.is_ok() {
+                    return Ok(());
                 }
                 if exited {
                     return Err(match &exits.lock()[w] {
@@ -1115,8 +1109,8 @@ impl<'a> Session<'a> {
                 break;
             }
             let timeout = ladder.next_delay();
-            match chunk.endpoint.collect_timeout(w, dst, timeout) {
-                Ok(()) => return Ok(true),
+            match chunk.endpoint.collect_with(w, Some(timeout), merge) {
+                Ok(()) => break,
                 // A corrupt frame degrades to a dropped one: wait out the
                 // next ladder step in case a retransmit (or a slow worker)
                 // still delivers a clean push.
@@ -1143,7 +1137,7 @@ impl<'a> Session<'a> {
                 }
             }
         }
-        Ok(false)
+        Ok(())
     }
 
     /// Early-stopping check: the best RMSE of the last `patience` epochs
@@ -1531,13 +1525,12 @@ mod tests {
         let buffer_lens = |session: &mut Session| -> Vec<usize> {
             let server = session.buffers.get_mut();
             let regions = session.workers.iter().flat_map(|w| &w.regions);
-            [server.q_acc.as_slice().len(), server.staging.len()]
-                .into_iter()
+            std::iter::once(server.q_acc.as_slice().len())
                 .chain(regions.map(|r| r.lock().len()))
                 .collect()
         };
         let built = buffer_lens(&mut session);
-        assert_eq!(built, vec![30 * 8; 4], "Q-sized, one region a worker");
+        assert_eq!(built, vec![30 * 8; 3], "Q-sized, one region a worker");
 
         let failed = session.run_epoch(0.02, 0, None);
         assert!(matches!(failed, Err(HccError::Comm(_))));
@@ -1554,33 +1547,94 @@ mod tests {
     }
 
     #[test]
-    fn one_epoch_moves_the_same_wire_bytes_as_before_the_streaming_codec() {
-        // Frames count header and trailer on a socket (2 workers x one
-        // 24 + 240 x 4 byte frame each way); a sharded server counts payload
-        // elements x 4, and its pushes are row deltas: both workers touch
-        // all 30 rows of `Q`, so 4 deltas of 1 + t + 8t elements with the
-        // t summing to 60. Recorded at the commit before the streaming
-        // codec.
+    fn one_epoch_carries_each_region_once_per_worker_and_direction() {
+        // Wire bytes are the payload bytes worker links carried: W pulls of
+        // `pull_len` and W pushes of `push_len` elements at the wire's bytes
+        // per element, on every transport — no publish, no collect, no
+        // frame header or trailer.
         let ds = dataset(60, 30, 600);
-        for (transport, shards, want) in [
-            (TransportKind::Socket, 1, (1_968, 1_968)),
-            (TransportKind::Tcp, 1, (1_968, 1_968)),
-            (TransportKind::Tcp, 2, (1_920, 2_176)),
-        ] {
+        let one_epoch = |transport, strategy, shards| {
             let config = base_config()
                 .workers(vec![WorkerSpec::cpu(1), WorkerSpec::cpu(1)])
                 .partition(PartitionMode::Uniform)
                 .transport(transport)
+                .strategy(strategy)
                 .server_shards(shards)
                 .build();
             let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
             session.run_epoch(0.02, 0, None).unwrap();
-            assert_eq!(
-                session.wire_bytes_by_dir(),
-                want,
-                "{transport:?} x {shards} shard(s)"
-            );
+            (session.wire_bytes_by_dir(), session.chunks[0].layout)
+        };
+        for transport in [
+            TransportKind::Shared,
+            TransportKind::CommP,
+            TransportKind::Socket,
+            TransportKind::Tcp,
+        ] {
+            for (strategy, bpe) in [
+                (TransferStrategy::QOnly, 4),
+                (TransferStrategy::HalfQ, 2),
+                (TransferStrategy::FullPq, 4),
+            ] {
+                let (wire, layout) = one_epoch(transport, strategy, 1);
+                let want = (2 * layout.pull_len * bpe, 2 * layout.push_len * bpe);
+                assert_eq!(
+                    wire,
+                    (want.0 as u64, want.1 as u64),
+                    "{transport:?} x {strategy:?}"
+                );
+                // `Q` is 30 rows of k = 8. The two socket rows read
+                // (1_968, 1_968) while a frame's 24 header and trailer
+                // bytes counted: 1_968 - 2 x 24 = 1_920 = 2 x 240 x 4.
+                match strategy {
+                    TransferStrategy::QOnly => assert_eq!(wire, (1_920, 1_920)),
+                    TransferStrategy::HalfQ => assert_eq!(wire, (960, 960)),
+                    TransferStrategy::FullPq => assert_eq!(wire.0, 2 * 90 * 8 * 4),
+                }
+            }
         }
+        // A sharded server has always counted payload elements x 4, and its
+        // pushes are row deltas: both workers touch all 30 rows of `Q`, so 4
+        // deltas of 1 + t + 8t elements with the t summing to 60. Equal to
+        // the byte to what the commit before the streaming codec recorded.
+        let (wire, _) = one_epoch(TransportKind::Tcp, TransferStrategy::QOnly, 2);
+        assert_eq!(wire, (1_920, 2_176));
+    }
+
+    #[test]
+    fn a_corrupt_push_is_left_out_of_the_merge_and_the_rest_renormalised() {
+        use crate::fault::FaultPlan;
+        use crate::supervisor::SupervisorConfig;
+        let ds = dataset(60, 30, 600);
+        let supervisor = SupervisorConfig {
+            heartbeat_timeout: Duration::from_millis(20),
+            collect_retries: 1,
+            ..SupervisorConfig::default()
+        };
+        // Worker 0's push is poisoned, dropped, or fine; one-thread workers
+        // make worker 1's push the same bits in all three epochs.
+        let q_after = |plan: FaultPlan| {
+            let config = base_config()
+                .workers(vec![WorkerSpec::cpu(1), WorkerSpec::cpu(1)])
+                .partition(PartitionMode::Uniform)
+                .fault_tolerance(supervisor.clone())
+                .fault_plan(plan)
+                .build();
+            let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+            let sup = Supervisor::new(supervisor.clone(), 2);
+            let outcome = session.run_epoch(0.02, 0, Some(&sup)).unwrap();
+            (outcome.missed, session.global_q)
+        };
+        let (missed, poisoned) = q_after(FaultPlan::new(7).corrupt_push(0, 0));
+        assert_eq!(missed, vec![true, false]);
+        assert!(poisoned.as_slice().iter().all(|v| v.is_finite()));
+        // Left out and renormalised exactly as a push that never came.
+        let (missed, dropped) = q_after(FaultPlan::new(7).drop_push(0, 0));
+        assert_eq!(missed, vec![true, false]);
+        assert_eq!(poisoned, dropped);
+        let (missed, clean) = q_after(FaultPlan::new(7));
+        assert_eq!(missed, vec![false, false]);
+        assert_ne!(poisoned, clean);
     }
 
     #[test]

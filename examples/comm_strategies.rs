@@ -3,7 +3,10 @@
 //! Reproduces the *mechanism* behind Table 5: the same feature payload moves
 //! through the shared-memory COMM and the ps-lite-style COMM-P under each
 //! communication strategy; we print measured times, effective bandwidth,
-//! and wire volume. (Absolute numbers depend on this machine's memory
+//! and wire volume. Both come from link bytes — the payload bytes the
+//! workers pulled and pushed (`Transport::wire_bytes`); the server's
+//! publish and its view of each push are not link traffic, so GB/s is
+//! "bytes that crossed a worker link per second". (Absolute numbers depend on this machine's memory
 //! system; the orderings — COMM > COMM-P, Q ≫ P&Q, half-Q > Q — are the
 //! paper's Table 5 shape.)
 //!
@@ -69,11 +72,12 @@ fn main() {
 }
 
 /// `rounds` epochs of communication with persistent worker threads: the
-/// server publishes, every worker pulls then pushes, the server collects.
+/// server publishes, every worker pulls then pushes, the server merges each
+/// push where it landed.
 fn run(transport: &dyn Transport, workers: usize, rounds: usize, payload: &[f32]) -> f64 {
     let start_barrier = Barrier::new(workers + 1);
     let round_barrier = Barrier::new(workers + 1);
-    let mut staging = vec![0f32; payload.len()];
+    let mut merged = vec![0f32; payload.len()];
 
     let mut elapsed = 0.0;
     std::thread::scope(|scope| {
@@ -96,7 +100,14 @@ fn run(transport: &dyn Transport, workers: usize, rounds: usize, payload: &[f32]
             transport.publish(payload);
             start_barrier.wait();
             for w in 0..workers {
-                transport.collect(w, &mut staging);
+                let merge = &mut |pushed: &[f32]| {
+                    for (acc, v) in merged.iter_mut().zip(pushed) {
+                        *acc += 0.25 * v;
+                    }
+                };
+                transport
+                    .collect_with(w, None, merge)
+                    .expect("in-process links deliver every push");
             }
             round_barrier.wait();
         }
