@@ -5,16 +5,12 @@
 //! (communication) — both linear, so the compute/comm *ratio* is nearly
 //! k-invariant, but the sync tail and absolute times are not. This sweep
 //! quantifies that on the simulator, per dataset.
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin ablation_k
-//! ```
 
-use hcc_bench::{fmt_pct, fmt_secs, plan, print_table};
+use crate::{fmt_pct, fmt_secs, plan, print_table, Flags};
 use hcc_hetsim::{ideal_computing_power, simulate_training, Platform, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     for profile in [DatasetProfile::netflix(), DatasetProfile::yahoo_r1()] {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&profile);
@@ -68,4 +64,5 @@ fn main() {
          the DP1/DP2 choice are nearly k-invariant — k only moves absolute time. The paper's \
          fixed k = 128 therefore loses no generality for the partition results."
     );
+    Ok(())
 }

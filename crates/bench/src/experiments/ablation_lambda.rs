@@ -5,12 +5,8 @@
 //! dataset, which λ values flip the DP1/DP2 choice and what each choice
 //! costs, plus the partition's robustness to measurement noise (DP1 plans
 //! from wall-clock measurements that jitter).
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin ablation_lambda
-//! ```
 
-use hcc_bench::{fmt_secs, print_table};
+use crate::{fmt_secs, print_table, Flags};
 use hcc_hetsim::{
     cost_model_for, standalone_times, virtual_measure, worker_classes, Platform, SimConfig,
     Workload,
@@ -18,7 +14,7 @@ use hcc_hetsim::{
 use hcc_partition::{equalize, perturbation_cost, sweep_lambda};
 use hcc_sparse::DatasetProfile;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let cfg = SimConfig::default();
     let lambdas = [0.5, 2.0, 5.0, 10.0, 20.0, 50.0, 200.0];
 
@@ -76,4 +72,5 @@ fn main() {
         "reading: a few percent of misplaced data costs about the same few percent of epoch \
          time — Algorithm 1's 10% stopping tolerance is safe."
     );
+    Ok(())
 }

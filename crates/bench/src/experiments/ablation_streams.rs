@@ -4,16 +4,12 @@
 //! transfer cost toward `1/streams` without touching compute. This sweep
 //! verifies the scaling law on the simulator for the communication-heavy
 //! workloads, and shows the diminishing returns past ~4 streams.
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin ablation_streams
-//! ```
 
-use hcc_bench::{fmt_secs, plan, print_table};
+use crate::{fmt_secs, plan, print_table, Flags};
 use hcc_hetsim::{simulate_epoch, Platform, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     for profile in [DatasetProfile::yahoo_r1(), DatasetProfile::movielens_20m()] {
         let platform = Platform::paper_testbed_3workers();
         let wl = Workload::from_profile(&profile);
@@ -68,4 +64,5 @@ fn main() {
          limit in the profiles) and flattens after — matching Fig. 6's 1/streams argument with \
          a hardware ceiling."
     );
+    Ok(())
 }

@@ -5,12 +5,8 @@
 //! every evaluation result leans on that independence. This experiment
 //! quantifies what happens when it *doesn't* hold: both GPUs behind one
 //! x16 switch (a common workstation board layout).
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin bus_contention
-//! ```
 
-use hcc_bench::{fmt_pct, fmt_secs, plan, print_table};
+use crate::{fmt_pct, fmt_secs, plan, print_table, Flags};
 use hcc_hetsim::{
     ideal_computing_power, simulate_training, BusKind, EpochTrace, Phase, Platform,
     ProcessorProfile, SimConfig, Workload,
@@ -37,7 +33,7 @@ fn link_time(trace: &EpochTrace, worker: usize) -> f64 {
     pulling + pushing
 }
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     for profile in [DatasetProfile::netflix(), DatasetProfile::yahoo_r1()] {
         let wl = Workload::from_profile(&profile);
         // R1 runs the async strategy, as in the paper.
@@ -86,4 +82,5 @@ fn main() {
          — the Fig.-2 channel-independence assumption matters exactly where communication is \
          already the bottleneck."
     );
+    Ok(())
 }

@@ -18,17 +18,12 @@
 //!    pattern and reports shipped vs full-buffer push bytes from its
 //!    [`hcc_mf::DeltaStats`].
 //!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin cluster_scaling \
-//!     [-- --epochs N --out results/BENCH_cluster.json]
-//! ```
-//!
-//! Writes `results/BENCH_cluster.json` (schema: `results/README.md`),
-//! diffed by the `perf_gate` binary in CI. `--quick` is accepted for CI
-//! symmetry with the other bench bins; the simulator is virtual-time, so
-//! quick and full runs produce identical numbers.
+//! `--out FILE.json` also writes the numbers as JSON; `results/BENCH_cluster.json`
+//! (schema: `results/README.md`) is that file, pinned byte for byte by
+//! `tests/results_fresh.rs`. The 3.2x floor the text names is asserted by
+//! `tests/paper_shape_regression.rs`.
 
-use hcc_bench::{fmt_mups, fmt_pct, plan, print_table};
+use crate::{fmt_mups, fmt_pct, plan, print_table, Flags};
 use hcc_comm::{CommShared, Precision, Transport};
 use hcc_hetsim::{ideal_computing_power, simulate_training, ClusterBuilder, SimConfig, Workload};
 use hcc_mf::ShardedServer;
@@ -148,21 +143,8 @@ fn replay_delta(epochs: usize) -> DeltaReplay {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut epochs = 20usize;
-    let mut out = "results/BENCH_cluster.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--epochs" => epochs = it.next().and_then(|v| v.parse().ok()).expect("--epochs N"),
-            "--out" => out = it.next().expect("--out FILE.json").clone(),
-            // Virtual-time simulation: quick == full, flag kept for CI
-            // symmetry with the other bench bins.
-            "--quick" => {}
-            other => panic!("unknown flag {other} (supported: --epochs N, --quick, --out FILE)"),
-        }
-    }
+pub fn run(flags: &Flags) -> Result<(), String> {
+    let epochs: usize = flags.parsed("--epochs", 20)?;
 
     let datasets: Vec<DatasetResult> = [DatasetProfile::yahoo_r2(), DatasetProfile::netflix()]
         .iter()
@@ -216,10 +198,6 @@ fn main() {
         delta.stats.bytes_shipped,
         shipped_ratio * 100.0
     );
-    let scaling_min = datasets
-        .iter()
-        .map(|d| d.scaling_4node)
-        .fold(f64::INFINITY, f64::min);
     println!(
         "4-node scaling: {} (floor for the perf gate: 3.2x)",
         datasets
@@ -229,6 +207,13 @@ fn main() {
             .join(", ")
     );
 
+    let Some(out) = flags.get("--out") else {
+        return Ok(());
+    };
+    let scaling_min = datasets
+        .iter()
+        .map(|d| d.scaling_4node)
+        .fold(f64::INFINITY, f64::min);
     let dataset_json: Vec<String> = datasets
         .iter()
         .map(|d| {
@@ -270,11 +255,7 @@ fn main() {
         delta.stats.bytes_full,
         shipped_ratio,
     );
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
+    std::fs::write(out, &json).map_err(|e| format!("write {out}: {e}"))?;
     eprintln!("wrote {out}");
+    Ok(())
 }

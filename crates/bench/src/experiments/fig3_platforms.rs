@@ -4,17 +4,13 @@
 //!     collaborations (planned partition + Q-only COMM), and on the three
 //!     deliberately bad configurations of §2.4.
 //! (b) the hardware price catalog.
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin fig3_platforms
-//! ```
 
-use hcc_bench::{fmt_secs, plan, print_table};
+use crate::{fmt_secs, plan, print_table, Flags};
 use hcc_comm::TransferStrategy;
 use hcc_hetsim::{simulate_training, Platform, ProcessorProfile, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let wl = Workload::from_profile(&DatasetProfile::netflix());
     let epochs = 20;
     let cfg = SimConfig::default();
@@ -140,4 +136,5 @@ fn main() {
         "6242+2080S at ${combo:.0} is {:.0}% of a V100's price — the paper's economy argument.",
         100.0 * combo / ProcessorProfile::tesla_v100().price_usd
     );
+    Ok(())
 }

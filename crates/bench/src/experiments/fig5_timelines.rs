@@ -1,12 +1,8 @@
 //! Figure 5 — epoch timing sequences under the three regimes:
 //! unoptimized, DP1 (balanced, sync negligible), and DP2 (staggered,
 //! sync hidden), rendered as ASCII timelines from simulator traces.
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin fig5_timelines
-//! ```
 
-use hcc_bench::plan;
+use crate::{plan, Flags};
 use hcc_comm::TransferStrategy;
 use hcc_hetsim::{simulate_epoch, EpochTrace, Phase, Platform, SimConfig, Workload};
 use hcc_partition::{dp0, dp2};
@@ -14,7 +10,7 @@ use hcc_sparse::DatasetProfile;
 
 const WIDTH: usize = 72;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let platform = Platform::paper_testbed_4workers();
 
     // Left sub-figure: original timing, no optimization — uniform split,
@@ -47,6 +43,7 @@ fn main() {
     let x2 = dp2(&x0, &t, model.sync_time_per_worker());
     let trace = simulate_epoch(&platform, &wl, &cfg, &x2);
     render("DP2: staggered compute hides sync (R1*)", &platform, &trace);
+    Ok(())
 }
 
 fn render(title: &str, platform: &Platform, trace: &EpochTrace) {

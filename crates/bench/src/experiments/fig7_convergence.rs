@@ -6,18 +6,14 @@
 //! convergence rate". Parts (d–f) report measured wall-clock on this
 //! machine plus the paper-scale speedup the calibrated simulator predicts
 //! (this box has no GPU — see DESIGN.md).
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin fig7_convergence
-//! ```
 
 use hcc_baselines::{CumfSgdSim, Fpsgd, TrainConfig};
-use hcc_bench::{fmt_secs, plan, print_table};
+use crate::{fmt_secs, plan, print_table, Flags};
 use hcc_hetsim::{simulate_training, Platform, ProcessorProfile, SimConfig, Workload};
 use hcc_mf::{HccConfig, HccMf, LearningRate, WorkerSpec};
 use hcc_sparse::{DatasetProfile, SyntheticDataset};
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -85,7 +81,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let hcc = HccMf::new(hcc_cfg)
             .train(&ds.matrix)
-            .expect("hcc training failed");
+            .map_err(|e| e.to_string())?;
         let hcc_time = t0.elapsed();
 
         // (a–c): RMSE vs epoch, sampled.
@@ -167,4 +163,5 @@ fn main() {
              R2 2.9x/3.13x"
         );
     }
+    Ok(())
 }

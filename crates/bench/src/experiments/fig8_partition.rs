@@ -1,12 +1,8 @@
 //! Figure 8 — cumulative 20-epoch pull/compute/push time per data-partition
 //! strategy: DP0 vs DP1 on Netflix and R2 (3 and 4 workers), DP1 vs DP2 on
 //! R1* (3 and 4 workers).
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin fig8_partition
-//! ```
 
-use hcc_bench::{fmt_secs, print_table};
+use crate::{fmt_secs, print_table, Flags};
 use hcc_hetsim::{
     cost_model_for, simulate_training, standalone_times, virtual_measure, worker_classes, Platform,
     SimConfig, Workload,
@@ -14,7 +10,7 @@ use hcc_hetsim::{
 use hcc_partition::{dp0, dp1, dp2, Dp1Options};
 use hcc_sparse::DatasetProfile;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let epochs = 20;
     let cfg = SimConfig::default();
 
@@ -68,6 +64,7 @@ fn main() {
             );
         }
     }
+    Ok(())
 }
 
 fn partition(name: &str, platform: &Platform, wl: &Workload, cfg: &SimConfig) -> Vec<f64> {

@@ -1,18 +1,14 @@
 //! Figure 9 — computing power stacked as workers are added one by one, per
 //! dataset, against the ideal stack.
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin fig9_scaling
-//! ```
 
-use hcc_bench::{fmt_mups, fmt_pct, plan, print_table};
+use crate::{fmt_mups, fmt_pct, plan, print_table, Flags};
 use hcc_hetsim::{
     ideal_computing_power, simulate_training, BusKind, Platform, ProcessorProfile, SimConfig,
     Workload,
 };
 use hcc_sparse::DatasetProfile;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let epochs = 20;
 
     for profile in [
@@ -88,4 +84,5 @@ fn main() {
         "\npaper shape: power always grows with workers; ordinary workers contribute >80% of \
          their standalone power on Netflix/R2, ~45% on R1/R1*; the server-sharing worker >70%."
     );
+    Ok(())
 }

@@ -1,83 +1,28 @@
-//! `hcc-sim` — interactive access to the virtual platform: plan a partition
-//! and simulate an epoch for any dataset/worker/strategy combination.
-//!
-//! ```text
-//! hcc-sim [--dataset netflix|r1|r1star|r2|movielens]
-//!         [--workers testbed4|testbed3|overall|FILE-less specs: 6242,2080,2080s,v100,6242l]
-//!         [--strategy pq|q|halfq] [--streams N] [--epochs N] [--csv PREFIX]
-//! ```
-//!
-//! Example:
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin hcc-sim -- --dataset r1 --workers 6242,2080s --streams 4
-//! ```
+//! Interactive access to the virtual platform: plan a partition and
+//! simulate an epoch for any dataset/worker/strategy combination, e.g.
+//! `hcc-bench hcc_sim --dataset r1 --workers 6242,2080s --streams 4`.
+//! Worker lists are built from `6242`, `6242-16t`, `6242l` (server-hosted),
+//! `2080`, `2080s` and `v100`.
 
-use hcc_bench::{fmt_mups, fmt_pct, fmt_secs, plan};
+use crate::{fmt_mups, fmt_pct, fmt_secs, plan, Flags};
 use hcc_comm::TransferStrategy;
 use hcc_hetsim::{
     export, ideal_computing_power, simulate_epoch, simulate_training, BusKind, Platform,
     ProcessorProfile, SimConfig, Workload,
 };
 use hcc_sparse::DatasetProfile;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: hcc-sim [--dataset netflix|r1|r1star|r2|movielens] \
-                 [--workers testbed4|testbed3|overall|6242,2080s,...] \
-                 [--strategy pq|q|halfq] [--streams N] [--epochs N] [--csv PREFIX]"
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
+pub fn run(flags: &Flags) -> Result<(), String> {
+    let strategy = match flags.get("--strategy").unwrap_or("q") {
+        "pq" => TransferStrategy::FullPq,
+        "q" => TransferStrategy::QOnly,
+        "halfq" => TransferStrategy::HalfQ,
+        other => return Err(format!("unknown strategy {other}")),
+    };
+    let streams: usize = flags.parsed("--streams", 1)?;
+    let epochs: usize = flags.parsed("--epochs", 20)?;
 
-fn run(args: &[String]) -> Result<(), String> {
-    let mut dataset = "netflix".to_string();
-    let mut workers = "testbed4".to_string();
-    let mut strategy = TransferStrategy::QOnly;
-    let mut streams = 1usize;
-    let mut epochs = 20usize;
-    let mut csv: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut next = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--dataset" => dataset = next("--dataset")?,
-            "--workers" => workers = next("--workers")?,
-            "--streams" => {
-                streams = next("--streams")?
-                    .parse()
-                    .map_err(|e| format!("--streams: {e}"))?
-            }
-            "--epochs" => {
-                epochs = next("--epochs")?
-                    .parse()
-                    .map_err(|e| format!("--epochs: {e}"))?
-            }
-            "--csv" => csv = Some(next("--csv")?),
-            "--strategy" => {
-                strategy = match next("--strategy")?.as_str() {
-                    "pq" => TransferStrategy::FullPq,
-                    "q" => TransferStrategy::QOnly,
-                    "halfq" => TransferStrategy::HalfQ,
-                    other => return Err(format!("unknown strategy {other}")),
-                }
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-
-    let profile = match dataset.as_str() {
+    let profile = match flags.get("--dataset").unwrap_or("netflix") {
         "netflix" => DatasetProfile::netflix(),
         "r1" => DatasetProfile::yahoo_r1(),
         "r1star" => DatasetProfile::r1_star(),
@@ -85,7 +30,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "movielens" => DatasetProfile::movielens_20m(),
         other => return Err(format!("unknown dataset {other}")),
     };
-    let platform = parse_platform(&workers)?;
+    let platform = parse_platform(flags.get("--workers").unwrap_or("testbed4"))?;
     let wl = Workload::from_profile(&profile);
     let cfg = SimConfig {
         strategy,
@@ -147,9 +92,9 @@ fn run(args: &[String]) -> Result<(), String> {
         fmt_pct(sim.computing_power / ideal)
     );
 
-    if let Some(prefix) = csv {
+    if let Some(prefix) = flags.get("--csv") {
         let (spans, totals) =
-            export::write_csvs(&prefix, &platform, &trace).map_err(|e| e.to_string())?;
+            export::write_csvs(prefix, &platform, &trace).map_err(|e| e.to_string())?;
         println!(
             "trace CSVs written: {} / {}",
             spans.display(),

@@ -8,10 +8,6 @@
 //! relative error — small errors mean the paper's analytical planning on
 //! top of the model is sound.
 //!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin model_validation [-- --measured]
-//! ```
-//!
 //! With `--measured`, a real heterogeneous 4-worker training run executes
 //! with telemetry enabled and the *measured* per-worker `t_comp` is scored
 //! against the model's prediction from the partition fractions — the
@@ -19,14 +15,14 @@
 //! archives the deterministic simulator section and
 //! `results/model_validation_measured.txt` the wall-clock one.
 
-use hcc_bench::{fmt_secs, plan, print_table};
+use crate::{fmt_secs, plan, print_table, Flags};
 use hcc_hetsim::{cost_model_for, simulate_epoch, standalone_times, Platform, SimConfig, Workload};
 use hcc_partition::dp0;
 use hcc_sparse::DatasetProfile;
 
 /// Trains for real (no simulation) with telemetry on, and prints the
 /// measured-vs-model report for each partition strategy.
-fn measured_section() {
+fn measured_section() -> Result<(), String> {
     use hcc_mf::{HccConfig, HccMf, PartitionMode, WorkerSpec};
     use hcc_sparse::{GenConfig, SyntheticDataset};
 
@@ -67,7 +63,9 @@ fn measured_section() {
             .seed(17)
             .telemetry(&scratch)
             .build();
-        let report = HccMf::new(config).train(&ds.matrix).unwrap();
+        let report = HccMf::new(config)
+            .train(&ds.matrix)
+            .map_err(|e| e.to_string())?;
         println!("\n[{name}]");
         match hcc_mf::observe::model_validation(&report) {
             Some(v) => print!("{}", hcc_mf::observe::model_validation_text(&v)),
@@ -75,10 +73,10 @@ fn measured_section() {
         }
     }
     std::fs::remove_file(&scratch).ok();
+    Ok(())
 }
 
-fn main() {
-    let measured = std::env::args().skip(1).any(|a| a == "--measured");
+pub fn run(flags: &Flags) -> Result<(), String> {
     let cfg = SimConfig::default();
     let mut rows = Vec::new();
     let mut worst: f64 = 0.0;
@@ -146,7 +144,8 @@ fn main() {
         worst * 100.0
     );
 
-    if measured {
-        measured_section();
+    if flags.get("--measured").is_some() {
+        measured_section()?;
     }
+    Ok(())
 }

@@ -5,17 +5,13 @@
 //! This is *real training* on this machine; on a single-core box the time
 //! column measures overhead structure (barriers, channels, scheduling),
 //! not parallel speedup.
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin related_work
-//! ```
 
 use hcc_baselines::{CumfSgdSim, Dsgd, Fpsgd, Nomad, SerialSgd, TrainConfig, TrainReport};
-use hcc_bench::{fmt_secs, print_table};
+use crate::{fmt_secs, print_table, Flags};
 use hcc_mf::{HccConfig, HccMf, LearningRate, WorkerSpec};
 use hcc_sparse::{DatasetProfile, SyntheticDataset};
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let profile = DatasetProfile::netflix();
     let ds = SyntheticDataset::generate(profile.scaled_gen_config(600.0, 42));
     let epochs = 25;
@@ -75,7 +71,7 @@ fn main() {
         ])
         .track_rmse(true)
         .build();
-    let report = HccMf::new(hcc_cfg).train(&ds.matrix).expect("hcc");
+    let report = HccMf::new(hcc_cfg).train(&ds.matrix).map_err(|e| e.to_string())?;
     rows.push(vec![
         "HCC-MF".to_string(),
         format!("{:.4}", report.rmse_history[0]),
@@ -102,4 +98,5 @@ fn main() {
          overheads differ — DSGD pays d barriers/epoch, NOMAD pays channel hops, HCC-MF pays \
          pull/push/sync but hides them."
     );
+    Ok(())
 }

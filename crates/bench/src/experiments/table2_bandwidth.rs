@@ -1,16 +1,12 @@
 //! Table 2 — runtime memory bandwidth per worker: independent ("IW", full
 //! data) vs. under the DP0 partition.
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin table2_bandwidth
-//! ```
 
-use hcc_bench::print_table;
+use crate::{print_table, Flags};
 use hcc_hetsim::{bandwidth_table, standalone_times, Platform, Workload};
 use hcc_partition::dp0;
 use hcc_sparse::DatasetProfile;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let platform = Platform::paper_testbed_4workers();
     let wl = Workload::from_profile(&DatasetProfile::netflix());
     let x0 = dp0(&standalone_times(&platform, &wl));
@@ -61,4 +57,5 @@ fn main() {
             .map(|v| (v * 1000.0).round() / 10.0)
             .collect::<Vec<_>>()
     );
+    Ok(())
 }

@@ -1,15 +1,11 @@
 //! Table 4 — per-processor "computing power" (Eq. 8), the platform ideal,
 //! HCC-MF's achieved power, and the utilization percentage, per dataset.
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin table4_power
-//! ```
 
-use hcc_bench::{fmt_mups, fmt_pct, plan, print_table};
+use crate::{fmt_mups, fmt_pct, plan, print_table, Flags};
 use hcc_hetsim::{ideal_computing_power, simulate_training, Platform, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let epochs = 20;
 
     // Paper Table 4 utilization for comparison.
@@ -90,4 +86,5 @@ fn main() {
         "shape: Netflix and R2 land near 85–90%, R1 well below them, MovieLens lowest \
          (communication-bound, §4.6)."
     );
+    Ok(())
 }

@@ -7,19 +7,15 @@
 //! 2. paper-scale communication times from the simulator using the probed
 //!    ratio, with speedups relative to the unoptimized P&Q row — the shape
 //!    Table 5 reports.
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin table5_comm
-//! ```
 
-use hcc_bench::{fmt_secs, print_table};
+use crate::{fmt_secs, print_table, Flags};
 use hcc_comm::{CommP, CommShared, Precision, TransferStrategy, Transport};
 use hcc_hetsim::{simulate_training, standalone_times, Platform, SimConfig, Workload};
 use hcc_partition::dp0;
 use hcc_sparse::DatasetProfile;
 use std::time::Instant;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     // --- Part 1: probe real transports -----------------------------------
     let elems = 8 << 20; // 32 MiB of f32
     let payload: Vec<f32> = (0..elems).map(|j| (j % 1009) as f32 * 0.003).collect();
@@ -103,6 +99,7 @@ fn main() {
         "\npaper speedups (COMM): Netflix 18.3x/58x, R1 2.9x/9.6x, R2 7.5x/22.6x for Q/half-Q \
          over P&Q; COMM-P is uniformly ~6–7x slower than COMM."
     );
+    Ok(())
 }
 
 /// Measures publish→pull→push→collect bandwidth for one worker.

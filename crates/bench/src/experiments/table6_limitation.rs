@@ -1,16 +1,12 @@
 //! Table 6 — the MovieLens-20m limitation: adding a second GPU halves the
 //! compute time but the near-square matrix keeps communication constant,
 //! so the total barely moves (§4.6).
-//!
-//! ```sh
-//! cargo run --release -p hcc-bench --bin table6_limitation
-//! ```
 
-use hcc_bench::{fmt_secs, plan, print_table};
+use crate::{fmt_secs, plan, print_table, Flags};
 use hcc_hetsim::{simulate_training, Platform, ProcessorProfile, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<(), String> {
     let profile = DatasetProfile::movielens_20m();
     let wl = Workload::from_profile(&profile);
     let cfg = SimConfig::default();
@@ -65,4 +61,5 @@ fn main() {
         totals[0] / totals[1],
         profile.nnz_per_dim(),
     );
+    Ok(())
 }

@@ -1,14 +1,15 @@
-//! The committed `results/` cannot drift from the code: every deterministic
-//! simulator-backed experiment binary is re-run and its stdout compared
-//! byte for byte with the archived `results/<name>.txt` (and
-//! `cluster_scaling`'s JSON with `results/BENCH_cluster.json`).
+//! The committed `results/` cannot drift from the code: every
+//! [`Archive::Pinned`] row of `hcc_bench::EXPERIMENTS` is re-run and its
+//! stdout compared byte for byte with the archived `results/<name>.txt`
+//! (and `cluster_scaling --out` with `results/BENCH_cluster.json`), and
+//! every file under `results/` must belong to a row.
 //!
-//! Binaries that time real training or kernels on the local machine
-//! (`fig7_convergence`, `related_work`, `table5_comm`, `hotpath`, `serving*`,
-//! `telemetry`, `model_validation --measured`) are not reproducible and are
-//! skipped. To accept a deliberate change, regenerate the file as
-//! `results/README.md` describes.
+//! [`Archive::WallClock`] rows time real training or transports on the
+//! local machine; their archives are records and are not compared. To
+//! accept a deliberate change, regenerate the file as `results/README.md`
+//! describes.
 
+use hcc_bench::{Archive, EXPERIMENTS};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -16,14 +17,18 @@ fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
-fn stdout_of(exe: &str, args: &[&str]) -> String {
-    let out = Command::new(exe)
+fn hcc_bench(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_hcc-bench"))
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("running {exe}: {e}"));
+        .unwrap_or_else(|e| panic!("running hcc-bench {args:?}: {e}"))
+}
+
+fn stdout_of(args: &[&str]) -> String {
+    let out = hcc_bench(args);
     assert!(
         out.status.success(),
-        "{exe} failed:\n{}",
+        "hcc-bench {args:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("experiment output is UTF-8")
@@ -51,21 +56,8 @@ fn assert_matches_committed(name: &str, fresh: &str) {
 
 #[test]
 fn simulator_backed_text_results_are_fresh() {
-    for (name, exe) in [
-        ("fig3_platforms", env!("CARGO_BIN_EXE_fig3_platforms")),
-        ("table2_bandwidth", env!("CARGO_BIN_EXE_table2_bandwidth")),
-        ("fig5_timelines", env!("CARGO_BIN_EXE_fig5_timelines")),
-        ("fig8_partition", env!("CARGO_BIN_EXE_fig8_partition")),
-        ("table4_power", env!("CARGO_BIN_EXE_table4_power")),
-        ("fig9_scaling", env!("CARGO_BIN_EXE_fig9_scaling")),
-        ("table6_limitation", env!("CARGO_BIN_EXE_table6_limitation")),
-        ("ablation_lambda", env!("CARGO_BIN_EXE_ablation_lambda")),
-        ("ablation_streams", env!("CARGO_BIN_EXE_ablation_streams")),
-        ("ablation_k", env!("CARGO_BIN_EXE_ablation_k")),
-        ("bus_contention", env!("CARGO_BIN_EXE_bus_contention")),
-        ("model_validation", env!("CARGO_BIN_EXE_model_validation")),
-    ] {
-        assert_matches_committed(&format!("{name}.txt"), &stdout_of(exe, &[]));
+    for e in EXPERIMENTS.iter().filter(|e| e.archive == Archive::Pinned) {
+        assert_matches_committed(&format!("{}.txt", e.name), &stdout_of(&[e.name]));
     }
 }
 
@@ -73,9 +65,58 @@ fn simulator_backed_text_results_are_fresh() {
 fn cluster_scaling_text_and_json_are_fresh() {
     let json = std::env::temp_dir().join(format!("hcc_results_fresh_{}.json", std::process::id()));
     let json_arg = json.to_str().expect("temp path is UTF-8");
-    let stdout = stdout_of(env!("CARGO_BIN_EXE_cluster_scaling"), &["--out", json_arg]);
+    let stdout = stdout_of(&["cluster_scaling", "--out", json_arg]);
     let fresh_json = std::fs::read_to_string(&json).expect("cluster_scaling wrote its --out file");
     std::fs::remove_file(&json).ok();
     assert_matches_committed("cluster_scaling.txt", &stdout);
     assert_matches_committed("BENCH_cluster.json", &fresh_json);
+}
+
+/// `results/` holds exactly what the table says it does: no archive of a
+/// deleted experiment lingers, and no archived experiment lacks its file.
+#[test]
+fn every_archive_belongs_to_an_experiment_and_every_experiment_has_its_archive() {
+    let mut claimed: Vec<String> = vec!["README.md".into()];
+    for e in EXPERIMENTS.iter().filter(|e| e.archive != Archive::None) {
+        claimed.push(format!("{}.txt", e.name));
+        claimed.extend(e.also.iter().map(|f| f.to_string()));
+    }
+    let mut present: Vec<String> = std::fs::read_dir(results_dir())
+        .expect("results/ exists")
+        .map(|f| {
+            f.expect("readable entry")
+                .file_name()
+                .into_string()
+                .expect("UTF-8 name")
+        })
+        .collect();
+    claimed.sort();
+    present.sort();
+    assert_eq!(
+        present, claimed,
+        "left: results/, right: hcc_bench::EXPERIMENTS"
+    );
+}
+
+/// A command line the table does not accept ends in the usage text on
+/// stderr and exit code 2, never in a panic.
+#[test]
+fn bad_command_lines_print_the_usage_and_exit_2() {
+    for args in [
+        &["fig99_nothing"][..],
+        &["cluster_scaling", "--quick"],
+        &["cluster_scaling", "--epochs"],
+        &["fig3_platforms", "--epochs", "3"],
+        &[],
+    ] {
+        let out = hcc_bench(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: hcc-bench") && !stderr.contains("panicked"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed results");
+    }
 }

@@ -10,7 +10,7 @@
 use crate::error::HccError;
 use crate::report::HccReport;
 use crate::train::HccMf;
-use hcc_serve::{Recommender, ServeError};
+use hcc_serve::{ServeEngine, ServeError, ServedModel};
 use hcc_sparse::{CooMatrix, Rating};
 
 /// The fitted `μ + b_u + c_i` baseline.
@@ -108,44 +108,45 @@ impl BaselinePredictor {
 }
 
 /// A trained biased model: baseline + factors over residuals.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BiasedRecommender {
     baseline: BaselinePredictor,
-    inner: Recommender,
+    inner: ServeEngine,
 }
 
 impl BiasedRecommender {
     /// Assembles from a fitted baseline, a residual-training report, and the
-    /// original training matrix (for seen-item exclusion).
+    /// original training matrix (for seen-item exclusion); factors that do
+    /// not fit the matrix are a [`ServeError::DimMismatch`].
     pub fn new(
         baseline: BaselinePredictor,
         report: &HccReport,
         train: &CooMatrix,
-    ) -> BiasedRecommender {
-        BiasedRecommender {
+    ) -> Result<BiasedRecommender, ServeError> {
+        let model = ServedModel::build(report.p.clone(), report.q.clone(), Some(train), 1)?;
+        Ok(BiasedRecommender {
             baseline,
-            inner: Recommender::new(report.p.clone(), report.q.clone(), train),
-        }
+            inner: ServeEngine::new(model),
+        })
     }
 
-    /// Full prediction `μ + b_u + c_i + p_u·q_i`.
-    pub fn predict(&self, u: u32, i: u32) -> f32 {
-        self.baseline.predict(u, i) + self.inner.predict(u, i)
+    /// Full prediction `μ + b_u + c_i + p_u·q_i`; an out-of-range id is a
+    /// typed error.
+    pub fn predict(&self, u: u32, i: u32) -> Result<f32, ServeError> {
+        Ok(self.baseline.predict(u, i) + self.inner.predict(u, i)?)
     }
 
     /// RMSE of the full model over `entries`.
-    pub fn rmse(&self, entries: &[Rating]) -> f64 {
+    pub fn rmse(&self, entries: &[Rating]) -> Result<f64, ServeError> {
         if entries.is_empty() {
-            return 0.0;
+            return Ok(0.0);
         }
-        let sum: f64 = entries
-            .iter()
-            .map(|e| {
-                let d = e.r as f64 - self.predict(e.u, e.i) as f64;
-                d * d
-            })
-            .sum();
-        (sum / entries.len() as f64).sqrt()
+        let mut sum = 0.0f64;
+        for e in entries {
+            let d = e.r as f64 - self.predict(e.u, e.i)? as f64;
+            sum += d * d;
+        }
+        Ok((sum / entries.len() as f64).sqrt())
     }
 
     /// Top-k unseen items by full prediction; an out-of-range user is a
@@ -155,16 +156,16 @@ impl BiasedRecommender {
         // per user and don't affect ordering).
         let mut scored: Vec<(u32, f32)> = self
             .inner
-            .top_k(user, self.inner.items())? // all unseen, residual-ranked
+            .top_k(user, self.baseline.item_bias.len())? // all unseen, residual-ranked
             .into_iter()
             .map(|(i, s)| (i, s + self.baseline.item_bias[i as usize]))
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(count);
-        Ok(scored
+        scored
             .into_iter()
-            .map(|(i, _)| (i, self.predict(user, i)))
-            .collect())
+            .map(|(i, _)| Ok((i, self.predict(user, i)?)))
+            .collect()
     }
 
     /// The fitted baseline.
@@ -186,7 +187,7 @@ impl HccMf {
         let baseline = BaselinePredictor::fit(matrix, damping);
         let residuals = baseline.residual_matrix(matrix);
         let report = self.train(&residuals)?;
-        let rec = BiasedRecommender::new(baseline.clone(), &report, matrix);
+        let rec = BiasedRecommender::new(baseline.clone(), &report, matrix)?;
         Ok((baseline, report, rec))
     }
 }
@@ -291,7 +292,7 @@ mod tests {
         let (_, _, biased) = trainer.train_biased(&matrix, 5.0).unwrap();
         let plain = trainer.train(&matrix).unwrap();
         let plain_rmse = hcc_sgd::rmse(matrix.entries(), &plain.p, &plain.q);
-        let biased_rmse = biased.rmse(matrix.entries());
+        let biased_rmse = biased.rmse(matrix.entries()).unwrap();
         assert!(
             biased_rmse < plain_rmse * 0.8,
             "biased {biased_rmse} vs plain {plain_rmse}"

@@ -14,7 +14,7 @@ use crate::metrics::evaluate_ranking;
 use crate::train::HccMf;
 use hcc_comm::TransferStrategy;
 use hcc_serve::{
-    AdmissionConfig, AdmissionPipeline, Precision, Recommender, ServeEngine, ServeError,
+    AdmissionConfig, AdmissionPipeline, Precision, ServeEngine, ServeError, ServedModel,
 };
 use hcc_sgd::{LearningRate, Schedule};
 use hcc_sparse::stats::row_count_quantiles;
@@ -479,11 +479,9 @@ pub fn run(cmd: CliCommand, out: &mut dyn Write) -> Result<(), String> {
         } => {
             let (p, q) = crate::checkpoint::load_model(&model).map_err(|e| e.to_string())?;
             let matrix = hcc_sparse::io::read_triples_file(&ratings).map_err(|e| e.to_string())?;
-            if user as usize >= p.rows() {
-                return Err(format!("user {user} out of range (model has {})", p.rows()));
-            }
-            let rec = Recommender::new(p, q, &matrix);
-            for (item, score) in rec.top_k(user, count).map_err(|e| e.to_string())? {
+            let model = ServedModel::build(p, q, Some(&matrix), 1).map_err(|e| e.to_string())?;
+            let top = ServeEngine::new(model).top_k(user, count);
+            for (item, score) in top.map_err(|e| e.to_string())? {
                 writeln!(out, "{item}\t{score:.3}").ok();
             }
             Ok(())
@@ -701,9 +699,12 @@ pub fn run(cmd: CliCommand, out: &mut dyn Write) -> Result<(), String> {
                 let rmse = hcc_sgd::rmse(test.entries(), &report.p, &report.q);
                 writeln!(out, "held-out RMSE: {rmse:.4}").ok();
                 if args.rank_metrics {
-                    let rec = Recommender::new(report.p.clone(), report.q.clone(), &train);
+                    let model =
+                        ServedModel::build(report.p.clone(), report.q.clone(), Some(&train), 1)
+                            .map_err(|e| e.to_string())?;
                     let threshold = matrix.mean_rating() as f32;
-                    let m = evaluate_ranking(&rec, test, 10, threshold);
+                    let m = evaluate_ranking(&ServeEngine::new(model), test, 10, threshold)
+                        .map_err(|e| e.to_string())?;
                     writeln!(
                         out,
                         "ranking@10: precision {:.3}, recall {:.3}, NDCG {:.3} ({} users)",

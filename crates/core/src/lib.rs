@@ -80,6 +80,6 @@ pub use train::HccMf;
 // Re-export the pieces users compose with.
 pub use hcc_comm::TransferStrategy;
 pub use hcc_partition::StrategyChoice;
-pub use hcc_serve::{FoldInConfig, Recommender, ServeEngine, ServeError, ServeStats, ServedModel};
+pub use hcc_serve::{FoldInConfig, ServeEngine, ServeError, ServeStats, ServedModel};
 pub use hcc_sgd::{FactorMatrix, LearningRate};
 pub use hcc_telemetry::{Telemetry, Timeline};

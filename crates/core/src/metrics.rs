@@ -2,10 +2,10 @@
 //!
 //! RMSE (what the paper's Fig. 7 reports) measures rating reconstruction;
 //! a deployed recommender is judged on ranking. This module evaluates a
-//! `Recommender` against a held-out test set with the
-//! standard top-k metrics: precision@k, recall@k and NDCG@k.
+//! [`ServeEngine`] against a held-out test set with the standard top-k
+//! metrics: precision@k, recall@k and NDCG@k.
 
-use hcc_serve::Recommender;
+use hcc_serve::{ServeEngine, ServeError};
 use hcc_sparse::{CooMatrix, CsrMatrix};
 
 /// Aggregated ranking metrics over all evaluable test users.
@@ -25,20 +25,28 @@ pub struct RankingMetrics {
 
 /// Evaluates top-k recommendations against `test`. An item is *relevant*
 /// for a user when its held-out rating is `>= relevance_threshold`. Users
-/// with no relevant test items are skipped.
+/// with no relevant test items are skipped. A test matrix whose shape is
+/// not the served model's is a [`ServeError::DimMismatch`].
 ///
 /// # Panics
-/// Panics if `k == 0` or the test matrix dimensions disagree with the
-/// recommender's.
+/// Panics if `k == 0`.
 pub fn evaluate_ranking(
-    rec: &Recommender,
+    engine: &ServeEngine,
     test: &CooMatrix,
     k: usize,
     relevance_threshold: f32,
-) -> RankingMetrics {
+) -> Result<RankingMetrics, ServeError> {
     assert!(k > 0, "cut-off k must be non-zero");
-    assert_eq!(test.rows() as usize, rec.users(), "user count mismatch");
-    assert_eq!(test.cols() as usize, rec.items(), "item count mismatch");
+    let model = engine.model();
+    if (test.rows() as usize, test.cols() as usize) != (model.users(), model.items()) {
+        return Err(ServeError::DimMismatch(format!(
+            "test matrix is {}x{}, model serves {} users x {} items",
+            test.rows(),
+            test.cols(),
+            model.users(),
+            model.items()
+        )));
+    }
 
     let test_csr = CsrMatrix::from(test);
     let mut precision_sum = 0.0;
@@ -60,9 +68,7 @@ pub fn evaluate_ranking(
         relevant.sort_unstable();
         users += 1;
 
-        let top = rec
-            .top_k(u, k)
-            .expect("u ranges over test rows, asserted == rec.users()");
+        let top = engine.top_k(u, k)?;
         let hits: Vec<bool> = top
             .iter()
             .map(|(i, _)| relevant.binary_search(i).is_ok())
@@ -87,29 +93,34 @@ pub fn evaluate_ranking(
     }
 
     let base = users.max(1) as f64;
-    RankingMetrics {
+    Ok(RankingMetrics {
         precision: precision_sum / base,
         recall: recall_sum / base,
         ndcg: ndcg_sum / base,
         users_evaluated: users,
         k,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_serve::ServedModel;
     use hcc_sgd::FactorMatrix;
     use hcc_sparse::Rating;
 
+    fn engine(p: FactorMatrix, q: FactorMatrix, train: &CooMatrix) -> ServeEngine {
+        ServeEngine::new(ServedModel::build(p, q, Some(train), 1).unwrap())
+    }
+
     /// Build a 2-user, 4-item recommender with k=1 factors whose scores
     /// rank items 3 > 2 > 1 > 0 for both users.
-    fn fixture() -> (Recommender, CooMatrix) {
+    fn fixture() -> (ServeEngine, CooMatrix) {
         let p = FactorMatrix::from_vec(2, 1, vec![1.0, 1.0]);
         let q = FactorMatrix::from_vec(4, 1, vec![0.1, 0.2, 0.3, 0.4]);
         // Neither user has seen anything during training.
         let train = CooMatrix::new(2, 4, vec![]).unwrap();
-        let rec = Recommender::new(p, q, &train);
+        let rec = engine(p, q, &train);
         // Test: user 0 loves items 3 and 0; user 1 loves item 1 only.
         let test = CooMatrix::new(
             2,
@@ -128,7 +139,7 @@ mod tests {
     #[test]
     fn metrics_hand_computed() {
         let (rec, test) = fixture();
-        let m = evaluate_ranking(&rec, &test, 2, 4.0);
+        let m = evaluate_ranking(&rec, &test, 2, 4.0).unwrap();
         assert_eq!(m.users_evaluated, 2);
         // User 0: top-2 = {3, 2}; relevant {3, 0} → P = 1/2, R = 1/2.
         // User 1: top-2 = {3, 2}; relevant {1}   → P = 0,   R = 0.
@@ -144,10 +155,10 @@ mod tests {
         let p = FactorMatrix::from_vec(1, 1, vec![1.0]);
         let q = FactorMatrix::from_vec(3, 1, vec![3.0, 2.0, 1.0]);
         let train = CooMatrix::new(1, 3, vec![]).unwrap();
-        let rec = Recommender::new(p, q, &train);
+        let rec = engine(p, q, &train);
         let test =
             CooMatrix::new(1, 3, vec![Rating::new(0, 0, 5.0), Rating::new(0, 1, 5.0)]).unwrap();
-        let m = evaluate_ranking(&rec, &test, 2, 4.0);
+        let m = evaluate_ranking(&rec, &test, 2, 4.0).unwrap();
         assert!((m.precision - 1.0).abs() < 1e-12);
         assert!((m.recall - 1.0).abs() < 1e-12);
         assert!((m.ndcg - 1.0).abs() < 1e-12);
@@ -157,16 +168,24 @@ mod tests {
     fn users_without_relevant_items_are_skipped() {
         let (rec, _) = fixture();
         let test = CooMatrix::new(2, 4, vec![Rating::new(0, 1, 1.0)]).unwrap();
-        let m = evaluate_ranking(&rec, &test, 2, 4.0);
+        let m = evaluate_ranking(&rec, &test, 2, 4.0).unwrap();
         assert_eq!(m.users_evaluated, 0);
         assert_eq!(m.precision, 0.0);
+    }
+
+    #[test]
+    fn a_test_matrix_of_another_shape_is_a_typed_error() {
+        let (rec, _) = fixture();
+        let test = CooMatrix::new(3, 4, vec![Rating::new(2, 1, 5.0)]).unwrap();
+        let err = evaluate_ranking(&rec, &test, 2, 4.0).unwrap_err();
+        assert!(matches!(err, ServeError::DimMismatch(_)), "{err:?}");
     }
 
     #[test]
     #[should_panic(expected = "cut-off")]
     fn zero_k_panics() {
         let (rec, test) = fixture();
-        evaluate_ranking(&rec, &test, 0, 4.0);
+        evaluate_ranking(&rec, &test, 0, 4.0).ok();
     }
 
     #[test]
@@ -190,15 +209,15 @@ mod tests {
             .workers(vec![WorkerSpec::cpu(2)])
             .build();
         let report = HccMf::new(cfg).train(&train).unwrap();
-        let trained = Recommender::new(report.p, report.q, &train);
-        let trained_m = evaluate_ranking(&trained, &test, 10, threshold);
+        let trained = engine(report.p, report.q, &train);
+        let trained_m = evaluate_ranking(&trained, &test, 10, threshold).unwrap();
 
-        let random = Recommender::new(
+        let random = engine(
             FactorMatrix::random(200, 8, 99),
             FactorMatrix::random(100, 8, 100),
             &train,
         );
-        let random_m = evaluate_ranking(&random, &test, 10, threshold);
+        let random_m = evaluate_ranking(&random, &test, 10, threshold).unwrap();
         assert!(
             trained_m.ndcg > random_m.ndcg * 1.3,
             "trained {:?} vs random {:?}",

@@ -534,18 +534,8 @@ impl std::fmt::Debug for ServeEngine {
     }
 }
 
-/// Single-query top-k on a snapshot (shared by the engine and the
-/// compatibility [`Recommender`](crate::Recommender)).
-pub(crate) fn top_k_on(
-    model: &ServedModel,
-    user: u32,
-    count: usize,
-) -> Result<Vec<(u32, f32)>, ServeError> {
-    Ok(top_k_counted(model, user, count)?.0)
-}
-
-/// [`top_k_on`] plus the number of items actually scored (for the
-/// engine's scan-fraction statistic).
+/// Single-query top-k on a snapshot, plus the number of items actually
+/// scored (for the engine's scan-fraction statistic).
 fn top_k_counted(
     model: &ServedModel,
     user: u32,
@@ -812,6 +802,24 @@ mod tests {
         let got_items: Vec<u32> = got.iter().map(|e| e.0).collect();
         let want_items: Vec<u32> = want.iter().map(|e| e.0).collect();
         assert_eq!(got_items, want_items);
+    }
+
+    /// 2 users, 3 items, k = 1: scores are products of scalars.
+    #[test]
+    fn hand_computed_predictions_and_rankings() {
+        let p = FactorMatrix::from_vec(2, 1, vec![1.0, 2.0]);
+        let q = FactorMatrix::from_vec(3, 1, vec![3.0, 1.0, 2.0]);
+        let train =
+            CooMatrix::new(2, 3, vec![Rating::new(0, 0, 5.0), Rating::new(1, 2, 4.0)]).unwrap();
+        let engine = ServeEngine::new(ServedModel::build(p, q, Some(&train), 1).unwrap());
+        assert_eq!((engine.model().users(), engine.model().items()), (2, 3));
+        assert_eq!(engine.predict(0, 0), Ok(3.0));
+        assert_eq!(engine.predict(1, 2), Ok(4.0));
+        // User 0 has seen item 0; remaining scores: item1=1, item2=2.
+        assert_eq!(engine.top_k(0, 2).unwrap(), vec![(2, 2.0), (1, 1.0)]);
+        assert_eq!(engine.top_k(0, 10).unwrap().len(), 2);
+        // User 1 has seen item 2; remaining: item0=6, item1=2.
+        assert_eq!(engine.top_k(1, 1).unwrap(), vec![(0, 6.0)]);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! A serving engine answers untrusted queries; a bad user id must come back
 //! as a value the caller can map to an HTTP 4xx, never as a panic that
-//! takes the whole process down (the latent bug in the pre-serve
-//! `Recommender::top_k`).
+//! takes the whole process down.
 
 /// Everything that can go wrong building a model or answering a query.
 #[derive(Debug, Clone, PartialEq)]

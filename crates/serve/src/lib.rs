@@ -14,7 +14,7 @@
 //! * **SIMD scoring with a bounded heap** — per-shard scans use the
 //!   runtime-dispatched dot kernel from `hcc_sgd::simd` and keep only the
 //!   top `k` candidates in a size-`k` heap (`O(items · log k)` per query,
-//!   not the `O(items · log items)` full sort of the old recommender).
+//!   not the `O(items · log items)` full sort of the oracle).
 //! * **Hot model reload** ([`ServeEngine::reload`]) — the live model is an
 //!   `Arc` snapshot behind a lock held only for the pointer swap; queries
 //!   in flight finish on the model they started with, new queries see the
@@ -62,7 +62,6 @@ pub mod foldin;
 pub mod model;
 pub mod oracle;
 pub mod precision;
-pub mod recommend;
 mod topk;
 
 pub use admission::{AdmissionConfig, AdmissionPipeline, AdmissionStats, Ticket};
@@ -72,4 +71,3 @@ pub use foldin::FoldInConfig;
 pub use model::ServedModel;
 pub use oracle::naive_top_k;
 pub use precision::Precision;
-pub use recommend::Recommender;

@@ -2,11 +2,10 @@
 //!
 //! This is the specification the optimized serving path is tested against:
 //! scalar dot products (`hcc_sgd::kernel::dot`, no SIMD dispatch), a full
-//! score vector, a full `O(items log items)` sort, then truncation —
-//! exactly what the historical `Recommender` did. It is kept simple enough
-//! to be obviously correct; `tests/serving.rs` proptests the sharded +
-//! SIMD + bounded-heap engine against it, and the `serving` bench uses it
-//! as the single-query baseline the sharded path must beat.
+//! score vector, a full `O(items log items)` sort, then truncation. It is
+//! kept simple enough to be obviously correct; `tests/serving.rs`
+//! proptests the sharded + SIMD + bounded-heap engine against it, and
+//! `benchmark/` scores `recall_at_10` with it.
 
 use hcc_sgd::kernel::dot;
 use hcc_sgd::FactorMatrix;

@@ -9,7 +9,7 @@
 //! cargo run --release --example movielens_recommend
 //! ```
 
-use hcc_mf::{HccConfig, HccMf, Recommender, TransferStrategy, WorkerSpec};
+use hcc_mf::{HccConfig, HccMf, ServeEngine, ServedModel, TransferStrategy, WorkerSpec};
 use hcc_sparse::{train_test_split, DatasetProfile, SyntheticDataset};
 
 fn main() {
@@ -62,7 +62,8 @@ fn main() {
         .track_rmse(true)
         .build();
     let report = HccMf::new(config).train(&train).expect("training failed");
-    let rec = Recommender::new(report.p, report.q, &train);
+    let model = ServedModel::build(report.p, report.q, Some(&train), 1).expect("shapes agree");
+    let rec = ServeEngine::new(model);
     for user in [0u32, 1, 2] {
         let top = rec.top_k(user, 3).expect("user within model");
         let picks: Vec<String> = top.iter().map(|(i, s)| format!("#{i} ({s:.2})")).collect();

@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hcc_mf::{HccConfig, HccMf, Recommender, WorkerSpec};
+use hcc_mf::{HccConfig, HccMf, ServeEngine, ServedModel, WorkerSpec};
 use hcc_sparse::{train_test_split, GenConfig, SyntheticDataset};
 
 fn main() {
@@ -60,9 +60,10 @@ fn main() {
     println!("held-out RMSE: {rmse:.4}");
 
     // 4. Recommend: top-5 unseen items for user 0.
-    let rec = Recommender::new(report.p, report.q, &train);
+    let model = ServedModel::build(report.p, report.q, Some(&train), 1).expect("shapes agree");
+    let engine = ServeEngine::new(model);
     println!("top-5 recommendations for user 0:");
-    for (item, score) in rec.top_k(0, 5).expect("user 0 exists") {
+    for (item, score) in engine.top_k(0, 5).expect("user 0 exists") {
         println!("  item {item:>4}  predicted rating {score:.2}");
     }
 }

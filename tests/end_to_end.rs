@@ -4,7 +4,8 @@
 
 use hcc_baselines::{CumfSgdSim, Fpsgd, SerialSgd, TrainConfig};
 use hcc_mf::{
-    HccConfig, HccMf, LearningRate, PartitionMode, TransferStrategy, TransportKind, WorkerSpec,
+    HccConfig, HccMf, LearningRate, PartitionMode, ServeEngine, ServedModel, TransferStrategy,
+    TransportKind, WorkerSpec,
 };
 use hcc_sparse::{train_test_split, GenConfig, SyntheticDataset};
 
@@ -279,10 +280,10 @@ fn checkpoint_roundtrips_trained_model() {
     let (p, q) = hcc_mf::load_model(&path).unwrap();
     assert_eq!(p, report.p);
     assert_eq!(q, report.q);
-    // A recommender built from the loaded model serves identical scores.
-    let rec_a = hcc_mf::Recommender::new(report.p, report.q, &ds.matrix);
-    let rec_b = hcc_mf::Recommender::new(p, q, &ds.matrix);
-    assert_eq!(rec_a.top_k(0, 5).unwrap(), rec_b.top_k(0, 5).unwrap());
+    // An engine built from the loaded model serves identical scores.
+    let serve = |p, q| ServeEngine::new(ServedModel::build(p, q, Some(&ds.matrix), 1).unwrap());
+    let (a, b) = (serve(report.p, report.q), serve(p, q));
+    assert_eq!(a.top_k(0, 5).unwrap(), b.top_k(0, 5).unwrap());
     std::fs::remove_file(path).ok();
 }
 
@@ -357,7 +358,7 @@ fn biased_pipeline_improves_ranking_on_test_set() {
     // The baseline alone already explains part of the test set; the full
     // model must beat the baseline alone.
     let baseline_rmse = baseline.rmse(test.entries());
-    let full_rmse = biased.rmse(test.entries());
+    let full_rmse = biased.rmse(test.entries()).unwrap();
     assert!(
         full_rmse < baseline_rmse,
         "factors added nothing: full {full_rmse} vs baseline {baseline_rmse}"
@@ -371,9 +372,9 @@ fn ranking_metrics_work_end_to_end() {
     let report = HccMf::new(hcc_base().epochs(20).build())
         .train(&train)
         .unwrap();
-    let rec = hcc_mf::Recommender::new(report.p, report.q, &train);
+    let engine = ServeEngine::new(ServedModel::build(report.p, report.q, Some(&train), 1).unwrap());
     let threshold = ds.matrix.mean_rating() as f32;
-    let metrics = hcc_mf::evaluate_ranking(&rec, &test, 10, threshold);
+    let metrics = hcc_mf::evaluate_ranking(&engine, &test, 10, threshold).unwrap();
     assert!(metrics.users_evaluated > 10);
     assert!(metrics.ndcg > 0.0 && metrics.ndcg <= 1.0);
     assert!(metrics.precision <= 1.0 && metrics.recall <= 1.0);

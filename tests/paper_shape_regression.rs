@@ -4,13 +4,16 @@
 //! the paper. Every tolerance here is deliberately loose — these are
 //! *shape* checks, not golden floats.
 
-use hcc_comm::TransferStrategy;
+use hcc_comm::{CommShared, Precision, TransferStrategy, Transport};
 use hcc_hetsim::{
     cost_model_for, ideal_computing_power, simulate_training, standalone_times, virtual_measure,
-    virtual_measure_total, worker_classes, Platform, ProcessorProfile, SimConfig, Workload,
+    virtual_measure_total, worker_classes, ClusterBuilder, Platform, ProcessorProfile, SimConfig,
+    Workload,
 };
-use hcc_partition::{dp0, dp1, dp2, Dp1Options, PartitionPlanner, StrategyChoice};
+use hcc_mf::ShardedServer;
+use hcc_partition::{dp0, dp1, dp2, Dp1Options, PartitionPlanner, ShardRouter, StrategyChoice};
 use hcc_sparse::DatasetProfile;
+use std::sync::Arc;
 
 fn plan_with(platform: &Platform, wl: &Workload, cfg: &SimConfig) -> hcc_partition::PartitionPlan {
     PartitionPlanner::default().plan(
@@ -234,4 +237,62 @@ fn lambda_dispatch_choices() {
             profile.name, plan.sync_ratio
         );
     }
+}
+
+/// Beyond the paper (`hcc-bench cluster_scaling`, committed 3.61x R2 /
+/// 3.51x Netflix): with one server shard per node, four nodes deliver at
+/// least 3.2x the updates/s of one; and a sharded server whose workers
+/// each touch their own rows ships fewer push bytes than full buffers.
+#[test]
+fn cluster_scaling_floor_and_delta_shipping() {
+    for profile in [DatasetProfile::yahoo_r2(), DatasetProfile::netflix()] {
+        let wl = Workload::from_profile(&profile);
+        let power = |nodes: usize| {
+            let platform = ClusterBuilder::new(nodes).build();
+            let cfg = SimConfig {
+                server_shards: nodes,
+                ..SimConfig::default()
+            };
+            let p = plan_with(&platform, &wl, &cfg);
+            simulate_training(&platform, &wl, &cfg, &p.fractions, 20).computing_power
+        };
+        let scaling = power(4) / power(1);
+        assert!(
+            scaling >= 3.2,
+            "{}: 4-node scaling {scaling:.2}x below the 3.2x floor",
+            profile.name
+        );
+    }
+
+    // Four workers over four shards of a 256-row region; worker `w`
+    // changes every eighth row starting at `w`, as a sparse epoch would.
+    let (workers, shards, rows, k) = (4usize, 4usize, 256usize, 8usize);
+    let router = ShardRouter::uniform(rows, shards);
+    let inners: Vec<Arc<dyn Transport>> = (0..shards)
+        .map(|s| {
+            let pull = router.range(s).len() * k;
+            let push = ShardedServer::shard_push_len(&router, s, k);
+            Arc::new(CommShared::new(workers, pull, push, Precision::Fp32)) as Arc<dyn Transport>
+        })
+        .collect();
+    let server = ShardedServer::new(router, k, rows * k, Precision::Fp32, inners);
+    let mut global = vec![0.1f32; rows * k];
+    for epoch in 0..3 {
+        server.publish(&global);
+        for w in 0..workers {
+            let mut local = vec![0f32; rows * k];
+            server.pull(w, &mut local);
+            for row in (w..rows).step_by(8) {
+                local[row * k] += 0.01 * (epoch + 1) as f32;
+            }
+            server.push(w, &local);
+            server.collect(w, &mut global);
+        }
+    }
+    let stats = server.delta_stats();
+    assert_eq!(stats.rows_shipped, (3 * workers * (rows / 8)) as u64);
+    assert!(
+        stats.bytes_shipped < stats.bytes_full,
+        "delta shipping saved nothing: {stats:?}"
+    );
 }

@@ -449,6 +449,74 @@ fn oracle_agreement_at_paper_scale_counts() {
     }
 }
 
+/// The precision x pruning grid on a catalogue with popularity-shaped item
+/// norms (row `r` scaled by `(1 + r)^-0.8`, the skew norm pruning lives
+/// on): 1 024 users x 4 096 items, k = 32, 8 shards, top-10 for the 512
+/// multiplicative-hash users. Recall is scored against [`naive_top_k`] on
+/// the f32 factors; a returned item counts when its true f32 score reaches
+/// the oracle's 10th within 1e-4 relative, so swaps inside a near-tie are
+/// not misses and a genuinely missing item is.
+#[test]
+fn precision_and_pruning_grid_keeps_recall_and_pruning_is_exact() {
+    let (users, items, k, top) = (1_024usize, 4_096usize, 32usize, 10usize);
+    let p = FactorMatrix::random(users, k, 1);
+    let uniform = FactorMatrix::random(items, k, 2);
+    let scaled: Vec<f32> = (0..items)
+        .flat_map(|r| {
+            let popularity = (1.0 + r as f32).powf(-0.8);
+            uniform.row(r).iter().map(move |&x| x * popularity)
+        })
+        .collect();
+    let q = FactorMatrix::from_vec(items, k, scaled);
+    let mut queried: Vec<u32> = (0..512u32)
+        .map(|i| i.wrapping_mul(2_654_435_761) % users as u32)
+        .collect();
+    queried.sort_unstable();
+    queried.dedup();
+    let kth_score: Vec<f32> = queried
+        .iter()
+        .map(|&u| naive_top_k(&p, &q, None, u, top)[top - 1].1)
+        .collect();
+
+    for (precision, floor) in [
+        (Precision::F32, 1.0),
+        (Precision::Fp16, 0.99),
+        (Precision::Int8, 0.99),
+    ] {
+        let [exhaustive, pruned] = [false, true].map(|prune| {
+            let model = ServedModel::build_with(p.clone(), q.clone(), None, 8, precision, prune);
+            ServeEngine::new(model.unwrap())
+        });
+        let mut hits = 0usize;
+        for (&u, &kth) in queried.iter().zip(&kth_score) {
+            let got = pruned.top_k(u, top).unwrap();
+            assert_eq!(
+                got,
+                exhaustive.top_k(u, top).unwrap(),
+                "{precision}: pruning changed user {u}'s answer"
+            );
+            let tol = 1e-4 * (1.0 + kth.abs());
+            hits += got
+                .iter()
+                .filter(|(item, _)| {
+                    simd::dot(p.row(u as usize), q.row(*item as usize)) >= kth - tol
+                })
+                .count();
+        }
+        let recall = hits as f64 / (queried.len() * top) as f64;
+        assert!(
+            recall >= floor,
+            "{precision}: recall@{top} {recall:.4} < {floor}"
+        );
+        assert!(
+            pruned.stats().scan_frac < 0.5 && exhaustive.stats().scan_frac == 1.0,
+            "{precision}: pruned scanned {}, exhaustive {}",
+            pruned.stats().scan_frac,
+            exhaustive.stats().scan_frac
+        );
+    }
+}
+
 #[test]
 fn fewer_items_than_shards_clamps_cleanly() {
     let (p, q) = fixture(4, 3, 2, 21);
