@@ -1,137 +1,36 @@
 //! Deterministic network chaos injection.
 //!
-//! [`ChaosTransport`] wraps *any* [`Transport`] and perturbs its push and
-//! collect paths the way a misbehaving network would: frames are dropped,
-//! delayed, duplicated, corrupted, or a link is partitioned outright. The
-//! schedule is a pure function of `(seed, worker, epoch, op)` — the same
-//! golden-ratio stream split the threaded fault harness
-//! (`hcc_mf::fault::FaultPlan`) uses — so a chaos run is exactly
-//! reproducible and a CI matrix can pin seeds.
+//! [`ChaosTransport`] wraps *any* [`Transport`] and enacts the wire faults
+//! of a [`FaultPlan`] on it, scripted and rolled alike: a push is dropped,
+//! delayed, duplicated or corrupted, or a worker's node is partitioned
+//! outright. It keeps no clock of its own — the engine tells it the
+//! training epoch ([`ChaosTransport::begin_epoch`]) and which
+//! starting-fleet worker sits at each index of the wrapped transport, and
+//! it asks [`FaultPlan::at`] — so a repartition, a shrunken fleet or a
+//! retried epoch cannot move a fault.
 //!
-//! Fault semantics at the [`Transport`] boundary:
-//!
-//! * **drop** — the push is swallowed; the server's timed collect
-//!   expires and the supervisor classifies the worker, the same path a
-//!   crashed worker takes.
-//! * **delay** — the push is delivered after a fixed sleep, turning the
-//!   worker into a straggler for that epoch.
-//! * **duplicate** — the push is delivered, then delivered *again* via
-//!   [`Transport::push_duplicate`] (same sequence number on framed
-//!   transports), exercising the server's idempotency dedup.
-//! * **corrupt** — the push is swallowed and the next collect for that
-//!   worker, timed or not, returns [`CommError::Corrupt`] — what a CRC-rejected
-//!   frame looks like from the server. The supervisor treats it exactly
-//!   like a dropped push: retry, then classify.
-//! * **partition** — from a given epoch on, one worker's pushes are
-//!   swallowed, its pulls stop updating, and collects fail fast with
-//!   [`CommError::PartitionedLink`]; the supervisor marks the worker dead
-//!   and survivors re-plan.
-//!
+//! What each fault does at the [`Transport`] boundary is documented on its
+//! [`Fault`] variant: [`DropPush`](Fault::DropPush),
+//! [`CorruptPush`](Fault::CorruptPush), [`DelayPush`](Fault::DelayPush),
+//! [`DuplicatePush`](Fault::DuplicatePush) (re-sent through
+//! [`Transport::push_duplicate`]) and [`Partition`](Fault::Partition).
+//! The faults of the plan that are not the wire's — a crash, a stall, a
+//! NaN-poisoned push — pass through untouched: the worker enacts those.
 //! Chaos requires a supervised run: an unsupervised one has nobody to
 //! classify the worker behind a dropped push and fails on it, so
-//! configuration validation ties `--net-chaos` to `--fault-tolerant`.
+//! configuration validation ties a fault plan to `--fault-tolerant`.
 
+use crate::fault::{Fault, FaultPlan};
 use crate::socket::NetEvent;
 use crate::transport::{CommError, Transport};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Op codes mixed into the per-decision random stream. `hcc-hetsim`
-/// mirrors these constants (it has no dependency on this crate) so the
-/// DES twin derives the *same* drop schedule from the same seed.
-pub const OP_DROP: u8 = 1;
-/// See [`OP_DROP`].
-pub const OP_DELAY: u8 = 2;
-/// See [`OP_DROP`].
-pub const OP_DUPLICATE: u8 = 3;
-/// See [`OP_DROP`].
-pub const OP_CORRUPT: u8 = 4;
-
-/// Deterministic unit draw in `[0, 1)` for `(seed, worker, epoch, op)`:
-/// the `FaultPlan` golden-ratio stream split followed by a splitmix64
-/// finalizer.
-pub fn chaos_roll(seed: u64, worker: usize, epoch: u64, op: u8) -> f64 {
-    let stream = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((worker as u64) << 32)
-        .wrapping_add(epoch)
-        .wrapping_add((op as u64) << 48);
-    let mut z = stream.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// A permanent one-worker partition starting at a given epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partition {
-    /// Partitioned worker.
-    pub worker: usize,
-    /// First epoch (0-based push index) the partition is in effect.
-    pub from_epoch: u64,
-}
-
-/// Seeded description of how the network misbehaves.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetChaosPlan {
-    /// Seed for every per-`(worker, epoch, op)` decision.
-    pub seed: u64,
-    /// Probability a push is dropped.
-    pub drop_rate: f64,
-    /// Probability a push is delayed by [`delay`](NetChaosPlan::delay).
-    pub delay_rate: f64,
-    /// Delay applied to delayed pushes.
-    pub delay: Duration,
-    /// Probability a push is wire-duplicated.
-    pub duplicate_rate: f64,
-    /// Probability a push arrives corrupt (CRC-rejected at the server).
-    pub corrupt_rate: f64,
-    /// Optional permanent partition of one worker.
-    pub partition: Option<Partition>,
-}
-
-impl NetChaosPlan {
-    /// The CLI's `--net-chaos SEED` recipe: a moderately hostile network —
-    /// 10% drops, 10% delays of 5 ms, 15% duplicates, 5% corruption, no
-    /// partition.
-    pub fn from_seed(seed: u64) -> NetChaosPlan {
-        NetChaosPlan {
-            seed,
-            drop_rate: 0.10,
-            delay_rate: 0.10,
-            delay: Duration::from_millis(5),
-            duplicate_rate: 0.15,
-            corrupt_rate: 0.05,
-            partition: None,
-        }
-    }
-
-    /// A plan with every rate at zero (chaos plumbing with no chaos).
-    pub fn quiet(seed: u64) -> NetChaosPlan {
-        NetChaosPlan {
-            seed,
-            drop_rate: 0.0,
-            delay_rate: 0.0,
-            delay: Duration::ZERO,
-            duplicate_rate: 0.0,
-            corrupt_rate: 0.0,
-            partition: None,
-        }
-    }
-
-    /// Sets the permanent partition.
-    pub fn with_partition(mut self, worker: usize, from_epoch: u64) -> NetChaosPlan {
-        self.partition = Some(Partition { worker, from_epoch });
-        self
-    }
-}
 
 /// Counters for every fault the wrapper injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosStats {
-    /// Pushes swallowed by the drop schedule.
+    /// Pushes swallowed as dropped.
     pub dropped: u64,
     /// Pushes delivered late.
     pub delayed: u64,
@@ -139,18 +38,20 @@ pub struct ChaosStats {
     pub duplicated: u64,
     /// Pushes converted to CRC failures.
     pub corrupted: u64,
-    /// Pushes swallowed by the partition.
+    /// Pushes swallowed by a partition.
     pub partitioned: u64,
 }
 
-/// A [`Transport`] decorator that injects the seeded fault schedule of a
-/// [`NetChaosPlan`]. See the module docs for semantics.
+/// A [`Transport`] decorator that enacts the wire faults of a
+/// [`FaultPlan`]. See the module docs for semantics.
 pub struct ChaosTransport {
     inner: Arc<dyn Transport>,
-    plan: NetChaosPlan,
-    /// Per-worker count of push *attempts* — the epoch coordinate of the
-    /// fault schedule (supervised training pushes once per epoch).
-    push_epochs: Vec<AtomicU64>,
+    plan: FaultPlan,
+    /// `ids[w]`: the starting-fleet id of the worker at index `w` of
+    /// `inner` — the worker coordinate of the plan.
+    ids: Vec<usize>,
+    /// The training epoch in progress — the epoch coordinate of the plan.
+    epoch: AtomicUsize,
     /// Set when a corrupt push was injected; the next collect for that
     /// worker reports it.
     pending_corrupt: Vec<AtomicBool>,
@@ -162,13 +63,19 @@ pub struct ChaosTransport {
 }
 
 impl ChaosTransport {
-    /// Wraps `inner` under `plan`.
-    pub fn new(inner: Arc<dyn Transport>, plan: NetChaosPlan) -> ChaosTransport {
+    /// Wraps `inner` under `plan`, at epoch 0. `ids[w]` is the
+    /// starting-fleet id of the worker `inner` knows as `w`.
+    ///
+    /// # Panics
+    /// Panics if `ids` does not name every worker of `inner`.
+    pub fn new(inner: Arc<dyn Transport>, plan: FaultPlan, ids: Vec<usize>) -> ChaosTransport {
         let workers = inner.workers();
+        assert_eq!(ids.len(), workers, "one starting-fleet id per worker");
         ChaosTransport {
             inner,
             plan,
-            push_epochs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            ids,
+            epoch: AtomicUsize::new(0),
             pending_corrupt: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             dropped: AtomicU64::new(0),
             delayed: AtomicU64::new(0),
@@ -176,6 +83,14 @@ impl ChaosTransport {
             corrupted: AtomicU64::new(0),
             partitioned: AtomicU64::new(0),
         }
+    }
+
+    /// Tells the wrapper which training epoch the calls that follow belong
+    /// to. Called between epochs, when no worker is pulling or pushing.
+    pub fn begin_epoch(&self, epoch: usize) {
+        // ordering: Relaxed — stored between epochs; the spawn of the
+        // epoch's worker threads orders it before their loads.
+        self.epoch.store(epoch, Ordering::Relaxed);
     }
 
     /// Injected-fault counters so far.
@@ -194,17 +109,11 @@ impl ChaosTransport {
         }
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &Arc<dyn Transport> {
-        &self.inner
-    }
-
-    fn roll(&self, worker: usize, epoch: u64, op: u8) -> f64 {
-        chaos_roll(self.plan.seed, worker, epoch, op)
-    }
-
-    fn partition_for(&self, worker: usize) -> Option<Partition> {
-        self.plan.partition.filter(|p| p.worker == worker)
+    /// What the plan does to `worker` in the epoch in progress.
+    fn fault(&self, worker: usize) -> Option<Fault> {
+        // ordering: Relaxed — see `begin_epoch`.
+        self.plan
+            .at(self.ids[worker], self.epoch.load(Ordering::Relaxed))
     }
 }
 
@@ -214,53 +123,48 @@ impl Transport for ChaosTransport {
     }
 
     fn pull(&self, worker: usize, dst: &mut [f32]) {
-        if let Some(p) = self.partition_for(worker) {
-            // ordering: Relaxed — epoch counter is a statistic-grade
-            // coordinate; exact interleaving tolerance is documented.
-            if self.push_epochs[worker].load(Ordering::Relaxed) >= p.from_epoch {
-                return; // unreachable server: dst keeps stale data
-            }
+        if self.fault(worker) == Some(Fault::Partition) {
+            return; // unreachable server: dst keeps stale data
         }
         self.inner.pull(worker, dst);
     }
 
     fn push(&self, worker: usize, src: &[f32]) {
-        // ordering: Relaxed — the counter is this worker's own epoch
-        // coordinate; only this worker's thread increments it.
-        let epoch = self.push_epochs[worker].fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.partition_for(worker) {
-            if epoch >= p.from_epoch {
+        match self.fault(worker) {
+            Some(Fault::Partition) => {
                 // ordering: Relaxed — statistic.
                 self.partitioned.fetch_add(1, Ordering::Relaxed);
-                return;
             }
-        }
-        if self.roll(worker, epoch, OP_DROP) < self.plan.drop_rate {
-            // ordering: Relaxed — statistic.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if self.roll(worker, epoch, OP_CORRUPT) < self.plan.corrupt_rate {
-            // The frame "arrives" but fails its CRC: nothing is applied
-            // and the server-side collect reports Corrupt once.
-            // ordering: Relaxed — statistic.
-            self.corrupted.fetch_add(1, Ordering::Relaxed);
-            // ordering: Relaxed — flag is consumed by the server thread's
-            // collect; the supervisor's retry loop tolerates either
-            // ordering of flag-set vs timeout.
-            self.pending_corrupt[worker].store(true, Ordering::Relaxed);
-            return;
-        }
-        if self.roll(worker, epoch, OP_DELAY) < self.plan.delay_rate {
-            // ordering: Relaxed — statistic.
-            self.delayed.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(self.plan.delay);
-        }
-        self.inner.push(worker, src);
-        if self.roll(worker, epoch, OP_DUPLICATE) < self.plan.duplicate_rate {
-            // ordering: Relaxed — statistic.
-            self.duplicated.fetch_add(1, Ordering::Relaxed);
-            self.inner.push_duplicate(worker, src);
+            Some(Fault::DropPush) => {
+                // ordering: Relaxed — statistic.
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            Some(Fault::CorruptPush) => {
+                // The frame "arrives" but fails its CRC: nothing is applied
+                // and the server-side collect reports Corrupt once.
+                // ordering: Relaxed — statistic.
+                self.corrupted.fetch_add(1, Ordering::Relaxed);
+                // ordering: Relaxed — flag is consumed by the server thread's
+                // collect; the supervisor's retry loop tolerates either
+                // ordering of flag-set vs timeout.
+                self.pending_corrupt[worker].store(true, Ordering::Relaxed);
+            }
+            Some(Fault::DelayPush(delay)) => {
+                // ordering: Relaxed — statistic.
+                self.delayed.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(delay);
+                self.inner.push(worker, src);
+            }
+            Some(Fault::DuplicatePush) => {
+                self.inner.push(worker, src);
+                // ordering: Relaxed — statistic.
+                self.duplicated.fetch_add(1, Ordering::Relaxed);
+                self.inner.push_duplicate(worker, src);
+            }
+            // The worker's own faults, or none: the wire does nothing.
+            Some(Fault::Crash | Fault::Stall(_) | Fault::PoisonPush) | None => {
+                self.inner.push(worker, src);
+            }
         }
     }
 
@@ -270,11 +174,8 @@ impl Transport for ChaosTransport {
         timeout: Option<Duration>,
         consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
-        if let Some(p) = self.partition_for(worker) {
-            // ordering: Relaxed — see `pull`.
-            if self.push_epochs[worker].load(Ordering::Relaxed) > p.from_epoch {
-                return Err(CommError::PartitionedLink);
-            }
+        if self.fault(worker) == Some(Fault::Partition) {
+            return Err(CommError::PartitionedLink);
         }
         // ordering: Relaxed — one-shot flag; a race with the injecting
         // push only shifts which retry observes the corruption.
@@ -302,27 +203,16 @@ mod tests {
     use super::*;
     use crate::transport::{CommShared, Precision};
 
-    fn shared(workers: usize, len: usize) -> Arc<dyn Transport> {
-        Arc::new(CommShared::new(workers, len, len, Precision::Fp32))
-    }
-
-    #[test]
-    fn rolls_are_deterministic_and_uniformish() {
-        assert_eq!(chaos_roll(7, 1, 3, OP_DROP), chaos_roll(7, 1, 3, OP_DROP));
-        assert_ne!(chaos_roll(7, 1, 3, OP_DROP), chaos_roll(8, 1, 3, OP_DROP));
-        assert_ne!(chaos_roll(7, 1, 3, OP_DROP), chaos_roll(7, 2, 3, OP_DROP));
-        assert_ne!(chaos_roll(7, 1, 3, OP_DROP), chaos_roll(7, 1, 4, OP_DROP));
-        assert_ne!(chaos_roll(7, 1, 3, OP_DROP), chaos_roll(7, 1, 3, OP_DELAY));
-        let mean = (0..1000)
-            .map(|e| chaos_roll(11, 0, e, OP_DROP))
-            .sum::<f64>()
-            / 1000.0;
-        assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
+    /// `plan` over a shared-memory transport whose workers are the
+    /// starting fleet.
+    fn chaos(workers: usize, len: usize, plan: FaultPlan) -> ChaosTransport {
+        let inner = Arc::new(CommShared::new(workers, len, len, Precision::Fp32));
+        ChaosTransport::new(inner, plan, (0..workers).collect())
     }
 
     #[test]
     fn quiet_plan_is_transparent() {
-        let t = ChaosTransport::new(shared(2, 8), NetChaosPlan::quiet(1));
+        let t = chaos(2, 8, FaultPlan::new(1));
         let data = [1.0f32; 8];
         t.publish(&data);
         let mut dst = [0f32; 8];
@@ -338,9 +228,9 @@ mod tests {
 
     #[test]
     fn certain_drop_swallows_every_push() {
-        let mut plan = NetChaosPlan::quiet(3);
+        let mut plan = FaultPlan::new(3);
         plan.drop_rate = 1.0;
-        let t = ChaosTransport::new(shared(1, 4), plan);
+        let t = chaos(1, 4, plan);
         t.push(0, &[1.0; 4]);
         let mut dst = [0f32; 4];
         assert_eq!(
@@ -352,9 +242,9 @@ mod tests {
 
     #[test]
     fn corrupt_push_reports_once_then_times_out() {
-        let mut plan = NetChaosPlan::quiet(4);
+        let mut plan = FaultPlan::new(4);
         plan.corrupt_rate = 1.0;
-        let t = ChaosTransport::new(shared(1, 4), plan);
+        let t = chaos(1, 4, plan);
         t.push(0, &[1.0; 4]);
         let mut dst = [0f32; 4];
         assert_eq!(
@@ -372,8 +262,7 @@ mod tests {
 
     #[test]
     fn partition_cuts_push_pull_and_collect() {
-        let plan = NetChaosPlan::quiet(5).with_partition(0, 1);
-        let t = ChaosTransport::new(shared(2, 4), plan);
+        let t = chaos(2, 4, FaultPlan::new(5).with(0, 1, Fault::Partition));
         // Epoch 0: before the partition, everything flows.
         t.push(0, &[1.0; 4]);
         let mut dst = [0f32; 4];
@@ -381,6 +270,7 @@ mod tests {
             .unwrap();
         assert_eq!(dst, [1.0; 4]);
         // Epoch 1: partitioned.
+        t.begin_epoch(1);
         t.publish(&[9.0; 4]);
         t.push(0, &[2.0; 4]);
         let mut pulled = [0f32; 4];
@@ -400,17 +290,16 @@ mod tests {
     fn the_untimed_collect_runs_the_same_fault_checks() {
         let never = &mut |_: &[f32]| panic!("consume ran on a failed collect");
         // A partitioned link fails fast instead of blocking for ever.
-        let plan = NetChaosPlan::quiet(5).with_partition(0, 0);
-        let t = ChaosTransport::new(shared(1, 4), plan);
+        let t = chaos(1, 4, FaultPlan::new(5).with(0, 0, Fault::Partition));
         t.push(0, &[1.0; 4]);
         assert_eq!(
             t.collect_with(0, None, never),
             Err(CommError::PartitionedLink)
         );
         // A corrupt push is reported once, to whichever collect comes next.
-        let mut plan = NetChaosPlan::quiet(4);
+        let mut plan = FaultPlan::new(4);
         plan.corrupt_rate = 1.0;
-        let t = ChaosTransport::new(shared(1, 4), plan);
+        let t = chaos(1, 4, plan);
         t.push(0, &[1.0; 4]);
         assert_eq!(t.collect_with(0, None, never), Err(CommError::Corrupt));
         let timeout = Some(Duration::from_millis(10));
@@ -459,10 +348,11 @@ mod tests {
             inner: CommShared::new(1, 4, 4, Precision::Fp32),
             dups: AtomicU64::new(0),
         });
-        let mut plan = NetChaosPlan::quiet(6);
+        let mut plan = FaultPlan::new(6);
         plan.duplicate_rate = 1.0;
-        let t = ChaosTransport::new(inner.clone(), plan);
-        for _ in 0..5 {
+        let t = ChaosTransport::new(inner.clone(), plan, vec![0]);
+        for epoch in 0..5 {
+            t.begin_epoch(epoch);
             t.push(0, &[1.0; 4]);
             let mut dst = [0f32; 4];
             t.collect_timeout(0, &mut dst, Duration::from_secs(1))
@@ -475,21 +365,34 @@ mod tests {
 
     #[test]
     fn same_seed_same_fault_schedule() {
+        // The schedule is the plan's, read at (starting-fleet id, told
+        // epoch): here the fleet has shrunk to workers 3 and 0, in that
+        // order, and the run resumes at epoch 10.
+        let ids = [3usize, 0];
         let schedule = |seed: u64| {
-            let plan = NetChaosPlan {
+            let plan = FaultPlan {
                 drop_rate: 0.3,
                 corrupt_rate: 0.2,
-                ..NetChaosPlan::quiet(seed)
+                ..FaultPlan::new(seed).with(3, 12, Fault::DropPush)
             };
-            let t = ChaosTransport::new(shared(2, 4), plan);
-            for e in 0..20 {
-                for w in 0..2 {
+            let inner = Arc::new(CommShared::new(2, 4, 4, Precision::Fp32));
+            let t = ChaosTransport::new(inner, plan.clone(), ids.to_vec());
+            let mut want = ChaosStats::default();
+            for e in 10..30 {
+                t.begin_epoch(e);
+                for (w, &id) in ids.iter().enumerate() {
                     t.push(w, &[e as f32; 4]);
                     let mut dst = [0f32; 4];
                     let _ = t.collect_timeout(w, &mut dst, Duration::from_millis(1));
+                    match plan.at(id, e) {
+                        Some(Fault::DropPush) => want.dropped += 1,
+                        Some(Fault::CorruptPush) => want.corrupted += 1,
+                        other => assert_eq!(other, None),
+                    }
                 }
             }
-            t.stats()
+            assert_eq!(t.stats(), want, "seed {seed}");
+            want
         };
         assert_eq!(schedule(42), schedule(42));
         assert_ne!(schedule(42), schedule(43));

@@ -25,8 +25,12 @@
 //! * [`delta`] — the row-delta payload codec that generalizes "Transmit Q
 //!   only" to per-shard delta shipping: a push carries only the rows
 //!   touched since the last publish.
-//! * [`chaos`] — [`ChaosTransport`]: a seeded, deterministic
-//!   drop/delay/duplicate/corrupt/partition wrapper around any transport.
+//! * [`fault`] — the one fault vocabulary: a [`FaultPlan`] of scripted and
+//!   rolled [`Fault`]s, addressed by starting-fleet worker id and training
+//!   epoch, read by the threaded engine, the chaos wrapper and the
+//!   simulator alike.
+//! * [`chaos`] — [`ChaosTransport`]: the wrapper around any transport that
+//!   enacts a plan's drop/delay/duplicate/corrupt/partition faults.
 //! * [`backoff`] — the jittered-exponential [`Backoff`] ladder shared by
 //!   every retry loop in the workspace.
 
@@ -51,6 +55,7 @@ pub mod buffer;
 pub mod chaos;
 mod clmul;
 pub mod delta;
+pub mod fault;
 pub mod frame;
 pub mod pipeline;
 pub mod socket;
@@ -59,8 +64,9 @@ pub mod transport;
 
 pub use backoff::Backoff;
 pub use buffer::SharedBuffer;
-pub use chaos::{ChaosStats, ChaosTransport, NetChaosPlan, Partition};
+pub use chaos::{ChaosStats, ChaosTransport};
 pub use delta::{apply_delta, delta_len, encode_delta, max_delta_len, DeltaError};
+pub use fault::{Fault, FaultPlan};
 pub use frame::{crc32, Crc32, FrameError, Header, RpcKind};
 pub use pipeline::{run_pipeline, PipelineStats};
 pub use socket::{CommSocket, NetEvent, NetEventKind, NetStats, SocketConfig};

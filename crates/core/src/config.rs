@@ -188,14 +188,13 @@ pub struct HccConfig {
     /// Enables the fault-tolerance layer (heartbeats, divergence rollback,
     /// survivor re-planning). `None` runs the same epochs unsupervised.
     pub fault_tolerance: Option<crate::supervisor::SupervisorConfig>,
-    /// Deterministic fault-injection script (requires `fault_tolerance`).
-    pub fault_plan: Option<crate::fault::FaultPlan>,
-    /// Seeded network chaos: wraps the transport in
-    /// [`hcc_comm::ChaosTransport`], which drops/delays/duplicates/corrupts
-    /// pushes (and optionally partitions a link) on a deterministic
-    /// schedule. Requires `fault_tolerance` — an unsupervised run treats a
-    /// push that never arrives as fatal.
-    pub net_chaos: Option<hcc_comm::NetChaosPlan>,
+    /// Deterministic fault injection: scripted worker and network faults
+    /// plus seeded drop/corrupt/delay/duplicate rates, addressed by
+    /// starting-fleet worker id and training epoch. The worker enacts its
+    /// own faults and [`hcc_comm::ChaosTransport`], wrapped around the
+    /// transport, the wire's. Requires `fault_tolerance` — an unsupervised
+    /// run treats a push that never arrives as fatal.
+    pub fault_plan: Option<hcc_comm::FaultPlan>,
     /// Write a crash-safe v2 checkpoint every N epochs (requires
     /// `checkpoint_path`).
     pub checkpoint_every: Option<usize>,
@@ -281,17 +280,16 @@ impl HccConfig {
                 )));
             }
         }
-        if self.fault_plan.is_some() && self.fault_tolerance.is_none() {
-            return Err(HccError::BadConfig(
-                "fault_plan requires fault_tolerance".into(),
-            ));
-        }
-        if self.net_chaos.is_some() && self.fault_tolerance.is_none() {
-            return Err(HccError::BadConfig(
-                "net_chaos requires fault_tolerance (an unsupervised run \
-                 fails on the first dropped push)"
-                    .into(),
-            ));
+        if let Some(plan) = &self.fault_plan {
+            if self.fault_tolerance.is_none() {
+                return Err(HccError::BadConfig(
+                    "fault_plan requires fault_tolerance (an unsupervised run \
+                     fails on the first lost push)"
+                        .into(),
+                ));
+            }
+            plan.check(self.workers.len())
+                .map_err(HccError::BadConfig)?;
         }
         if self.checkpoint_every == Some(0) {
             return Err(HccError::BadConfig("checkpoint_every must be >= 1".into()));
@@ -355,7 +353,6 @@ impl Default for HccConfigBuilder {
                 warm_start: None,
                 fault_tolerance: None,
                 fault_plan: None,
-                net_chaos: None,
                 checkpoint_every: None,
                 checkpoint_path: None,
                 resume: None,
@@ -483,23 +480,15 @@ impl HccConfigBuilder {
 
     /// Installs a deterministic fault-injection plan (requires
     /// [`fault_tolerance`](Self::fault_tolerance)).
-    pub fn fault_plan(mut self, plan: crate::fault::FaultPlan) -> Self {
+    pub fn fault_plan(mut self, plan: hcc_comm::FaultPlan) -> Self {
         self.config.fault_plan = Some(plan);
         self
     }
 
-    /// Enables seeded network chaos with the default hostile-network rates
-    /// (the CLI's `--net-chaos SEED` recipe). Requires
-    /// [`fault_tolerance`](Self::fault_tolerance).
-    pub fn net_chaos(mut self, seed: u64) -> Self {
-        self.config.net_chaos = Some(hcc_comm::NetChaosPlan::from_seed(seed));
-        self
-    }
-
-    /// Installs an explicit network chaos plan (custom rates, partitions).
-    pub fn net_chaos_plan(mut self, plan: hcc_comm::NetChaosPlan) -> Self {
-        self.config.net_chaos = Some(plan);
-        self
+    /// The plan of the CLI's `--net-chaos SEED`: the default
+    /// hostile-network rates ([`hcc_comm::FaultPlan::from_seed`]).
+    pub fn net_chaos(self, seed: u64) -> Self {
+        self.fault_plan(hcc_comm::FaultPlan::from_seed(seed))
     }
 
     /// Writes a crash-safe checkpoint to `path` every `every` epochs.
@@ -621,23 +610,19 @@ mod tests {
 
     #[test]
     fn validation_catches_fault_tolerance_misuse() {
-        // Fault plan without supervision.
+        use hcc_comm::{Fault, FaultPlan};
+        // Fault plan without supervision: even an empty one, and the
+        // `--net-chaos` recipe, which would fail on the first dropped push.
         assert!(HccConfig::builder()
-            .fault_plan(crate::fault::FaultPlan::new(1))
+            .fault_plan(FaultPlan::new(1))
             .try_build()
             .is_err());
-        // Network chaos without supervision would fail on the first dropped push.
         assert!(HccConfig::builder().net_chaos(7).try_build().is_err());
         assert!(HccConfig::builder()
             .net_chaos(7)
             .fault_tolerance(crate::supervisor::SupervisorConfig::default())
             .try_build()
             .is_ok());
-        // An explicit plan goes through the same gate.
-        assert!(HccConfig::builder()
-            .net_chaos_plan(hcc_comm::NetChaosPlan::quiet(1).with_partition(0, 2))
-            .try_build()
-            .is_err());
         // Supervision only supports the synchronous path.
         assert!(HccConfig::builder()
             .fault_tolerance(crate::supervisor::SupervisorConfig::default())
@@ -664,10 +649,43 @@ mod tests {
         // Valid combinations pass.
         assert!(HccConfig::builder()
             .fault_tolerance(crate::supervisor::SupervisorConfig::default())
-            .fault_plan(crate::fault::FaultPlan::new(1).crash(0, 2))
+            .fault_plan(FaultPlan::new(1).with(0, 2, Fault::Crash))
             .checkpoint("x.hccmf", 2)
             .try_build()
             .is_ok());
+    }
+
+    #[test]
+    fn validation_checks_the_fault_plan_against_the_fleet() {
+        use hcc_comm::{Fault, FaultPlan};
+        // The default fleet is two workers.
+        let supervised = |plan: FaultPlan| {
+            HccConfig::builder()
+                .fault_tolerance(crate::supervisor::SupervisorConfig::default())
+                .fault_plan(plan)
+                .try_build()
+        };
+        let bad_config = |plan: FaultPlan, needle: &str| match supervised(plan) {
+            Err(HccError::BadConfig(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected BadConfig naming {needle:?}, got {other:?}"),
+        };
+        // A rate that is not a probability.
+        let mut plan = FaultPlan::from_seed(1);
+        plan.drop_rate = 7.0;
+        bad_config(plan, "drop_rate");
+        let mut plan = FaultPlan::from_seed(1);
+        plan.duplicate_rate = f64::NAN;
+        bad_config(plan, "duplicate_rate");
+        // An event for a worker the fleet does not have.
+        bad_config(FaultPlan::new(1).with(99, 3, Fault::Crash), "worker 99");
+        // Nobody left to train.
+        bad_config(
+            FaultPlan::new(1)
+                .with(0, 1, Fault::Crash)
+                .with(1, 2, Fault::Partition),
+            "every one of the 2 workers",
+        );
+        assert!(supervised(FaultPlan::from_seed(1).with(1, 2, Fault::Partition)).is_ok());
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod checkpoint;
 pub mod cli;
 pub mod config;
 pub mod error;
-pub mod fault;
 pub mod metrics;
 pub mod observe;
 pub mod report;
@@ -67,7 +66,6 @@ pub use config::{
     EarlyStop, HccConfig, HccConfigBuilder, Optimizer, PartitionMode, TransportKind, WorkerSpec,
 };
 pub use error::HccError;
-pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{evaluate_ranking, RankingMetrics};
 pub use report::{HccReport, WorkerEpochStats};
 pub use server::{DeltaStats, ShardedServer};

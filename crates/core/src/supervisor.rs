@@ -76,7 +76,7 @@ pub enum WorkerHealth {
 ///
 /// Workers stamp a monotonically increasing epoch counter; the supervisor
 /// reads it at the epoch boundary. A worker that panics (or is crashed by a
-/// [`FaultPlan`](crate::fault::FaultPlan)) flips its `dead` flag so the
+/// [`FaultPlan`](hcc_comm::FaultPlan)) flips its `dead` flag so the
 /// server can stop waiting on it immediately.
 #[derive(Debug)]
 pub struct HeartbeatBoard {

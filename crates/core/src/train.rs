@@ -4,15 +4,16 @@
 use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingMeta};
 use crate::config::{HccConfig, Optimizer, PartitionMode, TransportKind, WorkerSpec};
 use crate::error::HccError;
-use crate::fault::FaultKind;
 use crate::report::{HccReport, WorkerEpochStats};
 use crate::server::{merge_weighted, merge_weights, region_layout, RegionLayout, ShardedServer};
 use crate::supervisor::{Supervisor, WorkerHealth};
-use crate::worker::{chunk_col_ranges, group_by_chunk, rebase_entries, WorkerState};
+use crate::worker::{
+    chunk_col_ranges, group_by_chunk, rebase_entries, OptimizerState, WorkerState,
+};
 use hcc_comm::socket::NetEventKind;
 use hcc_comm::{
-    run_pipeline, Backoff, ChaosTransport, CommError, CommP, CommShared, CommSocket, Precision,
-    SocketConfig, TransferStrategy, Transport,
+    run_pipeline, Backoff, ChaosTransport, CommError, CommP, CommShared, CommSocket, Fault,
+    Precision, SocketConfig, TransferStrategy, Transport,
 };
 use hcc_partition::{
     dp0, dp1_step, dp2, replan_survivors, ShardRouter, StrategyChoice, WorkerClass,
@@ -208,9 +209,11 @@ struct Chunk {
     cols: Range<usize>,
     /// Float layout of this chunk's pull and push regions.
     layout: RegionLayout,
-    /// Carries this chunk's regions; wrapped in a [`ChaosTransport`] when
-    /// `config.net_chaos` is set.
+    /// Carries this chunk's regions: `chaos`, when there is one.
     endpoint: Arc<dyn Transport>,
+    /// The wrapper that enacts the wire faults of `config.fault_plan`;
+    /// every epoch tells it its number.
+    chaos: Option<Arc<ChaosTransport>>,
 }
 
 /// Builds the transport endpoint for regions of `pull_len` / `push_len`
@@ -457,17 +460,19 @@ impl<'a> Session<'a> {
             let owned = range.start as usize * k..range.end as usize * k;
             local_p.copy_rows_from_slice(0, rows, &self.global_p.as_slice()[owned]);
             let local_q = SharedFactors::zeros(self.n, k);
-            let adagrad = match self.config.optimizer {
-                Optimizer::AdaGrad { .. } => {
-                    Some(hcc_sgd::AdaGradState::new(rows.max(1), self.n, k))
-                }
-                _ => None,
-            };
-            let momentum = match self.config.optimizer {
-                Optimizer::Momentum { .. } => {
-                    Some(hcc_sgd::MomentumState::new(rows.max(1), self.n, k))
-                }
-                _ => None,
+            let optimizer = match self.config.optimizer {
+                Optimizer::Sgd => OptimizerState::Sgd {
+                    schedule: self.config.schedule,
+                },
+                Optimizer::AdaGrad { eta0, epsilon } => OptimizerState::AdaGrad {
+                    eta0,
+                    epsilon,
+                    state: hcc_sgd::AdaGradState::new(rows.max(1), self.n, k),
+                },
+                Optimizer::Momentum { beta } => OptimizerState::Momentum {
+                    beta,
+                    state: hcc_sgd::MomentumState::new(rows.max(1), self.n, k),
+                },
             };
             workers.push(WorkerState {
                 spec: spec.clone(),
@@ -477,10 +482,7 @@ impl<'a> Session<'a> {
                 local_p,
                 local_q,
                 regions: Vec::new(), // sized below, once `max_rows` is known
-                optimizer: self.config.optimizer,
-                adagrad,
-                momentum,
-                schedule: self.config.schedule,
+                optimizer,
             });
         }
         let precision = if self.config.strategy.is_compressed() {
@@ -488,16 +490,6 @@ impl<'a> Session<'a> {
         } else {
             Precision::Fp32
         };
-        // The chaos plan addresses workers by *starting-fleet* id; remap its
-        // partition to the current fleet index, dropping it once that
-        // worker has been removed (its link is already gone).
-        let chaos = self.config.net_chaos.clone().map(|mut plan| {
-            plan.partition = plan.partition.and_then(|part| {
-                let worker = self.orig_ids.iter().position(|&id| id == part.worker)?;
-                Some(hcc_comm::Partition { worker, ..part })
-            });
-            plan
-        });
         let layouts: Vec<RegionLayout> = cols
             .iter()
             .map(|cols| region_layout(self.config.strategy, self.m, cols.len(), k, max_rows))
@@ -532,14 +524,19 @@ impl<'a> Session<'a> {
                     precision,
                     self.config.server_shards,
                 )?;
-                let endpoint: Arc<dyn Transport> = match &chaos {
-                    Some(plan) => Arc::new(ChaosTransport::new(endpoint, plan.clone())),
-                    None => endpoint,
-                };
+                // The plan addresses workers by starting-fleet id.
+                let chaos = self.config.fault_plan.as_ref().map(|plan| {
+                    let ids = self.orig_ids.clone();
+                    Arc::new(ChaosTransport::new(endpoint.clone(), plan.clone(), ids))
+                });
                 Ok(Chunk {
                     cols,
                     layout,
-                    endpoint,
+                    endpoint: match &chaos {
+                        Some(chaos) => chaos.clone(),
+                        None => endpoint,
+                    },
+                    chaos,
                 })
             })
             .collect::<Result<_, HccError>>()?;
@@ -846,6 +843,9 @@ impl<'a> Session<'a> {
 
         // Publish: the chunk's Q columns in place, [P | Q] under FullPq.
         for chunk in &this.chunks {
+            if let Some(chaos) = &chunk.chaos {
+                chaos.begin_epoch(epoch);
+            }
             let q = &global_q[chunk.cols.start * k..chunk.cols.end * k];
             if full_pq {
                 pull_region[..this.m * k].copy_from_slice(this.global_p.as_slice());
@@ -981,14 +981,12 @@ impl<'a> Session<'a> {
         let strategy = self.config.strategy;
         let (lambda_p, lambda_q) = (self.config.lambda_p, self.config.lambda_q);
         let worker_id = self.orig_ids[w];
-        // Faults are injected only where a supervisor can absorb them.
-        let fault = sup
-            .zip(self.config.fault_plan.as_ref())
-            .and_then(|(sup, plan)| {
-                let kind = plan.at(worker_id, epoch)?;
-                Some((sup, plan, kind))
-            });
-        if let Some((sup, _, FaultKind::Crash)) = fault {
+        // The worker enacts the three faults that are its own; the wire's
+        // are the endpoint's ([`ChaosTransport`]). A plan implies a
+        // supervisor to absorb them (`HccConfig::validate`).
+        let plan = self.config.fault_plan.as_ref();
+        let fault = plan.and_then(|plan| plan.at(worker_id, epoch));
+        if let (Some(sup), Some(Fault::Crash)) = (sup, fault) {
             sup.board.mark_dead(w); // no heartbeat, no push: dead
             return WorkerEpochStats::default();
         }
@@ -1008,8 +1006,8 @@ impl<'a> Session<'a> {
         let compute = |c: usize, ()| {
             // An injected stall counts as compute time, so the
             // supervisor's straggler rule sees it.
-            if let Some((_, _, FaultKind::Stall { millis })) = fault {
-                std::thread::sleep(Duration::from_millis(millis));
+            if let Some(Fault::Stall(lost)) = fault {
+                std::thread::sleep(lost);
             }
             let entries = &state.entries[state.chunk_entries[c].clone()];
             state.compute(entries, lr, lambda_p, lambda_q);
@@ -1021,13 +1019,8 @@ impl<'a> Session<'a> {
             let chunk = &self.chunks[c];
             let mut region = state.regions[c].lock();
             let len = state.store_region(&mut region, &chunk.layout, &chunk.cols, strategy);
-            match fault {
-                Some((_, _, FaultKind::DropPush)) => return,
-                Some((_, plan, FaultKind::CorruptPush)) => {
-                    let positions = plan.corrupt_positions(worker_id, epoch, len);
-                    state.poison_push(&mut region[..len], &positions);
-                }
-                _ => {}
+            if let (Some(plan), Some(Fault::PoisonPush)) = (plan, fault) {
+                plan.poison(worker_id, epoch, &mut region[..len]);
             }
             chunk.endpoint.push(w, &region[..len]);
         };
@@ -1270,10 +1263,9 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             local_p: SharedFactors::zeros(m, k),
             local_q: SharedFactors::zeros(n, k),
             regions: Vec::new(),
-            optimizer: crate::config::Optimizer::Sgd,
-            adagrad: None,
-            momentum: None,
-            schedule: config.schedule,
+            optimizer: OptimizerState::Sgd {
+                schedule: config.schedule,
+            },
         };
         // Warm-up pass (thread spawn, page faults), then the measured pass.
         state.compute(&sample[..sample_len.min(4_096)], 0.0, 0.0, 0.0);
@@ -1603,8 +1595,8 @@ mod tests {
 
     #[test]
     fn a_corrupt_push_is_left_out_of_the_merge_and_the_rest_renormalised() {
-        use crate::fault::FaultPlan;
         use crate::supervisor::SupervisorConfig;
+        use hcc_comm::FaultPlan;
         let ds = dataset(60, 30, 600);
         let supervisor = SupervisorConfig {
             heartbeat_timeout: Duration::from_millis(20),
@@ -1625,11 +1617,11 @@ mod tests {
             let outcome = session.run_epoch(0.02, 0, Some(&sup)).unwrap();
             (outcome.missed, session.global_q)
         };
-        let (missed, poisoned) = q_after(FaultPlan::new(7).corrupt_push(0, 0));
+        let (missed, poisoned) = q_after(FaultPlan::new(7).with(0, 0, Fault::PoisonPush));
         assert_eq!(missed, vec![true, false]);
         assert!(poisoned.as_slice().iter().all(|v| v.is_finite()));
         // Left out and renormalised exactly as a push that never came.
-        let (missed, dropped) = q_after(FaultPlan::new(7).drop_push(0, 0));
+        let (missed, dropped) = q_after(FaultPlan::new(7).with(0, 0, Fault::DropPush));
         assert_eq!(missed, vec![true, false]);
         assert_eq!(poisoned, dropped);
         let (missed, clean) = q_after(FaultPlan::new(7));

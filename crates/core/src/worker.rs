@@ -5,7 +5,7 @@
 //! entries are stored with row indices already rebased to the worker's range
 //! so the hot loop indexes `local_p` directly.
 
-use crate::config::{Optimizer, WorkerSpec};
+use crate::config::WorkerSpec;
 use crate::server::RegionLayout;
 use hcc_comm::TransferStrategy;
 use hcc_sgd::adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
@@ -42,16 +42,25 @@ pub(crate) struct WorkerState {
     /// the session's thread, not by the first epoch's worker thread — so an
     /// epoch allocates none. Only the stage working on chunk `c` locks it.
     pub regions: Vec<Mutex<Vec<f32>>>,
-    /// The optimizer this worker runs.
-    pub optimizer: Optimizer,
-    /// AdaGrad accumulators (present iff `optimizer` is AdaGrad; reset on
-    /// repartition, which re-creates worker states).
-    pub adagrad: Option<AdaGradState>,
-    /// Momentum velocity buffers (present iff `optimizer` is Momentum).
-    pub momentum: Option<MomentumState>,
-    /// Entry-to-thread schedule for the plain-SGD Hogwild sweep (the
-    /// AdaGrad/Momentum kernels keep their own striped sweeps).
-    pub schedule: Schedule,
+    /// The per-update rule this worker runs, with its state.
+    pub optimizer: OptimizerState,
+}
+
+/// A worker's per-update rule together with what that rule keeps between
+/// epochs, so a rule cannot run without its state. Reset on repartition,
+/// which re-creates worker states.
+pub(crate) enum OptimizerState {
+    /// Plain SGD; `schedule` maps entries to Hogwild threads (the other
+    /// kernels keep their own striped sweeps).
+    Sgd { schedule: Schedule },
+    /// AdaGrad with its accumulators.
+    AdaGrad {
+        eta0: f32,
+        epsilon: f32,
+        state: AdaGradState,
+    },
+    /// Heavy-ball momentum with its velocity buffers.
+    Momentum { beta: f32, state: MomentumState },
 }
 
 impl WorkerState {
@@ -59,34 +68,38 @@ impl WorkerState {
     /// honouring the throttle. Returns elapsed compute time.
     pub fn compute(&self, entries: &[Rating], lr: f32, lambda_p: f32, lambda_q: f32) -> Duration {
         let start = Instant::now();
-        let run = |chunk: &[Rating]| match (self.optimizer, &self.adagrad, &self.momentum) {
-            (Optimizer::AdaGrad { eta0, epsilon }, Some(state), _) => {
+        let run = |chunk: &[Rating]| match &self.optimizer {
+            OptimizerState::AdaGrad {
+                eta0,
+                epsilon,
+                state,
+            } => {
                 let cfg = AdaGradConfig {
                     threads: self.spec.threads,
-                    eta0,
+                    eta0: *eta0,
                     lambda_p,
                     lambda_q,
-                    epsilon,
+                    epsilon: *epsilon,
                 };
                 adagrad_hogwild_epoch(chunk, &self.local_p, &self.local_q, state, &cfg);
             }
-            (Optimizer::Momentum { beta }, _, Some(state)) => {
+            OptimizerState::Momentum { beta, state } => {
                 let cfg = MomentumConfig {
                     threads: self.spec.threads,
                     learning_rate: lr,
-                    beta,
+                    beta: *beta,
                     lambda_p,
                     lambda_q,
                 };
                 momentum_hogwild_epoch(chunk, &self.local_p, &self.local_q, state, &cfg);
             }
-            _ => {
+            OptimizerState::Sgd { schedule } => {
                 let cfg = HogwildConfig {
                     threads: self.spec.threads,
                     learning_rate: lr,
                     lambda_p,
                     lambda_q,
-                    schedule: self.schedule,
+                    schedule: *schedule,
                 };
                 hogwild_epoch(chunk, &self.local_p, &self.local_q, &cfg);
             }
@@ -161,18 +174,6 @@ impl WorkerState {
             .read_rows_into(cols.start, cols.end, &mut region[layout.push_q_offset..end]);
         end
     }
-
-    /// Applies a [`FaultKind`](crate::fault::FaultKind) hook to this
-    /// worker's outgoing push buffer (the CorruptPush fault): NaN-poisons
-    /// the planned positions so the server's integrity check has something
-    /// real to catch. Out-of-range positions are ignored.
-    pub fn poison_push(&self, staging: &mut [f32], positions: &[usize]) {
-        for &i in positions {
-            if let Some(v) = staging.get_mut(i) {
-                *v = f32::NAN;
-            }
-        }
-    }
 }
 
 /// Rebases shard entries to a worker-local row origin.
@@ -226,10 +227,9 @@ mod tests {
             local_p: SharedFactors::from_matrix(&FactorMatrix::random(10, 4, 1)),
             local_q: SharedFactors::from_matrix(&FactorMatrix::random(8, 4, 2)),
             regions: Vec::new(),
-            optimizer: Optimizer::Sgd,
-            adagrad: None,
-            momentum: None,
-            schedule: Schedule::Stripe,
+            optimizer: OptimizerState::Sgd {
+                schedule: Schedule::Stripe,
+            },
         }
     }
 
@@ -338,19 +338,5 @@ mod tests {
     fn rows_counts_range() {
         let state = make_state(1.0, vec![]);
         assert_eq!(state.rows(), 10);
-    }
-
-    #[test]
-    fn poison_push_hits_planned_cells_only() {
-        let state = make_state(1.0, vec![]);
-        let mut buf = vec![1.0f32; 8];
-        state.poison_push(&mut buf, &[2, 5, 99]); // 99 out of range: ignored
-        for (i, v) in buf.iter().enumerate() {
-            if i == 2 || i == 5 {
-                assert!(v.is_nan());
-            } else {
-                assert_eq!(*v, 1.0);
-            }
-        }
     }
 }

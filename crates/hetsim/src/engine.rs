@@ -18,9 +18,8 @@
 //! Fig. 5 timelines, Fig. 8 stacked bars, Table 4/Fig. 9 computing power
 //! and Table 5/6 communication costs are all derived.
 
-use crate::fault::{SimFault, SimFaultKind};
 use crate::platform::{Platform, WorkerSlot};
-use hcc_comm::TransferStrategy;
+use hcc_comm::{Fault, TransferStrategy};
 use hcc_sparse::DatasetProfile;
 use serde::{Deserialize, Serialize};
 
@@ -246,13 +245,20 @@ pub fn simulate_epoch(
     config: &SimConfig,
     x: &[f64],
 ) -> EpochTrace {
-    simulate_epoch_faulty(platform, workload, config, x, &[])
+    simulate_epoch_faulty(platform, workload, config, x, |_| None)
 }
 
-/// [`simulate_epoch`] under faults: `Crash` kills the worker after its first
-/// pull (no compute, no push, no merge), `Stall` delays the worker's first
-/// compute by a fixed virtual time, and `DropPush` lets pushes occupy the
-/// link but never reach the server. A worker's first listed fault applies.
+/// [`simulate_epoch`] under faults, the virtual-time twin of a supervised
+/// `hcc_mf` epoch. `fault_of(w)` is what goes wrong this epoch with the
+/// worker at `platform.workers[w]` — for a run under a
+/// [`FaultPlan`](hcc_comm::FaultPlan), `|w| plan.at(ids[w], epoch)` with
+/// `ids[w]` the worker's starting-fleet id — and lands on the calendar as:
+/// [`Fault::Crash`] kills the worker after its first pull (no compute, no
+/// push, no merge); [`Fault::Stall`] and [`Fault::DelayPush`] delay its
+/// first compute by their duration; every other fault that
+/// [loses the push](Fault::loses_push) lets the push occupy the link but
+/// never reach the server; a duplicate is deduplicated and costs nothing.
+/// A fault is the worker's, whatever `config.server_shards` is.
 ///
 /// The epoch is a task DAG drained through FIFO resources in global time
 /// order: per worker one compute unit, per link (a dedicated bus, or one
@@ -263,13 +269,13 @@ pub fn simulate_epoch(
 /// when this one's ends; the server merges pushes in arrival order.
 ///
 /// # Panics
-/// As [`simulate_epoch`], and if a fault names a worker the platform lacks.
+/// As [`simulate_epoch`].
 pub fn simulate_epoch_faulty(
     platform: &Platform,
     workload: &Workload,
     config: &SimConfig,
     x: &[f64],
-    faults: &[SimFault],
+    fault_of: impl Fn(usize) -> Option<Fault>,
 ) -> EpochTrace {
     let workers = platform.workers.len();
     assert!(workers > 0, "platform has no workers");
@@ -283,10 +289,7 @@ pub fn simulate_epoch_faulty(
         config.transport_efficiency > 0.0 && config.transport_efficiency <= 1.0,
         "transport efficiency must lie in (0, 1]"
     );
-    for f in faults {
-        let w = f.worker;
-        assert!(w < workers, "fault names worker {w} of {workers}");
-    }
+    let faults: Vec<Option<Fault>> = (0..workers).map(fault_of).collect();
 
     let costs: Vec<WorkerCosts> = (0..workers)
         .map(|w| {
@@ -337,7 +340,7 @@ pub fn simulate_epoch_faulty(
             end,
         });
 
-        let fault = faults.iter().find(|f| f.worker == w).map(|f| f.kind);
+        let fault = faults[w];
         let mut release = |stage, ready| {
             pending.push((ready, tasks.len()));
             tasks.push((w, chunk, stage));
@@ -345,10 +348,12 @@ pub fn simulate_epoch_faulty(
         match stage {
             // A crashed worker stops here: nothing of its pipeline is
             // released, so its later chunks never become pending.
-            Stage::Pull if fault == Some(SimFaultKind::Crash) => {}
+            Stage::Pull if fault == Some(Fault::Crash) => {}
             Stage::Pull => {
                 let stall = match fault {
-                    Some(SimFaultKind::Stall(secs)) if chunk == 0 => secs,
+                    Some(Fault::Stall(lost) | Fault::DelayPush(lost)) if chunk == 0 => {
+                        lost.as_secs_f64()
+                    }
                     _ => 0.0,
                 };
                 release(Stage::Compute, end + stall);
@@ -357,7 +362,7 @@ pub fn simulate_epoch_faulty(
                 }
             }
             Stage::Compute => release(Stage::Push, end),
-            Stage::Push if fault == Some(SimFaultKind::DropPush) => {}
+            Stage::Push if fault.is_some_and(Fault::loses_push) => {}
             Stage::Push => arrivals.push((end, w, cost.sync_bytes / chunks)),
         }
     }
@@ -443,6 +448,8 @@ pub fn ideal_computing_power(platform: &Platform, workload: &Workload) -> f64 {
 mod tests {
     use super::*;
     use crate::profile::{BusKind, ProcessorProfile};
+    use hcc_comm::FaultPlan;
+    use std::time::Duration;
 
     fn uniform_platform(n: usize, rate: f64) -> Platform {
         let mut p = Platform::new("test");
@@ -687,6 +694,113 @@ mod tests {
                 .map(|s| s.end)
                 .fold(f64::INFINITY, f64::min);
             assert!(first_compute >= first_pull_end - 1e-12);
+        }
+    }
+
+    fn netflix() -> Workload {
+        Workload::from_profile(&hcc_sparse::DatasetProfile::netflix())
+    }
+
+    /// The 4-worker testbed at a uniform split under `plan`'s epoch `epoch`.
+    fn faulty_trace(plan: &FaultPlan, epoch: usize) -> EpochTrace {
+        let platform = Platform::paper_testbed_4workers();
+        let (cfg, x) = (SimConfig::default(), [0.25; 4]);
+        simulate_epoch_faulty(&platform, &netflix(), &cfg, &x, |w| plan.at(w, epoch))
+    }
+
+    fn plain_trace() -> EpochTrace {
+        faulty_trace(&FaultPlan::new(1), 0)
+    }
+
+    #[test]
+    fn empty_faults_match_fault_free_trace() {
+        let platform = Platform::paper_testbed_4workers();
+        let plain = simulate_epoch(&platform, &netflix(), &SimConfig::default(), &[0.25; 4]);
+        assert_eq!(plain, plain_trace());
+        // A duplicated push is deduplicated: it costs the calendar nothing.
+        let duplicates = FaultPlan {
+            duplicate_rate: 1.0,
+            ..FaultPlan::new(1)
+        };
+        assert_eq!(plain, faulty_trace(&duplicates, 0));
+    }
+
+    #[test]
+    fn crash_removes_compute_push_and_sync_for_that_worker() {
+        let plan = FaultPlan::new(1).with(2, 0, Fault::Crash);
+        let trace = faulty_trace(&plan, 0);
+        let spans = trace.worker_spans(2);
+        assert!(spans.iter().any(|s| s.phase == Phase::Pull));
+        assert!(spans
+            .iter()
+            .all(|s| !matches!(s.phase, Phase::Compute | Phase::Push | Phase::Sync)));
+        // The survivors' sync work shrinks accordingly.
+        assert!(trace.sync_total < plain_trace().sync_total);
+        // The crash is that epoch's: the next one is whole again.
+        assert_eq!(faulty_trace(&plan, 1), plain_trace());
+    }
+
+    #[test]
+    fn stall_delays_the_epoch() {
+        let plain = plain_trace();
+        // A stall, or a late push, as long as the whole fault-free epoch
+        // must push the critical path out by roughly that much.
+        let lost = Duration::from_secs_f64(plain.epoch_time);
+        for fault in [Fault::Stall(lost), Fault::DelayPush(lost)] {
+            let plan = FaultPlan::new(1).with(0, 0, fault);
+            let stalled = faulty_trace(&plan, 0);
+            assert!(stalled.epoch_time > plain.epoch_time * 1.5, "{fault:?}");
+            assert_eq!(stalled.sync_total, plain.sync_total, "{fault:?}");
+        }
+    }
+
+    #[test]
+    fn dropped_push_never_reaches_the_server() {
+        for fault in [
+            Fault::DropPush,
+            Fault::CorruptPush,
+            Fault::PoisonPush,
+            Fault::Partition,
+        ] {
+            let plan = FaultPlan::new(1).with(1, 0, fault);
+            let trace = faulty_trace(&plan, 0);
+            let spans = trace.worker_spans(1);
+            assert!(spans.iter().any(|s| s.phase == Phase::Compute), "{fault:?}");
+            assert!(spans.iter().any(|s| s.phase == Phase::Push), "{fault:?}"); // bus used
+            assert!(spans.iter().all(|s| s.phase != Phase::Sync), "{fault:?}"); // merge skipped
+        }
+    }
+
+    #[test]
+    fn faulty_trace_is_deterministic() {
+        let plan = FaultPlan::from_seed(3).with(3, 0, Fault::Crash).with(
+            1,
+            0,
+            Fault::Stall(Duration::from_millis(500)),
+        );
+        assert_eq!(faulty_trace(&plan, 0), faulty_trace(&plan, 0));
+        assert_ne!(faulty_trace(&plan, 0), plain_trace());
+    }
+
+    #[test]
+    fn derived_faults_feed_the_calendar() {
+        // A fault is the worker's, not one of its shard links': under four
+        // server shards a partitioned worker still loses exactly its own
+        // pushes, from the partition's epoch on.
+        let platform = Platform::paper_testbed_4workers();
+        let cfg = SimConfig {
+            server_shards: 4,
+            ..SimConfig::default()
+        };
+        let plan = FaultPlan::new(1).with(1, 2, Fault::Partition);
+        for epoch in 0..5 {
+            let trace = simulate_epoch_faulty(&platform, &netflix(), &cfg, &[0.25; 4], |w| {
+                plan.at(w, epoch)
+            });
+            for w in 0..4 {
+                let merged = trace.worker_spans(w).iter().any(|s| s.phase == Phase::Sync);
+                assert_eq!(merged, !(w == 1 && epoch >= 2), "epoch {epoch} worker {w}");
+            }
         }
     }
 

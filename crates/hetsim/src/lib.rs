@@ -17,10 +17,12 @@
 //!   pipeline) through per-direction link channels, per-worker compute
 //!   units and the server's FIFO synchronization queue, in global time
 //!   order. Produces [`engine::EpochTrace`]s with full phase spans — the
-//!   Fig. 5 / Fig. 8 timelines.
-//! * [`fault`] — crashes, stalls and dropped pushes as perturbations of
-//!   that calendar ([`simulate_epoch_faulty`]), and their derivation from a
-//!   network chaos plan ([`derive_net_faults`]).
+//!   Fig. 5 / Fig. 8 timelines. [`simulate_epoch_faulty`] is the same
+//!   calendar under the faults of an [`hcc_comm::FaultPlan`] — the plan
+//!   the threaded engine runs, read at the same `(worker, epoch)` — so
+//!   partition planning and supervisor policies can be studied against
+//!   crashes, stragglers and a lossy network on platforms the host
+//!   cannot physically run.
 //! * [`measure`] — "virtual profiling": standalone execution times (DP0's
 //!   input), the `measure` callback DP1's Algorithm-1 loop needs, the
 //!   [`hcc_partition::CostModel`] for a platform/workload pair, and the
@@ -44,7 +46,6 @@
 pub mod cluster;
 pub mod engine;
 pub mod export;
-pub mod fault;
 pub mod measure;
 pub mod platform;
 pub mod profile;
@@ -54,7 +55,6 @@ pub use engine::{
     ideal_computing_power, simulate_epoch, simulate_epoch_faulty, simulate_training, EpochTrace,
     Phase, PhaseSpan, SimConfig, TrainingSim, Workload,
 };
-pub use fault::{derive_net_faults, SimFault, SimFaultKind};
 pub use measure::{
     bandwidth_table, cost_model_for, standalone_times, virtual_measure, virtual_measure_total,
     worker_classes,

@@ -12,12 +12,13 @@
 //! was kept. A mismatch prints the digest it got; re-pin only for a
 //! deliberate change of the model.
 
-use hcc_comm::{NetChaosPlan, TransferStrategy};
+use hcc_comm::{Fault, FaultPlan, TransferStrategy};
 use hcc_hetsim::{
-    derive_net_faults, simulate_epoch, simulate_epoch_faulty, BusKind, ClusterBuilder, EpochTrace,
-    Platform, ProcessorProfile, SimConfig, SimFault, SimFaultKind, Workload,
+    simulate_epoch, simulate_epoch_faulty, BusKind, ClusterBuilder, EpochTrace, Platform,
+    ProcessorProfile, SimConfig, Workload,
 };
 use hcc_sparse::DatasetProfile;
+use std::time::Duration;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -212,35 +213,43 @@ fn faulty_cells_match_pinned_digests() {
         ..SimConfig::default()
     };
     let x = [0.1, 0.2, 0.3, 0.4];
-    for (name, fault, want) in [
-        ("crash", SimFault::crash(2), CRASH),
-        ("stall", SimFault::stall(0, 0.05), STALL),
-        ("drop_push", SimFault::drop_push(3), DROP_PUSH),
+    for (name, worker, fault, want) in [
+        ("crash", 2, Fault::Crash, CRASH),
+        ("stall", 0, Fault::Stall(Duration::from_millis(50)), STALL),
+        ("drop_push", 3, Fault::DropPush, DROP_PUSH),
     ] {
-        let trace = simulate_epoch_faulty(&platform, &workload, &config, &x, &[fault]);
+        let plan = FaultPlan::new(1).with(worker, 0, fault);
+        let trace = simulate_epoch_faulty(&platform, &workload, &config, &x, |w| plan.at(w, 0));
         assert_pinned(name, trace_hash(&trace), want);
     }
 }
 
-/// `derive_net_faults` with one shard per server is the pre-sharding
-/// derivation: seeds {1, 7, 42} × 50 epochs × 4 workers.
+/// The rolled faults of the `--net-chaos` recipe as the calendar sees them,
+/// seeds {1, 7, 42} × 50 epochs × 4 workers: per epoch the count of workers
+/// hit, then each one's id and effect — a lost push, or a late start with
+/// its length. The digests are those of the derivation the plan replaced
+/// (one link a worker), folded the way it was.
 const NET_FAULTS: [u64; 3] = [0x95857a678723d6a0, 0x0bc356fcd61c2324, 0x4e79dfafbfed7e3a];
 
 #[test]
 fn one_shard_net_fault_derivation_matches_pinned_digests() {
     for (seed, want) in [1, 7, 42].into_iter().zip(NET_FAULTS) {
-        let plan = NetChaosPlan::from_seed(seed);
+        let plan = FaultPlan::from_seed(seed);
         let mut digest = FNV_OFFSET;
         for epoch in 0..50 {
-            let faults = derive_net_faults(&plan, 4, 1, epoch);
-            mix(&mut digest, faults.len() as u64);
-            for fault in faults {
-                mix(&mut digest, fault.worker as u64);
-                match fault.kind {
-                    SimFaultKind::Crash => mix(&mut digest, 0),
-                    SimFaultKind::Stall(secs) => mix(&mut digest, 1 ^ secs.to_bits()),
-                    SimFaultKind::DropPush => mix(&mut digest, 2),
-                }
+            let hits: Vec<(u64, u64)> = (0..4)
+                .filter_map(|w| match plan.at(w, epoch)? {
+                    Fault::Stall(late) | Fault::DelayPush(late) => {
+                        Some((w as u64, 1 ^ late.as_secs_f64().to_bits()))
+                    }
+                    Fault::DuplicatePush => None,
+                    lost => lost.loses_push().then_some((w as u64, 2)),
+                })
+                .collect();
+            mix(&mut digest, hits.len() as u64);
+            for (worker, effect) in hits {
+                mix(&mut digest, worker);
+                mix(&mut digest, effect);
             }
         }
         assert_pinned(&format!("net faults, seed {seed}"), digest, want);

@@ -2,15 +2,17 @@
 //!
 //! Every test is driven by the `CHAOS_SEED` environment variable (default 1)
 //! so CI can sweep a seed matrix; for a fixed seed each run exercises exactly
-//! the same failure schedule — the [`hcc_mf::FaultPlan`] has no wall-clock
+//! the same failure schedule — the [`hcc_comm::FaultPlan`] has no wall-clock
 //! dependence.
 
-use hcc_comm::{ChaosTransport, CommSocket, NetChaosPlan, Precision, Transport};
+use hcc_comm::{ChaosTransport, CommSocket, Fault, FaultPlan, Precision, Transport};
 use hcc_mf::{
-    FaultPlan, HccConfig, HccError, HccMf, LearningRate, PartitionMode, SupervisorConfig,
-    TransportKind, WorkerHealth, WorkerSpec,
+    HccConfig, HccError, HccMf, LearningRate, PartitionMode, SupervisorConfig, TransportKind,
+    WorkerHealth, WorkerSpec,
 };
 use hcc_sparse::{GenConfig, SyntheticDataset};
+use hcc_telemetry::{Event, NetCause};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -84,7 +86,7 @@ fn crash_one_of_four_workers_converges_on_survivors() {
     let seed = chaos_seed();
     let ds = dataset(seed);
     let fault_free = HccMf::new(base(seed).build()).train(&ds.matrix).unwrap();
-    let plan = FaultPlan::new(seed).crash(1, 3);
+    let plan = FaultPlan::new(seed).with(1, 3, Fault::Crash);
     let report = HccMf::new(
         base(seed)
             .fault_tolerance(test_supervisor())
@@ -114,7 +116,7 @@ fn stalled_worker_is_classified_straggler_and_training_converges() {
     let seed = chaos_seed();
     let ds = dataset(seed);
     // 400 ms stall against ~ms compute times: far beyond 3x the median.
-    let plan = FaultPlan::new(seed).stall(2, 2, 400);
+    let plan = FaultPlan::new(seed).with(2, 2, Fault::Stall(Duration::from_millis(400)));
     let report = HccMf::new(
         base(seed)
             .fault_tolerance(SupervisorConfig {
@@ -136,7 +138,7 @@ fn stalled_worker_is_classified_straggler_and_training_converges() {
 fn corrupted_push_is_quarantined_not_merged() {
     let seed = chaos_seed();
     let ds = dataset(seed);
-    let plan = FaultPlan::new(seed).corrupt_push(0, 1);
+    let plan = FaultPlan::new(seed).with(0, 1, Fault::PoisonPush);
     let report = HccMf::new(
         base(seed)
             .fault_tolerance(test_supervisor())
@@ -158,7 +160,7 @@ fn corrupted_push_is_quarantined_not_merged() {
 fn dropped_push_times_out_and_training_converges() {
     let seed = chaos_seed();
     let ds = dataset(seed);
-    let plan = FaultPlan::new(seed).drop_push(3, 2);
+    let plan = FaultPlan::new(seed).with(3, 2, Fault::DropPush);
     let report = HccMf::new(
         base(seed)
             .fault_tolerance(test_supervisor())
@@ -280,10 +282,10 @@ fn multiple_simultaneous_faults_still_converge() {
     let seed = chaos_seed();
     let ds = dataset(seed);
     let plan = FaultPlan::new(seed)
-        .crash(0, 4)
-        .stall(2, 1, 120)
-        .drop_push(3, 6)
-        .corrupt_push(1, 2);
+        .with(0, 4, Fault::Crash)
+        .with(2, 1, Fault::Stall(Duration::from_millis(120)))
+        .with(3, 6, Fault::DropPush)
+        .with(1, 2, Fault::PoisonPush);
     let report = HccMf::new(
         base(seed)
             .epochs(12)
@@ -353,7 +355,7 @@ fn partitioned_worker_is_marked_dead_and_survivors_replan() {
         base(seed)
             .transport(TransportKind::Socket)
             .fault_tolerance(test_supervisor())
-            .net_chaos_plan(NetChaosPlan::quiet(seed).with_partition(3, 2))
+            .fault_plan(FaultPlan::new(seed).with(3, 2, Fault::Partition))
             .build(),
     )
     .train(&ds.matrix)
@@ -362,7 +364,7 @@ fn partitioned_worker_is_marked_dead_and_survivors_replan() {
     assert!(report.health_history[..2]
         .iter()
         .all(|h| h.iter().all(|w| *w == WorkerHealth::Healthy)));
-    // The partition starts at push 2; the worker keeps computing and
+    // The partition starts at epoch 2; the worker keeps computing and
     // heartbeating, so only the PartitionedLink collect error can kill it —
     // a straggler classification would keep it forever.
     let dead_epoch = report
@@ -370,7 +372,7 @@ fn partitioned_worker_is_marked_dead_and_survivors_replan() {
         .iter()
         .position(|h| h.len() == 4 && h[3] == WorkerHealth::Dead)
         .expect("partitioned worker was never marked dead");
-    assert!((2..=4).contains(&dead_epoch), "died at epoch {dead_epoch}");
+    assert_eq!(dead_epoch, 2, "a partition bites in its own epoch");
     // Survivors re-plan: every later epoch runs on exactly three workers.
     assert!(report.health_history[dead_epoch + 1..]
         .iter()
@@ -393,7 +395,7 @@ fn node_kill_on_a_four_shard_cluster_replans_and_converges() {
     let report = HccMf::new(
         sharded(base(seed))
             .fault_tolerance(test_supervisor())
-            .net_chaos_plan(NetChaosPlan::quiet(seed).with_partition(3, 2))
+            .fault_plan(FaultPlan::new(seed).with(3, 2, Fault::Partition))
             .build(),
     )
     .train(&ds.matrix)
@@ -403,7 +405,7 @@ fn node_kill_on_a_four_shard_cluster_replans_and_converges() {
         .iter()
         .position(|h| h.len() == 4 && h[3] == WorkerHealth::Dead)
         .expect("killed node's worker was never marked dead");
-    assert!((2..=4).contains(&dead_epoch), "died at epoch {dead_epoch}");
+    assert_eq!(dead_epoch, 2, "a partition bites in its own epoch");
     assert!(report.health_history[dead_epoch + 1..]
         .iter()
         .all(|h| h.len() == 3));
@@ -422,15 +424,15 @@ fn duplicate_only_chaos_is_invisible_to_training() {
     let plain = HccMf::new(base(seed).build()).train(&ds.matrix).unwrap();
     // Every push is wire-duplicated; the server's idempotent dedup must
     // apply each exactly once, so the factors cannot move a single bit.
-    let plan = NetChaosPlan {
+    let plan = FaultPlan {
         duplicate_rate: 1.0,
-        ..NetChaosPlan::quiet(seed)
+        ..FaultPlan::new(seed)
     };
     let dup = HccMf::new(
         base(seed)
             .transport(TransportKind::Socket)
             .fault_tolerance(test_supervisor())
-            .net_chaos_plan(plan)
+            .fault_plan(plan)
             .build(),
     )
     .train(&ds.matrix)
@@ -444,11 +446,12 @@ fn wire_duplicates_are_deduplicated_exactly() {
     let seed = chaos_seed();
     let (workers, len) = (2usize, 8usize);
     let socket = Arc::new(CommSocket::new(workers, len, len, Precision::Fp32).unwrap());
-    let plan = NetChaosPlan {
+    let plan = FaultPlan {
         duplicate_rate: 1.0,
-        ..NetChaosPlan::quiet(seed)
+        ..FaultPlan::new(seed)
     };
-    let chaos = ChaosTransport::new(socket.clone() as Arc<dyn Transport>, plan);
+    let fleet = (0..workers).collect();
+    let chaos = ChaosTransport::new(socket.clone() as Arc<dyn Transport>, plan, fleet);
 
     // Drive the pull → push → collect cycle by hand for a few epochs. The
     // chaos layer re-sends every push under its original sequence number;
@@ -457,6 +460,7 @@ fn wire_duplicates_are_deduplicated_exactly() {
     let rounds = 5u64;
     for round in 0..rounds {
         let q = vec![round as f32; len];
+        chaos.begin_epoch(round as usize);
         chaos.publish(&q);
         for w in 0..workers {
             let mut pulled = vec![0.0f32; len];
@@ -481,4 +485,137 @@ fn wire_duplicates_are_deduplicated_exactly() {
     assert_eq!(stats.duplicated, (workers as u64) * rounds);
     assert_eq!(socket.net_stats().dedup_hits, stats.duplicated);
     assert_eq!(socket.net_stats().retrans_bytes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// One coordinate system: a fault lands where the plan puts it.
+// ---------------------------------------------------------------------------
+
+/// Trains under `plan` and returns the `(epoch, starting-fleet worker)`
+/// cells at which the server saw a CRC-corrupt push — the one injected
+/// fault that leaves a telemetry event nothing else can cause — with the
+/// report.
+fn corrupt_cells(
+    builder: hcc_mf::HccConfigBuilder,
+    plan: &FaultPlan,
+    tag: &str,
+) -> (BTreeSet<(usize, usize)>, hcc_mf::HccReport) {
+    let seed = plan.seed;
+    let ds = dataset(seed);
+    let path = std::env::temp_dir().join(format!("hcc_chaos_cells_{tag}_{seed}.jsonl"));
+    let config = builder
+        .fault_tolerance(SupervisorConfig {
+            heartbeat_timeout: Duration::from_millis(100),
+            ..test_supervisor()
+        })
+        .fault_plan(plan.clone())
+        .telemetry(&path)
+        .build();
+    let report = HccMf::new(config).train(&ds.matrix).unwrap();
+    std::fs::remove_file(&path).ok();
+    let cells = report
+        .timeline
+        .as_ref()
+        .expect("telemetry was on")
+        .events
+        .iter()
+        .filter_map(|event| match event {
+            Event::NetRetry {
+                epoch,
+                worker,
+                cause: NetCause::Corrupt,
+                ..
+            } => Some((*epoch as usize, *worker as usize)),
+            _ => None,
+        })
+        .collect();
+    (cells, report)
+}
+
+/// The cells of a 10-epoch, 4-worker run at which `plan` corrupts a push of
+/// a worker that `alive(epoch, worker)` says is still in the fleet.
+fn planned_corrupt_cells(
+    plan: &FaultPlan,
+    alive: impl Fn(usize, usize) -> bool,
+) -> BTreeSet<(usize, usize)> {
+    (0..10)
+        .flat_map(|e| (0..4).map(move |w| (e, w)))
+        .filter(|&(e, w)| alive(e, w) && plan.at(w, e) == Some(Fault::CorruptPush))
+        .collect()
+}
+
+fn corrupting(seed: u64) -> FaultPlan {
+    FaultPlan {
+        corrupt_rate: 0.3,
+        ..FaultPlan::new(seed)
+    }
+}
+
+#[test]
+fn rolled_faults_land_on_the_plans_cells_under_a_fixed_partition() {
+    let plan = corrupting(chaos_seed());
+    let (cells, _) = corrupt_cells(base(plan.seed), &plan, "uniform");
+    let planned = planned_corrupt_cells(&plan, |_, _| true);
+    assert!(
+        planned.len() >= 4,
+        "the case must inject something: {planned:?}"
+    );
+    assert_eq!(cells, planned);
+}
+
+#[test]
+fn rolled_faults_land_on_the_plans_cells_across_repartitions() {
+    // A throttled CPU + GPU-class fleet under DP2: Algorithm 1 steps after
+    // the first epochs, then the stagger, which always rebuilds workers and
+    // endpoints — after the plan has already been running for three epochs.
+    let plan = corrupting(chaos_seed());
+    let fleet = vec![
+        WorkerSpec::cpu(1),
+        WorkerSpec::gpu_sim(1).throttled(0.4),
+        WorkerSpec::cpu(1),
+        WorkerSpec::gpu_sim(1).throttled(0.4),
+    ];
+    let builder = base(plan.seed).workers(fleet).partition(PartitionMode::Dp2);
+    let (cells, report) = corrupt_cells(builder, &plan, "dp2");
+    let shares = &report.partition_history;
+    assert_ne!(shares.first(), shares.last(), "the run never repartitioned");
+    assert_eq!(cells, planned_corrupt_cells(&plan, |_, _| true));
+}
+
+#[test]
+fn rolled_faults_land_on_the_plans_cells_after_the_fleet_shrinks() {
+    // Worker 1 dies at epoch 3: the survivors are re-packed into fleet
+    // slots 0..3 behind fresh endpoints, and keep their own schedules.
+    let plan = corrupting(chaos_seed()).with(1, 3, Fault::Crash);
+    let (cells, report) = corrupt_cells(base(plan.seed), &plan, "crash");
+    assert_eq!(report.health_history[3][1], WorkerHealth::Dead);
+    assert!(report.health_history[4..].iter().all(|h| h.len() == 3));
+    let planned = planned_corrupt_cells(&plan, |e, w| w != 1 || e < 3);
+    assert!(
+        planned.iter().any(|&(e, w)| e > 3 && w > 1),
+        "the case must corrupt a re-packed worker after the crash: {planned:?}"
+    );
+    assert_eq!(cells, planned);
+}
+
+#[test]
+fn a_scripted_drop_does_not_shift_the_rolled_faults_that_follow_it() {
+    // The scripted drop and the rolled corruption share one enactor and one
+    // clock: the worker whose push was dropped at epoch 1 is corrupted at
+    // the same later epochs as if it had not been.
+    let rolled = corrupting(chaos_seed());
+    // The victim: a worker the rates corrupt at some epoch after the first.
+    let &(_, victim) = planned_corrupt_cells(&rolled, |_, _| true)
+        .iter()
+        .find(|&&(e, _)| e > 1)
+        .expect("ten epochs at 0.3 corrupt somebody after epoch 1");
+    let plan = rolled.with(victim, 1, Fault::DropPush);
+    let (cells, report) = corrupt_cells(base(plan.seed), &plan, "drop");
+    assert_eq!(report.health_history[1][victim], WorkerHealth::Straggler);
+    let planned = planned_corrupt_cells(&plan, |_, _| true);
+    assert!(
+        !planned.contains(&(1, victim)),
+        "the script outranks the roll"
+    );
+    assert_eq!(cells, planned);
 }

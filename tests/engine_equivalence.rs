@@ -1,10 +1,11 @@
 //! Threaded engine vs DES twin: the two executions of the same plan must
 //! tell the same story.
 //!
-//! The threaded engine (`hcc_mf::HccMf` under a `FaultPlan`) runs real
-//! threads against real factors; the hetsim discrete-event simulator
-//! (`simulate_epoch_faulty`) replays the same fault vocabulary on a
-//! virtual calendar. Neither knows about the other, so agreement is
+//! The threaded engine (`hcc_mf::HccMf`) runs real threads against real
+//! factors; the hetsim discrete-event simulator (`simulate_epoch_faulty`)
+//! runs a virtual calendar. Every test hands both the *same*
+//! `hcc_comm::FaultPlan` value, read at the same `(starting-fleet worker,
+//! training epoch)`. Neither engine knows about the other, so agreement is
 //! evidence both implement the *model* — per-epoch update counts follow the
 //! partition plan exactly, and a fault changes participation identically in
 //! both engines:
@@ -15,15 +16,18 @@
 //! * a worker computes in the DES trace (has a `Compute` span) exactly when
 //!   the threaded engine counted updates for it;
 //! * stalls delay but never drop work, and dropped pushes waste the bus but
-//!   never the compute, in both engines.
+//!   never the compute, in both engines;
+//! * under rolled network chaos, on one server or four shards, the server
+//!   merges nothing from exactly the same `(epoch, worker)` cells in both
+//!   engines — the cells the plan says lose their push.
 
+use hcc_comm::{Fault, FaultPlan};
 use hcc_hetsim::{
-    simulate_epoch_faulty, BusKind, Phase, Platform, ProcessorProfile, SimConfig, SimFault,
-    Workload,
+    simulate_epoch_faulty, BusKind, Phase, Platform, ProcessorProfile, SimConfig, Workload,
 };
 use hcc_mf::{
-    FaultPlan, HccConfig, HccMf, HccReport, LearningRate, PartitionMode, SupervisorConfig,
-    WorkerHealth, WorkerSpec,
+    HccConfig, HccMf, HccReport, LearningRate, PartitionMode, SupervisorConfig, WorkerHealth,
+    WorkerSpec,
 };
 use hcc_sparse::{Axis, CooMatrix, GenConfig, GridPartition, SyntheticDataset};
 use std::time::Duration;
@@ -66,11 +70,19 @@ fn config(seed: u64) -> hcc_mf::HccConfigBuilder {
         .fault_tolerance(test_supervisor())
 }
 
-/// The DES mirror of the threaded platform: `workers` identical
-/// single-thread CPUs, so a uniform split is also the balanced one.
-fn des_trace(workers: usize, faults: &[SimFault]) -> hcc_hetsim::EpochTrace {
+/// Epoch `epoch` of `plan` on the DES mirror of the threaded platform: one
+/// identical single-thread CPU per starting-fleet id in `fleet` (so a
+/// uniform split is also the balanced one) in front of `shards` server
+/// shards.
+fn des_trace(
+    fleet: &[usize],
+    shards: usize,
+    plan: &FaultPlan,
+    epoch: usize,
+) -> hcc_hetsim::EpochTrace {
+    let workers = fleet.len();
     let mut platform = Platform::new("threaded-twin");
-    for w in 0..workers {
+    for w in fleet {
         platform = platform.with_worker(
             ProcessorProfile::custom_cpu(&format!("cpu{w}"), 1, 50.0e6, 12.5e9),
             BusKind::Upi,
@@ -84,11 +96,16 @@ fn des_trace(workers: usize, faults: &[SimFault]) -> hcc_hetsim::EpochTrace {
     };
     let config = SimConfig {
         k: 8,
+        server_shards: shards,
         ..SimConfig::default()
     };
     let x = vec![1.0 / workers as f64; workers];
-    simulate_epoch_faulty(&platform, &workload, &config, &x, faults)
+    simulate_epoch_faulty(&platform, &workload, &config, &x, |w| {
+        plan.at(fleet[w], epoch)
+    })
 }
+
+const FLEET: [usize; WORKERS] = [0, 1, 2, 3];
 
 fn has_compute(trace: &hcc_hetsim::EpochTrace, worker: usize) -> bool {
     trace
@@ -142,7 +159,7 @@ fn fault_free_updates_follow_the_partition_plan_every_epoch() {
     }
     // DES twin: with no faults, everyone computes — exactly as the threaded
     // engine counted updates for everyone.
-    let trace = des_trace(WORKERS, &[]);
+    let trace = des_trace(&FLEET, 1, &FaultPlan::new(1), 0);
     for w in 0..WORKERS {
         assert_eq!(
             has_compute(&trace, w),
@@ -157,8 +174,8 @@ fn crash_changes_participation_identically_in_both_engines() {
     const CRASH_WORKER: usize = 1;
     const CRASH_EPOCH: usize = 3;
     let ds = dataset(2);
-    let plan = FaultPlan::new(2).crash(CRASH_WORKER, CRASH_EPOCH);
-    let report = HccMf::new(config(2).fault_plan(plan).build())
+    let plan = FaultPlan::new(2).with(CRASH_WORKER, CRASH_EPOCH, Fault::Crash);
+    let report = HccMf::new(config(2).fault_plan(plan.clone()).build())
         .train(&ds.matrix)
         .unwrap();
 
@@ -185,16 +202,17 @@ fn crash_changes_participation_identically_in_both_engines() {
         assert_eq!(total, NNZ as u64, "epoch {e}");
     }
 
-    // The DES twin of each epoch: compute-span presence must equal
-    // "threaded engine counted updates > 0", worker by worker.
+    // The DES twin of each epoch, under the same plan and on the fleet the
+    // supervisor left: compute-span presence must equal "threaded engine
+    // counted updates > 0", worker by worker.
     for e in 0..EPOCHS {
+        let fleet: Vec<usize> = FLEET
+            .into_iter()
+            .filter(|&id| id != CRASH_WORKER || e <= CRASH_EPOCH)
+            .collect();
         let workers = report.worker_stats[e].len();
-        let faults = if e == CRASH_EPOCH {
-            vec![SimFault::crash(CRASH_WORKER)]
-        } else {
-            vec![]
-        };
-        let trace = des_trace(workers, &faults);
+        assert_eq!(fleet.len(), workers, "epoch {e}");
+        let trace = des_trace(&fleet, 1, &plan, e);
         for w in 0..workers {
             assert_eq!(
                 has_compute(&trace, w),
@@ -210,8 +228,9 @@ fn stall_delays_but_never_drops_work_in_both_engines() {
     const STALL_WORKER: usize = 2;
     const STALL_EPOCH: usize = 1;
     let ds = dataset(3);
-    let plan = FaultPlan::new(3).stall(STALL_WORKER, STALL_EPOCH, 150);
-    let report = HccMf::new(config(3).fault_plan(plan).build())
+    let stall = Fault::Stall(Duration::from_millis(150));
+    let plan = FaultPlan::new(3).with(STALL_WORKER, STALL_EPOCH, stall);
+    let report = HccMf::new(config(3).fault_plan(plan.clone()).build())
         .train(&ds.matrix)
         .unwrap();
 
@@ -227,11 +246,13 @@ fn stall_delays_but_never_drops_work_in_both_engines() {
     );
 
     // DES: same story — the stalled worker computes (participation
-    // unchanged) and the epoch's makespan stretches by about the stall.
-    let plain = des_trace(WORKERS, &[]);
-    let stalled = des_trace(WORKERS, &[SimFault::stall(STALL_WORKER, plain.epoch_time)]);
+    // unchanged) and that epoch's makespan, and no other's, stretches by
+    // the stall (150 ms, less rounding).
+    let plain = des_trace(&FLEET, 1, &plan, STALL_EPOCH - 1);
+    let stalled = des_trace(&FLEET, 1, &plan, STALL_EPOCH);
     assert!(has_compute(&stalled, STALL_WORKER));
-    assert!(stalled.epoch_time > plain.epoch_time * 1.5);
+    assert!(stalled.epoch_time - plain.epoch_time > 0.149);
+    assert_eq!(plain, des_trace(&FLEET, 1, &plan, STALL_EPOCH + 1));
 }
 
 #[test]
@@ -239,8 +260,8 @@ fn dropped_push_wastes_the_bus_but_not_the_compute_in_both_engines() {
     const DROP_WORKER: usize = 0;
     const DROP_EPOCH: usize = 2;
     let ds = dataset(4);
-    let plan = FaultPlan::new(4).drop_push(DROP_WORKER, DROP_EPOCH);
-    let report = HccMf::new(config(4).fault_plan(plan).build())
+    let plan = FaultPlan::new(4).with(DROP_WORKER, DROP_EPOCH, Fault::DropPush);
+    let report = HccMf::new(config(4).fault_plan(plan.clone()).build())
         .train(&ds.matrix)
         .unwrap();
 
@@ -251,9 +272,56 @@ fn dropped_push_wastes_the_bus_but_not_the_compute_in_both_engines() {
     }
 
     // DES: the push occupies the bus but the merge never happens.
-    let trace = des_trace(WORKERS, &[SimFault::drop_push(DROP_WORKER)]);
+    let trace = des_trace(&FLEET, 1, &plan, DROP_EPOCH);
     assert!(has_compute(&trace, DROP_WORKER));
     let spans = trace.worker_spans(DROP_WORKER);
     assert!(spans.iter().any(|s| s.phase == Phase::Push));
     assert!(spans.iter().all(|s| s.phase != Phase::Sync));
+}
+
+/// Runs the `--net-chaos` recipe through both engines in front of `shards`
+/// server shards and compares, cell by cell, whose push the server merged.
+fn assert_both_engines_lose_the_same_pushes(seed: u64, shards: usize) {
+    let ds = dataset(seed);
+    let plan = FaultPlan::from_seed(seed);
+    let builder = config(seed).server_shards(shards).fault_plan(plan.clone());
+    let report = HccMf::new(builder.build()).train(&ds.matrix).unwrap();
+    let mut lost = 0;
+    for e in 0..EPOCHS {
+        // Drops and corruption are transient: the fleet never shrinks.
+        assert_eq!(report.health_history[e].len(), WORKERS, "epoch {e}");
+        let trace = des_trace(&FLEET, shards, &plan, e);
+        for w in 0..WORKERS {
+            let planned = plan.at(w, e).is_some_and(Fault::loses_push);
+            // Threaded: a worker that computed but whose push the server
+            // never merged is a straggler for the epoch.
+            let threaded = report.health_history[e][w] == WorkerHealth::Straggler;
+            let des = trace.worker_spans(w).iter().all(|s| s.phase != Phase::Sync);
+            assert_eq!((threaded, des), (planned, planned), "epoch {e}, worker {w}");
+            lost += usize::from(planned);
+        }
+        // A lost push never costs the work: updates follow the plan.
+        assert_updates_match_plan(&ds.matrix, &report, e, &[]);
+    }
+    assert!(lost >= 2, "seed {seed} must lose some pushes, lost {lost}");
+}
+
+/// The seed of the rolled cases: CI's `chaos` job sweeps it.
+fn chaos_seed() -> u64 {
+    std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1)
+}
+
+#[test]
+fn rolled_chaos_loses_the_same_pushes_in_both_engines() {
+    assert_both_engines_lose_the_same_pushes(chaos_seed(), 1);
+}
+
+#[test]
+fn rolled_chaos_loses_the_same_pushes_in_both_engines_over_four_shards() {
+    // A fault is the worker's, not one of its four shard links': sharding
+    // the server must not move (or multiply) a single lost push.
+    assert_both_engines_lose_the_same_pushes(chaos_seed(), 4);
 }

@@ -13,9 +13,9 @@
 //! A failing case prints the hash it computed, which is also how the table
 //! is (re)recorded after an intentional numeric change.
 
-use hcc_comm::NetChaosPlan;
+use hcc_comm::{Fault, FaultPlan};
 use hcc_mf::{
-    FaultPlan, HccConfig, HccConfigBuilder, HccMf, LearningRate, PartitionMode, SupervisorConfig,
+    HccConfig, HccConfigBuilder, HccMf, LearningRate, PartitionMode, SupervisorConfig,
     TransferStrategy, TransportKind, WorkerSpec,
 };
 use hcc_sparse::{GenConfig, SyntheticDataset};
@@ -78,20 +78,20 @@ fn fault_supervisor() -> SupervisorConfig {
     }
 }
 
-/// One corrupt push, one dropped push, and a crash on the *last* epoch:
+/// One poisoned push, one dropped push, and a crash on the *last* epoch:
 /// survivor re-planning weighs measured compute times, so a crash any
 /// earlier would make the following epochs' partition timing-dependent.
 fn fault_plan() -> FaultPlan {
     FaultPlan::new(7)
-        .corrupt_push(0, 1)
-        .drop_push(2, 2)
-        .crash(1, EPOCHS - 1)
+        .with(0, 1, Fault::PoisonPush)
+        .with(2, 2, Fault::DropPush)
+        .with(1, EPOCHS - 1, Fault::Crash)
 }
 
-fn duplicate_only() -> NetChaosPlan {
-    NetChaosPlan {
+fn duplicate_only() -> FaultPlan {
+    FaultPlan {
         duplicate_rate: 1.0,
-        ..NetChaosPlan::quiet(7)
+        ..FaultPlan::new(7)
     }
 }
 
@@ -166,11 +166,7 @@ fn supervised_epochs_fault_free_faulted_and_duplicated() {
             .fault_plan(fault_plan())
             .build()
     };
-    let duplicated = |transport| {
-        supervised(transport)
-            .net_chaos_plan(duplicate_only())
-            .build()
-    };
+    let duplicated = |transport| supervised(transport).fault_plan(duplicate_only()).build();
     let (shared, socket) = (TransportKind::Shared, TransportKind::Socket);
     check(vec![
         ("shared supervised", supervised(shared).build(), CLEAN),

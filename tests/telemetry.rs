@@ -253,10 +253,10 @@ fn disabled_mode_overhead_is_negligible() {
 #[test]
 fn supervised_run_records_fault_events() {
     let _seq = sequential();
-    use hcc_mf::FaultPlan;
+    use hcc_comm::{Fault, FaultPlan};
     let ds = dataset(8_000);
     let path = std::env::temp_dir().join("hcc_telemetry_faults.jsonl");
-    let plan = FaultPlan::new(1).stall(2, 1, 80);
+    let plan = FaultPlan::new(1).with(2, 1, Fault::Stall(std::time::Duration::from_millis(80)));
     let config = HccConfig::builder()
         .k(8)
         .epochs(4)
