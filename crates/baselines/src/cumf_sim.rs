@@ -104,8 +104,8 @@ impl CumfSgdSim {
             let start = Instant::now();
             std::thread::scope(|scope| {
                 for _ in 0..threads {
-                    let p = p.clone();
-                    let q = q.clone();
+                    let p = p.view();
+                    let q = q.view();
                     let cursor = &cursor;
                     let entries = &entries;
                     scope.spawn(move || loop {

@@ -63,8 +63,8 @@ impl Dsgd {
                         if block.is_empty() {
                             continue;
                         }
-                        let p = p.clone();
-                        let q = q.clone();
+                        let p = p.view();
+                        let q = q.view();
                         scope.spawn(move || {
                             for e in block {
                                 sgd_step_shared(

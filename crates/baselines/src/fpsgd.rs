@@ -59,8 +59,8 @@ impl Fpsgd {
             let start = Instant::now();
             std::thread::scope(|scope| {
                 for t in 0..threads {
-                    let p = p.clone();
-                    let q = q.clone();
+                    let p = p.view();
+                    let q = q.view();
                     let grid = &grid;
                     let scheduler = &scheduler;
                     let seed = config

@@ -88,8 +88,8 @@ impl Nomad {
 
             std::thread::scope(|scope| {
                 for (w, (_, rx)) in channels.iter().enumerate() {
-                    let p = p.clone();
-                    let q = q.clone();
+                    let p = p.view();
+                    let q = q.view();
                     let by_item = &per_worker_by_item[w];
                     let senders = senders.clone();
                     let remaining = &remaining;

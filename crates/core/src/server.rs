@@ -18,6 +18,7 @@ use hcc_comm::delta::{apply_delta, encode_delta, max_delta_len};
 use hcc_comm::{CommError, NetEvent, Precision, TransferStrategy, Transport};
 use hcc_partition::ShardRouter;
 use hcc_sync::{Arc, AtomicU64, Mutex, Ordering, RwLock};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Float offsets/lengths of a worker's view of the pull and push regions.
@@ -31,6 +32,21 @@ pub struct RegionLayout {
     pub pull_q_offset: usize,
     /// Offset of `Q` within a push buffer.
     pub push_q_offset: usize,
+}
+
+impl RegionLayout {
+    /// Where `Q` sits in a worker's region once it is pulled — and stays:
+    /// the worker trains on it there.
+    pub fn q_elems(&self) -> Range<usize> {
+        self.pull_q_offset..self.pull_len
+    }
+
+    /// The part of a pulled and trained region that is the push: `Q` where
+    /// it is, behind `push_q_offset` floats of room for the worker's `P`
+    /// rows (`FullPq`; none otherwise) taken from the end of the pulled `P`.
+    pub fn push_elems(&self) -> Range<usize> {
+        self.pull_q_offset - self.push_q_offset..self.pull_len
+    }
 }
 
 /// Computes region layouts for a strategy. Under `FullPq` the pull region is
@@ -412,6 +428,22 @@ mod tests {
             assert_eq!(l.push_len, 160);
             assert_eq!(l.pull_q_offset, 0);
         }
+    }
+
+    #[test]
+    fn a_region_is_pulled_trained_and_pushed_in_place() {
+        // Q-only: the region is `Q`, whole, in both directions.
+        let l = region_layout(TransferStrategy::QOnly, 100, 20, 8, 40);
+        assert_eq!(l.q_elems(), 0..160);
+        assert_eq!(l.push_elems(), 0..160);
+        // FullPq: the pull is [P | Q]; the push is the tail of it that puts
+        // `Q` at `push_q_offset`, the room before it taking the `P` rows.
+        let l = region_layout(TransferStrategy::FullPq, 100, 20, 8, 40);
+        assert_eq!(l.q_elems(), 800..960);
+        let push = l.push_elems();
+        assert_eq!(push.len(), l.push_len);
+        assert_eq!(push.start + l.push_q_offset, l.q_elems().start);
+        assert_eq!(push.end, l.pull_len);
     }
 
     #[test]

@@ -45,9 +45,19 @@ pub fn load_served_model_with<P: AsRef<Path>>(
     shards: usize,
     precision: Precision,
 ) -> Result<ServedModel, HccError> {
+    load_and_build(path.as_ref(), train, shards, precision, true)
+}
+
+fn load_and_build(
+    path: &Path,
+    train: Option<&CooMatrix>,
+    shards: usize,
+    precision: Precision,
+    prune: bool,
+) -> Result<ServedModel, HccError> {
     let (p, q) = load_model(path)?;
     Ok(ServedModel::build_with(
-        p, q, train, shards, precision, true,
+        p, q, train, shards, precision, prune,
     )?)
 }
 
@@ -59,7 +69,9 @@ const RELOAD_ATTEMPTS: u32 = 3;
 const RELOAD_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Hot-reloads `engine` from a checkpoint on disk; returns the engine's
-/// reload count. Any failure — unreadable file, bad magic, CRC mismatch
+/// reload count. The new model is stored at the precision, and pruned or
+/// not, as the one it replaces: a reload changes the factors, not the tier
+/// the engine serves at. Any failure — unreadable file, bad magic, CRC mismatch
 /// ([`HccError::CorruptCheckpoint`]), factor/`train` shape disagreement —
 /// happens before the swap, so the engine keeps serving its current model.
 ///
@@ -93,9 +105,13 @@ pub fn reload_with_backoff<P: AsRef<Path>>(
     attempts: u32,
     mut backoff: Backoff,
 ) -> Result<u64, HccError> {
+    let (precision, prune) = {
+        let serving = engine.model();
+        (serving.precision(), serving.pruned())
+    };
     let mut attempt = 0;
     loop {
-        match load_served_model(path.as_ref(), train, shards) {
+        match load_and_build(path.as_ref(), train, shards, precision, prune) {
             Ok(model) => return Ok(engine.reload(model)),
             Err(err) if !err.is_retryable() => return Err(err),
             Err(err) => {
@@ -251,6 +267,32 @@ mod tests {
             let gi: Vec<u32> = got.iter().map(|e| e.0).collect();
             let oi: Vec<u32> = oracle.iter().map(|e| e.0).collect();
             assert_eq!(gi, oi, "{tier}: {got:?} vs {oracle:?}");
+        }
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_reload_keeps_the_precision_and_pruning_of_the_model_it_replaces() {
+        let path = tmp("reload_tier.hccmf");
+        let p = FactorMatrix::random(6, 8, 13);
+        let q = FactorMatrix::random(40, 8, 14);
+        save_model(&path, &p, &q).unwrap();
+        for prune in [true, false] {
+            let model =
+                ServedModel::build_with(p.clone(), q.clone(), None, 2, Precision::Int8, prune)
+                    .unwrap();
+            let engine = ServeEngine::new(model);
+            assert_eq!(reload_from_checkpoint(&engine, &path, None, 2).unwrap(), 1);
+            let reloaded = engine.model();
+            assert_eq!(reloaded.precision(), Precision::Int8, "prune = {prune}");
+            assert_eq!(reloaded.pruned(), prune);
+            // An exhaustive engine still scans every item of every query.
+            if !prune {
+                for user in 0..6 {
+                    engine.top_k(user, 5).unwrap();
+                }
+                assert_eq!(engine.stats().scan_frac, 1.0);
+            }
         }
         fs::remove_file(&path).ok();
     }

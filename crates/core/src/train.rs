@@ -7,9 +7,7 @@ use crate::error::HccError;
 use crate::report::{HccReport, WorkerEpochStats};
 use crate::server::{merge_weighted, merge_weights, region_layout, RegionLayout, ShardedServer};
 use crate::supervisor::{Supervisor, WorkerHealth};
-use crate::worker::{
-    chunk_col_ranges, group_by_chunk, rebase_entries, OptimizerState, WorkerState,
-};
+use crate::worker::{chunk_col_ranges, group_by_chunk, rebase_rows, OptimizerState, WorkerState};
 use hcc_comm::socket::NetEventKind;
 use hcc_comm::{
     run_pipeline, Backoff, ChaosTransport, CommError, CommP, CommShared, CommSocket, Fault,
@@ -18,7 +16,7 @@ use hcc_comm::{
 use hcc_partition::{
     dp0, dp1_step, dp2, replan_survivors, ShardRouter, StrategyChoice, WorkerClass,
 };
-use hcc_sgd::{rmse_parallel, FactorMatrix, SharedFactors};
+use hcc_sgd::{rmse_parallel, FactorMatrix, SharedRows};
 use hcc_sparse::{Axis, CooMatrix, GridPartition};
 use hcc_telemetry::{Dir, Event, NetCause, Phase, Telemetry};
 use parking_lot::Mutex;
@@ -85,7 +83,7 @@ impl HccMf {
 
         let mut session = Session::create(&self.config, work)?;
         if let Some(state) = resume {
-            session.apply_resume(state)?;
+            session.apply_resume(state);
         }
         session.run(transposed)?;
         let report = session.into_report(transposed);
@@ -283,9 +281,13 @@ struct Supervision {
     snapshot: (FactorMatrix, FactorMatrix),
 }
 
-/// The server's region-sized buffers: built with the workers, on the
-/// session's thread, and reused by every epoch, so an epoch allocates none.
-struct ServerBuffers {
+/// What an epoch writes of the server's state: `P`, and the region-sized
+/// buffers — built with the workers, on the session's thread, and reused by
+/// every epoch, so an epoch allocates none.
+struct ServerSide {
+    /// The model's `P`, stored here and nowhere else: an epoch lends every
+    /// worker its own rows of it for as long as the worker threads run.
+    p: FactorMatrix,
     /// The merge accumulator `Σ wᵢ·qᵢ`; swapped with `global_q` when the
     /// epoch's merge is complete.
     q_acc: FactorMatrix,
@@ -301,11 +303,10 @@ struct Session<'a> {
     m: usize,
     n: usize,
     k: usize,
-    global_p: FactorMatrix,
     global_q: FactorMatrix,
     /// Locked by the server side of an epoch only; the mutex is what lets
-    /// the epoch fill them while its workers borrow the session shared.
-    buffers: Mutex<ServerBuffers>,
+    /// the epoch write it while its workers borrow the session shared.
+    server: Mutex<ServerSide>,
     fractions: Vec<f64>,
     classes: Vec<WorkerClass>,
     /// Worker specs currently in the fleet (shrinks when workers die).
@@ -401,10 +402,11 @@ impl<'a> Session<'a> {
             m,
             n,
             k,
-            global_p,
             global_q,
-            // Sized by `rebuild_workers` below, like `workers` and `chunks`.
-            buffers: Mutex::new(ServerBuffers {
+            // The buffers are sized by `rebuild_workers` below, like
+            // `workers` and `chunks`.
+            server: Mutex::new(ServerSide {
+                p: global_p,
                 q_acc: FactorMatrix::zeros(0, k),
                 pull_region: Vec::new(),
             }),
@@ -437,29 +439,28 @@ impl<'a> Session<'a> {
     }
 
     /// (Re)builds worker states and the chunk endpoints for a partition
-    /// vector. Worker-held `P` rows are flushed into `global_p` first so no
-    /// training progress is lost across repartitions.
+    /// vector. Workers hold no factors of their own — `P` is trained where
+    /// the session keeps it and `Q` is pulled every epoch — so no training
+    /// progress is lost across repartitions.
     fn rebuild_workers(&mut self, fractions: Vec<f64>) -> Result<(), HccError> {
-        self.flush_local_p();
-        // The old fleet's regions and endpoints go before their successors
-        // are built: a repartition must not hold two sets at once.
+        // The old fleet's ratings, regions and endpoints go before their
+        // successors are built: a repartition must not hold two sets at once.
         self.workers.clear();
         self.chunks.clear();
-        let grid = GridPartition::build(&self.work, Axis::Row, &fractions);
         let k = self.k;
         let cols = chunk_col_ranges(self.n, self.config.streams);
+        // The grid is gone when this loop is: its shards become the
+        // workers' entries, so the ratings are held twice (`work` and the
+        // fleet's), never three times.
+        let grid = GridPartition::build(&self.work, Axis::Row, &fractions);
+        let ranges: Vec<Range<u32>> = (0..self.specs.len()).map(|w| grid.range(w)).collect();
         let mut workers = Vec::with_capacity(self.specs.len());
-        let mut max_rows = 0usize;
-        for (w, spec) in self.specs.iter().enumerate() {
-            let range = grid.range(w);
-            max_rows = max_rows.max((range.end - range.start) as usize);
-            let mut entries = rebase_entries(grid.shard(w), range.start);
+        for ((spec, row_range), mut entries) in
+            self.specs.iter().zip(ranges).zip(grid.into_shards())
+        {
+            rebase_rows(&mut entries, row_range.start);
             let chunk_entries = group_by_chunk(&mut entries, &cols);
-            let rows = (range.end - range.start) as usize;
-            let local_p = SharedFactors::zeros(rows.max(1), k);
-            let owned = range.start as usize * k..range.end as usize * k;
-            local_p.copy_rows_from_slice(0, rows, &self.global_p.as_slice()[owned]);
-            let local_q = SharedFactors::zeros(self.n, k);
+            let rows = row_range.len().max(1);
             let optimizer = match self.config.optimizer {
                 Optimizer::Sgd => OptimizerState::Sgd {
                     schedule: self.config.schedule,
@@ -467,24 +468,23 @@ impl<'a> Session<'a> {
                 Optimizer::AdaGrad { eta0, epsilon } => OptimizerState::AdaGrad {
                     eta0,
                     epsilon,
-                    state: hcc_sgd::AdaGradState::new(rows.max(1), self.n, k),
+                    state: hcc_sgd::AdaGradState::new(rows, self.n, k),
                 },
                 Optimizer::Momentum { beta } => OptimizerState::Momentum {
                     beta,
-                    state: hcc_sgd::MomentumState::new(rows.max(1), self.n, k),
+                    state: hcc_sgd::MomentumState::new(rows, self.n, k),
                 },
             };
             workers.push(WorkerState {
                 spec: spec.clone(),
                 entries,
                 chunk_entries,
-                row_range: range,
-                local_p,
-                local_q,
+                row_range,
                 regions: Vec::new(), // sized below, once `max_rows` is known
                 optimizer,
             });
         }
+        let max_rows = workers.iter().map(|w| w.p_rows().len()).max().unwrap_or(0);
         let precision = if self.config.strategy.is_compressed() {
             Precision::Fp16
         } else {
@@ -500,17 +500,17 @@ impl<'a> Session<'a> {
         for worker in &mut workers {
             worker.regions = layouts
                 .iter()
-                .map(|l| Mutex::new(vec![0f32; l.pull_len.max(l.push_len)]))
+                .map(|l| Mutex::new(vec![0f32; l.pull_len]))
                 .collect();
         }
         let full_pq = self.config.strategy == TransferStrategy::FullPq;
         // Sized in place: a repartition that moves no length allocates none.
-        let buffers = self.buffers.get_mut();
-        if buffers.q_acc.rows() != self.n {
-            buffers.q_acc = FactorMatrix::zeros(self.n, k);
+        let server = self.server.get_mut();
+        if server.q_acc.rows() != self.n {
+            server.q_acc = FactorMatrix::zeros(self.n, k);
         }
         let pull_region = if full_pq { layouts[0].pull_len } else { 0 };
-        buffers.pull_region.resize(pull_region, 0.0);
+        server.pull_region.resize(pull_region, 0.0);
         self.chunks = cols
             .into_iter()
             .zip(layouts)
@@ -546,23 +546,11 @@ impl<'a> Session<'a> {
     }
 
     /// Restores factors and loop state from a validated v2 checkpoint.
-    fn apply_resume(&mut self, state: ResumeState) -> Result<(), HccError> {
-        self.global_p = state.p;
+    fn apply_resume(&mut self, state: ResumeState) {
+        self.server.get_mut().p = state.p;
         self.global_q = state.q;
         self.start_epoch = state.meta.epoch;
         self.lr_scale = state.meta.lr_scale as f64;
-        // Worker states were seeded from the random init; re-copy the
-        // restored rows. Clearing first stops rebuild flushing stale P.
-        self.workers.clear();
-        self.rebuild_workers(self.fractions.clone())
-    }
-
-    /// Writes every worker's `P` rows back into the global matrix.
-    fn flush_local_p(&mut self) {
-        for state in &self.workers {
-            let owned = &mut self.global_p.as_mut_slice()[state.p_elems()];
-            state.local_p.read_rows_into(0, state.rows(), owned);
-        }
     }
 
     /// Wire bytes over all chunk endpoints, split `(pull, push)`.
@@ -581,7 +569,7 @@ impl<'a> Session<'a> {
             supervisor.observe_baseline(self.evaluate());
             Supervision {
                 supervisor,
-                snapshot: (self.global_p.clone(), self.global_q.clone()),
+                snapshot: (self.server.get_mut().p.clone(), self.global_q.clone()),
             }
         });
 
@@ -616,10 +604,11 @@ impl<'a> Session<'a> {
                             lr_scale: scale,
                         },
                     );
-                    (self.global_p, self.global_q) = sup.snapshot.clone();
-                    // Clear first: the diverged local factors must not be
-                    // flushed over the restored snapshot.
-                    self.workers.clear();
+                    let (p, q) = &sup.snapshot;
+                    let diverged_p = self.server.get_mut().p.as_mut_slice();
+                    diverged_p.copy_from_slice(p.as_slice());
+                    self.global_q.as_mut_slice().copy_from_slice(q.as_slice());
+                    // Fresh optimizer state and endpoints for the retry.
                     self.rebuild_workers(self.fractions.clone())?;
                     continue; // retry the same epoch at reduced LR
                 }
@@ -667,7 +656,8 @@ impl<'a> Session<'a> {
             if let Some(sup) = supervision.as_mut() {
                 self.handle_health(&mut sup.supervisor, &outcome, epoch)?;
                 let (p, q) = &mut sup.snapshot;
-                p.as_mut_slice().copy_from_slice(self.global_p.as_slice());
+                p.as_mut_slice()
+                    .copy_from_slice(self.server.get_mut().p.as_slice());
                 q.as_mut_slice().copy_from_slice(self.global_q.as_slice());
             }
             self.worker_stats.push(outcome.stats);
@@ -680,7 +670,6 @@ impl<'a> Session<'a> {
             epoch += 1;
         }
         self.rollbacks = supervision.map_or(0, |s| s.supervisor.rollbacks_used() as usize);
-        self.flush_local_p();
         Ok(())
     }
 
@@ -724,14 +713,13 @@ impl<'a> Session<'a> {
             return Ok(());
         }
         let t0 = Instant::now();
-        self.flush_local_p();
         let meta = TrainingMeta {
             epoch: epoch + 1,
             seed: self.config.seed,
             lr_scale: self.lr_scale as f32,
             transposed,
         };
-        let result = save_checkpoint(path, &self.global_p, &self.global_q, &meta);
+        let result = save_checkpoint(path, &self.server.get_mut().p, &self.global_q, &meta);
         self.telemetry.record(
             self.telemetry.server_lane(),
             Event::Checkpoint {
@@ -835,8 +823,12 @@ impl<'a> Session<'a> {
         let mut sync_time = Duration::ZERO;
         let mut missed = vec![false; this.workers.len()];
 
-        let mut buffers = this.buffers.lock();
-        let ServerBuffers { q_acc, pull_region } = &mut *buffers;
+        let mut server = this.server.lock();
+        let ServerSide {
+            p,
+            q_acc,
+            pull_region,
+        } = &mut *server;
         let q_acc = q_acc.as_mut_slice();
         q_acc.fill(0.0);
         let global_q = this.global_q.as_slice();
@@ -848,7 +840,7 @@ impl<'a> Session<'a> {
             }
             let q = &global_q[chunk.cols.start * k..chunk.cols.end * k];
             if full_pq {
-                pull_region[..this.m * k].copy_from_slice(this.global_p.as_slice());
+                pull_region[..this.m * k].copy_from_slice(p.as_slice());
                 pull_region[chunk.layout.pull_q_offset..].copy_from_slice(q);
                 chunk.endpoint.publish(pull_region);
             } else {
@@ -856,15 +848,18 @@ impl<'a> Session<'a> {
             }
         }
 
+        // Until the scope joins, each worker holds its own rows of `P`.
+        let p_blocks = p.split_rows_mut(this.workers.iter().map(WorkerState::p_rows));
         std::thread::scope(|scope| -> Result<(), HccError> {
-            for w in 0..this.workers.len() {
+            for (w, p_rows) in p_blocks.into_iter().enumerate() {
                 let exits = &exits;
                 scope.spawn(move || {
                     // A worker panic would otherwise abort the process at
                     // the scope join — contain it.
-                    let exit =
-                        catch_unwind(AssertUnwindSafe(|| this.worker_epoch(w, lr, epoch, sup)))
-                            .map_err(|payload| panic_message(payload.as_ref()));
+                    let exit = catch_unwind(AssertUnwindSafe(|| {
+                        this.worker_epoch(w, p_rows, lr, epoch, sup)
+                    }))
+                    .map_err(|payload| panic_message(payload.as_ref()));
                     if let (Err(_), Some(sup)) = (&exit, sup) {
                         sup.board.mark_dead(w);
                     }
@@ -894,12 +889,9 @@ impl<'a> Session<'a> {
                             merge_weighted(&mut q_acc[q_range.clone()], q_part, weights[w]);
                             accepted += weights[w];
                             merged = true;
-                            if full_pq {
-                                // A worker owns its `P` rows outright: they
-                                // replace the ones published this epoch.
-                                let owned = this.workers[w].p_elems();
-                                pull_region[owned.clone()].copy_from_slice(&push[..owned.len()]);
-                            }
+                            // The `P` rows a `FullPq` push carries are read
+                            // by nobody: their owner trained them where the
+                            // server keeps them.
                         }
                         let took = t0.elapsed();
                         sync_time += took;
@@ -932,7 +924,7 @@ impl<'a> Session<'a> {
             }
             Ok(())
         })?;
-        drop(buffers);
+        drop(server);
 
         let mut stats = Vec::with_capacity(missed.len());
         for (w, exit) in exits.into_inner().into_iter().enumerate() {
@@ -943,12 +935,7 @@ impl<'a> Session<'a> {
                 _ => WorkerEpochStats::default(),
             });
         }
-        let buffers = self.buffers.get_mut();
-        std::mem::swap(&mut self.global_q, &mut buffers.q_acc);
-        if full_pq {
-            let p = self.global_p.as_mut_slice();
-            p.copy_from_slice(&buffers.pull_region[..p.len()]);
-        }
+        std::mem::swap(&mut self.global_q, &mut self.server.get_mut().q_acc);
         Ok(EpochOutcome {
             stats,
             sync_time,
@@ -967,18 +954,23 @@ impl<'a> Session<'a> {
     /// `pull → compute → push` — inline for one chunk, through
     /// [`run_pipeline`] for several, so the pull of chunk `c + 1` and the
     /// push of chunk `c − 1` overlap the computation of chunk `c`
-    /// (Strategy 3). Chunks touch disjoint columns of the local `Q`, and
+    /// (Strategy 3). A chunk has its own region of the worker's `Q`, and
     /// each stage runs its chunks in order, so the overlap moves no bits.
+    /// `p_rows` are the worker's rows of the session's `P`, its alone for
+    /// the epoch.
     fn worker_epoch(
         &self,
         w: usize,
+        p_rows: &mut [f32],
         lr: f32,
         epoch: usize,
         sup: Option<&Supervisor>,
     ) -> WorkerEpochStats {
         let state = &self.workers[w];
         let telemetry = &self.telemetry;
-        let strategy = self.config.strategy;
+        let k = self.k;
+        let full_pq = self.config.strategy == TransferStrategy::FullPq;
+        let p = SharedRows::new(p_rows, k);
         let (lambda_p, lambda_q) = (self.config.lambda_p, self.config.lambda_q);
         let worker_id = self.orig_ids[w];
         // The worker enacts the three faults that are its own; the wire's
@@ -997,11 +989,13 @@ impl<'a> Session<'a> {
 
         // Each stage locks chunk `c`'s region for as long as it works on
         // it; the stages of one chunk run in order, so they never contend.
+        // The region is pulled into, trained on and pushed from where it
+        // is. (The `P` a `FullPq` pull carries is what the worker's rows
+        // already hold: they have one owner.)
         let pull = |c: usize| {
-            let chunk = &self.chunks[c];
-            let mut region = state.regions[c].lock();
-            chunk.endpoint.pull(w, &mut region[..chunk.layout.pull_len]);
-            state.load_region(&region, &chunk.layout, &chunk.cols, strategy);
+            self.chunks[c]
+                .endpoint
+                .pull(w, &mut state.regions[c].lock());
         };
         let compute = |c: usize, ()| {
             // An injected stall counts as compute time, so the
@@ -1009,8 +1003,12 @@ impl<'a> Session<'a> {
             if let Some(Fault::Stall(lost)) = fault {
                 std::thread::sleep(lost);
             }
+            let chunk = &self.chunks[c];
+            let mut region = state.regions[c].lock();
+            let q = SharedRows::new(&mut region[chunk.layout.q_elems()], k)
+                .numbered_from(chunk.cols.start);
             let entries = &state.entries[state.chunk_entries[c].clone()];
-            state.compute(entries, lr, lambda_p, lambda_q);
+            state.compute(entries, p, q, lr, lambda_p, lambda_q);
             if let Some(sup) = sup {
                 sup.board.beat(w, epoch);
             }
@@ -1018,11 +1016,14 @@ impl<'a> Session<'a> {
         let push = |c: usize, ()| {
             let chunk = &self.chunks[c];
             let mut region = state.regions[c].lock();
-            let len = state.store_region(&mut region, &chunk.layout, &chunk.cols, strategy);
-            if let (Some(plan), Some(Fault::PoisonPush)) = (plan, fault) {
-                plan.poison(worker_id, epoch, &mut region[..len]);
+            let push = &mut region[chunk.layout.push_elems()];
+            if full_pq {
+                p.read_into(&mut push[..p.row_range().len() * k]);
             }
-            chunk.endpoint.push(w, &region[..len]);
+            if let (Some(plan), Some(Fault::PoisonPush)) = (plan, fault) {
+                plan.poison(worker_id, epoch, push);
+            }
+            chunk.endpoint.push(w, push);
         };
 
         let spans: [Span; 3] = if self.chunks.len() == 1 {
@@ -1149,11 +1150,13 @@ impl<'a> Session<'a> {
         recent_best > prev_best * (1.0 - rule.min_rel_improvement)
     }
 
-    /// Training-set RMSE with the current factors (worker-held `P` rows are
-    /// read directly; they never travel for evaluation).
+    /// Training-set RMSE with the current factors.
     fn evaluate(&mut self) -> f64 {
-        self.flush_local_p();
-        rmse_parallel(self.work.entries(), &self.global_p, &self.global_q)
+        rmse_parallel(
+            self.work.entries(),
+            &self.server.get_mut().p,
+            &self.global_q,
+        )
     }
 
     /// Post-epoch partition adaptation (Algorithm 1 / Eq. 7).
@@ -1213,9 +1216,8 @@ impl<'a> Session<'a> {
     }
 
     fn into_report(mut self, transposed: bool) -> HccReport {
-        self.flush_local_p();
         let q = std::mem::replace(&mut self.global_q, FactorMatrix::zeros(1, 1));
-        let p = std::mem::replace(&mut self.global_p, FactorMatrix::zeros(1, 1));
+        let p = std::mem::replace(&mut self.server.get_mut().p, FactorMatrix::zeros(1, 1));
         let (p, q) = if transposed { (q, p) } else { (p, q) };
         let timeline = std::mem::replace(&mut self.telemetry, Telemetry::disabled()).finish();
         let wire_bytes = self.wire_bytes_by_dir();
@@ -1260,16 +1262,18 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             entries: Vec::new(),
             chunk_entries: Vec::new(),
             row_range: 0..work.rows(),
-            local_p: SharedFactors::zeros(m, k),
-            local_q: SharedFactors::zeros(n, k),
             regions: Vec::new(),
             optimizer: OptimizerState::Sgd {
                 schedule: config.schedule,
             },
         };
+        // Fresh zeroed factors for every worker: each pays the same page
+        // faults, so none looks faster for coming second.
+        let (mut p0, mut q0) = (FactorMatrix::zeros(m, k), FactorMatrix::zeros(n, k));
+        let mut sweep = |entries| state.compute(entries, p0.shared(), q0.shared(), 0.0, 0.0, 0.0);
         // Warm-up pass (thread spawn, page faults), then the measured pass.
-        state.compute(&sample[..sample_len.min(4_096)], 0.0, 0.0, 0.0);
-        let elapsed = state.compute(sample, 0.0, 0.0, 0.0);
+        sweep(&sample[..sample_len.min(4_096)]);
+        let elapsed = sweep(sample);
         let per_entry = elapsed.as_secs_f64() / sample_len as f64;
         standalone.push((per_entry * work.nnz() as f64).max(1e-12));
     }
@@ -1514,19 +1518,28 @@ mod tests {
         let mut fake = FakeTransport::new(2, 30 * 8);
         fake.loses_pushes_of = Some(0);
         let mut session = session_over(&config, &ds, fake);
-        let buffer_lens = |session: &mut Session| -> Vec<usize> {
-            let server = session.buffers.get_mut();
+        // Where every factor buffer of the session is and how long: `P`,
+        // `Q`, the merge accumulator, and per worker one region — its `Q`,
+        // and there is no other copy of it nor any of `P`.
+        let buffers = |session: &mut Session| -> Vec<(*const f32, usize)> {
+            let server = session.server.get_mut();
+            let q = session.global_q.as_slice();
+            let slices = [server.p.as_slice(), q, server.q_acc.as_slice()];
             let regions = session.workers.iter().flat_map(|w| &w.regions);
-            std::iter::once(server.q_acc.as_slice().len())
-                .chain(regions.map(|r| r.lock().len()))
+            let place = |s: &[f32]| (s.as_ptr(), s.len());
+            slices
+                .into_iter()
+                .map(place)
+                .chain(regions.map(|r| place(&r.lock())))
                 .collect()
         };
-        let built = buffer_lens(&mut session);
-        assert_eq!(built, vec![30 * 8; 3], "Q-sized, one region a worker");
+        let built = buffers(&mut session);
+        let lens: Vec<usize> = built.iter().map(|b| b.1).collect();
+        assert_eq!(lens, [60 * 8, 30 * 8, 30 * 8, 30 * 8, 30 * 8]);
 
         let failed = session.run_epoch(0.02, 0, None);
         assert!(matches!(failed, Err(HccError::Comm(_))));
-        assert_eq!(buffer_lens(&mut session), built);
+        assert_eq!(buffers(&mut session), built);
 
         // Over a working endpoint the same session runs its next epoch.
         session.chunks[0].endpoint = Arc::new(FakeTransport::new(2, 30 * 8));
@@ -1535,7 +1548,10 @@ mod tests {
         assert_eq!(outcome.missed, vec![false, false]);
         assert_ne!(session.global_q, q_before);
         assert!(session.global_q.as_slice().iter().all(|v| v.is_finite()));
-        assert_eq!(buffer_lens(&mut session), built);
+        // The epoch swapped `Q` with its accumulator; nothing else moved.
+        let mut after = buffers(&mut session);
+        after.swap(1, 2);
+        assert_eq!(after, built);
     }
 
     #[test]

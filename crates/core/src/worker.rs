@@ -1,16 +1,16 @@
 //! Worker-side state and the per-epoch compute sweep.
 //!
-//! A worker owns a contiguous row range of `P` outright (row grid, §3.3),
-//! keeps a private copy of `Q`, and sweeps its shard with Hogwild SGD. Shard
-//! entries are stored with row indices already rebased to the worker's range
-//! so the hot loop indexes `local_p` directly.
+//! A worker owns a contiguous row range of `P` outright (row grid, §3.3)
+//! and trains on those rows where the session keeps them; of `Q` it keeps
+//! its own copy, one region per column chunk, which is pulled into, trained
+//! on where it landed and pushed from. Shard entries are stored with row
+//! indices already rebased to the worker's range so the hot loop indexes
+//! its rows of `P` directly.
 
 use crate::config::WorkerSpec;
-use crate::server::RegionLayout;
-use hcc_comm::TransferStrategy;
 use hcc_sgd::adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
 use hcc_sgd::momentum::{momentum_hogwild_epoch, MomentumConfig, MomentumState};
-use hcc_sgd::{hogwild_epoch, HogwildConfig, Schedule, SharedFactors};
+use hcc_sgd::{hogwild_epoch, HogwildConfig, Schedule, SharedRows};
 use hcc_sparse::Rating;
 use parking_lot::Mutex;
 use std::ops::Range;
@@ -33,14 +33,14 @@ pub(crate) struct WorkerState {
     pub chunk_entries: Vec<Range<usize>>,
     /// Owned global `P` rows.
     pub row_range: Range<u32>,
-    /// Local `P` slice, `row_range.len() × k`.
-    pub local_p: SharedFactors,
-    /// Local `Q` copy, `n × k`.
-    pub local_q: SharedFactors,
-    /// `regions[c]`: the staging region chunk `c` is pulled into and pushed
-    /// from, sized for the larger of the two when the worker is built — on
-    /// the session's thread, not by the first epoch's worker thread — so an
-    /// epoch allocates none. Only the stage working on chunk `c` locks it.
+    /// `regions[c]`: this worker's copy of column chunk `c` of `Q`, laid out
+    /// as the chunk's pull region ([`RegionLayout`]) — the buffer the chunk
+    /// is pulled into is the one the kernel trains on and the push leaves
+    /// from. Sized when the worker is built — on the session's thread, not
+    /// by the first epoch's worker thread — so an epoch allocates none. Only
+    /// the stage working on chunk `c` locks it.
+    ///
+    /// [`RegionLayout`]: crate::server::RegionLayout
     pub regions: Vec<Mutex<Vec<f32>>>,
     /// The per-update rule this worker runs, with its state.
     pub optimizer: OptimizerState,
@@ -64,9 +64,18 @@ pub(crate) enum OptimizerState {
 }
 
 impl WorkerState {
-    /// Runs one epoch of Hogwild SGD over the shard (or one chunk of it),
+    /// Runs one epoch of Hogwild SGD over the shard (or one chunk of it) on
+    /// this worker's rows of `P` and the rows of `Q` the entries name,
     /// honouring the throttle. Returns elapsed compute time.
-    pub fn compute(&self, entries: &[Rating], lr: f32, lambda_p: f32, lambda_q: f32) -> Duration {
+    pub fn compute(
+        &self,
+        entries: &[Rating],
+        p: SharedRows<'_>,
+        q: SharedRows<'_>,
+        lr: f32,
+        lambda_p: f32,
+        lambda_q: f32,
+    ) -> Duration {
         let start = Instant::now();
         let run = |chunk: &[Rating]| match &self.optimizer {
             OptimizerState::AdaGrad {
@@ -81,7 +90,7 @@ impl WorkerState {
                     lambda_q,
                     epsilon: *epsilon,
                 };
-                adagrad_hogwild_epoch(chunk, &self.local_p, &self.local_q, state, &cfg);
+                adagrad_hogwild_epoch(chunk, p, q, state, &cfg);
             }
             OptimizerState::Momentum { beta, state } => {
                 let cfg = MomentumConfig {
@@ -91,7 +100,7 @@ impl WorkerState {
                     lambda_p,
                     lambda_q,
                 };
-                momentum_hogwild_epoch(chunk, &self.local_p, &self.local_q, state, &cfg);
+                momentum_hogwild_epoch(chunk, p, q, state, &cfg);
             }
             OptimizerState::Sgd { schedule } => {
                 let cfg = HogwildConfig {
@@ -101,7 +110,7 @@ impl WorkerState {
                     lambda_q,
                     schedule: *schedule,
                 };
-                hogwild_epoch(chunk, &self.local_p, &self.local_q, &cfg);
+                hogwild_epoch(chunk, p, q, &cfg);
             }
         };
         if self.spec.speed_factor >= 1.0 {
@@ -119,72 +128,18 @@ impl WorkerState {
         start.elapsed()
     }
 
-    /// Number of rows this worker owns.
-    pub fn rows(&self) -> usize {
-        (self.row_range.end - self.row_range.start) as usize
-    }
-
-    /// The element range of this worker's rows within the global `P`.
-    pub fn p_elems(&self) -> Range<usize> {
-        let k = self.local_p.k();
-        self.row_range.start as usize * k..self.row_range.end as usize * k
-    }
-
-    /// Unpacks a pulled region into the local factors: `Q` rows `cols`,
-    /// and under `FullPq` this worker's own rows of the shipped `P`.
-    pub fn load_region(
-        &self,
-        region: &[f32],
-        layout: &RegionLayout,
-        cols: &Range<usize>,
-        strategy: TransferStrategy,
-    ) {
-        let k = self.local_q.k();
-        self.local_q.copy_rows_from_slice(
-            cols.start,
-            cols.end,
-            &region[layout.pull_q_offset..layout.pull_q_offset + cols.len() * k],
-        );
-        if strategy == TransferStrategy::FullPq && self.rows() > 0 {
-            let lo = self.row_range.start as usize;
-            self.local_p.copy_rows_from_slice(
-                0,
-                self.rows(),
-                &region[lo * k..(lo + self.rows()) * k],
-            );
-        }
-    }
-
-    /// Packs the region this worker pushes — `Q` rows `cols`, preceded
-    /// under `FullPq` by its `P` rows — into `region`; returns its length.
-    pub fn store_region(
-        &self,
-        region: &mut [f32],
-        layout: &RegionLayout,
-        cols: &Range<usize>,
-        strategy: TransferStrategy,
-    ) -> usize {
-        let k = self.local_q.k();
-        if strategy == TransferStrategy::FullPq {
-            self.local_p
-                .read_rows_into(0, self.rows(), &mut region[..self.rows() * k]);
-        }
-        let end = layout.push_q_offset + cols.len() * k;
-        self.local_q
-            .read_rows_into(cols.start, cols.end, &mut region[layout.push_q_offset..end]);
-        end
+    /// The rows of the global `P` this worker owns.
+    pub fn p_rows(&self) -> Range<usize> {
+        self.row_range.start as usize..self.row_range.end as usize
     }
 }
 
-/// Rebases shard entries to a worker-local row origin.
-pub(crate) fn rebase_entries(entries: &[Rating], row_lo: u32) -> Vec<Rating> {
-    entries
-        .iter()
-        .map(|e| {
-            debug_assert!(e.u >= row_lo, "entry row below shard range");
-            Rating::new(e.u - row_lo, e.i, e.r)
-        })
-        .collect()
+/// Rebases shard entries, in place, to a worker-local row origin.
+pub(crate) fn rebase_rows(entries: &mut [Rating], row_lo: u32) {
+    for e in entries {
+        debug_assert!(e.u >= row_lo, "entry row below shard range");
+        e.u -= row_lo;
+    }
 }
 
 /// Tiles `n` columns of `Q` into at most `chunks` contiguous, non-empty
@@ -203,7 +158,11 @@ pub(crate) fn chunk_col_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
 /// `entries`. One range leaves the order untouched.
 pub(crate) fn group_by_chunk(entries: &mut [Rating], cols: &[Range<usize>]) -> Vec<Range<usize>> {
     let width = cols.first().map_or(1, |r| r.len());
-    entries.sort_by_key(|e| e.i as usize / width);
+    // One range is in order as it is; a stable sort would still allocate
+    // its scratch buffer, a third copy of the shard.
+    if cols.len() > 1 {
+        entries.sort_by_key(|e| e.i as usize / width);
+    }
     let mut lo = 0;
     (0..cols.len())
         .map(|c| {
@@ -224,13 +183,19 @@ mod tests {
             entries,
             chunk_entries: Vec::new(),
             row_range: 0..10,
-            local_p: SharedFactors::from_matrix(&FactorMatrix::random(10, 4, 1)),
-            local_q: SharedFactors::from_matrix(&FactorMatrix::random(8, 4, 2)),
             regions: Vec::new(),
             optimizer: OptimizerState::Sgd {
                 schedule: Schedule::Stripe,
             },
         }
+    }
+
+    /// The `P` (10 rows) and `Q` (8 rows) that [`entries`] index.
+    fn factors() -> (FactorMatrix, FactorMatrix) {
+        (
+            FactorMatrix::random(10, 4, 1),
+            FactorMatrix::random(8, 4, 2),
+        )
     }
 
     fn entries(count: usize) -> Vec<Rating> {
@@ -242,10 +207,12 @@ mod tests {
     #[test]
     fn compute_updates_factors() {
         let state = make_state(1.0, entries(500));
-        let before = state.local_q.snapshot();
-        let elapsed = state.compute(&state.entries, 0.05, 0.0, 0.0);
+        let (mut p, mut q) = factors();
+        let before = (p.clone(), q.clone());
+        let elapsed = state.compute(&state.entries, p.shared(), q.shared(), 0.05, 0.0, 0.0);
         assert!(elapsed > Duration::ZERO);
-        assert_ne!(state.local_q.snapshot(), before);
+        assert_ne!(p, before.0);
+        assert_ne!(q, before.1);
     }
 
     #[test]
@@ -253,8 +220,9 @@ mod tests {
         let work = entries(200_000);
         let fast = make_state(1.0, work.clone());
         let slow = make_state(0.25, work);
-        let t_fast = fast.compute(&fast.entries, 0.01, 0.0, 0.0);
-        let t_slow = slow.compute(&slow.entries, 0.01, 0.0, 0.0);
+        let (mut p, mut q) = factors();
+        let t_fast = fast.compute(&fast.entries, p.shared(), q.shared(), 0.01, 0.0, 0.0);
+        let t_slow = slow.compute(&slow.entries, p.shared(), q.shared(), 0.01, 0.0, 0.0);
         // Target is 4×; accept ≥ 2× to keep the test robust on loaded CI.
         assert!(
             t_slow > t_fast * 2,
@@ -264,11 +232,11 @@ mod tests {
 
     #[test]
     fn rebase_shifts_rows() {
-        let shard = vec![Rating::new(5, 1, 1.0), Rating::new(9, 2, 2.0)];
-        let rebased = rebase_entries(&shard, 5);
-        assert_eq!(rebased[0].u, 0);
-        assert_eq!(rebased[1].u, 4);
-        assert_eq!(rebased[1].i, 2);
+        let mut shard = vec![Rating::new(5, 1, 1.0), Rating::new(9, 2, 2.0)];
+        rebase_rows(&mut shard, 5);
+        assert_eq!(shard[0].u, 0);
+        assert_eq!(shard[1].u, 4);
+        assert_eq!(shard[1].i, 2);
     }
 
     #[test]
@@ -305,38 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn region_helpers_round_trip_q_only_and_full_pq() {
-        use crate::server::region_layout;
-        let state = make_state(1.0, vec![]);
-        let (m, n, k) = (30, 8, 4);
-        let before = (state.local_p.snapshot(), state.local_q.snapshot());
-        // Q-only, a middle chunk: the region is exactly those Q rows.
-        let cols = 2..5;
-        let layout = region_layout(TransferStrategy::QOnly, m, cols.len(), k, 10);
-        let mut region = vec![0f32; layout.push_len];
-        let len = state.store_region(&mut region, &layout, &cols, TransferStrategy::QOnly);
-        assert_eq!(len, 3 * k);
-        assert_eq!(region, state.local_q.snapshot_rows(2, 5));
-        // FullPq: [P rows | Q] out, and back in from a [P | Q] pull region
-        // in which this worker's rows sit at its row range.
-        let cols = 0..n;
-        let layout = region_layout(TransferStrategy::FullPq, m, n, k, 12);
-        let mut pushed = vec![0f32; layout.push_len];
-        let len = state.store_region(&mut pushed, &layout, &cols, TransferStrategy::FullPq);
-        assert_eq!(len, layout.push_q_offset + n * k);
-        assert_eq!(pushed[..10 * k], state.local_p.snapshot_rows(0, 10)[..]);
-        let mut pulled = vec![0f32; layout.pull_len];
-        pulled[..10 * k].copy_from_slice(&pushed[..10 * k]);
-        pulled[layout.pull_q_offset..].copy_from_slice(&pushed[layout.push_q_offset..len]);
-        state.local_p.copy_from(&FactorMatrix::zeros(10, k));
-        state.local_q.copy_from(&FactorMatrix::zeros(n, k));
-        state.load_region(&pulled, &layout, &cols, TransferStrategy::FullPq);
-        assert_eq!((state.local_p.snapshot(), state.local_q.snapshot()), before);
-    }
-
-    #[test]
     fn rows_counts_range() {
         let state = make_state(1.0, vec![]);
-        assert_eq!(state.rows(), 10);
+        assert_eq!(state.p_rows(), 0..10);
     }
 }

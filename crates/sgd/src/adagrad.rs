@@ -9,11 +9,12 @@
 
 use crate::factors::SharedFactors;
 use crate::kernel::dot;
+use crate::shared::SharedRows;
 use hcc_sparse::Rating;
 use std::sync::atomic::Ordering;
 
 /// Per-parameter squared-gradient accumulators.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AdaGradState {
     accum_p: SharedFactors,
     accum_q: SharedFactors,
@@ -72,8 +73,8 @@ impl Default for AdaGradConfig {
 #[inline]
 #[allow(clippy::too_many_arguments)] // hot kernel: flat scalars beat a params struct
 fn adagrad_step(
-    p: &SharedFactors,
-    q: &SharedFactors,
+    p: SharedRows<'_>,
+    q: SharedRows<'_>,
     state: &AdaGradState,
     u: usize,
     i: usize,
@@ -116,13 +117,14 @@ fn adagrad_step(
 
 /// One Hogwild epoch with AdaGrad steps. Returns summed squared pre-update
 /// errors.
-pub fn adagrad_hogwild_epoch(
+pub fn adagrad_hogwild_epoch<'a>(
     entries: &[Rating],
-    p: &SharedFactors,
-    q: &SharedFactors,
+    p: impl Into<SharedRows<'a>>,
+    q: impl Into<SharedRows<'a>>,
     state: &AdaGradState,
     cfg: &AdaGradConfig,
 ) -> f64 {
+    let (p, q) = (p.into(), q.into());
     assert!(cfg.threads > 0, "thread count must be non-zero");
     if entries.is_empty() {
         return 0.0;

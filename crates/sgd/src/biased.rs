@@ -67,7 +67,7 @@ impl SharedBias {
 }
 
 /// The complete biased model state shared across Hogwild threads.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BiasedModel {
     /// Global rating mean μ.
     pub mu: f32,

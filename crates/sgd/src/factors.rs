@@ -1,22 +1,23 @@
 //! Factor-matrix storage.
 //!
-//! Two representations:
+//! One layout — `rows × k` floats, row-major — and two owners of it:
 //!
-//! * [`FactorMatrix`] — a plain `Vec<f32>` in row-major order. Used wherever
-//!   a single thread owns the data (server-side global `P`/`Q`, pull/push
-//!   staging, evaluation).
-//! * [`SharedFactors`] — the same layout behind `AtomicU32` bit-cells with
-//!   `Relaxed` ordering. Hogwild updates read and write rows concurrently
-//!   without synchronization; relaxed atomics make that defined behaviour at
-//!   zero cost on x86 (a relaxed atomic load/store compiles to a plain move).
-//!   Tearing is impossible per element, and the Hogwild convergence argument
-//!   tolerates stale element values.
+//! * [`FactorMatrix`] — plain `f32`s. Used wherever one thread holds the
+//!   data (the server's `P`/`Q`, evaluation, checkpoints); it lends its rows
+//!   to Hogwild threads as [`SharedRows`] without copying them
+//!   ([`FactorMatrix::shared`], [`FactorMatrix::split_rows_mut`]).
+//! * [`SharedFactors`] — the same allocation owned as `Relaxed` atomic
+//!   bit-cells, for callers that keep factors shared for their whole life
+//!   (the baselines, optimizer state, a standalone [`hogwild_epoch`]).
+//!
+//! [`hogwild_epoch`]: crate::hogwild_epoch
 
+use crate::shared::{into_cells, SharedRows};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 /// Dense row-major factor matrix (`rows × k`).
 #[derive(Debug, Clone, PartialEq)]
@@ -110,6 +111,41 @@ impl FactorMatrix {
         &mut self.data
     }
 
+    /// Lends every row to the Hogwild threads of a compute phase; the
+    /// matrix is plain again when the last copy of the view is gone.
+    pub fn shared(&mut self) -> SharedRows<'_> {
+        SharedRows::new(&mut self.data, self.k)
+    }
+
+    /// Splits the matrix into the row blocks `ranges`, each held
+    /// exclusively by whoever gets it — how workers that own disjoint row
+    /// ranges of `P` train on it where it is. The ranges must ascend without
+    /// overlap; rows none of them names are lent to nobody.
+    ///
+    /// # Panics
+    /// Panics if a range starts before its predecessor ends or ends past
+    /// the last row.
+    pub fn split_rows_mut(
+        &mut self,
+        ranges: impl IntoIterator<Item = Range<usize>>,
+    ) -> Vec<&mut [f32]> {
+        let k = self.k;
+        let mut rest = self.data.as_mut_slice();
+        let mut at = 0;
+        ranges
+            .into_iter()
+            .map(|range| {
+                assert!(at <= range.start, "row ranges must ascend without overlap");
+                let len = range.end.saturating_sub(range.start);
+                let (block, tail) =
+                    std::mem::take(&mut rest)[(range.start - at) * k..].split_at_mut(len * k);
+                rest = tail;
+                at = range.start + len;
+                block
+            })
+            .collect()
+    }
+
     /// Frobenius norm (for regularization diagnostics).
     pub fn frobenius_norm(&self) -> f64 {
         self.data
@@ -120,38 +156,46 @@ impl FactorMatrix {
     }
 }
 
-/// Factor matrix shared across Hogwild threads.
-///
-/// Cloning is cheap (`Arc`); all clones view the same cells.
-#[derive(Debug, Clone)]
+/// Factor matrix owned as shared cells: every method takes `&self`, so
+/// scoped threads borrow it (or copy its [`view`](Self::view)) freely.
+#[derive(Debug)]
 pub struct SharedFactors {
     rows: usize,
     k: usize,
-    data: Arc<[AtomicU32]>,
+    data: Box<[AtomicU32]>,
+}
+
+impl From<FactorMatrix> for SharedFactors {
+    /// Takes the matrix's allocation over as it is.
+    fn from(m: FactorMatrix) -> Self {
+        SharedFactors {
+            rows: m.rows,
+            k: m.k,
+            data: into_cells(m.data),
+        }
+    }
+}
+
+impl<'a> From<&'a SharedFactors> for SharedRows<'a> {
+    fn from(m: &'a SharedFactors) -> Self {
+        m.view()
+    }
 }
 
 impl SharedFactors {
     /// Allocates zeroed shared storage.
     pub fn zeros(rows: usize, k: usize) -> Self {
-        assert!(k > 0, "latent dimension must be non-zero");
-        let data: Arc<[AtomicU32]> = (0..rows * k)
-            .map(|_| AtomicU32::new(0f32.to_bits()))
-            .collect();
-        SharedFactors { rows, k, data }
+        FactorMatrix::zeros(rows, k).into()
     }
 
     /// Copies a plain matrix into shared storage.
     pub fn from_matrix(m: &FactorMatrix) -> Self {
-        let data: Arc<[AtomicU32]> = m
-            .as_slice()
-            .iter()
-            .map(|&v| AtomicU32::new(v.to_bits()))
-            .collect();
-        SharedFactors {
-            rows: m.rows(),
-            k: m.k(),
-            data,
-        }
+        m.clone().into()
+    }
+
+    /// The rows as the Hogwild kernels take them.
+    pub fn view(&self) -> SharedRows<'_> {
+        SharedRows::over(&self.data, self.k)
     }
 
     /// Number of rows.
@@ -215,15 +259,11 @@ impl SharedFactors {
 
     /// Snapshots the whole matrix into a plain `FactorMatrix`.
     pub fn snapshot(&self) -> FactorMatrix {
-        // ordering: Relaxed — callers snapshot after the writing scope has
-        // joined (a happens-before edge), so Relaxed already observes the
-        // final values; mid-epoch snapshots are by-design fuzzy.
-        let data: Vec<f32> = self
-            .data
-            .iter()
-            .map(|c| f32::from_bits(c.load(Ordering::Relaxed)))
-            .collect();
-        FactorMatrix::from_vec(self.rows, self.k, data)
+        // Callers snapshot after the writing scope has joined; a mid-epoch
+        // snapshot is by-design fuzzy.
+        let mut m = FactorMatrix::zeros(self.rows, self.k);
+        self.view().read_into(&mut m.data);
+        m
     }
 
     /// Overwrites the whole matrix from a plain one (dimensions must match).
@@ -238,37 +278,6 @@ impl SharedFactors {
             // scope; the next scope's spawn edge publishes it.
             cell.store(v.to_bits(), Ordering::Relaxed);
         }
-    }
-
-    /// Overwrites rows `lo..hi` from a packed slice of `(hi-lo)*k` floats.
-    pub fn copy_rows_from_slice(&self, lo: usize, hi: usize, src: &[f32]) {
-        assert!(lo <= hi && hi <= self.rows, "row range out of bounds");
-        assert_eq!(src.len(), (hi - lo) * self.k, "source length mismatch");
-        let base = lo * self.k;
-        for (off, &v) in src.iter().enumerate() {
-            // ordering: Relaxed — single-writer row range during pull; the
-            // scope join publishes the rows to the merging thread.
-            self.data[base + off].store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Reads rows `lo..hi` into `dst`, a packed slice of `(hi-lo)*k` floats.
-    pub fn read_rows_into(&self, lo: usize, hi: usize, dst: &mut [f32]) {
-        assert!(lo <= hi && hi <= self.rows, "row range out of bounds");
-        assert_eq!(dst.len(), (hi - lo) * self.k, "destination length mismatch");
-        let cells = &self.data[lo * self.k..hi * self.k];
-        for (v, cell) in dst.iter_mut().zip(cells) {
-            // ordering: Relaxed — see `snapshot`; row reads need no ordering
-            // beyond per-cell atomicity.
-            *v = f32::from_bits(cell.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Reads rows `lo..hi` into a packed vector of `(hi-lo)*k` floats.
-    pub fn snapshot_rows(&self, lo: usize, hi: usize) -> Vec<f32> {
-        let mut out = vec![0f32; hi.saturating_sub(lo) * self.k];
-        self.read_rows_into(lo, hi, &mut out);
-        out
     }
 }
 
@@ -348,23 +357,83 @@ mod tests {
     }
 
     #[test]
-    fn shared_region_io() {
-        let s = SharedFactors::zeros(4, 2);
-        s.copy_rows_from_slice(1, 3, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.snapshot_rows(1, 3), vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.snapshot_rows(0, 1), vec![0.0, 0.0]);
-        assert_eq!(s.snapshot_rows(2, 2), Vec::<f32>::new());
-        let mut rows = [9.0f32; 4];
-        s.read_rows_into(1, 3, &mut rows);
-        assert_eq!(rows, [1.0, 2.0, 3.0, 4.0]);
+    fn shared_clones_alias() {
+        // Copies of a view are the same cells, and the owner's.
+        let s = SharedFactors::zeros(1, 1);
+        let view = s.view();
+        let copy = view;
+        s.store(0, 0, 5.0);
+        for cells in [view.row_cells(0), copy.row_cells(0), s.row_cells(0)] {
+            // ordering: Relaxed — single-threaded test.
+            assert_eq!(cells[0].load(Ordering::Relaxed), 5f32.to_bits());
+        }
     }
 
     #[test]
-    fn shared_clones_alias() {
-        let s = SharedFactors::zeros(1, 1);
-        let t = s.clone();
-        s.store(0, 0, 5.0);
-        assert_eq!(t.load(0, 0), 5.0);
+    fn shared_factors_are_built_from_a_matrix_by_copy_or_by_move() {
+        let z = SharedFactors::zeros(3, 4);
+        assert_eq!((z.rows(), z.k()), (3, 4));
+        assert_eq!(z.snapshot(), FactorMatrix::zeros(3, 4));
+        let m = FactorMatrix::random(5, 3, 9);
+        assert_eq!(SharedFactors::from_matrix(&m).snapshot(), m);
+        assert_eq!(SharedFactors::from(m.clone()).snapshot(), m);
+    }
+
+    #[test]
+    fn split_rows_hands_out_the_named_blocks() {
+        let mut m = FactorMatrix::from_vec(5, 2, (0..10).map(|v| v as f32).collect());
+        // A gap (row 2) and an empty range are both fine.
+        let blocks = m.split_rows_mut([0..2, 3..3, 3..5]);
+        assert_eq!(blocks.len(), 3);
+        assert_eq!(blocks[0], [0.0, 1.0, 2.0, 3.0]);
+        assert!(blocks[1].is_empty());
+        assert_eq!(blocks[2], [6.0, 7.0, 8.0, 9.0]);
+        for block in blocks {
+            block.fill(-1.0);
+        }
+        assert_eq!(m.row(2), &[4.0, 5.0]);
+        assert_eq!(m.row(4), &[-1.0, -1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend without overlap")]
+    fn split_rows_rejects_overlap() {
+        let mut m = FactorMatrix::zeros(4, 2);
+        let _ = m.split_rows_mut([0..3, 2..4]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn split_rows_rejects_a_range_past_the_end() {
+        let mut m = FactorMatrix::zeros(4, 2);
+        let _ = m.split_rows_mut([0..2, 2..5]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn split_rows_is_disjoint_and_exhaustive(
+            cuts in proptest::collection::vec(0usize..40, 0..6),
+            k in 1usize..4,
+        ) {
+            // Workers' ranges: sorted boundaries over all 40 rows, empty
+            // ranges included. Every row gets stamped by exactly one block.
+            let mut bounds = cuts;
+            bounds.extend([0, 40]);
+            bounds.sort_unstable();
+            let mut m = FactorMatrix::zeros(40, k);
+            let blocks = m.split_rows_mut(bounds.windows(2).map(|w| w[0]..w[1]));
+            for (w, (block, range)) in blocks.into_iter().zip(bounds.windows(2)).enumerate() {
+                assert_eq!(block.len(), (range[1] - range[0]) * k);
+                for v in block {
+                    *v += (w + 1) as f32;
+                }
+            }
+            for (w, range) in bounds.windows(2).enumerate() {
+                for row in range[0]..range[1] {
+                    assert_eq!(m.row(row), &vec![(w + 1) as f32; k][..]);
+                }
+            }
+        }
     }
 
     #[test]

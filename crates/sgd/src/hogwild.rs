@@ -21,8 +21,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::factors::SharedFactors;
 use crate::kernel::sgd_step_shared;
+use crate::shared::SharedRows;
 use hcc_sparse::{Rating, TileGrid};
 
 /// Which entry-to-thread assignment [`hogwild_epoch`] uses.
@@ -95,6 +95,8 @@ impl HogwildConfig {
 }
 
 /// Runs one asynchronous epoch over `entries`, updating `p` and `q` in place.
+/// Both are anything that lends [`SharedRows`]: a `&SharedFactors`, or a view
+/// of plain rows somebody holds exclusively.
 ///
 /// With [`Schedule::Stripe`], entries are processed in stripes: thread `t`
 /// handles `entries[t], entries[t + threads], …`. Striping (rather than
@@ -111,10 +113,20 @@ impl HogwildConfig {
 ///
 /// # Panics
 /// Panics if `config.threads == 0` or if an entry indexes outside `p`/`q`.
-pub fn hogwild_epoch(
+pub fn hogwild_epoch<'a>(
     entries: &[Rating],
-    p: &SharedFactors,
-    q: &SharedFactors,
+    p: impl Into<SharedRows<'a>>,
+    q: impl Into<SharedRows<'a>>,
+    config: &HogwildConfig,
+) -> f64 {
+    epoch_on(entries, p.into(), q.into(), config)
+}
+
+/// [`hogwild_epoch`] on the views: compiled once, here.
+fn epoch_on(
+    entries: &[Rating],
+    p: SharedRows<'_>,
+    q: SharedRows<'_>,
     config: &HogwildConfig,
 ) -> f64 {
     assert!(config.threads > 0, "thread count must be non-zero");
@@ -134,11 +146,8 @@ pub fn hogwild_epoch(
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(threads);
                 for t in 0..threads {
-                    let p = p.clone();
-                    let q = q.clone();
-                    handles.push(
-                        scope.spawn(move || sweep_stripe(entries, t, threads, &p, &q, config)),
-                    );
+                    handles
+                        .push(scope.spawn(move || sweep_stripe(entries, t, threads, p, q, config)));
                 }
                 handles
                     .into_iter()
@@ -147,8 +156,11 @@ pub fn hogwild_epoch(
             })
         }
         Schedule::Tiled => {
-            let grid = TileGrid::with_default_budget(entries, p.rows(), q.rows(), k);
-            hogwild_epoch_tiled(&grid, p, q, config)
+            // Sized by the last row each view answers to, so a view of some
+            // rows of a matrix tiles its entries as the whole matrix would.
+            let (rows, cols) = (p.row_range().end, q.row_range().end);
+            let grid = TileGrid::with_default_budget(entries, rows, cols, k);
+            tiled_epoch_on(&grid, p, q, config)
         }
     }
 }
@@ -163,10 +175,20 @@ pub fn hogwild_epoch(
 ///
 /// # Panics
 /// Panics if `config.threads == 0` or if a tile entry indexes outside `p`/`q`.
-pub fn hogwild_epoch_tiled(
+pub fn hogwild_epoch_tiled<'a>(
     grid: &TileGrid,
-    p: &SharedFactors,
-    q: &SharedFactors,
+    p: impl Into<SharedRows<'a>>,
+    q: impl Into<SharedRows<'a>>,
+    config: &HogwildConfig,
+) -> f64 {
+    tiled_epoch_on(grid, p.into(), q.into(), config)
+}
+
+/// [`hogwild_epoch_tiled`] on the views: compiled once, here.
+fn tiled_epoch_on(
+    grid: &TileGrid,
+    p: SharedRows<'_>,
+    q: SharedRows<'_>,
     config: &HogwildConfig,
 ) -> f64 {
     assert!(config.threads > 0, "thread count must be non-zero");
@@ -186,10 +208,8 @@ pub fn hogwild_epoch_tiled(
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let p = p.clone();
-            let q = q.clone();
             let cursor = &cursor;
-            handles.push(scope.spawn(move || sweep_tiles(grid, cursor, &p, &q, config)));
+            handles.push(scope.spawn(move || sweep_tiles(grid, cursor, p, q, config)));
         }
         handles
             .into_iter()
@@ -202,8 +222,8 @@ fn sweep_stripe(
     entries: &[Rating],
     offset: usize,
     stride: usize,
-    p: &SharedFactors,
-    q: &SharedFactors,
+    p: SharedRows<'_>,
+    q: SharedRows<'_>,
     config: &HogwildConfig,
 ) -> f64 {
     let mut sq_err = 0.0f64;
@@ -211,8 +231,8 @@ fn sweep_stripe(
     while idx < entries.len() {
         let e = entries[idx];
         let err = sgd_step_shared(
-            p,
-            q,
+            &p,
+            &q,
             e.u as usize,
             e.i as usize,
             e.r,
@@ -229,8 +249,8 @@ fn sweep_stripe(
 fn sweep_tiles(
     grid: &TileGrid,
     cursor: &AtomicUsize,
-    p: &SharedFactors,
-    q: &SharedFactors,
+    p: SharedRows<'_>,
+    q: SharedRows<'_>,
     config: &HogwildConfig,
 ) -> f64 {
     let mut sq_err = 0.0f64;
@@ -245,8 +265,8 @@ fn sweep_tiles(
         }
         for e in grid.tile(t) {
             let err = sgd_step_shared(
-                p,
-                q,
+                &p,
+                &q,
                 e.u as usize,
                 e.i as usize,
                 e.r,
@@ -262,7 +282,7 @@ fn sweep_tiles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factors::FactorMatrix;
+    use crate::factors::{FactorMatrix, SharedFactors};
     use crate::loss::rmse;
     use hcc_sparse::{GenConfig, SyntheticDataset};
 
@@ -354,6 +374,36 @@ mod tests {
     }
 
     #[test]
+    fn a_numbered_chunk_of_q_tiles_and_trains_as_the_whole_matrix_does() {
+        // k = 128 makes a tile 256 rows square, so 600 items are three tile
+        // columns; the chunk holds items 300..600 and starts mid-tile.
+        let _guard = crate::simd::test_lock();
+        let ds = SyntheticDataset::generate(GenConfig {
+            rows: 700,
+            cols: 600,
+            nnz: 6_000,
+            noise: 0.0,
+            ..GenConfig::default()
+        });
+        let entries = ds.matrix.entries().iter();
+        let chunk: Vec<Rating> = entries.filter(|e| e.i >= 300).copied().collect();
+        for schedule in [Schedule::Stripe, Schedule::Tiled] {
+            let config = cfg(1, schedule);
+            let mut p_whole = FactorMatrix::random(700, 128, 3);
+            let mut q_whole = FactorMatrix::random(600, 128, 4);
+            let (mut p, q) = (p_whole.clone(), q_whole.clone());
+            let loss_whole = hogwild_epoch(&chunk, p_whole.shared(), q_whole.shared(), &config);
+            let mut rows = q.as_slice()[300 * 128..].to_vec();
+            let view = SharedRows::new(&mut rows, 128).numbered_from(300);
+            let loss = hogwild_epoch(&chunk, p.shared(), view, &config);
+            assert_eq!(loss, loss_whole, "{schedule}");
+            assert_eq!(p, p_whole, "{schedule}");
+            assert_eq!(rows, q_whole.as_slice()[300 * 128..], "{schedule}");
+            assert_eq!(q_whole.as_slice()[..300 * 128], q.as_slice()[..300 * 128]);
+        }
+    }
+
+    #[test]
     fn empty_shard_is_noop() {
         let (_, p, q) = setup(4);
         let snap = p.snapshot();
@@ -401,8 +451,8 @@ mod tests {
         let mut want = 0.0f64;
         for e in entries {
             let err = crate::kernel::sgd_step_shared(
-                &p2,
-                &q2,
+                &p2.view(),
+                &q2.view(),
                 e.u as usize,
                 e.i as usize,
                 e.r,

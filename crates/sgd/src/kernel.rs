@@ -11,12 +11,12 @@
 //! ```
 //!
 //! The kernel is written over plain slices (used by serial SGD, FPSGD blocks,
-//! and tests) and over [`SharedFactors`] rows (used by Hogwild threads). Both
+//! and tests) and over [`SharedRows`] (used by Hogwild threads). Both
 //! use the *old* `p_u` in the `q_i` update, matching FPSGD/CuMF_SGD, and both
 //! route through the same runtime-dispatched fused kernel in [`crate::simd`],
 //! so within one process they produce bit-identical results.
 
-use crate::factors::SharedFactors;
+use crate::shared::SharedRows;
 use crate::simd;
 
 /// Inner product of two equal-length slices, through the runtime-dispatched
@@ -78,11 +78,13 @@ pub fn sgd_step(
 ///
 /// `p` and `q` must be *different* matrices (they always are in MF: `P` is
 /// users, `Q` is items), otherwise the two rows could alias.
-#[inline]
+// Out of line: inlined into a sweep loop it drags the scalar fallback along,
+// whose constants then spill around every update's dispatch (−3 % at k = 64).
+#[inline(never)]
 #[allow(clippy::too_many_arguments)] // hot kernel: flat scalars beat a params struct
 pub fn sgd_step_shared(
-    p: &SharedFactors,
-    q: &SharedFactors,
+    p: &SharedRows<'_>,
+    q: &SharedRows<'_>,
     u: usize,
     i: usize,
     r: f32,
@@ -114,7 +116,7 @@ pub fn sgd_step_shared(
     //   the seed's per-element `Relaxed` atomic loop provided: Hogwild
     //   tolerates stale lane values (sparse conflicts, §2.1/§4.2), it only
     //   needs them untorn. Concurrent access is confined to Hogwild threads
-    //   running this same kernel on rows of the same `SharedFactors`, and
+    //   running this same kernel on rows of the same `SharedRows`, and
     //   no ordering beyond per-lane atomicity is required or implied.
     unsafe {
         simd::fused_step_ptr(
@@ -132,7 +134,7 @@ pub fn sgd_step_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factors::FactorMatrix;
+    use crate::factors::{FactorMatrix, SharedFactors};
 
     #[test]
     fn dot_matches_manual() {
@@ -201,7 +203,7 @@ mod tests {
             // Shared version.
             let ps = SharedFactors::from_matrix(&pm);
             let qs = SharedFactors::from_matrix(&qm);
-            let e_shared = sgd_step_shared(&ps, &qs, 1, 2, 3.5, 0.01, 0.02, 0.03);
+            let e_shared = sgd_step_shared(&ps.view(), &qs.view(), 1, 2, 3.5, 0.01, 0.02, 0.03);
             assert_eq!(e_plain, e_shared, "k {k}");
             let mut buf = vec![0f32; k];
             ps.load_row_into(1, &mut buf);

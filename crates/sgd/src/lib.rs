@@ -3,9 +3,11 @@
 //! This crate holds everything that touches feature-matrix numbers:
 //!
 //! * [`FactorMatrix`] — plain row-major `rows × k` factor storage, and
-//!   [`SharedFactors`] — the same data behind relaxed atomics so Hogwild-style
-//!   asynchronous SGD (Niu et al., the paper's convergence basis) can update
-//!   it from many threads without locks.
+//!   [`SharedFactors`] — the same data owned as relaxed atomics so
+//!   Hogwild-style asynchronous SGD (Niu et al., the paper's convergence
+//!   basis) can update it from many threads without locks.
+//! * [`shared`] — [`SharedRows`], the borrow that lends plain factor rows to
+//!   Hogwild threads as atomic cells where they are; the kernels take it.
 //! * [`kernel`] — the single-rating SGD update rule with L2 regularization,
 //!   exactly the loss in Fig. 1 of the paper.
 //! * [`hogwild`] — multi-threaded asynchronous SGD over an entry shard; this
@@ -55,6 +57,7 @@ pub mod kernel;
 pub mod loss;
 pub mod momentum;
 pub mod schedule;
+pub mod shared;
 pub mod simd;
 
 pub use adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
@@ -65,3 +68,4 @@ pub use kernel::{dot, dot_unrolled, sgd_step};
 pub use loss::{rmse, rmse_parallel};
 pub use momentum::{momentum_hogwild_epoch, MomentumConfig, MomentumState};
 pub use schedule::LearningRate;
+pub use shared::SharedRows;

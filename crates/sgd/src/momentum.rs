@@ -7,11 +7,12 @@
 
 use crate::factors::SharedFactors;
 use crate::kernel::dot;
+use crate::shared::SharedRows;
 use hcc_sparse::Rating;
 use std::sync::atomic::Ordering;
 
 /// Velocity buffers for `P` and `Q`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MomentumState {
     velocity_p: SharedFactors,
     velocity_q: SharedFactors,
@@ -59,13 +60,14 @@ impl Default for MomentumConfig {
 ///
 /// # Panics
 /// Panics if `threads == 0` or `beta` is outside `[0, 1)`.
-pub fn momentum_hogwild_epoch(
+pub fn momentum_hogwild_epoch<'a>(
     entries: &[Rating],
-    p: &SharedFactors,
-    q: &SharedFactors,
+    p: impl Into<SharedRows<'a>>,
+    q: impl Into<SharedRows<'a>>,
     state: &MomentumState,
     cfg: &MomentumConfig,
 ) -> f64 {
+    let (p, q) = (p.into(), q.into());
     assert!(cfg.threads > 0, "thread count must be non-zero");
     assert!((0.0..1.0).contains(&cfg.beta), "beta must be in [0, 1)");
     if entries.is_empty() {

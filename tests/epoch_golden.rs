@@ -30,6 +30,11 @@ const EPOCHS: usize = 6;
 const CLEAN: u64 = 0x3d12_9dff_d4e9_135b;
 /// The fp16 wire rounds `Q` every epoch.
 const HALF_Q: u64 = 0xe90c_ca6e_0679_d339;
+/// `Q` tiled into 2 and into 4 column chunks (the shuffled entries of a
+/// chunk keep their order, the chunks run in turn). Recorded on the commit
+/// before a chunk's region became the only copy of its columns of `Q`.
+const STREAMS_2: u64 = 0x69bd_acdc_ca69_5c73;
+const STREAMS_4: u64 = 0x78f7_8ba4_4282_6f46;
 /// [`fault_plan`]: three epochs merge without one worker's push.
 const FAULTED: u64 = 0x4c82_4608_5894_e5d2;
 
@@ -149,6 +154,15 @@ fn plain_epochs_under_every_transfer_strategy() {
     check(vec![
         ("full-pq", with(TransferStrategy::FullPq), CLEAN),
         ("half-q", with(TransferStrategy::HalfQ), HALF_Q),
+    ]);
+}
+
+#[test]
+fn pipelined_epochs_over_shared_memory() {
+    let streamed = |streams| base().streams(streams).build();
+    check(vec![
+        ("2 streams", streamed(2), STREAMS_2),
+        ("4 streams", streamed(4), STREAMS_4),
     ]);
 }
 
