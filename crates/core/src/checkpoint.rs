@@ -22,14 +22,25 @@
 //!
 //! v2 files are written to `<path>.tmp`, fsynced, then atomically renamed
 //! over `path`, so a crash mid-write can never leave a loadable-but-torn
-//! file at `path`. Loading validates the exact file length implied by the
-//! header *before* allocating (an absurd-dimension header is rejected
-//! instead of attempting a huge allocation) and then the CRC footer, which
-//! catches truncation and every single-bit flip.
+//! file at `path`; a write that fails takes its `.tmp` with it.
+//!
+//! Both directions stream. A model crosses the codec through one 256 KiB
+//! block of bytes, with the CRC folded in block by block
+//! ([`hcc_comm::frame::Crc32`]): saving holds the factors and one block,
+//! loading holds the factors it returns and one block — never the file.
+//! Loading takes the file's length from its metadata and validates the
+//! exact length the header implies *before* allocating (an absurd-dimension
+//! header is rejected instead of attempting a huge allocation), allocates
+//! `P` and `Q` once, fills them, and only then compares the CRC footer,
+//! which catches every single-bit flip; on a mismatch the half-trusted
+//! factors are dropped and nothing but the error leaves. v1 and v2 share
+//! the reader: they differ in the header's length and in having a footer.
 
 use crate::error::HccError;
-use hcc_sgd::FactorMatrix;
-use std::io::Write;
+use hcc_comm::frame::Crc32;
+use hcc_sgd::{mem, FactorMatrix};
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC_V1: &[u8; 7] = b"HCCMF1\n";
@@ -40,6 +51,17 @@ const FLAG_TRANSPOSED: u8 = 1;
 
 /// v2 bytes between magic and P: 5×u64 + f32 lr_scale + u8 flags.
 const V2_META_LEN: usize = 5 * 8 + 4 + 1;
+/// v1 bytes between magic and P: 3×u64.
+const V1_META_LEN: usize = 3 * 8;
+
+/// Bytes of the one buffer a model is streamed through, in either
+/// direction, and so of every `read` and `write` call. Large enough that
+/// the calls and the CRC's set-up vanish beside the copy; not larger,
+/// because a `write` is also the page cache's allocation unit: on Linux
+/// 6.18 / ext4 (large folios) an 18 MiB file written in 1 MiB or 2 MiB
+/// calls takes 80–200 ms, in calls of 64–256 KiB 4–8 ms (the kernel hunts
+/// for one contiguous folio a call).
+const BLOCK: usize = 256 << 10;
 
 /// Training-loop state stored alongside the factors in a v2 checkpoint so a
 /// killed run can resume mid-training.
@@ -97,10 +119,8 @@ pub fn save_model<P: AsRef<Path>>(
     save_checkpoint(path, p, q, &TrainingMeta::default())
 }
 
-/// Writes a `(P, Q)` model plus resumable training state to `path`.
-///
-/// The file is assembled in memory (CRC needs the full byte stream), written
-/// to `<path>.tmp`, fsynced, and atomically renamed into place.
+/// Writes a `(P, Q)` model plus resumable training state to `path`:
+/// streamed into `<path>.tmp`, fsynced, and atomically renamed into place.
 pub fn save_checkpoint<P: AsRef<Path>>(
     path: P,
     p: &FactorMatrix,
@@ -113,10 +133,46 @@ pub fn save_checkpoint<P: AsRef<Path>>(
         ));
     }
     let path = path.as_ref();
-    let mut bytes = Vec::with_capacity(
-        MAGIC_V2.len() + V2_META_LEN + 4 * (p.as_slice().len() + q.as_slice().len()) + 4,
-    );
-    bytes.extend_from_slice(MAGIC_V2);
+    let tmp = path.with_extension(match path.extension() {
+        Some(ext) => format!("{}.tmp", ext.to_string_lossy()),
+        None => "tmp".to_string(),
+    });
+    commit(&tmp, path, |file| write_v2(file, p, q, meta))
+}
+
+/// Creates `tmp`, lets `write` fill it, fsyncs it and renames it over
+/// `path`; whichever step fails, `tmp` is removed and `path` is as it was.
+fn commit(
+    tmp: &Path,
+    path: &Path,
+    write: impl FnOnce(&File) -> io::Result<()>,
+) -> Result<(), HccError> {
+    let file = File::create(tmp)?;
+    let written = write(&file).and_then(|()| file.sync_all());
+    drop(file);
+    let renamed = written.and_then(|()| std::fs::rename(tmp, path));
+    if renamed.is_err() {
+        std::fs::remove_file(tmp).ok();
+    }
+    Ok(renamed?)
+}
+
+/// Streams the v2 bytes of `(p, q, meta)` into `out` through one [`BLOCK`].
+fn write_v2(
+    mut out: impl Write,
+    p: &FactorMatrix,
+    q: &FactorMatrix,
+    meta: &TrainingMeta,
+) -> io::Result<()> {
+    let mut crc = Crc32::default();
+    let mut block = Vec::with_capacity(BLOCK);
+    let mut flush = |block: &mut Vec<u8>| {
+        crc.update(block);
+        let wrote = out.write_all(block);
+        block.clear();
+        wrote
+    };
+    block.extend_from_slice(MAGIC_V2);
     for v in [
         p.rows() as u64,
         q.rows() as u64,
@@ -124,29 +180,29 @@ pub fn save_checkpoint<P: AsRef<Path>>(
         meta.epoch as u64,
         meta.seed,
     ] {
-        bytes.extend_from_slice(&v.to_le_bytes());
+        block.extend_from_slice(&v.to_le_bytes());
     }
-    bytes.extend_from_slice(&meta.lr_scale.to_le_bytes());
-    bytes.push(if meta.transposed { FLAG_TRANSPOSED } else { 0 });
-    for &v in p.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
+    block.extend_from_slice(&meta.lr_scale.to_le_bytes());
+    block.push(if meta.transposed { FLAG_TRANSPOSED } else { 0 });
+    for mut floats in [p.as_slice(), q.as_slice()] {
+        while !floats.is_empty() {
+            let fit = (BLOCK - block.len()) / 4;
+            let (now, later) = floats.split_at(fit.min(floats.len()));
+            let at = block.len();
+            block.resize(at + now.len() * 4, 0);
+            for (bytes, v) in block[at..].chunks_exact_mut(4).zip(now) {
+                bytes.copy_from_slice(&v.to_le_bytes());
+            }
+            floats = later;
+            // More to come: the block has no room for another float.
+            if !floats.is_empty() {
+                flush(&mut block)?;
+            }
+        }
     }
-    for &v in q.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-
-    let tmp = path.with_extension(match path.extension() {
-        Some(ext) => format!("{}.tmp", ext.to_string_lossy()),
-        None => "tmp".to_string(),
-    });
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(&bytes)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    flush(&mut block)?;
+    let footer = crc.finish().to_le_bytes();
+    out.write_all(&footer)
 }
 
 // ---------------------------------------------------------------------------
@@ -172,16 +228,9 @@ pub fn load_model<P: AsRef<Path>>(path: P) -> Result<(FactorMatrix, FactorMatrix
 /// Reads a checkpoint with its training metadata. v1 files load with
 /// [`TrainingMeta::default`] (they carry no resume state).
 pub fn load_checkpoint<P: AsRef<Path>>(path: P) -> Result<ResumeState, HccError> {
-    let bytes = std::fs::read(path.as_ref())?;
-    if bytes.len() >= MAGIC_V2.len() && &bytes[..7] == MAGIC_V2 {
-        load_v2(&bytes)
-    } else if bytes.len() >= MAGIC_V1.len() && &bytes[..7] == MAGIC_V1 {
-        load_v1(&bytes)
-    } else {
-        Err(HccError::CorruptCheckpoint(
-            "unrecognized magic (not an HCCMF checkpoint)".into(),
-        ))
-    }
+    let file = File::open(path.as_ref())?;
+    let len = file.metadata()?.len();
+    read_checkpoint(file, len)
 }
 
 fn read_u64(bytes: &[u8], off: usize) -> u64 {
@@ -197,7 +246,7 @@ fn checked_dims(
     m: u64,
     n: u64,
     k: u64,
-    payload_len: usize,
+    payload_len: u64,
 ) -> Result<(usize, usize, usize), HccError> {
     let (m, n, k) = (m as usize, n as usize, k as usize);
     let expected = (|| {
@@ -209,83 +258,263 @@ fn checked_dims(
         pk.checked_add(qk)?.checked_mul(4)
     })();
     match expected {
-        Some(len) if len == payload_len => Ok((m, n, k)),
+        Some(len) if len as u64 == payload_len => Ok((m, n, k)),
         _ => Err(HccError::CorruptCheckpoint(format!(
             "header dims ({m}×{n}×{k}) inconsistent with payload of {payload_len} bytes"
         ))),
     }
 }
 
-fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
-}
+/// Decodes a checkpoint of `len` bytes from `src`, either version, holding
+/// one [`BLOCK`] of it at a time.
+fn read_checkpoint(mut src: impl Read, len: u64) -> Result<ResumeState, HccError> {
+    mem::map_model_buffers();
+    let mut head = [0u8; MAGIC_V2.len() + V2_META_LEN];
+    let magic_len = MAGIC_V2.len();
+    // A file shorter than a magic keeps the zeros, which are neither.
+    if len >= magic_len as u64 {
+        src.read_exact(&mut head[..magic_len])?;
+    }
+    let (version, meta_len, footer_len) = match &head[..magic_len] {
+        magic if magic == MAGIC_V2 => (2, V2_META_LEN, 4),
+        magic if magic == MAGIC_V1 => (1, V1_META_LEN, 0),
+        _ => {
+            return Err(HccError::CorruptCheckpoint(
+                "unrecognized magic (not an HCCMF checkpoint)".into(),
+            ))
+        }
+    };
+    let header_len = magic_len + meta_len;
+    let Some(payload_len) = len.checked_sub((header_len + footer_len) as u64) else {
+        return Err(HccError::CorruptCheckpoint(format!(
+            "truncated v{version} header"
+        )));
+    };
+    let head = &mut head[..header_len];
+    src.read_exact(&mut head[magic_len..])?;
+    let mut crc = Crc32::default();
+    crc.update(head);
 
-fn load_v2(bytes: &[u8]) -> Result<ResumeState, HccError> {
-    let header_len = MAGIC_V2.len() + V2_META_LEN;
-    if bytes.len() < header_len + 4 {
-        return Err(HccError::CorruptCheckpoint("truncated v2 header".into()));
-    }
-    let (body, footer) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
-    let actual_crc = crc32(body);
-    if stored_crc != actual_crc {
-        return Err(HccError::CorruptCheckpoint(format!(
-            "crc mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
-        )));
-    }
-    let mut off = MAGIC_V2.len();
-    let m = read_u64(body, off);
-    let n = read_u64(body, off + 8);
-    let k = read_u64(body, off + 16);
-    let epoch = read_u64(body, off + 24);
-    let seed = read_u64(body, off + 32);
-    off += 40;
-    let lr_scale = f32::from_le_bytes([body[off], body[off + 1], body[off + 2], body[off + 3]]);
-    let flags = body[off + 4];
-    let payload = &body[header_len..];
-    let (m, n, k) = checked_dims(m, n, k, payload.len())?;
-    if !(lr_scale.is_finite() && lr_scale > 0.0) {
-        return Err(HccError::CorruptCheckpoint(format!(
-            "invalid lr_scale {lr_scale}"
-        )));
-    }
-    let (p_bytes, q_bytes) = payload.split_at(m * k * 4);
-    Ok(ResumeState {
-        p: FactorMatrix::from_vec(m, k, decode_f32s(p_bytes)),
-        q: FactorMatrix::from_vec(n, k, decode_f32s(q_bytes)),
-        meta: TrainingMeta {
-            epoch: epoch as usize,
-            seed,
+    let dims = |i: usize| read_u64(head, magic_len + 8 * i);
+    let (m, n, k) = checked_dims(dims(0), dims(1), dims(2), payload_len)?;
+    let meta = if version == 2 {
+        let at = magic_len + 40;
+        let lr_scale = f32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+        if !(lr_scale.is_finite() && lr_scale > 0.0) {
+            return Err(HccError::CorruptCheckpoint(format!(
+                "invalid lr_scale {lr_scale}"
+            )));
+        }
+        TrainingMeta {
+            epoch: dims(3) as usize,
+            seed: dims(4),
             lr_scale,
-            transposed: flags & FLAG_TRANSPOSED != 0,
-        },
+            transposed: head[at + 4] & FLAG_TRANSPOSED != 0,
+        }
+    } else {
+        TrainingMeta::default()
+    };
+
+    // The length check above is what makes these two allocations safe.
+    let mut p = vec![0.0f32; m * k];
+    let mut q = vec![0.0f32; n * k];
+    let mut block = vec![0u8; BLOCK];
+    for floats in [&mut p, &mut q] {
+        for chunk in floats.chunks_mut(BLOCK / 4) {
+            let bytes = &mut block[..chunk.len() * 4];
+            src.read_exact(bytes)?;
+            crc.update(bytes);
+            for (v, b) in chunk.iter_mut().zip(bytes.chunks_exact(4)) {
+                *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            }
+        }
+    }
+    if footer_len > 0 {
+        let mut footer = [0u8; 4];
+        src.read_exact(&mut footer)?;
+        let (stored, computed) = (u32::from_le_bytes(footer), crc.finish());
+        if stored != computed {
+            return Err(HccError::CorruptCheckpoint(format!(
+                "crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
+            )));
+        }
+    }
+    Ok(ResumeState {
+        p: FactorMatrix::from_vec(m, k, p),
+        q: FactorMatrix::from_vec(n, k, q),
+        meta,
     })
 }
 
-fn load_v1(bytes: &[u8]) -> Result<ResumeState, HccError> {
-    let header_len = MAGIC_V1.len() + 3 * 8;
-    if bytes.len() < header_len {
-        return Err(HccError::CorruptCheckpoint("truncated v1 header".into()));
+/// The encoder [`write_v2`] replaced, kept as its oracle: the whole file
+/// assembled in one `Vec`, float by float, and checksummed in one pass.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn encode_v2(p: &FactorMatrix, q: &FactorMatrix, meta: &TrainingMeta) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC_V2);
+        for v in [
+            p.rows() as u64,
+            q.rows() as u64,
+            p.k() as u64,
+            meta.epoch as u64,
+            meta.seed,
+        ] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend_from_slice(&meta.lr_scale.to_le_bytes());
+        bytes.push(if meta.transposed { FLAG_TRANSPOSED } else { 0 });
+        for &v in p.as_slice().iter().chain(q.as_slice()) {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
     }
-    let m = read_u64(bytes, MAGIC_V1.len());
-    let n = read_u64(bytes, MAGIC_V1.len() + 8);
-    let k = read_u64(bytes, MAGIC_V1.len() + 16);
-    let payload = &bytes[header_len..];
-    let (m, n, k) = checked_dims(m, n, k, payload.len())?;
-    let (p_bytes, q_bytes) = payload.split_at(m * k * 4);
-    Ok(ResumeState {
-        p: FactorMatrix::from_vec(m, k, decode_f32s(p_bytes)),
-        q: FactorMatrix::from_vec(n, k, decode_f32s(q_bytes)),
-        meta: TrainingMeta::default(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Floats of the first block beside the v2 header; every later block
+    /// holds `BLOCK / 4`.
+    const FIRST: usize = (BLOCK - MAGIC_V2.len() - V2_META_LEN) / 4;
+
+    /// `(m, n)` at `k = 1` that put the end of `P`, then of `Q`, just
+    /// inside, on and one float past a block edge, plus a file of one block.
+    fn edge_shapes() -> Vec<(usize, usize)> {
+        let mut shapes = vec![(40, 9)];
+        for d in [-1isize, 0, 1] {
+            shapes.push((FIRST.wrapping_add_signed(d), 5));
+            shapes.push((1_000, (FIRST - 1_000).wrapping_add_signed(d)));
+            shapes.push((FIRST + 7, (BLOCK / 4 - 7).wrapping_add_signed(d)));
+        }
+        shapes
+    }
+
+    fn streamed(p: &FactorMatrix, q: &FactorMatrix, meta: &TrainingMeta) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_v2(&mut bytes, p, q, meta).unwrap();
+        bytes
+    }
+
+    fn read(bytes: &[u8]) -> Result<ResumeState, HccError> {
+        read_checkpoint(bytes, bytes.len() as u64)
+    }
+
+    fn bits(m: &FactorMatrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A writer that takes `left` bytes and then reports a full disk.
+    struct FailAfter<W> {
+        inner: W,
+        left: usize,
+    }
+
+    impl<W: Write> Write for FailAfter<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if buf.len() > self.left {
+                return Err(io::Error::other("disk full"));
+            }
+            self.left -= buf.len();
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn streamed_bytes_equal_the_assembled_reference_around_block_edges() {
+        for (m, n) in edge_shapes() {
+            let p = FactorMatrix::random(m, 1, m as u64);
+            let q = FactorMatrix::random(n, 1, n as u64);
+            for transposed in [false, true] {
+                let meta = TrainingMeta {
+                    epoch: 3,
+                    seed: 0xfeed,
+                    lr_scale: 0.5,
+                    transposed,
+                };
+                let bytes = streamed(&p, &q, &meta);
+                assert!(
+                    bytes == reference::encode_v2(&p, &q, &meta),
+                    "{m}×{n} transposed={transposed}: streamed file differs"
+                );
+                // What the parent wrote loads to the very bits it was given.
+                let state = read(&bytes).unwrap();
+                assert_eq!(bits(&state.p), bits(&p), "{m}×{n}");
+                assert_eq!(bits(&state.q), bits(&q), "{m}×{n}");
+                assert_eq!(state.meta, meta);
+            }
+        }
+    }
+
+    #[test]
+    fn truncation_at_every_block_edge_is_corrupt() {
+        let p = FactorMatrix::random(FIRST + 7, 1, 3);
+        let q = FactorMatrix::random(BLOCK / 4 + 11, 1, 4);
+        let bytes = streamed(&p, &q, &TrainingMeta::default());
+        assert!(read(&bytes).is_ok());
+        let edges = [BLOCK, 2 * BLOCK, bytes.len() - 4, bytes.len()];
+        for cut in edges.iter().flat_map(|&e| [e - 1, e, e + 1]) {
+            if cut >= bytes.len() {
+                continue;
+            }
+            assert!(
+                matches!(read(&bytes[..cut]), Err(HccError::CorruptCheckpoint(_))),
+                "a file cut to {cut} of {} bytes loaded",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_bit_flip_in_any_block_is_corrupt() {
+        let p = FactorMatrix::random(FIRST + 7, 1, 5);
+        let q = FactorMatrix::random(BLOCK / 4 + 11, 1, 6);
+        let clean = streamed(&p, &q, &TrainingMeta::default());
+        // Header (the seed: nothing but the CRC guards it), `P` in the
+        // first block and in the second, `Q`, the footer.
+        let len = clean.len();
+        for at in [41, BLOCK - 9, BLOCK + 9, 2 * BLOCK + 5, len - 5, len - 1] {
+            let mut corrupt = clean.clone();
+            corrupt[at] ^= 0x10;
+            assert!(
+                matches!(read(&corrupt), Err(HccError::CorruptCheckpoint(_))),
+                "bit flip at byte {at} of {len} went undetected"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_write_removes_its_tmp_and_leaves_the_old_file() {
+        let path = tmp("failed_write.hccmf");
+        let tmp_path = tmp("failed_write.hccmf.tmp");
+        let old = (FactorMatrix::random(3, 2, 7), FactorMatrix::random(4, 2, 8));
+        save_model(&path, &old.0, &old.1).unwrap();
+        // The second block meets a full disk.
+        let p = FactorMatrix::random(FIRST + 7, 1, 9);
+        let q = FactorMatrix::random(5, 1, 10);
+        let meta = TrainingMeta::default();
+        let err = commit(&tmp_path, &path, |file| {
+            let out = FailAfter {
+                inner: file,
+                left: BLOCK + 3,
+            };
+            write_v2(out, &p, &q, &meta)
+        })
+        .unwrap_err();
+        assert!(matches!(err, HccError::Io(_)), "{err:?}");
+        assert!(!tmp_path.exists(), "the failed write left its tmp behind");
+        let (p2, q2) = load_model(&path).unwrap();
+        assert_eq!((p2, q2), old);
+        std::fs::remove_file(path).ok();
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("hcc_checkpoint_tests");
@@ -364,15 +593,18 @@ mod tests {
 
     #[test]
     fn reads_legacy_v1_files() {
-        let p = FactorMatrix::random(5, 2, 7);
-        let q = FactorMatrix::random(4, 2, 8);
-        let path = tmp("legacy_v1.hccmf");
-        write_v1(&path, &p, &q);
-        let state = load_checkpoint(&path).unwrap();
-        assert_eq!(state.p, p);
-        assert_eq!(state.q, q);
-        assert_eq!(state.meta, TrainingMeta::default());
-        std::fs::remove_file(path).ok();
+        // A file inside one block, and one whose `P` and `Q` both span two.
+        for (m, n, k) in [(5, 4, 2), (BLOCK / 4 + 3, BLOCK / 2, 1)] {
+            let p = FactorMatrix::random(m, k, 7);
+            let q = FactorMatrix::random(n, k, 8);
+            let path = tmp("legacy_v1.hccmf");
+            write_v1(&path, &p, &q);
+            let state = load_checkpoint(&path).unwrap();
+            assert_eq!(bits(&state.p), bits(&p));
+            assert_eq!(bits(&state.q), bits(&q));
+            assert_eq!(state.meta, TrainingMeta::default());
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

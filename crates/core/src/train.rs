@@ -56,6 +56,7 @@ impl HccMf {
         if matrix.nnz() == 0 {
             return Err(HccError::BadInput("matrix has no observed entries".into()));
         }
+        hcc_sgd::mem::map_model_buffers();
         // Preprocessing (Fig. 4 steps ①–③): pick the grid axis by the longer
         // dimension; internally we always row-grid, transposing when needed
         // (the "Transmit P only" switch of Strategy 1).

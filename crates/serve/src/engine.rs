@@ -299,7 +299,12 @@ impl ServeEngine {
     /// [`ServedModel::build`] — by the time a model exists it is servable,
     /// and a failed build/load leaves the old model in place untouched.
     pub fn reload(&self, model: ServedModel) -> u64 {
-        *self.current.write() = Arc::new(model);
+        let incoming = Arc::new(model);
+        // The write guard lives for this statement only. When the engine
+        // held the last reference, the outgoing model is freed — every shard
+        // unmapped — by the drop below, with `current` readable again.
+        let outgoing = std::mem::replace(&mut *self.current.write(), incoming);
+        drop(outgoing);
         // ordering: Relaxed — reload counter is a statistic; the RwLock
         // write above is what publishes the new model.
         self.reloads.fetch_add(1, Ordering::Relaxed) + 1
@@ -854,6 +859,29 @@ mod tests {
         assert_eq!(engine.top_k(0, 3).unwrap(), before);
         assert_eq!(engine.model().shard_count(), 1);
         assert_eq!(engine.stats().reloads, 1);
+    }
+
+    #[test]
+    fn a_reload_frees_the_model_it_replaced_after_releasing_current() {
+        use crate::model::DROP_PROBE;
+        let engine = Arc::new(ServeEngine::new(model(4, 8, 2, 2)));
+        // The engine holds the only reference, so `reload` itself drops the
+        // outgoing model, on this thread; the probe asks whether a reader
+        // could take `current` at that moment.
+        let readable = std::rc::Rc::new(std::cell::Cell::new(None));
+        let (probed, seen) = (engine.clone(), readable.clone());
+        DROP_PROBE.with(|probe| {
+            *probe.borrow_mut() = Some(Box::new(move || {
+                seen.set(Some(probed.current.try_read().is_some()));
+            }));
+        });
+        engine.reload(model(4, 8, 2, 1));
+        drop(DROP_PROBE.with(|probe| probe.borrow_mut().take()));
+        assert_eq!(
+            readable.get(),
+            Some(true),
+            "the outgoing model was dropped under the write lock (or not at all)"
+        );
     }
 
     #[test]

@@ -28,8 +28,8 @@
 use crate::error::ServeError;
 use crate::precision::Precision;
 use hcc_partition::dp0;
-use hcc_sgd::{int8, simd, FactorMatrix};
-use hcc_sparse::{Axis, CooMatrix, CsrMatrix, GridPartition};
+use hcc_sgd::{int8, mem, simd, FactorMatrix};
+use hcc_sparse::{Axis, CooMatrix, GridPartition};
 
 /// Items per pruning block: one norm bound check amortized over this many
 /// scored rows. 64 keeps the check overhead under 2% of block work at
@@ -111,6 +111,25 @@ pub struct ServedModel {
     seen: Option<SeenItems>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Runs on this thread whenever it drops a [`ServedModel`]: how the
+    /// engine's tests see *when* a reload frees the model it replaced.
+    pub(crate) static DROP_PROBE: std::cell::RefCell<Option<Box<dyn Fn()>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+#[cfg(test)]
+impl Drop for ServedModel {
+    fn drop(&mut self) {
+        DROP_PROBE.with(|probe| {
+            if let Some(probe) = probe.borrow().as_ref() {
+                probe();
+            }
+        });
+    }
+}
+
 /// What each user rated, sorted once at build time so a query borrows its
 /// lists instead of sorting a copy: as item ids, and as *scan ranks* for the
 /// scan's seen filter.
@@ -130,22 +149,38 @@ struct SeenItems {
 
 impl SeenItems {
     fn build(train: &CooMatrix, shards: &[ItemShard]) -> SeenItems {
-        // `CsrMatrix::from` keeps COO order within a row.
-        let csr = CsrMatrix::from(train);
-        let mut items = Vec::with_capacity(csr.nnz());
-        let mut ranks = Vec::with_capacity(csr.nnz());
-        for u in 0..csr.rows() {
-            let lo = items.len();
-            items.extend_from_slice(csr.row(u).0);
-            items[lo..].sort_unstable();
+        // One counting sort over the ratings, ids only. Counts go in two
+        // slots up so that, after the prefix sum, slot `u + 1` is the cursor
+        // of user `u`'s run: when every id is placed it has reached the
+        // run's end, which is where `u + 1`'s begins.
+        let users = train.rows() as usize;
+        let mut row_ptr = vec![0usize; users + 2];
+        for e in train.entries() {
+            row_ptr[e.u as usize + 2] += 1;
+        }
+        for u in 2..row_ptr.len() {
+            row_ptr[u] += row_ptr[u - 1];
+        }
+        let mut items = vec![0u32; train.nnz()];
+        for e in train.entries() {
+            let at = &mut row_ptr[e.u as usize + 1];
+            items[*at] = e.i;
+            *at += 1;
+        }
+        row_ptr.pop();
+
+        let mut ranks = Vec::with_capacity(items.len());
+        for run in row_ptr.windows(2) {
+            let (lo, hi) = (run[0], run[1]);
+            items[lo..hi].sort_unstable();
             // An id past the catalogue (only an unchecked matrix has one)
             // keeps its slot with a rank no shard's window reaches.
             let rank = |&i: &u32| scan_rank(shards, i).unwrap_or(u32::MAX);
-            ranks.extend(items[lo..].iter().map(rank));
-            ranks[lo..].sort_unstable();
+            ranks.extend(items[lo..hi].iter().map(rank));
+            ranks[lo..hi].sort_unstable();
         }
         SeenItems {
-            row_ptr: csr.row_ptr().to_vec(),
+            row_ptr,
             items,
             ranks,
         }
@@ -223,6 +258,7 @@ impl ServedModel {
                 )));
             }
         }
+        mem::map_model_buffers();
         let items = q.rows();
         let shards = shards.clamp(1, items.max(1));
         let boundaries = plan_item_boundaries(items, shards, train);
@@ -346,10 +382,13 @@ impl ServedModel {
     }
 }
 
-/// Builds one shard over global items `start..end`: encodes the rows at
-/// `precision`, computes per-row stored-representation norms, applies the
-/// norm-descending permutation (identity when `prune` is off), and folds
-/// the norms into per-block maxima.
+/// Builds one shard over global items `start..end` from the rows where they
+/// lie in `q`: encodes them at `precision` into the store the shard keeps,
+/// computes per-row stored-representation norms, orders the rows by them
+/// (identity when `prune` is off) and folds the norms into per-block maxima.
+/// Beside `q` and that one store, nothing of the shard's size exists at any
+/// point: f32 rows are gathered from `q` straight into scan order, quantized
+/// ones are encoded once and then reordered where they stand.
 fn build_shard(
     q: &FactorMatrix,
     start: u32,
@@ -360,37 +399,39 @@ fn build_shard(
     let (lo, hi) = (start as usize, end as usize);
     let len = hi - lo;
     let k = q.k();
-    // Flatten the shard's slice of Q once; all three tiers encode from it.
-    let flat: Vec<f32> = (lo..hi).flat_map(|r| q.row(r).iter().copied()).collect();
+    let rows = &q.as_slice()[lo * k..hi * k];
 
-    // Encode in *original* order and compute the dequantized-per-row norms
-    // the scan's bound must use.
-    let (data, norms): (ShardData, Vec<f32>) = match precision {
+    // The store in *original* order (f32: `q` itself stands in for it), and
+    // the norms the scan's bound must use: of the rows as stored, i.e.
+    // dequantized.
+    let (mut data, norms): (ShardData, Vec<f32>) = match precision {
         Precision::F32 => {
-            let norms = (0..len)
-                .map(|r| simd::dot(&flat[r * k..(r + 1) * k], &flat[r * k..(r + 1) * k]).sqrt())
+            let norms = rows
+                .chunks_exact(k)
+                .map(|row| simd::dot(row, row).sqrt())
                 .collect();
-            (ShardData::F32(flat.clone()), norms)
+            (ShardData::F32(Vec::new()), norms)
         }
         Precision::Fp16 => {
-            let mut enc = vec![0u16; flat.len()];
-            simd::encode_f16(&flat, &mut enc);
-            let mut dec = vec![0.0f32; flat.len()];
-            simd::decode_f16(&enc, &mut dec);
-            let norms = (0..len)
-                .map(|r| simd::dot(&dec[r * k..(r + 1) * k], &dec[r * k..(r + 1) * k]).sqrt())
+            let mut enc = vec![0u16; rows.len()];
+            simd::encode_f16(rows, &mut enc);
+            let mut dec = vec![0.0f32; k];
+            let norms = enc
+                .chunks_exact(k)
+                .map(|row| {
+                    simd::decode_f16(row, &mut dec);
+                    simd::dot(&dec, &dec).sqrt()
+                })
                 .collect();
             (ShardData::Fp16(enc), norms)
         }
         Precision::Int8 => {
-            let scale = int8::scale_for(&flat);
-            let mut enc = vec![0i8; flat.len()];
-            int8::quantize(&flat, scale, &mut enc);
-            let norms = (0..len)
-                .map(|r| {
-                    let row = &enc[r * k..(r + 1) * k];
-                    scale * (int8::dot_i8_scalar(row, row) as f32).sqrt()
-                })
+            let scale = int8::scale_for(rows);
+            let mut enc = vec![0i8; rows.len()];
+            int8::quantize(rows, scale, &mut enc);
+            let norms = enc
+                .chunks_exact(k)
+                .map(|row| scale * (int8::dot_i8_scalar(row, row) as f32).sqrt())
                 .collect();
             (ShardData::Int8 { data: enc, scale }, norms)
         }
@@ -410,27 +451,34 @@ fn build_shard(
     for (p_idx, &local) in perm.iter().enumerate() {
         pos[local as usize] = p_idx as u32;
     }
-    let ids: Vec<u32> = perm.iter().map(|&local| start + local).collect();
 
-    // Gather rows into permuted, position-major storage.
-    let data = match data {
-        ShardData::F32(src) => ShardData::F32(gather(&src, &perm, k)),
-        ShardData::Fp16(src) => ShardData::Fp16(gather(&src, &perm, k)),
-        ShardData::Int8 { data: src, scale } => ShardData::Int8 {
-            data: gather(&src, &perm, k),
-            scale,
-        },
-    };
+    // Rows into permuted, position-major storage.
+    match &mut data {
+        ShardData::F32(out) => {
+            out.reserve_exact(rows.len());
+            for &local in &perm {
+                let r = local as usize;
+                out.extend_from_slice(&rows[r * k..(r + 1) * k]);
+            }
+        }
+        ShardData::Fp16(enc) => permute_rows(enc, &perm, k),
+        ShardData::Int8 { data: enc, .. } => permute_rows(enc, &perm, k),
+    }
 
-    let block_norms: Vec<f32> = (0..len.div_ceil(NORM_BLOCK))
-        .map(|b| {
-            let blo = b * NORM_BLOCK;
-            let bhi = (blo + NORM_BLOCK).min(len);
-            perm[blo..bhi]
+    let block_norms: Vec<f32> = perm
+        .chunks(NORM_BLOCK)
+        .map(|block| {
+            block
                 .iter()
                 .fold(0.0f32, |m, &local| m.max(norms[local as usize]))
         })
         .collect();
+
+    // The permutation becomes the position → id map where it stands.
+    let mut ids = perm;
+    for id in &mut ids {
+        *id += start;
+    }
 
     ItemShard {
         start,
@@ -443,14 +491,29 @@ fn build_shard(
     }
 }
 
-/// Copies `k`-strided rows of `src` into a new vec, in `perm` order.
-fn gather<T: Copy + Default>(src: &[T], perm: &[u32], k: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(src.len());
-    for &local in perm {
-        let r = local as usize;
-        out.extend_from_slice(&src[r * k..(r + 1) * k]);
+/// Reorders the `k`-wide rows of `data` where they stand: row `i` becomes
+/// what row `perm[i]` was. Each cycle of the permutation is walked once,
+/// through one held row.
+fn permute_rows<T: Copy + Default>(data: &mut [T], perm: &[u32], k: usize) {
+    let mut placed = vec![false; perm.len()];
+    let mut held = vec![T::default(); k];
+    for first in 0..perm.len() {
+        if placed[first] {
+            continue;
+        }
+        held.copy_from_slice(&data[first * k..(first + 1) * k]);
+        let mut to = first;
+        loop {
+            placed[to] = true;
+            let from = perm[to] as usize;
+            if from == first {
+                data[to * k..(to + 1) * k].copy_from_slice(&held);
+                break;
+            }
+            data.copy_within(from * k..(from + 1) * k, to * k);
+            to = from;
+        }
     }
-    out
 }
 
 /// Plans `shards + 1` item boundaries. With a training matrix the split
@@ -461,10 +524,7 @@ fn plan_item_boundaries(items: usize, shards: usize, train: Option<&CooMatrix>) 
     let fractions = dp0(&vec![1.0; shards]);
     match train {
         Some(t) if t.nnz() > 0 && t.cols() as usize == items => {
-            let grid = GridPartition::build(t, Axis::Col, &fractions);
-            let mut b: Vec<u32> = (0..shards).map(|w| grid.range(w).start).collect();
-            b.push(items as u32);
-            b
+            GridPartition::boundaries(t, Axis::Col, &fractions)
         }
         _ => {
             let mut b = Vec::with_capacity(shards + 1);
@@ -480,10 +540,126 @@ fn plan_item_boundaries(items: usize, shards: usize, train: Option<&CooMatrix>) 
     }
 }
 
+/// The builders this module replaced, kept as the oracle of the in-place
+/// ones: a shard assembled from a flattened copy of its rows (encode all,
+/// then gather), and the seen lists read off a CSR copy of the ratings.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use hcc_sparse::CsrMatrix;
+
+    pub fn build_shard(
+        q: &FactorMatrix,
+        start: u32,
+        end: u32,
+        precision: Precision,
+        prune: bool,
+    ) -> ItemShard {
+        let (lo, hi) = (start as usize, end as usize);
+        let len = hi - lo;
+        let k = q.k();
+        let flat: Vec<f32> = (lo..hi).flat_map(|r| q.row(r).iter().copied()).collect();
+        let (data, norms): (ShardData, Vec<f32>) = match precision {
+            Precision::F32 => {
+                let norms = (0..len)
+                    .map(|r| simd::dot(&flat[r * k..(r + 1) * k], &flat[r * k..(r + 1) * k]).sqrt())
+                    .collect();
+                (ShardData::F32(flat.clone()), norms)
+            }
+            Precision::Fp16 => {
+                let mut enc = vec![0u16; flat.len()];
+                simd::encode_f16(&flat, &mut enc);
+                let mut dec = vec![0.0f32; flat.len()];
+                simd::decode_f16(&enc, &mut dec);
+                let norms = (0..len)
+                    .map(|r| simd::dot(&dec[r * k..(r + 1) * k], &dec[r * k..(r + 1) * k]).sqrt())
+                    .collect();
+                (ShardData::Fp16(enc), norms)
+            }
+            Precision::Int8 => {
+                let scale = int8::scale_for(&flat);
+                let mut enc = vec![0i8; flat.len()];
+                int8::quantize(&flat, scale, &mut enc);
+                let norms = (0..len)
+                    .map(|r| {
+                        let row = &enc[r * k..(r + 1) * k];
+                        scale * (int8::dot_i8_scalar(row, row) as f32).sqrt()
+                    })
+                    .collect();
+                (ShardData::Int8 { data: enc, scale }, norms)
+            }
+        };
+        let mut perm: Vec<u32> = (0..len as u32).collect();
+        if prune {
+            perm.sort_by(|&a, &b| {
+                norms[b as usize]
+                    .total_cmp(&norms[a as usize])
+                    .then(a.cmp(&b))
+            });
+        }
+        let mut pos = vec![0u32; len];
+        for (p_idx, &local) in perm.iter().enumerate() {
+            pos[local as usize] = p_idx as u32;
+        }
+        let ids: Vec<u32> = perm.iter().map(|&local| start + local).collect();
+        let data = match data {
+            ShardData::F32(src) => ShardData::F32(gather(&src, &perm, k)),
+            ShardData::Fp16(src) => ShardData::Fp16(gather(&src, &perm, k)),
+            ShardData::Int8 { data: src, scale } => ShardData::Int8 {
+                data: gather(&src, &perm, k),
+                scale,
+            },
+        };
+        let block_norms: Vec<f32> = (0..len.div_ceil(NORM_BLOCK))
+            .map(|b| {
+                let blo = b * NORM_BLOCK;
+                let bhi = (blo + NORM_BLOCK).min(len);
+                perm[blo..bhi]
+                    .iter()
+                    .fold(0.0f32, |m, &local| m.max(norms[local as usize]))
+            })
+            .collect();
+        ItemShard {
+            start,
+            len,
+            k,
+            ids,
+            pos,
+            block_norms,
+            data,
+        }
+    }
+
+    fn gather<T: Copy>(src: &[T], perm: &[u32], k: usize) -> Vec<T> {
+        let mut out = Vec::with_capacity(src.len());
+        for &local in perm {
+            let r = local as usize;
+            out.extend_from_slice(&src[r * k..(r + 1) * k]);
+        }
+        out
+    }
+
+    /// `(row_ptr, items, ranks)` of the seen lists.
+    pub fn seen_items(train: &CooMatrix, shards: &[ItemShard]) -> (Vec<usize>, Vec<u32>, Vec<u32>) {
+        let csr = CsrMatrix::from(train);
+        let mut items = Vec::with_capacity(csr.nnz());
+        let mut ranks = Vec::with_capacity(csr.nnz());
+        for u in 0..csr.rows() {
+            let lo = items.len();
+            items.extend_from_slice(csr.row(u).0);
+            items[lo..].sort_unstable();
+            let rank = |&i: &u32| scan_rank(shards, i).unwrap_or(u32::MAX);
+            ranks.extend(items[lo..].iter().map(rank));
+            ranks[lo..].sort_unstable();
+        }
+        (csr.row_ptr().to_vec(), items, ranks)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_sparse::Rating;
+    use hcc_sparse::{GenConfig, Rating, SyntheticDataset};
 
     fn factors(users: usize, items: usize, k: usize) -> (FactorMatrix, FactorMatrix) {
         (
@@ -554,6 +730,65 @@ mod tests {
                 let b = shard.block_norms[p_idx / NORM_BLOCK];
                 assert!(n <= b + 1e-5, "pos {p_idx}: norm {n} > block bound {b}");
             }
+        }
+    }
+
+    /// Everything a scan reads of a shard, as bits.
+    fn bits(shard: &ItemShard) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
+        let data = match &shard.data {
+            ShardData::F32(d) => d.iter().map(|x| x.to_bits()).collect(),
+            ShardData::Fp16(d) => d.iter().map(|&x| u32::from(x)).collect(),
+            ShardData::Int8 { data, scale } => std::iter::once(scale.to_bits())
+                .chain(data.iter().map(|&x| x as u8 as u32))
+                .collect(),
+        };
+        let norms = shard.block_norms.iter().map(|x| x.to_bits()).collect();
+        (shard.ids.clone(), shard.pos.clone(), norms, data)
+    }
+
+    #[test]
+    fn shards_built_in_place_equal_the_flattened_reference() {
+        // 200 items: more than one norm block a shard, and a last block
+        // that is not full. `k = 1` is the degenerate row.
+        for k in [1, 8, 19] {
+            let q = FactorMatrix::random(200, k, 31 + k as u64);
+            // One to three shards, and an empty shard in the middle.
+            for cuts in [vec![0, 200], vec![0, 77, 200], vec![0, 64, 64, 200]] {
+                for precision in [Precision::F32, Precision::Fp16, Precision::Int8] {
+                    for prune in [false, true] {
+                        for w in cuts.windows(2) {
+                            let got = build_shard(&q, w[0], w[1], precision, prune);
+                            let want = reference::build_shard(&q, w[0], w[1], precision, prune);
+                            assert_eq!((got.start, got.len, got.k), (want.start, want.len, k));
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "k={k} {precision:?} prune={prune} items {w:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seen_lists_equal_the_csr_built_reference() {
+        let data = SyntheticDataset::generate(GenConfig {
+            rows: 90,
+            cols: 150,
+            nnz: 2_000,
+            item_skew: 1.2,
+            ..GenConfig::default()
+        });
+        let (p, q) = factors(90, 150, 4);
+        for shards in 1..=3 {
+            let m = ServedModel::build(p.clone(), q.clone(), Some(&data.matrix), shards).unwrap();
+            let seen = m.seen.as_ref().unwrap();
+            let (row_ptr, items, ranks) = reference::seen_items(&data.matrix, m.shards());
+            assert_eq!(seen.row_ptr, row_ptr);
+            assert_eq!(seen.items, items);
+            assert_eq!(seen.ranks, ranks);
         }
     }
 

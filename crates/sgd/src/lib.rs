@@ -25,6 +25,8 @@
 //! * [`momentum`] — heavy-ball Hogwild, completing the optimizer family.
 //! * [`simd`] — runtime-dispatched SIMD kernels (AVX2+FMA fused SGD step,
 //!   F16C half-precision codec) with portable scalar fallbacks.
+//! * [`mem`] — the placement rule for model-sized buffers: each is an
+//!   anonymous mapping of its own, so it leaves the process when dropped.
 
 //!
 //! ```
@@ -55,6 +57,7 @@ pub mod hogwild;
 pub mod int8;
 pub mod kernel;
 pub mod loss;
+pub mod mem;
 pub mod momentum;
 pub mod schedule;
 pub mod shared;

@@ -46,56 +46,14 @@ pub struct GridPartition {
 impl GridPartition {
     /// Builds a grid assigning each worker a contiguous index range whose
     /// total entry count tracks `fractions` (which should be non-negative and
-    /// sum to ~1; it is renormalized defensively).
-    ///
-    /// The split points are chosen greedily on the prefix sums of per-index
-    /// entry counts, so a worker's actual share can deviate from its target
-    /// by at most the heaviest single row (column).
+    /// sum to ~1; it is renormalized defensively), at the split points of
+    /// [`boundaries`](Self::boundaries).
     ///
     /// # Panics
     /// Panics if `fractions` is empty (a grid needs at least one worker).
     pub fn build(matrix: &CooMatrix, axis: Axis, fractions: &[f64]) -> GridPartition {
-        assert!(!fractions.is_empty(), "grid needs at least one worker");
-        let total: f64 = fractions.iter().sum();
-        let norm: Vec<f64> = if total > 0.0 {
-            fractions.iter().map(|f| f.max(0.0) / total).collect()
-        } else {
-            vec![1.0 / fractions.len() as f64; fractions.len()]
-        };
-
-        let axis_len = match axis {
-            Axis::Row => matrix.rows(),
-            Axis::Col => matrix.cols(),
-        };
-        let counts = match axis {
-            Axis::Row => matrix.row_counts(),
-            Axis::Col => matrix.col_counts(),
-        };
-        let nnz = matrix.nnz() as f64;
-
-        // Prefix sums of entry counts along the axis.
-        let mut prefix = Vec::with_capacity(counts.len() + 1);
-        prefix.push(0u64);
-        let mut acc = 0u64;
-        for &c in &counts {
-            acc += c as u64;
-            prefix.push(acc);
-        }
-
-        let workers = norm.len();
-        let mut boundaries = Vec::with_capacity(workers + 1);
-        boundaries.push(0u32);
-        let mut target = 0.0f64;
-        for w in 0..workers - 1 {
-            target += norm[w] * nnz;
-            let want = target.round() as u64;
-            // First index whose prefix reaches the cumulative target; never
-            // before the previous boundary so boundaries stay sorted.
-            let lo = boundaries[w] as usize;
-            let pos = prefix[lo..].partition_point(|&p| p < want);
-            boundaries.push(((lo + pos) as u32).min(axis_len));
-        }
-        boundaries.push(axis_len);
+        let (boundaries, prefix) = split_points(matrix, axis, fractions);
+        let workers = fractions.len();
 
         // Scatter entries into shards.
         let mut shards: Vec<Vec<Rating>> = (0..workers)
@@ -120,6 +78,20 @@ impl GridPartition {
             boundaries,
             shards,
         }
+    }
+
+    /// The `fractions.len() + 1` split points [`build`](Self::build) cuts
+    /// `matrix` at along `axis` (first 0, last the axis length), for a caller
+    /// that wants the index ranges and not a copy of the entries.
+    ///
+    /// The split points are chosen greedily on the prefix sums of per-index
+    /// entry counts, so a worker's actual share can deviate from its target
+    /// by at most the heaviest single row (column).
+    ///
+    /// # Panics
+    /// Panics if `fractions` is empty.
+    pub fn boundaries(matrix: &CooMatrix, axis: Axis, fractions: &[f64]) -> Vec<u32> {
+        split_points(matrix, axis, fractions).0
     }
 
     /// Builds an equal-fraction grid over `workers` workers.
@@ -179,6 +151,53 @@ impl GridPartition {
             .map(|s| s.len() as f64 / total as f64)
             .collect()
     }
+}
+
+/// The split points of `matrix` along `axis` for `fractions`, and the prefix
+/// sums of per-index entry counts they were read from.
+fn split_points(matrix: &CooMatrix, axis: Axis, fractions: &[f64]) -> (Vec<u32>, Vec<u64>) {
+    assert!(!fractions.is_empty(), "grid needs at least one worker");
+    let total: f64 = fractions.iter().sum();
+    let norm: Vec<f64> = if total > 0.0 {
+        fractions.iter().map(|f| f.max(0.0) / total).collect()
+    } else {
+        vec![1.0 / fractions.len() as f64; fractions.len()]
+    };
+
+    let axis_len = match axis {
+        Axis::Row => matrix.rows(),
+        Axis::Col => matrix.cols(),
+    };
+    let counts = match axis {
+        Axis::Row => matrix.row_counts(),
+        Axis::Col => matrix.col_counts(),
+    };
+    let nnz = matrix.nnz() as f64;
+
+    // Prefix sums of entry counts along the axis.
+    let mut prefix = Vec::with_capacity(counts.len() + 1);
+    prefix.push(0u64);
+    let mut acc = 0u64;
+    for &c in &counts {
+        acc += c as u64;
+        prefix.push(acc);
+    }
+
+    let workers = norm.len();
+    let mut boundaries = Vec::with_capacity(workers + 1);
+    boundaries.push(0u32);
+    let mut target = 0.0f64;
+    for w in 0..workers - 1 {
+        target += norm[w] * nnz;
+        let want = target.round() as u64;
+        // First index whose prefix reaches the cumulative target; never
+        // before the previous boundary so boundaries stay sorted.
+        let lo = boundaries[w] as usize;
+        let pos = prefix[lo..].partition_point(|&p| p < want);
+        boundaries.push(((lo + pos) as u32).min(axis_len));
+    }
+    boundaries.push(axis_len);
+    (boundaries, prefix)
 }
 
 /// A 2-D block grid over the rating matrix, as used by FPSGD: the matrix is
@@ -378,6 +397,32 @@ mod tests {
         let g = GridPartition::build_uniform(&m, Axis::Row, 1);
         assert_eq!(g.shard_sizes(), vec![m.nnz()]);
         assert_eq!(g.range(0), 0..6);
+    }
+
+    #[test]
+    fn boundaries_are_the_grids_on_zipf_data() {
+        let data = crate::SyntheticDataset::generate(crate::GenConfig {
+            rows: 300,
+            cols: 700,
+            nnz: 9_000,
+            user_skew: 1.1,
+            item_skew: 1.3,
+            ..crate::GenConfig::default()
+        });
+        for axis in [Axis::Row, Axis::Col] {
+            for workers in 1..=5usize {
+                // Uneven shares: a hot first shard and a cold last one.
+                let fractions: Vec<f64> = (1..=workers).map(|w| 1.0 / w as f64).collect();
+                let grid = GridPartition::build(&data.matrix, axis, &fractions);
+                let mut want: Vec<u32> = (0..workers).map(|w| grid.range(w).start).collect();
+                want.push(grid.range(workers - 1).end);
+                assert_eq!(
+                    GridPartition::boundaries(&data.matrix, axis, &fractions),
+                    want,
+                    "{axis:?} x {workers}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,18 @@
 //! shard of ratings 24 KiB), so nothing but a region, a frame or a delta
 //! reaches the threshold. The counters are process-wide: the tests take
 //! [`COUNTERS`] in turn.
+//!
+//! The second half budgets the rest of the lifecycle the same way, on a
+//! model of [`MODEL`] bytes: a checkpoint crosses the disk through one
+//! block, and a serving model is built with nothing of `Q`'s size beside
+//! `Q` and the shards it becomes.
 
 use hcc_mf::{
-    HccConfig, HccConfigBuilder, HccMf, LearningRate, PartitionMode, TransferStrategy,
-    TransportKind, WorkerSpec,
+    load_checkpoint, load_model, reload_from_checkpoint, save_model, HccConfig, HccConfigBuilder,
+    HccError, HccMf, LearningRate, PartitionMode, TransferStrategy, TransportKind, WorkerSpec,
 };
+use hcc_serve::{Precision, ServeEngine, ServedModel};
+use hcc_sgd::FactorMatrix;
 use hcc_sparse::{GenConfig, SyntheticDataset};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,6 +37,8 @@ const K: usize = 16;
 const THRESHOLD: usize = COLS / 2 * K * 4;
 
 static BIG_BLOCKS: AtomicU64 = AtomicU64::new(0);
+/// The largest single block asked for since the counter was last zeroed.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed, and the most that ever was.
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
@@ -45,8 +54,9 @@ impl Counting {
             // ordering: Relaxed — a count read after the run's threads joined.
             BIG_BLOCKS.fetch_add(1, Ordering::Relaxed);
         }
-        // ordering: Relaxed — two statistics read after the run's threads
+        // ordering: Relaxed — statistics read after the run's threads
         // joined. Wrapping add of the difference: `LIVE` never goes below 0.
+        LARGEST.fetch_max(new as u64, Ordering::Relaxed);
         let grown = (new as u64).wrapping_sub(old as u64);
         let live = LIVE.fetch_add(grown, Ordering::Relaxed).wrapping_add(grown);
         if new > old {
@@ -92,19 +102,33 @@ fn big_blocks(config: HccConfig, dataset: &SyntheticDataset) -> u64 {
     BIG_BLOCKS.load(Ordering::Relaxed) - before
 }
 
-/// Bytes by which one `train` call raises the live heap at its highest.
-fn peak_live_bytes(config: HccConfig, dataset: &SyntheticDataset) -> u64 {
+/// Bytes by which `run` raises the live heap at its highest, the largest
+/// block it asks for, and what it returns (still alive, so that dropping it
+/// is not part of the measurement).
+fn peak_of<T>(run: impl FnOnce() -> T) -> (u64, u64, T) {
     // ordering: Relaxed — see `Counting::note`; no other thread is running.
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    HccMf::new(config).train(&dataset.matrix).unwrap();
-    PEAK.load(Ordering::Relaxed) - before
+    LARGEST.store(0, Ordering::Relaxed);
+    let out = run();
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    (peak, LARGEST.load(Ordering::Relaxed), out)
+}
+
+/// Bytes by which one `train` call raises the live heap at its highest.
+fn peak_live_bytes(config: HccConfig, dataset: &SyntheticDataset) -> u64 {
+    peak_of(|| HccMf::new(config).train(&dataset.matrix).unwrap()).0
 }
 
 fn dataset() -> SyntheticDataset {
+    dataset_of(ROWS, COLS)
+}
+
+/// [`NNZ`] ratings of a `rows × cols` matrix.
+fn dataset_of(rows: usize, cols: usize) -> SyntheticDataset {
     SyntheticDataset::generate(GenConfig {
-        rows: ROWS as u32,
-        cols: COLS as u32,
+        rows: rows as u32,
+        cols: cols as u32,
         nnz: NNZ,
         planted_rank: 4,
         noise: 0.0,
@@ -224,4 +248,140 @@ fn a_run_that_repartitions_peaks_no_higher_than_one_epoch() {
         five <= one + bookkeeping,
         "five epochs with repartitions peak at {five} bytes, one epoch at {one}"
     );
+}
+
+// ------------------------------------------------------------------------
+// checkpoint → load → build → serve
+// ------------------------------------------------------------------------
+
+const USERS: usize = 16_384;
+const ITEMS: usize = 131_072;
+/// `P` (1 MiB) and `Q` (8 MiB) at f32: what a checkpoint of the model holds.
+const P_BYTES: u64 = (USERS * K * 4) as u64;
+const Q_BYTES: u64 = (ITEMS * K * 4) as u64;
+const MODEL: u64 = P_BYTES + Q_BYTES;
+/// The checkpoint codec's one buffer (`checkpoint.rs::BLOCK`).
+const BLOCK: u64 = 256 << 10;
+/// Everything small a phase allocates: paths, error strings, `k`-sized
+/// scratch rows, per-shard headers.
+const SMALL: u64 = 16 * 1_024;
+
+fn model() -> (FactorMatrix, FactorMatrix) {
+    (
+        FactorMatrix::random(USERS, K, 1),
+        FactorMatrix::random(ITEMS, K, 2),
+    )
+}
+
+fn tmp(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("hcc_alloc_budget");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
+}
+
+/// What a built model keeps of `Q` at `precision`: the encoded rows, the
+/// two id ↔ position maps and a norm a block of 64.
+fn stored_bytes(precision: Precision) -> u64 {
+    let element = match precision {
+        Precision::F32 => 4,
+        Precision::Fp16 => 2,
+        Precision::Int8 => 1,
+    };
+    (ITEMS * K * element + 2 * ITEMS * 4 + ITEMS / 64 * 4) as u64
+}
+
+#[test]
+fn a_checkpoint_crosses_the_disk_through_one_block() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let (p, q) = model();
+    let path = tmp("one_block.hccmf");
+
+    let (peak, largest, saved) = peak_of(|| save_model(&path, &p, &q));
+    saved.unwrap();
+    assert!(
+        largest < MODEL / 8,
+        "save_model allocated a block of {largest} bytes; the model is {MODEL}"
+    );
+    assert!(peak <= BLOCK + SMALL, "save_model peaked at {peak} bytes");
+
+    let (peak, _, loaded) = peak_of(|| load_checkpoint(&path));
+    let loaded = loaded.unwrap();
+    assert_eq!((loaded.p.rows(), loaded.q.rows()), (USERS, ITEMS));
+    assert!(
+        peak <= MODEL + 2 * BLOCK,
+        "load_checkpoint peaked at {peak} bytes for a model of {MODEL}: {:.2} models over",
+        (peak - MODEL - 2 * BLOCK) as f64 / MODEL as f64
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn an_absurd_header_is_refused_before_anything_is_allocated_for_it() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    // A v1 file (no CRC to catch it) of 3×2 and 2×2 factors that claims
+    // 2^60 rows of `P`.
+    let mut bytes = b"HCCMF1\n".to_vec();
+    for dim in [1u64 << 60, 2, 2] {
+        bytes.extend_from_slice(&dim.to_le_bytes());
+    }
+    bytes.extend_from_slice(&[0u8; (3 * 2 + 2 * 2) * 4]);
+    let path = tmp("absurd.hccmf");
+    std::fs::write(&path, &bytes).unwrap();
+    let (peak, largest, loaded) = peak_of(|| load_checkpoint(&path));
+    assert!(matches!(loaded, Err(HccError::CorruptCheckpoint(_))));
+    assert!(
+        peak <= SMALL && largest <= SMALL,
+        "refusing the header took {peak} live bytes, {largest} in one block"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_serving_model_is_built_with_nothing_of_qs_size_beside_q_and_the_shards() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let train = dataset_of(USERS, ITEMS);
+    for precision in [Precision::F32, Precision::Fp16, Precision::Int8] {
+        for shards in [1, 3] {
+            let (p, q) = model();
+            // `P` and `Q` are alive before the build and through it.
+            let (peak, _, built) = peak_of(|| {
+                ServedModel::build_with(p, q, Some(&train.matrix), shards, precision, true)
+            });
+            built.unwrap();
+            let seen = (NNZ * 8 + (USERS + 2) * 8) as u64;
+            let budget = stored_bytes(precision) + seen + Q_BYTES / 10;
+            assert!(
+                peak <= budget,
+                "{precision} x {shards}: build_with peaked {peak} bytes over P + Q, budget {budget}: \
+                 {:.2} Q over",
+                (peak - budget) as f64 / Q_BYTES as f64
+            );
+        }
+    }
+}
+
+#[test]
+fn a_reload_beside_a_live_engine_peaks_at_one_incoming_model() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let (p, q) = model();
+    let path = tmp("reload.hccmf");
+    save_model(&path, &p, &q).unwrap();
+    drop((p, q));
+    for precision in [Precision::F32, Precision::Int8] {
+        let (p, q) = load_model(&path).unwrap();
+        let engine =
+            ServeEngine::new(ServedModel::build_with(p, q, None, 2, precision, true).unwrap());
+        // The old model is alive before the reload and until the swap; the
+        // incoming one costs its factors, its shards and the build's slack.
+        let (peak, _, reloaded) = peak_of(|| reload_from_checkpoint(&engine, &path, None, 2));
+        assert_eq!(reloaded.unwrap(), 1);
+        let budget = MODEL + stored_bytes(precision) + Q_BYTES / 10;
+        assert!(
+            peak <= budget,
+            "{precision}: a reload peaked {peak} bytes over the serving model, budget {budget}: \
+             {:.2} Q over",
+            (peak - budget) as f64 / Q_BYTES as f64
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
