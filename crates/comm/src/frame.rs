@@ -13,18 +13,25 @@
 //!
 //! The header is [`HEADER_LEN`] bytes; the CRC-32/IEEE trailer covers
 //! everything after the magic (kind through payload), so a flipped bit
-//! anywhere in the metadata or data is caught before the payload is
-//! applied. Payloads are f32 at the API and optionally IEEE binary16 on
-//! the wire, reusing the [`Precision`] codec the shared-memory transports
-//! already speak. The length prefix is capped at [`MAX_PAYLOAD_BYTES`],
-//! and a receiver never reads more than the buffer it was handed holds.
+//! anywhere in the metadata or data is caught before the receiver
+//! *accepts* the payload. Payloads are f32 at the API and optionally IEEE
+//! binary16 on the wire, reusing the [`Precision`] codec the shared-memory
+//! transports already speak. The length prefix is capped at
+//! [`MAX_PAYLOAD_BYTES`] and checked, with magic and precision, before any
+//! byte of the body is read.
 //!
-//! **Ownership rule: this codec allocates nothing.** [`write_frame`]
-//! converts and checksums the caller's `&[f32]` through a scratch block
-//! the caller owns; [`read_frame`] lands the wire bytes in a buffer the
-//! caller owns and verifies the CRC *before* [`decode_payload`] converts
-//! anything into the caller's `&mut [f32]`. The buffers are allocated
-//! where their owner is built (see [`crate::socket`]), never per RPC.
+//! **Ownership rule: this codec allocates nothing, and a frame lands where
+//! it is going.** Both directions stream through one block the caller
+//! owns. [`write_frame`] converts and checksums the caller's `&[f32]` a
+//! blockful at a time; [`read_header`] then [`Incoming::read_into`] take
+//! the body a blockful per read, fold each read into the CRC, decode it
+//! straight into the caller's `&mut [f32]` and compare the trailer last.
+//! So the CRC verdict comes *after* the payload was written: a rejected
+//! frame may have left part of itself in the destination. The receiver
+//! picks destinations where that is harmless — a pull reply's region is
+//! dead until the reply is accepted, a push lands in a slot no collect can
+//! see until its CRC has passed (see [`crate::socket`]). Blocks are
+//! allocated where their owner is built, never per RPC.
 //!
 //! [`Crc32`] is the workspace's one CRC — the checkpoint-v2 footer
 //! (`hcc_mf::checkpoint`) reuses [`crc32`]. On an x86-64 CPU with
@@ -216,8 +223,8 @@ pub enum FrameError {
     BadKind(u8),
     /// Unknown precision byte.
     BadPrecision(u8),
-    /// The length prefix exceeds [`MAX_PAYLOAD_BYTES`] or the receive
-    /// buffer (or is not a whole number of wire elements).
+    /// The length prefix exceeds [`MAX_PAYLOAD_BYTES`] (or is not a whole
+    /// number of wire elements).
     Oversized {
         /// Declared payload length in bytes.
         len: u32,
@@ -334,9 +341,9 @@ fn encode_payload(precision: Precision, src: &[f32], dst: &mut [u8]) {
     }
 }
 
-/// Decodes wire bytes (already CRC-checked by [`read_frame`]) into `dst`:
-/// as many elements as both hold. Returns that count.
-pub fn decode_payload(precision: Precision, wire: &[u8], dst: &mut [f32]) -> usize {
+/// Decodes wire bytes into `dst`: as many elements as both hold. Returns
+/// that count.
+fn decode_payload(precision: Precision, wire: &[u8], dst: &mut [f32]) -> usize {
     let n = dst
         .len()
         .min(wire.len() / precision.bytes_per_element() as usize);
@@ -412,18 +419,21 @@ pub fn write_frame<W: Write>(
 pub struct Incoming {
     raw: [u8; HEADER_LEN],
     precision: Precision,
-    /// The worker field — like `epoch`, unauthenticated until the body's
-    /// CRC has passed.
+    /// The worker field — like `epoch` and `chunk`, unauthenticated until
+    /// the body's CRC has passed.
     pub worker: u16,
     /// The epoch field.
     pub epoch: u32,
+    /// The chunk field (the status code of a [`RpcKind::Sync`] frame).
+    pub chunk: u32,
     /// Payload bytes that follow, at most [`MAX_PAYLOAD_BYTES`].
     pub wire_len: usize,
 }
 
 /// Reads and validates a frame header: magic, precision and the length
 /// prefix (cap and element alignment), the fields a receiver needs before
-/// it can pick a buffer. An `Err` here means the frame boundary is lost.
+/// it can pick a destination. An `Err` here means the frame boundary is
+/// lost; no byte of the body has been read.
 pub fn read_header<R: Read>(stream: &mut R) -> std::io::Result<Result<Incoming, FrameError>> {
     let mut raw = [0u8; HEADER_LEN];
     stream.read_exact(&mut raw)?;
@@ -447,37 +457,71 @@ pub fn read_header<R: Read>(stream: &mut R) -> std::io::Result<Result<Incoming, 
         precision,
         worker: u16::from_le_bytes([raw[6], raw[7]]),
         epoch: u32::from_le_bytes([raw[8], raw[9], raw[10], raw[11]]),
+        chunk: u32::from_le_bytes([raw[12], raw[13], raw[14], raw[15]]),
         wire_len: len as usize,
     }))
 }
 
 impl Incoming {
-    /// Reads the payload and trailer into `buf[..wire_len + TRAILER_LEN]`
-    /// and verifies kind and CRC. On `Ok(Ok(_))` the payload's wire bytes
-    /// are `buf[..wire_len]`, ready for [`decode_payload`]; a frame longer
-    /// than `buf` is [`FrameError::Oversized`] with nothing read.
-    pub fn read_body<R: Read>(
+    /// Payload elements that follow.
+    pub fn elems(&self) -> usize {
+        self.wire_len / self.precision.bytes_per_element() as usize
+    }
+
+    /// The kind byte, parsed. An unknown kind is still a whole frame:
+    /// [`read_into`](Incoming::read_into) consumes it before refusing it.
+    pub fn kind(&self) -> Result<RpcKind, FrameError> {
+        RpcKind::from_u8(self.raw[4])
+    }
+
+    /// Streams the body — payload, then trailer — through `block`, one
+    /// blockful per read: each read is folded into the CRC and decoded
+    /// straight into `dst` (as many elements as both hold; the rest are
+    /// only checksummed, so an empty `dst` checks a body without landing
+    /// it), and the trailer is compared last. The last payload read takes
+    /// the trailer along when it fits, as [`write_frame`] sends it.
+    ///
+    /// On `Ok(Ok(header))` the frame was whole and intact. On any other
+    /// outcome **`dst` may hold part of the rejected payload**: the caller
+    /// lands a frame only where a rejected one is harmless (see
+    /// [`crate::socket`]). A kind or CRC error leaves the stream on the
+    /// next frame boundary ([`FrameError::keeps_sync`]); an IO error (a
+    /// short stream included) does not.
+    ///
+    /// # Panics
+    /// Panics if `block` is shorter than `HEADER_LEN + TRAILER_LEN`.
+    pub fn read_into<R: Read>(
         &self,
         stream: &mut R,
-        buf: &mut [u8],
+        dst: &mut [f32],
+        block: &mut [u8],
     ) -> std::io::Result<Result<Header, FrameError>> {
-        let Some(body) = buf.get_mut(..self.wire_len + TRAILER_LEN) else {
-            return Ok(Err(FrameError::Oversized {
-                len: self.wire_len as u32,
-                max: buf.len().saturating_sub(TRAILER_LEN) as u32,
-            }));
+        assert!(
+            block.len() >= HEADER_LEN + TRAILER_LEN,
+            "frame block too short"
+        );
+        let bpe = self.precision.bytes_per_element() as usize;
+        let step = block.len() / bpe * bpe;
+        let mut crc = Crc32::default();
+        crc.update(&self.raw[MAGIC.len()..]);
+        let (mut left, mut decoded) = (self.wire_len, 0);
+        let expected = loop {
+            let n = left.min(step);
+            let last = n == left && block.len() - n >= TRAILER_LEN;
+            let got = &mut block[..if last { n + TRAILER_LEN } else { n }];
+            stream.read_exact(got)?;
+            let (wire, trailer) = got.split_at(n);
+            crc.update(wire);
+            decoded += decode_payload(self.precision, wire, &mut dst[decoded..]);
+            left -= n;
+            if last {
+                break u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+            }
         };
-        stream.read_exact(body)?;
-        let (wire, trailer) = body.split_at(self.wire_len);
-        let raw = &self.raw;
-        let kind = match RpcKind::from_u8(raw[4]) {
+        let kind = match self.kind() {
             Ok(kind) => kind,
             Err(err) => return Ok(Err(err)),
         };
-        let mut crc = Crc32::default();
-        crc.update(&raw[MAGIC.len()..]);
-        crc.update(wire);
-        let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
         if expected != crc.finish() {
             return Ok(Err(FrameError::BadCrc {
                 expected,
@@ -489,30 +533,15 @@ impl Incoming {
             precision: self.precision,
             worker: self.worker,
             epoch: self.epoch,
-            chunk: u32::from_le_bytes([raw[12], raw[13], raw[14], raw[15]]),
+            chunk: self.chunk,
         }))
     }
 }
 
-/// Reads one whole frame into `buf`: [`read_header`] then
-/// [`Incoming::read_body`]. Returns the header and the payload's length in
-/// wire bytes. IO failures (a short stream included) are the outer error,
-/// malformed bytes the inner one; either way nothing has been decoded.
-pub fn read_frame<R: Read>(
-    stream: &mut R,
-    buf: &mut [u8],
-) -> std::io::Result<Result<(Header, usize), FrameError>> {
-    let incoming = match read_header(stream)? {
-        Ok(incoming) => incoming,
-        Err(err) => return Ok(Err(err)),
-    };
-    let header = incoming.read_body(stream, buf)?;
-    Ok(header.map(|h| (h, incoming.wire_len)))
-}
-
-/// The codec [`write_frame`] replaced — one `Vec` for the frame, one for the
-/// fp16 halves — kept as the differential reference and as the way tests
-/// hand-build frames.
+/// The codec [`write_frame`] and [`Incoming::read_into`] replaced — one
+/// `Vec` for the frame, one for the fp16 halves; a receive that checks the
+/// whole frame before decoding any of it — kept as the differential
+/// reference and as the way tests hand-build frames.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -559,6 +588,46 @@ pub(crate) mod reference {
             out.extend_from_slice(&crc.to_le_bytes());
             out
         }
+
+        /// Decodes one whole, well-delimited frame: CRC over everything
+        /// after the magic first, then every payload element at once.
+        pub(crate) fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
+            let word = |at: usize| {
+                u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+            };
+            let precision = precision_from_u8(bytes[5])?;
+            let end = HEADER_LEN + word(16) as usize;
+            let (expected, got) = (word(end), crc32(&bytes[MAGIC.len()..end]));
+            if expected != got {
+                return Err(FrameError::BadCrc { expected, got });
+            }
+            let body = &bytes[HEADER_LEN..end];
+            let payload = match precision {
+                Precision::Fp32 => body
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                    .collect(),
+                Precision::Fp16 => {
+                    let half: Vec<u16> = body
+                        .chunks_exact(2)
+                        .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                        .collect();
+                    let mut out = vec![0f32; half.len()];
+                    fp16::decode_slice(&half, &mut out);
+                    out
+                }
+            };
+            Ok(Frame {
+                header: Header {
+                    kind: RpcKind::from_u8(bytes[4])?,
+                    precision,
+                    worker: u16::from_le_bytes([bytes[6], bytes[7]]),
+                    epoch: word(8),
+                    chunk: word(12),
+                },
+                payload,
+            })
+        }
     }
 }
 
@@ -566,7 +635,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::Frame;
     use super::*;
-    use crate::socket::WRITE_BLOCK;
+    use crate::socket::BLOCK;
     use std::io::ErrorKind;
 
     fn sample(precision: Precision) -> Frame {
@@ -590,14 +659,22 @@ mod tests {
         out
     }
 
-    /// Receives `bytes` the way a link does: [`read_frame`] into a buffer
-    /// sized for `dst`, then — only on success — [`decode_payload`] into it.
+    /// Receives `bytes` the way a link does: [`read_header`], then
+    /// [`Incoming::read_into`] `dst` through a `block_len`-byte block.
+    fn receive_through<R: Read>(
+        stream: &mut R,
+        dst: &mut [f32],
+        block_len: usize,
+    ) -> std::io::Result<Result<Header, FrameError>> {
+        let incoming = match read_header(stream)? {
+            Ok(incoming) => incoming,
+            Err(err) => return Ok(Err(err)),
+        };
+        incoming.read_into(stream, dst, &mut vec![0u8; block_len])
+    }
+
     fn receive(mut bytes: &[u8], dst: &mut [f32]) -> std::io::Result<Result<Header, FrameError>> {
-        let mut buf = vec![0u8; dst.len() * 4 + TRAILER_LEN];
-        Ok(read_frame(&mut bytes, &mut buf)?.map(|(header, wire_len)| {
-            decode_payload(header.precision, &buf[..wire_len], dst);
-            header
-        }))
+        receive_through(&mut bytes, dst, 64)
     }
 
     fn roundtrip(frame: &Frame) -> Frame {
@@ -608,20 +685,26 @@ mod tests {
         Frame { header, payload }
     }
 
-    /// `receive` must fail and leave `dst` bit-for-bit as it was.
+    /// `receive` must fail. A frame refused at its header must leave `dst`
+    /// bit-for-bit as it was; one refused in or after its body may have
+    /// landed part of itself there.
     fn assert_rejected(bytes: &[u8], elems: usize, what: &str) -> Option<FrameError> {
         let before: Vec<f32> = (0..elems).map(|i| i as f32 - 7.5).collect();
         let mut dst = before.clone();
         let outcome = receive(bytes, &mut dst);
-        assert!(
-            dst.iter()
-                .zip(&before)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{what}: a rejected frame wrote to the destination"
-        );
+        let untouched = dst
+            .iter()
+            .zip(&before)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
         match outcome {
             Ok(Ok(header)) => panic!("{what}: accepted as {header:?}"),
-            Ok(Err(err)) => Some(err),
+            Ok(Err(err)) => {
+                assert!(
+                    err.keeps_sync() || untouched,
+                    "{what}: {err} was refused at the header but wrote to the destination"
+                );
+                Some(err)
+            }
             Err(io) => {
                 assert_eq!(io.kind(), ErrorKind::UnexpectedEof, "{what}");
                 None
@@ -726,7 +809,7 @@ mod tests {
 
     #[test]
     fn streaming_codec_is_the_old_codec() {
-        let values: Vec<f32> = (0..3 * WRITE_BLOCK / 2 + 2)
+        let values: Vec<f32> = (0..3 * BLOCK / 2 + 2)
             .map(|i| (i as f32 * 0.37).sin() * 40.0)
             .collect();
         for precision in [Precision::Fp32, Precision::Fp16] {
@@ -754,15 +837,140 @@ mod tests {
             // side of the first three block boundaries, and of the point
             // where the trailer stops fitting in the last block.
             for blocks in 1..=3 {
-                for edge in [blocks * WRITE_BLOCK - HEADER_LEN, blocks * WRITE_BLOCK] {
+                for edge in [blocks * BLOCK - HEADER_LEN, blocks * BLOCK] {
                     for len in (edge / bpe).saturating_sub(2)..=edge / bpe + 1 {
                         assert_eq!(
-                            stream_encode(&frame(len), WRITE_BLOCK),
+                            stream_encode(&frame(len), BLOCK),
                             frame(len).encode(),
                             "{precision:?} len {len} at block {blocks}"
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// A stream that hands `bytes` out in pieces ending at each of `cuts`,
+    /// and counts what it handed out.
+    struct Pieces<'a> {
+        bytes: &'a [u8],
+        cuts: Vec<usize>,
+        at: usize,
+    }
+
+    impl<'a> Pieces<'a> {
+        fn new(bytes: &'a [u8], cuts: &[usize]) -> Pieces<'a> {
+            Pieces {
+                bytes,
+                cuts: cuts.to_vec(),
+                at: 0,
+            }
+        }
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let at = self.at;
+            let next = self.cuts.iter().copied().filter(|&c| c > at).min();
+            let end = next.unwrap_or(usize::MAX).min(self.bytes.len());
+            let n = buf.len().min(end - at);
+            buf[..n].copy_from_slice(&self.bytes[at..at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// A push of `len` elements that are neither 0 nor repeating.
+    fn long_frame(precision: Precision, len: usize) -> Frame {
+        Frame {
+            header: Header {
+                precision,
+                ..sample(precision).header
+            },
+            payload: (0..len).map(|i| (i as f32 * 0.37).sin() * 40.0).collect(),
+        }
+    }
+
+    /// Payload lengths around the shipped block: empty, one element, a
+    /// block ± 1 element, and three blocks plus a tail.
+    fn block_edge_lengths(precision: Precision) -> [usize; 6] {
+        let per_block = BLOCK / precision.bytes_per_element() as usize;
+        [
+            0,
+            1,
+            per_block - 1,
+            per_block,
+            per_block + 1,
+            3 * per_block + 5,
+        ]
+    }
+
+    #[test]
+    fn streamed_reader_is_the_reference_decoder() {
+        for precision in [Precision::Fp32, Precision::Fp16] {
+            for len in block_edge_lengths(precision) {
+                let frame = long_frame(precision, len);
+                let bytes = frame.encode();
+                let want = Frame::decode(&bytes).unwrap();
+                // Block edges in the stream start after the header.
+                let edge = |j: usize| HEADER_LEN + j * BLOCK;
+                let splits: [&[usize]; 4] = [
+                    &[],
+                    &[1, HEADER_LEN, edge(1), edge(2), edge(3)],
+                    &[HEADER_LEN + 1, edge(1) - 1, edge(1) + 1, edge(2) + 3],
+                    &[
+                        HEADER_LEN + BLOCK / 2,
+                        bytes.len() - TRAILER_LEN,
+                        bytes.len() - 1,
+                    ],
+                ];
+                for cuts in splits {
+                    let what = format!("{precision:?} len {len} cuts {cuts:?}");
+                    let mut stream = Pieces::new(&bytes, cuts);
+                    let mut payload = vec![f32::NAN; len];
+                    let header = receive_through(&mut stream, &mut payload, BLOCK)
+                        .unwrap()
+                        .unwrap();
+                    assert_eq!(Frame { header, payload }, want, "{what}");
+                    assert_eq!(stream.at, bytes.len(), "{what}: left bytes unread");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_anywhere_is_bad_crc_and_the_next_frame_reads_clean() {
+        for precision in [Precision::Fp32, Precision::Fp16] {
+            let next = sample(precision);
+            let len = block_edge_lengths(precision)[5];
+            let bytes = long_frame(precision, len).encode();
+            let end = bytes.len();
+            let places = [
+                ("header", 10),
+                ("first block", HEADER_LEN + 7),
+                ("middle block", HEADER_LEN + BLOCK + BLOCK / 2),
+                ("last block", end - TRAILER_LEN - 1),
+                ("trailer", end - 2),
+            ];
+            for (place, at) in places {
+                let mut stream = bytes.clone();
+                stream[at] ^= 0x20;
+                stream.extend_from_slice(&next.encode());
+                let mut stream = &stream[..];
+                let mut dst = vec![0f32; len];
+                let err = receive_through(&mut stream, &mut dst, BLOCK)
+                    .unwrap()
+                    .unwrap_err();
+                assert!(
+                    matches!(err, FrameError::BadCrc { .. }) && err.keeps_sync(),
+                    "{precision:?} {place}: {err}"
+                );
+                let mut payload = vec![f32::NAN; next.payload.len()];
+                let header = receive_through(&mut stream, &mut payload, BLOCK)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(Frame { header, payload }, next, "{precision:?} {place}");
+                assert!(stream.is_empty());
             }
         }
     }
@@ -854,6 +1062,11 @@ mod tests {
             assert_rejected(&bytes, 4, "cap"),
             Some(FrameError::Oversized { .. })
         ));
+        // Refused at the header: not a byte of the body is read.
+        let mut stream = Pieces::new(&bytes, &[]);
+        let err = read_header(&mut stream).unwrap().unwrap_err();
+        assert!(!err.keeps_sync());
+        assert_eq!(stream.at, HEADER_LEN, "the reader went past the header");
         // Misaligned prefix (not a whole number of elements) is also
         // oversized-class: the declared length can't be trusted.
         let mut bytes = sample(Precision::Fp32).encode();
@@ -862,12 +1075,6 @@ mod tests {
             assert_rejected(&bytes, 4, "misaligned"),
             Some(FrameError::Oversized { .. })
         ));
-        // A well-formed frame longer than the receiver's buffer: refused
-        // before a byte of the body is read, whatever the cap allows.
-        let bytes = sample(Precision::Fp32).encode();
-        let err = assert_rejected(&bytes, 3, "buffer").unwrap();
-        assert_eq!(err, FrameError::Oversized { len: 16, max: 12 });
-        assert!(!err.keeps_sync());
     }
 
     #[test]
@@ -944,7 +1151,7 @@ mod tests {
             assert_eq!(assert_rejected(&bytes[..cut], payload.len(), &what), None);
 
             // Bit flip after the magic: the CRC or a field validator
-            // rejects it, or a grown length prefix no longer fits the buffer.
+            // rejects it, or a grown length prefix runs past the stream.
             let mut corrupt = bytes.clone();
             let at = 4 + flip_at % (corrupt.len() - 4);
             corrupt[at] ^= 0x01;

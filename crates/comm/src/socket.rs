@@ -28,23 +28,47 @@
 //! delivered is dropped after the retry budget, and the supervisor sees it
 //! as a missing collect — the same path a crashed worker takes.
 //!
-//! **Ownership rule: an RPC allocates nothing.** The published region,
-//! the push slots and one wire buffer per worker at each end of the link
-//! are allocated by the constructor, on the thread that builds the
-//! endpoint, and live as long as it. A request streams from the caller's
-//! slice through the link's wire buffer; a reply or push lands in the
-//! receiver's, is CRC-checked there, and is decoded straight into the
-//! caller's `dst` or the push slot — where the server's collect views it
-//! under the slot's lock, with no second copy. A frame longer than the
-//! buffer it would land in is refused before its body is read. The server streams
-//! a pull reply out of the published region under its read guard, so a
-//! `publish` can wait behind a pull in flight — for at most one
-//! `rpc_timeout`, the write deadline every accepted connection carries.
+//! **Ownership rule: an RPC allocates nothing, and a frame lands where it
+//! is going.** The published region, the push slots and one [`BLOCK`] per
+//! worker at each end of the link are allocated by the constructor, on the
+//! thread that builds the endpoint, and live as long as it. Every frame, in
+//! either direction, streams through its worker's block: a sender converts
+//! the caller's slice into it a blockful at a time, a receiver reads a
+//! blockful, folds it into the CRC and decodes it straight into its
+//! destination, and compares the trailer last ([`crate::frame`]). So a
+//! frame is decoded *before* its CRC verdict, and each destination is one
+//! where a rejected frame is harmless:
+//!
+//! * **Pull reply → the caller's `dst`.** The worker's region is dead until
+//!   the reply is accepted: a pull that fails (after its retries) leaves it
+//!   unspecified — stale, or partly the new snapshot — as a chaos partition
+//!   already does, and the worker's stale push is the supervisor's to judge.
+//! * **Push → its worker's slot, under the landing rule.** If the header's
+//!   `(seq, chunk)` is the slot's `last_applied`, the body is only checked
+//!   through the block, then dedup-acked or nacked: the slot is never
+//!   touched. Otherwise the slot's buffer is taken out under the slot's
+//!   lock (`mem::take`, no allocation) with `ready = false`, filled with the
+//!   lock released, and put back; `len`, `ready` and `last_applied` are set
+//!   only once the CRC has passed. No collect can view a half-landed push,
+//!   and a stalled peer holds no lock a `collect_with` deadline needs.
+//!
+//! The one behaviour this changes against a receive that checked a whole
+//! frame before decoding it: a push that fails its CRC *after it started
+//! landing* costs the unconsumed push it displaced (the slot is not ready
+//! and its bytes are partly the rejected frame's). The sender retries the
+//! new push; the displaced one degrades to a dropped push — the path a
+//! push that exhausts its retries already takes. A push longer than the
+//! slot is refused before its body is read, and the connection dropped.
+//!
+//! The server streams a pull reply out of the published region under its
+//! read guard, so a `publish` can wait behind a pull in flight — for at
+//! most one `rpc_timeout`, the write deadline every accepted connection
+//! carries.
 
 use crate::backoff::Backoff;
 use crate::frame::{
-    decode_payload, frame_len, read_frame, read_header, write_frame, FrameError, Header, RpcKind,
-    HEADER_LEN, TRAILER_LEN,
+    frame_len, read_header, write_frame, FrameError, Header, Incoming, RpcKind, HEADER_LEN,
+    TRAILER_LEN,
 };
 use crate::transport::{wait_ready, CommError, Precision, Transport};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -156,14 +180,18 @@ impl Write for SockStream {
     }
 }
 
-/// Most bytes of a frame handed to the socket in one write, and so the
-/// scratch a sender needs. A constant, not a knob: on the benchmark box a
-/// 4 MiB round trip reads the same within run-to-run noise at 64 KiB,
-/// 256 KiB, 1 MiB and whole-frame writes (UDS 14.6–16.0 ms, TCP
-/// 15.9–16.7 ms, two traced runs each); ISSUE 19's prototype saw TCP lose a
-/// fifth at 64 KiB, so the block stays at the large end of what costs
-/// nothing.
-pub(crate) const WRITE_BLOCK: usize = 1 << 20;
+/// The block every frame streams through, in both directions: what a
+/// sender converts per write and a receiver checksums and decodes per read,
+/// and — capped at the link's largest frame — the one buffer each end of a
+/// link keeps per worker. A constant, not a knob. Its derivation: PR 20
+/// measured a 4 MiB round trip the same within noise at 64 KiB, 256 KiB,
+/// 1 MiB and whole-frame writes (UDS 14.6–16.0 ms, TCP 15.9–16.7 ms), and
+/// ISSUE 19's prototype saw TCP lose a fifth at 64 KiB; PR 24 picked
+/// 256 KiB for the checkpoint codec's block (a 1 MiB `write` to this
+/// kernel's ext4 costs 5 ms). At 256 KiB a read is still in L2 when it is
+/// checksummed and decoded, and a link holds 2·W blocks where it held 2·W
+/// whole frames (DESIGN §4.2).
+pub const BLOCK: usize = 256 << 10;
 
 /// Push acknowledged and applied (or deduplicated).
 const STATUS_OK: u32 = 0;
@@ -283,9 +311,12 @@ struct ServerState {
     rpc_timeout: Duration,
     published: RwLock<Vec<f32>>,
     slots: Vec<PushSlot>,
-    /// `wire[w]`: where worker `w`'s pushes land before their CRC is
-    /// checked, and the block its pull replies stream out through.
-    wire: Vec<Mutex<Vec<u8>>>,
+    /// Elements a slot holds: the longest push that can land.
+    push_len: usize,
+    /// `blocks[w]`: the block worker `w`'s frames stream through, both
+    /// ways. Held for a whole frame, which also keeps two connections of
+    /// one worker (a re-dial beside a dying one) from landing at once.
+    blocks: Vec<Mutex<Vec<u8>>>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
     dedup_hits: AtomicU64,
@@ -315,11 +346,22 @@ impl ServerState {
                 return;
             };
             let w = incoming.worker as usize;
-            let Some(wire) = self.wire.get(w) else {
+            let Some(block) = self.blocks.get(w) else {
                 return; // malformed peer: drop the connection.
             };
-            let mut wire = wire.lock();
-            let frame = match incoming.read_body(&mut stream, &mut wire) {
+            let mut block = block.lock();
+            let push = matches!(incoming.kind(), Ok(RpcKind::Push | RpcKind::DeltaPush));
+            if push && incoming.elems() > self.push_len {
+                // Malformed peer: truncating and acking would tell it a
+                // push landed that did not. Refused unread.
+                return;
+            }
+            let received = if push {
+                self.land_push(&mut stream, &incoming, &self.slots[w], &mut block)
+            } else {
+                incoming.read_into(&mut stream, &mut [], &mut block)
+            };
+            let frame = match received {
                 Ok(Ok(frame)) => frame,
                 // Framing held but the body failed its CRC: nack so the
                 // sender retries the same sequence number.
@@ -335,8 +377,7 @@ impl ServerState {
                     }
                     continue;
                 }
-                // A body longer than the buffer was never read, or the
-                // stream broke mid-frame.
+                // The stream broke mid-frame.
                 _ => return,
             };
             match frame.kind {
@@ -354,8 +395,7 @@ impl ServerState {
                         published.len() as u64 * self.precision.bytes_per_element(),
                         Ordering::Relaxed,
                     );
-                    let block = wire.len().min(WRITE_BLOCK);
-                    if write_frame(&mut stream, &reply, &published, &mut wire[..block]).is_err() {
+                    if write_frame(&mut stream, &reply, &published, &mut block).is_err() {
                         return;
                     }
                 }
@@ -363,32 +403,9 @@ impl ServerState {
                 // *means* (a row-delta vs a full buffer); on the server it
                 // is plain bytes into the slot, same dedup, same ack.
                 RpcKind::Push | RpcKind::DeltaPush => {
-                    let payload = &wire[..incoming.wire_len];
-                    let elems = payload.len() / frame.precision.bytes_per_element() as usize;
-                    let slot = &self.slots[w];
-                    {
-                        let mut data = slot.data.lock();
-                        if elems > data.buf.len() {
-                            // Malformed peer: truncating and acking would
-                            // tell it a push landed that did not.
-                            return;
-                        }
-                        // ordering: Relaxed — wire-byte statistic: the payload.
-                        self.push_bytes
-                            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                        let key = (frame.epoch, frame.chunk);
-                        if data.last_applied == Some(key) {
-                            // Idempotent dedup: the original already
-                            // applied; only the ack was lost.
-                            // ordering: Relaxed — statistic.
-                            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            data.len = decode_payload(frame.precision, payload, &mut data.buf);
-                            data.ready = true;
-                            data.last_applied = Some(key);
-                            slot.cv.notify_all();
-                        }
-                    }
+                    // ordering: Relaxed — wire-byte statistic: the payload.
+                    self.push_bytes
+                        .fetch_add(incoming.wire_len as u64, Ordering::Relaxed);
                     let ack = Header::control(RpcKind::Sync, frame.worker, frame.epoch, STATUS_OK);
                     if write_frame(&mut stream, &ack, &[], &mut status).is_err() {
                         return;
@@ -399,6 +416,45 @@ impl ServerState {
                 }
             }
         }
+    }
+
+    /// Receives a push into `slot` by the landing rule (module docs): a
+    /// retransmission of the last applied key is only checked; anything
+    /// else is decoded into the slot's buffer with the buffer out of the
+    /// slot and the lock released, and becomes the slot's push only if its
+    /// CRC passes.
+    fn land_push(
+        &self,
+        stream: &mut SockStream,
+        incoming: &Incoming,
+        slot: &PushSlot,
+        block: &mut [u8],
+    ) -> std::io::Result<Result<Header, FrameError>> {
+        let key = (incoming.epoch, incoming.chunk);
+        let mut data = slot.data.lock();
+        if data.last_applied == Some(key) {
+            // The original already applied; only the ack was lost.
+            drop(data);
+            let checked = incoming.read_into(stream, &mut [], block);
+            if matches!(checked, Ok(Ok(_))) {
+                // ordering: Relaxed — statistic.
+                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return checked;
+        }
+        let mut buf = std::mem::take(&mut data.buf);
+        data.ready = false;
+        drop(data);
+        let landed = incoming.read_into(stream, &mut buf, block);
+        let mut data = slot.data.lock();
+        data.buf = buf;
+        if matches!(landed, Ok(Ok(_))) {
+            data.len = incoming.elems();
+            data.ready = true;
+            data.last_applied = Some(key);
+            slot.cv.notify_all();
+        }
+        landed
     }
 }
 
@@ -411,8 +467,8 @@ struct WorkerConn {
     /// Per-worker push sequence number (the idempotency key's coarse
     /// half; one push per supervised epoch makes it the epoch counter).
     push_seq: u32,
-    /// The block requests stream out through, then where the reply lands.
-    wire: Vec<u8>,
+    /// The block a request streams out through and its reply in through.
+    block: Vec<u8>,
 }
 
 // ---------------------------------------------------------------------------
@@ -529,10 +585,8 @@ impl CommSocket {
         precision: Precision,
         cfg: SocketConfig,
     ) -> std::io::Result<CommSocket> {
-        // Either end's wire buffer holds the largest frame it receives and
-        // is the block it sends through.
-        let pull_frame = frame_len(precision, pull_len);
-        let push_frame = frame_len(precision, push_len);
+        // One block a worker at each end, for frames either way.
+        let block = BLOCK.min(frame_len(precision, pull_len.max(push_len)));
         let state = Arc::new(ServerState {
             precision,
             rpc_timeout: cfg.rpc_timeout.max(Duration::from_millis(1)),
@@ -548,9 +602,8 @@ impl CommSocket {
                     cv: Condvar::new(),
                 })
                 .collect(),
-            wire: (0..workers)
-                .map(|_| Mutex::new(vec![0u8; push_frame.max(pull_frame.min(WRITE_BLOCK))]))
-                .collect(),
+            push_len,
+            blocks: (0..workers).map(|_| Mutex::new(vec![0u8; block])).collect(),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
@@ -599,7 +652,7 @@ impl CommSocket {
                     Mutex::new(WorkerConn {
                         stream: None,
                         push_seq: 0,
-                        wire: vec![0u8; pull_frame.max(push_frame.min(WRITE_BLOCK))],
+                        block: vec![0u8; block],
                     })
                 })
                 .collect(),
@@ -690,26 +743,31 @@ impl CommSocket {
     }
 
     /// One framed request/response exchange with the deadline applied:
-    /// the request streams out through `wire`, the reply lands in it.
+    /// the request streams out through `block`, the reply's payload in
+    /// through it, straight into `dst`.
     fn exchange(
         stream: &mut SockStream,
         request: &Header,
         payload: &[f32],
-        wire: &mut [u8],
+        dst: &mut [f32],
+        block: &mut [u8],
         timeout: Duration,
-    ) -> std::io::Result<Result<(Header, usize), FrameError>> {
+    ) -> std::io::Result<Result<Header, FrameError>> {
         let deadline = timeout.max(Duration::from_millis(1));
         stream.set_write_timeout(Some(deadline))?;
         stream.set_read_timeout(Some(deadline))?;
-        let block = wire.len().min(WRITE_BLOCK);
-        write_frame(stream, request, payload, &mut wire[..block])?;
-        read_frame(stream, wire)
+        write_frame(stream, request, payload, block)?;
+        match read_header(stream)? {
+            Ok(incoming) => incoming.read_into(stream, dst, block),
+            Err(err) => Ok(Err(err)),
+        }
     }
 
     /// Runs one RPC with the full resilience stack: deadline per attempt,
     /// bounded retries, reconnect-on-breakage. Decodes the reply's payload
     /// into `dst` (as much as both hold) and returns its header, or the
-    /// terminal error with `dst` untouched.
+    /// terminal error with `dst` unspecified: a refused reply may have
+    /// landed in part.
     fn rpc(
         &self,
         worker: usize,
@@ -741,19 +799,18 @@ impl CommSocket {
             }
             let WorkerConn {
                 stream: Some(stream),
-                wire,
+                block,
                 ..
             } = &mut *conn
             else {
                 return Err(CommError::PartitionedLink);
             };
-            match Self::exchange(stream, request, payload, wire, self.cfg.rpc_timeout) {
-                Ok(Ok((reply, wire_len))) => {
+            match Self::exchange(stream, request, payload, dst, block, self.cfg.rpc_timeout) {
+                Ok(Ok(reply)) => {
                     if reply.kind == RpcKind::Sync && reply.chunk == STATUS_CORRUPT {
                         last_err = CommError::Corrupt; // server nack: retry
                         continue;
                     }
-                    decode_payload(reply.precision, &wire[..wire_len], dst);
                     return Ok(reply);
                 }
                 Ok(Err(_)) => {
@@ -805,8 +862,10 @@ impl Transport for CommSocket {
 
     fn pull(&self, worker: usize, dst: &mut [f32]) {
         let req = Header::control(RpcKind::Pull, worker as u16, 0, 0);
-        // On total failure dst keeps its previous contents; the worker's
-        // next push will be stale and the supervisor handles the fallout.
+        // On total failure dst is unspecified — its previous contents, or
+        // partly a refused reply's — as under a chaos partition; the
+        // worker's next push is stale and the supervisor handles the
+        // fallout.
         let _ = self.rpc(worker, &req, &[], dst);
     }
 
@@ -910,6 +969,32 @@ mod tests {
     /// Sends `frame` through the transport's own RPC path.
     fn rpc(t: &CommSocket, frame: &Frame) -> Result<Header, CommError> {
         t.rpc(0, &frame.header, &frame.payload, &mut [])
+    }
+
+    /// `frame`'s bytes with one payload byte flipped: its CRC mismatches.
+    fn corrupt(frame: &Frame) -> Vec<u8> {
+        let mut bytes = frame.encode();
+        bytes[HEADER_LEN + 2] ^= 0xFF;
+        bytes
+    }
+
+    /// Writes `bytes` on worker 0's connection as a peer that speaks frames
+    /// by hand, and returns the status code the server answers with.
+    fn send_raw(t: &CommSocket, bytes: &[u8]) -> u32 {
+        let mut conn = t.conns[0].lock();
+        assert!(t.ensure_connected(0, &mut conn));
+        let stream = conn.stream.as_mut().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(bytes).unwrap();
+        let reply = read_header(stream).unwrap().unwrap();
+        let reply = reply
+            .read_into(stream, &mut [], &mut [0u8; HEADER_LEN + TRAILER_LEN])
+            .unwrap()
+            .unwrap();
+        assert_eq!(reply.kind, RpcKind::Sync);
+        reply.chunk
     }
 
     /// Polls `cond` until it holds; panics after five seconds.
@@ -1021,34 +1106,78 @@ mod tests {
     #[test]
     fn corrupt_frame_on_the_wire_is_nacked_and_retried() {
         let t = socket(1, 4);
-        // Send a deliberately CRC-broken push by hand, then a clean RPC
-        // through the normal path: the transport's own retry machinery
-        // must survive the nack.
-        {
-            let mut conn = t.conns[0].lock();
-            assert!(t.ensure_connected(0, &mut conn));
-            let stream = conn.stream.as_mut().unwrap();
-            let mut bytes = push_frame(7, vec![1.0; 4]).encode();
-            let mid = HEADER_LEN + 2;
-            bytes[mid] ^= 0xFF; // corrupt the payload, CRC now mismatches
-            stream.write_all(&bytes).unwrap();
-            let (reply, _) = read_frame(stream, &mut [0u8; TRAILER_LEN])
-                .unwrap()
-                .unwrap();
-            assert_eq!(reply.kind, RpcKind::Sync);
-            assert_eq!(reply.chunk, STATUS_CORRUPT);
-        }
-        // The nacked push was never applied.
+        // An unconsumed push, then a CRC-broken new one sent by hand: it is
+        // nacked and nothing becomes ready — it started landing, so the
+        // push it displaced is gone, a dropped push.
+        assert_eq!(
+            send_raw(&t, &push_frame(1, vec![1.0; 4]).encode()),
+            STATUS_OK
+        );
+        let next = push_frame(2, vec![2.0, 4.0, 6.0, 8.0]);
+        assert_eq!(send_raw(&t, &corrupt(&next)), STATUS_CORRUPT);
         let mut dst = vec![0f32; 4];
         assert_eq!(
             t.collect_timeout(0, &mut dst, Duration::from_millis(20)),
             Err(CommError::Timeout)
         );
-        // A clean push still works on the same connection.
+        // The sender's retry of the same key lands whole.
+        assert_eq!(send_raw(&t, &next.encode()), STATUS_OK);
+        t.collect_timeout(0, &mut dst, Duration::from_secs(1))
+            .unwrap();
+        assert_eq!(dst, next.payload);
+        assert_eq!(t.net_stats().dedup_hits, 0);
+        // The transport's own push path works on the same connection.
         t.push(0, &[3.0; 4]);
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
         assert_eq!(dst, vec![3.0; 4]);
+    }
+
+    #[test]
+    fn a_corrupt_duplicate_is_nacked_and_the_unconsumed_push_stays_collectable() {
+        let t = socket(1, 4);
+        let frame = push_frame(5, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(send_raw(&t, &frame.encode()), STATUS_OK);
+        // Same key, corrupt body: checked through the block, never landed.
+        assert_eq!(send_raw(&t, &corrupt(&frame)), STATUS_CORRUPT);
+        assert_eq!(t.net_stats().dedup_hits, 0);
+        let mut dst = vec![0f32; 4];
+        t.collect_timeout(0, &mut dst, Duration::from_secs(1))
+            .unwrap();
+        assert_eq!(dst, frame.payload);
+    }
+
+    #[test]
+    fn a_peer_stalled_mid_body_holds_no_lock_a_collect_needs() {
+        let t = socket(1, 1_024);
+        let bytes = push_frame(1, vec![1.5; 1_024]).encode();
+        let mut conn = t.conns[0].lock();
+        assert!(t.ensure_connected(0, &mut conn));
+        // A header and half a body, then silence.
+        let half = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
+        conn.stream
+            .as_mut()
+            .unwrap()
+            .write_all(&bytes[..half])
+            .unwrap();
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut dst = vec![0f32; 1_024];
+                let start = Instant::now();
+                let got = t.collect_timeout(0, &mut dst, Duration::from_millis(20));
+                let _ = done.send((got, start.elapsed()));
+            });
+            let outcome = outcome.recv_timeout(Duration::from_secs(5));
+            // Hang up either way, so the stalled receive ends.
+            conn.stream = None;
+            let (got, took) = outcome.expect("the collect waited on the stalled push");
+            assert_eq!(got, Err(CommError::Timeout));
+            assert!(
+                took >= Duration::from_millis(20) && took < Duration::from_millis(500),
+                "collect_timeout(20 ms) returned after {took:?}"
+            );
+        });
     }
 
     #[test]
@@ -1200,9 +1329,8 @@ mod tests {
 
     #[test]
     fn oversized_push_drops_the_connection_and_applies_nothing() {
-        // Five elements for a four-element slot. With `pull_len` 4 the wire
-        // buffer cannot hold the frame either (refused before its body is
-        // read); with 8 it can, and the slot's own length check refuses it.
+        // Five elements for a four-element slot: refused at its header,
+        // before its body is read, whatever the pull side's length.
         for pull_len in [4, 8] {
             let t = CommSocket::new(1, pull_len, 4, Precision::Fp32).unwrap();
             {

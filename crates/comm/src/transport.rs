@@ -31,7 +31,8 @@ use std::time::{Duration, Instant};
 /// Transport-level failures surfaced to the supervisor instead of blocking
 /// forever or panicking. `Timeout` and `Corrupt` are retryable (the peer
 /// may be a straggler, the frame may arrive clean next time);
-/// `Disconnected` and `PartitionedLink` are fatal for that peer.
+/// `Disconnected` and `PartitionedLink` are fatal for that peer,
+/// `Abandoned` for its push until the next publish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommError {
     /// No push arrived within the deadline.
@@ -46,6 +47,11 @@ pub enum CommError {
     /// their backoff budget. Unlike `Timeout` there is no point retrying
     /// within the epoch.
     PartitionedLink,
+    /// A sharded collect that stopped between shards was overtaken by
+    /// another worker's, which rebuilt its push in the server's one
+    /// reconstruction region: this worker's push is lost until the next
+    /// publish. No point retrying within the epoch either.
+    Abandoned,
 }
 
 impl std::fmt::Display for CommError {
@@ -55,6 +61,7 @@ impl std::fmt::Display for CommError {
             CommError::Disconnected => write!(f, "transport peer disconnected"),
             CommError::Corrupt => write!(f, "transport frame failed integrity check"),
             CommError::PartitionedLink => write!(f, "transport link partitioned"),
+            CommError::Abandoned => write!(f, "partially collected push abandoned"),
         }
     }
 }
@@ -84,7 +91,10 @@ impl Precision {
 pub trait Transport: Send + Sync {
     /// Server side: publish the shared feature data for workers to pull.
     fn publish(&self, src: &[f32]);
-    /// Worker side: read the published data into `dst`.
+    /// Worker side: read the published data into `dst`. A pull that fails
+    /// (on a wire, after its retries) leaves `dst` unspecified — stale, or
+    /// partly the new snapshot, as a chaos partition already does; `dst`
+    /// is the worker's own region, dead until a pull succeeds.
     fn pull(&self, worker: usize, dst: &mut [f32]);
     /// Worker side: submit this worker's updated data.
     fn push(&self, worker: usize, src: &[f32]);

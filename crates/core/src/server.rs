@@ -148,26 +148,58 @@ pub struct ShardedServer {
     /// Server-side copy of the last published region: the delta base for
     /// pushes and the reconstruction base for collects.
     published: RwLock<Vec<f32>>,
-    /// `collected[w]`: how many shards of worker `w`'s current push have
-    /// already been applied. A push arrives as one message per shard, so a
-    /// collect deadline can expire between two of them; the retry resumes
-    /// at the first outstanding shard instead of waiting again on one
-    /// whose message it already consumed. Cleared by `publish`.
-    collected: Mutex<Vec<usize>>,
+    /// Whose push `rebuilt` holds part of, and whose it gave up. Cleared by
+    /// `publish`.
+    partial: Mutex<Partial>,
     /// `encoded[w]`: where worker `w`'s pushes are delta-encoded, shard by
     /// shard. Sized for the largest shard when the server is built, so a
     /// push allocates nothing.
     encoded: Vec<Mutex<Vec<f32>>>,
     /// Where a collect rebuilds the push it hands out, also built here. One
-    /// for all workers: the server collects them one at a time, and a
-    /// collect that failed between two shards must be resumed (or given up
-    /// until the next `publish`) before another worker's is started.
+    /// for all workers: the server collects them one at a time, and
+    /// [`Partial`] checks that a region is never handed out mixed.
     rebuilt: Mutex<Vec<f32>>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
     rows_shipped: AtomicU64,
     rows_total: AtomicU64,
     bytes_full: AtomicU64,
+}
+
+/// The protocol of [`ShardedServer`]'s one `rebuilt` region. A push
+/// arrives as one message per shard, so a collect deadline can expire
+/// between two of them, leaving the region holding that worker's first
+/// shards; a retry resumes at the first outstanding shard instead of
+/// waiting again on one whose message it already consumed. Another
+/// worker's collect starting meanwhile overwrites the region from shard 0,
+/// so it *abandons* the partial push: until the next `publish` the
+/// abandoned worker's collect fails with [`CommError::Abandoned`] rather
+/// than resume onto another worker's rows.
+#[derive(Debug)]
+struct Partial {
+    /// `(worker, shards)`: the collect that stopped after applying its
+    /// first `shards` shards, which `rebuilt` still holds.
+    owner: Option<(usize, usize)>,
+    /// `abandoned[w]`: worker `w`'s partial push was overwritten.
+    abandoned: Vec<bool>,
+}
+
+impl Partial {
+    /// The shard `worker`'s collect starts at, abandoning another worker's
+    /// partial push if there is one.
+    fn start(&mut self, worker: usize) -> Result<usize, CommError> {
+        if self.abandoned[worker] {
+            return Err(CommError::Abandoned);
+        }
+        match self.owner.take() {
+            Some((w, applied)) if w == worker => Ok(applied),
+            Some((w, _)) => {
+                self.abandoned[w] = true;
+                Ok(0)
+            }
+            None => Ok(0),
+        }
+    }
 }
 
 impl ShardedServer {
@@ -212,7 +244,10 @@ impl ShardedServer {
             precision,
             shards,
             published: RwLock::new(vec![0f32; region_len]),
-            collected: Mutex::new(vec![0; workers]),
+            partial: Mutex::new(Partial {
+                owner: None,
+                abandoned: vec![false; workers],
+            }),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
             rows_shipped: AtomicU64::new(0),
@@ -317,7 +352,11 @@ impl ShardedServer {
 
 impl Transport for ShardedServer {
     fn publish(&self, src: &[f32]) {
-        self.collected.lock().fill(0);
+        {
+            let mut partial = self.partial.lock();
+            partial.owner = None;
+            partial.abandoned.fill(false);
+        }
         {
             let mut snapshot = self.published.write();
             let n = src.len().min(snapshot.len());
@@ -364,7 +403,8 @@ impl Transport for ShardedServer {
     /// All of the worker's outstanding shards under one deadline: a slow
     /// shard eats into the remaining budget instead of multiplying it. On
     /// error the rebuilt region keeps the shards applied so far and a retry
-    /// picks up where this call stopped.
+    /// picks up where this call stopped — unless another worker's collect
+    /// started in between, which abandons them (see `Partial`).
     fn collect_with(
         &self,
         worker: usize,
@@ -373,14 +413,13 @@ impl Transport for ShardedServer {
     ) -> Result<(), CommError> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut region = self.rebuilt.lock();
-        let first = self.collected.lock()[worker];
+        let first = self.partial.lock().start(worker)?;
         for s in first..self.shards.len() {
             if let Err(err) = self.apply_shard(s, worker, &mut region, deadline) {
-                self.collected.lock()[worker] = s;
+                self.partial.lock().owner = (s > 0).then_some((worker, s));
                 return Err(err);
             }
         }
-        self.collected.lock()[worker] = 0;
         consume(&region);
         Ok(())
     }
@@ -601,6 +640,64 @@ mod tests {
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
         assert_eq!(dst, local);
+    }
+
+    #[test]
+    fn another_workers_collect_abandons_a_partial_region_until_the_next_publish() {
+        // Worker 0's collect stops between shards, worker 1's runs whole,
+        // then worker 0's resumes. The parent handed worker 0 `Ok` and a
+        // region whose shard 0 held worker 1's rows.
+        let (rows, k) = (8, 2);
+        let router = ShardRouter::uniform(rows, 2);
+        let links: Vec<Arc<dyn Transport>> = (0..2)
+            .map(|s| {
+                let push = ShardedServer::shard_push_len(&router, s, k);
+                Arc::new(hcc_comm::CommShared::new(2, 4 * k, push, Precision::Fp32))
+                    as Arc<dyn Transport>
+            })
+            .collect();
+        let t = ShardedServer::new(router, k, rows * k, Precision::Fp32, links.clone());
+        let region = vec![0.5f32; rows * k];
+        let mut a = region.clone();
+        a[1] = 7.0; // row 0 → shard 0
+        a[15] = 9.0; // row 7 → shard 1
+        let mut b = region.clone();
+        b[2] = 3.0; // row 1 → shard 0
+        b[12] = 4.0; // row 6 → shard 1
+        let delta = |local: &[f32], shard: usize| {
+            let range = shard * 8..shard * 8 + 8;
+            let mut out = Vec::new();
+            encode_delta(&region[range.clone()], &local[range], k, &mut out);
+            out
+        };
+        let mut dst = vec![0f32; rows * k];
+        t.publish(&region);
+        links[0].push(0, &delta(&a, 0));
+        assert_eq!(
+            t.collect_timeout(0, &mut dst, Duration::from_millis(20)),
+            Err(CommError::Timeout)
+        );
+        for (s, link) in links.iter().enumerate() {
+            link.push(1, &delta(&b, s));
+        }
+        t.collect_timeout(1, &mut dst, Duration::from_secs(1))
+            .unwrap();
+        assert_eq!(dst, b);
+        links[1].push(0, &delta(&a, 1));
+        let mut calls = 0;
+        assert_eq!(
+            t.collect_with(0, Some(Duration::from_secs(1)), &mut |_| calls += 1),
+            Err(CommError::Abandoned)
+        );
+        assert_eq!(calls, 0, "a mixed region was handed out");
+        // After a publish the worker collects whole again.
+        t.publish(&region);
+        for (s, link) in links.iter().enumerate() {
+            link.push(0, &delta(&a, s));
+        }
+        t.collect_timeout(0, &mut dst, Duration::from_secs(1))
+            .unwrap();
+        assert_eq!(dst, a);
     }
 
     #[test]

@@ -160,7 +160,8 @@ fn net_cause(err: CommError) -> NetCause {
     match err {
         CommError::Timeout => NetCause::Timeout,
         CommError::Corrupt => NetCause::Corrupt,
-        CommError::Disconnected => NetCause::Disconnected,
+        // Never a wire retry's cause: like a hung-up peer, the push is gone.
+        CommError::Disconnected | CommError::Abandoned => NetCause::Disconnected,
         CommError::PartitionedLink => NetCause::Partitioned,
     }
 }
@@ -1121,7 +1122,7 @@ impl<'a> Session<'a> {
                         },
                     );
                 }
-                Err(CommError::Disconnected) => break,
+                Err(CommError::Disconnected | CommError::Abandoned) => break,
                 // A partitioned worker keeps computing and beating its
                 // heartbeat, so classification alone would call it a
                 // straggler forever; declare the link dead so the

@@ -7,16 +7,19 @@
 //! Deterministic and clock-free: a counting `#[global_allocator]` compares
 //! a one-epoch run with a five-epoch run of the same configuration, and
 //! keeps the high-water mark of live bytes (allocated − freed). The data is
-//! the sparse regime the wire path matters in (`Q` is 128 KiB, a worker's
-//! shard of ratings 24 KiB), so nothing but a region, a frame or a delta
-//! reaches the threshold. The counters are process-wide: the tests take
-//! [`COUNTERS`] in turn.
+//! the sparse regime the wire path matters in (`Q` is 1 MiB, a worker's
+//! shard of ratings 24 KiB), so nothing but a region, a shard's slot or a
+//! delta reaches the threshold, and a shard's frame is longer than the
+//! block a socket link streams it through. One socket link is also
+//! measured on its own, at three region sizes. The counters are
+//! process-wide: the tests take [`COUNTERS`] in turn.
 //!
 //! The second half budgets the rest of the lifecycle the same way, on a
 //! model of [`MODEL`] bytes: a checkpoint crosses the disk through one
 //! block, and a serving model is built with nothing of `Q`'s size beside
 //! `Q` and the shards it becomes.
 
+use hcc_comm::{CommSocket, Precision as CommPrecision, Transport};
 use hcc_mf::{
     load_checkpoint, load_model, reload_from_checkpoint, save_model, HccConfig, HccConfigBuilder,
     HccError, HccMf, LearningRate, PartitionMode, TransferStrategy, TransportKind, WorkerSpec,
@@ -28,8 +31,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-const ROWS: usize = 3_000;
-const COLS: usize = 2_048;
+const ROWS: usize = 20_000;
+const COLS: usize = 16_384;
 const NNZ: usize = 4_000;
 const K: usize = 16;
 /// One shard's payload on the wire: half of `Q`'s rows at four bytes an
@@ -150,26 +153,29 @@ fn base(epochs: usize) -> HccConfigBuilder {
 type Case = (&'static str, fn(HccConfigBuilder) -> HccConfigBuilder, f64);
 
 /// The three wires the budgets are pinned over, with what each one's
-/// endpoints hold, in units of `R` (`Q`'s bytes at f32).
+/// endpoints hold, in units of `R` (`Q`'s bytes at f32). At this shape a
+/// link's block (`hcc_comm::socket::BLOCK`, 256 KiB) is a quarter of `R`.
 const CASES: [Case; 3] = [
-    // ShardedServer: published, rebuilt, encoded (3 R); each of two links
-    // carries half of `Q`: published H, 2 slots H, server and client wire
-    // buffers 2 H each a worker — 7 H a link. A push is a row delta, which
-    // can run to 1 + 1/K of its rows (the indices), on eight of those R.
+    // ShardedServer: published, rebuilt, encoded (3 R). Each of two links
+    // carries half of `Q`: published H and 2 slots H — 3 H a link — plus a
+    // block each end a worker (4 blocks = R a link). A push is a row
+    // delta, which can run to 1 + 1/K of its rows (the indices), on three
+    // of those R.
     (
         "tcp x 2 shards",
         |b| b.transport(TransportKind::Tcp).server_shards(2),
-        3.0 + 7.0 + 0.5,
+        3.0 + 3.0 + 2.0 + 0.25,
     ),
-    // One link at two bytes an element on the wire: published R, 2 slots R,
-    // and an fp16 wire buffer each side a worker (4 H).
+    // One link at two bytes an element on the wire: published R, 2 slots
+    // R, and a block each side a worker (4 blocks = R; the fp16 frame is
+    // R/2, twice a block).
     (
         "socket x half-q",
         |b| {
             b.transport(TransportKind::Socket)
                 .strategy(TransferStrategy::HalfQ)
         },
-        3.0 + 2.0,
+        3.0 + 1.0,
     ),
     // Two chunk endpoints of R/2: published and 2 slots each.
     (
@@ -248,6 +254,41 @@ fn a_run_that_repartitions_peaks_no_higher_than_one_epoch() {
         five <= one + bookkeeping,
         "five epochs with repartitions peak at {five} bytes, one epoch at {one}"
     );
+}
+
+#[test]
+fn a_socket_link_holds_its_regions_and_one_block_a_worker_at_each_end() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    const W: usize = 2;
+    const LINK_SMALL: u64 = 16 * 1_024;
+    let block = hcc_comm::socket::BLOCK;
+    // A frame inside one block, one a block and a half long, one of
+    // sixteen blocks: the link's own buffers must not grow with it.
+    for elems in [block / 16, 3 * block / 8, 4 * block] {
+        let mut local = vec![0.25f32; elems];
+        let (peak, _, link) = peak_of(|| {
+            let t = CommSocket::new_tcp(W, elems, elems, CommPrecision::Fp32).unwrap();
+            t.publish(&local);
+            for w in 0..W {
+                t.pull(w, &mut local);
+                t.push(w, &local);
+                t.collect(w, &mut local);
+            }
+            t
+        });
+        assert_eq!(link.wire_bytes(), (2 * W * elems * 4) as u64);
+        drop(link);
+        // `published` and a slot a worker, all f32; one block a worker at
+        // each end, a whole frame when that is smaller.
+        let regions = ((1 + W) * elems * 4) as u64;
+        let blocks = (2 * W * block.min(elems * 4 + 24)) as u64;
+        assert!(
+            peak >= regions && peak <= regions + blocks + LINK_SMALL,
+            "{elems} elements: the link peaked at {peak} live bytes; regions {regions}, \
+             blocks {blocks}: {} over",
+            peak as i64 - (regions + blocks) as i64
+        );
+    }
 }
 
 // ------------------------------------------------------------------------
