@@ -15,9 +15,10 @@
 
 use hcc_comm::{Fault, FaultPlan};
 use hcc_mf::{
-    HccConfig, HccConfigBuilder, HccMf, LearningRate, PartitionMode, SupervisorConfig,
+    HccConfig, HccConfigBuilder, HccMf, LearningRate, Optimizer, PartitionMode, SupervisorConfig,
     TransferStrategy, TransportKind, WorkerSpec,
 };
+use hcc_sgd::Schedule;
 use hcc_sparse::{GenConfig, SyntheticDataset};
 use std::time::Duration;
 
@@ -37,6 +38,12 @@ const STREAMS_2: u64 = 0x69bd_acdc_ca69_5c73;
 const STREAMS_4: u64 = 0x78f7_8ba4_4282_6f46;
 /// [`fault_plan`]: three epochs merge without one worker's push.
 const FAULTED: u64 = 0x4c82_4608_5894_e5d2;
+/// AdaGrad and momentum over striped sweeps, and plain SGD tiled at a `k`
+/// wide enough that each worker's shard spans two tiles. Recorded on the
+/// commit before the four update rules shared one Hogwild driver.
+const ADAGRAD: u64 = 0x4ae8_654a_88bb_28b9;
+const MOMENTUM: u64 = 0x19ea_3970_f586_847e;
+const TILED: u64 = 0x4a1d_559e_26f2_3759;
 
 fn dataset() -> SyntheticDataset {
     SyntheticDataset::generate(GenConfig {
@@ -163,6 +170,26 @@ fn pipelined_epochs_over_shared_memory() {
     check(vec![
         ("2 streams", streamed(2), STREAMS_2),
         ("4 streams", streamed(4), STREAMS_4),
+    ]);
+}
+
+#[test]
+fn every_update_rule_and_schedule() {
+    let adagrad = Optimizer::AdaGrad {
+        eta0: 0.08,
+        epsilon: 1e-8,
+    };
+    let momentum = base()
+        .optimizer(Optimizer::Momentum { beta: 0.9 })
+        .learning_rate(LearningRate::Constant(0.004));
+    check(vec![
+        ("adagrad stripe", base().optimizer(adagrad).build(), ADAGRAD),
+        ("momentum stripe", momentum.build(), MOMENTUM),
+        (
+            "sgd tiled",
+            base().k(256).schedule(Schedule::Tiled).build(),
+            TILED,
+        ),
     ]);
 }
 
