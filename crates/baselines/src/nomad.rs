@@ -15,11 +15,11 @@
 //! genuinely race-free (the shared-atomic storage is used only as plumbing).
 
 use crate::report::{TrainConfig, TrainReport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hcc_sgd::kernel::sgd_step_shared;
 use hcc_sgd::{rmse, FactorMatrix, SharedFactors};
 use hcc_sparse::{CooMatrix, GridPartition};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::channel;
 use std::time::Instant;
 
 /// NOMAD solver.
@@ -73,10 +73,8 @@ impl Nomad {
             // Fresh queues per epoch; columns start at their diagonal-ish
             // home worker (the paper's NOMAD critique notes this diagonal
             // start is no protection when the distribution is skewed).
-            let channels: Vec<(Sender<ColumnToken>, Receiver<ColumnToken>)> =
-                (0..workers).map(|_| unbounded()).collect();
-            let senders: Vec<Sender<ColumnToken>> =
-                channels.iter().map(|(tx, _)| tx.clone()).collect();
+            let (senders, receivers): (Vec<_>, Vec<_>) =
+                (0..workers).map(|_| channel::<ColumnToken>()).unzip();
             for i in 0..matrix.cols() {
                 let home = (i as usize) % workers;
                 senders[home]
@@ -87,13 +85,12 @@ impl Nomad {
             let remaining = AtomicUsize::new(matrix.cols() as usize);
 
             std::thread::scope(|scope| {
-                for (w, (_, rx)) in channels.iter().enumerate() {
+                for (w, rx) in receivers.into_iter().enumerate() {
                     let p = p.view();
                     let q = q.view();
                     let by_item = &per_worker_by_item[w];
                     let senders = senders.clone();
                     let remaining = &remaining;
-                    let rx: Receiver<ColumnToken> = rx.clone();
                     scope.spawn(move || {
                         // ordering: Acquire — pairs with the AcqRel
                         // fetch_sub below so a worker that observes the

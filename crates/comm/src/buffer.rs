@@ -13,17 +13,12 @@
 //! ([`SharedBuffer::with_read`]): the server merges a push where the worker
 //! wrote it. The four a worker made are the link traffic
 //! [`Transport::wire_bytes_by_dir`](crate::Transport::wire_bytes_by_dir) counts.
+//! Each copy is one `copy_from_slice` on the caller's thread: the paper's
+//! multi-threaded copy (§3.5) is not reproduced.
 
 use parking_lot::RwLock;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Transfers at or above this many floats use the multi-threaded copy path
-/// (the paper's "shared pinned memory and multi-threaded copy", §3.5).
-const PARALLEL_COPY_THRESHOLD: usize = 1 << 20;
-/// Chunk size per copy task (1 MiB of f32).
-const PARALLEL_COPY_CHUNK: usize = 1 << 18;
 
 /// A fixed-capacity shared float buffer with copy accounting.
 #[derive(Debug, Clone)]
@@ -65,15 +60,7 @@ impl SharedBuffer {
     /// # Panics
     /// Panics if the region exceeds the buffer.
     pub fn write(&self, offset: usize, src: &[f32]) {
-        let mut guard = self.inner.data.write();
-        let dst = &mut guard[offset..offset + src.len()];
-        if src.len() >= PARALLEL_COPY_THRESHOLD {
-            dst.par_chunks_mut(PARALLEL_COPY_CHUNK)
-                .zip(src.par_chunks(PARALLEL_COPY_CHUNK))
-                .for_each(|(d, s)| d.copy_from_slice(s));
-        } else {
-            dst.copy_from_slice(src);
-        }
+        self.inner.data.write()[offset..offset + src.len()].copy_from_slice(src);
         // ordering: Relaxed — wire-byte statistic; read only for reports
         // after the epoch's scope join, never to synchronize data.
         self.inner
@@ -86,15 +73,7 @@ impl SharedBuffer {
     /// # Panics
     /// Panics if the region exceeds the buffer.
     pub fn read(&self, offset: usize, dst: &mut [f32]) {
-        let guard = self.inner.data.read();
-        let src = &guard[offset..offset + dst.len()];
-        if dst.len() >= PARALLEL_COPY_THRESHOLD {
-            dst.par_chunks_mut(PARALLEL_COPY_CHUNK)
-                .zip(src.par_chunks(PARALLEL_COPY_CHUNK))
-                .for_each(|(d, s)| d.copy_from_slice(s));
-        } else {
-            dst.copy_from_slice(src);
-        }
+        dst.copy_from_slice(&self.inner.data.read()[offset..offset + dst.len()]);
         // ordering: Relaxed — wire-byte statistic (see `write`).
         self.inner
             .bytes_read
@@ -183,7 +162,7 @@ mod tests {
 
     #[test]
     fn large_parallel_copies_roundtrip() {
-        let len = (1 << 20) + 13; // over the parallel threshold, ragged tail
+        let len = (1 << 20) + 13; // a 4 MiB region with a ragged tail
         let buf = SharedBuffer::new(len);
         let src: Vec<f32> = (0..len).map(|j| (j % 1021) as f32).collect();
         buf.write(0, &src);

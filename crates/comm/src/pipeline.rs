@@ -9,7 +9,7 @@
 //! transmission cost drops toward `1/streams` of its synchronous value
 //! while compute time is unchanged.
 
-use crossbeam::channel::bounded;
+use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 /// Per-stage busy times and wall-clock of one pipelined epoch.
@@ -66,8 +66,8 @@ where
     S: FnMut(usize, U) + Send,
 {
     assert!(streams > 0, "stream count must be non-zero");
-    let (pull_tx, pull_rx) = bounded::<(usize, T)>(streams);
-    let (comp_tx, comp_rx) = bounded::<(usize, U)>(streams);
+    let (pull_tx, pull_rx) = sync_channel::<(usize, T)>(streams);
+    let (comp_tx, comp_rx) = sync_channel::<(usize, U)>(streams);
 
     let start = Instant::now();
     let (pull_busy, compute_busy, push_busy) = std::thread::scope(|scope| {

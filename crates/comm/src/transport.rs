@@ -21,10 +21,10 @@
 
 use crate::buffer::SharedBuffer;
 use crate::socket::NetEvent;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hcc_sgd::fp16;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -219,32 +219,15 @@ impl WireStore {
     fn write_f32(&self, src: &[f32]) {
         match self {
             WireStore::F32(buf) => buf.write(0, src),
-            WireStore::F16(cells) => {
-                // Large payloads use the rayon codec — the paper's
-                // multi-threaded AVX conversion analog.
-                let mut guard = cells.write();
-                let dst = &mut guard[..src.len()];
-                if src.len() >= 1 << 16 {
-                    fp16::encode_parallel(src, dst);
-                } else {
-                    fp16::encode_slice(src, dst);
-                }
-            }
+            // The F16C codec, on the caller's thread.
+            WireStore::F16(cells) => fp16::encode_slice(src, &mut cells.write()[..src.len()]),
         }
     }
 
     fn read_f32(&self, dst: &mut [f32]) {
         match self {
             WireStore::F32(buf) => buf.read(0, dst),
-            WireStore::F16(cells) => {
-                let guard = cells.read();
-                let src = &guard[..dst.len()];
-                if dst.len() >= 1 << 16 {
-                    fp16::decode_parallel(src, dst);
-                } else {
-                    fp16::decode_slice(src, dst);
-                }
-            }
+            WireStore::F16(cells) => fp16::decode_slice(&cells.read()[..dst.len()], dst),
         }
     }
 }
@@ -377,7 +360,7 @@ impl CommP {
         let mut senders = Vec::with_capacity(workers);
         let mut receivers = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(Mutex::new(rx));
         }

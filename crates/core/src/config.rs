@@ -176,9 +176,9 @@ pub struct HccConfig {
     pub early_stop: Option<EarlyStop>,
     /// Per-update optimizer.
     pub optimizer: Optimizer,
-    /// Hogwild entry-to-thread schedule inside each worker (plain SGD only;
-    /// `stripe` is the classic interleaving, `tiled` the cache-blocked
-    /// scheduler).
+    /// Hogwild entry-to-thread schedule inside each worker, for every
+    /// optimizer (`stripe` is the classic interleaving, `tiled` the
+    /// cache-blocked scheduler).
     pub schedule: Schedule,
     /// Optional warm-start factors `(P, Q)` in the *input* orientation.
     /// Dimensions must match the training matrix and `k`; used instead of

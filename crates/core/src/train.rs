@@ -16,7 +16,7 @@ use hcc_comm::{
 use hcc_partition::{
     dp0, dp1_step, dp2, replan_survivors, ShardRouter, StrategyChoice, WorkerClass,
 };
-use hcc_sgd::{rmse_parallel, FactorMatrix, SharedRows};
+use hcc_sgd::{rmse, FactorMatrix, HogwildConfig, SharedRows};
 use hcc_sparse::{Axis, CooMatrix, GridPartition};
 use hcc_telemetry::{Dir, Event, NetCause, Phase, Telemetry};
 use parking_lot::Mutex;
@@ -464,18 +464,13 @@ impl<'a> Session<'a> {
             let chunk_entries = group_by_chunk(&mut entries, &cols);
             let rows = row_range.len().max(1);
             let optimizer = match self.config.optimizer {
-                Optimizer::Sgd => OptimizerState::Sgd {
-                    schedule: self.config.schedule,
-                },
-                Optimizer::AdaGrad { eta0, epsilon } => OptimizerState::AdaGrad {
-                    eta0,
-                    epsilon,
-                    state: hcc_sgd::AdaGradState::new(rows, self.n, k),
-                },
-                Optimizer::Momentum { beta } => OptimizerState::Momentum {
-                    beta,
-                    state: hcc_sgd::MomentumState::new(rows, self.n, k),
-                },
+                Optimizer::Sgd => OptimizerState::Sgd,
+                Optimizer::AdaGrad { epsilon, .. } => {
+                    OptimizerState::AdaGrad(hcc_sgd::AdaGradState::new(rows, self.n, k, epsilon))
+                }
+                Optimizer::Momentum { beta } => {
+                    OptimizerState::Momentum(hcc_sgd::MomentumState::new(rows, self.n, k, beta))
+                }
             };
             workers.push(WorkerState {
                 spec: spec.clone(),
@@ -577,7 +572,11 @@ impl<'a> Session<'a> {
 
         let mut epoch = self.start_epoch;
         while epoch < self.config.epochs {
-            let lr = (f64::from(self.config.learning_rate.at(epoch)) * self.lr_scale) as f32;
+            let lr = match self.config.optimizer {
+                // AdaGrad steps from its own base η₀: no schedule, no backoff.
+                Optimizer::AdaGrad { eta0, .. } => eta0,
+                _ => (f64::from(self.config.learning_rate.at(epoch)) * self.lr_scale) as f32,
+            };
             // Wire-byte baseline for this attempt (counters reset whenever
             // the endpoints are rebuilt, e.g. on rollback or repartition).
             let wire_base = self.wire_bytes_by_dir();
@@ -973,7 +972,13 @@ impl<'a> Session<'a> {
         let k = self.k;
         let full_pq = self.config.strategy == TransferStrategy::FullPq;
         let p = SharedRows::new(p_rows, k);
-        let (lambda_p, lambda_q) = (self.config.lambda_p, self.config.lambda_q);
+        let hogwild = HogwildConfig {
+            threads: state.spec.threads,
+            learning_rate: lr,
+            lambda_p: self.config.lambda_p,
+            lambda_q: self.config.lambda_q,
+            schedule: self.config.schedule,
+        };
         let worker_id = self.orig_ids[w];
         // The worker enacts the three faults that are its own; the wire's
         // are the endpoint's ([`ChaosTransport`]). A plan implies a
@@ -1010,7 +1015,7 @@ impl<'a> Session<'a> {
             let q = SharedRows::new(&mut region[chunk.layout.q_elems()], k)
                 .numbered_from(chunk.cols.start);
             let entries = &state.entries[state.chunk_entries[c].clone()];
-            state.compute(entries, p, q, lr, lambda_p, lambda_q);
+            state.compute(entries, p, q, &hogwild);
             if let Some(sup) = sup {
                 sup.board.beat(w, epoch);
             }
@@ -1154,7 +1159,7 @@ impl<'a> Session<'a> {
 
     /// Training-set RMSE with the current factors.
     fn evaluate(&mut self) -> f64 {
-        rmse_parallel(
+        rmse(
             self.work.entries(),
             &self.server.get_mut().p,
             &self.global_q,
@@ -1265,14 +1270,19 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             chunk_entries: Vec::new(),
             row_range: 0..work.rows(),
             regions: Vec::new(),
-            optimizer: OptimizerState::Sgd {
-                schedule: config.schedule,
-            },
+            optimizer: OptimizerState::Sgd,
         };
         // Fresh zeroed factors for every worker: each pays the same page
         // faults, so none looks faster for coming second.
         let (mut p0, mut q0) = (FactorMatrix::zeros(m, k), FactorMatrix::zeros(n, k));
-        let mut sweep = |entries| state.compute(entries, p0.shared(), q0.shared(), 0.0, 0.0, 0.0);
+        let calibration = HogwildConfig {
+            threads: spec.threads,
+            learning_rate: 0.0,
+            lambda_p: 0.0,
+            lambda_q: 0.0,
+            schedule: config.schedule,
+        };
+        let mut sweep = |entries| state.compute(entries, p0.shared(), q0.shared(), &calibration);
         // Warm-up pass (thread spawn, page faults), then the measured pass.
         sweep(&sample[..sample_len.min(4_096)]);
         let elapsed = sweep(sample);

@@ -8,9 +8,10 @@
 //! its rows of `P` directly.
 
 use crate::config::WorkerSpec;
-use hcc_sgd::adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
-use hcc_sgd::momentum::{momentum_hogwild_epoch, MomentumConfig, MomentumState};
-use hcc_sgd::{hogwild_epoch, HogwildConfig, Schedule, SharedRows};
+use hcc_sgd::{
+    adagrad_hogwild_epoch, hogwild_epoch, momentum_hogwild_epoch, AdaGradState, HogwildConfig,
+    MomentumState, SharedRows,
+};
 use hcc_sparse::Rating;
 use parking_lot::Mutex;
 use std::ops::Range;
@@ -47,71 +48,33 @@ pub(crate) struct WorkerState {
 }
 
 /// A worker's per-update rule together with what that rule keeps between
-/// epochs, so a rule cannot run without its state. Reset on repartition,
-/// which re-creates worker states.
+/// epochs (and the rule's own constant, ε or β), so a rule cannot run
+/// without its state. Reset on repartition, which re-creates worker states.
 pub(crate) enum OptimizerState {
-    /// Plain SGD; `schedule` maps entries to Hogwild threads (the other
-    /// kernels keep their own striped sweeps).
-    Sgd { schedule: Schedule },
+    /// Plain SGD.
+    Sgd,
     /// AdaGrad with its accumulators.
-    AdaGrad {
-        eta0: f32,
-        epsilon: f32,
-        state: AdaGradState,
-    },
+    AdaGrad(AdaGradState),
     /// Heavy-ball momentum with its velocity buffers.
-    Momentum { beta: f32, state: MomentumState },
+    Momentum(MomentumState),
 }
 
 impl WorkerState {
-    /// Runs one epoch of Hogwild SGD over the shard (or one chunk of it) on
-    /// this worker's rows of `P` and the rows of `Q` the entries name,
-    /// honouring the throttle. Returns elapsed compute time.
+    /// Runs one Hogwild epoch of this worker's rule over the shard (or one
+    /// chunk of it) on this worker's rows of `P` and the rows of `Q` the
+    /// entries name, honouring the throttle. Returns elapsed compute time.
     pub fn compute(
         &self,
         entries: &[Rating],
         p: SharedRows<'_>,
         q: SharedRows<'_>,
-        lr: f32,
-        lambda_p: f32,
-        lambda_q: f32,
+        config: &HogwildConfig,
     ) -> Duration {
         let start = Instant::now();
         let run = |chunk: &[Rating]| match &self.optimizer {
-            OptimizerState::AdaGrad {
-                eta0,
-                epsilon,
-                state,
-            } => {
-                let cfg = AdaGradConfig {
-                    threads: self.spec.threads,
-                    eta0: *eta0,
-                    lambda_p,
-                    lambda_q,
-                    epsilon: *epsilon,
-                };
-                adagrad_hogwild_epoch(chunk, p, q, state, &cfg);
-            }
-            OptimizerState::Momentum { beta, state } => {
-                let cfg = MomentumConfig {
-                    threads: self.spec.threads,
-                    learning_rate: lr,
-                    beta: *beta,
-                    lambda_p,
-                    lambda_q,
-                };
-                momentum_hogwild_epoch(chunk, p, q, state, &cfg);
-            }
-            OptimizerState::Sgd { schedule } => {
-                let cfg = HogwildConfig {
-                    threads: self.spec.threads,
-                    learning_rate: lr,
-                    lambda_p,
-                    lambda_q,
-                    schedule: *schedule,
-                };
-                hogwild_epoch(chunk, p, q, &cfg);
-            }
+            OptimizerState::Sgd => hogwild_epoch(chunk, p, q, config),
+            OptimizerState::AdaGrad(state) => adagrad_hogwild_epoch(chunk, p, q, state, config),
+            OptimizerState::Momentum(state) => momentum_hogwild_epoch(chunk, p, q, state, config),
         };
         if self.spec.speed_factor >= 1.0 {
             run(entries);
@@ -184,9 +147,15 @@ mod tests {
             chunk_entries: Vec::new(),
             row_range: 0..10,
             regions: Vec::new(),
-            optimizer: OptimizerState::Sgd {
-                schedule: Schedule::Stripe,
-            },
+            optimizer: OptimizerState::Sgd,
+        }
+    }
+
+    /// Unregularized steps of `lr` on the two threads the spec names.
+    fn config(lr: f32) -> HogwildConfig {
+        HogwildConfig {
+            learning_rate: lr,
+            ..HogwildConfig::with_threads(2, 0.0)
         }
     }
 
@@ -209,7 +178,7 @@ mod tests {
         let state = make_state(1.0, entries(500));
         let (mut p, mut q) = factors();
         let before = (p.clone(), q.clone());
-        let elapsed = state.compute(&state.entries, p.shared(), q.shared(), 0.05, 0.0, 0.0);
+        let elapsed = state.compute(&state.entries, p.shared(), q.shared(), &config(0.05));
         assert!(elapsed > Duration::ZERO);
         assert_ne!(p, before.0);
         assert_ne!(q, before.1);
@@ -221,8 +190,8 @@ mod tests {
         let fast = make_state(1.0, work.clone());
         let slow = make_state(0.25, work);
         let (mut p, mut q) = factors();
-        let t_fast = fast.compute(&fast.entries, p.shared(), q.shared(), 0.01, 0.0, 0.0);
-        let t_slow = slow.compute(&slow.entries, p.shared(), q.shared(), 0.01, 0.0, 0.0);
+        let t_fast = fast.compute(&fast.entries, p.shared(), q.shared(), &config(0.01));
+        let t_slow = slow.compute(&slow.entries, p.shared(), q.shared(), &config(0.01));
         // Target is 4×; accept ≥ 2× to keep the test robust on loaded CI.
         assert!(
             t_slow > t_fast * 2,

@@ -5,27 +5,33 @@
 //! steps `η_t = η₀ / √(Σ g²+ε)` remove the learning-rate tuning burden and
 //! converge faster in the skewed-popularity regime (hot items see many
 //! updates and get small steps; cold ones keep large steps). Provided as a
-//! drop-in alternative epoch function with its own accumulator state.
+//! drop-in alternative update rule with its own accumulator state, swept by
+//! the one Hogwild driver like every other rule.
 
 use crate::factors::SharedFactors;
+use crate::hogwild::{drive, HogwildConfig, Shard};
 use crate::kernel::dot;
 use crate::shared::SharedRows;
 use hcc_sparse::Rating;
 use std::sync::atomic::Ordering;
 
-/// Per-parameter squared-gradient accumulators.
+/// Per-parameter squared-gradient accumulators, and the stabilizer ε added
+/// to them under the square root.
 #[derive(Debug)]
 pub struct AdaGradState {
     accum_p: SharedFactors,
     accum_q: SharedFactors,
+    epsilon: f32,
 }
 
 impl AdaGradState {
-    /// Zeroed accumulators for `m × k` user and `n × k` item factors.
-    pub fn new(m: usize, n: usize, k: usize) -> AdaGradState {
+    /// Zeroed accumulators for `m × k` user and `n × k` item factors, with
+    /// stabilizer `epsilon` (1e-8 is typical).
+    pub fn new(m: usize, n: usize, k: usize, epsilon: f32) -> AdaGradState {
         AdaGradState {
             accum_p: SharedFactors::zeros(m, k),
             accum_q: SharedFactors::zeros(n, k),
+            epsilon,
         }
     }
 
@@ -41,50 +47,21 @@ impl AdaGradState {
     }
 }
 
-/// AdaGrad epoch configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaGradConfig {
-    /// Hogwild threads.
-    pub threads: usize,
-    /// Base step η₀ (AdaGrad tolerates much larger values than plain SGD's
-    /// γ; 0.05–0.1 is typical).
-    pub eta0: f32,
-    /// L2 on `P`.
-    pub lambda_p: f32,
-    /// L2 on `Q`.
-    pub lambda_q: f32,
-    /// Stabilizer ε inside the square root.
-    pub epsilon: f32,
-}
-
-impl Default for AdaGradConfig {
-    fn default() -> Self {
-        AdaGradConfig {
-            threads: 1,
-            eta0: 0.05,
-            lambda_p: 0.01,
-            lambda_q: 0.01,
-            epsilon: 1e-8,
-        }
-    }
-}
-
-/// One AdaGrad update. Returns the pre-update error.
+/// One AdaGrad update of row `e.u` of `p` and row `e.i` of `q`, with base
+/// step `config.learning_rate`. Returns the pre-update error.
 #[inline]
-#[allow(clippy::too_many_arguments)] // hot kernel: flat scalars beat a params struct
-fn adagrad_step(
+pub(crate) fn adagrad_step(
     p: SharedRows<'_>,
     q: SharedRows<'_>,
     state: &AdaGradState,
-    u: usize,
-    i: usize,
-    r: f32,
-    cfg: &AdaGradConfig,
+    e: &Rating,
+    config: &HogwildConfig,
     scratch: &mut [f32],
 ) -> f32 {
     let k = p.k();
     debug_assert_eq!(scratch.len(), 2 * k);
     let (pl, ql) = scratch.split_at_mut(k);
+    let (u, i) = (e.u as usize, e.i as usize);
     let p_cells = p.row_cells(u);
     let q_cells = q.row_cells(i);
     let ap_cells = state.accum_p.row_cells(u);
@@ -97,71 +74,39 @@ fn adagrad_step(
         pl[j] = f32::from_bits(p_cells[j].load(Ordering::Relaxed));
         ql[j] = f32::from_bits(q_cells[j].load(Ordering::Relaxed));
     }
-    let e = r - dot(pl, ql);
+    let err = e.r - dot(pl, ql);
+    let eta0 = config.learning_rate;
     for j in 0..k {
-        let gp = e * ql[j] - cfg.lambda_p * pl[j];
-        let gq = e * pl[j] - cfg.lambda_q * ql[j];
+        let gp = err * ql[j] - config.lambda_p * pl[j];
+        let gq = err * pl[j] - config.lambda_q * ql[j];
         // ordering: Relaxed — see the kernel-level note above.
         let ap = f32::from_bits(ap_cells[j].load(Ordering::Relaxed)) + gp * gp;
         let aq = f32::from_bits(aq_cells[j].load(Ordering::Relaxed)) + gq * gq;
         ap_cells[j].store(ap.to_bits(), Ordering::Relaxed);
         aq_cells[j].store(aq.to_bits(), Ordering::Relaxed);
-        let p_new = pl[j] + cfg.eta0 * gp / (ap + cfg.epsilon).sqrt();
-        let q_new = ql[j] + cfg.eta0 * gq / (aq + cfg.epsilon).sqrt();
+        let p_new = pl[j] + eta0 * gp / (ap + state.epsilon).sqrt();
+        let q_new = ql[j] + eta0 * gq / (aq + state.epsilon).sqrt();
         // ordering: Relaxed — see the kernel-level note above.
         p_cells[j].store(p_new.to_bits(), Ordering::Relaxed);
         q_cells[j].store(q_new.to_bits(), Ordering::Relaxed);
     }
-    e
+    err
 }
 
-/// One Hogwild epoch with AdaGrad steps. Returns summed squared pre-update
-/// errors.
+/// One Hogwild epoch with AdaGrad steps. `config.learning_rate` is the base
+/// step η₀, which tolerates much larger values than plain SGD's γ
+/// (0.05–0.1 is typical). Returns summed squared pre-update errors.
 pub fn adagrad_hogwild_epoch<'a>(
     entries: &[Rating],
     p: impl Into<SharedRows<'a>>,
     q: impl Into<SharedRows<'a>>,
     state: &AdaGradState,
-    cfg: &AdaGradConfig,
+    config: &HogwildConfig,
 ) -> f64 {
     let (p, q) = (p.into(), q.into());
-    assert!(cfg.threads > 0, "thread count must be non-zero");
-    if entries.is_empty() {
-        return 0.0;
-    }
-    let threads = cfg.threads.min(entries.len());
-    let sweep = |offset: usize| {
-        let mut scratch = vec![0f32; 2 * p.k()];
-        let mut acc = 0.0f64;
-        let mut idx = offset;
-        while idx < entries.len() {
-            let e = entries[idx];
-            let err = adagrad_step(
-                p,
-                q,
-                state,
-                e.u as usize,
-                e.i as usize,
-                e.r,
-                cfg,
-                &mut scratch,
-            );
-            acc += (err as f64) * (err as f64);
-            idx += threads;
-        }
-        acc
-    };
-    if threads == 1 {
-        return sweep(0);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| scope.spawn(move || sweep(t)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .sum()
+    let shard = Shard::new(entries, config.schedule, p, q);
+    drive(shard, config.threads, 2 * p.k(), |e, scratch| {
+        adagrad_step(p, q, state, e, config, scratch)
     })
 }
 
@@ -171,6 +116,13 @@ mod tests {
     use crate::loss::rmse;
     use crate::FactorMatrix;
     use hcc_sparse::{GenConfig, SyntheticDataset};
+
+    fn config(threads: usize, eta0: f32) -> HogwildConfig {
+        HogwildConfig {
+            learning_rate: eta0,
+            ..HogwildConfig::with_threads(threads, 0.01)
+        }
+    }
 
     fn setup() -> (SyntheticDataset, SharedFactors, SharedFactors, AdaGradState) {
         let ds = SyntheticDataset::generate(GenConfig {
@@ -182,17 +134,14 @@ mod tests {
         });
         let p = SharedFactors::from_matrix(&FactorMatrix::random(200, 8, 11));
         let q = SharedFactors::from_matrix(&FactorMatrix::random(100, 8, 12));
-        let state = AdaGradState::new(200, 100, 8);
+        let state = AdaGradState::new(200, 100, 8, 1e-8);
         (ds, p, q, state)
     }
 
     #[test]
     fn adagrad_converges() {
         let (ds, p, q, state) = setup();
-        let cfg = AdaGradConfig {
-            threads: 2,
-            ..Default::default()
-        };
+        let cfg = config(2, 0.05);
         let before = rmse(ds.matrix.entries(), &p.snapshot(), &q.snapshot());
         for _ in 0..15 {
             adagrad_hogwild_epoch(ds.matrix.entries(), &p, &q, &state, &cfg);
@@ -206,11 +155,7 @@ mod tests {
         // With the same (aggressive) base step, plain SGD oscillates where
         // AdaGrad's per-parameter damping keeps progress steady.
         let (ds, p, q, state) = setup();
-        let cfg = AdaGradConfig {
-            threads: 1,
-            eta0: 0.1,
-            ..Default::default()
-        };
+        let cfg = config(1, 0.1);
         for _ in 0..5 {
             adagrad_hogwild_epoch(ds.matrix.entries(), &p, &q, &state, &cfg);
         }
@@ -218,15 +163,8 @@ mod tests {
 
         let p2 = SharedFactors::from_matrix(&FactorMatrix::random(200, 8, 11));
         let q2 = SharedFactors::from_matrix(&FactorMatrix::random(100, 8, 12));
-        let hw = crate::hogwild::HogwildConfig {
-            threads: 1,
-            learning_rate: 0.1,
-            lambda_p: 0.01,
-            lambda_q: 0.01,
-            schedule: Default::default(),
-        };
         for _ in 0..5 {
-            crate::hogwild::hogwild_epoch(ds.matrix.entries(), &p2, &q2, &hw);
+            crate::hogwild::hogwild_epoch(ds.matrix.entries(), &p2, &q2, &cfg);
         }
         let sgd = rmse(ds.matrix.entries(), &p2.snapshot(), &q2.snapshot());
         assert!(ada < sgd, "adagrad {ada} vs sgd {sgd}");
@@ -235,10 +173,7 @@ mod tests {
     #[test]
     fn accumulators_grow_monotonically() {
         let (ds, p, q, state) = setup();
-        let cfg = AdaGradConfig {
-            threads: 1,
-            ..Default::default()
-        };
+        let cfg = config(1, 0.05);
         let mut last = 0.0;
         for _ in 0..3 {
             adagrad_hogwild_epoch(ds.matrix.entries(), &p, &q, &state, &cfg);
@@ -251,7 +186,7 @@ mod tests {
     #[test]
     fn empty_entries_noop() {
         let (_, p, q, state) = setup();
-        let cfg = AdaGradConfig::default();
+        let cfg = config(1, 0.05);
         assert_eq!(adagrad_hogwild_epoch(&[], &p, &q, &state, &cfg), 0.0);
         assert_eq!(state.mean_accum_p(), 0.0);
     }

@@ -2,14 +2,12 @@
 //!
 //! The paper's "Transmitting FP16 Data" strategy compresses the feature
 //! matrices to half precision before transfer (§3.4, Strategy 2), using AVX
-//! and multi-threading on the CPU side. This module is the Rust analog: a
-//! bit-exact scalar codec with round-to-nearest-even, subnormal, infinity
-//! and NaN handling, with the bulk slice codecs dispatched through
-//! [`crate::simd`] (F16C vector conversion on capable CPUs, this scalar
-//! codec otherwise), plus chunked rayon-parallel variants whose chunk size
-//! keeps each task in L1.
-
-use rayon::prelude::*;
+//! and multi-threading on the CPU side. This module is the Rust analog of
+//! the AVX half: a bit-exact scalar codec with round-to-nearest-even,
+//! subnormal, infinity and NaN handling, with the bulk slice codecs
+//! dispatched through [`crate::simd`] (F16C vector conversion on capable
+//! CPUs, this scalar codec otherwise). A slice converts on the caller's
+//! thread; the paper's multi-threaded conversion is not reproduced.
 
 /// Converts one `f32` to its nearest binary16 bit pattern
 /// (round-to-nearest-even; overflow rounds to infinity).
@@ -121,29 +119,6 @@ pub fn encode_slice(src: &[f32], dst: &mut [u16]) {
 pub fn decode_slice(src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "decode buffers must match");
     crate::simd::decode_f16(src, dst);
-}
-
-/// Chunk size for the parallel codecs: 16 KiB of f32 per task.
-const PAR_CHUNK: usize = 4096;
-
-/// Parallel encode (the paper's multi-threaded AVX conversion analog).
-pub fn encode_parallel(src: &[f32], dst: &mut [u16]) {
-    assert_eq!(src.len(), dst.len(), "encode buffers must match");
-    dst.par_chunks_mut(PAR_CHUNK)
-        .zip(src.par_chunks(PAR_CHUNK))
-        .for_each(|(d, s)| {
-            encode_slice(s, d);
-        });
-}
-
-/// Parallel decode.
-pub fn decode_parallel(src: &[u16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "decode buffers must match");
-    dst.par_chunks_mut(PAR_CHUNK)
-        .zip(src.par_chunks(PAR_CHUNK))
-        .for_each(|(d, s)| {
-            decode_slice(s, d);
-        });
 }
 
 /// Encodes into a fresh vector.
@@ -279,12 +254,9 @@ mod tests {
             assert_eq!(enc[j], f32_to_f16(s));
         }
         let dec = decode_vec(&enc);
-        let mut enc_par = vec![0u16; src.len()];
-        encode_parallel(&src, &mut enc_par);
-        assert_eq!(enc, enc_par);
-        let mut dec_par = vec![0f32; src.len()];
-        decode_parallel(&enc, &mut dec_par);
-        assert_eq!(dec, dec_par);
+        for (j, &h) in enc.iter().enumerate() {
+            assert_eq!(dec[j].to_bits(), f16_to_f32(h).to_bits());
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! analysis (sparse data ⇒ rare conflicts ⇒ convergence holds), which is
 //! exactly the argument the paper leans on in §2.1 and §4.2.
 //!
+//! The sweep and its thread fan-out exist once, in this module's driver.
+//! Plain SGD ([`hogwild_epoch`]), [AdaGrad](crate::adagrad),
+//! [momentum](crate::momentum) and [biased MF](crate::biased) differ only
+//! in the per-entry step they hand it, and all of them take one
+//! [`HogwildConfig`].
+//!
 //! Two schedules decide *which* entries a thread sweeps:
 //!
 //! * [`Schedule::Stripe`] — thread `t` handles `entries[t], entries[t +
@@ -25,7 +31,7 @@ use crate::kernel::sgd_step_shared;
 use crate::shared::SharedRows;
 use hcc_sparse::{Rating, TileGrid};
 
-/// Which entry-to-thread assignment [`hogwild_epoch`] uses.
+/// Which entry-to-thread assignment a Hogwild epoch uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Interleaved striping over the shuffled entry list (the classic
@@ -65,12 +71,12 @@ impl std::fmt::Display for Schedule {
     }
 }
 
-/// Configuration for one Hogwild epoch.
+/// The one configuration of a Hogwild epoch, whichever update rule runs.
 #[derive(Debug, Clone, Copy)]
 pub struct HogwildConfig {
-    /// Worker threads to spawn (1 = serial, still through the shared path).
+    /// Worker threads to spawn (1 = the sweep runs on the caller's thread).
     pub threads: usize,
-    /// Learning rate γ for this epoch.
+    /// Learning rate γ for this epoch (AdaGrad's base step η₀).
     pub learning_rate: f32,
     /// L2 regularization on `P` (λ1).
     pub lambda_p: f32,
@@ -94,18 +100,115 @@ impl HogwildConfig {
     }
 }
 
-/// Runs one asynchronous epoch over `entries`, updating `p` and `q` in place.
-/// Both are anything that lends [`SharedRows`]: a `&SharedFactors`, or a view
-/// of plain rows somebody holds exclusively.
+/// An epoch's entries, laid out the way its [`Schedule`] deals them to
+/// threads.
+pub(crate) enum Shard<'a> {
+    /// Thread `t` of `n` handles `entries[t], entries[t + n], …`.
+    Stripe(&'a [Rating]),
+    /// Threads claim whole tiles from a shared cursor.
+    Tiled(TileGrid),
+}
+
+impl<'a> Shard<'a> {
+    /// Lays `entries` out for `schedule`. A tiled shard is sized by the last
+    /// row each view answers to, so a view of some rows of a matrix tiles
+    /// its entries as the whole matrix would.
+    ///
+    /// # Panics
+    /// Panics if `p` and `q` differ in latent dimension.
+    pub(crate) fn new(
+        entries: &'a [Rating],
+        schedule: Schedule,
+        p: SharedRows<'_>,
+        q: SharedRows<'_>,
+    ) -> Self {
+        assert_eq!(q.k(), p.k(), "P and Q must share latent dimension");
+        match schedule {
+            // An empty shard has nothing to tile.
+            Schedule::Tiled if !entries.is_empty() => {
+                let (rows, cols) = (p.row_range().end, q.row_range().end);
+                Shard::Tiled(TileGrid::with_default_budget(entries, rows, cols, p.k()))
+            }
+            _ => Shard::Stripe(entries),
+        }
+    }
+}
+
+/// The Hogwild driver every update rule runs on: sweeps `shard` with
+/// `threads` threads, calling `step` on each entry with the thread's own
+/// `scratch_len` floats of scratch space, and returns the summed squares of
+/// the errors `step` returns (measured *before* each update, so a running
+/// training loss, not a post-epoch one), summed thread by thread in thread
+/// order. One thread runs the sweep on the caller's thread; more run as
+/// scoped threads, joined before the driver returns.
 ///
-/// With [`Schedule::Stripe`], entries are processed in stripes: thread `t`
-/// handles `entries[t], entries[t + threads], …`. Striping (rather than
-/// chunking) interleaves hot head-of-file rows across threads, which matters
-/// after the preprocessing shuffle has already randomized order. With
-/// [`Schedule::Tiled`], a [`TileGrid`] is built for the shard (one `O(nnz)`
-/// counting sort) and threads claim whole tiles; callers that run many epochs
-/// over the same shard should build the grid once and use
-/// [`hogwild_epoch_tiled`] instead.
+/// Entries are striped rather than chunked: that interleaves hot
+/// head-of-file rows across threads, which matters after the preprocessing
+/// shuffle has already randomized order. Tiles go to whichever thread asks
+/// next, so tile load imbalance (Zipf-skewed shards concentrate mass in few
+/// tiles) self-levels the way work stealing does.
+///
+/// # Panics
+/// Panics if `threads == 0`; a panic in `step` is resumed on the caller.
+pub(crate) fn drive<F>(shard: Shard<'_>, threads: usize, scratch_len: usize, step: F) -> f64
+where
+    F: Fn(&Rating, &mut [f32]) -> f32 + Sync,
+{
+    assert!(threads > 0, "thread count must be non-zero");
+    let threads = threads.min(match &shard {
+        Shard::Stripe(entries) => entries.len(),
+        Shard::Tiled(grid) => grid.num_tiles(),
+    });
+    let cursor = AtomicUsize::new(0);
+    let sweep = |t: usize| {
+        let mut scratch = vec![0f32; scratch_len];
+        let mut sq_err = 0.0f64;
+        let mut update = |e: &Rating| {
+            let err = step(e, &mut scratch);
+            sq_err += (err as f64) * (err as f64);
+        };
+        match &shard {
+            Shard::Stripe(entries) => {
+                let mut idx = t;
+                while idx < entries.len() {
+                    update(&entries[idx]);
+                    idx += threads;
+                }
+            }
+            Shard::Tiled(grid) => loop {
+                // ordering: Relaxed — work-stealing tile cursor: the RMW's
+                // own atomicity already hands each tile index to exactly one
+                // thread; tile entries are immutable shared data published
+                // by the spawn edge, so no extra ordering is needed.
+                let tile = cursor.fetch_add(1, Ordering::Relaxed);
+                if tile >= grid.num_tiles() {
+                    break;
+                }
+                grid.tile(tile).iter().for_each(&mut update);
+            },
+        }
+        sq_err
+    };
+    match threads {
+        0 => 0.0,
+        1 => sweep(0),
+        _ => std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| scope.spawn(move || sweep(t)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .sum()
+        }),
+    }
+}
+
+/// Runs one asynchronous epoch of plain SGD ([`sgd_step_shared`]) over
+/// `entries`, updating `p` and `q` in place. Both are anything that lends
+/// [`SharedRows`]: a `&SharedFactors`, or a view of plain rows somebody
+/// holds exclusively. [`Schedule::Tiled`] builds a [`TileGrid`] for the
+/// shard first (one `O(nnz)` counting sort).
 ///
 /// Returns the summed squared prediction error observed during the sweep
 /// (errors are measured *before* each update, so this is a running training
@@ -119,171 +222,37 @@ pub fn hogwild_epoch<'a>(
     q: impl Into<SharedRows<'a>>,
     config: &HogwildConfig,
 ) -> f64 {
-    epoch_on(entries, p.into(), q.into(), config)
+    sgd_epoch(entries, p.into(), q.into(), config)
 }
 
 /// [`hogwild_epoch`] on the views: compiled once, here.
-fn epoch_on(
+fn sgd_epoch(
     entries: &[Rating],
     p: SharedRows<'_>,
     q: SharedRows<'_>,
     config: &HogwildConfig,
 ) -> f64 {
-    assert!(config.threads > 0, "thread count must be non-zero");
-    let k = p.k();
-    assert_eq!(q.k(), k, "P and Q must share latent dimension");
-
-    if entries.is_empty() {
-        return 0.0;
-    }
-
-    match config.schedule {
-        Schedule::Stripe => {
-            let threads = config.threads.min(entries.len());
-            if threads == 1 {
-                return sweep_stripe(entries, 0, 1, p, q, config);
-            }
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    handles
-                        .push(scope.spawn(move || sweep_stripe(entries, t, threads, p, q, config)));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .sum()
-            })
-        }
-        Schedule::Tiled => {
-            // Sized by the last row each view answers to, so a view of some
-            // rows of a matrix tiles its entries as the whole matrix would.
-            let (rows, cols) = (p.row_range().end, q.row_range().end);
-            let grid = TileGrid::with_default_budget(entries, rows, cols, k);
-            tiled_epoch_on(&grid, p, q, config)
-        }
-    }
-}
-
-/// Tile-scheduled epoch over a pre-built [`TileGrid`]; the fast path when the
-/// same shard is swept many times (training loops, benchmarks), since the
-/// per-epoch counting sort in [`hogwild_epoch`] is skipped.
-///
-/// Threads claim tiles from a shared atomic cursor, so tile load imbalance
-/// (Zipf-skewed shards concentrate mass in few tiles) self-levels the way
-/// work stealing does.
-///
-/// # Panics
-/// Panics if `config.threads == 0` or if a tile entry indexes outside `p`/`q`.
-pub fn hogwild_epoch_tiled<'a>(
-    grid: &TileGrid,
-    p: impl Into<SharedRows<'a>>,
-    q: impl Into<SharedRows<'a>>,
-    config: &HogwildConfig,
-) -> f64 {
-    tiled_epoch_on(grid, p.into(), q.into(), config)
-}
-
-/// [`hogwild_epoch_tiled`] on the views: compiled once, here.
-fn tiled_epoch_on(
-    grid: &TileGrid,
-    p: SharedRows<'_>,
-    q: SharedRows<'_>,
-    config: &HogwildConfig,
-) -> f64 {
-    assert!(config.threads > 0, "thread count must be non-zero");
-    let k = p.k();
-    assert_eq!(q.k(), k, "P and Q must share latent dimension");
-
-    if grid.is_empty() {
-        return 0.0;
-    }
-
-    let threads = config.threads.min(grid.num_tiles());
-    let cursor = AtomicUsize::new(0);
-    if threads == 1 {
-        return sweep_tiles(grid, &cursor, p, q, config);
-    }
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            handles.push(scope.spawn(move || sweep_tiles(grid, cursor, p, q, config)));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .sum()
+    let HogwildConfig {
+        learning_rate,
+        lambda_p,
+        lambda_q,
+        ..
+    } = *config;
+    let shard = Shard::new(entries, config.schedule, p, q);
+    drive(shard, config.threads, 0, |e, _| {
+        let (u, i) = (e.u as usize, e.i as usize);
+        sgd_step_shared(&p, &q, u, i, e.r, learning_rate, lambda_p, lambda_q)
     })
-}
-
-fn sweep_stripe(
-    entries: &[Rating],
-    offset: usize,
-    stride: usize,
-    p: SharedRows<'_>,
-    q: SharedRows<'_>,
-    config: &HogwildConfig,
-) -> f64 {
-    let mut sq_err = 0.0f64;
-    let mut idx = offset;
-    while idx < entries.len() {
-        let e = entries[idx];
-        let err = sgd_step_shared(
-            &p,
-            &q,
-            e.u as usize,
-            e.i as usize,
-            e.r,
-            config.learning_rate,
-            config.lambda_p,
-            config.lambda_q,
-        );
-        sq_err += (err as f64) * (err as f64);
-        idx += stride;
-    }
-    sq_err
-}
-
-fn sweep_tiles(
-    grid: &TileGrid,
-    cursor: &AtomicUsize,
-    p: SharedRows<'_>,
-    q: SharedRows<'_>,
-    config: &HogwildConfig,
-) -> f64 {
-    let mut sq_err = 0.0f64;
-    loop {
-        // ordering: Relaxed — work-stealing tile cursor: the RMW's own
-        // atomicity already hands each tile index to exactly one worker;
-        // tile entries are immutable shared data published by the spawn
-        // edge, so no extra ordering is needed.
-        let t = cursor.fetch_add(1, Ordering::Relaxed);
-        if t >= grid.num_tiles() {
-            return sq_err;
-        }
-        for e in grid.tile(t) {
-            let err = sgd_step_shared(
-                &p,
-                &q,
-                e.u as usize,
-                e.i as usize,
-                e.r,
-                config.learning_rate,
-                config.lambda_p,
-                config.lambda_q,
-            );
-            sq_err += (err as f64) * (err as f64);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adagrad::{adagrad_hogwild_epoch, adagrad_step, AdaGradState};
+    use crate::biased::{biased_hogwild_epoch, sgd_step_biased, BiasedModel};
     use crate::factors::{FactorMatrix, SharedFactors};
     use crate::loss::rmse;
+    use crate::momentum::{momentum_hogwild_epoch, momentum_step, MomentumState};
     use hcc_sparse::{GenConfig, SyntheticDataset};
 
     fn setup(k: usize) -> (SyntheticDataset, SharedFactors, SharedFactors) {
@@ -359,7 +328,7 @@ mod tests {
 
     #[test]
     fn tiled_epoch_over_prebuilt_grid_matches_adhoc() {
-        // hogwild_epoch(Tiled) and hogwild_epoch_tiled over the same grid
+        // hogwild_epoch(Tiled) and the driver over a grid built beforehand
         // must do the same updates (single thread => deterministic order).
         let (ds, p_a, q_a) = setup(8);
         let (_, p_b, q_b) = setup(8);
@@ -367,7 +336,10 @@ mod tests {
         let loss_a = hogwild_epoch(ds.matrix.entries(), &p_a, &q_a, &config);
         let grid =
             TileGrid::with_default_budget(ds.matrix.entries(), p_b.rows(), q_b.rows(), p_b.k());
-        let loss_b = hogwild_epoch_tiled(&grid, &p_b, &q_b, &config);
+        let (p, q) = (p_b.view(), q_b.view());
+        let loss_b = drive(Shard::Tiled(grid), 1, 0, |e, _| {
+            sgd_step_shared(&p, &q, e.u as usize, e.i as usize, e.r, 0.02, 0.01, 0.01)
+        });
         assert_eq!(loss_a, loss_b);
         assert_eq!(p_a.snapshot(), p_b.snapshot());
         assert_eq!(q_a.snapshot(), q_b.snapshot());
@@ -411,8 +383,11 @@ mod tests {
         let loss = hogwild_epoch(&[], &p, &q, &cfg);
         assert_eq!(loss, 0.0);
         assert_eq!(p.snapshot(), snap);
-        let grid = TileGrid::with_default_budget(&[], p.rows(), q.rows(), p.k());
-        assert_eq!(hogwild_epoch_tiled(&grid, &p, &q, &cfg), 0.0);
+        let tiled = HogwildConfig {
+            schedule: Schedule::Tiled,
+            ..cfg
+        };
+        assert_eq!(hogwild_epoch(&[], &p, &q, &tiled), 0.0);
         assert_eq!(p.snapshot(), snap);
     }
 
@@ -431,38 +406,117 @@ mod tests {
         assert!(loss.is_finite());
     }
 
+    /// The bit patterns of `parts`, concatenated.
+    fn bits(parts: &[&[f32]]) -> Vec<u32> {
+        parts
+            .iter()
+            .flat_map(|p| p.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn returned_loss_is_sum_of_squared_errors_single_thread() {
-        // Replay must hit the same backend as the epoch for exact equality.
+        // Every rule under every schedule, at one thread, is a serial replay
+        // of its step: over the entries in order when striped, over the
+        // grid's tiles in order when tiled. Loss and factor bits must both
+        // match, so the replay must hit the same backend as the epoch.
         let _guard = crate::simd::test_lock();
-        let (ds, p, q) = setup(4);
-        let entries = &ds.matrix.entries()[..10];
-        // Compute expected running loss with an independent serial replay.
-        let p2 = SharedFactors::from_matrix(&p.snapshot());
-        let q2 = SharedFactors::from_matrix(&q.snapshot());
-        let cfg = HogwildConfig {
-            threads: 1,
-            learning_rate: 0.01,
-            lambda_p: 0.0,
-            lambda_q: 0.0,
-            schedule: Schedule::Stripe,
-        };
-        let got = hogwild_epoch(entries, &p, &q, &cfg);
-        let mut want = 0.0f64;
-        for e in entries {
-            let err = crate::kernel::sgd_step_shared(
-                &p2.view(),
-                &q2.view(),
-                e.u as usize,
-                e.i as usize,
-                e.r,
-                0.01,
-                0.0,
-                0.0,
-            );
-            want += (err as f64) * (err as f64);
+        const K: usize = 128; // a tile is 256 rows square: 600 x 600 is 3 x 3 tiles
+        let ds = SyntheticDataset::generate(GenConfig {
+            rows: 600,
+            cols: 600,
+            nnz: 3_000,
+            noise: 0.0,
+            ..GenConfig::default()
+        });
+        let entries = ds.matrix.entries();
+        let (p0, q0) = (
+            FactorMatrix::random(600, K, 11),
+            FactorMatrix::random(600, K, 12),
+        );
+        for schedule in [Schedule::Stripe, Schedule::Tiled] {
+            let config = HogwildConfig {
+                threads: 1,
+                learning_rate: 0.01,
+                lambda_p: 0.02,
+                lambda_q: 0.03,
+                schedule,
+            };
+            let order: Vec<Rating> = match schedule {
+                Schedule::Stripe => entries.to_vec(),
+                Schedule::Tiled => {
+                    let grid = TileGrid::with_default_budget(entries, 600, 600, K);
+                    assert_eq!(grid.num_tiles(), 9);
+                    (0..9).flat_map(|t| grid.tile(t).to_vec()).collect()
+                }
+            };
+            let replay = |step: &mut dyn FnMut(&Rating, &mut [f32]) -> f32| {
+                let mut scratch = vec![0f32; 2 * K];
+                let mut loss = 0.0f64;
+                for e in &order {
+                    let err = step(e, &mut scratch);
+                    loss += (err as f64) * (err as f64);
+                }
+                loss
+            };
+            // Each rule trains one copy of the same start through its epoch
+            // (`false`) and one through the replay (`true`).
+            let sgd = |replayed: bool| {
+                let (mut p, mut q) = (p0.clone(), q0.clone());
+                let loss = if replayed {
+                    let (p, q) = (p.shared(), q.shared());
+                    replay(&mut |e, _| {
+                        let (u, i) = (e.u as usize, e.i as usize);
+                        sgd_step_shared(&p, &q, u, i, e.r, 0.01, 0.02, 0.03)
+                    })
+                } else {
+                    hogwild_epoch(entries, p.shared(), q.shared(), &config)
+                };
+                (loss, bits(&[p.as_slice(), q.as_slice()]))
+            };
+            let adagrad = |replayed: bool| {
+                let (mut p, mut q) = (p0.clone(), q0.clone());
+                let state = AdaGradState::new(600, 600, K, 1e-8);
+                let loss = if replayed {
+                    let (p, q) = (p.shared(), q.shared());
+                    replay(&mut |e, s| adagrad_step(p, q, &state, e, &config, s))
+                } else {
+                    adagrad_hogwild_epoch(entries, p.shared(), q.shared(), &state, &config)
+                };
+                (loss, bits(&[p.as_slice(), q.as_slice()]))
+            };
+            let momentum = |replayed: bool| {
+                let (mut p, mut q) = (p0.clone(), q0.clone());
+                let state = MomentumState::new(600, 600, K, 0.9);
+                let loss = if replayed {
+                    let (p, q) = (p.shared(), q.shared());
+                    replay(&mut |e, s| momentum_step(p, q, &state, e, &config, s))
+                } else {
+                    momentum_hogwild_epoch(entries, p.shared(), q.shared(), &state, &config)
+                };
+                (loss, bits(&[p.as_slice(), q.as_slice()]))
+            };
+            let biased = |replayed: bool| {
+                let model = BiasedModel::init(600, 600, K, 3.0, 5);
+                let loss = if replayed {
+                    replay(&mut |e, s| sgd_step_biased(&model, e, &config, 0.04, s))
+                } else {
+                    biased_hogwild_epoch(entries, &model, &config, 0.04)
+                };
+                let (p, q) = (model.p.snapshot(), model.q.snapshot());
+                let (b, c) = (model.user_bias.snapshot(), model.item_bias.snapshot());
+                (loss, bits(&[p.as_slice(), q.as_slice(), &b, &c]))
+            };
+            let check = |rule: &str, run: &dyn Fn(bool) -> (f64, Vec<u32>)| {
+                let ((got, got_bits), (want, want_bits)) = (run(false), run(true));
+                assert_eq!(got.to_bits(), want.to_bits(), "{rule} {schedule}: loss");
+                assert!(got_bits == want_bits, "{rule} {schedule}: factor bits");
+            };
+            check("sgd", &sgd);
+            check("adagrad", &adagrad);
+            check("momentum", &momentum);
+            check("biased", &biased);
         }
-        assert!((got - want).abs() < 1e-9);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!   Hogwild threads as atomic cells where they are; the kernels take it.
 //! * [`kernel`] — the single-rating SGD update rule with L2 regularization,
 //!   exactly the loss in Fig. 1 of the paper.
-//! * [`hogwild`] — multi-threaded asynchronous SGD over an entry shard; this
-//!   is the compute engine inside every CPU worker.
-//! * [`loss`] — RMSE evaluation (serial and parallel).
+//! * [`hogwild`] — the one Hogwild driver: multi-threaded asynchronous
+//!   sweeps over an entry shard, striped or tiled, under one
+//!   [`HogwildConfig`] for every update rule; the compute engine inside
+//!   every CPU worker.
+//! * [`loss`] — RMSE evaluation.
 //! * [`schedule`] — learning-rate schedules (the paper uses a constant γ).
 //! * [`fp16`] — IEEE-754 binary16 conversion implemented from scratch, used
 //!   by the "Transmitting FP16 Data" communication strategy.
@@ -20,9 +22,9 @@
 //!   (`hcc-serve` stores item factors at reduced precision).
 //! * [`biased`] — the biased-MF extension `μ + b_u + c_i + p·q`, the
 //!   standard production refinement of the paper's plain model.
-//! * [`adagrad`] — AdaGrad-scaled Hogwild (CuMF_SGD ships the same
+//! * [`adagrad`] — AdaGrad-scaled steps (CuMF_SGD ships the same
 //!   alternative kernel).
-//! * [`momentum`] — heavy-ball Hogwild, completing the optimizer family.
+//! * [`momentum`] — heavy-ball steps, completing the optimizer family.
 //! * [`simd`] — runtime-dispatched SIMD kernels (AVX2+FMA fused SGD step,
 //!   F16C half-precision codec) with portable scalar fallbacks.
 //! * [`mem`] — the placement rule for model-sized buffers: each is an
@@ -38,10 +40,7 @@
 //! });
 //! let p = SharedFactors::from_matrix(&FactorMatrix::random(50, 8, 1));
 //! let q = SharedFactors::from_matrix(&FactorMatrix::random(30, 8, 2));
-//! let cfg = HogwildConfig {
-//!     threads: 2, learning_rate: 0.02, lambda_p: 0.01, lambda_q: 0.01,
-//!     schedule: Default::default(),
-//! };
+//! let cfg = HogwildConfig { learning_rate: 0.02, ..HogwildConfig::with_threads(2, 0.01) };
 //! let before = rmse(ds.matrix.entries(), &p.snapshot(), &q.snapshot());
 //! for _ in 0..10 { hogwild_epoch(ds.matrix.entries(), &p, &q, &cfg); }
 //! assert!(rmse(ds.matrix.entries(), &p.snapshot(), &q.snapshot()) < before);
@@ -63,12 +62,12 @@ pub mod schedule;
 pub mod shared;
 pub mod simd;
 
-pub use adagrad::{adagrad_hogwild_epoch, AdaGradConfig, AdaGradState};
-pub use biased::{biased_hogwild_epoch, train_biased, BiasedConfig, BiasedModel, SharedBias};
+pub use adagrad::{adagrad_hogwild_epoch, AdaGradState};
+pub use biased::{biased_hogwild_epoch, BiasedModel, SharedBias};
 pub use factors::{FactorMatrix, SharedFactors};
-pub use hogwild::{hogwild_epoch, hogwild_epoch_tiled, HogwildConfig, Schedule};
+pub use hogwild::{hogwild_epoch, HogwildConfig, Schedule};
 pub use kernel::{dot, dot_unrolled, sgd_step};
 pub use loss::{rmse, rmse_parallel};
-pub use momentum::{momentum_hogwild_epoch, MomentumConfig, MomentumState};
+pub use momentum::{momentum_hogwild_epoch, MomentumState};
 pub use schedule::LearningRate;
 pub use shared::SharedRows;

@@ -2,12 +2,11 @@
 //!
 //! The paper's convergence plots (Fig. 7) report RMSE of `P·Q` against the
 //! observed ratings. Accumulation is in `f64` so 100M-entry sums don't lose
-//! precision.
+//! precision. Evaluation runs on the caller's thread.
 
 use crate::factors::FactorMatrix;
 use crate::kernel::dot;
 use hcc_sparse::Rating;
-use rayon::prelude::*;
 
 /// Root-mean-square error of predictions `p_u · q_i` over `entries`.
 /// Returns 0 for an empty slice.
@@ -25,21 +24,9 @@ pub fn rmse(entries: &[Rating], p: &FactorMatrix, q: &FactorMatrix) -> f64 {
     (sum / entries.len() as f64).sqrt()
 }
 
-/// Parallel RMSE via rayon; identical result to [`rmse`] up to the usual
-/// floating-point reassociation of the sum (accumulated in `f64`, the
-/// difference is negligible and tested to be so).
+/// [`rmse`] under its former name, kept for callers that still use it.
 pub fn rmse_parallel(entries: &[Rating], p: &FactorMatrix, q: &FactorMatrix) -> f64 {
-    if entries.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = entries
-        .par_iter()
-        .map(|e| {
-            let err = e.r as f64 - dot(p.row(e.u as usize), q.row(e.i as usize)) as f64;
-            err * err
-        })
-        .sum();
-    (sum / entries.len() as f64).sqrt()
+    rmse(entries, p, q)
 }
 
 /// Mean squared training objective including regularization terms — the loss
@@ -91,7 +78,7 @@ mod tests {
         let (entries, p, q) = tiny();
         let a = rmse(&entries, &p, &q);
         let b = rmse_parallel(&entries, &p, &q);
-        assert!((a - b).abs() < 1e-12);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

@@ -6,128 +6,94 @@
 //! skewed-popularity data where plain SGD's per-entry steps jitter.
 
 use crate::factors::SharedFactors;
+use crate::hogwild::{drive, HogwildConfig, Shard};
 use crate::kernel::dot;
 use crate::shared::SharedRows;
 use hcc_sparse::Rating;
 use std::sync::atomic::Ordering;
 
-/// Velocity buffers for `P` and `Q`.
+/// Velocity buffers for `P` and `Q`, and the momentum coefficient β that
+/// decays them.
 #[derive(Debug)]
 pub struct MomentumState {
     velocity_p: SharedFactors,
     velocity_q: SharedFactors,
+    beta: f32,
 }
 
 impl MomentumState {
-    /// Zeroed velocities for `m × k` user and `n × k` item factors.
-    pub fn new(m: usize, n: usize, k: usize) -> MomentumState {
+    /// Zeroed velocities for `m × k` user and `n × k` item factors, decayed
+    /// by `beta` each step.
+    ///
+    /// # Panics
+    /// Panics if `beta` is outside `[0, 1)`.
+    pub fn new(m: usize, n: usize, k: usize, beta: f32) -> MomentumState {
+        assert!((0.0..1.0).contains(&beta), "beta must be in [0, 1)");
         MomentumState {
             velocity_p: SharedFactors::zeros(m, k),
             velocity_q: SharedFactors::zeros(n, k),
+            beta,
         }
     }
 }
 
-/// Momentum epoch configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct MomentumConfig {
-    /// Hogwild threads.
-    pub threads: usize,
-    /// Learning rate γ.
-    pub learning_rate: f32,
-    /// Momentum coefficient β ∈ [0, 1).
-    pub beta: f32,
-    /// L2 on `P`.
-    pub lambda_p: f32,
-    /// L2 on `Q`.
-    pub lambda_q: f32,
-}
-
-impl Default for MomentumConfig {
-    fn default() -> Self {
-        MomentumConfig {
-            threads: 1,
-            learning_rate: 0.005,
-            beta: 0.9,
-            lambda_p: 0.01,
-            lambda_q: 0.01,
-        }
+/// One momentum update of row `e.u` of `p` and row `e.i` of `q`. Returns
+/// the pre-update error.
+#[inline]
+pub(crate) fn momentum_step(
+    p: SharedRows<'_>,
+    q: SharedRows<'_>,
+    state: &MomentumState,
+    e: &Rating,
+    config: &HogwildConfig,
+    scratch: &mut [f32],
+) -> f32 {
+    let k = p.k();
+    let (u, i) = (e.u as usize, e.i as usize);
+    let (pl, ql) = scratch.split_at_mut(k);
+    let p_cells = p.row_cells(u);
+    let q_cells = q.row_cells(i);
+    let vp_cells = state.velocity_p.row_cells(u);
+    let vq_cells = state.velocity_q.row_cells(i);
+    // ordering: Relaxed throughout — Hogwild factor and velocity cells:
+    // per-cell atomicity only, racing interleavings are tolerated by the
+    // asynchronous-SGD convergence argument.
+    for j in 0..k {
+        pl[j] = f32::from_bits(p_cells[j].load(Ordering::Relaxed));
+        ql[j] = f32::from_bits(q_cells[j].load(Ordering::Relaxed));
     }
+    let err = e.r - dot(pl, ql);
+    let (lr, beta) = (config.learning_rate, state.beta);
+    for j in 0..k {
+        let gp = err * ql[j] - config.lambda_p * pl[j];
+        let gq = err * pl[j] - config.lambda_q * ql[j];
+        // ordering: Relaxed — see the note above.
+        let vp = beta * f32::from_bits(vp_cells[j].load(Ordering::Relaxed)) + gp;
+        let vq = beta * f32::from_bits(vq_cells[j].load(Ordering::Relaxed)) + gq;
+        vp_cells[j].store(vp.to_bits(), Ordering::Relaxed);
+        vq_cells[j].store(vq.to_bits(), Ordering::Relaxed);
+        p_cells[j].store((pl[j] + lr * vp).to_bits(), Ordering::Relaxed);
+        q_cells[j].store((ql[j] + lr * vq).to_bits(), Ordering::Relaxed);
+    }
+    err
 }
 
 /// One Hogwild epoch with momentum steps. Returns summed squared pre-update
 /// errors.
 ///
 /// # Panics
-/// Panics if `threads == 0` or `beta` is outside `[0, 1)`.
+/// Panics if `config.threads == 0`.
 pub fn momentum_hogwild_epoch<'a>(
     entries: &[Rating],
     p: impl Into<SharedRows<'a>>,
     q: impl Into<SharedRows<'a>>,
     state: &MomentumState,
-    cfg: &MomentumConfig,
+    config: &HogwildConfig,
 ) -> f64 {
     let (p, q) = (p.into(), q.into());
-    assert!(cfg.threads > 0, "thread count must be non-zero");
-    assert!((0.0..1.0).contains(&cfg.beta), "beta must be in [0, 1)");
-    if entries.is_empty() {
-        return 0.0;
-    }
-    let threads = cfg.threads.min(entries.len());
-    let k = p.k();
-    let sweep = |offset: usize| {
-        let mut scratch = vec![0f32; 2 * k];
-        let mut acc = 0.0f64;
-        let mut idx = offset;
-        while idx < entries.len() {
-            let e = entries[idx];
-            let (u, i) = (e.u as usize, e.i as usize);
-            let (pl, ql) = scratch.split_at_mut(k);
-            let p_cells = p.row_cells(u);
-            let q_cells = q.row_cells(i);
-            let vp_cells = state.velocity_p.row_cells(u);
-            let vq_cells = state.velocity_q.row_cells(i);
-            // ordering: Relaxed throughout — Hogwild factor and velocity
-            // cells: per-cell atomicity only, racing interleavings are
-            // tolerated by the asynchronous-SGD convergence argument.
-            for j in 0..k {
-                pl[j] = f32::from_bits(p_cells[j].load(Ordering::Relaxed));
-                ql[j] = f32::from_bits(q_cells[j].load(Ordering::Relaxed));
-            }
-            let err = e.r - dot(pl, ql);
-            for j in 0..k {
-                let gp = err * ql[j] - cfg.lambda_p * pl[j];
-                let gq = err * pl[j] - cfg.lambda_q * ql[j];
-                // ordering: Relaxed — see the loop-level note above.
-                let vp = cfg.beta * f32::from_bits(vp_cells[j].load(Ordering::Relaxed)) + gp;
-                let vq = cfg.beta * f32::from_bits(vq_cells[j].load(Ordering::Relaxed)) + gq;
-                vp_cells[j].store(vp.to_bits(), Ordering::Relaxed);
-                vq_cells[j].store(vq.to_bits(), Ordering::Relaxed);
-                p_cells[j].store(
-                    (pl[j] + cfg.learning_rate * vp).to_bits(),
-                    Ordering::Relaxed,
-                );
-                q_cells[j].store(
-                    (ql[j] + cfg.learning_rate * vq).to_bits(),
-                    Ordering::Relaxed,
-                );
-            }
-            acc += (err as f64) * (err as f64);
-            idx += threads;
-        }
-        acc
-    };
-    if threads == 1 {
-        return sweep(0);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| scope.spawn(move || sweep(t)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .sum()
+    let shard = Shard::new(entries, config.schedule, p, q);
+    drive(shard, config.threads, 2 * p.k(), |e, scratch| {
+        momentum_step(p, q, state, e, config, scratch)
     })
 }
 
@@ -153,17 +119,13 @@ mod tests {
         });
         let p = SharedFactors::from_matrix(&FactorMatrix::random(200, 8, 21));
         let q = SharedFactors::from_matrix(&FactorMatrix::random(100, 8, 22));
-        (ds, p, q, MomentumState::new(200, 100, 8))
+        (ds, p, q, MomentumState::new(200, 100, 8, 0.9))
     }
 
     #[test]
     fn momentum_converges() {
         let (ds, p, q, state) = setup();
-        let cfg = MomentumConfig {
-            threads: 2,
-            learning_rate: 0.005,
-            ..Default::default()
-        };
+        let cfg = HogwildConfig::with_threads(2, 0.01);
         let before = rmse(ds.matrix.entries(), &p.snapshot(), &q.snapshot());
         for _ in 0..15 {
             momentum_hogwild_epoch(ds.matrix.entries(), &p, &q, &state, &cfg);
@@ -175,27 +137,21 @@ mod tests {
     #[test]
     fn zero_beta_equals_plain_sgd() {
         // β = 0 degenerates to plain SGD (single thread, same order).
-        let (ds, p, q, state) = setup();
+        let (ds, p, q, _) = setup();
         let entries = &ds.matrix.entries()[..200];
-        let cfg = MomentumConfig {
-            threads: 1,
-            learning_rate: 0.01,
-            beta: 0.0,
-            lambda_p: 0.02,
-            lambda_q: 0.03,
-        };
-        momentum_hogwild_epoch(entries, &p, &q, &state, &cfg);
-
-        let p2 = SharedFactors::from_matrix(&FactorMatrix::random(200, 8, 21));
-        let q2 = SharedFactors::from_matrix(&FactorMatrix::random(100, 8, 22));
-        let hw = crate::hogwild::HogwildConfig {
+        let cfg = HogwildConfig {
             threads: 1,
             learning_rate: 0.01,
             lambda_p: 0.02,
             lambda_q: 0.03,
             schedule: Default::default(),
         };
-        crate::hogwild::hogwild_epoch(entries, &p2, &q2, &hw);
+        let state = MomentumState::new(200, 100, 8, 0.0);
+        momentum_hogwild_epoch(entries, &p, &q, &state, &cfg);
+
+        let p2 = SharedFactors::from_matrix(&FactorMatrix::random(200, 8, 21));
+        let q2 = SharedFactors::from_matrix(&FactorMatrix::random(100, 8, 22));
+        crate::hogwild::hogwild_epoch(entries, &p2, &q2, &cfg);
         let a = p.snapshot();
         let b = p2.snapshot();
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -206,19 +162,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "beta")]
     fn invalid_beta_panics() {
-        let (ds, p, q, state) = setup();
-        let cfg = MomentumConfig {
-            beta: 1.0,
-            ..Default::default()
-        };
-        momentum_hogwild_epoch(ds.matrix.entries(), &p, &q, &state, &cfg);
+        MomentumState::new(200, 100, 8, 1.0);
     }
 
     #[test]
     fn empty_entries_noop() {
         let (_, p, q, state) = setup();
         assert_eq!(
-            momentum_hogwild_epoch(&[], &p, &q, &state, &MomentumConfig::default()),
+            momentum_hogwild_epoch(&[], &p, &q, &state, &HogwildConfig::with_threads(1, 0.01)),
             0.0
         );
     }

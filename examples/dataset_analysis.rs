@@ -5,7 +5,7 @@
 //! cargo run --release --example dataset_analysis
 //! ```
 
-use hcc_sgd::{train_biased, BiasedConfig};
+use hcc_sgd::{biased_hogwild_epoch, hogwild_epoch, BiasedModel, HogwildConfig};
 use hcc_sparse::stats::row_count_quantiles;
 use hcc_sparse::{DatasetProfile, MatrixStats, SyntheticDataset};
 
@@ -44,29 +44,23 @@ fn main() {
     let (p50, p90, p99, max) = row_count_quantiles(&ds.matrix);
     println!("\nNetflix-shaped row-count quantiles: p50={p50} p90={p90} p99={p99} max={max}");
 
-    // Biased vs plain MF on the same data and budget.
+    // Biased vs plain MF on the same data, budget and Hogwild config.
     let entries = ds.matrix.entries();
     let (m, n) = (ds.matrix.rows() as usize, ds.matrix.cols() as usize);
-    let cfg = BiasedConfig {
-        threads: 2,
+    let cfg = HogwildConfig {
         learning_rate: 0.02,
-        lambda_factor: 0.01,
-        lambda_bias: 0.01,
+        ..HogwildConfig::with_threads(2, 0.01)
     };
-    let model = train_biased(entries, m, n, 16, 20, &cfg, 5);
+    let model = BiasedModel::init(m, n, 16, ds.matrix.mean_rating() as f32, 5);
+    for _ in 0..20 {
+        biased_hogwild_epoch(entries, &model, &cfg, 0.01);
+    }
     let biased_rmse = model.rmse(entries);
 
     let p = hcc_sgd::SharedFactors::from_matrix(&hcc_sgd::FactorMatrix::random(m, 16, 5));
     let q = hcc_sgd::SharedFactors::from_matrix(&hcc_sgd::FactorMatrix::random(n, 16, 6));
-    let hw = hcc_sgd::HogwildConfig {
-        threads: 2,
-        learning_rate: 0.02,
-        lambda_p: 0.01,
-        lambda_q: 0.01,
-        schedule: Default::default(),
-    };
     for _ in 0..20 {
-        hcc_sgd::hogwild_epoch(entries, &p, &q, &hw);
+        hogwild_epoch(entries, &p, &q, &cfg);
     }
     let plain_rmse = hcc_sgd::rmse(entries, &p.snapshot(), &q.snapshot());
     println!(
