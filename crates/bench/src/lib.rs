@@ -19,6 +19,9 @@ use hcc_hetsim::{
 };
 use hcc_partition::{PartitionPlan, PartitionPlanner};
 
+/// The flags an experiment was given, read by name (`get`, `parsed`).
+pub use hcc_mf::cli::Flags;
+
 /// What `results/` holds for an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Archive {
@@ -92,53 +95,6 @@ experiments! {
     ];
 }
 
-/// The flags an experiment was given: each with its value, a switch with `""`.
-pub struct Flags(Vec<(&'static str, String)>);
-
-impl Flags {
-    fn parse(
-        spec: &'static [(&'static str, &'static str)],
-        args: &[String],
-    ) -> Result<Flags, String> {
-        let mut given = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let &(flag, value) = spec
-                .iter()
-                .find(|(flag, _)| flag == arg)
-                .ok_or_else(|| format!("unknown flag {arg}"))?;
-            let value = match value {
-                "" => String::new(),
-                _ => it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value ({value})"))?,
-            };
-            given.push((flag, value));
-        }
-        Ok(Flags(given))
-    }
-
-    /// The value `flag` was given (the last one, if repeated).
-    pub fn get(&self, flag: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .rev()
-            .find(|(f, _)| *f == flag)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The value `flag` was given, parsed; `default` if it was not given.
-    pub fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        self.get(flag).map_or(Ok(default), |v| {
-            v.parse().map_err(|e| format!("{flag} {v}: {e}"))
-        })
-    }
-}
-
 /// Runs `hcc-bench <args>`. An `Err` is a command line the table does not
 /// accept (or an experiment's own failure); `main` prints it with
 /// [`usage`] and exits 2.
@@ -159,7 +115,11 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         .iter()
         .find(|e| e.name == name)
         .ok_or_else(|| format!("unknown experiment {name}"))?;
-    (experiment.run)(&Flags::parse(experiment.flags, rest)?)
+    let flags = Flags::parse(experiment.flags, rest)?;
+    if let Some(arg) = flags.positionals().first() {
+        return Err(format!("unexpected argument {arg}"));
+    }
+    (experiment.run)(&flags)
 }
 
 /// The usage text, generated from [`EXPERIMENTS`].
@@ -282,6 +242,10 @@ mod tests {
         assert_eq!(
             dispatch_err(&["hcc_sim", "--streams", "many"]),
             "--streams many: invalid digit found in string"
+        );
+        assert_eq!(
+            dispatch_err(&["table4_power", "extra"]),
+            "unexpected argument extra"
         );
     }
 

@@ -1,4 +1,4 @@
-//! `hcc` — the HCC-MF command line: train, analyze, recommend.
+//! `hcc` — the HCC-MF command line: train, analyze, recommend, serve.
 //!
 //! ```sh
 //! hcc train ratings.txt --k 64 --workers cpu4,gpu8 --out model
@@ -13,7 +13,7 @@ fn main() -> ExitCode {
     let cmd = match hcc_mf::cli::parse(&args) {
         Ok(cmd) => cmd,
         Err(msg) => {
-            eprintln!("error: {msg}\n{}", hcc_mf::cli::USAGE);
+            eprint!("error: {msg}\n{}", hcc_mf::cli::usage());
             return ExitCode::FAILURE;
         }
     };

@@ -198,7 +198,8 @@ pub struct HccConfig {
     /// Write a crash-safe v2 checkpoint every N epochs (requires
     /// `checkpoint_path`).
     pub checkpoint_every: Option<usize>,
-    /// Where periodic checkpoints are written.
+    /// Where periodic checkpoints are written (requires
+    /// `checkpoint_every`).
     pub checkpoint_path: Option<std::path::PathBuf>,
     /// Resume a previous run from this v2 checkpoint: factors, next epoch,
     /// and learning-rate backoff state are restored. Mutually exclusive
@@ -297,6 +298,11 @@ impl HccConfig {
         if self.checkpoint_every.is_some() && self.checkpoint_path.is_none() {
             return Err(HccError::BadConfig(
                 "checkpoint_every requires checkpoint_path".into(),
+            ));
+        }
+        if self.checkpoint_path.is_some() && self.checkpoint_every.is_none() {
+            return Err(HccError::BadConfig(
+                "checkpoint_path requires checkpoint_every".into(),
             ));
         }
         if self.resume.is_some() && self.warm_start.is_some() {
@@ -636,6 +642,10 @@ mod tests {
             .is_err());
         let mut cfg = HccConfig::builder().build();
         cfg.checkpoint_every = Some(2);
+        assert!(cfg.validate().is_err());
+        // A path alone would write nothing.
+        let mut cfg = HccConfig::builder().build();
+        cfg.checkpoint_path = Some("x.hccmf".into());
         assert!(cfg.validate().is_err());
         // Resume and warm start conflict.
         assert!(HccConfig::builder()

@@ -10,9 +10,10 @@
 //! `static mut`) has no escape hatch, and R6 resolves Release/Acquire
 //! pairs across files within each crate.
 //!
-//! Run locally with `cargo run -p hcc-lint -- --deny` (stage 1 of
-//! `hcc-check` runs the same scan plus the `hcc-sync` routing guard); see
-//! DESIGN.md §11 and §15 for the full policy.
+//! The crate is a library: `cargo run -p hcc-check -- --deny` (stage 1 of
+//! the concurrency verifier, and CI's `lint-invariants` job) runs this scan
+//! plus the `hcc-sync` routing guard; see DESIGN.md §11 and §15 for the
+//! full policy.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
