@@ -2,7 +2,7 @@
 //! long input are folded with PCLMULQDQ (Intel, "Fast CRC Computation for
 //! Generic Polynomials Using PCLMULQDQ Instruction", bit-reflected variant),
 //! four accumulators × 64 bytes per step. Same polynomial and same register
-//! as the table loop in [`crate::frame`], which takes what is left — and
+//! as the table loop in [`crate::block`], which takes what is left — and
 //! everything, on a CPU without the instruction. The crate's only `unsafe`.
 
 #![cfg(target_arch = "x86_64")]

@@ -15,39 +15,22 @@
 //! everything after the magic (kind through payload), so a flipped bit
 //! anywhere in the metadata or data is caught before the receiver
 //! *accepts* the payload. Payloads are f32 at the API and optionally IEEE
-//! binary16 on the wire, reusing the [`Precision`] codec the shared-memory
-//! transports already speak. The length prefix is capped at
-//! [`MAX_PAYLOAD_BYTES`] and checked, with magic and precision, before any
-//! byte of the body is read.
+//! binary16 on the wire, at the [`Precision`] the shared-memory transports
+//! already speak. The length prefix is capped at [`MAX_PAYLOAD_BYTES`] on
+//! both sides: a sender refuses a longer payload before writing a byte, a
+//! receiver checks the prefix, with magic and precision, before it reads
+//! any byte of the body.
 //!
-//! **Ownership rule: this codec allocates nothing, and a frame lands where
-//! it is going.** Both directions stream through one block the caller
-//! owns. [`write_frame`] converts and checksums the caller's `&[f32]` a
-//! blockful at a time; [`read_header`] then [`Incoming::read_into`] take
-//! the body a blockful per read, fold each read into the CRC, decode it
-//! straight into the caller's `&mut [f32]` and compare the trailer last.
-//! So the CRC verdict comes *after* the payload was written: a rejected
-//! frame may have left part of itself in the destination. The receiver
-//! picks destinations where that is harmless — a pull reply's region is
-//! dead until the reply is accepted, a push lands in a slot no collect can
-//! see until its CRC has passed (see [`crate::socket`]). Blocks are
-//! allocated where their owner is built, never per RPC.
-//!
-//! [`Crc32`] is the workspace's one CRC — the checkpoint-v2 footer
-//! (`hcc_mf::checkpoint`) reuses [`crc32`]. On an x86-64 CPU with
-//! PCLMULQDQ it folds whole 16-byte blocks by carry-less multiplication
-//! (`clmul.rs`): about 20 GB/s on the 2.1 GHz benchmark box, 0.05 ms per
-//! MiB. The slicing-by-8 table loop (1.4 GB/s, 0.75 ms per MiB) takes
-//! inputs under 128 bytes, the tail under 16, everything on other CPUs, and
-//! is the folding path's test oracle. A socket round trip checksums its
-//! payload four times — send and receive of the request and of the reply —
-//! so a 4 MiB pull + push pays about 0.8 ms of CRC (12 ms before the
-//! folding path); `save_model` and `load_model` pay one pass each over the
-//! file.
+//! This module owns the header; the payload and the trailer cross through
+//! [`crate::block`], whose rules a frame follows: nothing is allocated,
+//! both directions stream through one block the caller owns, and a
+//! received payload is decoded into its destination *before* the CRC
+//! verdict. Where a socket lands a frame so that a rejected one is harmless
+//! is [`crate::socket`]'s rule.
 
+use crate::block::{self, BadCrc, TRAILER_LEN};
 use crate::transport::Precision;
-use hcc_sgd::fp16;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 /// Frame magic: "HCC frame, version 1".
 pub const MAGIC: [u8; 4] = *b"HCF1";
@@ -55,104 +38,10 @@ pub const MAGIC: [u8; 4] = *b"HCF1";
 /// Fixed header length in bytes (magic through the length prefix).
 pub const HEADER_LEN: usize = 20;
 
-/// CRC trailer length in bytes.
-pub const TRAILER_LEN: usize = 4;
-
 /// Hard cap on the payload length prefix (64 MiB). A corrupted or hostile
 /// length prefix beyond this is rejected as [`FrameError::Oversized`]
 /// whatever the receive buffer holds.
 pub const MAX_PAYLOAD_BYTES: u32 = 1 << 26;
-
-/// Elements the fp16 codec converts per step through its stack scratch.
-const FP16_LANE: usize = 512;
-
-/// CRC-32/IEEE slicing-by-8 tables (reflected polynomial 0xEDB8_8320),
-/// built at compile time: `[0]` is the classic byte table and `[s][b]` is
-/// the CRC of byte `b` followed by `s` zero bytes. Shared by the wire frames
-/// here and the checkpoint-v2 footer.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut s = 1;
-    while s < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[s - 1][i];
-            tables[s][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        s += 1;
-    }
-    tables
-};
-
-/// A running CRC-32/IEEE (init `0xFFFF_FFFF`, final complement; check value
-/// `crc32(b"123456789") == 0xCBF4_3926`), held complemented so that the
-/// default value is the CRC of no bytes: feeding a buffer in any split
-/// gives the CRC of the whole.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Crc32(u32);
-
-impl Crc32 {
-    /// Folds `data` in: whole 16-byte blocks by carry-less multiplication
-    /// where the CPU has it and `data` is long enough, the rest by the
-    /// table loop.
-    pub fn update(&mut self, data: &[u8]) {
-        let c = !self.0;
-        #[cfg(target_arch = "x86_64")]
-        let (c, data) = crate::clmul::fold_blocks(c, data);
-        self.0 = !slicing_by_8(c, data);
-    }
-
-    /// The CRC of everything fed so far.
-    pub fn finish(&self) -> u32 {
-        self.0
-    }
-}
-
-/// Advances the CRC register `c` over `data`, eight bytes per step with a
-/// byte loop for the tail: the portable path, and the oracle of the folding
-/// one.
-fn slicing_by_8(mut c: u32, data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-/// CRC-32/IEEE over `data` in one call.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = Crc32::default();
-    crc.update(data);
-    crc.finish()
-}
 
 /// Which RPC a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -320,60 +209,24 @@ pub fn frame_len(precision: Precision, elems: usize) -> usize {
     HEADER_LEN + elems * precision.bytes_per_element() as usize + TRAILER_LEN
 }
 
-/// Converts `src` to its wire bytes; `dst` holds exactly that many.
-fn encode_payload(precision: Precision, src: &[f32], dst: &mut [u8]) {
-    match precision {
-        Precision::Fp32 => {
-            for (d, v) in dst.chunks_exact_mut(4).zip(src) {
-                d.copy_from_slice(&v.to_le_bytes());
-            }
-        }
-        Precision::Fp16 => {
-            let mut half = [0u16; FP16_LANE];
-            for (d, s) in dst.chunks_mut(2 * FP16_LANE).zip(src.chunks(FP16_LANE)) {
-                let half = &mut half[..s.len()];
-                fp16::encode_slice(s, half);
-                for (b, h) in d.chunks_exact_mut(2).zip(half.iter()) {
-                    b.copy_from_slice(&h.to_le_bytes());
-                }
-            }
-        }
+/// The length prefix of a payload of `elems` elements at `precision`, or
+/// `InvalidInput` when it would be over [`MAX_PAYLOAD_BYTES`], the cap
+/// every receiver enforces.
+pub fn payload_bytes(precision: Precision, elems: usize) -> io::Result<u32> {
+    let len = elems.saturating_mul(precision.bytes_per_element() as usize);
+    match u32::try_from(len) {
+        Ok(len) if len <= MAX_PAYLOAD_BYTES => Ok(len),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "payload over the frame cap",
+        )),
     }
 }
 
-/// Decodes wire bytes into `dst`: as many elements as both hold. Returns
-/// that count.
-fn decode_payload(precision: Precision, wire: &[u8], dst: &mut [f32]) -> usize {
-    let n = dst
-        .len()
-        .min(wire.len() / precision.bytes_per_element() as usize);
-    match precision {
-        Precision::Fp32 => {
-            for (v, c) in dst.iter_mut().zip(wire.chunks_exact(4)) {
-                *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-            }
-        }
-        Precision::Fp16 => {
-            let mut half = [0u16; FP16_LANE];
-            for (d, w) in dst[..n]
-                .chunks_mut(FP16_LANE)
-                .zip(wire.chunks(2 * FP16_LANE))
-            {
-                let half = &mut half[..d.len()];
-                for (h, c) in half.iter_mut().zip(w.chunks_exact(2)) {
-                    *h = u16::from_le_bytes([c[0], c[1]]);
-                }
-                fp16::decode_slice(half, d);
-            }
-        }
-    }
-    n
-}
-
-/// Streams one frame — `header`, `payload` encoded at `header.precision`,
-/// CRC trailer — to `stream`, converting and checksumming through `block`
-/// one blockful at a time, so nothing is allocated and a small frame is a
-/// single write. The bytes do not depend on the block size.
+/// Streams one frame — `header`, `payload` at `header.precision`, CRC
+/// trailer — to `stream` through `block` ([`block::write`]): nothing is
+/// allocated and a small frame is a single write. A payload over the cap
+/// ([`payload_bytes`]) is refused before a byte is written.
 ///
 /// # Panics
 /// Panics if `block` is shorter than `HEADER_LEN + TRAILER_LEN`.
@@ -382,36 +235,16 @@ pub fn write_frame<W: Write>(
     header: &Header,
     payload: &[f32],
     block: &mut [u8],
-) -> std::io::Result<()> {
-    assert!(
-        block.len() >= HEADER_LEN + TRAILER_LEN,
-        "frame block too short"
-    );
-    let bpe = header.precision.bytes_per_element() as usize;
-    block[..HEADER_LEN].copy_from_slice(&header.to_bytes((payload.len() * bpe) as u32));
-    let mut crc = Crc32::default();
-    // `block[unsummed..filled]` is encoded but not yet in the CRC (which
-    // skips the magic) or on the stream.
-    let (mut unsummed, mut filled) = (MAGIC.len(), HEADER_LEN);
-    let mut rest = payload;
-    loop {
-        let (now, later) = rest.split_at(rest.len().min((block.len() - filled) / bpe));
-        encode_payload(
-            header.precision,
-            now,
-            &mut block[filled..filled + now.len() * bpe],
-        );
-        filled += now.len() * bpe;
-        rest = later;
-        crc.update(&block[unsummed..filled]);
-        if rest.is_empty() && block.len() - filled >= TRAILER_LEN {
-            break;
-        }
-        stream.write_all(&block[..filled])?;
-        (unsummed, filled) = (0, 0);
-    }
-    block[filled..filled + TRAILER_LEN].copy_from_slice(&crc.finish().to_le_bytes());
-    stream.write_all(&block[..filled + TRAILER_LEN])
+) -> io::Result<()> {
+    let len = payload_bytes(header.precision, payload.len())?;
+    block::write(
+        stream,
+        block,
+        &header.to_bytes(len),
+        MAGIC.len(),
+        header.precision,
+        &[payload],
+    )
 }
 
 /// The validated header of a frame whose body is still on the stream.
@@ -434,7 +267,7 @@ pub struct Incoming {
 /// prefix (cap and element alignment), the fields a receiver needs before
 /// it can pick a destination. An `Err` here means the frame boundary is
 /// lost; no byte of the body has been read.
-pub fn read_header<R: Read>(stream: &mut R) -> std::io::Result<Result<Incoming, FrameError>> {
+pub fn read_header<R: Read>(stream: &mut R) -> io::Result<Result<Incoming, FrameError>> {
     let mut raw = [0u8; HEADER_LEN];
     stream.read_exact(&mut raw)?;
     let magic = [raw[0], raw[1], raw[2], raw[3]];
@@ -474,12 +307,9 @@ impl Incoming {
         RpcKind::from_u8(self.raw[4])
     }
 
-    /// Streams the body — payload, then trailer — through `block`, one
-    /// blockful per read: each read is folded into the CRC and decoded
-    /// straight into `dst` (as many elements as both hold; the rest are
-    /// only checksummed, so an empty `dst` checks a body without landing
-    /// it), and the trailer is compared last. The last payload read takes
-    /// the trailer along when it fits, as [`write_frame`] sends it.
+    /// Streams the body — payload, then trailer — through `block`
+    /// ([`block::read`]), decoding the payload into `dst` as far as it
+    /// holds; an empty `dst` checks a body without landing it.
     ///
     /// On `Ok(Ok(header))` the frame was whole and intact. On any other
     /// outcome **`dst` may hold part of the rejected payload**: the caller
@@ -489,54 +319,38 @@ impl Incoming {
     /// short stream included) does not.
     ///
     /// # Panics
-    /// Panics if `block` is shorter than `HEADER_LEN + TRAILER_LEN`.
+    /// Panics if `block` is shorter than `TRAILER_LEN`.
     pub fn read_into<R: Read>(
         &self,
         stream: &mut R,
         dst: &mut [f32],
         block: &mut [u8],
-    ) -> std::io::Result<Result<Header, FrameError>> {
-        assert!(
-            block.len() >= HEADER_LEN + TRAILER_LEN,
-            "frame block too short"
-        );
-        let bpe = self.precision.bytes_per_element() as usize;
-        let step = block.len() / bpe * bpe;
-        let mut crc = Crc32::default();
-        crc.update(&self.raw[MAGIC.len()..]);
-        let (mut left, mut decoded) = (self.wire_len, 0);
-        let expected = loop {
-            let n = left.min(step);
-            let last = n == left && block.len() - n >= TRAILER_LEN;
-            let got = &mut block[..if last { n + TRAILER_LEN } else { n }];
-            stream.read_exact(got)?;
-            let (wire, trailer) = got.split_at(n);
-            crc.update(wire);
-            decoded += decode_payload(self.precision, wire, &mut dst[decoded..]);
-            left -= n;
-            if last {
-                break u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-            }
-        };
-        let kind = match self.kind() {
-            Ok(kind) => kind,
-            Err(err) => return Ok(Err(err)),
-        };
-        if expected != crc.finish() {
-            return Ok(Err(FrameError::BadCrc {
-                expected,
-                got: crc.finish(),
-            }));
-        }
-        Ok(Ok(Header {
-            kind,
-            precision: self.precision,
-            worker: self.worker,
-            epoch: self.epoch,
-            chunk: self.chunk,
+    ) -> io::Result<Result<Header, FrameError>> {
+        let checked = block::read(
+            stream,
+            block,
+            &self.raw[MAGIC.len()..],
+            self.precision,
+            self.wire_len,
+            &mut [dst],
+            true,
+        )?;
+        Ok(self.kind().and_then(|kind| {
+            checked.map_err(|BadCrc { expected, got }| FrameError::BadCrc { expected, got })?;
+            Ok(Header {
+                kind,
+                precision: self.precision,
+                worker: self.worker,
+                epoch: self.epoch,
+                chunk: self.chunk,
+            })
         }))
     }
 }
+
+// What the reference codec needs that the shipped one no longer does.
+#[cfg(test)]
+use {crate::block::crc32, hcc_sgd::fp16};
 
 /// The codec [`write_frame`] and [`Incoming::read_into`] replaced — one
 /// `Vec` for the frame, one for the fp16 halves; a receive that checks the
@@ -635,7 +449,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::Frame;
     use super::*;
-    use crate::socket::BLOCK;
+    use crate::block::BLOCK;
     use std::io::ErrorKind;
 
     fn sample(precision: Precision) -> Frame {
@@ -708,101 +522,6 @@ mod tests {
             Err(io) => {
                 assert_eq!(io.kind(), ErrorKind::UnexpectedEof, "{what}");
                 None
-            }
-        }
-    }
-
-    #[test]
-    fn crc32_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    /// The byte-at-a-time loop every other path is checked against.
-    fn bytewise(mut c: u32, data: &[u8]) -> u32 {
-        for &b in data {
-            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        c
-    }
-
-    /// The folding path on its own, whatever `Crc32::update` would pick:
-    /// whole blocks by CLMUL, the tail by the byte loop. On a CPU without the
-    /// instruction nothing is folded and this is the byte loop.
-    fn folded(c: u32, data: &[u8]) -> u32 {
-        #[cfg(target_arch = "x86_64")]
-        let (c, data) = crate::clmul::fold_blocks(c, data);
-        bytewise(c, data)
-    }
-
-    fn noise(len: usize) -> Vec<u8> {
-        (0..len as u32)
-            .map(|i| (i.wrapping_mul(0x9e37_79b1) >> 24) as u8)
-            .collect()
-    }
-
-    #[test]
-    fn crc32_matches_the_bytewise_loop() {
-        // Every length across the 8-, 16-, 64- and 128-byte steps of the
-        // three paths, at every start offset of an unaligned buffer, from a
-        // register that is not the initial one.
-        let buf = noise(4_200 + 16);
-        for start in 0..16 {
-            for len in 0..=4_200 {
-                let data = &buf[start..start + len];
-                let c = 0xFFFF_FFFF ^ (start * 4_201 + len) as u32;
-                let want = bytewise(c, data);
-                assert_eq!(
-                    slicing_by_8(c, data),
-                    want,
-                    "tables: start {start} len {len}"
-                );
-                assert_eq!(folded(c, data), want, "clmul: start {start} len {len}");
-                let mut crc = Crc32(!c);
-                crc.update(data);
-                assert_eq!(crc.finish(), !want, "update: start {start} len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn update_over_seeded_random_splits_is_the_bytewise_crc() {
-        use rand::{Rng, SeedableRng};
-        // How `write_frame` feeds it: a 16-byte header, fp16 lanes, blocks —
-        // pieces under 16 and under 128 bytes between long ones.
-        let buf = noise(70_000);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xC1_0C);
-        for case in 0..1_000 {
-            let start = rng.random_range(0..64);
-            let len = rng.random_range(0..buf.len() - start);
-            let data = &buf[start..start + len];
-            let mut crc = Crc32::default();
-            let mut rest = data;
-            while !rest.is_empty() {
-                let most = [15usize, 127, 1_024, 65_536][rng.random_range(0..4usize)];
-                let (piece, later) = rest.split_at(rng.random_range(0..=most.min(rest.len())));
-                crc.update(piece);
-                rest = later;
-            }
-            assert_eq!(
-                crc.finish(),
-                !bytewise(!0, data),
-                "case {case}: {start}+{len}"
-            );
-        }
-    }
-
-    #[test]
-    fn running_crc_over_any_split_equals_the_whole() {
-        let buf = noise(257);
-        let whole = crc32(&buf);
-        for a in 0..=buf.len() {
-            for b in (a..=buf.len()).step_by(7) {
-                let mut crc = Crc32::default();
-                crc.update(&buf[..a]);
-                crc.update(&buf[a..b]);
-                crc.update(&buf[b..]);
-                assert_eq!(crc.finish(), whole, "split at {a}, {b}");
             }
         }
     }

@@ -17,8 +17,12 @@
 //! * [`pipeline`] — the asynchronous pull→compute→push pipeline used by
 //!   Strategy 3 ("Asynchronous Computing-Transmission") to overlap
 //!   communication with computation across multiple streams.
-//! * [`frame`] — the length-prefixed, CRC-32-trailed wire frame codec the
-//!   socket transport speaks (and the checkpoint footer reuses).
+//! * [`block`] — the one block codec: a caller's header, then `f32`
+//!   sections at a [`Precision`], then a CRC-32 trailer, streamed through
+//!   one caller-owned block. Socket frames and `hcc_mf` checkpoints both
+//!   cross through it, and [`Crc32`] is the workspace's one CRC.
+//! * [`frame`] — the length-prefixed wire frame header the socket
+//!   transport speaks around the block codec.
 //! * [`socket`] — [`CommSocket`]: the same [`Transport`] contract over a
 //!   Unix domain socket or loopback TCP with per-RPC deadlines, bounded
 //!   retries, jittered reconnect backoff, and idempotent push dedup.
@@ -51,6 +55,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod backoff;
+pub mod block;
 pub mod buffer;
 pub mod chaos;
 mod clmul;
@@ -63,11 +68,12 @@ pub mod strategy;
 pub mod transport;
 
 pub use backoff::Backoff;
+pub use block::{crc32, Crc32};
 pub use buffer::SharedBuffer;
 pub use chaos::{ChaosStats, ChaosTransport};
 pub use delta::{apply_delta, delta_len, encode_delta, max_delta_len, DeltaError};
 pub use fault::{Fault, FaultPlan};
-pub use frame::{crc32, Crc32, FrameError, Header, RpcKind};
+pub use frame::{FrameError, Header, RpcKind};
 pub use pipeline::{run_pipeline, PipelineStats};
 pub use socket::{CommSocket, NetEvent, NetEventKind, NetStats, SocketConfig};
 pub use strategy::TransferStrategy;

@@ -30,14 +30,15 @@
 //!
 //! **Ownership rule: an RPC allocates nothing, and a frame lands where it
 //! is going.** The published region, the push slots and one [`BLOCK`] per
-//! worker at each end of the link are allocated by the constructor, on the
-//! thread that builds the endpoint, and live as long as it. Every frame, in
-//! either direction, streams through its worker's block: a sender converts
-//! the caller's slice into it a blockful at a time, a receiver reads a
-//! blockful, folds it into the CRC and decodes it straight into its
-//! destination, and compares the trailer last ([`crate::frame`]). So a
-//! frame is decoded *before* its CRC verdict, and each destination is one
-//! where a rejected frame is harmless:
+//! worker at each end of the link (capped at the link's largest frame) are
+//! allocated by the constructor, on the thread that builds the endpoint,
+//! and live as long as it; a region whose frame would be over
+//! [`MAX_PAYLOAD_BYTES`](crate::frame::MAX_PAYLOAD_BYTES) is refused there,
+//! before anything is allocated.
+//! Every frame, in either direction, streams through its worker's block by
+//! [`crate::block`]'s rules, so a frame is decoded *before* its CRC
+//! verdict, and each destination is one where a rejected frame is
+//! harmless:
 //!
 //! * **Pull reply → the caller's `dst`.** The worker's region is dead until
 //!   the reply is accepted: a pull that fails (after its retries) leaves it
@@ -66,9 +67,10 @@
 //! carries.
 
 use crate::backoff::Backoff;
+use crate::block::{BLOCK, TRAILER_LEN};
 use crate::frame::{
-    frame_len, read_header, write_frame, FrameError, Header, Incoming, RpcKind, HEADER_LEN,
-    TRAILER_LEN,
+    frame_len, payload_bytes, read_header, write_frame, FrameError, Header, Incoming, RpcKind,
+    HEADER_LEN,
 };
 use crate::transport::{wait_ready, CommError, Precision, Transport};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -179,19 +181,6 @@ impl Write for SockStream {
         }
     }
 }
-
-/// The block every frame streams through, in both directions: what a
-/// sender converts per write and a receiver checksums and decodes per read,
-/// and — capped at the link's largest frame — the one buffer each end of a
-/// link keeps per worker. A constant, not a knob. Its derivation: PR 20
-/// measured a 4 MiB round trip the same within noise at 64 KiB, 256 KiB,
-/// 1 MiB and whole-frame writes (UDS 14.6–16.0 ms, TCP 15.9–16.7 ms), and
-/// ISSUE 19's prototype saw TCP lose a fifth at 64 KiB; PR 24 picked
-/// 256 KiB for the checkpoint codec's block (a 1 MiB `write` to this
-/// kernel's ext4 costs 5 ms). At 256 KiB a read is still in L2 when it is
-/// checksummed and decoded, and a link holds 2·W blocks where it held 2·W
-/// whole frames (DESIGN §4.2).
-pub const BLOCK: usize = 256 << 10;
 
 /// Push acknowledged and applied (or deduplicated).
 const STATUS_OK: u32 = 0;
@@ -361,34 +350,22 @@ impl ServerState {
             } else {
                 incoming.read_into(&mut stream, &mut [], &mut block)
             };
-            let frame = match received {
-                Ok(Ok(frame)) => frame,
-                // Framing held but the body failed its CRC: nack so the
-                // sender retries the same sequence number.
-                Ok(Err(err)) if err.keeps_sync() => {
-                    let nack = Header::control(
-                        RpcKind::Sync,
-                        incoming.worker,
-                        incoming.epoch,
-                        STATUS_CORRUPT,
-                    );
-                    if write_frame(&mut stream, &nack, &[], &mut status).is_err() {
-                        return;
-                    }
-                    continue;
+            let code = match received {
+                // DeltaPush differs from Push only in what the payload
+                // *means* (a row-delta vs a full buffer); on the server it
+                // is plain bytes into the slot, same dedup, same ack.
+                Ok(Ok(_)) if push => {
+                    // ordering: Relaxed — wire-byte statistic: the payload.
+                    self.push_bytes
+                        .fetch_add(incoming.wire_len as u64, Ordering::Relaxed);
+                    STATUS_OK
                 }
-                // The stream broke mid-frame.
-                _ => return,
-            };
-            match frame.kind {
-                RpcKind::Pull => {
+                Ok(Ok(frame)) if frame.kind == RpcKind::Pull => {
                     let published = self.published.read();
                     let reply = Header {
-                        kind: RpcKind::Pull,
                         precision: self.precision,
-                        worker: frame.worker,
-                        epoch: frame.epoch,
                         chunk: 0,
+                        ..frame
                     };
                     // ordering: Relaxed — wire-byte statistic: the payload.
                     self.pull_bytes.fetch_add(
@@ -398,22 +375,19 @@ impl ServerState {
                     if write_frame(&mut stream, &reply, &published, &mut block).is_err() {
                         return;
                     }
+                    continue;
                 }
-                // DeltaPush differs from Push only in what the payload
-                // *means* (a row-delta vs a full buffer); on the server it
-                // is plain bytes into the slot, same dedup, same ack.
-                RpcKind::Push | RpcKind::DeltaPush => {
-                    // ordering: Relaxed — wire-byte statistic: the payload.
-                    self.push_bytes
-                        .fetch_add(incoming.wire_len as u64, Ordering::Relaxed);
-                    let ack = Header::control(RpcKind::Sync, frame.worker, frame.epoch, STATUS_OK);
-                    if write_frame(&mut stream, &ack, &[], &mut status).is_err() {
-                        return;
-                    }
-                }
-                RpcKind::Sync => {
-                    // Clients never send Sync; ignore.
-                }
+                // Clients never send Sync; ignore.
+                Ok(Ok(_)) => continue,
+                // Framing held but the body failed its CRC: nack so the
+                // sender retries the same sequence number.
+                Ok(Err(err)) if err.keeps_sync() => STATUS_CORRUPT,
+                // The stream broke mid-frame.
+                _ => return,
+            };
+            let ack = Header::control(RpcKind::Sync, incoming.worker, incoming.epoch, code);
+            if write_frame(&mut stream, &ack, &[], &mut status).is_err() {
+                return;
             }
         }
     }
@@ -493,7 +467,8 @@ pub struct CommSocket {
 
 impl CommSocket {
     /// Binds a fresh loopback socket and starts the accept loop, with
-    /// default resilience tuning.
+    /// default resilience tuning. Refuses (`InvalidInput`) a `pull_len` or
+    /// `push_len` whose frame would be over the cap a receiver enforces.
     pub fn new(
         workers: usize,
         pull_len: usize,
@@ -517,6 +492,9 @@ impl CommSocket {
         precision: Precision,
         cfg: SocketConfig,
     ) -> std::io::Result<CommSocket> {
+        // A frame the peer would refuse: every RPC would retry until the run
+        // failed with a misleading `Comm` error.
+        payload_bytes(precision, pull_len.max(push_len))?;
         // ordering: Relaxed — the counter only needs uniqueness, not
         // synchronization with other memory.
         let id = SOCKET_ID.fetch_add(1, Ordering::Relaxed);
@@ -561,6 +539,7 @@ impl CommSocket {
         precision: Precision,
         cfg: SocketConfig,
     ) -> std::io::Result<CommSocket> {
+        payload_bytes(precision, pull_len.max(push_len))?; // as `with_config`
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = SockAddr::Tcp(listener.local_addr()?);
         Self::start(
@@ -1364,6 +1343,43 @@ mod tests {
                 .unwrap();
             assert_eq!(dst, vec![3.0; 4]);
         }
+    }
+
+    #[test]
+    fn a_region_over_the_frame_cap_is_refused_by_both_ends_of_the_wire() {
+        // 2^24 fp32 elements are the 64 MiB cap; one more is a frame every
+        // receiver drops the connection on.
+        let over = (1 << 24) + 1;
+        for (pull_len, push_len) in [(over, 1), (1, over)] {
+            for tcp in [false, true] {
+                let built = if tcp {
+                    CommSocket::new_tcp(1, pull_len, push_len, Precision::Fp32)
+                } else {
+                    CommSocket::new(1, pull_len, push_len, Precision::Fp32)
+                };
+                let Err(err) = built else {
+                    panic!("a link of {pull_len} / {push_len} elements was built (tcp {tcp})");
+                };
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            }
+        }
+        // The sender refuses such a payload before it writes a byte; one
+        // element less is exactly the cap.
+        let payload = vec![0f32; over];
+        let header = push_frame(1, Vec::new()).header;
+        let mut out = Vec::new();
+        let mut block = [0u8; HEADER_LEN + TRAILER_LEN];
+        let err = write_frame(&mut out, &header, &payload, &mut block).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(
+            out.is_empty(),
+            "wrote {} bytes of a refused frame",
+            out.len()
+        );
+        assert_eq!(
+            payload_bytes(Precision::Fp32, over - 1).unwrap(),
+            crate::frame::MAX_PAYLOAD_BYTES
+        );
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //!   once). Reduces volume to `n/(m+n)` of the original.
 //! * `HalfQ` — `QOnly` plus FP16 compression: half the bytes again.
 
-use serde::{Deserialize, Serialize};
-
 /// Which feature data a worker exchanges with the server each epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransferStrategy {
     /// Transmit both `P` and `Q` in FP32 (the unoptimized baseline).
     FullPq,

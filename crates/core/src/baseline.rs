@@ -82,13 +82,11 @@ impl BaselinePredictor {
 
     /// The residual matrix `r_ui − b_ui` (same dimensions and sparsity).
     pub fn residual_matrix(&self, matrix: &CooMatrix) -> CooMatrix {
-        let entries: Vec<Rating> = matrix
-            .entries()
-            .iter()
-            .map(|e| Rating::new(e.u, e.i, e.r - self.predict(e.u, e.i)))
-            .collect();
-        CooMatrix::new(matrix.rows(), matrix.cols(), entries)
-            .expect("residuals preserve dimensions")
+        let mut residuals = matrix.clone();
+        for e in residuals.entries_mut() {
+            e.r -= self.predict(e.u, e.i);
+        }
+        residuals
     }
 
     /// RMSE of the baseline alone over `entries`.

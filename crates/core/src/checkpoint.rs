@@ -24,20 +24,22 @@
 //! over `path`, so a crash mid-write can never leave a loadable-but-torn
 //! file at `path`; a write that fails takes its `.tmp` with it.
 //!
-//! Both directions stream. A model crosses the codec through one 256 KiB
-//! block of bytes, with the CRC folded in block by block
-//! ([`hcc_comm::frame::Crc32`]): saving holds the factors and one block,
-//! loading holds the factors it returns and one block — never the file.
-//! Loading takes the file's length from its metadata and validates the
-//! exact length the header implies *before* allocating (an absurd-dimension
-//! header is rejected instead of attempting a huge allocation), allocates
-//! `P` and `Q` once, fills them, and only then compares the CRC footer,
-//! which catches every single-bit flip; on a mismatch the half-trusted
-//! factors are dropped and nothing but the error leaves. v1 and v2 share
-//! the reader: they differ in the header's length and in having a footer.
+//! This module owns the header and the file's lifecycle; `P` and `Q` and
+//! the footer cross through the block codec ([`hcc_comm::block`]) at fp32,
+//! whose streaming and ownership rules a checkpoint follows: saving holds
+//! the factors and one [`BLOCK`], loading the factors it returns and one
+//! block — never the file. Loading takes the file's length from its
+//! metadata and validates the exact length the header implies *before*
+//! allocating (an absurd-dimension header is rejected instead of attempting
+//! a huge allocation), allocates `P` and `Q` once, and lets the codec fill
+//! them and compare the footer last, which catches every single-bit flip;
+//! on a mismatch the half-trusted factors are dropped and nothing but the
+//! error leaves. v1 and v2 share the reader: they differ in the header's
+//! length and in having a footer.
 
 use crate::error::HccError;
-use hcc_comm::frame::Crc32;
+use hcc_comm::block::{self, BadCrc, BLOCK};
+use hcc_comm::Precision;
 use hcc_sgd::{mem, FactorMatrix};
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -53,15 +55,6 @@ const FLAG_TRANSPOSED: u8 = 1;
 const V2_META_LEN: usize = 5 * 8 + 4 + 1;
 /// v1 bytes between magic and P: 3×u64.
 const V1_META_LEN: usize = 3 * 8;
-
-/// Bytes of the one buffer a model is streamed through, in either
-/// direction, and so of every `read` and `write` call. Large enough that
-/// the calls and the CRC's set-up vanish beside the copy; not larger,
-/// because a `write` is also the page cache's allocation unit: on Linux
-/// 6.18 / ext4 (large folios) an 18 MiB file written in 1 MiB or 2 MiB
-/// calls takes 80–200 ms, in calls of 64–256 KiB 4–8 ms (the kernel hunts
-/// for one contiguous folio a call).
-const BLOCK: usize = 256 << 10;
 
 /// Training-loop state stored alongside the factors in a v2 checkpoint so a
 /// killed run can resume mid-training.
@@ -95,15 +88,6 @@ pub struct ResumeState {
     pub q: FactorMatrix,
     pub meta: TrainingMeta,
 }
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib polynomial). The implementation lives in
-// `hcc_comm::frame` — the checkpoint footer and the network frame trailer
-// are byte-for-byte the same checksum — and is re-exported here so
-// existing `checkpoint::crc32` callers keep working.
-// ---------------------------------------------------------------------------
-
-pub use hcc_comm::frame::crc32;
 
 // ---------------------------------------------------------------------------
 // Save
@@ -164,15 +148,8 @@ fn write_v2(
     q: &FactorMatrix,
     meta: &TrainingMeta,
 ) -> io::Result<()> {
-    let mut crc = Crc32::default();
-    let mut block = Vec::with_capacity(BLOCK);
-    let mut flush = |block: &mut Vec<u8>| {
-        crc.update(block);
-        let wrote = out.write_all(block);
-        block.clear();
-        wrote
-    };
-    block.extend_from_slice(MAGIC_V2);
+    let mut header = Vec::with_capacity(MAGIC_V2.len() + V2_META_LEN);
+    header.extend_from_slice(MAGIC_V2);
     for v in [
         p.rows() as u64,
         q.rows() as u64,
@@ -180,29 +157,18 @@ fn write_v2(
         meta.epoch as u64,
         meta.seed,
     ] {
-        block.extend_from_slice(&v.to_le_bytes());
+        header.extend_from_slice(&v.to_le_bytes());
     }
-    block.extend_from_slice(&meta.lr_scale.to_le_bytes());
-    block.push(if meta.transposed { FLAG_TRANSPOSED } else { 0 });
-    for mut floats in [p.as_slice(), q.as_slice()] {
-        while !floats.is_empty() {
-            let fit = (BLOCK - block.len()) / 4;
-            let (now, later) = floats.split_at(fit.min(floats.len()));
-            let at = block.len();
-            block.resize(at + now.len() * 4, 0);
-            for (bytes, v) in block[at..].chunks_exact_mut(4).zip(now) {
-                bytes.copy_from_slice(&v.to_le_bytes());
-            }
-            floats = later;
-            // More to come: the block has no room for another float.
-            if !floats.is_empty() {
-                flush(&mut block)?;
-            }
-        }
-    }
-    flush(&mut block)?;
-    let footer = crc.finish().to_le_bytes();
-    out.write_all(&footer)
+    header.extend_from_slice(&meta.lr_scale.to_le_bytes());
+    header.push(if meta.transposed { FLAG_TRANSPOSED } else { 0 });
+    block::write(
+        &mut out,
+        &mut vec![0u8; BLOCK],
+        &header,
+        0,
+        Precision::Fp32,
+        &[p.as_slice(), q.as_slice()],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -233,12 +199,6 @@ pub fn load_checkpoint<P: AsRef<Path>>(path: P) -> Result<ResumeState, HccError>
     read_checkpoint(file, len)
 }
 
-fn read_u64(bytes: &[u8], off: usize) -> u64 {
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&bytes[off..off + 8]);
-    u64::from_le_bytes(buf)
-}
-
 /// Rejects headers whose dimensions can't correspond to a real file: the
 /// payload length they imply must match the actual byte count exactly, so
 /// a bit-flipped dimension can never trigger a huge allocation.
@@ -249,16 +209,10 @@ fn checked_dims(
     payload_len: u64,
 ) -> Result<(usize, usize, usize), HccError> {
     let (m, n, k) = (m as usize, n as usize, k as usize);
-    let expected = (|| {
-        if k == 0 {
-            return None;
-        }
-        let pk = m.checked_mul(k)?;
-        let qk = n.checked_mul(k)?;
-        pk.checked_add(qk)?.checked_mul(4)
-    })();
+    // (m + n)·k·4 without overflow, so m·k and n·k are in range too.
+    let expected = (|| m.checked_add(n)?.checked_mul(k)?.checked_mul(4))();
     match expected {
-        Some(len) if len as u64 == payload_len => Ok((m, n, k)),
+        Some(len) if k > 0 && len as u64 == payload_len => Ok((m, n, k)),
         _ => Err(HccError::CorruptCheckpoint(format!(
             "header dims ({m}×{n}×{k}) inconsistent with payload of {payload_len} bytes"
         ))),
@@ -276,7 +230,7 @@ fn read_checkpoint(mut src: impl Read, len: u64) -> Result<ResumeState, HccError
         src.read_exact(&mut head[..magic_len])?;
     }
     let (version, meta_len, footer_len) = match &head[..magic_len] {
-        magic if magic == MAGIC_V2 => (2, V2_META_LEN, 4),
+        magic if magic == MAGIC_V2 => (2, V2_META_LEN, block::TRAILER_LEN),
         magic if magic == MAGIC_V1 => (1, V1_META_LEN, 0),
         _ => {
             return Err(HccError::CorruptCheckpoint(
@@ -292,10 +246,8 @@ fn read_checkpoint(mut src: impl Read, len: u64) -> Result<ResumeState, HccError
     };
     let head = &mut head[..header_len];
     src.read_exact(&mut head[magic_len..])?;
-    let mut crc = Crc32::default();
-    crc.update(head);
 
-    let dims = |i: usize| read_u64(head, magic_len + 8 * i);
+    let dims = |i: usize| u64::from_le_bytes(std::array::from_fn(|b| head[magic_len + 8 * i + b]));
     let (m, n, k) = checked_dims(dims(0), dims(1), dims(2), payload_len)?;
     let meta = if version == 2 {
         let at = magic_len + 40;
@@ -318,26 +270,19 @@ fn read_checkpoint(mut src: impl Read, len: u64) -> Result<ResumeState, HccError
     // The length check above is what makes these two allocations safe.
     let mut p = vec![0.0f32; m * k];
     let mut q = vec![0.0f32; n * k];
-    let mut block = vec![0u8; BLOCK];
-    for floats in [&mut p, &mut q] {
-        for chunk in floats.chunks_mut(BLOCK / 4) {
-            let bytes = &mut block[..chunk.len() * 4];
-            src.read_exact(bytes)?;
-            crc.update(bytes);
-            for (v, b) in chunk.iter_mut().zip(bytes.chunks_exact(4)) {
-                *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            }
-        }
-    }
-    if footer_len > 0 {
-        let mut footer = [0u8; 4];
-        src.read_exact(&mut footer)?;
-        let (stored, computed) = (u32::from_le_bytes(footer), crc.finish());
-        if stored != computed {
-            return Err(HccError::CorruptCheckpoint(format!(
-                "crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            )));
-        }
+    let checked = block::read(
+        &mut src,
+        &mut vec![0u8; BLOCK],
+        head,
+        Precision::Fp32,
+        payload_len as usize,
+        &mut [&mut p[..], &mut q[..]],
+        footer_len > 0,
+    )?;
+    if let Err(BadCrc { expected, got }) = checked {
+        return Err(HccError::CorruptCheckpoint(format!(
+            "crc mismatch (stored {expected:#010x}, computed {got:#010x})"
+        )));
     }
     Ok(ResumeState {
         p: FactorMatrix::from_vec(m, k, p),
@@ -345,6 +290,10 @@ fn read_checkpoint(mut src: impl Read, len: u64) -> Result<ResumeState, HccError
         meta,
     })
 }
+
+// The reference encoder checksums the file in one call.
+#[cfg(test)]
+use hcc_comm::block::crc32;
 
 /// The encoder [`write_v2`] replaced, kept as its oracle: the whole file
 /// assembled in one `Vec`, float by float, and checksummed in one pass.

@@ -21,10 +21,9 @@
 use crate::platform::{Platform, WorkerSlot};
 use hcc_comm::{Fault, TransferStrategy};
 use hcc_sparse::DatasetProfile;
-use serde::{Deserialize, Serialize};
 
 /// The data shape a simulation runs against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Dataset name (drives the per-class rate lookup).
     pub name: String,
@@ -49,7 +48,7 @@ impl Workload {
 }
 
 /// Simulation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Latent dimension (paper: 128).
     pub k: u64,
@@ -65,7 +64,6 @@ pub struct SimConfig {
     /// centralized server). With N shards each push's merge splits into N
     /// equal slices handled by N concurrent FIFO queues — the node-sharded
     /// server, where every shard owns `1/N` of the synchronized rows.
-    #[serde(default)]
     pub server_shards: usize,
 }
 
@@ -82,7 +80,7 @@ impl Default for SimConfig {
 }
 
 /// Phase of a span in the epoch timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Server → worker transfer.
     Pull,
@@ -95,7 +93,7 @@ pub enum Phase {
 }
 
 /// One contiguous activity in the timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSpan {
     /// Worker index (sync spans carry the worker whose push is merged).
     pub worker: usize,
@@ -115,7 +113,7 @@ impl PhaseSpan {
 }
 
 /// Per-worker accumulated phase durations.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkerTotals {
     /// Total pull time.
     pub pull: f64,
@@ -133,7 +131,7 @@ impl WorkerTotals {
 }
 
 /// The result of simulating one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochTrace {
     /// Every phase span: worker phases in the order the calendar served
     /// them (a worker's chunks stay in chunk order), then syncs in service
@@ -401,7 +399,7 @@ pub fn simulate_epoch_faulty(
 
 /// Multi-epoch summary (epochs are barrier-separated: the next pull needs
 /// the merged global matrix, so total time = epochs × epoch makespan).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingSim {
     /// The repeated epoch.
     pub epoch: EpochTrace,

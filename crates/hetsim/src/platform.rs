@@ -7,10 +7,9 @@
 //! time-share as a worker when the asynchronous strategy is off (§3.5).
 
 use crate::profile::{BusKind, ProcessorProfile};
-use serde::{Deserialize, Serialize};
 
 /// One worker: a processor attached to the server by a bus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSlot {
     /// The processor profile.
     pub profile: ProcessorProfile,
@@ -22,7 +21,6 @@ pub struct WorkerSlot {
     /// Workers sharing a `bus_group` contend for one physical link: their
     /// transfers queue on it, one at a time per direction. `None` =
     /// dedicated link, the paper's Fig.-2 assumption.
-    #[serde(default)]
     pub bus_group: Option<u32>,
 }
 
@@ -35,7 +33,7 @@ impl WorkerSlot {
 }
 
 /// A multi-CPU/GPU machine: server + workers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Human-readable name ("6242-2080S", …).
     pub name: String,

@@ -15,10 +15,8 @@
 //! * The Xeon 6242 at non-measured thread counts is scaled by the Table 2
 //!   bandwidth ratio (the kernel is memory-bound, §3.2).
 
-use serde::{Deserialize, Serialize};
-
 /// CPU or GPU, with its paper-relevant configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcKind {
     /// A CPU worker with this many SGD threads.
     Cpu { threads: u32 },
@@ -35,7 +33,7 @@ impl ProcKind {
 }
 
 /// Interconnect between a worker and the server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BusKind {
     /// PCI-E 3.0 x16: ~16 GB/s per direction.
     PciE3x16,
@@ -65,7 +63,7 @@ impl BusKind {
 /// UPI bus. Mirrors the socket transport's failure model: a loss rate
 /// eats goodput through retransmits, and each retransmit round costs a
 /// fixed latency on top of the serialization time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NicProfile {
     /// Per-direction bandwidth in bytes/s.
     pub bandwidth: f64,
@@ -122,7 +120,7 @@ impl NicProfile {
 ///
 /// Rates for the four Table 4 datasets are stored explicitly; unknown
 /// workloads fall back to a nearest-shape match (see [`RateTable::rate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateTable {
     /// Netflix-class: tall matrix, moderate nnz (99 M).
     pub netflix: f64,
@@ -184,7 +182,7 @@ impl RateTable {
 }
 
 /// One processor: identity, rates, bandwidth behaviour, price.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorProfile {
     /// Display name ("RTX 2080S", "6242-16T", …).
     pub name: String,

@@ -12,11 +12,9 @@
 //!   workers in steps of `T_sync` so worker `i`'s server-side merge hides
 //!   under worker `i+1`'s still-running computation.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a worker sits in the CPU group or the GPU group (Algorithm 1
 /// moves data between the two groups as wholes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerClass {
     /// A CPU worker.
     Cpu,

@@ -16,10 +16,8 @@
 //! compute term dominates `7k/P_i` arithmetic because `P_i ≫ B_i` (the
 //! paper drops that term; we do too).
 
-use serde::{Deserialize, Serialize};
-
 /// All Table-1 parameters needed to evaluate the model, in byte/second units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Observed ratings.
     pub nnz: u64,

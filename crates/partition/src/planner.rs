@@ -8,10 +8,9 @@
 
 use crate::dp::{dp0, dp1, dp2, Dp1Options, WorkerClass};
 use crate::model::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// Which partition strategy the planner settled on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyChoice {
     /// Basic proportional split only (planner forced, or no refinement).
     Dp0,

@@ -8,10 +8,9 @@
 use crate::error::SparseError;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One observed rating: user `u` gave item `i` the value `r`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rating {
     /// Row (user) index.
     pub u: u32,
@@ -34,7 +33,7 @@ impl Rating {
 /// Invariants: every entry satisfies `u < rows` and `i < cols`. Duplicate
 /// `(u, i)` pairs are permitted (SGD treats them as repeated observations),
 /// though the generators never produce them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CooMatrix {
     rows: u32,
     cols: u32,

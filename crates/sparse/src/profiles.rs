@@ -6,10 +6,9 @@
 //! bandwidth matter) and scaled-down real training runs.
 
 use crate::gen::GenConfig;
-use serde::{Deserialize, Serialize};
 
 /// Shape and training hyper-parameters of one evaluation dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetProfile {
     /// Human-readable name as used in the paper.
     pub name: &'static str,

@@ -154,7 +154,7 @@ type Case = (&'static str, fn(HccConfigBuilder) -> HccConfigBuilder, f64);
 
 /// The three wires the budgets are pinned over, with what each one's
 /// endpoints hold, in units of `R` (`Q`'s bytes at f32). At this shape a
-/// link's block (`hcc_comm::socket::BLOCK`, 256 KiB) is a quarter of `R`.
+/// link's block (`hcc_comm::block::BLOCK`, 256 KiB) is a quarter of `R`.
 const CASES: [Case; 3] = [
     // ShardedServer: published, rebuilt, encoded (3 R). Each of two links
     // carries half of `Q`: published H and 2 slots H — 3 H a link — plus a
@@ -261,7 +261,7 @@ fn a_socket_link_holds_its_regions_and_one_block_a_worker_at_each_end() {
     let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     const W: usize = 2;
     const LINK_SMALL: u64 = 16 * 1_024;
-    let block = hcc_comm::socket::BLOCK;
+    let block = hcc_comm::block::BLOCK;
     // A frame inside one block, one a block and a half long, one of
     // sixteen blocks: the link's own buffers must not grow with it.
     for elems in [block / 16, 3 * block / 8, 4 * block] {
@@ -301,8 +301,8 @@ const ITEMS: usize = 131_072;
 const P_BYTES: u64 = (USERS * K * 4) as u64;
 const Q_BYTES: u64 = (ITEMS * K * 4) as u64;
 const MODEL: u64 = P_BYTES + Q_BYTES;
-/// The checkpoint codec's one buffer (`checkpoint.rs::BLOCK`).
-const BLOCK: u64 = 256 << 10;
+/// The checkpoint codec's one buffer.
+const BLOCK: u64 = hcc_comm::block::BLOCK as u64;
 /// Everything small a phase allocates: paths, error strings, `k`-sized
 /// scratch rows, per-shard headers.
 const SMALL: u64 = 16 * 1_024;
