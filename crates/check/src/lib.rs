@@ -16,9 +16,9 @@
 //!   covering them.
 //! * **Stage 2 — deterministic interleaving exploration.** Under
 //!   `--features model`, the `models` module holds small extracted models of the
-//!   five protocols (telemetry ring handoff, heartbeat board, serve
-//!   snapshot swap, admission capacity + merger election, delta-base
-//!   publish) written against the `hcc_sync` facade. The suite in
+//!   four protocols (heartbeat board, serve snapshot swap, admission
+//!   capacity + merger election, delta-base publish) written against the
+//!   `hcc_sync` facade. The suite in
 //!   `tests/model_check.rs` exhausts their interleavings (bounded
 //!   preemption, seeded deterministic order) and additionally *weakens*
 //!   one ordering per model to prove the checker would catch the
@@ -36,7 +36,6 @@ pub mod models;
 /// the racy-init argument R2 documents). CI fails if this set shrinks:
 /// every file must exist and keep importing `hcc_sync`.
 pub const ROUTED_MODULES: &[&str] = &[
-    "crates/telemetry/src/ring.rs",
     "crates/core/src/supervisor.rs",
     "crates/core/src/server.rs",
     "crates/serve/src/engine.rs",

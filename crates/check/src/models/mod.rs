@@ -1,4 +1,4 @@
-//! Extracted interleaving models of the workspace's five lock-free
+//! Extracted interleaving models of the workspace's four lock-free
 //! protocols.
 //!
 //! Each module distills one real protocol to the handful of shared cells
@@ -14,7 +14,6 @@
 //!
 //! | model | real code | invariant |
 //! |-------|-----------|-----------|
-//! | [`ring`] | `crates/telemetry/src/ring.rs` | no torn ring read across a lane handoff |
 //! | [`heartbeat`] | `crates/core/src/supervisor.rs` | an observed beat implies consistent worker stats — no false `dead` mark with settled state |
 //! | [`snapshot`] | `crates/serve/src/engine.rs` | a query never sees a mixed P/Q snapshot across a reload |
 //! | [`admission`] | `crates/serve/src/admission.rs` | queue depth never exceeds capacity; exactly one merger sees every partial |
@@ -23,7 +22,6 @@
 pub mod admission;
 pub mod delta_base;
 pub mod heartbeat;
-pub mod ring;
 pub mod snapshot;
 
 /// A model's test body, ready to hand to `hcc_sync::model::explore`.
@@ -35,7 +33,6 @@ pub type ModelCtor = fn(bool) -> ModelBody;
 /// `(name, body-constructor)` for every model, for suite-wide loops.
 pub fn all() -> Vec<(&'static str, ModelCtor)> {
     vec![
-        ("ring", ring::boxed_body),
         ("heartbeat", heartbeat::boxed_body),
         ("snapshot", snapshot::boxed_body),
         ("admission", admission::boxed_body),

@@ -22,7 +22,7 @@ fn cfg(seed: u64) -> Config {
 }
 
 #[test]
-fn all_five_protocols_pass_exhaustively() {
+fn every_protocol_passes_exhaustively() {
     for (name, body) in models::all() {
         let stats = explore_seeded(cfg(0x5EED), body(false))
             .unwrap_or_else(|v| panic!("model `{name}` violated: {v}"));

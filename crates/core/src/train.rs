@@ -990,9 +990,6 @@ impl<'a> Session<'a> {
             return WorkerEpochStats::default();
         }
         let lane = worker_id as u32;
-        // Fresh scoped thread each epoch: the previous epoch's scope join
-        // orders this writer after the last one.
-        telemetry.adopt_lane(lane);
 
         // Each stage locks chunk `c`'s region for as long as it works on
         // it; the stages of one chunk run in order, so they never contend.
@@ -1039,10 +1036,9 @@ impl<'a> Session<'a> {
             let ((), pushed) = timed(telemetry, || push(0, ()));
             [pulled, computed, pushed]
         } else {
-            // The stages run on the pipeline's own threads, which must not
-            // write this single-writer lane: only per-stage busy totals
-            // come back, recorded as three spans sharing the pipeline's
-            // start time.
+            // The stages run on the pipeline's own threads and report only
+            // per-stage busy totals, recorded as three spans sharing the
+            // pipeline's start time.
             let start = telemetry.now_us();
             let chunks = self.chunks.len();
             let busy = run_pipeline(chunks, chunks, pull, compute, push);

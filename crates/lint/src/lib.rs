@@ -1,7 +1,7 @@
 //! `hcc-lint`: the workspace invariant checker.
 //!
 //! The correctness of HCC-MF's hot paths rests on contracts the compiler
-//! cannot see: Hogwild kernels and telemetry rings document *why* their
+//! cannot see: Hogwild kernels and SIMD dispatch document *why* their
 //! `unsafe` is sound, lock-free structures choose specific memory
 //! orderings, and library crates promise typed errors instead of panics.
 //! This crate turns those comment-level contracts into CI-enforced rules

@@ -32,7 +32,7 @@
 //! under overload. The dispatcher samples queue depth, cumulative shed
 //! count, and batch size into an [`Event::Admission`] telemetry event
 //! after every drain (on telemetry lane 0, which serving otherwise leaves
-//! unused; the dispatcher thread is its single writer).
+//! unused).
 
 use crate::engine::{finish_all, scan_shard_batch, QueryScan, ServeEngine};
 use crate::error::ServeError;
@@ -287,10 +287,6 @@ fn dispatcher_loop(
     engine: Arc<ServeEngine>,
     senders: Vec<mpsc::SyncSender<Arc<BatchJob>>>,
 ) {
-    // The dispatcher is the sole writer of telemetry lane 0 from here on
-    // (serving headers size lanes for shard workers, which never record);
-    // adopt once, strictly after pipeline construction handed us off.
-    engine.telemetry().adopt_lane(0);
     loop {
         let (batch, depth_after) = {
             let mut q = shared.queue.lock();

@@ -73,8 +73,7 @@ pub struct ServeEngine {
     telemetry: Telemetry,
     /// Bounded reservoir of per-query latencies in µs (amortized for
     /// batches). Serving-path bookkeeping, not hot relative to an
-    /// `O(items · k)` scan. This mutex also serializes writes to the
-    /// telemetry server lane — see [`ServeEngine::note_queries`].
+    /// `O(items · k)` scan.
     latencies: Mutex<LatencyReservoir>,
     queries: AtomicU64,
     reloads: AtomicU64,
@@ -453,31 +452,19 @@ impl ServeEngine {
     }
 
     /// Records `n` answered queries that together took `t0.elapsed()`.
-    ///
-    /// Telemetry spans are recorded while holding the `latencies` mutex:
-    /// the server lane is a single-writer ring (`hcc-telemetry`'s safety
-    /// protocol requires at most one writing thread at a time, with a
-    /// happens-before edge between successive writers), and `ServeEngine`
-    /// is `Sync` — queries run concurrently from many threads. The mutex
-    /// provides exactly that exclusion and ordering; the final drain in
-    /// [`finish_telemetry`](ServeEngine::finish_telemetry) is ordered
-    /// because it consumes the engine by value.
     fn note_queries(&self, n: u64, t0: Instant) {
         let total_us = t0.elapsed().as_micros() as u64;
         let per_query = total_us / n.max(1);
-        // ordering: Relaxed — query counter is a statistic; latency and
-        // telemetry recording below are serialized by the mutex.
+        // ordering: Relaxed — query counter is a statistic; the latency
+        // samples below are serialized by the mutex.
         self.queries.fetch_add(n, Ordering::Relaxed);
         let mut lat = self.latencies.lock();
         for _ in 0..n {
             lat.record(per_query);
         }
+        drop(lat);
         if self.telemetry.is_enabled() {
             let lane = self.telemetry.server_lane();
-            // Writer handoff: the mutex held above orders this thread
-            // after the previous recording thread (debug builds assert
-            // the discipline via the lane's owner check).
-            self.telemetry.adopt_lane(lane);
             let start = self.telemetry.now_us().saturating_sub(total_us);
             for i in 0..n {
                 self.telemetry.phase(
@@ -494,9 +481,7 @@ impl ServeEngine {
 
     /// Records individually measured per-query latencies (the admission
     /// pipeline measures enqueue→answer wall time per query, so tail
-    /// percentiles include queue wait). Same server-lane serialization
-    /// argument as [`note_queries`](Self::note_queries): the telemetry
-    /// writes happen under the `latencies` mutex.
+    /// percentiles include queue wait).
     pub(crate) fn note_latencies(&self, lat_us: &[u64]) {
         // ordering: Relaxed — statistics counter, as in `note_queries`.
         self.queries
@@ -505,10 +490,9 @@ impl ServeEngine {
         for &us in lat_us {
             lat.record(us);
         }
+        drop(lat);
         if self.telemetry.is_enabled() {
             let lane = self.telemetry.server_lane();
-            // Writer handoff under the mutex, as in `note_queries`.
-            self.telemetry.adopt_lane(lane);
             let now = self.telemetry.now_us();
             for (i, &us) in lat_us.iter().enumerate() {
                 self.telemetry.phase(
@@ -975,10 +959,8 @@ mod tests {
     }
 
     /// Concurrent queries on a telemetry-enabled engine all record onto
-    /// the single-writer server lane; the engine must serialize those
-    /// writes (they go through the latencies mutex). Runs under the
-    /// nightly TSan matrix like the torn-model test above — a race here
-    /// is UB, not just lost events.
+    /// the server lane; its lock must serialize those writes. Runs under
+    /// the nightly TSan matrix like the torn-model test above.
     #[test]
     fn concurrent_telemetry_recording_is_serialized_and_lossless() {
         use hcc_telemetry::{Event, Header};

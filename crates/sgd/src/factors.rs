@@ -81,24 +81,6 @@ impl FactorMatrix {
         &mut self.data[r * self.k..(r + 1) * self.k]
     }
 
-    /// Two distinct rows mutably at once (for the SGD step on `P` and `Q`
-    /// held in one matrix — not used by HCC-MF but handy for tests).
-    ///
-    /// # Panics
-    /// Panics if `a == b`.
-    pub fn rows_mut_pair(&mut self, a: usize, b: usize) -> (&mut [f32], &mut [f32]) {
-        assert_ne!(a, b, "rows must be distinct");
-        let k = self.k;
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b * k);
-            (&mut lo[a * k..(a + 1) * k], &mut hi[..k])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a * k);
-            let b_row = &mut lo[b * k..(b + 1) * k];
-            (&mut hi[..k], b_row)
-        }
-    }
-
     /// Whole buffer.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
@@ -144,15 +126,6 @@ impl FactorMatrix {
                 block
             })
             .collect()
-    }
-
-    /// Frobenius norm (for regularization diagnostics).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>()
-            .sqrt()
     }
 }
 
@@ -313,29 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_mut_pair_disjoint() {
-        let mut m = FactorMatrix::zeros(3, 2);
-        {
-            let (a, b) = m.rows_mut_pair(0, 2);
-            a[0] = 1.0;
-            b[1] = 2.0;
-        }
-        assert_eq!(m.row(0), &[1.0, 0.0]);
-        assert_eq!(m.row(2), &[0.0, 2.0]);
-        // Reversed order works too.
-        let (a, b) = m.rows_mut_pair(2, 0);
-        assert_eq!(b[0], 1.0);
-        assert_eq!(a[1], 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct")]
-    fn rows_mut_pair_same_row_panics() {
-        let mut m = FactorMatrix::zeros(2, 2);
-        let _ = m.rows_mut_pair(1, 1);
-    }
-
-    #[test]
     fn shared_roundtrip() {
         let m = FactorMatrix::random(4, 3, 1);
         let s = SharedFactors::from_matrix(&m);
@@ -442,11 +392,5 @@ mod tests {
         let m = FactorMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         s.copy_from(&m);
         assert_eq!(s.snapshot(), m);
-    }
-
-    #[test]
-    fn frobenius_norm() {
-        let m = FactorMatrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

@@ -29,27 +29,6 @@ pub fn rmse_parallel(entries: &[Rating], p: &FactorMatrix, q: &FactorMatrix) -> 
     rmse(entries, p, q)
 }
 
-/// Mean squared training objective including regularization terms — the loss
-/// function in Fig. 1 of the paper (useful for monotonicity diagnostics).
-pub fn regularized_objective(
-    entries: &[Rating],
-    p: &FactorMatrix,
-    q: &FactorMatrix,
-    lambda_p: f64,
-    lambda_q: f64,
-) -> f64 {
-    let mse: f64 = entries
-        .iter()
-        .map(|e| {
-            let err = e.r as f64 - dot(p.row(e.u as usize), q.row(e.i as usize)) as f64;
-            err * err
-        })
-        .sum();
-    let np = p.frobenius_norm();
-    let nq = q.frobenius_norm();
-    mse + lambda_p * np * np + lambda_q * nq * nq
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,14 +74,5 @@ mod tests {
             e.r = dot(p.row(e.u as usize), q.row(e.i as usize));
         }
         assert_eq!(rmse(&entries, &p, &q), 0.0);
-    }
-
-    #[test]
-    fn objective_includes_regularization() {
-        let (entries, p, q) = tiny();
-        let base = regularized_objective(&entries, &p, &q, 0.0, 0.0);
-        let reg = regularized_objective(&entries, &p, &q, 1.0, 1.0);
-        // ‖P‖² = 2, ‖Q‖² = 13.
-        assert!((reg - base - 15.0).abs() < 1e-9);
     }
 }

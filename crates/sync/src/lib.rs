@@ -1,18 +1,18 @@
 //! `hcc-sync`: the synchronization facade the lock-free cores route through.
 //!
-//! Every hand-argued concurrent protocol in the workspace — the telemetry
-//! ring's single-writer lanes, the heartbeat board's Release/Acquire
-//! pairing, the serve engine's snapshot swap, the admission queue's
-//! bounded backpressure and merger election, the sharded server's
-//! delta-base snapshot, and the SIMD backend cache — imports its atomics
-//! and locks from this crate instead of `std::sync::atomic` /
-//! `parking_lot` directly.
+//! Every hand-argued concurrent protocol in the workspace — the heartbeat
+//! board's Release/Acquire pairing, the serve engine's snapshot swap, the
+//! admission queue's bounded backpressure and merger election, the
+//! sharded server's delta-base snapshot, and the SIMD backend cache —
+//! imports its atomics and locks from this crate instead of
+//! `std::sync::atomic` / `parking_lot` directly, and so do the telemetry
+//! lanes' mutexes, which need no protocol of their own.
 //!
 //! In a normal build the module is a set of **pure re-exports**: the same
 //! types, zero cost, no behavioral change. Under the `model` cargo feature
 //! the re-exports swap to an instrumented runtime (the `model` module) driven by a
 //! deterministic interleaving explorer — a vendored, dependency-free
-//! mini-loom. `hcc-check` extracts small models of the five protocols
+//! mini-loom. `hcc-check` extracts small models of the four protocols
 //! above, runs them under `explore`, and asserts their invariants over
 //! every schedule within a preemption bound (see DESIGN.md §15).
 //!

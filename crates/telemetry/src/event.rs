@@ -269,15 +269,8 @@ pub struct Timeline {
     pub header: Header,
     /// All recorded events, sorted by start time.
     pub events: Vec<Event>,
-    /// Events discarded because a ring buffer was full.
+    /// Events discarded because their lane was full.
     pub dropped: u64,
-}
-
-impl Timeline {
-    /// The server lane's worker id (`workers` indexes past the last worker).
-    pub fn server_id(&self) -> u32 {
-        self.header.workers
-    }
 }
 
 #[cfg(test)]
