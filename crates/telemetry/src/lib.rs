@@ -279,6 +279,25 @@ mod tests {
         assert_eq!(timeline.dropped, 6);
     }
 
+    /// The disabled hot path must be a branch, not a syscall: 1M calls in
+    /// well under the time even 2% of a short epoch would allow. The bound
+    /// is deliberately loose (shared CI runners) — the structural check is
+    /// the size assertion in `disabled_records_nothing_and_finishes_none`.
+    #[test]
+    fn disabled_calls_are_branch_cheap() {
+        let t = Telemetry::disabled();
+        let start = Instant::now();
+        for i in 0..1_000_000u32 {
+            t.phase(0, i, 0, Phase::Comp, 0, Duration::ZERO);
+            std::hint::black_box(&t);
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "1M disabled calls took {elapsed:?}"
+        );
+    }
+
     /// Two threads record on one lane with no handoff between them: the
     /// lane's lock keeps every event that fits and counts the rest.
     #[test]

@@ -8,8 +8,9 @@ use hcc_sparse::{GenConfig, SyntheticDataset};
 use hcc_telemetry::{epoch_breakdown, Event, Phase};
 use std::sync::Mutex;
 
-/// Every test in this binary trains a multi-worker model; each takes this
-/// lock so they run one at a time instead of competing for cores.
+/// `disabled_mode_overhead_is_negligible` times a tight loop; concurrent
+/// tests stealing cores would skew it, so every test in this binary takes
+/// this lock and they run one at a time.
 static SEQ: Mutex<()> = Mutex::new(());
 
 fn sequential() -> std::sync::MutexGuard<'static, ()> {
@@ -214,6 +215,37 @@ fn model_validation_runs_for_all_partition_modes() {
         assert!(text.contains("cost-model validation"), "{text}");
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// The disabled-by-default budget: instrumentation left in the hot path
+/// must cost well under 2% of any epoch. An epoch makes roughly
+/// `3 × workers` phase calls plus one sync span per worker and a handful
+/// of byte/end events — about 25 calls at 4 workers — so at the asserted
+/// per-call ceiling of 1 µs the overhead stays below 2% for any epoch
+/// longer than 1.25 ms (real epochs are tens to hundreds of ms).
+#[test]
+fn disabled_mode_overhead_is_negligible() {
+    let _seq = sequential();
+    let telemetry = hcc_mf::Telemetry::disabled();
+    let calls = 1_000_000u32;
+    let start = std::time::Instant::now();
+    for i in 0..calls {
+        let t0 = telemetry.now_us();
+        telemetry.phase(
+            i % 4,
+            i,
+            i % 4,
+            Phase::Comp,
+            t0,
+            std::time::Duration::from_micros(1),
+        );
+    }
+    let per_call = start.elapsed().as_secs_f64() / calls as f64;
+    assert!(
+        per_call < 1e-6,
+        "disabled telemetry call costs {:.0} ns",
+        per_call * 1e9
+    );
 }
 
 /// Supervisor events (straggler / rollback) land in the timeline when the
