@@ -4,43 +4,34 @@
 //! crate machine-checks them in two complementary ways (DESIGN.md §15):
 //!
 //! * **Stage 1 — static protocol rules.** The `hcc-check` binary runs the
-//!   full `hcc-lint` rule set, which PR 10 extends with cross-file
-//!   protocol rules: R6 (every `Release` store pairs with an
-//!   `Acquire`/`AcqRel` read of the same atomic field somewhere in the
-//!   crate), R7 (`unsafe` raw-pointer/`UnsafeCell` regions carry a
-//!   `// SHARED:` comment naming the cells they touch, and the named
-//!   cells have an explicitly-shared type), and R8 (no new `SeqCst`, no
-//!   new `static mut` — not allowlistable). It also guards the routing
-//!   set: the modules in [`ROUTED_MODULES`] must keep importing their
-//!   synchronization from `hcc-sync`, or the model suite silently stops
-//!   covering them.
+//!   full `hcc-lint` rule set, including its cross-file protocol rules:
+//!   R6 (every `Release` store pairs with an `Acquire`/`AcqRel` read of
+//!   the same atomic field somewhere in the crate), R7 (`unsafe`
+//!   raw-pointer/`UnsafeCell` regions carry a `// SHARED:` comment naming
+//!   the cells they touch, and the named cells have an explicitly-shared
+//!   type), and R8 (no new `SeqCst`, no new `static mut` — not
+//!   allowlistable). It also guards the routing set: the modules in
+//!   [`ROUTED_MODULES`] must keep importing their synchronization from
+//!   `hcc-sync`, or the model suite silently stops covering them.
 //! * **Stage 2 — deterministic interleaving exploration.** Under
-//!   `--features model`, the `models` module holds small extracted models of the
-//!   four protocols (heartbeat board, serve snapshot swap, admission
-//!   capacity + merger election, delta-base publish) written against the
-//!   `hcc_sync` facade. The suite in
-//!   `tests/model_check.rs` exhausts their interleavings (bounded
-//!   preemption, seeded deterministic order) and additionally *weakens*
-//!   one ordering per model to prove the checker would catch the
-//!   regression.
+//!   `--features model`, `tests/model_check.rs` builds the shipped
+//!   `HeartbeatBoard`, `ServeEngine` and `Telemetry` inside
+//!   `hcc_sync::explore`, compiled against the instrumented types, and
+//!   asserts their invariants over every schedule within the preemption
+//!   bound.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::path::Path;
 
-#[cfg(feature = "model")]
-pub mod models;
-
-/// The modules whose synchronization is routed through `hcc-sync`, each
-/// with a model in the `models` module (or, for the SIMD backend cache, covered by
-/// the racy-init argument R2 documents). CI fails if this set shrinks:
-/// every file must exist and keep importing `hcc_sync`.
+/// The files defining the types the model suite explores. Each must keep
+/// importing its synchronization from `hcc-sync`, or the suite runs the
+/// production types instead of the instrumented ones. CI fails if a file
+/// disappears or drops the import.
 pub const ROUTED_MODULES: &[&str] = &[
     "crates/core/src/supervisor.rs",
-    "crates/core/src/server.rs",
     "crates/serve/src/engine.rs",
-    "crates/serve/src/admission.rs",
-    "crates/sgd/src/simd.rs",
+    "crates/telemetry/src/lib.rs",
 ];
 
 /// Checks the routing guard at `root`; returns one message per breach.
@@ -53,8 +44,8 @@ pub fn routing_violations(root: &Path) -> Vec<String> {
                 if !text.contains("use hcc_sync") {
                     out.push(format!(
                         "{rel}: no `use hcc_sync` import — the module left the model-checked \
-                         routing set (re-route it or update hcc-check's ROUTED_MODULES with a \
-                         replacement model)"
+                         routing set (re-route it, or update hcc-check's ROUTED_MODULES and \
+                         tests/model_check.rs together)"
                     ));
                 }
             }

@@ -96,11 +96,13 @@ impl HeartbeatBoard {
     /// so 0 means "never beat").
     pub fn beat(&self, w: usize, epoch: usize) {
         // ordering: Release — pairs with the Acquire in `has_beat`: a
-        // supervisor that sees the beat for epoch `e` also sees every
-        // write the worker made computing epoch `e`. The epoch's factor
-        // data additionally flows through the transport's own
-        // synchronization, so this edge guards the *classifier's* view
-        // (compute-time stats), not the numeric payload.
+        // reader that sees the beat for epoch `e` also sees every write
+        // the worker made computing epoch `e`. Neither the numeric
+        // payload nor the classifier needs it today: the factor data
+        // flows through the transport's own synchronization, and the
+        // classifier gets the compute stats through the epoch scope's
+        // join. The edge is for a reader that has not joined (hcc-check's
+        // `HeartbeatBoard` case explores one).
         self.beats[w].store(epoch as u64 + 1, Ordering::Release);
     }
 

@@ -38,7 +38,7 @@ use crate::engine::{finish_all, scan_shard_batch, QueryScan, ServeEngine};
 use crate::error::ServeError;
 use crate::model::ServedModel;
 use crate::topk::TopK;
-use hcc_sync::{Arc, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
+use hcc_sync::{Arc, AtomicU64, Condvar, Mutex, Ordering};
 use hcc_telemetry::Event;
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -101,18 +101,15 @@ impl Ticket {
 }
 
 /// One micro-batch in flight: a model snapshot, the admitted queries (every
-/// user validated against that snapshot), one partial-result slot per
-/// worker, and the countdown that elects the merging worker.
+/// user validated against that snapshot), and the workers' progress on it.
 struct BatchJob {
     model: Arc<ServedModel>,
     queries: Vec<Request>,
-    /// `partials[w][qi]`: worker `w`'s best candidates for query `qi`.
-    /// Each slot is written by exactly one worker; the mutex hands the
-    /// contents to the merging worker.
-    partials: Vec<Mutex<WorkerPartial>>,
-    /// Workers still running this job; the one that decrements to zero
-    /// merges and responds.
-    remaining: AtomicUsize,
+    /// `(remaining, partials)`: the workers still running the job, and
+    /// `partials[w][qi]`, worker `w`'s best candidates for query `qi`. One
+    /// lock covers both, so the worker that brings `remaining` to zero
+    /// finds every other worker's partial stored and takes them to merge.
+    progress: Mutex<(usize, Vec<WorkerPartial>)>,
 }
 
 struct QueueState {
@@ -315,14 +312,10 @@ fn dispatcher_loop(
             }
         }
         if !queries.is_empty() {
-            let nq = queries.len();
             let job = Arc::new(BatchJob {
                 model,
                 queries,
-                partials: (0..senders.len())
-                    .map(|_| Mutex::new(vec![Vec::new(); nq]))
-                    .collect(),
-                remaining: AtomicUsize::new(senders.len()),
+                progress: Mutex::new((senders.len(), vec![Vec::new(); senders.len()])),
             });
             for tx in &senders {
                 // Blocks while the worker's one-job buffer is full — that
@@ -382,32 +375,26 @@ fn worker_loop(
         }
         let (mine, visited) = finish_all(queries);
         engine.note_scan(visited, possible);
-        *job.partials[w].lock() = mine;
-        // ordering: AcqRel — the Release half publishes this worker's
-        // partial writes to whichever worker decrements last; the Acquire
-        // half makes the last decrementer (who sees 1) observe every other
-        // worker's prior Release in the RMW chain, so the merge below
-        // reads fully written partials. The partial mutexes alone don't
-        // give the merger that edge — it may lock a slot the owner
-        // released long ago — so the countdown carries it.
-        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            merge_and_respond(&engine, &job);
+        let done = {
+            let mut progress = job.progress.lock();
+            let (remaining, partials) = &mut *progress;
+            partials[w] = mine;
+            *remaining -= 1;
+            (*remaining == 0).then(|| std::mem::take(partials))
+        };
+        if let Some(partials) = done {
+            merge_and_respond(&engine, &job, &partials);
         }
     }
 }
 
 /// Merges every worker's partial heaps and answers each caller; records
 /// the per-query enqueue→answer latencies on the engine.
-fn merge_and_respond(engine: &ServeEngine, job: &BatchJob) {
-    let per_worker: Vec<Vec<Vec<(u32, f32)>>> = job
-        .partials
-        .iter()
-        .map(|m| std::mem::take(&mut *m.lock()))
-        .collect();
+fn merge_and_respond(engine: &ServeEngine, job: &BatchJob, per_worker: &[WorkerPartial]) {
     let mut lats = Vec::with_capacity(job.queries.len());
     for (qi, req) in job.queries.iter().enumerate() {
         let mut best = TopK::new(req.count);
-        for partial in &per_worker {
+        for partial in per_worker {
             for &(item, score) in &partial[qi] {
                 best.offer(item, score);
             }

@@ -29,7 +29,7 @@
 //!   with the single-row kernel of the same backend on that pair — blocking
 //!   changes which pairs are in flight together, never one pair's reduction.
 
-use hcc_sync::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Kernel implementation tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -72,7 +72,7 @@ impl CscMatrix {
     /// Converts back to coordinate form (column-major order).
     pub fn to_coo(&self) -> CooMatrix {
         let entries: Vec<Rating> = self.iter().map(|(u, i, r)| Rating::new(u, i, r)).collect();
-        CooMatrix::new(self.rows, self.cols, entries).expect("CSC preserves bounds")
+        CooMatrix::from_parts_unchecked(self.rows, self.cols, entries)
     }
 }
 

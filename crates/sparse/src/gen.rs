@@ -267,8 +267,11 @@ impl ZipfSampler {
         for v in cdf.iter_mut() {
             *v /= total;
         }
-        // Guard against floating-point never reaching 1.0.
-        *cdf.last_mut().unwrap() = 1.0;
+        // Guard against floating-point never reaching 1.0 (`n > 0`, so
+        // there is a last entry).
+        if let Some(last) = cdf.last_mut() {
+            *last = 1.0;
+        }
         let mut j = 0;
         let guide = (0..n)
             .map(|g| {

@@ -285,13 +285,13 @@ pub fn balanced_row_boundaries(csr: &CsrMatrix, workers: usize) -> Vec<u32> {
     let mut boundaries = Vec::with_capacity(workers + 1);
     boundaries.push(0u32);
     let ptr = csr.row_ptr();
+    let mut lo = 0usize;
     for w in 1..workers {
         let target = (nnz * w as f64 / workers as f64).round() as usize;
-        let lo = *boundaries.last().unwrap() as usize;
-        let split = match ptr[lo..].binary_search(&target) {
+        lo = match ptr[lo..].binary_search(&target) {
             Ok(pos) | Err(pos) => (lo + pos).min(csr.rows() as usize),
         };
-        boundaries.push(split as u32);
+        boundaries.push(lo as u32);
     }
     boundaries.push(csr.rows());
     boundaries

@@ -1,26 +1,26 @@
 //! `hcc-sync`: the synchronization facade the lock-free cores route through.
 //!
-//! Every hand-argued concurrent protocol in the workspace — the heartbeat
-//! board's Release/Acquire pairing, the serve engine's snapshot swap, the
-//! admission queue's bounded backpressure and merger election, the
-//! sharded server's delta-base snapshot, and the SIMD backend cache —
-//! imports its atomics and locks from this crate instead of
-//! `std::sync::atomic` / `parking_lot` directly, and so do the telemetry
-//! lanes' mutexes, which need no protocol of their own.
+//! The supervisor's heartbeat board, the serve engine's snapshot swap and
+//! the telemetry lanes — the shipped types `hcc-check` explores — import
+//! their atomics and locks from this crate instead of `std::sync::atomic`
+//! / `parking_lot` directly, and so do the admission pipeline and the
+//! sharded server.
 //!
 //! In a normal build the module is a set of **pure re-exports**: the same
 //! types, zero cost, no behavioral change. Under the `model` cargo feature
 //! the re-exports swap to an instrumented runtime (the `model` module) driven by a
 //! deterministic interleaving explorer — a vendored, dependency-free
-//! mini-loom. `hcc-check` extracts small models of the four protocols
-//! above, runs them under `explore`, and asserts their invariants over
-//! every schedule within a preemption bound (see DESIGN.md §15).
+//! mini-loom. `hcc-check` builds the real `HeartbeatBoard`, `ServeEngine`
+//! and `Telemetry` inside `explore` and asserts their invariants over
+//! every schedule within a preemption bound (see DESIGN.md §15). A type
+//! the explorer builds must not keep a model value in a `static`: each
+//! schedule starts a fresh table.
 //!
 //! The split keeps the production dependency edge trivial (feature
 //! unification cannot leak `model` into release builds: only
 //! `hcc-check`'s own test graph enables it) while giving the checker a
-//! drop-in API: model code is written once against `hcc_sync::{...}` and
-//! compiles both ways.
+//! drop-in API: the shipped code is written once against
+//! `hcc_sync::{...}` and compiles both ways.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -23,8 +23,8 @@
 //!   store and continue release sequences.
 //! * [`MCell`] models a plain (non-atomic) shared cell with vector-clock
 //!   race detection: any access pair not ordered by happens-before is
-//!   reported as a data race — this is what catches a torn ring write or
-//!   a stale heartbeat statistic when an ordering is weakened.
+//!   reported as a data race — this is what catches a stale heartbeat
+//!   statistic when an ordering is weakened.
 //!
 //! Exploration order is **seeded and deterministic** ([`Config::seed`]
 //! rotates the option order at each decision node), so a reported
@@ -43,8 +43,8 @@ pub use std::sync::Arc;
 // Configuration, results
 // ---------------------------------------------------------------------------
 
-/// Exploration knobs. The defaults exhaust every schedule of the small
-/// protocol models in `hcc-check` within the preemption bound.
+/// Exploration knobs. The defaults exhaust every schedule of the
+/// real-type cases in `hcc-check` within the preemption bound.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Maximum involuntary context switches per schedule. 2–3 preemptions
@@ -541,11 +541,11 @@ fn is_release(ord: Ordering) -> bool {
 /// history table.
 ///
 /// Registration in the table is lazy (first access), which keeps `new`
-/// a `const fn` — so routed modules that hold atomics in `static`s still
-/// compile under the `model` feature. Model code must not reuse an
-/// instance across schedules: the location id caches on first touch and
-/// each schedule starts a fresh table (protocol models construct their
-/// state inside the explored closure, so this holds by construction).
+/// a `const fn`, as std's is. Model code must not reuse an instance
+/// across schedules: the location id caches on first touch and each
+/// schedule starts a fresh table (the explored bodies construct their
+/// values inside the closure, so this holds by construction; a `static`
+/// in a type they build would break it).
 struct AtomicCore {
     init: u64,
     loc: std::sync::OnceLock<usize>,
@@ -1081,6 +1081,12 @@ impl<T> Mutex<T> {
         lock_exclusive(self.id, "mutex");
         MutexGuard { m: self }
     }
+
+    /// Consumes the mutex and returns its value. Owning the mutex means no
+    /// guard is alive, so this is not a schedule point.
+    pub fn into_inner(self) -> T {
+        self.data.into_inner()
+    }
 }
 
 /// Guard for [`Mutex`]; unlocks (a visible operation) on drop.
@@ -1496,5 +1502,75 @@ mod tests {
         })
         .expect_err("load+store increment must lose an update in some schedule");
         assert!(v.message.contains("lost update"), "{v}");
+    }
+
+    /// A writer that updates a pair in one write section never shows a
+    /// reader a mixed pair; splitting the update into two sections does.
+    #[test]
+    fn rwlock_pair_is_torn_only_across_two_write_sections() {
+        fn body(sections: usize) -> impl Fn() + Send + Sync + 'static {
+            move || {
+                let pair = Arc::new(RwLock::new((0u32, 0u32)));
+                let p = Arc::clone(&pair);
+                let t = spawn(move || {
+                    if sections == 1 {
+                        *p.write() = (1, 1);
+                    } else {
+                        p.write().0 = 1;
+                        p.write().1 = 1;
+                    }
+                });
+                let (a, b) = *pair.read();
+                assert_eq!(a, b, "mixed pair");
+                t.join();
+            }
+        }
+        let stats = explore(body(1)).expect("one write section is atomic to readers");
+        assert!(stats.complete && stats.schedules > 1, "{stats:?}");
+        let v = explore(body(2)).expect_err("two write sections expose a mixed pair");
+        assert!(v.message.contains("mixed pair"), "{v}");
+    }
+
+    /// Each thread writes its own cell, then counts down; the one that
+    /// reaches zero reads both cells. `AcqRel` carries the other thread's
+    /// write to it through the RMW chain; `Relaxed` races.
+    #[test]
+    fn last_decrementer_needs_acqrel_to_read_the_other_cell() {
+        fn body(ord: Ordering) -> impl Fn() + Send + Sync + 'static {
+            move || {
+                let cells = Arc::new([MCell::new("cell0", 0u32), MCell::new("cell1", 0u32)]);
+                let left = Arc::new(AtomicUsize::new(2));
+                let (c, l) = (Arc::clone(&cells), Arc::clone(&left));
+                let finish = move |me: usize, cells: &[MCell<u32>; 2], left: &AtomicUsize| {
+                    cells[me].write(1);
+                    if left.fetch_sub(1, ord) == 1 {
+                        assert_eq!(cells[0].read() + cells[1].read(), 2);
+                    }
+                };
+                let t = spawn(move || finish(1, &c, &l));
+                finish(0, &cells, &left);
+                t.join();
+            }
+        }
+        let stats = explore(body(Ordering::AcqRel)).expect("AcqRel countdown is clean");
+        assert!(stats.complete && stats.schedules > 1, "{stats:?}");
+        let v = explore(body(Ordering::Relaxed)).expect_err("Relaxed countdown races");
+        assert!(v.message.contains("data race"), "{v}");
+    }
+
+    /// `into_inner` returns what the last guard left, after a join.
+    #[test]
+    fn into_inner_returns_the_last_write() {
+        explore(|| {
+            let m = Arc::new(Mutex::new(vec![0u32]));
+            let m2 = Arc::clone(&m);
+            let t = spawn(move || m2.lock().push(1));
+            m.lock().push(2);
+            t.join();
+            let mut v = Arc::try_unwrap(m).ok().expect("sole owner").into_inner();
+            v.sort_unstable();
+            assert_eq!(v, [0, 1, 2]);
+        })
+        .expect("into_inner round trip");
     }
 }
