@@ -1261,7 +1261,7 @@ mod tests {
         ("train r.txt --k 8 --epochs 8 --lr 0.02 --out model --rank-metrics", 0xa081b6602989cc8e),
         ("train --lr 0.02 --lambda 0.05 r.txt --epochs 3 --k 8 --seed 9", 0x4b47e3837a0f50ef),
         ("train r.txt --workers cpu2,gpu4@0.5 --strategy pq --partition uniform --schedule tiled --test-frac 0.25 --out m --rank-metrics", 0x7dd1d96dbcca10da),
-        ("train r.txt --strategy q --partition dp0 --transport commp --streams 2", 0xbaffb1d39cf42b1a),
+        ("train r.txt --strategy q --partition dp0 --transport shared --streams 2", 0x7c4ddc7250152acb),
         ("train r.txt --partition dp1 --checkpoint-every 2 --out m", 0x81c8c9d5bf4fb131),
         ("train r.txt --test-frac 0 --telemetry t.jsonl --k 16 --k 24", 0xdc2fc014668b6d62),
         ("train r.txt --fault-tolerant --net-chaos 3 --server-shards 2 --transport tcp", 0x698bd14d6a0b228a),
