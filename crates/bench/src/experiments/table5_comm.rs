@@ -27,7 +27,7 @@ pub fn run(_: &Flags) -> Result<(), String> {
             "COMM",
             Box::new(CommShared::new(1, elems, elems, Precision::Fp32)) as Box<dyn Transport>,
         ),
-        ("COMM-P", Box::new(CommP::new(1, Precision::Fp32))),
+        ("COMM-P", Box::new(CommP::new(1, elems, Precision::Fp32))),
     ] {
         let gbps = probe(transport.as_ref(), &payload);
         rates.push(gbps);

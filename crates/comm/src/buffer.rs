@@ -1,4 +1,4 @@
-//! Shared pull/push buffers.
+//! The shared pull buffer.
 //!
 //! The paper's COMM creates one shared-memory region per direction per
 //! worker: the server writes the global feature matrix into a worker's
@@ -7,11 +7,11 @@
 //! transfer is exactly one copy. In-process, a `SharedBuffer` is an
 //! `Arc<RwLock<Vec<f32>>>` with explicit copy-in/copy-out operations, which
 //! keeps the copy count observable: [`SharedBuffer::bytes_written`] and
-//! [`SharedBuffer::bytes_read`] count the *physical* copies. Over
-//! [`CommShared`](crate::CommShared) a 2-worker epoch is five — one publish,
-//! two pulls, two pushes — because **a collect is a view**
-//! ([`SharedBuffer::with_read`]): the server merges a push where the worker
-//! wrote it. The four a worker made are the link traffic
+//! [`SharedBuffer::bytes_read`] count the *physical* copies.
+//! [`CommShared`](crate::CommShared)'s pull region is one; its pushes land
+//! in the crate's push slots, which a collect views in place. Over it a
+//! 2-worker epoch is five copies — one publish, two pulls, two pushes —
+//! and the four a worker made are the link traffic
 //! [`Transport::wire_bytes_by_dir`](crate::Transport::wire_bytes_by_dir) counts.
 //! Each copy is one `copy_from_slice` on the caller's thread: the paper's
 //! multi-threaded copy (§3.5) is not reproduced.
@@ -43,16 +43,6 @@ impl SharedBuffer {
                 bytes_read: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Buffer length in floats.
-    pub fn len(&self) -> usize {
-        self.inner.data.read().len()
-    }
-
-    /// True when the buffer holds no floats.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Copies `src` into the buffer starting at float offset `offset`.

@@ -5,8 +5,8 @@
 //! a worker only touches the parameter rows its ratings reference, so a
 //! push to a shard need only carry the rows that changed since the shard
 //! last published. The codec here packs such a delta into a flat f32
-//! payload that rides inside an ordinary [`crate::frame`] frame
-//! ([`crate::RpcKind::DeltaPush`]):
+//! payload that rides inside an ordinary [`crate::frame`] push frame
+//! ([`crate::RpcKind::Push`]: to a shard's link a delta is plain floats):
 //!
 //! ```text
 //! ┌───────┬───────────────────┬─────────────────────────┐

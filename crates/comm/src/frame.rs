@@ -54,12 +54,6 @@ pub enum RpcKind {
     /// Server → worker: push acknowledgment / control. The `chunk` field
     /// carries the status code (see [`crate::socket`]).
     Sync,
-    /// Worker → server shard: a *delta-encoded* push — only the rows this
-    /// worker touched since the last publish, in the
-    /// [`crate::delta`] layout, addressed to one shard of a sharded
-    /// parameter server. Shares `Push`'s (worker, epoch, chunk)
-    /// idempotency key so retransmitted deltas dedup identically.
-    DeltaPush,
 }
 
 impl RpcKind {
@@ -69,7 +63,6 @@ impl RpcKind {
             RpcKind::Pull => 1,
             RpcKind::Push => 2,
             RpcKind::Sync => 3,
-            RpcKind::DeltaPush => 4,
         }
     }
 
@@ -79,7 +72,6 @@ impl RpcKind {
             1 => Ok(RpcKind::Pull),
             2 => Ok(RpcKind::Push),
             3 => Ok(RpcKind::Sync),
-            4 => Ok(RpcKind::DeltaPush),
             other => Err(FrameError::BadKind(other)),
         }
     }
@@ -744,23 +736,18 @@ mod tests {
     }
 
     #[test]
-    fn delta_push_roundtrips_and_first_unused_kind_byte_rejected() {
-        let mut f = sample(Precision::Fp32);
-        f.header.kind = RpcKind::DeltaPush;
-        let bytes = f.encode();
-        assert_eq!(bytes[4], 4, "DeltaPush wire byte");
-        assert_eq!(roundtrip(&f), f);
-        // Byte 5 is the first unassigned kind: it must stay rejected so a
+    fn the_first_unused_kind_byte_is_rejected() {
+        let mut bytes = sample(Precision::Fp32).encode();
+        // Byte 4 is the first unassigned kind: it must stay rejected so a
         // future kind cannot silently alias an old deployment's frames.
-        let mut bytes = bytes;
-        bytes[4] = 5;
+        bytes[4] = 4;
         // Re-sign the body so only the kind byte is at fault, not the CRC.
         let crc_at = bytes.len() - TRAILER_LEN;
         let crc = crc32(&bytes[4..crc_at]);
         bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
-            assert_rejected(&bytes, 4, "kind 5"),
-            Some(FrameError::BadKind(5))
+            assert_rejected(&bytes, 4, "kind 4"),
+            Some(FrameError::BadKind(4))
         );
     }
 
@@ -824,7 +811,7 @@ mod tests {
             let mut rng = proptest::TestRng::seed_from_u64(
                 0xF8A3_C0DE ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            let kind_b = (1u8..5).generate(&mut rng);
+            let kind_b = (1u8..4).generate(&mut rng);
             let fp16_wire = (0u8..2).generate(&mut rng) == 1;
             let worker = (0u16..u16::MAX).generate(&mut rng);
             let epoch = (0u32..u32::MAX).generate(&mut rng);

@@ -9,11 +9,14 @@
 //!   transmit-P&Q (unoptimized), "Transmitting Q matrix only", and
 //!   "Transmitting FP16 Data" on top of Q-only ("half-Q"), with exact
 //!   volume accounting used by both the real engine and the simulator.
-//! * [`buffer`] — the shared pull/push buffers.
-//! * [`transport`] — two interchangeable transports: [`CommShared`] (the
-//!   paper's COMM: single-copy shared memory) and [`CommP`] (the ps-lite
-//!   style baseline: serialize → channel → staging copy → destination copy),
-//!   which Table 5 compares.
+//! * [`buffer`] — the shared pull buffer, with copy accounting.
+//! * [`transport`] — the [`Transport`] contract and two in-process
+//!   transports: [`CommShared`] (the paper's COMM: single-copy shared
+//!   memory) and [`CommP`] (the ps-lite style baseline: serialize → staging
+//!   copy → destination copy), which Table 5 compares.
+//! * `slot` — the one push slot: where a push lands on every base
+//!   transport, by one landing rule, and the one collect
+//!   ([`Transport::collect_with`]) every base transport delegates to.
 //! * [`pipeline`] — the asynchronous pull→compute→push pipeline used by
 //!   Strategy 3 ("Asynchronous Computing-Transmission") to overlap
 //!   communication with computation across multiple streams.
@@ -63,6 +66,7 @@ pub mod delta;
 pub mod fault;
 pub mod frame;
 pub mod pipeline;
+mod slot;
 pub mod socket;
 pub mod strategy;
 pub mod transport;
@@ -75,6 +79,6 @@ pub use delta::{apply_delta, delta_len, encode_delta, max_delta_len, DeltaError}
 pub use fault::{Fault, FaultPlan};
 pub use frame::{FrameError, Header, RpcKind};
 pub use pipeline::{run_pipeline, PipelineStats};
-pub use socket::{CommSocket, NetEvent, NetEventKind, NetStats, SocketConfig};
+pub use socket::{CommSocket, NetEvent, NetEventKind, NetStats};
 pub use strategy::TransferStrategy;
 pub use transport::{CommError, CommP, CommShared, Precision, Transport};

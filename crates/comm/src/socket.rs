@@ -11,13 +11,13 @@
 //! Resilience model:
 //!
 //! * **Deadlines** — every RPC sets a read/write timeout on the stream; a
-//!   silent peer costs at most `SocketConfig::rpc_timeout` per attempt.
+//!   silent peer costs at most `RPC_TIMEOUT` (500 ms) per attempt.
 //! * **Bounded retries** — an RPC that times out or draws a corrupt
-//!   response is re-sent up to `rpc_retries` times; resent bytes are
-//!   accounted as retransmissions.
+//!   response is attempted up to `RPC_ATTEMPTS` (3) times; resent bytes
+//!   are accounted as retransmissions.
 //! * **Reconnect with jittered backoff** — a broken stream is re-dialed
 //!   through a seeded [`Backoff`]; exhausting the attempt budget marks the
-//!   link partitioned.
+//!   link partitioned. The tuning is a set of private constants.
 //! * **Idempotent pushes** — each push carries a per-worker sequence
 //!   number in the frame's `epoch` field; the server applies a given
 //!   `(worker, seq, chunk)` key at most once, so a retry whose original
@@ -44,26 +44,24 @@
 //!   the reply is accepted: a pull that fails (after its retries) leaves it
 //!   unspecified — stale, or partly the new snapshot — as a chaos partition
 //!   already does, and the worker's stale push is the supervisor's to judge.
-//! * **Push → its worker's slot, under the landing rule.** If the header's
-//!   `(seq, chunk)` is the slot's `last_applied`, the body is only checked
-//!   through the block, then dedup-acked or nacked: the slot is never
-//!   touched. Otherwise the slot's buffer is taken out under the slot's
-//!   lock (`mem::take`, no allocation) with `ready = false`, filled with the
-//!   lock released, and put back; `len`, `ready` and `last_applied` are set
-//!   only once the CRC has passed. No collect can view a half-landed push,
-//!   and a stalled peer holds no lock a `collect_with` deadline needs.
+//! * **Push → its worker's push slot (`slot.rs`), under the slot's
+//!   landing rule**, keyed by the header's `(seq, chunk)`. A retransmission
+//!   of the key that last landed is only checked through the block, then
+//!   dedup-acked or nacked; anything else streams into the slot's buffer
+//!   with the slot's lock released and becomes the slot's push only once
+//!   its CRC has passed. A stalled peer holds no lock a `collect_with`
+//!   deadline needs.
 //!
 //! The one behaviour this changes against a receive that checked a whole
 //! frame before decoding it: a push that fails its CRC *after it started
-//! landing* costs the unconsumed push it displaced (the slot is not ready
-//! and its bytes are partly the rejected frame's). The sender retries the
+//! landing* costs the unconsumed push it displaced. The sender retries the
 //! new push; the displaced one degrades to a dropped push — the path a
 //! push that exhausts its retries already takes. A push longer than the
 //! slot is refused before its body is read, and the connection dropped.
 //!
 //! The server streams a pull reply out of the published region under its
 //! read guard, so a `publish` can wait behind a pull in flight — for at
-//! most one `rpc_timeout`, the write deadline every accepted connection
+//! most one `RPC_TIMEOUT`, the write deadline every accepted connection
 //! carries.
 
 use crate::backoff::Backoff;
@@ -72,8 +70,9 @@ use crate::frame::{
     frame_len, payload_bytes, read_header, write_frame, FrameError, Header, Incoming, RpcKind,
     HEADER_LEN,
 };
-use crate::transport::{wait_ready, CommError, Precision, Transport};
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::slot::PushSlot;
+use crate::transport::{CommError, Precision, Transport};
+use parking_lot::{Mutex, RwLock};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -191,48 +190,22 @@ const STATUS_CORRUPT: u32 = 1;
 /// socket paths.
 static SOCKET_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Tuning knobs for [`CommSocket`]'s resilience machinery.
-#[derive(Debug, Clone)]
-pub struct SocketConfig {
-    /// Per-attempt RPC deadline (read and write).
-    pub rpc_timeout: Duration,
-    /// How many times one RPC may be attempted before giving up.
-    pub rpc_retries: usize,
-    /// How many re-dials a broken stream gets before the link counts as
-    /// partitioned.
-    pub reconnect_attempts: usize,
-    /// First reconnect/retry delay.
-    pub backoff_initial: Duration,
-    /// Exponential growth factor for the backoff ladder.
-    pub backoff_factor: f64,
-    /// Jitter fraction (±) applied to every backoff delay.
-    pub backoff_jitter: f64,
-    /// Upper bound on any single backoff delay.
-    pub backoff_max: Duration,
-    /// Seed for the deterministic jitter stream (mixed with the worker id).
-    pub seed: u64,
-    /// Tag pushes as [`RpcKind::DeltaPush`]: the payload is a row-delta in
-    /// the [`crate::delta`] layout rather than a full buffer. The server
-    /// treats both kinds identically (same dedup/ack path) — the tag lets
-    /// the *collector* know the buffer needs delta decoding.
-    pub delta_push: bool,
-}
-
-impl Default for SocketConfig {
-    fn default() -> SocketConfig {
-        SocketConfig {
-            rpc_timeout: Duration::from_millis(500),
-            rpc_retries: 3,
-            reconnect_attempts: 3,
-            backoff_initial: Duration::from_millis(5),
-            backoff_factor: 2.0,
-            backoff_jitter: 0.25,
-            backoff_max: Duration::from_millis(200),
-            seed: 0x5EED,
-            delta_push: false,
-        }
-    }
-}
+/// Per-attempt RPC deadline (read and write), and the write deadline of
+/// every accepted connection.
+const RPC_TIMEOUT: Duration = Duration::from_millis(500);
+/// How many times one RPC is attempted before it gives up.
+const RPC_ATTEMPTS: usize = 3;
+/// How many dials a broken stream gets before the link counts as
+/// partitioned.
+const RECONNECT_ATTEMPTS: usize = 3;
+/// The backoff ladder between attempts: first delay, growth factor, cap,
+/// ± jitter fraction, and the jitter stream's seed (mixed with the worker
+/// id).
+const BACKOFF_INITIAL: Duration = Duration::from_millis(5);
+const BACKOFF_FACTOR: f64 = 2.0;
+const BACKOFF_MAX: Duration = Duration::from_millis(200);
+const BACKOFF_JITTER: f64 = 0.25;
+const BACKOFF_SEED: u64 = 0x5EED;
 
 /// Cumulative resilience counters (monotonic over the transport's life).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -278,26 +251,8 @@ pub struct NetEvent {
 // Server state
 // ---------------------------------------------------------------------------
 
-struct SlotData {
-    buf: Vec<f32>,
-    /// Elements of `buf` the last push actually wrote. Delta pushes are
-    /// variable-length, so a collect must not read stale tail elements
-    /// from an earlier, longer push.
-    len: usize,
-    ready: bool,
-    /// Idempotency key of the last applied push: `(seq, chunk)`.
-    last_applied: Option<(u32, u32)>,
-}
-
-struct PushSlot {
-    data: Mutex<SlotData>,
-    cv: Condvar,
-}
-
 struct ServerState {
     precision: Precision,
-    /// Write deadline of every accepted connection.
-    rpc_timeout: Duration,
     published: RwLock<Vec<f32>>,
     slots: Vec<PushSlot>,
     /// Elements a slot holds: the longest push that can land.
@@ -318,7 +273,7 @@ impl ServerState {
     fn serve_conn(&self, mut stream: SockStream) {
         // A pull reply streams out under `published`'s read guard: bound
         // how long a stalled peer can hold it, and a publisher behind it.
-        if stream.set_write_timeout(Some(self.rpc_timeout)).is_err() {
+        if stream.set_write_timeout(Some(RPC_TIMEOUT)).is_err() {
             return;
         }
         let mut status = [0u8; HEADER_LEN + TRAILER_LEN];
@@ -339,51 +294,39 @@ impl ServerState {
                 return; // malformed peer: drop the connection.
             };
             let mut block = block.lock();
-            let push = matches!(incoming.kind(), Ok(RpcKind::Push | RpcKind::DeltaPush));
-            if push && incoming.elems() > self.push_len {
-                // Malformed peer: truncating and acking would tell it a
-                // push landed that did not. Refused unread.
-                return;
-            }
-            let received = if push {
+            let code = if incoming.kind() == Ok(RpcKind::Push) {
+                if incoming.elems() > self.push_len {
+                    // Malformed peer: truncating and acking would tell it a
+                    // push landed that did not. Refused unread.
+                    return;
+                }
                 self.land_push(&mut stream, &incoming, &self.slots[w], &mut block)
             } else {
-                incoming.read_into(&mut stream, &mut [], &mut block)
-            };
-            let code = match received {
-                // DeltaPush differs from Push only in what the payload
-                // *means* (a row-delta vs a full buffer); on the server it
-                // is plain bytes into the slot, same dedup, same ack.
-                Ok(Ok(_)) if push => {
-                    // ordering: Relaxed — wire-byte statistic: the payload.
-                    self.push_bytes
-                        .fetch_add(incoming.wire_len as u64, Ordering::Relaxed);
-                    STATUS_OK
-                }
-                Ok(Ok(frame)) if frame.kind == RpcKind::Pull => {
-                    let published = self.published.read();
-                    let reply = Header {
-                        precision: self.precision,
-                        chunk: 0,
-                        ..frame
-                    };
-                    // ordering: Relaxed — wire-byte statistic: the payload.
-                    self.pull_bytes.fetch_add(
-                        published.len() as u64 * self.precision.bytes_per_element(),
-                        Ordering::Relaxed,
-                    );
-                    if write_frame(&mut stream, &reply, &published, &mut block).is_err() {
-                        return;
+                match incoming.read_into(&mut stream, &mut [], &mut block) {
+                    Ok(Ok(frame)) if frame.kind == RpcKind::Pull => {
+                        let published = self.published.read();
+                        let reply = Header {
+                            precision: self.precision,
+                            chunk: 0,
+                            ..frame
+                        };
+                        // ordering: Relaxed — wire-byte statistic: the payload.
+                        self.pull_bytes.fetch_add(
+                            published.len() as u64 * self.precision.bytes_per_element(),
+                            Ordering::Relaxed,
+                        );
+                        if write_frame(&mut stream, &reply, &published, &mut block).is_err() {
+                            return;
+                        }
+                        continue;
                     }
-                    continue;
+                    // Clients never send Sync; ignore.
+                    Ok(Ok(_)) => continue,
+                    refused => nack(refused),
                 }
-                // Clients never send Sync; ignore.
-                Ok(Ok(_)) => continue,
-                // Framing held but the body failed its CRC: nack so the
-                // sender retries the same sequence number.
-                Ok(Err(err)) if err.keeps_sync() => STATUS_CORRUPT,
-                // The stream broke mid-frame.
-                _ => return,
+            };
+            let Some(code) = code else {
+                return;
             };
             let ack = Header::control(RpcKind::Sync, incoming.worker, incoming.epoch, code);
             if write_frame(&mut stream, &ack, &[], &mut status).is_err() {
@@ -392,43 +335,47 @@ impl ServerState {
         }
     }
 
-    /// Receives a push into `slot` by the landing rule (module docs): a
-    /// retransmission of the last applied key is only checked; anything
-    /// else is decoded into the slot's buffer with the buffer out of the
-    /// slot and the lock released, and becomes the slot's push only if its
-    /// CRC passes.
+    /// Lands a push in `slot` by the slot's landing rule, its body streamed
+    /// from the wire straight into the slot's buffer, and returns the
+    /// status to answer it with (see [`nack`]).
     fn land_push(
         &self,
         stream: &mut SockStream,
         incoming: &Incoming,
         slot: &PushSlot,
         block: &mut [u8],
-    ) -> std::io::Result<Result<Header, FrameError>> {
+    ) -> Option<u32> {
         let key = (incoming.epoch, incoming.chunk);
-        let mut data = slot.data.lock();
-        if data.last_applied == Some(key) {
-            // The original already applied; only the ack was lost.
-            drop(data);
-            let checked = incoming.read_into(stream, &mut [], block);
-            if matches!(checked, Ok(Ok(_))) {
-                // ordering: Relaxed — statistic.
-                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+        let landed = slot.land(Some(key), |buf| {
+            match incoming.read_into(stream, buf, block) {
+                Ok(Ok(_)) => Ok(incoming.elems()),
+                refused => Err(nack(refused)),
             }
-            return checked;
+        });
+        match landed {
+            Err(code) => code,
+            Ok(fresh) => {
+                if !fresh {
+                    // The original already landed; only the ack was lost.
+                    // ordering: Relaxed — statistic.
+                    self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                // ordering: Relaxed — wire-byte statistic: the payload.
+                self.push_bytes
+                    .fetch_add(incoming.wire_len as u64, Ordering::Relaxed);
+                Some(STATUS_OK)
+            }
         }
-        let mut buf = std::mem::take(&mut data.buf);
-        data.ready = false;
-        drop(data);
-        let landed = incoming.read_into(stream, &mut buf, block);
-        let mut data = slot.data.lock();
-        data.buf = buf;
-        if matches!(landed, Ok(Ok(_))) {
-            data.len = incoming.elems();
-            data.ready = true;
-            data.last_applied = Some(key);
-            slot.cv.notify_all();
-        }
-        landed
+    }
+}
+
+/// The status a frame whose body was refused is answered with: a nack when
+/// only its CRC failed, so the sender retries the same key; `None` when the
+/// stream broke mid-frame and the connection must go.
+fn nack(refused: std::io::Result<Result<Header, FrameError>>) -> Option<u32> {
+    match refused {
+        Ok(Err(err)) if err.keeps_sync() => Some(STATUS_CORRUPT),
+        _ => None,
     }
 }
 
@@ -454,7 +401,6 @@ struct WorkerConn {
 /// pushes. See the module docs for the resilience model.
 pub struct CommSocket {
     addr: SockAddr,
-    cfg: SocketConfig,
     precision: Precision,
     state: Arc<ServerState>,
     conns: Vec<Mutex<WorkerConn>>,
@@ -466,31 +412,14 @@ pub struct CommSocket {
 }
 
 impl CommSocket {
-    /// Binds a fresh loopback socket and starts the accept loop, with
-    /// default resilience tuning. Refuses (`InvalidInput`) a `pull_len` or
-    /// `push_len` whose frame would be over the cap a receiver enforces.
+    /// Binds a fresh loopback Unix socket and starts the accept loop.
+    /// Refuses (`InvalidInput`) a `pull_len` or `push_len` whose frame
+    /// would be over the cap a receiver enforces.
     pub fn new(
         workers: usize,
         pull_len: usize,
         push_len: usize,
         precision: Precision,
-    ) -> std::io::Result<CommSocket> {
-        Self::with_config(
-            workers,
-            pull_len,
-            push_len,
-            precision,
-            SocketConfig::default(),
-        )
-    }
-
-    /// [`CommSocket::new`] with explicit [`SocketConfig`] tuning.
-    pub fn with_config(
-        workers: usize,
-        pull_len: usize,
-        push_len: usize,
-        precision: Precision,
-        cfg: SocketConfig,
     ) -> std::io::Result<CommSocket> {
         // A frame the peer would refuse: every RPC would retry until the run
         // failed with a misleading `Comm` error.
@@ -509,37 +438,18 @@ impl CommSocket {
             pull_len,
             push_len,
             precision,
-            cfg,
         )
     }
 
     /// Binds a loopback TCP listener (an OS-assigned port on 127.0.0.1)
-    /// instead of a Unix socket — the multi-node wire — with default
-    /// resilience tuning.
+    /// instead of a Unix socket — the multi-node wire.
     pub fn new_tcp(
         workers: usize,
         pull_len: usize,
         push_len: usize,
         precision: Precision,
     ) -> std::io::Result<CommSocket> {
-        Self::with_config_tcp(
-            workers,
-            pull_len,
-            push_len,
-            precision,
-            SocketConfig::default(),
-        )
-    }
-
-    /// [`CommSocket::new_tcp`] with explicit [`SocketConfig`] tuning.
-    pub fn with_config_tcp(
-        workers: usize,
-        pull_len: usize,
-        push_len: usize,
-        precision: Precision,
-        cfg: SocketConfig,
-    ) -> std::io::Result<CommSocket> {
-        payload_bytes(precision, pull_len.max(push_len))?; // as `with_config`
+        payload_bytes(precision, pull_len.max(push_len))?; // as `new`
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = SockAddr::Tcp(listener.local_addr()?);
         Self::start(
@@ -549,7 +459,6 @@ impl CommSocket {
             pull_len,
             push_len,
             precision,
-            cfg,
         )
     }
 
@@ -562,25 +471,13 @@ impl CommSocket {
         pull_len: usize,
         push_len: usize,
         precision: Precision,
-        cfg: SocketConfig,
     ) -> std::io::Result<CommSocket> {
         // One block a worker at each end, for frames either way.
         let block = BLOCK.min(frame_len(precision, pull_len.max(push_len)));
         let state = Arc::new(ServerState {
             precision,
-            rpc_timeout: cfg.rpc_timeout.max(Duration::from_millis(1)),
             published: RwLock::new(vec![0f32; pull_len]),
-            slots: (0..workers)
-                .map(|_| PushSlot {
-                    data: Mutex::new(SlotData {
-                        buf: vec![0f32; push_len],
-                        len: push_len,
-                        ready: false,
-                        last_applied: None,
-                    }),
-                    cv: Condvar::new(),
-                })
-                .collect(),
+            slots: (0..workers).map(|_| PushSlot::new(push_len)).collect(),
             push_len,
             blocks: (0..workers).map(|_| Mutex::new(vec![0u8; block])).collect(),
             pull_bytes: AtomicU64::new(0),
@@ -623,7 +520,6 @@ impl CommSocket {
         });
         Ok(CommSocket {
             addr,
-            cfg,
             precision,
             state,
             conns: (0..workers)
@@ -677,12 +573,9 @@ impl CommSocket {
     }
 
     fn backoff_for(&self, worker: usize) -> Backoff {
-        Backoff::new(self.cfg.backoff_initial, self.cfg.backoff_factor)
-            .with_max(self.cfg.backoff_max)
-            .with_jitter(
-                self.cfg.seed ^ ((worker as u64) << 17),
-                self.cfg.backoff_jitter,
-            )
+        Backoff::new(BACKOFF_INITIAL, BACKOFF_FACTOR)
+            .with_max(BACKOFF_MAX)
+            .with_jitter(BACKOFF_SEED ^ ((worker as u64) << 17), BACKOFF_JITTER)
     }
 
     /// Ensures `conn` holds a live stream, re-dialing with backoff.
@@ -693,7 +586,7 @@ impl CommSocket {
             return true;
         }
         let mut backoff = self.backoff_for(worker);
-        for attempt in 0..self.cfg.reconnect_attempts.max(1) {
+        for attempt in 0..RECONNECT_ATTEMPTS {
             let delay = if attempt == 0 {
                 Duration::ZERO // first dial is eager
             } else {
@@ -730,11 +623,9 @@ impl CommSocket {
         payload: &[f32],
         dst: &mut [f32],
         block: &mut [u8],
-        timeout: Duration,
     ) -> std::io::Result<Result<Header, FrameError>> {
-        let deadline = timeout.max(Duration::from_millis(1));
-        stream.set_write_timeout(Some(deadline))?;
-        stream.set_read_timeout(Some(deadline))?;
+        stream.set_write_timeout(Some(RPC_TIMEOUT))?;
+        stream.set_read_timeout(Some(RPC_TIMEOUT))?;
         write_frame(stream, request, payload, block)?;
         match read_header(stream)? {
             Ok(incoming) => incoming.read_into(stream, dst, block),
@@ -758,7 +649,7 @@ impl CommSocket {
         let mut conn = self.conns[worker].lock();
         let mut backoff = self.backoff_for(worker);
         let mut last_err = CommError::Timeout;
-        for attempt in 0..self.cfg.rpc_retries.max(1) {
+        for attempt in 0..RPC_ATTEMPTS {
             if attempt > 0 {
                 let delay = backoff.next_delay();
                 // ordering: Relaxed — statistic.
@@ -784,7 +675,7 @@ impl CommSocket {
             else {
                 return Err(CommError::PartitionedLink);
             };
-            match Self::exchange(stream, request, payload, dst, block, self.cfg.rpc_timeout) {
+            match Self::exchange(stream, request, payload, dst, block) {
                 Ok(Ok(reply)) => {
                     if reply.kind == RpcKind::Sync && reply.chunk == STATUS_CORRUPT {
                         last_err = CommError::Corrupt; // server nack: retry
@@ -818,11 +709,7 @@ impl CommSocket {
     /// and the supervisor classifies the worker.
     fn send_push(&self, worker: usize, seq: u32, src: &[f32]) {
         let header = Header {
-            kind: if self.cfg.delta_push {
-                RpcKind::DeltaPush
-            } else {
-                RpcKind::Push
-            },
+            kind: RpcKind::Push,
             precision: self.precision,
             worker: worker as u16,
             epoch: seq,
@@ -834,9 +721,12 @@ impl CommSocket {
 
 impl Transport for CommSocket {
     fn publish(&self, src: &[f32]) {
-        let mut guard = self.state.published.write();
-        let n = src.len().min(guard.len());
-        guard[..n].copy_from_slice(&src[..n]);
+        {
+            let mut guard = self.state.published.write();
+            let n = src.len().min(guard.len());
+            guard[..n].copy_from_slice(&src[..n]);
+        }
+        self.state.slots.iter().for_each(PushSlot::retire);
     }
 
     fn pull(&self, worker: usize, dst: &mut [f32]) {
@@ -871,14 +761,7 @@ impl Transport for CommSocket {
         timeout: Option<Duration>,
         consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
-        let slot = &self.state.slots[worker];
-        let mut data = slot.data.lock();
-        wait_ready(&slot.cv, &mut data, timeout, |data| data.ready)?;
-        data.ready = false;
-        // The decoded slot, under its lock: a push that arrives meanwhile
-        // (a wire duplicate) waits there and is then deduplicated.
-        consume(&data.buf[..data.len]);
-        Ok(())
+        self.state.slots[worker].collect_with(timeout, consume)
     }
 
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
@@ -1174,15 +1057,7 @@ mod tests {
 
     #[test]
     fn partitioned_link_reported_when_server_gone() {
-        let cfg = SocketConfig {
-            rpc_timeout: Duration::from_millis(30),
-            rpc_retries: 2,
-            reconnect_attempts: 2,
-            backoff_initial: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(2),
-            ..SocketConfig::default()
-        };
-        let t = CommSocket::with_config(1, 4, 4, Precision::Fp32, cfg).unwrap();
+        let t = socket(1, 4);
         // Tear the listener down by stealing its socket file.
         std::fs::remove_file(t.socket_path().unwrap()).unwrap();
         let req = Header::control(RpcKind::Pull, 0, 0, 0);
@@ -1247,13 +1122,9 @@ mod tests {
 
     #[test]
     fn delta_push_mode_ships_variable_length_payloads() {
-        let cfg = SocketConfig {
-            delta_push: true,
-            ..SocketConfig::default()
-        };
         // Slot sized for a worst-case delta over 4 rows of k=2.
         let staging = crate::delta::max_delta_len(4, 2);
-        let t = CommSocket::with_config(1, 8, staging, Precision::Fp32, cfg).unwrap();
+        let t = CommSocket::new(1, 8, staging, Precision::Fp32).unwrap();
         let base = vec![0f32; 8];
         let mut cur = base.clone();
         cur[2] = 5.0; // row 1

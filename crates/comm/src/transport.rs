@@ -2,12 +2,13 @@
 //!
 //! [`CommShared`] is the paper's COMM: a single shared *pull region* the
 //! server publishes the global feature matrix into (every worker reads it
-//! directly — one copy per direction), and one *push buffer* per worker the
+//! directly — one copy per direction), and one *push slot* per worker the
 //! server collects from. [`CommP`] is the comparison implementation the
 //! paper builds on ps-lite ("COMM-P"): every message is serialized into a
-//! fresh byte buffer, crosses a channel, and is deserialized through a
-//! staging copy on the far side — the extra copies and temporary allocations
-//! are exactly what Table 5 blames for its ~6–7× slower transfers.
+//! fresh byte buffer and deserialized through a staging copy into the
+//! worker's slot — the extra copies and temporary allocations are exactly
+//! what Table 5 blames for its ~6–7× slower transfers. COMM-P is a Table 5
+//! probe, not a training wire.
 //!
 //! Both transports speak f32 payloads at the API and optionally compress to
 //! FP16 on the wire ([`Precision::Fp16`]), so the Table 5 grid
@@ -15,18 +16,21 @@
 //!
 //! **Wire bytes are defined once, on [`Transport::wire_bytes_by_dir`], and
 //! mean the same on every transport**: the payload bytes worker links
-//! carried. **A collect is a view**: [`Transport::collect_with`] hands the
-//! server a push where it landed, and `collect`/`collect_timeout` are
-//! wrappers that copy out of that view.
+//! carried. **A push lands once and is collected once**: every base
+//! transport lands a push in its worker's push slot (`slot.rs`) and
+//! [`Transport::collect_with`] hands the server the push where it landed
+//! (`collect`/`collect_timeout` are wrappers that copy out of that view); a
+//! `publish` retires every push nobody collected.
 
 use crate::buffer::SharedBuffer;
+use crate::slot::PushSlot;
 use crate::socket::NetEvent;
 use hcc_sgd::fp16;
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::RwLock;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Transport-level failures surfaced to the supervisor instead of blocking
 /// forever or panicking. `Timeout` and `Corrupt` are retryable (the peer
@@ -89,7 +93,9 @@ impl Precision {
 
 /// A bidirectional server↔worker transport.
 pub trait Transport: Send + Sync {
-    /// Server side: publish the shared feature data for workers to pull.
+    /// Server side: publish the shared feature data for workers to pull,
+    /// and retire every push nobody collected — it belongs to the epoch
+    /// before and is never handed out.
     fn publish(&self, src: &[f32]);
     /// Worker side: read the published data into `dst`. A pull that fails
     /// (on a wire, after its retries) leaves `dst` unspecified — stale, or
@@ -107,12 +113,11 @@ pub trait Transport: Send + Sync {
     fn push_duplicate(&self, worker: usize, src: &[f32]) {
         let _ = (worker, src);
     }
-    /// Server side: waits for worker `worker`'s next push — for ever when
-    /// `timeout` is `None` — and hands it to `consume` *where it landed*: a
-    /// view of the push buffer or slot, or of the transport's own decode
-    /// buffer when the wire is not f32. The one collect every transport
-    /// implements. `consume` runs exactly once on `Ok` and not at all on
-    /// `Err`; it may hold a lock the next push to that worker's buffer
+    /// Server side: waits for worker `worker`'s next push since the last
+    /// `publish` — for ever when `timeout` is `None` — and hands exactly
+    /// its elements to `consume` *where they landed*. The one collect every
+    /// transport implements. `consume` runs exactly once on `Ok` and not at
+    /// all on `Err`; it may hold a lock the next push to that worker's slot
     /// needs, so it should merge and return.
     fn collect_with(
         &self,
@@ -177,30 +182,6 @@ fn copy_prefix(src: &[f32], dst: &mut [f32]) {
 // COMM: shared-memory transport
 // ---------------------------------------------------------------------------
 
-/// The one wait of a collect: sleeps on `cv` until `ready` holds for the
-/// value behind `guard` — for ever, or until `timeout` has passed.
-pub(crate) fn wait_ready<T>(
-    cv: &Condvar,
-    guard: &mut MutexGuard<'_, T>,
-    timeout: Option<Duration>,
-    ready: impl Fn(&T) -> bool,
-) -> Result<(), CommError> {
-    let deadline = timeout.map(|t| Instant::now() + t);
-    while !ready(guard) {
-        let Some(deadline) = deadline else {
-            cv.wait(guard);
-            continue;
-        };
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(CommError::Timeout);
-        }
-        // Spurious wakeups re-enter the loop with the original deadline.
-        cv.wait_for(guard, deadline - now);
-    }
-    Ok(())
-}
-
 /// Wire storage at a given precision.
 #[derive(Debug)]
 enum WireStore {
@@ -232,18 +213,24 @@ impl WireStore {
     }
 }
 
-/// The paper's COMM: one shared pull region + one push buffer per worker.
+/// Writes `src` into `dst` as an fp16 wire delivers it, `decode(encode(src))`,
+/// through a block on the stack.
+fn fp16_round_trip(src: &[f32], dst: &mut [f32]) {
+    let mut wire = [0u16; 256];
+    for (src, dst) in src.chunks(wire.len()).zip(dst.chunks_mut(wire.len())) {
+        let wire = &mut wire[..src.len()];
+        fp16::encode_slice(src, wire);
+        fp16::decode_slice(wire, dst);
+    }
+}
+
+/// The paper's COMM: one shared pull region + one push slot per worker.
 /// Every transfer is a single copy into/out of shared storage, and the
 /// server reads a push where the worker wrote it.
 pub struct CommShared {
     precision: Precision,
     pull_region: WireStore,
-    push_buffers: Vec<WireStore>,
-    /// One-shot signals that a worker's push landed (server may collect).
-    push_ready: Vec<(Mutex<bool>, Condvar)>,
-    /// Where an fp16 push is widened for the server to view; empty at fp32,
-    /// whose push buffers are viewed in place.
-    decoded: Mutex<Vec<f32>>,
+    slots: Vec<PushSlot>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
 }
@@ -252,20 +239,10 @@ impl CommShared {
     /// Creates a transport for `workers` workers exchanging payloads of
     /// `pull_len` / `push_len` floats at the given wire precision.
     pub fn new(workers: usize, pull_len: usize, push_len: usize, precision: Precision) -> Self {
-        let decoded = match precision {
-            Precision::Fp32 => 0,
-            Precision::Fp16 => push_len,
-        };
         CommShared {
             precision,
             pull_region: WireStore::new(pull_len, precision),
-            push_buffers: (0..workers)
-                .map(|_| WireStore::new(push_len, precision))
-                .collect(),
-            push_ready: (0..workers)
-                .map(|_| (Mutex::new(false), Condvar::new()))
-                .collect(),
-            decoded: Mutex::new(vec![0f32; decoded]),
+            slots: (0..workers).map(|_| PushSlot::new(push_len)).collect(),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
         }
@@ -279,6 +256,7 @@ impl CommShared {
 impl Transport for CommShared {
     fn publish(&self, src: &[f32]) {
         self.pull_region.write_f32(src);
+        self.slots.iter().for_each(PushSlot::retire);
     }
 
     fn pull(&self, _worker: usize, dst: &mut [f32]) {
@@ -289,13 +267,17 @@ impl Transport for CommShared {
     }
 
     fn push(&self, worker: usize, src: &[f32]) {
-        self.push_buffers[worker].write_f32(src);
+        let Ok(_) = self.slots[worker].land(None, |buf| {
+            let dst = &mut buf[..src.len()];
+            match self.precision {
+                Precision::Fp32 => dst.copy_from_slice(src),
+                Precision::Fp16 => fp16_round_trip(src, dst),
+            }
+            Ok::<_, Infallible>(src.len())
+        });
         // ordering: Relaxed — wire-byte statistic, reported after joins.
         self.push_bytes
             .fetch_add(self.wire_len(src.len()), Ordering::Relaxed);
-        let (lock, cv) = &self.push_ready[worker];
-        *lock.lock() = true;
-        cv.notify_all();
     }
 
     fn collect_with(
@@ -304,20 +286,7 @@ impl Transport for CommShared {
         timeout: Option<Duration>,
         consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
-        let (lock, cv) = &self.push_ready[worker];
-        let mut ready = lock.lock();
-        wait_ready(cv, &mut ready, timeout, |ready| *ready)?;
-        *ready = false;
-        drop(ready);
-        match &self.push_buffers[worker] {
-            WireStore::F32(buf) => buf.with_read(|pushed| consume(pushed)),
-            store @ WireStore::F16(_) => {
-                let mut decoded = self.decoded.lock();
-                store.read_f32(&mut decoded);
-                consume(&decoded);
-            }
-        }
-        Ok(())
+        self.slots[worker].collect_with(timeout, consume)
     }
 
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
@@ -330,7 +299,7 @@ impl Transport for CommShared {
     }
 
     fn workers(&self) -> usize {
-        self.push_buffers.len()
+        self.slots.len()
     }
 }
 
@@ -338,16 +307,13 @@ impl Transport for CommShared {
 // COMM-P: message-passing transport (the ps-lite model)
 // ---------------------------------------------------------------------------
 
-/// The ps-lite-style baseline: serialize → channel → staging → destination.
+/// The ps-lite-style baseline: serialize → staging → destination.
 pub struct CommP {
     precision: Precision,
     /// Latest published message, shared by all workers.
     published: RwLock<Arc<Vec<u8>>>,
-    /// Per-worker push channels.
-    senders: Vec<Sender<Vec<u8>>>,
-    receivers: Vec<Mutex<Receiver<Vec<u8>>>>,
-    /// Where a collected message is deserialized for the server to view.
-    decoded: Mutex<Vec<f32>>,
+    /// Where each worker's message is deserialized for the server to view.
+    slots: Vec<PushSlot>,
     /// Pull traffic (server → workers).
     pull_bytes: AtomicU64,
     /// Push traffic (workers → server).
@@ -355,21 +321,13 @@ pub struct CommP {
 }
 
 impl CommP {
-    /// Creates a message-passing transport for `workers` workers.
-    pub fn new(workers: usize, precision: Precision) -> Self {
-        let mut senders = Vec::with_capacity(workers);
-        let mut receivers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(Mutex::new(rx));
-        }
+    /// Creates a message-passing transport for `workers` workers pushing up
+    /// to `push_len` floats.
+    pub fn new(workers: usize, push_len: usize, precision: Precision) -> Self {
         CommP {
             precision,
             published: RwLock::new(Arc::new(Vec::new())),
-            senders,
-            receivers,
-            decoded: Mutex::new(Vec::new()),
+            slots: (0..workers).map(|_| PushSlot::new(push_len)).collect(),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
         }
@@ -380,38 +338,29 @@ impl CommP {
     /// messages, and the per-element work plus the allocation is the
     /// overhead COMM avoids.
     fn serialize(&self, src: &[f32]) -> Vec<u8> {
-        match self.precision {
-            Precision::Fp32 => {
-                let mut out = Vec::with_capacity(src.len() * 4);
-                for &v in src {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out
-            }
-            Precision::Fp16 => {
-                let mut out = Vec::with_capacity(src.len() * 2);
-                for &v in src {
-                    out.extend_from_slice(&fp16::f32_to_f16(v).to_le_bytes());
-                }
-                out
+        let mut out = Vec::with_capacity(src.len() * self.precision.bytes_per_element() as usize);
+        for &v in src {
+            match self.precision {
+                Precision::Fp32 => out.extend_from_slice(&v.to_le_bytes()),
+                Precision::Fp16 => out.extend_from_slice(&fp16::f32_to_f16(v).to_le_bytes()),
             }
         }
+        out
     }
 
     fn deserialize(&self, msg: &[u8], dst: &mut [f32]) {
+        // Staging copy first (the KV-store's receive buffer), then
+        // element-wise decode into the destination.
+        let staging: Vec<u8> = msg.to_vec();
         match self.precision {
             Precision::Fp32 => {
-                // Staging copy first (the KV-store's receive buffer), then
-                // element-wise decode into the destination.
-                let staging: Vec<u8> = msg.to_vec();
-                for (j, chunk) in staging.chunks_exact(4).enumerate() {
-                    dst[j] = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+                for (j, b) in staging.chunks_exact(4).enumerate() {
+                    dst[j] = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
                 }
             }
             Precision::Fp16 => {
-                let staging: Vec<u8> = msg.to_vec();
-                for (j, chunk) in staging.chunks_exact(2).enumerate() {
-                    dst[j] = fp16::f16_to_f32(u16::from_le_bytes([chunk[0], chunk[1]]));
+                for (j, b) in staging.chunks_exact(2).enumerate() {
+                    dst[j] = fp16::f16_to_f32(u16::from_le_bytes([b[0], b[1]]));
                 }
             }
         }
@@ -421,12 +370,13 @@ impl CommP {
 impl Transport for CommP {
     fn publish(&self, src: &[f32]) {
         *self.published.write() = Arc::new(self.serialize(src));
+        self.slots.iter().for_each(PushSlot::retire);
     }
 
     fn pull(&self, _worker: usize, dst: &mut [f32]) {
         let msg = self.published.read().clone();
         // ordering: Relaxed — wire-byte statistic here and in `push`; the
-        // channels/RwLock carry the actual data synchronization.
+        // slots/RwLock carry the actual data synchronization.
         self.pull_bytes
             .fetch_add(msg.len() as u64, Ordering::Relaxed);
         self.deserialize(&msg, dst);
@@ -437,9 +387,10 @@ impl Transport for CommP {
         // ordering: Relaxed — statistic (see `pull`).
         self.push_bytes
             .fetch_add(msg.len() as u64, Ordering::Relaxed);
-        // The receiver lives in `self`, so the channel cannot disconnect
-        // while `&self` is borrowed: this send cannot fail.
-        let _ = self.senders[worker].send(msg);
+        let Ok(_) = self.slots[worker].land(None, |buf| {
+            self.deserialize(&msg, &mut buf[..src.len()]);
+            Ok::<_, Infallible>(src.len())
+        });
     }
 
     fn collect_with(
@@ -448,20 +399,7 @@ impl Transport for CommP {
         timeout: Option<Duration>,
         consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
-        let receiver = self.receivers[worker].lock();
-        let msg = match timeout {
-            None => receiver.recv().map_err(|_| CommError::Disconnected)?,
-            Some(timeout) => receiver.recv_timeout(timeout).map_err(|err| match err {
-                RecvTimeoutError::Timeout => CommError::Timeout,
-                RecvTimeoutError::Disconnected => CommError::Disconnected,
-            })?,
-        };
-        drop(receiver);
-        let mut decoded = self.decoded.lock();
-        decoded.resize(msg.len() / self.precision.bytes_per_element() as usize, 0.0);
-        self.deserialize(&msg, &mut decoded);
-        consume(&decoded);
-        Ok(())
+        self.slots[worker].collect_with(timeout, consume)
     }
 
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
@@ -474,13 +412,14 @@ impl Transport for CommP {
     }
 
     fn workers(&self) -> usize {
-        self.senders.len()
+        self.slots.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CommSocket;
 
     fn roundtrip(transport: &dyn Transport, workers: usize) {
         let data: Vec<f32> = (0..64).map(|j| j as f32 * 0.5).collect();
@@ -506,7 +445,7 @@ mod tests {
 
     #[test]
     fn comm_p_fp32_roundtrip() {
-        let t = CommP::new(3, Precision::Fp32);
+        let t = CommP::new(3, 64, Precision::Fp32);
         roundtrip(&t, 3);
     }
 
@@ -514,7 +453,7 @@ mod tests {
     fn fp16_roundtrip_within_tolerance() {
         for transport in [
             Box::new(CommShared::new(1, 32, 32, Precision::Fp16)) as Box<dyn Transport>,
-            Box::new(CommP::new(1, Precision::Fp16)),
+            Box::new(CommP::new(1, 32, Precision::Fp16)),
         ] {
             let data: Vec<f32> = (0..32).map(|j| 0.01 * j as f32 + 0.1).collect();
             transport.publish(&data);
@@ -532,7 +471,7 @@ mod tests {
             let links = |precision| -> [Box<dyn Transport>; 2] {
                 [
                     Box::new(CommShared::new(1, pull_len, push_len, precision)),
-                    Box::new(CommP::new(1, precision)),
+                    Box::new(CommP::new(1, push_len, precision)),
                 ]
             };
             for (t32, t16) in links(Precision::Fp32)
@@ -556,7 +495,7 @@ mod tests {
     fn wire_bytes_split_by_direction_sums_to_total() {
         for t in [
             Box::new(CommShared::new(2, 100, 50, Precision::Fp32)) as Box<dyn Transport>,
-            Box::new(CommP::new(2, Precision::Fp32)),
+            Box::new(CommP::new(2, 50, Precision::Fp32)),
         ] {
             let pub_data = vec![1.0f32; 100];
             t.publish(&pub_data);
@@ -575,9 +514,10 @@ mod tests {
 
     #[test]
     fn an_epoch_over_comm_shared_copies_the_region_five_times_not_seven() {
-        // What a 2-worker epoch does to the transport. The physical copies
-        // are `SharedBuffer`'s own counters: 1 publish + W pulls + W pushes
-        // + 0 collects (two `slot → staging` copies before this test).
+        // What a 2-worker epoch does to the transport: 1 publish + W pulls
+        // (the pull region's own counters) + W pushes, each one copy into
+        // its worker's slot, + 0 collects — a collect is a view of the slot
+        // (two `slot → staging` copies before the collect became a view).
         const LEN: usize = 64;
         let t = CommShared::new(2, LEN, LEN, Precision::Fp32);
         let region = vec![0.5f32; LEN];
@@ -589,43 +529,99 @@ mod tests {
         }
         let mut merged = 0;
         for w in 0..2 {
+            let mut viewed = std::ptr::null();
             t.collect_with(w, None, &mut |pushed| {
                 assert_eq!(pushed, &region[..]);
+                viewed = pushed.as_ptr();
                 merged += 1;
             })
             .unwrap();
+            assert_eq!(viewed, t.slots[w].buffer(), "worker {w}'s collect copied");
         }
         assert_eq!(merged, 2);
-        let (written, read) = std::iter::once(&t.pull_region)
-            .chain(&t.push_buffers)
-            .map(|store| match store {
-                WireStore::F32(buf) => (buf.bytes_written(), buf.bytes_read()),
-                WireStore::F16(_) => unreachable!("built at fp32"),
-            })
-            .fold((0, 0), |(w, r), (dw, dr)| (w + dw, r + dr));
+        let WireStore::F32(pull_region) = &t.pull_region else {
+            unreachable!("built at fp32")
+        };
         let region_bytes = (LEN * 4) as u64;
-        assert_eq!(written, 3 * region_bytes, "1 publish + 2 pushes");
-        assert_eq!(read, 2 * region_bytes, "2 pulls + 0 collects");
+        assert_eq!(pull_region.bytes_written(), region_bytes, "1 publish");
+        assert_eq!(pull_region.bytes_read(), 2 * region_bytes, "2 pulls");
         // The link traffic is the four of those five that a worker made.
         assert_eq!(t.wire_bytes_by_dir(), (2 * region_bytes, 2 * region_bytes));
     }
 
+    /// One worker's link on every base transport, `len` floats each way.
+    fn base_transports(len: usize) -> Vec<(&'static str, Box<dyn Transport>)> {
+        vec![
+            (
+                "shared",
+                Box::new(CommShared::new(1, len, len, Precision::Fp32)),
+            ),
+            (
+                "shared fp16",
+                Box::new(CommShared::new(1, len, len, Precision::Fp16)),
+            ),
+            ("commp", Box::new(CommP::new(1, len, Precision::Fp16))),
+            (
+                "socket",
+                Box::new(CommSocket::new(1, len, len, Precision::Fp32).unwrap()),
+            ),
+            (
+                "tcp",
+                Box::new(CommSocket::new_tcp(1, len, len, Precision::Fp32).unwrap()),
+            ),
+        ]
+    }
+
     #[test]
     fn a_failed_collect_never_calls_consume() {
-        let shared = CommShared::new(1, 4, 4, Precision::Fp32);
-        let p = CommP::new(1, Precision::Fp16);
-        for t in [&shared as &dyn Transport, &p] {
+        for (name, t) in base_transports(4) {
             let mut calls = 0;
             let timeout = Some(Duration::from_millis(10));
             assert_eq!(
                 t.collect_with(0, timeout, &mut |_| calls += 1),
-                Err(CommError::Timeout)
+                Err(CommError::Timeout),
+                "{name}"
             );
             t.push(0, &[1.0, 2.0, 3.0, 4.0]);
             let mut got = Vec::new();
             t.collect_with(0, timeout, &mut |pushed| got.extend_from_slice(pushed))
                 .unwrap();
-            assert_eq!((calls, got), (0, vec![1.0, 2.0, 3.0, 4.0]));
+            assert_eq!((calls, got), (0, vec![1.0, 2.0, 3.0, 4.0]), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_short_push_after_a_long_one_hands_consume_exactly_the_short_one() {
+        for (name, t) in base_transports(4) {
+            for push in [&[1.0, 2.0, 3.0, 4.0][..], &[5.0, 6.0]] {
+                t.push(0, push);
+                let mut got = Vec::new();
+                t.collect_with(0, None, &mut |pushed| got.extend_from_slice(pushed))
+                    .unwrap();
+                assert_eq!(got, push, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_push_nobody_collected_is_retired_by_the_next_publish() {
+        for (name, t) in base_transports(4) {
+            t.publish(&[0.0; 4]);
+            t.push(0, &[1.0; 4]);
+            t.publish(&[0.0; 4]);
+            let mut calls = 0;
+            assert_eq!(
+                t.collect_with(0, Some(Duration::from_millis(20)), &mut |_| calls += 1),
+                Err(CommError::Timeout),
+                "{name}: last epoch's push was handed out"
+            );
+            assert_eq!(calls, 0, "{name}");
+            // The next epoch's push is collected as usual.
+            t.push(0, &[2.0; 4]);
+            let mut dst = [0f32; 4];
+            t.collect_timeout(0, &mut dst, Duration::from_secs(1))
+                .unwrap();
+            assert_eq!(dst, [2.0; 4], "{name}");
         }
     }
 
@@ -652,7 +648,7 @@ mod tests {
             shared.collect_timeout(0, &mut dst, Duration::from_millis(20)),
             Err(CommError::Timeout)
         );
-        let p = CommP::new(1, Precision::Fp32);
+        let p = CommP::new(1, 4, Precision::Fp32);
         assert_eq!(
             p.collect_timeout(0, &mut dst, Duration::from_millis(20)),
             Err(CommError::Timeout)
@@ -663,7 +659,7 @@ mod tests {
     fn collect_timeout_returns_pushed_data() {
         for t in [
             Box::new(CommShared::new(1, 4, 4, Precision::Fp32)) as Box<dyn Transport>,
-            Box::new(CommP::new(1, Precision::Fp32)),
+            Box::new(CommP::new(1, 4, Precision::Fp32)),
         ] {
             t.push(0, &[1.0, 2.0, 3.0, 4.0]);
             let mut dst = vec![0f32; 4];
@@ -686,18 +682,6 @@ mod tests {
             .unwrap();
         assert_eq!(dst, vec![5.0; 4]);
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn comm_p_queues_multiple_pushes() {
-        let t = CommP::new(1, Precision::Fp32);
-        t.push(0, &[1.0]);
-        t.push(0, &[2.0]);
-        let mut dst = vec![0f32; 1];
-        t.collect(0, &mut dst);
-        assert_eq!(dst, vec![1.0]);
-        t.collect(0, &mut dst);
-        assert_eq!(dst, vec![2.0]);
     }
 
     #[test]

@@ -102,7 +102,7 @@ const TRAIN: Command<TrainCommand, 1> = {
     use PartitionMode::{Auto, Dp0, Dp1, Dp2, Uniform};
     use Schedule::{Stripe, Tiled};
     use TransferStrategy::{FullPq, HalfQ, QOnly};
-    use TransportKind::{CommP, Shared, Socket, Tcp};
+    use TransportKind::{Shared, Socket, Tcp};
     Command {
         name: "train",
         args: ["<ratings.txt>"],
@@ -132,8 +132,8 @@ const TRAIN: Command<TrainCommand, 1> = {
             opt("--resume", "FILE", |t, v| v.parse().map(|p| t.config.resume = Some(p))),
             opt("--fault-tolerant", "",
                 |t, _| { t.config.fault_tolerance = Some(SupervisorConfig::default()); Ok(()) }),
-            opt("--transport", "shared|commp|socket|tcp",
-                |t, v| v.pick([Shared, CommP, Socket, Tcp]).map(|k| t.config.transport = k)),
+            opt("--transport", "shared|socket|tcp",
+                |t, v| v.pick([Shared, Socket, Tcp]).map(|k| t.config.transport = k)),
             opt("--server-shards", "N", |t, v| v.parse().map(|n| t.config.server_shards = n)),
             // A fault plan needs the supervisor's bounded collects.
             opt("--net-chaos", "SEED", |t, v| {

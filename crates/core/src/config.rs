@@ -79,8 +79,6 @@ pub enum PartitionMode {
 pub enum TransportKind {
     /// Shared-memory single-copy buffers (the paper's COMM).
     Shared,
-    /// Message-passing with serialize + staging copies (COMM-P / ps-lite).
-    CommP,
     /// Framed socket RPC over a Unix domain socket: CRC-32-trailed frames,
     /// per-RPC deadlines, bounded retries with jittered backoff, and
     /// idempotent push dedup ([`hcc_comm::CommSocket`]).
@@ -556,14 +554,14 @@ mod tests {
             .lambda(0.5)
             .streams(3)
             .partition(PartitionMode::Dp2)
-            .transport(TransportKind::CommP)
+            .transport(TransportKind::Socket)
             .schedule(Schedule::Tiled)
             .build();
         assert_eq!(cfg.k, 64);
         assert_eq!(cfg.lambda_p, 0.5);
         assert_eq!(cfg.lambda_q, 0.5);
         assert_eq!(cfg.streams, 3);
-        assert_eq!(cfg.transport, TransportKind::CommP);
+        assert_eq!(cfg.transport, TransportKind::Socket);
         assert_eq!(cfg.schedule, Schedule::Tiled);
     }
 
@@ -599,7 +597,6 @@ mod tests {
         // Every transport carries chunks.
         for transport in [
             TransportKind::Shared,
-            TransportKind::CommP,
             TransportKind::Socket,
             TransportKind::Tcp,
         ] {
@@ -715,7 +712,6 @@ mod tests {
         // QOnly/HalfQ shard fine, over any transport kind.
         for t in [
             TransportKind::Shared,
-            TransportKind::CommP,
             TransportKind::Socket,
             TransportKind::Tcp,
         ] {

@@ -589,6 +589,30 @@ mod tests {
     }
 
     #[test]
+    fn a_push_nobody_collected_is_retired_by_the_next_publish() {
+        // A push the supervisor gave up on lands after the collect ladder
+        // moved on; the next epoch's publish retires it on every shard.
+        let t = sharded(1, 8, 2, 2);
+        let region = vec![0.5f32; 16];
+        t.publish(&region);
+        t.push(0, &[1.5f32; 16]);
+        t.publish(&region);
+        let mut calls = 0;
+        assert_eq!(
+            t.collect_with(0, Some(Duration::from_millis(20)), &mut |_| calls += 1),
+            Err(CommError::Timeout)
+        );
+        assert_eq!(calls, 0, "last epoch's push was handed out");
+        let mut local = region.clone();
+        local[3] = 9.0;
+        t.push(0, &local);
+        let mut dst = vec![0f32; 16];
+        t.collect_timeout(0, &mut dst, Duration::from_secs(1))
+            .unwrap();
+        assert_eq!(dst, local);
+    }
+
+    #[test]
     fn single_shard_matches_unsharded_semantics() {
         let t = sharded(2, 6, 2, 1);
         let region: Vec<f32> = (0..12).map(|i| i as f32).collect();

@@ -10,8 +10,8 @@ use crate::supervisor::{Supervisor, WorkerHealth};
 use crate::worker::{chunk_col_ranges, group_by_chunk, rebase_rows, OptimizerState, WorkerState};
 use hcc_comm::socket::NetEventKind;
 use hcc_comm::{
-    run_pipeline, Backoff, ChaosTransport, CommError, CommP, CommShared, CommSocket, Fault,
-    Precision, SocketConfig, TransferStrategy, Transport,
+    run_pipeline, Backoff, ChaosTransport, CommError, CommShared, CommSocket, Fault, Precision,
+    TransferStrategy, Transport,
 };
 use hcc_partition::{
     dp0, dp1_step, dp2, replan_survivors, ShardRouter, StrategyChoice, WorkerClass,
@@ -231,22 +231,21 @@ fn build_endpoint(
     shards: usize,
 ) -> Result<Arc<dyn Transport>, HccError> {
     if shards == 1 {
-        return build_link(kind, workers, pull_len, push_len, precision, false);
+        return build_link(kind, workers, pull_len, push_len, precision);
     }
     let router = ShardRouter::uniform(pull_len / k, shards);
     let links = (0..shards)
         .map(|s| {
             let pull = router.range(s).len() * k;
             let push = ShardedServer::shard_push_len(&router, s, k);
-            build_link(kind, workers, pull, push, Precision::Fp32, true)
+            build_link(kind, workers, pull, push, Precision::Fp32)
         })
         .collect::<Result<Vec<_>, _>>()?;
     let server = ShardedServer::new(router, k, pull_len, Precision::Fp32, links);
     Ok(Arc::new(server))
 }
 
-/// One concrete transport of `kind`; `delta_push` tags a socket's pushes as
-/// row deltas (the shards of a sharded server). Fallible because the socket
+/// One concrete transport of `kind`. Fallible because the socket
 /// transports bind an OS resource.
 fn build_link(
     kind: TransportKind,
@@ -254,24 +253,16 @@ fn build_link(
     pull_len: usize,
     push_len: usize,
     precision: Precision,
-    delta_push: bool,
 ) -> Result<Arc<dyn Transport>, HccError> {
-    let cfg = SocketConfig {
-        delta_push,
-        ..SocketConfig::default()
-    };
     let bind_err = |e| HccError::Comm(format!("binding {kind:?} transport: {e}"));
     Ok(match kind {
         TransportKind::Shared => Arc::new(CommShared::new(workers, pull_len, push_len, precision)),
-        TransportKind::CommP => Arc::new(CommP::new(workers, precision)),
-        TransportKind::Socket => Arc::new(
-            CommSocket::with_config(workers, pull_len, push_len, precision, cfg)
-                .map_err(bind_err)?,
-        ),
-        TransportKind::Tcp => Arc::new(
-            CommSocket::with_config_tcp(workers, pull_len, push_len, precision, cfg)
-                .map_err(bind_err)?,
-        ),
+        TransportKind::Socket => {
+            Arc::new(CommSocket::new(workers, pull_len, push_len, precision).map_err(bind_err)?)
+        }
+        TransportKind::Tcp => {
+            Arc::new(CommSocket::new_tcp(workers, pull_len, push_len, precision).map_err(bind_err)?)
+        }
     })
 }
 
@@ -1364,14 +1355,6 @@ mod tests {
     }
 
     #[test]
-    fn comm_p_transport_trains_too() {
-        let ds = dataset(150, 80, 3_000);
-        let cfg = base_config().transport(TransportKind::CommP).build();
-        let report = HccMf::new(cfg).train(&ds.matrix).unwrap();
-        assert!(report.rmse_history.last().unwrap() < &report.rmse_history[0]);
-    }
-
-    #[test]
     fn async_streams_train() {
         let ds = dataset(200, 120, 6_000);
         let cfg = base_config().streams(3).build();
@@ -1381,24 +1364,6 @@ mod tests {
             "async no convergence: {:?}",
             report.rmse_history
         );
-    }
-
-    #[test]
-    fn async_rejects_full_pq_and_comm_p() {
-        let ds = dataset(50, 30, 500);
-        // FullPq cannot be chunked; the config says so before train() runs.
-        assert!(base_config()
-            .streams(2)
-            .strategy(TransferStrategy::FullPq)
-            .try_build()
-            .is_err());
-        // COMM-P carries chunks like any other transport.
-        let cfg = base_config()
-            .streams(2)
-            .transport(TransportKind::CommP)
-            .build();
-        let report = HccMf::new(cfg).train(&ds.matrix).unwrap();
-        assert!(report.rmse_history.last().unwrap() < &report.rmse_history[0]);
     }
 
     #[test]
@@ -1583,7 +1548,6 @@ mod tests {
         };
         for transport in [
             TransportKind::Shared,
-            TransportKind::CommP,
             TransportKind::Socket,
             TransportKind::Tcp,
         ] {

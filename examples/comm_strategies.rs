@@ -54,8 +54,8 @@ fn main() {
         comm_times.push(t);
         report("COMM", strategy, t, &shared);
 
-        // COMM-P: serialize → channel → staging copies.
-        let commp = CommP::new(workers, precision);
+        // COMM-P: serialize → staging copies.
+        let commp = CommP::new(workers, elems, precision);
         let t = run(&commp, workers, rounds, &payload);
         report("COMM-P", strategy, t, &commp);
     }

@@ -197,8 +197,7 @@ fn multi_stream_simulation_reduces_exposed_comm_on_r1() {
 #[test]
 fn trainer_is_transport_invariant_across_wires() {
     // The same deterministic run over every wire the trainer supports:
-    // in-process shared memory, the lock-free CommP buffers, Unix sockets,
-    // and TCP. Fp32 frames round-trip exactly and merges happen in the
+    // in-process shared memory, Unix sockets, and TCP. Fp32 frames round-trip exactly and merges happen in the
     // same worker order, so the factors must agree bit-for-bit.
     use hcc_mf::{HccConfig, HccMf, TransportKind, WorkerSpec};
     let ds = hcc_sparse::SyntheticDataset::generate(hcc_sparse::GenConfig {
@@ -225,11 +224,7 @@ fn trainer_is_transport_invariant_across_wires() {
     let reference = HccMf::new(cfg(TransportKind::Shared))
         .train(&ds.matrix)
         .unwrap();
-    for transport in [
-        TransportKind::CommP,
-        TransportKind::Socket,
-        TransportKind::Tcp,
-    ] {
+    for transport in [TransportKind::Socket, TransportKind::Tcp] {
         let report = HccMf::new(cfg(transport)).train(&ds.matrix).unwrap();
         assert_eq!(reference.p, report.p, "{transport:?}: P diverged");
         assert_eq!(reference.q, report.q, "{transport:?}: Q diverged");

@@ -83,7 +83,6 @@ fn every_strategy_and_transport_converges() {
     for strategy in TransferStrategy::ALL {
         for transport in [
             TransportKind::Shared,
-            TransportKind::CommP,
             TransportKind::Socket,
             TransportKind::Tcp,
         ] {

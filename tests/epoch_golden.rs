@@ -146,8 +146,6 @@ fn plain_epochs_on_every_transport_and_shard_count() {
     check(vec![
         ("shared", plain(TransportKind::Shared, 1), CLEAN),
         ("shared x2", plain(TransportKind::Shared, 2), CLEAN),
-        ("commp", plain(TransportKind::CommP, 1), CLEAN),
-        ("commp x2", plain(TransportKind::CommP, 2), CLEAN),
         ("socket", plain(TransportKind::Socket, 1), CLEAN),
         ("socket x2", plain(TransportKind::Socket, 2), CLEAN),
         ("tcp", plain(TransportKind::Tcp, 1), CLEAN),

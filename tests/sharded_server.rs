@@ -4,7 +4,7 @@
 //! full buffers). Delta accounting is cross-checked against the inner
 //! transports' [`hcc_comm::NetStats`].
 
-use hcc_comm::{delta_len, CommShared, CommSocket, Precision, SocketConfig, Transport};
+use hcc_comm::{delta_len, CommShared, CommSocket, Precision, Transport};
 use hcc_mf::{
     HccConfig, HccMf, HccReport, LearningRate, PartitionMode, ShardedServer, TransportKind,
     WorkerSpec,
@@ -151,15 +151,11 @@ fn untouched_push_ships_headers_only() {
 fn sharded_socket_dedup_verified_against_net_stats() {
     let (rows, k) = (24, 4);
     let router = ShardRouter::uniform(rows, 3);
-    let cfg = SocketConfig {
-        delta_push: true,
-        ..SocketConfig::default()
-    };
     let sockets: Vec<Arc<CommSocket>> = (0..3)
         .map(|s| {
             let pull = router.range(s).len() * k;
             let push = ShardedServer::shard_push_len(&router, s, k);
-            Arc::new(CommSocket::with_config(1, pull, push, Precision::Fp32, cfg.clone()).unwrap())
+            Arc::new(CommSocket::new(1, pull, push, Precision::Fp32).unwrap())
         })
         .collect();
     let inners: Vec<Arc<dyn Transport>> = sockets
@@ -272,11 +268,7 @@ fn pipelining_over_every_wire_matches_shared_memory() {
     // pipelined run is as invisible as under a synchronous one.
     let strategy = hcc_mf::TransferStrategy::QOnly;
     let reference = train_streams(strategy, TransportKind::Shared, 3);
-    for transport in [
-        TransportKind::Socket,
-        TransportKind::Tcp,
-        TransportKind::CommP,
-    ] {
+    for transport in [TransportKind::Socket, TransportKind::Tcp] {
         let wired = train_streams(strategy, transport, 3);
         assert_bit_identical(&reference, &wired, &format!("3 streams over {transport:?}"));
     }
