@@ -45,7 +45,7 @@
 //! `save_model` and `load_model` pay one pass each over the file.
 
 use crate::transport::Precision;
-use hcc_sgd::fp16;
+use hcc_sgd::simd;
 use std::io::{self, Read, Write};
 
 /// Bytes of the block a message streams through, in either direction, and
@@ -177,7 +177,7 @@ fn pack(precision: Precision, src: &[f32], dst: &mut [u8]) {
         Precision::Fp16 => {
             let mut half = [0u16; FP16_LANE];
             for (d, s) in dst.chunks_mut(2 * FP16_LANE).zip(src.chunks(FP16_LANE)) {
-                fp16::encode_slice(s, &mut half[..s.len()]);
+                simd::encode_f16(s, &mut half[..s.len()]);
                 for (b, h) in d.chunks_exact_mut(2).zip(&half) {
                     b.copy_from_slice(&h.to_le_bytes());
                 }
@@ -200,7 +200,7 @@ fn unpack(precision: Precision, wire: &[u8], dst: &mut [f32]) {
                 for (h, c) in half.iter_mut().zip(w.chunks_exact(2)) {
                     *h = u16::from_le_bytes([c[0], c[1]]);
                 }
-                fp16::decode_slice(&half[..d.len()], d);
+                simd::decode_f16(&half[..d.len()], d);
             }
         }
     }

@@ -70,17 +70,6 @@ impl SharedBuffer {
             .fetch_add(dst.len() as u64 * 4, Ordering::Relaxed);
     }
 
-    /// Runs `f` with a read view of the whole buffer *without copying* — the
-    /// "feature matrix stored directly in shared memory" fast path.
-    pub fn with_read<R>(&self, f: impl FnOnce(&[f32]) -> R) -> R {
-        f(&self.inner.data.read())
-    }
-
-    /// Runs `f` with a write view of the whole buffer without copying.
-    pub fn with_write<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> R {
-        f(&mut self.inner.data.write())
-    }
-
     /// Total bytes copied in by [`write`](Self::write).
     pub fn bytes_written(&self) -> u64 {
         // ordering: Relaxed — statistic read; exactness across threads is
@@ -130,17 +119,6 @@ mod tests {
         let mut out = [0f32; 10];
         buf.read(0, &mut out);
         assert_eq!(buf.bytes_read(), 40);
-    }
-
-    #[test]
-    fn zero_copy_views() {
-        let buf = SharedBuffer::new(3);
-        buf.with_write(|s| s.copy_from_slice(&[1.0, 2.0, 3.0]));
-        let sum = buf.with_read(|s| s.iter().sum::<f32>());
-        assert_eq!(sum, 6.0);
-        // Views don't count as copies.
-        assert_eq!(buf.bytes_written(), 0);
-        assert_eq!(buf.bytes_read(), 0);
     }
 
     #[test]

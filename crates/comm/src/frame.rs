@@ -342,7 +342,7 @@ impl Incoming {
 
 // What the reference codec needs that the shipped one no longer does.
 #[cfg(test)]
-use {crate::block::crc32, hcc_sgd::fp16};
+use {crate::block::crc32, hcc_sgd::simd};
 
 /// The codec [`write_frame`] and [`Incoming::read_into`] replaced — one
 /// `Vec` for the frame, one for the fp16 halves; a receive that checks the
@@ -384,7 +384,7 @@ pub(crate) mod reference {
                 }
                 Precision::Fp16 => {
                     let mut half = vec![0u16; self.payload.len()];
-                    fp16::encode_slice(&self.payload, &mut half);
+                    simd::encode_f16(&self.payload, &mut half);
                     for h in half {
                         out.extend_from_slice(&h.to_le_bytes());
                     }
@@ -419,7 +419,7 @@ pub(crate) mod reference {
                         .map(|c| u16::from_le_bytes([c[0], c[1]]))
                         .collect();
                     let mut out = vec![0f32; half.len()];
-                    fp16::decode_slice(&half, &mut out);
+                    simd::decode_f16(&half, &mut out);
                     out
                 }
             };

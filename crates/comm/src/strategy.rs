@@ -82,23 +82,6 @@ impl TransferStrategy {
     pub fn push_bytes(&self, m_assigned: u64, n: u64, k: u64) -> u64 {
         self.push_elements(m_assigned, n, k) * self.bytes_per_element()
     }
-
-    /// Extra bytes pushed once at the end of training: the optimized
-    /// strategies must finally deliver each worker's `P` rows (in FP32 —
-    /// the final model is not compressed).
-    pub fn final_push_extra_bytes(&self, m_assigned: u64, k: u64) -> u64 {
-        match self {
-            TransferStrategy::FullPq => 0,
-            TransferStrategy::QOnly | TransferStrategy::HalfQ => 4 * k * m_assigned,
-        }
-    }
-
-    /// The paper's theoretical communication speedup of `QOnly` over
-    /// `FullPq` for a 20-epoch run: `20(m+n) / (m + 20n)` (the one `P` push
-    /// still happens).
-    pub fn q_only_theoretical_speedup(m: u64, n: u64, epochs: u64) -> f64 {
-        (epochs as f64 * (m + n) as f64) / (m as f64 + epochs as f64 * n as f64)
-    }
 }
 
 #[cfg(test)]
@@ -143,30 +126,23 @@ mod tests {
     }
 
     #[test]
-    fn final_push_only_for_optimized() {
-        assert_eq!(TransferStrategy::FullPq.final_push_extra_bytes(100, 8), 0);
-        assert_eq!(
-            TransferStrategy::QOnly.final_push_extra_bytes(100, 8),
-            4 * 8 * 100
-        );
-        assert_eq!(
-            TransferStrategy::HalfQ.final_push_extra_bytes(100, 8),
-            4 * 8 * 100
-        );
-    }
-
-    #[test]
     fn theoretical_speedups_match_paper_values() {
         // Paper §4.4 quotes 19.4 / 2.5 / 6.1 for Netflix / R1 / R2 at 20
         // epochs. Its own formula `20(m+n)/(m+20n)` reproduces R1 and R2
         // exactly but yields 11.9 for Netflix — the paper's Netflix figure
         // is internally inconsistent (see EXPERIMENTS.md); we assert the
-        // formula.
-        let netflix = TransferStrategy::q_only_theoretical_speedup(480_190, 17_771, 20);
+        // formula, from the volumes: 20 `P&Q` pulls against 20 `Q` pulls
+        // plus the one final `P` push.
+        let speedup = |m: u64, n: u64| {
+            let full = 20 * TransferStrategy::FullPq.pull_elements(m, n, 1);
+            let q_only = 20 * TransferStrategy::QOnly.pull_elements(m, n, 1) + m;
+            full as f64 / q_only as f64
+        };
+        let netflix = speedup(480_190, 17_771);
         assert!((netflix - 11.9).abs() < 0.1, "netflix {netflix}");
-        let r1 = TransferStrategy::q_only_theoretical_speedup(1_948_883, 1_101_750, 20);
+        let r1 = speedup(1_948_883, 1_101_750);
         assert!((r1 - 2.5).abs() < 0.1, "r1 {r1}");
-        let r2 = TransferStrategy::q_only_theoretical_speedup(1_000_000, 136_736, 20);
+        let r2 = speedup(1_000_000, 136_736);
         assert!((r2 - 6.1).abs() < 0.1, "r2 {r2}");
     }
 }

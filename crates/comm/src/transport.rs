@@ -25,7 +25,7 @@
 use crate::buffer::SharedBuffer;
 use crate::slot::PushSlot;
 use crate::socket::NetEvent;
-use hcc_sgd::fp16;
+use hcc_sgd::{fp16, simd};
 use parking_lot::RwLock;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,14 +201,14 @@ impl WireStore {
         match self {
             WireStore::F32(buf) => buf.write(0, src),
             // The F16C codec, on the caller's thread.
-            WireStore::F16(cells) => fp16::encode_slice(src, &mut cells.write()[..src.len()]),
+            WireStore::F16(cells) => simd::encode_f16(src, &mut cells.write()[..src.len()]),
         }
     }
 
     fn read_f32(&self, dst: &mut [f32]) {
         match self {
             WireStore::F32(buf) => buf.read(0, dst),
-            WireStore::F16(cells) => fp16::decode_slice(&cells.read()[..dst.len()], dst),
+            WireStore::F16(cells) => simd::decode_f16(&cells.read()[..dst.len()], dst),
         }
     }
 }
@@ -219,8 +219,8 @@ fn fp16_round_trip(src: &[f32], dst: &mut [f32]) {
     let mut wire = [0u16; 256];
     for (src, dst) in src.chunks(wire.len()).zip(dst.chunks_mut(wire.len())) {
         let wire = &mut wire[..src.len()];
-        fp16::encode_slice(src, wire);
-        fp16::decode_slice(wire, dst);
+        simd::encode_f16(src, wire);
+        simd::decode_f16(wire, dst);
     }
 }
 

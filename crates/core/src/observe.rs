@@ -52,7 +52,7 @@ pub fn epoch_summary(timeline: &Timeline) -> String {
     }
     if timeline.dropped > 0 {
         out.push_str(&format!(
-            "warning: {} events dropped (ring buffers full)\n",
+            "warning: {} events dropped (a telemetry lane reached its capacity)\n",
             timeline.dropped
         ));
     }

@@ -84,30 +84,6 @@ impl HccReport {
         self.rmse_history.last().copied()
     }
 
-    /// Cumulative per-worker phase totals over all epochs (Fig. 8 bars).
-    pub fn cumulative_worker_stats(&self) -> Vec<WorkerEpochStats> {
-        let workers = self.worker_stats.first().map_or(0, Vec::len);
-        let mut acc = vec![WorkerEpochStats::default(); workers];
-        for epoch in &self.worker_stats {
-            for (slot, stat) in acc.iter_mut().zip(epoch) {
-                slot.pull += stat.pull;
-                slot.compute += stat.compute;
-                slot.push += stat.push;
-                slot.updates += stat.updates;
-            }
-        }
-        acc
-    }
-
-    /// Total communication time: Σ over workers and epochs of pull + push.
-    pub fn total_comm_time(&self) -> Duration {
-        self.worker_stats
-            .iter()
-            .flat_map(|epoch| epoch.iter())
-            .map(|s| s.pull + s.push)
-            .sum()
-    }
-
     /// The final partition vector.
     pub fn final_partition(&self) -> Option<&[f64]> {
         self.partition_history.last().map(|v| v.as_slice())
@@ -162,16 +138,6 @@ mod tests {
         assert!((r.computing_power() - 900.0 / 0.060).abs() < 1.0);
         assert_eq!(r.final_rmse(), Some(0.8));
         assert_eq!(r.final_partition(), Some(&[0.4, 0.6][..]));
-    }
-
-    #[test]
-    fn cumulative_stats_sum_epochs() {
-        let r = report();
-        let acc = r.cumulative_worker_stats();
-        assert_eq!(acc.len(), 2);
-        assert_eq!(acc[0].compute, Duration::from_millis(30));
-        assert_eq!(acc[1].updates, 600);
-        assert_eq!(r.total_comm_time(), Duration::from_millis(18));
     }
 
     #[test]

@@ -273,11 +273,6 @@ impl ShardedServer {
         &self.router
     }
 
-    /// Number of server shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Cumulative delta-shipping accounting.
     pub fn delta_stats(&self) -> DeltaStats {
         DeltaStats {
@@ -620,7 +615,7 @@ mod tests {
         let mut dst = vec![0f32; 12];
         t.pull(1, &mut dst);
         assert_eq!(dst, region);
-        assert_eq!(t.num_shards(), 1);
+        assert_eq!(t.shards.len(), 1);
         assert_eq!(t.workers(), 2);
         let (pull, push) = t.wire_bytes_by_dir();
         assert_eq!(pull, 48);

@@ -676,7 +676,7 @@ mod tests {
     #[test]
     fn r1_accepts_doc_safety_section_for_unsafe_fns() {
         let src =
-            "/// Does things.\n///\n/// # Safety\n/// Caller upholds X.\npub unsafe fn f() {}\n";
+            "/// Does things.\n///\n/// # Safety\n/// Caller upholds X.\npub(crate) unsafe fn f() {}\n";
         assert!(check("crates/sgd/src/x.rs", src).is_empty());
     }
 

@@ -75,7 +75,7 @@ pub fn fold_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_sgd::kernel::dot;
+    use hcc_sgd::dot;
 
     fn constant_q_model() -> ServedModel {
         // 1 existing user, 4 items, k=1, all q rows = 2.0.

@@ -1,17 +1,20 @@
 //! The differential test oracle: a deliberately naive top-k.
 //!
 //! This is the specification the optimized serving path is tested against:
-//! scalar dot products (`hcc_sgd::kernel::dot`, no SIMD dispatch), a full
-//! score vector, a full `O(items log items)` sort, then truncation. It is
-//! kept simple enough to be obviously correct; `tests/serving.rs`
-//! proptests the sharded + SIMD + bounded-heap engine against it, and
-//! `benchmark/` scores `recall_at_10` with it.
+//! one dispatched dot product per item ([`hcc_sgd::dot`], the same kernel
+//! the engine's f32 scan runs), a full score vector, a full
+//! `O(items log items)` sort, then truncation. It is kept simple enough to
+//! be obviously correct. Because it and the engine share the kernel, what
+//! `tests/serving.rs` checks against it is everything around the
+//! arithmetic — sharding, norm pruning, the seen filter and the bounded
+//! heaps; the kernel's arithmetic is checked against the scalar path in
+//! `hcc_sgd::simd`'s tests. `benchmark/` scores `recall_at_10` with it.
 
-use hcc_sgd::kernel::dot;
+use hcc_sgd::dot;
 use hcc_sgd::FactorMatrix;
 use hcc_sparse::CsrMatrix;
 
-/// Scores every unseen item for `user` with scalar dots, sorts the full
+/// Scores every unseen item for `user` with one dot each, sorts the full
 /// vector (score descending, item ascending on ties), and truncates to
 /// `count`.
 ///

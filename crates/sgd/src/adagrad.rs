@@ -10,8 +10,8 @@
 
 use crate::factors::SharedFactors;
 use crate::hogwild::{sweep, HogwildConfig};
-use crate::kernel::dot;
 use crate::shared::SharedRows;
+use crate::simd::dot;
 use hcc_sparse::Rating;
 use std::sync::atomic::Ordering;
 
@@ -33,17 +33,6 @@ impl AdaGradState {
             accum_q: SharedFactors::zeros(n, k),
             epsilon,
         }
-    }
-
-    /// Mean accumulated squared gradient over `P` (diagnostic; grows
-    /// monotonically with updates).
-    pub fn mean_accum_p(&self) -> f64 {
-        let snap = self.accum_p.snapshot();
-        let s = snap.as_slice();
-        if s.is_empty() {
-            return 0.0;
-        }
-        s.iter().map(|&v| v as f64).sum::<f64>() / s.len() as f64
     }
 }
 
@@ -169,6 +158,13 @@ mod tests {
         assert!(ada < sgd, "adagrad {ada} vs sgd {sgd}");
     }
 
+    /// Mean accumulated squared gradient over `P`.
+    fn mean_accum_p(state: &AdaGradState) -> f64 {
+        let snap = state.accum_p.snapshot();
+        let s = snap.as_slice();
+        s.iter().map(|&v| v as f64).sum::<f64>() / s.len() as f64
+    }
+
     #[test]
     fn accumulators_grow_monotonically() {
         let (ds, p, q, state) = setup();
@@ -176,7 +172,7 @@ mod tests {
         let mut last = 0.0;
         for _ in 0..3 {
             adagrad_hogwild_epoch(ds.matrix.entries(), &p, &q, &state, &cfg);
-            let now = state.mean_accum_p();
+            let now = mean_accum_p(&state);
             assert!(now > last, "accumulator did not grow: {now} <= {last}");
             last = now;
         }
@@ -187,6 +183,6 @@ mod tests {
         let (_, p, q, state) = setup();
         let cfg = config(1, 0.05);
         assert_eq!(adagrad_hogwild_epoch(&[], &p, &q, &state, &cfg), 0.0);
-        assert_eq!(state.mean_accum_p(), 0.0);
+        assert_eq!(mean_accum_p(&state), 0.0);
     }
 }

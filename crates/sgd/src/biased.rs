@@ -9,7 +9,7 @@
 
 use crate::factors::SharedFactors;
 use crate::hogwild::{sweep, HogwildConfig};
-use crate::kernel::dot;
+use crate::simd::dot;
 use crate::FactorMatrix;
 use hcc_sparse::Rating;
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -75,12 +75,6 @@ impl FactorMatrix {
         &self.data[r * self.k..(r + 1) * self.k]
     }
 
-    /// Row `r` as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.k..(r + 1) * self.k]
-    }
-
     /// Whole buffer.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
@@ -238,20 +232,6 @@ impl SharedFactors {
         self.view().read_into(&mut m.data);
         m
     }
-
-    /// Overwrites the whole matrix from a plain one (dimensions must match).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn copy_from(&self, m: &FactorMatrix) {
-        assert_eq!(m.rows(), self.rows, "row mismatch");
-        assert_eq!(m.k(), self.k, "k mismatch");
-        for (cell, &v) in self.data.iter().zip(m.as_slice()) {
-            // ordering: Relaxed — bulk overwrite runs outside the worker
-            // scope; the next scope's spawn edge publishes it.
-            cell.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -280,7 +260,7 @@ mod tests {
     #[test]
     fn row_access() {
         let mut m = FactorMatrix::zeros(2, 3);
-        m.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0]);
+        m.as_mut_slice()[3..].copy_from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(0), &[0.0, 0.0, 0.0]);
     }
@@ -384,13 +364,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn copy_from_overwrites() {
-        let s = SharedFactors::zeros(2, 2);
-        let m = FactorMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        s.copy_from(&m);
-        assert_eq!(s.snapshot(), m);
     }
 }

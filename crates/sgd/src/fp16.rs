@@ -4,10 +4,11 @@
 //! matrices to half precision before transfer (§3.4, Strategy 2), using AVX
 //! and multi-threading on the CPU side. This module is the Rust analog of
 //! the AVX half: a bit-exact scalar codec with round-to-nearest-even,
-//! subnormal, infinity and NaN handling, with the bulk slice codecs
-//! dispatched through [`crate::simd`] (F16C vector conversion on capable
-//! CPUs, this scalar codec otherwise). A slice converts on the caller's
-//! thread; the paper's multi-threaded conversion is not reproduced.
+//! subnormal, infinity and NaN handling. The bulk slice codecs are
+//! [`crate::simd::encode_f16`] and [`crate::simd::decode_f16`] (F16C vector
+//! conversion on capable CPUs, this scalar codec otherwise, bit-exact
+//! either way). A slice converts on the caller's thread; the paper's
+//! multi-threaded conversion is not reproduced.
 
 /// Converts one `f32` to its nearest binary16 bit pattern
 /// (round-to-nearest-even; overflow rounds to infinity).
@@ -96,48 +97,10 @@ pub const F16_MAX: f32 = 65504.0;
 /// Smallest positive normal binary16 value (2^-14).
 pub const F16_MIN_POSITIVE: f32 = 6.103_515_6e-5;
 
-/// Encodes a slice. `dst` must be the same length as `src`.
-///
-/// Dispatches to the F16C vector codec where the CPU supports it; the result
-/// is bit-exact with [`f32_to_f16`] either way (VCVTPS2PH implements the same
-/// round-to-nearest-even, subnormal and NaN-quieting behaviour).
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn encode_slice(src: &[f32], dst: &mut [u16]) {
-    assert_eq!(src.len(), dst.len(), "encode buffers must match");
-    crate::simd::encode_f16(src, dst);
-}
-
-/// Decodes a slice. `dst` must be the same length as `src`.
-///
-/// Dispatches to the F16C vector codec where available; bit-exact with
-/// [`f16_to_f32`] either way.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn decode_slice(src: &[u16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "decode buffers must match");
-    crate::simd::decode_f16(src, dst);
-}
-
-/// Encodes into a fresh vector.
-pub fn encode_vec(src: &[f32]) -> Vec<u16> {
-    let mut out = vec![0u16; src.len()];
-    encode_slice(src, &mut out);
-    out
-}
-
-/// Decodes into a fresh vector.
-pub fn decode_vec(src: &[u16]) -> Vec<f32> {
-    let mut out = vec![0f32; src.len()];
-    decode_slice(src, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{decode_f16, encode_f16};
 
     #[test]
     fn known_bit_patterns() {
@@ -249,11 +212,13 @@ mod tests {
     #[test]
     fn slice_codecs_match_scalar() {
         let src: Vec<f32> = (0..10_000).map(|j| (j as f32 - 5_000.0) * 0.01).collect();
-        let enc = encode_vec(&src);
+        let mut enc = vec![0u16; src.len()];
+        encode_f16(&src, &mut enc);
         for (j, &s) in src.iter().enumerate() {
             assert_eq!(enc[j], f32_to_f16(s));
         }
-        let dec = decode_vec(&enc);
+        let mut dec = vec![0f32; enc.len()];
+        decode_f16(&enc, &mut dec);
         for (j, &h) in enc.iter().enumerate() {
             assert_eq!(dec[j].to_bits(), f16_to_f32(h).to_bits());
         }
@@ -263,6 +228,6 @@ mod tests {
     #[should_panic(expected = "must match")]
     fn mismatched_lengths_panic() {
         let mut dst = vec![0u16; 3];
-        encode_slice(&[1.0, 2.0], &mut dst);
+        encode_f16(&[1.0, 2.0], &mut dst);
     }
 }

@@ -275,11 +275,16 @@ where
 
 /// Plain SGD's per-entry step ([`sgd_step_shared`]) at `config`'s learning
 /// rate and regularization.
+///
+/// # Panics
+/// Panics if `p` and `q` differ in latent dimension: the step's kernel
+/// reads and writes `p.k()` lanes of a `q` row.
 pub(crate) fn sgd<'r>(
     p: SharedRows<'r>,
     q: SharedRows<'r>,
     config: &HogwildConfig,
 ) -> impl Fn(&Rating, &mut [f32]) -> f32 + Sync + 'r {
+    assert_eq!(q.k(), p.k(), "P and Q must share latent dimension");
     let HogwildConfig {
         learning_rate,
         lambda_p,
@@ -292,18 +297,19 @@ pub(crate) fn sgd<'r>(
     }
 }
 
-/// Runs one asynchronous epoch of plain SGD ([`sgd_step_shared`]) over
-/// `entries`, updating `p` and `q` in place. Both are anything that lends
-/// [`SharedRows`]: a `&SharedFactors`, or a view of plain rows somebody
-/// holds exclusively. [`Schedule::Tiled`] builds a [`TileGrid`] for the
-/// shard first (one `O(nnz)` counting sort).
+/// Runs one asynchronous epoch of plain SGD (the [`sgd_step`](crate::sgd_step)
+/// rule on shared rows) over `entries`, updating `p` and `q` in place. Both
+/// are anything that lends [`SharedRows`]: a `&SharedFactors`, or a view of
+/// plain rows somebody holds exclusively. [`Schedule::Tiled`] builds a
+/// [`TileGrid`] for the shard first (one `O(nnz)` counting sort).
 ///
 /// Returns the summed squared prediction error observed during the sweep
 /// (errors are measured *before* each update, so this is a running training
 /// loss, not a post-epoch loss).
 ///
 /// # Panics
-/// Panics if `config.threads == 0` or if an entry indexes outside `p`/`q`.
+/// Panics if `config.threads == 0`, if `p` and `q` differ in latent
+/// dimension, or if an entry indexes outside `p`/`q`.
 pub fn hogwild_epoch<'a>(
     entries: &[Rating],
     p: impl Into<SharedRows<'a>>,
@@ -354,6 +360,22 @@ mod tests {
             lambda_q: 0.01,
             schedule,
         }
+    }
+
+    /// Plain SGD's step panics on views of different `k` before it writes
+    /// past `q`'s row.
+    #[test]
+    fn plain_sgd_step_rejects_views_of_different_k() {
+        let mut p = [0.5f32; 8];
+        let mut buf = [7.0f32; 8];
+        let (q, _) = buf.split_at_mut(4);
+        q.fill(0.5);
+        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (p, q) = (SharedRows::new(&mut p, 8), SharedRows::new(q, 4));
+            sgd(p, q, &cfg(1, Schedule::Stripe))(&Rating { u: 0, i: 0, r: 4.0 }, &mut [])
+        }));
+        assert!(hit.is_err(), "a step over k = 8 and k = 4 returned");
+        assert_eq!(buf[4..], [7.0; 4], "the step wrote past q's row");
     }
 
     #[test]

@@ -10,25 +10,22 @@
 //! q_i += γ (e·p_u_old − λ2·q_i)
 //! ```
 //!
-//! The kernel is written over plain slices (used by serial SGD, FPSGD blocks,
-//! and tests) and over [`SharedRows`] (used by Hogwild threads). Both
-//! use the *old* `p_u` in the `q_i` update, matching FPSGD/CuMF_SGD, and both
-//! route through the same runtime-dispatched fused kernel in [`crate::simd`],
-//! so within one process they produce bit-identical results.
+//! The rule is written over plain slices ([`sgd_step`], the public one) and
+//! over [`SharedRows`] (the crate's Hogwild sweeps, through
+//! [`crate::hogwild`]). Both use the *old* `p_u` in the `q_i` update,
+//! matching FPSGD/CuMF_SGD, and both route through the same
+//! runtime-dispatched fused kernel in [`crate::simd`], whose `p·q` is
+//! [`crate::dot`]'s, so within one process they produce bit-identical
+//! results.
 
 use crate::shared::SharedRows;
 use crate::simd;
 
-/// Inner product of two equal-length slices, through the runtime-dispatched
-/// kernel (AVX2+FMA where available, plain auto-vectorizable loop otherwise).
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    simd::dot(a, b)
-}
-
 /// One SGD update on plain factor rows. Returns the prediction error
 /// `e = r − p·q` *before* the update.
+///
+/// # Panics
+/// Panics if `p` and `q` differ in length.
 #[inline]
 pub fn sgd_step(
     p: &mut [f32],
@@ -38,11 +35,11 @@ pub fn sgd_step(
     lambda_p: f32,
     lambda_q: f32,
 ) -> f32 {
-    debug_assert_eq!(p.len(), q.len());
+    assert_eq!(p.len(), q.len(), "p and q rows must have the same length");
     let k = p.len();
-    // SAFETY: `p` and `q` are exclusive borrows of `k` f32s each, so the
-    // pointers are valid and writable for the whole call, and two distinct
-    // `&mut` slices can never overlap.
+    // SAFETY: `p` and `q` are exclusive borrows of `k` f32s each (checked
+    // above), so the pointers are valid and writable for the whole call,
+    // and two distinct `&mut` slices can never overlap.
     unsafe { simd::fused_step_ptr(p.as_mut_ptr(), q.as_mut_ptr(), k, r, lr, lambda_p, lambda_q) }
 }
 
@@ -52,12 +49,14 @@ pub fn sgd_step(
 /// SIMD kernel runs at full speed on the shared rows.
 ///
 /// `p` and `q` must be *different* matrices (they always are in MF: `P` is
-/// users, `Q` is items), otherwise the two rows could alias.
+/// users, `Q` is items), otherwise the two rows could alias, and must share
+/// `k`: [`crate::hogwild`]'s plain-SGD step, which builds every call,
+/// asserts it once per pass.
 // Out of line: inlined into a sweep loop it drags the scalar fallback along,
 // whose constants then spill around every update's dispatch (−3 % at k = 64).
 #[inline(never)]
 #[allow(clippy::too_many_arguments)] // hot kernel: flat scalars beat a params struct
-pub fn sgd_step_shared(
+pub(crate) fn sgd_step_shared(
     p: &SharedRows<'_>,
     q: &SharedRows<'_>,
     u: usize,
@@ -78,7 +77,9 @@ pub fn sgd_step_shared(
     //   validity as `u32` (std guarantee), which has the same layout as
     //   `f32`, so `p_cells.as_ptr() as *mut f32` points to `k` valid,
     //   4-byte-aligned f32 lanes inside one live allocation for the whole
-    //   call (the `&[AtomicU32]` borrows keep the rows alive).
+    //   call (the `&[AtomicU32]` borrows keep the rows alive); so does
+    //   `q_cells`, because `q.k() == p.k()` — `hogwild::sgd` asserts it
+    //   before it hands out the step that calls this.
     // * Mutability — the cells' interior is an `UnsafeCell`, so writing
     //   through a pointer derived from a shared reference is permitted.
     // * No aliasing between rows — `p` and `q` are distinct matrices per the
@@ -110,11 +111,27 @@ pub fn sgd_step_shared(
 mod tests {
     use super::*;
     use crate::factors::{FactorMatrix, SharedFactors};
+    use crate::simd::dot;
 
     #[test]
     fn dot_matches_manual() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    /// `sgd_step` panics on rows of different lengths before it writes past
+    /// the shorter one.
+    #[test]
+    fn sgd_step_rejects_rows_of_different_lengths() {
+        let mut p = [0.5f32; 8];
+        let mut buf = [7.0f32; 8];
+        let (q, _) = buf.split_at_mut(4);
+        q.fill(0.5);
+        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sgd_step(&mut p, q, 4.0, 0.1, 0.0, 0.0)
+        }));
+        assert!(hit.is_err(), "a step over rows of 8 and 4 returned");
+        assert_eq!(buf[4..], [7.0; 4], "the step wrote past q");
     }
 
     #[test]

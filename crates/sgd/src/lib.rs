@@ -69,8 +69,9 @@ pub use adagrad::{adagrad_hogwild_epoch, AdaGradState};
 pub use biased::{biased_hogwild_epoch, BiasedModel, SharedBias};
 pub use factors::{FactorMatrix, SharedFactors};
 pub use hogwild::{hogwild_epoch, HogwildConfig, Schedule};
-pub use kernel::{dot, sgd_step};
+pub use kernel::sgd_step;
 pub use loss::{rmse, rmse_parallel};
 pub use momentum::{momentum_hogwild_epoch, MomentumState};
 pub use schedule::LearningRate;
 pub use shared::SharedRows;
+pub use simd::dot;

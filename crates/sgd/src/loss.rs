@@ -5,7 +5,7 @@
 //! precision. Evaluation runs on the caller's thread.
 
 use crate::factors::FactorMatrix;
-use crate::kernel::dot;
+use crate::simd::dot;
 use hcc_sparse::Rating;
 
 /// Root-mean-square error of predictions `p_u · q_i` over `entries`.

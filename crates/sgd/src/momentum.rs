@@ -7,8 +7,8 @@
 
 use crate::factors::SharedFactors;
 use crate::hogwild::{sweep, HogwildConfig};
-use crate::kernel::dot;
 use crate::shared::SharedRows;
+use crate::simd::dot;
 use hcc_sparse::Rating;
 use std::sync::atomic::Ordering;
 

@@ -2,32 +2,38 @@
 //!
 //! The paper's CPU workers get their throughput from hand-written AVX512
 //! kernels (§3.4). This module is the portable-Rust analog: AVX2+FMA
-//! `std::arch` implementations of the fused dot+update SGD step and an F16C
-//! path for the binary16 codec, selected **once at runtime** via
-//! `is_x86_feature_detected!` and cached. Every entry point has a scalar
-//! fallback with identical semantics (up to floating-point reassociation in
-//! the dot product), so the crate builds and tests pass on any architecture.
+//! `std::arch` implementations of the fused dot+update SGD step, the dot
+//! products and an F16C path for the binary16 codec, selected **once at
+//! runtime** via `is_x86_feature_detected!` and cached. Every entry point
+//! has a scalar fallback with identical semantics (up to floating-point
+//! reassociation in the dot product), so the crate builds and tests pass on
+//! any architecture. The AVX2 side has one dot kernel per element type (f32,
+//! binary16, int8): an `NQ × NI` register tile. [`dot`] and the training
+//! step's `p·q` are its 1 × 1 instance; [`dot_rows`], [`dot_rows_f16`] and
+//! [`dot_rows_i8`] run it over the serving scan's tiles. No kernel here is
+//! public as an `unsafe fn`.
 //!
 //! Dispatch granularity is one branch on a relaxed atomic per kernel call —
 //! noise next to the `O(k)` work each call does at the paper's k = 128.
 //!
 //! # Backend equality guarantees
 //!
-//! * `fp16` encode/decode: **bit-exact** across backends. VCVTPS2PH with
-//!   round-to-nearest-even implements the same IEEE-754 conversion as the
-//!   scalar codec in [`crate::fp16`], including subnormals (the F16C
-//!   instructions are exempt from DAZ/FTZ) and NaN quieting.
-//! * `dot_i8`: **bit-exact** across backends — the accumulation is integer
-//!   arithmetic, so VPMADDWD and the scalar loop produce identical i32s.
-//! * `dot` / `dot_f16` / `fused_step_ptr`: scalar and AVX2 differ only by reassociation
-//!   of the dot reduction and FMA contraction in the update (relative error
-//!   ≤ ~k·ε). Within one process the backend is fixed, so the plain and
-//!   shared SGD paths — both of which route through [`fused_step_ptr`] —
-//!   produce identical results to each other.
-//! * `dot_rows` / `dot_rows_f16` / `dot_rows_i8` (many query rows against a
-//!   tile of item rows, for the serving scan): every score is **bit-exact**
-//!   with the single-row kernel of the same backend on that pair — blocking
-//!   changes which pairs are in flight together, never one pair's reduction.
+//! * [`encode_f16`] / [`decode_f16`]: **bit-exact** across backends.
+//!   VCVTPS2PH with round-to-nearest-even implements the same IEEE-754
+//!   conversion as the scalar codec in [`crate::fp16`], including subnormals
+//!   (the F16C instructions are exempt from DAZ/FTZ) and NaN quieting.
+//! * [`dot_rows_i8`]: **bit-exact** across backends — the accumulation is
+//!   integer arithmetic, so VPMADDWD and the scalar loop produce identical
+//!   i32s.
+//! * [`dot`], [`dot_rows`], [`dot_rows_f16`] and the fused SGD step: scalar
+//!   and AVX2 differ only by reassociation of the dot reduction and FMA
+//!   contraction in the update (relative error ≤ ~k·ε). Within one process
+//!   the backend is fixed, so the plain and shared SGD paths — both of which
+//!   route through one fused step — produce identical results to each other.
+//! * Within one backend a score does not depend on its place in a tile:
+//!   every `dot_rows*` score is **bit-exact** with the 1 × 1 call on that
+//!   pair (and, for f32, with [`dot`]) — tiling changes which pairs are in
+//!   flight together, never one pair's reduction.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -137,56 +143,19 @@ pub fn dispatch_tag() -> &'static str {
 // Dot product
 // ---------------------------------------------------------------------------
 
-/// Dispatched inner product of two equal-length slices.
+/// Dispatched inner product of the first `min(a.len(), b.len())` elements
+/// of `a` and `b` (the scalar `zip`'s rule). The AVX2 path is the 1 × 1
+/// tile of [`dot_rows`], so a pair scores the same alone as inside a tile.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
     match active_backend() {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
             // SAFETY: `active_backend() == Avx2` implies AVX2+FMA were
-            // detected at runtime; both pointers cover `a.len()` valid f32s.
-            unsafe { avx2::dot_ptr(a.as_ptr(), b.as_ptr(), a.len()) }
+            // detected at runtime; both pointers cover the `min` length.
+            unsafe { avx2::dot_ptr(a.as_ptr(), b.as_ptr(), a.len().min(b.len())) }
         }
         _ => scalar::dot(a, b),
-    }
-}
-
-/// Dispatched mixed-precision inner product: an f32 query row against a
-/// binary16-encoded stored row (the serving fp16 tier). The AVX2 path
-/// widens 8 halves per iteration with VCVTPH2PS and FMA-accumulates; the
-/// scalar path decodes through [`crate::fp16::f16_to_f32`]. Both compute
-/// `Σ a[j]·decode(b[j])`, differing only by reduction reassociation.
-#[inline]
-pub fn dot_f16(a: &[f32], b: &[u16]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    match active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: backend implies AVX2+FMA+F16C present; both pointers
-            // cover `a.len()` valid elements (debug-asserted equal above,
-            // and the kernel never reads past `min` of the two in release
-            // because the dispatcher's contract is equal lengths).
-            unsafe { avx2::dot_f16_ptr(a.as_ptr(), b.as_ptr(), a.len().min(b.len())) }
-        }
-        _ => scalar::dot_f16(a, b),
-    }
-}
-
-/// Dispatched integer inner product of two int8 rows (the serving int8
-/// tier). Exact i32 accumulation — scalar and AVX2 agree bit-for-bit, so
-/// equivalence tests can use strict equality.
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    match active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: backend implies AVX2 present; both pointers cover
-            // `min(a.len(), b.len())` valid i8s.
-            unsafe { avx2::dot_i8_ptr(a.as_ptr(), b.as_ptr(), a.len().min(b.len())) }
-        }
-        _ => crate::int8::dot_i8_scalar(a, b),
     }
 }
 
@@ -216,7 +185,7 @@ fn rows_shape<const NQ: usize>(
 }
 
 /// Stamps out one dispatched multi-row dot product: the shape check, the
-/// AVX2 tile kernel, and the scalar fallback that calls the single-row
+/// AVX2 tile kernel, and the scalar fallback that calls the scalar
 /// reference once per pair.
 macro_rules! dot_rows_dispatch {
     ($(#[$doc:meta])* $name:ident, $q:ty, $item:ty, $out:ty, $avx2:ident, $scalar:path) => {
@@ -267,10 +236,10 @@ dot_rows_dispatch! {
     ///
     /// One call loads each item row once for all `NQ` queries, and the AVX2
     /// path works on 2 items at a time, so an `NQ = 2` call issues one load
-    /// per FMA where [`dot`] issues two. Each pair's arithmetic is exactly
-    /// [`dot`]'s — the same chunk split over the same two accumulators, the
-    /// same horizontal sum, the same scalar tail — so every score is
-    /// bit-identical to a [`dot`] call on that pair, on either backend.
+    /// per FMA where a 1 × 1 call issues two. A pair's arithmetic does not
+    /// depend on the tile it sits in, and [`dot`] is the 1 × 1 tile, so
+    /// every score is bit-identical to a [`dot`] call on that pair, on
+    /// either backend.
     ///
     /// # Panics
     /// Panics if the query rows differ in length, the output rows differ in
@@ -280,8 +249,8 @@ dot_rows_dispatch! {
 
 dot_rows_dispatch! {
     /// [`dot_rows`] against binary16-encoded item rows: every score is
-    /// bit-identical to [`dot_f16`] on that pair. The AVX2 path widens each
-    /// group of 8 halves once for all `NQ` queries.
+    /// bit-identical to the 1 × 1 call on that pair. The AVX2 path widens
+    /// each group of 8 halves once for all `NQ` queries.
     ///
     /// # Panics
     /// Same shape contract as [`dot_rows`].
@@ -290,8 +259,8 @@ dot_rows_dispatch! {
 
 dot_rows_dispatch! {
     /// [`dot_rows`] over int8 rows with exact i32 accumulation: every score
-    /// equals [`dot_i8`] on that pair (integer arithmetic, so any blocking
-    /// agrees).
+    /// equals the 1 × 1 call on that pair (integer arithmetic, so any
+    /// blocking agrees).
     ///
     /// # Panics
     /// Same shape contract as [`dot_rows`].
@@ -312,6 +281,7 @@ dot_rows_dispatch! {
 /// using the *old* `p[j]` in the `q` update (FPSGD/CuMF_SGD convention).
 /// Returns `e`. Both the plain-slice and the shared-atomic SGD paths call
 /// this one function, which is what makes them bit-identical to each other.
+/// The AVX2 path's `p·q` is [`dot`]'s 1 × 1 tile.
 ///
 /// # Safety
 ///
@@ -324,7 +294,7 @@ dot_rows_dispatch! {
 // SHARED: p, q — Hogwild factor rows; other threads may be running this
 // same kernel on the same rows, which the algorithm tolerates lane-wise.
 #[inline]
-pub unsafe fn fused_step_ptr(
+pub(crate) unsafe fn fused_step_ptr(
     p: *mut f32,
     q: *mut f32,
     k: usize,
@@ -399,11 +369,11 @@ pub fn decode_f16(src: &[u16], dst: &mut [f32]) {
 
 /// Portable fallbacks. These are the *reference semantics* the SIMD paths are
 /// tested against; they intentionally mirror the pre-SIMD seed kernels.
-pub mod scalar {
-    /// Plain-loop inner product (LLVM auto-vectorizes the zip).
+mod scalar {
+    /// Plain-loop inner product over the shorter length (LLVM
+    /// auto-vectorizes the zip).
     #[inline]
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+    pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
         let mut acc = 0.0f32;
         for (&x, &y) in a.iter().zip(b.iter()) {
             acc += x * y;
@@ -413,7 +383,7 @@ pub mod scalar {
 
     /// Plain-loop mixed-precision inner product: `Σ a[j]·decode(b[j])`.
     #[inline]
-    pub fn dot_f16(a: &[f32], b: &[u16]) -> f32 {
+    pub(super) fn dot_f16(a: &[f32], b: &[u16]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
         let mut acc = 0.0f32;
         for (&x, &h) in a.iter().zip(b.iter()) {
@@ -428,7 +398,7 @@ pub mod scalar {
     /// Same as [`super::fused_step_ptr`].
     // SHARED: p, q — same Hogwild factor rows as the dispatching wrapper.
     #[inline]
-    pub unsafe fn fused_step_ptr(
+    pub(super) unsafe fn fused_step_ptr(
         p: *mut f32,
         q: *mut f32,
         k: usize,
@@ -468,9 +438,10 @@ pub mod scalar {
 /// x86-64 vector kernels. Every function here requires the CPU features its
 /// `#[target_feature]` attribute names; the dispatcher guarantees that by
 /// construction, and tests gate direct calls on `detect()`-equivalent
-/// checks.
+/// checks. There is one dot kernel per element type, the tile block; a
+/// single-row dot is its 1 × 1 instance.
 #[cfg(target_arch = "x86_64")]
-pub mod avx2 {
+mod avx2 {
     use std::arch::x86_64::*;
 
     /// Horizontal sum of one 8-lane register.
@@ -490,42 +461,17 @@ pub mod avx2 {
         _mm_cvtss_f32(s)
     }
 
-    /// 8-lane FMA inner product with two independent accumulators (breaks
-    /// the add chain so both FMA ports stay busy at k = 128).
+    /// Single-row f32 dot: the 1 × 1 [`dot_block`].
     ///
     /// # Safety
     /// Requires AVX2+FMA; `a` and `b` must point to `k` valid f32s.
     // SHARED: a, b — factor rows concurrent Hogwild writers may touch;
     // the dot only needs per-lane untorn reads.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_ptr(a: *const f32, b: *const f32, k: usize) -> f32 {
-        // SAFETY: all element accesses below stay inside `0..k`, which the
-        // caller guarantees is valid for both pointers; loads are unaligned
-        // (`loadu`) so no alignment requirement beyond f32's.
-        unsafe {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut j = 0usize;
-            while j + 16 <= k {
-                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(j)), _mm256_loadu_ps(b.add(j)), acc0);
-                acc1 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(a.add(j + 8)),
-                    _mm256_loadu_ps(b.add(j + 8)),
-                    acc1,
-                );
-                j += 16;
-            }
-            if j + 8 <= k {
-                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(j)), _mm256_loadu_ps(b.add(j)), acc0);
-                j += 8;
-            }
-            let mut acc = hsum(_mm256_add_ps(acc0, acc1));
-            while j < k {
-                acc += *a.add(j) * *b.add(j);
-                j += 1;
-            }
-            acc
-        }
+    pub(super) unsafe fn dot_ptr(a: *const f32, b: *const f32, k: usize) -> f32 {
+        // SAFETY: the caller's contract is the block's for one row each.
+        unsafe { dot_block::<1, 1>([a], [b], k)[0][0] }
     }
 
     /// Fused dot+update step, vector form. Same math as
@@ -536,7 +482,7 @@ pub mod avx2 {
     /// [`super::fused_step_ptr`] (`k` valid f32s each, non-overlapping).
     // SHARED: p, q — same Hogwild factor rows as the dispatching wrapper.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fused_step_ptr(
+    pub(super) unsafe fn fused_step_ptr(
         p: *mut f32,
         q: *mut f32,
         k: usize,
@@ -578,44 +524,6 @@ pub mod avx2 {
         }
     }
 
-    /// Mixed-precision inner product: f32 row `a` against f16-encoded row
-    /// `b`, widening 8 halves per iteration with VCVTPH2PS.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA+F16C; `a` must point to `k` valid f32s and `b` to
-    /// `k` valid u16 half patterns.
-    // SHARED: a, b — serving-shard rows, read-only after snapshot
-    // publication; no writer exists while queries run.
-    #[target_feature(enable = "avx2,fma,f16c")]
-    pub unsafe fn dot_f16_ptr(a: *const f32, b: *const u16, k: usize) -> f32 {
-        // SAFETY: element accesses stay in `0..k`, valid for both pointers
-        // per the caller contract; the 128-bit load reads 8 u16 = 16 bytes
-        // at b+j, in bounds while j+8 <= k; loads are unaligned.
-        unsafe {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut j = 0usize;
-            while j + 16 <= k {
-                let b0 = _mm256_cvtph_ps(_mm_loadu_si128(b.add(j) as *const __m128i));
-                let b1 = _mm256_cvtph_ps(_mm_loadu_si128(b.add(j + 8) as *const __m128i));
-                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(j)), b0, acc0);
-                acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(j + 8)), b1, acc1);
-                j += 16;
-            }
-            if j + 8 <= k {
-                let bv = _mm256_cvtph_ps(_mm_loadu_si128(b.add(j) as *const __m128i));
-                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(j)), bv, acc0);
-                j += 8;
-            }
-            let mut acc = hsum(_mm256_add_ps(acc0, acc1));
-            while j < k {
-                acc += *a.add(j) * crate::fp16::f16_to_f32(*b.add(j));
-                j += 1;
-            }
-            acc
-        }
-    }
-
     /// Horizontal sum of one 8-lane i32 register.
     ///
     /// # Safety
@@ -630,38 +538,6 @@ pub mod avx2 {
         let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
         let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
         _mm_cvtsi128_si32(s)
-    }
-
-    /// Integer inner product of two int8 rows: 16 lanes widened to i16 per
-    /// step (VPMOVSXBW), pairwise-multiplied and summed into i32 lanes
-    /// (VPMADDWD). Exact — bit-identical to the scalar reference.
-    ///
-    /// # Safety
-    /// Requires AVX2; `a` and `b` must each point to `k` valid i8s.
-    // SHARED: a, b — quantized serving-shard rows, read-only after
-    // snapshot publication.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8_ptr(a: *const i8, b: *const i8, k: usize) -> i32 {
-        // SAFETY: element accesses stay in `0..k`, valid per the caller
-        // contract; each 128-bit load reads 16 i8 = 16 bytes at offset j,
-        // in bounds while j+16 <= k. i32 lanes cannot overflow: each
-        // madd term is ≤ 2·127² and at most k/8 terms accumulate per lane.
-        unsafe {
-            let mut acc = _mm256_setzero_si256();
-            let mut j = 0usize;
-            while j + 16 <= k {
-                let av = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.add(j) as *const __m128i));
-                let bv = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.add(j) as *const __m128i));
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-                j += 16;
-            }
-            let mut total = hsum_epi32(acc);
-            while j < k {
-                total += *a.add(j) as i32 * *b.add(j) as i32;
-                j += 1;
-            }
-            total
-        }
     }
 
     /// Loads 8 binary16 lanes widened to f32 (VCVTPH2PS, exact).
@@ -679,18 +555,20 @@ pub mod avx2 {
 
     /// Stamps out an `NQ × NI` register block of a float dot kernel: `NQ`
     /// query rows against `NI` item rows, each item vector loaded (`$load8`)
-    /// once for all queries. Per pair the arithmetic is the single-row
-    /// kernel's, step for step — 16-element chunks split over `acc0`/`acc1`,
-    /// an 8-element remainder into `acc0`, `hsum(acc0 + acc1)`, then the
-    /// scalar tail (`$widen` an item element, multiply, add) — which is what
-    /// makes every block score bit-identical to the single-row one.
+    /// once for all queries. Per pair the arithmetic is the same in every
+    /// block shape, step for step — 16-element chunks split over
+    /// `acc0`/`acc1`, an 8-element remainder into `acc0`, `hsum(acc0 +
+    /// acc1)`, then the scalar tail (`$widen` an item element, multiply,
+    /// add) — which is what makes every score bit-identical to the 1 × 1
+    /// block's on that pair.
     macro_rules! float_block {
         ($(#[$doc:meta])* $name:ident, $item:ty, $features:literal, $load8:path, $widen:path) => {
             $(#[$doc])*
             // SAFETY: an `unsafe fn`; the `# Safety` section each invocation
             // passes in states the caller's contract.
-            // SHARED: q, it — serving query and shard rows, read-only while
-            // queries run.
+            // SHARED: q, it — rows this kernel only reads: serving rows, or
+            // (through `dot_ptr`) Hogwild factor rows whose concurrent
+            // writers leave per-lane untorn values.
             #[inline]
             #[target_feature(enable = $features)]
             unsafe fn $name<const NQ: usize, const NI: usize>(
@@ -757,7 +635,7 @@ pub mod avx2 {
     }
 
     float_block! {
-        /// `NQ × NI` block of [`dot_ptr`].
+        /// `NQ × NI` f32 dot block; [`dot_ptr`] is its 1 × 1 instance.
         ///
         /// # Safety
         /// Requires AVX2+FMA; every pointer must cover `k` valid f32s.
@@ -765,7 +643,7 @@ pub mod avx2 {
     }
 
     float_block! {
-        /// `NQ × NI` block of [`dot_f16_ptr`]: each 8 halves are widened once
+        /// `NQ × NI` f32 × binary16 dot block: each 8 halves are widened once
         /// for all `NQ` queries.
         ///
         /// # Safety
@@ -774,9 +652,10 @@ pub mod avx2 {
         dot_f16_block, u16, "avx2,fma,f16c", load8_f16, crate::fp16::f16_to_f32
     }
 
-    /// `NQ × NI` block of [`dot_i8_ptr`]: each 16 item bytes are widened
-    /// once for all `NQ` queries. Integer accumulation, so the totals equal
-    /// the single-row kernel's exactly.
+    /// `NQ × NI` int8 dot block: 16 lanes widened to i16 per step
+    /// (VPMOVSXBW), each item's once for all `NQ` queries, pairwise
+    /// multiplied and summed into i32 lanes (VPMADDWD). Integer
+    /// accumulation, so the totals equal the scalar reference exactly.
     ///
     /// # Safety
     /// Requires AVX2; every pointer must cover `k` valid i8s.
@@ -791,8 +670,8 @@ pub mod avx2 {
     ) -> [[i32; NI]; NQ] {
         // SAFETY: every access is at an offset in `0..k` of a pointer the
         // caller guarantees covers `k` i8s; each 128-bit load reads 16 bytes
-        // at `j` only while `j + 16 <= k`. Lanes cannot overflow, as in
-        // `dot_i8_ptr`.
+        // at `j` only while `j + 16 <= k`. i32 lanes cannot overflow: each
+        // madd term is ≤ 2·127² and at most k/16 terms accumulate per lane.
         unsafe {
             let mut acc = [[_mm256_setzero_si256(); NI]; NQ];
             let mut iv = [_mm256_setzero_si256(); NI];
@@ -834,7 +713,7 @@ pub mod avx2 {
             // SHARED: q, items — serving query and shard rows, read-only
             // while queries run; out — the caller's private score scratch.
             #[target_feature(enable = $features)]
-            pub unsafe fn $name<const NQ: usize>(
+            pub(super) unsafe fn $name<const NQ: usize>(
                 q: [*const $q; NQ],
                 items: *const $item,
                 ni: usize,
@@ -901,7 +780,7 @@ pub mod avx2 {
     /// # Safety
     /// Requires F16C (+AVX); `src` and `dst` must be equal length.
     #[target_feature(enable = "avx,f16c")]
-    pub unsafe fn encode_f16(src: &[f32], dst: &mut [u16]) {
+    pub(super) unsafe fn encode_f16(src: &[f32], dst: &mut [u16]) {
         debug_assert_eq!(src.len(), dst.len());
         let n = src.len();
         let sp = src.as_ptr();
@@ -930,7 +809,7 @@ pub mod avx2 {
     /// # Safety
     /// Requires F16C (+AVX); `src` and `dst` must be equal length.
     #[target_feature(enable = "avx,f16c")]
-    pub unsafe fn decode_f16(src: &[u16], dst: &mut [f32]) {
+    pub(super) unsafe fn decode_f16(src: &[u16], dst: &mut [f32]) {
         debug_assert_eq!(src.len(), dst.len());
         let n = src.len();
         let sp = src.as_ptr();
@@ -1034,54 +913,70 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// Scores one pair as a 1 × 1 call of each tile kernel on `backend`.
+    fn alone(backend: Backend, q: &[f32], item: &[f32]) -> (f32, f32, i32) {
+        set_backend(backend).unwrap();
+        let (q8, item8) = (bytes(q), bytes(item));
+        let halves = halves(item);
+        let (mut f, mut h, mut i) = ([0f32], [0f32], [0i32]);
+        dot_rows([q], item, [&mut f]);
+        dot_rows_f16([q], &halves, [&mut h]);
+        dot_rows_i8([&q8], &item8, [&mut i]);
+        (f[0], h[0], i[0])
+    }
+
+    fn wave(n: usize, salt: usize) -> Vec<f32> {
+        (0..n)
+            .map(|j| ((j * 37 + salt) as f32 * 0.013).sin() * 1.7)
+            .collect()
+    }
+
+    fn halves(v: &[f32]) -> Vec<u16> {
+        v.iter().map(|&x| crate::fp16::f32_to_f16(x)).collect()
+    }
+
+    fn bytes(v: &[f32]) -> Vec<i8> {
+        v.iter().map(|&x| (x * 70.0) as i8).collect()
+    }
+
     #[test]
     fn dot_f16_backends_agree_within_reassociation_tolerance() {
+        let _guard = test_lock();
         if !avx2_available() {
             return;
         }
         for k in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 64, 127, 128] {
-            let a: Vec<f32> = (0..k)
-                .map(|j| ((j * 41 + 7) as f32 * 0.013).sin())
-                .collect();
-            let b: Vec<u16> = (0..k)
-                .map(|j| crate::fp16::f32_to_f16(((j * 17 + 3) as f32 * 0.021).cos()))
-                .collect();
-            let s: f32 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &h)| x * crate::fp16::f16_to_f32(h))
-                .sum();
-            // SAFETY: AVX2+FMA+F16C runtime-checked above; slices hold k elems.
-            let v = unsafe { avx2::dot_f16_ptr(a.as_ptr(), b.as_ptr(), k) };
+            let (a, b) = (wave(k, 7), wave(k, 3));
+            let s = scalar::dot_f16(&a, &halves(&b));
+            let v = alone(Backend::Avx2, &a, &b).1;
             assert!(
                 (s - v).abs() <= 1e-5 * s.abs().max(1.0),
                 "k {k}: scalar {s} vs avx2 {v}"
             );
         }
+        reset_backend();
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn dot_i8_backends_bit_exact() {
+        let _guard = test_lock();
         if !avx2_available() {
             return;
         }
         for k in [0usize, 1, 7, 15, 16, 17, 31, 32, 33, 64, 100, 127, 128] {
-            let a: Vec<i8> = (0..k).map(|j| ((j * 37 + 11) % 255) as i8).collect();
-            let b: Vec<i8> = (0..k).map(|j| ((j * 91 + 53) % 255) as i8).collect();
-            let s = crate::int8::dot_i8_scalar(&a, &b);
-            // SAFETY: AVX2 runtime-checked above; slices hold k i8s.
-            let v = unsafe { avx2::dot_i8_ptr(a.as_ptr(), b.as_ptr(), k) };
-            assert_eq!(s, v, "k {k}");
+            let (a, b) = (wave(k, 11), wave(k, 53));
+            let s = crate::int8::dot_i8_scalar(&bytes(&a), &bytes(&b));
+            assert_eq!(s, alone(Backend::Avx2, &a, &b).2, "k {k}");
         }
+        reset_backend();
     }
 
-    /// Every score of a multi-row call must be the single-row kernel's on
-    /// that pair — to the bit for the float tiers, equal for int8 — on
-    /// both backends, across the chunk, remainder and tail lengths of `k`
-    /// and even, odd and empty item counts. A changed per-pair reduction
-    /// order in the tile kernels fails here.
+    /// A score does not depend on its place in a batch: every score of a
+    /// multi-row call — `NQ` ∈ {1, 2} queries against `ni` items, across
+    /// the chunk, remainder and tail lengths of `k` — has the bits of the
+    /// same pair scored alone (the 1 × 1 call), and for f32 those of
+    /// [`dot`], on both backends. A per-pair reduction order that depends
+    /// on the tile shape fails here.
     #[test]
     fn multi_row_kernels_match_the_single_row_ones_on_both_backends() {
         let _guard = test_lock();
@@ -1089,60 +984,55 @@ mod tests {
             if set_backend(backend).is_err() {
                 continue;
             }
-            for k in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 128] {
-                for ni in [0usize, 1, 2, 3, 63, 64] {
-                    let wave = |n: usize, salt: usize| -> Vec<f32> {
-                        (0..n)
-                            .map(|j| ((j * 37 + salt) as f32 * 0.013).sin() * 1.7)
-                            .collect()
-                    };
+            for k in [1usize, 7, 8, 15, 16, 17, 64, 100] {
+                for ni in [1usize, 2, 3, 5] {
                     let q = [wave(k, 11), wave(k, 501)];
                     let items = wave(ni * k, 97);
-                    let halves: Vec<u16> =
-                        items.iter().map(|&x| crate::fp16::f32_to_f16(x)).collect();
-                    let bytes =
-                        |v: &[f32]| -> Vec<i8> { v.iter().map(|&x| (x * 70.0) as i8).collect() };
-                    let (q8, items8) = ([bytes(&q[0]), bytes(&q[1])], bytes(&items));
+                    let (q8, items8, halves) =
+                        ([bytes(&q[0]), bytes(&q[1])], bytes(&items), halves(&items));
                     let ctx = format!("{} k {k} ni {ni}", backend.name());
 
-                    let (mut a, mut b, mut c) = (vec![0f32; ni], vec![0f32; ni], vec![0f32; ni]);
-                    dot_rows([&q[0], &q[1]], &items, [&mut a, &mut b]);
-                    dot_rows([&q[1]], &items, [&mut c]);
-                    let (mut ha, mut hb, mut hc) = (vec![0f32; ni], vec![0f32; ni], vec![0f32; ni]);
-                    dot_rows_f16([&q[0], &q[1]], &halves, [&mut ha, &mut hb]);
-                    dot_rows_f16([&q[1]], &halves, [&mut hc]);
-                    let (mut ia, mut ib, mut ic) = (vec![0i32; ni], vec![0i32; ni], vec![0i32; ni]);
-                    dot_rows_i8([&q8[0], &q8[1]], &items8, [&mut ia, &mut ib]);
-                    dot_rows_i8([&q8[1]], &items8, [&mut ic]);
+                    let mut f = [vec![0f32; ni], vec![0f32; ni], vec![0f32; ni]];
+                    let mut h = f.clone();
+                    let mut i = [vec![0i32; ni], vec![0i32; ni], vec![0i32; ni]];
+                    let ([f0, f1, f2], [h0, h1, h2], [i0, i1, i2]) = (&mut f, &mut h, &mut i);
+                    dot_rows([&q[0], &q[1]], &items, [f0, f1]);
+                    dot_rows([&q[1]], &items, [f2]);
+                    dot_rows_f16([&q[0], &q[1]], &halves, [h0, h1]);
+                    dot_rows_f16([&q[1]], &halves, [h2]);
+                    dot_rows_i8([&q8[0], &q8[1]], &items8, [i0, i1]);
+                    dot_rows_i8([&q8[1]], &items8, [i2]);
 
-                    for i in 0..ni {
-                        let row = i * k..(i + 1) * k;
-                        let want = [
-                            dot(&q[0], &items[row.clone()]),
-                            dot(&q[1], &items[row.clone()]),
-                        ];
-                        assert_eq!(a[i].to_bits(), want[0].to_bits(), "f32 {ctx} item {i}");
-                        assert_eq!(b[i].to_bits(), want[1].to_bits(), "f32 {ctx} item {i}");
-                        assert_eq!(c[i].to_bits(), want[1].to_bits(), "f32 x1 {ctx} item {i}");
-                        let want = [
-                            dot_f16(&q[0], &halves[row.clone()]),
-                            dot_f16(&q[1], &halves[row.clone()]),
-                        ];
-                        assert_eq!(ha[i].to_bits(), want[0].to_bits(), "f16 {ctx} item {i}");
-                        assert_eq!(hb[i].to_bits(), want[1].to_bits(), "f16 {ctx} item {i}");
-                        assert_eq!(hc[i].to_bits(), want[1].to_bits(), "f16 x1 {ctx} item {i}");
-                        let want = [
-                            dot_i8(&q8[0], &items8[row.clone()]),
-                            dot_i8(&q8[1], &items8[row]),
-                        ];
-                        assert_eq!(
-                            (ia[i], ib[i], ic[i]),
-                            (want[0], want[1], want[1]),
-                            "i8 {ctx} item {i}"
-                        );
+                    for it in 0..ni {
+                        let item = &items[it * k..(it + 1) * k];
+                        for (slot, qa) in [(0, 0), (1, 1), (2, 1)] {
+                            let (wf, wh, wi) = alone(backend, &q[qa], item);
+                            let at = format!("{ctx} slot {slot} item {it}");
+                            assert_eq!(f[slot][it].to_bits(), wf.to_bits(), "f32 {at}");
+                            assert_eq!(wf.to_bits(), dot(&q[qa], item).to_bits(), "f32 dot {at}");
+                            assert_eq!(h[slot][it].to_bits(), wh.to_bits(), "f16 {at}");
+                            assert_eq!(i[slot][it], wi, "i8 {at}");
+                        }
                     }
                 }
             }
+        }
+        reset_backend();
+    }
+
+    /// `dot` scores only the elements both rows have, on both backends: the
+    /// rest of the longer row is never read.
+    #[test]
+    fn dot_scores_only_the_elements_both_rows_have() {
+        let _guard = test_lock();
+        let mut buf = [1e30f32; 64];
+        buf[..8].fill(1.0);
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            if set_backend(backend).is_err() {
+                continue;
+            }
+            assert_eq!(dot(&[1.0; 64], &buf[..8]), 8.0, "{}", backend.name());
+            assert_eq!(dot(&buf[..8], &[1.0; 64]), 8.0, "{}", backend.name());
         }
         reset_backend();
     }

@@ -135,11 +135,6 @@ impl CooMatrix {
         self.entries.sort_unstable_by_key(|e| (e.u, e.i));
     }
 
-    /// Sorts entries by column, then row (for column-grid partitioning).
-    pub fn sort_by_col(&mut self) {
-        self.entries.sort_unstable_by_key(|e| (e.i, e.u));
-    }
-
     /// Per-row entry counts; length `rows`.
     pub fn row_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.rows as usize];
@@ -244,14 +239,6 @@ mod tests {
         m.sort_by_row();
         let keys: Vec<(u32, u32)> = m.entries().iter().map(|e| (e.u, e.i)).collect();
         assert_eq!(keys, vec![(0, 0), (0, 1), (1, 0), (2, 3)]);
-    }
-
-    #[test]
-    fn sort_by_col_orders_by_column_first() {
-        let mut m = sample();
-        m.sort_by_col();
-        let keys: Vec<(u32, u32)> = m.entries().iter().map(|e| (e.i, e.u)).collect();
-        assert_eq!(keys, vec![(0, 0), (0, 1), (1, 0), (3, 2)]);
     }
 
     #[test]

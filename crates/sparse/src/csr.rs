@@ -54,12 +54,6 @@ impl CsrMatrix {
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
-    /// Number of entries in row `u`.
-    #[inline]
-    pub fn row_len(&self, u: u32) -> usize {
-        self.row_ptr[u as usize + 1] - self.row_ptr[u as usize]
-    }
-
     /// Iterates all `(row, col, value)` triples in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, f32)> + '_ {
         (0..self.rows).flat_map(move |u| {
@@ -138,7 +132,7 @@ mod tests {
         // Stable with respect to COO order: (0,1) came before (0,0).
         assert_eq!(cols, &[1, 0]);
         assert_eq!(vals, &[5.0, 4.0]);
-        assert_eq!(csr.row_len(1), 1);
+        assert_eq!(csr.row(1).0.len(), 1);
         let (cols, _) = csr.row(1);
         assert_eq!(cols, &[2]);
     }
@@ -147,9 +141,8 @@ mod tests {
     fn empty_rows_have_zero_len() {
         let coo = CooMatrix::new(3, 2, vec![Rating::new(2, 0, 1.0)]).unwrap();
         let csr = CsrMatrix::from(&coo);
-        assert_eq!(csr.row_len(0), 0);
-        assert_eq!(csr.row_len(1), 0);
-        assert_eq!(csr.row_len(2), 1);
+        let lens: Vec<usize> = (0..3).map(|u| csr.row(u).0.len()).collect();
+        assert_eq!(lens, [0, 0, 1]);
     }
 
     #[test]

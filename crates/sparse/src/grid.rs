@@ -137,18 +137,6 @@ impl GridPartition {
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards.iter().map(Vec::len).collect()
     }
-
-    /// Actual fraction of entries per worker.
-    pub fn actual_fractions(&self) -> Vec<f64> {
-        let total: usize = self.shards.iter().map(Vec::len).sum();
-        if total == 0 {
-            return vec![0.0; self.shards.len()];
-        }
-        self.shards
-            .iter()
-            .map(|s| s.len() as f64 / total as f64)
-            .collect()
-    }
 }
 
 /// The split points of `matrix` along `axis` for `fractions`, and the prefix

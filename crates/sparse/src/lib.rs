@@ -37,7 +37,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod error;
 pub mod gen;
@@ -49,7 +48,6 @@ pub mod stats;
 pub mod tile;
 
 pub use coo::{CooMatrix, Rating};
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use gen::{GenConfig, SyntheticDataset};

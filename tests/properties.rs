@@ -215,17 +215,6 @@ proptest! {
     }
 
     #[test]
-    fn csc_csr_agree_on_entry_multiset(matrix in arb_matrix()) {
-        let csr = hcc_sparse::CsrMatrix::from(&matrix);
-        let csc = hcc_sparse::CscMatrix::from(&matrix);
-        let mut a: Vec<_> = csr.iter().map(|(u, i, r)| (u, i, r.to_bits())).collect();
-        let mut b: Vec<_> = csc.iter().map(|(u, i, r)| (u, i, r.to_bits())).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
     fn dp1_step_never_increases_group_gap_under_linear_model(
         rates in proptest::collection::vec(1e5f64..1e7, 2..6),
         split in 1usize..5,

@@ -70,7 +70,7 @@ fn phase_spans_account_for_epoch_wall_clock() {
         .build();
     let report = HccMf::new(config).train(&ds.matrix).unwrap();
     let timeline = report.timeline.as_ref().expect("telemetry was enabled");
-    assert_eq!(timeline.dropped, 0, "ring buffers overflowed");
+    assert_eq!(timeline.dropped, 0, "a telemetry lane reached its capacity");
 
     let breakdown = epoch_breakdown(timeline);
     assert_eq!(breakdown.len(), 3);
