@@ -7,7 +7,7 @@ use hcc_hetsim::{
     cost_model_for, simulate_training, standalone_times, virtual_measure, worker_classes, Platform,
     SimConfig, Workload,
 };
-use hcc_partition::{dp0, dp1, dp2, Dp1Options};
+use hcc_partition::{dp0, dp1, dp2};
 use hcc_sparse::DatasetProfile;
 
 pub fn run(_: &Flags) -> Result<(), String> {
@@ -71,19 +71,9 @@ fn partition(name: &str, platform: &Platform, wl: &Workload, cfg: &SimConfig) ->
     let x0 = dp0(&standalone_times(platform, wl));
     match name {
         "DP0" => x0,
-        "DP1" => dp1(
-            &x0,
-            &worker_classes(platform),
-            Dp1Options::default(),
-            virtual_measure(platform, wl),
-        ),
+        "DP1" => dp1(&x0, &worker_classes(platform), virtual_measure(platform, wl)),
         "DP2" => {
-            let x1 = dp1(
-                &x0,
-                &worker_classes(platform),
-                Dp1Options::default(),
-                virtual_measure(platform, wl),
-            );
+            let x1 = dp1(&x0, &worker_classes(platform), virtual_measure(platform, wl));
             let mut measure = virtual_measure(platform, wl);
             let t = measure(&x1);
             let model = cost_model_for(platform, wl, cfg);

@@ -17,7 +17,7 @@ use hcc_hetsim::{
     cost_model_for, standalone_times, virtual_measure_total, worker_classes, Platform, SimConfig,
     Workload,
 };
-use hcc_partition::{PartitionPlan, PartitionPlanner};
+use hcc_partition::{CostModel, PartitionPlan};
 
 /// The flags an experiment was given, read by name (`get`, `parsed`).
 pub use hcc_mf::cli::Flags;
@@ -146,8 +146,9 @@ pub fn usage() -> String {
 /// with per-worker fixed costs.
 pub fn plan(platform: &Platform, workload: &Workload, config: &SimConfig) -> PartitionPlan {
     let model = cost_model_for(platform, workload, config);
-    PartitionPlanner::default().plan(
+    hcc_partition::plan(
         &model,
+        CostModel::LAMBDA,
         &standalone_times(platform, workload),
         &worker_classes(platform),
         virtual_measure_total(platform, workload, config),

@@ -7,11 +7,12 @@
 //! [`Flags`] is the workspace's one flag tokenizer (`hcc-bench` reads its
 //! experiments' flags through it too).
 
-use crate::config::{HccConfig, PartitionMode, TransportKind, WorkerSpec};
+use crate::config::{HccConfig, TransportKind, WorkerSpec};
 use crate::metrics::evaluate_ranking;
 use crate::supervisor::SupervisorConfig;
 use crate::train::HccMf;
 use hcc_comm::{FaultPlan, TransferStrategy};
+use hcc_partition::PartitionMode;
 use hcc_serve::{
     AdmissionConfig, AdmissionPipeline, Precision, ServeEngine, ServeError, ServedModel,
 };

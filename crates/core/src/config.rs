@@ -2,6 +2,7 @@
 
 use crate::error::HccError;
 use hcc_comm::TransferStrategy;
+use hcc_partition::PartitionMode;
 use hcc_sgd::{LearningRate, Schedule};
 
 /// One worker of the collaborative platform.
@@ -56,22 +57,6 @@ impl WorkerSpec {
         self.name = name.to_string();
         self
     }
-}
-
-/// How the server partitions data among workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionMode {
-    /// Equal shares — the "unbalanced data" straw man of Fig. 3(a) when the
-    /// platform is heterogeneous.
-    Uniform,
-    /// DP0 only: proportional to calibrated standalone speed (Eq. 6).
-    Dp0,
-    /// DP0 + Algorithm-1 compensation during the first epochs.
-    Dp1,
-    /// DP1 + hidden-synchronization staggering (Eq. 7).
-    Dp2,
-    /// The paper's λ dispatch (Eq. 5): DP1 when sync is negligible, else DP2.
-    Auto,
 }
 
 /// Which COMM implementation carries the feature matrices.

@@ -62,9 +62,7 @@ pub use baseline::{BaselinePredictor, BiasedRecommender};
 pub use checkpoint::{
     load_checkpoint, load_model, save_checkpoint, save_model, ResumeState, TrainingMeta,
 };
-pub use config::{
-    EarlyStop, HccConfig, HccConfigBuilder, Optimizer, PartitionMode, TransportKind, WorkerSpec,
-};
+pub use config::{EarlyStop, HccConfig, HccConfigBuilder, Optimizer, TransportKind, WorkerSpec};
 pub use error::HccError;
 pub use metrics::{evaluate_ranking, RankingMetrics};
 pub use report::{HccReport, WorkerEpochStats};
@@ -77,7 +75,7 @@ pub use train::HccMf;
 
 // Re-export the pieces users compose with.
 pub use hcc_comm::TransferStrategy;
-pub use hcc_partition::StrategyChoice;
+pub use hcc_partition::{PartitionMode, StrategyChoice};
 pub use hcc_serve::{FoldInConfig, ServeEngine, ServeError, ServeStats, ServedModel};
 pub use hcc_sgd::{FactorMatrix, LearningRate};
 pub use hcc_telemetry::{Telemetry, Timeline};

@@ -2,7 +2,7 @@
 //! `pull → compute → push → sync` epoch loop of Fig. 4.
 
 use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingMeta};
-use crate::config::{HccConfig, Optimizer, PartitionMode, TransportKind, WorkerSpec};
+use crate::config::{HccConfig, Optimizer, TransportKind, WorkerSpec};
 use crate::error::HccError;
 use crate::report::{HccReport, WorkerEpochStats};
 use crate::server::{merge_weighted, merge_weights, region_layout, RegionLayout, ShardedServer};
@@ -14,7 +14,7 @@ use hcc_comm::{
     TransferStrategy, Transport,
 };
 use hcc_partition::{
-    dp0, dp1_step, dp2, replan_survivors, ShardRouter, StrategyChoice, WorkerClass,
+    dp0, replan_survivors, EpochTimes, PartitionMode, ShardRouter, StrategyChoice, WorkerClass,
 };
 use hcc_sgd::{rmse, FactorMatrix, HogwildConfig, SharedRows};
 use hcc_sparse::{Axis, CooMatrix, GridPartition};
@@ -418,12 +418,7 @@ impl<'a> Session<'a> {
             worker_stats: Vec::new(),
             sync_times: Vec::new(),
             partition_history: Vec::new(),
-            strategy_used: match config.partition {
-                PartitionMode::Uniform | PartitionMode::Dp0 => StrategyChoice::Dp0,
-                PartitionMode::Dp1 => StrategyChoice::Dp1,
-                PartitionMode::Dp2 => StrategyChoice::Dp2,
-                PartitionMode::Auto => StrategyChoice::Dp1, // revised during adaptation
-            },
+            strategy_used: config.partition.initial_strategy(),
             total_updates: 0,
             telemetry,
         };
@@ -1153,60 +1148,32 @@ impl<'a> Session<'a> {
         )
     }
 
-    /// Post-epoch partition adaptation (Algorithm 1 / Eq. 7).
+    /// Post-epoch partition adaptation: hands the last accepted epoch's
+    /// compute and sync times to [`hcc_partition::adapt`] and enacts what it
+    /// decides.
     fn adapt(&mut self, epoch: usize) -> Result<(), HccError> {
-        let mode = self.config.partition;
-        if !matches!(
-            mode,
-            PartitionMode::Dp1 | PartitionMode::Dp2 | PartitionMode::Auto
-        ) {
-            return Ok(());
-        }
-        if epoch + 1 >= self.config.epochs || epoch >= self.config.adapt_epochs {
-            return Ok(());
-        }
         let Some(stats) = self.worker_stats.last() else {
             return Ok(());
         };
-        if stats.len() != self.fractions.len() {
-            // The fleet shrank this epoch (supervisor removed dead workers);
-            // last epoch's timings no longer line up with the partition.
+        let compute: Vec<f64> = stats.iter().map(|s| s.compute.as_secs_f64()).collect();
+        let last = EpochTimes {
+            compute: &compute,
+            sync: self.sync_times.last().map_or(0.0, Duration::as_secs_f64),
+        };
+        let c = self.config;
+        let Some(next) = hcc_partition::adapt(
+            c.partition,
+            epoch,
+            c.epochs,
+            c.adapt_epochs,
+            &self.fractions,
+            &self.classes,
+            last,
+        ) else {
             return Ok(());
-        }
-        let t: Vec<f64> = stats
-            .iter()
-            .map(|s| s.compute.as_secs_f64().max(1e-9))
-            .collect();
-
-        let last_adapt_epoch = epoch + 1 == self.config.adapt_epochs;
-        if last_adapt_epoch && matches!(mode, PartitionMode::Dp2 | PartitionMode::Auto) {
-            let sync_total = self
-                .sync_times
-                .last()
-                .copied()
-                .unwrap_or_default()
-                .as_secs_f64();
-            let sync_per_worker = sync_total / self.workers.len() as f64;
-            let max_t = t.iter().cloned().fold(0.0f64, f64::max);
-            let ratio = if sync_total > 0.0 {
-                max_t / sync_total
-            } else {
-                f64::INFINITY
-            };
-            let want_dp2 = mode == PartitionMode::Dp2
-                || (mode == PartitionMode::Auto && ratio < hcc_partition::CostModel::LAMBDA);
-            if want_dp2 {
-                let next = dp2(&self.fractions, &t, sync_per_worker);
-                self.strategy_used = StrategyChoice::Dp2;
-                return self.rebuild_workers(next);
-            }
-            self.strategy_used = StrategyChoice::Dp1;
-        }
-
-        if let Some(next) = dp1_step(&self.fractions, &t, &self.classes, 0.1) {
-            self.rebuild_workers(next)?;
-        }
-        Ok(())
+        };
+        self.strategy_used = next.strategy;
+        next.fractions.map_or(Ok(()), |x| self.rebuild_workers(x))
     }
 
     fn into_report(mut self, transposed: bool) -> HccReport {

@@ -151,7 +151,7 @@ pub fn bandwidth_table(platform: &Platform, dp0_fractions: &[f64]) -> Vec<(Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_partition::{dp0, dp1, Dp1Options, PartitionPlanner, StrategyChoice};
+    use hcc_partition::{dp0, dp1, CostModel, StrategyChoice};
     use hcc_sparse::DatasetProfile;
 
     fn netflix() -> Workload {
@@ -190,12 +190,7 @@ mod tests {
         let wl = netflix();
         let x0 = dp0(&standalone_times(&p, &wl));
         let classes = worker_classes(&p);
-        let x1 = dp1(
-            &x0,
-            &classes,
-            Dp1Options::default(),
-            virtual_measure(&p, &wl),
-        );
+        let x1 = dp1(&x0, &classes, virtual_measure(&p, &wl));
         let mut measure = virtual_measure(&p, &wl);
         let t1 = measure(&x1);
         let cpu_mean = (t1[0] + t1[1]) / 2.0;
@@ -214,8 +209,9 @@ mod tests {
 
         let wl = netflix();
         let model = cost_model_for(&p, &wl, &cfg);
-        let plan = PartitionPlanner::default().plan(
+        let plan = hcc_partition::plan(
             &model,
+            CostModel::LAMBDA,
             &standalone_times(&p, &wl),
             &worker_classes(&p),
             virtual_measure(&p, &wl),
@@ -229,8 +225,9 @@ mod tests {
 
         let wl = r1();
         let model = cost_model_for(&p, &wl, &cfg);
-        let plan = PartitionPlanner::default().plan(
+        let plan = hcc_partition::plan(
             &model,
+            CostModel::LAMBDA,
             &standalone_times(&p, &wl),
             &worker_classes(&p),
             virtual_measure(&p, &wl),

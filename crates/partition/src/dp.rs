@@ -39,24 +39,12 @@ pub fn dp0(standalone_times: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Options for the DP1 compensation loop.
-#[derive(Debug, Clone, Copy)]
-pub struct Dp1Options {
-    /// Relative CPU/GPU group-mean gap below which the loop stops
-    /// (Algorithm 1 uses 0.1).
-    pub tolerance: f64,
-    /// Safety bound on iterations ("usually only once" in practice).
-    pub max_iterations: usize,
-}
+/// Algorithm 1's exit test: the loop stops once the CPU and GPU group
+/// means agree within this relative gap (10 %).
+pub const DP1_TOLERANCE: f64 = 0.1;
 
-impl Default for Dp1Options {
-    fn default() -> Self {
-        Dp1Options {
-            tolerance: 0.1,
-            max_iterations: 16,
-        }
-    }
-}
+/// Safety bound on [`dp1`]'s iterations ("usually only once" in practice).
+const DP1_MAX_ITERATIONS: usize = 16;
 
 /// DP1: Algorithm 1's compensation loop.
 ///
@@ -73,7 +61,6 @@ impl Default for Dp1Options {
 pub fn dp1(
     initial: &[f64],
     classes: &[WorkerClass],
-    options: Dp1Options,
     mut measure: impl FnMut(&[f64]) -> Vec<f64>,
 ) -> Vec<f64> {
     assert_eq!(initial.len(), classes.len(), "length mismatch");
@@ -87,8 +74,8 @@ pub fn dp1(
     let mut t = measure(&x);
     assert_eq!(t.len(), x.len(), "measure returned wrong length");
 
-    for _ in 0..options.max_iterations {
-        match dp1_step(&x, &t, classes, options.tolerance) {
+    for _ in 0..DP1_MAX_ITERATIONS {
+        match dp1_step(&x, &t, classes, DP1_TOLERANCE) {
             None => break,
             Some(next) => {
                 x = next;
@@ -102,11 +89,12 @@ pub fn dp1(
 /// One iteration of Algorithm 1's loop body (lines 3–11): given the current
 /// partition `x` and its measured compute times `t`, returns the adjusted
 /// partition, or `None` when the CPU/GPU group means already agree within
-/// `tolerance` (the loop's exit test on line 2).
+/// `tolerance` (the loop's exit test on line 2; Algorithm 1 uses
+/// [`DP1_TOLERANCE`]).
 ///
-/// Exposed separately so the real engine can interleave one adjustment per
-/// *training* epoch — the measurement on line 12 is then simply the next
-/// epoch itself.
+/// Exposed separately so [`crate::policy::adapt`] can interleave one
+/// adjustment per *training* epoch — the measurement on line 12 is then
+/// simply the next epoch itself.
 pub fn dp1_step(x: &[f64], t: &[f64], classes: &[WorkerClass], tolerance: f64) -> Option<Vec<f64>> {
     assert_eq!(x.len(), classes.len(), "length mismatch");
     assert_eq!(t.len(), classes.len(), "length mismatch");
@@ -284,7 +272,7 @@ mod tests {
         let (c0, g0) = group_means(&t0, &classes);
         let gap0 = (c0 - g0).abs() / c0.min(g0);
 
-        let x1 = dp1(&x0, &classes, Dp1Options::default(), measure);
+        let x1 = dp1(&x0, &classes, measure);
         let mut measure2 = toy_measure(rates, classes.clone());
         let t1 = measure2(&x1);
         let (c1, g1) = group_means(&t1, &classes);
@@ -301,9 +289,7 @@ mod tests {
     fn dp1_with_single_class_is_identity() {
         let classes = vec![WorkerClass::Cpu; 3];
         let x0 = vec![0.2, 0.3, 0.5];
-        let x1 = dp1(&x0, &classes, Dp1Options::default(), |_| {
-            vec![1.0, 1.0, 1.0]
-        });
+        let x1 = dp1(&x0, &classes, |_| vec![1.0, 1.0, 1.0]);
         assert_eq!(x0, x1);
     }
 
@@ -311,7 +297,7 @@ mod tests {
     fn dp1_balanced_input_converges_immediately() {
         let classes = vec![WorkerClass::Cpu, WorkerClass::Gpu];
         let mut calls = 0;
-        let x = dp1(&[0.5, 0.5], &classes, Dp1Options::default(), |x| {
+        let x = dp1(&[0.5, 0.5], &classes, |x| {
             calls += 1;
             vec![x[0], x[1]] // identical rates → already balanced
         });

@@ -1,25 +1,32 @@
 //! Time-cost model and data-partition strategies of HCC-MF (§3.2–3.3).
 //!
-//! Everything here is pure arithmetic over worker/bus/server parameters —
-//! no threads, no I/O — so the same code plans partitions for both the real
-//! threaded engine (`hcc-mf`) and the virtual platform simulator
-//! (`hcc-hetsim`). Measurement enters through callbacks: DP1's compensation
-//! loop (Algorithm 1) re-measures per-worker compute times after each
-//! adjustment via a caller-supplied `measure` function, which the real
-//! engine implements with wall clocks and the simulator with virtual time.
+//! Everything here is pure arithmetic over worker/bus/server parameters and
+//! observed timings — no threads, no I/O, no clock. The threaded engine
+//! (`hcc-mf`) and the virtual platform simulator (`hcc-hetsim`, through
+//! [`planner::plan`]) share every formula and constant: Eq. 5's ratio and
+//! λ, Algorithm 1's step and 10 % tolerance, Eq. 7's stagger. They do not
+//! share a sequence. The engine calls [`policy::adapt`] once per training
+//! epoch with that epoch's wall-clock timings (one Algorithm-1 step, then
+//! the λ decision at the last adaptation epoch); the simulator's
+//! [`planner::plan`] runs DP1 to convergence against a `measure` callback
+//! in virtual time, refines per worker (Theorem 1), then makes the λ
+//! decision.
 //!
-//! * [`model::CostModel`] — Equations 1–5 and Table 1's parameters.
+//! * [`model::CostModel`] — Equations 1–5 and Table 1's parameters;
+//!   [`model::sync_ratio`] and [`model::choose`] — Eq. 5's ratio and its
+//!   λ dispatch between DP1 and DP2.
 //! * [`theorem::equalize`] — Theorem 1: `max(a_i x_i + b_i)` is minimized
 //!   (subject to `Σx = 1`) exactly when all `a_i x_i + b_i` are equal.
 //! * [`dp::dp0`] — the basic proportional split (Eq. 6).
-//! * [`dp::dp1`] — "data partition with heterogeneous load balance"
-//!   (Algorithm 1's compensation loop).
+//! * [`dp::dp1`] / [`dp::dp1_step`] — "data partition with heterogeneous
+//!   load balance" (Algorithm 1's compensation loop, and one pass of it).
 //! * [`dp::dp2`] — "data partition with hidden synchronization" (Eq. 7).
-//! * [`planner::PartitionPlanner`] — the λ-threshold dispatch (Eq. 5)
-//!   between DP1 and DP2.
+//! * [`planner::plan`] — the simulator's planning sequence.
+//! * [`policy::adapt`] — the engine's per-epoch partition policy, and
+//!   [`policy::PartitionMode`], the mode a run trains under.
 //! * [`shard::ShardRouter`] — contiguous row-range sharding for the
-//!   node-sharded parameter server, sized by the same DP0 shares.
-
+//!   node-sharded parameter server.
+//! * [`sweep`] — λ and partition-noise sensitivity.
 //!
 //! ```
 //! use hcc_partition::{dp0, equalize};
@@ -38,13 +45,15 @@
 pub mod dp;
 pub mod model;
 pub mod planner;
+pub mod policy;
 pub mod shard;
 pub mod sweep;
 pub mod theorem;
 
-pub use dp::{dp0, dp1, dp1_step, dp2, Dp1Options, WorkerClass};
+pub use dp::{dp0, dp1, dp1_step, dp2, WorkerClass};
 pub use model::CostModel;
-pub use planner::{replan_survivors, PartitionPlan, PartitionPlanner, StrategyChoice};
+pub use planner::{plan, replan_survivors, PartitionPlan, StrategyChoice};
+pub use policy::{adapt, Adaptation, EpochTimes, PartitionMode};
 pub use shard::ShardRouter;
 pub use sweep::{perturbation_cost, sweep_lambda};
 pub use theorem::equalize;

@@ -16,6 +16,8 @@
 //! compute term dominates `7k/P_i` arithmetic because `P_i ≫ B_i` (the
 //! paper drops that term; we do too).
 
+use crate::planner::StrategyChoice;
+
 /// All Table-1 parameters needed to evaluate the model, in byte/second units.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
@@ -84,31 +86,22 @@ impl CostModel {
     /// synchronizations `t` that land *after* the slowest worker finishes.
     pub fn epoch_time(&self, x: &[f64], trailing_syncs: usize) -> f64 {
         assert_eq!(x.len(), self.workers(), "partition length mismatch");
-        let max_worker = (0..self.workers())
-            .map(|i| self.worker_time(i, x[i]))
-            .fold(0.0f64, f64::max);
-        max_worker + trailing_syncs as f64 * self.sync_time_per_worker()
+        self.max_worker_time(x) + trailing_syncs as f64 * self.sync_time_per_worker()
     }
 
-    /// `max{T_i} / T_sync`, the ratio Eq. 5 compares against λ. `T_sync`
-    /// here is the total trailing synchronization burden in the worst case
-    /// (all `p` workers' merges trailing). Returns `f64::INFINITY` when sync
-    /// is free.
+    /// `max_i T_i` under partition `x` (Eq. 1's first term).
+    fn max_worker_time(&self, x: &[f64]) -> f64 {
+        (0..self.workers())
+            .map(|i| self.worker_time(i, x[i]))
+            .fold(0.0f64, f64::max)
+    }
+
+    /// [`sync_ratio`] of partition `x` under the model. `T_sync` is the total
+    /// trailing synchronization burden in the worst case (all `p` workers'
+    /// merges trailing, as under DP1).
     pub fn sync_ratio(&self, x: &[f64]) -> f64 {
-        let max_worker = (0..self.workers())
-            .map(|i| self.worker_time(i, x[i]))
-            .fold(0.0f64, f64::max);
         let total_sync = self.workers() as f64 * self.sync_time_per_worker();
-        if total_sync <= 0.0 {
-            f64::INFINITY
-        } else {
-            max_worker / total_sync
-        }
-    }
-
-    /// Whether Eq. 5 says synchronization can be ignored (→ DP1).
-    pub fn sync_negligible(&self, x: &[f64]) -> bool {
-        self.sync_ratio(x) >= Self::LAMBDA
+        sync_ratio(self.max_worker_time(x), total_sync)
     }
 
     /// Per-unit-fraction compute cost `a_i = nnz·(16k+4)/B_i` and fixed cost
@@ -122,11 +115,26 @@ impl CostModel {
             .collect();
         (a, b)
     }
+}
 
-    /// The paper's §3.4 rule of thumb: communication and computation are the
-    /// same order of magnitude when `nnz/(m+n) < 10³`.
-    pub fn comm_bound_indicator(&self) -> f64 {
-        self.nnz as f64 / (self.m + self.n) as f64
+/// `max{T_i} / T_sync`, the ratio Eq. 5 compares against λ: the slowest
+/// worker's epoch cost over the epoch's total synchronization time. Returns
+/// `f64::INFINITY` when sync is free (`total_sync ≤ 0`).
+pub fn sync_ratio(max_worker: f64, total_sync: f64) -> f64 {
+    if total_sync <= 0.0 {
+        f64::INFINITY
+    } else {
+        max_worker / total_sync
+    }
+}
+
+/// Eq. 5's dispatch: DP1 when synchronization is negligible
+/// (`ratio ≥ lambda`), otherwise DP2 to hide it.
+pub fn choose(ratio: f64, lambda: f64) -> StrategyChoice {
+    if ratio >= lambda {
+        StrategyChoice::Dp1
+    } else {
+        StrategyChoice::Dp2
     }
 }
 
@@ -184,12 +192,15 @@ mod tests {
     #[test]
     fn sync_ratio_drives_negligibility() {
         let mut m = model();
+        let choice = |m: &CostModel| choose(m.sync_ratio(&[0.5, 0.5]), CostModel::LAMBDA);
         // Tiny sync payload → negligible.
         m.sync_bytes = 4;
-        assert!(m.sync_negligible(&[0.5, 0.5]));
+        assert_eq!(choice(&m), StrategyChoice::Dp1);
         // Enormous sync payload → not negligible.
         m.sync_bytes = 1 << 34;
-        assert!(!m.sync_negligible(&[0.5, 0.5]));
+        assert_eq!(choice(&m), StrategyChoice::Dp2);
+        // A ratio exactly at λ counts as negligible.
+        assert_eq!(choose(10.0, 10.0), StrategyChoice::Dp1);
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! The λ-threshold planner (Eq. 5).
+//! The simulator's planning sequence (Eq. 5 dispatch).
 //!
 //! Eq. 5 makes the epoch model piecewise: when `max{T_i}/T_sync ≥ λ` the
 //! synchronization tail is negligible and HCC-MF balances loads with DP1;
-//! otherwise it staggers them with DP2 to hide the syncs. The planner wires
-//! the pieces together: DP0 seed → DP1 refinement → (if sync matters) DP2
-//! staggering, reporting which path was taken.
+//! otherwise it staggers them with DP2 to hide the syncs. [`plan`] runs the
+//! pieces to completion against a measurement callback: DP0 seed → DP1 to
+//! convergence → Theorem-1 refinement → (if sync matters) one DP2 stagger,
+//! reporting which path was taken. The threaded engine interleaves the same
+//! steps with training instead ([`crate::policy`]); the formulas and
+//! constants are shared, the sequence is not.
 
-use crate::dp::{dp0, dp1, dp2, Dp1Options, WorkerClass};
-use crate::model::CostModel;
+use crate::dp::{dp0, dp1, dp2, WorkerClass};
+use crate::model::{choose, CostModel};
 
 /// Which partition strategy the planner settled on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,103 +38,71 @@ pub struct PartitionPlan {
     pub predicted_epoch: f64,
 }
 
-/// Plans partitions for a worker set described by a [`CostModel`].
-#[derive(Debug, Clone)]
-pub struct PartitionPlanner {
-    /// λ in Eq. 5; the paper uses 10.
-    pub lambda: f64,
-    /// DP1 loop options.
-    pub dp1_options: Dp1Options,
-}
+/// Full planning pipeline for a worker set described by a [`CostModel`],
+/// with `lambda` the Eq. 5 threshold (the paper uses
+/// [`CostModel::LAMBDA`]).
+///
+/// `standalone_times` are each worker's independent full-data execution
+/// times (`T_i_e`, the DP0 input); `classes` mark CPU/GPU group membership
+/// for Algorithm 1; `measure` runs one (real or simulated) epoch for a
+/// candidate partition and returns per-worker compute times.
+pub fn plan(
+    model: &CostModel,
+    lambda: f64,
+    standalone_times: &[f64],
+    classes: &[WorkerClass],
+    mut measure: impl FnMut(&[f64]) -> Vec<f64>,
+) -> PartitionPlan {
+    assert_eq!(
+        standalone_times.len(),
+        model.workers(),
+        "worker count mismatch"
+    );
+    assert_eq!(classes.len(), model.workers(), "class count mismatch");
 
-impl Default for PartitionPlanner {
-    fn default() -> Self {
-        PartitionPlanner {
-            lambda: CostModel::LAMBDA,
-            dp1_options: Dp1Options::default(),
-        }
-    }
-}
+    let x0 = dp0(standalone_times);
+    let mut x1 = dp1(&x0, classes, &mut measure);
+    let mut t1 = measure(&x1);
 
-impl PartitionPlanner {
-    /// Full planning pipeline.
-    ///
-    /// `standalone_times` are each worker's independent full-data execution
-    /// times (`T_i_e`, the DP0 input); `classes` mark CPU/GPU group
-    /// membership for Algorithm 1; `measure` runs one (real or simulated)
-    /// epoch for a candidate partition and returns per-worker compute times.
-    pub fn plan(
-        &self,
-        model: &CostModel,
-        standalone_times: &[f64],
-        classes: &[WorkerClass],
-        mut measure: impl FnMut(&[f64]) -> Vec<f64>,
-    ) -> PartitionPlan {
-        assert_eq!(
-            standalone_times.len(),
-            model.workers(),
-            "worker count mismatch"
-        );
-        assert_eq!(classes.len(), model.workers(), "class count mismatch");
-
-        let x0 = dp0(standalone_times);
-        let x1 = dp1(&x0, classes, self.dp1_options, &mut measure);
-        let mut t1 = measure(&x1);
-
-        // Theorem-1 refinement: Algorithm 1 balances the CPU and GPU *group
-        // means*, which leaves intra-group imbalance untouched (e.g. a
-        // time-sharing server worker whose standalone profile overstates
-        // it). Theorem 1 requires every worker's cost equal, so finish with
-        // a short per-worker fixed-point: rescale each share toward the
-        // median measured time (dp2 with zero stagger) and re-measure.
-        let mut x1 = x1;
-        for _ in 0..3 {
-            let next = dp2(&x1, &t1, 0.0);
-            let t_next = measure(&next);
-            let spread = |t: &[f64]| {
-                let max = t.iter().cloned().fold(0.0f64, f64::max);
-                let min = t.iter().cloned().fold(f64::INFINITY, f64::min);
-                (max - min) / max.max(f64::MIN_POSITIVE)
-            };
-            if spread(&t_next) >= spread(&t1) {
-                break; // no further improvement (e.g. fixed comm dominates)
-            }
-            x1 = next;
-            t1 = t_next;
-        }
-
-        let sync_ratio = {
-            let max_t = compute_epoch_worker_max(model, &x1);
-            let total_sync = model.workers() as f64 * model.sync_time_per_worker();
-            if total_sync <= 0.0 {
-                f64::INFINITY
-            } else {
-                max_t / total_sync
-            }
+    // Theorem-1 refinement: Algorithm 1 balances the CPU and GPU *group
+    // means*, which leaves intra-group imbalance untouched (e.g. a
+    // time-sharing server worker whose standalone profile overstates
+    // it). Theorem 1 requires every worker's cost equal, so finish with
+    // a short per-worker fixed-point: rescale each share toward the
+    // median measured time (dp2 with zero stagger) and re-measure.
+    for _ in 0..3 {
+        let next = dp2(&x1, &t1, 0.0);
+        let t_next = measure(&next);
+        let spread = |t: &[f64]| {
+            let max = t.iter().cloned().fold(0.0f64, f64::max);
+            let min = t.iter().cloned().fold(f64::INFINITY, f64::min);
+            (max - min) / max.max(f64::MIN_POSITIVE)
         };
+        if spread(&t_next) >= spread(&t1) {
+            break; // no further improvement (e.g. fixed comm dominates)
+        }
+        x1 = next;
+        t1 = t_next;
+    }
 
-        if sync_ratio >= self.lambda {
-            let predicted = model.epoch_time(&x1, 1);
-            PartitionPlan {
-                strategy: StrategyChoice::Dp1,
-                fractions: x1,
-                sync_ratio,
-                compute_times: t1,
-                predicted_epoch: predicted,
-            }
-        } else {
+    let sync_ratio = model.sync_ratio(&x1);
+    let strategy = choose(sync_ratio, lambda);
+    // Balanced loads finish together, so all `p` merges trail; DP2 hides all
+    // but the last worker's merge.
+    let (fractions, compute_times, trailing_syncs) = match strategy {
+        StrategyChoice::Dp2 => {
             let x2 = dp2(&x1, &t1, model.sync_time_per_worker());
             let t2 = measure(&x2);
-            // With hidden sync only the last worker's merge trails the max.
-            let predicted = model.epoch_time(&x2, 1);
-            PartitionPlan {
-                strategy: StrategyChoice::Dp2,
-                fractions: x2,
-                sync_ratio,
-                compute_times: t2,
-                predicted_epoch: predicted,
-            }
+            (x2, t2, 1)
         }
+        _ => (x1, t1, model.workers()),
+    };
+    PartitionPlan {
+        strategy,
+        predicted_epoch: model.epoch_time(&fractions, trailing_syncs),
+        fractions,
+        sync_ratio,
+        compute_times,
     }
 }
 
@@ -171,12 +142,6 @@ pub fn replan_survivors(x: &[f64], t: &[f64], alive: &[bool]) -> Vec<f64> {
     }
 }
 
-fn compute_epoch_worker_max(model: &CostModel, x: &[f64]) -> f64 {
-    (0..model.workers())
-        .map(|i| model.worker_time(i, x[i]))
-        .fold(0.0f64, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,11 +174,48 @@ mod tests {
             WorkerClass::Gpu,
             WorkerClass::Gpu,
         ];
-        let plan =
-            PartitionPlanner::default().plan(&m, &standalone, &classes, model_measure(m.clone()));
+        let plan = plan(
+            &m,
+            CostModel::LAMBDA,
+            &standalone,
+            &classes,
+            model_measure(m.clone()),
+        );
         assert_eq!(plan.strategy, StrategyChoice::Dp1);
         assert!(plan.sync_ratio >= 10.0, "ratio {}", plan.sync_ratio);
         assert!((plan.fractions.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dp1_prediction_trails_every_merge() {
+        // Under DP1 every worker finishes together, so all p merges trail:
+        // predicted epoch = max T_i + p·T_sync.
+        let m = model(4 * 128 * 17_771);
+        let standalone: Vec<f64> = (0..4).map(|i| m.compute_time(i, 1.0)).collect();
+        let classes = [
+            WorkerClass::Cpu,
+            WorkerClass::Cpu,
+            WorkerClass::Gpu,
+            WorkerClass::Gpu,
+        ];
+        let plan = plan(
+            &m,
+            CostModel::LAMBDA,
+            &standalone,
+            &classes,
+            model_measure(m.clone()),
+        );
+        assert_eq!(plan.strategy, StrategyChoice::Dp1);
+        let max_t = (0..4)
+            .map(|i| m.worker_time(i, plan.fractions[i]))
+            .fold(0.0f64, f64::max);
+        let want = max_t + 4.0 * m.sync_time_per_worker();
+        assert!(m.sync_time_per_worker() > 0.0);
+        assert!(
+            (plan.predicted_epoch - want).abs() <= 1e-12 * want,
+            "predicted {} want {want}",
+            plan.predicted_epoch
+        );
     }
 
     #[test]
@@ -232,8 +234,13 @@ mod tests {
         };
         let standalone: Vec<f64> = (0..3).map(|i| m.compute_time(i, 1.0)).collect();
         let classes = [WorkerClass::Cpu, WorkerClass::Gpu, WorkerClass::Gpu];
-        let plan =
-            PartitionPlanner::default().plan(&m, &standalone, &classes, model_measure(m.clone()));
+        let plan = plan(
+            &m,
+            CostModel::LAMBDA,
+            &standalone,
+            &classes,
+            model_measure(m.clone()),
+        );
         assert_eq!(plan.strategy, StrategyChoice::Dp2);
         assert!(plan.sync_ratio < 10.0, "ratio {}", plan.sync_ratio);
         // DP2 staggers: fractions strictly increasing in worker order when
@@ -285,8 +292,13 @@ mod tests {
             WorkerClass::Gpu,
             WorkerClass::Gpu,
         ];
-        let plan =
-            PartitionPlanner::default().plan(&m, &standalone, &classes, model_measure(m.clone()));
+        let plan = plan(
+            &m,
+            CostModel::LAMBDA,
+            &standalone,
+            &classes,
+            model_measure(m.clone()),
+        );
         assert_eq!(plan.compute_times.len(), 4);
         for (i, &t) in plan.compute_times.iter().enumerate() {
             let expect = m.compute_time(i, plan.fractions[i]);

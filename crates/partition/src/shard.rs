@@ -2,16 +2,14 @@
 //!
 //! A sharded server splits the parameter matrix *by row* across N shard
 //! endpoints, each owning one contiguous range — the same shape CuMF_SGD
-//! uses for its scale-out parameter layout. The split reuses the planner's
-//! proportional math ([`crate::dp0`]): shard ranges are sized by relative
-//! throughput, exactly like worker data shares, so a heterogeneous server
-//! fleet can be balanced with the same machinery that balances workers.
+//! uses for its scale-out parameter layout. Ranges are sized by fractional
+//! shares, so a heterogeneous server fleet can be balanced by the shares
+//! that balance workers (e.g. [`crate::dp0`]'s throughput split).
 //!
 //! The router guarantees a *partition*: every row in `[0, n_rows)` maps to
 //! exactly one shard, and the ranges tile the row space with no gaps or
 //! overlaps. When `n_rows >= shards` every shard owns at least one row.
 
-use crate::dp::dp0;
 use std::ops::Range;
 
 /// Routes parameter rows to server shards by contiguous range.
@@ -29,13 +27,6 @@ impl ShardRouter {
     pub fn uniform(n_rows: usize, shards: usize) -> ShardRouter {
         assert!(shards > 0, "need at least one shard");
         ShardRouter::from_shares(n_rows, &vec![1.0 / shards as f64; shards])
-    }
-
-    /// Shares proportional to shard throughput, via the planner's DP0 math
-    /// (Eq. 6): a shard advertising half the standalone time gets twice
-    /// the rows. `standalone_times` must be positive and finite.
-    pub fn from_throughput(n_rows: usize, standalone_times: &[f64]) -> ShardRouter {
-        ShardRouter::from_shares(n_rows, &dp0(standalone_times))
     }
 
     /// Ranges from explicit fractional shares (which must be non-negative;
@@ -142,7 +133,7 @@ mod tests {
     #[test]
     fn throughput_shares_follow_dp0() {
         // Shard 1 is twice as fast: it gets ~2/3 of the rows.
-        let r = ShardRouter::from_throughput(90, &[2.0, 1.0]);
+        let r = ShardRouter::from_shares(90, &crate::dp0(&[2.0, 1.0]));
         assert_eq!(r.range(0).len(), 30);
         assert_eq!(r.range(1).len(), 60);
     }

@@ -7,7 +7,7 @@
 
 use crate::dp::WorkerClass;
 use crate::model::CostModel;
-use crate::planner::{PartitionPlanner, StrategyChoice};
+use crate::planner::{plan, StrategyChoice};
 
 /// Plans once per λ value, reporting the chosen strategy and the
 /// model-predicted epoch time. Used by the `ablation_lambda` bench to show
@@ -22,11 +22,7 @@ pub fn sweep_lambda(
     lambdas
         .iter()
         .map(|&lambda| {
-            let planner = PartitionPlanner {
-                lambda,
-                ..Default::default()
-            };
-            let plan = planner.plan(model, standalone_times, classes, &mut measure);
+            let plan = plan(model, lambda, standalone_times, classes, &mut measure);
             (lambda, plan.strategy, plan.predicted_epoch)
         })
         .collect()

@@ -13,7 +13,7 @@ use hcc_hetsim::{
     cost_model_for, ideal_computing_power, simulate_training, standalone_times, virtual_measure,
     Phase, Platform, SimConfig, Workload,
 };
-use hcc_partition::{dp0, PartitionPlanner};
+use hcc_partition::{dp0, CostModel};
 use hcc_sparse::DatasetProfile;
 
 fn main() {
@@ -55,8 +55,9 @@ fn main() {
 
         // Full planning: DP1 refinement, then the λ rule.
         let model = cost_model_for(&platform, &workload, &config);
-        let plan = PartitionPlanner::default().plan(
+        let plan = hcc_partition::plan(
             &model,
+            CostModel::LAMBDA,
             &standalone,
             &hcc_hetsim::measure::worker_classes(&platform),
             virtual_measure(&platform, &workload),

@@ -7,7 +7,7 @@ use hcc_hetsim::{
     cost_model_for, ideal_computing_power, simulate_epoch, simulate_training, standalone_times,
     virtual_measure, worker_classes, Phase, Platform, ProcessorProfile, SimConfig, Workload,
 };
-use hcc_partition::{dp0, dp2, PartitionPlanner, StrategyChoice};
+use hcc_partition::{dp0, dp2, CostModel, StrategyChoice};
 use hcc_sparse::DatasetProfile;
 
 fn netflix() -> Workload {
@@ -41,8 +41,9 @@ fn dp1_beats_uniform_and_dp0_beats_nothing_on_heterogeneous_platform() {
     let cfg = SimConfig::default();
     let uniform = vec![0.25; 4];
     let x0 = dp0(&standalone_times(&platform, &wl));
-    let plan = PartitionPlanner::default().plan(
+    let plan = hcc_partition::plan(
         &cost_model_for(&platform, &wl, &cfg),
+        CostModel::LAMBDA,
         &standalone_times(&platform, &wl),
         &worker_classes(&platform),
         virtual_measure(&platform, &wl),
@@ -133,8 +134,9 @@ fn utilization_shape_matches_table4() {
     ] {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&profile);
-        let plan = PartitionPlanner::default().plan(
+        let plan = hcc_partition::plan(
             &cost_model_for(&platform, &wl, &cfg),
+            CostModel::LAMBDA,
             &standalone_times(&platform, &wl),
             &worker_classes(&platform),
             virtual_measure(&platform, &wl),
@@ -162,8 +164,9 @@ fn planner_strategy_choices_match_paper() {
     for (profile, want) in expect {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&profile);
-        let plan = PartitionPlanner::default().plan(
+        let plan = hcc_partition::plan(
             &cost_model_for(&platform, &wl, &cfg),
+            CostModel::LAMBDA,
             &standalone_times(&platform, &wl),
             &worker_classes(&platform),
             virtual_measure(&platform, &wl),

@@ -11,13 +11,14 @@ use hcc_hetsim::{
     Workload,
 };
 use hcc_mf::ShardedServer;
-use hcc_partition::{dp0, dp1, dp2, Dp1Options, PartitionPlanner, ShardRouter, StrategyChoice};
+use hcc_partition::{dp0, dp1, dp2, CostModel, ShardRouter, StrategyChoice};
 use hcc_sparse::DatasetProfile;
 use std::sync::Arc;
 
 fn plan_with(platform: &Platform, wl: &Workload, cfg: &SimConfig) -> hcc_partition::PartitionPlan {
-    PartitionPlanner::default().plan(
+    hcc_partition::plan(
         &cost_model_for(platform, wl, cfg),
+        CostModel::LAMBDA,
         &standalone_times(platform, wl),
         &worker_classes(platform),
         virtual_measure_total(platform, wl, cfg),
@@ -65,7 +66,6 @@ fn fig8_dp1_improvement_band() {
         let x1 = dp1(
             &x0,
             &worker_classes(&platform),
-            Dp1Options::default(),
             virtual_measure(&platform, &wl),
         );
         let t0 = simulate_training(&platform, &wl, &cfg, &x0, 20).total_time;
@@ -92,7 +92,6 @@ fn fig8_dp2_improvement_band() {
     let x1 = dp1(
         &x0,
         &worker_classes(&platform),
-        Dp1Options::default(),
         virtual_measure(&platform, &wl),
     );
     let mut measure = virtual_measure(&platform, &wl);
