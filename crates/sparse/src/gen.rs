@@ -83,10 +83,11 @@ impl SyntheticDataset {
     /// cells at 0.1–1.6 % density) 42–61 % of all draws are duplicates —
     /// 1.64 M attempts for 640 000 cells on 50 000 × 800. The loop is
     /// therefore built to cost O(1) per *attempt*: a guide-table inverse CDF
-    /// (`ZipfSampler::index_of`) and one multiplicative-hash probe. It
-    /// stays sequential because every accept draws the rating's noise from
-    /// the same stream, so the RNG position of draw `t + 1` depends on
-    /// whether draw `t` was accepted.
+    /// (`ZipfSampler::index_of`) and, for the 65–86 % of attempts that land
+    /// in the samplers' hot corner, one bit of an L2-sized bitmap; the rest
+    /// take one multiplicative-hash probe. It stays sequential because every
+    /// accept draws the rating's noise from the same stream, so the RNG
+    /// position of draw `t + 1` depends on whether draw `t` was accepted.
     pub fn generate(config: GenConfig) -> SyntheticDataset {
         assert!(
             config.rows > 0 && config.cols > 0,
@@ -118,7 +119,7 @@ impl SyntheticDataset {
 
         let capacity = config.rows as u64 * config.cols as u64;
         let want = (config.nnz as u64).min(capacity) as usize;
-        let mut seen = CellSet::with_capacity(want);
+        let mut seen = CellSet::new(&user_sampler, &item_sampler, want);
         let mut entries = Vec::with_capacity(want);
         // Rejection sampling on distinct cells. If the target density is high
         // the rejection rate climbs, so cap attempts and backfill by scanning.
@@ -128,8 +129,7 @@ impl SyntheticDataset {
             attempts += 1;
             let u = user_sampler.sample(&mut rng) as u32;
             let i = item_sampler.sample(&mut rng) as u32;
-            let key = (u as u64) << 32 | i as u64;
-            if !seen.insert(key) {
+            if !seen.insert(u, i) {
                 continue;
             }
             entries.push(make_rating(u, i, &true_p, &true_q, k, &config, &mut rng));
@@ -141,8 +141,7 @@ impl SyntheticDataset {
                     if entries.len() >= want {
                         break 'fill;
                     }
-                    let key = (u as u64) << 32 | i as u64;
-                    if seen.insert(key) {
+                    if seen.insert(u, i) {
                         entries.push(make_rating(u, i, &true_p, &true_q, k, &config, &mut rng));
                     }
                 }
@@ -192,23 +191,84 @@ fn make_rating<R: Rng>(
     Rating::new(u, i, r)
 }
 
-/// The generator's duplicate filter: a set of `(u << 32 | i)` cell keys in
-/// one flat open-addressing table (multiplicative hash, linear probing, at
-/// most half full). A set is a set — it answers "seen before?" exactly as a
-/// `HashSet<u64>` would, so the accept/reject sequence does not depend on it.
+/// Bits in the duplicate filter's exact corner: 2^23 bits, 1 MiB. The loop
+/// also reads the samplers' tables on every draw (12 B a row: 600 KB for the
+/// user sampler at 50 000 rows), and the corner must sit beside them in a
+/// 2 MiB per-core L2 (the Xeon the budget was sized on; 1 MiB + 600 KB fits,
+/// 2 MiB + 600 KB does not).
+const CORNER_BITS: usize = 1 << 23;
+
+/// The generator's duplicate filter. A set is a set — it answers "seen
+/// before?" exactly as a `HashSet<(u32, u32)>` would, so the accept/reject
+/// sequence does not depend on how it is built. It is built in two levels:
+///
+/// - an exact bitmap over rows `0..hr` × cols `0..hc`. The samplers put
+///   popularity rank `j` at index `j`, so this corner is where draws, and
+///   therefore duplicates, pile up. Its shape is the one of at most
+///   `CORNER_BITS` cells that catches the most draws, read off the
+///   samplers' own CDFs; every shape gets one, none larger than L2.
+/// - behind it, a `KeyTable` of the cells outside the corner.
 struct CellSet {
+    corner: Vec<u64>,
+    hr: u32,
+    hc: u32,
+    table: KeyTable,
+}
+
+impl CellSet {
+    /// A set for the cells `users × items` can draw, of which at most
+    /// `max_cells` are inserted.
+    fn new(users: &ZipfSampler, items: &ZipfSampler, max_cells: usize) -> CellSet {
+        let (rows, cols) = (users.len(), items.len());
+        // The `hr × hc ≤ CORNER_BITS` corner with the most probability mass
+        // (ties go to the widest; a matrix that fits is taken whole).
+        let corner = |hc: usize| (rows.min(CORNER_BITS / hc), hc);
+        let mass = |(hr, hc): (usize, usize)| users.cdf[hr - 1] * items.cdf[hc - 1];
+        let (hr, hc) = (2..=cols.min(CORNER_BITS))
+            .map(corner)
+            .fold(corner(1), |a, b| if mass(b) >= mass(a) { b } else { a });
+        CellSet::with_corner(rows as u32, cols as u32, (hr as u32, hc as u32), max_cells)
+    }
+
+    /// A set over `rows × cols` with an `hr × hc` corner.
+    fn with_corner(rows: u32, cols: u32, (hr, hc): (u32, u32), max_cells: usize) -> CellSet {
+        let outside = u64::from(rows) * u64::from(cols) - u64::from(hr) * u64::from(hc);
+        CellSet {
+            corner: vec![0; (hr as usize * hc as usize).div_ceil(64)],
+            hr,
+            hc,
+            table: KeyTable::with_capacity((max_cells as u64).min(outside) as usize),
+        }
+    }
+
+    /// Adds cell `(u, i)`; false if it was already present.
+    fn insert(&mut self, u: u32, i: u32) -> bool {
+        if u < self.hr && i < self.hc {
+            let at = u as usize * self.hc as usize + i as usize;
+            let (word, bit) = (at / 64, 1u64 << (at % 64));
+            let fresh = self.corner[word] & bit == 0;
+            self.corner[word] |= bit;
+            return fresh;
+        }
+        self.table.insert(u64::from(u) << 32 | u64::from(i))
+    }
+}
+
+/// A set of `(u << 32 | i)` cell keys in one flat open-addressing table
+/// (multiplicative hash, linear probing, at most half full).
+struct KeyTable {
     slots: Vec<u64>,
     shift: u32,
 }
 
-impl CellSet {
+impl KeyTable {
     /// No cell has `u == u32::MAX` (`u < rows <= u32::MAX`).
     const EMPTY: u64 = u64::MAX;
 
-    /// A set that will hold at most `max_keys` keys.
-    fn with_capacity(max_keys: usize) -> CellSet {
+    /// A table that will hold at most `max_keys` keys.
+    fn with_capacity(max_keys: usize) -> KeyTable {
         let len = (max_keys * 2).next_power_of_two().max(2);
-        CellSet {
+        KeyTable {
             slots: vec![Self::EMPTY; len],
             shift: 64 - len.trailing_zeros(),
         }
@@ -410,6 +470,8 @@ mod tests {
                 seed: 3,
                 ..shape(2_000, 1_000, 50_000)
             },
+            // Past the corner's 2^23 cells: the bitmap, then the table.
+            shape(5_000, 3_000, 40_000),
         ];
         for user_skew in [0.0, 0.5, 1.2, 2.0] {
             for item_skew in [0.0, 0.5, 1.2, 2.0] {
@@ -420,7 +482,9 @@ mod tests {
                 });
             }
         }
+        let mut levels = std::collections::BTreeSet::new();
         for cfg in grid {
+            levels.insert(filter_levels(&cfg));
             let (got, want) = (
                 SyntheticDataset::generate(cfg.clone()),
                 generate_reference(cfg.clone()),
@@ -428,6 +492,22 @@ mod tests {
             assert_eq!(got.matrix, want.matrix, "{cfg:?}");
             assert_eq!(got.true_p, want.true_p, "{cfg:?}");
             assert_eq!(got.true_q, want.true_q, "{cfg:?}");
+        }
+        assert_eq!(
+            levels.into_iter().collect::<Vec<_>>(),
+            ["bitmap", "bitmap + table"]
+        );
+    }
+
+    /// Which levels of the duplicate filter `cfg`'s cells reach.
+    fn filter_levels(cfg: &GenConfig) -> &'static str {
+        let users = ZipfSampler::new(cfg.rows as usize, cfg.user_skew);
+        let items = ZipfSampler::new(cfg.cols as usize, cfg.item_skew);
+        let set = CellSet::new(&users, &items, cfg.nnz);
+        if (set.hr, set.hc) == (cfg.rows, cfg.cols) {
+            "bitmap"
+        } else {
+            "bitmap + table"
         }
     }
 
@@ -523,19 +603,30 @@ mod tests {
 
     #[test]
     fn cell_set_answers_like_a_hash_set() {
-        let mut flat = CellSet::with_capacity(500);
-        let mut reference = std::collections::HashSet::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        // Keys from a small domain so about half the inserts are repeats,
-        // including key 0 and the largest possible cell.
-        for key in [0, (u64::from(u32::MAX) - 1) << 32 | u64::from(u32::MAX)] {
-            assert_eq!(flat.insert(key), reference.insert(key));
-            assert_eq!(flat.insert(key), reference.insert(key));
-        }
-        while reference.len() < 500 {
-            let key =
-                u64::from(rng.random::<u32>() % 40) << 32 | u64::from(rng.random::<u32>() % 25);
-            assert_eq!(flat.insert(key), reference.insert(key), "key {key:#x}");
+        // The largest matrix, with no corner (every cell, key 0 too, goes
+        // to the table) and with a 16 × 10 one.
+        let last = u32::MAX - 1;
+        for corner in [(0, 0), (16, 10)] {
+            let mut set = CellSet::with_corner(u32::MAX, u32::MAX, corner, 500);
+            let mut reference = std::collections::HashSet::new();
+            // The corner's own corners, the first cells past it, and the
+            // matrix's last cell, each twice.
+            for cell in [(0, 0), (15, 9), (16, 0), (0, 10), (last, last)] {
+                for _ in 0..2 {
+                    assert_eq!(set.insert(cell.0, cell.1), reference.insert(cell));
+                }
+            }
+            // Cells from the first 40 × 25 so about half the inserts are
+            // repeats, 16 % of them inside the 16 × 10 corner.
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            while reference.len() < 500 {
+                let cell = (rng.random::<u32>() % 40, rng.random::<u32>() % 25);
+                assert_eq!(
+                    set.insert(cell.0, cell.1),
+                    reference.insert(cell),
+                    "{cell:?}"
+                );
+            }
         }
     }
 
