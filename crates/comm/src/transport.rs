@@ -89,6 +89,20 @@ impl Precision {
             Precision::Fp16 => 2,
         }
     }
+
+    /// Rounds `values` in place to what a wire of this precision delivers:
+    /// unchanged at Fp32, `decode(encode(v))` through a block on the stack
+    /// at Fp16.
+    pub fn round(&self, values: &mut [f32]) {
+        if *self == Precision::Fp16 {
+            let mut wire = [0u16; 256];
+            for chunk in values.chunks_mut(wire.len()) {
+                let wire = &mut wire[..chunk.len()];
+                simd::encode_f16(chunk, wire);
+                simd::decode_f16(wire, chunk);
+            }
+        }
+    }
 }
 
 /// A bidirectional server↔worker transport.
@@ -213,17 +227,6 @@ impl WireStore {
     }
 }
 
-/// Writes `src` into `dst` as an fp16 wire delivers it, `decode(encode(src))`,
-/// through a block on the stack.
-fn fp16_round_trip(src: &[f32], dst: &mut [f32]) {
-    let mut wire = [0u16; 256];
-    for (src, dst) in src.chunks(wire.len()).zip(dst.chunks_mut(wire.len())) {
-        let wire = &mut wire[..src.len()];
-        simd::encode_f16(src, wire);
-        simd::decode_f16(wire, dst);
-    }
-}
-
 /// The paper's COMM: one shared pull region + one push slot per worker.
 /// Every transfer is a single copy into/out of shared storage, and the
 /// server reads a push where the worker wrote it.
@@ -269,10 +272,8 @@ impl Transport for CommShared {
     fn push(&self, worker: usize, src: &[f32]) {
         let Ok(_) = self.slots[worker].land(None, |buf| {
             let dst = &mut buf[..src.len()];
-            match self.precision {
-                Precision::Fp32 => dst.copy_from_slice(src),
-                Precision::Fp16 => fp16_round_trip(src, dst),
-            }
+            dst.copy_from_slice(src);
+            self.precision.round(dst);
             Ok::<_, Infallible>(src.len())
         });
         // ordering: Relaxed — wire-byte statistic, reported after joins.

@@ -11,8 +11,9 @@
 //! ```
 //!
 //! * The **server** owns the global factor matrices, partitions the rating
-//!   matrix into a row (or column) grid, and merges pushed results with a
-//!   multiply-add per parameter (resolving WAW races between workers).
+//!   matrix into a row (or column) grid, and merges pushed results by
+//!   adding the workers' damped deltas, `q ← q + α(p)·Σᵢ(qᵢ − q)`
+//!   (resolving WAW races between workers).
 //! * Each **worker** is a thread pool (standing in for a CPU socket or — on
 //!   this GPU-less substrate — a simulated GPU; see `hcc-hetsim` for the
 //!   virtual-platform variant) running Hogwild SGD over its shard.

@@ -5,7 +5,7 @@ use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingM
 use crate::config::{HccConfig, Optimizer, TransportKind, WorkerSpec};
 use crate::error::HccError;
 use crate::report::{HccReport, WorkerEpochStats};
-use crate::server::{merge_weighted, merge_weights, region_layout, RegionLayout, ShardedServer};
+use crate::server::{add_delta, region_layout, server_step, RegionLayout, ShardedServer};
 use crate::supervisor::{Supervisor, WorkerHealth};
 use crate::worker::{chunk_col_ranges, group_by_chunk, rebase_rows, OptimizerState, WorkerState};
 use hcc_comm::socket::NetEventKind;
@@ -281,8 +281,8 @@ struct ServerSide {
     /// The model's `P`, stored here and nowhere else: an epoch lends every
     /// worker its own rows of it for as long as the worker threads run.
     p: FactorMatrix,
-    /// The merge accumulator `Σ wᵢ·qᵢ`; swapped with `global_q` when the
-    /// epoch's merge is complete.
+    /// The merge accumulator `q + α·Σᵢ(qᵢ − q)`; swapped with `global_q`
+    /// when the epoch's merge is complete.
     q_acc: FactorMatrix,
     /// The `[P | Q]` pull region under `FullPq`; empty otherwise, when
     /// `Q`'s column slices are published in place.
@@ -468,11 +468,7 @@ impl<'a> Session<'a> {
             });
         }
         let max_rows = workers.iter().map(|w| w.p_rows().len()).max().unwrap_or(0);
-        let precision = if self.config.strategy.is_compressed() {
-            Precision::Fp16
-        } else {
-            Precision::Fp32
-        };
+        let precision = self.wire_precision();
         let layouts: Vec<RegionLayout> = cols
             .iter()
             .map(|cols| region_layout(self.config.strategy, self.m, cols.len(), k, max_rows))
@@ -778,34 +774,45 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
+    /// What a pull delivers of `Q`: fp16 over an unsharded compressed wire;
+    /// exact otherwise, since a sharded server's links are always Fp32.
+    fn wire_precision(&self) -> Precision {
+        if self.config.strategy.is_compressed() && self.config.server_shards == 1 {
+            Precision::Fp16
+        } else {
+            Precision::Fp32
+        }
+    }
+
     /// One epoch of Fig. 4, the only epoch loop there is: publish every
     /// chunk; every worker walks its chunks `pull → compute → push`
     /// ([`worker_epoch`](Self::worker_epoch)) while this thread, the server,
     /// collects and merges them in fixed `(chunk, worker)` order,
     /// overlapping the still-running workers (the DP2 hiding effect).
     ///
-    /// A chunk is merged like any region, `q = Σ wᵢ·qᵢ` over the pushes
-    /// that arrived, so the result does not depend on arrival order or on
-    /// how `Q` is chunked. A supervisor, when present, is consulted at four
-    /// points — fault lookup and heartbeat on the worker side, the bounded
-    /// collect ladder and the non-finite-push check here; a missing or
-    /// poisoned push is left out of its chunk's merge and the remaining
-    /// weights renormalized, and a chunk that lost every push keeps the
-    /// previous global `Q`. With no fault the supervised epoch is
-    /// bit-identical to the plain one.
+    /// A chunk is merged like any region, `q ← q + α(p)·Σᵢ(qᵢ − q)` over
+    /// the epoch's `p` workers ([`server_step`]), so the result does not
+    /// depend on arrival order or on how `Q` is chunked. The base `q` is
+    /// what the workers pulled: over an fp16 wire `Q` is rounded to it
+    /// before it is published, so a row nobody touched adds exactly zero.
+    /// A supervisor, when present, is consulted at four points — fault
+    /// lookup and heartbeat on the worker side, the bounded collect ladder
+    /// and the non-finite-push check here; a missing or poisoned push is a
+    /// zero delta. With no fault the supervised epoch is bit-identical to
+    /// the plain one.
     fn run_epoch(
         &mut self,
         lr: f32,
         epoch: usize,
         sup: Option<&Supervisor>,
     ) -> Result<EpochOutcome, HccError> {
+        self.wire_precision().round(self.global_q.as_mut_slice());
         let this = &*self;
         let k = this.k;
         let full_pq = this.config.strategy == TransferStrategy::FullPq;
         let telemetry = &this.telemetry;
 
-        let shard_sizes: Vec<usize> = this.workers.iter().map(|w| w.entries.len()).collect();
-        let weights = merge_weights(&shard_sizes);
+        let alpha = server_step(this.workers.len());
         let exits: Mutex<Vec<Option<WorkerExit>>> = Mutex::new(vec![None; this.workers.len()]);
         let mut sync_time = Duration::ZERO;
         let mut missed = vec![false; this.workers.len()];
@@ -817,8 +824,8 @@ impl<'a> Session<'a> {
             pull_region,
         } = &mut *server;
         let q_acc = q_acc.as_mut_slice();
-        q_acc.fill(0.0);
         let global_q = this.global_q.as_slice();
+        q_acc.copy_from_slice(global_q);
 
         // Publish: the chunk's Q columns in place, [P | Q] under FullPq.
         for chunk in &this.chunks {
@@ -858,11 +865,7 @@ impl<'a> Session<'a> {
             for chunk in &this.chunks {
                 let q_range = chunk.cols.start * k..chunk.cols.end * k;
                 let q_at = chunk.layout.push_q_offset;
-                // Weight of the pushes merged into this chunk: all of it
-                // (`merge_weights` sums to one) unless some were left out.
-                let mut accepted = 0f32;
-                let mut left_out = false;
-                for w in 0..this.workers.len() {
+                for (w, missed) in missed.iter_mut().enumerate() {
                     // Runs inside the collect, on the push where it landed.
                     let mut merged = false;
                     let mut merge = |push: &[f32]| {
@@ -873,8 +876,8 @@ impl<'a> Session<'a> {
                             .get(q_at..q_at + q_range.len())
                             .filter(|q| sup.is_none() || q.iter().all(|v| v.is_finite()));
                         if let Some(q_part) = sound {
-                            merge_weighted(&mut q_acc[q_range.clone()], q_part, weights[w]);
-                            accepted += weights[w];
+                            let base = &global_q[q_range.clone()];
+                            add_delta(&mut q_acc[q_range.clone()], base, q_part, alpha);
                             merged = true;
                             // The `P` rows a `FullPq` push carries are read
                             // by nobody: their owner trained them where the
@@ -894,19 +897,7 @@ impl<'a> Session<'a> {
                         );
                     };
                     this.collect_push(chunk, w, sup, &exits, epoch, &mut merge)?;
-                    if !merged {
-                        (missed[w], left_out) = (true, true);
-                    }
-                }
-                if accepted == 0.0 {
-                    q_acc[q_range.clone()].copy_from_slice(&global_q[q_range]);
-                } else if left_out {
-                    // Renormalize over the accepted pushes so missing shards
-                    // don't shrink Q toward zero.
-                    let inv = 1.0 / accepted;
-                    for v in &mut q_acc[q_range] {
-                        *v *= inv;
-                    }
+                    *missed |= !merged;
                 }
             }
             Ok(())
@@ -1341,18 +1332,22 @@ mod tests {
 
     #[test]
     fn heterogeneous_workers_rebalance() {
-        let ds = dataset(400, 150, 20_000);
+        // One thread a worker, so the two do not contend for the cores of a
+        // 2-core host, and a 5:1 throttle over epochs of several
+        // milliseconds, so scheduling noise on the fast worker cannot make
+        // it look the slower.
+        let ds = dataset(2_000, 200, 200_000);
         let cfg = base_config()
             .epochs(6)
             .adapt_epochs(3)
             .workers(vec![
-                WorkerSpec::cpu(1).throttled(0.5),
-                WorkerSpec::gpu_sim(4),
+                WorkerSpec::cpu(1).throttled(0.2),
+                WorkerSpec::gpu_sim(1),
             ])
             .build();
         let report = HccMf::new(cfg).train(&ds.matrix).unwrap();
         let final_x = report.final_partition().unwrap();
-        // The fast 4-thread "GPU" must hold more data than the throttled CPU.
+        // The unthrottled "GPU" must hold more data than the throttled CPU.
         assert!(
             final_x[1] > final_x[0],
             "no rebalance: {final_x:?}, history {:?}",
@@ -1406,12 +1401,12 @@ mod tests {
     }
 
     #[test]
-    fn a_larger_share_for_worker_0_trains_further_in_the_same_epochs() {
-        // The merge weights each worker's `Q` by its data share, so one
-        // epoch moves `Q` by only about `Σ sᵢ²` of a sequential pass: the
-        // partition changes what is trained, not just how long it takes.
-        // Final RMSE reads 0.778 / 0.717 / 0.598 here; seeds 2 and 3 land
-        // within 0.01 of that.
+    fn the_final_rmse_barely_depends_on_worker_0s_share() {
+        // The merge sums the workers' deltas, so one epoch moves `Q` about
+        // as far whatever the partition: the partition changes how long an
+        // epoch takes, not what it trains. Final RMSE reads 0.604 / 0.614 /
+        // 0.595 here (spread 0.019); the share-weighted average it replaced
+        // read 0.778 / 0.717 / 0.598, a spread of 0.18.
         let ds = SyntheticDataset::generate(GenConfig {
             rows: 2_000,
             cols: 1_000,
@@ -1435,7 +1430,64 @@ mod tests {
             *session.rmse_history.last().unwrap()
         };
         let rmse: Vec<f64> = [0.5, 0.65, 0.8].into_iter().map(final_rmse).collect();
-        assert!(rmse[0] > rmse[1] && rmse[1] > rmse[2], "{rmse:?}");
+        let spread = rmse.iter().cloned().fold(f64::MIN, f64::max)
+            - rmse.iter().cloned().fold(f64::MAX, f64::min);
+        assert!(spread <= 0.06, "{rmse:?}");
+    }
+
+    #[test]
+    fn the_merge_stays_stable_at_four_workers() {
+        // Four one-thread workers on `tests/epoch_golden.rs`'s dataset and
+        // recipe. The share-weighted average read 0.168 after these six
+        // epochs; a constant step `α = 0.8` (`β = 3.2` at four workers)
+        // reads 1.55 and swings epoch to epoch.
+        let ds = SyntheticDataset::generate(GenConfig {
+            rows: 300,
+            cols: 150,
+            nnz: 9_000,
+            planted_rank: 6,
+            noise: 0.0,
+            ..GenConfig::default()
+        });
+        let config = base_config()
+            .epochs(6)
+            .lambda(0.005)
+            .workers(vec![WorkerSpec::cpu(1); 4])
+            .partition(PartitionMode::Uniform)
+            .adapt_epochs(0)
+            .seed(7)
+            .build();
+        let hist = HccMf::new(config).train(&ds.matrix).unwrap().rmse_history;
+        assert!(hist.iter().all(|r| r.is_finite()), "{hist:?}");
+        assert!(*hist.last().unwrap() < 0.168, "{hist:?}");
+    }
+
+    #[test]
+    fn a_push_equal_to_its_pull_leaves_q_bit_identical() {
+        // With a zero learning rate every push is what its worker pulled.
+        // Over an fp16 wire that is `Q` rounded to fp16, so the server
+        // rounds `Q` before it publishes: merged against the f32 `Q`
+        // instead, every row would gain `β·(fp16(q) − q)` each epoch.
+        let ds = dataset(60, 30, 600);
+        for transport in [TransportKind::Shared, TransportKind::Socket] {
+            for strategy in [TransferStrategy::QOnly, TransferStrategy::HalfQ] {
+                let config = base_config()
+                    .partition(PartitionMode::Uniform)
+                    .transport(transport)
+                    .strategy(strategy)
+                    .build();
+                let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+                let mut published = session.global_q.clone();
+                session.wire_precision().round(published.as_mut_slice());
+                for epoch in 0..2 {
+                    session.run_epoch(0.0, epoch, None).unwrap();
+                    assert!(
+                        session.global_q == published,
+                        "{transport:?} x {strategy:?}, epoch {epoch}"
+                    );
+                }
+            }
+        }
     }
 
     /// A session over `ds` whose single chunk's endpoint is `fake`.
@@ -1583,7 +1635,7 @@ mod tests {
     }
 
     #[test]
-    fn a_corrupt_push_is_left_out_of_the_merge_and_the_rest_renormalised() {
+    fn a_corrupt_push_adds_no_delta() {
         use crate::supervisor::SupervisorConfig;
         use hcc_comm::FaultPlan;
         let ds = dataset(60, 30, 600);
@@ -1602,18 +1654,29 @@ mod tests {
                 .fault_plan(plan)
                 .build();
             let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+            let q = session.global_q.clone();
             let sup = Supervisor::new(supervisor.clone(), 2);
             let outcome = session.run_epoch(0.02, 0, Some(&sup)).unwrap();
-            (outcome.missed, session.global_q)
+            // Worker 1 pushed its region from where it trained it.
+            let q1 = session.workers[1].regions[0].lock().clone();
+            (outcome.missed, session.global_q, q, q1)
         };
-        let (missed, poisoned) = q_after(FaultPlan::new(7).with(0, 0, Fault::PoisonPush));
+        let (missed, poisoned, q, q1) = q_after(FaultPlan::new(7).with(0, 0, Fault::PoisonPush));
         assert_eq!(missed, vec![true, false]);
-        assert!(poisoned.as_slice().iter().all(|v| v.is_finite()));
-        // Left out and renormalised exactly as a push that never came.
-        let (missed, dropped) = q_after(FaultPlan::new(7).with(0, 0, Fault::DropPush));
+        // Exactly `q + α·(q₁ − q)` with `α = min(1, 1.6/2)`: worker 0
+        // added nothing.
+        let want: Vec<f32> = q
+            .as_slice()
+            .iter()
+            .zip(&q1)
+            .map(|(&b, &s)| b + 0.8 * (s - b))
+            .collect();
+        assert_eq!(poisoned.as_slice(), &want[..]);
+        // A poisoned push is merged exactly as a push that never came.
+        let (missed, dropped, ..) = q_after(FaultPlan::new(7).with(0, 0, Fault::DropPush));
         assert_eq!(missed, vec![true, false]);
         assert_eq!(poisoned, dropped);
-        let (missed, clean) = q_after(FaultPlan::new(7));
+        let (missed, clean, ..) = q_after(FaultPlan::new(7));
         assert_eq!(missed, vec![false, false]);
         assert_ne!(poisoned, clean);
     }

@@ -237,7 +237,7 @@ fn train_streams(
 
 #[test]
 fn pipelined_training_is_bit_identical_to_synchronous() {
-    // A chunk is merged like any region — Σ wᵢ·qᵢ in worker order — so on
+    // A chunk is merged like any region — q + α·Σ(qᵢ − q) in worker order — so on
     // entries ordered by column chunk the pipeline only reorders *when*
     // bytes move, never what is computed. Fails if the merge rule, the
     // merge order or the chunk/entry grouping drifts.
