@@ -86,11 +86,17 @@ impl ChaosTransport {
     }
 
     /// Tells the wrapper which training epoch the calls that follow belong
-    /// to. Called between epochs, when no worker is pulling or pushing.
+    /// to. Called between epochs, when no worker is pulling or pushing. A
+    /// corrupt push nobody collected belonged to the epoch that ended, so
+    /// the next epoch's collects do not report it.
     pub fn begin_epoch(&self, epoch: usize) {
         // ordering: Relaxed — stored between epochs; the spawn of the
         // epoch's worker threads orders it before their loads.
         self.epoch.store(epoch, Ordering::Relaxed);
+        for pending in &self.pending_corrupt {
+            // ordering: Relaxed — as for the epoch above.
+            pending.store(false, Ordering::Relaxed);
+        }
     }
 
     /// Injected-fault counters so far.
@@ -257,6 +263,19 @@ mod tests {
             Err(CommError::Timeout),
             "retry finds nothing: corrupt degraded to dropped"
         );
+        assert_eq!(t.stats().corrupted, 1);
+    }
+
+    #[test]
+    fn an_uncollected_corrupt_push_is_not_reported_in_the_next_epoch() {
+        let t = chaos(1, 4, FaultPlan::new(4).with(0, 0, Fault::CorruptPush));
+        t.push(0, &[1.0; 4]);
+        t.begin_epoch(1);
+        t.push(0, &[2.0; 4]);
+        let mut dst = [0f32; 4];
+        t.collect_timeout(0, &mut dst, Duration::from_secs(1))
+            .unwrap();
+        assert_eq!(dst, [2.0; 4]);
         assert_eq!(t.stats().corrupted, 1);
     }
 

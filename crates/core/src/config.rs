@@ -143,8 +143,8 @@ pub struct HccConfig {
     /// (`streams == 1`) and a row-aligned region (`strategy != FullPq`).
     pub server_shards: usize,
     /// Pipeline streams for asynchronous computing–transmission (1 = off):
-    /// `Q` is tiled into this many column chunks, each behind its own
-    /// endpoint of `transport`. `> 1` requires `strategy != FullPq`.
+    /// each worker's band of `Q` is tiled into this many chunks, each behind
+    /// its own endpoint of `transport`. `> 1` requires `strategy != FullPq`.
     pub streams: usize,
     /// Epochs at the start reserved for Algorithm-1 adaptation (partition
     /// may be revised after each of these).

@@ -11,9 +11,11 @@
 //! ```
 //!
 //! * The **server** owns the global factor matrices, partitions the rating
-//!   matrix into a row (or column) grid, and merges pushed results by
-//!   adding the workers' damped deltas, `q ← q + α(p)·Σᵢ(qᵢ − q)`
-//!   (resolving WAW races between workers).
+//!   matrix into a row (or column) grid, and deals `Q`'s rows into one
+//!   seeded band a worker. An epoch is one round a worker: in round `r`
+//!   worker `w` trains band `(w + r) mod p`, so no two workers ever hold
+//!   the same `Q` row and the server installs each push as it is (no WAW
+//!   race between workers, nothing to merge).
 //! * Each **worker** is a thread pool (standing in for a CPU socket or — on
 //!   this GPU-less substrate — a simulated GPU; see `hcc-hetsim` for the
 //!   virtual-platform variant) running Hogwild SGD over its shard.

@@ -1,12 +1,13 @@
-//! Server-side state: the global feature matrices, region layouts, the
-//! synchronization merge (step ④ of Fig. 4), and the node-sharded
-//! parameter server.
+//! Server-side state: region layouts, the synchronization step (④ of
+//! Fig. 4) and the node-sharded parameter server.
 //!
 //! With a row grid, `P` rows are owned exclusively by workers, but any two
-//! workers can update the same `Q` row — the WAW race §3.1 warns about. The
-//! server therefore *merges* the pushed `Q` copies as deltas from the `Q`
-//! it published, `q ← q + α(p)·Σᵢ(qᵢ − q)` over the `p` workers of the
-//! epoch (see `server_step`), so a push that never came adds nothing.
+//! workers could update the same `Q` row — the WAW race §3.1 warns about.
+//! The epoch avoids it by schedule rather than by merging: `Q`'s rows are
+//! dealt into one band a worker, and in each round of the epoch every band
+//! has exactly one holder. The server gathers a band's rows into the region
+//! it publishes and installs the holder's push straight back, so a push
+//! that never came leaves the band as it was published.
 //!
 //! [`ShardedServer`] splits that server across N shard endpoints, each
 //! owning a contiguous row range of the synchronized region (the CuMF_SGD
@@ -75,39 +76,30 @@ pub fn region_layout(
     }
 }
 
-/// The server step's numerator `β`, in `α(p) = min(1, β/p)`.
-///
-/// Take a `Q` row that each worker's pass fits fully: every push moves it
-/// from `q` to the same `q*`, so one merge makes it
-/// `q + α·p·(q* − q)`, multiplying its error `q − q*` by `1 − β`. The
-/// merge is stable for `0 < β < 2`, and the share-weighted average
-/// `Σ sᵢ·qᵢ` is `β = 1` on such a row. A row a pass fits only part of the
-/// way (a worker sees about `1/p` of its ratings) moves less, and summing
-/// the deltas with `β > 1` makes up for that: `β = 1.6` reached every
-/// benchmark shape's target in 17–33 % fewer epochs than `β = 1` at two
-/// to four workers, where `β = 2` stalled and a constant `α = 0.8`
-/// (`β = 0.8·p`) swung at three workers and diverged at four
-/// (EXPERIMENTS.md, "The server step").
-const BETA: f32 = 1.6;
-
-/// The server step `α(p) = min(1, β/p)` for an epoch of `workers` pushes:
-/// one worker's pass is applied whole.
-pub(crate) fn server_step(workers: usize) -> f32 {
-    (BETA / workers as f32).min(1.0)
-}
-
-/// Accumulates `acc += alpha·(src − base)` — one worker's damped delta,
-/// the server's merge step.
+/// Copies the `Q` rows `items` names, in that order, into `dst`: the band
+/// region the server publishes.
 ///
 /// # Panics
-/// Panics if lengths differ.
-pub(crate) fn add_delta(acc: &mut [f32], base: &[f32], src: &[f32], alpha: f32) {
-    assert!(
-        acc.len() == src.len() && base.len() == src.len(),
-        "merge length mismatch"
-    );
-    for ((a, &b), &s) in acc.iter_mut().zip(base).zip(src) {
-        *a += alpha * (s - b);
+/// Panics if `dst` does not hold exactly `items.len()` rows of `k`.
+pub(crate) fn gather(dst: &mut [f32], q: &[f32], items: &[u32], k: usize) {
+    assert_eq!(dst.len(), items.len() * k, "band length mismatch");
+    for (row, &item) in dst.chunks_exact_mut(k).zip(items) {
+        let at = item as usize * k;
+        row.copy_from_slice(&q[at..at + k]);
+    }
+}
+
+/// Writes a band's pushed rows back to the `Q` rows `items` names — the
+/// inverse of [`gather`]. A band has one writer a round, so its push is
+/// installed as it is: there is nothing to merge.
+///
+/// # Panics
+/// Panics if `src` does not hold exactly `items.len()` rows of `k`.
+pub(crate) fn install(q: &mut [f32], src: &[f32], items: &[u32], k: usize) {
+    assert_eq!(src.len(), items.len() * k, "band length mismatch");
+    for (row, &item) in src.chunks_exact(k).zip(items) {
+        let at = item as usize * k;
+        q[at..at + k].copy_from_slice(row);
     }
 }
 
@@ -492,31 +484,61 @@ mod tests {
         assert_eq!(push.end, l.pull_len);
     }
 
-    #[test]
-    fn a_delta_merge_adds_the_damped_sum_of_the_deltas() {
-        let base = [1.0f32, 2.0, 3.0];
-        let mut acc = base;
-        add_delta(&mut acc, &base, &[2.0, 2.0, 5.0], 0.5);
-        add_delta(&mut acc, &base, &[1.0, 6.0, 7.0], 0.5);
-        assert_eq!(acc, [1.5, 4.0, 6.0]);
-        // A push equal to the base adds exactly nothing.
-        add_delta(&mut acc, &base, &base, 0.8);
-        assert_eq!(acc, [1.5, 4.0, 6.0]);
+    /// Bit patterns a merge by arithmetic would not carry through: NaN
+    /// payloads, `-0.0`, a subnormal, an infinity.
+    fn odd_bits(rows: usize, k: usize) -> Vec<f32> {
+        (0..rows * k)
+            .map(|v| match v % 5 {
+                0 => f32::from_bits(0x7fc0_0000 | v as u32),
+                1 => -0.0,
+                2 => f32::from_bits(v as u32 + 1),
+                3 => f32::NEG_INFINITY,
+                _ => v as f32 * 0.37,
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
-    fn the_server_step_is_beta_over_p_capped_at_one() {
-        assert_eq!(server_step(1), 1.0);
-        assert_eq!(server_step(2), 0.8);
-        assert_eq!(server_step(4), 0.4);
-        // `α·p` stays below 2 at every fleet size: the merge is stable.
-        assert!((1..=64).all(|p| server_step(p) * p as f32 <= BETA + 1e-6));
+    fn an_installed_band_equals_its_holders_push_bit_for_bit() {
+        let (k, items) = (3, [4u32, 0, 2]);
+        let mut q = vec![1.0f32; 5 * k];
+        let push = odd_bits(items.len(), k);
+        install(&mut q, &push, &items, k);
+        let mut published = vec![0f32; items.len() * k];
+        gather(&mut published, &q, &items, k);
+        assert_eq!(bits(&published), bits(&push));
+        // Row `items[j]` of `Q` is row `j` of the push.
+        assert_eq!(bits(&q[4 * k..5 * k]), bits(&push[..k]));
+        assert_eq!(bits(&q[..k]), bits(&push[k..2 * k]));
+    }
+
+    #[test]
+    fn installing_a_band_leaves_every_other_row_as_published() {
+        // Two bands of a shuffled order over 6 rows: installing one writes
+        // exactly its rows, so a band whose push never came is untouched.
+        let (k, order) = (2, [3u32, 5, 0, 1, 4, 2]);
+        let q0 = odd_bits(6, k);
+        let mut q = q0.clone();
+        let (held, missing) = order.split_at(3);
+        install(&mut q, &vec![9.5; 3 * k], held, k);
+        for row in 0..6u32 {
+            let r = row as usize * k..(row as usize + 1) * k;
+            if missing.contains(&row) {
+                assert_eq!(bits(&q[r.clone()]), bits(&q0[r]), "row {row}");
+            } else {
+                assert_eq!(q[r], [9.5; 2], "row {row}");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn merge_length_mismatch_panics() {
-        add_delta(&mut [0.0], &[0.0], &[1.0, 2.0], 1.0);
+    fn install_length_mismatch_panics() {
+        install(&mut [0.0; 4], &[1.0, 2.0, 3.0], &[0, 1], 2);
     }
 
     /// A sharded server over CommShared inners sized per shard range.

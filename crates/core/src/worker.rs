@@ -1,18 +1,20 @@
-//! Worker-side state and the per-epoch compute sweep.
+//! Worker-side state and the per-round compute sweep.
 //!
 //! A worker owns a contiguous row range of `P` outright (row grid, §3.3)
-//! and trains on those rows where the session keeps them; of `Q` it keeps
-//! its own copy, one region per column chunk, which is pulled into, trained
-//! on where it landed and pushed from. Shard entries are stored with row
-//! indices already rebased to the worker's range so the hot loop indexes
-//! its rows of `P` directly.
+//! and trains on those rows where the session keeps them. Of `Q` it holds
+//! one region per chunk of the epoch's bands, which is pulled into in the
+//! round the worker holds that band, trained on where it landed and pushed
+//! from. Shard entries are stored rebased, once, when the shards are dealt
+//! (`deal`): the row to the worker's range, so the hot loop indexes its
+//! rows of `P` directly, and the item to its position in the band order, so
+//! a chunk is a contiguous range of those positions.
 
 use crate::config::WorkerSpec;
 use hcc_sgd::{
     adagrad_hogwild_epoch, hogwild_epoch, momentum_hogwild_epoch, AdaGradState, HogwildConfig,
     MomentumState, SharedRows,
 };
-use hcc_sparse::Rating;
+use hcc_sparse::{GridPartition, Rating};
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -26,17 +28,17 @@ const THROTTLE_CHUNK: usize = 65_536;
 pub(crate) struct WorkerState {
     /// Static description.
     pub spec: WorkerSpec,
-    /// Shard entries; `u` is rebased by `row_range.start`. Stably grouped
-    /// by column chunk ([`group_by_chunk`]).
+    /// Shard entries as [`deal`] left them: `u` relative to `row_range`,
+    /// `i` the item's position in the band order, stably grouped by chunk.
     pub entries: Vec<Rating>,
-    /// `entries[chunk_entries[c]]` are the entries whose column falls in
-    /// chunk `c` of `Q` — the work of pipeline step `c`.
+    /// `entries[chunk_entries[c]]` are the entries whose item falls in
+    /// chunk `c` of the bands — the work of one pipeline step.
     pub chunk_entries: Vec<Range<usize>>,
     /// Owned global `P` rows.
     pub row_range: Range<u32>,
-    /// `regions[c]`: this worker's copy of column chunk `c` of `Q`, laid out
-    /// as the chunk's pull region ([`RegionLayout`]) — the buffer the chunk
-    /// is pulled into is the one the kernel trains on and the push leaves
+    /// `regions[c]`: this worker's copy of chunk `c` of `Q`, laid out as the
+    /// chunk's pull region ([`RegionLayout`]) — the buffer the chunk is
+    /// pulled into is the one the kernel trains on and the push leaves
     /// from. Sized when the worker is built — on the session's thread, not
     /// by the first epoch's worker thread — so an epoch allocates none. Only
     /// the stage working on chunk `c` locks it.
@@ -82,10 +84,7 @@ impl WorkerState {
             for chunk in entries.chunks(THROTTLE_CHUNK) {
                 let t0 = Instant::now();
                 run(chunk);
-                let elapsed = t0.elapsed();
-                let penalty =
-                    elapsed.mul_f64((1.0 - self.spec.speed_factor) / self.spec.speed_factor);
-                std::thread::sleep(penalty);
+                std::thread::sleep(throttle_penalty(t0.elapsed(), self.spec.speed_factor));
             }
         }
         start.elapsed()
@@ -97,17 +96,15 @@ impl WorkerState {
     }
 }
 
-/// Rebases shard entries, in place, to a worker-local row origin.
-pub(crate) fn rebase_rows(entries: &mut [Rating], row_lo: u32) {
-    for e in entries {
-        debug_assert!(e.u >= row_lo, "entry row below shard range");
-        e.u -= row_lo;
-    }
+/// The sleep that makes a slice that computed for `elapsed` take
+/// `elapsed / speed` in all, as a worker of `speed` (in `(0, 1)`) would.
+fn throttle_penalty(elapsed: Duration, speed: f64) -> Duration {
+    elapsed.mul_f64((1.0 - speed) / speed)
 }
 
-/// Tiles `n` columns of `Q` into at most `chunks` contiguous, non-empty
-/// ranges of equal width (the last may be short) — the same range tiling
-/// the sharded server uses for rows.
+/// Tiles a band of `n` items (columns of `R`, rows of `Q`) into at most
+/// `chunks` contiguous, non-empty ranges of equal width (the last may be
+/// short) — the same range tiling the sharded server uses for rows.
 pub(crate) fn chunk_col_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
     let width = n.div_ceil(chunks).max(1);
     (0..n)
@@ -116,23 +113,52 @@ pub(crate) fn chunk_col_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Stably groups `entries` by the column range of `cols` (as tiled by
-/// [`chunk_col_ranges`]) they fall in; returns each range's slice of
-/// `entries`. One range leaves the order untouched.
-pub(crate) fn group_by_chunk(entries: &mut [Rating], cols: &[Range<usize>]) -> Vec<Range<usize>> {
-    let width = cols.first().map_or(1, |r| r.len());
-    // One range is in order as it is; a stable sort would still allocate
-    // its scratch buffer, a third copy of the shard.
-    if cols.len() > 1 {
-        entries.sort_by_key(|e| e.i as usize / width);
+/// A worker's dealt share of the ratings: its entries, grouped by chunk,
+/// and each chunk's slice of them.
+pub(crate) type Shard = (Vec<Rating>, Vec<Range<usize>>);
+
+/// Deals `entries` to the workers whose row ranges `bounds` delimits (as
+/// [`GridPartition::owner`] assigns them) and groups each worker's
+/// share by the chunk its item's position `rank[i]` falls in — chunk `c`
+/// ends at `ends[c]` — keeping the order of `entries` within a chunk. Each
+/// entry is rebased on the way: `u` to the worker's first row, `i` to
+/// `rank[i]`. A counting sort: two passes over `entries`, and no buffer
+/// but the shards.
+pub(crate) fn deal(entries: &[Rating], bounds: &[u32], rank: &[u32], ends: &[usize]) -> Vec<Shard> {
+    let (workers, chunks) = (bounds.len() - 1, ends.len());
+    let slot = |e: &Rating| {
+        let w = GridPartition::owner(bounds, e.u);
+        let at = rank[e.i as usize] as usize;
+        w * chunks + ends.partition_point(|&end| end <= at)
+    };
+    let mut next = vec![0usize; workers * chunks];
+    for e in entries {
+        next[slot(e)] += 1;
     }
-    let mut lo = 0;
-    (0..cols.len())
-        .map(|c| {
-            let hi = lo + entries[lo..].partition_point(|e| e.i as usize / width <= c);
-            std::mem::replace(&mut lo, hi)..hi
+    // Each count becomes its chunk's first slot in the worker's shard.
+    let mut shards: Vec<Shard> = next
+        .chunks_mut(chunks)
+        .map(|counts| {
+            let mut len = 0;
+            let ranges = counts
+                .iter_mut()
+                .map(|n| {
+                    let start = len;
+                    len += *n;
+                    *n = start;
+                    start..len
+                })
+                .collect();
+            (vec![Rating::new(0, 0, 0.0); len], ranges)
         })
-        .collect()
+        .collect();
+    for e in entries {
+        let s = slot(e);
+        let w = s / chunks;
+        shards[w].0[next[s]] = Rating::new(e.u - bounds[w], rank[e.i as usize], e.r);
+        next[s] += 1;
+    }
+    shards
 }
 
 #[cfg(test)]
@@ -186,44 +212,62 @@ mod tests {
 
     #[test]
     fn throttled_worker_is_slower() {
-        let work = entries(200_000);
-        let fast = make_state(1.0, work.clone());
-        let slow = make_state(0.25, work);
-        let (mut p, mut q) = factors();
-        let t_fast = fast.compute(&fast.entries, p.shared(), q.shared(), &config(0.01));
-        let t_slow = slow.compute(&slow.entries, p.shared(), q.shared(), &config(0.01));
-        // Target is 4×; accept ≥ 2× to keep the test robust on loaded CI.
-        assert!(
-            t_slow > t_fast * 2,
-            "throttle ineffective: fast {t_fast:?} slow {t_slow:?}"
-        );
+        // A slice that computed for `t` sleeps so that it takes `t / speed`
+        // in all; an unthrottled worker never sleeps. Clock-free: `compute`
+        // sleeps exactly this after each slice of `THROTTLE_CHUNK` entries.
+        let t = Duration::from_millis(12);
+        for (speed, total) in [(0.25, 48), (0.5, 24), (0.2, 60), (1.0, 12)] {
+            let slice = t + throttle_penalty(t, speed);
+            let want = Duration::from_millis(total);
+            assert!(
+                slice.abs_diff(want) < Duration::from_micros(1),
+                "speed {speed}: {slice:?}"
+            );
+        }
+    }
+
+    /// Three workers' row ranges over 9 rows, and 6 items dealt into chunks
+    /// ending at positions 2, 3 and 6 of a band order that reverses them.
+    fn dealt(all: &[Rating]) -> Vec<Shard> {
+        let bounds = [0, 3, 3, 9];
+        let rank = [5, 4, 3, 2, 1, 0];
+        deal(all, &bounds, &rank, &[2, 3, 6])
     }
 
     #[test]
     fn rebase_shifts_rows() {
-        let mut shard = vec![Rating::new(5, 1, 1.0), Rating::new(9, 2, 2.0)];
-        rebase_rows(&mut shard, 5);
-        assert_eq!(shard[0].u, 0);
-        assert_eq!(shard[1].u, 4);
-        assert_eq!(shard[1].i, 2);
+        // Rows to the worker's first row, items to their band position.
+        let shards = dealt(&[Rating::new(5, 1, 1.0), Rating::new(1, 5, 2.0)]);
+        assert_eq!(shards[0].0, [Rating::new(1, 0, 2.0)]);
+        assert!(shards[1].0.is_empty(), "rows 3..3 hold nothing");
+        assert_eq!(shards[2].0, [Rating::new(2, 4, 1.0)]);
     }
 
     #[test]
     fn chunk_groups_partition_by_column_and_keep_order() {
-        let mut all = entries(100);
-        let original = all.clone();
-        let cols = chunk_col_ranges(8, 3);
-        let groups = group_by_chunk(&mut all, &cols);
-        assert_eq!(groups.len(), cols.len());
-        assert_eq!(groups.last().unwrap().end, 100);
-        for (range, group) in cols.iter().zip(&groups) {
-            let want: Vec<Rating> = original
-                .iter()
-                .filter(|e| range.contains(&(e.i as usize)))
-                .copied()
-                .collect();
-            assert_eq!(all[group.clone()], want[..], "columns {range:?}");
+        let all: Vec<Rating> = (0..100u32)
+            .map(|j| Rating::new(j * 7 % 9, j * 5 % 6, j as f32))
+            .collect();
+        let shards = dealt(&all);
+        let (bounds, rank, ends) = ([0u32, 3, 3, 9], [5u32, 4, 3, 2, 1, 0], [0usize, 2, 3, 6]);
+        let mut dealt_total = 0;
+        for (w, (entries, chunks)) in shards.iter().enumerate() {
+            assert_eq!(chunks.len(), 3);
+            assert_eq!(chunks.last().unwrap().end, entries.len());
+            for (c, range) in chunks.iter().enumerate() {
+                // Exactly the worker's ratings of the chunk's items, in the
+                // order `all` has them, rebased.
+                let want: Vec<Rating> = all
+                    .iter()
+                    .filter(|e| (bounds[w]..bounds[w + 1]).contains(&e.u))
+                    .map(|e| Rating::new(e.u - bounds[w], rank[e.i as usize], e.r))
+                    .filter(|e| (ends[c]..ends[c + 1]).contains(&(e.i as usize)))
+                    .collect();
+                assert_eq!(entries[range.clone()], want[..], "worker {w} chunk {c}");
+            }
+            dealt_total += entries.len();
         }
+        assert_eq!(dealt_total, all.len());
     }
 
     #[test]

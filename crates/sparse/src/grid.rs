@@ -65,11 +65,7 @@ impl GridPartition {
                 Axis::Row => e.u,
                 Axis::Col => e.i,
             };
-            // boundaries is sorted (with possible duplicates for empty
-            // shards); the shard containing `key` is the last one whose
-            // start is <= key.
-            let w = (boundaries.partition_point(|&b| b <= key) - 1).min(workers - 1);
-            shards[w].push(e);
+            shards[GridPartition::owner(&boundaries, key)].push(e);
         }
         GridPartition {
             axis,
@@ -90,6 +86,14 @@ impl GridPartition {
     /// Panics if `fractions` is empty.
     pub fn boundaries(matrix: &CooMatrix, axis: Axis, fractions: &[f64]) -> Vec<u32> {
         split_points(matrix, axis, fractions).0
+    }
+
+    /// The worker whose range of `boundaries` (as [`boundaries`](Self::boundaries)
+    /// returns them) holds index `key`. The split points are sorted, with
+    /// duplicates for empty ranges; the owner is the last worker whose start
+    /// is <= `key`.
+    pub fn owner(boundaries: &[u32], key: u32) -> usize {
+        (boundaries.partition_point(|&b| b <= key) - 1).min(boundaries.len() - 2)
     }
 
     /// Builds an equal-fraction grid over `workers` workers.
@@ -126,11 +130,6 @@ impl GridPartition {
     #[inline]
     pub fn shards(&self) -> &[Vec<Rating>] {
         &self.shards
-    }
-
-    /// Consumes the grid, yielding owned shards (for handing to workers).
-    pub fn into_shards(self) -> Vec<Vec<Rating>> {
-        self.shards
     }
 
     /// Per-worker entry counts.

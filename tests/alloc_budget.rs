@@ -153,31 +153,35 @@ fn base(epochs: usize) -> HccConfigBuilder {
 type Case = (&'static str, fn(HccConfigBuilder) -> HccConfigBuilder, f64);
 
 /// The three wires the budgets are pinned over, with what each one's
-/// endpoints hold, in units of `R` (`Q`'s bytes at f32). At this shape a
-/// link's block (`hcc_comm::block::BLOCK`, 256 KiB) is a quarter of `R`.
+/// endpoints hold, in units of `R` (`Q`'s bytes at f32). The two workers
+/// deal `Q` into two bands of `R/2`, each with its own endpoint (per
+/// stream). At this shape a link's block (`hcc_comm::block::BLOCK`,
+/// 256 KiB) is a quarter of `R`.
 const CASES: [Case; 3] = [
-    // ShardedServer: published, rebuilt, encoded (3 R). Each of two links
-    // carries half of `Q`: published H and 2 slots H — 3 H a link — plus a
-    // block each end a worker (4 blocks = R a link). A push is a row
-    // delta, which can run to 1 + 1/K of its rows (the indices), on three
-    // of those R.
+    // Two ShardedServers, one a band: published, rebuilt, encoded (3 R in
+    // all). Each of four links (two bands x two shards) carries a quarter
+    // of `Q`: published and 2 slots, 3 R in all, plus a block each end a
+    // worker (4 blocks = R a link: the frame is longer than a block). A
+    // push is a row delta, which can run to 1 + 1/K of its rows (the
+    // indices), on three of those R.
     (
         "tcp x 2 shards",
         |b| b.transport(TransportKind::Tcp).server_shards(2),
-        3.0 + 3.0 + 2.0 + 0.25,
+        3.0 + 3.0 + 4.0 + 0.25,
     ),
-    // One link at two bytes an element on the wire: published R, 2 slots
-    // R, and a block each side a worker (4 blocks = R; the fp16 frame is
-    // R/2, twice a block).
+    // Two links, one a band, at two bytes an element on the wire:
+    // published R/2 and 2 slots of R/2 each (3 R in all), and a block each
+    // side a worker (4 blocks = R a link; the fp16 frame of a band is R/4
+    // and its header, just over a block).
     (
         "socket x half-q",
         |b| {
             b.transport(TransportKind::Socket)
                 .strategy(TransferStrategy::HalfQ)
         },
-        3.0 + 1.0,
+        3.0 + 2.0,
     ),
-    // Two chunk endpoints of R/2: published and 2 slots each.
+    // Four chunk endpoints of R/4: published and 2 slots each.
     (
         "shared x 2 streams",
         |b| b.transport(TransportKind::Shared).streams(2),
@@ -211,11 +215,11 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
     let ratings = (NNZ * std::mem::size_of::<hcc_sparse::Rating>()) as f64;
     for (name, with, wire) in CASES {
         let peak = peak_live_bytes(with(base(2)).build(), &dataset) as f64;
-        // `P` once; `Q`, its merge accumulator and one region a worker;
-        // `work` and the fleet's shards; the wire; and a tenth of `R` for
-        // everything small (row counts of the grid, thread handles, frames'
-        // headers, the report).
-        let budget = p + (2.0 + 2.0) * r + 2.0 * ratings + wire * r + 0.1 * r;
+        // `P` once; `Q`, the region a band is gathered into (`R/2`) and one
+        // region a worker; `work` and the fleet's shards; the wire; and a
+        // tenth of `R` for everything small (row bounds, the band order,
+        // thread handles, frames' headers, the report).
+        let budget = p + (1.5 + 2.0) * r + 2.0 * ratings + wire * r + 0.1 * r;
         assert!(
             peak <= budget,
             "{name}: peak live heap {peak} bytes, budget {budget} (R = {r}, P = {p}, \

@@ -8,17 +8,22 @@
 //! from luck: scalar SIMD backend forced (the hashes must not depend on the
 //! host CPU), one Hogwild thread per worker (no races), a fixed uniform
 //! partition (no wall-clock-driven adaptation), and fault schedules whose
-//! outcome — not timing — decides what the server merges.
+//! outcome — not timing — decides what the server installs.
 //!
 //! A failing case prints the hash it computed, which is also how the table
 //! is (re)recorded after an intentional numeric change.
 //!
-//! Re-recorded once since: the server's merge changed from the
-//! share-weighted average `Σ sᵢ·qᵢ` to the damped delta sum
-//! `q + α(p)·Σᵢ(qᵢ − q)`, so every constant of the HCC engine moved (and
-//! `HALF_Q` also because `Q` is rounded to fp16 before it is published).
-//! The comparators' table is untouched, and the supervised fault-free and
-//! duplicate-chaos runs still land on `CLEAN`.
+//! Re-recorded twice since, each time for a change of what an epoch
+//! computes, never of how it is run. First the server's merge changed from
+//! the share-weighted average `Σ sᵢ·qᵢ` to the damped delta sum
+//! `q + α(p)·Σᵢ(qᵢ − q)`. Then the merge went altogether: `Q`'s rows are
+//! dealt into one seeded band a worker, an epoch is one round a worker in
+//! which worker `w` trains band `(w + r) mod p`, and the server installs
+//! each band's push as it is. Every constant of the HCC engine moved with
+//! each (the order in which a worker meets its ratings and the `Q` it
+//! trains them against both changed). The comparators' table is untouched,
+//! and the supervised fault-free and duplicate-chaos runs, and `FullPq`,
+//! still land on `CLEAN`.
 
 use hcc_comm::{Fault, FaultPlan};
 use hcc_mf::{
@@ -35,22 +40,20 @@ const EPOCHS: usize = 6;
 /// the shard count, a quiet supervisor and deduplicated wire duplicates are
 /// all invisible to the numbers (and `P` rows have one owner, so shipping
 /// them under `FullPq` changes nothing either).
-const CLEAN: u64 = 0x0763_bb42_3aab_794e;
-/// The fp16 wire rounds `Q` every epoch.
-const HALF_Q: u64 = 0x5e9d_064e_735a_e1e8;
-/// `Q` tiled into 2 and into 4 column chunks (the shuffled entries of a
-/// chunk keep their order, the chunks run in turn). Recorded on the commit
-/// before a chunk's region became the only copy of its columns of `Q`.
-const STREAMS_2: u64 = 0x30aa_41e0_0b43_a02f;
-const STREAMS_4: u64 = 0xbe09_2e9a_f4c2_ac51;
-/// [`fault_plan`]: three epochs merge without one worker's push.
-const FAULTED: u64 = 0x6117_d563_29d4_aa29;
+const CLEAN: u64 = 0x8c35_df21_40ff_bcd7;
+/// The fp16 wire rounds `Q` every round.
+const HALF_Q: u64 = 0x88e6_b540_6770_927b;
+/// Each band tiled into 2 and into 4 chunks (the shuffled entries of a
+/// chunk keep their order, the chunks run in turn).
+const STREAMS_2: u64 = 0x6e55_d12e_3eaf_0b90;
+const STREAMS_4: u64 = 0x9269_3e9e_72eb_c58f;
+/// [`fault_plan`]: three epochs install none of one worker's pushes.
+const FAULTED: u64 = 0xf0ae_7d6c_b190_47a2;
 /// AdaGrad and momentum over striped sweeps, and plain SGD tiled at a `k`
-/// wide enough that each worker's shard spans two tiles. Recorded on the
-/// commit before the four update rules shared one Hogwild driver.
-const ADAGRAD: u64 = 0x22bc_beec_4e85_077f;
-const MOMENTUM: u64 = 0x520f_2bae_35b7_e455;
-const TILED: u64 = 0xf4fd_1a27_0327_4cfd;
+/// wide enough that each worker's shard spans two tiles.
+const ADAGRAD: u64 = 0x48ae_588d_99ad_60c7;
+const MOMENTUM: u64 = 0xe300_24f9_4c2d_326c;
+const TILED: u64 = 0x56fb_9763_76be_2b21;
 
 fn dataset() -> SyntheticDataset {
     SyntheticDataset::generate(GenConfig {

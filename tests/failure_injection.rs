@@ -1,8 +1,10 @@
 //! Failure-injection and degenerate-input tests: stragglers, empty shards,
 //! pathological matrices, NaN guards.
 
-use hcc_mf::{HccConfig, HccMf, LearningRate, PartitionMode, WorkerSpec};
+use hcc_comm::{Fault, FaultPlan};
+use hcc_mf::{HccConfig, HccMf, LearningRate, PartitionMode, SupervisorConfig, WorkerSpec};
 use hcc_sparse::{CooMatrix, GenConfig, Rating, SyntheticDataset};
+use std::time::Duration;
 
 fn base() -> hcc_mf::HccConfigBuilder {
     HccConfig::builder()
@@ -35,6 +37,71 @@ fn straggler_worker_does_not_break_training() {
     // Adaptation must shift data away from the straggler.
     let x = report.final_partition().unwrap();
     assert!(x[0] > x[1], "straggler kept too much data: {x:?}");
+}
+
+#[test]
+fn a_stall_costs_its_length_once_an_epoch_not_once_a_round() {
+    // Four workers, so an epoch is four rounds. Worker 2 stalls in epoch 1:
+    // slept in every round it would cost four times its length.
+    let ds = SyntheticDataset::generate(GenConfig {
+        rows: 200,
+        cols: 100,
+        nnz: 4_000,
+        ..GenConfig::default()
+    });
+    let stall = Duration::from_millis(250);
+    let report = HccMf::new(
+        base()
+            .epochs(3)
+            .workers(vec![WorkerSpec::cpu(1); 4])
+            .partition(PartitionMode::Uniform)
+            .fault_tolerance(SupervisorConfig {
+                heartbeat_timeout: Duration::from_secs(10),
+                ..SupervisorConfig::default()
+            })
+            .fault_plan(FaultPlan::new(1).with(2, 1, Fault::Stall(stall)))
+            .build(),
+    )
+    .train(&ds.matrix)
+    .unwrap();
+    let compute = report.worker_stats[1][2].compute;
+    assert!(compute >= stall && compute < 2 * stall, "{compute:?}");
+    for epoch in [0, 2] {
+        let compute = report.worker_stats[epoch][2].compute;
+        assert!(compute < stall, "epoch {epoch}: {compute:?}");
+    }
+}
+
+#[test]
+fn a_dropped_push_costs_one_collect_ladder_an_epoch_not_one_a_round() {
+    // Four workers, so an epoch is four rounds. Worker 2's pushes are lost
+    // in epoch 1; the server waits out its ladder (100 + 200 + 400 ms)
+    // once, not in each of the four rounds.
+    let ds = SyntheticDataset::generate(GenConfig {
+        rows: 200,
+        cols: 100,
+        nnz: 4_000,
+        ..GenConfig::default()
+    });
+    let ladder = Duration::from_millis(700);
+    let report = HccMf::new(
+        base()
+            .epochs(3)
+            .workers(vec![WorkerSpec::cpu(1); 4])
+            .partition(PartitionMode::Uniform)
+            .fault_tolerance(SupervisorConfig {
+                heartbeat_timeout: Duration::from_millis(100),
+                collect_retries: 3,
+                retry_backoff: 2.0,
+                ..SupervisorConfig::default()
+            })
+            .fault_plan(FaultPlan::new(1).with(2, 1, Fault::DropPush))
+            .build(),
+    )
+    .train(&ds.matrix)
+    .unwrap();
+    let wall = report.epoch_times[1];
+    assert!(wall >= ladder && wall < 2 * ladder, "{wall:?}");
 }
 
 #[test]

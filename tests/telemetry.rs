@@ -50,14 +50,17 @@ fn telemetry_disabled_by_default() {
 }
 
 /// With telemetry on, a 4-worker run's recorded spans must *fit inside*
-/// the recorded epoch wall clock. Every assertion is structural and
-/// one-sided — which spans exist, in what order, and that no sum of
+/// the recorded epoch wall clock. An epoch is four rounds, one a worker, and
+/// every worker records one pull, compute and push span a round, and the
+/// server one install span a round for each. Every assertion is structural
+/// and one-sided — which spans exist, in what order, and that no sum of
 /// sequential spans exceeds the wall — so none depends on how the host
 /// scheduled the threads. How much of the wall the spans leave *uncovered*
-/// (thread spawn/join, merge-loop bookkeeping) is a per-layer benchmark
+/// (thread spawn/join, install-loop bookkeeping) is a per-layer benchmark
 /// metric with no verdict, not a test.
 #[test]
 fn phase_spans_account_for_epoch_wall_clock() {
+    const ROUNDS: usize = 4;
     let _seq = sequential();
     let ds = dataset(40_000);
     let path = std::env::temp_dir().join("hcc_telemetry_wall.jsonl");
@@ -77,62 +80,99 @@ fn phase_spans_account_for_epoch_wall_clock() {
     for b in &breakdown {
         assert!(b.wall > 0.0, "epoch {} has no EpochEnd wall time", b.epoch);
         assert_eq!(b.workers.len(), 4);
-        // Exactly one span per worker and phase: `(start_us, dur_us)`.
-        // A duration is unsigned, so "non-negative" is the type's job.
-        let span = |worker: u32, phase: Phase| -> (u64, u64) {
-            let mut found = timeline.events.iter().filter_map(|e| match *e {
-                Event::Phase {
-                    epoch,
-                    worker: w,
-                    phase: p,
-                    start_us,
-                    dur_us,
-                } if (epoch, w, p) == (b.epoch, worker, phase) => Some((start_us, dur_us)),
-                _ => None,
-            });
-            let one = found
-                .next()
-                .unwrap_or_else(|| panic!("epoch {}: worker {worker} has no {phase:?}", b.epoch));
-            assert!(found.next().is_none(), "worker {worker}: two {phase:?}");
-            one
+        // Exactly one span per worker, phase and round, `(start_us,
+        // dur_us)` in round order. A duration is unsigned, so
+        // "non-negative" is the type's job.
+        let spans = |worker: u32, phase: Phase| -> Vec<(u64, u64)> {
+            let mut found: Vec<(u64, u64)> = timeline
+                .events
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::Phase {
+                        epoch,
+                        worker: w,
+                        phase: p,
+                        start_us,
+                        dur_us,
+                    } if (epoch, w, p) == (b.epoch, worker, phase) => Some((start_us, dur_us)),
+                    _ => None,
+                })
+                .collect();
+            found.sort_unstable();
+            assert_eq!(
+                found.len(),
+                ROUNDS,
+                "epoch {}: worker {worker} has {} {phase:?} spans",
+                b.epoch,
+                found.len()
+            );
+            found
         };
         // The wall is a truncated-µs bracket around the whole epoch, so a
         // sum of disjoint truncated-µs spans inside it may read one tick more.
         let wall_us = (b.wall * 1e6).round() as u64 + 1;
-        let syncs: Vec<(u64, u64)> = (0..4).map(|w| span(w, Phase::Sync)).collect();
-        let mut first_start = u64::MAX;
-        let mut last_end = 0;
-        for (w, &sync) in syncs.iter().enumerate() {
-            let [pull, comp, push] =
-                [Phase::Pull, Phase::Comp, Phase::Push].map(|p| span(w as u32, p));
-            // One lane, one thread: pull, then compute, then push.
-            assert!(pull.0 + pull.1 <= comp.0 && comp.0 + comp.1 <= push.0);
-            // The server merges in worker order, each merge after that
-            // worker's push began.
-            assert!(push.0 <= sync.0, "worker {w} merged before it pushed");
-            assert!(w == 0 || syncs[w - 1].0 + syncs[w - 1].1 <= sync.0);
-            // Critical path through worker `w`: its pull and compute, then
-            // its own merge and every later one. (Merges of workers that
-            // finished earlier overlap this chain, so they are not added.)
-            let later_merges: u64 = syncs[w..].iter().map(|s| s.1).sum();
-            for (what, us) in [
-                ("pull+comp+push", pull.1 + comp.1 + push.1),
-                ("pull+comp+merges", pull.1 + comp.1 + later_merges),
-            ] {
+        let end = |span: (u64, u64)| span.0 + span.1;
+        // `per_worker[w][phase][r]`, phases in the order pull, comp, push, sync.
+        let per_worker: Vec<[Vec<(u64, u64)>; 4]> = (0..4u32)
+            .map(|w| [Phase::Pull, Phase::Comp, Phase::Push, Phase::Sync].map(|p| spans(w, p)))
+            .collect();
+        // Per round: its first start and its last end over every worker's
+        // spans and every install.
+        let mut rounds = [(u64::MAX, 0u64); ROUNDS];
+        for (w, [pull, comp, push, sync]) in per_worker.iter().enumerate() {
+            let mut busy = 0;
+            for r in 0..ROUNDS {
+                // One lane, one thread: pull, then compute, then push; the
+                // server installs the push after it began.
+                assert!(end(pull[r]) <= comp[r].0 && end(comp[r]) <= push[r].0);
                 assert!(
-                    us <= wall_us,
-                    "epoch {} worker {w}: {what} {us} µs exceeds the wall {wall_us} µs",
+                    push[r].0 <= sync[r].0,
+                    "epoch {} worker {w} round {r}: installed before it pushed",
                     b.epoch
                 );
+                // The server installs a round's pushes in worker order.
+                assert!(
+                    w == 0 || end(per_worker[w - 1][3][r]) <= sync[r].0,
+                    "epoch {} round {r}: worker {w} installed before worker {}",
+                    b.epoch,
+                    w - 1
+                );
+                // Critical path of round `r` through worker `w`: its pull
+                // and compute, then its own install and every later one.
+                // (Installs of workers that finished earlier overlap this
+                // chain, so they are not added.)
+                let later_installs: u64 = per_worker[w..].iter().map(|s| s[3][r].1).sum();
+                let path = pull[r].1 + comp[r].1 + later_installs;
+                assert!(
+                    path <= wall_us,
+                    "epoch {} worker {w} round {r}: pull+comp+installs {path} µs exceeds the wall {wall_us} µs",
+                    b.epoch
+                );
+                busy += pull[r].1 + comp[r].1 + push[r].1;
+                rounds[r].0 = rounds[r].0.min(pull[r].0);
+                rounds[r].1 = rounds[r].1.max(end(push[r])).max(end(sync[r]));
             }
-            first_start = first_start.min(pull.0);
-            last_end = last_end.max(push.0 + push.1).max(sync.0 + sync.1);
+            assert!(
+                busy <= wall_us,
+                "epoch {} worker {w}: pull+comp+push {busy} µs exceeds the wall {wall_us} µs",
+                b.epoch
+            );
+        }
+        // A round begins after the last one's every push is installed: the
+        // rounds follow each other inside the epoch's wall.
+        for r in 1..ROUNDS {
+            assert!(
+                rounds[r - 1].1 <= rounds[r].0,
+                "epoch {}: round {r} began before round {} ended",
+                b.epoch,
+                r - 1
+            );
         }
         assert!(
-            last_end - first_start <= wall_us,
+            rounds[ROUNDS - 1].1 - rounds[0].0 <= wall_us,
             "epoch {}: spans stretch over {} µs of a {wall_us} µs wall",
             b.epoch,
-            last_end - first_start
+            rounds[ROUNDS - 1].1 - rounds[0].0
         );
     }
     std::fs::remove_file(&path).ok();
