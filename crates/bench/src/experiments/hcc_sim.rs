@@ -20,6 +20,9 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         other => return Err(format!("unknown strategy {other}")),
     };
     let streams: usize = flags.parsed("--streams", 1)?;
+    if streams == 0 {
+        return Err("--streams 0: must be at least 1".into());
+    }
     let epochs: usize = flags.parsed("--epochs", 20)?;
 
     let profile = match flags.get("--dataset").unwrap_or("netflix") {

@@ -87,7 +87,6 @@ experiments! {
     bus_contention: Pinned;
     related_work: WallClock;
     model_validation: Pinned ["--measured" ""] + ["model_validation_measured.txt"];
-    cluster_scaling: Pinned ["--epochs" "N", "--out" "FILE.json"] + ["BENCH_cluster.json"];
     hcc_sim: None [
         "--dataset" "netflix|r1|r1star|r2|movielens",
         "--workers" "testbed4|testbed3|overall|6242,2080s,...",
@@ -229,7 +228,7 @@ mod tests {
         assert_eq!(dispatch_err(&[]), "no experiment named");
         assert_eq!(dispatch_err(&["fig99"]), "unknown experiment fig99");
         assert_eq!(
-            dispatch_err(&["cluster_scaling", "--quick"]),
+            dispatch_err(&["hcc_sim", "--quick"]),
             "unknown flag --quick"
         );
         assert_eq!(
@@ -237,12 +236,16 @@ mod tests {
             "unknown flag --out"
         );
         assert_eq!(
-            dispatch_err(&["cluster_scaling", "--epochs"]),
+            dispatch_err(&["hcc_sim", "--epochs"]),
             "--epochs needs a value (N)"
         );
         assert_eq!(
             dispatch_err(&["hcc_sim", "--streams", "many"]),
             "--streams many: invalid digit found in string"
+        );
+        assert_eq!(
+            dispatch_err(&["hcc_sim", "--streams", "0"]),
+            "--streams 0: must be at least 1"
         );
         assert_eq!(
             dispatch_err(&["table4_power", "extra"]),
@@ -271,7 +274,7 @@ mod tests {
             assert!(text.contains(&format!("\n  {}", e.name)), "{}", e.name);
             assert_eq!(EXPERIMENTS.iter().filter(|o| o.name == e.name).count(), 1);
         }
-        assert!(text.contains("cluster_scaling [--epochs N] [--out FILE.json]\n"));
+        assert!(text.contains(" [--streams N] "));
         assert!(text.contains("model_validation [--measured]\n"));
     }
 

@@ -1,8 +1,7 @@
 //! The committed `results/` cannot drift from the code: every
 //! [`Archive::Pinned`] row of `hcc_bench::EXPERIMENTS` is re-run and its
-//! stdout compared byte for byte with the archived `results/<name>.txt`
-//! (and `cluster_scaling --out` with `results/BENCH_cluster.json`), and
-//! every file under `results/` must belong to a row.
+//! stdout compared byte for byte with the archived `results/<name>.txt`,
+//! and every file under `results/` must belong to a row.
 //!
 //! [`Archive::WallClock`] rows time real training or transports on the
 //! local machine; their archives are records and are not compared. To
@@ -61,17 +60,6 @@ fn simulator_backed_text_results_are_fresh() {
     }
 }
 
-#[test]
-fn cluster_scaling_text_and_json_are_fresh() {
-    let json = std::env::temp_dir().join(format!("hcc_results_fresh_{}.json", std::process::id()));
-    let json_arg = json.to_str().expect("temp path is UTF-8");
-    let stdout = stdout_of(&["cluster_scaling", "--out", json_arg]);
-    let fresh_json = std::fs::read_to_string(&json).expect("cluster_scaling wrote its --out file");
-    std::fs::remove_file(&json).ok();
-    assert_matches_committed("cluster_scaling.txt", &stdout);
-    assert_matches_committed("BENCH_cluster.json", &fresh_json);
-}
-
 /// `results/` holds exactly what the table says it does: no archive of a
 /// deleted experiment lingers, and no archived experiment lacks its file.
 #[test]
@@ -104,8 +92,9 @@ fn every_archive_belongs_to_an_experiment_and_every_experiment_has_its_archive()
 fn bad_command_lines_print_the_usage_and_exit_2() {
     for args in [
         &["fig99_nothing"][..],
-        &["cluster_scaling", "--quick"],
-        &["cluster_scaling", "--epochs"],
+        &["hcc_sim", "--quick"],
+        &["hcc_sim", "--epochs"],
+        &["hcc_sim", "--streams", "0"],
         &["fig3_platforms", "--epochs", "3"],
         &[],
     ] {

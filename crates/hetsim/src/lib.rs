@@ -43,14 +43,12 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod cluster;
 pub mod engine;
 pub mod export;
 pub mod measure;
 pub mod platform;
 pub mod profile;
 
-pub use cluster::ClusterBuilder;
 pub use engine::{
     ideal_computing_power, simulate_epoch, simulate_epoch_faulty, simulate_training, EpochTrace,
     Phase, PhaseSpan, SimConfig, TrainingSim, Workload,
@@ -60,4 +58,4 @@ pub use measure::{
     worker_classes,
 };
 pub use platform::{Platform, WorkerSlot};
-pub use profile::{BusKind, NicProfile, ProcKind, ProcessorProfile};
+pub use profile::{BusKind, ProcKind, ProcessorProfile};

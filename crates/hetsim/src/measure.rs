@@ -280,5 +280,24 @@ mod tests {
         let t_model = model.compute_time(1, 1.0);
         let t_direct = wl.nnz as f64 / 918_333_483.0;
         assert!((t_model - t_direct).abs() / t_direct < 1e-12);
+
+        // Four server shards merge a quarter of the push each; nothing
+        // else in the model moves.
+        let sharded = cost_model_for(
+            &p,
+            &wl,
+            &SimConfig {
+                server_shards: 4,
+                ..cfg
+            },
+        );
+        assert_eq!(sharded.sync_bytes * 4, model.sync_bytes);
+        assert_eq!(
+            CostModel {
+                sync_bytes: model.sync_bytes,
+                ..sharded
+            },
+            model
+        );
     }
 }

@@ -58,64 +58,6 @@ impl BusKind {
     }
 }
 
-/// Network interface between a worker and the server, for platforms whose
-/// pull/push traffic crosses a real (lossy) link rather than a PCI-E or
-/// UPI bus. Mirrors the socket transport's failure model: a loss rate
-/// eats goodput through retransmits, and each retransmit round costs a
-/// fixed latency on top of the serialization time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NicProfile {
-    /// Per-direction bandwidth in bytes/s.
-    pub bandwidth: f64,
-    /// Fraction of frames lost in transit, in `[0, 1)`.
-    pub loss_rate: f64,
-    /// Latency of one retransmit round trip in seconds (detection timeout
-    /// plus the re-send's queueing delay).
-    pub retrans_latency: f64,
-}
-
-impl NicProfile {
-    /// A loss-free NIC at `bandwidth` bytes/s.
-    pub fn lossless(bandwidth: f64) -> NicProfile {
-        NicProfile {
-            bandwidth,
-            loss_rate: 0.0,
-            retrans_latency: 0.0,
-        }
-    }
-
-    /// 10 GbE with a loss rate and a 500 µs retransmit round trip (the
-    /// socket transport's default RPC timeout scale).
-    pub fn ten_gbe(loss_rate: f64) -> NicProfile {
-        NicProfile {
-            bandwidth: 1.25e9,
-            loss_rate,
-            retrans_latency: 500e-6,
-        }
-    }
-
-    /// Expected goodput in bytes/s: every lost frame is re-sent, so a loss
-    /// rate `p` stretches each delivered byte by `1/(1−p)` wire bytes.
-    pub fn effective_bandwidth(&self) -> f64 {
-        self.bandwidth * (1.0 - self.loss_rate.clamp(0.0, 0.999_999))
-    }
-
-    /// Expected time to deliver `bytes` across this NIC: serialization at
-    /// the loss-adjusted goodput plus the expected `p/(1−p)` retransmit
-    /// rounds' latency.
-    pub fn transfer_time(&self, bytes: f64) -> f64 {
-        let p = self.loss_rate.clamp(0.0, 0.999_999);
-        bytes / self.effective_bandwidth() + self.retrans_latency * p / (1.0 - p)
-    }
-
-    /// The NIC expressed as a [`BusKind`] for the DES engine's bus model
-    /// (loss folded into the effective bandwidth; retransmit latency is
-    /// carried separately by the fault layer).
-    pub fn as_bus(&self) -> BusKind {
-        BusKind::Custom(self.effective_bandwidth())
-    }
-}
-
 /// Per-dataset standalone update rates (updates/s at k = 128).
 ///
 /// Rates for the four Table 4 datasets are stored explicitly; unknown
@@ -407,25 +349,6 @@ mod tests {
         assert_eq!(t.rate("custom", 140_000, 130_000, 20_000_000), t.movielens);
         // Unknown tall dataset → Netflix class.
         assert_eq!(t.rate("custom", 500_000, 20_000, 100_000_000), t.netflix);
-    }
-
-    #[test]
-    fn nic_profile_models_loss_and_retransmits() {
-        let clean = NicProfile::lossless(1.25e9);
-        assert_eq!(clean.effective_bandwidth(), 1.25e9);
-        assert_eq!(clean.transfer_time(1.25e9), 1.0);
-
-        let lossy = NicProfile::ten_gbe(0.2);
-        // 20% loss: goodput drops to 80%, so the same payload takes
-        // 1/0.8 = 1.25× the serialization time plus retransmit latency.
-        assert!((lossy.effective_bandwidth() - 1.0e9).abs() < 1.0);
-        assert!(lossy.transfer_time(1.25e9) > clean.transfer_time(1.25e9));
-        let serialization = 1.25e9 / lossy.effective_bandwidth();
-        let expected = serialization + 500e-6 * 0.2 / 0.8;
-        assert!((lossy.transfer_time(1.25e9) - expected).abs() < 1e-9);
-
-        // As a bus, the DES engine sees the loss-adjusted bandwidth.
-        assert_eq!(lossy.as_bus().bandwidth(), lossy.effective_bandwidth());
     }
 
     #[test]

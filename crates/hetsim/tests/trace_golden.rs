@@ -3,9 +3,9 @@
 //! Every timing-shape number the experiment binaries print comes out of
 //! `simulate_epoch`, so a refactor of the scheduler must leave its traces
 //! untouched. The grid below covers every platform the experiments use
-//! (the three paper testbeds, 1/2/4-node clusters) × every dataset profile
-//! × streams × server shards × transfer strategy × partition shape — 2 160
-//! dedicated-bus cells — plus one shared-bus cell and three faulty cells.
+//! (the three paper testbeds) × every dataset profile × streams × server
+//! shards × transfer strategy × partition shape — 1 080 dedicated-bus
+//! cells — plus one shared-bus cell and three faulty cells.
 //! The constants were computed at the last commit that carried two
 //! schedulers (774bc86): both produced the dedicated-bus digests; the
 //! shared-bus and faulty ones come from its event calendar, the one that
@@ -14,8 +14,8 @@
 
 use hcc_comm::{Fault, FaultPlan, TransferStrategy};
 use hcc_hetsim::{
-    simulate_epoch, simulate_epoch_faulty, BusKind, ClusterBuilder, EpochTrace, Platform,
-    ProcessorProfile, SimConfig, Workload,
+    simulate_epoch, simulate_epoch_faulty, BusKind, EpochTrace, Platform, ProcessorProfile,
+    SimConfig, Workload,
 };
 use hcc_sparse::DatasetProfile;
 use std::time::Duration;
@@ -64,9 +64,6 @@ fn platforms() -> Vec<Platform> {
         Platform::paper_testbed_3workers(),
         Platform::paper_testbed_4workers(),
         Platform::paper_testbed_overall(),
-        ClusterBuilder::new(1).build(),
-        ClusterBuilder::new(2).build(),
-        ClusterBuilder::new(4).build(),
     ]
 }
 
@@ -112,9 +109,9 @@ fn grid_digests() -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Rows: 3-worker, 4-worker and overall testbeds, then 1/2/4-node clusters.
+/// Rows: 3-worker, 4-worker and overall testbeds.
 /// Columns: `DatasetProfile::all()` order.
-const GRID: [[u64; 5]; 6] = [
+const GRID: [[u64; 5]; 3] = [
     [
         0x0606f84d9701101c,
         0x42ea1f1afda50fcc,
@@ -135,27 +132,6 @@ const GRID: [[u64; 5]; 6] = [
         0x49ad4537daebbd41,
         0x3e7b6c1607ed7ddd,
         0xe1eb8fc43b8f4835,
-    ],
-    [
-        0x0db93efbf5d83b37,
-        0xcdcb0e759409d746,
-        0xfb14d971fd76a7ee,
-        0x2a4e724f65e81537,
-        0xf5202ad7d95d6411,
-    ],
-    [
-        0xf214bb48cf13754b,
-        0x7d950a663c65f361,
-        0x49296fbc905edb62,
-        0xdf5201a2127cd488,
-        0xf7a32a800f736e79,
-    ],
-    [
-        0x36b9826693bac497,
-        0xa220c04c2800e1ae,
-        0x5a6752f4a3df9b05,
-        0x4f3e6516bced52b7,
-        0x21cb5afc1a23d938,
     ],
 ];
 

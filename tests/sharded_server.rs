@@ -273,3 +273,41 @@ fn pipelining_over_every_wire_matches_shared_memory() {
         assert_bit_identical(&reference, &wired, &format!("3 streams over {transport:?}"));
     }
 }
+
+/// A sharded server whose workers each touch their own rows ships only
+/// those rows: over every worker and epoch the row count is exact, and the
+/// push bytes stay below full buffers.
+#[test]
+fn delta_shipping_counts_rows_across_workers_and_epochs() {
+    // Four workers over four shards of a 256-row region; worker `w`
+    // changes every eighth row starting at `w`, as a sparse epoch would.
+    let (workers, shards, rows, k) = (4usize, 4usize, 256usize, 8usize);
+    let router = ShardRouter::uniform(rows, shards);
+    let inners: Vec<Arc<dyn Transport>> = (0..shards)
+        .map(|s| {
+            let pull = router.range(s).len() * k;
+            let push = ShardedServer::shard_push_len(&router, s, k);
+            Arc::new(CommShared::new(workers, pull, push, Precision::Fp32)) as Arc<dyn Transport>
+        })
+        .collect();
+    let server = ShardedServer::new(router, k, rows * k, Precision::Fp32, inners);
+    let mut global = vec![0.1f32; rows * k];
+    for epoch in 0..3 {
+        server.publish(&global);
+        for w in 0..workers {
+            let mut local = vec![0f32; rows * k];
+            server.pull(w, &mut local);
+            for row in (w..rows).step_by(8) {
+                local[row * k] += 0.01 * (epoch + 1) as f32;
+            }
+            server.push(w, &local);
+            server.collect(w, &mut global);
+        }
+    }
+    let stats = server.delta_stats();
+    assert_eq!(stats.rows_shipped, (3 * workers * (rows / 8)) as u64);
+    assert!(
+        stats.bytes_shipped < stats.bytes_full,
+        "delta shipping saved nothing: {stats:?}"
+    );
+}
