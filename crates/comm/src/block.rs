@@ -252,8 +252,7 @@ pub fn write<W: Write>(
 
 /// Streams the body of a message whose `header` the caller has read and
 /// validated: `body_len` bytes (whole elements) at `precision`, then the
-/// CRC trailer if `trailer` — a message without one is never refused. The
-/// CRC covers `header` and the body.
+/// CRC trailer, which covers `header` and the body.
 ///
 /// The body is unpacked into `dsts` in order, each advanced past what it
 /// received; what does not fit in them is only checksummed, so an empty
@@ -270,19 +269,17 @@ pub fn read<R: Read>(
     precision: Precision,
     body_len: usize,
     dsts: &mut [&mut [f32]],
-    trailer: bool,
 ) -> io::Result<Result<(), BadCrc>> {
     assert!(block.len() >= TRAILER_LEN, "block too short for a trailer");
     let bpe = precision.bytes_per_element() as usize;
-    let trailer_len = if trailer { TRAILER_LEN } else { 0 };
     let step = block.len() / bpe * bpe;
     let mut crc = Crc32::default();
     crc.update(header);
     let mut left = body_len;
     let expected = loop {
         let n = left.min(step);
-        let last = n == left && block.len() - n >= trailer_len;
-        let got = &mut block[..if last { n + trailer_len } else { n }];
+        let last = n == left && block.len() - n >= TRAILER_LEN;
+        let got = &mut block[..if last { n + TRAILER_LEN } else { n }];
         src.read_exact(got)?;
         let (mut wire, tail) = got.split_at(n);
         crc.update(wire);
@@ -295,13 +292,14 @@ pub fn read<R: Read>(
             (*dst, wire) = (later, rest);
         }
         if last {
-            break tail.try_into().ok().map(u32::from_le_bytes);
+            break u32::from_le_bytes(std::array::from_fn(|b| tail[b]));
         }
     };
     let got = crc.finish();
-    Ok(match expected {
-        Some(expected) if expected != got => Err(BadCrc { expected, got }),
-        _ => Ok(()),
+    Ok(if expected == got {
+        Ok(())
+    } else {
+        Err(BadCrc { expected, got })
     })
 }
 
@@ -439,7 +437,6 @@ mod tests {
                         precision,
                         values.len() * bpe,
                         &mut [&mut p[..], &mut [], &mut q[..]],
-                        true,
                     );
                     assert_eq!(checked.unwrap(), Ok(()), "{what}");
                     assert!(body.is_empty(), "{what}: left bytes unread");
@@ -452,26 +449,11 @@ mod tests {
     }
 
     #[test]
-    fn a_body_without_a_trailer_reads_to_its_end_and_a_bad_trailer_is_refused() {
+    fn a_flipped_trailer_bit_is_refused() {
         let values = [1.5f32, -2.0, 3.25];
         let mut bytes = Vec::new();
         let mut block = [0u8; 8];
         write(&mut bytes, &mut block, &[], 0, Precision::Fp32, &[&values]).unwrap();
-        // Without a trailer the body is all there is.
-        let mut dst = [0f32; 3];
-        let mut body = &bytes[..12];
-        let read_bare = read(
-            &mut body,
-            &mut block,
-            &[],
-            Precision::Fp32,
-            12,
-            &mut [&mut dst],
-            false,
-        );
-        assert_eq!(read_bare.unwrap(), Ok(()));
-        assert_eq!(dst, values);
-        // A flipped trailer bit is the one verdict that refuses.
         bytes[13] ^= 1;
         let mut dst = [0f32; 3];
         let err = read(
@@ -481,7 +463,6 @@ mod tests {
             Precision::Fp32,
             12,
             &mut [&mut dst],
-            true,
         )
         .unwrap()
         .unwrap_err();

@@ -325,7 +325,6 @@ impl Incoming {
             self.precision,
             self.wire_len,
             &mut [dst],
-            true,
         )?;
         Ok(self.kind().and_then(|kind| {
             checked.map_err(|BadCrc { expected, got }| FrameError::BadCrc { expected, got })?;

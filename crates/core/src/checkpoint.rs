@@ -1,14 +1,7 @@
 //! Factor-matrix checkpointing.
 //!
-//! Two on-disk formats, both little-endian:
-//!
-//! **v1** (legacy, read-only compat):
-//!
-//! ```text
-//! magic "HCCMF1\n"  |  u64 m  u64 n  u64 k  |  P (m·k f32 LE)  |  Q (n·k f32 LE)
-//! ```
-//!
-//! **v2** (crash-safe, written by [`save_model`] / [`save_checkpoint`]):
+//! One on-disk format, v2, little-endian (crash-safe, written by
+//! [`save_model`] / [`save_checkpoint`]):
 //!
 //! ```text
 //! magic "HCCMF2\n"
@@ -20,7 +13,7 @@
 //! u32 crc32            (CRC-32/IEEE over every preceding byte)
 //! ```
 //!
-//! v2 files are written to `<path>.tmp`, fsynced, then atomically renamed
+//! Files are written to `<path>.tmp`, fsynced, then atomically renamed
 //! over `path`, so a crash mid-write can never leave a loadable-but-torn
 //! file at `path`; a write that fails takes its `.tmp` with it.
 //!
@@ -34,8 +27,8 @@
 //! a huge allocation), allocates `P` and `Q` once, and lets the codec fill
 //! them and compare the footer last, which catches every single-bit flip;
 //! on a mismatch the half-trusted factors are dropped and nothing but the
-//! error leaves. v1 and v2 share the reader: they differ in the header's
-//! length and in having a footer.
+//! error leaves. The retired v1 layout (`"HCCMF1\n"`, no resume state, no
+//! footer) is refused as an unrecognized magic.
 
 use crate::error::HccError;
 use hcc_comm::block::{self, BadCrc, BLOCK};
@@ -45,7 +38,6 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC_V1: &[u8; 7] = b"HCCMF1\n";
 const MAGIC_V2: &[u8; 7] = b"HCCMF2\n";
 
 /// Header flag bit: the input matrix was transposed (m < n) before training.
@@ -53,8 +45,6 @@ const FLAG_TRANSPOSED: u8 = 1;
 
 /// v2 bytes between magic and P: 5×u64 + f32 lr_scale + u8 flags.
 const V2_META_LEN: usize = 5 * 8 + 4 + 1;
-/// v1 bytes between magic and P: 3×u64.
-const V1_META_LEN: usize = 3 * 8;
 
 /// Training-loop state stored alongside the factors in a v2 checkpoint so a
 /// killed run can resume mid-training.
@@ -175,7 +165,7 @@ fn write_v2(
 // Load
 // ---------------------------------------------------------------------------
 
-/// Reads a `(P, Q)` model from `path`; accepts both v1 and v2 files.
+/// Reads a `(P, Q)` model from `path`.
 ///
 /// Always returns factors in the *original* input orientation (P over
 /// users, Q over items): a mid-training checkpoint of a wide matrix
@@ -191,8 +181,7 @@ pub fn load_model<P: AsRef<Path>>(path: P) -> Result<(FactorMatrix, FactorMatrix
     }
 }
 
-/// Reads a checkpoint with its training metadata. v1 files load with
-/// [`TrainingMeta::default`] (they carry no resume state).
+/// Reads a checkpoint with its training metadata.
 pub fn load_checkpoint<P: AsRef<Path>>(path: P) -> Result<ResumeState, HccError> {
     let file = File::open(path.as_ref())?;
     let len = file.metadata()?.len();
@@ -219,52 +208,40 @@ fn checked_dims(
     }
 }
 
-/// Decodes a checkpoint of `len` bytes from `src`, either version, holding
-/// one [`BLOCK`] of it at a time.
+/// Decodes a checkpoint of `len` bytes from `src`, holding one [`BLOCK`]
+/// of it at a time.
 fn read_checkpoint(mut src: impl Read, len: u64) -> Result<ResumeState, HccError> {
     mem::map_model_buffers();
     let mut head = [0u8; MAGIC_V2.len() + V2_META_LEN];
     let magic_len = MAGIC_V2.len();
-    // A file shorter than a magic keeps the zeros, which are neither.
+    // A file shorter than a magic keeps the zeros, which are no magic.
     if len >= magic_len as u64 {
         src.read_exact(&mut head[..magic_len])?;
     }
-    let (version, meta_len, footer_len) = match &head[..magic_len] {
-        magic if magic == MAGIC_V2 => (2, V2_META_LEN, block::TRAILER_LEN),
-        magic if magic == MAGIC_V1 => (1, V1_META_LEN, 0),
-        _ => {
-            return Err(HccError::CorruptCheckpoint(
-                "unrecognized magic (not an HCCMF checkpoint)".into(),
-            ))
-        }
+    if head[..magic_len] != MAGIC_V2[..] {
+        return Err(HccError::CorruptCheckpoint(
+            "unrecognized magic (not an HCCMF2 checkpoint)".into(),
+        ));
+    }
+    let Some(payload_len) = len.checked_sub((head.len() + block::TRAILER_LEN) as u64) else {
+        return Err(HccError::CorruptCheckpoint("truncated v2 header".into()));
     };
-    let header_len = magic_len + meta_len;
-    let Some(payload_len) = len.checked_sub((header_len + footer_len) as u64) else {
-        return Err(HccError::CorruptCheckpoint(format!(
-            "truncated v{version} header"
-        )));
-    };
-    let head = &mut head[..header_len];
     src.read_exact(&mut head[magic_len..])?;
 
     let dims = |i: usize| u64::from_le_bytes(std::array::from_fn(|b| head[magic_len + 8 * i + b]));
     let (m, n, k) = checked_dims(dims(0), dims(1), dims(2), payload_len)?;
-    let meta = if version == 2 {
-        let at = magic_len + 40;
-        let lr_scale = f32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
-        if !(lr_scale.is_finite() && lr_scale > 0.0) {
-            return Err(HccError::CorruptCheckpoint(format!(
-                "invalid lr_scale {lr_scale}"
-            )));
-        }
-        TrainingMeta {
-            epoch: dims(3) as usize,
-            seed: dims(4),
-            lr_scale,
-            transposed: head[at + 4] & FLAG_TRANSPOSED != 0,
-        }
-    } else {
-        TrainingMeta::default()
+    let at = magic_len + 40;
+    let lr_scale = f32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+    if !(lr_scale.is_finite() && lr_scale > 0.0) {
+        return Err(HccError::CorruptCheckpoint(format!(
+            "invalid lr_scale {lr_scale}"
+        )));
+    }
+    let meta = TrainingMeta {
+        epoch: dims(3) as usize,
+        seed: dims(4),
+        lr_scale,
+        transposed: head[at + 4] & FLAG_TRANSPOSED != 0,
     };
 
     // The length check above is what makes these two allocations safe.
@@ -273,11 +250,10 @@ fn read_checkpoint(mut src: impl Read, len: u64) -> Result<ResumeState, HccError
     let checked = block::read(
         &mut src,
         &mut vec![0u8; BLOCK],
-        head,
+        &head,
         Precision::Fp32,
         payload_len as usize,
         &mut [&mut p[..], &mut q[..]],
-        footer_len > 0,
     )?;
     if let Err(BadCrc { expected, got }) = checked {
         return Err(HccError::CorruptCheckpoint(format!(
@@ -471,19 +447,6 @@ mod tests {
         dir.join(name)
     }
 
-    /// Builds a v1-format file by hand (the writer only emits v2 now).
-    fn write_v1(path: &std::path::Path, p: &FactorMatrix, q: &FactorMatrix) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        for v in [p.rows() as u64, q.rows() as u64, p.k() as u64] {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        for &v in p.as_slice().iter().chain(q.as_slice()) {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        std::fs::write(path, bytes).unwrap();
-    }
-
     #[test]
     fn roundtrip() {
         let p = FactorMatrix::random(13, 4, 1);
@@ -541,22 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v1_files() {
-        // A file inside one block, and one whose `P` and `Q` both span two.
-        for (m, n, k) in [(5, 4, 2), (BLOCK / 4 + 3, BLOCK / 2, 1)] {
-            let p = FactorMatrix::random(m, k, 7);
-            let q = FactorMatrix::random(n, k, 8);
-            let path = tmp("legacy_v1.hccmf");
-            write_v1(&path, &p, &q);
-            let state = load_checkpoint(&path).unwrap();
-            assert_eq!(bits(&state.p), bits(&p));
-            assert_eq!(bits(&state.q), bits(&q));
-            assert_eq!(state.meta, TrainingMeta::default());
-            std::fs::remove_file(path).ok();
-        }
-    }
-
-    #[test]
     fn rejects_mismatched_k() {
         let p = FactorMatrix::zeros(2, 3);
         let q = FactorMatrix::zeros(2, 4);
@@ -565,12 +512,20 @@ mod tests {
 
     #[test]
     fn rejects_garbage_file() {
+        // The retired v1 layout: magic, m n k, then P and Q with no footer.
+        let mut v1 = b"HCCMF1\n".to_vec();
+        for v in [2u64, 2, 1] {
+            v1.extend_from_slice(&v.to_le_bytes());
+        }
+        v1.extend(std::iter::repeat_n(0u8, 4 * 4));
         let path = tmp("garbage.hccmf");
-        std::fs::write(&path, b"definitely not a checkpoint").unwrap();
-        assert!(matches!(
-            load_model(&path),
-            Err(HccError::CorruptCheckpoint(_))
-        ));
+        for bytes in [&b"definitely not a checkpoint"[..], &v1] {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(matches!(
+                load_model(&path),
+                Err(HccError::CorruptCheckpoint(_))
+            ));
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -613,16 +568,16 @@ mod tests {
         let p = FactorMatrix::random(3, 2, 11);
         let q = FactorMatrix::random(2, 2, 12);
         let path = tmp("absurd.hccmf");
-        write_v1(&path, &p, &q);
+        save_model(&path, &p, &q).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // Claim m = 2^60 rows in a v1 file (no CRC to catch it): the length
-        // check must reject it before any allocation happens.
-        bytes[MAGIC_V1.len()..MAGIC_V1.len() + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        // Claim m = 2^60 rows: the length check must reject it before any
+        // allocation happens, long before the CRC is reached.
+        bytes[MAGIC_V2.len()..MAGIC_V2.len() + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            load_model(&path),
-            Err(HccError::CorruptCheckpoint(_))
-        ));
+        match load_model(&path) {
+            Err(HccError::CorruptCheckpoint(msg)) => assert!(msg.contains("inconsistent"), "{msg}"),
+            other => panic!("expected the length check to refuse, got {other:?}"),
+        }
         std::fs::remove_file(path).ok();
     }
 

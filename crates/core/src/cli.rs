@@ -917,6 +917,7 @@ mod tests {
         assert!(parse(&argv("train d.txt --bogus 3")).is_err());
         assert!(parse(&argv("train d.txt --k notanumber")).is_err());
         assert!(parse(&argv("train d.txt --schedule diagonal")).is_err());
+        assert!(error("train d.txt --lr nan").contains("invalid learning rate"));
         assert!(parse(&argv("recommend m.hccmf r.txt")).is_err()); // no --user
         assert!(parse(&argv("analyze a.txt extra")).is_err());
     }
@@ -1238,34 +1239,37 @@ mod tests {
     /// give every flag at least once (positional among the flags, a
     /// repeated flag, `--checkpoint-every` falling back to `--out`). The
     /// hashes were recorded before the flag table replaced the
-    /// hand-written parser; the table must build the same thing.
+    /// hand-written parser; the table must build the same thing. The
+    /// `train` hashes were re-pinned once since, when `HccConfig` lost its
+    /// `optimizer` field: each is the old rendering without `optimizer:
+    /// Sgd, `.
     const PINNED: &[(&str, u64)] = &[
-        ("train ratings.txt --k 64 --workers cpu4,gpu8 --out model", 0xe1f4b47dc87210f3),
-        ("train ratings.txt --k 64 --fault-tolerant --checkpoint-every 5 --checkpoint-path run.hccmf", 0x1544131177f70307),
-        ("train ratings.txt --k 64 --resume run.hccmf", 0xff9edda2f06b4c4b),
-        ("train ratings.txt --k 64 --transport socket --net-chaos 1", 0x63961cd88e50cffe),
-        ("train ratings.txt --k 64 --transport socket", 0x9699bc13d1060fc0),
-        ("train ratings.txt --k 64 --transport tcp --streams 3", 0x3ffba676bce0f578),
-        ("train ratings.txt --k 64 --transport tcp --server-shards 4", 0x7d7ec2a9b0f38205),
-        ("train ratings.txt --k 64 --workers cpu4,cpu2 --telemetry run.jsonl", 0xa1a8789b799dcaa2),
-        ("train /tmp/ratings.txt --k 16 --epochs 5 --schedule tiled --seed 3", 0xc6a36c19ad5c36cd),
-        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1,cpu1 --transport socket --net-chaos 1 --telemetry /tmp/net.jsonl", 0xfc3ea964ee0b5f9b),
-        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1 --transport tcp --server-shards 4 --seed 3", 0x6476f4d3f28aae2e),
-        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1 --transport tcp --streams 3 --seed 3", 0xd9adeb8fa2005e7d),
-        ("train data.txt --k 64 --epochs 5 --strategy halfq --partition dp2 --schedule tiled --rank-metrics", 0x0a37b746bf3f8109),
-        ("train data.txt --checkpoint-every 3 --checkpoint-path c.hccmf --resume r.hccmf --fault-tolerant", 0xa90a757e72cb4c00),
-        ("train data.txt --transport socket --net-chaos 7", 0x9b55f5e8bec4f3ed),
-        ("train data.txt", 0x44346869e8804297),
-        ("train data.txt --transport tcp --server-shards 4", 0x6320fe14e14d176c),
-        ("train data.txt --telemetry run.jsonl", 0x5ca58241e4e0aca3),
-        ("train r.txt --k 8 --epochs 4 --telemetry run.jsonl", 0xc7724a9fbc12294a),
-        ("train r.txt --k 8 --epochs 8 --lr 0.02 --out model --rank-metrics", 0xa081b6602989cc8e),
-        ("train --lr 0.02 --lambda 0.05 r.txt --epochs 3 --k 8 --seed 9", 0x4b47e3837a0f50ef),
-        ("train r.txt --workers cpu2,gpu4@0.5 --strategy pq --partition uniform --schedule tiled --test-frac 0.25 --out m --rank-metrics", 0x7dd1d96dbcca10da),
-        ("train r.txt --strategy q --partition dp0 --transport shared --streams 2", 0x7c4ddc7250152acb),
-        ("train r.txt --partition dp1 --checkpoint-every 2 --out m", 0x81c8c9d5bf4fb131),
-        ("train r.txt --test-frac 0 --telemetry t.jsonl --k 16 --k 24", 0xdc2fc014668b6d62),
-        ("train r.txt --fault-tolerant --net-chaos 3 --server-shards 2 --transport tcp", 0x698bd14d6a0b228a),
+        ("train ratings.txt --k 64 --workers cpu4,gpu8 --out model", 0x7fdf2898c8ec7dd2),
+        ("train ratings.txt --k 64 --fault-tolerant --checkpoint-every 5 --checkpoint-path run.hccmf", 0x70223939bae4b288),
+        ("train ratings.txt --k 64 --resume run.hccmf", 0x5c4cb3e508a708a4),
+        ("train ratings.txt --k 64 --transport socket --net-chaos 1", 0x2211dc26b7864f45),
+        ("train ratings.txt --k 64 --transport socket", 0x349340fda7968ed1),
+        ("train ratings.txt --k 64 --transport tcp --streams 3", 0x7e67cc45d7e35d39),
+        ("train ratings.txt --k 64 --transport tcp --server-shards 4", 0x5e545e8c7796b0dc),
+        ("train ratings.txt --k 64 --workers cpu4,cpu2 --telemetry run.jsonl", 0x683497bb8dc1de45),
+        ("train /tmp/ratings.txt --k 16 --epochs 5 --schedule tiled --seed 3", 0x7ed0355de988c3ae),
+        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1,cpu1 --transport socket --net-chaos 1 --telemetry /tmp/net.jsonl", 0x47051a6dd39d6bec),
+        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1 --transport tcp --server-shards 4 --seed 3", 0xaa52cc854657dac7),
+        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1 --transport tcp --streams 3 --seed 3", 0x0226eaff994e07c4),
+        ("train data.txt --k 64 --epochs 5 --strategy halfq --partition dp2 --schedule tiled --rank-metrics", 0xa2b375264b1763d2),
+        ("train data.txt --checkpoint-every 3 --checkpoint-path c.hccmf --resume r.hccmf --fault-tolerant", 0xf5aba21afb6b97a5),
+        ("train data.txt --transport socket --net-chaos 7", 0x232783991559b4a2),
+        ("train data.txt", 0x309719e37f80421e),
+        ("train data.txt --transport tcp --server-shards 4", 0x5f9d7ad150f71a25),
+        ("train data.txt --telemetry run.jsonl", 0xafa67d87c1c628e8),
+        ("train r.txt --k 8 --epochs 4 --telemetry run.jsonl", 0x5931e78929759c5d),
+        ("train r.txt --k 8 --epochs 8 --lr 0.02 --out model --rank-metrics", 0x85b06136b6413d67),
+        ("train --lr 0.02 --lambda 0.05 r.txt --epochs 3 --k 8 --seed 9", 0x7b36794c6cefaea6),
+        ("train r.txt --workers cpu2,gpu4@0.5 --strategy pq --partition uniform --schedule tiled --test-frac 0.25 --out m --rank-metrics", 0x04bf2ffb6038e071),
+        ("train r.txt --strategy q --partition dp0 --transport shared --streams 2", 0x1eb98b7ac6257dba),
+        ("train r.txt --partition dp1 --checkpoint-every 2 --out m", 0x9c1f632d6476a4e6),
+        ("train r.txt --test-frac 0 --telemetry t.jsonl --k 16 --k 24", 0x849fedbf6f4510f9),
+        ("train r.txt --fault-tolerant --net-chaos 3 --server-shards 2 --transport tcp", 0xbd6b88e53d6e3575),
         ("serve model.hccmf ratings.txt --queries queries.txt --topk 10 --shards 4 --batch 32 --precision int8 --admission-queue 512 --telemetry serve.jsonl", 0xa5fa077b01bde37f),
         ("serve /tmp/model.hccmf /tmp/ratings.txt --queries /tmp/queries.txt --topk 10 --shards 4 --batch 4 --precision int8 --admission-queue 64 --telemetry /tmp/serve.jsonl", 0x844ecd8ba8d1c6da),
         ("serve m.hccmf r.txt --queries q.txt --topk 5 --shards 8 --batch 64 --precision int8 --admission-queue 512 --telemetry t.jsonl", 0xb7b91a09d6813d76),

@@ -73,28 +73,6 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// Which per-update rule the workers run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Optimizer {
-    /// Plain SGD at the configured learning-rate schedule (the paper).
-    Sgd,
-    /// AdaGrad-scaled steps (CuMF_SGD's alternative kernel). `eta0` is the
-    /// base step; the learning-rate schedule is ignored. Accumulators are
-    /// per-worker and reset when the partition is rebuilt.
-    AdaGrad {
-        /// Base step η₀.
-        eta0: f32,
-        /// Stabilizer ε.
-        epsilon: f32,
-    },
-    /// Heavy-ball momentum at the configured learning-rate schedule.
-    /// Velocity buffers are per-worker and reset on repartition.
-    Momentum {
-        /// Momentum coefficient β ∈ [0, 1).
-        beta: f32,
-    },
-}
-
 /// Early-stopping rule: stop when the best RMSE of the last `patience`
 /// epochs fails to improve on the best before them by at least
 /// `min_rel_improvement` (relative).
@@ -157,11 +135,8 @@ pub struct HccConfig {
     pub shuffle: bool,
     /// Optional early stopping (requires `track_rmse`).
     pub early_stop: Option<EarlyStop>,
-    /// Per-update optimizer.
-    pub optimizer: Optimizer,
-    /// Hogwild entry-to-thread schedule inside each worker, for every
-    /// optimizer (`stripe` is the classic interleaving, `tiled` the
-    /// cache-blocked scheduler).
+    /// Hogwild entry-to-thread schedule inside each worker (`stripe` is the
+    /// classic interleaving, `tiled` the cache-blocked scheduler).
     pub schedule: Schedule,
     /// Optional warm-start factors `(P, Q)` in the *input* orientation.
     /// Dimensions must match the training matrix and `k`; used instead of
@@ -216,6 +191,27 @@ impl HccConfig {
         }
         if self.server_shards == 0 {
             return Err(HccError::BadConfig("server_shards must be >= 1".into()));
+        }
+        // The schedule is every run's step size: γ₀ > 0 and a decay that
+        // keeps every later γ finite and positive.
+        let lr = self.learning_rate;
+        let lr_ok = match lr {
+            LearningRate::Constant(gamma0) => positive(gamma0),
+            LearningRate::InverseTime { gamma0, decay } => positive(gamma0) && non_negative(decay),
+            LearningRate::Exponential { gamma0, ratio } => positive(gamma0) && positive(ratio),
+        };
+        if !lr_ok {
+            return Err(HccError::BadConfig(format!(
+                "invalid learning rate {lr:?}: gamma0 and ratio must be finite and > 0, \
+                 decay finite and >= 0"
+            )));
+        }
+        for (name, lambda) in [("lambda_p", self.lambda_p), ("lambda_q", self.lambda_q)] {
+            if !non_negative(lambda) {
+                return Err(HccError::BadConfig(format!(
+                    "{name} {lambda} must be finite and >= 0"
+                )));
+            }
         }
         // The rules for asynchronous computing–transmission, all here: a
         // chunk is a column range of Q, so P cannot ride along; pipelining
@@ -311,6 +307,16 @@ impl HccConfig {
     }
 }
 
+/// `v` is finite and > 0.
+fn positive(v: f32) -> bool {
+    v.is_finite() && v > 0.0
+}
+
+/// `v` is finite and >= 0.
+fn non_negative(v: f32) -> bool {
+    v.is_finite() && v >= 0.0
+}
+
 /// Builder for [`HccConfig`].
 #[derive(Debug, Clone)]
 pub struct HccConfigBuilder {
@@ -337,7 +343,6 @@ impl Default for HccConfigBuilder {
                 track_rmse: false,
                 shuffle: true,
                 early_stop: None,
-                optimizer: Optimizer::Sgd,
                 schedule: Schedule::Stripe,
                 warm_start: None,
                 fault_tolerance: None,
@@ -440,12 +445,6 @@ impl HccConfigBuilder {
     /// Enables early stopping (requires `track_rmse`).
     pub fn early_stop(mut self, rule: EarlyStop) -> Self {
         self.config.early_stop = Some(rule);
-        self
-    }
-
-    /// Selects the per-update optimizer.
-    pub fn optimizer(mut self, optimizer: Optimizer) -> Self {
-        self.config.optimizer = optimizer;
         self
     }
 
@@ -569,6 +568,54 @@ mod tests {
             .workers(vec![WorkerSpec::cpu(2).throttled(1.5)])
             .try_build()
             .is_err());
+        // Step sizes and penalties that train to NaN, or the wrong way.
+        use LearningRate::{Constant, Exponential, InverseTime};
+        let bad_config = |cfg: HccConfig, needle: &str| match cfg.validate() {
+            Err(HccError::BadConfig(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected BadConfig naming {needle:?}, got {other:?}"),
+        };
+        let with_lr = |lr| HccConfig {
+            learning_rate: lr,
+            ..HccConfig::builder().build()
+        };
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let mut rates = Vec::new();
+        for v in [nan, inf, -0.5, 0.0] {
+            let (gamma0, ratio, decay) = (v, v, 0.1);
+            rates.extend([Constant(v), InverseTime { gamma0, decay }]);
+            rates.extend([
+                Exponential { gamma0, ratio: 0.9 },
+                Exponential {
+                    gamma0: 0.01,
+                    ratio,
+                },
+            ]);
+        }
+        for decay in [nan, inf, -1.0] {
+            rates.push(InverseTime {
+                gamma0: 0.01,
+                decay,
+            });
+        }
+        for lr in rates {
+            bad_config(with_lr(lr), "learning rate");
+        }
+        for v in [nan, inf, -1.0] {
+            let mut cfg = HccConfig::builder().build();
+            cfg.lambda_p = v;
+            bad_config(cfg, "lambda_p");
+            let mut cfg = HccConfig::builder().build();
+            cfg.lambda_q = v;
+            bad_config(cfg, "lambda_q");
+        }
+        // The edges that stay valid: no decay, no penalty.
+        assert!(with_lr(InverseTime {
+            gamma0: 0.01,
+            decay: 0.0
+        })
+        .validate()
+        .is_ok());
+        assert!(HccConfig::builder().lambda(0.0).try_build().is_ok());
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use baseline::{BaselinePredictor, BiasedRecommender};
 pub use checkpoint::{
     load_checkpoint, load_model, save_checkpoint, save_model, ResumeState, TrainingMeta,
 };
-pub use config::{EarlyStop, HccConfig, HccConfigBuilder, Optimizer, TransportKind, WorkerSpec};
+pub use config::{EarlyStop, HccConfig, HccConfigBuilder, TransportKind, WorkerSpec};
 pub use error::HccError;
 pub use metrics::{evaluate_ranking, RankingMetrics};
 pub use report::{HccReport, WorkerEpochStats};

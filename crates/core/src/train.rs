@@ -9,12 +9,12 @@
 //! it and installs its holder's push, with nothing to merge.
 
 use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingMeta};
-use crate::config::{HccConfig, Optimizer, TransportKind, WorkerSpec};
+use crate::config::{HccConfig, TransportKind, WorkerSpec};
 use crate::error::HccError;
 use crate::report::{HccReport, WorkerEpochStats};
 use crate::server::{gather, install, region_layout, RegionLayout, ShardedServer};
 use crate::supervisor::{Supervisor, WorkerHealth};
-use crate::worker::{chunk_col_ranges, deal, OptimizerState, WorkerState};
+use crate::worker::{chunk_col_ranges, deal, WorkerState};
 use hcc_comm::socket::NetEventKind;
 use hcc_comm::{
     run_pipeline, Backoff, ChaosTransport, CommError, CommShared, CommSocket, Fault, Precision,
@@ -495,24 +495,12 @@ impl<'a> Session<'a> {
         drop(rank);
         let mut workers = Vec::with_capacity(p);
         for (w, (spec, (entries, chunk_entries))) in self.specs.iter().zip(shards).enumerate() {
-            let row_range = bounds[w]..bounds[w + 1];
-            let rows = row_range.len().max(1);
-            let optimizer = match self.config.optimizer {
-                Optimizer::Sgd => OptimizerState::Sgd,
-                Optimizer::AdaGrad { epsilon, .. } => {
-                    OptimizerState::AdaGrad(hcc_sgd::AdaGradState::new(rows, n, k, epsilon))
-                }
-                Optimizer::Momentum { beta } => {
-                    OptimizerState::Momentum(hcc_sgd::MomentumState::new(rows, n, k, beta))
-                }
-            };
             workers.push(WorkerState {
                 spec: spec.clone(),
                 entries,
                 chunk_entries,
-                row_range,
+                row_range: bounds[w]..bounds[w + 1],
                 regions: Vec::new(), // sized below, once `max_rows` is known
-                optimizer,
             });
         }
         let max_rows = workers.iter().map(|w| w.p_rows().len()).max().unwrap_or(0);
@@ -604,11 +592,7 @@ impl<'a> Session<'a> {
 
         let mut epoch = self.start_epoch;
         while epoch < self.config.epochs {
-            let lr = match self.config.optimizer {
-                // AdaGrad steps from its own base η₀: no schedule, no backoff.
-                Optimizer::AdaGrad { eta0, .. } => eta0,
-                _ => (f64::from(self.config.learning_rate.at(epoch)) * self.lr_scale) as f32,
-            };
+            let lr = (f64::from(self.config.learning_rate.at(epoch)) * self.lr_scale) as f32;
             // Wire-byte baseline for this attempt (counters reset whenever
             // the endpoints are rebuilt, e.g. on rollback or repartition).
             let wire_base = self.wire_bytes_by_dir();
@@ -641,7 +625,7 @@ impl<'a> Session<'a> {
                     let diverged = self.server.get_mut();
                     diverged.p.as_mut_slice().copy_from_slice(p.as_slice());
                     diverged.q.as_mut_slice().copy_from_slice(q.as_slice());
-                    // Fresh optimizer state and endpoints for the retry.
+                    // Fresh regions and endpoints for the retry.
                     self.rebuild_workers(self.fractions.clone())?;
                     continue; // retry the same epoch at reduced LR
                 }
@@ -1299,7 +1283,6 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             chunk_entries: Vec::new(),
             row_range: 0..work.rows(),
             regions: Vec::new(),
-            optimizer: OptimizerState::Sgd,
         };
         // Fresh zeroed factors for every worker: each pays the same page
         // faults, so none looks faster for coming second.

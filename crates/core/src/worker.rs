@@ -10,10 +10,7 @@
 //! a chunk is a contiguous range of those positions.
 
 use crate::config::WorkerSpec;
-use hcc_sgd::{
-    adagrad_hogwild_epoch, hogwild_epoch, momentum_hogwild_epoch, AdaGradState, HogwildConfig,
-    MomentumState, SharedRows,
-};
+use hcc_sgd::{hogwild_epoch, HogwildConfig, SharedRows};
 use hcc_sparse::{GridPartition, Rating};
 use parking_lot::Mutex;
 use std::ops::Range;
@@ -45,26 +42,12 @@ pub(crate) struct WorkerState {
     ///
     /// [`RegionLayout`]: crate::server::RegionLayout
     pub regions: Vec<Mutex<Vec<f32>>>,
-    /// The per-update rule this worker runs, with its state.
-    pub optimizer: OptimizerState,
-}
-
-/// A worker's per-update rule together with what that rule keeps between
-/// epochs (and the rule's own constant, ε or β), so a rule cannot run
-/// without its state. Reset on repartition, which re-creates worker states.
-pub(crate) enum OptimizerState {
-    /// Plain SGD.
-    Sgd,
-    /// AdaGrad with its accumulators.
-    AdaGrad(AdaGradState),
-    /// Heavy-ball momentum with its velocity buffers.
-    Momentum(MomentumState),
 }
 
 impl WorkerState {
-    /// Runs one Hogwild epoch of this worker's rule over the shard (or one
-    /// chunk of it) on this worker's rows of `P` and the rows of `Q` the
-    /// entries name, honouring the throttle. Returns elapsed compute time.
+    /// Runs one Hogwild SGD epoch over the shard (or one chunk of it) on
+    /// this worker's rows of `P` and the rows of `Q` the entries name,
+    /// honouring the throttle. Returns elapsed compute time.
     pub fn compute(
         &self,
         entries: &[Rating],
@@ -73,17 +56,12 @@ impl WorkerState {
         config: &HogwildConfig,
     ) -> Duration {
         let start = Instant::now();
-        let run = |chunk: &[Rating]| match &self.optimizer {
-            OptimizerState::Sgd => hogwild_epoch(chunk, p, q, config),
-            OptimizerState::AdaGrad(state) => adagrad_hogwild_epoch(chunk, p, q, state, config),
-            OptimizerState::Momentum(state) => momentum_hogwild_epoch(chunk, p, q, state, config),
-        };
         if self.spec.speed_factor >= 1.0 {
-            run(entries);
+            hogwild_epoch(entries, p, q, config);
         } else {
             for chunk in entries.chunks(THROTTLE_CHUNK) {
                 let t0 = Instant::now();
-                run(chunk);
+                hogwild_epoch(chunk, p, q, config);
                 std::thread::sleep(throttle_penalty(t0.elapsed(), self.spec.speed_factor));
             }
         }
@@ -173,7 +151,6 @@ mod tests {
             chunk_entries: Vec::new(),
             row_range: 0..10,
             regions: Vec::new(),
-            optimizer: OptimizerState::Sgd,
         }
     }
 

@@ -167,13 +167,13 @@ impl Comparator {
         let square = |d| TileGrid::with_grid(matrix.entries(), rows, cols, d, d);
         match self {
             Comparator::Serial => epochs(matrix, config, 1, 1.0, |hogwild, _, p, q| {
-                drive(&Stripe(matrix.entries()), 1, 0, sgd(p, q, hogwild))
+                drive(&Stripe(matrix.entries()), 1, sgd(p, q, hogwild))
             }),
             Comparator::Fpsgd => {
                 let grid = square(2 * threads);
                 epochs(matrix, config, threads, 1.0, |hogwild, seed, p, q| {
                     let blocks = FreeBlocks::new(&grid, threads, seed);
-                    drive(&blocks, threads, 0, sgd(p, q, hogwild))
+                    drive(&blocks, threads, sgd(p, q, hogwild))
                 })
             }
             Comparator::CumfSgd => {
@@ -187,7 +187,7 @@ impl Comparator {
                 let batches: Vec<&[Rating]> = entries.chunks(BATCH).collect();
                 epochs(matrix, config, threads, scale, |hogwild, _, p, q| {
                     let claim = Claim::new(batches.len(), |b| batches[b]);
-                    drive(&claim, threads, 0, sgd(p, q, hogwild))
+                    drive(&claim, threads, sgd(p, q, hogwild))
                 })
             }
             Comparator::Dsgd => {
@@ -195,7 +195,7 @@ impl Comparator {
                 epochs(matrix, config, threads, 1.0, |hogwild, _, p, q| {
                     let (step, d) = (sgd(p, q, hogwild), grid.grid_dims().0);
                     (0..d)
-                        .map(|s| drive(&stratum(&grid, s), threads, 0, &step))
+                        .map(|s| drive(&stratum(&grid, s), threads, &step))
                         .sum()
                 })
             }
@@ -205,7 +205,7 @@ impl Comparator {
                 let by_column = |s: &Vec<_>| TileGrid::with_grid(s, rows, cols, 1, cols.max(1));
                 let columns: Vec<TileGrid> = blocks.shards().iter().map(by_column).collect();
                 epochs(matrix, config, threads, 1.0, |hogwild, _, p, q| {
-                    drive(&Ring::new(&columns), threads, 0, sgd(p, q, hogwild))
+                    drive(&Ring::new(&columns), threads, sgd(p, q, hogwild))
                 })
             }
         }

@@ -8,7 +8,7 @@
 //!   ([`FactorMatrix::shared`], [`FactorMatrix::split_rows_mut`]).
 //! * [`SharedFactors`] — the same allocation owned as `Relaxed` atomic
 //!   bit-cells, for callers that keep factors shared for their whole life
-//!   (the baselines, optimizer state, a standalone [`hogwild_epoch`]).
+//!   (the baselines, a standalone [`hogwild_epoch`]).
 //!
 //! [`hogwild_epoch`]: crate::hogwild_epoch
 

@@ -6,15 +6,13 @@
 //! analysis (sparse data ⇒ rare conflicts ⇒ convergence holds), which is
 //! exactly the argument the paper leans on in §2.1 and §4.2.
 //!
-//! The sweep and its thread fan-out exist once, in this module's driver.
-//! Plain SGD ([`hogwild_epoch`]), [AdaGrad](crate::adagrad),
-//! [momentum](crate::momentum) and [biased MF](crate::biased) differ only
-//! in the per-entry step they hand it, and all of them take one
-//! [`HogwildConfig`]. What a thread sweeps, and when, is a *deal*: the
-//! driver asks it for a thread's next run of entries, handing back the run
-//! the thread just finished. The paper's [comparators](crate::baselines)
-//! are deals of their own; the update rules use the two static ones, one
-//! per [`Schedule`]:
+//! The sweep and its thread fan-out exist once, in this module's driver,
+//! and the one update rule it applies is plain SGD ([`hogwild_epoch`])
+//! under a [`HogwildConfig`]. What a thread sweeps, and when, is a *deal*:
+//! the driver asks it for a thread's next run of entries, handing back the
+//! run the thread just finished. The paper's
+//! [comparators](crate::baselines) are deals of their own; a worker's epoch
+//! uses the two static ones, one per [`Schedule`]:
 //!
 //! * [`Schedule::Stripe`] — thread `t` handles `entries[t], entries[t +
 //!   threads], …` in shuffled arrival order. Maximally decorrelated, but at
@@ -73,12 +71,12 @@ impl std::fmt::Display for Schedule {
     }
 }
 
-/// The one configuration of a Hogwild epoch, whichever update rule runs.
+/// The one configuration of a Hogwild epoch.
 #[derive(Debug, Clone, Copy)]
 pub struct HogwildConfig {
     /// Worker threads to spawn (1 = the sweep runs on the caller's thread).
     pub threads: usize,
-    /// Learning rate γ for this epoch (AdaGrad's base step η₀).
+    /// Learning rate γ for this epoch.
     pub learning_rate: f32,
     /// L2 regularization on `P` (λ1).
     pub lambda_p: f32,
@@ -190,11 +188,10 @@ impl<'a, F: Fn(usize) -> &'a [Rating] + Sync> Deal<'a> for Claim<F> {
     }
 }
 
-/// The Hogwild driver every update rule and comparator runs on: `threads`
+/// The Hogwild driver every epoch and comparator runs on: `threads`
 /// threads (at most `deal.width()`) each sweep the runs `deal` hands them,
-/// calling `step` on each entry with the thread's own `scratch_len` floats
-/// of scratch space, and the driver returns the summed squares of the
-/// errors `step` returns (measured *before* each update, so a running
+/// calling `step` on each entry, and the driver returns the summed squares
+/// of the errors `step` returns (measured *before* each update, so a running
 /// training loss, not a post-epoch one), summed thread by thread in thread
 /// order. One thread runs the sweep on the caller's thread; more run as
 /// scoped threads, joined before the driver returns. All `min(threads,
@@ -204,20 +201,19 @@ impl<'a, F: Fn(usize) -> &'a [Rating] + Sync> Deal<'a> for Claim<F> {
 ///
 /// # Panics
 /// Panics if `threads == 0`; a panic in `step` is resumed on the caller.
-pub(crate) fn drive<'a, F>(deal: &impl Deal<'a>, threads: usize, scratch_len: usize, step: F) -> f64
+pub(crate) fn drive<'a, F>(deal: &impl Deal<'a>, threads: usize, step: F) -> f64
 where
-    F: Fn(&Rating, &mut [f32]) -> f32 + Sync,
+    F: Fn(&Rating) -> f32 + Sync,
 {
     assert!(threads > 0, "thread count must be non-zero");
     let threads = threads.min(deal.width());
     let sweep = |t: usize| {
-        let mut scratch = vec![0f32; scratch_len];
         let mut sq_err = 0.0f64;
         let mut run = deal.next(t, threads, None);
         while let Some(done) = run {
             let mut idx = 0;
             while idx < done.entries.len() {
-                let err = step(&done.entries[idx], &mut scratch);
+                let err = step(&done.entries[idx]);
                 sq_err += (err as f64) * (err as f64);
                 idx += done.step;
             }
@@ -240,39 +236,6 @@ where
     }
 }
 
-/// [`drive`] over `entries` dealt by `config.schedule` with
-/// `config.threads` threads: the update rules' one way in. Entries are
-/// striped rather than chunked, which interleaves hot head-of-file rows
-/// across threads after the preprocessing shuffle. A tiled shard is sized by
-/// the last row each view answers to, so a view of some rows of a matrix
-/// tiles its entries as the whole matrix would.
-///
-/// # Panics
-/// Panics if `p` and `q` differ in latent dimension, or as [`drive`] does.
-pub(crate) fn sweep<F>(
-    entries: &[Rating],
-    config: &HogwildConfig,
-    p: SharedRows<'_>,
-    q: SharedRows<'_>,
-    scratch_len: usize,
-    step: F,
-) -> f64
-where
-    F: Fn(&Rating, &mut [f32]) -> f32 + Sync,
-{
-    assert_eq!(q.k(), p.k(), "P and Q must share latent dimension");
-    match config.schedule {
-        // An empty shard has nothing to tile.
-        Schedule::Tiled if !entries.is_empty() => {
-            let (rows, cols) = (p.row_range().end, q.row_range().end);
-            let grid = TileGrid::with_default_budget(entries, rows, cols, p.k());
-            let tiles = Claim::new(grid.num_tiles(), |t| grid.tile(t));
-            drive(&tiles, config.threads, scratch_len, step)
-        }
-        _ => drive(&Stripe(entries), config.threads, scratch_len, step),
-    }
-}
-
 /// Plain SGD's per-entry step ([`sgd_step_shared`]) at `config`'s learning
 /// rate and regularization.
 ///
@@ -283,7 +246,7 @@ pub(crate) fn sgd<'r>(
     p: SharedRows<'r>,
     q: SharedRows<'r>,
     config: &HogwildConfig,
-) -> impl Fn(&Rating, &mut [f32]) -> f32 + Sync + 'r {
+) -> impl Fn(&Rating) -> f32 + Sync + 'r {
     assert_eq!(q.k(), p.k(), "P and Q must share latent dimension");
     let HogwildConfig {
         learning_rate,
@@ -291,7 +254,7 @@ pub(crate) fn sgd<'r>(
         lambda_q,
         ..
     } = *config;
-    move |e: &Rating, _: &mut [f32]| {
+    move |e: &Rating| {
         let (u, i) = (e.u as usize, e.i as usize);
         sgd_step_shared(&p, &q, u, i, e.r, learning_rate, lambda_p, lambda_q)
     }
@@ -319,24 +282,36 @@ pub fn hogwild_epoch<'a>(
     sgd_epoch(entries, p.into(), q.into(), config)
 }
 
-/// [`hogwild_epoch`] on the views: compiled once, here.
+/// [`hogwild_epoch`] on the views, compiled once: [`drive`] over `entries`
+/// dealt by `config.schedule` with `config.threads` threads. Entries are
+/// striped rather than chunked, which interleaves hot head-of-file rows
+/// across threads after the preprocessing shuffle. A tiled shard is sized by
+/// the last row each view answers to, so a view of some rows of a matrix
+/// tiles its entries as the whole matrix would.
 fn sgd_epoch(
     entries: &[Rating],
     p: SharedRows<'_>,
     q: SharedRows<'_>,
     config: &HogwildConfig,
 ) -> f64 {
-    sweep(entries, config, p, q, 0, sgd(p, q, config))
+    let step = sgd(p, q, config);
+    match config.schedule {
+        // An empty shard has nothing to tile.
+        Schedule::Tiled if !entries.is_empty() => {
+            let (rows, cols) = (p.row_range().end, q.row_range().end);
+            let grid = TileGrid::with_default_budget(entries, rows, cols, p.k());
+            let tiles = Claim::new(grid.num_tiles(), |t| grid.tile(t));
+            drive(&tiles, config.threads, step)
+        }
+        _ => drive(&Stripe(entries), config.threads, step),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adagrad::{adagrad_hogwild_epoch, adagrad_step, AdaGradState};
-    use crate::biased::{biased_hogwild_epoch, sgd_step_biased, BiasedModel};
     use crate::factors::{FactorMatrix, SharedFactors};
     use crate::loss::rmse;
-    use crate::momentum::{momentum_hogwild_epoch, momentum_step, MomentumState};
     use hcc_sparse::{GenConfig, SyntheticDataset};
 
     fn setup(k: usize) -> (SyntheticDataset, SharedFactors, SharedFactors) {
@@ -372,7 +347,7 @@ mod tests {
         q.fill(0.5);
         let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let (p, q) = (SharedRows::new(&mut p, 8), SharedRows::new(q, 4));
-            sgd(p, q, &cfg(1, Schedule::Stripe))(&Rating { u: 0, i: 0, r: 4.0 }, &mut [])
+            sgd(p, q, &cfg(1, Schedule::Stripe))(&Rating { u: 0, i: 0, r: 4.0 })
         }));
         assert!(hit.is_err(), "a step over k = 8 and k = 4 returned");
         assert_eq!(buf[4..], [7.0; 4], "the step wrote past q's row");
@@ -438,7 +413,7 @@ mod tests {
             TileGrid::with_default_budget(ds.matrix.entries(), p_b.rows(), q_b.rows(), p_b.k());
         let (p, q) = (p_b.view(), q_b.view());
         let tiles = Claim::new(grid.num_tiles(), |t| grid.tile(t));
-        let loss_b = drive(&tiles, 1, 0, |e, _| {
+        let loss_b = drive(&tiles, 1, |e| {
             sgd_step_shared(&p, &q, e.u as usize, e.i as usize, e.r, 0.02, 0.01, 0.01)
         });
         assert_eq!(loss_a, loss_b);
@@ -517,8 +492,8 @@ mod tests {
 
     #[test]
     fn returned_loss_is_sum_of_squared_errors_single_thread() {
-        // Every rule under every schedule, at one thread, is a serial replay
-        // of its step: over the entries in order when striped, over the
+        // An epoch under either schedule, at one thread, is a serial replay
+        // of the SGD step: over the entries in order when striped, over the
         // grid's tiles in order when tiled. Loss and factor bits must both
         // match, so the replay must hit the same backend as the epoch.
         let _guard = crate::simd::test_lock();
@@ -551,72 +526,20 @@ mod tests {
                     (0..9).flat_map(|t| grid.tile(t).to_vec()).collect()
                 }
             };
-            let replay = |step: &mut dyn FnMut(&Rating, &mut [f32]) -> f32| {
-                let mut scratch = vec![0f32; 2 * K];
-                let mut loss = 0.0f64;
-                for e in &order {
-                    let err = step(e, &mut scratch);
-                    loss += (err as f64) * (err as f64);
-                }
-                loss
-            };
-            // Each rule trains one copy of the same start through its epoch
-            // (`false`) and one through the replay (`true`).
-            let sgd = |replayed: bool| {
-                let (mut p, mut q) = (p0.clone(), q0.clone());
-                let loss = if replayed {
-                    let (p, q) = (p.shared(), q.shared());
-                    replay(&mut |e, _| {
-                        let (u, i) = (e.u as usize, e.i as usize);
-                        sgd_step_shared(&p, &q, u, i, e.r, 0.01, 0.02, 0.03)
-                    })
-                } else {
-                    hogwild_epoch(entries, p.shared(), q.shared(), &config)
-                };
-                (loss, bits(&[p.as_slice(), q.as_slice()]))
-            };
-            let adagrad = |replayed: bool| {
-                let (mut p, mut q) = (p0.clone(), q0.clone());
-                let state = AdaGradState::new(600, 600, K, 1e-8);
-                let loss = if replayed {
-                    let (p, q) = (p.shared(), q.shared());
-                    replay(&mut |e, s| adagrad_step(p, q, &state, e, &config, s))
-                } else {
-                    adagrad_hogwild_epoch(entries, p.shared(), q.shared(), &state, &config)
-                };
-                (loss, bits(&[p.as_slice(), q.as_slice()]))
-            };
-            let momentum = |replayed: bool| {
-                let (mut p, mut q) = (p0.clone(), q0.clone());
-                let state = MomentumState::new(600, 600, K, 0.9);
-                let loss = if replayed {
-                    let (p, q) = (p.shared(), q.shared());
-                    replay(&mut |e, s| momentum_step(p, q, &state, e, &config, s))
-                } else {
-                    momentum_hogwild_epoch(entries, p.shared(), q.shared(), &state, &config)
-                };
-                (loss, bits(&[p.as_slice(), q.as_slice()]))
-            };
-            let biased = |replayed: bool| {
-                let model = BiasedModel::init(600, 600, K, 3.0, 5);
-                let loss = if replayed {
-                    replay(&mut |e, s| sgd_step_biased(&model, e, &config, 0.04, s))
-                } else {
-                    biased_hogwild_epoch(entries, &model, &config, 0.04)
-                };
-                let (p, q) = (model.p.snapshot(), model.q.snapshot());
-                let (b, c) = (model.user_bias.snapshot(), model.item_bias.snapshot());
-                (loss, bits(&[p.as_slice(), q.as_slice(), &b, &c]))
-            };
-            let check = |rule: &str, run: &dyn Fn(bool) -> (f64, Vec<u32>)| {
-                let ((got, got_bits), (want, want_bits)) = (run(false), run(true));
-                assert_eq!(got.to_bits(), want.to_bits(), "{rule} {schedule}: loss");
-                assert!(got_bits == want_bits, "{rule} {schedule}: factor bits");
-            };
-            check("sgd", &sgd);
-            check("adagrad", &adagrad);
-            check("momentum", &momentum);
-            check("biased", &biased);
+            let (mut p_epoch, mut q_epoch) = (p0.clone(), q0.clone());
+            let got = hogwild_epoch(entries, p_epoch.shared(), q_epoch.shared(), &config);
+            let (mut p_replay, mut q_replay) = (p0.clone(), q0.clone());
+            let (p, q) = (p_replay.shared(), q_replay.shared());
+            let mut want = 0.0f64;
+            for e in &order {
+                let (u, i) = (e.u as usize, e.i as usize);
+                let err = sgd_step_shared(&p, &q, u, i, e.r, 0.01, 0.02, 0.03);
+                want += (err as f64) * (err as f64);
+            }
+            assert_eq!(got.to_bits(), want.to_bits(), "{schedule}: loss");
+            let epoch_bits = bits(&[p_epoch.as_slice(), q_epoch.as_slice()]);
+            let replay_bits = bits(&[p_replay.as_slice(), q_replay.as_slice()]);
+            assert!(epoch_bits == replay_bits, "{schedule}: factor bits");
         }
     }
 

@@ -12,19 +12,14 @@
 //!   exactly the loss in Fig. 1 of the paper.
 //! * [`hogwild`] — the one Hogwild driver: multi-threaded asynchronous
 //!   sweeps over an entry shard, striped or tiled, under one
-//!   [`HogwildConfig`] for every update rule; the compute engine inside
-//!   every CPU worker.
+//!   [`HogwildConfig`]; the compute engine inside every CPU worker and
+//!   under every comparator.
 //! * [`loss`] — RMSE evaluation.
 //! * [`schedule`] — learning-rate schedules (the paper uses a constant γ).
 //! * [`fp16`] — IEEE-754 binary16 conversion implemented from scratch, used
 //!   by the "Transmitting FP16 Data" communication strategy.
 //! * [`int8`] — symmetric per-shard int8 quantization for the serving tier
 //!   (`hcc-serve` stores item factors at reduced precision).
-//! * [`biased`] — the biased-MF extension `μ + b_u + c_i + p·q`, the
-//!   standard production refinement of the paper's plain model.
-//! * [`adagrad`] — AdaGrad-scaled steps (CuMF_SGD ships the same
-//!   alternative kernel).
-//! * [`momentum`] — heavy-ball steps, completing the optimizer family.
 //! * [`baselines`] — the paper's comparators (FPSGD, CuMF_SGD, DSGD, NOMAD,
 //!   serial SGD), each a deal over the Hogwild driver under one epoch loop.
 //! * [`simd`] — runtime-dispatched SIMD kernels (AVX2+FMA fused SGD step,
@@ -50,9 +45,7 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod adagrad;
 pub mod baselines;
-pub mod biased;
 pub mod factors;
 pub mod fp16;
 pub mod hogwild;
@@ -60,18 +53,14 @@ pub mod int8;
 pub mod kernel;
 pub mod loss;
 pub mod mem;
-pub mod momentum;
 pub mod schedule;
 pub mod shared;
 pub mod simd;
 
-pub use adagrad::{adagrad_hogwild_epoch, AdaGradState};
-pub use biased::{biased_hogwild_epoch, BiasedModel, SharedBias};
 pub use factors::{FactorMatrix, SharedFactors};
 pub use hogwild::{hogwild_epoch, HogwildConfig, Schedule};
 pub use kernel::sgd_step;
 pub use loss::{rmse, rmse_parallel};
-pub use momentum::{momentum_hogwild_epoch, MomentumState};
 pub use schedule::LearningRate;
 pub use shared::SharedRows;
 pub use simd::dot;

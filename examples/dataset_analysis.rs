@@ -1,11 +1,10 @@
 //! Analyze a dataset before training: shape statistics, the §4.6
-//! collaboration verdict, and a biased-vs-plain MF comparison.
+//! collaboration verdict, and the row-count tail.
 //!
 //! ```sh
 //! cargo run --release --example dataset_analysis
 //! ```
 
-use hcc_sgd::{biased_hogwild_epoch, hogwild_epoch, BiasedModel, HogwildConfig};
 use hcc_sparse::stats::row_count_quantiles;
 use hcc_sparse::{DatasetProfile, MatrixStats, SyntheticDataset};
 
@@ -43,28 +42,4 @@ fn main() {
     let ds = SyntheticDataset::generate(DatasetProfile::netflix().scaled_gen_config(600.0, 11));
     let (p50, p90, p99, max) = row_count_quantiles(&ds.matrix);
     println!("\nNetflix-shaped row-count quantiles: p50={p50} p90={p90} p99={p99} max={max}");
-
-    // Biased vs plain MF on the same data, budget and Hogwild config.
-    let entries = ds.matrix.entries();
-    let (m, n) = (ds.matrix.rows() as usize, ds.matrix.cols() as usize);
-    let cfg = HogwildConfig {
-        learning_rate: 0.02,
-        ..HogwildConfig::with_threads(2, 0.01)
-    };
-    let model = BiasedModel::init(m, n, 16, ds.matrix.mean_rating() as f32, 5);
-    for _ in 0..20 {
-        biased_hogwild_epoch(entries, &model, &cfg, 0.01);
-    }
-    let biased_rmse = model.rmse(entries);
-
-    let p = hcc_sgd::SharedFactors::from_matrix(&hcc_sgd::FactorMatrix::random(m, 16, 5));
-    let q = hcc_sgd::SharedFactors::from_matrix(&hcc_sgd::FactorMatrix::random(n, 16, 6));
-    for _ in 0..20 {
-        hogwild_epoch(entries, &p, &q, &cfg);
-    }
-    let plain_rmse = hcc_sgd::rmse(entries, &p.snapshot(), &q.snapshot());
-    println!(
-        "\n20-epoch k=16 training RMSE: biased MF {biased_rmse:.4} vs plain MF {plain_rmse:.4} \
-         (biases absorb user/item offsets)"
-    );
 }

@@ -414,46 +414,3 @@ fn warm_start_dimension_mismatch_rejected() {
         .try_build();
     assert!(err.is_err());
 }
-
-#[test]
-fn adagrad_optimizer_converges_in_framework() {
-    let ds = dataset();
-    let report = HccMf::new(
-        hcc_base()
-            .optimizer(hcc_mf::Optimizer::AdaGrad {
-                eta0: 0.08,
-                epsilon: 1e-8,
-            })
-            .build(),
-    )
-    .train(&ds.matrix)
-    .unwrap();
-    assert_converged(&report.rmse_history, "adagrad");
-    // AdaGrad should also survive the async pipeline.
-    let report = HccMf::new(
-        hcc_base()
-            .optimizer(hcc_mf::Optimizer::AdaGrad {
-                eta0: 0.08,
-                epsilon: 1e-8,
-            })
-            .streams(3)
-            .build(),
-    )
-    .train(&ds.matrix)
-    .unwrap();
-    assert_converged(&report.rmse_history, "adagrad-async");
-}
-
-#[test]
-fn momentum_optimizer_converges_in_framework() {
-    let ds = dataset();
-    let report = HccMf::new(
-        hcc_base()
-            .optimizer(hcc_mf::Optimizer::Momentum { beta: 0.9 })
-            .learning_rate(LearningRate::Constant(0.004))
-            .build(),
-    )
-    .train(&ds.matrix)
-    .unwrap();
-    assert_converged(&report.rmse_history, "momentum");
-}
