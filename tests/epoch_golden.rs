@@ -52,11 +52,21 @@ const FAULTED: u64 = 0xf0ae_7d6c_b190_47a2;
 /// Tiled sweeps at a `k` wide enough that each worker's shard spans two
 /// tiles.
 const TILED: u64 = 0x56fb_9763_76be_2b21;
+/// One worker holds every row of `P`, so the order in which the session
+/// stores those rows moves no bits: these two hold through any change of
+/// how `P`'s rows are dealt to a fleet. The second shape is wider than
+/// tall, so the engine trains its transpose.
+const ONE_WORKER: u64 = 0xe7f1_9408_5fd2_f7b0;
+const ONE_WORKER_WIDE: u64 = 0x0a94_6302_7c9a_eead;
 
 fn dataset() -> SyntheticDataset {
+    dataset_of(300, 150)
+}
+
+fn dataset_of(rows: u32, cols: u32) -> SyntheticDataset {
     SyntheticDataset::generate(GenConfig {
-        rows: 300,
-        cols: 150,
+        rows,
+        cols,
         nnz: 9_000,
         planted_rank: 6,
         noise: 0.0,
@@ -124,9 +134,9 @@ fn fnv1a(hash: &mut u64, values: &[f32]) {
     }
 }
 
-fn factor_hash(config: HccConfig) -> u64 {
+fn factor_hash(config: HccConfig, data: &SyntheticDataset) -> u64 {
     hcc_sgd::simd::set_backend(hcc_sgd::simd::Backend::Scalar).expect("scalar always available");
-    let report = HccMf::new(config).train(&dataset().matrix).unwrap();
+    let report = HccMf::new(config).train(&data.matrix).unwrap();
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     fnv1a(&mut hash, report.p.as_slice());
     fnv1a(&mut hash, report.q.as_slice());
@@ -134,10 +144,21 @@ fn factor_hash(config: HccConfig) -> u64 {
 }
 
 fn check(cases: Vec<(&str, HccConfig, u64)>) {
+    let data = dataset();
+    check_on(
+        cases
+            .into_iter()
+            .map(|(n, c, h)| (n, c, &data, h))
+            .collect(),
+    );
+}
+
+/// Every case runs, so a failure lists each hash that moved.
+fn check_on(cases: Vec<(&str, HccConfig, &SyntheticDataset, u64)>) {
     let mismatches: Vec<String> = cases
         .into_iter()
-        .filter_map(|(name, config, want)| {
-            let got = factor_hash(config);
+        .filter_map(|(name, config, data, want)| {
+            let got = factor_hash(config, data);
             (got != want).then(|| format!("{name}: got {got:#018x}, recorded {want:#018x}"))
         })
         .collect();
@@ -158,6 +179,16 @@ fn plain_epochs_on_every_transport_and_shard_count() {
         ("socket x2", plain(TransportKind::Socket, 2), CLEAN),
         ("tcp", plain(TransportKind::Tcp, 1), CLEAN),
         ("tcp x2", plain(TransportKind::Tcp, 2), CLEAN),
+    ]);
+}
+
+#[test]
+fn one_worker_on_a_tall_and_a_wide_matrix() {
+    let one = || base().workers(vec![WorkerSpec::cpu(1)]).build();
+    let (tall, wide) = (dataset(), dataset_of(150, 300));
+    check_on(vec![
+        ("one worker", one(), &tall, ONE_WORKER),
+        ("one worker, transposed", one(), &wide, ONE_WORKER_WIDE),
     ]);
 }
 
