@@ -1,6 +1,8 @@
 //! The training orchestrator: preprocessing, partition planning, and the
 //! `pull → compute → push → sync` epoch loop of Fig. 4.
 //!
+//! `P`'s rows are relabelled once, in a seeded shuffled order, so that the
+//! contiguous row range each worker owns mixes popular and rare users.
 //! An epoch is one round per worker. `Q`'s rows are dealt, in a seeded
 //! shuffled order, into one equal-count band per worker; in round `r`
 //! worker `w` trains band `(w + r) mod p` on its own rows, so every band
@@ -44,6 +46,38 @@ const LOST_PUSH_POLL: Duration = Duration::from_millis(50);
 /// Mixed into `config.seed` for the shuffle that orders `Q`'s rows into
 /// bands, so it does not replay the ratings' shuffle.
 const BAND_SEED: u64 = 0x6261_6e64;
+
+/// Mixed into `config.seed` for the shuffle that orders `P`'s rows, so it
+/// replays neither the ratings' shuffle nor the bands'.
+const ROW_SEED: u64 = 0x726f_7773;
+
+/// The order in which a run with `seed` stores the `rows` rows of its
+/// (row-gridded, so possibly transposed) matrix: every row id once,
+/// position → id. Row `r` of the session's ratings and `P` is row
+/// `row_order(..)[r]` of the input for the whole run, and the partition
+/// cuts its contiguous row ranges over these positions, so that each range
+/// mixes popular and rare users. `P` is in input order at every boundary
+/// of the run — warm start, resume, checkpoint, report — and the order is
+/// redrawn from the seed at each, rather than kept beside `P` for the run.
+pub fn row_order(seed: u64, rows: usize) -> Vec<u32> {
+    seeded_order(rows, seed ^ ROW_SEED)
+}
+
+/// A seeded shuffle of the ids `0..n`.
+fn seeded_order(n: usize, seed: u64) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+    order
+}
+
+/// The inverse of `order` (position → id): each id's position.
+fn positions(order: &[u32]) -> Vec<u32> {
+    let mut rank = vec![0u32; order.len()];
+    for (at, &id) in order.iter().enumerate() {
+        rank[id as usize] = at as u32;
+    }
+    rank
+}
 
 /// The band worker `w` holds in round `round` of an epoch over `p` bands:
 /// `(w + r) mod p`, the rule of the DSGD comparator's strata
@@ -361,11 +395,11 @@ struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    fn create(config: &'a HccConfig, work: CooMatrix) -> Result<Session<'a>, HccError> {
+    fn create(config: &'a HccConfig, mut work: CooMatrix) -> Result<Session<'a>, HccError> {
         let m = work.rows() as usize;
         let n = work.cols() as usize;
         let k = config.k;
-        let (global_p, global_q) = match &config.warm_start {
+        let (mut global_p, global_q) = match &config.warm_start {
             Some((p0, q0)) => {
                 // Warm-start factors arrive in input orientation; `work` may
                 // be transposed, in which case P and Q swap roles.
@@ -387,6 +421,17 @@ impl<'a> Session<'a> {
                 FactorMatrix::random(n, k, config.seed ^ 0x9e37_79b9),
             ),
         };
+        // `work`'s rows are relabelled where they are, so the ratings still
+        // have two copies, not three; `P` follows them in place. The order
+        // is gone before the fleet is built.
+        {
+            let order = row_order(config.seed, m);
+            let rank = positions(&order);
+            for e in work.entries_mut() {
+                e.u = rank[e.u as usize];
+            }
+            global_p.permute_rows(&order);
+        }
         let classes: Vec<WorkerClass> = config
             .workers
             .iter()
@@ -468,8 +513,7 @@ impl<'a> Session<'a> {
         let (k, n, p) = (self.k, self.n, self.specs.len());
         // One band a worker, equal counts of the band order, each tiled
         // into `streams` chunks.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.shuffle(&mut ChaCha8Rng::seed_from_u64(self.config.seed ^ BAND_SEED));
+        let mut order = seeded_order(n, self.config.seed ^ BAND_SEED);
         let mut items: Vec<Range<usize>> = Vec::new();
         self.bands = (0..p)
             .map(|b| {
@@ -482,10 +526,7 @@ impl<'a> Session<'a> {
                 first..items.len()
             })
             .collect();
-        let mut rank = vec![0u32; n];
-        for (at, &item) in order.iter().enumerate() {
-            rank[item as usize] = at as u32;
-        }
+        let rank = positions(&order);
         self.band_order = order;
         let ends: Vec<usize> = items.iter().map(|c| c.end).collect();
         // The shards are the ratings' second copy (`work` is the first),
@@ -565,6 +606,7 @@ impl<'a> Session<'a> {
     fn apply_resume(&mut self, state: ResumeState) {
         let server = self.server.get_mut();
         (server.p, server.q) = (state.p, state.q);
+        server.p.permute_rows(&row_order(self.config.seed, self.m));
         self.start_epoch = state.meta.epoch;
         self.lr_scale = state.meta.lr_scale as f64;
     }
@@ -736,8 +778,12 @@ impl<'a> Session<'a> {
             lr_scale: self.lr_scale as f32,
             transposed,
         };
+        // Saved in user order: `P` is moved there and back in place.
+        let order = row_order(self.config.seed, self.m);
         let server = self.server.get_mut();
+        server.p.unpermute_rows(&order);
         let result = save_checkpoint(path, &server.p, &server.q, &meta);
+        server.p.permute_rows(&order);
         self.telemetry.record(
             self.telemetry.server_lane(),
             Event::Checkpoint {
@@ -1235,12 +1281,17 @@ impl<'a> Session<'a> {
     }
 
     fn into_report(mut self, transposed: bool) -> HccReport {
-        let server = self.server.get_mut();
-        let q = std::mem::replace(&mut server.q, FactorMatrix::zeros(1, 1));
-        let p = std::mem::replace(&mut server.p, FactorMatrix::zeros(1, 1));
-        let (p, q) = if transposed { (q, p) } else { (p, q) };
         let timeline = std::mem::replace(&mut self.telemetry, Telemetry::disabled()).finish();
         let wire_bytes = self.wire_bytes_by_dir();
+        // The fleet's shards, regions and endpoints go before the row order
+        // is drawn to put `P` back in user order.
+        self.workers.clear();
+        self.chunks.clear();
+        let server = self.server.get_mut();
+        let q = std::mem::replace(&mut server.q, FactorMatrix::zeros(1, 1));
+        let mut p = std::mem::replace(&mut server.p, FactorMatrix::zeros(1, 1));
+        p.unpermute_rows(&row_order(self.config.seed, self.m));
+        let (p, q) = if transposed { (q, p) } else { (p, q) };
         HccReport {
             p,
             q,
@@ -1595,6 +1646,46 @@ mod tests {
                 (rmse - one).abs() <= FLEET_TOLERANCE,
                 "{p} workers: {rmse} vs {one}"
             );
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_is_the_run_stopped_there_in_user_order_and_resumes_it() {
+        // `P` lives in the seeded row order during a run and is moved to
+        // user order and back to be saved: the file holds exactly what the
+        // report of the same run stopped there holds, the run it was taken
+        // from goes on unchanged, and resuming it gives the uninterrupted
+        // run's bits. Two one-thread workers, so that every run is
+        // deterministic; a tall and a wide (transposed) matrix.
+        let dir = std::env::temp_dir().join("hcc_train_checkpoint");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (rows, cols) in [(300, 150), (150, 300)] {
+            let ds = dataset(rows, cols, 6_000);
+            let ckpt = dir.join(format!("mid_{rows}x{cols}.hccmf"));
+            let run = |epochs| {
+                base_config()
+                    .epochs(epochs)
+                    .workers(vec![WorkerSpec::cpu(1), WorkerSpec::cpu(1)])
+                    .partition(PartitionMode::Uniform)
+                    .seed(11)
+            };
+            let train = |config: HccConfig| HccMf::new(config).train(&ds.matrix).unwrap();
+            let stopped = train(run(3).build());
+            let full = train(run(5).build());
+            let checkpointed = train(run(5).checkpoint(&ckpt, 3).build());
+            let saved = load_checkpoint(&ckpt).unwrap();
+            assert_eq!(saved.meta.epoch, 3);
+            let (p, q) = if saved.meta.transposed {
+                (saved.q, saved.p)
+            } else {
+                (saved.p, saved.q)
+            };
+            assert!(p == stopped.p && q == stopped.q, "{rows}x{cols}");
+            assert!(checkpointed.p == full.p && checkpointed.q == full.q);
+            let resumed = train(run(5).resume(&ckpt).build());
+            std::fs::remove_file(&ckpt).ok();
+            assert_eq!(resumed.start_epoch, 3);
+            assert!(resumed.p == full.p && resumed.q == full.q, "{rows}x{cols}");
         }
     }
 

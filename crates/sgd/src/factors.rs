@@ -17,7 +17,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::AtomicU32;
 
 /// Dense row-major factor matrix (`rows × k`).
 #[derive(Debug, Clone, PartialEq)]
@@ -121,6 +121,63 @@ impl FactorMatrix {
             })
             .collect()
     }
+
+    /// Moves row `order[r]` to row `r`, for every `r`: `order` lists, by
+    /// position, the row that lands there. [`unpermute_rows`] undoes it.
+    ///
+    /// In place, like [`unpermute_rows`]: each cycle of `order` is followed
+    /// by row swaps, and the only allocation is a bitmap of the rows
+    /// already placed.
+    ///
+    /// # Panics
+    /// Panics if `order` does not name every row exactly once.
+    ///
+    /// [`unpermute_rows`]: Self::unpermute_rows
+    pub fn permute_rows(&mut self, order: &[u32]) {
+        self.reorder_rows(order, true);
+    }
+
+    /// Moves row `r` to row `order[r]`, for every `r`: the inverse of
+    /// [`permute_rows`](Self::permute_rows) over the same `order`.
+    ///
+    /// # Panics
+    /// Panics if `order` does not name every row exactly once.
+    pub fn unpermute_rows(&mut self, order: &[u32]) {
+        self.reorder_rows(order, false);
+    }
+
+    /// Walks each cycle `c0, order[c0], order[order[c0]], …` of `order` once.
+    /// Swapping each row with the next along the cycle gathers (`row r ←
+    /// row order[r]`); swapping the cycle's first row with each in turn
+    /// scatters (`row order[r] ← row r`).
+    fn reorder_rows(&mut self, order: &[u32], gather: bool) {
+        assert_eq!(order.len(), self.rows, "an order names every row once");
+        let mut placed = vec![0u64; self.rows.div_ceil(64)];
+        let mut place = |row: usize| {
+            let (word, bit) = (row / 64, 1u64 << (row % 64));
+            let fresh = placed[word] & bit == 0;
+            placed[word] |= bit;
+            fresh
+        };
+        for start in 0..self.rows {
+            if !place(start) {
+                continue;
+            }
+            let (mut prev, mut at) = (start, order[start] as usize);
+            while at != start {
+                assert!(place(at), "an order names every row once");
+                self.swap_rows(if gather { prev } else { start }, at);
+                (prev, at) = (at, order[at] as usize);
+            }
+        }
+    }
+
+    /// Swaps rows `a` and `b`, which differ.
+    fn swap_rows(&mut self, a: usize, b: usize) {
+        let (k, lo, hi) = (self.k, a.min(b), a.max(b));
+        let (head, tail) = self.data.split_at_mut(hi * k);
+        head[lo * k..(lo + 1) * k].swap_with_slice(&mut tail[..k]);
+    }
 }
 
 /// Factor matrix owned as shared cells: every method takes `&self`, so
@@ -177,47 +234,6 @@ impl SharedFactors {
         self.k
     }
 
-    /// Loads element `(row, j)`.
-    #[inline]
-    pub fn load(&self, row: usize, j: usize) -> f32 {
-        // ordering: Relaxed — Hogwild cells carry no cross-cell ordering;
-        // each load only needs the cell's own atomicity (no torn reads).
-        // Cross-thread publication happens at epoch boundaries via the
-        // training scope's join, not through these accesses.
-        f32::from_bits(self.data[row * self.k + j].load(Ordering::Relaxed))
-    }
-
-    /// Stores element `(row, j)`.
-    #[inline]
-    pub fn store(&self, row: usize, j: usize, v: f32) {
-        // ordering: Relaxed — see `load`; stores publish nothing beyond the
-        // cell itself, staleness is tolerated by the Hogwild convergence
-        // argument (Niu et al.).
-        self.data[row * self.k + j].store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Copies row `row` into `buf` (length `k`).
-    #[inline]
-    pub fn load_row_into(&self, row: usize, buf: &mut [f32]) {
-        debug_assert_eq!(buf.len(), self.k);
-        let base = row * self.k;
-        for (j, slot) in buf.iter_mut().enumerate() {
-            // ordering: Relaxed — per-cell atomicity only (see `load`).
-            *slot = f32::from_bits(self.data[base + j].load(Ordering::Relaxed));
-        }
-    }
-
-    /// Stores `buf` (length `k`) into row `row`.
-    #[inline]
-    pub fn store_row(&self, row: usize, buf: &[f32]) {
-        debug_assert_eq!(buf.len(), self.k);
-        let base = row * self.k;
-        for (j, &v) in buf.iter().enumerate() {
-            // ordering: Relaxed — per-cell atomicity only (see `store`).
-            self.data[base + j].store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
     /// The raw atomic cells of row `row` (used by the hot SGD kernel).
     #[inline]
     pub fn row_cells(&self, row: usize) -> &[AtomicU32] {
@@ -237,6 +253,59 @@ impl SharedFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
+    use std::sync::atomic::Ordering;
+
+    /// `m` with row `r` replaced by row `order[r]`, built out of place.
+    fn gathered(m: &FactorMatrix, order: &[u32]) -> FactorMatrix {
+        let data = order.iter().flat_map(|&r| m.row(r as usize)).copied();
+        FactorMatrix::from_vec(m.rows(), m.k(), data.collect())
+    }
+
+    /// Permutes a copy of `m` by `order` and checks it against the
+    /// out-of-place gather, then unpermutes it and checks it is `m`.
+    fn check_round_trip(m: &FactorMatrix, order: &[u32]) {
+        let mut moved = m.clone();
+        moved.permute_rows(order);
+        assert_eq!(moved, gathered(m, order), "{order:?}");
+        moved.unpermute_rows(order);
+        assert_eq!(&moved, m, "{order:?}");
+    }
+
+    #[test]
+    fn permuting_rows_in_place_gathers_and_unpermuting_scatters() {
+        let m = FactorMatrix::random(6, 3, 5);
+        // The identity, one cycle through all six rows, and fixed points
+        // (rows 1 and 4) between a 2-cycle and a 2-cycle.
+        for order in [[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0], [2, 1, 0, 5, 4, 3]] {
+            check_round_trip(&m, &order);
+        }
+        // Row r lands at order[r] when scattering.
+        let mut scattered = m.clone();
+        scattered.unpermute_rows(&[1, 2, 3, 4, 5, 0]);
+        assert_eq!(scattered.row(1), m.row(0));
+        assert_eq!(scattered.row(0), m.row(5));
+        // Zero rows and one row.
+        check_round_trip(&FactorMatrix::zeros(0, 2), &[]);
+        check_round_trip(&FactorMatrix::random(1, 2, 3), &[0]);
+    }
+
+    #[test]
+    fn seeded_permutations_round_trip_in_place() {
+        // Past a 64-row word of the bitmap, as a session's shuffles are.
+        for (rows, seed) in [(2, 1), (63, 2), (64, 3), (65, 4), (300, 5), (1_000, 6)] {
+            let m = FactorMatrix::random(rows, 4, seed);
+            let mut order: Vec<u32> = (0..rows as u32).collect();
+            order.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+            check_round_trip(&m, &order);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "every row once")]
+    fn an_order_that_names_a_row_twice_is_refused() {
+        FactorMatrix::zeros(3, 2).permute_rows(&[0, 2, 2]);
+    }
 
     #[test]
     fn zeros_and_dims() {
@@ -270,20 +339,10 @@ mod tests {
         let m = FactorMatrix::random(4, 3, 1);
         let s = SharedFactors::from_matrix(&m);
         assert_eq!(s.snapshot(), m);
-        s.store(2, 1, 42.0);
-        assert_eq!(s.load(2, 1), 42.0);
+        // ordering: Relaxed — single-threaded test.
+        s.row_cells(2)[1].store(42f32.to_bits(), Ordering::Relaxed);
+        assert_eq!(s.snapshot().row(2)[1], 42.0);
         assert_ne!(s.snapshot(), m);
-    }
-
-    #[test]
-    fn shared_row_io() {
-        let s = SharedFactors::zeros(3, 4);
-        s.store_row(1, &[1.0, 2.0, 3.0, 4.0]);
-        let mut buf = [0f32; 4];
-        s.load_row_into(1, &mut buf);
-        assert_eq!(buf, [1.0, 2.0, 3.0, 4.0]);
-        s.load_row_into(0, &mut buf);
-        assert_eq!(buf, [0.0; 4]);
     }
 
     #[test]
@@ -292,7 +351,8 @@ mod tests {
         let s = SharedFactors::zeros(1, 1);
         let view = s.view();
         let copy = view;
-        s.store(0, 0, 5.0);
+        // ordering: Relaxed — single-threaded test.
+        copy.row_cells(0)[0].store(5f32.to_bits(), Ordering::Relaxed);
         for cells in [view.row_cells(0), copy.row_cells(0), s.row_cells(0)] {
             // ordering: Relaxed — single-threaded test.
             assert_eq!(cells[0].load(Ordering::Relaxed), 5f32.to_bits());

@@ -206,6 +206,9 @@ fn epochs_after_the_first_allocate_no_region_sized_block() {
     }
 }
 
+/// Where the session budget's checkpointing case saves, in the temp dir.
+const SESSION_CHECKPOINT: &str = "hcc_alloc_budget_session.hccmf";
+
 #[test]
 fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
     let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
@@ -213,7 +216,16 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
     let r = (COLS * K * 4) as f64;
     let p = (ROWS * K * 4) as f64;
     let ratings = (NNZ * std::mem::size_of::<hcc_sparse::Rating>()) as f64;
-    for (name, with, wire) in CASES {
+    // A checkpoint after every epoch moves `P` to user order and back where
+    // it is, so all it adds to two endpoints of `R/2` (3 R, as above) is the
+    // one block the file is streamed through (R/4 at this shape) and the
+    // row order it is moved by, four bytes a row of `P` (0.08 R).
+    let checkpointed: Case = (
+        "shared x checkpoint every epoch",
+        |b| b.checkpoint(std::env::temp_dir().join(SESSION_CHECKPOINT), 1),
+        3.0 + 0.25 + 0.08,
+    );
+    for (name, with, wire) in CASES.into_iter().chain([checkpointed]) {
         let peak = peak_live_bytes(with(base(2)).build(), &dataset) as f64;
         // `P` once; `Q`, the region a band is gathered into (`R/2`) and one
         // region a worker; `work` and the fleet's shards; the wire; and a
@@ -233,6 +245,7 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
             "{name}: peak {peak} is more than R under {budget}; tighten the budget"
         );
     }
+    std::fs::remove_file(std::env::temp_dir().join(SESSION_CHECKPOINT)).ok();
 }
 
 #[test]

@@ -12,7 +12,8 @@
 //!
 //! * every epoch's `worker_stats[e][w].updates` equals the entry count of
 //!   shard `w` in the `GridPartition` rebuilt from that epoch's recorded
-//!   `partition_history[e]` fractions (crashed worker ⇒ 0);
+//!   `partition_history[e]` fractions over the run's seeded row order
+//!   (`hcc_mf::train::row_order`; crashed worker ⇒ 0);
 //! * a worker computes in the DES trace (has a `Compute` span) exactly when
 //!   the threaded engine counted updates for it;
 //! * stalls delay but never drop work, and dropped pushes waste the bus but
@@ -29,7 +30,7 @@ use hcc_mf::{
     HccConfig, HccMf, HccReport, LearningRate, PartitionMode, SupervisorConfig, WorkerHealth,
     WorkerSpec,
 };
-use hcc_sparse::{Axis, CooMatrix, GenConfig, GridPartition, SyntheticDataset};
+use hcc_sparse::{Axis, CooMatrix, GenConfig, GridPartition, Rating, SyntheticDataset};
 use std::time::Duration;
 
 const ROWS: u32 = 200; // rows > cols so the trainer partitions the matrix as-is
@@ -114,10 +115,30 @@ fn has_compute(trace: &hcc_hetsim::EpochTrace, worker: usize) -> bool {
         .any(|s| s.phase == Phase::Compute)
 }
 
-/// Rebuilds epoch `e`'s row partition from the report's recorded fractions
-/// and asserts `updates` matches the shard entry counts, except for workers
-/// listed in `dead` (whose updates must be 0).
-fn assert_updates_match_plan(matrix: &CooMatrix, report: &HccReport, e: usize, dead: &[usize]) {
+/// Rebuilds epoch `e`'s row partition from the report's recorded fractions,
+/// over the rows as a run with `seed` orders them, and asserts `updates`
+/// matches the shard entry counts, except for workers listed in `dead`
+/// (whose updates must be 0).
+fn assert_updates_match_plan(
+    matrix: &CooMatrix,
+    seed: u64,
+    report: &HccReport,
+    e: usize,
+    dead: &[usize],
+) {
+    let mut position = vec![0u32; ROWS as usize];
+    for (at, &row) in hcc_mf::train::row_order(seed, ROWS as usize)
+        .iter()
+        .enumerate()
+    {
+        position[row as usize] = at as u32;
+    }
+    let relabelled = matrix
+        .entries()
+        .iter()
+        .map(|r| Rating::new(position[r.u as usize], r.i, r.r))
+        .collect();
+    let matrix = &CooMatrix::new(ROWS, COLS, relabelled).unwrap();
     let fractions = &report.partition_history[e];
     let stats = &report.worker_stats[e];
     assert_eq!(
@@ -153,7 +174,7 @@ fn fault_free_updates_follow_the_partition_plan_every_epoch() {
     assert_eq!(report.partition_history.len(), EPOCHS);
     for e in 0..EPOCHS {
         assert_eq!(report.worker_stats[e].len(), WORKERS);
-        assert_updates_match_plan(&ds.matrix, &report, e, &[]);
+        assert_updates_match_plan(&ds.matrix, 1, &report, e, &[]);
         let total: u64 = report.worker_stats[e].iter().map(|s| s.updates).sum();
         assert_eq!(total, NNZ as u64, "epoch {e}: every rating updated once");
     }
@@ -182,7 +203,7 @@ fn crash_changes_participation_identically_in_both_engines() {
     // Before the crash: full 4-worker plan, all participating.
     for e in 0..CRASH_EPOCH {
         assert_eq!(report.worker_stats[e].len(), WORKERS);
-        assert_updates_match_plan(&ds.matrix, &report, e, &[]);
+        assert_updates_match_plan(&ds.matrix, 2, &report, e, &[]);
     }
 
     // Crash epoch: the dead worker contributes zero updates; the survivors
@@ -191,13 +212,13 @@ fn crash_changes_participation_identically_in_both_engines() {
         report.health_history[CRASH_EPOCH][CRASH_WORKER],
         WorkerHealth::Dead
     );
-    assert_updates_match_plan(&ds.matrix, &report, CRASH_EPOCH, &[CRASH_WORKER]);
+    assert_updates_match_plan(&ds.matrix, 2, &report, CRASH_EPOCH, &[CRASH_WORKER]);
 
     // After the crash: the plan shrinks to 3 workers and every rating is
     // again updated exactly once per epoch.
     for e in CRASH_EPOCH + 1..EPOCHS {
         assert_eq!(report.worker_stats[e].len(), WORKERS - 1, "epoch {e}");
-        assert_updates_match_plan(&ds.matrix, &report, e, &[]);
+        assert_updates_match_plan(&ds.matrix, 2, &report, e, &[]);
         let total: u64 = report.worker_stats[e].iter().map(|s| s.updates).sum();
         assert_eq!(total, NNZ as u64, "epoch {e}");
     }
@@ -236,7 +257,7 @@ fn stall_delays_but_never_drops_work_in_both_engines() {
 
     // Threaded: the straggler still finishes its whole shard every epoch.
     for e in 0..EPOCHS {
-        assert_updates_match_plan(&ds.matrix, &report, e, &[]);
+        assert_updates_match_plan(&ds.matrix, 3, &report, e, &[]);
     }
     // The stall is visible in time, not in work: the stalled epoch's compute
     // for that worker includes the injected 150 ms.
@@ -268,7 +289,7 @@ fn dropped_push_wastes_the_bus_but_not_the_compute_in_both_engines() {
     // Threaded: the work was done — updates follow the plan even in the
     // epoch whose push vanished.
     for e in 0..EPOCHS {
-        assert_updates_match_plan(&ds.matrix, &report, e, &[]);
+        assert_updates_match_plan(&ds.matrix, 4, &report, e, &[]);
     }
 
     // DES: the push occupies the bus but the merge never happens.
@@ -301,7 +322,7 @@ fn assert_both_engines_lose_the_same_pushes(seed: u64, shards: usize) {
             lost += usize::from(planned);
         }
         // A lost push never costs the work: updates follow the plan.
-        assert_updates_match_plan(&ds.matrix, &report, e, &[]);
+        assert_updates_match_plan(&ds.matrix, seed, &report, e, &[]);
     }
     assert!(lost >= 2, "seed {seed} must lose some pushes, lost {lost}");
 }
