@@ -1825,9 +1825,9 @@ mod tests {
         // every transport — no publish, no collect, no frame header or
         // trailer.
         let ds = dataset(60, 30, 600);
-        let one_epoch = |transport, strategy, shards| {
+        let one_epoch_of = |ds: &SyntheticDataset, workers, transport, strategy, shards| {
             let config = base_config()
-                .workers(vec![WorkerSpec::cpu(1), WorkerSpec::cpu(1)])
+                .workers(vec![WorkerSpec::cpu(1); workers])
                 .partition(PartitionMode::Uniform)
                 .transport(transport)
                 .strategy(strategy)
@@ -1838,6 +1838,8 @@ mod tests {
             let layouts: Vec<RegionLayout> = session.chunks.iter().map(|c| c.layout).collect();
             (session.wire_bytes_by_dir(), layouts)
         };
+        let one_epoch =
+            |transport, strategy, shards| one_epoch_of(&ds, 2, transport, strategy, shards);
         for transport in [
             TransportKind::Shared,
             TransportKind::Socket,
@@ -1876,6 +1878,15 @@ mod tests {
         // worker sent 4 deltas: 16 bytes of counts fewer (2_176).
         let (wire, _) = one_epoch(TransportKind::Tcp, TransferStrategy::QOnly, 2);
         assert_eq!(wire, (1_920, 2_192));
+        // Three workers over 151 items: bands of 50, 50 and 51 rows, so what
+        // one link carries changes length from round to round. Recorded
+        // when each band had an endpoint of its own length.
+        let uneven = dataset(300, 151, 6_000);
+        let wire = |transport, shards| {
+            one_epoch_of(&uneven, 3, transport, TransferStrategy::QOnly, shards).0
+        };
+        assert_eq!(wire(TransportKind::Socket, 1), (14_496, 14_496));
+        assert_eq!(wire(TransportKind::Tcp, 2), (14_496, 16_344));
     }
 
     #[test]

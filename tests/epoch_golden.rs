@@ -64,6 +64,13 @@ const TILED: u64 = 0xd9a9_2a99_1c79_d0b8;
 /// tall, so the engine trains its transpose.
 const ONE_WORKER: u64 = 0xe7f1_9408_5fd2_f7b0;
 const ONE_WORKER_WIDE: u64 = 0x0a94_6302_7c9a_eead;
+/// Three workers over 151 items: bands of 50, 50 and 51 rows, so that what
+/// one worker's link carries changes length from round to round. Recorded
+/// on the commit before a worker got one link a stream slot, when each
+/// band still had an endpoint of its own length; the sharded run lands on
+/// the shared one's bits, as [`CLEAN`]'s do.
+const UNEVEN: u64 = 0x8677_f493_c5a9_551a;
+const UNEVEN_STREAMS_2: u64 = 0x6226_54de_bcde_b935;
 
 fn dataset() -> SyntheticDataset {
     dataset_of(300, 150)
@@ -195,6 +202,38 @@ fn one_worker_on_a_tall_and_a_wide_matrix() {
     check_on(vec![
         ("one worker", one(), &tall, ONE_WORKER),
         ("one worker, transposed", one(), &wide, ONE_WORKER_WIDE),
+    ]);
+}
+
+#[test]
+fn bands_of_unequal_length() {
+    let uneven = dataset_of(300, 151);
+    let with = |transport, shards, streams| {
+        base()
+            .transport(transport)
+            .server_shards(shards)
+            .streams(streams)
+            .build()
+    };
+    check_on(vec![
+        (
+            "uneven shared",
+            with(TransportKind::Shared, 1, 1),
+            &uneven,
+            UNEVEN,
+        ),
+        (
+            "uneven tcp x2",
+            with(TransportKind::Tcp, 2, 1),
+            &uneven,
+            UNEVEN,
+        ),
+        (
+            "uneven 2 streams",
+            with(TransportKind::Shared, 1, 2),
+            &uneven,
+            UNEVEN_STREAMS_2,
+        ),
     ]);
 }
 
