@@ -722,9 +722,11 @@ impl CommSocket {
 impl Transport for CommSocket {
     fn publish(&self, src: &[f32]) {
         {
-            let mut guard = self.state.published.write();
-            let n = src.len().min(guard.len());
-            guard[..n].copy_from_slice(&src[..n]);
+            // Exactly `src`, in the capacity the link was built with: a
+            // pull is answered with what was published, and no more.
+            let published = &mut *self.state.published.write();
+            published.clear();
+            published.extend_from_slice(&src[..src.len().min(published.capacity())]);
         }
         self.state.slots.iter().for_each(PushSlot::retire);
     }

@@ -28,15 +28,14 @@ use crate::socket::NetEvent;
 use hcc_sgd::{fp16, simd};
 use parking_lot::RwLock;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Transport-level failures surfaced to the supervisor instead of blocking
 /// forever or panicking. `Timeout` and `Corrupt` are retryable (the peer
 /// may be a straggler, the frame may arrive clean next time);
-/// `Disconnected` and `PartitionedLink` are fatal for that peer,
-/// `Abandoned` for its push until the next publish.
+/// `Disconnected` and `PartitionedLink` are fatal for that peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommError {
     /// No push arrived within the deadline.
@@ -51,11 +50,6 @@ pub enum CommError {
     /// their backoff budget. Unlike `Timeout` there is no point retrying
     /// within the epoch.
     PartitionedLink,
-    /// A sharded collect that stopped between shards was overtaken by
-    /// another worker's, which rebuilt its push in the server's one
-    /// reconstruction region: this worker's push is lost until the next
-    /// publish. No point retrying within the epoch either.
-    Abandoned,
 }
 
 impl std::fmt::Display for CommError {
@@ -65,7 +59,6 @@ impl std::fmt::Display for CommError {
             CommError::Disconnected => write!(f, "transport peer disconnected"),
             CommError::Corrupt => write!(f, "transport frame failed integrity check"),
             CommError::PartitionedLink => write!(f, "transport link partitioned"),
-            CommError::Abandoned => write!(f, "partially collected push abandoned"),
         }
     }
 }
@@ -109,9 +102,12 @@ impl Precision {
 pub trait Transport: Send + Sync {
     /// Server side: publish the shared feature data for workers to pull,
     /// and retire every push nobody collected — it belongs to the epoch
-    /// before and is never handed out.
+    /// before and is never handed out. `src` may be shorter than the
+    /// region the transport was built for: what is published is exactly
+    /// `src`.
     fn publish(&self, src: &[f32]);
-    /// Worker side: read the published data into `dst`. A pull that fails
+    /// Worker side: read the published data into the front of `dst`, as
+    /// many elements as both hold. A pull that fails
     /// (on a wire, after its retries) leaves `dst` unspecified — stale, or
     /// partly the new snapshot, as a chaos partition already does; `dst`
     /// is the worker's own region, dead until a pull succeeds.
@@ -233,6 +229,8 @@ impl WireStore {
 pub struct CommShared {
     precision: Precision,
     pull_region: WireStore,
+    /// Elements the last publish wrote at the front of `pull_region`.
+    published: AtomicUsize,
     slots: Vec<PushSlot>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
@@ -245,6 +243,7 @@ impl CommShared {
         CommShared {
             precision,
             pull_region: WireStore::new(pull_len, precision),
+            published: AtomicUsize::new(pull_len),
             slots: (0..workers).map(|_| PushSlot::new(push_len)).collect(),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
@@ -259,10 +258,16 @@ impl CommShared {
 impl Transport for CommShared {
     fn publish(&self, src: &[f32]) {
         self.pull_region.write_f32(src);
+        // ordering: Relaxed — published before the workers that pull it are
+        // started, which orders it before their loads.
+        self.published.store(src.len(), Ordering::Relaxed);
         self.slots.iter().for_each(PushSlot::retire);
     }
 
     fn pull(&self, _worker: usize, dst: &mut [f32]) {
+        // ordering: Relaxed — see `publish`.
+        let n = self.published.load(Ordering::Relaxed).min(dst.len());
+        let dst = &mut dst[..n];
         self.pull_region.read_f32(dst);
         // ordering: Relaxed — wire-byte statistic, reported after joins.
         self.pull_bytes
@@ -351,17 +356,17 @@ impl CommP {
 
     fn deserialize(&self, msg: &[u8], dst: &mut [f32]) {
         // Staging copy first (the KV-store's receive buffer), then
-        // element-wise decode into the destination.
+        // element-wise decode into the destination, as far as it holds.
         let staging: Vec<u8> = msg.to_vec();
         match self.precision {
             Precision::Fp32 => {
-                for (j, b) in staging.chunks_exact(4).enumerate() {
-                    dst[j] = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+                for (d, b) in dst.iter_mut().zip(staging.chunks_exact(4)) {
+                    *d = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
                 }
             }
             Precision::Fp16 => {
-                for (j, b) in staging.chunks_exact(2).enumerate() {
-                    dst[j] = fp16::f16_to_f32(u16::from_le_bytes([b[0], b[1]]));
+                for (d, b) in dst.iter_mut().zip(staging.chunks_exact(2)) {
+                    *d = fp16::f16_to_f32(u16::from_le_bytes([b[0], b[1]]));
                 }
             }
         }
@@ -601,6 +606,38 @@ mod tests {
                     .unwrap();
                 assert_eq!(got, push, "{name}");
             }
+        }
+    }
+
+    #[test]
+    fn a_short_publish_is_pulled_and_counted_exactly() {
+        // A link built for 16 rows of k = 4 carries 16 rows, then 15 (a
+        // band a row short of the longest): the pull delivers exactly what
+        // was published, bit for bit, into the front of the worker's
+        // 16-row region, and counts exactly that; a region shorter than
+        // what was published takes its front. The values are exact in
+        // fp16, so every wire delivers the same bits.
+        const K: usize = 4;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, t) in base_transports(16 * K) {
+            let mut counted = Vec::new();
+            let mut region = Vec::new();
+            for rows in [16, 15] {
+                region = (0..rows * K).map(|j| (j as f32 - 30.0) * 0.25).collect();
+                region[1] = -0.0;
+                t.publish(&region);
+                let mut pulled = vec![-1.0f32; 16 * K];
+                t.pull(0, &mut pulled);
+                let (got, rest) = pulled.split_at(rows * K);
+                assert_eq!(bits(got), bits(&region), "{name}, {rows} rows");
+                assert!(rest.iter().all(|&v| v == -1.0), "{name}");
+                counted.push(t.wire_bytes_by_dir().0);
+            }
+            // The 15-row pull counts 15/16 of the 16-row one.
+            assert_eq!((counted[1] - counted[0]) * 16, counted[0] * 15, "{name}");
+            let mut front = vec![0f32; 8 * K];
+            t.pull(0, &mut front);
+            assert_eq!(bits(&front), bits(&region[..8 * K]), "{name}");
         }
     }
 

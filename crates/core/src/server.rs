@@ -125,8 +125,10 @@ pub struct DeltaStats {
 /// [`Transport`] endpoints — one per simulated node.
 ///
 /// The synchronized region (e.g. `Q` under the Q-only strategy) is treated
-/// as `region_len / k` rows; a [`ShardRouter`] tiles those rows across the
-/// shards, and every RPC is routed by range:
+/// as rows of `k`. Every RPC routes the region it carries over its own
+/// rows, `ShardRouter::uniform(len / k, shards)`, so a region shorter than
+/// the server was built for — a band a row short of the longest — travels
+/// exactly as through a server built for it:
 ///
 /// * `publish` splits the region and publishes each slice to its shard,
 ///   keeping a server-side snapshot as the delta base;
@@ -135,8 +137,8 @@ pub struct DeltaStats {
 /// * `push` encodes, per shard, only the rows that differ bitwise from the
 ///   snapshot ([`encode_delta`]) — the "Transmit Q only" idea applied
 ///   row-wise within each shard;
-/// * a collect seeds the server's one reconstruction region from the
-///   snapshot and applies each shard's delta to it where the delta landed,
+/// * a collect seeds the worker's reconstruction region from the snapshot
+///   and applies each shard's delta to it where the delta landed,
 ///   rebuilding the worker's buffer bit-for-bit (an unshipped row is, by
 ///   construction, bit-equal to the snapshot), then hands the caller a
 ///   view of that region.
@@ -145,24 +147,20 @@ pub struct DeltaStats {
 /// (each [`hcc_comm::CommSocket`] shard keeps its own per-worker seq), so
 /// PR 7's retry/dedup guarantees hold per shard link.
 pub struct ShardedServer {
-    router: ShardRouter,
     k: usize,
     precision: Precision,
     shards: Vec<Arc<dyn Transport>>,
-    /// Server-side copy of the last published region: the delta base for
-    /// pushes and the reconstruction base for collects.
+    /// Server-side copy of the last published region, exactly as long as
+    /// it was: the delta base for pushes and the reconstruction base for
+    /// collects.
     published: RwLock<Vec<f32>>,
-    /// Whose push `rebuilt` holds part of, and whose it gave up. Cleared by
-    /// `publish`.
-    partial: Mutex<Partial>,
     /// `encoded[w]`: where worker `w`'s pushes are delta-encoded, shard by
     /// shard. Sized for the largest shard when the server is built, so a
     /// push allocates nothing.
     encoded: Vec<Mutex<Vec<f32>>>,
-    /// Where a collect rebuilds the push it hands out, also built here. One
-    /// for all workers: the server collects them one at a time, and
-    /// [`Partial`] checks that a region is never handed out mixed.
-    rebuilt: Mutex<Vec<f32>>,
+    /// `rebuilt[w]`: where a collect rebuilds worker `w`'s push, also built
+    /// here.
+    rebuilt: Vec<Mutex<Rebuilt>>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
     rows_shipped: AtomicU64,
@@ -170,88 +168,50 @@ pub struct ShardedServer {
     bytes_full: AtomicU64,
 }
 
-/// The protocol of [`ShardedServer`]'s one `rebuilt` region. A push
-/// arrives as one message per shard, so a collect deadline can expire
-/// between two of them, leaving the region holding that worker's first
-/// shards; a retry resumes at the first outstanding shard instead of
-/// waiting again on one whose message it already consumed. Another
-/// worker's collect starting meanwhile overwrites the region from shard 0,
-/// so it *abandons* the partial push: until the next `publish` the
-/// abandoned worker's collect fails with [`CommError::Abandoned`] rather
-/// than resume onto another worker's rows.
-#[derive(Debug)]
-struct Partial {
-    /// `(worker, shards)`: the collect that stopped after applying its
-    /// first `shards` shards, which `rebuilt` still holds.
-    owner: Option<(usize, usize)>,
-    /// `abandoned[w]`: worker `w`'s partial push was overwritten.
-    abandoned: Vec<bool>,
-}
-
-impl Partial {
-    /// The shard `worker`'s collect starts at, abandoning another worker's
-    /// partial push if there is one.
-    fn start(&mut self, worker: usize) -> Result<usize, CommError> {
-        if self.abandoned[worker] {
-            return Err(CommError::Abandoned);
-        }
-        match self.owner.take() {
-            Some((w, applied)) if w == worker => Ok(applied),
-            Some((w, _)) => {
-                self.abandoned[w] = true;
-                Ok(0)
-            }
-            None => Ok(0),
-        }
-    }
+/// Where a collect rebuilds one worker's push. A push arrives as one
+/// message per shard, so a collect deadline can expire between two of
+/// them; the region keeps the shards applied so far, and the retry resumes
+/// at the first outstanding shard instead of waiting again on one whose
+/// message it already consumed. A `publish` starts every push over.
+struct Rebuilt {
+    region: Vec<f32>,
+    /// Shards of the push in progress already applied to `region`.
+    applied: usize,
 }
 
 impl ShardedServer {
-    /// Wraps `shards` (one endpoint per node) behind a row router over a
-    /// `region_len`-element region of `k`-element rows.
+    /// Wraps `shards` (one endpoint per node, each built for
+    /// [`link_lens`](Self::link_lens)) behind a row router over regions of
+    /// up to `region_len` elements of `k`-element rows.
     ///
     /// # Panics
-    /// Panics if `shards` is empty, its length differs from the router's
-    /// shard count, or `k` is zero.
+    /// Panics if `shards` is empty or `k` is zero.
     pub fn new(
-        router: ShardRouter,
         k: usize,
         region_len: usize,
         precision: Precision,
         shards: Vec<Arc<dyn Transport>>,
     ) -> ShardedServer {
         assert!(k > 0, "k must be positive");
-        assert_eq!(
-            router.shards(),
-            shards.len(),
-            "router shard count must match endpoints"
-        );
         assert!(!shards.is_empty(), "need at least one shard");
-        assert_eq!(
-            router.n_rows() * k,
-            region_len - region_len % k,
-            "router must tile the region's whole rows"
-        );
         let workers = shards[0].workers();
-        let largest = router
-            .ranges()
-            .map(|r| max_delta_len(r.len(), k))
-            .max()
-            .unwrap_or(0);
+        let (_, largest) = Self::link_lens(region_len / k, k, shards.len());
         ShardedServer {
             encoded: (0..workers)
                 .map(|_| Mutex::new(vec![0f32; largest]))
                 .collect(),
-            rebuilt: Mutex::new(vec![0f32; region_len]),
-            router,
+            rebuilt: (0..workers)
+                .map(|_| {
+                    Mutex::new(Rebuilt {
+                        region: vec![0f32; region_len],
+                        applied: 0,
+                    })
+                })
+                .collect(),
             k,
             precision,
             shards,
             published: RwLock::new(vec![0f32; region_len]),
-            partial: Mutex::new(Partial {
-                owner: None,
-                abandoned: vec![false; workers],
-            }),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
             rows_shipped: AtomicU64::new(0),
@@ -260,21 +220,23 @@ impl ShardedServer {
         }
     }
 
-    /// Worst-case per-shard push-buffer length in elements (what the inner
-    /// transports' push regions must be sized for).
-    pub fn shard_push_len(router: &ShardRouter, shard: usize, k: usize) -> usize {
-        max_delta_len(router.range(shard).len(), k)
+    /// The `(pull, push)` lengths in elements each of `shards` inner links
+    /// must be built for to carry its shard of any region of up to `rows`
+    /// rows of `k`: a shard of `ShardRouter::uniform(r, shards)` holds at
+    /// most `ceil(r / shards)` rows, and a push is its row delta.
+    pub fn link_lens(rows: usize, k: usize, shards: usize) -> (usize, usize) {
+        let most = rows.div_ceil(shards);
+        (most * k, max_delta_len(most, k))
     }
 
-    /// The element range shard `s` owns within the region.
-    fn elems(&self, shard: usize) -> std::ops::Range<usize> {
-        let r = self.router.range(shard);
-        r.start * self.k..r.end * self.k
-    }
-
-    /// The row router in use.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
+    /// The element range each shard owns of a region of `len` elements.
+    fn routes(&self, len: usize) -> impl Iterator<Item = Range<usize>> {
+        let (k, shards) = (self.k, self.shards.len());
+        let router = ShardRouter::uniform(len / k, shards);
+        (0..shards).map(move |s| {
+            let rows = router.range(s);
+            rows.start * k..rows.end * k
+        })
     }
 
     /// Cumulative delta-shipping accounting.
@@ -291,13 +253,15 @@ impl ShardedServer {
         }
     }
 
-    /// Encodes the delta for one worker push against the current snapshot
-    /// and ships it to shard `s` via `send`.
-    fn push_shard(&self, shard: usize, worker: usize, src: &[f32], send: impl FnOnce(&[f32])) {
-        let elems = self.elems(shard);
-        if src.len() < elems.end {
-            return; // short push: nothing for this shard's range
-        }
+    /// Encodes the delta of `src`'s elements `elems` against the current
+    /// snapshot and ships it via `send`.
+    fn push_shard(
+        &self,
+        elems: Range<usize>,
+        worker: usize,
+        src: &[f32],
+        send: impl FnOnce(&[f32]),
+    ) {
         let mut delta = self.encoded[worker].lock();
         {
             let snapshot = self.published.read();
@@ -324,11 +288,12 @@ impl ShardedServer {
         send(&delta);
     }
 
-    /// Waits for one shard's delta and applies it to that shard's range of
-    /// `region`, seeded from the snapshot first.
+    /// Waits for one shard's delta and applies it to `region`'s elements
+    /// `elems`, seeded from the snapshot first.
     fn apply_shard(
         &self,
         shard: usize,
+        elems: Range<usize>,
         worker: usize,
         region: &mut [f32],
         deadline: Option<Instant>,
@@ -337,7 +302,6 @@ impl ShardedServer {
             Some(Duration::ZERO) => return Err(CommError::Timeout),
             left => left,
         };
-        let elems = self.elems(shard);
         let range = &mut region[elems.clone()];
         self.shards[shard].collect_with(worker, timeout, &mut |delta| {
             range.copy_from_slice(&self.published.read()[elems.clone()]);
@@ -351,40 +315,33 @@ impl ShardedServer {
 
 impl Transport for ShardedServer {
     fn publish(&self, src: &[f32]) {
-        {
-            let mut partial = self.partial.lock();
-            partial.owner = None;
-            partial.abandoned.fill(false);
+        for rebuilt in &self.rebuilt {
+            rebuilt.lock().applied = 0;
         }
         {
-            let mut snapshot = self.published.write();
-            let n = src.len().min(snapshot.len());
-            snapshot[..n].copy_from_slice(&src[..n]);
+            let published = &mut *self.published.write();
+            published.clear();
+            published.extend_from_slice(src);
         }
-        for s in 0..self.shards.len() {
-            let elems = self.elems(s);
-            if src.len() >= elems.end {
-                self.shards[s].publish(&src[elems]);
-            }
+        for (shard, elems) in self.shards.iter().zip(self.routes(src.len())) {
+            shard.publish(&src[elems]);
         }
     }
 
     fn pull(&self, worker: usize, dst: &mut [f32]) {
         let bpe = self.precision.bytes_per_element();
-        for s in 0..self.shards.len() {
-            let elems = self.elems(s);
-            if dst.len() >= elems.end {
-                self.shards[s].pull(worker, &mut dst[elems.clone()]);
-                // ordering: Relaxed — wire-byte statistic.
-                self.pull_bytes
-                    .fetch_add(elems.len() as u64 * bpe, Ordering::Relaxed);
-            }
+        let len = self.published.read().len().min(dst.len());
+        for (shard, elems) in self.shards.iter().zip(self.routes(len)) {
+            // ordering: Relaxed — wire-byte statistic.
+            self.pull_bytes
+                .fetch_add(elems.len() as u64 * bpe, Ordering::Relaxed);
+            shard.pull(worker, &mut dst[elems]);
         }
     }
 
     fn push(&self, worker: usize, src: &[f32]) {
-        for s in 0..self.shards.len() {
-            self.push_shard(s, worker, src, |delta| self.shards[s].push(worker, delta));
+        for (shard, elems) in self.shards.iter().zip(self.routes(src.len())) {
+            self.push_shard(elems, worker, src, |delta| shard.push(worker, delta));
         }
     }
 
@@ -392,18 +349,17 @@ impl Transport for ShardedServer {
         // Re-encoding is deterministic (the snapshot cannot change between
         // a push and its wire duplicate in the lock-step loop), so the
         // duplicate carries identical bytes and the per-shard dedup holds.
-        for s in 0..self.shards.len() {
-            self.push_shard(s, worker, src, |delta| {
-                self.shards[s].push_duplicate(worker, delta)
+        for (shard, elems) in self.shards.iter().zip(self.routes(src.len())) {
+            self.push_shard(elems, worker, src, |delta| {
+                shard.push_duplicate(worker, delta)
             });
         }
     }
 
     /// All of the worker's outstanding shards under one deadline: a slow
     /// shard eats into the remaining budget instead of multiplying it. On
-    /// error the rebuilt region keeps the shards applied so far and a retry
-    /// picks up where this call stopped — unless another worker's collect
-    /// started in between, which abandons them (see `Partial`).
+    /// error the worker's rebuilt region keeps the shards applied so far
+    /// and a retry picks up where this call stopped (see [`Rebuilt`]).
     fn collect_with(
         &self,
         worker: usize,
@@ -411,15 +367,16 @@ impl Transport for ShardedServer {
         consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut region = self.rebuilt.lock();
-        let first = self.partial.lock().start(worker)?;
-        for s in first..self.shards.len() {
-            if let Err(err) = self.apply_shard(s, worker, &mut region, deadline) {
-                self.partial.lock().owner = (s > 0).then_some((worker, s));
+        let rebuilt = &mut *self.rebuilt[worker].lock();
+        let len = self.published.read().len();
+        let first = std::mem::take(&mut rebuilt.applied);
+        for (s, elems) in self.routes(len).enumerate().skip(first) {
+            if let Err(err) = self.apply_shard(s, elems, worker, &mut rebuilt.region, deadline) {
+                rebuilt.applied = s;
                 return Err(err);
             }
         }
-        consume(&region);
+        consume(&rebuilt.region[..len]);
         Ok(())
     }
 
@@ -541,13 +498,12 @@ mod tests {
         install(&mut [0.0; 4], &[1.0, 2.0, 3.0], &[0, 1], 2);
     }
 
-    /// A sharded server over CommShared inners sized per shard range.
-    fn sharded(workers: usize, rows: usize, k: usize, shards: usize) -> ShardedServer {
-        let router = ShardRouter::uniform(rows, shards);
-        let inners: Vec<Arc<dyn Transport>> = (0..shards)
-            .map(|s| {
-                let pull = router.range(s).len() * k;
-                let push = ShardedServer::shard_push_len(&router, s, k);
+    /// `shards` links of `CommShared` for `workers` workers, built for
+    /// regions of up to `rows` rows of `k`.
+    fn links(workers: usize, rows: usize, k: usize, shards: usize) -> Vec<Arc<dyn Transport>> {
+        let (pull, push) = ShardedServer::link_lens(rows, k, shards);
+        (0..shards)
+            .map(|_| {
                 Arc::new(hcc_comm::CommShared::new(
                     workers,
                     pull,
@@ -555,8 +511,17 @@ mod tests {
                     Precision::Fp32,
                 )) as Arc<dyn Transport>
             })
-            .collect();
-        ShardedServer::new(router, k, rows * k, Precision::Fp32, inners)
+            .collect()
+    }
+
+    /// A sharded server over CommShared inners.
+    fn sharded(workers: usize, rows: usize, k: usize, shards: usize) -> ShardedServer {
+        ShardedServer::new(
+            k,
+            rows * k,
+            Precision::Fp32,
+            links(workers, rows, k, shards),
+        )
     }
 
     #[test]
@@ -668,15 +633,8 @@ mod tests {
         // A push is one message per shard. Deliver shard 0's only: the
         // collect consumes it, then times out on shard 1.
         let (rows, k) = (8, 2);
-        let router = ShardRouter::uniform(rows, 2);
-        let links: Vec<Arc<dyn Transport>> = (0..2)
-            .map(|s| {
-                let push = ShardedServer::shard_push_len(&router, s, k);
-                Arc::new(hcc_comm::CommShared::new(1, 4 * k, push, Precision::Fp32))
-                    as Arc<dyn Transport>
-            })
-            .collect();
-        let t = ShardedServer::new(router, k, rows * k, Precision::Fp32, links.clone());
+        let links = links(1, rows, k, 2);
+        let t = ShardedServer::new(k, rows * k, Precision::Fp32, links.clone());
         let region = vec![0.5f32; rows * k];
         t.publish(&region);
         let mut local = region.clone();
@@ -702,20 +660,13 @@ mod tests {
     }
 
     #[test]
-    fn another_workers_collect_abandons_a_partial_region_until_the_next_publish() {
+    fn a_collect_resumes_its_own_push_after_another_workers_collect() {
         // Worker 0's collect stops between shards, worker 1's runs whole,
-        // then worker 0's resumes. The parent handed worker 0 `Ok` and a
-        // region whose shard 0 held worker 1's rows.
+        // then worker 0's retry resumes. Each worker's push is rebuilt in a
+        // region of its own, so the retry hands worker 0 exactly its push.
         let (rows, k) = (8, 2);
-        let router = ShardRouter::uniform(rows, 2);
-        let links: Vec<Arc<dyn Transport>> = (0..2)
-            .map(|s| {
-                let push = ShardedServer::shard_push_len(&router, s, k);
-                Arc::new(hcc_comm::CommShared::new(2, 4 * k, push, Precision::Fp32))
-                    as Arc<dyn Transport>
-            })
-            .collect();
-        let t = ShardedServer::new(router, k, rows * k, Precision::Fp32, links.clone());
+        let links = links(2, rows, k, 2);
+        let t = ShardedServer::new(k, rows * k, Precision::Fp32, links.clone());
         let region = vec![0.5f32; rows * k];
         let mut a = region.clone();
         a[1] = 7.0; // row 0 → shard 0
@@ -741,39 +692,63 @@ mod tests {
         }
         t.collect_timeout(1, &mut dst, Duration::from_secs(1))
             .unwrap();
-        assert_eq!(dst, b);
+        assert_eq!(bits(&dst), bits(&b));
         links[1].push(0, &delta(&a, 1));
-        let mut calls = 0;
-        assert_eq!(
-            t.collect_with(0, Some(Duration::from_secs(1)), &mut |_| calls += 1),
-            Err(CommError::Abandoned)
-        );
-        assert_eq!(calls, 0, "a mixed region was handed out");
-        // After a publish the worker collects whole again.
-        t.publish(&region);
-        for (s, link) in links.iter().enumerate() {
-            link.push(0, &delta(&a, s));
-        }
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
-        assert_eq!(dst, a);
+        assert_eq!(bits(&dst), bits(&a));
+    }
+
+    #[test]
+    fn a_short_region_travels_as_through_a_server_built_for_it() {
+        // A server built for 16 rows carries 16, then 15. The pull delivers
+        // exactly what was published into the front of a 16-row region and
+        // counts only that; the 15-row push ships the deltas a server built
+        // for 15 rows ships, and its collect rebuilds it bit for bit.
+        let k = 4;
+        let (long, short) = (sharded(1, 16, k, 2), sharded(1, 15, k, 2));
+        let full = odd_bits(16, k);
+        long.publish(&full);
+        let mut dst = vec![0f32; 16 * k];
+        long.pull(0, &mut dst);
+        assert_eq!(bits(&dst), bits(&full));
+        let region: Vec<f32> = full[..15 * k].iter().map(|v| v * 0.5).collect();
+        long.publish(&region);
+        let mut dst = vec![-1.0f32; 16 * k];
+        long.pull(0, &mut dst);
+        assert_eq!(bits(&dst[..15 * k]), bits(&region));
+        assert_eq!(dst[15 * k..], [-1.0; 4]);
+        assert_eq!(long.wire_bytes_by_dir(), ((16 + 15) as u64 * 4 * 4, 0));
+        let mut local = region.clone();
+        for row in [0, 7, 8, 14] {
+            local[row * k + 1] = row as f32;
+        }
+        short.publish(&region);
+        for t in [&long, &short] {
+            t.push(0, &local);
+            let mut got = Vec::new();
+            t.collect_with(0, None, &mut |pushed| got.extend_from_slice(pushed))
+                .unwrap();
+            assert_eq!(bits(&got), bits(&local));
+        }
+        assert_eq!(long.delta_stats(), short.delta_stats());
+        assert_eq!(long.delta_stats().rows_shipped, 4);
     }
 
     #[test]
     fn sharded_drain_gathers_every_shards_net_events_once() {
-        let router = ShardRouter::uniform(4, 2);
         let links: Vec<Arc<dyn Transport>> = (0..2)
             .map(|s| Arc::new(FakeTransport::new(1, 4).with_event(fake::retry(s))) as _)
             .collect();
-        let t = ShardedServer::new(router, 2, 8, Precision::Fp32, links);
+        let t = ShardedServer::new(2, 8, Precision::Fp32, links);
         assert_eq!(t.drain_net_events(), vec![fake::retry(0), fake::retry(1)]);
         assert!(t.drain_net_events().is_empty());
     }
 }
 
 /// A scriptable [`Transport`] for tests here and in `train.rs`: a
-/// `CommShared` that can hand back canned resilience events, panic in one
-/// worker's pull, or lose one worker's pushes.
+/// `CommShared` that can hand back canned resilience events, panic in a
+/// pull, or lose every push.
 #[cfg(test)]
 pub(crate) mod fake {
     use hcc_comm::{CommError, CommShared, NetEvent, NetEventKind, Precision, Transport};
@@ -783,8 +758,8 @@ pub(crate) mod fake {
     pub(crate) struct FakeTransport {
         inner: CommShared,
         events: Mutex<Vec<NetEvent>>,
-        pub pull_panics_for: Option<usize>,
-        pub loses_pushes_of: Option<usize>,
+        pub pull_panics: bool,
+        pub loses_pushes: bool,
     }
 
     /// A canned retry event on `worker`'s link.
@@ -804,8 +779,8 @@ pub(crate) mod fake {
             FakeTransport {
                 inner: CommShared::new(workers, len, len, Precision::Fp32),
                 events: Mutex::new(Vec::new()),
-                pull_panics_for: None,
-                loses_pushes_of: None,
+                pull_panics: false,
+                loses_pushes: false,
             }
         }
 
@@ -820,11 +795,11 @@ pub(crate) mod fake {
             self.inner.publish(src);
         }
         fn pull(&self, worker: usize, dst: &mut [f32]) {
-            assert_ne!(Some(worker), self.pull_panics_for, "scripted pull panic");
+            assert!(!self.pull_panics, "scripted pull panic");
             self.inner.pull(worker, dst);
         }
         fn push(&self, worker: usize, src: &[f32]) {
-            if Some(worker) != self.loses_pushes_of {
+            if !self.loses_pushes {
                 self.inner.push(worker, src);
             }
         }

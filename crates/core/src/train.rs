@@ -7,8 +7,9 @@
 //! shuffled order, into one equal-count band per worker; in round `r`
 //! worker `w` trains band `(w + r) mod p` on its own rows, so every band
 //! has one holder a round and every worker holds every band once an epoch
-//! (`band_held`). The server publishes each band as the last round left
-//! it and installs its holder's push, with nothing to merge.
+//! (`band_held`). The server hands each band, as the last round left it,
+//! to its holder over the holder's own link and installs the holder's
+//! push, with nothing to merge.
 
 use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingMeta};
 use crate::config::{HccConfig, TransportKind, WorkerSpec};
@@ -16,14 +17,14 @@ use crate::error::HccError;
 use crate::report::{HccReport, WorkerEpochStats};
 use crate::server::{gather, install, region_layout, RegionLayout, ShardedServer};
 use crate::supervisor::{Supervisor, WorkerHealth};
-use crate::worker::{chunk_col_ranges, deal, WorkerState};
+use crate::worker::{chunk_col_ranges, deal, Link, WorkerState};
 use hcc_comm::socket::NetEventKind;
 use hcc_comm::{
     run_pipeline, Backoff, ChaosTransport, CommError, CommShared, CommSocket, Fault, Precision,
     TransferStrategy, Transport,
 };
 use hcc_partition::{
-    dp0, replan_survivors, EpochTimes, PartitionMode, ShardRouter, StrategyChoice, WorkerClass,
+    dp0, replan_survivors, EpochTimes, PartitionMode, StrategyChoice, WorkerClass,
 };
 use hcc_sgd::{rmse, FactorMatrix, HogwildConfig, SharedRows};
 use hcc_sparse::{Axis, CooMatrix, GridPartition};
@@ -214,8 +215,7 @@ fn net_cause(err: CommError) -> NetCause {
     match err {
         CommError::Timeout => NetCause::Timeout,
         CommError::Corrupt => NetCause::Corrupt,
-        // Never a wire retry's cause: like a hung-up peer, the push is gone.
-        CommError::Disconnected | CommError::Abandoned => NetCause::Disconnected,
+        CommError::Disconnected => NetCause::Disconnected,
         CommError::PartitionedLink => NetCause::Partitioned,
     }
 }
@@ -253,32 +253,26 @@ struct EpochOutcome {
 /// panic that ended it. `None` in a slot means the thread is still running.
 type WorkerExit = Result<WorkerEpochStats, String>;
 
-/// A contiguous range of the band order with its own transport endpoint —
-/// the unit a round publishes, pulls, computes on, pushes and installs. A
-/// synchronous run has one chunk a band (the first also carrying `P` under
-/// `FullPq`); `streams > 1` tiles each band into that many, which is all
-/// the asynchronous computing–transmission pipeline of Strategy 3 needs
-/// from the transport layer.
+/// A contiguous range of the band order — the unit a round publishes,
+/// pulls, computes on, pushes and installs. A synchronous run has one chunk
+/// a band (the first also carrying `P` under `FullPq`); `streams > 1` tiles
+/// each band into that many, which is all the asynchronous
+/// computing–transmission pipeline of Strategy 3 needs from the transport
+/// layer. Chunk `s` of a band travels over its holder's link of slot `s`.
 struct Chunk {
     /// Positions in [`Session::band_order`] of the `Q` rows it carries.
     items: Range<usize>,
     /// Float layout of this chunk's pull and push regions.
     layout: RegionLayout,
-    /// Carries this chunk's regions: `chaos`, when there is one.
-    endpoint: Arc<dyn Transport>,
-    /// The wrapper that enacts the wire faults of `config.fault_plan`;
-    /// every epoch tells it its number.
-    chaos: Option<Arc<ChaosTransport>>,
 }
 
-/// Builds the transport endpoint for regions of `pull_len` / `push_len`
-/// floats. `shards > 1` makes it a node-sharded parameter server: the
-/// region is tiled by contiguous row range across that many links of
-/// `kind`, always at Fp32 — row-delta shipping replaces fp16 compression,
-/// and delta framing (count + indices as f32) must stay exact.
+/// Builds one worker's endpoint for regions of up to `pull_len` /
+/// `push_len` floats. `shards > 1` makes it a node-sharded parameter
+/// server: the region is tiled by contiguous row range across that many
+/// links of `kind`, always at Fp32 — row-delta shipping replaces fp16
+/// compression, and delta framing (count + indices as f32) must stay exact.
 fn build_endpoint(
     kind: TransportKind,
-    workers: usize,
     k: usize,
     pull_len: usize,
     push_len: usize,
@@ -286,37 +280,32 @@ fn build_endpoint(
     shards: usize,
 ) -> Result<Arc<dyn Transport>, HccError> {
     if shards == 1 {
-        return build_link(kind, workers, pull_len, push_len, precision);
+        return build_link(kind, pull_len, push_len, precision);
     }
-    let router = ShardRouter::uniform(pull_len / k, shards);
+    let (pull, push) = ShardedServer::link_lens(pull_len / k, k, shards);
     let links = (0..shards)
-        .map(|s| {
-            let pull = router.range(s).len() * k;
-            let push = ShardedServer::shard_push_len(&router, s, k);
-            build_link(kind, workers, pull, push, Precision::Fp32)
-        })
+        .map(|_| build_link(kind, pull, push, Precision::Fp32))
         .collect::<Result<Vec<_>, _>>()?;
-    let server = ShardedServer::new(router, k, pull_len, Precision::Fp32, links);
+    let server = ShardedServer::new(k, pull_len, Precision::Fp32, links);
     Ok(Arc::new(server))
 }
 
-/// One concrete transport of `kind`. Fallible because the socket
-/// transports bind an OS resource.
+/// One concrete transport of `kind` for one worker. Fallible because the
+/// socket transports bind an OS resource.
 fn build_link(
     kind: TransportKind,
-    workers: usize,
     pull_len: usize,
     push_len: usize,
     precision: Precision,
 ) -> Result<Arc<dyn Transport>, HccError> {
     let bind_err = |e| HccError::Comm(format!("binding {kind:?} transport: {e}"));
     Ok(match kind {
-        TransportKind::Shared => Arc::new(CommShared::new(workers, pull_len, push_len, precision)),
+        TransportKind::Shared => Arc::new(CommShared::new(1, pull_len, push_len, precision)),
         TransportKind::Socket => {
-            Arc::new(CommSocket::new(workers, pull_len, push_len, precision).map_err(bind_err)?)
+            Arc::new(CommSocket::new(1, pull_len, push_len, precision).map_err(bind_err)?)
         }
         TransportKind::Tcp => {
-            Arc::new(CommSocket::new_tcp(workers, pull_len, push_len, precision).map_err(bind_err)?)
+            Arc::new(CommSocket::new_tcp(1, pull_len, push_len, precision).map_err(bind_err)?)
         }
     })
 }
@@ -372,7 +361,8 @@ struct Session<'a> {
     orig_ids: Vec<usize>,
     workers: Vec<WorkerState>,
     /// What the rounds walk: each band's `config.streams` chunks (fewer
-    /// when the band has fewer rows), rebuilt with the workers.
+    /// when the band has fewer rows), rebuilt with the workers and their
+    /// links.
     chunks: Vec<Chunk>,
     start_epoch: usize,
     /// Cumulative learning-rate backoff from divergence rollbacks.
@@ -501,12 +491,12 @@ impl<'a> Session<'a> {
         Ok(session)
     }
 
-    /// (Re)builds worker states, the bands and the chunk endpoints for a
+    /// (Re)builds worker states, the bands and each worker's links for a
     /// partition vector. Workers hold no factors of their own — `P` is
     /// trained where the session keeps it and `Q` is pulled every round —
     /// so no training progress is lost across repartitions.
     fn rebuild_workers(&mut self, fractions: Vec<f64>) -> Result<(), HccError> {
-        // The old fleet's ratings, regions and endpoints go before their
+        // The old fleet's ratings, regions and links go before their
         // successors are built: a repartition must not hold two sets at once.
         self.workers.clear();
         self.chunks.clear();
@@ -541,7 +531,9 @@ impl<'a> Session<'a> {
                 entries,
                 chunk_entries,
                 row_range: bounds[w]..bounds[w + 1],
-                regions: Vec::new(), // sized below, once `max_rows` is known
+                // Built below, once `max_rows` is known.
+                regions: Vec::new(),
+                links: Vec::new(),
             });
         }
         let max_rows = workers.iter().map(|w| w.p_rows().len()).max().unwrap_or(0);
@@ -556,47 +548,48 @@ impl<'a> Session<'a> {
                 region_layout(self.config.strategy, m, items.len(), k, rows)
             })
             .collect();
+        // Slot `s` of a worker carries chunk `s` of whichever band the
+        // worker holds, so every slot's region and link are sized for the
+        // longest chunk.
+        let slots = self.bands.iter().map(Range::len).max().unwrap_or(0);
+        let (pull_len, push_len) = layouts.iter().fold((0, 0), |(pull, push), l| {
+            (pull.max(l.pull_len), push.max(l.push_len))
+        });
         // Every region-sized buffer of the epoch loop is allocated here, by
-        // the thread that builds the endpoints, not by whichever worker or
+        // the thread that builds the links, not by whichever worker or
         // connection thread first needs it.
-        for worker in &mut workers {
-            worker.regions = layouts
-                .iter()
-                .map(|l| Mutex::new(vec![0f32; l.pull_len]))
-                .collect();
-        }
-        // Sized in place: a repartition that moves no length allocates none.
-        let largest = layouts.iter().map(|l| l.pull_len).max().unwrap_or(0);
-        self.server.get_mut().region.resize(largest, 0.0);
-        self.chunks = items
-            .into_iter()
-            .zip(layouts)
-            .map(|(items, layout)| {
+        for (worker, &id) in workers.iter_mut().zip(&self.orig_ids) {
+            for _ in 0..slots {
+                worker.regions.push(Mutex::new(vec![0f32; pull_len]));
                 let endpoint = build_endpoint(
                     self.config.transport,
-                    workers.len(),
                     k,
-                    layout.pull_len,
-                    layout.push_len,
+                    pull_len,
+                    push_len,
                     precision,
                     self.config.server_shards,
                 )?;
                 // The plan addresses workers by starting-fleet id.
                 let chaos = self.config.fault_plan.as_ref().map(|plan| {
-                    let ids = self.orig_ids.clone();
+                    let ids = vec![id];
                     Arc::new(ChaosTransport::new(endpoint.clone(), plan.clone(), ids))
                 });
-                Ok(Chunk {
-                    items,
-                    layout,
+                worker.links.push(Link {
                     endpoint: match &chaos {
                         Some(chaos) => chaos.clone(),
                         None => endpoint,
                     },
                     chaos,
-                })
-            })
-            .collect::<Result<_, HccError>>()?;
+                });
+            }
+        }
+        // Sized in place: a repartition that moves no length allocates none.
+        self.server.get_mut().region.resize(pull_len, 0.0);
+        self.chunks = items
+            .into_iter()
+            .zip(layouts)
+            .map(|(items, layout)| Chunk { items, layout })
+            .collect();
         self.workers = workers;
         self.fractions = fractions;
         Ok(())
@@ -611,11 +604,15 @@ impl<'a> Session<'a> {
         self.lr_scale = state.meta.lr_scale as f64;
     }
 
-    /// Wire bytes over all chunk endpoints, split `(pull, push)`.
+    /// Every worker's links.
+    fn links(&self) -> impl Iterator<Item = &Link> {
+        self.workers.iter().flat_map(|w| &w.links)
+    }
+
+    /// Wire bytes over all links, split `(pull, push)`.
     fn wire_bytes_by_dir(&self) -> (u64, u64) {
-        self.chunks
-            .iter()
-            .map(|chunk| chunk.endpoint.wire_bytes_by_dir())
+        self.links()
+            .map(|link| link.endpoint.wire_bytes_by_dir())
             .fold((0, 0), |(pull, push), (p, q)| (pull + p, push + q))
     }
 
@@ -732,14 +729,18 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    /// Drains every endpoint's resilience events once per epoch (bounding
-    /// their buffers) and attributes them to this epoch on the server lane
-    /// via the workers' starting-fleet ids.
+    /// Drains every link's resilience events once per epoch (bounding
+    /// their buffers) and attributes them to this epoch on the server lane,
+    /// under the starting-fleet id of the worker that owns the link.
     fn record_net_events(&self, epoch: usize) {
         let lane = self.telemetry.server_lane();
-        for chunk in &self.chunks {
-            for ev in chunk.endpoint.drain_net_events() {
-                let worker = self.orig_ids.get(ev.worker).copied().unwrap_or(ev.worker) as u32;
+        for (state, &id) in self.workers.iter().zip(&self.orig_ids) {
+            let worker = id as u32;
+            for ev in state
+                .links
+                .iter()
+                .flat_map(|l| l.endpoint.drain_net_events())
+            {
                 let event = match ev.kind {
                     NetEventKind::Retry { cause, bytes } => Event::NetRetry {
                         epoch: epoch as u32,
@@ -888,7 +889,7 @@ impl<'a> Session<'a> {
         sup: Option<&Supervisor>,
     ) -> Result<EpochOutcome, HccError> {
         let workers = self.workers.len();
-        for chaos in self.chunks.iter().filter_map(|c| c.chaos.as_ref()) {
+        for chaos in self.links().filter_map(|l| l.chaos.as_ref()) {
             chaos.begin_epoch(epoch);
         }
         let mut outcome = EpochOutcome {
@@ -902,8 +903,9 @@ impl<'a> Session<'a> {
         Ok(outcome)
     }
 
-    /// One round: publish every band as the last round left it, run every
-    /// worker's [`worker_round`](Self::worker_round) on its own thread, and
+    /// One round: hand every band, as the last round left it, to its holder
+    /// — a publish to the holder's link of each slot — run every worker's
+    /// [`worker_round`](Self::worker_round) on its own thread, and
     /// meanwhile, on this thread, collect each worker's push of each chunk
     /// of its band in fixed `(worker, chunk)` order and install it (the DP2
     /// hiding effect: installs overlap the still-running workers). A band
@@ -922,13 +924,15 @@ impl<'a> Session<'a> {
         let mut server = self.server.lock();
         let ServerSide { p, q, region } = &mut *server;
 
-        for chunk in &self.chunks {
-            let items = &self.band_order[chunk.items.clone()];
-            let region = &mut region[..chunk.layout.pull_len];
-            let (p_part, q_part) = region.split_at_mut(chunk.layout.pull_q_offset);
-            p_part.copy_from_slice(&p.as_slice()[..p_part.len()]);
-            gather(q_part, q.as_slice(), items, k);
-            chunk.endpoint.publish(region);
+        for (w, state) in self.workers.iter().enumerate() {
+            for (chunk, link) in self.chunks[self.held(w, round)].iter().zip(&state.links) {
+                let items = &self.band_order[chunk.items.clone()];
+                let region = &mut region[..chunk.layout.pull_len];
+                let (p_part, q_part) = region.split_at_mut(chunk.layout.pull_q_offset);
+                p_part.copy_from_slice(&p.as_slice()[..p_part.len()]);
+                gather(q_part, q.as_slice(), items, k);
+                link.endpoint.publish(region);
+            }
         }
 
         // Until the scope joins, each worker holds its own rows of `P`.
@@ -956,9 +960,8 @@ impl<'a> Session<'a> {
             }
 
             let server_lane = telemetry.server_lane();
-            for w in 0..fleet {
-                let chunks = self.bands[band_held(w, round, fleet)].clone();
-                for chunk in &self.chunks[chunks] {
+            for (w, state) in self.workers.iter().enumerate() {
+                for (chunk, link) in self.chunks[self.held(w, round)].iter().zip(&state.links) {
                     // A worker whose push this epoch was lost loses the rest
                     // of the epoch's pushes with it (its fault cell is the
                     // epoch), so the ladder is waited out once an epoch, not
@@ -998,7 +1001,8 @@ impl<'a> Session<'a> {
                             took,
                         );
                     };
-                    self.collect_push(chunk, w, sup, &exits, epoch, &mut install_push)?;
+                    let endpoint = &*link.endpoint;
+                    self.collect_push(endpoint, w, sup, &exits, epoch, &mut install_push)?;
                     outcome.missed[w] |= !installed;
                 }
             }
@@ -1023,6 +1027,12 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
+    /// Which of `chunks` make up the band worker `w` holds in round
+    /// `round`: the `s`-th travels over the worker's link of slot `s`.
+    fn held(&self, w: usize, round: usize) -> Range<usize> {
+        self.bands[band_held(w, round, self.workers.len())].clone()
+    }
+
     fn worker_lost(&self, w: usize, epoch: usize, panic: &str) -> HccError {
         HccError::WorkerLost(format!(
             "worker {} panicked during epoch {epoch}: {panic}",
@@ -1032,10 +1042,11 @@ impl<'a> Session<'a> {
 
     /// Worker `w`'s side of a round, on its own thread: walk the chunks of
     /// the band it holds `pull → compute → push` — inline for one chunk,
-    /// through [`run_pipeline`] for several, so the pull of chunk `c + 1`
-    /// and the push of chunk `c − 1` overlap the computation of chunk `c`
-    /// (Strategy 3). A chunk has its own region of the worker's `Q`, and
-    /// each stage runs its chunks in order, so the overlap moves no bits.
+    /// through [`run_pipeline`] for several, so the pull of chunk `s + 1`
+    /// and the push of chunk `s − 1` overlap the computation of chunk `s`
+    /// (Strategy 3). Chunk `s` has the worker's region and link of slot
+    /// `s`, and each stage runs its chunks in order, so the overlap moves
+    /// no bits.
     /// `p_rows` are the worker's rows of the session's `P`, its alone for
     /// the round.
     fn worker_round(
@@ -1069,32 +1080,33 @@ impl<'a> Session<'a> {
             return WorkerEpochStats::default();
         }
         let lane = worker_id as u32;
-        let chunks = self.bands[band_held(w, round, self.workers.len())].clone();
+        let band = self.held(w, round);
+        let chunks = &self.chunks[band.clone()];
 
-        // Each stage locks chunk `c`'s region for as long as it works on
-        // it; the stages of one chunk run in order, so they never contend.
-        // The region is pulled into, trained on and pushed from where it
-        // is. (The `P` a `FullPq` pull carries is what the worker's rows
+        // Each stage locks slot `s`'s region for as long as it works on it;
+        // the stages of one chunk run in order, so they never contend. The
+        // region is pulled into, trained on and pushed from where it is.
+        // (The `P` a `FullPq` pull carries is what the worker's rows
         // already hold: they have one owner.)
-        let pull = |c: usize| {
-            self.chunks[c]
-                .endpoint
-                .pull(w, &mut state.regions[c].lock());
+        let pull = |s: usize| {
+            let mut region = state.regions[s].lock();
+            let pulled = &mut region[..chunks[s].layout.pull_len];
+            state.links[s].endpoint.pull(0, pulled);
         };
-        let compute = |c: usize, ()| {
-            let chunk = &self.chunks[c];
-            let mut region = state.regions[c].lock();
+        let compute = |s: usize, ()| {
+            let chunk = &chunks[s];
+            let mut region = state.regions[s].lock();
             let q = SharedRows::new(&mut region[chunk.layout.q_elems()], k)
                 .numbered_from(chunk.items.start);
-            let entries = &state.entries[state.chunk_entries[c].clone()];
+            let entries = &state.entries[state.chunk_entries[band.start + s].clone()];
             state.compute(entries, p, q, &hogwild);
             if let Some(sup) = sup {
                 sup.board.beat(w, epoch);
             }
         };
-        let push = |c: usize, ()| {
-            let chunk = &self.chunks[c];
-            let mut region = state.regions[c].lock();
+        let push = |s: usize, ()| {
+            let chunk = &chunks[s];
+            let mut region = state.regions[s].lock();
             let push = &mut region[chunk.layout.push_elems()];
             if chunk.layout.push_q_offset > 0 {
                 p.read_into(&mut push[..p.row_range().len() * k]);
@@ -1102,37 +1114,31 @@ impl<'a> Session<'a> {
             if let (Some(plan), Some(Fault::PoisonPush)) = (plan, fault) {
                 plan.poison(worker_id, epoch, push);
             }
-            chunk.endpoint.push(w, push);
+            state.links[s].endpoint.push(0, push);
         };
 
-        let spans: [Span; 3] = if chunks.len() > 1 {
+        let slots = chunks.len();
+        let spans: [Span; 3] = if slots > 1 {
             // The stages run on the pipeline's own threads and report only
             // per-stage busy totals, recorded as three spans sharing the
             // pipeline's start time. (A fault plan implies the synchronous
             // path, so a pipelined band never stalls.)
             let start = telemetry.now_us();
-            let (first, len) = (chunks.start, chunks.len());
-            let busy = run_pipeline(
-                len,
-                len,
-                |c| pull(first + c),
-                |c, ()| compute(first + c, ()),
-                |c, ()| push(first + c, ()),
-            );
+            let busy = run_pipeline(slots, slots, pull, compute, push);
             [busy.pull_busy, busy.compute_busy, busy.push_busy].map(|b| (start, b))
         } else {
             // One chunk, or none when the band is empty (fewer items than
             // workers). An injected stall counts as compute time, so the
             // supervisor's straggler rule sees it; it costs its length once
             // an epoch, in the first round.
-            let ((), pulled) = timed(telemetry, || chunks.clone().for_each(pull));
+            let ((), pulled) = timed(telemetry, || (0..slots).for_each(pull));
             let ((), computed) = timed(telemetry, || {
                 if let (0, Some(Fault::Stall(lost))) = (round, fault) {
                     std::thread::sleep(lost);
                 }
-                chunks.clone().for_each(|c| compute(c, ()));
+                (0..slots).for_each(|s| compute(s, ()));
             });
-            let ((), pushed) = timed(telemetry, || chunks.clone().for_each(|c| push(c, ())));
+            let ((), pushed) = timed(telemetry, || (0..slots).for_each(|s| push(s, ())));
             [pulled, computed, pushed]
         };
         for (phase, (start, busy)) in [Phase::Pull, Phase::Comp, Phase::Push]
@@ -1145,12 +1151,12 @@ impl<'a> Session<'a> {
             pull: spans[0].1,
             compute: spans[1].1,
             push: spans[2].1,
-            updates: chunks.map(|c| state.chunk_entries[c].len() as u64).sum(),
+            updates: band.map(|c| state.chunk_entries[c].len() as u64).sum(),
         }
     }
 
-    /// Server side: waits for worker `w`'s push of `chunk` and runs
-    /// `install` on it where it landed. Returning `Ok` without having run
+    /// Server side: waits for worker `w`'s push on its link `endpoint` and
+    /// runs `install` on it where it landed. Returning `Ok` without having run
     /// `install` means the supervisor gave up on the push for this round.
     ///
     /// Supervised, this is the bounded-retry ladder: each timeout or
@@ -1162,7 +1168,7 @@ impl<'a> Session<'a> {
     /// panicked, or its transport gave up on the push).
     fn collect_push(
         &self,
-        chunk: &Chunk,
+        endpoint: &dyn Transport,
         w: usize,
         sup: Option<&Supervisor>,
         exits: &Mutex<Vec<Option<WorkerExit>>>,
@@ -1174,9 +1180,7 @@ impl<'a> Session<'a> {
                 // Read before the wait: a push precedes its thread's exit,
                 // so a wait that starts after the exit cannot miss it.
                 let exited = exits.lock()[w].is_some();
-                let polled = chunk
-                    .endpoint
-                    .collect_with(w, Some(LOST_PUSH_POLL), install);
+                let polled = endpoint.collect_with(0, Some(LOST_PUSH_POLL), install);
                 if polled.is_ok() {
                     return Ok(());
                 }
@@ -1199,7 +1203,7 @@ impl<'a> Session<'a> {
                 break;
             }
             let timeout = ladder.next_delay();
-            match chunk.endpoint.collect_with(w, Some(timeout), install) {
+            match endpoint.collect_with(0, Some(timeout), install) {
                 Ok(()) => break,
                 // A corrupt frame degrades to a dropped one: wait out the
                 // next ladder step in case a retransmit (or a slow worker)
@@ -1216,7 +1220,7 @@ impl<'a> Session<'a> {
                         },
                     );
                 }
-                Err(CommError::Disconnected | CommError::Abandoned) => break,
+                Err(CommError::Disconnected) => break,
                 // A partitioned worker keeps computing and beating its
                 // heartbeat, so classification alone would call it a
                 // straggler forever; declare the link dead so the
@@ -1283,7 +1287,7 @@ impl<'a> Session<'a> {
     fn into_report(mut self, transposed: bool) -> HccReport {
         let timeline = std::mem::replace(&mut self.telemetry, Telemetry::disabled()).finish();
         let wire_bytes = self.wire_bytes_by_dir();
-        // The fleet's shards, regions and endpoints go before the row order
+        // The fleet's shards, regions and links go before the row order
         // is drawn to put `P` back in user order.
         self.workers.clear();
         self.chunks.clear();
@@ -1334,6 +1338,7 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             chunk_entries: Vec::new(),
             row_range: 0..work.rows(),
             regions: Vec::new(),
+            links: Vec::new(),
         };
         // Fresh zeroed factors for every worker: each pays the same page
         // faults, so none looks faster for coming second.
@@ -1614,6 +1619,31 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_has_one_link_a_stream_slot_and_is_alone_on_it() {
+        // Four workers over TCP x 2 shards, and over shared memory in two
+        // streams: `p · streams` links, each serving one worker, beside one
+        // region a link.
+        let ds = dataset(200, 90, 3_000);
+        for (transport, shards, streams) in
+            [(TransportKind::Tcp, 2, 1), (TransportKind::Shared, 1, 2)]
+        {
+            let config = base_config()
+                .workers(vec![WorkerSpec::cpu(1); 4])
+                .partition(PartitionMode::Uniform)
+                .transport(transport)
+                .server_shards(shards)
+                .streams(streams)
+                .build();
+            let session = Session::create(&config, ds.matrix.clone()).unwrap();
+            let workers: Vec<usize> = session.links().map(|l| l.endpoint.workers()).collect();
+            assert_eq!(workers, vec![1; 4 * streams], "{transport:?}");
+            for state in &session.workers {
+                assert_eq!(state.regions.len(), streams, "{transport:?}");
+            }
+        }
+    }
+
+    #[test]
     fn the_final_rmse_barely_depends_on_the_fleet_size() {
         // `tests/epoch_golden.rs`'s dataset and recipe on 1 to 4 one-thread
         // workers. Every worker trains every band once an epoch, on its own
@@ -1717,16 +1747,18 @@ mod tests {
         }
     }
 
-    /// A session over `ds` whose chunk `c` (of `len` floats) has the
-    /// endpoint `fake(c, len)`.
+    /// A session over `ds` whose worker `w` has the link `fake(w, len)` for
+    /// each slot of `len` floats.
     fn session_over<'a>(
         config: &'a HccConfig,
         ds: &SyntheticDataset,
         fake: impl Fn(usize, usize) -> crate::server::fake::FakeTransport,
     ) -> Session<'a> {
         let mut session = Session::create(config, ds.matrix.clone()).unwrap();
-        for (c, chunk) in session.chunks.iter_mut().enumerate() {
-            chunk.endpoint = Arc::new(fake(c, chunk.layout.pull_len));
+        for (w, state) in session.workers.iter_mut().enumerate() {
+            for (link, region) in state.links.iter_mut().zip(&state.regions) {
+                link.endpoint = Arc::new(fake(w, region.lock().len()));
+            }
         }
         session
     }
@@ -1739,9 +1771,11 @@ mod tests {
             .workers(vec![WorkerSpec::cpu(1); 3])
             .telemetry("never-written.jsonl")
             .build();
-        let mut session = session_over(&config, &ds, |c, len| match c {
-            0 => FakeTransport::new(3, len).with_event(retry(1)),
-            _ => FakeTransport::new(3, len),
+        // A link serves one worker, as its worker 0, and its events are its
+        // owner's.
+        let mut session = session_over(&config, &ds, |w, len| match w {
+            1 => FakeTransport::new(1, len).with_event(retry(0)),
+            _ => FakeTransport::new(1, len),
         });
         // Starting-fleet worker 1 has died: fleet index 1 is now worker 2.
         session.orig_ids = vec![0, 2];
@@ -1772,15 +1806,15 @@ mod tests {
         use crate::server::fake::FakeTransport;
         let ds = dataset(60, 30, 600);
         let config = base_config().build();
-        let mut session = session_over(&config, &ds, |_, len| {
-            let mut fake = FakeTransport::new(2, len);
-            fake.loses_pushes_of = Some(0);
+        let mut session = session_over(&config, &ds, |w, len| {
+            let mut fake = FakeTransport::new(1, len);
+            fake.loses_pushes = w == 0;
             fake
         });
         // Where every factor buffer of the session is and how long: `P`,
         // `Q`, the region bands are gathered into, and per worker one
-        // region a band — its `Q`, and there is no other copy of it nor any
-        // of `P`.
+        // region, for the band it holds — there is no other copy of `Q`
+        // nor any of `P`.
         let buffers = |session: &mut Session| -> Vec<(*const f32, usize)> {
             let server = session.server.get_mut();
             let slices = [server.p.as_slice(), server.q.as_slice(), &server.region];
@@ -1794,18 +1828,17 @@ mod tests {
         };
         let built = buffers(&mut session);
         let lens: Vec<usize> = built.iter().map(|b| b.1).collect();
-        assert_eq!(
-            lens,
-            [60 * 8, 30 * 8, 15 * 8, 15 * 8, 15 * 8, 15 * 8, 15 * 8]
-        );
+        assert_eq!(lens, [60 * 8, 30 * 8, 15 * 8, 15 * 8, 15 * 8]);
 
         let failed = session.run_epoch(0.02, 0, None);
         assert!(matches!(failed, Err(HccError::Comm(_))));
         assert_eq!(buffers(&mut session), built);
 
-        // Over working endpoints the same session runs its next epoch.
-        for chunk in &mut session.chunks {
-            chunk.endpoint = Arc::new(FakeTransport::new(2, chunk.layout.pull_len));
+        // Over working links the same session runs its next epoch.
+        for state in &mut session.workers {
+            for (link, region) in state.links.iter_mut().zip(&state.regions) {
+                link.endpoint = Arc::new(FakeTransport::new(1, region.lock().len()));
+            }
         }
         let q_before = session.server.get_mut().q.clone();
         let outcome = session.run_epoch(0.02, 1, None).unwrap();
@@ -1910,18 +1943,25 @@ mod tests {
                 .build();
             let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
             let sup = Supervisor::new(supervisor.clone(), 2);
-            let outcome = session.run_epoch(0.02, 0, Some(&sup)).unwrap();
-            // Worker 1 pushed each band from where it trained it; installed
-            // alone, its pushes cover every row of `Q`.
+            // The epoch's two rounds, as `run_epoch` runs them. Worker 1
+            // pushes each band from its region, where the band stays until
+            // the next round; installed alone, its pushes cover every row of
+            // `Q`.
+            let mut outcome = EpochOutcome {
+                stats: vec![WorkerEpochStats::default(); 2],
+                sync_time: Duration::ZERO,
+                missed: vec![false; 2],
+            };
             let mut q1 = session.server.get_mut().q.clone();
-            for (c, chunk) in session.chunks.iter().enumerate() {
+            for round in 0..2 {
+                let sup = Some(&sup);
+                session
+                    .run_round(round, 0.02, 0, sup, &mut outcome)
+                    .unwrap();
+                let chunk = &session.chunks[session.held(1, round).start];
                 let items = &session.band_order[chunk.items.clone()];
-                install(
-                    q1.as_mut_slice(),
-                    &session.workers[1].regions[c].lock(),
-                    items,
-                    8,
-                );
+                let pushed = &session.workers[1].regions[0].lock()[..chunk.layout.pull_len];
+                install(q1.as_mut_slice(), pushed, items, 8);
             }
             (outcome.missed, session.server.get_mut().q.clone(), q1)
         };
@@ -1948,9 +1988,9 @@ mod tests {
         let started = Instant::now();
 
         // Worker 1 panics before its push.
-        let panics = |_, len| {
-            let mut fake = FakeTransport::new(2, len);
-            fake.pull_panics_for = Some(1);
+        let panics = |w, len| {
+            let mut fake = FakeTransport::new(1, len);
+            fake.pull_panics = w == 1;
             fake
         };
         let err = session_over(&config, &ds, panics).run(false).unwrap_err();
@@ -1964,9 +2004,9 @@ mod tests {
 
         // Worker 0's transport gives up on the push (what a socket whose
         // retry budget ran out does); the thread itself ends normally.
-        let loses = |_, len| {
-            let mut fake = FakeTransport::new(2, len);
-            fake.loses_pushes_of = Some(0);
+        let loses = |w, len| {
+            let mut fake = FakeTransport::new(1, len);
+            fake.loses_pushes = w == 0;
             fake
         };
         let err = session_over(&config, &ds, loses).run(false).unwrap_err();

@@ -2,18 +2,21 @@
 //!
 //! A worker owns a contiguous row range of `P` outright (row grid, §3.3)
 //! and trains on those rows where the session keeps them. Of `Q` it holds
-//! one region per chunk of the epoch's bands, which is pulled into in the
-//! round the worker holds that band, trained on where it landed and pushed
-//! from. Shard entries are stored rebased, once, when the shards are dealt
+//! one region per stream slot, each with a link of its own to the server:
+//! in every round slot `s` is pulled into from chunk `s` of the band the
+//! worker holds, trained on where it landed and pushed from. Shard entries
+//! are stored rebased, once, when the shards are dealt
 //! (`deal`): the row to the worker's range, so the hot loop indexes its
 //! rows of `P` directly, and the item to its position in the band order, so
 //! a chunk is a contiguous range of those positions.
 
 use crate::config::WorkerSpec;
+use hcc_comm::{ChaosTransport, Transport};
 use hcc_sgd::{hogwild_epoch, HogwildConfig, SharedRows};
 use hcc_sparse::{GridPartition, Rating};
 use parking_lot::Mutex;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Entries per throttle slice: small enough that a throttled worker's sleep
@@ -33,15 +36,29 @@ pub(crate) struct WorkerState {
     pub chunk_entries: Vec<Range<usize>>,
     /// Owned global `P` rows.
     pub row_range: Range<u32>,
-    /// `regions[c]`: this worker's copy of chunk `c` of `Q`, laid out as the
-    /// chunk's pull region ([`RegionLayout`]) — the buffer the chunk is
-    /// pulled into is the one the kernel trains on and the push leaves
-    /// from. Sized when the worker is built — on the session's thread, not
-    /// by the first epoch's worker thread — so an epoch allocates none. Only
-    /// the stage working on chunk `c` locks it.
+    /// `regions[s]`: this worker's copy of chunk `s` of the band it holds,
+    /// laid out as the chunk's pull region ([`RegionLayout`]) — the buffer
+    /// the chunk is pulled into is the one the kernel trains on and the
+    /// push leaves from. Sized for the longest chunk of any band when the
+    /// worker is built — on the session's thread, not by the first epoch's
+    /// worker thread — so an epoch allocates none. Only the stage working
+    /// on slot `s` locks it.
     ///
     /// [`RegionLayout`]: crate::server::RegionLayout
     pub regions: Vec<Mutex<Vec<f32>>>,
+    /// `links[s]`: the wire `regions[s]` is pulled into and pushed from.
+    pub links: Vec<Link>,
+}
+
+/// A worker's own end of the wire for one stream slot. It serves that
+/// worker alone, as worker 0, and carries whichever band's chunk the slot
+/// holds in a round, so a `publish` to it is the hand-off of that chunk.
+pub(crate) struct Link {
+    /// Carries the slot's regions: `chaos`, when there is one.
+    pub endpoint: Arc<dyn Transport>,
+    /// The wrapper that enacts the wire faults of `config.fault_plan`;
+    /// every epoch tells it its number.
+    pub chaos: Option<Arc<ChaosTransport>>,
 }
 
 impl WorkerState {
@@ -151,6 +168,7 @@ mod tests {
             chunk_entries: Vec::new(),
             row_range: 0..10,
             regions: Vec::new(),
+            links: Vec::new(),
         }
     }
 

@@ -152,40 +152,40 @@ fn base(epochs: usize) -> HccConfigBuilder {
 
 type Case = (&'static str, fn(HccConfigBuilder) -> HccConfigBuilder, f64);
 
-/// The three wires the budgets are pinned over, with what each one's
-/// endpoints hold, in units of `R` (`Q`'s bytes at f32). The two workers
-/// deal `Q` into two bands of `R/2`, each with its own endpoint (per
-/// stream). At this shape a link's block (`hcc_comm::block::BLOCK`,
-/// 256 KiB) is a quarter of `R`.
+/// The three wires the budgets are pinned over, with what each one's links
+/// hold, in units of `R` (`Q`'s bytes at f32). The two workers deal `Q`
+/// into two bands of `R/2`, and each worker has a link of its own (per
+/// stream), which serves it alone and is sized for its band. At this shape
+/// a link's block (`hcc_comm::block::BLOCK`, 256 KiB) is a quarter of `R`.
 const CASES: [Case; 3] = [
-    // Two ShardedServers, one a band: published, rebuilt, encoded (3 R in
-    // all). Each of four links (two bands x two shards) carries a quarter
-    // of `Q`: published and 2 slots, 3 R in all, plus a block each end a
-    // worker (4 blocks = R a link: the frame is longer than a block). A
-    // push is a row delta, which can run to 1 + 1/K of its rows (the
-    // indices), on three of those R.
+    // Two ShardedServers, one a worker: published R/2, rebuilt R/2 and
+    // encoded R/4 each (2.5 R in all). Each of four links (two workers x
+    // two shards) carries a quarter of `Q`: published and a slot, 2 R in
+    // all, plus a block at each end (2 blocks = R/2 a link: the frame is
+    // longer than a block). A push is a row delta, which can run to
+    // 1 + 1/K of its rows (the indices).
     (
         "tcp x 2 shards",
         |b| b.transport(TransportKind::Tcp).server_shards(2),
-        3.0 + 3.0 + 4.0 + 0.25,
+        2.5 + 2.0 + 2.0 + 0.25,
     ),
-    // Two links, one a band, at two bytes an element on the wire:
-    // published R/2 and 2 slots of R/2 each (3 R in all), and a block each
-    // side a worker (4 blocks = R a link; the fp16 frame of a band is R/4
-    // and its header, just over a block).
+    // Two links, one a worker, at two bytes an element on the wire:
+    // published R/2 and a slot of R/2 each (2 R in all), and a block at
+    // each end (2 blocks = R/2 a link; the fp16 frame of a band is R/4 and
+    // its header, just over a block).
     (
         "socket x half-q",
         |b| {
             b.transport(TransportKind::Socket)
                 .strategy(TransferStrategy::HalfQ)
         },
-        3.0 + 2.0,
+        2.0 + 1.0,
     ),
-    // Four chunk endpoints of R/4: published and 2 slots each.
+    // Four links of R/4, two a worker: published and a slot each.
     (
         "shared x 2 streams",
         |b| b.transport(TransportKind::Shared).streams(2),
-        3.0,
+        2.0,
     ),
 ];
 
@@ -217,21 +217,37 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
     let p = (ROWS * K * 4) as f64;
     let ratings = (NNZ * std::mem::size_of::<hcc_sparse::Rating>()) as f64;
     // A checkpoint after every epoch moves `P` to user order and back where
-    // it is, so all it adds to two endpoints of `R/2` (3 R, as above) is the
+    // it is, so all it adds to two links of `R/2` (2 R, as above) is the
     // one block the file is streamed through (R/4 at this shape) and the
     // row order it is moved by, four bytes a row of `P` (0.08 R).
     let checkpointed: Case = (
         "shared x checkpoint every epoch",
         |b| b.checkpoint(std::env::temp_dir().join(SESSION_CHECKPOINT), 1),
-        3.0 + 0.25 + 0.08,
+        2.0 + 0.25 + 0.08,
     );
-    for (name, with, wire) in CASES.into_iter().chain([checkpointed]) {
-        let peak = peak_live_bytes(with(base(2)).build(), &dataset) as f64;
-        // `P` once; `Q`, the region a band is gathered into (`R/2`) and one
-        // region a worker; `work` and the fleet's shards; the wire; and a
-        // tenth of `R` for everything small (row bounds, the band order,
-        // thread handles, frames' headers, the report).
-        let budget = p + (1.5 + 2.0) * r + 2.0 * ratings + wire * r + 0.1 * r;
+    // Four workers: bands of R/4, shards of R/8. Four ShardedServers of
+    // R/4 + R/4 + R/8 (2.5 R), eight links of R/8 + R/8 (2 R), and a block
+    // at each end of a link, capped at a shard's frame now that it is
+    // shorter than a block: its delta push, R/8 and its indices (2.13 R).
+    // Before the band rotation this fleet peaked at 20.69 R.
+    let four_workers: Case = (
+        "tcp x 2 shards, 4 workers",
+        |b| {
+            b.transport(TransportKind::Tcp)
+                .server_shards(2)
+                .workers(vec![WorkerSpec::cpu(1); 4])
+        },
+        2.5 + 2.0 + 2.13 + 0.12,
+    );
+    for (name, with, wire) in CASES.into_iter().chain([checkpointed, four_workers]) {
+        let config = with(base(2)).build();
+        let workers = config.workers.len() as f64;
+        let peak = peak_live_bytes(config, &dataset) as f64;
+        // `P` once; `Q`, the region a band is gathered into (`R/p`) and one
+        // region of `R/p` a worker; `work` and the fleet's shards; the wire;
+        // and a tenth of `R` for everything small (row bounds, the band
+        // order, thread handles, frames' headers, the report).
+        let budget = p + (2.0 + 1.0 / workers) * r + 2.0 * ratings + wire * r + 0.1 * r;
         assert!(
             peak <= budget,
             "{name}: peak live heap {peak} bytes, budget {budget} (R = {r}, P = {p}, \

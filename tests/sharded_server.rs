@@ -88,15 +88,13 @@ fn socket_and_tcp_sharded_training_match_shared_memory() {
 
 /// A sharded server over per-shard `CommShared` endpoints.
 fn sharded_shared(workers: usize, rows: usize, k: usize, shards: usize) -> ShardedServer {
-    let router = ShardRouter::uniform(rows, shards);
+    let (pull, push) = ShardedServer::link_lens(rows, k, shards);
     let inners: Vec<Arc<dyn Transport>> = (0..shards)
-        .map(|s| {
-            let pull = router.range(s).len() * k;
-            let push = ShardedServer::shard_push_len(&router, s, k);
+        .map(|_| {
             Arc::new(CommShared::new(workers, pull, push, Precision::Fp32)) as Arc<dyn Transport>
         })
         .collect();
-    ShardedServer::new(router, k, rows * k, Precision::Fp32, inners)
+    ShardedServer::new(k, rows * k, Precision::Fp32, inners)
 }
 
 #[test]
@@ -150,19 +148,15 @@ fn untouched_push_ships_headers_only() {
 #[test]
 fn sharded_socket_dedup_verified_against_net_stats() {
     let (rows, k) = (24, 4);
-    let router = ShardRouter::uniform(rows, 3);
+    let (pull, push) = ShardedServer::link_lens(rows, k, 3);
     let sockets: Vec<Arc<CommSocket>> = (0..3)
-        .map(|s| {
-            let pull = router.range(s).len() * k;
-            let push = ShardedServer::shard_push_len(&router, s, k);
-            Arc::new(CommSocket::new(1, pull, push, Precision::Fp32).unwrap())
-        })
+        .map(|_| Arc::new(CommSocket::new(1, pull, push, Precision::Fp32).unwrap()))
         .collect();
     let inners: Vec<Arc<dyn Transport>> = sockets
         .iter()
         .map(|s| Arc::clone(s) as Arc<dyn Transport>)
         .collect();
-    let server = ShardedServer::new(router, k, rows * k, Precision::Fp32, inners);
+    let server = ShardedServer::new(k, rows * k, Precision::Fp32, inners);
 
     let region: Vec<f32> = (0..rows * k).map(|i| (i as f32).sin()).collect();
     server.publish(&region);
@@ -282,15 +276,7 @@ fn delta_shipping_counts_rows_across_workers_and_epochs() {
     // Four workers over four shards of a 256-row region; worker `w`
     // changes every eighth row starting at `w`, as a sparse epoch would.
     let (workers, shards, rows, k) = (4usize, 4usize, 256usize, 8usize);
-    let router = ShardRouter::uniform(rows, shards);
-    let inners: Vec<Arc<dyn Transport>> = (0..shards)
-        .map(|s| {
-            let pull = router.range(s).len() * k;
-            let push = ShardedServer::shard_push_len(&router, s, k);
-            Arc::new(CommShared::new(workers, pull, push, Precision::Fp32)) as Arc<dyn Transport>
-        })
-        .collect();
-    let server = ShardedServer::new(router, k, rows * k, Precision::Fp32, inners);
+    let server = sharded_shared(workers, rows, k, shards);
     let mut global = vec![0.1f32; rows * k];
     for epoch in 0..3 {
         server.publish(&global);
