@@ -6,7 +6,7 @@
 //! k-invariant, but the sync tail and absolute times are not. This sweep
 //! quantifies that on the simulator, per dataset.
 
-use crate::{fmt_pct, fmt_secs, plan, print_table, Flags};
+use crate::{fmt_pct, fmt_secs, paper, plan, print_table, Flags};
 use hcc_hetsim::{ideal_computing_power, simulate_training, Platform, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
 
@@ -28,8 +28,9 @@ pub fn run(_: &Flags) -> Result<(), String> {
                 k,
                 ..Default::default()
             };
-            let p = plan(&platform_k, &wl, &cfg);
-            let sim = simulate_training(&platform_k, &wl, &cfg, &p.fractions, 20);
+            let rounds = paper(&platform_k, &wl, 1);
+            let p = plan(&platform_k, &wl, &cfg, &rounds);
+            let sim = simulate_training(&platform_k, &wl, &cfg, &rounds, &p.fractions, 20);
             let comm: f64 = sim
                 .epoch
                 .totals

@@ -6,7 +6,7 @@
 //! costs, plus the partition's robustness to measurement noise (DP1 plans
 //! from wall-clock measurements that jitter).
 
-use crate::{fmt_secs, print_table, Flags};
+use crate::{fmt_secs, paper, print_table, Flags};
 use hcc_hetsim::{
     cost_model_for, standalone_times, virtual_measure, worker_classes, Platform, SimConfig,
     Workload,
@@ -26,9 +26,11 @@ pub fn run(_: &Flags) -> Result<(), String> {
     ] {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&profile);
-        let model = cost_model_for(&platform, &wl, &cfg);
+        let rounds = paper(&platform, &wl, 1);
+        let model = cost_model_for(&platform, &wl, &cfg, &rounds);
         let results = sweep_lambda(
             &model,
+            &rounds,
             &standalone_times(&platform, &wl),
             &worker_classes(&platform),
             virtual_measure(&platform, &wl),
@@ -51,7 +53,7 @@ pub fn run(_: &Flags) -> Result<(), String> {
     // eps of the data between workers and report the worst-case slowdown.
     let platform = Platform::paper_testbed_4workers();
     let wl = Workload::from_profile(&DatasetProfile::netflix());
-    let model = cost_model_for(&platform, &wl, &cfg);
+    let model = cost_model_for(&platform, &wl, &cfg, &paper(&platform, &wl, 1));
     let (a, b) = model.linear_coefficients();
     let x = equalize(&a, &b);
     let cost = |eps| perturbation_cost(&a, &b, &x, eps) * 100.0;

@@ -5,7 +5,7 @@
 //! verifies the scaling law on the simulator for the communication-heavy
 //! workloads, and shows the diminishing returns past ~4 streams.
 
-use crate::{fmt_secs, plan, print_table, Flags};
+use crate::{fmt_secs, paper, plan, print_table, Flags};
 use hcc_hetsim::{simulate_epoch, Platform, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
 
@@ -13,23 +13,16 @@ pub fn run(_: &Flags) -> Result<(), String> {
     for profile in [DatasetProfile::yahoo_r1(), DatasetProfile::movielens_20m()] {
         let platform = Platform::paper_testbed_3workers();
         let wl = Workload::from_profile(&profile);
-        let base = simulate_epoch(
-            &platform,
-            &wl,
-            &SimConfig::default(),
-            &plan(&platform, &wl, &SimConfig::default()).fractions,
-        );
+        let (cfg, one) = (SimConfig::default(), paper(&platform, &wl, 1));
+        let base = simulate_epoch(&platform, &wl, &cfg, &one, &plan(&platform, &wl, &cfg, &one).fractions);
         let base_exposed =
             base.epoch_time - base.totals.iter().map(|t| t.compute).fold(0.0f64, f64::max);
 
         let mut rows = Vec::new();
         for streams in [1usize, 2, 4, 8, 16] {
-            let cfg = SimConfig {
-                streams,
-                ..Default::default()
-            };
-            let p = plan(&platform, &wl, &cfg);
-            let trace = simulate_epoch(&platform, &wl, &cfg, &p.fractions);
+            let rounds = paper(&platform, &wl, streams);
+            let p = plan(&platform, &wl, &cfg, &rounds);
+            let trace = simulate_epoch(&platform, &wl, &cfg, &rounds, &p.fractions);
             let max_compute = trace
                 .totals
                 .iter()

@@ -6,7 +6,7 @@
 //! quantifies what happens when it *doesn't* hold: both GPUs behind one
 //! x16 switch (a common workstation board layout).
 
-use crate::{fmt_pct, fmt_secs, plan, print_table, Flags};
+use crate::{fmt_pct, fmt_secs, paper, plan, print_table, Flags};
 use hcc_hetsim::{
     ideal_computing_power, simulate_training, BusKind, EpochTrace, Phase, Platform,
     ProcessorProfile, SimConfig, Workload,
@@ -37,14 +37,7 @@ pub fn run(_: &Flags) -> Result<(), String> {
     for profile in [DatasetProfile::netflix(), DatasetProfile::yahoo_r1()] {
         let wl = Workload::from_profile(&profile);
         // R1 runs the async strategy, as in the paper.
-        let cfg = if profile.name.contains("R1") {
-            SimConfig {
-                streams: 4,
-                ..Default::default()
-            }
-        } else {
-            SimConfig::default()
-        };
+        let (cfg, streams) = (SimConfig::default(), if profile.name.contains("R1") { 4 } else { 1 });
 
         let dedicated = Platform::new("dedicated x16 per GPU")
             .with_worker(ProcessorProfile::xeon_6242_24t(), BusKind::Upi)
@@ -57,8 +50,9 @@ pub fn run(_: &Flags) -> Result<(), String> {
 
         let mut rows = Vec::new();
         for platform in [&dedicated, &shared] {
-            let p = plan(platform, &wl, &cfg);
-            let sim = simulate_training(platform, &wl, &cfg, &p.fractions, 20);
+            let rounds = paper(platform, &wl, streams);
+            let p = plan(platform, &wl, &cfg, &rounds);
+            let sim = simulate_training(platform, &wl, &cfg, &rounds, &p.fractions, 20);
             let ideal = ideal_computing_power(platform, &wl);
             // Workers 1 and 2 are the GPUs.
             let comm = (link_time(&sim.epoch, 1) + link_time(&sim.epoch, 2)) * 20.0;

@@ -5,7 +5,7 @@
 //!     deliberately bad configurations of §2.4.
 //! (b) the hardware price catalog.
 
-use crate::{fmt_secs, plan, print_table, Flags};
+use crate::{fmt_secs, paper, plan, print_table, Flags};
 use hcc_comm::TransferStrategy;
 use hcc_hetsim::{simulate_training, Platform, ProcessorProfile, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
@@ -45,8 +45,9 @@ pub fn run(_: &Flags) -> Result<(), String> {
         ),
     ];
     for platform in &pairs {
-        let p = plan(platform, &wl, &cfg);
-        let sim = simulate_training(platform, &wl, &cfg, &p.fractions, epochs);
+        let rounds = paper(platform, &wl, 1);
+        let p = plan(platform, &wl, &cfg, &rounds);
+        let sim = simulate_training(platform, &wl, &cfg, &rounds, &p.fractions, epochs);
         rows.push(vec![
             platform.name.clone(),
             "good collab".into(),
@@ -65,15 +66,16 @@ pub fn run(_: &Flags) -> Result<(), String> {
         transport_efficiency: 0.15,
         ..Default::default()
     };
-    let p = plan(&bad_platform, &wl, &bad_comm_cfg);
-    let sim = simulate_training(&bad_platform, &wl, &bad_comm_cfg, &p.fractions, epochs);
+    let rounds = paper(&bad_platform, &wl, 1);
+    let p = plan(&bad_platform, &wl, &bad_comm_cfg, &rounds);
+    let sim = simulate_training(&bad_platform, &wl, &bad_comm_cfg, &rounds, &p.fractions, epochs);
     rows.push(vec![
         format!("{} (bad communication)", bad_platform.name),
         "bad collab".into(),
         fmt_secs(sim.total_time),
     ]);
     // Unbalanced data: uniform split despite a ~4× rate gap.
-    let sim = simulate_training(&bad_platform, &wl, &cfg, &[0.5, 0.5], epochs);
+    let sim = simulate_training(&bad_platform, &wl, &cfg, &rounds, &[0.5, 0.5], epochs);
     rows.push(vec![
         format!("{} (unbalanced data)", bad_platform.name),
         "bad collab".into(),
@@ -85,8 +87,8 @@ pub fn run(_: &Flags) -> Result<(), String> {
         ProcessorProfile::xeon_6242_10t(),
         ProcessorProfile::rtx_2080_super(),
     );
-    let p16 = plan(&bad_platform, &wl, &cfg); // partition planned for 16T
-    let sim = simulate_training(&crippled, &wl, &cfg, &p16.fractions, epochs);
+    let p16 = plan(&bad_platform, &wl, &cfg, &rounds); // partition planned for 16T
+    let sim = simulate_training(&crippled, &wl, &cfg, &rounds, &p16.fractions, epochs);
     rows.push(vec![
         format!("{} (bad threads conf)", bad_platform.name),
         "bad collab".into(),

@@ -2,7 +2,7 @@
 //! unoptimized, DP1 (balanced, sync negligible), and DP2 (staggered,
 //! sync hidden), rendered as ASCII timelines from simulator traces.
 
-use crate::{plan, Flags};
+use crate::{paper, plan, Flags};
 use hcc_comm::TransferStrategy;
 use hcc_hetsim::{simulate_epoch, EpochTrace, Phase, Platform, SimConfig, Workload};
 use hcc_partition::{dp0, dp2};
@@ -20,7 +20,7 @@ pub fn run(_: &Flags) -> Result<(), String> {
         strategy: TransferStrategy::FullPq,
         ..Default::default()
     };
-    let trace = simulate_epoch(&platform, &wl, &cfg, &[0.25; 4]);
+    let trace = simulate_epoch(&platform, &wl, &cfg, &paper(&platform, &wl, 1), &[0.25; 4]);
     render(
         "unoptimized: uniform partition, P&Q transfers (Netflix)",
         &platform,
@@ -29,8 +29,9 @@ pub fn run(_: &Flags) -> Result<(), String> {
 
     // Middle: optimized without considering sync — DP1 partition, Q-only.
     let cfg = SimConfig::default();
-    let p = plan(&platform, &wl, &cfg);
-    let trace = simulate_epoch(&platform, &wl, &cfg, &p.fractions);
+    let rounds = paper(&platform, &wl, 1);
+    let p = plan(&platform, &wl, &cfg, &rounds);
+    let trace = simulate_epoch(&platform, &wl, &cfg, &rounds, &p.fractions);
     render("DP1: balanced compute, Q-only (Netflix)", &platform, &trace);
 
     // Right: sync-aware — DP2 staggering on the R1* workload where the
@@ -39,9 +40,10 @@ pub fn run(_: &Flags) -> Result<(), String> {
     let x0 = dp0(&hcc_hetsim::standalone_times(&platform, &wl));
     let mut measure = hcc_hetsim::virtual_measure(&platform, &wl);
     let t = measure(&x0);
-    let model = hcc_hetsim::cost_model_for(&platform, &wl, &cfg);
+    let rounds = paper(&platform, &wl, 1);
+    let model = hcc_hetsim::cost_model_for(&platform, &wl, &cfg, &rounds);
     let x2 = dp2(&x0, &t, model.sync_time_per_worker());
-    let trace = simulate_epoch(&platform, &wl, &cfg, &x2);
+    let trace = simulate_epoch(&platform, &wl, &cfg, &rounds, &x2);
     render("DP2: staggered compute hides sync (R1*)", &platform, &trace);
     Ok(())
 }

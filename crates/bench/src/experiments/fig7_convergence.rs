@@ -7,7 +7,7 @@
 //! machine plus the paper-scale speedup the calibrated simulator predicts
 //! (this box has no GPU — see DESIGN.md).
 
-use crate::{fmt_secs, plan, print_table, Flags};
+use crate::{fmt_secs, paper, plan, print_table, Flags};
 use hcc_hetsim::{simulate_training, Platform, ProcessorProfile, SimConfig, Workload};
 use hcc_mf::{HccConfig, HccMf, LearningRate, WorkerSpec};
 use hcc_sgd::baselines::{Comparator, TrainConfig};
@@ -108,19 +108,14 @@ pub fn run(_: &Flags) -> Result<(), String> {
 
         // (d–f): measured wall time + simulated paper-scale speedups.
         let wl = Workload::from_profile(&profile);
-        let (platform, sim_cfg) = if profile.name.contains("R1") {
-            (
-                Platform::paper_testbed_3workers(),
-                SimConfig {
-                    streams: 4,
-                    ..Default::default()
-                },
-            )
+        let (platform, streams) = if profile.name.contains("R1") {
+            (Platform::paper_testbed_3workers(), 4)
         } else {
-            (Platform::paper_testbed_overall(), SimConfig::default())
+            (Platform::paper_testbed_overall(), 1)
         };
-        let p = plan(&platform, &wl, &sim_cfg);
-        let hcc_sim = simulate_training(&platform, &wl, &sim_cfg, &p.fractions, 20);
+        let (sim_cfg, rounds) = (SimConfig::default(), paper(&platform, &wl, streams));
+        let p = plan(&platform, &wl, &sim_cfg, &rounds);
+        let hcc_sim = simulate_training(&platform, &wl, &sim_cfg, &rounds, &p.fractions, 20);
         let cumf_sim_time = wl.nnz as f64 * 20.0
             / ProcessorProfile::rtx_2080_super()
                 .rates

@@ -2,7 +2,7 @@
 //! strategy: DP0 vs DP1 on Netflix and R2 (3 and 4 workers), DP1 vs DP2 on
 //! R1* (3 and 4 workers).
 
-use crate::{fmt_secs, print_table, Flags};
+use crate::{fmt_secs, paper, print_table, Flags};
 use hcc_hetsim::{
     cost_model_for, simulate_training, standalone_times, virtual_measure, worker_classes, Platform,
     SimConfig, Workload,
@@ -30,7 +30,7 @@ pub fn run(_: &Flags) -> Result<(), String> {
             let mut totals = Vec::new();
             for name in strategies {
                 let x = partition(name, &platform, &wl, &cfg);
-                let sim = simulate_training(&platform, &wl, &cfg, &x, epochs);
+                let sim = simulate_training(&platform, &wl, &cfg, &paper(&platform, &wl, 1), &x, epochs);
                 let e = epochs as f64;
                 for (w, t) in sim.epoch.totals.iter().enumerate() {
                     rows.push(vec![
@@ -76,7 +76,7 @@ fn partition(name: &str, platform: &Platform, wl: &Workload, cfg: &SimConfig) ->
             let x1 = dp1(&x0, &worker_classes(platform), virtual_measure(platform, wl));
             let mut measure = virtual_measure(platform, wl);
             let t = measure(&x1);
-            let model = cost_model_for(platform, wl, cfg);
+            let model = cost_model_for(platform, wl, cfg, &paper(platform, wl, 1));
             dp2(&x1, &t, model.sync_time_per_worker())
         }
         other => panic!("unknown strategy {other}"),

@@ -1,7 +1,7 @@
 //! Figure 9 — computing power stacked as workers are added one by one, per
 //! dataset, against the ideal stack.
 
-use crate::{fmt_mups, fmt_pct, plan, print_table, Flags};
+use crate::{fmt_mups, fmt_pct, paper, plan, print_table, Flags};
 use hcc_hetsim::{
     ideal_computing_power, simulate_training, BusKind, Platform, ProcessorProfile, SimConfig,
     Workload,
@@ -19,14 +19,7 @@ pub fn run(_: &Flags) -> Result<(), String> {
     ] {
         // On the communication-heavy R1/R1* the paper runs Strategy 3
         // (asynchronous computing-transmission, 4 streams on the GPUs).
-        let cfg = if profile.name.contains("R1") {
-            SimConfig {
-                streams: 4,
-                ..Default::default()
-            }
-        } else {
-            SimConfig::default()
-        };
+        let (cfg, streams) = (SimConfig::default(), if profile.name.contains("R1") { 4 } else { 1 });
         let wl = Workload::from_profile(&profile);
         // Fig. 9 adds workers in the order 2080S, 6242, 2080, 6242L; the R1
         // panel has no 6242L (the async strategy occupies the server).
@@ -53,8 +46,9 @@ pub fn run(_: &Flags) -> Result<(), String> {
                     platform.with_worker(prof.clone(), *bus)
                 };
             }
-            let p = plan(&platform, &wl, &cfg);
-            let sim = simulate_training(&platform, &wl, &cfg, &p.fractions, epochs);
+            let rounds = paper(&platform, &wl, streams);
+            let p = plan(&platform, &wl, &cfg, &rounds);
+            let sim = simulate_training(&platform, &wl, &cfg, &rounds, &p.fractions, epochs);
             let ideal = ideal_computing_power(&platform, &wl);
             let added = additions[count - 1].0.clone();
             let standalone = added.rates.rate(&wl.name, wl.m, wl.n, wl.nnz);

@@ -4,10 +4,10 @@
 //! Worker lists are built from `6242`, `6242-16t`, `6242l` (server-hosted),
 //! `2080`, `2080s` and `v100`.
 
-use crate::{fmt_mups, fmt_pct, fmt_secs, plan, Flags};
+use crate::{fmt_mups, fmt_pct, fmt_secs, paper, plan, Flags};
 use hcc_comm::TransferStrategy;
 use hcc_hetsim::{
-    export, ideal_computing_power, simulate_epoch, simulate_training, BusKind, Platform,
+    export, ideal_computing_power, simulate_training, BusKind, Platform,
     ProcessorProfile, SimConfig, Workload,
 };
 use hcc_sparse::DatasetProfile;
@@ -24,6 +24,9 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         return Err("--streams 0: must be at least 1".into());
     }
     let epochs: usize = flags.parsed("--epochs", 20)?;
+    if epochs == 0 {
+        return Err("--epochs 0: must be at least 1".into());
+    }
 
     let profile = match flags.get("--dataset").unwrap_or("netflix") {
         "netflix" => DatasetProfile::netflix(),
@@ -37,9 +40,9 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let wl = Workload::from_profile(&profile);
     let cfg = SimConfig {
         strategy,
-        streams,
         ..Default::default()
     };
+    let rounds = paper(&platform, &wl, streams);
 
     println!(
         "platform: {} ({} workers, ${:.0})",
@@ -57,7 +60,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         streams
     );
 
-    let p = plan(&platform, &wl, &cfg);
+    let p = plan(&platform, &wl, &cfg, &rounds);
     println!(
         "\nplanned partition ({:?}, sync ratio {:.1}):",
         p.strategy, p.sync_ratio
@@ -66,7 +69,8 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         println!("  {name:<12} {:5.1}%", p.fractions[w] * 100.0);
     }
 
-    let trace = simulate_epoch(&platform, &wl, &cfg, &p.fractions);
+    let sim = simulate_training(&platform, &wl, &cfg, &rounds, &p.fractions, epochs);
+    let trace = &sim.epoch;
     println!("\nper-epoch phase totals:");
     println!(
         "  {:<12} {:>9} {:>9} {:>9}",
@@ -85,7 +89,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     println!("  server sync total: {}", fmt_secs(trace.sync_total));
     println!("  epoch makespan:    {}", fmt_secs(trace.epoch_time));
 
-    let sim = simulate_training(&platform, &wl, &cfg, &p.fractions, epochs);
     let ideal = ideal_computing_power(&platform, &wl);
     println!(
         "\n{epochs} epochs: {} — {} of {} ideal ({})",
@@ -97,7 +100,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
 
     if let Some(prefix) = flags.get("--csv") {
         let (spans, totals) =
-            export::write_csvs(prefix, &platform, &trace).map_err(|e| e.to_string())?;
+            export::write_csvs(prefix, &platform, trace).map_err(|e| e.to_string())?;
         println!(
             "trace CSVs written: {} / {}",
             spans.display(),

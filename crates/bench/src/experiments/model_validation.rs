@@ -15,7 +15,7 @@
 //! archives the deterministic simulator section and
 //! `results/model_validation_measured.txt` the wall-clock one.
 
-use crate::{fmt_secs, plan, print_table, Flags};
+use crate::{fmt_secs, paper, plan, print_table, Flags};
 use hcc_hetsim::{cost_model_for, simulate_epoch, standalone_times, Platform, SimConfig, Workload};
 use hcc_partition::dp0;
 use hcc_sparse::DatasetProfile;
@@ -89,20 +89,21 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     ] {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&profile);
-        let model = cost_model_for(&platform, &wl, &cfg);
+        let rounds = paper(&platform, &wl, 1);
+        let model = cost_model_for(&platform, &wl, &cfg, &rounds);
 
         let uniform = vec![0.25; 4];
         let x0 = dp0(&standalone_times(&platform, &wl));
-        let planned = plan(&platform, &wl, &cfg).fractions;
+        let planned = plan(&platform, &wl, &cfg, &rounds).fractions;
 
         for (name, x) in [("uniform", &uniform), ("DP0", &x0), ("planned", &planned)] {
-            let trace = simulate_epoch(&platform, &wl, &cfg, x);
+            let trace = simulate_epoch(&platform, &wl, &cfg, &rounds, x);
             // Eq. 4 with every sync trailing the slowest worker — an upper
             // bound; and with one trailing sync — a lower bound. The
             // discrete-event result must land between them, near the
             // single-sync form when workers are staggered.
-            let t_upper = model.epoch_time(x, platform.worker_count());
-            let t_lower = model.epoch_time(x, 1);
+            let t_upper = model.epoch_time(&rounds, x, platform.worker_count());
+            let t_lower = model.epoch_time(&rounds, x, 1);
             let sim = trace.epoch_time;
             let mid = 0.5 * (t_upper + t_lower);
             let err = (sim - mid).abs() / mid;

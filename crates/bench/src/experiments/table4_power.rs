@@ -1,7 +1,7 @@
 //! Table 4 — per-processor "computing power" (Eq. 8), the platform ideal,
 //! HCC-MF's achieved power, and the utilization percentage, per dataset.
 
-use crate::{fmt_mups, fmt_pct, plan, print_table, Flags};
+use crate::{fmt_mups, fmt_pct, paper, plan, print_table, Flags};
 use hcc_hetsim::{ideal_computing_power, simulate_training, Platform, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
 
@@ -27,17 +27,12 @@ pub fn run(_: &Flags) -> Result<(), String> {
         // §4.2 configuration: the overall testbed. On R1 the paper runs the
         // asynchronous computing-transmission strategy, which occupies the
         // server CPU (no time-sharing worker) and pipelines 4 streams.
-        let (platform, cfg) = if profile.name.contains("R1") {
-            (
-                Platform::paper_testbed_3workers(),
-                SimConfig {
-                    streams: 4,
-                    ..Default::default()
-                },
-            )
+        let (platform, streams) = if profile.name.contains("R1") {
+            (Platform::paper_testbed_3workers(), 4)
         } else {
-            (Platform::paper_testbed_overall(), SimConfig::default())
+            (Platform::paper_testbed_overall(), 1)
         };
+        let (cfg, rounds) = (SimConfig::default(), paper(&platform, &wl, streams));
 
         let per_worker: Vec<String> = platform
             .workers
@@ -51,8 +46,8 @@ pub fn run(_: &Flags) -> Result<(), String> {
             })
             .collect();
 
-        let p = plan(&platform, &wl, &cfg);
-        let sim = simulate_training(&platform, &wl, &cfg, &p.fractions, epochs);
+        let p = plan(&platform, &wl, &cfg, &rounds);
+        let sim = simulate_training(&platform, &wl, &cfg, &rounds, &p.fractions, epochs);
         let ideal = ideal_computing_power(&platform, &wl);
         let util = sim.computing_power / ideal;
         let paper = paper_util

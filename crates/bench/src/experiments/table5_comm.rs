@@ -8,7 +8,7 @@
 //!    ratio, with speedups relative to the unoptimized P&Q row — the shape
 //!    Table 5 reports.
 
-use crate::{fmt_secs, print_table, Flags};
+use crate::{fmt_secs, paper, print_table, Flags};
 use hcc_comm::{CommP, CommShared, Precision, TransferStrategy, Transport};
 use hcc_hetsim::{simulate_training, standalone_times, Platform, SimConfig, Workload};
 use hcc_partition::dp0;
@@ -67,7 +67,7 @@ pub fn run(_: &Flags) -> Result<(), String> {
                     transport_efficiency: efficiency,
                     ..Default::default()
                 };
-                let sim = simulate_training(&platform, &wl, &cfg, &x, epochs);
+                let sim = simulate_training(&platform, &wl, &cfg, &paper(&platform, &wl, 1), &x, epochs);
                 let comm: f64 = sim
                     .epoch
                     .totals

@@ -2,7 +2,7 @@
 //! compute time but the near-square matrix keeps communication constant,
 //! so the total barely moves (§4.6).
 
-use crate::{fmt_secs, plan, print_table, Flags};
+use crate::{fmt_secs, paper, plan, print_table, Flags};
 use hcc_hetsim::{simulate_training, Platform, ProcessorProfile, SimConfig, Workload};
 use hcc_sparse::DatasetProfile;
 
@@ -21,8 +21,9 @@ pub fn run(_: &Flags) -> Result<(), String> {
     let mut rows = Vec::new();
     let mut totals = Vec::new();
     for platform in [&single, &pair] {
-        let p = plan(platform, &wl, &cfg);
-        let sim = simulate_training(platform, &wl, &cfg, &p.fractions, epochs);
+        let rounds = paper(platform, &wl, 1);
+        let p = plan(platform, &wl, &cfg, &rounds);
+        let sim = simulate_training(platform, &wl, &cfg, &rounds, &p.fractions, epochs);
         let e = epochs as f64;
         for (w, t) in sim.epoch.totals.iter().enumerate() {
             rows.push(vec![

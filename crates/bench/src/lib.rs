@@ -17,7 +17,7 @@ use hcc_hetsim::{
     cost_model_for, standalone_times, virtual_measure_total, worker_classes, Platform, SimConfig,
     Workload,
 };
-use hcc_partition::{CostModel, PartitionPlan};
+use hcc_partition::{CostModel, PartitionPlan, RoundPlan};
 
 /// The flags an experiment was given, read by name (`get`, `parsed`).
 pub use hcc_mf::cli::Flags;
@@ -137,21 +137,34 @@ pub fn usage() -> String {
     text
 }
 
-/// Plans a partition for a platform/workload/config triple on the virtual
-/// platform (DP0 seed → DP1 → λ dispatch to DP2), exactly as the framework
-/// does on real hardware. The measurement callback reports compute plus
-/// *exposed* communication, so Strategy-3 pipelining (which hides GPU
-/// transfers but not plain-CPU ones) is visible to the balancer — Theorem 1
-/// with per-worker fixed costs.
-pub fn plan(platform: &Platform, workload: &Workload, config: &SimConfig) -> PartitionPlan {
-    let model = cost_model_for(platform, workload, config);
+/// Plans a partition for a platform/workload/config triple running the
+/// epochs of `rounds` on the virtual platform (DP0 seed → DP1 → λ dispatch
+/// to DP2), exactly as the framework does on real hardware. The measurement
+/// callback reports compute plus *exposed* communication, so Strategy-3
+/// pipelining (which hides GPU transfers but not plain-CPU ones) is visible
+/// to the balancer — Theorem 1 with per-worker fixed costs.
+pub fn plan(
+    platform: &Platform,
+    workload: &Workload,
+    config: &SimConfig,
+    rounds: &RoundPlan,
+) -> PartitionPlan {
+    let model = cost_model_for(platform, workload, config, rounds);
     hcc_partition::plan(
         &model,
+        rounds,
         CostModel::LAMBDA,
         &standalone_times(platform, workload),
         &worker_classes(platform),
-        virtual_measure_total(platform, workload, config),
+        virtual_measure_total(platform, workload, config, rounds),
     )
+}
+
+/// The paper's epoch on `platform` and `workload`, in `streams` chunks a
+/// worker: one round with all of `Q` to every worker and one merge. Every
+/// pinned figure is priced on it.
+pub fn paper(platform: &Platform, workload: &Workload, streams: usize) -> RoundPlan {
+    RoundPlan::paper(platform.worker_count(), workload.n as usize, streams)
 }
 
 /// Prints a fixed-width table: a header row then data rows.
@@ -213,7 +226,12 @@ mod tests {
     fn plan_produces_valid_partition() {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&DatasetProfile::netflix());
-        let p = plan(&platform, &wl, &SimConfig::default());
+        let p = plan(
+            &platform,
+            &wl,
+            &SimConfig::default(),
+            &paper(&platform, &wl, 1),
+        );
         assert_eq!(p.fractions.len(), 4);
         assert!((p.fractions.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -246,6 +264,10 @@ mod tests {
         assert_eq!(
             dispatch_err(&["hcc_sim", "--streams", "0"]),
             "--streams 0: must be at least 1"
+        );
+        assert_eq!(
+            dispatch_err(&["hcc_sim", "--epochs", "0"]),
+            "--epochs 0: must be at least 1"
         );
         assert_eq!(
             dispatch_err(&["table4_power", "extra"]),

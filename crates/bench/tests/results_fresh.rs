@@ -95,6 +95,7 @@ fn bad_command_lines_print_the_usage_and_exit_2() {
         &["hcc_sim", "--quick"],
         &["hcc_sim", "--epochs"],
         &["hcc_sim", "--streams", "0"],
+        &["hcc_sim", "--epochs", "0"],
         &["fig3_platforms", "--epochs", "3"],
         &[],
     ] {

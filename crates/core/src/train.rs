@@ -3,13 +3,14 @@
 //!
 //! `P`'s rows are relabelled once, in a seeded shuffled order, so that the
 //! contiguous row range each worker owns mixes popular and rare users.
-//! An epoch is one round per worker. `Q`'s rows are dealt, in a seeded
-//! shuffled order, into one equal-count band per worker; in round `r`
-//! worker `w` trains band `(w + r) mod p` on its own rows, so every band
-//! has one holder a round and every worker holds every band once an epoch
-//! (`band_held`). The server hands each band, as the last round left it,
-//! to its holder over the holder's own link and installs the holder's
-//! push, with nothing to merge.
+//! `Q`'s rows are put in a seeded shuffled order too (`band_order`), and
+//! an epoch walks [`RoundPlan::rotation`] over those positions: one round
+//! per worker, in which worker `w` trains band `(w + r) mod p` on its own
+//! rows, so every band has one holder a round and every worker holds every
+//! band once an epoch. The server hands each band, as the last round left
+//! it, to its holder over the holder's own link and installs the holder's
+//! push, with nothing to merge. The schedule is the plan's; this file only
+//! enacts it.
 
 use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingMeta};
 use crate::config::{HccConfig, TransportKind, WorkerSpec};
@@ -17,14 +18,14 @@ use crate::error::HccError;
 use crate::report::{HccReport, WorkerEpochStats};
 use crate::server::{gather, install, region_layout, RegionLayout, ShardedServer};
 use crate::supervisor::{Supervisor, WorkerHealth};
-use crate::worker::{chunk_col_ranges, deal, Link, WorkerState};
+use crate::worker::{deal, Link, WorkerState};
 use hcc_comm::socket::NetEventKind;
 use hcc_comm::{
     run_pipeline, Backoff, ChaosTransport, CommError, CommShared, CommSocket, Fault, Precision,
     TransferStrategy, Transport,
 };
 use hcc_partition::{
-    dp0, replan_survivors, EpochTimes, PartitionMode, StrategyChoice, WorkerClass,
+    dp0, replan_survivors, EpochTimes, PartitionMode, RoundPlan, StrategyChoice, WorkerClass,
 };
 use hcc_sgd::{rmse, FactorMatrix, HogwildConfig, SharedRows};
 use hcc_sparse::{Axis, CooMatrix, GridPartition};
@@ -33,7 +34,6 @@ use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,14 +78,6 @@ fn positions(order: &[u32]) -> Vec<u32> {
         rank[id as usize] = at as u32;
     }
     rank
-}
-
-/// The band worker `w` holds in round `round` of an epoch over `p` bands:
-/// `(w + r) mod p`, the rule of the DSGD comparator's strata
-/// (`hcc_sgd::baselines`). In every round each band has exactly one holder,
-/// and over the `p` rounds each worker holds each band once.
-fn band_held(w: usize, round: usize, p: usize) -> usize {
-    (w + round) % p
 }
 
 /// The HCC-MF framework entry point.
@@ -253,19 +245,6 @@ struct EpochOutcome {
 /// panic that ended it. `None` in a slot means the thread is still running.
 type WorkerExit = Result<WorkerEpochStats, String>;
 
-/// A contiguous range of the band order — the unit a round publishes,
-/// pulls, computes on, pushes and installs. A synchronous run has one chunk
-/// a band (the first also carrying `P` under `FullPq`); `streams > 1` tiles
-/// each band into that many, which is all the asynchronous
-/// computing–transmission pipeline of Strategy 3 needs from the transport
-/// layer. Chunk `s` of a band travels over its holder's link of slot `s`.
-struct Chunk {
-    /// Positions in [`Session::band_order`] of the `Q` rows it carries.
-    items: Range<usize>,
-    /// Float layout of this chunk's pull and push regions.
-    layout: RegionLayout,
-}
-
 /// Builds one worker's endpoint for regions of up to `pull_len` /
 /// `push_len` floats. `shards > 1` makes it a node-sharded parameter
 /// server: the region is tiled by contiguous row range across that many
@@ -344,14 +323,22 @@ struct Session<'a> {
     /// Locked by the server side of a round only; the mutex is what lets
     /// the round write it while its workers borrow the session shared.
     server: Mutex<ServerSide>,
-    /// Every item id once; band `b` of `p` is positions `b·n/p ..
-    /// (b+1)·n/p`. Which band an item falls in comes from a shuffle seeded
-    /// by `config.seed`, so that every band mixes popular and rare items;
+    /// Every item id once, position → id: the positions `plan` schedules.
+    /// Which band an item falls in comes from a shuffle seeded by
+    /// `config.seed`, so that every band mixes popular and rare items;
     /// within a band the ids ascend, so that tiling a band into chunks
     /// keeps the order in which a worker meets its ratings.
     band_order: Vec<u32>,
-    /// `chunks[bands[b]]` are band `b`'s chunks (none when it is empty).
-    bands: Vec<Range<usize>>,
+    /// What the rounds walk: who trains which band, in which chunks — the
+    /// unit a round publishes, pulls, computes on, pushes and installs.
+    /// Chunk `s` of a band travels over its holder's link of slot `s`, so
+    /// `streams > 1` is all the asynchronous computing–transmission
+    /// pipeline of Strategy 3 needs from the transport layer. Rebuilt with
+    /// the workers and their links.
+    plan: RoundPlan,
+    /// `layouts[c]`: float layout of chunk `c`'s pull and push regions (the
+    /// first also carrying `P` under `FullPq`).
+    layouts: Vec<RegionLayout>,
     fractions: Vec<f64>,
     classes: Vec<WorkerClass>,
     /// Worker specs currently in the fleet (shrinks when workers die).
@@ -360,10 +347,6 @@ struct Session<'a> {
     /// display names keep addressing the machine a worker started as.
     orig_ids: Vec<usize>,
     workers: Vec<WorkerState>,
-    /// What the rounds walk: each band's `config.streams` chunks (fewer
-    /// when the band has fewer rows), rebuilt with the workers and their
-    /// links.
-    chunks: Vec<Chunk>,
     start_epoch: usize,
     /// Cumulative learning-rate backoff from divergence rollbacks.
     lr_scale: f64,
@@ -460,20 +443,20 @@ impl<'a> Session<'a> {
             n,
             k,
             // The region is sized by `rebuild_workers` below, like
-            // `workers` and `chunks`.
+            // `workers` and `plan`.
             server: Mutex::new(ServerSide {
                 p: global_p,
                 q: global_q,
                 region: Vec::new(),
             }),
             band_order: Vec::new(),
-            bands: Vec::new(),
+            plan: RoundPlan::rotation(0, 0, 1),
+            layouts: Vec::new(),
             fractions: fractions.clone(),
             classes,
             specs: config.workers.clone(),
             orig_ids: (0..worker_count).collect(),
             workers: Vec::new(),
-            chunks: Vec::new(),
             start_epoch: 0,
             lr_scale: 1.0,
             rollbacks: 0,
@@ -499,26 +482,18 @@ impl<'a> Session<'a> {
         // The old fleet's ratings, regions and links go before their
         // successors are built: a repartition must not hold two sets at once.
         self.workers.clear();
-        self.chunks.clear();
         let (k, n, p) = (self.k, self.n, self.specs.len());
         // One band a worker, equal counts of the band order, each tiled
         // into `streams` chunks.
+        self.plan = RoundPlan::rotation(p, n, self.config.streams);
         let mut order = seeded_order(n, self.config.seed ^ BAND_SEED);
-        let mut items: Vec<Range<usize>> = Vec::new();
-        self.bands = (0..p)
-            .map(|b| {
-                let band = b * n / p..(b + 1) * n / p;
-                order[band.clone()].sort_unstable();
-                let first = items.len();
-                for tile in chunk_col_ranges(band.len(), self.config.streams) {
-                    items.push(band.start + tile.start..band.start + tile.end);
-                }
-                first..items.len()
-            })
-            .collect();
+        for band in self.plan.bands() {
+            order[band.clone()].sort_unstable();
+        }
         let rank = positions(&order);
         self.band_order = order;
-        let ends: Vec<usize> = items.iter().map(|c| c.end).collect();
+        let chunks = self.plan.chunks();
+        let ends: Vec<usize> = chunks.iter().map(|c| c.end).collect();
         // The shards are the ratings' second copy (`work` is the first),
         // never a third.
         let bounds = GridPartition::boundaries(&self.work, Axis::Row, &fractions);
@@ -540,7 +515,7 @@ impl<'a> Session<'a> {
         let precision = self.wire_precision();
         // Under `FullPq` only the first chunk carries `P`: each worker holds
         // band 0 once an epoch, so it still pulls `P` once.
-        let layouts: Vec<RegionLayout> = items
+        let layouts: Vec<RegionLayout> = chunks
             .iter()
             .enumerate()
             .map(|(c, items)| {
@@ -551,7 +526,7 @@ impl<'a> Session<'a> {
         // Slot `s` of a worker carries chunk `s` of whichever band the
         // worker holds, so every slot's region and link are sized for the
         // longest chunk.
-        let slots = self.bands.iter().map(Range::len).max().unwrap_or(0);
+        let slots = self.plan.slots();
         let (pull_len, push_len) = layouts.iter().fold((0, 0), |(pull, push), l| {
             (pull.max(l.pull_len), push.max(l.push_len))
         });
@@ -585,11 +560,7 @@ impl<'a> Session<'a> {
         }
         // Sized in place: a repartition that moves no length allocates none.
         self.server.get_mut().region.resize(pull_len, 0.0);
-        self.chunks = items
-            .into_iter()
-            .zip(layouts)
-            .map(|(items, layout)| Chunk { items, layout })
-            .collect();
+        self.layouts = layouts;
         self.workers = workers;
         self.fractions = fractions;
         Ok(())
@@ -866,9 +837,9 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// One epoch of Fig. 4, the only epoch loop there is: `p` rounds of
-    /// [`run_round`](Self::run_round), in each of which worker `w` trains
-    /// band [`band_held`]`(w, r, p)`. Every worker pulls and pushes every
+    /// One epoch of Fig. 4, the only epoch loop there is: the plan's rounds,
+    /// each a [`run_round`](Self::run_round) in which worker `w` trains the
+    /// band of its [`RoundPlan::step`]. Every worker pulls and pushes every
     /// band once an epoch, so the bytes an epoch carries are those of one
     /// whole `Q` a worker each way.
     ///
@@ -897,7 +868,7 @@ impl<'a> Session<'a> {
             sync_time: Duration::ZERO,
             missed: vec![false; workers],
         };
-        for round in 0..workers {
+        for round in 0..self.plan.rounds() {
             self.run_round(round, lr, epoch, sup, &mut outcome)?;
         }
         Ok(outcome)
@@ -925,10 +896,10 @@ impl<'a> Session<'a> {
         let ServerSide { p, q, region } = &mut *server;
 
         for (w, state) in self.workers.iter().enumerate() {
-            for (chunk, link) in self.chunks[self.held(w, round)].iter().zip(&state.links) {
-                let items = &self.band_order[chunk.items.clone()];
-                let region = &mut region[..chunk.layout.pull_len];
-                let (p_part, q_part) = region.split_at_mut(chunk.layout.pull_q_offset);
+            for (c, link) in self.plan.step(round, w).chunks.zip(&state.links) {
+                let (items, layout) = self.chunk(c);
+                let region = &mut region[..layout.pull_len];
+                let (p_part, q_part) = region.split_at_mut(layout.pull_q_offset);
                 p_part.copy_from_slice(&p.as_slice()[..p_part.len()]);
                 gather(q_part, q.as_slice(), items, k);
                 link.endpoint.publish(region);
@@ -961,7 +932,7 @@ impl<'a> Session<'a> {
 
             let server_lane = telemetry.server_lane();
             for (w, state) in self.workers.iter().enumerate() {
-                for (chunk, link) in self.chunks[self.held(w, round)].iter().zip(&state.links) {
+                for (c, link) in self.plan.step(round, w).chunks.zip(&state.links) {
                     // A worker whose push this epoch was lost loses the rest
                     // of the epoch's pushes with it (its fault cell is the
                     // epoch), so the ladder is waited out once an epoch, not
@@ -969,8 +940,8 @@ impl<'a> Session<'a> {
                     if outcome.missed[w] {
                         break;
                     }
-                    let items = &self.band_order[chunk.items.clone()];
-                    let q_at = chunk.layout.push_q_offset;
+                    let (items, layout) = self.chunk(c);
+                    let q_at = layout.push_q_offset;
                     // Runs inside the collect, on the push where it landed.
                     let mut installed = false;
                     let mut install_push = |push: &[f32]| {
@@ -1027,10 +998,10 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    /// Which of `chunks` make up the band worker `w` holds in round
-    /// `round`: the `s`-th travels over the worker's link of slot `s`.
-    fn held(&self, w: usize, round: usize) -> Range<usize> {
-        self.bands[band_held(w, round, self.workers.len())].clone()
+    /// Chunk `c` of the plan: the item ids it carries, and its layout.
+    fn chunk(&self, c: usize) -> (&[u32], RegionLayout) {
+        let items = self.plan.chunks()[c].clone();
+        (&self.band_order[items], self.layouts[c])
     }
 
     fn worker_lost(&self, w: usize, epoch: usize, panic: &str) -> HccError {
@@ -1080,8 +1051,9 @@ impl<'a> Session<'a> {
             return WorkerEpochStats::default();
         }
         let lane = worker_id as u32;
-        let band = self.held(w, round);
-        let chunks = &self.chunks[band.clone()];
+        // Slot `s` carries chunk `band.start + s` of the plan.
+        let band = self.plan.step(round, w).chunks;
+        let layout = |s: usize| self.layouts[band.start + s];
 
         // Each stage locks slot `s`'s region for as long as it works on it;
         // the stages of one chunk run in order, so they never contend. The
@@ -1090,14 +1062,13 @@ impl<'a> Session<'a> {
         // already hold: they have one owner.)
         let pull = |s: usize| {
             let mut region = state.regions[s].lock();
-            let pulled = &mut region[..chunks[s].layout.pull_len];
+            let pulled = &mut region[..layout(s).pull_len];
             state.links[s].endpoint.pull(0, pulled);
         };
         let compute = |s: usize, ()| {
-            let chunk = &chunks[s];
             let mut region = state.regions[s].lock();
-            let q = SharedRows::new(&mut region[chunk.layout.q_elems()], k)
-                .numbered_from(chunk.items.start);
+            let q = SharedRows::new(&mut region[layout(s).q_elems()], k)
+                .numbered_from(self.plan.chunks()[band.start + s].start);
             let entries = &state.entries[state.chunk_entries[band.start + s].clone()];
             state.compute(entries, p, q, &hogwild);
             if let Some(sup) = sup {
@@ -1105,10 +1076,9 @@ impl<'a> Session<'a> {
             }
         };
         let push = |s: usize, ()| {
-            let chunk = &chunks[s];
             let mut region = state.regions[s].lock();
-            let push = &mut region[chunk.layout.push_elems()];
-            if chunk.layout.push_q_offset > 0 {
+            let push = &mut region[layout(s).push_elems()];
+            if layout(s).push_q_offset > 0 {
                 p.read_into(&mut push[..p.row_range().len() * k]);
             }
             if let (Some(plan), Some(Fault::PoisonPush)) = (plan, fault) {
@@ -1117,7 +1087,7 @@ impl<'a> Session<'a> {
             state.links[s].endpoint.push(0, push);
         };
 
-        let slots = chunks.len();
+        let slots = band.len();
         let spans: [Span; 3] = if slots > 1 {
             // The stages run on the pipeline's own threads and report only
             // per-stage busy totals, recorded as three spans sharing the
@@ -1290,7 +1260,6 @@ impl<'a> Session<'a> {
         // The fleet's shards, regions and links go before the row order
         // is drawn to put `P` back in user order.
         self.workers.clear();
-        self.chunks.clear();
         let server = self.server.get_mut();
         let q = std::mem::replace(&mut server.q, FactorMatrix::zeros(1, 1));
         let mut p = std::mem::replace(&mut server.p, FactorMatrix::zeros(1, 1));
@@ -1567,23 +1536,11 @@ mod tests {
     }
 
     #[test]
-    fn every_band_has_one_holder_a_round_and_every_worker_holds_each_once() {
-        for p in 1..=6 {
-            let mut held = vec![vec![0; p]; p]; // [worker][band]
-            for round in 0..p {
-                let mut holders = vec![0; p];
-                for (w, held) in held.iter_mut().enumerate() {
-                    let band = band_held(w, round, p);
-                    holders[band] += 1;
-                    held[band] += 1;
-                }
-                assert!(holders.iter().all(|&h| h == 1), "p {p} round {round}");
-            }
-            assert!(held.iter().flatten().all(|&h| h == 1), "p {p}: {held:?}");
-        }
-        // A survivor re-plan shrinks the fleet: the session deals one band
-        // a survivor, of equal counts, and an epoch trains each worker's
-        // every rating exactly once — each band once.
+    fn a_survivor_replan_deals_one_band_a_survivor_and_trains_every_rating_once() {
+        // A survivor re-plan shrinks the fleet: the session walks the
+        // rotation of the survivors, one band a survivor of equal counts,
+        // and an epoch trains each worker's every rating exactly once —
+        // each band once. (The rotation itself is `hcc_partition::round`'s.)
         let ds = dataset(200, 90, 3_000);
         let config = base_config()
             .workers(vec![WorkerSpec::cpu(1); 4])
@@ -1596,20 +1553,7 @@ mod tests {
             session
                 .rebuild_workers(vec![1.0 / survivors as f64; survivors])
                 .unwrap();
-            assert_eq!(session.bands.len(), survivors);
-            let rows: Vec<usize> = session
-                .bands
-                .iter()
-                .map(|b| {
-                    session.chunks[b.clone()]
-                        .iter()
-                        .map(|c| c.items.len())
-                        .sum()
-                })
-                .collect();
-            assert_eq!(rows.iter().sum::<usize>(), 90);
-            let even = 90 / survivors..=90_usize.div_ceil(survivors);
-            assert!(rows.iter().all(|r| even.contains(r)), "{rows:?}");
+            assert_eq!(session.plan, RoundPlan::rotation(survivors, 90, 1));
             let outcome = session.run_epoch(0.02, 0, None).unwrap();
             for (w, stats) in outcome.stats.iter().enumerate() {
                 let rated = session.workers[w].entries.len() as u64;
@@ -1868,8 +1812,7 @@ mod tests {
                 .build();
             let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
             session.run_epoch(0.02, 0, None).unwrap();
-            let layouts: Vec<RegionLayout> = session.chunks.iter().map(|c| c.layout).collect();
-            (session.wire_bytes_by_dir(), layouts)
+            (session.wire_bytes_by_dir(), session.layouts)
         };
         let one_epoch =
             |transport, strategy, shards| one_epoch_of(&ds, 2, transport, strategy, shards);
@@ -1958,9 +1901,8 @@ mod tests {
                 session
                     .run_round(round, 0.02, 0, sup, &mut outcome)
                     .unwrap();
-                let chunk = &session.chunks[session.held(1, round).start];
-                let items = &session.band_order[chunk.items.clone()];
-                let pushed = &session.workers[1].regions[0].lock()[..chunk.layout.pull_len];
+                let (items, layout) = session.chunk(session.plan.step(round, 1).chunks.start);
+                let pushed = &session.workers[1].regions[0].lock()[..layout.pull_len];
                 install(q1.as_mut_slice(), pushed, items, 8);
             }
             (outcome.missed, session.server.get_mut().q.clone(), q1)

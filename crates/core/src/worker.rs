@@ -32,7 +32,7 @@ pub(crate) struct WorkerState {
     /// `i` the item's position in the band order, stably grouped by chunk.
     pub entries: Vec<Rating>,
     /// `entries[chunk_entries[c]]` are the entries whose item falls in
-    /// chunk `c` of the bands — the work of one pipeline step.
+    /// chunk `c` of the round plan — the work of one pipeline step.
     pub chunk_entries: Vec<Range<usize>>,
     /// Owned global `P` rows.
     pub row_range: Range<u32>,
@@ -95,17 +95,6 @@ impl WorkerState {
 /// `elapsed / speed` in all, as a worker of `speed` (in `(0, 1)`) would.
 fn throttle_penalty(elapsed: Duration, speed: f64) -> Duration {
     elapsed.mul_f64((1.0 - speed) / speed)
-}
-
-/// Tiles a band of `n` items (columns of `R`, rows of `Q`) into at most
-/// `chunks` contiguous, non-empty ranges of equal width (the last may be
-/// short) — the same range tiling the sharded server uses for rows.
-pub(crate) fn chunk_col_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
-    let width = n.div_ceil(chunks).max(1);
-    (0..n)
-        .step_by(width)
-        .map(|lo| lo..(lo + width).min(n))
-        .collect()
 }
 
 /// A worker's dealt share of the ratings: its entries, grouped by chunk,
@@ -263,21 +252,6 @@ mod tests {
             dealt_total += entries.len();
         }
         assert_eq!(dealt_total, all.len());
-    }
-
-    #[test]
-    fn chunk_ranges_tile_the_columns_without_empties() {
-        for (n, chunks) in [(8usize, 3usize), (10, 4), (5, 5), (3, 8), (100, 1)] {
-            let ranges = chunk_col_ranges(n, chunks);
-            assert!(ranges.len() <= chunks, "n={n} chunks={chunks}");
-            let mut covered = 0;
-            for r in &ranges {
-                assert_eq!(r.start, covered);
-                assert!(!r.is_empty());
-                covered = r.end;
-            }
-            assert_eq!(covered, n, "n={n} chunks={chunks}");
-        }
     }
 
     #[test]

@@ -1,18 +1,26 @@
 //! The virtual-time epoch pipeline.
 //!
-//! One simulated epoch reproduces the paper's
-//! `pull → compute → push → sync` sequence (Fig. 4 steps ⑤–⑦ + ④):
+//! One simulated epoch is the [`RoundPlan`] it is given, each round the
+//! paper's `pull → compute → push → sync` sequence (Fig. 4 steps ⑤–⑦ + ④):
 //!
-//! * every worker pulls over its bus (independent channels, Fig. 2, unless
-//!   the platform puts several workers on one link),
-//! * computes its shard at its calibrated rate,
-//! * pushes back, and
-//! * the server merges pushes FIFO at `3·bytes/B_server` (Eq. 3).
+//! * every worker pulls the band the plan gives it over its bus
+//!   (independent channels, Fig. 2, unless the platform puts several
+//!   workers on one link),
+//! * computes that band's share of its shard at its calibrated rate,
+//! * pushes the band back, and
+//! * the server installs (or, under [`RoundPlan::paper`], merges) the
+//!   pushes FIFO at `3·bytes/B_server` (Eq. 3).
+//!
+//! A round starts at the previous round's barrier, the end of its last
+//! span, so a band's install always precedes its next holder's pull. The
+//! paper's plan is one round with all of `Q` to every worker; the engine's
+//! rotation is `p` rounds on a band each, with `p` installs a round.
 //!
 //! Strategy 3 (asynchronous computing–transmission) is modeled by chunking
-//! an epoch into `streams` pieces pipelined through separate pull/push DMA
-//! channels — pulls of chunk `c+1` overlap computation of chunk `c`, and
-//! the server syncs chunks as they arrive (Fig. 6).
+//! a step into the plan's chunks of its band (capped by the processor's
+//! copy engines) pipelined through separate pull/push DMA channels — pulls
+//! of chunk `c+1` overlap computation of chunk `c`, and the server syncs
+//! chunks as they arrive (Fig. 6).
 //!
 //! The output [`EpochTrace`] carries exact phase spans, from which the
 //! Fig. 5 timelines, Fig. 8 stacked bars, Table 4/Fig. 9 computing power
@@ -20,6 +28,7 @@
 
 use crate::platform::{Platform, WorkerSlot};
 use hcc_comm::{Fault, TransferStrategy};
+use hcc_partition::{RoundPlan, Step};
 use hcc_sparse::DatasetProfile;
 
 /// The data shape a simulation runs against.
@@ -54,9 +63,6 @@ pub struct SimConfig {
     pub k: u64,
     /// Communication strategy.
     pub strategy: TransferStrategy,
-    /// Pipeline streams per worker (1 = synchronous; capped per worker by
-    /// its profile's `max_streams`).
-    pub streams: usize,
     /// Fraction of nominal bus bandwidth the transport achieves
     /// (COMM ≈ 1.0 by design §3.5; COMM-P ≈ 0.14, Table 5).
     pub transport_efficiency: f64,
@@ -72,7 +78,6 @@ impl Default for SimConfig {
         SimConfig {
             k: 128,
             strategy: TransferStrategy::QOnly,
-            streams: 1,
             transport_efficiency: 1.0,
             server_shards: 1,
         }
@@ -97,6 +102,8 @@ pub enum Phase {
 pub struct PhaseSpan {
     /// Worker index (sync spans carry the worker whose push is merged).
     pub worker: usize,
+    /// The round of the epoch's plan it belongs to.
+    pub round: usize,
     /// Phase kind.
     pub phase: Phase,
     /// Start time, seconds from epoch begin.
@@ -133,11 +140,11 @@ impl WorkerTotals {
 /// The result of simulating one epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochTrace {
-    /// Every phase span: worker phases in the order the calendar served
-    /// them (a worker's chunks stay in chunk order), then syncs in service
-    /// order.
+    /// Every phase span, round by round: worker phases in the order the
+    /// calendar served them (a worker's chunks stay in chunk order), then
+    /// syncs in service order.
     pub spans: Vec<PhaseSpan>,
-    /// Per-worker totals.
+    /// Per-worker totals over the rounds.
     pub totals: Vec<WorkerTotals>,
     /// Total server sync busy time.
     pub sync_total: f64,
@@ -156,22 +163,26 @@ impl EpochTrace {
     }
 }
 
-/// One worker's epoch costs at a partition fraction — the quantities behind
-/// Eqs. 1–3, derived here for the calendar and for [`crate::measure`] alike.
+/// One worker's costs for one step of a round plan at a partition fraction
+/// — the quantities behind Eqs. 1–3, derived here for the calendar and for
+/// [`crate::measure`] alike.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct WorkerCosts {
     /// Seconds the worker spends pulling, computing and pushing.
     pub phases: WorkerTotals,
     /// Bytes the server merges: the *decompressed* push (always FP32).
     pub sync_bytes: f64,
-    /// Pipeline chunks per epoch ([`WorkerSlot::streams`]).
+    /// Pipeline chunks: the step's, capped by [`WorkerSlot::streams`].
     pub streams: usize,
 }
 
 impl WorkerCosts {
-    /// Costs of worker `w` on fraction `x` of the data, its payloads moving
-    /// at `link_bandwidth` bytes/s before transport efficiency: the full link
-    /// in the calendar, where contention is queueing; the planner's fair share.
+    /// Costs of worker `w` on fraction `x` of the data for `step`, its
+    /// payloads moving at `link_bandwidth` bytes/s before transport
+    /// efficiency: the full link in the calendar, where contention is
+    /// queueing; the planner's fair share. The wire carries the step's band
+    /// of `Q` (and, under `FullPq`, `P` with the plan's first chunk, as in
+    /// the threaded engine); compute is the band's share of `x·nnz`.
     pub(crate) fn derive(
         platform: &Platform,
         workload: &Workload,
@@ -179,18 +190,22 @@ impl WorkerCosts {
         w: usize,
         x: f64,
         link_bandwidth: f64,
+        step: &Step,
     ) -> WorkerCosts {
-        let m_assigned = (x * workload.m as f64).round() as u64;
-        let (m, n, k) = (workload.m, workload.n, config.k);
+        let carries_p = step.chunks.contains(&0);
+        let m = if carries_p { workload.m } else { 0 };
+        let m_assigned = (x * m as f64).round() as u64;
+        let (n, k) = (step.rows.len() as u64, config.k);
+        let share = n as f64 / workload.n.max(1) as f64;
         let bus = link_bandwidth * config.transport_efficiency;
         WorkerCosts {
             phases: WorkerTotals {
                 pull: config.strategy.pull_bytes(m, n, k) as f64 / bus,
-                compute: compute_time(platform, workload, w, x),
+                compute: compute_time(platform, workload, w, x) * share,
                 push: config.strategy.push_bytes(m_assigned, n, k) as f64 / bus,
             },
             sync_bytes: (config.strategy.push_elements(m_assigned, n, k) * 4) as f64,
-            streams: platform.workers[w].streams(config.streams),
+            streams: platform.workers[w].streams(step.chunks.len()),
         }
     }
 }
@@ -222,28 +237,22 @@ pub(crate) fn standalone_rate(slot: &WorkerSlot, workload: &Workload, x: f64) ->
     slot.profile.rate_at(name, *m, *n, *nnz, x)
 }
 
-/// A worker-side stage of one chunk. `Phase::Sync` is the server's and is
-/// drained after the calendar, never through it.
-#[derive(Clone, Copy)]
-enum Stage {
-    Pull,
-    Compute,
-    Push,
-}
-
-/// Simulates one epoch of HCC-MF on `platform` with data partition `x`.
+/// Simulates one epoch of HCC-MF on `platform`: the rounds of `plan` with
+/// data partition `x`.
 ///
 /// # Panics
-/// Panics if `x.len()` differs from the worker count, any fraction is
-/// negative/non-finite, the platform has no workers, `config.streams` is 0
-/// or `config.transport_efficiency` lies outside `(0, 1]`.
+/// Panics if `x.len()` or `plan.workers()` differs from the worker count,
+/// `plan` covers other than `workload.n` rows of `Q`, any fraction is
+/// negative/non-finite, the platform has no workers or
+/// `config.transport_efficiency` lies outside `(0, 1]`.
 pub fn simulate_epoch(
     platform: &Platform,
     workload: &Workload,
     config: &SimConfig,
+    plan: &RoundPlan,
     x: &[f64],
 ) -> EpochTrace {
-    simulate_epoch_faulty(platform, workload, config, x, |_| None)
+    simulate_epoch_faulty(platform, workload, config, plan, x, |_| None)
 }
 
 /// [`simulate_epoch`] under faults, the virtual-time twin of a supervised
@@ -252,19 +261,21 @@ pub fn simulate_epoch(
 /// [`FaultPlan`](hcc_comm::FaultPlan), `|w| plan.at(ids[w], epoch)` with
 /// `ids[w]` the worker's starting-fleet id — and lands on the calendar as:
 /// [`Fault::Crash`] kills the worker after its first pull (no compute, no
-/// push, no merge); [`Fault::Stall`] and [`Fault::DelayPush`] delay its
-/// first compute by their duration; every other fault that
-/// [loses the push](Fault::loses_push) lets the push occupy the link but
-/// never reach the server; a duplicate is deduplicated and costs nothing.
-/// A fault is the worker's, whatever `config.server_shards` is.
+/// push, no merge, no later round); [`Fault::Stall`] and
+/// [`Fault::DelayPush`] delay its first compute of the epoch by their
+/// duration; every other fault that [loses the push](Fault::loses_push)
+/// lets each round's push occupy the link but never reach the server; a
+/// duplicate is deduplicated and costs nothing. A fault is the worker's,
+/// whatever `config.server_shards` is.
 ///
-/// The epoch is a task DAG drained through FIFO resources in global time
-/// order: per worker one compute unit, per link (a dedicated bus, or one
-/// shared through [`WorkerSlot::bus_group`](crate::platform::WorkerSlot))
-/// one channel per direction at full link bandwidth, so contention on a
-/// shared link emerges as queueing. A chunk's compute is released when its
-/// pull ends, its push when its compute ends, and the next chunk's pull
-/// when this one's ends; the server merges pushes in arrival order.
+/// Each round is a task DAG drained through FIFO resources in global time
+/// order from the previous round's barrier: per worker one compute unit,
+/// per link (a dedicated bus, or one shared through
+/// [`WorkerSlot::bus_group`](crate::platform::WorkerSlot)) one channel per
+/// direction at full link bandwidth, so contention on a shared link
+/// emerges as queueing. A chunk's compute is released when its pull ends,
+/// its push when its compute ends, and the next chunk's pull when this
+/// one's ends; the server syncs pushes in arrival order.
 ///
 /// # Panics
 /// As [`simulate_epoch`].
@@ -272,128 +283,144 @@ pub fn simulate_epoch_faulty(
     platform: &Platform,
     workload: &Workload,
     config: &SimConfig,
+    plan: &RoundPlan,
     x: &[f64],
     fault_of: impl Fn(usize) -> Option<Fault>,
 ) -> EpochTrace {
     let workers = platform.workers.len();
     assert!(workers > 0, "platform has no workers");
     assert_eq!(x.len(), workers, "partition length mismatch");
+    assert_eq!(plan.workers(), workers, "plan worker count mismatch");
+    assert_eq!(plan.items() as u64, workload.n, "plan row count mismatch");
     assert!(
         x.iter().all(|&v| v >= 0.0 && v.is_finite()),
         "fractions must be non-negative and finite"
     );
-    assert!(config.streams >= 1, "stream count must be >= 1");
     assert!(
         config.transport_efficiency > 0.0 && config.transport_efficiency <= 1.0,
         "transport efficiency must lie in (0, 1]"
     );
     let faults: Vec<Option<Fault>> = (0..workers).map(fault_of).collect();
-
-    let costs: Vec<WorkerCosts> = (0..workers)
-        .map(|w| {
-            let link = platform.workers[w].bus.bandwidth();
-            WorkerCosts::derive(platform, workload, config, w, x[w], link)
-        })
-        .collect();
-
-    // The calendar: `pending` holds `(ready time, task id)` and is served
-    // earliest first, ties by id. An id indexes `tasks`; a worker's pulls
-    // take consecutive ids up front and later stages are appended as they
-    // are released, so every run breaks ties the same way. Only a few tasks
-    // per worker are pending at once, so the earliest is found by scanning.
-    let mut tasks: Vec<(usize, usize, Stage)> = Vec::new(); // (worker, chunk, stage)
-    let mut pending: Vec<(f64, usize)> = Vec::new();
-    for (w, cost) in costs.iter().enumerate() {
-        pending.push((0.0, tasks.len()));
-        tasks.extend((0..cost.streams).map(|chunk| (w, chunk, Stage::Pull)));
-    }
-    // Resource clocks; a link's channels are indexed by its first worker.
+    // A link's channels are indexed by its first worker.
     let link: Vec<usize> = (0..workers).map(|w| platform.link_of(w)).collect();
-    let mut pull_free = vec![0.0f64; workers];
-    let mut compute_free = vec![0.0f64; workers];
-    let mut push_free = vec![0.0f64; workers];
-    let mut spans = Vec::new();
-    let mut arrivals: Vec<(f64, usize, f64)> = Vec::new(); // (time, worker, sync bytes)
-
-    while let Some(next) = (0..pending.len()).min_by(|&a, &b| {
-        let ((ready_a, id_a), (ready_b, id_b)) = (pending[a], pending[b]);
-        ready_a.total_cmp(&ready_b).then(id_a.cmp(&id_b))
-    }) {
-        let (ready, id) = pending.swap_remove(next);
-        let (w, chunk, stage) = tasks[id];
-        let cost = &costs[w];
-        let chunks = cost.streams as f64;
-        let (phase, clock, total) = match stage {
-            Stage::Pull => (Phase::Pull, &mut pull_free[link[w]], cost.phases.pull),
-            Stage::Compute => (Phase::Compute, &mut compute_free[w], cost.phases.compute),
-            Stage::Push => (Phase::Push, &mut push_free[link[w]], cost.phases.push),
-        };
-        let start = ready.max(*clock);
-        let end = start + total / chunks;
-        *clock = end;
-        spans.push(PhaseSpan {
-            worker: w,
-            phase,
-            start,
-            end,
-        });
-
-        let fault = faults[w];
-        let mut release = |stage, ready| {
-            pending.push((ready, tasks.len()));
-            tasks.push((w, chunk, stage));
-        };
-        match stage {
-            // A crashed worker stops here: nothing of its pipeline is
-            // released, so its later chunks never become pending.
-            Stage::Pull if fault == Some(Fault::Crash) => {}
-            Stage::Pull => {
-                let stall = match fault {
-                    Some(Fault::Stall(lost) | Fault::DelayPush(lost)) if chunk == 0 => {
-                        lost.as_secs_f64()
-                    }
-                    _ => 0.0,
-                };
-                release(Stage::Compute, end + stall);
-                if chunk + 1 < cost.streams {
-                    pending.push((end, id + 1));
-                }
+    let (mut spans, mut totals) = (Vec::new(), vec![WorkerTotals::default(); workers]);
+    // Each round starts at the previous one's barrier: its last span.
+    let (mut sync_total, mut barrier) = (0.0f64, 0.0f64);
+    for round in 0..plan.rounds() {
+        let costs: Vec<WorkerCosts> = (0..workers)
+            .map(|w| {
+                let (bus, step) = (platform.workers[w].bus.bandwidth(), plan.step(round, w));
+                WorkerCosts::derive(platform, workload, config, w, x[w], bus, &step)
+            })
+            .collect();
+        // The calendar: `pending` holds `(ready time, task id)` and is
+        // served earliest first, ties by id. An id indexes `tasks`; a
+        // worker's pulls take consecutive ids up front and later stages are
+        // appended as they are released, so every run breaks ties the same
+        // way. Only a few tasks per worker are pending at once, so the
+        // earliest is found by scanning. `Phase::Sync` is the server's and
+        // is drained after the calendar, never through it.
+        let mut tasks: Vec<(usize, usize, Phase)> = Vec::new(); // (worker, chunk, phase)
+        let mut pending: Vec<(f64, usize)> = Vec::new();
+        for (w, cost) in costs.iter().enumerate() {
+            let total = &mut totals[w];
+            total.pull += cost.phases.pull;
+            total.compute += cost.phases.compute;
+            total.push += cost.phases.push;
+            // A crashed worker is gone after its first round's first pull.
+            if round == 0 || faults[w] != Some(Fault::Crash) {
+                pending.push((barrier, tasks.len()));
+                tasks.extend((0..cost.streams).map(|chunk| (w, chunk, Phase::Pull)));
             }
-            Stage::Compute => release(Stage::Push, end),
-            Stage::Push if fault.is_some_and(Fault::loses_push) => {}
-            Stage::Push => arrivals.push((end, w, cost.sync_bytes / chunks)),
         }
-    }
+        let first = spans.len();
+        let mut pull_free = vec![barrier; workers];
+        let mut compute_free = vec![barrier; workers];
+        let mut push_free = vec![barrier; workers];
+        let mut arrivals: Vec<(f64, usize, f64)> = Vec::new(); // (time, worker, sync bytes)
 
-    // The server merges pushes in arrival order (FIFO) at `3·bytes/B_server`
-    // (Eq. 3). With N shards each push splits into N equal slices draining
-    // through N concurrent queues; every queue sees the same arrivals and
-    // slice sizes, so one clock stands for all N.
-    arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let shards = config.server_shards.max(1);
-    let mut server_free = 0.0f64;
-    let mut sync_total = 0.0f64;
-    for (arrival, worker, bytes) in arrivals {
-        let dur = 3.0 * (bytes / shards as f64) / platform.server_bandwidth;
-        let start = arrival.max(server_free);
-        server_free = start + dur;
-        for _ in 0..shards {
-            sync_total += dur;
+        while let Some(next) = (0..pending.len()).min_by(|&a, &b| {
+            let ((ready_a, id_a), (ready_b, id_b)) = (pending[a], pending[b]);
+            ready_a.total_cmp(&ready_b).then(id_a.cmp(&id_b))
+        }) {
+            let (ready, id) = pending.swap_remove(next);
+            let (w, chunk, phase) = tasks[id];
+            let cost = &costs[w];
+            let chunks = cost.streams as f64;
+            let (clock, total) = match phase {
+                Phase::Pull => (&mut pull_free[link[w]], cost.phases.pull),
+                Phase::Compute => (&mut compute_free[w], cost.phases.compute),
+                _ => (&mut push_free[link[w]], cost.phases.push),
+            };
+            let start = ready.max(*clock);
+            let end = start + total / chunks;
+            *clock = end;
+            let fault = faults[w];
+            spans.push(PhaseSpan {
+                worker: w,
+                round,
+                phase,
+                start,
+                end,
+            });
+            let mut release = |phase, ready| {
+                pending.push((ready, tasks.len()));
+                tasks.push((w, chunk, phase));
+            };
+            match phase {
+                // A crashed worker stops here: nothing of its pipeline is
+                // released, so its later chunks never become pending.
+                Phase::Pull if fault == Some(Fault::Crash) => {}
+                Phase::Pull => {
+                    let stall = match fault {
+                        Some(Fault::Stall(lost) | Fault::DelayPush(lost))
+                            if (round, chunk) == (0, 0) =>
+                        {
+                            lost.as_secs_f64()
+                        }
+                        _ => 0.0,
+                    };
+                    release(Phase::Compute, end + stall);
+                    if chunk + 1 < cost.streams {
+                        pending.push((end, id + 1));
+                    }
+                }
+                Phase::Compute => release(Phase::Push, end),
+                _ if fault.is_some_and(Fault::loses_push) => {}
+                _ => arrivals.push((end, w, cost.sync_bytes / chunks)),
+            }
         }
-        spans.push(PhaseSpan {
-            worker,
-            phase: Phase::Sync,
-            start,
-            end: server_free,
-        });
-    }
 
-    let epoch_time = spans.iter().map(|s| s.end).fold(0.0f64, f64::max);
+        // The server syncs pushes in arrival order (FIFO) at
+        // `3·bytes/B_server` (Eq. 3). With N shards each push splits into N
+        // equal slices draining through N concurrent queues; every queue
+        // sees the same arrivals and slice sizes, so one clock stands for
+        // all N.
+        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let shards = config.server_shards.max(1);
+        let mut server_free = barrier;
+        for (arrival, worker, bytes) in arrivals {
+            let dur = 3.0 * (bytes / shards as f64) / platform.server_bandwidth;
+            let start = arrival.max(server_free);
+            server_free = start + dur;
+            for _ in 0..shards {
+                sync_total += dur;
+            }
+            spans.push(PhaseSpan {
+                worker,
+                round,
+                phase: Phase::Sync,
+                start,
+                end: server_free,
+            });
+        }
+        barrier = spans[first..].iter().map(|s| s.end).fold(barrier, f64::max);
+    }
     EpochTrace {
         spans,
-        totals: costs.iter().map(|c| c.phases).collect(),
+        totals,
         sync_total,
-        epoch_time,
+        epoch_time: barrier,
     }
 }
 
@@ -411,15 +438,16 @@ pub struct TrainingSim {
     pub computing_power: f64,
 }
 
-/// Simulates `epochs` epochs and summarizes.
+/// Simulates `epochs` epochs of `plan` and summarizes.
 pub fn simulate_training(
     platform: &Platform,
     workload: &Workload,
     config: &SimConfig,
+    plan: &RoundPlan,
     x: &[f64],
     epochs: usize,
 ) -> TrainingSim {
-    let epoch = simulate_epoch(platform, workload, config, x);
+    let epoch = simulate_epoch(platform, workload, config, plan, x);
     let total_time = epoch.epoch_time * epochs as f64;
     let computing_power = if total_time > 0.0 {
         workload.nnz as f64 * epochs as f64 / total_time
@@ -460,6 +488,11 @@ mod tests {
         p
     }
 
+    /// The paper's one-round epoch of `platform` on `workload`.
+    fn paper(platform: &Platform, workload: &Workload, streams: usize) -> RoundPlan {
+        RoundPlan::paper(platform.worker_count(), workload.n as usize, streams)
+    }
+
     fn workload() -> Workload {
         Workload {
             name: "custom".into(),
@@ -476,7 +509,7 @@ mod tests {
             k: 64,
             ..Default::default()
         };
-        let trace = simulate_epoch(&p, &workload(), &cfg, &[1.0]);
+        let trace = simulate_epoch(&p, &workload(), &cfg, &paper(&p, &workload(), 1), &[1.0]);
         let t = &trace.totals[0];
         // compute = nnz / rate
         assert!((t.compute - 0.1).abs() < 1e-12, "compute {}", t.compute);
@@ -493,7 +526,13 @@ mod tests {
     #[test]
     fn phases_are_ordered_within_worker() {
         let p = uniform_platform(2, 1e8);
-        let trace = simulate_epoch(&p, &workload(), &SimConfig::default(), &[0.5, 0.5]);
+        let trace = simulate_epoch(
+            &p,
+            &workload(),
+            &SimConfig::default(),
+            &paper(&p, &workload(), 1),
+            &[0.5, 0.5],
+        );
         for w in 0..2 {
             let spans = trace.worker_spans(w);
             let pull = spans.iter().find(|s| s.phase == Phase::Pull).unwrap();
@@ -511,6 +550,7 @@ mod tests {
             &p,
             &workload(),
             &SimConfig::default(),
+            &paper(&p, &workload(), 1),
             &[0.25, 0.25, 0.25, 0.25],
         );
         let mut syncs: Vec<_> = trace
@@ -529,8 +569,20 @@ mod tests {
     fn balanced_partition_beats_unbalanced() {
         let p = uniform_platform(2, 1e8);
         let cfg = SimConfig::default();
-        let balanced = simulate_epoch(&p, &workload(), &cfg, &[0.5, 0.5]);
-        let skewed = simulate_epoch(&p, &workload(), &cfg, &[0.9, 0.1]);
+        let balanced = simulate_epoch(
+            &p,
+            &workload(),
+            &cfg,
+            &paper(&p, &workload(), 1),
+            &[0.5, 0.5],
+        );
+        let skewed = simulate_epoch(
+            &p,
+            &workload(),
+            &cfg,
+            &paper(&p, &workload(), 1),
+            &[0.9, 0.1],
+        );
         assert!(balanced.epoch_time < skewed.epoch_time);
     }
 
@@ -543,8 +595,20 @@ mod tests {
         );
         let cfg = SimConfig::default();
         // Load proportional to rates: 1/11 vs 10/11.
-        let good = simulate_epoch(&p, &workload(), &cfg, &[1.0 / 11.0, 10.0 / 11.0]);
-        let uniform = simulate_epoch(&p, &workload(), &cfg, &[0.5, 0.5]);
+        let good = simulate_epoch(
+            &p,
+            &workload(),
+            &cfg,
+            &paper(&p, &workload(), 1),
+            &[1.0 / 11.0, 10.0 / 11.0],
+        );
+        let uniform = simulate_epoch(
+            &p,
+            &workload(),
+            &cfg,
+            &paper(&p, &workload(), 1),
+            &[0.5, 0.5],
+        );
         assert!(good.epoch_time < uniform.epoch_time);
     }
 
@@ -561,18 +625,12 @@ mod tests {
             n: 50_000,
             nnz: 20_000_000,
         };
-        let sync_cfg = SimConfig {
+        let cfg = SimConfig {
             k: 128,
-            streams: 1,
             ..Default::default()
         };
-        let async_cfg = SimConfig {
-            k: 128,
-            streams: 4,
-            ..Default::default()
-        };
-        let sync_trace = simulate_epoch(&p, &wl, &sync_cfg, &[1.0]);
-        let async_trace = simulate_epoch(&p, &wl, &async_cfg, &[1.0]);
+        let sync_trace = simulate_epoch(&p, &wl, &cfg, &paper(&p, &wl, 1), &[1.0]);
+        let async_trace = simulate_epoch(&p, &wl, &cfg, &paper(&p, &wl, 4), &[1.0]);
         assert!(
             async_trace.epoch_time < sync_trace.epoch_time,
             "async {} !< sync {}",
@@ -589,24 +647,9 @@ mod tests {
         // A CPU with max_streams = 1 can't pipeline: asking for 4 streams
         // changes nothing.
         let p = uniform_platform(1, 1e8);
-        let s1 = simulate_epoch(
-            &p,
-            &workload(),
-            &SimConfig {
-                streams: 1,
-                ..Default::default()
-            },
-            &[1.0],
-        );
-        let s4 = simulate_epoch(
-            &p,
-            &workload(),
-            &SimConfig {
-                streams: 4,
-                ..Default::default()
-            },
-            &[1.0],
-        );
+        let cfg = SimConfig::default();
+        let s1 = simulate_epoch(&p, &workload(), &cfg, &paper(&p, &workload(), 1), &[1.0]);
+        let s4 = simulate_epoch(&p, &workload(), &cfg, &paper(&p, &workload(), 4), &[1.0]);
         assert!((s1.epoch_time - s4.epoch_time).abs() < 1e-12);
     }
 
@@ -616,8 +659,20 @@ mod tests {
         let normal = Platform::new("a").with_worker(prof.clone(), BusKind::ServerLocal);
         let shared = Platform::new("b").with_server_worker(prof);
         let cfg = SimConfig::default();
-        let tn = simulate_epoch(&normal, &workload(), &cfg, &[1.0]);
-        let ts = simulate_epoch(&shared, &workload(), &cfg, &[1.0]);
+        let tn = simulate_epoch(
+            &normal,
+            &workload(),
+            &cfg,
+            &paper(&normal, &workload(), 1),
+            &[1.0],
+        );
+        let ts = simulate_epoch(
+            &shared,
+            &workload(),
+            &cfg,
+            &paper(&shared, &workload(), 1),
+            &[1.0],
+        );
         let ratio = tn.totals[0].compute / ts.totals[0].compute;
         assert!(
             (ratio - shared.timeshare_efficiency).abs() < 1e-9,
@@ -628,7 +683,13 @@ mod tests {
     #[test]
     fn zero_fraction_worker_contributes_nothing_but_still_transfers() {
         let p = uniform_platform(2, 1e8);
-        let trace = simulate_epoch(&p, &workload(), &SimConfig::default(), &[1.0, 0.0]);
+        let trace = simulate_epoch(
+            &p,
+            &workload(),
+            &SimConfig::default(),
+            &paper(&p, &workload(), 1),
+            &[1.0, 0.0],
+        );
         assert_eq!(trace.totals[1].compute, 0.0);
         assert!(trace.totals[1].pull > 0.0);
     }
@@ -636,7 +697,14 @@ mod tests {
     #[test]
     fn training_sim_scales_linearly() {
         let p = uniform_platform(2, 1e8);
-        let sim = simulate_training(&p, &workload(), &SimConfig::default(), &[0.5, 0.5], 20);
+        let sim = simulate_training(
+            &p,
+            &workload(),
+            &SimConfig::default(),
+            &paper(&p, &workload(), 1),
+            &[0.5, 0.5],
+            20,
+        );
         assert!((sim.total_time - 20.0 * sim.epoch.epoch_time).abs() < 1e-9);
         let power = 10_000_000.0 * 20.0 / sim.total_time;
         assert!((sim.computing_power - power).abs() < 1.0);
@@ -659,12 +727,9 @@ mod tests {
             ),
             (Platform::paper_testbed_3workers(), 4, vec![0.2, 0.4, 0.4]),
         ] {
-            let cfg = SimConfig {
-                streams,
-                ..Default::default()
-            };
-            let a = simulate_epoch(&p, &wl, &cfg, &x);
-            let b = simulate_epoch(&p, &wl, &cfg, &x);
+            let cfg = SimConfig::default();
+            let a = simulate_epoch(&p, &wl, &cfg, &paper(&p, &wl, streams), &x);
+            let b = simulate_epoch(&p, &wl, &cfg, &paper(&p, &wl, streams), &x);
             assert_eq!(a, b);
         }
     }
@@ -673,11 +738,14 @@ mod tests {
     fn pipelined_phases_respect_dependencies() {
         let platform = Platform::paper_testbed_3workers();
         let wl = Workload::from_profile(&hcc_sparse::DatasetProfile::netflix());
-        let cfg = SimConfig {
-            streams: 4,
-            ..Default::default()
-        };
-        let trace = simulate_epoch(&platform, &wl, &cfg, &[0.3, 0.3, 0.4]);
+        let cfg = SimConfig::default();
+        let trace = simulate_epoch(
+            &platform,
+            &wl,
+            &cfg,
+            &paper(&platform, &wl, 4),
+            &[0.3, 0.3, 0.4],
+        );
         // Within a worker, chunk pipelines never compute before pulling.
         for w in 0..3 {
             let spans = trace.worker_spans(w);
@@ -703,7 +771,14 @@ mod tests {
     fn faulty_trace(plan: &FaultPlan, epoch: usize) -> EpochTrace {
         let platform = Platform::paper_testbed_4workers();
         let (cfg, x) = (SimConfig::default(), [0.25; 4]);
-        simulate_epoch_faulty(&platform, &netflix(), &cfg, &x, |w| plan.at(w, epoch))
+        simulate_epoch_faulty(
+            &platform,
+            &netflix(),
+            &cfg,
+            &paper(&platform, &netflix(), 1),
+            &x,
+            |w| plan.at(w, epoch),
+        )
     }
 
     fn plain_trace() -> EpochTrace {
@@ -713,7 +788,13 @@ mod tests {
     #[test]
     fn empty_faults_match_fault_free_trace() {
         let platform = Platform::paper_testbed_4workers();
-        let plain = simulate_epoch(&platform, &netflix(), &SimConfig::default(), &[0.25; 4]);
+        let plain = simulate_epoch(
+            &platform,
+            &netflix(),
+            &SimConfig::default(),
+            &paper(&platform, &netflix(), 1),
+            &[0.25; 4],
+        );
         assert_eq!(plain, plain_trace());
         // A duplicated push is deduplicated: it costs the calendar nothing.
         let duplicates = FaultPlan {
@@ -792,9 +873,14 @@ mod tests {
         };
         let plan = FaultPlan::new(1).with(1, 2, Fault::Partition);
         for epoch in 0..5 {
-            let trace = simulate_epoch_faulty(&platform, &netflix(), &cfg, &[0.25; 4], |w| {
-                plan.at(w, epoch)
-            });
+            let trace = simulate_epoch_faulty(
+                &platform,
+                &netflix(),
+                &cfg,
+                &paper(&platform, &netflix(), 1),
+                &[0.25; 4],
+                |w| plan.at(w, epoch),
+            );
             for w in 0..4 {
                 let merged = trace.worker_spans(w).iter().any(|s| s.phase == Phase::Sync);
                 assert_eq!(merged, !(w == 1 && epoch >= 2), "epoch {epoch} worker {w}");
@@ -806,14 +892,26 @@ mod tests {
     #[should_panic(expected = "partition length")]
     fn wrong_partition_length_panics() {
         let p = uniform_platform(2, 1e8);
-        simulate_epoch(&p, &workload(), &SimConfig::default(), &[1.0]);
+        simulate_epoch(
+            &p,
+            &workload(),
+            &SimConfig::default(),
+            &paper(&p, &workload(), 1),
+            &[1.0],
+        );
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_fraction_panics() {
         let p = uniform_platform(1, 1e8);
-        simulate_epoch(&p, &workload(), &SimConfig::default(), &[-0.5]);
+        simulate_epoch(
+            &p,
+            &workload(),
+            &SimConfig::default(),
+            &paper(&p, &workload(), 1),
+            &[-0.5],
+        );
     }
 
     #[test]
@@ -824,17 +922,19 @@ mod tests {
             transport_efficiency: 1.5,
             ..Default::default()
         };
-        simulate_epoch(&p, &workload(), &cfg, &[1.0]);
+        simulate_epoch(&p, &workload(), &cfg, &paper(&p, &workload(), 1), &[1.0]);
     }
 
     #[test]
     #[should_panic(expected = "stream count")]
     fn zero_streams_panics() {
         let p = uniform_platform(1, 1e8);
-        let cfg = SimConfig {
-            streams: 0,
-            ..Default::default()
-        };
-        simulate_epoch(&p, &workload(), &cfg, &[1.0]);
+        simulate_epoch(
+            &p,
+            &workload(),
+            &SimConfig::default(),
+            &paper(&p, &workload(), 0),
+            &[1.0],
+        );
     }
 }

@@ -83,7 +83,14 @@ mod tests {
     fn trace_and_platform() -> (Platform, EpochTrace) {
         let platform = Platform::paper_testbed_3workers();
         let wl = Workload::from_profile(&DatasetProfile::netflix());
-        let trace = simulate_epoch(&platform, &wl, &SimConfig::default(), &[0.2, 0.4, 0.4]);
+        let paper = hcc_partition::RoundPlan::paper(3, wl.n as usize, 1);
+        let trace = simulate_epoch(
+            &platform,
+            &wl,
+            &SimConfig::default(),
+            &paper,
+            &[0.2, 0.4, 0.4],
+        );
         (platform, trace)
     }
 

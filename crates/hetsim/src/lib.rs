@@ -12,12 +12,15 @@
 //!   exists). Plus Fig. 3(b)'s price catalog.
 //! * [`platform`] — topologies: which processors, on which buses, which one
 //!   time-shares with the parameter server.
-//! * [`engine`] — the one epoch simulator: an event calendar draining each
-//!   worker's pull → compute → push chunks (Strategy 3's multi-stream
-//!   pipeline) through per-direction link channels, per-worker compute
-//!   units and the server's FIFO synchronization queue, in global time
-//!   order. Produces [`engine::EpochTrace`]s with full phase spans — the
-//!   Fig. 5 / Fig. 8 timelines. [`simulate_epoch_faulty`] is the same
+//! * [`engine`] — the one epoch simulator: it times the rounds of an
+//!   [`hcc_partition::RoundPlan`] (the paper's one round with all of `Q`
+//!   to every worker, or the threaded engine's band rotation), each round
+//!   an event calendar draining each worker's pull → compute → push chunks
+//!   (Strategy 3's multi-stream pipeline) through per-direction link
+//!   channels, per-worker compute units and the server's FIFO
+//!   synchronization queue, in global time order, from the previous
+//!   round's barrier. Produces [`engine::EpochTrace`]s with full phase
+//!   spans — the Fig. 5 / Fig. 8 timelines. [`simulate_epoch_faulty`] is the same
 //!   calendar under the faults of an [`hcc_comm::FaultPlan`] — the plan
 //!   the threaded engine runs, read at the same `(worker, epoch)` — so
 //!   partition planning and supervisor policies can be studied against
@@ -32,13 +35,20 @@
 //!
 //! ```
 //! use hcc_hetsim::{simulate_epoch, Platform, SimConfig, Workload};
+//! use hcc_partition::RoundPlan;
 //! use hcc_sparse::DatasetProfile;
 //!
 //! let platform = Platform::paper_testbed_4workers();
 //! let workload = Workload::from_profile(&DatasetProfile::netflix());
-//! let trace = simulate_epoch(&platform, &workload, &SimConfig::default(), &[0.25; 4]);
+//! let config = SimConfig::default();
+//! let paper = RoundPlan::paper(4, workload.n as usize, 1);
+//! let trace = simulate_epoch(&platform, &workload, &config, &paper, &[0.25; 4]);
 //! assert!(trace.epoch_time > 0.0);
 //! assert_eq!(trace.totals.len(), 4);
+//! // The threaded engine's epoch: four rounds on a quarter of `Q` each.
+//! let rotation = RoundPlan::rotation(4, workload.n as usize, 1);
+//! let rounds = simulate_epoch(&platform, &workload, &config, &rotation, &[0.25; 4]);
+//! assert!(rounds.spans.iter().any(|s| s.round == 3));
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]

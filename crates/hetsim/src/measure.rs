@@ -9,7 +9,7 @@ use crate::engine::{
     compute_rate, compute_time, standalone_rate, SimConfig, WorkerCosts, Workload,
 };
 use crate::platform::Platform;
-use hcc_partition::{CostModel, WorkerClass};
+use hcc_partition::{CostModel, RoundPlan, WorkerClass};
 
 /// Per-worker standalone full-data execution time (`T_i_e`, the DP0 input):
 /// each worker processes the *entire* dataset independently with no
@@ -39,28 +39,32 @@ pub fn virtual_measure<'a>(
 }
 
 /// Like [`virtual_measure`], but returns each worker's compute time **plus
-/// its exposed communication time** (pull + push divided by the worker's
-/// effective stream count). With one stream and near-equal buses this
-/// reduces to compute balancing — the paper's equal-`b` assumption in
-/// Theorem 1 — but under Strategy 3 the GPUs hide most of their transfers
-/// while plain CPUs cannot, and partition planning must see that asymmetry
-/// or the CPU becomes the straggler.
+/// its exposed communication time** over the rounds of `plan` (each step's
+/// pull + push divided by its effective stream count). With one stream and
+/// near-equal buses this reduces to compute balancing — the paper's
+/// equal-`b` assumption in Theorem 1 — but under Strategy 3 the GPUs hide
+/// most of their transfers while plain CPUs cannot, and partition planning
+/// must see that asymmetry or the CPU becomes the straggler.
 pub fn virtual_measure_total<'a>(
     platform: &'a Platform,
     workload: &'a Workload,
     config: &'a SimConfig,
+    plan: &'a RoundPlan,
 ) -> impl FnMut(&[f64]) -> Vec<f64> + 'a {
     move |x: &[f64]| {
         assert_eq!(x.len(), platform.workers.len(), "partition length mismatch");
         (0..x.len())
             .map(|w| {
                 // Fair share, not the simulator's full link speed: a formula
-                // cannot queue a contended transfer.
+                // cannot queue a contended transfer. With S streams, roughly
+                // one chunk's transfer each side stays exposed at the
+                // pipeline's ends.
                 let link = platform.effective_bus_bandwidth(w);
-                let c = WorkerCosts::derive(platform, workload, config, w, x[w], link);
-                // With S streams, roughly one chunk's transfer each side
-                // stays exposed at the pipeline's ends.
-                c.phases.compute + (c.phases.pull + c.phases.push) / c.streams as f64
+                let exposed = |step| {
+                    let c = WorkerCosts::derive(platform, workload, config, w, x[w], link, &step);
+                    c.phases.compute + (c.phases.pull + c.phases.push) / c.streams as f64
+                };
+                (0..plan.rounds()).map(|r| exposed(plan.step(r, w))).sum()
             })
             .collect()
     }
@@ -82,10 +86,15 @@ pub fn worker_classes(platform: &Platform) -> Vec<WorkerClass> {
 }
 
 /// Builds the closed-form [`CostModel`] (Eqs. 1–5) for a platform/workload/
-/// config triple. Worker "bandwidth" is the *effective* `B_i` implied by
-/// the calibrated rate — `rate × (16k+4)` bytes/s — which is how the model
-/// and the calibration stay consistent.
-pub fn cost_model_for(platform: &Platform, workload: &Workload, config: &SimConfig) -> CostModel {
+/// config triple running the epochs of `plan`. Worker "bandwidth" is the
+/// *effective* `B_i` implied by the calibrated rate — `rate × (16k+4)`
+/// bytes/s — which is how the model and the calibration stay consistent.
+pub fn cost_model_for(
+    platform: &Platform,
+    workload: &Workload,
+    config: &SimConfig,
+    plan: &RoundPlan,
+) -> CostModel {
     let bytes_per_update = 16.0 * config.k as f64 + 4.0;
     let workers = platform.workers.len();
     let worker_bandwidth = (0..workers)
@@ -96,13 +105,13 @@ pub fn cost_model_for(platform: &Platform, workload: &Workload, config: &SimConf
         .map(|w| platform.effective_bus_bandwidth(w) * config.transport_efficiency)
         .collect();
     // Sync merges the decompressed payload of an average worker's push.
-    // Under Strategy 3 pushes arrive in `streams` chunks, so the unit of
+    // Under Strategy 3 pushes arrive in the plan's chunks, so the unit of
     // synchronization (and the tail Eq. 5 cares about) shrinks accordingly.
     let m_avg = workload.m / workers.max(1) as u64;
     let effective_streams = platform
         .workers
         .iter()
-        .map(|slot| slot.streams(config.streams))
+        .map(|slot| slot.streams(plan.slots()))
         .max()
         .unwrap_or(1) as u64;
     // A sharded server merges each push's slices on N concurrent shard
@@ -158,6 +167,11 @@ mod tests {
         Workload::from_profile(&DatasetProfile::netflix())
     }
 
+    /// The paper's one-round, one-stream epoch.
+    fn paper(platform: &Platform, workload: &Workload) -> RoundPlan {
+        RoundPlan::paper(platform.worker_count(), workload.n as usize, 1)
+    }
+
     fn r1() -> Workload {
         Workload::from_profile(&DatasetProfile::yahoo_r1())
     }
@@ -208,9 +222,11 @@ mod tests {
         let cfg = SimConfig::default();
 
         let wl = netflix();
-        let model = cost_model_for(&p, &wl, &cfg);
+        let rounds = paper(&p, &wl);
+        let model = cost_model_for(&p, &wl, &cfg, &rounds);
         let plan = hcc_partition::plan(
             &model,
+            &rounds,
             CostModel::LAMBDA,
             &standalone_times(&p, &wl),
             &worker_classes(&p),
@@ -224,9 +240,11 @@ mod tests {
         );
 
         let wl = r1();
-        let model = cost_model_for(&p, &wl, &cfg);
+        let rounds = paper(&p, &wl);
+        let model = cost_model_for(&p, &wl, &cfg, &rounds);
         let plan = hcc_partition::plan(
             &model,
+            &rounds,
             CostModel::LAMBDA,
             &standalone_times(&p, &wl),
             &worker_classes(&p),
@@ -275,7 +293,7 @@ mod tests {
         let p = Platform::paper_testbed_3workers();
         let wl = netflix();
         let cfg = SimConfig::default();
-        let model = cost_model_for(&p, &wl, &cfg);
+        let model = cost_model_for(&p, &wl, &cfg, &paper(&p, &wl));
         // At x = 1 the model compute time equals nnz/rate (by construction).
         let t_model = model.compute_time(1, 1.0);
         let t_direct = wl.nnz as f64 / 918_333_483.0;
@@ -290,6 +308,7 @@ mod tests {
                 server_shards: 4,
                 ..cfg
             },
+            &paper(&p, &wl),
         );
         assert_eq!(sharded.sync_bytes * 4, model.sync_bytes);
         assert_eq!(

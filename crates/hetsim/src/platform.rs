@@ -288,19 +288,16 @@ mod bus_group_tests {
     #[test]
     fn contention_queues_transfers_and_leaves_compute_alone() {
         let wl = Workload::from_profile(&DatasetProfile::yahoo_r1());
-        let cfg = SimConfig {
-            streams: 4,
-            ..SimConfig::default()
-        };
-        let x = [0.45, 0.55];
+        let (cfg, x) = (SimConfig::default(), [0.45, 0.55]);
+        let paper = hcc_partition::RoundPlan::paper(2, wl.n as usize, 4);
         let dedicated = Platform::new("a")
             .with_worker(ProcessorProfile::rtx_2080(), BusKind::PciE3x16)
             .with_worker(ProcessorProfile::rtx_2080_super(), BusKind::PciE3x16);
         let shared = Platform::new("b")
             .with_worker_on_shared_bus(ProcessorProfile::rtx_2080(), BusKind::PciE3x16, 0)
             .with_worker_on_shared_bus(ProcessorProfile::rtx_2080_super(), BusKind::PciE3x16, 0);
-        let t_ded = simulate_epoch(&dedicated, &wl, &cfg, &x);
-        let t_shr = simulate_epoch(&shared, &wl, &cfg, &x);
+        let t_ded = simulate_epoch(&dedicated, &wl, &cfg, &paper, &x);
+        let t_shr = simulate_epoch(&shared, &wl, &cfg, &paper, &x);
         assert!(t_shr.epoch_time >= t_ded.epoch_time);
         for w in 0..2 {
             assert_eq!(t_shr.totals[w].compute, t_ded.totals[w].compute);

@@ -17,6 +17,7 @@ use hcc_hetsim::{
     simulate_epoch, simulate_epoch_faulty, BusKind, EpochTrace, Platform, ProcessorProfile,
     SimConfig, Workload,
 };
+use hcc_partition::RoundPlan;
 use hcc_sparse::DatasetProfile;
 use std::time::Duration;
 
@@ -59,6 +60,11 @@ fn trace_hash(trace: &EpochTrace) -> u64 {
     hash
 }
 
+/// The paper's one-round epoch, the model every digest below was pinned on.
+fn paper(platform: &Platform, workload: &Workload, streams: usize) -> RoundPlan {
+    RoundPlan::paper(platform.worker_count(), workload.n as usize, streams)
+}
+
 fn platforms() -> Vec<Platform> {
     vec![
         Platform::paper_testbed_3workers(),
@@ -90,13 +96,18 @@ fn grid_digests() -> Vec<Vec<u64>> {
                         for server_shards in [1, 2, 4] {
                             for strategy in TransferStrategy::ALL {
                                 let config = SimConfig {
-                                    streams,
                                     server_shards,
                                     strategy,
                                     ..SimConfig::default()
                                 };
                                 for x in partitions(platform.worker_count()) {
-                                    let trace = simulate_epoch(platform, &workload, &config, &x);
+                                    let trace = simulate_epoch(
+                                        platform,
+                                        &workload,
+                                        &config,
+                                        &paper(platform, &workload, streams),
+                                        &x,
+                                    );
                                     mix(&mut digest, trace_hash(&trace));
                                 }
                             }
@@ -172,11 +183,14 @@ fn shared_bus_cell_matches_pinned_digest() {
         .with_worker_on_shared_bus(ProcessorProfile::rtx_2080(), BusKind::PciE3x16, 0)
         .with_worker_on_shared_bus(ProcessorProfile::rtx_2080_super(), BusKind::PciE3x16, 0);
     let workload = Workload::from_profile(&DatasetProfile::yahoo_r1());
-    let config = SimConfig {
-        streams: 4,
-        ..SimConfig::default()
-    };
-    let trace = simulate_epoch(&platform, &workload, &config, &[0.2, 0.35, 0.45]);
+    let paper = paper(&platform, &workload, 4);
+    let trace = simulate_epoch(
+        &platform,
+        &workload,
+        &SimConfig::default(),
+        &paper,
+        &[0.2, 0.35, 0.45],
+    );
     assert_pinned("shared bus R1", trace_hash(&trace), SHARED_BUS_R1);
 }
 
@@ -184,10 +198,7 @@ fn shared_bus_cell_matches_pinned_digest() {
 fn faulty_cells_match_pinned_digests() {
     let platform = Platform::paper_testbed_4workers();
     let workload = Workload::from_profile(&DatasetProfile::netflix());
-    let config = SimConfig {
-        streams: 2,
-        ..SimConfig::default()
-    };
+    let (config, paper) = (SimConfig::default(), paper(&platform, &workload, 2));
     let x = [0.1, 0.2, 0.3, 0.4];
     for (name, worker, fault, want) in [
         ("crash", 2, Fault::Crash, CRASH),
@@ -195,7 +206,8 @@ fn faulty_cells_match_pinned_digests() {
         ("drop_push", 3, Fault::DropPush, DROP_PUSH),
     ] {
         let plan = FaultPlan::new(1).with(worker, 0, fault);
-        let trace = simulate_epoch_faulty(&platform, &workload, &config, &x, |w| plan.at(w, 0));
+        let trace =
+            simulate_epoch_faulty(&platform, &workload, &config, &paper, &x, |w| plan.at(w, 0));
         assert_pinned(name, trace_hash(&trace), want);
     }
 }

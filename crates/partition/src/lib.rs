@@ -12,6 +12,12 @@
 //! in virtual time, refines per worker (Theorem 1), then makes the λ
 //! decision.
 //!
+//! * [`round::RoundPlan`] — the epoch's schedule as data: which band of
+//!   `Q` each worker trains in each round, in which chunks, and the
+//!   install-before-pull and barrier edges. `RoundPlan::rotation` is the
+//!   threaded engine's epoch, `RoundPlan::paper` the paper's one round;
+//!   the engine walks a plan, `hcc-hetsim` times it and
+//!   [`CostModel::epoch_time`] prices it.
 //! * [`model::CostModel`] — Equations 1–5 and Table 1's parameters;
 //!   [`model::sync_ratio`] and [`model::choose`] — Eq. 5's ratio and its
 //!   λ dispatch between DP1 and DP2.
@@ -46,6 +52,7 @@ pub mod dp;
 pub mod model;
 pub mod planner;
 pub mod policy;
+pub mod round;
 pub mod shard;
 pub mod sweep;
 pub mod theorem;
@@ -54,6 +61,7 @@ pub use dp::{dp0, dp1, dp1_step, dp2, WorkerClass};
 pub use model::CostModel;
 pub use planner::{plan, replan_survivors, PartitionPlan, StrategyChoice};
 pub use policy::{adapt, Adaptation, EpochTimes, PartitionMode};
+pub use round::{Edge, RoundPlan, Step};
 pub use shard::ShardRouter;
 pub use sweep::{perturbation_cost, sweep_lambda};
 pub use theorem::equalize;

@@ -15,8 +15,14 @@
 //! payload the server merges with 3 memory ops + 1 FMA per element. The
 //! compute term dominates `7k/P_i` arithmetic because `P_i ≫ B_i` (the
 //! paper drops that term; we do too).
+//!
+//! [`CostModel::epoch_time`] prices a [`RoundPlan`]: Eq. 4 once per round,
+//! on the share of `Q` each worker moves that round. The paper's plan is
+//! one round on all of `Q`, where it is Eq. 4 exactly; the engine's band
+//! rotation is `p` rounds on a band each.
 
 use crate::planner::StrategyChoice;
+use crate::round::RoundPlan;
 
 /// All Table-1 parameters needed to evaluate the model, in byte/second units.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,17 +88,29 @@ impl CostModel {
         3.0 * self.sync_bytes as f64 / self.server_bandwidth
     }
 
-    /// Epoch cost (Eq. 4) given partition `x` and the number of
-    /// synchronizations `t` that land *after* the slowest worker finishes.
-    pub fn epoch_time(&self, x: &[f64], trailing_syncs: usize) -> f64 {
+    /// Epoch cost of `plan` under partition `x`, with `trailing_syncs`
+    /// installs (or merges) landing after each round's slowest worker: the
+    /// sum over rounds of that worker's `T_i` and the trailing syncs, each
+    /// term scaled by the share of `Q` it moves — a worker trains and ships
+    /// its band, and the sync of a round is at most its largest band's. On
+    /// [`RoundPlan::paper`] this is Eq. 4.
+    pub fn epoch_time(&self, plan: &RoundPlan, x: &[f64], trailing_syncs: usize) -> f64 {
         assert_eq!(x.len(), self.workers(), "partition length mismatch");
-        self.max_worker_time(x) + trailing_syncs as f64 * self.sync_time_per_worker()
+        assert_eq!(plan.workers(), self.workers(), "plan worker count mismatch");
+        let sync = trailing_syncs as f64 * self.sync_time_per_worker();
+        let round = |r| {
+            let share = |i| plan.share(r, i);
+            let largest = (0..self.workers()).map(share).fold(0.0f64, f64::max);
+            self.max_worker_time(x, share) + sync * largest
+        };
+        (0..plan.rounds()).map(round).sum()
     }
 
-    /// `max_i T_i` under partition `x` (Eq. 1's first term).
-    fn max_worker_time(&self, x: &[f64]) -> f64 {
+    /// `max_i T_i·share(i)` under partition `x`, worker `i` moving
+    /// `share(i)` of `Q` (at share 1, Eq. 1's first term).
+    fn max_worker_time(&self, x: &[f64], share: impl Fn(usize) -> f64) -> f64 {
         (0..self.workers())
-            .map(|i| self.worker_time(i, x[i]))
+            .map(|i| self.worker_time(i, x[i]) * share(i))
             .fold(0.0f64, f64::max)
     }
 
@@ -101,7 +119,7 @@ impl CostModel {
     /// merges trailing, as under DP1).
     pub fn sync_ratio(&self, x: &[f64]) -> f64 {
         let total_sync = self.workers() as f64 * self.sync_time_per_worker();
-        sync_ratio(self.max_worker_time(x), total_sync)
+        sync_ratio(self.max_worker_time(x, |_| 1.0), total_sync)
     }
 
     /// Per-unit-fraction compute cost `a_i = nnz·(16k+4)/B_i` and fixed cost
@@ -185,8 +203,13 @@ mod tests {
         let t0 = m.worker_time(0, 0.9);
         let t1 = m.worker_time(1, 0.1);
         assert!(t0 > t1);
-        let epoch = m.epoch_time(&x, 2);
+        let epoch = m.epoch_time(&RoundPlan::paper(2, 1_000, 1), &x, 2);
         assert!((epoch - (t0 + 2.0 * m.sync_time_per_worker())).abs() < 1e-12);
+        // A rotation is two rounds, each on half of `Q`: each round's
+        // slowest worker moves half its transfer volume and trains half its
+        // shard, and each trailing install is half a merge.
+        let rotation = m.epoch_time(&RoundPlan::rotation(2, 1_000, 1), &x, 2);
+        assert!((rotation - epoch).abs() < 1e-12, "{rotation} vs {epoch}");
     }
 
     #[test]
@@ -223,6 +246,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_partition_length_panics() {
-        model().epoch_time(&[1.0], 0);
+        model().epoch_time(&RoundPlan::paper(2, 1_000, 1), &[1.0], 0);
     }
 }

@@ -11,6 +11,7 @@
 
 use crate::dp::{dp0, dp1, dp2, WorkerClass};
 use crate::model::{choose, CostModel};
+use crate::round::RoundPlan;
 
 /// Which partition strategy the planner settled on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,9 +39,9 @@ pub struct PartitionPlan {
     pub predicted_epoch: f64,
 }
 
-/// Full planning pipeline for a worker set described by a [`CostModel`],
-/// with `lambda` the Eq. 5 threshold (the paper uses
-/// [`CostModel::LAMBDA`]).
+/// Full planning pipeline for a worker set described by a [`CostModel`]
+/// running the epochs of `rounds`, with `lambda` the Eq. 5 threshold (the
+/// paper uses [`CostModel::LAMBDA`]).
 ///
 /// `standalone_times` are each worker's independent full-data execution
 /// times (`T_i_e`, the DP0 input); `classes` mark CPU/GPU group membership
@@ -48,6 +49,7 @@ pub struct PartitionPlan {
 /// candidate partition and returns per-worker compute times.
 pub fn plan(
     model: &CostModel,
+    rounds: &RoundPlan,
     lambda: f64,
     standalone_times: &[f64],
     classes: &[WorkerClass],
@@ -99,7 +101,7 @@ pub fn plan(
     };
     PartitionPlan {
         strategy,
-        predicted_epoch: model.epoch_time(&fractions, trailing_syncs),
+        predicted_epoch: model.epoch_time(rounds, &fractions, trailing_syncs),
         fractions,
         sync_ratio,
         compute_times,
@@ -160,6 +162,11 @@ mod tests {
         }
     }
 
+    /// The paper's one-round epoch for `m`'s workers.
+    fn paper(m: &CostModel) -> RoundPlan {
+        RoundPlan::paper(m.workers(), m.n as usize, 1)
+    }
+
     fn model_measure(m: CostModel) -> impl FnMut(&[f64]) -> Vec<f64> {
         move |x: &[f64]| (0..m.workers()).map(|i| m.compute_time(i, x[i])).collect()
     }
@@ -176,6 +183,7 @@ mod tests {
         ];
         let plan = plan(
             &m,
+            &paper(&m),
             CostModel::LAMBDA,
             &standalone,
             &classes,
@@ -200,6 +208,7 @@ mod tests {
         ];
         let plan = plan(
             &m,
+            &paper(&m),
             CostModel::LAMBDA,
             &standalone,
             &classes,
@@ -236,6 +245,7 @@ mod tests {
         let classes = [WorkerClass::Cpu, WorkerClass::Gpu, WorkerClass::Gpu];
         let plan = plan(
             &m,
+            &paper(&m),
             CostModel::LAMBDA,
             &standalone,
             &classes,
@@ -294,6 +304,7 @@ mod tests {
         ];
         let plan = plan(
             &m,
+            &paper(&m),
             CostModel::LAMBDA,
             &standalone,
             &classes,

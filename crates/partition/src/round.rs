@@ -1,0 +1,248 @@
+//! The round plan: which band of `Q` each worker trains in each round of an
+//! epoch, cut into which chunks, and what must finish before what.
+//!
+//! `Q`'s rows are addressed by *position* `0..n` in some order the caller
+//! keeps (the threaded engine's seeded band order; the simulator's rows as
+//! they are). A band is a contiguous range of positions and a chunk a
+//! contiguous piece of a band, the unit one stream slot pulls, trains,
+//! pushes and the server installs. The plan holds no clock and no
+//! randomness: the threaded engine walks it, the simulator times it and the
+//! cost model prices it, so all three run the same epoch.
+//!
+//! Its edges: a band's install in round `r` comes before its pull in round
+//! `r + 1` ([`RoundPlan::edges`]), and every round ends in a barrier —
+//! nothing of round `r + 1` starts before all of round `r` has ended.
+
+use std::ops::Range;
+
+/// One epoch's schedule over `Q`'s positions `0..n`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoundPlan {
+    workers: usize,
+    rounds: usize,
+    /// Band `b` is positions `bands[b]`.
+    bands: Vec<Range<usize>>,
+    /// Band `b`'s chunks are `chunks[band_chunks[b]]`.
+    band_chunks: Vec<Range<usize>>,
+    /// Every band's chunks, band after band, over positions.
+    chunks: Vec<Range<usize>>,
+}
+
+/// What one worker does in one round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Step {
+    /// The band it trains.
+    pub band: usize,
+    /// That band's positions.
+    pub rows: Range<usize>,
+    /// Ids (indices into [`RoundPlan::chunks`]) of that band's chunks, in
+    /// order: the `s`-th travels over the worker's stream slot `s`.
+    pub chunks: Range<usize>,
+}
+
+/// A band handed from one holder to the next: its install by `installed`
+/// ends before its pull by `pulled` starts. Both are `(round, worker)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Edge {
+    /// The band handed over.
+    pub band: usize,
+    /// The step whose push is installed.
+    pub installed: (usize, usize),
+    /// The step of the next round that pulls what was installed.
+    pub pulled: (usize, usize),
+}
+
+impl RoundPlan {
+    /// The shipped engine: `p` rounds over `p` bands, band `b` positions
+    /// `b·n/p .. (b+1)·n/p`; in round `r` worker `w` trains band
+    /// `(w + r) mod p` (the DSGD comparator's strata), so each band has one
+    /// holder a round and each worker holds each band once an epoch.
+    pub fn rotation(p: usize, n: usize, streams: usize) -> RoundPlan {
+        let bands = (0..p).map(|b| b * n / p..(b + 1) * n / p).collect();
+        RoundPlan::over(p, p, bands, streams)
+    }
+
+    /// The paper's Algorithm: one round in which every worker pulls all of
+    /// `Q`, trains it and pushes it, and the server merges the `p` pushes.
+    ///
+    /// Both constructors tile each band into at most `streams` chunks.
+    ///
+    /// # Panics
+    /// Panics if `streams` is 0.
+    pub fn paper(p: usize, n: usize, streams: usize) -> RoundPlan {
+        RoundPlan::over(p, 1, std::iter::once(0..n).collect(), streams)
+    }
+
+    fn over(workers: usize, rounds: usize, bands: Vec<Range<usize>>, streams: usize) -> RoundPlan {
+        assert!(streams >= 1, "stream count must be >= 1");
+        let mut chunks = Vec::new();
+        let band_chunks = bands
+            .iter()
+            .map(|band| {
+                let first = chunks.len();
+                chunks.extend(tile(band.clone(), streams));
+                first..chunks.len()
+            })
+            .collect();
+        RoundPlan {
+            workers,
+            rounds,
+            bands,
+            band_chunks,
+            chunks,
+        }
+    }
+
+    /// Workers the plan schedules.
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// Rounds an epoch has.
+    pub fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    /// The bands, as position ranges that tile `0..n` in order.
+    pub fn bands(&self) -> &[Range<usize>] {
+        &self.bands
+    }
+
+    /// Positions of `Q` the plan covers (`n`).
+    pub fn items(&self) -> usize {
+        self.bands.last().map_or(0, |b| b.end)
+    }
+
+    /// Every chunk, band after band, as position ranges.
+    pub fn chunks(&self) -> &[Range<usize>] {
+        &self.chunks
+    }
+
+    /// The most chunks any band has: the stream slots a worker needs.
+    pub fn slots(&self) -> usize {
+        self.band_chunks.iter().map(Range::len).max().unwrap_or(0)
+    }
+
+    /// What worker `w` does in round `round`.
+    pub fn step(&self, round: usize, w: usize) -> Step {
+        let band = (w + round) % self.bands.len();
+        Step {
+            band,
+            rows: self.bands[band].clone(),
+            chunks: self.band_chunks[band].clone(),
+        }
+    }
+
+    /// The share of `Q` worker `w` trains in round `round`: its band's rows
+    /// over `n` (1 under [`paper`](Self::paper)).
+    pub fn share(&self, round: usize, w: usize) -> f64 {
+        self.step(round, w).rows.len() as f64 / self.items().max(1) as f64
+    }
+
+    /// Every hand-over of a band from one round's holder to the next's.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        let holder = move |r, band| (0..self.workers).find(|&w| self.step(r, w).band == band);
+        (1..self.rounds).flat_map(move |r| {
+            (0..self.workers).filter_map(move |to| {
+                let band = self.step(r, to).band;
+                let from = holder(r - 1, band)?;
+                Some(Edge {
+                    band,
+                    installed: (r - 1, from),
+                    pulled: (r, to),
+                })
+            })
+        })
+    }
+}
+
+/// Tiles `band` into at most `streams` contiguous, non-empty chunks of
+/// width `ceil(len / streams)`, the last one short: 10 rows in 4 streams are
+/// 3, 3, 3 and 1 (not `ShardRouter::uniform`'s 3, 2, 3, 2), and a band of
+/// fewer than `streams` rows has one chunk a row.
+fn tile(band: Range<usize>, streams: usize) -> impl Iterator<Item = Range<usize>> {
+    let width = band.len().div_ceil(streams).max(1);
+    let end = band.end;
+    band.step_by(width).map(move |lo| lo..(lo + width).min(end))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn widths(len: usize, streams: usize) -> Vec<usize> {
+        tile(0..len, streams).map(|c| c.len()).collect()
+    }
+
+    #[test]
+    fn the_tiling_is_ceil_width_with_a_short_last_chunk() {
+        assert_eq!(widths(10, 4), [3, 3, 3, 1]);
+        assert_eq!(widths(3, 8), [1, 1, 1]);
+        assert_eq!(widths(5, 5), [1, 1, 1, 1, 1]);
+        assert_eq!(widths(0, 2), [0usize; 0]);
+        // A plan tiles each band the same way, from the band's start.
+        let plan = RoundPlan::rotation(2, 20, 4);
+        assert_eq!(plan.chunks()[plan.step(0, 1).chunks][3], 19..20);
+    }
+
+    #[test]
+    fn every_band_has_one_holder_a_round_and_every_worker_holds_each_once() {
+        for p in 1..=5 {
+            for n in [5, 151, 10_000] {
+                for streams in [1, 2, 4] {
+                    let case = format!("p {p} n {n} streams {streams}");
+                    let plan = RoundPlan::rotation(p, n, streams);
+                    assert_eq!((plan.workers(), plan.rounds(), plan.items()), (p, p, n));
+                    let mut held = vec![vec![0; p]; p]; // [worker][band]
+                    for round in 0..p {
+                        let mut holders = vec![0; p];
+                        for (w, held) in held.iter_mut().enumerate() {
+                            let step = plan.step(round, w);
+                            holders[step.band] += 1;
+                            held[step.band] += 1;
+                        }
+                        assert!(holders.iter().all(|&h| h == 1), "{case} round {round}");
+                    }
+                    assert!(held.iter().flatten().all(|&h| h == 1), "{case}: {held:?}");
+                    // Bands tile `0..n` in equal counts; each band's chunks
+                    // tile it exactly, at most `streams` and none empty.
+                    let mut at = 0;
+                    for (b, band) in plan.bands().iter().enumerate() {
+                        assert_eq!(band.start, at, "{case}");
+                        assert!((n / p..=n.div_ceil(p)).contains(&band.len()), "{case}");
+                        at = band.end;
+                        let chunks = &plan.chunks()[plan.step(b, 0).chunks];
+                        assert!(chunks.len() <= streams, "{case} band {b}");
+                        let mut covered = band.start;
+                        for chunk in chunks {
+                            assert!(chunk.start == covered && !chunk.is_empty(), "{case}");
+                            covered = chunk.end;
+                        }
+                        assert_eq!(covered, band.end, "{case} band {b}");
+                    }
+                    assert_eq!(at, n, "{case}");
+                    // Each band's install in one round precedes its pull by
+                    // its holder in the next.
+                    assert_eq!(plan.edges().count(), p * (p - 1), "{case}");
+                    for e in plan.edges() {
+                        assert_eq!(plan.step(e.installed.0, e.installed.1).band, e.band);
+                        assert_eq!(plan.step(e.pulled.0, e.pulled.1).band, e.band);
+                        assert_eq!(e.pulled.0, e.installed.0 + 1);
+                    }
+                    // The paper's plan: one round, every worker on all of
+                    // `Q`, tiled the same way, and nothing handed over.
+                    let paper = RoundPlan::paper(p, n, streams);
+                    assert_eq!((paper.workers(), paper.rounds()), (p, 1), "{case}");
+                    for w in 0..p {
+                        let step = paper.step(0, w);
+                        assert_eq!((step.band, step.rows), (0, 0..n), "{case}");
+                        assert_eq!(paper.share(0, w), 1.0);
+                        let tiles: Vec<_> = tile(0..n, streams).collect();
+                        assert_eq!(paper.chunks()[step.chunks], tiles[..], "{case}");
+                    }
+                    assert_eq!(paper.edges().count(), 0);
+                }
+            }
+        }
+    }
+}

@@ -8,12 +8,15 @@
 use crate::dp::WorkerClass;
 use crate::model::CostModel;
 use crate::planner::{plan, StrategyChoice};
+use crate::round::RoundPlan;
 
 /// Plans once per λ value, reporting the chosen strategy and the
-/// model-predicted epoch time. Used by the `ablation_lambda` bench to show
-/// where the DP1/DP2 switchover sits for a given platform/workload.
+/// model-predicted epoch time of `rounds`. Used by the `ablation_lambda`
+/// bench to show where the DP1/DP2 switchover sits for a given
+/// platform/workload.
 pub fn sweep_lambda(
     model: &CostModel,
+    rounds: &RoundPlan,
     standalone_times: &[f64],
     classes: &[WorkerClass],
     mut measure: impl FnMut(&[f64]) -> Vec<f64>,
@@ -22,8 +25,9 @@ pub fn sweep_lambda(
     lambdas
         .iter()
         .map(|&lambda| {
-            let plan = plan(model, lambda, standalone_times, classes, &mut measure);
-            (lambda, plan.strategy, plan.predicted_epoch)
+            let measure = &mut measure;
+            let p = plan(model, rounds, lambda, standalone_times, classes, measure);
+            (lambda, p.strategy, p.predicted_epoch)
         })
         .collect()
 }
@@ -93,6 +97,7 @@ mod tests {
         let classes = [WorkerClass::Cpu, WorkerClass::Gpu];
         let results = sweep_lambda(
             &model,
+            &RoundPlan::paper(model.workers(), model.n as usize, 1),
             &standalone,
             &classes,
             measure_for(model.clone()),

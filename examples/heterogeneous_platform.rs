@@ -13,7 +13,7 @@ use hcc_hetsim::{
     cost_model_for, ideal_computing_power, simulate_training, standalone_times, virtual_measure,
     Phase, Platform, SimConfig, Workload,
 };
-use hcc_partition::{dp0, CostModel};
+use hcc_partition::{dp0, CostModel, RoundPlan};
 use hcc_sparse::DatasetProfile;
 
 fn main() {
@@ -54,9 +54,11 @@ fn main() {
         println!("DP0 shares: {}", fmt_fractions(&x0));
 
         // Full planning: DP1 refinement, then the λ rule.
-        let model = cost_model_for(&platform, &workload, &config);
+        let rounds = RoundPlan::paper(platform.worker_count(), workload.n as usize, 1);
+        let model = cost_model_for(&platform, &workload, &config, &rounds);
         let plan = hcc_partition::plan(
             &model,
+            &rounds,
             CostModel::LAMBDA,
             &standalone,
             &hcc_hetsim::measure::worker_classes(&platform),
@@ -70,7 +72,7 @@ fn main() {
         );
 
         // Simulate 20 epochs with the planned partition.
-        let sim = simulate_training(&platform, &workload, &config, &plan.fractions, 20);
+        let sim = simulate_training(&platform, &workload, &config, &rounds, &plan.fractions, 20);
         let ideal = ideal_computing_power(&platform, &workload);
         println!(
             "20 epochs: {:.2}s — {:.0}M updates/s of {:.0}M ideal ({:.0}% utilization)",

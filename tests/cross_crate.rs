@@ -7,8 +7,13 @@ use hcc_hetsim::{
     cost_model_for, ideal_computing_power, simulate_epoch, simulate_training, standalone_times,
     virtual_measure, worker_classes, Phase, Platform, ProcessorProfile, SimConfig, Workload,
 };
-use hcc_partition::{dp0, dp2, CostModel, StrategyChoice};
+use hcc_partition::{dp0, dp2, CostModel, RoundPlan, StrategyChoice};
 use hcc_sparse::DatasetProfile;
+
+/// The paper's one-round epoch of `platform` on `workload`.
+fn paper(platform: &Platform, workload: &Workload, streams: usize) -> RoundPlan {
+    RoundPlan::paper(platform.worker_count(), workload.n as usize, streams)
+}
 
 fn netflix() -> Workload {
     Workload::from_profile(&DatasetProfile::netflix())
@@ -16,41 +21,71 @@ fn netflix() -> Workload {
 
 #[test]
 fn simulator_matches_cost_model_epoch_time() {
-    // With one stream and one worker the simulator must equal the closed
-    // form: pull + compute + push + sync.
-    let platform = Platform::single(ProcessorProfile::rtx_2080());
-    let wl = netflix();
-    let cfg = SimConfig::default();
-    let model = cost_model_for(&platform, &wl, &cfg);
-    let trace = simulate_epoch(&platform, &wl, &cfg, &[1.0]);
-    let expect = model.worker_time(0, 1.0) + model.sync_time_per_worker();
-    // The model's sync uses the average assigned rows; with one worker the
-    // simulator's matches exactly.
-    assert!(
-        (trace.epoch_time - expect).abs() / expect < 1e-9,
-        "sim {} vs model {}",
-        trace.epoch_time,
-        expect
-    );
+    // With one stream the simulator must equal the closed form wherever
+    // nothing queues: one worker on the paper's one round (pull + compute
+    // + push + sync), and two identical workers on dedicated buses in the
+    // band rotation (two rounds of half of that, each ending in both
+    // installs). Netflix's 17 771 columns would make the two bands a row
+    // apart, so the rotation runs on one column fewer.
+    let even = Workload {
+        n: 17_770,
+        ..netflix()
+    };
+    let cpu = ProcessorProfile::custom_cpu("cpu", 24, 3.5e8, 50e9);
+    for (platform, wl, rounds, x, trailing) in [
+        (
+            Platform::single(ProcessorProfile::rtx_2080()),
+            netflix(),
+            RoundPlan::paper(1, 17_771, 1),
+            vec![1.0],
+            1,
+        ),
+        (
+            Platform::pair(cpu.clone(), cpu),
+            even,
+            RoundPlan::rotation(2, 17_770, 1),
+            vec![0.5, 0.5],
+            2,
+        ),
+    ] {
+        let cfg = SimConfig::default();
+        let model = cost_model_for(&platform, &wl, &cfg, &rounds);
+        let trace = simulate_epoch(&platform, &wl, &cfg, &rounds, &x);
+        let expect = model.epoch_time(&rounds, &x, trailing);
+        assert!(
+            (trace.epoch_time - expect).abs() / expect < 1e-9,
+            "{} rounds: sim {} vs model {}",
+            rounds.rounds(),
+            trace.epoch_time,
+            expect
+        );
+    }
+    // On the paper's plan the model's epoch is Eq. 4 to the bit.
+    let (platform, wl) = (Platform::single(ProcessorProfile::rtx_2080()), netflix());
+    let rounds = paper(&platform, &wl, 1);
+    let model = cost_model_for(&platform, &wl, &SimConfig::default(), &rounds);
+    let eq4 = model.worker_time(0, 1.0) + model.sync_time_per_worker();
+    assert_eq!(model.epoch_time(&rounds, &[1.0], 1), eq4);
 }
 
 #[test]
 fn dp1_beats_uniform_and_dp0_beats_nothing_on_heterogeneous_platform() {
     let platform = Platform::paper_testbed_4workers();
     let wl = netflix();
-    let cfg = SimConfig::default();
+    let (cfg, rounds) = (SimConfig::default(), paper(&platform, &wl, 1));
     let uniform = vec![0.25; 4];
     let x0 = dp0(&standalone_times(&platform, &wl));
     let plan = hcc_partition::plan(
-        &cost_model_for(&platform, &wl, &cfg),
+        &cost_model_for(&platform, &wl, &cfg, &rounds),
+        &rounds,
         CostModel::LAMBDA,
         &standalone_times(&platform, &wl),
         &worker_classes(&platform),
         virtual_measure(&platform, &wl),
     );
-    let t_uniform = simulate_epoch(&platform, &wl, &cfg, &uniform).epoch_time;
-    let t_dp0 = simulate_epoch(&platform, &wl, &cfg, &x0).epoch_time;
-    let t_planned = simulate_epoch(&platform, &wl, &cfg, &plan.fractions).epoch_time;
+    let t_uniform = simulate_epoch(&platform, &wl, &cfg, &rounds, &uniform).epoch_time;
+    let t_dp0 = simulate_epoch(&platform, &wl, &cfg, &rounds, &x0).epoch_time;
+    let t_planned = simulate_epoch(&platform, &wl, &cfg, &rounds, &plan.fractions).epoch_time;
     assert!(t_dp0 < t_uniform, "dp0 {t_dp0} !< uniform {t_uniform}");
     assert!(
         t_planned <= t_dp0 * 1.001,
@@ -64,14 +99,14 @@ fn dp2_hides_sync_on_r1_class_workload() {
     // makespan relative to the balanced DP1 partition.
     let platform = Platform::paper_testbed_3workers();
     let wl = Workload::from_profile(&DatasetProfile::yahoo_r1());
-    let cfg = SimConfig::default();
+    let (cfg, rounds) = (SimConfig::default(), paper(&platform, &wl, 1));
     let x0 = dp0(&standalone_times(&platform, &wl));
-    let model = cost_model_for(&platform, &wl, &cfg);
+    let model = cost_model_for(&platform, &wl, &cfg, &rounds);
     let mut measure = virtual_measure(&platform, &wl);
     let t1 = measure(&x0);
     let x2 = dp2(&x0, &t1, model.sync_time_per_worker());
-    let epoch_dp1 = simulate_epoch(&platform, &wl, &cfg, &x0);
-    let epoch_dp2 = simulate_epoch(&platform, &wl, &cfg, &x2);
+    let epoch_dp1 = simulate_epoch(&platform, &wl, &cfg, &rounds, &x0);
+    let epoch_dp2 = simulate_epoch(&platform, &wl, &cfg, &rounds, &x2);
     assert!(
         epoch_dp2.epoch_time < epoch_dp1.epoch_time,
         "dp2 {} !< dp1 {}",
@@ -92,6 +127,7 @@ fn q_only_strategy_shrinks_simulated_comm() {
             strategy: TransferStrategy::FullPq,
             ..Default::default()
         },
+        &paper(&platform, &wl, 1),
         &x,
     );
     let qonly = simulate_epoch(
@@ -101,6 +137,7 @@ fn q_only_strategy_shrinks_simulated_comm() {
             strategy: TransferStrategy::QOnly,
             ..Default::default()
         },
+        &paper(&platform, &wl, 1),
         &x,
     );
     let half = simulate_epoch(
@@ -110,6 +147,7 @@ fn q_only_strategy_shrinks_simulated_comm() {
             strategy: TransferStrategy::HalfQ,
             ..Default::default()
         },
+        &paper(&platform, &wl, 1),
         &x,
     );
     let comm = |t: &hcc_hetsim::EpochTrace| t.totals.iter().map(|w| w.pull + w.push).sum::<f64>();
@@ -134,14 +172,16 @@ fn utilization_shape_matches_table4() {
     ] {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&profile);
+        let rounds = paper(&platform, &wl, 1);
         let plan = hcc_partition::plan(
-            &cost_model_for(&platform, &wl, &cfg),
+            &cost_model_for(&platform, &wl, &cfg, &rounds),
+            &rounds,
             CostModel::LAMBDA,
             &standalone_times(&platform, &wl),
             &worker_classes(&platform),
             virtual_measure(&platform, &wl),
         );
-        let sim = simulate_training(&platform, &wl, &cfg, &plan.fractions, 20);
+        let sim = simulate_training(&platform, &wl, &cfg, &rounds, &plan.fractions, 20);
         utils.push(sim.computing_power / ideal_computing_power(&platform, &wl));
     }
     assert!(utils[0] > 0.75, "netflix {utils:?}");
@@ -164,8 +204,10 @@ fn planner_strategy_choices_match_paper() {
     for (profile, want) in expect {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&profile);
+        let rounds = paper(&platform, &wl, 1);
         let plan = hcc_partition::plan(
-            &cost_model_for(&platform, &wl, &cfg),
+            &cost_model_for(&platform, &wl, &cfg, &rounds),
+            &rounds,
             CostModel::LAMBDA,
             &standalone_times(&platform, &wl),
             &worker_classes(&platform),
@@ -184,16 +226,9 @@ fn multi_stream_simulation_reduces_exposed_comm_on_r1() {
     let platform = Platform::paper_testbed_3workers();
     let wl = Workload::from_profile(&DatasetProfile::yahoo_r1());
     let x = dp0(&standalone_times(&platform, &wl));
-    let sync_cfg = SimConfig {
-        streams: 1,
-        ..Default::default()
-    };
-    let async_cfg = SimConfig {
-        streams: 4,
-        ..Default::default()
-    };
-    let t_sync = simulate_epoch(&platform, &wl, &sync_cfg, &x).epoch_time;
-    let t_async = simulate_epoch(&platform, &wl, &async_cfg, &x).epoch_time;
+    let cfg = SimConfig::default();
+    let t_sync = simulate_epoch(&platform, &wl, &cfg, &paper(&platform, &wl, 1), &x).epoch_time;
+    let t_async = simulate_epoch(&platform, &wl, &cfg, &paper(&platform, &wl, 4), &x).epoch_time;
     assert!(t_async < t_sync, "async {t_async} !< sync {t_sync}");
 }
 
@@ -242,7 +277,8 @@ fn trainer_is_transport_invariant_across_wires() {
 fn timeline_phases_are_complete_and_ordered() {
     let platform = Platform::paper_testbed_4workers();
     let wl = netflix();
-    let trace = simulate_epoch(&platform, &wl, &SimConfig::default(), &[0.25; 4]);
+    let (cfg, rounds) = (SimConfig::default(), paper(&platform, &wl, 1));
+    let trace = simulate_epoch(&platform, &wl, &cfg, &rounds, &[0.25; 4]);
     for w in 0..4 {
         let spans = trace.worker_spans(w);
         let phases: Vec<Phase> = spans.iter().map(|s| s.phase).collect();

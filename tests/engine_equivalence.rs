@@ -20,17 +20,25 @@
 //!   never the compute, in both engines;
 //! * under rolled network chaos, on one server or four shards, the server
 //!   merges nothing from exactly the same `(epoch, worker)` cells in both
-//!   engines — the cells the plan says lose their push.
+//!   engines — the cells the plan says lose their push;
+//! * both walk the same `hcc_partition::RoundPlan`: a traced engine epoch
+//!   is the plan's rounds × pull, compute, push on every worker lane and
+//!   one install a chunk in the plan's order on the server lane, and the
+//!   calendar times the same rounds in the plan's dependency order
+//!   (`the_engine_walks_the_round_plan_and_the_twin_times_it`).
 
 use hcc_comm::{Fault, FaultPlan};
 use hcc_hetsim::{
-    simulate_epoch_faulty, BusKind, Phase, Platform, ProcessorProfile, SimConfig, Workload,
+    simulate_epoch, simulate_epoch_faulty, BusKind, Phase, Platform, ProcessorProfile, SimConfig,
+    Workload,
 };
 use hcc_mf::{
     HccConfig, HccMf, HccReport, LearningRate, PartitionMode, SupervisorConfig, WorkerHealth,
     WorkerSpec,
 };
+use hcc_partition::RoundPlan;
 use hcc_sparse::{Axis, CooMatrix, GenConfig, GridPartition, Rating, SyntheticDataset};
+use hcc_telemetry::Event;
 use std::time::Duration;
 
 const ROWS: u32 = 200; // rows > cols so the trainer partitions the matrix as-is
@@ -74,7 +82,7 @@ fn config(seed: u64) -> hcc_mf::HccConfigBuilder {
 /// Epoch `epoch` of `plan` on the DES mirror of the threaded platform: one
 /// identical single-thread CPU per starting-fleet id in `fleet` (so a
 /// uniform split is also the balanced one) in front of `shards` server
-/// shards.
+/// shards, running the band rotation the threaded engine ran.
 fn des_trace(
     fleet: &[usize],
     shards: usize,
@@ -101,7 +109,8 @@ fn des_trace(
         ..SimConfig::default()
     };
     let x = vec![1.0 / workers as f64; workers];
-    simulate_epoch_faulty(&platform, &workload, &config, &x, |w| {
+    let rounds = RoundPlan::rotation(workers, COLS as usize, 1);
+    simulate_epoch_faulty(&platform, &workload, &config, &rounds, &x, |w| {
         plan.at(fleet[w], epoch)
     })
 }
@@ -345,4 +354,163 @@ fn rolled_chaos_loses_the_same_pushes_in_both_engines_over_four_shards() {
     // A fault is the worker's, not one of its four shard links': sharding
     // the server must not move (or multiply) a single lost push.
     assert_both_engines_lose_the_same_pushes(chaos_seed(), 4);
+}
+
+/// `(worker, round) → (phases in first-start order, sync count)` of one
+/// simulated epoch: what the threaded engine's trace must show too.
+type Structure = std::collections::BTreeMap<(usize, usize), (Vec<char>, usize)>;
+
+/// A phase as one letter, whichever engine recorded it.
+fn sim_letter(phase: Phase) -> char {
+    match phase {
+        Phase::Pull => 'p',
+        Phase::Compute => 'c',
+        Phase::Push => 'u',
+        Phase::Sync => 's',
+    }
+}
+
+#[test]
+fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
+    // Bands of 50 / 50 / 51 rows in one and two streams, and of 1, 1, 1
+    // and 2 rows in two streams, so that chunk counts differ by band.
+    for (cols, nnz, workers, streams) in [(151, 6_000, 3, 1), (151, 6_000, 3, 2), (5, 1_000, 4, 2)]
+    {
+        let case = format!("{workers} workers on 300 x {cols}, {streams} stream(s)");
+        let ds = SyntheticDataset::generate(GenConfig {
+            rows: 300,
+            cols,
+            nnz,
+            seed: 5,
+            ..GenConfig::default()
+        });
+        let path = std::env::temp_dir().join(format!("hcc_round_plan_{cols}_{streams}.jsonl"));
+        let config = HccConfig::builder()
+            .k(8)
+            .epochs(2)
+            .workers(vec![WorkerSpec::cpu(1); workers])
+            .partition(PartitionMode::Uniform)
+            .streams(streams)
+            .seed(5)
+            .telemetry(&path)
+            .build();
+        let report = HccMf::new(config).train(&ds.matrix).unwrap();
+        std::fs::remove_file(&path).ok();
+        let timeline = report.timeline.expect("telemetry was enabled");
+        assert_eq!(timeline.dropped, 0, "{case}");
+        let plan = &RoundPlan::rotation(workers, cols as usize, streams);
+
+        // The threaded engine: per epoch, each worker lane is the plan's
+        // rounds x [pull, comp, push], and the server lane installs one
+        // chunk at a time in the plan's (round, worker, chunk) order.
+        let letter = |phase| match phase {
+            hcc_telemetry::Phase::Pull => 'p',
+            hcc_telemetry::Phase::Comp => 'c',
+            hcc_telemetry::Phase::Push => 'u',
+            _ => 's',
+        };
+        let holders: Vec<u32> = (0..plan.rounds())
+            .flat_map(|r| {
+                (0..workers).flat_map(move |w| vec![w as u32; plan.step(r, w).chunks.len()])
+            })
+            .collect();
+        for e in 0..2u32 {
+            let phases = |of: u32| -> String {
+                timeline
+                    .events
+                    .iter()
+                    .filter_map(|ev| match *ev {
+                        Event::Phase {
+                            epoch,
+                            worker,
+                            phase,
+                            ..
+                        } if epoch == e && worker == of && letter(phase) != 's' => {
+                            Some(letter(phase))
+                        }
+                        _ => None,
+                    })
+                    .collect()
+            };
+            for w in 0..workers as u32 {
+                assert_eq!(
+                    phases(w),
+                    "pcu".repeat(plan.rounds()),
+                    "{case}, epoch {e}, worker {w}"
+                );
+            }
+            let installs: Vec<u32> = timeline
+                .events
+                .iter()
+                .filter_map(|ev| match *ev {
+                    Event::Phase {
+                        epoch,
+                        worker,
+                        phase: hcc_telemetry::Phase::Sync,
+                        ..
+                    } if epoch == e => Some(worker),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(installs, holders, "{case}, epoch {e}");
+        }
+
+        // The twin on the same plan: identical GPUs with enough copy
+        // engines that no step's chunks are capped.
+        let mut platform = Platform::new("round-plan twin");
+        for w in 0..workers {
+            let gpu = ProcessorProfile::custom_gpu(&format!("gpu{w}"), 50.0e6, 12.5e9, 0.0);
+            platform = platform.with_worker(gpu, BusKind::Upi);
+        }
+        let workload = Workload {
+            name: "round-plan twin".into(),
+            m: 300,
+            n: cols as u64,
+            nnz: nnz as u64,
+        };
+        let config = SimConfig {
+            k: 8,
+            ..SimConfig::default()
+        };
+        let x = vec![1.0 / workers as f64; workers];
+        let trace = simulate_epoch(&platform, &workload, &config, plan, &x);
+        let mut sim = Structure::new();
+        let mut spans = trace.spans.clone();
+        spans.sort_by(|a, b| a.start.total_cmp(&b.start));
+        for span in &spans {
+            let (order, syncs) = sim.entry((span.worker, span.round)).or_default();
+            match sim_letter(span.phase) {
+                's' => *syncs += 1,
+                l if !order.contains(&l) => order.push(l),
+                _ => {}
+            }
+        }
+        let want: Structure = (0..workers)
+            .flat_map(|w| (0..plan.rounds()).map(move |r| (w, r)))
+            .map(|(w, r)| ((w, r), (vec!['p', 'c', 'u'], plan.step(r, w).chunks.len())))
+            .collect();
+        assert_eq!(sim, want, "{case}");
+        // Dependency order: a band's install ends before its next holder
+        // pulls it, and nothing of a round starts before the last round's
+        // barrier.
+        let of = |round, worker, phase| {
+            trace
+                .spans
+                .iter()
+                .filter(move |s| (s.round, s.worker, s.phase) == (round, worker, phase))
+        };
+        for edge in plan.edges() {
+            let (r, from) = edge.installed;
+            let installed = of(r, from, Phase::Sync).map(|s| s.end).fold(0.0, f64::max);
+            let pulled = of(r + 1, edge.pulled.1, Phase::Pull)
+                .map(|s| s.start)
+                .fold(f64::INFINITY, f64::min);
+            assert!(installed <= pulled, "{case}: {edge:?}");
+        }
+        for r in 1..plan.rounds() {
+            let round = |r| trace.spans.iter().filter(move |s| s.round == r);
+            let barrier = round(r - 1).map(|s| s.end).fold(0.0, f64::max);
+            assert!(round(r).all(|s| s.start >= barrier), "{case}: round {r}");
+        }
+    }
 }

@@ -9,16 +9,27 @@ use hcc_hetsim::{
     cost_model_for, ideal_computing_power, simulate_training, standalone_times, virtual_measure,
     virtual_measure_total, worker_classes, Platform, ProcessorProfile, SimConfig, Workload,
 };
-use hcc_partition::{dp0, dp1, dp2, CostModel, StrategyChoice};
+use hcc_partition::{dp0, dp1, dp2, CostModel, RoundPlan, StrategyChoice};
 use hcc_sparse::DatasetProfile;
 
-fn plan_with(platform: &Platform, wl: &Workload, cfg: &SimConfig) -> hcc_partition::PartitionPlan {
+/// The paper's one-round epoch of `platform` on `workload`.
+fn paper_plan(platform: &Platform, workload: &Workload, streams: usize) -> RoundPlan {
+    RoundPlan::paper(platform.worker_count(), workload.n as usize, streams)
+}
+
+fn plan_with(
+    platform: &Platform,
+    wl: &Workload,
+    cfg: &SimConfig,
+    rounds: &RoundPlan,
+) -> hcc_partition::PartitionPlan {
     hcc_partition::plan(
-        &cost_model_for(platform, wl, cfg),
+        &cost_model_for(platform, wl, cfg, rounds),
+        rounds,
         CostModel::LAMBDA,
         &standalone_times(platform, wl),
         &worker_classes(platform),
-        virtual_measure_total(platform, wl, cfg),
+        virtual_measure_total(platform, wl, cfg, rounds),
     )
 }
 
@@ -40,8 +51,9 @@ fn fig3_platform_ordering() {
         ProcessorProfile::xeon_6242_16t(),
         ProcessorProfile::rtx_2080_super(),
     );
-    let p = plan_with(&pair, &wl, &cfg);
-    let collab = simulate_training(&pair, &wl, &cfg, &p.fractions, 20).total_time;
+    let rounds = paper_plan(&pair, &wl, 1);
+    let p = plan_with(&pair, &wl, &cfg, &rounds);
+    let collab = simulate_training(&pair, &wl, &cfg, &rounds, &p.fractions, 20).total_time;
     assert!(
         collab < gpu2080s,
         "collab {collab} !< best member {gpu2080s}"
@@ -59,14 +71,15 @@ fn fig8_dp1_improvement_band() {
     ] {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&profile);
+        let rounds = paper_plan(&platform, &wl, 1);
         let x0 = dp0(&standalone_times(&platform, &wl));
         let x1 = dp1(
             &x0,
             &worker_classes(&platform),
             virtual_measure(&platform, &wl),
         );
-        let t0 = simulate_training(&platform, &wl, &cfg, &x0, 20).total_time;
-        let t1 = simulate_training(&platform, &wl, &cfg, &x1, 20).total_time;
+        let t0 = simulate_training(&platform, &wl, &cfg, &rounds, &x0, 20).total_time;
+        let t1 = simulate_training(&platform, &wl, &cfg, &rounds, &x1, 20).total_time;
         let gain = (t0 - t1) / t0;
         assert!(
             (lo..hi).contains(&gain),
@@ -85,6 +98,7 @@ fn fig8_dp2_improvement_band() {
     let cfg = SimConfig::default();
     let platform = Platform::paper_testbed_4workers();
     let wl = Workload::from_profile(&DatasetProfile::r1_star());
+    let rounds = paper_plan(&platform, &wl, 1);
     let x0 = dp0(&standalone_times(&platform, &wl));
     let x1 = dp1(
         &x0,
@@ -93,10 +107,10 @@ fn fig8_dp2_improvement_band() {
     );
     let mut measure = virtual_measure(&platform, &wl);
     let t = measure(&x1);
-    let model = cost_model_for(&platform, &wl, &cfg);
+    let model = cost_model_for(&platform, &wl, &cfg, &rounds);
     let x2 = dp2(&x1, &t, model.sync_time_per_worker());
-    let t1 = simulate_training(&platform, &wl, &cfg, &x1, 20).total_time;
-    let t2 = simulate_training(&platform, &wl, &cfg, &x2, 20).total_time;
+    let t1 = simulate_training(&platform, &wl, &cfg, &rounds, &x1, 20).total_time;
+    let t2 = simulate_training(&platform, &wl, &cfg, &rounds, &x2, 20).total_time;
     let gain = (t1 - t2) / t1;
     assert!(
         (0.03..0.20).contains(&gain),
@@ -115,20 +129,15 @@ fn table4_utilization_bands() {
         (DatasetProfile::movielens_20m(), 0.20, 0.55),
     ];
     for (profile, lo, hi) in expect {
-        let (platform, cfg) = if profile.name.contains("R1") {
-            (
-                Platform::paper_testbed_3workers(),
-                SimConfig {
-                    streams: 4,
-                    ..Default::default()
-                },
-            )
+        let (platform, streams) = if profile.name.contains("R1") {
+            (Platform::paper_testbed_3workers(), 4)
         } else {
-            (Platform::paper_testbed_overall(), SimConfig::default())
+            (Platform::paper_testbed_overall(), 1)
         };
-        let wl = Workload::from_profile(&profile);
-        let p = plan_with(&platform, &wl, &cfg);
-        let sim = simulate_training(&platform, &wl, &cfg, &p.fractions, 20);
+        let (cfg, wl) = (SimConfig::default(), Workload::from_profile(&profile));
+        let rounds = paper_plan(&platform, &wl, streams);
+        let p = plan_with(&platform, &wl, &cfg, &rounds);
+        let sim = simulate_training(&platform, &wl, &cfg, &rounds, &p.fractions, 20);
         let util = sim.computing_power / ideal_computing_power(&platform, &wl);
         assert!(
             (lo..hi).contains(&util),
@@ -152,8 +161,9 @@ fn fig7_speedup_bands() {
     ] {
         let platform = Platform::paper_testbed_overall();
         let wl = Workload::from_profile(&profile);
-        let p = plan_with(&platform, &wl, &cfg);
-        let hcc = simulate_training(&platform, &wl, &cfg, &p.fractions, 20).total_time;
+        let rounds = paper_plan(&platform, &wl, 1);
+        let p = plan_with(&platform, &wl, &cfg, &rounds);
+        let hcc = simulate_training(&platform, &wl, &cfg, &rounds, &p.fractions, 20).total_time;
         let cumf = wl.nnz as f64 * 20.0
             / ProcessorProfile::rtx_2080_super()
                 .rates
@@ -179,8 +189,9 @@ fn table5_q_only_speedup() {
     let platform = Platform::paper_testbed_4workers();
     let wl = Workload::from_profile(&DatasetProfile::netflix());
     let x = dp0(&standalone_times(&platform, &wl));
+    let rounds = paper_plan(&platform, &wl, 1);
     let comm = |cfg: &SimConfig| -> f64 {
-        let sim = simulate_training(&platform, &wl, cfg, &x, 20);
+        let sim = simulate_training(&platform, &wl, cfg, &rounds, &x, 20);
         sim.epoch
             .totals
             .iter()
@@ -201,10 +212,11 @@ fn table6_limitation_band() {
         ProcessorProfile::rtx_2080_super(),
         ProcessorProfile::rtx_2080(),
     );
-    let p1 = plan_with(&single, &wl, &cfg);
-    let p2 = plan_with(&pair, &wl, &cfg);
-    let t1 = simulate_training(&single, &wl, &cfg, &p1.fractions, 20).total_time;
-    let t2 = simulate_training(&pair, &wl, &cfg, &p2.fractions, 20).total_time;
+    let (one, two) = (paper_plan(&single, &wl, 1), paper_plan(&pair, &wl, 1));
+    let p1 = plan_with(&single, &wl, &cfg, &one);
+    let p2 = plan_with(&pair, &wl, &cfg, &two);
+    let t1 = simulate_training(&single, &wl, &cfg, &one, &p1.fractions, 20).total_time;
+    let t2 = simulate_training(&pair, &wl, &cfg, &two, &p2.fractions, 20).total_time;
     let speedup = t1 / t2;
     assert!(
         (1.1..1.7).contains(&speedup),
@@ -226,7 +238,7 @@ fn lambda_dispatch_choices() {
     for (profile, want) in expect {
         let platform = Platform::paper_testbed_4workers();
         let wl = Workload::from_profile(&profile);
-        let plan = plan_with(&platform, &wl, &cfg);
+        let plan = plan_with(&platform, &wl, &cfg, &paper_plan(&platform, &wl, 1));
         assert_eq!(
             plan.strategy, want,
             "{} (ratio {:.1})",

@@ -3,10 +3,15 @@
 
 use hcc_comm::TransferStrategy;
 use hcc_hetsim::{simulate_epoch, BusKind, Platform, ProcessorProfile, SimConfig, Workload};
-use hcc_partition::{dp0, dp2, equalize};
+use hcc_partition::{dp0, dp2, equalize, RoundPlan};
 use hcc_sgd::fp16;
 use hcc_sparse::{Axis, CooMatrix, CsrMatrix, GridPartition, Rating};
 use proptest::prelude::*;
+
+/// The paper's one-round epoch of `platform` on `workload`.
+fn paper(platform: &Platform, workload: &Workload, streams: usize) -> RoundPlan {
+    RoundPlan::paper(platform.worker_count(), workload.n as usize, streams)
+}
 
 fn arb_matrix() -> impl Strategy<Value = CooMatrix> {
     (2u32..40, 2u32..40, 1usize..300).prop_flat_map(|(rows, cols, nnz)| {
@@ -114,8 +119,8 @@ proptest! {
             .with_worker(ProcessorProfile::custom_cpu("w", 4, rate, 50e9), BusKind::PciE3x16);
         let wl = Workload { name: "prop".into(), m: 10_000, n: 1_000, nnz };
         let cfg = SimConfig::default();
-        let t_small = simulate_epoch(&platform, &wl, &cfg, &[x * 0.5]).epoch_time;
-        let t_big = simulate_epoch(&platform, &wl, &cfg, &[x]).epoch_time;
+        let t_small = simulate_epoch(&platform, &wl, &cfg, &paper(&platform, &wl, 1), &[x * 0.5]).epoch_time;
+        let t_big = simulate_epoch(&platform, &wl, &cfg, &paper(&platform, &wl, 1), &[x]).epoch_time;
         prop_assert!(t_big >= t_small, "load up, time down: {t_small} -> {t_big}");
     }
 
@@ -264,14 +269,9 @@ proptest! {
             BusKind::Custom(bus_gb * 1e9),
         );
         let wl = Workload { name: "prop".into(), m: 100_000, n: 50_000, nnz: 30_000_000 };
-        let base = simulate_epoch(
-            &platform, &wl,
-            &SimConfig { streams: 1, ..Default::default() }, &[1.0],
-        ).epoch_time;
-        let piped = simulate_epoch(
-            &platform, &wl,
-            &SimConfig { streams, ..Default::default() }, &[1.0],
-        ).epoch_time;
+        let cfg = SimConfig::default();
+        let base = simulate_epoch(&platform, &wl, &cfg, &paper(&platform, &wl, 1), &[1.0]).epoch_time;
+        let piped = simulate_epoch(&platform, &wl, &cfg, &paper(&platform, &wl, streams), &[1.0]).epoch_time;
         prop_assert!(piped <= base * 1.0001, "streams {streams}: {piped} > {base}");
     }
 
