@@ -163,11 +163,12 @@ pub trait Transport: Send + Sync {
     /// × bytes per element. Every transport counts exactly this. A
     /// `publish` is the server writing its own region and a collect is a
     /// view of a push that already crossed, so neither is link traffic; nor
-    /// are the 24 header and trailer bytes of a frame. An epoch in which
-    /// `W` workers each pull and push the region once therefore reads
-    /// `(W·pull_len·bpe, W·push_len·bpe)` — the paper's Table 5 quantity —
-    /// and fp16 reads exactly half of fp32. (A sharded server's pushes are
-    /// row deltas: it counts the delta elements it shipped.) Telemetry
+    /// are the 24 header and trailer bytes of a frame. `W` pulls and `W`
+    /// pushes of the region therefore read `(W·pull_len·bpe, W·push_len·bpe)`
+    /// — Table 5's epoch of `W` workers; a pull a worker skips, holding the
+    /// region, adds nothing — and fp16 reads exactly half of fp32. (A
+    /// sharded server's pushes are row deltas: it counts the delta elements
+    /// it shipped.) Telemetry
     /// records the two directions separately because the communication
     /// strategies (Q-only, half-Q, FP16) trade them off asymmetrically.
     fn wire_bytes_by_dir(&self) -> (u64, u64);

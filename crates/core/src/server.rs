@@ -359,7 +359,7 @@ impl Transport for ShardedServer {
     /// All of the worker's outstanding shards under one deadline: a slow
     /// shard eats into the remaining budget instead of multiplying it. On
     /// error the worker's rebuilt region keeps the shards applied so far
-    /// and a retry picks up where this call stopped (see [`Rebuilt`]).
+    /// and a retry picks up at the first shard it still needs.
     fn collect_with(
         &self,
         worker: usize,

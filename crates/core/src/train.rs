@@ -5,12 +5,13 @@
 //! contiguous row range each worker owns mixes popular and rare users.
 //! `Q`'s rows are put in a seeded shuffled order too (`band_order`), and
 //! an epoch walks [`RoundPlan::rotation`] over those positions: one round
-//! per worker, in which worker `w` trains band `(w + r) mod p` on its own
-//! rows, so every band has one holder a round and every worker holds every
-//! band once an epoch. The server hands each band, as the last round left
-//! it, to its holder over the holder's own link and installs the holder's
-//! push, with nothing to merge. The schedule is the plan's; this file only
-//! enacts it.
+//! per worker, in which worker `w` trains band `(w + r + e·(p − 1)) mod p`
+//! of epoch `e` on its own rows, so every band has one holder a round and
+//! every worker holds every band once an epoch. The server hands each band,
+//! as the last round left it, to its holder over the holder's own link and
+//! installs the holder's push, with nothing to merge; a worker that holds
+//! its band already does not pull it. The schedule is the plan's; this file
+//! only enacts it.
 
 use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingMeta};
 use crate::config::{HccConfig, TransportKind, WorkerSpec};
@@ -476,12 +477,14 @@ impl<'a> Session<'a> {
 
     /// (Re)builds worker states, the bands and each worker's links for a
     /// partition vector. Workers hold no factors of their own — `P` is
-    /// trained where the session keeps it and `Q` is pulled every round —
-    /// so no training progress is lost across repartitions.
+    /// trained where the session keeps it and a band's rows are the
+    /// server's once installed — so no training progress is lost across
+    /// repartitions, and no band depends on the partition either.
     fn rebuild_workers(&mut self, fractions: Vec<f64>) -> Result<(), HccError> {
-        // The old fleet's ratings, regions and links go before their
-        // successors are built: a repartition must not hold two sets at once.
-        self.workers.clear();
+        // The old fleet's ratings and links go before their successors are
+        // built: a repartition must not hold two sets at once.
+        let old = self.workers.drain(..);
+        let mut old: Vec<_> = old.map(|w| (w.regions, w.carried)).collect();
         let (k, n, p) = (self.k, self.n, self.specs.len());
         // One band a worker, equal counts of the band order, each tiled
         // into `streams` chunks.
@@ -494,27 +497,12 @@ impl<'a> Session<'a> {
         self.band_order = order;
         let chunks = self.plan.chunks();
         let ends: Vec<usize> = chunks.iter().map(|c| c.end).collect();
-        // The shards are the ratings' second copy (`work` is the first),
-        // never a third.
         let bounds = GridPartition::boundaries(&self.work, Axis::Row, &fractions);
-        let shards = deal(self.work.entries(), &bounds, &rank, &ends);
-        drop(rank);
-        let mut workers = Vec::with_capacity(p);
-        for (w, (spec, (entries, chunk_entries))) in self.specs.iter().zip(shards).enumerate() {
-            workers.push(WorkerState {
-                spec: spec.clone(),
-                entries,
-                chunk_entries,
-                row_range: bounds[w]..bounds[w + 1],
-                // Built below, once `max_rows` is known.
-                regions: Vec::new(),
-                links: Vec::new(),
-            });
-        }
-        let max_rows = workers.iter().map(|w| w.p_rows().len()).max().unwrap_or(0);
+        let max_rows = bounds.windows(2).map(|b| b[1] - b[0]).max().unwrap_or(0) as usize;
         let precision = self.wire_precision();
         // Under `FullPq` only the first chunk carries `P`: each worker holds
-        // band 0 once an epoch, so it still pulls `P` once.
+        // band 0 once an epoch, so it pulls `P` once, or not at all in an
+        // epoch that begins on band 0 carried.
         let layouts: Vec<RegionLayout> = chunks
             .iter()
             .enumerate()
@@ -530,12 +518,36 @@ impl<'a> Session<'a> {
         let (pull_len, push_len) = layouts.iter().fold((0, 0), |(pull, push), l| {
             (pull.max(l.pull_len), push.max(l.push_len))
         });
-        // Every region-sized buffer of the epoch loop is allocated here, by
-        // the thread that builds the links, not by whichever worker or
-        // connection thread first needs it.
+        // A worker keeps its regions, and the band it carries in them, while
+        // the fleet and their length stay. Otherwise every region-sized
+        // buffer of the epoch loop is allocated here, by the thread that
+        // builds the links, not by whichever worker or connection thread
+        // first needs it.
+        if old.len() != p || self.server.get_mut().region.len() != pull_len {
+            old.clear();
+        }
+        let mut old = old.into_iter();
+        let region = || Mutex::new(vec![0f32; pull_len]);
+        let fresh = || (0..slots).map(|_| region()).collect();
+        // The shards are the ratings' second copy (`work` is the first),
+        // never a third.
+        let shards = deal(self.work.entries(), &bounds, &rank, &ends);
+        drop(rank);
+        let mut workers = Vec::with_capacity(p);
+        for (w, (spec, (entries, chunk_entries))) in self.specs.iter().zip(shards).enumerate() {
+            let (regions, carried) = old.next().unwrap_or_else(|| (fresh(), false));
+            workers.push(WorkerState {
+                spec: spec.clone(),
+                entries,
+                chunk_entries,
+                row_range: bounds[w]..bounds[w + 1],
+                regions,
+                links: Vec::new(),
+                carried,
+            });
+        }
         for (worker, &id) in workers.iter_mut().zip(&self.orig_ids) {
             for _ in 0..slots {
-                worker.regions.push(Mutex::new(vec![0f32; pull_len]));
                 let endpoint = build_endpoint(
                     self.config.transport,
                     k,
@@ -588,6 +600,7 @@ impl<'a> Session<'a> {
     }
 
     fn run(&mut self, transposed: bool) -> Result<(), HccError> {
+        self.hand_out_first_bands();
         let mut supervision = self.config.fault_tolerance.clone().map(|cfg| {
             let mut supervisor = Supervisor::new(cfg, self.workers.len());
             supervisor.set_lr_scale(self.lr_scale);
@@ -631,12 +644,7 @@ impl<'a> Session<'a> {
                             lr_scale: scale,
                         },
                     );
-                    let (p, q) = &sup.snapshot;
-                    let diverged = self.server.get_mut();
-                    diverged.p.as_mut_slice().copy_from_slice(p.as_slice());
-                    diverged.q.as_mut_slice().copy_from_slice(q.as_slice());
-                    // Fresh regions and endpoints for the retry.
-                    self.rebuild_workers(self.fractions.clone())?;
+                    self.roll_back(&sup.snapshot)?;
                     continue; // retry the same epoch at reduced LR
                 }
                 sup.supervisor.accept(l);
@@ -697,6 +705,35 @@ impl<'a> Session<'a> {
             epoch += 1;
         }
         self.rollbacks = supervision.map_or(0, |s| s.supervisor.rollbacks_used() as usize);
+        Ok(())
+    }
+
+    /// Sets each worker up with the band it starts the session's first
+    /// epoch on, as a pull would deliver it, as it is set up with its
+    /// ratings and its rows of `P`: none of them crosses the wire.
+    fn hand_out_first_bands(&mut self) {
+        let (server, epoch) = (self.server.lock(), self.start_epoch);
+        for (w, state) in self.workers.iter().enumerate() {
+            for (region, c) in state.regions.iter().zip(self.plan.step(epoch, 0, w).chunks) {
+                let (items, layout) = self.chunk(c);
+                let band = &mut region.lock()[layout.q_elems()];
+                gather(band, server.q.as_slice(), items, self.k);
+                self.wire_precision().round(band);
+            }
+        }
+        drop(server);
+        self.workers.iter_mut().for_each(|w| w.carried = true);
+    }
+
+    /// Puts the last accepted `(P, Q)` back after a diverged epoch, with
+    /// fresh endpoints for the retry. The regions hold the diverged bands,
+    /// so nothing is carried.
+    fn roll_back(&mut self, (p, q): &(FactorMatrix, FactorMatrix)) -> Result<(), HccError> {
+        let diverged = self.server.get_mut();
+        diverged.p.as_mut_slice().copy_from_slice(p.as_slice());
+        diverged.q.as_mut_slice().copy_from_slice(q.as_slice());
+        self.rebuild_workers(self.fractions.clone())?;
+        self.workers.iter_mut().for_each(|w| w.carried = false);
         Ok(())
     }
 
@@ -839,9 +876,13 @@ impl<'a> Session<'a> {
 
     /// One epoch of Fig. 4, the only epoch loop there is: the plan's rounds,
     /// each a [`run_round`](Self::run_round) in which worker `w` trains the
-    /// band of its [`RoundPlan::step`]. Every worker pulls and pushes every
-    /// band once an epoch, so the bytes an epoch carries are those of one
-    /// whole `Q` a worker each way.
+    /// band of its [`RoundPlan::step`]. Every worker pushes every band once
+    /// an epoch and pulls every band but a carried one: the band it pushed
+    /// last (or was set up with), rounded to the wire's precision, so
+    /// skipping its pull (and, under `FullPq`, band 0's `P`) moves no bits.
+    /// An `E`-epoch run of `p` workers pulls `E·(p − 1)` whole `Q`s. A push
+    /// not installed, a death, a rollback or a survivor re-plan ends a
+    /// worker's carry (DESIGN §4.1, "Carried bands").
     ///
     /// This departs from the paper's one synchronization per epoch: a band
     /// is installed after each round, so the next holder starts from what
@@ -868,10 +909,15 @@ impl<'a> Session<'a> {
             sync_time: Duration::ZERO,
             missed: vec![false; workers],
         };
-        for round in 0..self.plan.rounds() {
-            self.run_round(round, lr, epoch, sup, &mut outcome)?;
+        let ran = (0..self.plan.rounds())
+            .try_for_each(|round| self.run_round(round, lr, epoch, sup, &mut outcome));
+        // What a worker pushed last is the server's only if every push it
+        // made this epoch was installed and it is still in the fleet.
+        for (w, state) in self.workers.iter_mut().enumerate() {
+            let dead = sup.is_some_and(|sup| sup.board.is_dead(w));
+            state.carried = ran.is_ok() && !outcome.missed[w] && !dead;
         }
-        Ok(outcome)
+        ran.map(|()| outcome)
     }
 
     /// One round: hand every band, as the last round left it, to its holder
@@ -896,7 +942,7 @@ impl<'a> Session<'a> {
         let ServerSide { p, q, region } = &mut *server;
 
         for (w, state) in self.workers.iter().enumerate() {
-            for (c, link) in self.plan.step(round, w).chunks.zip(&state.links) {
+            for (c, link) in self.plan.step(epoch, round, w).chunks.zip(&state.links) {
                 let (items, layout) = self.chunk(c);
                 let region = &mut region[..layout.pull_len];
                 let (p_part, q_part) = region.split_at_mut(layout.pull_q_offset);
@@ -932,7 +978,7 @@ impl<'a> Session<'a> {
 
             let server_lane = telemetry.server_lane();
             for (w, state) in self.workers.iter().enumerate() {
-                for (c, link) in self.plan.step(round, w).chunks.zip(&state.links) {
+                for (c, link) in self.plan.step(epoch, round, w).chunks.zip(&state.links) {
                     // A worker whose push this epoch was lost loses the rest
                     // of the epoch's pushes with it (its fault cell is the
                     // epoch), so the ladder is waited out once an epoch, not
@@ -1051,8 +1097,10 @@ impl<'a> Session<'a> {
             return WorkerEpochStats::default();
         }
         let lane = worker_id as u32;
-        // Slot `s` carries chunk `band.start + s` of the plan.
-        let band = self.plan.step(round, w).chunks;
+        // Slot `s` carries chunk `band.start + s` of the plan. A carried
+        // band is in the regions already, as the pull would deliver it.
+        let step = self.plan.step(epoch, round, w);
+        let (band, carried) = (step.chunks, step.carried && state.carried);
         let layout = |s: usize| self.layouts[band.start + s];
 
         // Each stage locks slot `s`'s region for as long as it works on it;
@@ -1061,6 +1109,9 @@ impl<'a> Session<'a> {
         // (The `P` a `FullPq` pull carries is what the worker's rows
         // already hold: they have one owner.)
         let pull = |s: usize| {
+            if carried {
+                return;
+            }
             let mut region = state.regions[s].lock();
             let pulled = &mut region[..layout(s).pull_len];
             state.links[s].endpoint.pull(0, pulled);
@@ -1085,6 +1136,12 @@ impl<'a> Session<'a> {
                 plan.poison(worker_id, epoch, push);
             }
             state.links[s].endpoint.push(0, push);
+            // The next epoch begins on this band: once installed, the server
+            // holds it as the wire delivers it, and so does the region.
+            if round + 1 == self.plan.rounds() {
+                self.wire_precision()
+                    .round(&mut region[layout(s).q_elems()]);
+            }
         };
 
         let slots = band.len();
@@ -1308,6 +1365,7 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             row_range: 0..work.rows(),
             regions: Vec::new(),
             links: Vec::new(),
+            carried: false,
         };
         // Fresh zeroed factors for every worker: each pays the same page
         // faults, so none looks faster for coming second.
@@ -1796,11 +1854,12 @@ mod tests {
 
     #[test]
     fn one_epoch_carries_each_region_once_per_worker_and_direction() {
-        // Wire bytes are the payload bytes worker links carried: each of W
-        // workers pulls and pushes every chunk once an epoch, `pull_len`
-        // and `push_len` elements at the wire's bytes per element, on
-        // every transport — no publish, no collect, no frame header or
-        // trailer.
+        // Wire bytes are the payload bytes worker links carried: in an
+        // epoch no worker carries a band into (here, workers not yet set up
+        // with one), each of W workers pulls and pushes every chunk once,
+        // `pull_len` and `push_len` elements at the wire's bytes per
+        // element, on every transport — no publish, no collect, no frame
+        // header or trailer.
         let ds = dataset(60, 30, 600);
         let one_epoch_of = |ds: &SyntheticDataset, workers, transport, strategy, shards| {
             let config = base_config()
@@ -1865,6 +1924,232 @@ mod tests {
         assert_eq!(wire(TransportKind::Tcp, 2), (14_496, 16_344));
     }
 
+    /// The bits of `session`'s `P` and `Q`.
+    fn factor_bits(session: &mut Session) -> Vec<u32> {
+        let server = session.server.get_mut();
+        let factors = server.p.as_slice().iter().chain(server.q.as_slice());
+        factors.map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_epoch_pulls_every_band_but_the_carried_ones() {
+        // Each worker starts an epoch on the band it holds — the one it was
+        // set up with, then the one it ended the last epoch on — and the
+        // workers hold different bands, so every epoch pulls one whole `Q`
+        // fewer than `p`: `E·(p − 1)·n·k·bpe` in all. Pushes are not
+        // carried: `E·p·n·k·bpe`.
+        const EPOCHS: usize = 3;
+        let (even, uneven) = (dataset(60, 30, 600), dataset(300, 151, 6_000));
+        use {TransferStrategy::*, TransportKind::*};
+        let with = |p, transport, strategy| {
+            (base_config().workers(vec![WorkerSpec::cpu(1); p]))
+                .partition(PartitionMode::Uniform)
+                .transport(transport)
+                .strategy(strategy)
+        };
+        let cases = [
+            ("shared", &even, with(2, Shared, QOnly).build()),
+            ("fp16 socket", &even, with(2, Socket, HalfQ).build()),
+            (
+                "tcp x2",
+                &even,
+                with(2, Tcp, QOnly).server_shards(2).build(),
+            ),
+            (
+                "2 streams",
+                &even,
+                with(2, Shared, QOnly).streams(2).build(),
+            ),
+            ("uneven", &uneven, with(3, Socket, QOnly).build()),
+        ];
+        for (case, ds, config) in cases {
+            let p = config.workers.len();
+            let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+            session.hand_out_first_bands();
+            for epoch in 0..EPOCHS {
+                session.run_epoch(0.02, epoch, None).unwrap();
+            }
+            let bpe = if config.strategy.is_compressed() {
+                2
+            } else {
+                4
+            };
+            let q_bytes = (session.n * 8 * bpe) as u64;
+            let (pulled, pushed) = session.wire_bytes_by_dir();
+            assert_eq!(pulled, (EPOCHS * (p - 1)) as u64 * q_bytes, "{case}");
+            if config.server_shards == 1 {
+                assert_eq!(pushed, (EPOCHS * p) as u64 * q_bytes, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_carried_band_is_the_servers_as_the_wire_delivers_it() {
+        // Before every carried step, the first epoch's too, each region of
+        // the worker holds its chunk of the server's band rounded to the
+        // wire's precision: the bits a pull would have written there.
+        let ds = dataset(60, 30, 600);
+        for (transport, strategy, streams) in [
+            (TransportKind::Shared, TransferStrategy::QOnly, 1),
+            (TransportKind::Shared, TransferStrategy::HalfQ, 2),
+            (TransportKind::Socket, TransferStrategy::HalfQ, 1),
+            (TransportKind::Socket, TransferStrategy::FullPq, 1),
+        ] {
+            let case = format!("{transport:?} x {strategy:?} x {streams}");
+            let config = base_config()
+                .partition(PartitionMode::Uniform)
+                .transport(transport)
+                .strategy(strategy)
+                .streams(streams)
+                .build();
+            let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+            let precision = session.wire_precision();
+            session.hand_out_first_bands();
+            for epoch in 0..4 {
+                if epoch > 0 {
+                    session.run_epoch(0.02, epoch - 1, None).unwrap();
+                }
+                let server = session.server.lock();
+                for (w, state) in session.workers.iter().enumerate() {
+                    let step = session.plan.step(epoch, 0, w);
+                    assert!(step.carried && state.carried, "{case}, epoch {epoch}");
+                    for (region, c) in state.regions.iter().zip(step.chunks) {
+                        let (items, layout) = session.chunk(c);
+                        let mut band = vec![0f32; items.len() * 8];
+                        gather(&mut band, server.q.as_slice(), items, 8);
+                        precision.round(&mut band);
+                        let held: Vec<u32> = region.lock()[layout.q_elems()]
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect();
+                        let band: Vec<u32> = band.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(held, band, "{case}, epoch {epoch}, worker {w}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_push_not_installed_or_a_rollback_makes_the_next_round_pull() {
+        use crate::supervisor::SupervisorConfig;
+        use hcc_comm::FaultPlan;
+        let ds = dataset(60, 30, 600);
+        let supervisor = SupervisorConfig {
+            heartbeat_timeout: Duration::from_millis(20),
+            collect_retries: 1,
+            ..SupervisorConfig::default()
+        };
+        // Three epochs of two one-thread workers, set up as `run` sets them
+        // up: worker 0's pushes of epoch 1 are lost or poisoned, or epoch 1
+        // is run once at another rate (finite, so every push of it is
+        // installed), rolled back and run again. `pulls` clears every carry
+        // before each epoch, so that every round pulls: the carry must land
+        // on its bits, and pull less only where it holds.
+        let run = |plan: FaultPlan, rollback: bool, pulls: bool| {
+            let config = base_config()
+                .workers(vec![WorkerSpec::cpu(1); 2])
+                .partition(PartitionMode::Uniform)
+                .fault_tolerance(supervisor.clone())
+                .fault_plan(plan)
+                .build();
+            let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+            session.hand_out_first_bands();
+            let sup = Supervisor::new(supervisor.clone(), 2);
+            let mut pulled = Vec::new();
+            for epoch in 0..3 {
+                if pulls {
+                    session.workers.iter_mut().for_each(|w| w.carried = false);
+                }
+                if rollback && epoch == 1 {
+                    let server = session.server.get_mut();
+                    let snapshot = (server.p.clone(), server.q.clone());
+                    session.run_epoch(0.1, epoch, Some(&sup)).unwrap();
+                    session.roll_back(&snapshot).unwrap();
+                }
+                let before = session.wire_bytes_by_dir().0;
+                session.run_epoch(0.02, epoch, Some(&sup)).unwrap();
+                pulled.push(session.wire_bytes_by_dir().0 - before);
+            }
+            (pulled, factor_bits(&mut session))
+        };
+        // `Q` is 30 rows of k = 8 in two bands of 15: two workers pull it
+        // whole in 1_920 bytes, 960 all but their carried bands, 1_440 when
+        // only one of them carries.
+        let (whole, carried, one) = (1_920, 960, 1_440);
+        let lost = |fault| FaultPlan::new(7).with(0, 1, fault);
+        for (case, plan, rollback, want) in [
+            ("clean", FaultPlan::new(7), false, [carried; 3]),
+            (
+                "poisoned",
+                lost(Fault::PoisonPush),
+                false,
+                [carried, carried, one],
+            ),
+            (
+                "dropped",
+                lost(Fault::DropPush),
+                false,
+                [carried, carried, one],
+            ),
+            (
+                "rolled back",
+                FaultPlan::new(7),
+                true,
+                [carried, whole, carried],
+            ),
+        ] {
+            let (pulled, bits) = run(plan.clone(), rollback, false);
+            assert_eq!(pulled, want, "{case}");
+            let (pulled, every_round) = run(plan, rollback, true);
+            assert_eq!(pulled, [whole; 3], "{case}, every round pulling");
+            assert!(bits == every_round, "{case}: the carry moved bits");
+        }
+    }
+
+    #[test]
+    fn a_repartition_keeps_the_carry() {
+        // An `Auto` run over an fp16 socket re-planned after each of its
+        // first three epochs, as `adapt` re-plans it: no band depends on
+        // the partition, so each worker keeps its regions and its carry,
+        // and every epoch pulls the same bytes — on the bits of a run whose
+        // every round pulls.
+        let ds = dataset(60, 30, 600);
+        let config = base_config()
+            .workers(vec![WorkerSpec::cpu(1); 2])
+            .partition(PartitionMode::Auto)
+            .transport(TransportKind::Socket)
+            .strategy(TransferStrategy::HalfQ)
+            .build();
+        let run = |pulls: bool| {
+            let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+            // Both runs start from the same shares, not from a calibration.
+            session.rebuild_workers(vec![0.5, 0.5]).unwrap();
+            session.hand_out_first_bands();
+            let mut pulled = Vec::new();
+            let shares = [[0.7, 0.3], [0.6, 0.4], [0.55, 0.45]];
+            for epoch in 0..5 {
+                if pulls {
+                    session.workers.iter_mut().for_each(|w| w.carried = false);
+                }
+                let before = session.wire_bytes_by_dir().0;
+                session.run_epoch(0.02, epoch, None).unwrap();
+                pulled.push(session.wire_bytes_by_dir().0 - before);
+                if let Some(x) = shares.get(epoch) {
+                    session.rebuild_workers(x.to_vec()).unwrap();
+                }
+            }
+            (pulled, factor_bits(&mut session))
+        };
+        let (pulled, bits) = run(false);
+        // 30 rows of k = 8 at 2 bytes, pulled by two workers: 960 bytes,
+        // less the band of 15 rows each carries.
+        assert_eq!(pulled, [480; 5]);
+        let (pulled, every_round) = run(true);
+        assert_eq!(pulled, [960; 5]);
+        assert!(bits == every_round, "the carry moved bits");
+    }
+
     #[test]
     fn a_missing_or_poisoned_push_leaves_its_band_as_published() {
         use crate::supervisor::SupervisorConfig;
@@ -1901,7 +2186,7 @@ mod tests {
                 session
                     .run_round(round, 0.02, 0, sup, &mut outcome)
                     .unwrap();
-                let (items, layout) = session.chunk(session.plan.step(round, 1).chunks.start);
+                let (items, layout) = session.chunk(session.plan.step(0, round, 1).chunks.start);
                 let pushed = &session.workers[1].regions[0].lock()[..layout.pull_len];
                 install(q1.as_mut_slice(), pushed, items, 8);
             }

@@ -48,6 +48,8 @@ pub(crate) struct WorkerState {
     pub regions: Vec<Mutex<Vec<f32>>>,
     /// `links[s]`: the wire `regions[s]` is pulled into and pushed from.
     pub links: Vec<Link>,
+    /// `regions` hold the band of a carried step as a pull would deliver it.
+    pub carried: bool,
 }
 
 /// A worker's own end of the wire for one stream slot. It serves that
@@ -158,6 +160,7 @@ mod tests {
             row_range: 0..10,
             regions: Vec::new(),
             links: Vec::new(),
+            carried: false,
         }
     }
 

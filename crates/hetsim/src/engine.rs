@@ -182,7 +182,8 @@ impl WorkerCosts {
     /// efficiency: the full link in the calendar, where contention is
     /// queueing; the planner's fair share. The wire carries the step's band
     /// of `Q` (and, under `FullPq`, `P` with the plan's first chunk, as in
-    /// the threaded engine); compute is the band's share of `x·nnz`.
+    /// the threaded engine), but no pull of a carried step; compute is the
+    /// band's share of `x·nnz`.
     pub(crate) fn derive(
         platform: &Platform,
         workload: &Workload,
@@ -196,11 +197,12 @@ impl WorkerCosts {
         let m = if carries_p { workload.m } else { 0 };
         let m_assigned = (x * m as f64).round() as u64;
         let (n, k) = (step.rows.len() as u64, config.k);
+        let pulled = u64::from(!step.carried);
         let share = n as f64 / workload.n.max(1) as f64;
         let bus = link_bandwidth * config.transport_efficiency;
         WorkerCosts {
             phases: WorkerTotals {
-                pull: config.strategy.pull_bytes(m, n, k) as f64 / bus,
+                pull: config.strategy.pull_bytes(pulled * m, pulled * n, k) as f64 / bus,
                 compute: compute_time(platform, workload, w, x) * share,
                 push: config.strategy.push_bytes(m_assigned, n, k) as f64 / bus,
             },
@@ -238,7 +240,8 @@ pub(crate) fn standalone_rate(slot: &WorkerSlot, workload: &Workload, x: f64) ->
 }
 
 /// Simulates one epoch of HCC-MF on `platform`: the rounds of `plan` with
-/// data partition `x`.
+/// data partition `x` (every epoch of a plan costs the same; the bands are
+/// epoch 0's), a carried step's pulls taking no time.
 ///
 /// # Panics
 /// Panics if `x.len()` or `plan.workers()` differs from the worker count,
@@ -309,7 +312,8 @@ pub fn simulate_epoch_faulty(
     for round in 0..plan.rounds() {
         let costs: Vec<WorkerCosts> = (0..workers)
             .map(|w| {
-                let (bus, step) = (platform.workers[w].bus.bandwidth(), plan.step(round, w));
+                let bus = platform.workers[w].bus.bandwidth();
+                let step = plan.step(0, round, w);
                 WorkerCosts::derive(platform, workload, config, w, x[w], bus, &step)
             })
             .collect();

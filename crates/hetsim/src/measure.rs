@@ -40,7 +40,8 @@ pub fn virtual_measure<'a>(
 
 /// Like [`virtual_measure`], but returns each worker's compute time **plus
 /// its exposed communication time** over the rounds of `plan` (each step's
-/// pull + push divided by its effective stream count). With one stream and
+/// pull + push divided by its effective stream count, a carried step's
+/// pull being none). With one stream and
 /// near-equal buses this reduces to compute balancing — the paper's
 /// equal-`b` assumption in Theorem 1 — but under Strategy 3 the GPUs hide
 /// most of their transfers while plain CPUs cannot, and partition planning
@@ -64,7 +65,9 @@ pub fn virtual_measure_total<'a>(
                     let c = WorkerCosts::derive(platform, workload, config, w, x[w], link, &step);
                     c.phases.compute + (c.phases.pull + c.phases.push) / c.streams as f64
                 };
-                (0..plan.rounds()).map(|r| exposed(plan.step(r, w))).sum()
+                (0..plan.rounds())
+                    .map(|r| exposed(plan.step(0, r, w)))
+                    .sum()
             })
             .collect()
     }

@@ -12,6 +12,8 @@
 //! Its edges: a band's install in round `r` comes before its pull in round
 //! `r + 1` ([`RoundPlan::edges`]), and every round ends in a barrier —
 //! nothing of round `r + 1` starts before all of round `r` has ended.
+//! The rotation begins each epoch on the band the last one ended on (the
+//! first on the band a worker is set up with): that step is *carried*.
 
 use std::ops::Range;
 
@@ -26,6 +28,8 @@ pub struct RoundPlan {
     band_chunks: Vec<Range<usize>>,
     /// Every band's chunks, band after band, over positions.
     chunks: Vec<Range<usize>>,
+    /// An epoch's first round is carried (the rotation's; never the paper's).
+    carries: bool,
 }
 
 /// What one worker does in one round.
@@ -38,6 +42,9 @@ pub struct Step {
     /// Ids (indices into [`RoundPlan::chunks`]) of that band's chunks, in
     /// order: the `s`-th travels over the worker's stream slot `s`.
     pub chunks: Range<usize>,
+    /// The worker holds this band already, as nobody has trained it since
+    /// its own step before (or since its fleet was built), and pulls nothing.
+    pub carried: bool,
 }
 
 /// A band handed from one holder to the next: its install by `installed`
@@ -54,16 +61,20 @@ pub struct Edge {
 
 impl RoundPlan {
     /// The shipped engine: `p` rounds over `p` bands, band `b` positions
-    /// `b·n/p .. (b+1)·n/p`; in round `r` worker `w` trains band
-    /// `(w + r) mod p` (the DSGD comparator's strata), so each band has one
-    /// holder a round and each worker holds each band once an epoch.
+    /// `b·n/p .. (b+1)·n/p`; in round `r` of epoch `e` worker `w` trains
+    /// band `(w + r + e·(p − 1)) mod p` (the DSGD comparator's strata, turned
+    /// each epoch), so each band has one holder a round, each worker holds
+    /// each band once an epoch, and each epoch's first round is carried.
     pub fn rotation(p: usize, n: usize, streams: usize) -> RoundPlan {
         let bands = (0..p).map(|b| b * n / p..(b + 1) * n / p).collect();
-        RoundPlan::over(p, p, bands, streams)
+        let mut plan = RoundPlan::over(p, p, bands, streams);
+        plan.carries = true;
+        plan
     }
 
     /// The paper's Algorithm: one round in which every worker pulls all of
     /// `Q`, trains it and pushes it, and the server merges the `p` pushes.
+    /// A merged `Q` is nobody's push, so nothing is carried.
     ///
     /// Both constructors tile each band into at most `streams` chunks.
     ///
@@ -90,6 +101,7 @@ impl RoundPlan {
             bands,
             band_chunks,
             chunks,
+            carries: false,
         }
     }
 
@@ -123,28 +135,32 @@ impl RoundPlan {
         self.band_chunks.iter().map(Range::len).max().unwrap_or(0)
     }
 
-    /// What worker `w` does in round `round`.
-    pub fn step(&self, round: usize, w: usize) -> Step {
-        let band = (w + round) % self.bands.len();
+    /// What worker `w` does in round `round` of epoch `epoch`.
+    pub fn step(&self, epoch: usize, round: usize, w: usize) -> Step {
+        let p = self.bands.len();
+        let band = (w + round + (epoch % p) * (p - 1)) % p;
         Step {
             band,
             rows: self.bands[band].clone(),
             chunks: self.band_chunks[band].clone(),
+            carried: self.carries && round == 0,
         }
     }
 
-    /// The share of `Q` worker `w` trains in round `round`: its band's rows
-    /// over `n` (1 under [`paper`](Self::paper)).
-    pub fn share(&self, round: usize, w: usize) -> f64 {
-        self.step(round, w).rows.len() as f64 / self.items().max(1) as f64
+    /// The share of `Q` worker `w` trains in round `round` of epoch
+    /// `epoch`: its band's rows over `n` (1 under [`paper`](Self::paper)).
+    pub fn share(&self, epoch: usize, round: usize, w: usize) -> f64 {
+        self.step(epoch, round, w).rows.len() as f64 / self.items().max(1) as f64
     }
 
-    /// Every hand-over of a band from one round's holder to the next's.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        let holder = move |r, band| (0..self.workers).find(|&w| self.step(r, w).band == band);
+    /// Every hand-over of a band from one round's holder to the next's in
+    /// epoch `epoch` (a carried band stays with its holder: no hand-over).
+    pub fn edges(&self, epoch: usize) -> impl Iterator<Item = Edge> + '_ {
+        let step = move |r, w| self.step(epoch, r, w);
+        let holder = move |r, band| (0..self.workers).find(|&w| step(r, w).band == band);
         (1..self.rounds).flat_map(move |r| {
             (0..self.workers).filter_map(move |to| {
-                let band = self.step(r, to).band;
+                let band = step(r, to).band;
                 let from = holder(r - 1, band)?;
                 Some(Edge {
                     band,
@@ -182,7 +198,7 @@ mod tests {
         assert_eq!(widths(0, 2), [0usize; 0]);
         // A plan tiles each band the same way, from the band's start.
         let plan = RoundPlan::rotation(2, 20, 4);
-        assert_eq!(plan.chunks()[plan.step(0, 1).chunks][3], 19..20);
+        assert_eq!(plan.chunks()[plan.step(0, 0, 1).chunks][3], 19..20);
     }
 
     #[test]
@@ -193,17 +209,35 @@ mod tests {
                     let case = format!("p {p} n {n} streams {streams}");
                     let plan = RoundPlan::rotation(p, n, streams);
                     assert_eq!((plan.workers(), plan.rounds(), plan.items()), (p, p, n));
-                    let mut held = vec![vec![0; p]; p]; // [worker][band]
-                    for round in 0..p {
-                        let mut holders = vec![0; p];
-                        for (w, held) in held.iter_mut().enumerate() {
-                            let step = plan.step(round, w);
-                            holders[step.band] += 1;
-                            held[step.band] += 1;
+                    for epoch in 0..3 {
+                        let case = format!("{case} epoch {epoch}");
+                        let mut held = vec![vec![0; p]; p]; // [worker][band]
+                        for round in 0..p {
+                            let mut holders = vec![0; p];
+                            for (w, held) in held.iter_mut().enumerate() {
+                                let step = plan.step(epoch, round, w);
+                                holders[step.band] += 1;
+                                held[step.band] += 1;
+                                assert_eq!(step.carried, round == 0, "{case}");
+                            }
+                            assert!(holders.iter().all(|&h| h == 1), "{case} round {round}");
                         }
-                        assert!(holders.iter().all(|&h| h == 1), "{case} round {round}");
+                        assert!(held.iter().flatten().all(|&h| h == 1), "{case}: {held:?}");
+                        // An epoch begins on the band the last one ended on.
+                        for w in (0..p).filter(|_| epoch > 0) {
+                            let last = plan.step(epoch - 1, p - 1, w);
+                            assert_eq!(plan.step(epoch, 0, w).band, last.band, "{case}");
+                        }
+                        // Each band's install in one round precedes its pull
+                        // by its holder in the next.
+                        assert_eq!(plan.edges(epoch).count(), p * (p - 1), "{case}");
+                        for e in plan.edges(epoch) {
+                            let (installed, pulled) = (e.installed, e.pulled);
+                            assert_eq!(plan.step(epoch, installed.0, installed.1).band, e.band);
+                            assert_eq!(plan.step(epoch, pulled.0, pulled.1).band, e.band);
+                            assert_eq!(pulled.0, installed.0 + 1);
+                        }
                     }
-                    assert!(held.iter().flatten().all(|&h| h == 1), "{case}: {held:?}");
                     // Bands tile `0..n` in equal counts; each band's chunks
                     // tile it exactly, at most `streams` and none empty.
                     let mut at = 0;
@@ -211,7 +245,7 @@ mod tests {
                         assert_eq!(band.start, at, "{case}");
                         assert!((n / p..=n.div_ceil(p)).contains(&band.len()), "{case}");
                         at = band.end;
-                        let chunks = &plan.chunks()[plan.step(b, 0).chunks];
+                        let chunks = &plan.chunks()[plan.step(0, b, 0).chunks];
                         assert!(chunks.len() <= streams, "{case} band {b}");
                         let mut covered = band.start;
                         for chunk in chunks {
@@ -221,26 +255,20 @@ mod tests {
                         assert_eq!(covered, band.end, "{case} band {b}");
                     }
                     assert_eq!(at, n, "{case}");
-                    // Each band's install in one round precedes its pull by
-                    // its holder in the next.
-                    assert_eq!(plan.edges().count(), p * (p - 1), "{case}");
-                    for e in plan.edges() {
-                        assert_eq!(plan.step(e.installed.0, e.installed.1).band, e.band);
-                        assert_eq!(plan.step(e.pulled.0, e.pulled.1).band, e.band);
-                        assert_eq!(e.pulled.0, e.installed.0 + 1);
-                    }
                     // The paper's plan: one round, every worker on all of
-                    // `Q`, tiled the same way, and nothing handed over.
+                    // `Q`, tiled the same way, nothing handed over and
+                    // nothing carried.
                     let paper = RoundPlan::paper(p, n, streams);
                     assert_eq!((paper.workers(), paper.rounds()), (p, 1), "{case}");
-                    for w in 0..p {
-                        let step = paper.step(0, w);
+                    for (epoch, w) in (0..3).flat_map(|e| (0..p).map(move |w| (e, w))) {
+                        let step = paper.step(epoch, 0, w);
                         assert_eq!((step.band, step.rows), (0, 0..n), "{case}");
-                        assert_eq!(paper.share(0, w), 1.0);
+                        assert!(!step.carried, "{case}");
+                        assert_eq!(paper.share(epoch, 0, w), 1.0);
                         let tiles: Vec<_> = tile(0..n, streams).collect();
                         assert_eq!(paper.chunks()[step.chunks], tiles[..], "{case}");
                     }
-                    assert_eq!(paper.edges().count(), 0);
+                    assert_eq!(paper.edges(1).count(), 0);
                 }
             }
         }

@@ -38,7 +38,7 @@ use hcc_mf::{
 };
 use hcc_partition::RoundPlan;
 use hcc_sparse::{Axis, CooMatrix, GenConfig, GridPartition, Rating, SyntheticDataset};
-use hcc_telemetry::Event;
+use hcc_telemetry::{Dir, Event};
 use std::time::Duration;
 
 const ROWS: u32 = 200; // rows > cols so the trainer partitions the matrix as-is
@@ -401,20 +401,35 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
         let plan = &RoundPlan::rotation(workers, cols as usize, streams);
 
         // The threaded engine: per epoch, each worker lane is the plan's
-        // rounds x [pull, comp, push], and the server lane installs one
-        // chunk at a time in the plan's (round, worker, chunk) order.
+        // rounds x [pull, comp, push], the server lane installs one chunk
+        // at a time in the plan's (round, worker, chunk) order, and the
+        // wire carries every step's band but a carried one's.
         let letter = |phase| match phase {
             hcc_telemetry::Phase::Pull => 'p',
             hcc_telemetry::Phase::Comp => 'c',
             hcc_telemetry::Phase::Push => 'u',
             _ => 's',
         };
-        let holders: Vec<u32> = (0..plan.rounds())
-            .flat_map(|r| {
-                (0..workers).flat_map(move |w| vec![w as u32; plan.step(r, w).chunks.len()])
-            })
-            .collect();
+        let steps = |e| {
+            (0..plan.rounds()).flat_map(move |r| (0..workers).map(move |w| (w, plan.step(e, r, w))))
+        };
         for e in 0..2u32 {
+            let holders: Vec<u32> = steps(e as usize)
+                .flat_map(|(w, step)| vec![w as u32; step.chunks.len()])
+                .collect();
+            let pulled: usize = steps(e as usize)
+                .filter(|(_, step)| !step.carried)
+                .map(|(_, step)| step.rows.len() * 8 * 4)
+                .sum();
+            let wire = timeline.events.iter().find_map(|ev| match *ev {
+                Event::Bytes {
+                    epoch,
+                    dir: Dir::Pull,
+                    bytes,
+                } if epoch == e => Some(bytes),
+                _ => None,
+            });
+            assert_eq!(wire, Some(pulled as u64), "{case}, epoch {e}");
             let phases = |of: u32| -> String {
                 timeline
                     .events
@@ -485,11 +500,18 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
                 _ => {}
             }
         }
+        // The twin's epoch has epoch 0's bands; its first round is carried,
+        // and a carried pull takes no time.
+        let steady = |r, w| plan.step(0, r, w);
         let want: Structure = (0..workers)
             .flat_map(|w| (0..plan.rounds()).map(move |r| (w, r)))
-            .map(|(w, r)| ((w, r), (vec!['p', 'c', 'u'], plan.step(r, w).chunks.len())))
+            .map(|(w, r)| ((w, r), (vec!['p', 'c', 'u'], steady(r, w).chunks.len())))
             .collect();
         assert_eq!(sim, want, "{case}");
+        for span in trace.spans.iter().filter(|s| s.phase == Phase::Pull) {
+            let carried = steady(span.round, span.worker).carried;
+            assert_eq!(span.start == span.end, carried, "{case}: {span:?}");
+        }
         // Dependency order: a band's install ends before its next holder
         // pulls it, and nothing of a round starts before the last round's
         // barrier.
@@ -499,7 +521,7 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
                 .iter()
                 .filter(move |s| (s.round, s.worker, s.phase) == (round, worker, phase))
         };
-        for edge in plan.edges() {
+        for edge in plan.edges(0) {
             let (r, from) = edge.installed;
             let installed = of(r, from, Phase::Sync).map(|s| s.end).fold(0.0, f64::max);
             let pulled = of(r + 1, edge.pulled.1, Phase::Pull)
