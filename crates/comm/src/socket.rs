@@ -1138,7 +1138,9 @@ mod tests {
         // the staging-sized slot.
         let mut got = vec![f32::NAN; staging];
         t.collect(0, &mut got);
-        assert_eq!(&got[..delta.len()], &delta[..]);
+        // The delta's words are bit patterns: compare bits, not floats.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got[..delta.len()]), bits(&delta));
         let mut dst = base.clone();
         assert_eq!(crate::delta::apply_delta(&got, 2, &mut dst), Ok(2));
         assert_eq!(dst, cur);

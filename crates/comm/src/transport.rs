@@ -167,8 +167,9 @@ pub trait Transport: Send + Sync {
     /// pushes of the region therefore read `(W·pull_len·bpe, W·push_len·bpe)`
     /// — Table 5's epoch of `W` workers; a pull a worker skips, holding the
     /// region, adds nothing — and fp16 reads exactly half of fp32. (A
-    /// sharded server's pushes are row deltas: it counts the delta elements
-    /// it shipped.) Telemetry
+    /// sharded server's pushes are bit deltas, whose length follows the
+    /// values: it counts the words it shipped, at most the raw rows plus
+    /// two bits a row.) Telemetry
     /// records the two directions separately because the communication
     /// strategies (Q-only, half-Q, FP16) trade them off asymmetrically.
     fn wire_bytes_by_dir(&self) -> (u64, u64);
@@ -640,6 +641,68 @@ mod tests {
             t.pull(0, &mut front);
             assert_eq!(bits(&front), bits(&region[..8 * K]), "{name}");
         }
+    }
+
+    #[test]
+    fn every_fp32_link_carries_every_bit_pattern() {
+        // A sharded server's bit deltas ride these links as f32 bit
+        // patterns, so a link that quietened a signalling NaN, or
+        // canonicalised any NaN payload, would corrupt a push silently.
+        // Every NaN class (signalling and quiet, both signs, lowest and
+        // highest payload), -0.0, the subnormals' ends and all ones are
+        // published, pulled, pushed and collected bit for bit; the chaos
+        // link duplicates each push on the wire (the socket dedups it).
+        let patterns = [
+            0x7f80_0001u32,
+            0x7fbf_ffff,
+            0xff80_0001,
+            0xffbf_ffff, // signalling NaNs
+            0x7fc0_0000,
+            0x7fc0_0001,
+            0x7fff_ffff,
+            0xffc0_0000,
+            0xffff_ffff, // quiet NaNs
+            0x8000_0000,
+            0x0000_0001,
+            0x007f_ffff,
+            0x8000_0001,
+            0x807f_ffff, // -0.0, subnormals
+            0x7f80_0000,
+            0xff80_0000,
+            0x3f80_0000, // infinities, 1.0
+        ]
+        .map(f32::from_bits);
+        let len = patterns.len();
+        let mut duplicating = crate::FaultPlan::new(1);
+        duplicating.duplicate_rate = 1.0;
+        let socket = Arc::new(CommSocket::new(1, len, len, Precision::Fp32).unwrap());
+        let chaos = crate::ChaosTransport::new(socket.clone(), duplicating, vec![0]);
+        let links: [(&str, &dyn Transport); 4] = [
+            ("shared", &CommShared::new(1, len, len, Precision::Fp32)),
+            (
+                "socket",
+                &CommSocket::new(1, len, len, Precision::Fp32).unwrap(),
+            ),
+            (
+                "tcp",
+                &CommSocket::new_tcp(1, len, len, Precision::Fp32).unwrap(),
+            ),
+            ("chaos duplicating over socket", &chaos),
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, t) in links {
+            t.publish(&patterns);
+            let mut pulled = vec![0f32; len];
+            t.pull(0, &mut pulled);
+            assert_eq!(bits(&pulled), bits(&patterns), "{name}: pull");
+            t.push(0, &patterns);
+            let mut collected = vec![0f32; len];
+            t.collect_timeout(0, &mut collected, Duration::from_secs(5))
+                .unwrap();
+            assert_eq!(bits(&collected), bits(&patterns), "{name}: push");
+        }
+        assert_eq!(chaos.stats().duplicated, 1);
+        assert_eq!(socket.net_stats().dedup_hits, 1);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //!
 //! [`ShardedServer`] splits that server across N shard endpoints, each
 //! owning a contiguous row range of the synchronized region (the CuMF_SGD
-//! scale-out layout), and generalizes "Transmit Q only" to per-shard
-//! row-delta shipping: a push to a shard carries only the rows the worker
-//! actually touched since the last publish.
+//! scale-out layout), and carries "Transmit Q only" further with a
+//! per-shard bit delta: a push to a shard carries, for each row the worker
+//! changed since the last publish, the bits of each element that changed.
 
 use hcc_comm::delta::{apply_delta, encode_delta, max_delta_len};
-use hcc_comm::{CommError, NetEvent, Precision, TransferStrategy, Transport};
+use hcc_comm::{CommError, NetEvent, TransferStrategy, Transport};
 use hcc_partition::ShardRouter;
 use hcc_sync::{Arc, AtomicU64, Mutex, Ordering, RwLock};
 use std::ops::Range;
@@ -107,15 +107,20 @@ pub(crate) fn install(q: &mut [f32], src: &[f32], items: &[u32], k: usize) {
 // Node-sharded parameter server
 // ---------------------------------------------------------------------------
 
-/// Delta-shipping counters for a [`ShardedServer`] (monotonic totals).
+/// Bytes an element takes on a [`ShardedServer`]'s inner links. They run
+/// at Fp32, which carries the bit deltas' words, bit patterns, unchanged.
+const BPE: usize = 4;
+
+/// Bit-delta counters for a [`ShardedServer`] (monotonic totals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaStats {
-    /// Rows actually shipped across all pushes (touched rows only).
+    /// Rows the pushes' bitmaps marked changed (a bit of the row differs
+    /// from the published base).
     pub rows_shipped: u64,
     /// Rows a full-buffer push would have shipped.
     pub rows_total: u64,
-    /// Push bytes on the wire under delta shipping (headers excluded:
-    /// payload elements × bytes-per-element, comparable across transports).
+    /// Push bytes on the wire: the bit deltas' words × bytes per element
+    /// (headers excluded, comparable across transports).
     pub bytes_shipped: u64,
     /// Push bytes full-buffer shipping would have cost.
     pub bytes_full: u64,
@@ -134,21 +139,21 @@ pub struct DeltaStats {
 ///   keeping a server-side snapshot as the delta base;
 /// * `pull` reassembles the region from per-shard pulls (disjoint ranges,
 ///   so the result is bit-identical to a single-endpoint pull);
-/// * `push` encodes, per shard, only the rows that differ bitwise from the
-///   snapshot ([`encode_delta`]) — the "Transmit Q only" idea applied
-///   row-wise within each shard;
+/// * `push` encodes each shard's slice against the snapshot
+///   ([`encode_delta`]): a bitmap of the rows whose bits differ from it,
+///   then each such element's XOR with the snapshot less its leading
+///   zeros — no push is longer than its raw rows plus two bits a row;
 /// * a collect seeds the worker's reconstruction region from the snapshot
 ///   and applies each shard's delta to it where the delta landed,
 ///   rebuilding the worker's buffer bit-for-bit (an unshipped row is, by
-///   construction, bit-equal to the snapshot), then hands the caller a
-///   view of that region.
+///   construction, bit-equal to the snapshot, and a shipped element is
+///   its XOR with it), then hands the caller a view of that region.
 ///
 /// Sequence numbering and idempotent dedup live in the inner transports
 /// (each [`hcc_comm::CommSocket`] shard keeps its own per-worker seq), so
 /// PR 7's retry/dedup guarantees hold per shard link.
 pub struct ShardedServer {
     k: usize,
-    precision: Precision,
     shards: Vec<Arc<dyn Transport>>,
     /// Server-side copy of the last published region, exactly as long as
     /// it was: the delta base for pushes and the reconstruction base for
@@ -165,7 +170,6 @@ pub struct ShardedServer {
     push_bytes: AtomicU64,
     rows_shipped: AtomicU64,
     rows_total: AtomicU64,
-    bytes_full: AtomicU64,
 }
 
 /// Where a collect rebuilds one worker's push. A push arrives as one
@@ -180,18 +184,13 @@ struct Rebuilt {
 }
 
 impl ShardedServer {
-    /// Wraps `shards` (one endpoint per node, each built for
+    /// Wraps `shards` (one endpoint per node, each an Fp32 link built for
     /// [`link_lens`](Self::link_lens)) behind a row router over regions of
     /// up to `region_len` elements of `k`-element rows.
     ///
     /// # Panics
     /// Panics if `shards` is empty or `k` is zero.
-    pub fn new(
-        k: usize,
-        region_len: usize,
-        precision: Precision,
-        shards: Vec<Arc<dyn Transport>>,
-    ) -> ShardedServer {
+    pub fn new(k: usize, region_len: usize, shards: Vec<Arc<dyn Transport>>) -> ShardedServer {
         assert!(k > 0, "k must be positive");
         assert!(!shards.is_empty(), "need at least one shard");
         let workers = shards[0].workers();
@@ -209,21 +208,20 @@ impl ShardedServer {
                 })
                 .collect(),
             k,
-            precision,
             shards,
             published: RwLock::new(vec![0f32; region_len]),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
             rows_shipped: AtomicU64::new(0),
             rows_total: AtomicU64::new(0),
-            bytes_full: AtomicU64::new(0),
         }
     }
 
     /// The `(pull, push)` lengths in elements each of `shards` inner links
     /// must be built for to carry its shard of any region of up to `rows`
     /// rows of `k`: a shard of `ShardRouter::uniform(r, shards)` holds at
-    /// most `ceil(r / shards)` rows, and a push is its row delta.
+    /// most `ceil(r / shards)` rows, and a push is its bit delta, at most
+    /// [`max_delta_len`] elements.
     pub fn link_lens(rows: usize, k: usize, shards: usize) -> (usize, usize) {
         let most = rows.div_ceil(shards);
         (most * k, max_delta_len(most, k))
@@ -241,15 +239,15 @@ impl ShardedServer {
 
     /// Cumulative delta-shipping accounting.
     pub fn delta_stats(&self) -> DeltaStats {
+        // ordering: Relaxed — statistics read for reports.
+        let rows_total = self.rows_total.load(Ordering::Relaxed);
         DeltaStats {
-            // ordering: Relaxed — statistics read for reports.
-            rows_shipped: self.rows_shipped.load(Ordering::Relaxed),
             // ordering: Relaxed — statistic (see above).
-            rows_total: self.rows_total.load(Ordering::Relaxed),
+            rows_shipped: self.rows_shipped.load(Ordering::Relaxed),
+            rows_total,
             // ordering: Relaxed — statistic (see above).
             bytes_shipped: self.push_bytes.load(Ordering::Relaxed),
-            // ordering: Relaxed — statistic (see above).
-            bytes_full: self.bytes_full.load(Ordering::Relaxed),
+            bytes_full: rows_total * (self.k * BPE) as u64,
         }
     }
 
@@ -263,17 +261,12 @@ impl ShardedServer {
         send: impl FnOnce(&[f32]),
     ) {
         let mut delta = self.encoded[worker].lock();
-        {
-            let snapshot = self.published.read();
-            encode_delta(
-                &snapshot[elems.clone()],
-                &src[elems.clone()],
-                self.k,
-                &mut delta,
-            );
-        }
-        let touched = delta[0] as u64;
-        let bpe = self.precision.bytes_per_element();
+        let touched = encode_delta(
+            &self.published.read()[elems.clone()],
+            &src[elems.clone()],
+            self.k,
+            &mut delta,
+        ) as u64;
         // ordering: Relaxed — delta-accounting statistics.
         self.rows_shipped.fetch_add(touched, Ordering::Relaxed);
         // ordering: Relaxed — statistic (see above).
@@ -281,10 +274,7 @@ impl ShardedServer {
             .fetch_add((elems.len() / self.k) as u64, Ordering::Relaxed);
         // ordering: Relaxed — statistic (see above).
         self.push_bytes
-            .fetch_add(delta.len() as u64 * bpe, Ordering::Relaxed);
-        // ordering: Relaxed — statistic (see above).
-        self.bytes_full
-            .fetch_add(elems.len() as u64 * bpe, Ordering::Relaxed);
+            .fetch_add((delta.len() * BPE) as u64, Ordering::Relaxed);
         send(&delta);
     }
 
@@ -329,12 +319,11 @@ impl Transport for ShardedServer {
     }
 
     fn pull(&self, worker: usize, dst: &mut [f32]) {
-        let bpe = self.precision.bytes_per_element();
         let len = self.published.read().len().min(dst.len());
         for (shard, elems) in self.shards.iter().zip(self.routes(len)) {
             // ordering: Relaxed — wire-byte statistic.
             self.pull_bytes
-                .fetch_add(elems.len() as u64 * bpe, Ordering::Relaxed);
+                .fetch_add((elems.len() * BPE) as u64, Ordering::Relaxed);
             shard.pull(worker, &mut dst[elems]);
         }
     }
@@ -405,6 +394,7 @@ impl Transport for ShardedServer {
 mod tests {
     use super::fake::{self, FakeTransport};
     use super::*;
+    use hcc_comm::Precision;
 
     #[test]
     fn layout_full_pq() {
@@ -516,12 +506,7 @@ mod tests {
 
     /// A sharded server over CommShared inners.
     fn sharded(workers: usize, rows: usize, k: usize, shards: usize) -> ShardedServer {
-        ShardedServer::new(
-            k,
-            rows * k,
-            Precision::Fp32,
-            links(workers, rows, k, shards),
-        )
+        ShardedServer::new(k, rows * k, links(workers, rows, k, shards))
     }
 
     #[test]
@@ -564,9 +549,15 @@ mod tests {
         let stats = t.delta_stats();
         assert_eq!(stats.rows_shipped, 2);
         assert_eq!(stats.rows_total, 12);
-        // 2 touched rows + per-shard framing (count + index elements).
-        let expected = (hcc_comm::delta_len(1, k) * 2 + hcc_comm::delta_len(0, k)) as u64 * 4;
-        assert_eq!(stats.bytes_shipped, expected);
+        // Per shard, its bit delta: shards 0 and 2 a bitmap word and one
+        // changed row (a raw flag, 1.0 → 2.0 as code 1 and 30 bits, three
+        // unchanged codes: 47 bits, two words), shard 1 its bitmap alone.
+        let shard = |s: usize| s * 4 * k..(s + 1) * 4 * k;
+        let words: usize = (0..3)
+            .map(|s| hcc_comm::delta_len(&region[shard(s)], &local[shard(s)], k))
+            .sum();
+        assert_eq!(words, 3 + 1 + 3);
+        assert_eq!(stats.bytes_shipped, words as u64 * 4);
         assert_eq!(stats.bytes_full, (rows * k * 4) as u64);
         assert!(stats.bytes_shipped < stats.bytes_full);
     }
@@ -634,7 +625,7 @@ mod tests {
         // collect consumes it, then times out on shard 1.
         let (rows, k) = (8, 2);
         let links = links(1, rows, k, 2);
-        let t = ShardedServer::new(k, rows * k, Precision::Fp32, links.clone());
+        let t = ShardedServer::new(k, rows * k, links.clone());
         let region = vec![0.5f32; rows * k];
         t.publish(&region);
         let mut local = region.clone();
@@ -666,7 +657,7 @@ mod tests {
         // region of its own, so the retry hands worker 0 exactly its push.
         let (rows, k) = (8, 2);
         let links = links(2, rows, k, 2);
-        let t = ShardedServer::new(k, rows * k, Precision::Fp32, links.clone());
+        let t = ShardedServer::new(k, rows * k, links.clone());
         let region = vec![0.5f32; rows * k];
         let mut a = region.clone();
         a[1] = 7.0; // row 0 → shard 0
@@ -740,7 +731,7 @@ mod tests {
         let links: Vec<Arc<dyn Transport>> = (0..2)
             .map(|s| Arc::new(FakeTransport::new(1, 4).with_event(fake::retry(s))) as _)
             .collect();
-        let t = ShardedServer::new(2, 8, Precision::Fp32, links);
+        let t = ShardedServer::new(2, 8, links);
         assert_eq!(t.drain_net_events(), vec![fake::retry(0), fake::retry(1)]);
         assert!(t.drain_net_events().is_empty());
     }

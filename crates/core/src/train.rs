@@ -249,8 +249,9 @@ type WorkerExit = Result<WorkerEpochStats, String>;
 /// Builds one worker's endpoint for regions of up to `pull_len` /
 /// `push_len` floats. `shards > 1` makes it a node-sharded parameter
 /// server: the region is tiled by contiguous row range across that many
-/// links of `kind`, always at Fp32 — row-delta shipping replaces fp16
-/// compression, and delta framing (count + indices as f32) must stay exact.
+/// links of `kind`, always at Fp32 — the bit delta replaces fp16
+/// compression, and its words ride as f32 bit patterns, which only Fp32
+/// carries unchanged.
 fn build_endpoint(
     kind: TransportKind,
     k: usize,
@@ -266,7 +267,7 @@ fn build_endpoint(
     let links = (0..shards)
         .map(|_| build_link(kind, pull, push, Precision::Fp32))
         .collect::<Result<Vec<_>, _>>()?;
-    let server = ShardedServer::new(k, pull_len, Precision::Fp32, links);
+    let server = ShardedServer::new(k, pull_len, links);
     Ok(Arc::new(server))
 }
 
@@ -1906,13 +1907,16 @@ mod tests {
                 }
             }
         }
-        // A sharded server has always counted payload elements x 4, and its
-        // pushes are row deltas: both workers touch all 30 rows of `Q`, so
-        // each worker's two band pushes are 4 deltas of 1 + t + 8t elements,
-        // 8 in all, with the t summing to 60. The parent's one region a
-        // worker sent 4 deltas: 16 bytes of counts fewer (2_176).
+        // A sharded server counts payload elements x 4, and its pushes are
+        // bit deltas, whose length follows the trained values: each
+        // worker's two band pushes are 4 deltas (shards of 8 and 7 rows),
+        // 8 in all, each a bitmap word and a stream. Both workers change
+        // all 30 rows of `Q`, which the row delta this replaced shipped
+        // whole behind a count and an index a row (2_192 bytes); the bit
+        // delta ships 417 words, 8 of them bitmaps: 13 % under the raw
+        // 1_920 and within the raw rows plus two bits a row (`link_lens`).
         let (wire, _) = one_epoch(TransportKind::Tcp, TransferStrategy::QOnly, 2);
-        assert_eq!(wire, (1_920, 2_192));
+        assert_eq!(wire, (1_920, 1_668));
         // Three workers over 151 items: bands of 50, 50 and 51 rows, so what
         // one link carries changes length from round to round. Recorded
         // when each band had an endpoint of its own length.
@@ -1921,7 +1925,10 @@ mod tests {
             one_epoch_of(&uneven, 3, transport, TransferStrategy::QOnly, shards).0
         };
         assert_eq!(wire(TransportKind::Socket, 1), (14_496, 14_496));
-        assert_eq!(wire(TransportKind::Tcp, 2), (14_496, 16_344));
+        // The 18 bit deltas (3 workers x 3 rounds x 2 shards) of the TCP x
+        // 2 shards run ship 3_044 words, 16 % under raw (the row delta
+        // shipped 16_344 bytes).
+        assert_eq!(wire(TransportKind::Tcp, 2), (14_496, 12_176));
     }
 
     /// The bits of `session`'s `P` and `Q`.
@@ -1979,6 +1986,9 @@ mod tests {
             assert_eq!(pulled, (EPOCHS * (p - 1)) as u64 * q_bytes, "{case}");
             if config.server_shards == 1 {
                 assert_eq!(pushed, (EPOCHS * p) as u64 * q_bytes, "{case}");
+            } else {
+                // Bit deltas: every row changed, yet fewer bytes than raw.
+                assert!(pushed < (EPOCHS * p) as u64 * q_bytes, "{case}: {pushed}");
             }
         }
     }

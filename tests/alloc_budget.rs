@@ -162,8 +162,8 @@ const CASES: [Case; 3] = [
     // encoded R/4 each (2.5 R in all). Each of four links (two workers x
     // two shards) carries a quarter of `Q`: published and a slot, 2 R in
     // all, plus a block at each end (2 blocks = R/2 a link: the frame is
-    // longer than a block). A push is a row delta, which can run to
-    // 1 + 1/K of its rows (the indices).
+    // longer than a block). A push is a bit delta, which can run to its raw
+    // rows plus two bits a row.
     (
         "tcp x 2 shards",
         |b| b.transport(TransportKind::Tcp).server_shards(2),
@@ -228,7 +228,9 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
     // Four workers: bands of R/4, shards of R/8. Four ShardedServers of
     // R/4 + R/4 + R/8 (2.5 R), eight links of R/8 + R/8 (2 R), and a block
     // at each end of a link, capped at a shard's frame now that it is
-    // shorter than a block: its delta push, R/8 and its indices (2.13 R).
+    // shorter than a block: its longest push, just over R/8 (2.13 R; the
+    // row delta this term was sized for ran to R/8 · (1 + 1/K), the bit
+    // delta to R/8 plus two bits a row).
     // Before the band rotation this fleet peaked at 20.69 R.
     let four_workers: Case = (
         "tcp x 2 shards, 4 workers",

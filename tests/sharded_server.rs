@@ -1,10 +1,10 @@
 //! Differential multi-node tests: a node-sharded parameter server must be
 //! observationally identical to the single-node server — bit-for-bit at
-//! Fp32 — while shipping strictly fewer push bytes (row deltas instead of
-//! full buffers). Delta accounting is cross-checked against the inner
-//! transports' [`hcc_comm::NetStats`].
+//! Fp32 — while shipping fewer push bytes (bit deltas against the
+//! published region instead of full buffers). Delta accounting is
+//! cross-checked against the inner transports' [`hcc_comm::NetStats`].
 
-use hcc_comm::{delta_len, CommShared, CommSocket, Precision, Transport};
+use hcc_comm::{delta_len, max_delta_len, CommShared, CommSocket, Precision, Transport};
 use hcc_mf::{
     HccConfig, HccMf, HccReport, LearningRate, PartitionMode, ShardedServer, TransportKind,
     WorkerSpec,
@@ -78,7 +78,7 @@ fn sharded_training_is_bit_identical_to_single_node() {
 #[test]
 fn socket_and_tcp_sharded_training_match_shared_memory() {
     // The same differential across real wires: per-shard socket endpoints
-    // (Unix and TCP) with delta shipping reconstruct the exact trajectory.
+    // (Unix and TCP) carrying bit deltas reconstruct the exact trajectory.
     let reference = train(TransportKind::Shared, 1);
     let unix = train(TransportKind::Socket, 2);
     assert_bit_identical(&reference, &unix, "2 unix-socket shards");
@@ -94,7 +94,7 @@ fn sharded_shared(workers: usize, rows: usize, k: usize, shards: usize) -> Shard
             Arc::new(CommShared::new(workers, pull, push, Precision::Fp32)) as Arc<dyn Transport>
         })
         .collect();
-    ShardedServer::new(k, rows * k, Precision::Fp32, inners)
+    ShardedServer::new(k, rows * k, inners)
 }
 
 #[test]
@@ -106,7 +106,7 @@ fn delta_accounting_is_exact() {
 
     let mut local = region.clone();
     // Touch rows 0 and 1 (shard 0), row 20 (shard 2). Shards 1 and 3 ship
-    // header-only deltas.
+    // their one-word bitmaps alone.
     local[0] += 1.0;
     local[k + 1] -= 1.0;
     local[20 * k] = 7.0;
@@ -115,10 +115,17 @@ fn delta_accounting_is_exact() {
     let stats = server.delta_stats();
     assert_eq!(stats.rows_shipped, 3);
     assert_eq!(stats.rows_total, rows as u64);
-    // Bytes shipped: per shard, `delta_len(touched, k)` Fp32 elements —
-    // touched rows × row size plus one count and one index per row.
-    let expect = (delta_len(2, k) + delta_len(0, k) + delta_len(1, k) + delta_len(0, k)) as u64 * 4;
-    assert_eq!(stats.bytes_shipped, expect);
+    // Bytes shipped: per shard, `delta_len` words of 4 bytes. Shard 0: a
+    // bitmap word, then rows 0 (0.0 → 1.0: a raw flag, code 2 and 29 bits,
+    // three unchanged codes) and 1 (2.5 → 1.5: code 1 and 30 bits, three
+    // unchanged codes), 46 + 47 bits, three words. Shard 2: a bitmap word
+    // and row 20 (40.0 → 7.0: code 6 and 25 bits), 42 bits, two words.
+    let shard = |s: usize| s * 8 * k..(s + 1) * 8 * k;
+    let words: usize = (0..4)
+        .map(|s| delta_len(&region[shard(s)], &local[shard(s)], k))
+        .sum();
+    assert_eq!(words, 4 + 1 + 3 + 1);
+    assert_eq!(stats.bytes_shipped, words as u64 * 4);
     assert_eq!(stats.bytes_full, (rows * k) as u64 * 4);
     assert!(
         stats.bytes_shipped < stats.bytes_full,
@@ -142,7 +149,92 @@ fn untouched_push_ships_headers_only() {
     server.push(1, &region); // nothing changed
     let stats = server.delta_stats();
     assert_eq!(stats.rows_shipped, 0);
-    assert_eq!(stats.bytes_shipped, 2 * delta_len(0, k) as u64 * 4);
+    // Each shard's 8 rows fit one bitmap word, and nothing follows it.
+    assert_eq!(stats.bytes_shipped, 2 * 4);
+}
+
+/// A sharded server over per-shard TCP links, each built for
+/// `ShardedServer::link_lens` and nothing more, as the engine builds them.
+fn sharded_tcp(rows: usize, k: usize, shards: usize) -> ShardedServer {
+    let (pull, push) = ShardedServer::link_lens(rows, k, shards);
+    let inners: Vec<Arc<dyn Transport>> = (0..shards)
+        .map(|_| {
+            Arc::new(CommSocket::new_tcp(1, pull, push, Precision::Fp32).unwrap())
+                as Arc<dyn Transport>
+        })
+        .collect();
+    ShardedServer::new(k, rows * k, inners)
+}
+
+fn bit_vec(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn an_adversarial_push_fits_its_links_and_round_trips_exactly() {
+    // Every row changed and every sign flipped (a 35-bit packed element,
+    // so every row ships raw), then every element a NaN of its own payload,
+    // quiet and signalling: each push is the longest a shard can send, fits
+    // the push length its TCP link was built for, and is collected bit for
+    // bit. 70 rows over 3 shards: 24, 23 and 23 rows, one bitmap word each.
+    let (rows, k, shards) = (70, 5, 3);
+    let server = sharded_tcp(rows, k, shards);
+    let region: Vec<f32> = (0..rows * k).map(|i| (i as f32 * 0.37).sin()).collect();
+    let flipped: Vec<f32> = region.iter().map(|v| -v).collect();
+    let poisoned: Vec<f32> = (0..(rows * k) as u32)
+        .map(|i| f32::from_bits((0x7f80_0001 + (i << 14)) | ((i & 1) << 31)))
+        .collect();
+    for (round, push) in [flipped, poisoned].iter().enumerate() {
+        server.publish(&region);
+        server.push(0, push);
+        let mut got = vec![0f32; rows * k];
+        server
+            .collect_timeout(0, &mut got, std::time::Duration::from_secs(10))
+            .unwrap();
+        assert_eq!(bit_vec(&got), bit_vec(push), "push {round}");
+        let longest: usize = [24, 23, 23].iter().map(|&r| max_delta_len(r, k)).sum();
+        assert_eq!(
+            server.delta_stats().bytes_shipped,
+            (round + 1) as u64 * longest as u64 * 4,
+            "push {round}"
+        );
+    }
+}
+
+#[test]
+fn a_push_where_every_row_took_one_small_sgd_step_ships_under_85_percent_of_raw() {
+    // The regime a row delta could not help: every row of the band changed.
+    // One SGD step `q += lr·(e·p − λ·q)` per element keeps the sign, the
+    // exponent and the top of the mantissa, so the bit delta ships the
+    // rest. The factors are drawn as training draws them, N(0, 0.1)-ish.
+    use rand::{Rng, SeedableRng};
+    let (rows, k) = (512, 16);
+    let server = sharded_shared(1, rows, k, 2);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(44);
+    let region: Vec<f32> = (0..rows * k)
+        .map(|_| rng.random_range(-0.3f32..0.3))
+        .collect();
+    let stepped: Vec<f32> = region
+        .iter()
+        .map(|&q| {
+            let (e, p) = (
+                rng.random_range(-1.0f32..1.0),
+                rng.random_range(-0.3f32..0.3),
+            );
+            q + 0.01 * (e * p - 0.05 * q)
+        })
+        .collect();
+    server.publish(&region);
+    server.push(0, &stepped);
+    let mut got = vec![0f32; rows * k];
+    server.collect(0, &mut got);
+    assert_eq!(bit_vec(&got), bit_vec(&stepped));
+    let stats = server.delta_stats();
+    assert_eq!(stats.rows_shipped, rows as u64);
+    assert!(
+        (stats.bytes_shipped as f64) < 0.85 * stats.bytes_full as f64,
+        "{stats:?}"
+    );
 }
 
 #[test]
@@ -156,7 +248,7 @@ fn sharded_socket_dedup_verified_against_net_stats() {
         .iter()
         .map(|s| Arc::clone(s) as Arc<dyn Transport>)
         .collect();
-    let server = ShardedServer::new(k, rows * k, Precision::Fp32, inners);
+    let server = ShardedServer::new(k, rows * k, inners);
 
     let region: Vec<f32> = (0..rows * k).map(|i| (i as f32).sin()).collect();
     server.publish(&region);
