@@ -1,31 +1,36 @@
-//! Bit-delta payload codec for sharded parameter pushes.
+//! Group-packed difference codec for sharded parameter pushes.
 //!
 //! The paper's "Transmit Q only" and "Transmit FP16" cut the bytes a sync
 //! moves; a sharded parameter server can cut them further, because it
 //! holds the base every push replaces: the region it last published. A
-//! round of SGD moves a factor by a small step, so the sign, the exponent
-//! and the top of the mantissa survive it, and the XOR of a pushed float
-//! with its base starts with a run of zero bits. The codec ships the bits
-//! below that run. Its payload rides an ordinary [`crate::frame`] push
-//! frame ([`crate::RpcKind::Push`]) as `u32` words carried as `f32` bit
-//! patterns, so every link it crosses must move an f32's bits unchanged
-//! (the Fp32 links do, NaN payloads included):
+//! round of SGD moves a factor by a small step, and a float's bit pattern,
+//! read as an integer, moves by a small amount with it — also where the
+//! step crosses a power of two and flips exponent bits, which an XOR of
+//! the two patterns would ship. The codec ships, per element, the wrapping
+//! `i32` difference `pushed − base` of the bit patterns, zigzagged so that
+//! a small step either way is a small number, and packs each group of
+//! eight elements at the width of its widest. Its payload rides an
+//! ordinary [`crate::frame`] push frame ([`crate::RpcKind::Push`]) as
+//! `u32` words carried as `f32` bit patterns, so every link it crosses
+//! must move an f32's bits unchanged (the Fp32 links do, NaN payloads
+//! included):
 //!
 //! ```text
 //! ┌──────────────────────────┬──────────────────────────────────────────┐
 //! │ bitmap: one bit a row    │ bit stream, per changed row:             │
-//! │ ceil(rows / 32) words    │ raw flag (1 bit), then k elements of     │
-//! │ (set = the row changed)  │   raw:    32 bits, base ^ pushed         │
-//! │                          │   packed: 4-bit code c, then 31 − c bits │
+//! │ ceil(rows / 32) words    │ raw flag (1 bit), then                   │
+//! │ (set = the row changed)  │   raw:    k × 32 bits, the pushed bits   │
+//! │                          │   packed: per group of 8 elements (the   │
+//! │                          │   last may be shorter), a 5-bit width w, │
+//! │                          │   then each element's difference in w    │
 //! └──────────────────────────┴──────────────────────────────────────────┘
 //! ```
 //!
-//! A packed element's code is the leading-zero count of `base ^ pushed`:
-//! `0..=13` is followed by the bits below the leading one (the one is
-//! implied), `14` (14 or more leading zeros) by the low 18 bits, `15`
-//! means unchanged and carries nothing. Bits fill each word from its least
-//! significant end. A row whose packed elements would take more than `32·k`
-//! bits ships raw, so a push is never longer than its raw rows plus
+//! A width is the bits the group's largest zigzagged difference needs; the
+//! code 31 stands for 32, so a group that needs 31 bits ships 32 and a
+//! width fits five bits. Bits fill each word from its least significant
+//! end. A row whose packed groups would take more than `32·k` bits ships
+//! raw, so a push is never longer than its raw rows plus
 //! [`max_delta_len`]'s two bits a row. Decoding onto the base the encoder
 //! read is exact, bit for bit.
 
@@ -34,7 +39,7 @@
 /// destination is untouched whenever one is returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaError {
-    /// The payload ends before the rows and codes it announces do.
+    /// The payload ends before the rows and groups it announces do.
     Truncated,
     /// The bitmap marks a row past the end of the destination.
     RowOutOfRange,
@@ -48,29 +53,45 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// The code of an element at least this many leading zero bits into its XOR.
-const CAPPED: u32 = 14;
-/// The code of an unchanged element.
-const UNCHANGED: u32 = 15;
+/// Elements that share one width.
+const GROUP: usize = 8;
+/// Bits of a width code.
+const CODE: u32 = 5;
 
-/// `(code, payload bits)` of an element whose XOR with its base is `x`:
-/// the payload is the low bits of `x`, below its leading one for a code
-/// under [`CAPPED`].
-fn code(x: u32) -> (u32, u32) {
-    match x {
-        0 => (UNCHANGED, 0),
-        _ => {
-            let code = x.leading_zeros().min(CAPPED);
-            (code, (31 - code).max(32 - CAPPED))
-        }
-    }
+/// The wrapping difference of `cur`'s bit pattern from `base`'s, zigzagged:
+/// `0, −1, 1, −2, …` map to `0, 1, 2, 3, …`.
+fn zigzag(base: f32, cur: f32) -> u32 {
+    let d = cur.to_bits().wrapping_sub(base.to_bits()) as i32;
+    ((d << 1) ^ (d >> 31)) as u32
 }
 
-/// Bits `cur`'s row costs packed against `base`'s, codes included: `4·k`
-/// exactly when the row is unchanged.
+/// `base` moved by the difference whose zigzag is `z`.
+fn unzigzag(base: f32, z: u32) -> f32 {
+    let d = (z >> 1) ^ (z & 1).wrapping_neg();
+    f32::from_bits(base.to_bits().wrapping_add(d))
+}
+
+/// The width `cur`'s group ships at against `base`'s: the bits its largest
+/// zigzag needs, 31 rounded up to 32, so that its code is `width.min(31)`.
+fn width(base: &[f32], cur: &[f32]) -> u32 {
+    let pairs = base.iter().zip(cur);
+    let any = pairs.fold(0, |or, (&b, &c)| or | zigzag(b, c));
+    let w = u32::BITS - any.leading_zeros();
+    w + u32::from(w == 31)
+}
+
+/// Bits `cur`'s row costs packed against `base`'s, width codes included:
+/// [`unchanged`] exactly when the row is unchanged.
 fn packed_bits(base: &[f32], cur: &[f32]) -> usize {
-    let bits = |(b, c): (&f32, &f32)| 4 + code(b.to_bits() ^ c.to_bits()).1 as usize;
-    base.iter().zip(cur).map(bits).sum()
+    let groups = base.chunks(GROUP).zip(cur.chunks(GROUP));
+    groups
+        .map(|(b, c)| CODE as usize + b.len() * width(b, c) as usize)
+        .sum()
+}
+
+/// Bits an unchanged row of `k` would cost packed: its width codes, all 0.
+fn unchanged(k: usize) -> usize {
+    CODE as usize * k.div_ceil(GROUP)
 }
 
 /// Longest encoding, in f32 elements, of a push of `rows` rows of `k`:
@@ -88,7 +109,7 @@ pub fn delta_len(base: &[f32], cur: &[f32], k: usize) -> usize {
     let rows = base.chunks_exact(k).zip(cur.chunks_exact(k));
     let packed = rows.clone().map(|(b, c)| packed_bits(b, c));
     let bits: usize = packed
-        .filter(|&p| p > 4 * k)
+        .filter(|&p| p > unchanged(k))
         .map(|p| 1 + p.min(32 * k))
         .sum();
     rows.len().div_ceil(32) + bits.div_ceil(32)
@@ -118,49 +139,17 @@ impl Bits {
         self.n -= 32 * full;
     }
 
-    /// Tops the accumulator up to at least 32 bits from `words`, reading
-    /// zeros past their end.
-    fn refill(&mut self, words: &[f32]) {
+    /// The next `n <= 32` bits, reading zeros past the end of `words`.
+    fn take(&mut self, words: &[f32], n: u32) -> u32 {
         if self.n < 32 {
-            let word = words.get(self.at).map_or(0, |w| w.to_bits());
-            self.acc |= u64::from(word) << self.n;
+            self.acc |= u64::from(words.get(self.at).map_or(0, |w| w.to_bits())) << self.n;
             self.at += 1;
             self.n += 32;
         }
-    }
-
-    fn skip(&mut self, n: u32) {
+        let value = self.acc & ((1 << n) - 1);
         self.acc >>= n;
         self.n -= n;
-    }
-
-    /// The next `n <= 32` bits.
-    fn take(&mut self, words: &[f32], n: u32) -> u32 {
-        self.refill(words);
-        let value = self.acc & ((1 << n) - 1);
-        self.skip(n);
         value as u32
-    }
-
-    /// A packed element's XOR with its base. One refill holds a code and
-    /// a payload of up to 28 bits; codes 0 to 2 (29 to 31 bits) need a
-    /// second.
-    fn element(&mut self, words: &[f32]) -> u32 {
-        self.refill(words);
-        let code = self.acc as u32 & 15;
-        let lead = if code < CAPPED { 1 << (31 - code) } else { 0 };
-        let n = if code == UNCHANGED {
-            0
-        } else {
-            (31 - code).max(32 - CAPPED)
-        };
-        if n > 28 {
-            self.skip(4);
-            return lead | self.take(words, n);
-        }
-        let payload = (self.acc >> 4) as u32 & ((1 << n) - 1);
-        self.skip(4 + n);
-        lead | payload
     }
 }
 
@@ -180,20 +169,20 @@ pub fn encode_delta(base: &[f32], cur: &[f32], k: usize, out: &mut Vec<f32>) -> 
     let (bitmap, words) = out.split_at_mut(head);
     let (mut stream, mut touched) = (Bits::default(), 0);
     let rows = rows.map(|(b, c)| (b, c, packed_bits(b, c))).enumerate();
-    for (r, (b, c, packed)) in rows.filter(|(_, (.., packed))| *packed > 4 * k) {
+    for (r, (b, c, packed)) in rows.filter(|(_, (.., packed))| *packed > unchanged(k)) {
         touched += 1;
         bitmap[r / 32] = f32::from_bits(bitmap[r / 32].to_bits() | 1 << (r % 32));
         let raw = packed > 32 * k;
         stream.put(words, u32::from(raw), 1);
-        for (b, c) in b.iter().zip(c) {
-            let x = b.to_bits() ^ c.to_bits();
-            match code(x) {
-                _ if raw => stream.put(words, x, 32),
-                (code, n) if n <= 28 => stream.put(words, code | (x & ((1 << n) - 1)) << 4, 4 + n),
-                (code, n) => {
-                    stream.put(words, code, 4);
-                    stream.put(words, x & ((1 << n) - 1), n);
-                }
+        if raw {
+            c.iter().for_each(|c| stream.put(words, c.to_bits(), 32));
+            continue;
+        }
+        for (b, c) in b.chunks(GROUP).zip(c.chunks(GROUP)) {
+            let w = width(b, c);
+            stream.put(words, w.min(31), CODE);
+            for (&b, &c) in b.iter().zip(c) {
+                stream.put(words, zigzag(b, c), w);
             }
         }
     }
@@ -204,10 +193,19 @@ pub fn encode_delta(base: &[f32], cur: &[f32], k: usize, out: &mut Vec<f32>) -> 
     touched
 }
 
-/// XORs each element `delta` ships into `dst` and returns the number of
-/// changed rows. On `Err` it has XORed exactly what a second call XORs, so
-/// a second call undoes the first.
-fn xor_into(delta: &[f32], k: usize, dst: &mut [f32]) -> Result<usize, DeltaError> {
+/// Applies a delta on top of `dst`, which must hold the base it was encoded
+/// against, and returns the number of rows it changed. Words after the
+/// last row's are ignored, so `delta` may be a prefix of a larger staging
+/// buffer.
+///
+/// All-or-nothing: the payload's length follows from its raw flags and
+/// widths alone, and is checked against `delta` before any element is
+/// written, so on `Err` the destination is bitwise untouched — a corrupt
+/// frame that slips past the CRC can never leave a shard half-applied.
+///
+/// # Panics
+/// Panics if `k` is zero.
+pub fn apply_delta(delta: &[f32], k: usize, dst: &mut [f32]) -> Result<usize, DeltaError> {
     let rows = dst.len() / k;
     let head = rows.div_ceil(32);
     let (bitmap, words) = delta.split_at_checked(head).ok_or(DeltaError::Truncated)?;
@@ -215,43 +213,42 @@ fn xor_into(delta: &[f32], k: usize, dst: &mut [f32]) -> Result<usize, DeltaErro
     if (rows..head * 32).any(marked) {
         return Err(DeltaError::RowOutOfRange);
     }
-    let (mut stream, mut touched) = (Bits::default(), 0);
-    for row in (0..rows).filter(|&r| marked(r)) {
+    // The five bits from bit `at` of the stream, zeros past its end.
+    let word = |i: usize| u64::from(words.get(i).map_or(0, |w| w.to_bits()));
+    let peek = |at: usize| (word(at / 32) | word(at / 32 + 1) << 32) >> (at % 32) & 31;
+    let (mut end, mut touched) = (0, 0);
+    for _ in (0..rows).filter(|&r| marked(r)) {
         touched += 1;
-        let raw = stream.take(words, 1) == 1;
-        for e in &mut dst[row * k..row * k + k] {
-            let x = if raw {
-                stream.take(words, 32)
-            } else {
-                stream.element(words)
-            };
-            *e = f32::from_bits(e.to_bits() ^ x);
+        end += 1;
+        if peek(end - 1) & 1 == 1 {
+            end += 32 * k;
+            continue;
         }
-        // Past their end `refill` reads zeros: a read that went there is one
-        // the payload cannot have meant.
-        if 32 * stream.at - stream.n as usize > 32 * words.len() {
-            return Err(DeltaError::Truncated);
+        for first in (0..k).step_by(GROUP) {
+            let code = peek(end) as usize;
+            end += CODE as usize + (k - first).min(GROUP) * (code + usize::from(code == 31));
+        }
+    }
+    if end > 32 * words.len() {
+        return Err(DeltaError::Truncated);
+    }
+    let mut stream = Bits::default();
+    for row in (0..rows).filter(|&r| marked(r)) {
+        let row = &mut dst[row * k..row * k + k];
+        if stream.take(words, 1) == 1 {
+            row.iter_mut()
+                .for_each(|e| *e = f32::from_bits(stream.take(words, 32)));
+            continue;
+        }
+        for group in row.chunks_mut(GROUP) {
+            let code = stream.take(words, CODE);
+            let w = code + u32::from(code == 31);
+            for e in group {
+                *e = unzigzag(*e, stream.take(words, w));
+            }
         }
     }
     Ok(touched)
-}
-
-/// Applies a delta on top of `dst`, which must hold the base it was encoded
-/// against, and returns the number of rows it changed. Words after the
-/// last row's are ignored, so `delta` may be a prefix of a larger staging
-/// buffer.
-///
-/// All-or-nothing: every element is applied as an XOR, so a payload found
-/// malformed part-way is undone by applying it again, and on `Err` the
-/// destination is bitwise untouched — a corrupt frame that slips past the
-/// CRC can never leave a shard half-applied.
-///
-/// # Panics
-/// Panics if `k` is zero.
-pub fn apply_delta(delta: &[f32], k: usize, dst: &mut [f32]) -> Result<usize, DeltaError> {
-    xor_into(delta, k, dst).inspect_err(|_| {
-        let _ = xor_into(delta, k, dst);
-    })
 }
 
 #[cfg(test)]
@@ -282,7 +279,7 @@ mod tests {
 
     /// The decoder written the obvious way, a bit at a time into a copy:
     /// the reference every accepted or rejected payload is held to.
-    /// `codes` collects the bit offset of every packed element's code.
+    /// `codes` collects the bit offset of every packed group's width code.
     fn reference_apply(
         delta: &[f32],
         k: usize,
@@ -312,22 +309,35 @@ mod tests {
         for row in (0..rows).filter(|&r| bit(r) == 1) {
             touched += 1;
             let raw = read(&mut at, 1)? == 1;
-            for e in &mut out[row * k..row * k + k] {
-                let x = if raw {
-                    read(&mut at, 32)?
+            for group in out[row * k..row * k + k].chunks_mut(8) {
+                let width = if raw {
+                    32
                 } else {
                     codes.push(at);
-                    match read(&mut at, 4)? {
-                        15 => 0,
-                        14 => read(&mut at, 18)?,
-                        lz => 1 << (31 - lz) | read(&mut at, 31 - lz)?,
+                    match read(&mut at, 5)? {
+                        31 => 32,
+                        w => w,
                     }
                 };
-                *e = f32::from_bits(e.to_bits() ^ x);
+                for e in group {
+                    let x = read(&mut at, width)?;
+                    *e = if raw {
+                        f32::from_bits(x)
+                    } else {
+                        // Even: x / 2 up; odd: (x + 1) / 2 down.
+                        let step = if x % 2 == 0 { x / 2 } else { !(x / 2) };
+                        f32::from_bits(e.to_bits().wrapping_add(step))
+                    };
+                }
             }
         }
         dst.copy_from_slice(&out);
         Ok(touched)
+    }
+
+    /// `base` moved `step` units in the last place of its bit pattern.
+    fn moved(base: f32, step: i32) -> f32 {
+        f32::from_bits(base.to_bits().wrapping_add_signed(step))
     }
 
     #[test]
@@ -355,33 +365,99 @@ mod tests {
     }
 
     #[test]
-    fn each_element_costs_its_code_and_the_bits_below_its_leading_one() {
-        // One changed row of two elements, the first's XOR with the base
-        // `lz` leading zeros into it, the second unchanged: a bitmap word,
-        // then the raw flag, a code and 31 − lz bits (18 from 14 zeros on),
-        // and the second element's code.
-        for lz in 0..32u32 {
-            let base = [1.5f32, -0.25];
-            let cur = [
-                f32::from_bits(base[0].to_bits() ^ (1 << (31 - lz))),
-                base[1],
-            ];
-            let bits = 1 + 4 + (31 - lz.min(14)).max(18) as usize + 4;
-            assert_eq!(
-                encode(&base, &cur, 2).len(),
-                1 + bits.div_ceil(32),
-                "lz {lz}"
-            );
-        }
+    fn a_group_costs_its_width_code_and_each_zigzagged_difference_at_that_width() {
+        // One row of one group, steps 1, −1, 3, 0, −4, 2, 0, 7 units in the
+        // last place: zigzags 2, 1, 6, 0, 7, 4, 0, 14, whose largest needs
+        // 4 bits. A bitmap word, then the raw flag 0, the width 4 and eight
+        // 4-bit fields: 38 bits, from the least significant end up.
+        let base = [1.0f32, -0.5, 0.25, 3.0, -2.0, 0.1, 7.5, -0.0];
+        let steps = [1, -1, 3, 0, -4, 2, 0, 7];
+        let cur: Vec<f32> = base.iter().zip(steps).map(|(&b, s)| moved(b, s)).collect();
+        let stream = [2u64, 1, 6, 0, 7, 4, 0, 14]
+            .iter()
+            .enumerate()
+            .fold(4 << 1, |s, (i, z)| s | z << (6 + 4 * i));
+        assert_eq!(
+            bits(&encode(&base, &cur, 8)),
+            [1, stream as u32, (stream >> 32) as u32]
+        );
+        // The same steps crossing a power of two: the pattern moves by as
+        // much, although the exponent's low bits flip, so the cost holds.
+        let edge = [2.0f32; 8].map(|v| moved(v, -3));
+        let cur: Vec<f32> = edge.iter().zip(steps).map(|(&b, s)| moved(b, s)).collect();
+        assert!(cur.iter().any(|&v| v >= 2.0) && edge.iter().all(|&v| v < 2.0));
+        assert_eq!(encode(&edge, &cur, 8).len(), 3);
         // Sixteen rows of k = 4, one SGD-sized step an element: 16 bitmap
-        // bits in one word, then 16 × (1 + 4 × (4 + 31 − lz)) stream bits.
+        // bits in one word, then per row a flag, a code and 4 × width bits.
         let base: Vec<f32> = (0..64).map(|i| 0.1 + i as f32 * 0.01).collect();
         let cur: Vec<f32> = base.iter().map(|v| v * (1.0 + 1e-3)).collect();
         let stream: usize = (base.chunks(4).zip(cur.chunks(4)))
-            .map(|(b, c)| 1 + packed_bits(b, c))
+            .map(|(b, c)| 1 + 5 + 4 * width(b, c) as usize)
             .sum();
         assert_eq!(encode(&base, &cur, 4).len(), 1 + stream.div_ceil(32));
         assert!(stream < 64 * 32 * 85 / 100, "{stream} bits: no gain");
+    }
+
+    #[test]
+    fn every_group_width_round_trips_and_31_ships_as_32() {
+        // Row of k = 16: group 0's widest zigzag is `w` bits (its top bit
+        // set, alone or with every bit below it), group 1 moves one unit so
+        // that the row is changed even at w = 0.
+        for w in 0..=32u32 {
+            for low in [false, true] {
+                let all = ((1u64 << w) - 1) as u32;
+                let z = if low { all } else { all ^ all >> 1 };
+                let step = ((z >> 1) ^ (z & 1).wrapping_neg()) as i32;
+                let base: Vec<f32> = (0..16).map(|i| i as f32 * 0.75 - 4.0).collect();
+                let mut cur = base.clone();
+                cur[3] = moved(base[3], step);
+                cur[12] = moved(base[12], 1);
+                let shipped = if w == 31 { 32 } else { w as usize };
+                let stream = 1 + 5 + 8 * shipped + 5 + 8 * 2;
+                let delta = encode(&base, &cur, 16);
+                assert_eq!(delta.len(), 1 + stream.div_ceil(32), "w {w} low {low}");
+                let mut codes = Vec::new();
+                reference_apply(&delta, 16, &mut base.clone(), &mut codes).unwrap();
+                let code = (delta[1].to_bits() >> 1) & 31;
+                assert_eq!(code, w.min(31), "w {w}: width code");
+                assert_eq!(codes, [32 + 1, 32 + 6 + 8 * shipped]);
+            }
+        }
+    }
+
+    #[test]
+    fn odd_patterns_and_short_groups_round_trip() {
+        // Sign flips, NaN payloads, −0.0, subnormals, infinities and the
+        // all-ones pattern, each against a plain value and against each
+        // other, at widths whose last group is shorter than 8.
+        let odd = [
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffa0_0000),
+            f32::from_bits(0x7f80_0001),
+            -0.0,
+            0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0003),
+            f32::from_bits(0x007f_ffff),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(u32::MAX),
+            0.37,
+            -0.37,
+        ];
+        for k in [1, 2, 3, 4, 7, 8, 9, 11, 16, 19] {
+            for shift in 0..odd.len() {
+                let base: Vec<f32> = (0..5 * k).map(|i| odd[i % odd.len()]).collect();
+                let cur: Vec<f32> = (0..5 * k)
+                    .map(|i| match i % 3 {
+                        0 => -base[i],
+                        1 => odd[(i + shift) % odd.len()],
+                        _ => moved(base[i], i as i32 - 7),
+                    })
+                    .collect();
+                encode(&base, &cur, k);
+            }
+        }
     }
 
     #[test]
@@ -400,9 +476,9 @@ mod tests {
 
     #[test]
     fn the_worst_push_fits_the_bound_and_round_trips() {
-        // Every element of every row changed and its sign flipped (XOR
-        // 0x8000_0000: 35 bits packed), or every bit flipped, on row
-        // counts either side of a bitmap word.
+        // Every element of every row changed and its sign flipped (a
+        // difference of 2^31, width 32 packed), or every bit flipped, on
+        // row counts either side of a bitmap word: every row ships raw.
         for rows in [1, 31, 32, 33, 65] {
             for k in [1, 2, 8] {
                 let base: Vec<f32> = (0..rows * k).map(|i| i as f32 * 0.37 - 5.0).collect();
@@ -443,9 +519,9 @@ mod tests {
             apply_delta(&[word(8), word(0)], 2, &mut dst),
             Err(DeltaError::RowOutOfRange)
         );
-        // Code 0 claims 31 bits; 26 follow it in the word.
+        // Width code 31 claims 2 × 32 bits; 26 follow it in the word.
         assert_eq!(
-            apply_delta(&[word(1), word(0)], 2, &mut dst),
+            apply_delta(&[word(1), word(31 << 1)], 2, &mut dst),
             Err(DeltaError::Truncated)
         );
         // A raw row of two elements carries 64 bits; one word follows.
@@ -454,6 +530,8 @@ mod tests {
             Err(DeltaError::Truncated)
         );
         assert_eq!(dst, vec![0.0; 6], "rejected deltas must not write");
+        // Width 13 for both elements fills the word exactly: accepted.
+        assert_eq!(apply_delta(&[word(1), word(13 << 1)], 2, &mut dst), Ok(1));
     }
 
     #[test]
@@ -473,8 +551,9 @@ mod tests {
     }
 
     /// A base of SGD-sized factors and a push that moved most elements by a
-    /// small step, with sign flips and other high bits flipped (codes 0 to
-    /// 3), NaN payloads, unchanged elements and untouched rows mixed in.
+    /// small step, with sign flips and other high bits flipped (widths of
+    /// 28 to 32), NaN payloads, unchanged elements and untouched rows mixed
+    /// in.
     fn round_of_sgd(rng: &mut proptest::TestRng, rows: usize, k: usize) -> (Vec<f32>, Vec<f32>) {
         let base: Vec<f32> = (0..rows * k)
             .map(|_| rng.random_range(-0.6f32..0.6))
@@ -486,7 +565,7 @@ mod tests {
                     0 => -*v,
                     1 => f32::from_bits(0x7f80_0000 | rng.random_range(1u32..1 << 23)),
                     2 => *v,
-                    3 => f32::from_bits(v.to_bits() ^ 1 << rng.random_range(28u32..31)),
+                    3 => f32::from_bits(v.to_bits() ^ 1 << rng.random_range(26u32..31)),
                     _ => *v + rng.random_range(-0.01f32..0.01),
                 };
             }
@@ -512,10 +591,10 @@ mod tests {
         got
     }
 
-    // Malformed-input fuzz of the bit-delta decoder, seeded from
-    // `CHAOS_SEED` when it is set so that each seed fuzzes its own corpus.
-    // Every mutation ends in a typed `DeltaError` with the destination
-    // untouched, or in exactly what the reference decoder makes of it.
+    // Malformed-input fuzz of the delta decoder, seeded from `CHAOS_SEED`
+    // when it is set so that each seed fuzzes its own corpus. Every
+    // mutation ends in a typed `DeltaError` with the destination untouched,
+    // or in exactly what the reference decoder makes of it.
     #[test]
     fn mutated_bit_deltas_error_cleanly_or_apply_exactly() {
         let seed: u64 = std::env::var("CHAOS_SEED")
@@ -527,7 +606,7 @@ mod tests {
             let mut rng = proptest::TestRng::seed_from_u64(
                 0xB17_DE17A ^ seed << 32 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            let (rows, k) = (rng.random_range(1usize..80), rng.random_range(1usize..6));
+            let (rows, k) = (rng.random_range(1usize..80), rng.random_range(1usize..20));
             let (base, cur) = round_of_sgd(&mut rng, rows, k);
             let delta = encode(&base, &cur, k);
             let mut tally = |r: Result<usize, DeltaError>| match r {
@@ -554,8 +633,8 @@ mod tests {
                 assert_eq!(got, Err(DeltaError::RowOutOfRange));
                 tally(got);
             }
-            // Codes that claim more payload than remains: each of the last
-            // few codes rewritten to 0 (31 payload bits).
+            // Widths that claim more payload than remains: each of the
+            // last few width codes rewritten to 31 (32 bits an element).
             let mut codes = Vec::new();
             reference_apply(&delta, k, &mut base.clone(), &mut codes).unwrap();
             for &at in codes.iter().rev().take(4) {
@@ -565,7 +644,7 @@ mod tests {
                 if let Some(next) = bad.get(w + 1) {
                     word |= u64::from(next.to_bits()) << 32;
                 }
-                word &= !(0xF << (at % 32));
+                word |= 31 << (at % 32);
                 bad[w] = f32::from_bits(word as u32);
                 if let Some(next) = bad.get_mut(w + 1) {
                     *next = f32::from_bits((word >> 32) as u32);

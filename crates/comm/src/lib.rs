@@ -29,10 +29,10 @@
 //! * [`socket`] — [`CommSocket`]: the same [`Transport`] contract over a
 //!   Unix domain socket or loopback TCP with per-RPC deadlines, bounded
 //!   retries, jittered reconnect backoff, and idempotent push dedup.
-//! * [`delta`] — the bit-delta payload codec that carries "Transmit Q
-//!   only" further for a sharded server: a push carries, for each row
-//!   changed since the last publish, each element's XOR with the published
-//!   value less its leading zeros.
+//! * [`delta`] — the delta payload codec that carries "Transmit Q only"
+//!   further for a sharded server: a push carries, for each row changed
+//!   since the last publish, each element's difference from the published
+//!   value, zigzagged and packed at the width its group of eight needs.
 //! * [`fault`] — the one fault vocabulary: a [`FaultPlan`] of scripted and
 //!   rolled [`Fault`]s, addressed by starting-fleet worker id and training
 //!   epoch, read by the threaded engine, the chaos wrapper and the

@@ -167,7 +167,7 @@ pub trait Transport: Send + Sync {
     /// pushes of the region therefore read `(W·pull_len·bpe, W·push_len·bpe)`
     /// — Table 5's epoch of `W` workers; a pull a worker skips, holding the
     /// region, adds nothing — and fp16 reads exactly half of fp32. (A
-    /// sharded server's pushes are bit deltas, whose length follows the
+    /// sharded server's pushes are deltas, whose length follows the
     /// values: it counts the words it shipped, at most the raw rows plus
     /// two bits a row.) Telemetry
     /// records the two directions separately because the communication
@@ -645,7 +645,7 @@ mod tests {
 
     #[test]
     fn every_fp32_link_carries_every_bit_pattern() {
-        // A sharded server's bit deltas ride these links as f32 bit
+        // A sharded server's deltas ride these links as f32 bit
         // patterns, so a link that quietened a signalling NaN, or
         // canonicalised any NaN payload, would corrupt a push silently.
         // Every NaN class (signalling and quiet, both signs, lowest and

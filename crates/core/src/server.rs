@@ -12,8 +12,9 @@
 //! [`ShardedServer`] splits that server across N shard endpoints, each
 //! owning a contiguous row range of the synchronized region (the CuMF_SGD
 //! scale-out layout), and carries "Transmit Q only" further with a
-//! per-shard bit delta: a push to a shard carries, for each row the worker
-//! changed since the last publish, the bits of each element that changed.
+//! per-shard delta: a push to a shard carries, for each row the worker
+//! changed since the last publish, each element's difference from the
+//! published value, packed at the width its group of eight needs.
 
 use hcc_comm::delta::{apply_delta, encode_delta, max_delta_len};
 use hcc_comm::{CommError, NetEvent, TransferStrategy, Transport};
@@ -108,10 +109,10 @@ pub(crate) fn install(q: &mut [f32], src: &[f32], items: &[u32], k: usize) {
 // ---------------------------------------------------------------------------
 
 /// Bytes an element takes on a [`ShardedServer`]'s inner links. They run
-/// at Fp32, which carries the bit deltas' words, bit patterns, unchanged.
+/// at Fp32, which carries the deltas' words, bit patterns, unchanged.
 const BPE: usize = 4;
 
-/// Bit-delta counters for a [`ShardedServer`] (monotonic totals).
+/// Delta counters for a [`ShardedServer`] (monotonic totals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaStats {
     /// Rows the pushes' bitmaps marked changed (a bit of the row differs
@@ -119,7 +120,7 @@ pub struct DeltaStats {
     pub rows_shipped: u64,
     /// Rows a full-buffer push would have shipped.
     pub rows_total: u64,
-    /// Push bytes on the wire: the bit deltas' words × bytes per element
+    /// Push bytes on the wire: the deltas' words × bytes per element
     /// (headers excluded, comparable across transports).
     pub bytes_shipped: u64,
     /// Push bytes full-buffer shipping would have cost.
@@ -141,13 +142,16 @@ pub struct DeltaStats {
 ///   so the result is bit-identical to a single-endpoint pull);
 /// * `push` encodes each shard's slice against the snapshot
 ///   ([`encode_delta`]): a bitmap of the rows whose bits differ from it,
-///   then each such element's XOR with the snapshot less its leading
-///   zeros — no push is longer than its raw rows plus two bits a row;
+///   then each such row's differences from it, zigzagged and packed eight
+///   elements to a width — no push is longer than its raw rows plus two
+///   bits a row;
 /// * a collect seeds the worker's reconstruction region from the snapshot
 ///   and applies each shard's delta to it where the delta landed,
 ///   rebuilding the worker's buffer bit-for-bit (an unshipped row is, by
 ///   construction, bit-equal to the snapshot, and a shipped element is
-///   its XOR with it), then hands the caller a view of that region.
+///   the snapshot's plus its difference), then hands the caller a view of
+///   that region; a delta that fails to decode fails the collect with
+///   [`CommError::Corrupt`].
 ///
 /// Sequence numbering and idempotent dedup live in the inner transports
 /// (each [`hcc_comm::CommSocket`] shard keeps its own per-worker seq), so
@@ -220,7 +224,7 @@ impl ShardedServer {
     /// The `(pull, push)` lengths in elements each of `shards` inner links
     /// must be built for to carry its shard of any region of up to `rows`
     /// rows of `k`: a shard of `ShardRouter::uniform(r, shards)` holds at
-    /// most `ceil(r / shards)` rows, and a push is its bit delta, at most
+    /// most `ceil(r / shards)` rows, and a push is its delta, at most
     /// [`max_delta_len`] elements.
     pub fn link_lens(rows: usize, k: usize, shards: usize) -> (usize, usize) {
         let most = rows.div_ceil(shards);
@@ -292,14 +296,15 @@ impl ShardedServer {
             Some(Duration::ZERO) => return Err(CommError::Timeout),
             left => left,
         };
-        let range = &mut region[elems.clone()];
+        let (range, mut decoded) = (&mut region[elems.clone()], Ok(0));
         self.shards[shard].collect_with(worker, timeout, &mut |delta| {
             range.copy_from_slice(&self.published.read()[elems.clone()]);
-            // A malformed delta (possible only under deliberate corruption
-            // that beat the CRC) leaves the snapshot rows in place — the
-            // same degradation as a dropped push.
-            let _ = apply_delta(delta, self.k, range);
-        })
+            decoded = apply_delta(delta, self.k, range);
+        })?;
+        // A malformed delta (possible only under corruption that beat the
+        // CRC) fails the collect as a corrupt frame: the caller treats it
+        // as a dropped push, and the worker's band stays as published.
+        decoded.map(|_| ()).map_err(|_| CommError::Corrupt)
     }
 }
 
@@ -549,14 +554,15 @@ mod tests {
         let stats = t.delta_stats();
         assert_eq!(stats.rows_shipped, 2);
         assert_eq!(stats.rows_total, 12);
-        // Per shard, its bit delta: shards 0 and 2 a bitmap word and one
-        // changed row (a raw flag, 1.0 → 2.0 as code 1 and 30 bits, three
-        // unchanged codes: 47 bits, two words), shard 1 its bitmap alone.
+        // Per shard, its delta: shards 0 and 2 a bitmap word and one
+        // changed row (a raw flag, then one group of four: 1.0 → 2.0 is a
+        // difference of 2^23, zigzag 2^24, so a width of 25 and four 25-bit
+        // fields: 106 bits, four words), shard 1 its bitmap alone.
         let shard = |s: usize| s * 4 * k..(s + 1) * 4 * k;
         let words: usize = (0..3)
             .map(|s| hcc_comm::delta_len(&region[shard(s)], &local[shard(s)], k))
             .sum();
-        assert_eq!(words, 3 + 1 + 3);
+        assert_eq!(words, 5 + 1 + 5);
         assert_eq!(stats.bytes_shipped, words as u64 * 4);
         assert_eq!(stats.bytes_full, (rows * k * 4) as u64);
         assert!(stats.bytes_shipped < stats.bytes_full);
@@ -648,6 +654,35 @@ mod tests {
         t.collect_timeout(0, &mut dst, Duration::from_secs(1))
             .unwrap();
         assert_eq!(dst, local);
+    }
+
+    #[test]
+    fn a_delta_that_fails_to_decode_fails_the_collect_as_corrupt() {
+        // Shard 0's delta is whole, shard 1's is cut short: the collect
+        // reports a corrupt frame and never hands the caller a region that
+        // is half pushed, half published.
+        let (rows, k) = (8, 2);
+        let links = links(1, rows, k, 2);
+        let t = ShardedServer::new(k, rows * k, links.clone());
+        let region = vec![0.5f32; rows * k];
+        t.publish(&region);
+        let mut local = region.clone();
+        local[1] = 7.0; // row 0 → shard 0
+        local[15] = 9.0; // row 7 → shard 1
+        let delta = |range: std::ops::Range<usize>| {
+            let mut out = Vec::new();
+            encode_delta(&region[range.clone()], &local[range], k, &mut out);
+            out
+        };
+        links[0].push(0, &delta(0..8));
+        let cut = delta(8..16);
+        links[1].push(0, &cut[..cut.len() - 1]);
+        let mut calls = 0;
+        assert_eq!(
+            t.collect_with(0, Some(Duration::from_secs(1)), &mut |_| calls += 1),
+            Err(CommError::Corrupt)
+        );
+        assert_eq!(calls, 0, "a half-decoded push was handed out");
     }
 
     #[test]

@@ -249,7 +249,7 @@ type WorkerExit = Result<WorkerEpochStats, String>;
 /// Builds one worker's endpoint for regions of up to `pull_len` /
 /// `push_len` floats. `shards > 1` makes it a node-sharded parameter
 /// server: the region is tiled by contiguous row range across that many
-/// links of `kind`, always at Fp32 — the bit delta replaces fp16
+/// links of `kind`, always at Fp32 — the delta replaces fp16
 /// compression, and its words ride as f32 bit patterns, which only Fp32
 /// carries unchanged.
 fn build_endpoint(
@@ -1908,15 +1908,16 @@ mod tests {
             }
         }
         // A sharded server counts payload elements x 4, and its pushes are
-        // bit deltas, whose length follows the trained values: each
-        // worker's two band pushes are 4 deltas (shards of 8 and 7 rows),
-        // 8 in all, each a bitmap word and a stream. Both workers change
-        // all 30 rows of `Q`, which the row delta this replaced shipped
-        // whole behind a count and an index a row (2_192 bytes); the bit
-        // delta ships 417 words, 8 of them bitmaps: 13 % under the raw
-        // 1_920 and within the raw rows plus two bits a row (`link_lens`).
+        // deltas, whose length follows the trained values: each worker's
+        // two band pushes are 4 deltas (shards of 8 and 7 rows), 8 in all,
+        // each a bitmap word and a stream. Both workers change all 30 rows
+        // of `Q`, which the row delta shipped whole behind a count and an
+        // index a row (2_192 bytes) and the XOR bit delta in 417 words
+        // (1_668 bytes); the group-packed differences ship 397 words, 8 of
+        // them bitmaps: 17 % under the raw 1_920 and within the raw rows
+        // plus two bits a row (`link_lens`).
         let (wire, _) = one_epoch(TransportKind::Tcp, TransferStrategy::QOnly, 2);
-        assert_eq!(wire, (1_920, 1_668));
+        assert_eq!(wire, (1_920, 1_588));
         // Three workers over 151 items: bands of 50, 50 and 51 rows, so what
         // one link carries changes length from round to round. Recorded
         // when each band had an endpoint of its own length.
@@ -1925,10 +1926,10 @@ mod tests {
             one_epoch_of(&uneven, 3, transport, TransferStrategy::QOnly, shards).0
         };
         assert_eq!(wire(TransportKind::Socket, 1), (14_496, 14_496));
-        // The 18 bit deltas (3 workers x 3 rounds x 2 shards) of the TCP x
-        // 2 shards run ship 3_044 words, 16 % under raw (the row delta
-        // shipped 16_344 bytes).
-        assert_eq!(wire(TransportKind::Tcp, 2), (14_496, 12_176));
+        // The 18 deltas (3 workers x 3 rounds x 2 shards) of the TCP x 2
+        // shards run ship 2_849 words, 21 % under raw (the row delta
+        // shipped 16_344 bytes, the XOR bit delta 12_176).
+        assert_eq!(wire(TransportKind::Tcp, 2), (14_496, 11_396));
     }
 
     /// The bits of `session`'s `P` and `Q`.

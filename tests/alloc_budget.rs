@@ -162,7 +162,7 @@ const CASES: [Case; 3] = [
     // encoded R/4 each (2.5 R in all). Each of four links (two workers x
     // two shards) carries a quarter of `Q`: published and a slot, 2 R in
     // all, plus a block at each end (2 blocks = R/2 a link: the frame is
-    // longer than a block). A push is a bit delta, which can run to its raw
+    // longer than a block). A push is a delta, which can run to its raw
     // rows plus two bits a row.
     (
         "tcp x 2 shards",

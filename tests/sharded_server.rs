@@ -1,6 +1,6 @@
 //! Differential multi-node tests: a node-sharded parameter server must be
 //! observationally identical to the single-node server — bit-for-bit at
-//! Fp32 — while shipping fewer push bytes (bit deltas against the
+//! Fp32 — while shipping fewer push bytes (deltas against the
 //! published region instead of full buffers). Delta accounting is
 //! cross-checked against the inner transports' [`hcc_comm::NetStats`].
 
@@ -78,7 +78,7 @@ fn sharded_training_is_bit_identical_to_single_node() {
 #[test]
 fn socket_and_tcp_sharded_training_match_shared_memory() {
     // The same differential across real wires: per-shard socket endpoints
-    // (Unix and TCP) carrying bit deltas reconstruct the exact trajectory.
+    // (Unix and TCP) carrying deltas reconstruct the exact trajectory.
     let reference = train(TransportKind::Shared, 1);
     let unix = train(TransportKind::Socket, 2);
     assert_bit_identical(&reference, &unix, "2 unix-socket shards");
@@ -115,16 +115,19 @@ fn delta_accounting_is_exact() {
     let stats = server.delta_stats();
     assert_eq!(stats.rows_shipped, 3);
     assert_eq!(stats.rows_total, rows as u64);
-    // Bytes shipped: per shard, `delta_len` words of 4 bytes. Shard 0: a
-    // bitmap word, then rows 0 (0.0 → 1.0: a raw flag, code 2 and 29 bits,
-    // three unchanged codes) and 1 (2.5 → 1.5: code 1 and 30 bits, three
-    // unchanged codes), 46 + 47 bits, three words. Shard 2: a bitmap word
-    // and row 20 (40.0 → 7.0: code 6 and 25 bits), 42 bits, two words.
+    // Bytes shipped: per shard, `delta_len` words of 4 bytes; a changed
+    // row of k = 4 is one group, a raw flag, a 5-bit width w and 4·w bits.
+    // Shard 0: a bitmap word, then rows 0 (0.0 → 1.0: a difference of
+    // 0x3F80_0000, zigzag 31 bits, so width 32 and 134 bits packed, over
+    // the 128 raw: shipped raw, 129 bits) and 1 (2.5 → 1.5: −0x60_0000,
+    // zigzag 24 bits, 102 bits), 231 bits, eight words. Shard 2: a bitmap
+    // word and row 20 (40.0 → 7.0: −0x140_0000, zigzag 26 bits), 110
+    // bits, four words.
     let shard = |s: usize| s * 8 * k..(s + 1) * 8 * k;
     let words: usize = (0..4)
         .map(|s| delta_len(&region[shard(s)], &local[shard(s)], k))
         .sum();
-    assert_eq!(words, 4 + 1 + 3 + 1);
+    assert_eq!(words, 9 + 1 + 5 + 1);
     assert_eq!(stats.bytes_shipped, words as u64 * 4);
     assert_eq!(stats.bytes_full, (rows * k) as u64 * 4);
     assert!(
@@ -204,9 +207,11 @@ fn an_adversarial_push_fits_its_links_and_round_trips_exactly() {
 #[test]
 fn a_push_where_every_row_took_one_small_sgd_step_ships_under_85_percent_of_raw() {
     // The regime a row delta could not help: every row of the band changed.
-    // One SGD step `q += lr·(e·p − λ·q)` per element keeps the sign, the
-    // exponent and the top of the mantissa, so the bit delta ships the
-    // rest. The factors are drawn as training draws them, N(0, 0.1)-ish.
+    // One SGD step `q += lr·(e·p − λ·q)` per element moves its bit pattern,
+    // read as an integer, by a small difference, which ships in the width
+    // its group of eight needs: 0.661 of raw here (the XOR bit delta this
+    // replaced read 0.706). The factors are drawn as training draws them,
+    // N(0, 0.1)-ish.
     use rand::{Rng, SeedableRng};
     let (rows, k) = (512, 16);
     let server = sharded_shared(1, rows, k, 2);
