@@ -52,6 +52,9 @@ pub struct ChaosTransport {
     ids: Vec<usize>,
     /// The training epoch in progress — the epoch coordinate of the plan.
     epoch: AtomicUsize,
+    /// The wire faults that lose a push pass it untouched
+    /// ([`sparing_pushes`](Self::sparing_pushes)).
+    spares_pushes: bool,
     /// Set when a corrupt push was injected; the next collect for that
     /// worker reports it.
     pending_corrupt: Vec<AtomicBool>,
@@ -76,6 +79,7 @@ impl ChaosTransport {
             plan,
             ids,
             epoch: AtomicUsize::new(0),
+            spares_pushes: false,
             pending_corrupt: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             dropped: AtomicU64::new(0),
             delayed: AtomicU64::new(0),
@@ -83,6 +87,17 @@ impl ChaosTransport {
             corrupted: AtomicU64::new(0),
             partitioned: AtomicU64::new(0),
         }
+    }
+
+    /// This wrapper, enacting only the wire faults that deliver the push
+    /// (a delay, a duplicate): under one that [loses the
+    /// push](Fault::loses_push) — a drop, a corruption, a partition — the
+    /// push passes untouched. For a link the plan's lost pushes do not
+    /// cover: a worker's hand-off to another worker, whose cell loses its
+    /// push to the server only.
+    pub fn sparing_pushes(mut self) -> ChaosTransport {
+        self.spares_pushes = true;
+        self
     }
 
     /// Tells the wrapper which training epoch the calls that follow belong
@@ -118,8 +133,10 @@ impl ChaosTransport {
     /// What the plan does to `worker` in the epoch in progress.
     fn fault(&self, worker: usize) -> Option<Fault> {
         // ordering: Relaxed — see `begin_epoch`.
-        self.plan
-            .at(self.ids[worker], self.epoch.load(Ordering::Relaxed))
+        let fault = self
+            .plan
+            .at(self.ids[worker], self.epoch.load(Ordering::Relaxed));
+        fault.filter(|fault| !(self.spares_pushes && fault.loses_push()))
     }
 }
 
@@ -199,6 +216,10 @@ impl Transport for ChaosTransport {
         self.inner.workers()
     }
 
+    fn take_decode_time(&self) -> Duration {
+        self.inner.take_decode_time()
+    }
+
     fn drain_net_events(&self) -> Vec<NetEvent> {
         self.inner.drain_net_events()
     }
@@ -244,6 +265,33 @@ mod tests {
             Err(CommError::Timeout)
         );
         assert_eq!(t.stats().dropped, 1);
+    }
+
+    #[test]
+    fn a_wrapper_sparing_pushes_delivers_a_lost_cells_push_and_delays_a_late_one() {
+        let delay = Duration::from_millis(5);
+        let plan = FaultPlan::new(3)
+            .with(0, 0, Fault::DropPush)
+            .with(0, 1, Fault::DelayPush(delay))
+            .with(0, 2, Fault::CorruptPush)
+            .with(0, 3, Fault::Partition);
+        let inner = Arc::new(CommShared::new(1, 4, 4, Precision::Fp32));
+        let spared = ChaosTransport::new(inner, plan, vec![0]).sparing_pushes();
+        for epoch in 0..5 {
+            spared.begin_epoch(epoch);
+            let started = std::time::Instant::now();
+            spared.push(0, &[epoch as f32; 4]);
+            let mut got = [0f32; 4];
+            spared.collect_timeout(0, &mut got, Duration::ZERO).unwrap();
+            assert_eq!(got, [epoch as f32; 4], "epoch {epoch}");
+            assert!(epoch != 1 || started.elapsed() >= delay);
+        }
+        let stats = spared.stats();
+        assert_eq!(
+            (stats.dropped, stats.corrupted, stats.partitioned),
+            (0, 0, 0)
+        );
+        assert_eq!(stats.delayed, 1);
     }
 
     #[test]

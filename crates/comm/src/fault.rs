@@ -96,6 +96,13 @@ impl Fault {
             Fault::Stall(_) | Fault::DelayPush(_) | Fault::DuplicatePush => false,
         }
     }
+
+    /// True when the fault is the worker's own and loses its push: what it
+    /// sends is lost wherever it goes, a band it hands to another worker
+    /// too. The wire's faults lose its push to the server only.
+    pub fn loses_hand_offs(self) -> bool {
+        matches!(self, Fault::Crash | Fault::PoisonPush)
+    }
 }
 
 /// A seeded description of every fault of a run: scripted events plus the

@@ -175,6 +175,13 @@ pub trait Transport: Send + Sync {
     fn wire_bytes_by_dir(&self) -> (u64, u64);
     /// Number of workers this transport serves.
     fn workers(&self) -> usize;
+    /// Server side: the time collects spent decoding pushes since the last
+    /// call, which starts the count over. Only a transport whose pushes are
+    /// encoded spends any (a sharded server's deltas, decoded inside its
+    /// collect, before `consume` runs); decorators forward it.
+    fn take_decode_time(&self) -> Duration {
+        Duration::ZERO
+    }
     /// Removes and returns the resilience events (retries, reconnects)
     /// accumulated since the last drain. The training loop forwards them to
     /// telemetry once per epoch, which also bounds the buffer. Only wire

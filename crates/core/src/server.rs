@@ -5,9 +5,11 @@
 //! workers could update the same `Q` row — the WAW race §3.1 warns about.
 //! The epoch avoids it by schedule rather than by merging: `Q`'s rows are
 //! dealt into one band a worker, and in each round of the epoch every band
-//! has exactly one holder. The server gathers a band's rows into the region
-//! it publishes and installs the holder's push straight back, so a push
-//! that never came leaves the band as it was published.
+//! has exactly one holder, which hands it straight to the next. The server
+//! gathers a band's rows, as the epoch began, into the region it publishes
+//! every round (a lost hand-off's fallback), and in the epoch's last round
+//! installs the holder's push straight back, so a push that never came
+//! leaves the band as it was published.
 //!
 //! [`ShardedServer`] splits that server across N shard endpoints, each
 //! owning a contiguous row range of the synchronized region (the CuMF_SGD
@@ -91,8 +93,9 @@ pub(crate) fn gather(dst: &mut [f32], q: &[f32], items: &[u32], k: usize) {
 }
 
 /// Writes a band's pushed rows back to the `Q` rows `items` names — the
-/// inverse of [`gather`]. A band has one writer a round, so its push is
-/// installed as it is: there is nothing to merge.
+/// inverse of [`gather`]. A band has one writer a round and reaches the
+/// server once an epoch, so its push is installed as it is: there is
+/// nothing to merge.
 ///
 /// # Panics
 /// Panics if `src` does not hold exactly `items.len()` rows of `k`.
@@ -174,6 +177,9 @@ pub struct ShardedServer {
     push_bytes: AtomicU64,
     rows_shipped: AtomicU64,
     rows_total: AtomicU64,
+    /// Nanoseconds collects spent seeding and decoding deltas since the
+    /// last [`Transport::take_decode_time`].
+    decode_ns: AtomicU64,
 }
 
 /// Where a collect rebuilds one worker's push. A push arrives as one
@@ -218,6 +224,7 @@ impl ShardedServer {
             push_bytes: AtomicU64::new(0),
             rows_shipped: AtomicU64::new(0),
             rows_total: AtomicU64::new(0),
+            decode_ns: AtomicU64::new(0),
         }
     }
 
@@ -298,8 +305,12 @@ impl ShardedServer {
         };
         let (range, mut decoded) = (&mut region[elems.clone()], Ok(0));
         self.shards[shard].collect_with(worker, timeout, &mut |delta| {
+            let t0 = Instant::now();
             range.copy_from_slice(&self.published.read()[elems.clone()]);
             decoded = apply_delta(delta, self.k, range);
+            let took = t0.elapsed().as_nanos() as u64;
+            // ordering: Relaxed — a timing statistic, taken by this thread.
+            self.decode_ns.fetch_add(took, Ordering::Relaxed);
         })?;
         // A malformed delta (possible only under corruption that beat the
         // CRC) fails the collect as a corrupt frame: the caller treats it
@@ -385,6 +396,11 @@ impl Transport for ShardedServer {
 
     fn workers(&self) -> usize {
         self.shards.first().map_or(0, |s| s.workers())
+    }
+
+    fn take_decode_time(&self) -> Duration {
+        // ordering: Relaxed — a timing statistic (see `apply_shard`).
+        Duration::from_nanos(self.decode_ns.swap(0, Ordering::Relaxed))
     }
 
     fn drain_net_events(&self) -> Vec<NetEvent> {
@@ -512,6 +528,23 @@ mod tests {
     /// A sharded server over CommShared inners.
     fn sharded(workers: usize, rows: usize, k: usize, shards: usize) -> ShardedServer {
         ShardedServer::new(k, rows * k, links(workers, rows, k, shards))
+    }
+
+    #[test]
+    fn a_collect_counts_its_decode_time_once() {
+        // The decode runs inside the collect, before `consume`: the engine
+        // adds it to the push's sync, so it is counted, and taken once.
+        let (rows, k) = (64, 8);
+        let t = sharded(1, rows, k, 2);
+        t.publish(&vec![0.5f32; rows * k]);
+        let pushed: Vec<f32> = (0..rows * k).map(|v| v as f32).collect();
+        t.push(0, &pushed);
+        assert_eq!(t.take_decode_time(), Duration::ZERO);
+        let mut got = vec![0f32; rows * k];
+        t.collect(0, &mut got);
+        assert_eq!(got, pushed);
+        assert!(t.take_decode_time() > Duration::ZERO);
+        assert_eq!(t.take_decode_time(), Duration::ZERO);
     }
 
     #[test]
@@ -784,7 +817,7 @@ pub(crate) mod fake {
     pub(crate) struct FakeTransport {
         inner: CommShared,
         events: Mutex<Vec<NetEvent>>,
-        pub pull_panics: bool,
+        pub push_panics: bool,
         pub loses_pushes: bool,
     }
 
@@ -805,7 +838,7 @@ pub(crate) mod fake {
             FakeTransport {
                 inner: CommShared::new(workers, len, len, Precision::Fp32),
                 events: Mutex::new(Vec::new()),
-                pull_panics: false,
+                push_panics: false,
                 loses_pushes: false,
             }
         }
@@ -821,10 +854,10 @@ pub(crate) mod fake {
             self.inner.publish(src);
         }
         fn pull(&self, worker: usize, dst: &mut [f32]) {
-            assert!(!self.pull_panics, "scripted pull panic");
             self.inner.pull(worker, dst);
         }
         fn push(&self, worker: usize, src: &[f32]) {
+            assert!(!self.push_panics, "scripted push panic");
             if !self.loses_pushes {
                 self.inner.push(worker, src);
             }

@@ -4,14 +4,17 @@
 //! `P`'s rows are relabelled once, in a seeded shuffled order, so that the
 //! contiguous row range each worker owns mixes popular and rare users.
 //! `Q`'s rows are put in a seeded shuffled order too (`band_order`), and
-//! an epoch walks [`RoundPlan::rotation`] over those positions: one round
+//! an epoch walks [`RoundPlan::ring`] over those positions: one round
 //! per worker, in which worker `w` trains band `(w + r + e·(p − 1)) mod p`
 //! of epoch `e` on its own rows, so every band has one holder a round and
-//! every worker holds every band once an epoch. The server hands each band,
-//! as the last round left it, to its holder over the holder's own link and
-//! installs the holder's push, with nothing to merge; a worker that holds
-//! its band already does not pull it. The schedule is the plan's; this file
-//! only enacts it.
+//! every worker holds every band once an epoch. A worker hands the band it
+//! trained straight to its next holder, over that worker's peer link, and
+//! the band's holder in the epoch's last round pushes it to the server,
+//! which installs it with nothing to merge: `p` transfers a worker an
+//! epoch. The server publishes every band every round as the epoch began,
+//! for a worker whose hand-off was lost and one that holds no band yet; a
+//! worker that holds its band already pulls nothing. The schedule is the
+//! plan's; this file only enacts it.
 
 use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingMeta};
 use crate::config::{HccConfig, TransportKind, WorkerSpec};
@@ -452,7 +455,7 @@ impl<'a> Session<'a> {
                 region: Vec::new(),
             }),
             band_order: Vec::new(),
-            plan: RoundPlan::rotation(0, 0, 1),
+            plan: RoundPlan::ring(0, 0, 1),
             layouts: Vec::new(),
             fractions: fractions.clone(),
             classes,
@@ -489,7 +492,7 @@ impl<'a> Session<'a> {
         let (k, n, p) = (self.k, self.n, self.specs.len());
         // One band a worker, equal counts of the band order, each tiled
         // into `streams` chunks.
-        self.plan = RoundPlan::rotation(p, n, self.config.streams);
+        self.plan = RoundPlan::ring(p, n, self.config.streams);
         let mut order = seeded_order(n, self.config.seed ^ BAND_SEED);
         for band in self.plan.bands() {
             order[band.clone()].sort_unstable();
@@ -519,6 +522,8 @@ impl<'a> Session<'a> {
         let (pull_len, push_len) = layouts.iter().fold((0, 0), |(pull, push), l| {
             (pull.max(l.pull_len), push.max(l.push_len))
         });
+        // A peer link carries a chunk's `Q` rows, one way.
+        let band_len = layouts.iter().map(|l| l.q_elems().len()).max().unwrap_or(0);
         // A worker keeps its regions, and the band it carries in them, while
         // the fleet and their length stay. Otherwise every region-sized
         // buffer of the epoch loop is allocated here, by the thread that
@@ -544,10 +549,12 @@ impl<'a> Session<'a> {
                 row_range: bounds[w]..bounds[w + 1],
                 regions,
                 links: Vec::new(),
+                peers: Vec::new(),
                 carried,
             });
         }
-        for (worker, &id) in workers.iter_mut().zip(&self.orig_ids) {
+        for (w, worker) in workers.iter_mut().enumerate() {
+            let id = self.orig_ids[w];
             for _ in 0..slots {
                 let endpoint = build_endpoint(
                     self.config.transport,
@@ -557,18 +564,14 @@ impl<'a> Session<'a> {
                     precision,
                     self.config.server_shards,
                 )?;
-                // The plan addresses workers by starting-fleet id.
-                let chaos = self.config.fault_plan.as_ref().map(|plan| {
-                    let ids = vec![id];
-                    Arc::new(ChaosTransport::new(endpoint.clone(), plan.clone(), ids))
-                });
-                worker.links.push(Link {
-                    endpoint: match &chaos {
-                        Some(chaos) => chaos.clone(),
-                        None => endpoint,
-                    },
-                    chaos,
-                });
+                worker.links.push(self.link(endpoint, id, false));
+            }
+            // The worker's own peer links, whose one client hands it bands.
+            if let Some(from) = self.handed_by(w).map(|from| self.orig_ids[from]) {
+                for _ in 0..slots {
+                    let peer = build_link(self.config.transport, 0, band_len, precision)?;
+                    worker.peers.push(self.link(peer, from, true));
+                }
             }
         }
         // Sized in place: a repartition that moves no length allocates none.
@@ -588,9 +591,36 @@ impl<'a> Session<'a> {
         self.lr_scale = state.meta.lr_scale as f64;
     }
 
-    /// Every worker's links.
+    /// `endpoint`, wrapped in the wire faults of the worker with
+    /// starting-fleet id `id` when the run has a fault plan: the worker that
+    /// pushes over it, as the plan addresses workers. A peer link (`peer`)
+    /// meets only those that deliver the push: the plan's lost pushes are
+    /// the worker's pushes to the server (DESIGN §4.1, "Ring hand-offs").
+    fn link(&self, endpoint: Arc<dyn Transport>, id: usize, peer: bool) -> Link {
+        let chaos = self.config.fault_plan.as_ref().map(|plan| {
+            let chaos = ChaosTransport::new(endpoint.clone(), plan.clone(), vec![id]);
+            Arc::new(if peer { chaos.sparing_pushes() } else { chaos })
+        });
+        Link {
+            endpoint: match &chaos {
+                Some(chaos) => chaos.clone(),
+                None => endpoint,
+            },
+            chaos,
+        }
+    }
+
+    /// The worker that hands worker `w` its bands: the same in every round
+    /// but the first, of every epoch. `None` in a fleet of one.
+    fn handed_by(&self, w: usize) -> Option<usize> {
+        (1..self.plan.rounds()).find_map(|r| self.plan.step(0, r, w).from)
+    }
+
+    /// Every worker's links, to the server and from its peer.
     fn links(&self) -> impl Iterator<Item = &Link> {
-        self.workers.iter().flat_map(|w| &w.links)
+        self.workers
+            .iter()
+            .flat_map(|w| w.links.iter().chain(&w.peers))
     }
 
     /// Wire bytes over all links, split `(pull, push)`.
@@ -740,32 +770,33 @@ impl<'a> Session<'a> {
 
     /// Drains every link's resilience events once per epoch (bounding
     /// their buffers) and attributes them to this epoch on the server lane,
-    /// under the starting-fleet id of the worker that owns the link.
+    /// under the starting-fleet id of the worker that pushes over the link.
     fn record_net_events(&self, epoch: usize) {
         let lane = self.telemetry.server_lane();
-        for (state, &id) in self.workers.iter().zip(&self.orig_ids) {
-            let worker = id as u32;
-            for ev in state
-                .links
-                .iter()
-                .flat_map(|l| l.endpoint.drain_net_events())
-            {
-                let event = match ev.kind {
-                    NetEventKind::Retry { cause, bytes } => Event::NetRetry {
-                        epoch: epoch as u32,
-                        worker,
-                        cause: net_cause(cause),
-                        delay_us: ev.delay_us,
-                        bytes,
-                    },
-                    NetEventKind::Reconnect { attempt } => Event::Reconnect {
-                        epoch: epoch as u32,
-                        worker,
-                        attempt,
-                        delay_us: ev.delay_us,
-                    },
-                };
-                self.telemetry.record(lane, event);
+        for (w, state) in self.workers.iter().enumerate() {
+            let from = self.handed_by(w).unwrap_or(w);
+            let links =
+                (state.links.iter().map(|l| (l, w))).chain(state.peers.iter().map(|l| (l, from)));
+            for (link, pusher) in links {
+                for ev in link.endpoint.drain_net_events() {
+                    let worker = self.orig_ids[pusher] as u32;
+                    let event = match ev.kind {
+                        NetEventKind::Retry { cause, bytes } => Event::NetRetry {
+                            epoch: epoch as u32,
+                            worker,
+                            cause: net_cause(cause),
+                            delay_us: ev.delay_us,
+                            bytes,
+                        },
+                        NetEventKind::Reconnect { attempt } => Event::Reconnect {
+                            epoch: epoch as u32,
+                            worker,
+                            attempt,
+                            delay_us: ev.delay_us,
+                        },
+                    };
+                    self.telemetry.record(lane, event);
+                }
             }
         }
     }
@@ -877,24 +908,28 @@ impl<'a> Session<'a> {
 
     /// One epoch of Fig. 4, the only epoch loop there is: the plan's rounds,
     /// each a [`run_round`](Self::run_round) in which worker `w` trains the
-    /// band of its [`RoundPlan::step`]. Every worker pushes every band once
-    /// an epoch and pulls every band but a carried one: the band it pushed
-    /// last (or was set up with), rounded to the wire's precision, so
-    /// skipping its pull (and, under `FullPq`, band 0's `P`) moves no bits.
-    /// An `E`-epoch run of `p` workers pulls `E·(p − 1)` whole `Q`s. A push
-    /// not installed, a death, a rollback or a survivor re-plan ends a
-    /// worker's carry (DESIGN §4.1, "Carried bands").
+    /// band of its [`RoundPlan::step`]. Every worker hands every band it
+    /// trains to the band's next holder, but in the epoch's last round,
+    /// when it pushes it to the server, and pulls none: it holds its first
+    /// band already — the one it pushed last (or was set up with), rounded
+    /// to the wire's precision, so skipping its pull (and, under `FullPq`,
+    /// band 0's `P`) moves no bits — and is handed each band after it. An
+    /// `E`-epoch run of `p` workers moves `E·p` whole `Q`s. A push not
+    /// installed, a death, a rollback or a survivor re-plan ends a worker's
+    /// carry (DESIGN §4.1, "Carried bands").
     ///
-    /// This departs from the paper's one synchronization per epoch: a band
-    /// is installed after each round, so the next holder starts from what
-    /// the last one trained, and `Q` never needs merging. A supervisor,
-    /// when present, is consulted at four points — fault lookup and
-    /// heartbeat on the worker side, the bounded collect ladder and the
-    /// non-finite-push check here. Fault-plan cells stay keyed by
-    /// `(worker, epoch)`: a worker that loses its push, or dies, loses every
-    /// round of that epoch, and a missing or poisoned push leaves its band
-    /// as it was published. With no fault the supervised epoch is
-    /// bit-identical to the plain one.
+    /// This departs from the paper's one pull and one push a worker an
+    /// epoch: a band goes from holder to holder, each training it from
+    /// where the last one left it, and `Q` never needs merging. A
+    /// supervisor, when present, is consulted at four points — fault lookup
+    /// and heartbeat on the worker side, the bounded collect ladder and the
+    /// non-finite-push check on this thread. Fault-plan cells stay keyed by
+    /// `(worker, epoch)`: a worker whose own fault loses its push (a crash,
+    /// a poison) loses every hand-off of that epoch with it, while the
+    /// wire's faults lose its push to the server only; the receiver of a
+    /// lost hand-off trains the server's copy of the band from the epoch's
+    /// start, pulled, and a band whose last push is lost stays as it was.
+    /// With no fault the supervised epoch is bit-identical to the plain one.
     fn run_epoch(
         &mut self,
         lr: f32,
@@ -913,7 +948,7 @@ impl<'a> Session<'a> {
         let ran = (0..self.plan.rounds())
             .try_for_each(|round| self.run_round(round, lr, epoch, sup, &mut outcome));
         // What a worker pushed last is the server's only if every push it
-        // made this epoch was installed and it is still in the fleet.
+        // made this epoch arrived and it is still in the fleet.
         for (w, state) in self.workers.iter_mut().enumerate() {
             let dead = sup.is_some_and(|sup| sup.board.is_dead(w));
             state.carried = ran.is_ok() && !outcome.missed[w] && !dead;
@@ -921,13 +956,16 @@ impl<'a> Session<'a> {
         ran.map(|()| outcome)
     }
 
-    /// One round: hand every band, as the last round left it, to its holder
-    /// — a publish to the holder's link of each slot — run every worker's
-    /// [`worker_round`](Self::worker_round) on its own thread, and
-    /// meanwhile, on this thread, collect each worker's push of each chunk
-    /// of its band in fixed `(worker, chunk)` order and install it (the DP2
-    /// hiding effect: installs overlap the still-running workers). A band
-    /// has one holder, so the order of installs moves no bits.
+    /// One round: publish every band, as the epoch began, to its holder's
+    /// link of each slot (the fallback of a lost hand-off, and a sharded
+    /// push's base); [`receive`](Self::receive) the bands the last round's
+    /// holders handed on; run every worker's
+    /// [`worker_round`](Self::worker_round) on its own thread; and
+    /// meanwhile, on this thread, collect each push to the server of each
+    /// chunk of its band in fixed `(worker, chunk)` order and install it
+    /// (the DP2 hiding effect: installs overlap the still-running workers).
+    /// Only the last round's steps push to the server, and a band has one
+    /// holder a round, so the order of installs moves no bits.
     fn run_round(
         &self,
         round: usize,
@@ -952,11 +990,12 @@ impl<'a> Session<'a> {
                 link.endpoint.publish(region);
             }
         }
+        let received = self.receive(round, epoch, sup, outcome)?;
 
         // Until the scope joins, each worker holds its own rows of `P`.
         let p_blocks = p.split_rows_mut(self.workers.iter().map(WorkerState::p_rows));
         std::thread::scope(|scope| -> Result<(), HccError> {
-            for (w, p_rows) in p_blocks.into_iter().enumerate() {
+            for ((w, p_rows), received) in p_blocks.into_iter().enumerate().zip(received) {
                 // A worker the supervisor has given up on sits out the
                 // epoch's remaining rounds; its bands stay as published.
                 if sup.is_some_and(|sup| sup.board.is_dead(w)) {
@@ -967,7 +1006,7 @@ impl<'a> Session<'a> {
                     // A worker panic would otherwise abort the process at
                     // the scope join — contain it.
                     let exit = catch_unwind(AssertUnwindSafe(|| {
-                        self.worker_round(w, round, p_rows, lr, epoch, sup)
+                        self.worker_round(w, round, p_rows, lr, epoch, sup, received)
                     }))
                     .map_err(|payload| panic_message(payload.as_ref()));
                     if let (Err(_), Some(sup)) = (&exit, sup) {
@@ -979,49 +1018,55 @@ impl<'a> Session<'a> {
 
             let server_lane = telemetry.server_lane();
             for (w, state) in self.workers.iter().enumerate() {
-                for (c, link) in self.plan.step(epoch, round, w).chunks.zip(&state.links) {
+                let step = self.plan.step(epoch, round, w);
+                // A band handed on reaches the server in a later round.
+                if step.to.is_some() {
+                    continue;
+                }
+                for (c, link) in step.chunks.zip(&state.links) {
                     // A worker whose push this epoch was lost loses the rest
                     // of the epoch's pushes with it (its fault cell is the
-                    // epoch), so the ladder is waited out once an epoch, not
-                    // once a round while the fleet idles at the barrier.
+                    // epoch), so the ladder is waited out once an epoch.
                     if outcome.missed[w] {
                         break;
                     }
                     let (items, layout) = self.chunk(c);
                     let q_at = layout.push_q_offset;
-                    // Runs inside the collect, on the push where it landed.
-                    let mut installed = false;
+                    // Runs inside the collect, on the push where it landed:
+                    // whether the push was sound, and the install's span.
+                    let mut installed = None;
                     let mut install_push = |push: &[f32]| {
-                        let start = telemetry.now_us();
-                        let t0 = Instant::now();
-                        // A poisoned (or malformed, short) push is discarded.
-                        // The `P` rows a `FullPq` push carries are read by
-                        // nobody: their owner trained them where the server
-                        // keeps them.
-                        let sound = push
-                            .get(q_at..q_at + items.len() * k)
-                            .filter(|rows| sup.is_none() || rows.iter().all(|v| v.is_finite()));
-                        if let Some(rows) = sound {
-                            install(q.as_mut_slice(), rows, items, k);
-                            installed = true;
-                        }
-                        let took = t0.elapsed();
-                        outcome.sync_time += took;
-                        // Sync spans live on the server lane but carry the
-                        // holder's id, so per-worker sums include its share.
-                        let worker = self.orig_ids[w] as u32;
-                        telemetry.phase(
-                            server_lane,
-                            epoch as u32,
-                            worker,
-                            Phase::Sync,
-                            start,
-                            took,
-                        );
+                        installed = Some(timed(telemetry, || {
+                            // A poisoned (or malformed, short) push is
+                            // discarded. The `P` rows a `FullPq` push carries
+                            // are read by nobody: their owner trained them
+                            // where the server keeps them.
+                            let sound = push
+                                .get(q_at..q_at + items.len() * k)
+                                .filter(|rows| sup.is_none() || rows.iter().all(|v| v.is_finite()));
+                            if let Some(rows) = sound {
+                                install(q.as_mut_slice(), rows, items, k);
+                            }
+                            sound.is_some()
+                        }));
                     };
                     let endpoint = &*link.endpoint;
-                    self.collect_push(endpoint, w, sup, &exits, epoch, &mut install_push)?;
-                    outcome.missed[w] |= !installed;
+                    self.collect_push(endpoint, w, sup, Some(&exits), epoch, &mut install_push)?;
+                    // A sharded push is decoded inside the collect, before
+                    // the install: both are the push's sync.
+                    let decoded = endpoint.take_decode_time();
+                    let Some((sound, (start, took))) = installed else {
+                        outcome.missed[w] = true;
+                        continue;
+                    };
+                    outcome.missed[w] |= !sound;
+                    let took = took + decoded;
+                    outcome.sync_time += took;
+                    // Sync spans live on the server lane but carry the
+                    // holder's id, so per-worker sums include its share.
+                    let worker = self.orig_ids[w] as u32;
+                    let start = start.saturating_sub(decoded.as_micros() as u64);
+                    telemetry.phase(server_lane, epoch as u32, worker, Phase::Sync, start, took);
                 }
             }
             Ok(())
@@ -1045,6 +1090,66 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
+    /// The start of round `round`, before any worker runs: collects each
+    /// band the last round's holder handed on from its receiver's peer
+    /// links into the receiver's regions, and retires every hand-off nobody
+    /// collected, so that none is ever handed out in a later round. A
+    /// hand-off is lost when its sender is dead or has missed a push or a
+    /// hand-off earlier this epoch, or when a chunk of it does not arrive
+    /// whole and finite: its
+    /// sender is then missed for the epoch and the receiver pulls the band
+    /// from the server instead — all of it, since a band half handed over
+    /// and half pulled would mix two rounds. Returns, per worker, the span
+    /// of the hand-off it received, or `None`.
+    fn receive(
+        &self,
+        round: usize,
+        epoch: usize,
+        sup: Option<&Supervisor>,
+        outcome: &mut EpochOutcome,
+    ) -> Result<Vec<Option<Span>>, HccError> {
+        let dead = |w| sup.is_some_and(|sup| sup.board.is_dead(w));
+        let mut received = vec![None; self.workers.len()];
+        for (w, state) in self.workers.iter().enumerate() {
+            let step = self.plan.step(epoch, round, w);
+            let Some(from) = step.from.filter(|&from| !outcome.missed[from]) else {
+                continue;
+            };
+            if dead(from) || dead(w) {
+                continue;
+            }
+            let (start, t0) = (self.telemetry.now_us(), Instant::now());
+            let mut whole = true;
+            for (s, (c, peer)) in step.chunks.zip(&state.peers).enumerate() {
+                let band = self.layouts[c].q_elems();
+                let mut region = state.regions[s].lock();
+                let mut landed = false;
+                let mut take = |handed: &[f32]| {
+                    let band = &mut region[band.clone()];
+                    let finite = sup.is_none() || handed.iter().all(|v| v.is_finite());
+                    if handed.len() == band.len() && finite {
+                        band.copy_from_slice(handed);
+                        landed = true;
+                    }
+                };
+                self.collect_push(&*peer.endpoint, from, sup, None, epoch, &mut take)?;
+                if !landed {
+                    whole = false;
+                    break;
+                }
+            }
+            if whole {
+                received[w] = Some((start, t0.elapsed()));
+            } else {
+                outcome.missed[from] = true;
+            }
+        }
+        for peer in self.workers.iter().flat_map(|w| &w.peers) {
+            peer.endpoint.publish(&[]);
+        }
+        Ok(received)
+    }
+
     /// Chunk `c` of the plan: the item ids it carries, and its layout.
     fn chunk(&self, c: usize) -> (&[u32], RegionLayout) {
         let items = self.plan.chunks()[c].clone();
@@ -1062,11 +1167,14 @@ impl<'a> Session<'a> {
     /// the band it holds `pull → compute → push` — inline for one chunk,
     /// through [`run_pipeline`] for several, so the pull of chunk `s + 1`
     /// and the push of chunk `s − 1` overlap the computation of chunk `s`
-    /// (Strategy 3). Chunk `s` has the worker's region and link of slot
+    /// (Strategy 3). Chunk `s` has the worker's region and links of slot
     /// `s`, and each stage runs its chunks in order, so the overlap moves
-    /// no bits.
+    /// no bits. A band `received` (the span its hand-off took) or carried
+    /// is not pulled; a band with a next holder is pushed to that worker's
+    /// peer link, one without to the server.
     /// `p_rows` are the worker's rows of the session's `P`, its alone for
     /// the round.
+    #[allow(clippy::too_many_arguments)] // one worker's round, each argument its own
     fn worker_round(
         &self,
         w: usize,
@@ -1075,6 +1183,7 @@ impl<'a> Session<'a> {
         lr: f32,
         epoch: usize,
         sup: Option<&Supervisor>,
+        received: Option<Span>,
     ) -> WorkerEpochStats {
         let state = &self.workers[w];
         let telemetry = &self.telemetry;
@@ -1099,23 +1208,24 @@ impl<'a> Session<'a> {
         }
         let lane = worker_id as u32;
         // Slot `s` carries chunk `band.start + s` of the plan. A carried
-        // band is in the regions already, as the pull would deliver it.
+        // band is in the regions already, as the pull would deliver it, and
+        // so is a band handed over.
         let step = self.plan.step(epoch, round, w);
-        let (band, carried) = (step.chunks, step.carried && state.carried);
+        let band = step.chunks;
+        let pulls = received.is_none() && !(step.carried && state.carried);
         let layout = |s: usize| self.layouts[band.start + s];
 
         // Each stage locks slot `s`'s region for as long as it works on it;
         // the stages of one chunk run in order, so they never contend. The
-        // region is pulled into, trained on and pushed from where it is.
+        // region is pulled into, trained on and sent from where it is.
         // (The `P` a `FullPq` pull carries is what the worker's rows
         // already hold: they have one owner.)
         let pull = |s: usize| {
-            if carried {
-                return;
+            if pulls {
+                let mut region = state.regions[s].lock();
+                let pulled = &mut region[..layout(s).pull_len];
+                state.links[s].endpoint.pull(0, pulled);
             }
-            let mut region = state.regions[s].lock();
-            let pulled = &mut region[..layout(s).pull_len];
-            state.links[s].endpoint.pull(0, pulled);
         };
         let compute = |s: usize, ()| {
             let mut region = state.regions[s].lock();
@@ -1129,24 +1239,30 @@ impl<'a> Session<'a> {
         };
         let push = |s: usize, ()| {
             let mut region = state.regions[s].lock();
-            let push = &mut region[layout(s).push_elems()];
-            if layout(s).push_q_offset > 0 {
+            // A hand-off is the band's `Q` rows; a push to the server puts
+            // the worker's `P` rows in front of them under `FullPq`.
+            let (elems, endpoint) = match step.to {
+                Some(next) => (layout(s).q_elems(), &self.workers[next].peers[s].endpoint),
+                None => (layout(s).push_elems(), &state.links[s].endpoint),
+            };
+            let push = &mut region[elems];
+            if step.to.is_none() && layout(s).push_q_offset > 0 {
                 p.read_into(&mut push[..p.row_range().len() * k]);
             }
             if let (Some(plan), Some(Fault::PoisonPush)) = (plan, fault) {
                 plan.poison(worker_id, epoch, push);
             }
-            state.links[s].endpoint.push(0, push);
+            endpoint.push(0, push);
             // The next epoch begins on this band: once installed, the server
             // holds it as the wire delivers it, and so does the region.
-            if round + 1 == self.plan.rounds() {
+            if step.to.is_none() {
                 self.wire_precision()
                     .round(&mut region[layout(s).q_elems()]);
             }
         };
 
         let slots = band.len();
-        let spans: [Span; 3] = if slots > 1 {
+        let mut spans: [Span; 3] = if slots > 1 {
             // The stages run on the pipeline's own threads and report only
             // per-stage busy totals, recorded as three spans sharing the
             // pipeline's start time. (A fault plan implies the synchronous
@@ -1169,6 +1285,10 @@ impl<'a> Session<'a> {
             let ((), pushed) = timed(telemetry, || (0..slots).for_each(|s| push(s, ())));
             [pulled, computed, pushed]
         };
+        // A hand-off received is this worker's pull of the band.
+        if let Some((start, took)) = received {
+            spans[0] = (start, took + spans[0].1);
+        }
         for (phase, (start, busy)) in [Phase::Pull, Phase::Comp, Phase::Push]
             .into_iter()
             .zip(spans)
@@ -1183,40 +1303,48 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Server side: waits for worker `w`'s push on its link `endpoint` and
-    /// runs `install` on it where it landed. Returning `Ok` without having run
-    /// `install` means the supervisor gave up on the push for this round.
+    /// Waits for worker `w`'s push on `endpoint` — to the server, or to
+    /// the worker it hands its band — and runs `consume` on it where it
+    /// landed. Returning `Ok` without having run `consume` means the
+    /// supervisor gave up on the push.
     ///
     /// Supervised, this is the bounded-retry ladder: each timeout or
     /// corrupt frame is a `NetRetry` event, and a worker that exhausts the
     /// ladder is `missed`. Unsupervised there is nobody to classify a
-    /// missing worker, so the server waits for as long as the worker's
-    /// thread runs — silently, a slow worker is not a fault — and fails
-    /// typed once the thread has ended without the push arriving (it
-    /// panicked, or its transport gave up on the push).
+    /// missing worker, so this waits for as long as the worker's thread
+    /// runs (`exits`; `None` once its round is over) — silently, a slow
+    /// worker is not a fault — and fails typed once the thread has ended
+    /// without the push arriving (it panicked, or its transport gave up on
+    /// the push).
     fn collect_push(
         &self,
         endpoint: &dyn Transport,
         w: usize,
         sup: Option<&Supervisor>,
-        exits: &Mutex<Vec<Option<WorkerExit>>>,
+        exits: Option<&Mutex<Vec<Option<WorkerExit>>>>,
         epoch: usize,
-        install: &mut dyn FnMut(&[f32]),
+        consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), HccError> {
         let Some(sup) = sup else {
             loop {
                 // Read before the wait: a push precedes its thread's exit,
                 // so a wait that starts after the exit cannot miss it.
-                let exited = exits.lock()[w].is_some();
-                let polled = endpoint.collect_with(0, Some(LOST_PUSH_POLL), install);
-                if polled.is_ok() {
+                let exited = exits.is_none_or(|exits| exits.lock()[w].is_some());
+                if endpoint
+                    .collect_with(0, Some(LOST_PUSH_POLL), consume)
+                    .is_ok()
+                {
                     return Ok(());
                 }
                 if exited {
-                    return Err(match &exits.lock()[w] {
-                        Some(Err(panic)) => self.worker_lost(w, epoch, panic),
-                        _ => HccError::Comm(format!(
-                            "worker {}'s push never reached the server in epoch {epoch}",
+                    let panic = exits.and_then(|exits| match &exits.lock()[w] {
+                        Some(Err(panic)) => Some(panic.clone()),
+                        _ => None,
+                    });
+                    return Err(match panic {
+                        Some(panic) => self.worker_lost(w, epoch, &panic),
+                        None => HccError::Comm(format!(
+                            "worker {}'s push never arrived in epoch {epoch}",
                             self.orig_ids[w]
                         )),
                     });
@@ -1231,7 +1359,7 @@ impl<'a> Session<'a> {
                 break;
             }
             let timeout = ladder.next_delay();
-            match endpoint.collect_with(0, Some(timeout), install) {
+            match endpoint.collect_with(0, Some(timeout), consume) {
                 Ok(()) => break,
                 // A corrupt frame degrades to a dropped one: wait out the
                 // next ladder step in case a retransmit (or a slow worker)
@@ -1366,6 +1494,7 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             row_range: 0..work.rows(),
             regions: Vec::new(),
             links: Vec::new(),
+            peers: Vec::new(),
             carried: false,
         };
         // Fresh zeroed factors for every worker: each pays the same page
@@ -1597,9 +1726,9 @@ mod tests {
     #[test]
     fn a_survivor_replan_deals_one_band_a_survivor_and_trains_every_rating_once() {
         // A survivor re-plan shrinks the fleet: the session walks the
-        // rotation of the survivors, one band a survivor of equal counts,
-        // and an epoch trains each worker's every rating exactly once —
-        // each band once. (The rotation itself is `hcc_partition::round`'s.)
+        // ring of the survivors, one band a survivor of equal counts, and
+        // an epoch trains each worker's every rating exactly once — each
+        // band once. (The ring itself is `hcc_partition::round`'s.)
         let ds = dataset(200, 90, 3_000);
         let config = base_config()
             .workers(vec![WorkerSpec::cpu(1); 4])
@@ -1612,7 +1741,7 @@ mod tests {
             session
                 .rebuild_workers(vec![1.0 / survivors as f64; survivors])
                 .unwrap();
-            assert_eq!(session.plan, RoundPlan::rotation(survivors, 90, 1));
+            assert_eq!(session.plan, RoundPlan::ring(survivors, 90, 1));
             let outcome = session.run_epoch(0.02, 0, None).unwrap();
             for (w, stats) in outcome.stats.iter().enumerate() {
                 let rated = session.workers[w].entries.len() as u64;
@@ -1624,8 +1753,9 @@ mod tests {
     #[test]
     fn a_worker_has_one_link_a_stream_slot_and_is_alone_on_it() {
         // Four workers over TCP x 2 shards, and over shared memory in two
-        // streams: `p · streams` links, each serving one worker, beside one
-        // region a link.
+        // streams: `p · streams` links to the server and as many peer links
+        // a band is handed over, each serving one worker, beside one region
+        // a slot.
         let ds = dataset(200, 90, 3_000);
         for (transport, shards, streams) in
             [(TransportKind::Tcp, 2, 1), (TransportKind::Shared, 1, 2)]
@@ -1639,9 +1769,11 @@ mod tests {
                 .build();
             let session = Session::create(&config, ds.matrix.clone()).unwrap();
             let workers: Vec<usize> = session.links().map(|l| l.endpoint.workers()).collect();
-            assert_eq!(workers, vec![1; 4 * streams], "{transport:?}");
+            assert_eq!(workers, vec![1; 2 * 4 * streams], "{transport:?}");
             for state in &session.workers {
                 assert_eq!(state.regions.len(), streams, "{transport:?}");
+                assert_eq!(state.links.len(), streams, "{transport:?}");
+                assert_eq!(state.peers.len(), streams, "{transport:?}");
             }
         }
     }
@@ -1857,10 +1989,11 @@ mod tests {
     fn one_epoch_carries_each_region_once_per_worker_and_direction() {
         // Wire bytes are the payload bytes worker links carried: in an
         // epoch no worker carries a band into (here, workers not yet set up
-        // with one), each of W workers pulls and pushes every chunk once,
-        // `pull_len` and `push_len` elements at the wire's bytes per
-        // element, on every transport — no publish, no collect, no frame
-        // header or trailer.
+        // with one), each band is pulled once, by its first holder, handed
+        // on `p − 1` times as its `Q` rows and pushed to the server once —
+        // `pull_len`, `q_len` and `push_len` elements at the wire's bytes
+        // per element, on every transport — no publish, no collect, no
+        // frame header or trailer.
         let ds = dataset(60, 30, 600);
         let one_epoch_of = |ds: &SyntheticDataset, workers, transport, strategy, shards| {
             let config = base_config()
@@ -1888,48 +2021,52 @@ mod tests {
             ] {
                 let (wire, layouts) = one_epoch(transport, strategy, 1);
                 let want = layouts.iter().fold((0, 0), |(pull, push), l| {
-                    (pull + 2 * l.pull_len * bpe, push + 2 * l.push_len * bpe)
+                    let handed = l.q_elems().len();
+                    (pull + l.pull_len * bpe, push + (handed + l.push_len) * bpe)
                 });
                 assert_eq!(
                     wire,
                     (want.0 as u64, want.1 as u64),
                     "{transport:?} x {strategy:?}"
                 );
-                // `Q` is 30 rows of k = 8, in two bands of 15. The two
-                // socket rows read (1_968, 1_968) while a frame's 24 header
-                // and trailer bytes counted: 1_968 - 2 x 24 = 1_920 = 2 x
-                // 240 x 4. Under `FullPq` only band 0 carries `P`, once a
-                // worker: the bytes are the whole-region ones.
+                // `Q` is 30 rows of k = 8, in two bands of 15: 960 bytes
+                // at fp32 for a pull of it, 1_920 for a hand-off and a
+                // push. Under `FullPq` only band 0 carries `P`, on the
+                // server's links: 60 rows more in its pull.
                 match strategy {
-                    TransferStrategy::QOnly => assert_eq!(wire, (1_920, 1_920)),
-                    TransferStrategy::HalfQ => assert_eq!(wire, (960, 960)),
-                    TransferStrategy::FullPq => assert_eq!(wire.0, 2 * 90 * 8 * 4),
+                    TransferStrategy::QOnly => assert_eq!(wire, (960, 1_920)),
+                    TransferStrategy::HalfQ => assert_eq!(wire, (480, 960)),
+                    TransferStrategy::FullPq => assert_eq!(wire.0, (60 + 30) * 8 * 4),
                 }
             }
         }
         // A sharded server counts payload elements x 4, and its pushes are
-        // deltas, whose length follows the trained values: each worker's
-        // two band pushes are 4 deltas (shards of 8 and 7 rows), 8 in all,
-        // each a bitmap word and a stream. Both workers change all 30 rows
-        // of `Q`, which the row delta shipped whole behind a count and an
-        // index a row (2_192 bytes) and the XOR bit delta in 417 words
-        // (1_668 bytes); the group-packed differences ship 397 words, 8 of
-        // them bitmaps: 17 % under the raw 1_920 and within the raw rows
-        // plus two bits a row (`link_lens`).
-        let (wire, _) = one_epoch(TransportKind::Tcp, TransferStrategy::QOnly, 2);
-        assert_eq!(wire, (1_920, 1_588));
+        // deltas, whose length follows the trained values; a hand-off
+        // crosses a peer link, raw. Each worker pushes one band to the
+        // server, as 2 deltas (shards of 8 and 7 rows), 4 in all, each a
+        // bitmap word and a stream, against the band as the epoch began:
+        // both holders changed all 15 rows of each, which ships in 206
+        // words (824 bytes), 14 % under the raw 960.
+        for transport in [
+            TransportKind::Shared,
+            TransportKind::Socket,
+            TransportKind::Tcp,
+        ] {
+            let (wire, _) = one_epoch(transport, TransferStrategy::QOnly, 2);
+            assert_eq!(wire, (960, 960 + 824), "{transport:?} x 2 shards");
+        }
         // Three workers over 151 items: bands of 50, 50 and 51 rows, so what
-        // one link carries changes length from round to round. Recorded
-        // when each band had an endpoint of its own length.
+        // one link carries changes length from round to round. Each band is
+        // pulled once, handed on twice and pushed once: 4_832 bytes a pass
+        // of `Q`.
         let uneven = dataset(300, 151, 6_000);
         let wire = |transport, shards| {
             one_epoch_of(&uneven, 3, transport, TransferStrategy::QOnly, shards).0
         };
-        assert_eq!(wire(TransportKind::Socket, 1), (14_496, 14_496));
-        // The 18 deltas (3 workers x 3 rounds x 2 shards) of the TCP x 2
-        // shards run ship 2_849 words, 21 % under raw (the row delta
-        // shipped 16_344 bytes, the XOR bit delta 12_176).
-        assert_eq!(wire(TransportKind::Tcp, 2), (14_496, 11_396));
+        assert_eq!(wire(TransportKind::Socket, 1), (4_832, 3 * 4_832));
+        // The 6 deltas (3 workers x 2 shards) of the TCP x 2 shards run
+        // ship 1_034 words (4_136 bytes), 14 % under the raw 1_208.
+        assert_eq!(wire(TransportKind::Tcp, 2), (4_832, 2 * 4_832 + 4_136));
     }
 
     /// The bits of `session`'s `P` and `Q`.
@@ -1942,10 +2079,10 @@ mod tests {
     #[test]
     fn every_epoch_pulls_every_band_but_the_carried_ones() {
         // Each worker starts an epoch on the band it holds — the one it was
-        // set up with, then the one it ended the last epoch on — and the
-        // workers hold different bands, so every epoch pulls one whole `Q`
-        // fewer than `p`: `E·(p − 1)·n·k·bpe` in all. Pushes are not
-        // carried: `E·p·n·k·bpe`.
+        // set up with, then the one it ended the last epoch on — and is
+        // handed every band after it, so no epoch pulls anything. Every band
+        // is handed on `p − 1` times and pushed to the server once:
+        // `E·p·n·k·bpe` in all.
         const EPOCHS: usize = 3;
         let (even, uneven) = (dataset(60, 30, 600), dataset(300, 151, 6_000));
         use {TransferStrategy::*, TransportKind::*};
@@ -1984,12 +2121,14 @@ mod tests {
             };
             let q_bytes = (session.n * 8 * bpe) as u64;
             let (pulled, pushed) = session.wire_bytes_by_dir();
-            assert_eq!(pulled, (EPOCHS * (p - 1)) as u64 * q_bytes, "{case}");
+            assert_eq!(pulled, 0, "{case}");
+            let handed = (EPOCHS * (p - 1)) as u64 * q_bytes;
             if config.server_shards == 1 {
-                assert_eq!(pushed, (EPOCHS * p) as u64 * q_bytes, "{case}");
+                assert_eq!(pushed, handed + EPOCHS as u64 * q_bytes, "{case}");
             } else {
-                // Bit deltas: every row changed, yet fewer bytes than raw.
-                assert!(pushed < (EPOCHS * p) as u64 * q_bytes, "{case}: {pushed}");
+                // Deltas: every row changed, yet fewer bytes than raw.
+                let deltas = pushed - handed;
+                assert!(deltas < EPOCHS as u64 * q_bytes, "{case}: {deltas}");
             }
         }
     }
@@ -2055,8 +2194,8 @@ mod tests {
         // up: worker 0's pushes of epoch 1 are lost or poisoned, or epoch 1
         // is run once at another rate (finite, so every push of it is
         // installed), rolled back and run again. `pulls` clears every carry
-        // before each epoch, so that every round pulls: the carry must land
-        // on its bits, and pull less only where it holds.
+        // before each epoch, so that each epoch's first round pulls: the
+        // carry must land on its bits, and pull less only where it holds.
         let run = |plan: FaultPlan, rollback: bool, pulls: bool| {
             let config = base_config()
                 .workers(vec![WorkerSpec::cpu(1); 2])
@@ -2084,37 +2223,43 @@ mod tests {
             }
             (pulled, factor_bits(&mut session))
         };
-        // `Q` is 30 rows of k = 8 in two bands of 15: two workers pull it
-        // whole in 1_920 bytes, 960 all but their carried bands, 1_440 when
-        // only one of them carries.
-        let (whole, carried, one) = (1_920, 960, 1_440);
+        // `Q` is 30 rows of k = 8 in two bands of 15, 480 bytes a band. A
+        // carried or handed band is not pulled. Worker 0's poisoned hand-off
+        // of epoch 1 makes worker 1 pull that band in round 1 (a dropped one
+        // is the wire's, which loses the push to the server only), its lost
+        // push to the server makes it pull its own first band of epoch 2,
+        // and a rollback makes both pull their first bands.
+        let (band, whole) = (480, 960);
         let lost = |fault| FaultPlan::new(7).with(0, 1, fault);
-        for (case, plan, rollback, want) in [
-            ("clean", FaultPlan::new(7), false, [carried; 3]),
+        for (case, plan, rollback, want, pulling) in [
+            ("clean", FaultPlan::new(7), false, [0; 3], [whole; 3]),
             (
                 "poisoned",
                 lost(Fault::PoisonPush),
                 false,
-                [carried, carried, one],
+                [0, band, band],
+                [whole, whole + band, whole],
             ),
             (
                 "dropped",
                 lost(Fault::DropPush),
                 false,
-                [carried, carried, one],
+                [0, 0, band],
+                [whole; 3],
             ),
             (
                 "rolled back",
                 FaultPlan::new(7),
                 true,
-                [carried, whole, carried],
+                [0, whole, 0],
+                [whole; 3],
             ),
         ] {
             let (pulled, bits) = run(plan.clone(), rollback, false);
             assert_eq!(pulled, want, "{case}");
-            let (pulled, every_round) = run(plan, rollback, true);
-            assert_eq!(pulled, [whole; 3], "{case}, every round pulling");
-            assert!(bits == every_round, "{case}: the carry moved bits");
+            let (pulled, every_epoch) = run(plan, rollback, true);
+            assert_eq!(pulled, pulling, "{case}, every epoch pulling");
+            assert!(bits == every_epoch, "{case}: the carry moved bits");
         }
     }
 
@@ -2124,7 +2269,7 @@ mod tests {
         // first three epochs, as `adapt` re-plans it: no band depends on
         // the partition, so each worker keeps its regions and its carry,
         // and every epoch pulls the same bytes — on the bits of a run whose
-        // every round pulls.
+        // every epoch pulls its first bands.
         let ds = dataset(60, 30, 600);
         let config = base_config()
             .workers(vec![WorkerSpec::cpu(1); 2])
@@ -2153,12 +2298,13 @@ mod tests {
             (pulled, factor_bits(&mut session))
         };
         let (pulled, bits) = run(false);
-        // 30 rows of k = 8 at 2 bytes, pulled by two workers: 960 bytes,
-        // less the band of 15 rows each carries.
+        // 30 rows of k = 8 at 2 bytes in two bands of 15: each worker
+        // carries its first band and is handed its second, so nothing is
+        // pulled; without the carry each pulls its first, 240 bytes.
+        assert_eq!(pulled, [0; 5]);
+        let (pulled, every_epoch) = run(true);
         assert_eq!(pulled, [480; 5]);
-        let (pulled, every_round) = run(true);
-        assert_eq!(pulled, [960; 5]);
-        assert!(bits == every_round, "the carry moved bits");
+        assert!(bits == every_epoch, "the carry moved bits");
     }
 
     #[test]
@@ -2183,9 +2329,7 @@ mod tests {
             let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
             let sup = Supervisor::new(supervisor.clone(), 2);
             // The epoch's two rounds, as `run_epoch` runs them. Worker 1
-            // pushes each band from its region, where the band stays until
-            // the next round; installed alone, its pushes cover every row of
-            // `Q`.
+            // pushes its last band from its region, where the band stays.
             let mut outcome = EpochOutcome {
                 stats: vec![WorkerEpochStats::default(); 2],
                 sync_time: Duration::ZERO,
@@ -2197,25 +2341,32 @@ mod tests {
                 session
                     .run_round(round, 0.02, 0, sup, &mut outcome)
                     .unwrap();
-                let (items, layout) = session.chunk(session.plan.step(0, round, 1).chunks.start);
-                let pushed = &session.workers[1].regions[0].lock()[..layout.pull_len];
-                install(q1.as_mut_slice(), pushed, items, 8);
             }
+            let (items, layout) = session.chunk(session.plan.step(0, 1, 1).chunks.start);
+            let pushed = &session.workers[1].regions[0].lock()[..layout.pull_len];
+            install(q1.as_mut_slice(), pushed, items, 8);
             (outcome.missed, session.server.get_mut().q.clone(), q1)
         };
+        // Worker 0's push of band 1 to the server is poisoned or dropped,
+        // and either leaves band 1 as the epoch began; band 0 is worker 1's
+        // push. `Q` is the epoch's start with worker 1's push in it, bit
+        // for bit, and no NaN of the poison in it.
         let (missed, poisoned, q1) = q_after(FaultPlan::new(7).with(0, 0, Fault::PoisonPush));
         assert_eq!(missed, vec![true, false]);
-        // Band 1 was installed from worker 1 in round 0 and published so to
-        // worker 0 in round 1, whose poisoned push left it as it was; band 0
-        // is worker 1's round-1 push. `Q` is worker 1's pushes, bit for bit.
         assert!(poisoned == q1);
-        // A poisoned push is discarded exactly as a push that never came.
-        let (missed, dropped, _) = q_after(FaultPlan::new(7).with(0, 0, Fault::DropPush));
+        assert!(poisoned.as_slice().iter().all(|v| v.is_finite()));
+        let (missed, dropped, q1) = q_after(FaultPlan::new(7).with(0, 0, Fault::DropPush));
         assert_eq!(missed, vec![true, false]);
-        assert!(poisoned == dropped);
+        assert!(dropped == q1);
+        // The poison spoils the band worker 0 handed on too, so worker 1
+        // trained band 0 from the server's copy as the epoch began; the
+        // wire's drop loses the push to the server only, so worker 1
+        // trained it from worker 0's hand-off.
+        assert_ne!(poisoned, dropped);
         let (missed, clean, _) = q_after(FaultPlan::new(7));
         assert_eq!(missed, vec![false, false]);
         assert_ne!(poisoned, clean);
+        assert_ne!(dropped, clean);
     }
 
     #[test]
@@ -2225,17 +2376,18 @@ mod tests {
         let config = base_config().build();
         let started = Instant::now();
 
-        // Worker 1 panics before its push.
+        // Worker 1 panics in its push to the server (no worker pulls in a
+        // fault-free epoch: its first band is carried, its second handed).
         let panics = |w, len| {
             let mut fake = FakeTransport::new(1, len);
-            fake.pull_panics = w == 1;
+            fake.push_panics = w == 1;
             fake
         };
         let err = session_over(&config, &ds, panics).run(false).unwrap_err();
         match err {
             HccError::WorkerLost(msg) => {
                 assert!(msg.contains("worker 1") && msg.contains("epoch 0"), "{msg}");
-                assert!(msg.contains("scripted pull panic"), "{msg}");
+                assert!(msg.contains("scripted push panic"), "{msg}");
             }
             other => panic!("expected WorkerLost, got {other:?}"),
         }

@@ -2,9 +2,11 @@
 //!
 //! A worker owns a contiguous row range of `P` outright (row grid, §3.3)
 //! and trains on those rows where the session keeps them. Of `Q` it holds
-//! one region per stream slot, each with a link of its own to the server:
-//! in every round slot `s` is pulled into from chunk `s` of the band the
-//! worker holds, trained on where it landed and pushed from. Shard entries
+//! one region per stream slot, each with a link of its own to the server
+//! and a peer link the worker before it in the ring hands it bands over:
+//! in every round slot `s` receives chunk `s` of the band the worker
+//! holds, is trained on where it landed, and is sent on from there — to
+//! the next holder, or in the epoch's last round to the server. Shard entries
 //! are stored rebased, once, when the shards are dealt
 //! (`deal`): the row to the worker's range, so the hot loop indexes its
 //! rows of `P` directly, and the item to its position in the band order, so
@@ -46,15 +48,21 @@ pub(crate) struct WorkerState {
     ///
     /// [`RegionLayout`]: crate::server::RegionLayout
     pub regions: Vec<Mutex<Vec<f32>>>,
-    /// `links[s]`: the wire `regions[s]` is pulled into and pushed from.
+    /// `links[s]`: the wire to the server `regions[s]` is pulled into and
+    /// pushed from.
     pub links: Vec<Link>,
+    /// `peers[s]`: the wire chunk `s` of a band is handed to this worker
+    /// over. It is this worker's, and its one client the worker that hands
+    /// it bands; it carries a band's `Q` rows, one way. None for a fleet of
+    /// one.
+    pub peers: Vec<Link>,
     /// `regions` hold the band of a carried step as a pull would deliver it.
     pub carried: bool,
 }
 
-/// A worker's own end of the wire for one stream slot. It serves that
-/// worker alone, as worker 0, and carries whichever band's chunk the slot
-/// holds in a round, so a `publish` to it is the hand-off of that chunk.
+/// One end of the wire for one stream slot: to the server, or from the
+/// worker that hands this one its bands. It serves one pushing worker, as
+/// worker 0, and carries whichever band's chunk the slot holds in a round.
 pub(crate) struct Link {
     /// Carries the slot's regions: `chaos`, when there is one.
     pub endpoint: Arc<dyn Transport>,
@@ -160,6 +168,7 @@ mod tests {
             row_range: 0..10,
             regions: Vec::new(),
             links: Vec::new(),
+            peers: Vec::new(),
             carried: false,
         }
     }

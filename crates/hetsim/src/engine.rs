@@ -5,16 +5,18 @@
 //!
 //! * every worker pulls the band the plan gives it over its bus
 //!   (independent channels, Fig. 2, unless the platform puts several
-//!   workers on one link),
+//!   workers on one link) — unless it carries the band or the last round's
+//!   holder handed it over,
 //! * computes that band's share of its shard at its calibrated rate,
-//! * pushes the band back, and
+//! * pushes the band — to the next round's holder, or to the server — and
 //! * the server installs (or, under [`RoundPlan::paper`], merges) the
-//!   pushes FIFO at `3·bytes/B_server` (Eq. 3).
+//!   pushes that reach it FIFO at `3·bytes/B_server` (Eq. 3).
 //!
 //! A round starts at the previous round's barrier, the end of its last
-//! span, so a band's install always precedes its next holder's pull. The
+//! span, so a band has left its holder before its next holder starts. The
 //! paper's plan is one round with all of `Q` to every worker; the engine's
-//! rotation is `p` rounds on a band each, with `p` installs a round.
+//! ring is `p` rounds on a band each, with a hand-off a worker in every
+//! round but the last and `p` installs in the last.
 //!
 //! Strategy 3 (asynchronous computing–transmission) is modeled by chunking
 //! a step into the plan's chunks of its band (capped by the processor's
@@ -170,8 +172,11 @@ impl EpochTrace {
 pub(crate) struct WorkerCosts {
     /// Seconds the worker spends pulling, computing and pushing.
     pub phases: WorkerTotals,
-    /// Bytes the server merges: the *decompressed* push (always FP32).
+    /// Bytes the server merges: the *decompressed* push (always FP32); none
+    /// for a band handed to the next holder.
     pub sync_bytes: f64,
+    /// The push goes to the server, not to the next holder.
+    pub synced: bool,
     /// Pipeline chunks: the step's, capped by [`WorkerSlot::streams`].
     pub streams: usize,
 }
@@ -181,9 +186,10 @@ impl WorkerCosts {
     /// payloads moving at `link_bandwidth` bytes/s before transport
     /// efficiency: the full link in the calendar, where contention is
     /// queueing; the planner's fair share. The wire carries the step's band
-    /// of `Q` (and, under `FullPq`, `P` with the plan's first chunk, as in
-    /// the threaded engine), but no pull of a carried step; compute is the
-    /// band's share of `x·nnz`.
+    /// of `Q` (and, under `FullPq`, `P` with the plan's first chunk on the
+    /// server's links, as in the threaded engine), but no pull of a carried
+    /// or handed step, and a hand-off is one transfer of the band; compute
+    /// is the band's share of `x·nnz`.
     pub(crate) fn derive(
         platform: &Platform,
         workload: &Workload,
@@ -195,18 +201,21 @@ impl WorkerCosts {
     ) -> WorkerCosts {
         let carries_p = step.chunks.contains(&0);
         let m = if carries_p { workload.m } else { 0 };
-        let m_assigned = (x * m as f64).round() as u64;
+        let synced = step.to.is_none();
+        let m_pushed = u64::from(synced) * (x * m as f64).round() as u64;
         let (n, k) = (step.rows.len() as u64, config.k);
-        let pulled = u64::from(!step.carried);
+        let pulled = u64::from(!step.carried && step.from.is_none());
         let share = n as f64 / workload.n.max(1) as f64;
         let bus = link_bandwidth * config.transport_efficiency;
+        let merged = config.strategy.push_elements(m_pushed, n, k) * 4 * u64::from(synced);
         WorkerCosts {
             phases: WorkerTotals {
                 pull: config.strategy.pull_bytes(pulled * m, pulled * n, k) as f64 / bus,
                 compute: compute_time(platform, workload, w, x) * share,
-                push: config.strategy.push_bytes(m_assigned, n, k) as f64 / bus,
+                push: config.strategy.push_bytes(m_pushed, n, k) as f64 / bus,
             },
-            sync_bytes: (config.strategy.push_elements(m_assigned, n, k) * 4) as f64,
+            sync_bytes: merged as f64,
+            synced,
             streams: platform.workers[w].streams(step.chunks.len()),
         }
     }
@@ -267,9 +276,11 @@ pub fn simulate_epoch(
 /// push, no merge, no later round); [`Fault::Stall`] and
 /// [`Fault::DelayPush`] delay its first compute of the epoch by their
 /// duration; every other fault that [loses the push](Fault::loses_push)
-/// lets each round's push occupy the link but never reach the server; a
-/// duplicate is deduplicated and costs nothing. A fault is the worker's,
-/// whatever `config.server_shards` is.
+/// lets each round's push occupy the link but never reach the server. A
+/// worker that [loses its hand-offs](Fault::loses_hand_offs) with its push
+/// (a crash, a poisoned push) has their receivers pull the band from the
+/// server instead. A duplicate is deduplicated and costs nothing. A fault
+/// is the worker's, whatever `config.server_shards` is.
 ///
 /// Each round is a task DAG drained through FIFO resources in global time
 /// order from the previous round's barrier: per worker one compute unit,
@@ -278,7 +289,7 @@ pub fn simulate_epoch(
 /// direction at full link bandwidth, so contention on a shared link
 /// emerges as queueing. A chunk's compute is released when its pull ends,
 /// its push when its compute ends, and the next chunk's pull when this
-/// one's ends; the server syncs pushes in arrival order.
+/// one's ends; the server syncs the pushes that reach it in arrival order.
 ///
 /// # Panics
 /// As [`simulate_epoch`].
@@ -304,6 +315,8 @@ pub fn simulate_epoch_faulty(
         "transport efficiency must lie in (0, 1]"
     );
     let faults: Vec<Option<Fault>> = (0..workers).map(fault_of).collect();
+    let lost = |w: usize| faults[w].is_some_and(Fault::loses_push);
+    let loses_hand_offs = |w: usize| faults[w].is_some_and(Fault::loses_hand_offs);
     // A link's channels are indexed by its first worker.
     let link: Vec<usize> = (0..workers).map(|w| platform.link_of(w)).collect();
     let (mut spans, mut totals) = (Vec::new(), vec![WorkerTotals::default(); workers]);
@@ -313,7 +326,9 @@ pub fn simulate_epoch_faulty(
         let costs: Vec<WorkerCosts> = (0..workers)
             .map(|w| {
                 let bus = platform.workers[w].bus.bandwidth();
-                let step = plan.step(0, round, w);
+                let mut step = plan.step(0, round, w);
+                // A lost hand-off: the band is the server's, pulled.
+                step.from = step.from.filter(|&v| !loses_hand_offs(v));
                 WorkerCosts::derive(platform, workload, config, w, x[w], bus, &step)
             })
             .collect();
@@ -390,7 +405,7 @@ pub fn simulate_epoch_faulty(
                     }
                 }
                 Phase::Compute => release(Phase::Push, end),
-                _ if fault.is_some_and(Fault::loses_push) => {}
+                _ if lost(w) || !cost.synced => {}
                 _ => arrivals.push((end, w, cost.sync_bytes / chunks)),
             }
         }

@@ -14,7 +14,7 @@
 //!   time-shares with the parameter server.
 //! * [`engine`] — the one epoch simulator: it times the rounds of an
 //!   [`hcc_partition::RoundPlan`] (the paper's one round with all of `Q`
-//!   to every worker, or the threaded engine's band rotation), each round
+//!   to every worker, or the threaded engine's ring of bands), each round
 //!   an event calendar draining each worker's pull → compute → push chunks
 //!   (Strategy 3's multi-stream pipeline) through per-direction link
 //!   channels, per-worker compute units and the server's FIFO
@@ -46,8 +46,8 @@
 //! assert!(trace.epoch_time > 0.0);
 //! assert_eq!(trace.totals.len(), 4);
 //! // The threaded engine's epoch: four rounds on a quarter of `Q` each.
-//! let rotation = RoundPlan::rotation(4, workload.n as usize, 1);
-//! let rounds = simulate_epoch(&platform, &workload, &config, &rotation, &[0.25; 4]);
+//! let ring = RoundPlan::ring(4, workload.n as usize, 1);
+//! let rounds = simulate_epoch(&platform, &workload, &config, &ring, &[0.25; 4]);
 //! assert!(rounds.spans.iter().any(|s| s.round == 3));
 //! ```
 

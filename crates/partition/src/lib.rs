@@ -13,11 +13,13 @@
 //! decision.
 //!
 //! * [`round::RoundPlan`] — the epoch's schedule as data: which band of
-//!   `Q` each worker trains in each round, in which chunks, and the
-//!   install-before-pull and barrier edges. `RoundPlan::rotation` is the
-//!   threaded engine's epoch, `RoundPlan::paper` the paper's one round;
-//!   the engine walks a plan, `hcc-hetsim` times it and
-//!   [`CostModel::epoch_time`] prices it.
+//!   `Q` each worker trains in each round, in which chunks, where each band
+//!   goes next, and the barrier between rounds. `RoundPlan::ring` is the
+//!   threaded engine's epoch (each band handed from holder to holder and
+//!   pushed to the server once), `RoundPlan::rotation` the same holders
+//!   with every band installed and pulled between them, `RoundPlan::paper`
+//!   the paper's one round; the engine walks a plan, `hcc-hetsim` times it
+//!   and [`CostModel::epoch_time`] prices it.
 //! * [`model::CostModel`] — Equations 1–5 and Table 1's parameters;
 //!   [`model::sync_ratio`] and [`model::choose`] — Eq. 5's ratio and its
 //!   λ dispatch between DP1 and DP2.

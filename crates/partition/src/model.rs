@@ -18,8 +18,9 @@
 //!
 //! [`CostModel::epoch_time`] prices a [`RoundPlan`]: Eq. 4 once per round,
 //! on the share of `Q` each worker moves that round. The paper's plan is
-//! one round on all of `Q`, where it is Eq. 4 exactly; the engine's band
-//! rotation is `p` rounds on a band each.
+//! one round on all of `Q`, where it is Eq. 4 exactly; the engine's ring
+//! is `p` rounds on a band each, with one transfer a round and the sync in
+//! the last.
 
 use crate::planner::StrategyChoice;
 use crate::round::RoundPlan;
@@ -92,10 +93,12 @@ impl CostModel {
     /// installs (or merges) landing after each round's slowest worker: the
     /// sum over rounds of that worker's `T_i` and the trailing syncs, each
     /// term scaled by the share of `Q` it moves — a worker trains and ships
-    /// its band, and the sync of a round is at most its largest band's. A
-    /// carried step pulls nothing, so its `T_i` has one transfer, not two.
-    /// Every epoch costs the same; the bands are epoch 0's. On
-    /// [`RoundPlan::paper`] this is Eq. 4.
+    /// its band, and the sync of a round is at most its largest pushed
+    /// band's. A carried step, or one handed its band by the last round's
+    /// holder, pulls nothing, so its `T_i` has one transfer, not two; a
+    /// step that hands its band on pushes nothing to the server, so a round
+    /// of hand-offs has no sync. Every epoch costs the same; the bands are
+    /// epoch 0's. On [`RoundPlan::paper`] this is Eq. 4.
     pub fn epoch_time(&self, plan: &RoundPlan, x: &[f64], trailing_syncs: usize) -> f64 {
         assert_eq!(x.len(), self.workers(), "partition length mismatch");
         assert_eq!(plan.workers(), self.workers(), "plan worker count mismatch");
@@ -103,9 +106,15 @@ impl CostModel {
         let round = |r| {
             let step = |i| plan.step(0, r, i);
             let share = |i| plan.share(0, r, i);
-            let largest = (0..self.workers()).map(share).fold(0.0f64, f64::max);
+            let pushed = (0..self.workers()).filter(|&i| step(i).to.is_none());
+            let largest = pushed.map(share).fold(0.0f64, f64::max);
             let time = |i| {
-                let transfers = if step(i).carried { 1.0 } else { 2.0 };
+                let step = step(i);
+                let transfers = if step.carried || step.from.is_some() {
+                    1.0
+                } else {
+                    2.0
+                };
                 (self.compute_time(i, x[i]) + transfers * self.transfer_time(i)) * share(i)
             };
             (0..self.workers()).map(time).fold(0.0f64, f64::max) + sync * largest
@@ -215,6 +224,13 @@ mod tests {
             (rotation - carried).abs() < 1e-12,
             "{rotation} vs {carried}"
         );
+        // The ring hands round 0's bands on instead of pulling round 1's,
+        // and installs only in round 1: each round moves one transfer of
+        // half the volume, and the trailing installs land once.
+        let ring = m.epoch_time(&RoundPlan::ring(2, 1_000, 1), &x, 2);
+        let handed = (m.compute_time(0, 0.9) + m.transfer_time(0)) * 0.5;
+        let want = 2.0 * handed + m.sync_time_per_worker();
+        assert!((ring - want).abs() < 1e-12, "{ring} vs {want}");
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! The round plan: which band of `Q` each worker trains in each round of an
-//! epoch, cut into which chunks, and what must finish before what.
+//! epoch, cut into which chunks, and where each band goes next.
 //!
 //! `Q`'s rows are addressed by *position* `0..n` in some order the caller
 //! keeps (the threaded engine's seeded band order; the simulator's rows as
 //! they are). A band is a contiguous range of positions and a chunk a
-//! contiguous piece of a band, the unit one stream slot pulls, trains,
-//! pushes and the server installs. The plan holds no clock and no
-//! randomness: the threaded engine walks it, the simulator times it and the
-//! cost model prices it, so all three run the same epoch.
+//! contiguous piece of a band, the unit one stream slot receives, trains
+//! and sends on. The plan holds no clock and no randomness: the threaded
+//! engine walks it, the simulator times it and the cost model prices it,
+//! so all three run the same epoch.
 //!
-//! Its edges: a band's install in round `r` comes before its pull in round
+//! Its edges: a band held in round `r` is held by another worker in round
 //! `r + 1` ([`RoundPlan::edges`]), and every round ends in a barrier —
-//! nothing of round `r + 1` starts before all of round `r` has ended.
-//! The rotation begins each epoch on the band the last one ended on (the
-//! first on the band a worker is set up with): that step is *carried*.
+//! nothing of round `r + 1` starts before all of round `r` has ended. On
+//! [`RoundPlan::ring`], the engine's, the band goes straight from one holder
+//! to the next (a hand-off, [`Step::to`]) and reaches the server once an
+//! epoch, from its last holder; on [`RoundPlan::rotation`] every round's
+//! push is installed by the server and pulled by the next holder. Both
+//! begin each epoch on the band the last one ended on (the first on the
+//! band a worker is set up with): that step is *carried*.
 
 use std::ops::Range;
 
@@ -28,8 +32,12 @@ pub struct RoundPlan {
     band_chunks: Vec<Range<usize>>,
     /// Every band's chunks, band after band, over positions.
     chunks: Vec<Range<usize>>,
-    /// An epoch's first round is carried (the rotation's; never the paper's).
+    /// An epoch's first round is carried (the rotation's and the ring's;
+    /// never the paper's).
     carries: bool,
+    /// A band goes from one round's holder straight to the next's (the
+    /// ring's).
+    hands_off: bool,
 }
 
 /// What one worker does in one round.
@@ -45,26 +53,36 @@ pub struct Step {
     /// The worker holds this band already, as nobody has trained it since
     /// its own step before (or since its fleet was built), and pulls nothing.
     pub carried: bool,
+    /// The last round's holder of the band, which hands it over: the step
+    /// pulls nothing. `None`: the step pulls the band from the server,
+    /// unless it is carried.
+    pub from: Option<usize>,
+    /// The next round's holder of the band, to which the step hands it.
+    /// `None`: the step pushes the band to the server, which installs it.
+    pub to: Option<usize>,
 }
 
-/// A band handed from one holder to the next: its install by `installed`
-/// ends before its pull by `pulled` starts. Both are `(round, worker)`.
+/// A band moving from one holder to the next, both `(round, worker)`: a
+/// hand-off from `from` to `to` on [`RoundPlan::ring`], the install of
+/// `from`'s push before `to`'s pull on [`RoundPlan::rotation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
-    /// The band handed over.
+    /// The band that moves.
     pub band: usize,
-    /// The step whose push is installed.
-    pub installed: (usize, usize),
-    /// The step of the next round that pulls what was installed.
-    pub pulled: (usize, usize),
+    /// The step it leaves.
+    pub from: (usize, usize),
+    /// The step of the next round it reaches.
+    pub to: (usize, usize),
 }
 
 impl RoundPlan {
-    /// The shipped engine: `p` rounds over `p` bands, band `b` positions
-    /// `b·n/p .. (b+1)·n/p`; in round `r` of epoch `e` worker `w` trains
-    /// band `(w + r + e·(p − 1)) mod p` (the DSGD comparator's strata, turned
+    /// `p` rounds over `p` bands, band `b` positions `b·n/p .. (b+1)·n/p`;
+    /// in round `r` of epoch `e` worker `w` trains band
+    /// `(w + r + e·(p − 1)) mod p` (the DSGD comparator's strata, turned
     /// each epoch), so each band has one holder a round, each worker holds
     /// each band once an epoch, and each epoch's first round is carried.
+    /// Every step pushes its band to the server, and every step but a
+    /// carried one pulls it: `2p − 1` transfers a worker an epoch.
     pub fn rotation(p: usize, n: usize, streams: usize) -> RoundPlan {
         let bands = (0..p).map(|b| b * n / p..(b + 1) * n / p).collect();
         let mut plan = RoundPlan::over(p, p, bands, streams);
@@ -72,11 +90,23 @@ impl RoundPlan {
         plan
     }
 
+    /// The shipped engine: the rotation's bands, holders and carried first
+    /// round, but round `r`'s holder hands its band straight to round
+    /// `r + 1`'s — worker `w` to worker `w − 1 mod p`, in every round of
+    /// every epoch — and each band is pushed to the server once, by its
+    /// holder in the epoch's last round: `p` transfers a worker an epoch.
+    pub fn ring(p: usize, n: usize, streams: usize) -> RoundPlan {
+        RoundPlan {
+            hands_off: true,
+            ..RoundPlan::rotation(p, n, streams)
+        }
+    }
+
     /// The paper's Algorithm: one round in which every worker pulls all of
     /// `Q`, trains it and pushes it, and the server merges the `p` pushes.
     /// A merged `Q` is nobody's push, so nothing is carried.
     ///
-    /// Both constructors tile each band into at most `streams` chunks.
+    /// Every constructor tiles each band into at most `streams` chunks.
     ///
     /// # Panics
     /// Panics if `streams` is 0.
@@ -102,6 +132,7 @@ impl RoundPlan {
             band_chunks,
             chunks,
             carries: false,
+            hands_off: false,
         }
     }
 
@@ -137,14 +168,23 @@ impl RoundPlan {
 
     /// What worker `w` does in round `round` of epoch `epoch`.
     pub fn step(&self, epoch: usize, round: usize, w: usize) -> Step {
-        let p = self.bands.len();
-        let band = (w + round + (epoch % p) * (p - 1)) % p;
+        let band = self.band(epoch, round, w);
+        let holder = |r: usize| (0..self.workers).find(|&v| self.band(epoch, r, v) == band);
+        let handed = |r: Option<usize>| r.filter(|&r| self.hands_off && r < self.rounds);
         Step {
             band,
             rows: self.bands[band].clone(),
             chunks: self.band_chunks[band].clone(),
             carried: self.carries && round == 0,
+            from: handed(round.checked_sub(1)).and_then(holder),
+            to: handed(Some(round + 1)).and_then(holder),
         }
+    }
+
+    /// The band worker `w` trains in round `round` of epoch `epoch`.
+    fn band(&self, epoch: usize, round: usize, w: usize) -> usize {
+        let p = self.bands.len();
+        (w + round + (epoch % p) * (p - 1)) % p
     }
 
     /// The share of `Q` worker `w` trains in round `round` of epoch
@@ -153,19 +193,17 @@ impl RoundPlan {
         self.step(epoch, round, w).rows.len() as f64 / self.items().max(1) as f64
     }
 
-    /// Every hand-over of a band from one round's holder to the next's in
-    /// epoch `epoch` (a carried band stays with its holder: no hand-over).
+    /// Every move of a band from one round's holder to the next's in epoch
+    /// `epoch` (a carried band stays with its holder: no move).
     pub fn edges(&self, epoch: usize) -> impl Iterator<Item = Edge> + '_ {
-        let step = move |r, w| self.step(epoch, r, w);
-        let holder = move |r, band| (0..self.workers).find(|&w| step(r, w).band == band);
         (1..self.rounds).flat_map(move |r| {
             (0..self.workers).filter_map(move |to| {
-                let band = step(r, to).band;
-                let from = holder(r - 1, band)?;
+                let band = self.band(epoch, r, to);
+                let from = (0..self.workers).find(|&w| self.band(epoch, r - 1, w) == band)?;
                 Some(Edge {
                     band,
-                    installed: (r - 1, from),
-                    pulled: (r, to),
+                    from: (r - 1, from),
+                    to: (r, to),
                 })
             })
         })
@@ -197,8 +235,68 @@ mod tests {
         assert_eq!(widths(5, 5), [1, 1, 1, 1, 1]);
         assert_eq!(widths(0, 2), [0usize; 0]);
         // A plan tiles each band the same way, from the band's start.
-        let plan = RoundPlan::rotation(2, 20, 4);
+        let plan = RoundPlan::ring(2, 20, 4);
         assert_eq!(plan.chunks()[plan.step(0, 0, 1).chunks][3], 19..20);
+    }
+
+    /// Checks one plan of `p` workers over 3 epochs: one holder a band a
+    /// round, each band once a worker an epoch, a carried first round on
+    /// the band the last epoch ended on, and every band's moves — on the
+    /// ring `p·(p − 1)` hand-offs an epoch, each from round `r`'s holder to
+    /// round `r + 1`'s, and one server push a band, in the last round; on
+    /// the rotation a push to the server and a pull from it every step.
+    fn holders_and_moves(plan: &RoundPlan, case: &str) {
+        let p = plan.workers();
+        let ring = case.starts_with("ring");
+        assert_eq!(plan.rounds(), p, "{case}");
+        for epoch in 0..3 {
+            let case = format!("{case} epoch {epoch}");
+            let mut held = vec![vec![0; p]; p]; // [worker][band]
+            let mut pushed = vec![Vec::new(); p]; // [band]: rounds it reached the server
+            for round in 0..p {
+                let mut holders = vec![0; p];
+                for (w, held) in held.iter_mut().enumerate() {
+                    let step = plan.step(epoch, round, w);
+                    holders[step.band] += 1;
+                    held[step.band] += 1;
+                    assert_eq!(step.carried, round == 0, "{case}");
+                    assert_eq!(step.from.is_some(), ring && round > 0, "{case}");
+                    assert_eq!(step.to.is_some(), ring && round + 1 < p, "{case}");
+                    if step.to.is_none() {
+                        pushed[step.band].push(round);
+                    }
+                }
+                assert!(holders.iter().all(|&h| h == 1), "{case} round {round}");
+            }
+            assert!(held.iter().flatten().all(|&h| h == 1), "{case}: {held:?}");
+            let want: Vec<usize> = if ring { vec![p - 1] } else { (0..p).collect() };
+            assert!(
+                pushed.iter().all(|rounds| *rounds == want),
+                "{case}: {pushed:?}"
+            );
+            // An epoch begins on the band the last one ended on.
+            for w in (0..p).filter(|_| epoch > 0) {
+                let last = plan.step(epoch - 1, p - 1, w);
+                assert_eq!(plan.step(epoch, 0, w).band, last.band, "{case}");
+            }
+            // Each band held in one round is held by another worker in
+            // the next; on the ring it goes there straight, worker `w` to
+            // worker `w - 1`.
+            assert_eq!(plan.edges(epoch).count(), p * (p - 1), "{case}");
+            for e in plan.edges(epoch) {
+                let (from, to) = (e.from, e.to);
+                let (left, reached) = (
+                    plan.step(epoch, from.0, from.1),
+                    plan.step(epoch, to.0, to.1),
+                );
+                assert_eq!((left.band, reached.band), (e.band, e.band), "{case}");
+                assert_eq!(to.0, from.0 + 1, "{case}");
+                if ring {
+                    assert_eq!((left.to, reached.from), (Some(to.1), Some(from.1)));
+                    assert_eq!(to.1, (from.1 + p - 1) % p, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -206,38 +304,15 @@ mod tests {
         for p in 1..=5 {
             for n in [5, 151, 10_000] {
                 for streams in [1, 2, 4] {
-                    let case = format!("p {p} n {n} streams {streams}");
-                    let plan = RoundPlan::rotation(p, n, streams);
-                    assert_eq!((plan.workers(), plan.rounds(), plan.items()), (p, p, n));
-                    for epoch in 0..3 {
-                        let case = format!("{case} epoch {epoch}");
-                        let mut held = vec![vec![0; p]; p]; // [worker][band]
-                        for round in 0..p {
-                            let mut holders = vec![0; p];
-                            for (w, held) in held.iter_mut().enumerate() {
-                                let step = plan.step(epoch, round, w);
-                                holders[step.band] += 1;
-                                held[step.band] += 1;
-                                assert_eq!(step.carried, round == 0, "{case}");
-                            }
-                            assert!(holders.iter().all(|&h| h == 1), "{case} round {round}");
-                        }
-                        assert!(held.iter().flatten().all(|&h| h == 1), "{case}: {held:?}");
-                        // An epoch begins on the band the last one ended on.
-                        for w in (0..p).filter(|_| epoch > 0) {
-                            let last = plan.step(epoch - 1, p - 1, w);
-                            assert_eq!(plan.step(epoch, 0, w).band, last.band, "{case}");
-                        }
-                        // Each band's install in one round precedes its pull
-                        // by its holder in the next.
-                        assert_eq!(plan.edges(epoch).count(), p * (p - 1), "{case}");
-                        for e in plan.edges(epoch) {
-                            let (installed, pulled) = (e.installed, e.pulled);
-                            assert_eq!(plan.step(epoch, installed.0, installed.1).band, e.band);
-                            assert_eq!(plan.step(epoch, pulled.0, pulled.1).band, e.band);
-                            assert_eq!(pulled.0, installed.0 + 1);
-                        }
+                    for (kind, plan) in [
+                        ("rotation", RoundPlan::rotation(p, n, streams)),
+                        ("ring", RoundPlan::ring(p, n, streams)),
+                    ] {
+                        let case = format!("{kind} p {p} n {n} streams {streams}");
+                        holders_and_moves(&plan, &case);
                     }
+                    let case = format!("p {p} n {n} streams {streams}");
+                    let plan = RoundPlan::ring(p, n, streams);
                     // Bands tile `0..n` in equal counts; each band's chunks
                     // tile it exactly, at most `streams` and none empty.
                     let mut at = 0;
@@ -264,6 +339,7 @@ mod tests {
                         let step = paper.step(epoch, 0, w);
                         assert_eq!((step.band, step.rows), (0, 0..n), "{case}");
                         assert!(!step.carried, "{case}");
+                        assert_eq!((step.from, step.to), (None, None), "{case}");
                         assert_eq!(paper.share(epoch, 0, w), 1.0);
                         let tiles: Vec<_> = tile(0..n, streams).collect();
                         assert_eq!(paper.chunks()[step.chunks], tiles[..], "{case}");

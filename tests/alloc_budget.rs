@@ -154,38 +154,44 @@ type Case = (&'static str, fn(HccConfigBuilder) -> HccConfigBuilder, f64);
 
 /// The three wires the budgets are pinned over, with what each one's links
 /// hold, in units of `R` (`Q`'s bytes at f32). The two workers deal `Q`
-/// into two bands of `R/2`, and each worker has a link of its own (per
-/// stream), which serves it alone and is sized for its band. At this shape
-/// a link's block (`hcc_comm::block::BLOCK`, 256 KiB) is a quarter of `R`.
+/// into two bands of `R/2`, and each worker has a link of its own to the
+/// server (per stream), which serves it alone and is sized for its band,
+/// and a peer link of its own the other worker hands it bands over, sized
+/// for a band's `Q` rows one way: a slot, and on a socket a block at each
+/// end. At this shape a link's block (`hcc_comm::block::BLOCK`, 256 KiB) is
+/// a quarter of `R`.
 const CASES: [Case; 3] = [
     // Two ShardedServers, one a worker: published R/2, rebuilt R/2 and
     // encoded R/4 each (2.5 R in all). Each of four links (two workers x
     // two shards) carries a quarter of `Q`: published and a slot, 2 R in
     // all, plus a block at each end (2 blocks = R/2 a link: the frame is
     // longer than a block). A push is a delta, which can run to its raw
-    // rows plus two bits a row.
+    // rows plus two bits a row. Two TCP peer links: a slot of R/2 and two
+    // blocks each (2 R).
     (
         "tcp x 2 shards",
         |b| b.transport(TransportKind::Tcp).server_shards(2),
-        2.5 + 2.0 + 2.0 + 0.25,
+        2.5 + 2.0 + 2.0 + 0.25 + 2.0,
     ),
     // Two links, one a worker, at two bytes an element on the wire:
     // published R/2 and a slot of R/2 each (2 R in all), and a block at
     // each end (2 blocks = R/2 a link; the fp16 frame of a band is R/4 and
-    // its header, just over a block).
+    // its header, just over a block). Two peer links: a slot of R/2 and
+    // two blocks each (2 R).
     (
         "socket x half-q",
         |b| {
             b.transport(TransportKind::Socket)
                 .strategy(TransferStrategy::HalfQ)
         },
-        2.0 + 1.0,
+        2.0 + 1.0 + 2.0,
     ),
-    // Four links of R/4, two a worker: published and a slot each.
+    // Four links of R/4, two a worker: published and a slot each; four
+    // peer links: a slot of R/4 each.
     (
         "shared x 2 streams",
         |b| b.transport(TransportKind::Shared).streams(2),
-        2.0,
+        2.0 + 1.0,
     ),
 ];
 
@@ -217,20 +223,22 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
     let p = (ROWS * K * 4) as f64;
     let ratings = (NNZ * std::mem::size_of::<hcc_sparse::Rating>()) as f64;
     // A checkpoint after every epoch moves `P` to user order and back where
-    // it is, so all it adds to two links of `R/2` (2 R, as above) is the
+    // it is, so all it adds to two links of `R/2` and two peer links of
+    // `R/2` (3 R, as above) is the
     // one block the file is streamed through (R/4 at this shape) and the
     // row order it is moved by, four bytes a row of `P` (0.08 R).
     let checkpointed: Case = (
         "shared x checkpoint every epoch",
         |b| b.checkpoint(std::env::temp_dir().join(SESSION_CHECKPOINT), 1),
-        2.0 + 0.25 + 0.08,
+        2.0 + 1.0 + 0.25 + 0.08,
     );
     // Four workers: bands of R/4, shards of R/8. Four ShardedServers of
     // R/4 + R/4 + R/8 (2.5 R), eight links of R/8 + R/8 (2 R), and a block
     // at each end of a link, capped at a shard's frame now that it is
     // shorter than a block: its longest push, just over R/8 (2.13 R; the
     // row delta this term was sized for ran to R/8 · (1 + 1/K), the bit
-    // delta to R/8 plus two bits a row).
+    // delta to R/8 plus two bits a row). Four TCP peer links: a slot of
+    // R/4 and two blocks each (3 R).
     // Before the band rotation this fleet peaked at 20.69 R.
     let four_workers: Case = (
         "tcp x 2 shards, 4 workers",
@@ -239,7 +247,7 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
                 .server_shards(2)
                 .workers(vec![WorkerSpec::cpu(1); 4])
         },
-        2.5 + 2.0 + 2.13 + 0.12,
+        2.5 + 2.0 + 2.13 + 0.12 + 3.0,
     );
     for (name, with, wire) in CASES.into_iter().chain([checkpointed, four_workers]) {
         let config = with(base(2)).build();

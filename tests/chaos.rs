@@ -619,3 +619,79 @@ fn a_scripted_drop_does_not_shift_the_rolled_faults_that_follow_it() {
     );
     assert_eq!(cells, planned);
 }
+
+// ---------------------------------------------------------------------------
+// Ring hand-offs: a band lost on its way to its next holder.
+// ---------------------------------------------------------------------------
+
+/// The pull bytes of each epoch of a traced run.
+fn pulled_bytes(report: &hcc_mf::HccReport) -> Vec<u64> {
+    let mut pulled = vec![0; report.epoch_times.len()];
+    for event in &report.timeline.as_ref().expect("telemetry was on").events {
+        if let Event::Bytes {
+            epoch,
+            dir: hcc_telemetry::Dir::Pull,
+            bytes,
+        } = *event
+        {
+            pulled[epoch as usize] += bytes;
+        }
+    }
+    pulled
+}
+
+#[test]
+fn a_lost_hand_off_is_replaced_by_the_servers_copy_never_a_stale_or_half_landed_one() {
+    // The `--net-chaos` recipe, and two workers whose bands are poisoned in
+    // an epoch: what a poisoned worker hands on is lost with its push, so
+    // the worker it hands to must train the server's copy, as the epoch
+    // began, of each of the three bands it would have been handed, pulled
+    // whole: no hand-off left over from an earlier round or epoch, no part
+    // of a poisoned one. The wire's drops and corruption lose pushes to the
+    // server only; a worker whose push was lost pulls its first band of the
+    // next epoch, its carry gone.
+    let seed = chaos_seed();
+    let ds = dataset(seed);
+    let poisoned = [(seed as usize % 4, 2), ((seed as usize + 1) % 4, 6)];
+    let plan = poisoned
+        .iter()
+        .fold(FaultPlan::from_seed(seed), |plan, &(w, e)| {
+            plan.with(w, e, Fault::PoisonPush)
+        });
+    let band = 100 / 4 * 8 * 4; // 25 rows of k = 8 at fp32
+    let want: Vec<u64> = (0..10)
+        .map(|e| {
+            let handed = poisoned.iter().filter(|&&(_, at)| at == e).count() * 3;
+            let lost_before = (0..4)
+                .filter(|&w| e > 0 && plan.at(w, e - 1).is_some_and(Fault::loses_push))
+                .count();
+            ((handed + lost_before) * band) as u64
+        })
+        .collect();
+    assert!(want.iter().filter(|&&b| b > 0).count() >= 3, "{want:?}");
+    let mut bits = Vec::new();
+    for transport in [TransportKind::Shared, TransportKind::Socket] {
+        let path =
+            std::env::temp_dir().join(format!("hcc_chaos_hand_off_{seed}_{transport:?}.jsonl"));
+        let report = HccMf::new(
+            base(seed)
+                .transport(transport)
+                .fault_tolerance(test_supervisor())
+                .fault_plan(plan.clone())
+                .telemetry(&path)
+                .build(),
+        )
+        .train(&ds.matrix)
+        .unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(pulled_bytes(&report), want, "{transport:?}");
+        assert!(report.q.as_slice().iter().all(|v| v.is_finite()));
+        assert!(report.p.as_slice().iter().all(|v| v.is_finite()));
+        for &(w, e) in &poisoned {
+            assert_eq!(report.health_history[e][w], WorkerHealth::Straggler);
+        }
+        bits.push((report.p, report.q));
+    }
+    // What each receiver trained is decided by the plan, not by timing.
+    assert!(bits[0] == bits[1], "shared and socket runs differ");
+}

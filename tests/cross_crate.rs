@@ -25,8 +25,9 @@ fn simulator_matches_cost_model_epoch_time() {
     // nothing queues: one worker on the paper's one round (pull + compute
     // + push + sync), and two identical workers on dedicated buses in the
     // band rotation (two rounds of half of that, each ending in both
-    // installs). Netflix's 17 771 columns would make the two bands a row
-    // apart, so the rotation runs on one column fewer.
+    // installs) and in the ring (two rounds of a hand-off each, the second
+    // ending in both installs). Netflix's 17 771 columns would make the two
+    // bands a row apart, so both run on one column fewer.
     let even = Workload {
         n: 17_770,
         ..netflix()
@@ -41,9 +42,16 @@ fn simulator_matches_cost_model_epoch_time() {
             1,
         ),
         (
+            Platform::pair(cpu.clone(), cpu.clone()),
+            even.clone(),
+            RoundPlan::rotation(2, 17_770, 1),
+            vec![0.5, 0.5],
+            2,
+        ),
+        (
             Platform::pair(cpu.clone(), cpu),
             even,
-            RoundPlan::rotation(2, 17_770, 1),
+            RoundPlan::ring(2, 17_770, 1),
             vec![0.5, 0.5],
             2,
         ),

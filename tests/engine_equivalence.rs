@@ -20,11 +20,14 @@
 //!   never the compute, in both engines;
 //! * under rolled network chaos, on one server or four shards, the server
 //!   merges nothing from exactly the same `(epoch, worker)` cells in both
-//!   engines — the cells the plan says lose their push;
-//! * both walk the same `hcc_partition::RoundPlan`: a traced engine epoch
-//!   is the plan's rounds × pull, compute, push on every worker lane and
-//!   one install a chunk in the plan's order on the server lane, and the
-//!   calendar times the same rounds in the plan's dependency order
+//!   engines — the cells the plan says lose their push; a crash loses the
+//!   worker's hand-offs too, and their receivers pull the band from the
+//!   server, the same steps in both engines;
+//! * both walk the same `hcc_partition::RoundPlan::ring`: a traced engine
+//!   epoch is the plan's rounds × pull, compute, push on every worker lane,
+//!   hand-offs as the plan prices them, and one install a chunk of the
+//!   last round in the plan's order on the server lane, and the calendar
+//!   times the same rounds in the plan's dependency order
 //!   (`the_engine_walks_the_round_plan_and_the_twin_times_it`).
 
 use hcc_comm::{Fault, FaultPlan};
@@ -39,6 +42,7 @@ use hcc_mf::{
 use hcc_partition::RoundPlan;
 use hcc_sparse::{Axis, CooMatrix, GenConfig, GridPartition, Rating, SyntheticDataset};
 use hcc_telemetry::{Dir, Event};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 const ROWS: u32 = 200; // rows > cols so the trainer partitions the matrix as-is
@@ -82,7 +86,7 @@ fn config(seed: u64) -> hcc_mf::HccConfigBuilder {
 /// Epoch `epoch` of `plan` on the DES mirror of the threaded platform: one
 /// identical single-thread CPU per starting-fleet id in `fleet` (so a
 /// uniform split is also the balanced one) in front of `shards` server
-/// shards, running the band rotation the threaded engine ran.
+/// shards, running the ring the threaded engine ran.
 fn des_trace(
     fleet: &[usize],
     shards: usize,
@@ -109,13 +113,48 @@ fn des_trace(
         ..SimConfig::default()
     };
     let x = vec![1.0 / workers as f64; workers];
-    let rounds = RoundPlan::rotation(workers, COLS as usize, 1);
+    let rounds = RoundPlan::ring(workers, COLS as usize, 1);
     simulate_epoch_faulty(&platform, &workload, &config, &rounds, &x, |w| {
         plan.at(fleet[w], epoch)
     })
 }
 
 const FLEET: [usize; WORKERS] = [0, 1, 2, 3];
+
+/// Wire bytes of one band of `Q` at fp32: `COLS / WORKERS` rows of `k = 8`.
+const BAND_BYTES: u64 = (COLS as u64 / WORKERS as u64) * 8 * 4;
+
+/// `(round, worker)` of every step of `trace` that pulled its band from the
+/// server: a pull that takes time (a carried or handed band takes none).
+fn des_pulls(trace: &hcc_hetsim::EpochTrace) -> BTreeSet<(usize, usize)> {
+    let pulled = trace
+        .spans
+        .iter()
+        .filter(|s| s.phase == Phase::Pull && s.end > s.start);
+    pulled.map(|s| (s.round, s.worker)).collect()
+}
+
+/// The pull bytes of each epoch of a traced threaded run.
+fn pulled_bytes(report: &HccReport) -> Vec<u64> {
+    let timeline = report.timeline.as_ref().expect("telemetry was enabled");
+    let mut pulled = vec![0; report.epoch_times.len()];
+    for event in &timeline.events {
+        if let Event::Bytes {
+            epoch,
+            dir: Dir::Pull,
+            bytes,
+        } = *event
+        {
+            pulled[epoch as usize] += bytes;
+        }
+    }
+    pulled
+}
+
+/// A temp-dir telemetry path for the run `tag`.
+fn trace_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("hcc_engine_equivalence_{tag}.jsonl"))
+}
 
 fn has_compute(trace: &hcc_hetsim::EpochTrace, worker: usize) -> bool {
     trace
@@ -205,9 +244,10 @@ fn crash_changes_participation_identically_in_both_engines() {
     const CRASH_EPOCH: usize = 3;
     let ds = dataset(2);
     let plan = FaultPlan::new(2).with(CRASH_WORKER, CRASH_EPOCH, Fault::Crash);
-    let report = HccMf::new(config(2).fault_plan(plan.clone()).build())
-        .train(&ds.matrix)
-        .unwrap();
+    let path = trace_path("crash");
+    let builder = config(2).fault_plan(plan.clone()).telemetry(&path);
+    let report = HccMf::new(builder.build()).train(&ds.matrix).unwrap();
+    std::fs::remove_file(&path).ok();
 
     // Before the crash: full 4-worker plan, all participating.
     for e in 0..CRASH_EPOCH {
@@ -231,6 +271,22 @@ fn crash_changes_participation_identically_in_both_engines() {
         let total: u64 = report.worker_stats[e].iter().map(|s| s.updates).sum();
         assert_eq!(total, NNZ as u64, "epoch {e}");
     }
+
+    // The crashed worker's hand-offs are lost with it: in both engines the
+    // worker it hands its bands to (worker 0, the one before it in the
+    // ring) pulls each of them from the server, in every round but the
+    // first. The fleet rebuilt for the survivors holds no band yet, so the
+    // next epoch each of them pulls its first: one whole `Q`.
+    let path_trace = des_trace(&FLEET, 1, &plan, CRASH_EPOCH);
+    let want: BTreeSet<_> = (1..WORKERS).map(|r| (r, 0)).collect();
+    assert_eq!(des_pulls(&path_trace), want);
+    let pulled = pulled_bytes(&report);
+    assert_eq!(pulled[CRASH_EPOCH], (WORKERS as u64 - 1) * BAND_BYTES);
+    assert_eq!(pulled[CRASH_EPOCH + 1], COLS as u64 * 8 * 4);
+    assert!(pulled
+        .iter()
+        .enumerate()
+        .all(|(e, &b)| b == 0 || e == CRASH_EPOCH || e == CRASH_EPOCH + 1));
 
     // The DES twin of each epoch, under the same plan and on the fleet the
     // supervisor left: compute-span presence must equal "threaded engine
@@ -291,9 +347,10 @@ fn dropped_push_wastes_the_bus_but_not_the_compute_in_both_engines() {
     const DROP_EPOCH: usize = 2;
     let ds = dataset(4);
     let plan = FaultPlan::new(4).with(DROP_WORKER, DROP_EPOCH, Fault::DropPush);
-    let report = HccMf::new(config(4).fault_plan(plan.clone()).build())
-        .train(&ds.matrix)
-        .unwrap();
+    let path = trace_path("dropped");
+    let builder = config(4).fault_plan(plan.clone()).telemetry(&path);
+    let report = HccMf::new(builder.build()).train(&ds.matrix).unwrap();
+    std::fs::remove_file(&path).ok();
 
     // Threaded: the work was done — updates follow the plan even in the
     // epoch whose push vanished.
@@ -307,22 +364,39 @@ fn dropped_push_wastes_the_bus_but_not_the_compute_in_both_engines() {
     let spans = trace.worker_spans(DROP_WORKER);
     assert!(spans.iter().any(|s| s.phase == Phase::Push));
     assert!(spans.iter().all(|s| s.phase != Phase::Sync));
+
+    // The wire's drop loses its push to the server, not its hand-offs: in
+    // neither engine does any worker pull a band that epoch. The next
+    // epoch the dropped worker pulls its own first band, its carry gone;
+    // no other epoch pulls anything.
+    assert_eq!(des_pulls(&trace), BTreeSet::new());
+    let mut pulled = vec![0; EPOCHS];
+    pulled[DROP_EPOCH + 1] = BAND_BYTES;
+    assert_eq!(pulled_bytes(&report), pulled);
 }
 
 /// Runs the `--net-chaos` recipe through both engines in front of `shards`
-/// server shards and compares, cell by cell, whose push the server merged.
+/// server shards and compares, cell by cell, whose push the server merged,
+/// and epoch by epoch, which steps pulled a band (the wire's faults lose no
+/// hand-off, so only a carry a lost push ended).
 fn assert_both_engines_lose_the_same_pushes(seed: u64, shards: usize) {
     let ds = dataset(seed);
     let plan = FaultPlan::from_seed(seed);
-    let builder = config(seed).server_shards(shards).fault_plan(plan.clone());
+    let path = trace_path(&format!("chaos_{seed}_{shards}"));
+    let builder = config(seed)
+        .server_shards(shards)
+        .fault_plan(plan.clone())
+        .telemetry(&path);
     let report = HccMf::new(builder.build()).train(&ds.matrix).unwrap();
+    std::fs::remove_file(&path).ok();
+    let lost_at = |e: usize, w: usize| plan.at(w, e).is_some_and(Fault::loses_push);
     let mut lost = 0;
-    for e in 0..EPOCHS {
+    for (e, pulled) in pulled_bytes(&report).into_iter().enumerate() {
         // Drops and corruption are transient: the fleet never shrinks.
         assert_eq!(report.health_history[e].len(), WORKERS, "epoch {e}");
         let trace = des_trace(&FLEET, shards, &plan, e);
         for w in 0..WORKERS {
-            let planned = plan.at(w, e).is_some_and(Fault::loses_push);
+            let planned = lost_at(e, w);
             // Threaded: a worker that computed but whose push the server
             // never merged is a straggler for the epoch.
             let threaded = report.health_history[e][w] == WorkerHealth::Straggler;
@@ -332,6 +406,12 @@ fn assert_both_engines_lose_the_same_pushes(seed: u64, shards: usize) {
         }
         // A lost push never costs the work: updates follow the plan.
         assert_updates_match_plan(&ds.matrix, seed, &report, e, &[]);
+        // The threaded engine pulls the bands the twin pulls — none — and,
+        // as the epoch begins, the first band of each worker whose push was
+        // lost the epoch before.
+        let uncarried = (0..WORKERS).filter(|&w| e > 0 && lost_at(e - 1, w)).count();
+        let want = (des_pulls(&trace).len() + uncarried) as u64 * BAND_BYTES;
+        assert_eq!(pulled, want, "epoch {e}: {:?}", des_pulls(&trace));
     }
     assert!(lost >= 2, "seed {seed} must lose some pushes, lost {lost}");
 }
@@ -398,12 +478,14 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
         std::fs::remove_file(&path).ok();
         let timeline = report.timeline.expect("telemetry was enabled");
         assert_eq!(timeline.dropped, 0, "{case}");
-        let plan = &RoundPlan::rotation(workers, cols as usize, streams);
+        let plan = &RoundPlan::ring(workers, cols as usize, streams);
 
         // The threaded engine: per epoch, each worker lane is the plan's
         // rounds x [pull, comp, push], the server lane installs one chunk
-        // at a time in the plan's (round, worker, chunk) order, and the
-        // wire carries every step's band but a carried one's.
+        // at a time of the last round's bands, in the plan's (worker,
+        // chunk) order, and the wire carries every step's band once — a
+        // hand-off, or the last round's push — and pulls none: the first
+        // is carried and every later one handed over.
         let letter = |phase| match phase {
             hcc_telemetry::Phase::Pull => 'p',
             hcc_telemetry::Phase::Comp => 'c',
@@ -415,21 +497,28 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
         };
         for e in 0..2u32 {
             let holders: Vec<u32> = steps(e as usize)
+                .filter(|(_, step)| step.to.is_none())
                 .flat_map(|(w, step)| vec![w as u32; step.chunks.len()])
                 .collect();
-            let pulled: usize = steps(e as usize)
-                .filter(|(_, step)| !step.carried)
-                .map(|(_, step)| step.rows.len() * 8 * 4)
-                .sum();
-            let wire = timeline.events.iter().find_map(|ev| match *ev {
-                Event::Bytes {
-                    epoch,
-                    dir: Dir::Pull,
-                    bytes,
-                } if epoch == e => Some(bytes),
-                _ => None,
-            });
-            assert_eq!(wire, Some(pulled as u64), "{case}, epoch {e}");
+            let bytes = |moved: &dyn Fn(&hcc_partition::Step) -> bool| -> u64 {
+                let moved = steps(e as usize).filter(|(_, step)| moved(step));
+                moved.map(|(_, step)| step.rows.len() as u64 * 8 * 4).sum()
+            };
+            let pulled = bytes(&|step| !step.carried && step.from.is_none());
+            let handed = bytes(&|step| step.to.is_some());
+            let pushed = bytes(&|step| step.to.is_none());
+            assert_eq!(pulled, 0, "{case}, epoch {e}");
+            assert_eq!(handed, (workers as u64 - 1) * cols as u64 * 32, "{case}");
+            // (A direction that moved nothing records no event.)
+            let wire = |of: Dir| {
+                let bytes = timeline.events.iter().find_map(|ev| match *ev {
+                    Event::Bytes { epoch, dir, bytes } if epoch == e && dir == of => Some(bytes),
+                    _ => None,
+                });
+                bytes.unwrap_or(0)
+            };
+            assert_eq!(wire(Dir::Pull), pulled, "{case}, epoch {e}");
+            assert_eq!(wire(Dir::Push), handed + pushed, "{case}, epoch {e}");
             let phases = |of: u32| -> String {
                 timeline
                     .events
@@ -501,19 +590,27 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
             }
         }
         // The twin's epoch has epoch 0's bands; its first round is carried,
-        // and a carried pull takes no time.
+        // every later one handed over, and neither pull takes time; only
+        // the last round's pushes reach the server.
         let steady = |r, w| plan.step(0, r, w);
         let want: Structure = (0..workers)
             .flat_map(|w| (0..plan.rounds()).map(move |r| (w, r)))
-            .map(|(w, r)| ((w, r), (vec!['p', 'c', 'u'], steady(r, w).chunks.len())))
+            .map(|(w, r)| {
+                let step = steady(r, w);
+                let syncs = if step.to.is_none() {
+                    step.chunks.len()
+                } else {
+                    0
+                };
+                ((w, r), (vec!['p', 'c', 'u'], syncs))
+            })
             .collect();
         assert_eq!(sim, want, "{case}");
         for span in trace.spans.iter().filter(|s| s.phase == Phase::Pull) {
-            let carried = steady(span.round, span.worker).carried;
-            assert_eq!(span.start == span.end, carried, "{case}: {span:?}");
+            assert_eq!(span.start, span.end, "{case}: {span:?}");
         }
-        // Dependency order: a band's install ends before its next holder
-        // pulls it, and nothing of a round starts before the last round's
+        // Dependency order: a band's hand-off ends before its next holder
+        // trains it, and nothing of a round starts before the last round's
         // barrier.
         let of = |round, worker, phase| {
             trace
@@ -522,12 +619,12 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
                 .filter(move |s| (s.round, s.worker, s.phase) == (round, worker, phase))
         };
         for edge in plan.edges(0) {
-            let (r, from) = edge.installed;
-            let installed = of(r, from, Phase::Sync).map(|s| s.end).fold(0.0, f64::max);
-            let pulled = of(r + 1, edge.pulled.1, Phase::Pull)
+            let ((r, from), (_, to)) = (edge.from, edge.to);
+            let handed = of(r, from, Phase::Push).map(|s| s.end).fold(0.0, f64::max);
+            let trained = of(r + 1, to, Phase::Compute)
                 .map(|s| s.start)
                 .fold(f64::INFINITY, f64::min);
-            assert!(installed <= pulled, "{case}: {edge:?}");
+            assert!(handed <= trained, "{case}: {edge:?}");
         }
         for r in 1..plan.rounds() {
             let round = |r| trace.spans.iter().filter(move |s| s.round == r);

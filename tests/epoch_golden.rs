@@ -35,7 +35,11 @@
 //! changes unedited: one worker owns every row and holds the one band, so
 //! neither the order the rows are stored in nor the rotation moves a bit.
 //! The comparators' table is untouched, and the supervised fault-free and
-//! duplicate-chaos runs, and `FullPq`, still land on `CLEAN`.
+//! duplicate-chaos runs, and `FullPq`, still land on `CLEAN`. When bands
+//! went straight from holder to holder (the ring, pushed to the server
+//! once an epoch), every fault-free pin held unedited: a hand-off at the
+//! wire's precision delivers the bits the server's install and publish
+//! did. Only `FAULTED` moved, re-recorded with its reason beside it.
 
 use hcc_comm::{Fault, FaultPlan};
 use hcc_mf::{
@@ -60,7 +64,10 @@ const HALF_Q: u64 = 0x92d3_021b_225e_bf58;
 const STREAMS_2: u64 = 0xc9f1_131d_0d24_a56c;
 const STREAMS_4: u64 = 0x1d0a_42f2_1b3b_75b2;
 /// [`fault_plan`]: three epochs install none of one worker's pushes.
-const FAULTED: u64 = 0xdca9_974d_c4c0_f2ca;
+/// Re-recorded once for the ring (DESIGN §8): a poisoned worker's
+/// hand-offs are lost with its push, so their receivers train the server's
+/// copy of the band as the epoch began.
+const FAULTED: u64 = 0x7393_15bd_68ef_4200;
 /// Tiled sweeps at a `k` wide enough that each worker's shard spans two
 /// tiles.
 const TILED: u64 = 0x24c0_bf33_61cf_a25e;

@@ -370,25 +370,31 @@ fn pipelining_over_every_wire_matches_shared_memory() {
 /// push bytes stay below full buffers.
 #[test]
 fn delta_shipping_counts_rows_across_workers_and_epochs() {
-    // Four workers over four shards of a 256-row region; worker `w`
-    // changes every eighth row starting at `w`, as a sparse epoch would.
+    // Four workers over four shards of a 256-row band, walked as the ring
+    // walks it: in each epoch worker `w` changes every eighth row starting
+    // at `w`, as a sparse epoch would, and hands the band on; the epoch's
+    // last holder pushes it to the server once, against the band as the
+    // epoch began, so its delta ships every row any holder changed.
     let (workers, shards, rows, k) = (4usize, 4usize, 256usize, 8usize);
     let server = sharded_shared(workers, rows, k, shards);
     let mut global = vec![0.1f32; rows * k];
+    let last = workers - 1;
     for epoch in 0..3 {
         server.publish(&global);
+        let mut band = vec![0f32; rows * k];
+        server.pull(0, &mut band);
         for w in 0..workers {
-            let mut local = vec![0f32; rows * k];
-            server.pull(w, &mut local);
             for row in (w..rows).step_by(8) {
-                local[row * k] += 0.01 * (epoch + 1) as f32;
+                band[row * k] += 0.01 * (epoch + 1) as f32;
             }
-            server.push(w, &local);
-            server.collect(w, &mut global);
         }
+        server.push(last, &band);
+        server.collect(last, &mut global);
     }
     let stats = server.delta_stats();
     assert_eq!(stats.rows_shipped, (3 * workers * (rows / 8)) as u64);
+    // One push a band an epoch.
+    assert_eq!(stats.rows_total, (3 * rows) as u64);
     assert!(
         stats.bytes_shipped < stats.bytes_full,
         "delta shipping saved nothing: {stats:?}"
