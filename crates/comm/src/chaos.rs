@@ -52,7 +52,7 @@ pub struct ChaosTransport {
     ids: Vec<usize>,
     /// The training epoch in progress — the epoch coordinate of the plan.
     epoch: AtomicUsize,
-    /// The wire faults that lose a push pass it untouched
+    /// The wire faults that lose or delay a push pass it untouched
     /// ([`sparing_pushes`](Self::sparing_pushes)).
     spares_pushes: bool,
     /// Set when a corrupt push was injected; the next collect for that
@@ -89,12 +89,12 @@ impl ChaosTransport {
         }
     }
 
-    /// This wrapper, enacting only the wire faults that deliver the push
-    /// (a delay, a duplicate): under one that [loses the
-    /// push](Fault::loses_push) — a drop, a corruption, a partition — the
-    /// push passes untouched. For a link the plan's lost pushes do not
-    /// cover: a worker's hand-off to another worker, whose cell loses its
-    /// push to the server only.
+    /// This wrapper, enacting only a duplicate: under a fault that [loses
+    /// the push](Fault::loses_push) — a drop, a corruption, a partition —
+    /// or delays it, the push passes untouched and on time. For a link the
+    /// plan's lost and late pushes do not cover: a worker's hand-off to
+    /// another worker, whose cell loses or delays its push to the server
+    /// only, so that a delay is paid once an epoch, as the twin pays it.
     pub fn sparing_pushes(mut self) -> ChaosTransport {
         self.spares_pushes = true;
         self
@@ -172,7 +172,7 @@ impl Transport for ChaosTransport {
                 // ordering of flag-set vs timeout.
                 self.pending_corrupt[worker].store(true, Ordering::Relaxed);
             }
-            Some(Fault::DelayPush(delay)) => {
+            Some(Fault::DelayPush(delay)) if !self.spares_pushes => {
                 // ordering: Relaxed — statistic.
                 self.delayed.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(delay);
@@ -184,8 +184,9 @@ impl Transport for ChaosTransport {
                 self.duplicated.fetch_add(1, Ordering::Relaxed);
                 self.inner.push_duplicate(worker, src);
             }
-            // The worker's own faults, or none: the wire does nothing.
-            Some(Fault::Crash | Fault::Stall(_) | Fault::PoisonPush) | None => {
+            // The worker's own faults, a spared delay, or none: the wire
+            // does nothing.
+            _ => {
                 self.inner.push(worker, src);
             }
         }
@@ -269,6 +270,8 @@ mod tests {
 
     #[test]
     fn a_wrapper_sparing_pushes_delivers_a_lost_cells_push_and_delays_a_late_one() {
+        // Every push arrives, a late cell's too, and none is delayed: the
+        // late cell's delay is its push to the server's.
         let delay = Duration::from_millis(5);
         let plan = FaultPlan::new(3)
             .with(0, 0, Fault::DropPush)
@@ -279,19 +282,17 @@ mod tests {
         let spared = ChaosTransport::new(inner, plan, vec![0]).sparing_pushes();
         for epoch in 0..5 {
             spared.begin_epoch(epoch);
-            let started = std::time::Instant::now();
             spared.push(0, &[epoch as f32; 4]);
             let mut got = [0f32; 4];
             spared.collect_timeout(0, &mut got, Duration::ZERO).unwrap();
             assert_eq!(got, [epoch as f32; 4], "epoch {epoch}");
-            assert!(epoch != 1 || started.elapsed() >= delay);
         }
         let stats = spared.stats();
         assert_eq!(
             (stats.dropped, stats.corrupted, stats.partitioned),
             (0, 0, 0)
         );
-        assert_eq!(stats.delayed, 1);
+        assert_eq!(stats.delayed, 0);
     }
 
     #[test]

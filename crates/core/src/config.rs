@@ -110,7 +110,10 @@ pub struct HccConfig {
     pub workers: Vec<WorkerSpec>,
     /// Data-partition mode.
     pub partition: PartitionMode,
-    /// Communication strategy (what travels each epoch).
+    /// Communication strategy (what travels each epoch): `QOnly` or
+    /// `HalfQ`. `FullPq` is the paper's unoptimized byte model, priced by
+    /// [`TransferStrategy::pull_bytes`] and the twin, not a mode the
+    /// engine runs.
     pub strategy: TransferStrategy,
     /// COMM implementation.
     pub transport: TransportKind,
@@ -118,11 +121,11 @@ pub struct HccConfig {
     /// splits the synchronized region by contiguous row range across `N`
     /// shard endpoints (each of the configured [`TransportKind`]) with
     /// per-shard row-delta shipping. Requires the synchronous path
-    /// (`streams == 1`) and a row-aligned region (`strategy != FullPq`).
+    /// (`streams == 1`).
     pub server_shards: usize,
     /// Pipeline streams for asynchronous computing–transmission (1 = off):
     /// each worker's band of `Q` is tiled into this many chunks, each behind
-    /// its own endpoint of `transport`. `> 1` requires `strategy != FullPq`.
+    /// its own endpoint of `transport`.
     pub streams: usize,
     /// Epochs at the start reserved for Algorithm-1 adaptation (partition
     /// may be revised after each of these).
@@ -213,15 +216,18 @@ impl HccConfig {
                 )));
             }
         }
-        // The rules for asynchronous computing–transmission, all here: a
-        // chunk is a column range of Q, so P cannot ride along; pipelining
-        // over a sharded server or under supervision is not wired up yet.
+        // A band is a slice of `Q`: no `P` rides along.
+        if self.strategy == TransferStrategy::FullPq {
+            return Err(HccError::BadConfig(
+                "strategy FullPq is a byte model (TransferStrategy::pull_bytes / \
+                 push_bytes, the twin, Table 5), not an engine mode: train with QOnly or HalfQ"
+                    .into(),
+            ));
+        }
+        // The rules for asynchronous computing–transmission, all here:
+        // pipelining over a sharded server or under supervision is not
+        // wired up yet.
         if self.streams > 1 {
-            if self.strategy == TransferStrategy::FullPq {
-                return Err(HccError::BadConfig(
-                    "asynchronous computing-transmission requires Q-only transfers".into(),
-                ));
-            }
             if self.server_shards > 1 {
                 return Err(HccError::BadConfig(
                     "sharded server supports only the synchronous path (streams = 1)".into(),
@@ -232,13 +238,6 @@ impl HccConfig {
                     "fault tolerance supports only the synchronous path (streams = 1)".into(),
                 ));
             }
-        }
-        if self.server_shards > 1 && self.strategy == TransferStrategy::FullPq {
-            return Err(HccError::BadConfig(
-                "sharded server requires a row-aligned region \
-                 (strategy QOnly or HalfQ, not FullPq)"
-                    .into(),
-            ));
         }
         if self.early_stop.is_some() && !self.track_rmse {
             return Err(HccError::BadConfig(
@@ -619,13 +618,29 @@ mod tests {
     }
 
     #[test]
+    fn full_pq_is_a_byte_model_and_fails_typed() {
+        // Whatever it is combined with, the engine refuses `FullPq` with
+        // one typed error that names the byte model, which still prices it.
+        for (streams, shards) in [(1, 1), (2, 1), (1, 2)] {
+            let built = HccConfig::builder()
+                .strategy(TransferStrategy::FullPq)
+                .streams(streams)
+                .server_shards(shards)
+                .try_build();
+            match built {
+                Err(HccError::BadConfig(msg)) => assert!(msg.contains("byte model"), "{msg}"),
+                other => panic!("{streams} streams x {shards} shards: {other:?}"),
+            }
+        }
+        let (m, n, k) = (1_000, 100, 8);
+        assert!(
+            TransferStrategy::FullPq.pull_bytes(m, n, k)
+                > TransferStrategy::QOnly.pull_bytes(m, n, k)
+        );
+    }
+
+    #[test]
     fn validation_gates_pipelining_by_strategy_not_by_transport() {
-        // A chunk is a column range of Q: P cannot ride along.
-        assert!(HccConfig::builder()
-            .streams(2)
-            .strategy(TransferStrategy::FullPq)
-            .try_build()
-            .is_err());
         // Every transport carries chunks.
         for transport in [
             TransportKind::Shared,
@@ -733,12 +748,6 @@ mod tests {
         assert!(HccConfig::builder()
             .server_shards(2)
             .streams(2)
-            .try_build()
-            .is_err());
-        // …and a row-aligned region (FullPq's pull/push layouts differ).
-        assert!(HccConfig::builder()
-            .server_shards(2)
-            .strategy(TransferStrategy::FullPq)
             .try_build()
             .is_err());
         // QOnly/HalfQ shard fine, over any transport kind.

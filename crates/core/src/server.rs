@@ -1,15 +1,15 @@
-//! Server-side state: region layouts, the synchronization step (④ of
-//! Fig. 4) and the node-sharded parameter server.
+//! The parameter server's side of the wire: the node-sharded server.
 //!
 //! With a row grid, `P` rows are owned exclusively by workers, but any two
 //! workers could update the same `Q` row — the WAW race §3.1 warns about.
-//! The epoch avoids it by schedule rather than by merging: `Q`'s rows are
-//! dealt into one band a worker, and in each round of the epoch every band
-//! has exactly one holder, which hands it straight to the next. The server
-//! gathers a band's rows, as the epoch began, into the region it publishes
-//! every round (a lost hand-off's fallback), and in the epoch's last round
-//! installs the holder's push straight back, so a push that never came
-//! leaves the band as it was published.
+//! The epoch avoids it by schedule rather than by merging: `Q` is stored in
+//! band order, so each band, and each chunk of one, is a contiguous slice
+//! of it, and in each round of the epoch every band has exactly one
+//! holder, which hands it straight to the next. The session publishes each
+//! chunk's slice every round as the epoch began (a lost hand-off's
+//! fallback), and in the epoch's last round copies the holder's push
+//! straight back over it, so a push that never came leaves the band as it
+//! was published.
 //!
 //! [`ShardedServer`] splits that server across N shard endpoints, each
 //! owning a contiguous row range of the synchronized region (the CuMF_SGD
@@ -19,97 +19,11 @@
 //! published value, packed at the width its group of eight needs.
 
 use hcc_comm::delta::{apply_delta, encode_delta, max_delta_len};
-use hcc_comm::{CommError, NetEvent, TransferStrategy, Transport};
+use hcc_comm::{CommError, NetEvent, Transport};
 use hcc_partition::ShardRouter;
 use hcc_sync::{Arc, AtomicU64, Mutex, Ordering, RwLock};
 use std::ops::Range;
 use std::time::{Duration, Instant};
-
-/// Float offsets/lengths of a worker's view of the pull and push regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegionLayout {
-    /// Pull region length in floats (shared by all workers).
-    pub pull_len: usize,
-    /// Push buffer length in floats (max over workers).
-    pub push_len: usize,
-    /// Offset of `Q` within the pull region.
-    pub pull_q_offset: usize,
-    /// Offset of `Q` within a push buffer.
-    pub push_q_offset: usize,
-}
-
-impl RegionLayout {
-    /// Where `Q` sits in a worker's region once it is pulled — and stays:
-    /// the worker trains on it there.
-    pub fn q_elems(&self) -> Range<usize> {
-        self.pull_q_offset..self.pull_len
-    }
-
-    /// The part of a pulled and trained region that is the push: `Q` where
-    /// it is, behind `push_q_offset` floats of room for the worker's `P`
-    /// rows (`FullPq`; none otherwise) taken from the end of the pulled `P`.
-    pub fn push_elems(&self) -> Range<usize> {
-        self.pull_q_offset - self.push_q_offset..self.pull_len
-    }
-}
-
-/// Computes region layouts for a strategy. Under `FullPq` the pull region is
-/// `[P | Q]` and each push buffer `[P_rows | Q]` (sized for the largest row
-/// range); under the optimized strategies both regions hold only `Q`.
-pub fn region_layout(
-    strategy: TransferStrategy,
-    m: usize,
-    n: usize,
-    k: usize,
-    max_assigned_rows: usize,
-) -> RegionLayout {
-    match strategy {
-        TransferStrategy::FullPq => RegionLayout {
-            pull_len: (m + n) * k,
-            push_len: (max_assigned_rows + n) * k,
-            pull_q_offset: m * k,
-            push_q_offset: max_assigned_rows * k,
-        },
-        TransferStrategy::QOnly | TransferStrategy::HalfQ => RegionLayout {
-            pull_len: n * k,
-            push_len: n * k,
-            pull_q_offset: 0,
-            push_q_offset: 0,
-        },
-    }
-}
-
-/// Copies the `Q` rows `items` names, in that order, into `dst`: the band
-/// region the server publishes.
-///
-/// # Panics
-/// Panics if `dst` does not hold exactly `items.len()` rows of `k`.
-pub(crate) fn gather(dst: &mut [f32], q: &[f32], items: &[u32], k: usize) {
-    assert_eq!(dst.len(), items.len() * k, "band length mismatch");
-    for (row, &item) in dst.chunks_exact_mut(k).zip(items) {
-        let at = item as usize * k;
-        row.copy_from_slice(&q[at..at + k]);
-    }
-}
-
-/// Writes a band's pushed rows back to the `Q` rows `items` names — the
-/// inverse of [`gather`]. A band has one writer a round and reaches the
-/// server once an epoch, so its push is installed as it is: there is
-/// nothing to merge.
-///
-/// # Panics
-/// Panics if `src` does not hold exactly `items.len()` rows of `k`.
-pub(crate) fn install(q: &mut [f32], src: &[f32], items: &[u32], k: usize) {
-    assert_eq!(src.len(), items.len() * k, "band length mismatch");
-    for (row, &item) in src.chunks_exact(k).zip(items) {
-        let at = item as usize * k;
-        q[at..at + k].copy_from_slice(row);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Node-sharded parameter server
-// ---------------------------------------------------------------------------
 
 /// Bytes an element takes on a [`ShardedServer`]'s inner links. They run
 /// at Fp32, which carries the deltas' words, bit patterns, unchanged.
@@ -417,41 +331,6 @@ mod tests {
     use super::*;
     use hcc_comm::Precision;
 
-    #[test]
-    fn layout_full_pq() {
-        let l = region_layout(TransferStrategy::FullPq, 100, 20, 8, 40);
-        assert_eq!(l.pull_len, 120 * 8);
-        assert_eq!(l.pull_q_offset, 800);
-        assert_eq!(l.push_len, 60 * 8);
-        assert_eq!(l.push_q_offset, 320);
-    }
-
-    #[test]
-    fn layout_q_only() {
-        for s in [TransferStrategy::QOnly, TransferStrategy::HalfQ] {
-            let l = region_layout(s, 100, 20, 8, 40);
-            assert_eq!(l.pull_len, 160);
-            assert_eq!(l.push_len, 160);
-            assert_eq!(l.pull_q_offset, 0);
-        }
-    }
-
-    #[test]
-    fn a_region_is_pulled_trained_and_pushed_in_place() {
-        // Q-only: the region is `Q`, whole, in both directions.
-        let l = region_layout(TransferStrategy::QOnly, 100, 20, 8, 40);
-        assert_eq!(l.q_elems(), 0..160);
-        assert_eq!(l.push_elems(), 0..160);
-        // FullPq: the pull is [P | Q]; the push is the tail of it that puts
-        // `Q` at `push_q_offset`, the room before it taking the `P` rows.
-        let l = region_layout(TransferStrategy::FullPq, 100, 20, 8, 40);
-        assert_eq!(l.q_elems(), 800..960);
-        let push = l.push_elems();
-        assert_eq!(push.len(), l.push_len);
-        assert_eq!(push.start + l.push_q_offset, l.q_elems().start);
-        assert_eq!(push.end, l.pull_len);
-    }
-
     /// Bit patterns a merge by arithmetic would not carry through: NaN
     /// payloads, `-0.0`, a subnormal, an infinity.
     fn odd_bits(rows: usize, k: usize) -> Vec<f32> {
@@ -468,45 +347,6 @@ mod tests {
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn an_installed_band_equals_its_holders_push_bit_for_bit() {
-        let (k, items) = (3, [4u32, 0, 2]);
-        let mut q = vec![1.0f32; 5 * k];
-        let push = odd_bits(items.len(), k);
-        install(&mut q, &push, &items, k);
-        let mut published = vec![0f32; items.len() * k];
-        gather(&mut published, &q, &items, k);
-        assert_eq!(bits(&published), bits(&push));
-        // Row `items[j]` of `Q` is row `j` of the push.
-        assert_eq!(bits(&q[4 * k..5 * k]), bits(&push[..k]));
-        assert_eq!(bits(&q[..k]), bits(&push[k..2 * k]));
-    }
-
-    #[test]
-    fn installing_a_band_leaves_every_other_row_as_published() {
-        // Two bands of a shuffled order over 6 rows: installing one writes
-        // exactly its rows, so a band whose push never came is untouched.
-        let (k, order) = (2, [3u32, 5, 0, 1, 4, 2]);
-        let q0 = odd_bits(6, k);
-        let mut q = q0.clone();
-        let (held, missing) = order.split_at(3);
-        install(&mut q, &vec![9.5; 3 * k], held, k);
-        for row in 0..6u32 {
-            let r = row as usize * k..(row as usize + 1) * k;
-            if missing.contains(&row) {
-                assert_eq!(bits(&q[r.clone()]), bits(&q0[r]), "row {row}");
-            } else {
-                assert_eq!(q[r], [9.5; 2], "row {row}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn install_length_mismatch_panics() {
-        install(&mut [0.0; 4], &[1.0, 2.0, 3.0], &[0, 1], 2);
     }
 
     /// `shards` links of `CommShared` for `workers` workers, built for

@@ -3,24 +3,28 @@
 //!
 //! `P`'s rows are relabelled once, in a seeded shuffled order, so that the
 //! contiguous row range each worker owns mixes popular and rare users.
-//! `Q`'s rows are put in a seeded shuffled order too (`band_order`), and
+//! `Q`'s rows are stored in a seeded shuffled order too (`band_order`), so
+//! that a band, and each chunk of one, is a contiguous slice of `Q`, and
 //! an epoch walks [`RoundPlan::ring`] over those positions: one round
 //! per worker, in which worker `w` trains band `(w + r + e·(p − 1)) mod p`
 //! of epoch `e` on its own rows, so every band has one holder a round and
 //! every worker holds every band once an epoch. A worker hands the band it
 //! trained straight to its next holder, over that worker's peer link, and
 //! the band's holder in the epoch's last round pushes it to the server,
-//! which installs it with nothing to merge: `p` transfers a worker an
-//! epoch. The server publishes every band every round as the epoch began,
-//! for a worker whose hand-off was lost and one that holds no band yet; a
-//! worker that holds its band already pulls nothing. The schedule is the
-//! plan's; this file only enacts it.
+//! which copies it back over its slice with nothing to merge: `p`
+//! transfers a worker an epoch. The server publishes every band's slice
+//! every round as the epoch began, for a worker whose hand-off was lost
+//! and one that holds no band yet; a worker that holds its band already
+//! pulls nothing. Like `P`, `Q` meets user order only at the run's
+//! boundaries — warm start, resume, checkpoint, report — where it is moved
+//! there and back in place. The schedule is the plan's; this file only
+//! enacts it.
 
 use crate::checkpoint::{load_checkpoint, save_checkpoint, ResumeState, TrainingMeta};
 use crate::config::{HccConfig, TransportKind, WorkerSpec};
 use crate::error::HccError;
 use crate::report::{HccReport, WorkerEpochStats};
-use crate::server::{gather, install, region_layout, RegionLayout, ShardedServer};
+use crate::server::ShardedServer;
 use crate::supervisor::{Supervisor, WorkerHealth};
 use crate::worker::{deal, Link, WorkerState};
 use hcc_comm::socket::NetEventKind;
@@ -38,6 +42,7 @@ use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,6 +71,19 @@ const ROW_SEED: u64 = 0x726f_7773;
 /// redrawn from the seed at each, rather than kept beside `P` for the run.
 pub fn row_order(seed: u64, rows: usize) -> Vec<u32> {
     seeded_order(rows, seed ^ ROW_SEED)
+}
+
+/// The order in which a run with `seed` stores the items of `plan`'s
+/// bands, position → id: which band an item falls in comes from a seeded
+/// shuffle, so that every band mixes popular and rare items; within a band
+/// the ids ascend, so that tiling a band into chunks keeps the order in
+/// which a worker meets its ratings.
+fn band_order(seed: u64, plan: &RoundPlan) -> Vec<u32> {
+    let mut order = seeded_order(plan.items(), seed ^ BAND_SEED);
+    for band in plan.bands() {
+        order[band.clone()].sort_unstable();
+    }
+    order
 }
 
 /// A seeded shuffle of the ids `0..n`.
@@ -249,29 +267,27 @@ struct EpochOutcome {
 /// panic that ended it. `None` in a slot means the thread is still running.
 type WorkerExit = Result<WorkerEpochStats, String>;
 
-/// Builds one worker's endpoint for regions of up to `pull_len` /
-/// `push_len` floats. `shards > 1` makes it a node-sharded parameter
-/// server: the region is tiled by contiguous row range across that many
-/// links of `kind`, always at Fp32 — the delta replaces fp16
+/// Builds one worker's endpoint to the server for chunks of up to `len`
+/// floats, pulled and pushed alike. `shards > 1` makes it a node-sharded
+/// parameter server: the chunk is tiled by contiguous row range across
+/// that many links of `kind`, always at Fp32 — the delta replaces fp16
 /// compression, and its words ride as f32 bit patterns, which only Fp32
 /// carries unchanged.
 fn build_endpoint(
     kind: TransportKind,
     k: usize,
-    pull_len: usize,
-    push_len: usize,
+    len: usize,
     precision: Precision,
     shards: usize,
 ) -> Result<Arc<dyn Transport>, HccError> {
     if shards == 1 {
-        return build_link(kind, pull_len, push_len, precision);
+        return build_link(kind, len, len, precision);
     }
-    let (pull, push) = ShardedServer::link_lens(pull_len / k, k, shards);
+    let (pull, push) = ShardedServer::link_lens(len / k, k, shards);
     let links = (0..shards)
         .map(|_| build_link(kind, pull, push, Precision::Fp32))
         .collect::<Result<Vec<_>, _>>()?;
-    let server = ShardedServer::new(k, pull_len, links);
-    Ok(Arc::new(server))
+    Ok(Arc::new(ShardedServer::new(k, len, links)))
 }
 
 /// One concrete transport of `kind` for one worker. Fallible because the
@@ -302,20 +318,14 @@ struct Supervision {
     snapshot: (FactorMatrix, FactorMatrix),
 }
 
-/// What a round writes of the server's state: the factors, and the one
-/// region-sized buffer — built with the workers, on the session's thread,
-/// and reused by every round, so an epoch allocates none.
+/// What a round writes of the server's state: the factors.
 struct ServerSide {
     /// The model's `P`, stored here and nowhere else: a round lends every
     /// worker its own rows of it for as long as the worker threads run.
     p: FactorMatrix,
-    /// The model's `Q`, in item order outside a round (checkpoint,
-    /// evaluation and the report read it as such): a round gathers each
-    /// band out of it and installs each push back into it.
+    /// The model's `Q`, in the session's band order: a round publishes each
+    /// chunk's slice of it and copies each push back over its slice.
     q: FactorMatrix,
-    /// Where a chunk's pull region is gathered to be published (`[P | Q]`
-    /// for the first chunk under `FullPq`), sized for the largest.
-    region: Vec<f32>,
 }
 
 /// Everything a training run owns.
@@ -328,11 +338,10 @@ struct Session<'a> {
     /// Locked by the server side of a round only; the mutex is what lets
     /// the round write it while its workers borrow the session shared.
     server: Mutex<ServerSide>,
-    /// Every item id once, position → id: the positions `plan` schedules.
-    /// Which band an item falls in comes from a shuffle seeded by
-    /// `config.seed`, so that every band mixes popular and rare items;
-    /// within a band the ids ascend, so that tiling a band into chunks
-    /// keeps the order in which a worker meets its ratings.
+    /// Every item id once, position → id ([`band_order`] of `plan`, the
+    /// identity before the first plan): row `i` of `Q` and item `i` of
+    /// `work`'s ratings are item `band_order[i]` of the input. Kept for the
+    /// run's boundaries and for a re-plan that changes the bands.
     band_order: Vec<u32>,
     /// What the rounds walk: who trains which band, in which chunks — the
     /// unit a round publishes, pulls, computes on, pushes and installs.
@@ -341,9 +350,6 @@ struct Session<'a> {
     /// pipeline of Strategy 3 needs from the transport layer. Rebuilt with
     /// the workers and their links.
     plan: RoundPlan,
-    /// `layouts[c]`: float layout of chunk `c`'s pull and push regions (the
-    /// first also carrying `P` under `FullPq`).
-    layouts: Vec<RegionLayout>,
     fractions: Vec<f64>,
     classes: Vec<WorkerClass>,
     /// Worker specs currently in the fleet (shrinks when workers die).
@@ -447,16 +453,14 @@ impl<'a> Session<'a> {
             m,
             n,
             k,
-            // The region is sized by `rebuild_workers` below, like
-            // `workers` and `plan`.
+            // `Q` is moved into band order by `rebuild_workers` below,
+            // which builds `plan` and `workers`.
             server: Mutex::new(ServerSide {
                 p: global_p,
                 q: global_q,
-                region: Vec::new(),
             }),
-            band_order: Vec::new(),
+            band_order: (0..n as u32).collect(),
             plan: RoundPlan::ring(0, 0, 1),
-            layouts: Vec::new(),
             fractions: fractions.clone(),
             classes,
             specs: config.workers.clone(),
@@ -489,56 +493,40 @@ impl<'a> Session<'a> {
         // built: a repartition must not hold two sets at once.
         let old = self.workers.drain(..);
         let mut old: Vec<_> = old.map(|w| (w.regions, w.carried)).collect();
-        let (k, n, p) = (self.k, self.n, self.specs.len());
+        let (k, p) = (self.k, self.specs.len());
         // One band a worker, equal counts of the band order, each tiled
-        // into `streams` chunks.
-        self.plan = RoundPlan::ring(p, n, self.config.streams);
-        let mut order = seeded_order(n, self.config.seed ^ BAND_SEED);
-        for band in self.plan.bands() {
-            order[band.clone()].sort_unstable();
+        // into `streams` chunks. Only a new fleet size moves the bands.
+        let plan = RoundPlan::ring(p, self.n, self.config.streams);
+        if plan.bands() != self.plan.bands() {
+            self.reorder_items(band_order(self.config.seed, &plan));
         }
-        let rank = positions(&order);
-        self.band_order = order;
-        let chunks = self.plan.chunks();
-        let ends: Vec<usize> = chunks.iter().map(|c| c.end).collect();
+        self.plan = plan;
+        let ends: Vec<usize> = self.plan.chunks().iter().map(|c| c.end).collect();
         let bounds = GridPartition::boundaries(&self.work, Axis::Row, &fractions);
-        let max_rows = bounds.windows(2).map(|b| b[1] - b[0]).max().unwrap_or(0) as usize;
         let precision = self.wire_precision();
-        // Under `FullPq` only the first chunk carries `P`: each worker holds
-        // band 0 once an epoch, so it pulls `P` once, or not at all in an
-        // epoch that begins on band 0 carried.
-        let layouts: Vec<RegionLayout> = chunks
-            .iter()
-            .enumerate()
-            .map(|(c, items)| {
-                let (m, rows) = if c == 0 { (self.m, max_rows) } else { (0, 0) };
-                region_layout(self.config.strategy, m, items.len(), k, rows)
-            })
-            .collect();
         // Slot `s` of a worker carries chunk `s` of whichever band the
-        // worker holds, so every slot's region and link are sized for the
+        // worker holds, so every slot's region and links are sized for the
         // longest chunk.
         let slots = self.plan.slots();
-        let (pull_len, push_len) = layouts.iter().fold((0, 0), |(pull, push), l| {
-            (pull.max(l.pull_len), push.max(l.push_len))
-        });
-        // A peer link carries a chunk's `Q` rows, one way.
-        let band_len = layouts.iter().map(|l| l.q_elems().len()).max().unwrap_or(0);
+        let len = self
+            .plan
+            .chunks()
+            .iter()
+            .map(|c| c.len() * k)
+            .max()
+            .unwrap_or(0);
         // A worker keeps its regions, and the band it carries in them, while
-        // the fleet and their length stay. Otherwise every region-sized
-        // buffer of the epoch loop is allocated here, by the thread that
-        // builds the links, not by whichever worker or connection thread
-        // first needs it.
-        if old.len() != p || self.server.get_mut().region.len() != pull_len {
+        // the fleet stays. Otherwise every region-sized buffer of the epoch
+        // loop is allocated here, by the thread that builds the links, not
+        // by whichever worker or connection thread first needs it.
+        if old.len() != p {
             old.clear();
         }
         let mut old = old.into_iter();
-        let region = || Mutex::new(vec![0f32; pull_len]);
-        let fresh = || (0..slots).map(|_| region()).collect();
+        let fresh = || (0..slots).map(|_| Mutex::new(vec![0f32; len])).collect();
         // The shards are the ratings' second copy (`work` is the first),
         // never a third.
-        let shards = deal(self.work.entries(), &bounds, &rank, &ends);
-        drop(rank);
+        let shards = deal(self.work.entries(), &bounds, &ends);
         let mut workers = Vec::with_capacity(p);
         for (w, (spec, (entries, chunk_entries))) in self.specs.iter().zip(shards).enumerate() {
             let (regions, carried) = old.next().unwrap_or_else(|| (fresh(), false));
@@ -553,40 +541,48 @@ impl<'a> Session<'a> {
                 carried,
             });
         }
+        let (kind, shards) = (self.config.transport, self.config.server_shards);
         for (w, worker) in workers.iter_mut().enumerate() {
             let id = self.orig_ids[w];
             for _ in 0..slots {
-                let endpoint = build_endpoint(
-                    self.config.transport,
-                    k,
-                    pull_len,
-                    push_len,
-                    precision,
-                    self.config.server_shards,
-                )?;
+                let endpoint = build_endpoint(kind, k, len, precision, shards)?;
                 worker.links.push(self.link(endpoint, id, false));
             }
-            // The worker's own peer links, whose one client hands it bands.
+            // The worker's own peer links, whose one client hands it bands
+            // one way.
             if let Some(from) = self.handed_by(w).map(|from| self.orig_ids[from]) {
                 for _ in 0..slots {
-                    let peer = build_link(self.config.transport, 0, band_len, precision)?;
+                    let peer = build_link(kind, 0, len, precision)?;
                     worker.peers.push(self.link(peer, from, true));
                 }
             }
         }
-        // Sized in place: a repartition that moves no length allocates none.
-        self.server.get_mut().region.resize(pull_len, 0.0);
-        self.layouts = layouts;
         self.workers = workers;
         self.fractions = fractions;
         Ok(())
     }
 
-    /// Restores factors and loop state from a validated v2 checkpoint.
+    /// Moves `Q`'s rows and the items of `work`'s ratings from the band
+    /// order the session holds to `order`, in place: at the first plan,
+    /// from item order, and at a survivor re-plan that changes the bands.
+    fn reorder_items(&mut self, order: Vec<u32>) {
+        let rank = positions(&order);
+        for e in self.work.entries_mut() {
+            e.i = rank[self.band_order[e.i as usize] as usize];
+        }
+        let q = &mut self.server.get_mut().q;
+        q.unpermute_rows(&self.band_order);
+        q.permute_rows(&order);
+        self.band_order = order;
+    }
+
+    /// Restores factors and loop state from a validated v2 checkpoint,
+    /// moving them from user order into the session's.
     fn apply_resume(&mut self, state: ResumeState) {
         let server = self.server.get_mut();
         (server.p, server.q) = (state.p, state.q);
         server.p.permute_rows(&row_order(self.config.seed, self.m));
+        server.q.permute_rows(&self.band_order);
         self.start_epoch = state.meta.epoch;
         self.lr_scale = state.meta.lr_scale as f64;
     }
@@ -746,9 +742,9 @@ impl<'a> Session<'a> {
         let (server, epoch) = (self.server.lock(), self.start_epoch);
         for (w, state) in self.workers.iter().enumerate() {
             for (region, c) in state.regions.iter().zip(self.plan.step(epoch, 0, w).chunks) {
-                let (items, layout) = self.chunk(c);
-                let band = &mut region.lock()[layout.q_elems()];
-                gather(band, server.q.as_slice(), items, self.k);
+                let chunk = self.chunk(c);
+                let band = &mut region.lock()[..chunk.len()];
+                band.copy_from_slice(&server.q.as_slice()[chunk]);
                 self.wire_precision().round(band);
             }
         }
@@ -819,12 +815,15 @@ impl<'a> Session<'a> {
             lr_scale: self.lr_scale as f32,
             transposed,
         };
-        // Saved in user order: `P` is moved there and back in place.
+        // Saved in user order: `P` and `Q` are moved there and back in
+        // place.
         let order = row_order(self.config.seed, self.m);
         let server = self.server.get_mut();
         server.p.unpermute_rows(&order);
+        server.q.unpermute_rows(&self.band_order);
         let result = save_checkpoint(path, &server.p, &server.q, &meta);
         server.p.permute_rows(&order);
+        server.q.permute_rows(&self.band_order);
         self.telemetry.record(
             self.telemetry.server_lane(),
             Event::Checkpoint {
@@ -912,11 +911,11 @@ impl<'a> Session<'a> {
     /// trains to the band's next holder, but in the epoch's last round,
     /// when it pushes it to the server, and pulls none: it holds its first
     /// band already — the one it pushed last (or was set up with), rounded
-    /// to the wire's precision, so skipping its pull (and, under `FullPq`,
-    /// band 0's `P`) moves no bits — and is handed each band after it. An
-    /// `E`-epoch run of `p` workers moves `E·p` whole `Q`s. A push not
-    /// installed, a death, a rollback or a survivor re-plan ends a worker's
-    /// carry (DESIGN §4.1, "Carried bands").
+    /// to the wire's precision, so skipping its pull moves no bits — and is
+    /// handed each band after it. An `E`-epoch run of `p` workers moves
+    /// `E·p` whole `Q`s. A push not installed, a death, a rollback or a
+    /// survivor re-plan ends a worker's carry (DESIGN §4.1, "Carried
+    /// bands").
     ///
     /// This departs from the paper's one pull and one push a worker an
     /// epoch: a band goes from holder to holder, each training it from
@@ -956,14 +955,15 @@ impl<'a> Session<'a> {
         ran.map(|()| outcome)
     }
 
-    /// One round: publish every band, as the epoch began, to its holder's
-    /// link of each slot (the fallback of a lost hand-off, and a sharded
-    /// push's base); [`receive`](Self::receive) the bands the last round's
-    /// holders handed on; run every worker's
+    /// One round: publish every band's slice of `Q`, as the epoch began, to
+    /// its holder's link of each slot (the fallback of a lost hand-off, and
+    /// a sharded push's base); [`receive`](Self::receive) the bands the
+    /// last round's holders handed on; run every worker's
     /// [`worker_round`](Self::worker_round) on its own thread; and
     /// meanwhile, on this thread, collect each push to the server of each
-    /// chunk of its band in fixed `(worker, chunk)` order and install it
-    /// (the DP2 hiding effect: installs overlap the still-running workers).
+    /// chunk of its band in fixed `(worker, chunk)` order and copy it over
+    /// its slice (the DP2 hiding effect: installs overlap the still-running
+    /// workers).
     /// Only the last round's steps push to the server, and a band has one
     /// holder a round, so the order of installs moves no bits.
     fn run_round(
@@ -974,20 +974,14 @@ impl<'a> Session<'a> {
         sup: Option<&Supervisor>,
         outcome: &mut EpochOutcome,
     ) -> Result<(), HccError> {
-        let (k, fleet) = (self.k, self.workers.len());
         let telemetry = &self.telemetry;
-        let exits: Mutex<Vec<Option<WorkerExit>>> = Mutex::new(vec![None; fleet]);
+        let exits: Mutex<Vec<Option<WorkerExit>>> = Mutex::new(vec![None; self.workers.len()]);
         let mut server = self.server.lock();
-        let ServerSide { p, q, region } = &mut *server;
+        let ServerSide { p, q } = &mut *server;
 
         for (w, state) in self.workers.iter().enumerate() {
             for (c, link) in self.plan.step(epoch, round, w).chunks.zip(&state.links) {
-                let (items, layout) = self.chunk(c);
-                let region = &mut region[..layout.pull_len];
-                let (p_part, q_part) = region.split_at_mut(layout.pull_q_offset);
-                p_part.copy_from_slice(&p.as_slice()[..p_part.len()]);
-                gather(q_part, q.as_slice(), items, k);
-                link.endpoint.publish(region);
+                link.endpoint.publish(&q.as_slice()[self.chunk(c)]);
             }
         }
         let received = self.receive(round, epoch, sup, outcome)?;
@@ -1030,22 +1024,19 @@ impl<'a> Session<'a> {
                     if outcome.missed[w] {
                         break;
                     }
-                    let (items, layout) = self.chunk(c);
-                    let q_at = layout.push_q_offset;
+                    let chunk = self.chunk(c);
                     // Runs inside the collect, on the push where it landed:
                     // whether the push was sound, and the install's span.
                     let mut installed = None;
                     let mut install_push = |push: &[f32]| {
                         installed = Some(timed(telemetry, || {
                             // A poisoned (or malformed, short) push is
-                            // discarded. The `P` rows a `FullPq` push carries
-                            // are read by nobody: their owner trained them
-                            // where the server keeps them.
+                            // discarded; a sound one is the band's rows.
                             let sound = push
-                                .get(q_at..q_at + items.len() * k)
+                                .get(..chunk.len())
                                 .filter(|rows| sup.is_none() || rows.iter().all(|v| v.is_finite()));
                             if let Some(rows) = sound {
-                                install(q.as_mut_slice(), rows, items, k);
+                                q.as_mut_slice()[chunk.clone()].copy_from_slice(rows);
                             }
                             sound.is_some()
                         }));
@@ -1121,11 +1112,11 @@ impl<'a> Session<'a> {
             let (start, t0) = (self.telemetry.now_us(), Instant::now());
             let mut whole = true;
             for (s, (c, peer)) in step.chunks.zip(&state.peers).enumerate() {
-                let band = self.layouts[c].q_elems();
+                let len = self.chunk(c).len();
                 let mut region = state.regions[s].lock();
                 let mut landed = false;
                 let mut take = |handed: &[f32]| {
-                    let band = &mut region[band.clone()];
+                    let band = &mut region[..len];
                     let finite = sup.is_none() || handed.iter().all(|v| v.is_finite());
                     if handed.len() == band.len() && finite {
                         band.copy_from_slice(handed);
@@ -1150,10 +1141,10 @@ impl<'a> Session<'a> {
         Ok(received)
     }
 
-    /// Chunk `c` of the plan: the item ids it carries, and its layout.
-    fn chunk(&self, c: usize) -> (&[u32], RegionLayout) {
-        let items = self.plan.chunks()[c].clone();
-        (&self.band_order[items], self.layouts[c])
+    /// Chunk `c` of the plan: its elements of `Q`, a contiguous slice.
+    fn chunk(&self, c: usize) -> Range<usize> {
+        let items = &self.plan.chunks()[c];
+        items.start * self.k..items.end * self.k
     }
 
     fn worker_lost(&self, w: usize, epoch: usize, panic: &str) -> HccError {
@@ -1213,23 +1204,21 @@ impl<'a> Session<'a> {
         let step = self.plan.step(epoch, round, w);
         let band = step.chunks;
         let pulls = received.is_none() && !(step.carried && state.carried);
-        let layout = |s: usize| self.layouts[band.start + s];
+        let len = |s: usize| self.chunk(band.start + s).len();
 
         // Each stage locks slot `s`'s region for as long as it works on it;
         // the stages of one chunk run in order, so they never contend. The
-        // region is pulled into, trained on and sent from where it is.
-        // (The `P` a `FullPq` pull carries is what the worker's rows
-        // already hold: they have one owner.)
+        // chunk is pulled into, trained on and sent from where it is: the
+        // region's first `len(s)` floats.
         let pull = |s: usize| {
             if pulls {
                 let mut region = state.regions[s].lock();
-                let pulled = &mut region[..layout(s).pull_len];
-                state.links[s].endpoint.pull(0, pulled);
+                state.links[s].endpoint.pull(0, &mut region[..len(s)]);
             }
         };
         let compute = |s: usize, ()| {
             let mut region = state.regions[s].lock();
-            let q = SharedRows::new(&mut region[layout(s).q_elems()], k)
+            let q = SharedRows::new(&mut region[..len(s)], k)
                 .numbered_from(self.plan.chunks()[band.start + s].start);
             let entries = &state.entries[state.chunk_entries[band.start + s].clone()];
             state.compute(entries, p, q, &hogwild);
@@ -1239,25 +1228,19 @@ impl<'a> Session<'a> {
         };
         let push = |s: usize, ()| {
             let mut region = state.regions[s].lock();
-            // A hand-off is the band's `Q` rows; a push to the server puts
-            // the worker's `P` rows in front of them under `FullPq`.
-            let (elems, endpoint) = match step.to {
-                Some(next) => (layout(s).q_elems(), &self.workers[next].peers[s].endpoint),
-                None => (layout(s).push_elems(), &state.links[s].endpoint),
-            };
-            let push = &mut region[elems];
-            if step.to.is_none() && layout(s).push_q_offset > 0 {
-                p.read_into(&mut push[..p.row_range().len() * k]);
-            }
+            let band = &mut region[..len(s)];
             if let (Some(plan), Some(Fault::PoisonPush)) = (plan, fault) {
-                plan.poison(worker_id, epoch, push);
+                plan.poison(worker_id, epoch, band);
             }
-            endpoint.push(0, push);
-            // The next epoch begins on this band: once installed, the server
-            // holds it as the wire delivers it, and so does the region.
-            if step.to.is_none() {
-                self.wire_precision()
-                    .round(&mut region[layout(s).q_elems()]);
+            match step.to {
+                Some(next) => self.workers[next].peers[s].endpoint.push(0, band),
+                None => {
+                    state.links[s].endpoint.push(0, band);
+                    // The next epoch begins on this band: once installed,
+                    // the server holds it as the wire delivers it, and so
+                    // does the region.
+                    self.wire_precision().round(band);
+                }
             }
         };
 
@@ -1444,12 +1427,14 @@ impl<'a> Session<'a> {
         let timeline = std::mem::replace(&mut self.telemetry, Telemetry::disabled()).finish();
         let wire_bytes = self.wire_bytes_by_dir();
         // The fleet's shards, regions and links go before the row order
-        // is drawn to put `P` back in user order.
+        // is drawn to put `P` back in user order; `Q` goes back by the band
+        // order.
         self.workers.clear();
         let server = self.server.get_mut();
-        let q = std::mem::replace(&mut server.q, FactorMatrix::zeros(1, 1));
+        let mut q = std::mem::replace(&mut server.q, FactorMatrix::zeros(1, 1));
         let mut p = std::mem::replace(&mut server.p, FactorMatrix::zeros(1, 1));
         p.unpermute_rows(&row_order(self.config.seed, self.m));
+        q.unpermute_rows(&self.band_order);
         let (p, q) = if transposed { (q, p) } else { (p, q) };
         HccReport {
             p,
@@ -1568,14 +1553,6 @@ mod tests {
         assert_eq!(report.q.rows(), 150);
         assert!(report.wire_bytes > 0);
         assert!(!report.transposed);
-    }
-
-    #[test]
-    fn trains_full_pq() {
-        let ds = dataset(200, 100, 5_000);
-        let cfg = base_config().strategy(TransferStrategy::FullPq).build();
-        let report = HccMf::new(cfg).train(&ds.matrix).unwrap();
-        assert!(report.rmse_history.last().unwrap() < &report.rmse_history[0]);
     }
 
     #[test]
@@ -1855,6 +1832,112 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_after_a_survivor_replan_is_in_user_order_and_resumes_its_run() {
+        // Three one-thread workers, the second crashing in epoch 1: the
+        // survivor re-plan after it moves `Q` from three bands to two
+        // before that epoch's checkpoint is written. The checkpoint holds
+        // what the report of the run stopped there holds, in user order,
+        // and resumed on the two survivors, with the partition the
+        // uninterrupted run re-planned to, it gives that run's bits.
+        use crate::supervisor::SupervisorConfig;
+        use hcc_comm::FaultPlan;
+        let ds = dataset(300, 150, 6_000);
+        let ckpt = std::env::temp_dir().join("hcc_train_replanned.hccmf");
+        let run = |epochs, workers| {
+            base_config()
+                .epochs(epochs)
+                .workers(vec![WorkerSpec::cpu(1); workers])
+                .partition(PartitionMode::Uniform)
+                .shuffle(false)
+                .seed(5)
+                .fault_tolerance(SupervisorConfig {
+                    heartbeat_timeout: Duration::from_millis(20),
+                    collect_retries: 1,
+                    ..SupervisorConfig::default()
+                })
+        };
+        let crashing =
+            |epochs| run(epochs, 3).fault_plan(FaultPlan::new(9).with(1, 1, Fault::Crash));
+        let train = |config: HccConfig| HccMf::new(config).train(&ds.matrix).unwrap();
+        let stopped = train(crashing(2).checkpoint(&ckpt, 1).build());
+        let full = train(crashing(3).build());
+        assert_eq!(full.partition_history[2].len(), 2, "no survivor re-plan");
+        let saved = load_checkpoint(&ckpt).unwrap();
+        std::fs::remove_file(&ckpt).ok();
+        assert_eq!(saved.meta.epoch, 2);
+        assert!(saved.p == stopped.p && saved.q == stopped.q);
+
+        let config = run(3, 2).build();
+        let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+        session.apply_resume(saved);
+        session
+            .rebuild_workers(full.partition_history[2].clone())
+            .unwrap();
+        session.run(false).unwrap();
+        let resumed = session.into_report(false);
+        assert!(resumed.p == full.p && resumed.q == full.q);
+    }
+
+    #[test]
+    fn a_warm_starts_factors_come_back_in_user_order() {
+        // A warm start's factors are moved into the session's orders in
+        // place — `Q`'s row `i` is item `band_order[i]` — and an epoch at a
+        // zero learning rate changes no bit of them, so the report gives
+        // back what went in; on a tall and a wide (transposed) matrix.
+        for (rows, cols) in [(60, 30), (30, 60)] {
+            let ds = dataset(rows, cols, 600);
+            let p0 = FactorMatrix::random(rows as usize, 8, 3);
+            let q0 = FactorMatrix::random(cols as usize, 8, 4);
+            let config = base_config().warm_start(p0.clone(), q0.clone()).build();
+            let transposed = rows < cols;
+            let work = if transposed {
+                ds.matrix.clone().transpose()
+            } else {
+                ds.matrix.clone()
+            };
+            let mut session = Session::create(&config, work).unwrap();
+            let items = if transposed { &p0 } else { &q0 };
+            let q = &session.server.get_mut().q;
+            for (at, &item) in session.band_order.iter().enumerate() {
+                assert_eq!(q.row(at), items.row(item as usize), "{rows}x{cols}");
+            }
+            session.run_epoch(0.0, 0, None).unwrap();
+            let report = session.into_report(transposed);
+            assert!(report.p == p0 && report.q == q0, "{rows}x{cols}");
+        }
+    }
+
+    #[test]
+    fn a_push_delay_is_paid_once_an_epoch_not_once_a_round() {
+        // Three workers, so a band is handed on twice before its last
+        // holder pushes it to the server. Worker 1's pushes of epoch 0 are
+        // late: its one push to the server is delayed and its hand-offs are
+        // not, as the twin delays the worker once an epoch.
+        use crate::supervisor::SupervisorConfig;
+        use hcc_comm::FaultPlan;
+        let ds = dataset(60, 30, 600);
+        let supervisor = SupervisorConfig {
+            heartbeat_timeout: Duration::from_secs(10),
+            ..SupervisorConfig::default()
+        };
+        let late = Fault::DelayPush(Duration::from_millis(1));
+        let config = base_config()
+            .workers(vec![WorkerSpec::cpu(1); 3])
+            .partition(PartitionMode::Uniform)
+            .fault_tolerance(supervisor.clone())
+            .fault_plan(FaultPlan::new(7).with(1, 0, late))
+            .build();
+        let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+        let sup = Supervisor::new(supervisor, 3);
+        for epoch in 0..2 {
+            session.run_epoch(0.02, epoch, Some(&sup)).unwrap();
+        }
+        let chaos = session.links().filter_map(|link| link.chaos.as_ref());
+        let delayed: u64 = chaos.map(|chaos| chaos.stats().delayed).sum();
+        assert_eq!(delayed, 1);
+    }
+
+    #[test]
     fn a_push_equal_to_its_pull_leaves_q_bit_identical() {
         // With a zero learning rate every push is what its worker pulled.
         // Over an fp16 wire that is `Q` rounded to fp16: installed, it is
@@ -1947,12 +2030,11 @@ mod tests {
             fake
         });
         // Where every factor buffer of the session is and how long: `P`,
-        // `Q`, the region bands are gathered into, and per worker one
-        // region, for the band it holds — there is no other copy of `Q`
-        // nor any of `P`.
+        // `Q`, and per worker one region, for the band it holds — there is
+        // no other copy of `Q` nor any of `P`.
         let buffers = |session: &mut Session| -> Vec<(*const f32, usize)> {
             let server = session.server.get_mut();
-            let slices = [server.p.as_slice(), server.q.as_slice(), &server.region];
+            let slices = [server.p.as_slice(), server.q.as_slice()];
             let regions = session.workers.iter().flat_map(|w| &w.regions);
             let place = |s: &[f32]| (s.as_ptr(), s.len());
             slices
@@ -1963,7 +2045,7 @@ mod tests {
         };
         let built = buffers(&mut session);
         let lens: Vec<usize> = built.iter().map(|b| b.1).collect();
-        assert_eq!(lens, [60 * 8, 30 * 8, 15 * 8, 15 * 8, 15 * 8]);
+        assert_eq!(lens, [60 * 8, 30 * 8, 15 * 8, 15 * 8]);
 
         let failed = session.run_epoch(0.02, 0, None);
         assert!(matches!(failed, Err(HccError::Comm(_))));
@@ -1990,10 +2072,9 @@ mod tests {
         // Wire bytes are the payload bytes worker links carried: in an
         // epoch no worker carries a band into (here, workers not yet set up
         // with one), each band is pulled once, by its first holder, handed
-        // on `p − 1` times as its `Q` rows and pushed to the server once —
-        // `pull_len`, `q_len` and `push_len` elements at the wire's bytes
-        // per element, on every transport — no publish, no collect, no
-        // frame header or trailer.
+        // on `p − 1` times and pushed to the server once — a chunk's
+        // elements at the wire's bytes per element each time, on every
+        // transport — no publish, no collect, no frame header or trailer.
         let ds = dataset(60, 30, 600);
         let one_epoch_of = |ds: &SyntheticDataset, workers, transport, strategy, shards| {
             let config = base_config()
@@ -2005,7 +2086,8 @@ mod tests {
                 .build();
             let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
             session.run_epoch(0.02, 0, None).unwrap();
-            (session.wire_bytes_by_dir(), session.layouts)
+            let chunks = session.plan.chunks().iter().map(|c| c.len() * 8);
+            (session.wire_bytes_by_dir(), chunks.collect::<Vec<_>>())
         };
         let one_epoch =
             |transport, strategy, shards| one_epoch_of(&ds, 2, transport, strategy, shards);
@@ -2014,30 +2096,16 @@ mod tests {
             TransportKind::Socket,
             TransportKind::Tcp,
         ] {
-            for (strategy, bpe) in [
-                (TransferStrategy::QOnly, 4),
-                (TransferStrategy::HalfQ, 2),
-                (TransferStrategy::FullPq, 4),
-            ] {
-                let (wire, layouts) = one_epoch(transport, strategy, 1);
-                let want = layouts.iter().fold((0, 0), |(pull, push), l| {
-                    let handed = l.q_elems().len();
-                    (pull + l.pull_len * bpe, push + (handed + l.push_len) * bpe)
-                });
-                assert_eq!(
-                    wire,
-                    (want.0 as u64, want.1 as u64),
-                    "{transport:?} x {strategy:?}"
-                );
+            for (strategy, bpe) in [(TransferStrategy::QOnly, 4), (TransferStrategy::HalfQ, 2)] {
+                let (wire, chunks) = one_epoch(transport, strategy, 1);
+                let q: usize = chunks.iter().sum();
+                let want = ((q * bpe) as u64, (2 * q * bpe) as u64);
+                assert_eq!(wire, want, "{transport:?} x {strategy:?}");
                 // `Q` is 30 rows of k = 8, in two bands of 15: 960 bytes
                 // at fp32 for a pull of it, 1_920 for a hand-off and a
-                // push. Under `FullPq` only band 0 carries `P`, on the
-                // server's links: 60 rows more in its pull.
-                match strategy {
-                    TransferStrategy::QOnly => assert_eq!(wire, (960, 1_920)),
-                    TransferStrategy::HalfQ => assert_eq!(wire, (480, 960)),
-                    TransferStrategy::FullPq => assert_eq!(wire.0, (60 + 30) * 8 * 4),
-                }
+                // push.
+                let bytes = if bpe == 4 { (960, 1_920) } else { (480, 960) };
+                assert_eq!(wire, bytes, "{transport:?} x {strategy:?}");
             }
         }
         // A sharded server counts payload elements x 4, and its pushes are
@@ -2143,7 +2211,6 @@ mod tests {
             (TransportKind::Shared, TransferStrategy::QOnly, 1),
             (TransportKind::Shared, TransferStrategy::HalfQ, 2),
             (TransportKind::Socket, TransferStrategy::HalfQ, 1),
-            (TransportKind::Socket, TransferStrategy::FullPq, 1),
         ] {
             let case = format!("{transport:?} x {strategy:?} x {streams}");
             let config = base_config()
@@ -2164,11 +2231,10 @@ mod tests {
                     let step = session.plan.step(epoch, 0, w);
                     assert!(step.carried && state.carried, "{case}, epoch {epoch}");
                     for (region, c) in state.regions.iter().zip(step.chunks) {
-                        let (items, layout) = session.chunk(c);
-                        let mut band = vec![0f32; items.len() * 8];
-                        gather(&mut band, server.q.as_slice(), items, 8);
+                        let chunk = session.chunk(c);
+                        let mut band = server.q.as_slice()[chunk.clone()].to_vec();
                         precision.round(&mut band);
-                        let held: Vec<u32> = region.lock()[layout.q_elems()]
+                        let held: Vec<u32> = region.lock()[..chunk.len()]
                             .iter()
                             .map(|v| v.to_bits())
                             .collect();
@@ -2342,9 +2408,9 @@ mod tests {
                     .run_round(round, 0.02, 0, sup, &mut outcome)
                     .unwrap();
             }
-            let (items, layout) = session.chunk(session.plan.step(0, 1, 1).chunks.start);
-            let pushed = &session.workers[1].regions[0].lock()[..layout.pull_len];
-            install(q1.as_mut_slice(), pushed, items, 8);
+            let chunk = session.chunk(session.plan.step(0, 1, 1).chunks.start);
+            let pushed = &session.workers[1].regions[0].lock()[..chunk.len()];
+            q1.as_mut_slice()[chunk].copy_from_slice(pushed);
             (outcome.missed, session.server.get_mut().q.clone(), q1)
         };
         // Worker 0's push of band 1 to the server is poisoned or dropped,

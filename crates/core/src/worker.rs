@@ -7,10 +7,10 @@
 //! in every round slot `s` receives chunk `s` of the band the worker
 //! holds, is trained on where it landed, and is sent on from there — to
 //! the next holder, or in the epoch's last round to the server. Shard entries
-//! are stored rebased, once, when the shards are dealt
-//! (`deal`): the row to the worker's range, so the hot loop indexes its
-//! rows of `P` directly, and the item to its position in the band order, so
-//! a chunk is a contiguous range of those positions.
+//! are stored rebased, once, when the shards are dealt (`deal`): the row to
+//! the worker's range, so the hot loop indexes its rows of `P` directly.
+//! Their items are positions in the band order already, as the session's
+//! ratings and `Q` store them, so a chunk is a contiguous range of them.
 
 use crate::config::WorkerSpec;
 use hcc_comm::{ChaosTransport, Transport};
@@ -39,14 +39,12 @@ pub(crate) struct WorkerState {
     /// Owned global `P` rows.
     pub row_range: Range<u32>,
     /// `regions[s]`: this worker's copy of chunk `s` of the band it holds,
-    /// laid out as the chunk's pull region ([`RegionLayout`]) — the buffer
-    /// the chunk is pulled into is the one the kernel trains on and the
-    /// push leaves from. Sized for the longest chunk of any band when the
-    /// worker is built — on the session's thread, not by the first epoch's
-    /// worker thread — so an epoch allocates none. Only the stage working
-    /// on slot `s` locks it.
-    ///
-    /// [`RegionLayout`]: crate::server::RegionLayout
+    /// in its first `chunk.len() · k` floats — the buffer the chunk is
+    /// pulled into is the one the kernel trains on and the push leaves
+    /// from. Sized for the longest chunk of any band when the worker is
+    /// built — on the session's thread, not by the first epoch's worker
+    /// thread — so an epoch allocates none. Only the stage working on slot
+    /// `s` locks it.
     pub regions: Vec<Mutex<Vec<f32>>>,
     /// `links[s]`: the wire to the server `regions[s]` is pulled into and
     /// pushed from.
@@ -113,17 +111,15 @@ pub(crate) type Shard = (Vec<Rating>, Vec<Range<usize>>);
 
 /// Deals `entries` to the workers whose row ranges `bounds` delimits (as
 /// [`GridPartition::owner`] assigns them) and groups each worker's
-/// share by the chunk its item's position `rank[i]` falls in — chunk `c`
-/// ends at `ends[c]` — keeping the order of `entries` within a chunk. Each
-/// entry is rebased on the way: `u` to the worker's first row, `i` to
-/// `rank[i]`. A counting sort: two passes over `entries`, and no buffer
-/// but the shards.
-pub(crate) fn deal(entries: &[Rating], bounds: &[u32], rank: &[u32], ends: &[usize]) -> Vec<Shard> {
+/// share by the chunk its item position `i` falls in — chunk `c` ends at
+/// `ends[c]` — keeping the order of `entries` within a chunk. Each entry's
+/// `u` is rebased to the worker's first row on the way. A counting sort:
+/// two passes over `entries`, and no buffer but the shards.
+pub(crate) fn deal(entries: &[Rating], bounds: &[u32], ends: &[usize]) -> Vec<Shard> {
     let (workers, chunks) = (bounds.len() - 1, ends.len());
     let slot = |e: &Rating| {
         let w = GridPartition::owner(bounds, e.u);
-        let at = rank[e.i as usize] as usize;
-        w * chunks + ends.partition_point(|&end| end <= at)
+        w * chunks + ends.partition_point(|&end| end <= e.i as usize)
     };
     let mut next = vec![0usize; workers * chunks];
     for e in entries {
@@ -149,7 +145,7 @@ pub(crate) fn deal(entries: &[Rating], bounds: &[u32], rank: &[u32], ends: &[usi
     for e in entries {
         let s = slot(e);
         let w = s / chunks;
-        shards[w].0[next[s]] = Rating::new(e.u - bounds[w], rank[e.i as usize], e.r);
+        shards[w].0[next[s]] = Rating::new(e.u - bounds[w], e.i, e.r);
         next[s] += 1;
     }
     shards
@@ -222,21 +218,19 @@ mod tests {
         }
     }
 
-    /// Three workers' row ranges over 9 rows, and 6 items dealt into chunks
-    /// ending at positions 2, 3 and 6 of a band order that reverses them.
+    /// Three workers' row ranges over 9 rows, and 6 item positions dealt
+    /// into chunks ending at positions 2, 3 and 6.
     fn dealt(all: &[Rating]) -> Vec<Shard> {
-        let bounds = [0, 3, 3, 9];
-        let rank = [5, 4, 3, 2, 1, 0];
-        deal(all, &bounds, &rank, &[2, 3, 6])
+        deal(all, &[0, 3, 3, 9], &[2, 3, 6])
     }
 
     #[test]
     fn rebase_shifts_rows() {
-        // Rows to the worker's first row, items to their band position.
+        // Rows to the worker's first row; item positions stay.
         let shards = dealt(&[Rating::new(5, 1, 1.0), Rating::new(1, 5, 2.0)]);
-        assert_eq!(shards[0].0, [Rating::new(1, 0, 2.0)]);
+        assert_eq!(shards[0].0, [Rating::new(1, 5, 2.0)]);
         assert!(shards[1].0.is_empty(), "rows 3..3 hold nothing");
-        assert_eq!(shards[2].0, [Rating::new(2, 4, 1.0)]);
+        assert_eq!(shards[2].0, [Rating::new(2, 1, 1.0)]);
     }
 
     #[test]
@@ -245,7 +239,7 @@ mod tests {
             .map(|j| Rating::new(j * 7 % 9, j * 5 % 6, j as f32))
             .collect();
         let shards = dealt(&all);
-        let (bounds, rank, ends) = ([0u32, 3, 3, 9], [5u32, 4, 3, 2, 1, 0], [0usize, 2, 3, 6]);
+        let (bounds, ends) = ([0u32, 3, 3, 9], [0usize, 2, 3, 6]);
         let mut dealt_total = 0;
         for (w, (entries, chunks)) in shards.iter().enumerate() {
             assert_eq!(chunks.len(), 3);
@@ -256,7 +250,7 @@ mod tests {
                 let want: Vec<Rating> = all
                     .iter()
                     .filter(|e| (bounds[w]..bounds[w + 1]).contains(&e.u))
-                    .map(|e| Rating::new(e.u - bounds[w], rank[e.i as usize], e.r))
+                    .map(|e| Rating::new(e.u - bounds[w], e.i, e.r))
                     .filter(|e| (ends[c]..ends[c + 1]).contains(&(e.i as usize)))
                     .collect();
                 assert_eq!(entries[range.clone()], want[..], "worker {w} chunk {c}");

@@ -24,14 +24,21 @@ fn main() {
     let dataset = SyntheticDataset::generate(gen);
     let (train, test) = train_test_split(&dataset.matrix, 0.1, 7).unwrap();
 
-    for strategy in [
-        TransferStrategy::FullPq,
-        TransferStrategy::QOnly,
-        TransferStrategy::HalfQ,
-    ] {
+    // `FullPq` (P and Q both ways) is the paper's unoptimized baseline: the
+    // engine does not run it, so its bytes come from the byte model, a
+    // pull and a push of each of the two workers an epoch.
+    let (m, n, k, epochs) = (u64::from(train.rows()), u64::from(train.cols()), 32, 15);
+    let full = TransferStrategy::FullPq;
+    let per_epoch = 2 * (full.pull_bytes(m, n, k) + full.push_bytes(m / 2, n, k));
+    println!(
+        "{:>6}: wire {:>7.1} MiB by the byte model (not trained)",
+        format!("{full:?}"),
+        (epochs * per_epoch) as f64 / (1024.0 * 1024.0),
+    );
+    for strategy in [TransferStrategy::QOnly, TransferStrategy::HalfQ] {
         let config = HccConfig::builder()
             .k(32)
-            .epochs(15)
+            .epochs(epochs as usize)
             .learning_rate(hcc_mf::LearningRate::Constant(0.02))
             .lambda(profile.lambda.min(0.05))
             .workers(vec![WorkerSpec::cpu(2), WorkerSpec::gpu_sim(4)])

@@ -222,11 +222,12 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
     let r = (COLS * K * 4) as f64;
     let p = (ROWS * K * 4) as f64;
     let ratings = (NNZ * std::mem::size_of::<hcc_sparse::Rating>()) as f64;
-    // A checkpoint after every epoch moves `P` to user order and back where
-    // it is, so all it adds to two links of `R/2` and two peer links of
-    // `R/2` (3 R, as above) is the
-    // one block the file is streamed through (R/4 at this shape) and the
-    // row order it is moved by, four bytes a row of `P` (0.08 R).
+    // A checkpoint after every epoch moves `P` and `Q` to user order and
+    // back where they are, so all it adds to two links of `R/2` and two
+    // peer links of `R/2` (3 R, as above) is the one block the file is
+    // streamed through (R/4 at this shape) and the row order `P` is moved
+    // by, four bytes a row of `P` (0.08 R); `Q` is moved by the band order
+    // the session holds.
     let checkpointed: Case = (
         "shared x checkpoint every epoch",
         |b| b.checkpoint(std::env::temp_dir().join(SESSION_CHECKPOINT), 1),
@@ -249,15 +250,21 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
         },
         2.5 + 2.0 + 2.13 + 0.12 + 3.0,
     );
+    // Nor does it allocate a block of a shard's payload or more, as a copy
+    // of `P` or `Q` would be: no more of them than a run that saves none.
+    assert_eq!(
+        big_blocks(checkpointed.1(base(2)).build(), &dataset),
+        big_blocks(base(2).build(), &dataset),
+        "a checkpoint copied a factor matrix"
+    );
     for (name, with, wire) in CASES.into_iter().chain([checkpointed, four_workers]) {
         let config = with(base(2)).build();
-        let workers = config.workers.len() as f64;
         let peak = peak_live_bytes(config, &dataset) as f64;
-        // `P` once; `Q`, the region a band is gathered into (`R/p`) and one
-        // region of `R/p` a worker; `work` and the fleet's shards; the wire;
-        // and a tenth of `R` for everything small (row bounds, the band
-        // order, thread handles, frames' headers, the report).
-        let budget = p + (2.0 + 1.0 / workers) * r + 2.0 * ratings + wire * r + 0.1 * r;
+        // `P` once; `Q` and one region of `R/p` a worker; `work` and the
+        // fleet's shards; the wire; and a tenth of `R` for everything small
+        // (row bounds, the band order, thread handles, frames' headers, the
+        // report).
+        let budget = p + 2.0 * r + 2.0 * ratings + wire * r + 0.1 * r;
         assert!(
             peak <= budget,
             "{name}: peak live heap {peak} bytes, budget {budget} (R = {r}, P = {p}, \

@@ -79,8 +79,9 @@ fn every_partition_mode_converges() {
 
 #[test]
 fn every_strategy_and_transport_converges() {
+    // Every strategy the engine trains (`FullPq` is a byte model).
     let ds = dataset();
-    for strategy in TransferStrategy::ALL {
+    for strategy in [TransferStrategy::QOnly, TransferStrategy::HalfQ] {
         for transport in [
             TransportKind::Shared,
             TransportKind::Socket,
@@ -205,24 +206,29 @@ fn many_workers_with_tiny_dataset() {
 #[test]
 fn wire_volume_ordering_matches_strategies() {
     let ds = dataset();
-    let mut bytes = Vec::new();
-    for strategy in TransferStrategy::ALL {
-        let report = HccMf::new(
-            hcc_base()
-                .strategy(strategy)
-                .epochs(5)
-                .adapt_epochs(0)
-                .build(),
-        )
-        .train(&ds.matrix)
-        .unwrap();
-        bytes.push(report.wire_bytes);
-    }
-    // FullPq > QOnly > HalfQ.
-    assert!(bytes[0] > bytes[1], "{bytes:?}");
-    assert!(bytes[1] > bytes[2], "{bytes:?}");
+    let trained = |strategy| {
+        let config = hcc_base().strategy(strategy).epochs(5).adapt_epochs(0);
+        let report = HccMf::new(config.build()).train(&ds.matrix).unwrap();
+        report.wire_bytes
+    };
     // HalfQ is exactly half of QOnly (same elements, 2 bytes each).
-    assert_eq!(bytes[1], bytes[2] * 2, "{bytes:?}");
+    let (q_only, half_q) = (
+        trained(TransferStrategy::QOnly),
+        trained(TransferStrategy::HalfQ),
+    );
+    assert_eq!(q_only, half_q * 2, "{q_only} vs {half_q}");
+    // FullPq > QOnly: the engine does not run it; the byte model prices it.
+    let (m, n, k) = (u64::from(ds.matrix.rows()), u64::from(ds.matrix.cols()), 8);
+    for (full, q) in [
+        (TransferStrategy::FullPq, TransferStrategy::QOnly),
+        (TransferStrategy::QOnly, TransferStrategy::HalfQ),
+    ] {
+        assert!(full.pull_bytes(m, n, k) > q.pull_bytes(m, n, k), "{full:?}");
+        assert!(
+            full.push_bytes(m / 2, n, k) > q.push_bytes(m / 2, n, k),
+            "{full:?}"
+        );
+    }
 }
 
 #[test]

@@ -35,11 +35,14 @@
 //! changes unedited: one worker owns every row and holds the one band, so
 //! neither the order the rows are stored in nor the rotation moves a bit.
 //! The comparators' table is untouched, and the supervised fault-free and
-//! duplicate-chaos runs, and `FullPq`, still land on `CLEAN`. When bands
+//! duplicate-chaos runs still land on `CLEAN` (so did `FullPq`, whose row
+//! left with the engine mode: it is a byte model now). When bands
 //! went straight from holder to holder (the ring, pushed to the server
 //! once an epoch), every fault-free pin held unedited: a hand-off at the
 //! wire's precision delivers the bits the server's install and publish
-//! did. Only `FAULTED` moved, re-recorded with its reason beside it.
+//! did. Only `FAULTED` moved, re-recorded with its reason beside it. When
+//! `Q` came to be stored in band order, published and installed as slices
+//! of it, every pin held unedited.
 
 use hcc_comm::{Fault, FaultPlan};
 use hcc_mf::{
@@ -54,8 +57,7 @@ const EPOCHS: usize = 6;
 
 /// Every fp32 run that loses nothing lands on the same bits: the transport,
 /// the shard count, a quiet supervisor and deduplicated wire duplicates are
-/// all invisible to the numbers (and `P` rows have one owner, so shipping
-/// them under `FullPq` changes nothing either).
+/// all invisible to the numbers.
 const CLEAN: u64 = 0xf6d2_9270_f591_c724;
 /// The fp16 wire rounds `Q` every round.
 const HALF_Q: u64 = 0x92d3_021b_225e_bf58;
@@ -253,10 +255,7 @@ fn bands_of_unequal_length() {
 #[test]
 fn plain_epochs_under_every_transfer_strategy() {
     let with = |strategy| base().strategy(strategy).build();
-    check(vec![
-        ("full-pq", with(TransferStrategy::FullPq), CLEAN),
-        ("half-q", with(TransferStrategy::HalfQ), HALF_Q),
-    ]);
+    check(vec![("half-q", with(TransferStrategy::HalfQ), HALF_Q)]);
 }
 
 #[test]
