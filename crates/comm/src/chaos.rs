@@ -12,8 +12,8 @@
 //! What each fault does at the [`Transport`] boundary is documented on its
 //! [`Fault`] variant: [`DropPush`](Fault::DropPush),
 //! [`CorruptPush`](Fault::CorruptPush), [`DelayPush`](Fault::DelayPush),
-//! [`DuplicatePush`](Fault::DuplicatePush) (re-sent through
-//! [`Transport::push_duplicate`]) and [`Partition`](Fault::Partition).
+//! [`DuplicatePush`](Fault::DuplicatePush) (pushed and sent again by
+//! [`Transport::push_duplicate`] alone) and [`Partition`](Fault::Partition).
 //! The faults of the plan that are not the wire's — a crash, a stall, a
 //! NaN-poisoned push — pass through untouched: the worker enacts those.
 //! Chaos requires a supervised run: an unsupervised one has nobody to
@@ -179,7 +179,6 @@ impl Transport for ChaosTransport {
                 self.inner.push(worker, src);
             }
             Some(Fault::DuplicatePush) => {
-                self.inner.push(worker, src);
                 // ordering: Relaxed — statistic.
                 self.duplicated.fetch_add(1, Ordering::Relaxed);
                 self.inner.push_duplicate(worker, src);
@@ -390,7 +389,8 @@ mod tests {
             fn push(&self, w: usize, src: &[f32]) {
                 self.inner.push(w, src);
             }
-            fn push_duplicate(&self, _w: usize, _src: &[f32]) {
+            fn push_duplicate(&self, w: usize, src: &[f32]) {
+                self.inner.push(w, src);
                 // ordering: Relaxed — test statistic.
                 self.dups.fetch_add(1, Ordering::Relaxed);
             }

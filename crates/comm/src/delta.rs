@@ -157,7 +157,7 @@ impl Bits {
 /// returns the number of rows that changed. Both slices are read as whole
 /// `k`-element rows over their common length; a trailing partial row is
 /// never shipped. Allocates nothing when `out` already has
-/// [`max_delta_len`] capacity — the sharded server's per-worker buffers do.
+/// [`max_delta_len`] capacity — the sharded server's encode buffer does.
 ///
 /// # Panics
 /// Panics if `k` is zero.

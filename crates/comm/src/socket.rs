@@ -704,6 +704,13 @@ impl CommSocket {
         Err(last_err)
     }
 
+    /// Worker `worker`'s next push sequence number.
+    fn next_push_seq(&self, worker: usize) -> u32 {
+        let mut conn = self.conns[worker].lock();
+        conn.push_seq = conn.push_seq.wrapping_add(1);
+        conn.push_seq
+    }
+
     /// Sends `src` as worker `worker`'s push number `seq`. A push that
     /// exhausts its budget is dropped; the server-side collect times out
     /// and the supervisor classifies the worker.
@@ -741,19 +748,14 @@ impl Transport for CommSocket {
     }
 
     fn push(&self, worker: usize, src: &[f32]) {
-        let seq = {
-            let mut conn = self.conns[worker].lock();
-            conn.push_seq = conn.push_seq.wrapping_add(1);
-            conn.push_seq
-        };
-        self.send_push(worker, seq, src);
+        self.send_push(worker, self.next_push_seq(worker), src);
     }
 
     fn push_duplicate(&self, worker: usize, src: &[f32]) {
-        // Re-send under the *current* sequence number — a wire duplicate
-        // of the last push. The server's (worker, seq, chunk) dedup must
-        // acknowledge it without re-applying.
-        let seq = self.conns[worker].lock().push_seq;
+        // Both under one sequence number: the server's (worker, seq, chunk)
+        // dedup must acknowledge the second without re-applying it.
+        let seq = self.next_push_seq(worker);
+        self.send_push(worker, seq, src);
         self.send_push(worker, seq, src);
     }
 

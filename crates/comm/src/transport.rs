@@ -114,14 +114,15 @@ pub trait Transport: Send + Sync {
     fn pull(&self, worker: usize, dst: &mut [f32]);
     /// Worker side: submit this worker's updated data.
     fn push(&self, worker: usize, src: &[f32]);
-    /// Worker side: deliver a *wire-level duplicate* of this worker's most
-    /// recent push (what a retransmitting network does when the original
-    /// also arrived). Framed transports resend under the same sequence
-    /// number so the server's idempotency dedup is exercised; for
-    /// shared-memory transports a duplicate of an in-place buffer write is
-    /// indistinguishable from the original, so the default is a no-op.
+    /// Worker side: [`push`](Self::push) `src`, then deliver a
+    /// *wire-level duplicate* of it (what a retransmitting network does
+    /// when the original also arrived): the same bytes, sent twice. Framed
+    /// transports send both under one sequence number so the server's
+    /// idempotency dedup is exercised; for shared-memory transports a
+    /// duplicate of an in-place buffer write is indistinguishable from the
+    /// original, so the default is the push alone.
     fn push_duplicate(&self, worker: usize, src: &[f32]) {
-        let _ = (worker, src);
+        self.push(worker, src);
     }
     /// Server side: waits for worker `worker`'s next push since the last
     /// `publish` — for ever when `timeout` is `None` — and hands exactly

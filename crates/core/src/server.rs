@@ -16,7 +16,11 @@
 //! scale-out layout), and carries "Transmit Q only" further with a
 //! per-shard delta: a push to a shard carries, for each row the worker
 //! changed since the last publish, each element's difference from the
-//! published value, packed at the width its group of eight needs.
+//! published value, packed at the width its group of eight needs. A
+//! collect decodes it in place into the server's snapshot of that publish,
+//! the base it was encoded against, so a link keeps one band-sized region
+//! beside its encode buffer, and a wire duplicate resends the bytes that
+//! crossed.
 
 use hcc_comm::delta::{apply_delta, encode_delta, max_delta_len};
 use hcc_comm::{CommError, NetEvent, Transport};
@@ -62,13 +66,21 @@ pub struct DeltaStats {
 ///   then each such row's differences from it, zigzagged and packed eight
 ///   elements to a width — no push is longer than its raw rows plus two
 ///   bits a row;
-/// * a collect seeds the worker's reconstruction region from the snapshot
-///   and applies each shard's delta to it where the delta landed,
-///   rebuilding the worker's buffer bit-for-bit (an unshipped row is, by
-///   construction, bit-equal to the snapshot, and a shipped element is
-///   the snapshot's plus its difference), then hands the caller a view of
-///   that region; a delta that fails to decode fails the collect with
-///   [`CommError::Corrupt`].
+/// * a collect decodes each shard's delta in place into the snapshot it
+///   was encoded against, which then holds the worker's buffer
+///   bit-for-bit (an unshipped row is, by construction, bit-equal to the
+///   snapshot, and a shipped element is the snapshot's plus its
+///   difference), and hands the caller a view of it; a delta that fails
+///   to decode fails the collect with [`CommError::Corrupt`] and leaves
+///   the snapshot untouched;
+/// * `push_duplicate` encodes each shard's slice once and hands it to the
+///   shard's own `push_duplicate`, so the duplicate is the bytes that
+///   crossed, never a second encoding.
+///
+/// So a server carries one push between two publishes — the engine builds
+/// one for each slot of each worker — and a push made after a collect,
+/// with no publish between, is encoded against the push that collect
+/// decoded.
 ///
 /// Sequence numbering and idempotent dedup live in the inner transports
 /// (each [`hcc_comm::CommSocket`] shard keeps its own per-worker seq), so
@@ -76,35 +88,25 @@ pub struct DeltaStats {
 pub struct ShardedServer {
     k: usize,
     shards: Vec<Arc<dyn Transport>>,
-    /// Server-side copy of the last published region, exactly as long as
-    /// it was: the delta base for pushes and the reconstruction base for
-    /// collects.
+    /// The last published region, exactly as long as it was: the base a
+    /// push is encoded against, and where a collect decodes it.
     published: RwLock<Vec<f32>>,
-    /// `encoded[w]`: where worker `w`'s pushes are delta-encoded, shard by
-    /// shard. Sized for the largest shard when the server is built, so a
-    /// push allocates nothing.
-    encoded: Vec<Mutex<Vec<f32>>>,
-    /// `rebuilt[w]`: where a collect rebuilds worker `w`'s push, also built
-    /// here.
-    rebuilt: Vec<Mutex<Rebuilt>>,
+    /// Where a push is delta-encoded, shard by shard. Sized for the largest
+    /// shard when the server is built, so a push allocates nothing.
+    encoded: Mutex<Vec<f32>>,
+    /// Shards of the push in progress already decoded into `published`. A
+    /// push arrives as one message per shard, so a collect deadline can
+    /// expire between two of them; the retry resumes at the first
+    /// outstanding shard instead of waiting again on one whose message it
+    /// already consumed. A `publish` starts every push over.
+    applied: Mutex<usize>,
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
     rows_shipped: AtomicU64,
     rows_total: AtomicU64,
-    /// Nanoseconds collects spent seeding and decoding deltas since the
-    /// last [`Transport::take_decode_time`].
+    /// Nanoseconds collects spent decoding deltas since the last
+    /// [`Transport::take_decode_time`].
     decode_ns: AtomicU64,
-}
-
-/// Where a collect rebuilds one worker's push. A push arrives as one
-/// message per shard, so a collect deadline can expire between two of
-/// them; the region keeps the shards applied so far, and the retry resumes
-/// at the first outstanding shard instead of waiting again on one whose
-/// message it already consumed. A `publish` starts every push over.
-struct Rebuilt {
-    region: Vec<f32>,
-    /// Shards of the push in progress already applied to `region`.
-    applied: usize,
 }
 
 impl ShardedServer {
@@ -117,23 +119,13 @@ impl ShardedServer {
     pub fn new(k: usize, region_len: usize, shards: Vec<Arc<dyn Transport>>) -> ShardedServer {
         assert!(k > 0, "k must be positive");
         assert!(!shards.is_empty(), "need at least one shard");
-        let workers = shards[0].workers();
         let (_, largest) = Self::link_lens(region_len / k, k, shards.len());
         ShardedServer {
-            encoded: (0..workers)
-                .map(|_| Mutex::new(vec![0f32; largest]))
-                .collect(),
-            rebuilt: (0..workers)
-                .map(|_| {
-                    Mutex::new(Rebuilt {
-                        region: vec![0f32; region_len],
-                        applied: 0,
-                    })
-                })
-                .collect(),
             k,
             shards,
             published: RwLock::new(vec![0f32; region_len]),
+            encoded: Mutex::new(vec![0f32; largest]),
+            applied: Mutex::new(0),
             pull_bytes: AtomicU64::new(0),
             push_bytes: AtomicU64::new(0),
             rows_shipped: AtomicU64::new(0),
@@ -176,68 +168,68 @@ impl ShardedServer {
         }
     }
 
-    /// Encodes the delta of `src`'s elements `elems` against the current
-    /// snapshot and ships it via `send`.
-    fn push_shard(
-        &self,
-        elems: Range<usize>,
-        worker: usize,
-        src: &[f32],
-        send: impl FnOnce(&[f32]),
-    ) {
-        let mut delta = self.encoded[worker].lock();
-        let touched = encode_delta(
-            &self.published.read()[elems.clone()],
-            &src[elems.clone()],
-            self.k,
-            &mut delta,
-        ) as u64;
-        // ordering: Relaxed — delta-accounting statistics.
-        self.rows_shipped.fetch_add(touched, Ordering::Relaxed);
-        // ordering: Relaxed — statistic (see above).
-        self.rows_total
-            .fetch_add((elems.len() / self.k) as u64, Ordering::Relaxed);
-        // ordering: Relaxed — statistic (see above).
-        self.push_bytes
-            .fetch_add((delta.len() * BPE) as u64, Ordering::Relaxed);
-        send(&delta);
+    /// Encodes each shard's slice of `src` against the snapshot and pushes
+    /// it to its shard — with a wire duplicate when `duplicate`, which
+    /// crosses the wire, and is counted, as its push does.
+    fn push_shards(&self, worker: usize, src: &[f32], duplicate: bool) {
+        let copies = 1 + u64::from(duplicate);
+        let mut delta = self.encoded.lock();
+        for (shard, elems) in self.shards.iter().zip(self.routes(src.len())) {
+            let touched = encode_delta(
+                &self.published.read()[elems.clone()],
+                &src[elems.clone()],
+                self.k,
+                &mut delta,
+            ) as u64;
+            // ordering: Relaxed — delta-accounting statistics.
+            self.rows_shipped
+                .fetch_add(copies * touched, Ordering::Relaxed);
+            // ordering: Relaxed — statistic (see above).
+            self.rows_total
+                .fetch_add(copies * (elems.len() / self.k) as u64, Ordering::Relaxed);
+            // ordering: Relaxed — statistic (see above).
+            self.push_bytes
+                .fetch_add(copies * (delta.len() * BPE) as u64, Ordering::Relaxed);
+            if duplicate {
+                shard.push_duplicate(worker, &delta);
+            } else {
+                shard.push(worker, &delta);
+            }
+        }
     }
 
-    /// Waits for one shard's delta and applies it to `region`'s elements
-    /// `elems`, seeded from the snapshot first.
+    /// Waits for one shard's delta and decodes it into the snapshot's
+    /// elements `elems`, the base it was encoded against.
     fn apply_shard(
         &self,
         shard: usize,
         elems: Range<usize>,
         worker: usize,
-        region: &mut [f32],
         deadline: Option<Instant>,
     ) -> Result<(), CommError> {
         let timeout = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
             Some(Duration::ZERO) => return Err(CommError::Timeout),
             left => left,
         };
-        let (range, mut decoded) = (&mut region[elems.clone()], Ok(0));
+        let mut decoded = Ok(0);
         self.shards[shard].collect_with(worker, timeout, &mut |delta| {
             let t0 = Instant::now();
-            range.copy_from_slice(&self.published.read()[elems.clone()]);
-            decoded = apply_delta(delta, self.k, range);
+            decoded = apply_delta(delta, self.k, &mut self.published.write()[elems.clone()]);
             let took = t0.elapsed().as_nanos() as u64;
             // ordering: Relaxed — a timing statistic, taken by this thread.
             self.decode_ns.fetch_add(took, Ordering::Relaxed);
         })?;
         // A malformed delta (possible only under corruption that beat the
-        // CRC) fails the collect as a corrupt frame: the caller treats it
-        // as a dropped push, and the worker's band stays as published.
+        // CRC) fails the collect as a corrupt frame, and decodes nothing:
+        // the caller treats it as a dropped push, and the worker's band
+        // stays as published.
         decoded.map(|_| ()).map_err(|_| CommError::Corrupt)
     }
 }
 
 impl Transport for ShardedServer {
     fn publish(&self, src: &[f32]) {
-        for rebuilt in &self.rebuilt {
-            rebuilt.lock().applied = 0;
-        }
+        *self.applied.lock() = 0;
         {
             let published = &mut *self.published.write();
             published.clear();
@@ -259,26 +251,17 @@ impl Transport for ShardedServer {
     }
 
     fn push(&self, worker: usize, src: &[f32]) {
-        for (shard, elems) in self.shards.iter().zip(self.routes(src.len())) {
-            self.push_shard(elems, worker, src, |delta| shard.push(worker, delta));
-        }
+        self.push_shards(worker, src, false);
     }
 
     fn push_duplicate(&self, worker: usize, src: &[f32]) {
-        // Re-encoding is deterministic (the snapshot cannot change between
-        // a push and its wire duplicate in the lock-step loop), so the
-        // duplicate carries identical bytes and the per-shard dedup holds.
-        for (shard, elems) in self.shards.iter().zip(self.routes(src.len())) {
-            self.push_shard(elems, worker, src, |delta| {
-                shard.push_duplicate(worker, delta)
-            });
-        }
+        self.push_shards(worker, src, true);
     }
 
-    /// All of the worker's outstanding shards under one deadline: a slow
+    /// All of the push's outstanding shards under one deadline: a slow
     /// shard eats into the remaining budget instead of multiplying it. On
-    /// error the worker's rebuilt region keeps the shards applied so far
-    /// and a retry picks up at the first shard it still needs.
+    /// error the snapshot keeps the shards decoded so far and a retry picks
+    /// up at the first shard it still needs.
     fn collect_with(
         &self,
         worker: usize,
@@ -286,16 +269,14 @@ impl Transport for ShardedServer {
         consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let rebuilt = &mut *self.rebuilt[worker].lock();
+        let applied = &mut *self.applied.lock();
         let len = self.published.read().len();
-        let first = std::mem::take(&mut rebuilt.applied);
-        for (s, elems) in self.routes(len).enumerate().skip(first) {
-            if let Err(err) = self.apply_shard(s, elems, worker, &mut rebuilt.region, deadline) {
-                rebuilt.applied = s;
-                return Err(err);
-            }
+        for (s, elems) in self.routes(len).enumerate().skip(*applied) {
+            self.apply_shard(s, elems, worker, deadline)?;
+            *applied = s + 1;
         }
-        consume(&rebuilt.region[..len]);
+        *applied = 0;
+        consume(&self.published.read());
         Ok(())
     }
 
@@ -559,43 +540,28 @@ mod tests {
     }
 
     #[test]
-    fn a_collect_resumes_its_own_push_after_another_workers_collect() {
-        // Worker 0's collect stops between shards, worker 1's runs whole,
-        // then worker 0's retry resumes. Each worker's push is rebuilt in a
-        // region of its own, so the retry hands worker 0 exactly its push.
+    fn a_collect_leaves_its_push_as_the_base_of_the_next() {
+        // A collect decodes the push into the snapshot it was encoded
+        // against: the same region pushed again before a publish ships
+        // each shard's bitmap word alone, and collects as itself.
         let (rows, k) = (8, 2);
-        let links = links(2, rows, k, 2);
-        let t = ShardedServer::new(k, rows * k, links.clone());
-        let region = vec![0.5f32; rows * k];
-        let mut a = region.clone();
-        a[1] = 7.0; // row 0 → shard 0
-        a[15] = 9.0; // row 7 → shard 1
-        let mut b = region.clone();
-        b[2] = 3.0; // row 1 → shard 0
-        b[12] = 4.0; // row 6 → shard 1
-        let delta = |local: &[f32], shard: usize| {
-            let range = shard * 8..shard * 8 + 8;
-            let mut out = Vec::new();
-            encode_delta(&region[range.clone()], &local[range], k, &mut out);
-            out
-        };
-        let mut dst = vec![0f32; rows * k];
-        t.publish(&region);
-        links[0].push(0, &delta(&a, 0));
-        assert_eq!(
-            t.collect_timeout(0, &mut dst, Duration::from_millis(20)),
-            Err(CommError::Timeout)
-        );
-        for (s, link) in links.iter().enumerate() {
-            link.push(1, &delta(&b, s));
+        let t = sharded(1, rows, k, 2);
+        t.publish(&vec![0.5f32; rows * k]);
+        let local = odd_bits(rows, k);
+        for push in 0..2 {
+            t.push(0, &local);
+            let mut got = Vec::new();
+            t.collect_with(0, None, &mut |pushed| got.extend_from_slice(pushed))
+                .unwrap();
+            assert_eq!(bits(&got), bits(&local), "push {push}");
         }
-        t.collect_timeout(1, &mut dst, Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(bits(&dst), bits(&b));
-        links[1].push(0, &delta(&a, 1));
-        t.collect_timeout(0, &mut dst, Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(bits(&dst), bits(&a));
+        let stats = t.delta_stats();
+        assert_eq!(stats.rows_shipped, rows as u64);
+        let first: usize = [0..8, 8..16]
+            .map(|elems| hcc_comm::delta_len(&[0.5; 8], &local[elems], k))
+            .iter()
+            .sum();
+        assert_eq!(stats.bytes_shipped, (first + 2) as u64 * 4);
     }
 
     #[test]

@@ -1024,33 +1024,16 @@ impl<'a> Session<'a> {
                     if outcome.missed[w] {
                         break;
                     }
-                    let chunk = self.chunk(c);
-                    // Runs inside the collect, on the push where it landed:
-                    // whether the push was sound, and the install's span.
-                    let mut installed = None;
-                    let mut install_push = |push: &[f32]| {
-                        installed = Some(timed(telemetry, || {
-                            // A poisoned (or malformed, short) push is
-                            // discarded; a sound one is the band's rows.
-                            let sound = push
-                                .get(..chunk.len())
-                                .filter(|rows| sup.is_none() || rows.iter().all(|v| v.is_finite()));
-                            if let Some(rows) = sound {
-                                q.as_mut_slice()[chunk.clone()].copy_from_slice(rows);
-                            }
-                            sound.is_some()
-                        }));
-                    };
                     let endpoint = &*link.endpoint;
-                    self.collect_push(endpoint, w, sup, Some(&exits), epoch, &mut install_push)?;
+                    let band = &mut q.as_mut_slice()[self.chunk(c)];
+                    let installed = self.take_band(endpoint, w, sup, Some(&exits), epoch, band)?;
                     // A sharded push is decoded inside the collect, before
                     // the install: both are the push's sync.
                     let decoded = endpoint.take_decode_time();
-                    let Some((sound, (start, took))) = installed else {
+                    let Some((start, took)) = installed else {
                         outcome.missed[w] = true;
                         continue;
                     };
-                    outcome.missed[w] |= !sound;
                     let took = took + decoded;
                     outcome.sync_time += took;
                     // Sync spans live on the server lane but carry the
@@ -1112,20 +1095,11 @@ impl<'a> Session<'a> {
             let (start, t0) = (self.telemetry.now_us(), Instant::now());
             let mut whole = true;
             for (s, (c, peer)) in step.chunks.zip(&state.peers).enumerate() {
-                let len = self.chunk(c).len();
-                let mut region = state.regions[s].lock();
-                let mut landed = false;
-                let mut take = |handed: &[f32]| {
-                    let band = &mut region[..len];
-                    let finite = sup.is_none() || handed.iter().all(|v| v.is_finite());
-                    if handed.len() == band.len() && finite {
-                        band.copy_from_slice(handed);
-                        landed = true;
-                    }
-                };
-                self.collect_push(&*peer.endpoint, from, sup, None, epoch, &mut take)?;
-                if !landed {
-                    whole = false;
+                let band = &mut state.regions[s].lock()[..self.chunk(c).len()];
+                whole = self
+                    .take_band(&*peer.endpoint, from, sup, None, epoch, band)?
+                    .is_some();
+                if !whole {
                     break;
                 }
             }
@@ -1284,6 +1258,37 @@ impl<'a> Session<'a> {
             push: spans[2].1,
             updates: band.map(|c| state.chunk_entries[c].len() as u64).sum(),
         }
+    }
+
+    /// The one way a band comes off a link: collects worker `w`'s push on
+    /// `endpoint` through [`collect_push`](Self::collect_push) and copies
+    /// it over `band` — a receiver's region, or `Q`'s slice. Only a whole
+    /// push (exactly `band`'s length) that is, when supervised, finite is
+    /// taken; a poisoned or malformed one is lost, as one that never came.
+    /// Returns the span of the check and copy, or `None` if nothing was
+    /// copied.
+    fn take_band(
+        &self,
+        endpoint: &dyn Transport,
+        w: usize,
+        sup: Option<&Supervisor>,
+        exits: Option<&Mutex<Vec<Option<WorkerExit>>>>,
+        epoch: usize,
+        band: &mut [f32],
+    ) -> Result<Option<Span>, HccError> {
+        let mut copied = None;
+        self.collect_push(endpoint, w, sup, exits, epoch, &mut |push| {
+            let (sound, span) = timed(&self.telemetry, || {
+                let sound = push.len() == band.len()
+                    && (sup.is_none() || push.iter().all(|v| v.is_finite()));
+                if sound {
+                    band.copy_from_slice(push);
+                }
+                sound
+            });
+            copied = sound.then_some(span);
+        })?;
+        Ok(copied)
     }
 
     /// Waits for worker `w`'s push on `endpoint` — to the server, or to
@@ -2433,6 +2438,50 @@ mod tests {
         assert_eq!(missed, vec![false, false]);
         assert_ne!(poisoned, clean);
         assert_ne!(dropped, clean);
+    }
+
+    #[test]
+    fn a_hand_off_nobody_collected_is_never_taken_in_a_later_round() {
+        use crate::supervisor::SupervisorConfig;
+        use hcc_comm::FaultPlan;
+        let ds = dataset(60, 30, 600);
+        let supervisor = SupervisorConfig {
+            heartbeat_timeout: Duration::from_millis(20),
+            collect_retries: 1,
+            ..SupervisorConfig::default()
+        };
+        // Three workers: worker 0 hands worker 2 a band in rounds 0 and 1.
+        // Its pushes of epoch 0 are poisoned, so worker 2 rejects the first
+        // hand-off and worker 0 is missed for the epoch; its second is left
+        // on worker 2's peer link, uncollected.
+        let config = base_config()
+            .workers(vec![WorkerSpec::cpu(1); 3])
+            .partition(PartitionMode::Uniform)
+            .fault_tolerance(supervisor.clone())
+            .fault_plan(FaultPlan::new(7).with(0, 0, Fault::PoisonPush))
+            .build();
+        let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
+        let sup = Supervisor::new(supervisor, 3);
+        session.hand_out_first_bands();
+        assert_eq!(session.handed_by(2), Some(0));
+        let outcome = session.run_epoch(0.02, 0, Some(&sup)).unwrap();
+        assert_eq!(outcome.missed, vec![true, false, false]);
+        // No peer link holds a hand-off once the epoch is over: a later
+        // round's collect waits for one sent in its own round.
+        for (w, state) in session.workers.iter().enumerate() {
+            for peer in &state.peers {
+                let mut taken = false;
+                let left = peer
+                    .endpoint
+                    .collect_with(0, Some(Duration::ZERO), &mut |_| {
+                        taken = true;
+                    });
+                assert_eq!(left, Err(CommError::Timeout), "worker {w}'s peer link");
+                assert!(!taken, "worker {w} took a hand-off of an earlier round");
+            }
+        }
+        let outcome = session.run_epoch(0.02, 1, Some(&sup)).unwrap();
+        assert_eq!(outcome.missed, vec![false; 3]);
     }
 
     #[test]

@@ -161,8 +161,8 @@ type Case = (&'static str, fn(HccConfigBuilder) -> HccConfigBuilder, f64);
 /// end. At this shape a link's block (`hcc_comm::block::BLOCK`, 256 KiB) is
 /// a quarter of `R`.
 const CASES: [Case; 3] = [
-    // Two ShardedServers, one a worker: published R/2, rebuilt R/2 and
-    // encoded R/4 each (2.5 R in all). Each of four links (two workers x
+    // Two ShardedServers, one a worker: published R/2, where a collect
+    // decodes the push too, and encoded R/4 each (1.5 R in all). Each of four links (two workers x
     // two shards) carries a quarter of `Q`: published and a slot, 2 R in
     // all, plus a block at each end (2 blocks = R/2 a link: the frame is
     // longer than a block). A push is a delta, which can run to its raw
@@ -171,7 +171,7 @@ const CASES: [Case; 3] = [
     (
         "tcp x 2 shards",
         |b| b.transport(TransportKind::Tcp).server_shards(2),
-        2.5 + 2.0 + 2.0 + 0.25 + 2.0,
+        1.5 + 2.0 + 2.0 + 0.25 + 2.0,
     ),
     // Two links, one a worker, at two bytes an element on the wire:
     // published R/2 and a slot of R/2 each (2 R in all), and a block at
@@ -234,7 +234,7 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
         2.0 + 1.0 + 0.25 + 0.08,
     );
     // Four workers: bands of R/4, shards of R/8. Four ShardedServers of
-    // R/4 + R/4 + R/8 (2.5 R), eight links of R/8 + R/8 (2 R), and a block
+    // R/4 + R/8 (1.5 R), eight links of R/8 + R/8 (2 R), and a block
     // at each end of a link, capped at a shard's frame now that it is
     // shorter than a block: its longest push, just over R/8 (2.13 R; the
     // row delta this term was sized for ran to R/8 · (1 + 1/K), the bit
@@ -248,7 +248,7 @@ fn a_session_holds_one_p_one_q_a_worker_and_the_ratings_twice() {
                 .server_shards(2)
                 .workers(vec![WorkerSpec::cpu(1); 4])
         },
-        2.5 + 2.0 + 2.13 + 0.12 + 3.0,
+        1.5 + 2.0 + 2.13 + 0.12 + 3.0,
     );
     // Nor does it allocate a block of a shard's payload or more, as a copy
     // of `P` or `Q` would be: no more of them than a run that saves none.

@@ -261,15 +261,24 @@ fn sharded_socket_dedup_verified_against_net_stats() {
     server.pull(0, &mut local);
     local[0] = -2.0; // shard 0
     local[23 * k + 1] = 9.0; // shard 2
-    server.push(0, &local);
-    // A wire duplicate (what a retransmit after a lost ack looks like):
-    // every shard's idempotent dedup must absorb it.
+
+    // A push and its wire duplicate (what a retransmit after a lost ack
+    // looks like): each shard's delta is encoded once and sent twice, so
+    // both copies cross the wire and count, and every shard's idempotent
+    // dedup must absorb the second.
     server.push_duplicate(0, &local);
+    let shard = |s: usize| s * 8 * k..(s + 1) * 8 * k;
+    let words: usize = (0..3)
+        .map(|s| delta_len(&region[shard(s)], &local[shard(s)], k))
+        .sum();
+    assert_eq!(server.delta_stats().bytes_shipped, 2 * words as u64 * 4);
     let mut collected = vec![0f32; rows * k];
     server.collect(0, &mut collected);
-    let a: Vec<u32> = collected.iter().map(|v| v.to_bits()).collect();
-    let b: Vec<u32> = local.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(a, b, "duplicate delta pushes corrupted the region");
+    assert_eq!(
+        bit_vec(&collected),
+        bit_vec(&local),
+        "duplicate delta pushes corrupted the region"
+    );
     for (s, sock) in sockets.iter().enumerate() {
         assert_eq!(
             sock.net_stats().dedup_hits,
