@@ -3,11 +3,11 @@
 //! [`ChaosTransport`] wraps *any* [`Transport`] and enacts the wire faults
 //! of a [`FaultPlan`] on it, scripted and rolled alike: a push is dropped,
 //! delayed, duplicated or corrupted, or a worker's node is partitioned
-//! outright. It keeps no clock of its own — the engine tells it the
-//! training epoch ([`ChaosTransport::begin_epoch`]) and which
-//! starting-fleet worker sits at each index of the wrapped transport, and
-//! it asks [`FaultPlan::at`] — so a repartition, a shrunken fleet or a
-//! retried epoch cannot move a fault.
+//! outright. It wraps one worker's link and keeps no clock of its own —
+//! the engine tells it the training epoch ([`ChaosTransport::begin_epoch`])
+//! and the starting-fleet id of the worker behind the link, and it asks
+//! [`FaultPlan::at`] — so a repartition, a shrunken fleet or a retried
+//! epoch cannot move a fault.
 //!
 //! What each fault does at the [`Transport`] boundary is documented on its
 //! [`Fault`] variant: [`DropPush`](Fault::DropPush),
@@ -47,17 +47,16 @@ pub struct ChaosStats {
 pub struct ChaosTransport {
     inner: Arc<dyn Transport>,
     plan: FaultPlan,
-    /// `ids[w]`: the starting-fleet id of the worker at index `w` of
-    /// `inner` — the worker coordinate of the plan.
-    ids: Vec<usize>,
+    /// The starting-fleet id of the worker `inner` serves — the worker
+    /// coordinate of the plan.
+    id: usize,
     /// The training epoch in progress — the epoch coordinate of the plan.
     epoch: AtomicUsize,
     /// The wire faults that lose or delay a push pass it untouched
     /// ([`sparing_pushes`](Self::sparing_pushes)).
     spares_pushes: bool,
-    /// Set when a corrupt push was injected; the next collect for that
-    /// worker reports it.
-    pending_corrupt: Vec<AtomicBool>,
+    /// Set when a corrupt push was injected; the next collect reports it.
+    pending_corrupt: AtomicBool,
     dropped: AtomicU64,
     delayed: AtomicU64,
     duplicated: AtomicU64,
@@ -66,21 +65,21 @@ pub struct ChaosTransport {
 }
 
 impl ChaosTransport {
-    /// Wraps `inner` under `plan`, at epoch 0. `ids[w]` is the
-    /// starting-fleet id of the worker `inner` knows as `w`.
+    /// Wraps `inner`, one worker's link, under `plan`, at epoch 0. `id` is
+    /// the starting-fleet id of that worker.
     ///
     /// # Panics
-    /// Panics if `ids` does not name every worker of `inner`.
-    pub fn new(inner: Arc<dyn Transport>, plan: FaultPlan, ids: Vec<usize>) -> ChaosTransport {
-        let workers = inner.workers();
-        assert_eq!(ids.len(), workers, "one starting-fleet id per worker");
+    /// Panics if `inner` serves more than one worker: the wrapper enacts
+    /// one worker's cells of the plan.
+    pub fn new(inner: Arc<dyn Transport>, plan: FaultPlan, id: usize) -> ChaosTransport {
+        assert!(inner.workers() <= 1, "a chaos link wraps one worker's link");
         ChaosTransport {
             inner,
             plan,
-            ids,
+            id,
             epoch: AtomicUsize::new(0),
             spares_pushes: false,
-            pending_corrupt: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            pending_corrupt: AtomicBool::new(false),
             dropped: AtomicU64::new(0),
             delayed: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
@@ -108,10 +107,8 @@ impl ChaosTransport {
         // ordering: Relaxed — stored between epochs; the spawn of the
         // epoch's worker threads orders it before their loads.
         self.epoch.store(epoch, Ordering::Relaxed);
-        for pending in &self.pending_corrupt {
-            // ordering: Relaxed — as for the epoch above.
-            pending.store(false, Ordering::Relaxed);
-        }
+        // ordering: Relaxed — as for the epoch above.
+        self.pending_corrupt.store(false, Ordering::Relaxed);
     }
 
     /// Injected-fault counters so far.
@@ -130,12 +127,10 @@ impl ChaosTransport {
         }
     }
 
-    /// What the plan does to `worker` in the epoch in progress.
-    fn fault(&self, worker: usize) -> Option<Fault> {
+    /// What the plan does to the link's worker in the epoch in progress.
+    fn fault(&self) -> Option<Fault> {
         // ordering: Relaxed — see `begin_epoch`.
-        let fault = self
-            .plan
-            .at(self.ids[worker], self.epoch.load(Ordering::Relaxed));
+        let fault = self.plan.at(self.id, self.epoch.load(Ordering::Relaxed));
         fault.filter(|fault| !(self.spares_pushes && fault.loses_push()))
     }
 }
@@ -146,14 +141,14 @@ impl Transport for ChaosTransport {
     }
 
     fn pull(&self, worker: usize, dst: &mut [f32]) {
-        if self.fault(worker) == Some(Fault::Partition) {
+        if self.fault() == Some(Fault::Partition) {
             return; // unreachable server: dst keeps stale data
         }
         self.inner.pull(worker, dst);
     }
 
     fn push(&self, worker: usize, src: &[f32]) {
-        match self.fault(worker) {
+        match self.fault() {
             Some(Fault::Partition) => {
                 // ordering: Relaxed — statistic.
                 self.partitioned.fetch_add(1, Ordering::Relaxed);
@@ -170,7 +165,7 @@ impl Transport for ChaosTransport {
                 // ordering: Relaxed — flag is consumed by the server thread's
                 // collect; the supervisor's retry loop tolerates either
                 // ordering of flag-set vs timeout.
-                self.pending_corrupt[worker].store(true, Ordering::Relaxed);
+                self.pending_corrupt.store(true, Ordering::Relaxed);
             }
             Some(Fault::DelayPush(delay)) if !self.spares_pushes => {
                 // ordering: Relaxed — statistic.
@@ -197,12 +192,12 @@ impl Transport for ChaosTransport {
         timeout: Option<Duration>,
         consume: &mut dyn FnMut(&[f32]),
     ) -> Result<(), CommError> {
-        if self.fault(worker) == Some(Fault::Partition) {
+        if self.fault() == Some(Fault::Partition) {
             return Err(CommError::PartitionedLink);
         }
         // ordering: Relaxed — one-shot flag; a race with the injecting
         // push only shifts which retry observes the corruption.
-        if self.pending_corrupt[worker].swap(false, Ordering::Relaxed) {
+        if self.pending_corrupt.swap(false, Ordering::Relaxed) {
             return Err(CommError::Corrupt);
         }
         self.inner.collect_with(worker, timeout, consume)
@@ -230,16 +225,23 @@ mod tests {
     use super::*;
     use crate::transport::{CommShared, Precision};
 
-    /// `plan` over a shared-memory transport whose workers are the
-    /// starting fleet.
-    fn chaos(workers: usize, len: usize, plan: FaultPlan) -> ChaosTransport {
-        let inner = Arc::new(CommShared::new(workers, len, len, Precision::Fp32));
-        ChaosTransport::new(inner, plan, (0..workers).collect())
+    /// `plan` over a one-worker shared-memory link of starting-fleet
+    /// worker `id`.
+    fn chaos(id: usize, len: usize, plan: FaultPlan) -> ChaosTransport {
+        let inner = Arc::new(CommShared::new(1, len, len, Precision::Fp32));
+        ChaosTransport::new(inner, plan, id)
+    }
+
+    #[test]
+    #[should_panic(expected = "one worker's link")]
+    fn a_link_serving_two_workers_is_refused() {
+        let inner = Arc::new(CommShared::new(2, 4, 4, Precision::Fp32));
+        ChaosTransport::new(inner, FaultPlan::new(1), 0);
     }
 
     #[test]
     fn quiet_plan_is_transparent() {
-        let t = chaos(2, 8, FaultPlan::new(1));
+        let t = chaos(0, 8, FaultPlan::new(1));
         let data = [1.0f32; 8];
         t.publish(&data);
         let mut dst = [0f32; 8];
@@ -257,7 +259,7 @@ mod tests {
     fn certain_drop_swallows_every_push() {
         let mut plan = FaultPlan::new(3);
         plan.drop_rate = 1.0;
-        let t = chaos(1, 4, plan);
+        let t = chaos(0, 4, plan);
         t.push(0, &[1.0; 4]);
         let mut dst = [0f32; 4];
         assert_eq!(
@@ -278,7 +280,7 @@ mod tests {
             .with(0, 2, Fault::CorruptPush)
             .with(0, 3, Fault::Partition);
         let inner = Arc::new(CommShared::new(1, 4, 4, Precision::Fp32));
-        let spared = ChaosTransport::new(inner, plan, vec![0]).sparing_pushes();
+        let spared = ChaosTransport::new(inner, plan, 0).sparing_pushes();
         for epoch in 0..5 {
             spared.begin_epoch(epoch);
             spared.push(0, &[epoch as f32; 4]);
@@ -298,7 +300,7 @@ mod tests {
     fn corrupt_push_reports_once_then_times_out() {
         let mut plan = FaultPlan::new(4);
         plan.corrupt_rate = 1.0;
-        let t = chaos(1, 4, plan);
+        let t = chaos(0, 4, plan);
         t.push(0, &[1.0; 4]);
         let mut dst = [0f32; 4];
         assert_eq!(
@@ -316,7 +318,7 @@ mod tests {
 
     #[test]
     fn an_uncollected_corrupt_push_is_not_reported_in_the_next_epoch() {
-        let t = chaos(1, 4, FaultPlan::new(4).with(0, 0, Fault::CorruptPush));
+        let t = chaos(0, 4, FaultPlan::new(4).with(0, 0, Fault::CorruptPush));
         t.push(0, &[1.0; 4]);
         t.begin_epoch(1);
         t.push(0, &[2.0; 4]);
@@ -329,7 +331,9 @@ mod tests {
 
     #[test]
     fn partition_cuts_push_pull_and_collect() {
-        let t = chaos(2, 4, FaultPlan::new(5).with(0, 1, Fault::Partition));
+        // One chaos link a worker, under one plan.
+        let plan = FaultPlan::new(5).with(0, 1, Fault::Partition);
+        let (t, other) = (chaos(0, 4, plan.clone()), chaos(1, 4, plan));
         // Epoch 0: before the partition, everything flows.
         t.push(0, &[1.0; 4]);
         let mut dst = [0f32; 4];
@@ -348,16 +352,18 @@ mod tests {
             Err(CommError::PartitionedLink)
         );
         // The other worker is untouched.
-        t.pull(1, &mut pulled);
+        other.begin_epoch(1);
+        other.publish(&[9.0; 4]);
+        other.pull(0, &mut pulled);
         assert_eq!(pulled, [9.0; 4]);
-        assert_eq!(t.stats().partitioned, 1);
+        assert_eq!(t.stats().partitioned + other.stats().partitioned, 1);
     }
 
     #[test]
     fn the_untimed_collect_runs_the_same_fault_checks() {
         let never = &mut |_: &[f32]| panic!("consume ran on a failed collect");
         // A partitioned link fails fast instead of blocking for ever.
-        let t = chaos(1, 4, FaultPlan::new(5).with(0, 0, Fault::Partition));
+        let t = chaos(0, 4, FaultPlan::new(5).with(0, 0, Fault::Partition));
         t.push(0, &[1.0; 4]);
         assert_eq!(
             t.collect_with(0, None, never),
@@ -366,7 +372,7 @@ mod tests {
         // A corrupt push is reported once, to whichever collect comes next.
         let mut plan = FaultPlan::new(4);
         plan.corrupt_rate = 1.0;
-        let t = chaos(1, 4, plan);
+        let t = chaos(0, 4, plan);
         t.push(0, &[1.0; 4]);
         assert_eq!(t.collect_with(0, None, never), Err(CommError::Corrupt));
         let timeout = Some(Duration::from_millis(10));
@@ -418,7 +424,7 @@ mod tests {
         });
         let mut plan = FaultPlan::new(6);
         plan.duplicate_rate = 1.0;
-        let t = ChaosTransport::new(inner.clone(), plan, vec![0]);
+        let t = ChaosTransport::new(inner.clone(), plan, 0);
         for epoch in 0..5 {
             t.begin_epoch(epoch);
             t.push(0, &[1.0; 4]);
@@ -443,15 +449,15 @@ mod tests {
                 corrupt_rate: 0.2,
                 ..FaultPlan::new(seed).with(3, 12, Fault::DropPush)
             };
-            let inner = Arc::new(CommShared::new(2, 4, 4, Precision::Fp32));
-            let t = ChaosTransport::new(inner, plan.clone(), ids.to_vec());
+            // One chaos link a worker.
+            let links = ids.map(|id| chaos(id, 4, plan.clone()));
             let mut want = ChaosStats::default();
             for e in 10..30 {
-                t.begin_epoch(e);
-                for (w, &id) in ids.iter().enumerate() {
-                    t.push(w, &[e as f32; 4]);
+                for (t, &id) in links.iter().zip(&ids) {
+                    t.begin_epoch(e);
+                    t.push(0, &[e as f32; 4]);
                     let mut dst = [0f32; 4];
-                    let _ = t.collect_timeout(w, &mut dst, Duration::from_millis(1));
+                    let _ = t.collect_timeout(0, &mut dst, Duration::from_millis(1));
                     match plan.at(id, e) {
                         Some(Fault::DropPush) => want.dropped += 1,
                         Some(Fault::CorruptPush) => want.corrupted += 1,
@@ -459,7 +465,18 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(t.stats(), want, "seed {seed}");
+            let got =
+                links
+                    .iter()
+                    .map(ChaosTransport::stats)
+                    .fold(ChaosStats::default(), |sum, s| ChaosStats {
+                        dropped: sum.dropped + s.dropped,
+                        delayed: sum.delayed + s.delayed,
+                        duplicated: sum.duplicated + s.duplicated,
+                        corrupted: sum.corrupted + s.corrupted,
+                        partitioned: sum.partitioned + s.partitioned,
+                    });
+            assert_eq!(got, want, "seed {seed}");
             want
         };
         assert_eq!(schedule(42), schedule(42));

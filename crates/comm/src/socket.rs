@@ -63,6 +63,20 @@
 //! read guard, so a `publish` can wait behind a pull in flight — for at
 //! most one `RPC_TIMEOUT`, the write deadline every accepted connection
 //! carries.
+//!
+//! **Threads: one serving thread a worker, and nothing polls.** A link
+//! built for `W` workers starts `W` serving threads over its one listener
+//! (the engine builds every link for one worker, so a link is one thread).
+//! Each blocks in `accept`, serves the connection it got until the
+//! connection drops, and accepts again. A re-dial is therefore served once
+//! its dead predecessor's thread sees EOF: at once, since the client drops
+//! a stream before it re-dials, or after at most one `RPC_TIMEOUT` when
+//! that thread is stalled writing a pull reply. At shutdown `Drop` sets a
+//! flag, closes the client streams, wakes each serving thread with one
+//! connect — the thread reads the flag once its `accept` returns — and
+//! joins them all. If a wake-up connect fails (the Unix socket file is
+//! gone), the threads stay blocked in `accept` and `Drop` returns without
+//! joining them.
 
 use crate::backoff::Backoff;
 use crate::block::{BLOCK, TRAILER_LEN};
@@ -95,13 +109,6 @@ enum SockListener {
 }
 
 impl SockListener {
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            SockListener::Unix(l) => l.set_nonblocking(nonblocking),
-            SockListener::Tcp(l) => l.set_nonblocking(nonblocking),
-        }
-    }
-
     fn accept(&self) -> std::io::Result<SockStream> {
         match self {
             SockListener::Unix(l) => l.accept().map(|(s, _)| SockStream::Unix(s)),
@@ -132,13 +139,6 @@ impl SockStream {
     fn tcp(stream: TcpStream) -> std::io::Result<SockStream> {
         stream.set_nodelay(true)?;
         Ok(SockStream::Tcp(stream))
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            SockStream::Unix(s) => s.set_nonblocking(nonblocking),
-            SockStream::Tcp(s) => s.set_nonblocking(nonblocking),
-        }
     }
 
     fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
@@ -238,8 +238,6 @@ pub enum NetEventKind {
 /// One resilience event, drained by the training loop for telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetEvent {
-    /// Worker whose link produced the event.
-    pub worker: usize,
     /// Retry or reconnect.
     pub kind: NetEventKind,
     /// Backoff delay that preceded (retry) or followed (reconnect) the
@@ -264,10 +262,31 @@ struct ServerState {
     pull_bytes: AtomicU64,
     push_bytes: AtomicU64,
     dedup_hits: AtomicU64,
+    /// Set by `Drop` before it wakes the serving threads.
     shutdown: AtomicBool,
 }
 
 impl ServerState {
+    /// One serving thread: accepts a connection, serves it until it drops
+    /// and accepts again, until an `accept` returns after `Drop` set the
+    /// flag.
+    fn serve(&self, listener: &SockListener) {
+        loop {
+            let accepted = listener.accept();
+            // ordering: Acquire — pairs with the Release store in `Drop`,
+            // which precedes the wake-up connect this accept may return.
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            // A failed accept — a peer that reset while queued, a passing
+            // shortage of memory or descriptors — loses that connection
+            // only: its client re-dials.
+            if let Ok(stream) = accepted {
+                self.serve_conn(stream);
+            }
+        }
+    }
+
     /// Handles one accepted connection until EOF or an unrecoverable
     /// framing error.
     fn serve_conn(&self, mut stream: SockStream) {
@@ -278,11 +297,6 @@ impl ServerState {
         }
         let mut status = [0u8; HEADER_LEN + TRAILER_LEN];
         loop {
-            // ordering: Relaxed — shutdown flag; the dummy wake-up connect
-            // in Drop provides the actual hand-off.
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
             // EOF / reset (the client will re-dial), or a corrupt header:
             // frame boundaries are lost, so the only safe recovery is
             // dropping the connection.
@@ -407,12 +421,13 @@ pub struct CommSocket {
     events: Mutex<Vec<NetEvent>>,
     retrans_bytes: AtomicU64,
     reconnects: AtomicU64,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    /// One serving thread a worker, all accepting on one listener.
+    servers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl CommSocket {
-    /// Binds a fresh loopback Unix socket and starts the accept loop.
+    /// Binds a fresh loopback Unix socket and starts one serving thread a
+    /// worker.
     /// Refuses (`InvalidInput`) a `pull_len` or `push_len` whose frame
     /// would be over the cap a receiver enforces.
     pub fn new(
@@ -462,8 +477,8 @@ impl CommSocket {
         )
     }
 
-    /// Shared tail of the constructors: spins up server state and the
-    /// accept loop over an already-bound listener.
+    /// Shared tail of the constructors: builds the server state and starts
+    /// the serving threads over an already-bound listener.
     fn start(
         addr: SockAddr,
         listener: SockListener,
@@ -485,39 +500,13 @@ impl CommSocket {
             dedup_hits: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
-        let conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        // Nonblocking accept loop: polling lets Drop stop the thread by
-        // flag alone, with no wake-up connection that could itself fail
-        // (e.g. when a test tears the socket file away mid-run).
-        listener.set_nonblocking(true)?;
-        let accept_state = state.clone();
-        let accept_conns = conn_handles.clone();
-        let accept_handle = std::thread::spawn(move || loop {
-            // ordering: Relaxed — shutdown flag; the poll loop re-checks
-            // within milliseconds, no data is protected by it.
-            if accept_state.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            match listener.accept() {
-                Ok(stream) => {
-                    // Accepted sockets must block: serve_conn reads frames
-                    // with plain read_exact.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    let st = accept_state.clone();
-                    let h = std::thread::spawn(move || st.serve_conn(stream));
-                    // A re-dialled link leaves its old connection's thread
-                    // finished; keeping its handle would leak one per
-                    // reconnect for the life of the endpoint.
-                    let mut handles = accept_conns.lock();
-                    handles.retain(|h| !h.is_finished());
-                    handles.push(h);
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(2)),
-            }
-        });
+        let listener = Arc::new(listener);
+        let servers = (0..workers)
+            .map(|_| {
+                let (state, listener) = (state.clone(), listener.clone());
+                std::thread::spawn(move || state.serve(&listener))
+            })
+            .collect();
         Ok(CommSocket {
             addr,
             precision,
@@ -534,8 +523,7 @@ impl CommSocket {
             events: Mutex::new(Vec::new()),
             retrans_bytes: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
-            accept_handle: Some(accept_handle),
-            conn_handles,
+            servers,
         })
     }
 
@@ -601,7 +589,6 @@ impl CommSocket {
                     // ordering: Relaxed — statistic.
                     self.reconnects.fetch_add(1, Ordering::Relaxed);
                     self.record_event(NetEvent {
-                        worker,
                         kind: NetEventKind::Reconnect {
                             attempt: attempt as u32,
                         },
@@ -655,7 +642,6 @@ impl CommSocket {
                 // ordering: Relaxed — statistic.
                 self.retrans_bytes.fetch_add(bytes, Ordering::Relaxed);
                 self.record_event(NetEvent {
-                    worker,
                     kind: NetEventKind::Retry {
                         cause: last_err,
                         bytes,
@@ -788,20 +774,24 @@ impl Transport for CommSocket {
 
 impl Drop for CommSocket {
     fn drop(&mut self) {
-        // ordering: Relaxed — the accept loop polls the flag; visibility
-        // within one poll interval is all that is needed.
-        self.state.shutdown.store(true, Ordering::Relaxed);
-        // Close all client streams so per-connection server threads see
-        // EOF and exit.
+        // ordering: Release — pairs with the Acquire load a serving thread
+        // makes once its accept returns: the wake-up connects below follow
+        // this store.
+        self.state.shutdown.store(true, Ordering::Release);
+        // A thread serving a client stream sees EOF and accepts again.
         for conn in &self.conns {
             conn.lock().stream = None;
         }
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        let handles = std::mem::take(&mut *self.conn_handles.lock());
-        for h in handles {
-            let _ = h.join();
+        // One connect a serving thread, each held open until the joins so
+        // that it is accepted, never refused. A connect that fails — the
+        // Unix socket file was removed — leaves a thread blocked in
+        // `accept` for good: return without joining rather than hang.
+        let wake = |_| SockStream::connect(&self.addr).ok();
+        let wakers: Option<Vec<SockStream>> = self.servers.iter().map(wake).collect();
+        if wakers.is_some() {
+            for server in self.servers.drain(..) {
+                let _ = server.join();
+            }
         }
         if let SockAddr::Unix(path) = &self.addr {
             let _ = std::fs::remove_file(path);
@@ -861,15 +851,6 @@ mod tests {
             .unwrap();
         assert_eq!(reply.kind, RpcKind::Sync);
         reply.chunk
-    }
-
-    /// Polls `cond` until it holds; panics after five seconds.
-    fn wait_until(what: &str, cond: impl Fn() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !cond() {
-            assert!(Instant::now() < deadline, "timed out waiting until {what}");
-            std::thread::sleep(Duration::from_millis(1));
-        }
     }
 
     #[test]
@@ -1060,6 +1041,26 @@ mod tests {
     }
 
     #[test]
+    fn drop_ends_every_serving_thread() {
+        // Three serving threads: one serving a pull's connection, one a
+        // connection stalled mid-push, one blocked in `accept`.
+        let t = socket(3, 1_024);
+        let mut dst = vec![0f32; 1_024];
+        t.pull(0, &mut dst);
+        {
+            let mut conn = t.conns[1].lock();
+            assert!(t.ensure_connected(1, &mut conn));
+            let bytes = push_frame(1, vec![1.5; 1_024]).encode();
+            let stream = conn.stream.as_mut().unwrap();
+            stream.write_all(&bytes[..HEADER_LEN + 8]).unwrap();
+        }
+        let state = t.state.clone();
+        drop(t);
+        // Each serving thread held the state until it was joined.
+        assert_eq!(Arc::strong_count(&state), 1);
+    }
+
+    #[test]
     fn partitioned_link_reported_when_server_gone() {
         let t = socket(1, 4);
         // Tear the listener down by stealing its socket file.
@@ -1072,7 +1073,7 @@ mod tests {
     #[test]
     fn both_ends_of_a_tcp_link_turn_nagle_off() {
         // The two calls every `new_tcp` link is made of: the client's dial
-        // and the accept loop's accept.
+        // and a serving thread's accept.
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = SockAddr::Tcp(listener.local_addr().unwrap());
         let dialed = SockStream::connect(&addr).unwrap();
@@ -1162,28 +1163,6 @@ mod tests {
     }
 
     #[test]
-    fn finished_connection_threads_are_reaped_on_accept() {
-        let t = socket(1, 4);
-        t.publish(&[1.0, 2.0, 3.0, 4.0]);
-        let mut dst = vec![0f32; 4];
-        for _ in 0..8 {
-            t.pull(0, &mut dst);
-            // Break the stream: its server thread sees EOF and ends.
-            t.conns[0].lock().stream = None;
-            wait_until("the old connection's thread has ended", || {
-                t.conn_handles.lock().iter().all(|h| h.is_finished())
-            });
-        }
-        t.pull(0, &mut dst);
-        assert_eq!(dst, vec![1.0, 2.0, 3.0, 4.0]);
-        // Eight re-dials later the endpoint holds one handle, the live one.
-        wait_until("only the live connection's handle is held", || {
-            let handles = t.conn_handles.lock();
-            handles.len() == 1 && !handles[0].is_finished()
-        });
-    }
-
-    #[test]
     fn oversized_push_drops_the_connection_and_applies_nothing() {
         // Five elements for a four-element slot: refused at its header,
         // before its body is read, whatever the pull side's length.
@@ -1263,7 +1242,6 @@ mod tests {
     fn net_events_drain_once() {
         let t = socket(1, 4);
         t.record_event(NetEvent {
-            worker: 0,
             kind: NetEventKind::Retry {
                 cause: CommError::Timeout,
                 bytes: 10,

@@ -684,7 +684,7 @@ mod tests {
         let mut duplicating = crate::FaultPlan::new(1);
         duplicating.duplicate_rate = 1.0;
         let socket = Arc::new(CommSocket::new(1, len, len, Precision::Fp32).unwrap());
-        let chaos = crate::ChaosTransport::new(socket.clone(), duplicating, vec![0]);
+        let chaos = crate::ChaosTransport::new(socket.clone(), duplicating, 0);
         let links: [(&str, &dyn Transport); 4] = [
             ("shared", &CommShared::new(1, len, len, Precision::Fp32)),
             (

@@ -115,10 +115,16 @@ impl ShardedServer {
     /// up to `region_len` elements of `k`-element rows.
     ///
     /// # Panics
-    /// Panics if `shards` is empty or `k` is zero.
+    /// Panics if `shards` is empty, if `k` is zero, or if a shard serves
+    /// more than one worker: the server keeps one snapshot and one resume
+    /// count, so two workers' pushes would mix in them.
     pub fn new(k: usize, region_len: usize, shards: Vec<Arc<dyn Transport>>) -> ShardedServer {
         assert!(k > 0, "k must be positive");
         assert!(!shards.is_empty(), "need at least one shard");
+        assert!(
+            shards.iter().all(|shard| shard.workers() <= 1),
+            "a sharded server is one worker's link"
+        );
         let (_, largest) = Self::link_lens(region_len / k, k, shards.len());
         ShardedServer {
             k,
@@ -330,25 +336,28 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// `shards` links of `CommShared` for `workers` workers, built for
-    /// regions of up to `rows` rows of `k`.
-    fn links(workers: usize, rows: usize, k: usize, shards: usize) -> Vec<Arc<dyn Transport>> {
+    /// `shards` one-worker links of `CommShared`, built for regions of up
+    /// to `rows` rows of `k`.
+    fn links(rows: usize, k: usize, shards: usize) -> Vec<Arc<dyn Transport>> {
         let (pull, push) = ShardedServer::link_lens(rows, k, shards);
         (0..shards)
             .map(|_| {
-                Arc::new(hcc_comm::CommShared::new(
-                    workers,
-                    pull,
-                    push,
-                    Precision::Fp32,
-                )) as Arc<dyn Transport>
+                Arc::new(hcc_comm::CommShared::new(1, pull, push, Precision::Fp32))
+                    as Arc<dyn Transport>
             })
             .collect()
     }
 
     /// A sharded server over CommShared inners.
-    fn sharded(workers: usize, rows: usize, k: usize, shards: usize) -> ShardedServer {
-        ShardedServer::new(k, rows * k, links(workers, rows, k, shards))
+    fn sharded(rows: usize, k: usize, shards: usize) -> ShardedServer {
+        ShardedServer::new(k, rows * k, links(rows, k, shards))
+    }
+
+    #[test]
+    #[should_panic(expected = "one worker's link")]
+    fn a_shard_serving_two_workers_is_refused() {
+        let shard = hcc_comm::CommShared::new(2, 8, max_delta_len(4, 2), Precision::Fp32);
+        ShardedServer::new(2, 8, vec![Arc::new(shard)]);
     }
 
     #[test]
@@ -356,7 +365,7 @@ mod tests {
         // The decode runs inside the collect, before `consume`: the engine
         // adds it to the push's sync, so it is counted, and taken once.
         let (rows, k) = (64, 8);
-        let t = sharded(1, rows, k, 2);
+        let t = sharded(rows, k, 2);
         t.publish(&vec![0.5f32; rows * k]);
         let pushed: Vec<f32> = (0..rows * k).map(|v| v as f32).collect();
         t.push(0, &pushed);
@@ -371,31 +380,31 @@ mod tests {
     #[test]
     fn sharded_roundtrip_reconstructs_bit_for_bit() {
         let (rows, k) = (10, 3);
-        let t = sharded(2, rows, k, 4);
+        let t = sharded(rows, k, 4);
         let region: Vec<f32> = (0..rows * k).map(|i| i as f32 * 0.25 - 3.0).collect();
         t.publish(&region);
-        for w in 0..2 {
-            let mut pulled = vec![0f32; rows * k];
-            t.pull(w, &mut pulled);
-            assert_eq!(pulled, region, "worker {w} sharded pull mismatch");
-            // Touch a few rows spread across different shards.
-            let mut local = pulled.clone();
-            local[0] += 1.0; // row 0
-            local[4 * k] = f32::MIN_POSITIVE; // row 4
-            local[9 * k + k - 1] = -0.0; // row 9 (bitwise change)
-            t.push(w, &local);
-            let mut collected = vec![0f32; rows * k];
-            t.collect(w, &mut collected);
-            let a: Vec<u32> = collected.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = local.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "worker {w} reconstruction not bit-identical");
-        }
+        let mut pulled = vec![0f32; rows * k];
+        t.pull(0, &mut pulled);
+        assert_eq!(pulled, region, "sharded pull mismatch");
+        // Touch a few rows spread across different shards.
+        let mut local = pulled.clone();
+        local[0] += 1.0; // row 0
+        local[4 * k] = f32::MIN_POSITIVE; // row 4
+        local[9 * k + k - 1] = -0.0; // row 9 (bitwise change)
+        t.push(0, &local);
+        let mut collected = vec![0f32; rows * k];
+        t.collect(0, &mut collected);
+        assert_eq!(
+            bits(&collected),
+            bits(&local),
+            "reconstruction not bit-identical"
+        );
     }
 
     #[test]
     fn sharded_push_ships_only_touched_rows() {
         let (rows, k) = (12, 4);
-        let t = sharded(1, rows, k, 3);
+        let t = sharded(rows, k, 3);
         let region = vec![1.0f32; rows * k];
         t.publish(&region);
         let mut local = region.clone();
@@ -424,7 +433,7 @@ mod tests {
 
     #[test]
     fn sharded_collect_timeout_propagates() {
-        let t = sharded(1, 8, 2, 2);
+        let t = sharded(8, 2, 2);
         let mut dst = vec![0f32; 16];
         assert_eq!(
             t.collect_timeout(0, &mut dst, Duration::from_millis(20)),
@@ -443,7 +452,7 @@ mod tests {
     fn a_push_nobody_collected_is_retired_by_the_next_publish() {
         // A push the supervisor gave up on lands after the collect ladder
         // moved on; the next epoch's publish retires it on every shard.
-        let t = sharded(1, 8, 2, 2);
+        let t = sharded(8, 2, 2);
         let region = vec![0.5f32; 16];
         t.publish(&region);
         t.push(0, &[1.5f32; 16]);
@@ -465,14 +474,14 @@ mod tests {
 
     #[test]
     fn single_shard_matches_unsharded_semantics() {
-        let t = sharded(2, 6, 2, 1);
+        let t = sharded(6, 2, 1);
         let region: Vec<f32> = (0..12).map(|i| i as f32).collect();
         t.publish(&region);
         let mut dst = vec![0f32; 12];
-        t.pull(1, &mut dst);
+        t.pull(0, &mut dst);
         assert_eq!(dst, region);
         assert_eq!(t.shards.len(), 1);
-        assert_eq!(t.workers(), 2);
+        assert_eq!(t.workers(), 1);
         let (pull, push) = t.wire_bytes_by_dir();
         assert_eq!(pull, 48);
         assert_eq!(push, 0);
@@ -484,7 +493,7 @@ mod tests {
         // A push is one message per shard. Deliver shard 0's only: the
         // collect consumes it, then times out on shard 1.
         let (rows, k) = (8, 2);
-        let links = links(1, rows, k, 2);
+        let links = links(rows, k, 2);
         let t = ShardedServer::new(k, rows * k, links.clone());
         let region = vec![0.5f32; rows * k];
         t.publish(&region);
@@ -516,7 +525,7 @@ mod tests {
         // reports a corrupt frame and never hands the caller a region that
         // is half pushed, half published.
         let (rows, k) = (8, 2);
-        let links = links(1, rows, k, 2);
+        let links = links(rows, k, 2);
         let t = ShardedServer::new(k, rows * k, links.clone());
         let region = vec![0.5f32; rows * k];
         t.publish(&region);
@@ -545,7 +554,7 @@ mod tests {
         // against: the same region pushed again before a publish ships
         // each shard's bitmap word alone, and collects as itself.
         let (rows, k) = (8, 2);
-        let t = sharded(1, rows, k, 2);
+        let t = sharded(rows, k, 2);
         t.publish(&vec![0.5f32; rows * k]);
         let local = odd_bits(rows, k);
         for push in 0..2 {
@@ -571,7 +580,7 @@ mod tests {
         // counts only that; the 15-row push ships the deltas a server built
         // for 15 rows ships, and its collect rebuilds it bit for bit.
         let k = 4;
-        let (long, short) = (sharded(1, 16, k, 2), sharded(1, 15, k, 2));
+        let (long, short) = (sharded(16, k, 2), sharded(15, k, 2));
         let full = odd_bits(16, k);
         long.publish(&full);
         let mut dst = vec![0f32; 16 * k];
@@ -627,13 +636,12 @@ pub(crate) mod fake {
         pub loses_pushes: bool,
     }
 
-    /// A canned retry event on `worker`'s link.
-    pub(crate) fn retry(worker: usize) -> NetEvent {
+    /// A canned retry event that re-sends `bytes`.
+    pub(crate) fn retry(bytes: u64) -> NetEvent {
         NetEvent {
-            worker,
             kind: NetEventKind::Retry {
                 cause: CommError::Timeout,
-                bytes: 64,
+                bytes,
             },
             delay_us: 250,
         }

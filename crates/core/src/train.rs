@@ -518,7 +518,7 @@ impl<'a> Session<'a> {
         // A worker keeps its regions, and the band it carries in them, while
         // the fleet stays. Otherwise every region-sized buffer of the epoch
         // loop is allocated here, by the thread that builds the links, not
-        // by whichever worker or connection thread first needs it.
+        // by whichever worker or serving thread first needs it.
         if old.len() != p {
             old.clear();
         }
@@ -594,7 +594,7 @@ impl<'a> Session<'a> {
     /// the worker's pushes to the server (DESIGN §4.1, "Ring hand-offs").
     fn link(&self, endpoint: Arc<dyn Transport>, id: usize, peer: bool) -> Link {
         let chaos = self.config.fault_plan.as_ref().map(|plan| {
-            let chaos = ChaosTransport::new(endpoint.clone(), plan.clone(), vec![id]);
+            let chaos = ChaosTransport::new(endpoint.clone(), plan.clone(), id);
             Arc::new(if peer { chaos.sparing_pushes() } else { chaos })
         });
         Link {
@@ -989,6 +989,7 @@ impl<'a> Session<'a> {
         // Until the scope joins, each worker holds its own rows of `P`.
         let p_blocks = p.split_rows_mut(self.workers.iter().map(WorkerState::p_rows));
         std::thread::scope(|scope| -> Result<(), HccError> {
+            let mut running = Vec::with_capacity(self.workers.len());
             for ((w, p_rows), received) in p_blocks.into_iter().enumerate().zip(received) {
                 // A worker the supervisor has given up on sits out the
                 // epoch's remaining rounds; its bands stay as published.
@@ -996,7 +997,7 @@ impl<'a> Session<'a> {
                     continue;
                 }
                 let exits = &exits;
-                scope.spawn(move || {
+                running.push(scope.spawn(move || {
                     // A worker panic would otherwise abort the process at
                     // the scope join — contain it.
                     let exit = catch_unwind(AssertUnwindSafe(|| {
@@ -1007,7 +1008,7 @@ impl<'a> Session<'a> {
                         sup.board.mark_dead(w);
                     }
                     exits.lock()[w] = Some(exit);
-                });
+                }));
             }
 
             let server_lane = telemetry.server_lane();
@@ -1042,6 +1043,12 @@ impl<'a> Session<'a> {
                     let start = start.saturating_sub(decoded.as_micros() as u64);
                     telemetry.phase(server_lane, epoch as u32, worker, Phase::Sync, start, took);
                 }
+            }
+            // The scope waits for each closure, not for its OS thread to
+            // end: join them, or the next round's threads overlap these.
+            // A worker's panic is already in `exits`.
+            for worker in running {
+                let _ = worker.join();
             }
             Ok(())
         })?;
@@ -1997,7 +2004,7 @@ mod tests {
         // A link serves one worker, as its worker 0, and its events are its
         // owner's.
         let mut session = session_over(&config, &ds, |w, len| match w {
-            1 => FakeTransport::new(1, len).with_event(retry(0)),
+            1 => FakeTransport::new(1, len).with_event(retry(64)),
             _ => FakeTransport::new(1, len),
         });
         // Starting-fleet worker 1 has died: fleet index 1 is now worker 2.

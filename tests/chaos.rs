@@ -445,13 +445,19 @@ fn duplicate_only_chaos_is_invisible_to_training() {
 fn wire_duplicates_are_deduplicated_exactly() {
     let seed = chaos_seed();
     let (workers, len) = (2usize, 8usize);
-    let socket = Arc::new(CommSocket::new(workers, len, len, Precision::Fp32).unwrap());
     let plan = FaultPlan {
         duplicate_rate: 1.0,
         ..FaultPlan::new(seed)
     };
-    let fleet = (0..workers).collect();
-    let chaos = ChaosTransport::new(socket.clone() as Arc<dyn Transport>, plan, fleet);
+    // One socket link a worker, each behind its own chaos wrapper, as the
+    // engine builds them.
+    let links: Vec<(Arc<CommSocket>, ChaosTransport)> = (0..workers)
+        .map(|w| {
+            let socket = Arc::new(CommSocket::new(1, len, len, Precision::Fp32).unwrap());
+            let chaos = ChaosTransport::new(socket.clone() as Arc<dyn Transport>, plan.clone(), w);
+            (socket, chaos)
+        })
+        .collect();
 
     // Drive the pull → push → collect cycle by hand for a few epochs. The
     // chaos layer re-sends every push under its original sequence number;
@@ -460,17 +466,17 @@ fn wire_duplicates_are_deduplicated_exactly() {
     let rounds = 5u64;
     for round in 0..rounds {
         let q = vec![round as f32; len];
-        chaos.begin_epoch(round as usize);
-        chaos.publish(&q);
-        for w in 0..workers {
+        for (w, (_, chaos)) in links.iter().enumerate() {
+            chaos.begin_epoch(round as usize);
+            chaos.publish(&q);
             let mut pulled = vec![0.0f32; len];
-            chaos.pull(w, &mut pulled);
+            chaos.pull(0, &mut pulled);
             assert_eq!(pulled, q, "round {round} worker {w} pulled stale data");
-            chaos.push(w, &vec![(round * 10 + w as u64) as f32; len]);
+            chaos.push(0, &vec![(round * 10 + w as u64) as f32; len]);
         }
-        for w in 0..workers {
+        for (w, (_, chaos)) in links.iter().enumerate() {
             let mut got = vec![0.0f32; len];
-            chaos.collect(w, &mut got);
+            chaos.collect(0, &mut got);
             let expect = vec![(round * 10 + w as u64) as f32; len];
             assert_eq!(
                 got, expect,
@@ -481,10 +487,15 @@ fn wire_duplicates_are_deduplicated_exactly() {
 
     // Exact accounting: one wire duplicate per push, one dedup hit per
     // duplicate, zero drift between the injector and the server.
-    let stats = chaos.stats();
-    assert_eq!(stats.duplicated, (workers as u64) * rounds);
-    assert_eq!(socket.net_stats().dedup_hits, stats.duplicated);
-    assert_eq!(socket.net_stats().retrans_bytes, 0);
+    let (mut duplicated, mut dedup_hits, mut retrans_bytes) = (0, 0, 0);
+    for (socket, chaos) in &links {
+        duplicated += chaos.stats().duplicated;
+        dedup_hits += socket.net_stats().dedup_hits;
+        retrans_bytes += socket.net_stats().retrans_bytes;
+    }
+    assert_eq!(duplicated, (workers as u64) * rounds);
+    assert_eq!(dedup_hits, duplicated);
+    assert_eq!(retrans_bytes, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -86,13 +86,11 @@ fn socket_and_tcp_sharded_training_match_shared_memory() {
     assert_bit_identical(&reference, &tcp, "4 tcp shards");
 }
 
-/// A sharded server over per-shard `CommShared` endpoints.
-fn sharded_shared(workers: usize, rows: usize, k: usize, shards: usize) -> ShardedServer {
+/// One worker's sharded server over per-shard `CommShared` endpoints.
+fn sharded_shared(rows: usize, k: usize, shards: usize) -> ShardedServer {
     let (pull, push) = ShardedServer::link_lens(rows, k, shards);
     let inners: Vec<Arc<dyn Transport>> = (0..shards)
-        .map(|_| {
-            Arc::new(CommShared::new(workers, pull, push, Precision::Fp32)) as Arc<dyn Transport>
-        })
+        .map(|_| Arc::new(CommShared::new(1, pull, push, Precision::Fp32)) as Arc<dyn Transport>)
         .collect();
     ShardedServer::new(k, rows * k, inners)
 }
@@ -100,7 +98,7 @@ fn sharded_shared(workers: usize, rows: usize, k: usize, shards: usize) -> Shard
 #[test]
 fn delta_accounting_is_exact() {
     let (rows, k) = (32, 4);
-    let server = sharded_shared(1, rows, k, 4);
+    let server = sharded_shared(rows, k, 4);
     let region: Vec<f32> = (0..rows * k).map(|i| i as f32 * 0.5).collect();
     server.publish(&region);
 
@@ -146,10 +144,10 @@ fn delta_accounting_is_exact() {
 #[test]
 fn untouched_push_ships_headers_only() {
     let (rows, k) = (16, 8);
-    let server = sharded_shared(2, rows, k, 2);
+    let server = sharded_shared(rows, k, 2);
     let region = vec![1.5f32; rows * k];
     server.publish(&region);
-    server.push(1, &region); // nothing changed
+    server.push(0, &region); // nothing changed
     let stats = server.delta_stats();
     assert_eq!(stats.rows_shipped, 0);
     // Each shard's 8 rows fit one bitmap word, and nothing follows it.
@@ -214,7 +212,7 @@ fn a_push_where_every_row_took_one_small_sgd_step_ships_under_85_percent_of_raw(
     // N(0, 0.1)-ish.
     use rand::{Rng, SeedableRng};
     let (rows, k) = (512, 16);
-    let server = sharded_shared(1, rows, k, 2);
+    let server = sharded_shared(rows, k, 2);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(44);
     let region: Vec<f32> = (0..rows * k)
         .map(|_| rng.random_range(-0.3f32..0.3))
@@ -382,12 +380,12 @@ fn delta_shipping_counts_rows_across_workers_and_epochs() {
     // Four workers over four shards of a 256-row band, walked as the ring
     // walks it: in each epoch worker `w` changes every eighth row starting
     // at `w`, as a sparse epoch would, and hands the band on; the epoch's
-    // last holder pushes it to the server once, against the band as the
-    // epoch began, so its delta ships every row any holder changed.
+    // last holder pushes it to the server once, over its own link, against
+    // the band as the epoch began, so its delta ships every row any holder
+    // changed.
     let (workers, shards, rows, k) = (4usize, 4usize, 256usize, 8usize);
-    let server = sharded_shared(workers, rows, k, shards);
+    let server = sharded_shared(rows, k, shards);
     let mut global = vec![0.1f32; rows * k];
-    let last = workers - 1;
     for epoch in 0..3 {
         server.publish(&global);
         let mut band = vec![0f32; rows * k];
@@ -397,8 +395,8 @@ fn delta_shipping_counts_rows_across_workers_and_epochs() {
                 band[row * k] += 0.01 * (epoch + 1) as f32;
             }
         }
-        server.push(last, &band);
-        server.collect(last, &mut global);
+        server.push(0, &band);
+        server.collect(0, &mut global);
     }
     let stats = server.delta_stats();
     assert_eq!(stats.rows_shipped, (3 * workers * (rows / 8)) as u64);
