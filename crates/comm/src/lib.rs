@@ -17,9 +17,6 @@
 //! * `slot` — the one push slot: where a push lands on every base
 //!   transport, by one landing rule, and the one collect
 //!   ([`Transport::collect_with`]) every base transport delegates to.
-//! * [`pipeline`] — the asynchronous pull→compute→push pipeline used by
-//!   Strategy 3 ("Asynchronous Computing-Transmission") to overlap
-//!   communication with computation across multiple streams.
 //! * [`block`] — the one block codec: a caller's header, then `f32`
 //!   sections at a [`Precision`], then a CRC-32 trailer, streamed through
 //!   one caller-owned block. Socket frames and `hcc_mf` checkpoints both
@@ -66,7 +63,6 @@ mod clmul;
 pub mod delta;
 pub mod fault;
 pub mod frame;
-pub mod pipeline;
 mod slot;
 pub mod socket;
 pub mod strategy;
@@ -79,7 +75,6 @@ pub use chaos::{ChaosStats, ChaosTransport};
 pub use delta::{apply_delta, delta_len, encode_delta, max_delta_len, DeltaError};
 pub use fault::{Fault, FaultPlan};
 pub use frame::{FrameError, Header, RpcKind};
-pub use pipeline::{run_pipeline, PipelineStats};
 pub use socket::{CommSocket, NetEvent, NetEventKind, NetStats};
 pub use strategy::TransferStrategy;
 pub use transport::{CommError, CommP, CommShared, Precision, Transport};

@@ -117,7 +117,6 @@ const TRAIN: Command<TrainCommand, 1> = {
                 |t, v| parse_workers(v.text).map(|w| t.config.workers = w)),
             opt("--strategy", "q|halfq",
                 |t, v| v.pick([QOnly, HalfQ]).map(|s| t.config.strategy = s)),
-            opt("--streams", "N", |t, v| v.parse().map(|n| t.config.streams = n)),
             opt("--partition", "auto|uniform|dp0|dp1|dp2",
                 |t, v| v.pick([Auto, Uniform, Dp0, Dp1, Dp2]).map(|p| t.config.partition = p)),
             opt("--schedule", "stripe|tiled",
@@ -918,6 +917,8 @@ mod tests {
         assert!(parse(&argv("train d.txt --k notanumber")).is_err());
         assert!(parse(&argv("train d.txt --schedule diagonal")).is_err());
         assert!(error("train d.txt --lr nan").contains("invalid learning rate"));
+        // Strategy 3 is the simulator's (`hcc-bench hcc_sim --streams`).
+        assert_eq!(error("train r.txt --streams 2"), "unknown flag --streams");
         assert!(parse(&argv("recommend m.hccmf r.txt")).is_err()); // no --user
         assert!(parse(&argv("analyze a.txt extra")).is_err());
     }
@@ -1036,7 +1037,7 @@ mod tests {
         let accepted = [
             (
                 "train",
-                "--k --epochs --lr --lambda --workers --strategy --streams --partition \
+                "--k --epochs --lr --lambda --workers --strategy --partition \
                  --schedule --test-frac --seed --out --rank-metrics --checkpoint-every \
                  --checkpoint-path --resume --fault-tolerant --transport --server-shards \
                  --net-chaos --telemetry",
@@ -1244,34 +1245,37 @@ mod tests {
     /// `optimizer` field: each is the old rendering without `optimizer:
     /// Sgd, `. One line was re-pinned when `--strategy` lost `pq` (the
     /// engine no longer runs `FullPq`): it gave `--strategy pq` and now
-    /// gives `--strategy halfq`.
+    /// gives `--strategy halfq`. The `train` hashes were re-pinned once
+    /// more when `HccConfig` lost its `streams` field: each is the old
+    /// rendering without `streams: N, `, and the three lines that gave
+    /// `--streams N` dropped that token.
     const PINNED: &[(&str, u64)] = &[
-        ("train ratings.txt --k 64 --workers cpu4,gpu8 --out model", 0x7fdf2898c8ec7dd2),
-        ("train ratings.txt --k 64 --fault-tolerant --checkpoint-every 5 --checkpoint-path run.hccmf", 0x70223939bae4b288),
-        ("train ratings.txt --k 64 --resume run.hccmf", 0x5c4cb3e508a708a4),
-        ("train ratings.txt --k 64 --transport socket --net-chaos 1", 0x2211dc26b7864f45),
-        ("train ratings.txt --k 64 --transport socket", 0x349340fda7968ed1),
-        ("train ratings.txt --k 64 --transport tcp --streams 3", 0x7e67cc45d7e35d39),
-        ("train ratings.txt --k 64 --transport tcp --server-shards 4", 0x5e545e8c7796b0dc),
-        ("train ratings.txt --k 64 --workers cpu4,cpu2 --telemetry run.jsonl", 0x683497bb8dc1de45),
-        ("train /tmp/ratings.txt --k 16 --epochs 5 --schedule tiled --seed 3", 0x7ed0355de988c3ae),
-        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1,cpu1 --transport socket --net-chaos 1 --telemetry /tmp/net.jsonl", 0x47051a6dd39d6bec),
-        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1 --transport tcp --server-shards 4 --seed 3", 0xaa52cc854657dac7),
-        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1 --transport tcp --streams 3 --seed 3", 0x0226eaff994e07c4),
-        ("train data.txt --k 64 --epochs 5 --strategy halfq --partition dp2 --schedule tiled --rank-metrics", 0xa2b375264b1763d2),
-        ("train data.txt --checkpoint-every 3 --checkpoint-path c.hccmf --resume r.hccmf --fault-tolerant", 0xf5aba21afb6b97a5),
-        ("train data.txt --transport socket --net-chaos 7", 0x232783991559b4a2),
-        ("train data.txt", 0x309719e37f80421e),
-        ("train data.txt --transport tcp --server-shards 4", 0x5f9d7ad150f71a25),
-        ("train data.txt --telemetry run.jsonl", 0xafa67d87c1c628e8),
-        ("train r.txt --k 8 --epochs 4 --telemetry run.jsonl", 0x5931e78929759c5d),
-        ("train r.txt --k 8 --epochs 8 --lr 0.02 --out model --rank-metrics", 0x85b06136b6413d67),
-        ("train --lr 0.02 --lambda 0.05 r.txt --epochs 3 --k 8 --seed 9", 0x7b36794c6cefaea6),
-        ("train r.txt --workers cpu2,gpu4@0.5 --strategy halfq --partition uniform --schedule tiled --test-frac 0.25 --out m --rank-metrics", 0x76ff76d7f7d792af),
-        ("train r.txt --strategy q --partition dp0 --transport shared --streams 2", 0x1eb98b7ac6257dba),
-        ("train r.txt --partition dp1 --checkpoint-every 2 --out m", 0x9c1f632d6476a4e6),
-        ("train r.txt --test-frac 0 --telemetry t.jsonl --k 16 --k 24", 0x849fedbf6f4510f9),
-        ("train r.txt --fault-tolerant --net-chaos 3 --server-shards 2 --transport tcp", 0xbd6b88e53d6e3575),
+        ("train ratings.txt --k 64 --workers cpu4,gpu8 --out model", 0xeed9220fa5c1e944),
+        ("train ratings.txt --k 64 --fault-tolerant --checkpoint-every 5 --checkpoint-path run.hccmf", 0x8314bb9c4d9ddfb2),
+        ("train ratings.txt --k 64 --resume run.hccmf", 0xf44836ab1efad9de),
+        ("train ratings.txt --k 64 --transport socket --net-chaos 1", 0xe599749050587307),
+        ("train ratings.txt --k 64 --transport socket", 0xc75f6597585a05db),
+        ("train ratings.txt --k 64 --transport tcp", 0x8def77cc567d5869),
+        ("train ratings.txt --k 64 --transport tcp --server-shards 4", 0x55f10b527197f65e),
+        ("train ratings.txt --k 64 --workers cpu4,cpu2 --telemetry run.jsonl", 0x756e4dc294e11fcb),
+        ("train /tmp/ratings.txt --k 16 --epochs 5 --schedule tiled --seed 3", 0x5b4af0cf481d4ae8),
+        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1,cpu1 --transport socket --net-chaos 1 --telemetry /tmp/net.jsonl", 0xe7212753d4f1c982),
+        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1 --transport tcp --server-shards 4 --seed 3", 0x0079f8e28bfb283d),
+        ("train /tmp/ratings.txt --k 8 --epochs 5 --workers cpu1,cpu1,cpu1 --transport tcp --seed 3", 0x5fae44e89b9e3bb4),
+        ("train data.txt --k 64 --epochs 5 --strategy halfq --partition dp2 --schedule tiled --rank-metrics", 0xfacf3baed4edc420),
+        ("train data.txt --checkpoint-every 3 --checkpoint-path c.hccmf --resume r.hccmf --fault-tolerant", 0x4667db9c698d9e7b),
+        ("train data.txt --transport socket --net-chaos 7", 0xf016b529935f8280),
+        ("train data.txt", 0xec4f4bb732ae9b20),
+        ("train data.txt --transport tcp --server-shards 4", 0x8aaa537b3d28164f),
+        ("train data.txt --telemetry run.jsonl", 0xf8a9980f3be6f2b6),
+        ("train r.txt --k 8 --epochs 4 --telemetry run.jsonl", 0x08ed95e859fcc5f3),
+        ("train r.txt --k 8 --epochs 8 --lr 0.02 --out model --rank-metrics", 0xddf42cea957351b1),
+        ("train --lr 0.02 --lambda 0.05 r.txt --epochs 3 --k 8 --seed 9", 0x42af8b3d92c04678),
+        ("train r.txt --workers cpu2,gpu4@0.5 --strategy halfq --partition uniform --schedule tiled --test-frac 0.25 --out m --rank-metrics", 0x73533c3cc280060d),
+        ("train r.txt --strategy q --partition dp0 --transport shared", 0xa157ac00fed285a9),
+        ("train r.txt --partition dp1 --checkpoint-every 2 --out m", 0x790d2b0e38ba91d4),
+        ("train r.txt --test-frac 0 --telemetry t.jsonl --k 16 --k 24", 0x757212516f93a81f),
+        ("train r.txt --fault-tolerant --net-chaos 3 --server-shards 2 --transport tcp", 0x2eeff039cc9c7543),
         ("serve model.hccmf ratings.txt --queries queries.txt --topk 10 --shards 4 --batch 32 --precision int8 --admission-queue 512 --telemetry serve.jsonl", 0xa5fa077b01bde37f),
         ("serve /tmp/model.hccmf /tmp/ratings.txt --queries /tmp/queries.txt --topk 10 --shards 4 --batch 4 --precision int8 --admission-queue 64 --telemetry /tmp/serve.jsonl", 0x844ecd8ba8d1c6da),
         ("serve m.hccmf r.txt --queries q.txt --topk 5 --shards 8 --batch 64 --precision int8 --admission-queue 512 --telemetry t.jsonl", 0xb7b91a09d6813d76),

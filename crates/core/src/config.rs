@@ -120,13 +120,8 @@ pub struct HccConfig {
     /// Parameter-server shards. `1` is the classic single endpoint; `N > 1`
     /// splits the synchronized region by contiguous row range across `N`
     /// shard endpoints (each of the configured [`TransportKind`]) with
-    /// per-shard row-delta shipping. Requires the synchronous path
-    /// (`streams == 1`).
+    /// per-shard row-delta shipping.
     pub server_shards: usize,
-    /// Pipeline streams for asynchronous computing–transmission (1 = off):
-    /// each worker's band of `Q` is tiled into this many chunks, each behind
-    /// its own endpoint of `transport`.
-    pub streams: usize,
     /// Epochs at the start reserved for Algorithm-1 adaptation (partition
     /// may be revised after each of these).
     pub adapt_epochs: usize,
@@ -189,9 +184,6 @@ impl HccConfig {
         if self.workers.is_empty() {
             return Err(HccError::BadConfig("at least one worker required".into()));
         }
-        if self.streams == 0 {
-            return Err(HccError::BadConfig("streams must be >= 1".into()));
-        }
         if self.server_shards == 0 {
             return Err(HccError::BadConfig("server_shards must be >= 1".into()));
         }
@@ -223,21 +215,6 @@ impl HccConfig {
                  push_bytes, the twin, Table 5), not an engine mode: train with QOnly or HalfQ"
                     .into(),
             ));
-        }
-        // The rules for asynchronous computing–transmission, all here:
-        // pipelining over a sharded server or under supervision is not
-        // wired up yet.
-        if self.streams > 1 {
-            if self.server_shards > 1 {
-                return Err(HccError::BadConfig(
-                    "sharded server supports only the synchronous path (streams = 1)".into(),
-                ));
-            }
-            if self.fault_tolerance.is_some() {
-                return Err(HccError::BadConfig(
-                    "fault tolerance supports only the synchronous path (streams = 1)".into(),
-                ));
-            }
         }
         if self.early_stop.is_some() && !self.track_rmse {
             return Err(HccError::BadConfig(
@@ -336,7 +313,6 @@ impl Default for HccConfigBuilder {
                 strategy: TransferStrategy::QOnly,
                 transport: TransportKind::Shared,
                 server_shards: 1,
-                streams: 1,
                 adapt_epochs: 3,
                 seed: 0x5eed,
                 track_rmse: false,
@@ -408,12 +384,6 @@ impl HccConfigBuilder {
     /// Parameter-server shards (1 = single endpoint).
     pub fn server_shards(mut self, shards: usize) -> Self {
         self.config.server_shards = shards;
-        self
-    }
-
-    /// Asynchronous pipeline streams (1 disables Strategy 3).
-    pub fn streams(mut self, streams: usize) -> Self {
-        self.config.streams = streams;
         self
     }
 
@@ -525,7 +495,6 @@ mod tests {
         assert_eq!(cfg.learning_rate, LearningRate::Constant(0.005));
         assert_eq!(cfg.strategy, TransferStrategy::QOnly);
         assert_eq!(cfg.partition, PartitionMode::Auto);
-        assert_eq!(cfg.streams, 1);
         assert_eq!(cfg.schedule, Schedule::Stripe);
     }
 
@@ -535,7 +504,6 @@ mod tests {
             .k(64)
             .epochs(5)
             .lambda(0.5)
-            .streams(3)
             .partition(PartitionMode::Dp2)
             .transport(TransportKind::Socket)
             .schedule(Schedule::Tiled)
@@ -543,7 +511,6 @@ mod tests {
         assert_eq!(cfg.k, 64);
         assert_eq!(cfg.lambda_p, 0.5);
         assert_eq!(cfg.lambda_q, 0.5);
-        assert_eq!(cfg.streams, 3);
         assert_eq!(cfg.transport, TransportKind::Socket);
         assert_eq!(cfg.schedule, Schedule::Tiled);
     }
@@ -553,7 +520,6 @@ mod tests {
         assert!(HccConfig::builder().k(0).try_build().is_err());
         assert!(HccConfig::builder().epochs(0).try_build().is_err());
         assert!(HccConfig::builder().workers(vec![]).try_build().is_err());
-        assert!(HccConfig::builder().streams(0).try_build().is_err());
         assert!(HccConfig::builder().server_shards(0).try_build().is_err());
         assert!(HccConfig::builder()
             .workers(vec![WorkerSpec::cpu(0)])
@@ -621,15 +587,14 @@ mod tests {
     fn full_pq_is_a_byte_model_and_fails_typed() {
         // Whatever it is combined with, the engine refuses `FullPq` with
         // one typed error that names the byte model, which still prices it.
-        for (streams, shards) in [(1, 1), (2, 1), (1, 2)] {
+        for shards in [1, 2] {
             let built = HccConfig::builder()
                 .strategy(TransferStrategy::FullPq)
-                .streams(streams)
                 .server_shards(shards)
                 .try_build();
             match built {
                 Err(HccError::BadConfig(msg)) => assert!(msg.contains("byte model"), "{msg}"),
-                other => panic!("{streams} streams x {shards} shards: {other:?}"),
+                other => panic!("{shards} shards: {other:?}"),
             }
         }
         let (m, n, k) = (1_000, 100, 8);
@@ -637,25 +602,6 @@ mod tests {
             TransferStrategy::FullPq.pull_bytes(m, n, k)
                 > TransferStrategy::QOnly.pull_bytes(m, n, k)
         );
-    }
-
-    #[test]
-    fn validation_gates_pipelining_by_strategy_not_by_transport() {
-        // Every transport carries chunks.
-        for transport in [
-            TransportKind::Shared,
-            TransportKind::Socket,
-            TransportKind::Tcp,
-        ] {
-            for strategy in [TransferStrategy::QOnly, TransferStrategy::HalfQ] {
-                assert!(HccConfig::builder()
-                    .streams(3)
-                    .transport(transport)
-                    .strategy(strategy)
-                    .try_build()
-                    .is_ok());
-            }
-        }
     }
 
     #[test]
@@ -673,12 +619,6 @@ mod tests {
             .fault_tolerance(crate::supervisor::SupervisorConfig::default())
             .try_build()
             .is_ok());
-        // Supervision only supports the synchronous path.
-        assert!(HccConfig::builder()
-            .fault_tolerance(crate::supervisor::SupervisorConfig::default())
-            .streams(2)
-            .try_build()
-            .is_err());
         // Checkpointing needs a path and a positive interval.
         assert!(HccConfig::builder()
             .checkpoint("x.hccmf", 0)
@@ -744,12 +684,6 @@ mod tests {
 
     #[test]
     fn validation_gates_sharded_server_combinations() {
-        // Sharding needs the synchronous path…
-        assert!(HccConfig::builder()
-            .server_shards(2)
-            .streams(2)
-            .try_build()
-            .is_err());
         // QOnly/HalfQ shard fine, over any transport kind.
         for t in [
             TransportKind::Shared,

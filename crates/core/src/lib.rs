@@ -23,8 +23,10 @@
 //!   load-balance compensation) → DP2 (hidden synchronization) pipeline,
 //!   driven by real measurements during the first epochs.
 //! * **Communication** goes through the COMM layer (`hcc-comm`): shared
-//!   single-copy buffers, "Transmit Q only", FP16 compression, and the
-//!   asynchronous multi-stream pipeline of Strategy 3.
+//!   single-copy buffers, "Transmit Q only" and FP16 compression, over one
+//!   link to the server and one peer link a worker. The asynchronous
+//!   multi-stream pipeline of Strategy 3 needs a copy engine beside the
+//!   kernel, which no worker here has; `hcc-hetsim` prices it.
 //!
 //! ## Quickstart
 //!

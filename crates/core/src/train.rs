@@ -4,7 +4,7 @@
 //! `P`'s rows are relabelled once, in a seeded shuffled order, so that the
 //! contiguous row range each worker owns mixes popular and rare users.
 //! `Q`'s rows are stored in a seeded shuffled order too (`band_order`), so
-//! that a band, and each chunk of one, is a contiguous slice of `Q`, and
+//! that a band is a contiguous slice of `Q`, and
 //! an epoch walks [`RoundPlan::ring`] over those positions: one round
 //! per worker, in which worker `w` trains band `(w + r + e·(p − 1)) mod p`
 //! of epoch `e` on its own rows, so every band has one holder a round and
@@ -26,11 +26,11 @@ use crate::error::HccError;
 use crate::report::{HccReport, WorkerEpochStats};
 use crate::server::ShardedServer;
 use crate::supervisor::{Supervisor, WorkerHealth};
-use crate::worker::{deal, Link, WorkerState};
+use crate::worker::{compute, deal, Link, WorkerState};
 use hcc_comm::socket::NetEventKind;
 use hcc_comm::{
-    run_pipeline, Backoff, ChaosTransport, CommError, CommShared, CommSocket, Fault, Precision,
-    TransferStrategy, Transport,
+    Backoff, ChaosTransport, CommError, CommShared, CommSocket, Fault, Precision, TransferStrategy,
+    Transport,
 };
 use hcc_partition::{
     dp0, replan_survivors, EpochTimes, PartitionMode, RoundPlan, StrategyChoice, WorkerClass,
@@ -76,8 +76,8 @@ pub fn row_order(seed: u64, rows: usize) -> Vec<u32> {
 /// The order in which a run with `seed` stores the items of `plan`'s
 /// bands, position → id: which band an item falls in comes from a seeded
 /// shuffle, so that every band mixes popular and rare items; within a band
-/// the ids ascend, so that tiling a band into chunks keeps the order in
-/// which a worker meets its ratings.
+/// the ids ascend, so that a worker meets its ratings of a band in item
+/// order.
 fn band_order(seed: u64, plan: &RoundPlan) -> Vec<u32> {
     let mut order = seeded_order(plan.items(), seed ^ BAND_SEED);
     for band in plan.bands() {
@@ -244,7 +244,7 @@ fn filter_alive<T: Clone>(items: &[T], alive: &[bool]) -> Vec<T> {
         .collect()
 }
 
-/// Spans a pipeline stage by telemetry start time and busy duration.
+/// Spans a phase of a worker's round by telemetry start time and duration.
 type Span = (u64, Duration);
 
 /// Runs `f`, returning its result and the span it took.
@@ -267,9 +267,9 @@ struct EpochOutcome {
 /// panic that ended it. `None` in a slot means the thread is still running.
 type WorkerExit = Result<WorkerEpochStats, String>;
 
-/// Builds one worker's endpoint to the server for chunks of up to `len`
+/// Builds one worker's endpoint to the server for bands of up to `len`
 /// floats, pulled and pushed alike. `shards > 1` makes it a node-sharded
-/// parameter server: the chunk is tiled by contiguous row range across
+/// parameter server: the band is tiled by contiguous row range across
 /// that many links of `kind`, always at Fp32 — the delta replaces fp16
 /// compression, and its words ride as f32 bit patterns, which only Fp32
 /// carries unchanged.
@@ -324,7 +324,7 @@ struct ServerSide {
     /// worker its own rows of it for as long as the worker threads run.
     p: FactorMatrix,
     /// The model's `Q`, in the session's band order: a round publishes each
-    /// chunk's slice of it and copies each push back over its slice.
+    /// band's slice of it and copies each push back over its slice.
     q: FactorMatrix,
 }
 
@@ -343,12 +343,9 @@ struct Session<'a> {
     /// `work`'s ratings are item `band_order[i]` of the input. Kept for the
     /// run's boundaries and for a re-plan that changes the bands.
     band_order: Vec<u32>,
-    /// What the rounds walk: who trains which band, in which chunks — the
-    /// unit a round publishes, pulls, computes on, pushes and installs.
-    /// Chunk `s` of a band travels over its holder's link of slot `s`, so
-    /// `streams > 1` is all the asynchronous computing–transmission
-    /// pipeline of Strategy 3 needs from the transport layer. Rebuilt with
-    /// the workers and their links.
+    /// What the rounds walk: who trains which band — the unit a round
+    /// publishes, pulls, computes on, pushes and installs, as the band's
+    /// one chunk of the plan. Rebuilt with the workers and their links.
     plan: RoundPlan,
     fractions: Vec<f64>,
     classes: Vec<WorkerClass>,
@@ -437,7 +434,7 @@ impl<'a> Session<'a> {
                     k: k as u32,
                     nnz: work.nnz() as u64,
                     strategy: strategy_wire_name(config.strategy).to_string(),
-                    streams: config.streams as u32,
+                    streams: 1,
                     backend: hcc_sgd::simd::dispatch_tag().to_string(),
                     schedule: config.schedule.name().to_string(),
                 },
@@ -492,11 +489,11 @@ impl<'a> Session<'a> {
         // The old fleet's ratings and links go before their successors are
         // built: a repartition must not hold two sets at once.
         let old = self.workers.drain(..);
-        let mut old: Vec<_> = old.map(|w| (w.regions, w.carried)).collect();
+        let mut old: Vec<_> = old.map(|w| (w.region, w.carried)).collect();
         let (k, p) = (self.k, self.specs.len());
-        // One band a worker, equal counts of the band order, each tiled
-        // into `streams` chunks. Only a new fleet size moves the bands.
-        let plan = RoundPlan::ring(p, self.n, self.config.streams);
+        // One band a worker, equal counts of the band order, each one
+        // chunk. Only a new fleet size moves the bands.
+        let plan = RoundPlan::ring(p, self.n, 1);
         if plan.bands() != self.plan.bands() {
             self.reorder_items(band_order(self.config.seed, &plan));
         }
@@ -504,10 +501,8 @@ impl<'a> Session<'a> {
         let ends: Vec<usize> = self.plan.chunks().iter().map(|c| c.end).collect();
         let bounds = GridPartition::boundaries(&self.work, Axis::Row, &fractions);
         let precision = self.wire_precision();
-        // Slot `s` of a worker carries chunk `s` of whichever band the
-        // worker holds, so every slot's region and links are sized for the
-        // longest chunk.
-        let slots = self.plan.slots();
+        // A worker's region and links carry whichever band it holds, so
+        // they are sized for the longest.
         let len = self
             .plan
             .chunks()
@@ -523,39 +518,32 @@ impl<'a> Session<'a> {
             old.clear();
         }
         let mut old = old.into_iter();
-        let fresh = || (0..slots).map(|_| Mutex::new(vec![0f32; len])).collect();
         // The shards are the ratings' second copy (`work` is the first),
         // never a third.
         let shards = deal(self.work.entries(), &bounds, &ends);
+        let (kind, server_shards) = (self.config.transport, self.config.server_shards);
         let mut workers = Vec::with_capacity(p);
         for (w, (spec, (entries, chunk_entries))) in self.specs.iter().zip(shards).enumerate() {
-            let (regions, carried) = old.next().unwrap_or_else(|| (fresh(), false));
+            let (region, carried) = old
+                .next()
+                .unwrap_or_else(|| (Mutex::new(vec![0f32; len]), false));
+            let endpoint = build_endpoint(kind, k, len, precision, server_shards)?;
+            // The worker's own peer link, whose one client hands it bands
+            // one way.
+            let peer = match self.handed_by(w).map(|from| self.orig_ids[from]) {
+                Some(from) => Some(self.link(build_link(kind, 0, len, precision)?, from, true)),
+                None => None,
+            };
             workers.push(WorkerState {
                 spec: spec.clone(),
                 entries,
                 chunk_entries,
                 row_range: bounds[w]..bounds[w + 1],
-                regions,
-                links: Vec::new(),
-                peers: Vec::new(),
+                region,
+                link: self.link(endpoint, self.orig_ids[w], false),
+                peer,
                 carried,
             });
-        }
-        let (kind, shards) = (self.config.transport, self.config.server_shards);
-        for (w, worker) in workers.iter_mut().enumerate() {
-            let id = self.orig_ids[w];
-            for _ in 0..slots {
-                let endpoint = build_endpoint(kind, k, len, precision, shards)?;
-                worker.links.push(self.link(endpoint, id, false));
-            }
-            // The worker's own peer links, whose one client hands it bands
-            // one way.
-            if let Some(from) = self.handed_by(w).map(|from| self.orig_ids[from]) {
-                for _ in 0..slots {
-                    let peer = build_link(kind, 0, len, precision)?;
-                    worker.peers.push(self.link(peer, from, true));
-                }
-            }
         }
         self.workers = workers;
         self.fractions = fractions;
@@ -616,7 +604,7 @@ impl<'a> Session<'a> {
     fn links(&self) -> impl Iterator<Item = &Link> {
         self.workers
             .iter()
-            .flat_map(|w| w.links.iter().chain(&w.peers))
+            .flat_map(|w| std::iter::once(&w.link).chain(&w.peer))
     }
 
     /// Wire bytes over all links, split `(pull, push)`.
@@ -741,9 +729,9 @@ impl<'a> Session<'a> {
     fn hand_out_first_bands(&mut self) {
         let (server, epoch) = (self.server.lock(), self.start_epoch);
         for (w, state) in self.workers.iter().enumerate() {
-            for (region, c) in state.regions.iter().zip(self.plan.step(epoch, 0, w).chunks) {
+            for c in self.plan.step(epoch, 0, w).chunks {
                 let chunk = self.chunk(c);
-                let band = &mut region.lock()[..chunk.len()];
+                let band = &mut state.region.lock()[..chunk.len()];
                 band.copy_from_slice(&server.q.as_slice()[chunk]);
                 self.wire_precision().round(band);
             }
@@ -772,7 +760,7 @@ impl<'a> Session<'a> {
         for (w, state) in self.workers.iter().enumerate() {
             let from = self.handed_by(w).unwrap_or(w);
             let links =
-                (state.links.iter().map(|l| (l, w))).chain(state.peers.iter().map(|l| (l, from)));
+                std::iter::once((&state.link, w)).chain(state.peer.iter().map(|l| (l, from)));
             for (link, pusher) in links {
                 for ev in link.endpoint.drain_net_events() {
                     let worker = self.orig_ids[pusher] as u32;
@@ -956,16 +944,20 @@ impl<'a> Session<'a> {
     }
 
     /// One round: publish every band's slice of `Q`, as the epoch began, to
-    /// its holder's link of each slot (the fallback of a lost hand-off, and
-    /// a sharded push's base); [`receive`](Self::receive) the bands the
-    /// last round's holders handed on; run every worker's
+    /// its holder's link (the fallback of a lost hand-off, and a sharded
+    /// push's base); [`receive`](Self::receive) the bands the last round's
+    /// holders handed on; run every worker's
     /// [`worker_round`](Self::worker_round) on its own thread; and
-    /// meanwhile, on this thread, collect each push to the server of each
-    /// chunk of its band in fixed `(worker, chunk)` order and copy it over
-    /// its slice (the DP2 hiding effect: installs overlap the still-running
-    /// workers).
-    /// Only the last round's steps push to the server, and a band has one
-    /// holder a round, so the order of installs moves no bits.
+    /// meanwhile, on this thread, collect each push to the server in worker
+    /// order and copy it over its band's slice (the DP2 hiding effect:
+    /// installs overlap the still-running workers). Only the last round's
+    /// steps push to the server, and a band has one holder a round, so the
+    /// order of installs moves no bits.
+    ///
+    /// A band is its one chunk of the plan, or none when it is empty (fewer
+    /// items than workers): every walk over `step.chunks` here and in
+    /// [`receive`](Self::receive) runs once, or not at all, and an empty
+    /// band moves nothing.
     fn run_round(
         &self,
         round: usize,
@@ -980,8 +972,8 @@ impl<'a> Session<'a> {
         let ServerSide { p, q } = &mut *server;
 
         for (w, state) in self.workers.iter().enumerate() {
-            for (c, link) in self.plan.step(epoch, round, w).chunks.zip(&state.links) {
-                link.endpoint.publish(&q.as_slice()[self.chunk(c)]);
+            for c in self.plan.step(epoch, round, w).chunks {
+                state.link.endpoint.publish(&q.as_slice()[self.chunk(c)]);
             }
         }
         let received = self.receive(round, epoch, sup, outcome)?;
@@ -1014,18 +1006,15 @@ impl<'a> Session<'a> {
             let server_lane = telemetry.server_lane();
             for (w, state) in self.workers.iter().enumerate() {
                 let step = self.plan.step(epoch, round, w);
-                // A band handed on reaches the server in a later round.
-                if step.to.is_some() {
+                // A band handed on reaches the server in a later round. A
+                // worker missed already this epoch (a hand-off of it was
+                // lost) loses this push with it, as its fault cell is the
+                // epoch: no ladder is waited out for it.
+                if step.to.is_some() || outcome.missed[w] {
                     continue;
                 }
-                for (c, link) in step.chunks.zip(&state.links) {
-                    // A worker whose push this epoch was lost loses the rest
-                    // of the epoch's pushes with it (its fault cell is the
-                    // epoch), so the ladder is waited out once an epoch.
-                    if outcome.missed[w] {
-                        break;
-                    }
-                    let endpoint = &*link.endpoint;
+                for c in step.chunks {
+                    let endpoint = &*state.link.endpoint;
                     let band = &mut q.as_mut_slice()[self.chunk(c)];
                     let installed = self.take_band(endpoint, w, sup, Some(&exits), epoch, band)?;
                     // A sharded push is decoded inside the collect, before
@@ -1072,16 +1061,14 @@ impl<'a> Session<'a> {
     }
 
     /// The start of round `round`, before any worker runs: collects each
-    /// band the last round's holder handed on from its receiver's peer
-    /// links into the receiver's regions, and retires every hand-off nobody
+    /// band the last round's holder handed on from its receiver's peer link
+    /// into the receiver's region, and retires every hand-off nobody
     /// collected, so that none is ever handed out in a later round. A
     /// hand-off is lost when its sender is dead or has missed a push or a
-    /// hand-off earlier this epoch, or when a chunk of it does not arrive
-    /// whole and finite: its
-    /// sender is then missed for the epoch and the receiver pulls the band
-    /// from the server instead — all of it, since a band half handed over
-    /// and half pulled would mix two rounds. Returns, per worker, the span
-    /// of the hand-off it received, or `None`.
+    /// hand-off earlier this epoch, or when it does not arrive whole and
+    /// finite: its sender is then missed for the epoch and the receiver
+    /// pulls the band from the server instead. Returns, per worker, the
+    /// span of the hand-off it received, or `None`.
     fn receive(
         &self,
         round: usize,
@@ -1093,22 +1080,19 @@ impl<'a> Session<'a> {
         let mut received = vec![None; self.workers.len()];
         for (w, state) in self.workers.iter().enumerate() {
             let step = self.plan.step(epoch, round, w);
-            let Some(from) = step.from.filter(|&from| !outcome.missed[from]) else {
+            let (Some(from), Some(peer)) = (step.from, &state.peer) else {
                 continue;
             };
-            if dead(from) || dead(w) {
+            if outcome.missed[from] || dead(from) || dead(w) {
                 continue;
             }
             let (start, t0) = (self.telemetry.now_us(), Instant::now());
             let mut whole = true;
-            for (s, (c, peer)) in step.chunks.zip(&state.peers).enumerate() {
-                let band = &mut state.regions[s].lock()[..self.chunk(c).len()];
+            for c in step.chunks {
+                let band = &mut state.region.lock()[..self.chunk(c).len()];
                 whole = self
                     .take_band(&*peer.endpoint, from, sup, None, epoch, band)?
                     .is_some();
-                if !whole {
-                    break;
-                }
             }
             if whole {
                 received[w] = Some((start, t0.elapsed()));
@@ -1116,7 +1100,7 @@ impl<'a> Session<'a> {
                 outcome.missed[from] = true;
             }
         }
-        for peer in self.workers.iter().flat_map(|w| &w.peers) {
+        for peer in self.workers.iter().flat_map(|w| &w.peer) {
             peer.endpoint.publish(&[]);
         }
         Ok(received)
@@ -1135,17 +1119,13 @@ impl<'a> Session<'a> {
         ))
     }
 
-    /// Worker `w`'s side of a round, on its own thread: walk the chunks of
-    /// the band it holds `pull → compute → push` — inline for one chunk,
-    /// through [`run_pipeline`] for several, so the pull of chunk `s + 1`
-    /// and the push of chunk `s − 1` overlap the computation of chunk `s`
-    /// (Strategy 3). Chunk `s` has the worker's region and links of slot
-    /// `s`, and each stage runs its chunks in order, so the overlap moves
-    /// no bits. A band `received` (the span its hand-off took) or carried
-    /// is not pulled; a band with a next holder is pushed to that worker's
-    /// peer link, one without to the server.
-    /// `p_rows` are the worker's rows of the session's `P`, its alone for
-    /// the round.
+    /// Worker `w`'s side of a round, on its own thread: pull, compute and
+    /// push the band it holds, one after the other, in its region. A band
+    /// `received` (the span its hand-off took) or carried is not pulled; a
+    /// band with a next holder is pushed to that worker's peer link, one
+    /// without to the server. An empty band (fewer items than workers) is
+    /// no chunk of the plan, and moves and trains nothing. `p_rows` are the
+    /// worker's rows of the session's `P`, its alone for the round.
     #[allow(clippy::too_many_arguments)] // one worker's round, each argument its own
     fn worker_round(
         &self,
@@ -1159,8 +1139,6 @@ impl<'a> Session<'a> {
     ) -> WorkerEpochStats {
         let state = &self.workers[w];
         let telemetry = &self.telemetry;
-        let k = self.k;
-        let p = SharedRows::new(p_rows, k);
         let hogwild = HogwildConfig {
             threads: state.spec.threads,
             learning_rate: lr,
@@ -1179,80 +1157,67 @@ impl<'a> Session<'a> {
             return WorkerEpochStats::default();
         }
         let lane = worker_id as u32;
-        // Slot `s` carries chunk `band.start + s` of the plan. A carried
-        // band is in the regions already, as the pull would deliver it, and
-        // so is a band handed over.
         let step = self.plan.step(epoch, round, w);
-        let band = step.chunks;
-        let pulls = received.is_none() && !(step.carried && state.carried);
-        let len = |s: usize| self.chunk(band.start + s).len();
-
-        // Each stage locks slot `s`'s region for as long as it works on it;
-        // the stages of one chunk run in order, so they never contend. The
-        // chunk is pulled into, trained on and sent from where it is: the
-        // region's first `len(s)` floats.
-        let pull = |s: usize| {
+        let chunk = step.chunks.clone().next();
+        // The band is pulled into, trained on and sent from where it is:
+        // the region's first floats. A carried band is in the region
+        // already, as the pull would deliver it, and so is a band handed
+        // over.
+        let mut region = state.region.lock();
+        let band = &mut region[..chunk.map_or(0, |c| self.chunk(c).len())];
+        let pulls = chunk.is_some() && received.is_none() && !(step.carried && state.carried);
+        let ((), pulled) = timed(telemetry, || {
             if pulls {
-                let mut region = state.regions[s].lock();
-                state.links[s].endpoint.pull(0, &mut region[..len(s)]);
+                state.link.endpoint.pull(0, band);
             }
-        };
-        let compute = |s: usize, ()| {
-            let mut region = state.regions[s].lock();
-            let q = SharedRows::new(&mut region[..len(s)], k)
-                .numbered_from(self.plan.chunks()[band.start + s].start);
-            let entries = &state.entries[state.chunk_entries[band.start + s].clone()];
-            state.compute(entries, p, q, &hogwild);
-            if let Some(sup) = sup {
-                sup.board.beat(w, epoch);
+        });
+        // An injected stall counts as compute time, so the supervisor's
+        // straggler rule sees it; it costs its length once an epoch, in the
+        // first round.
+        let ((), computed) = timed(telemetry, || {
+            if let (0, Some(Fault::Stall(lost))) = (round, fault) {
+                std::thread::sleep(lost);
             }
-        };
-        let push = |s: usize, ()| {
-            let mut region = state.regions[s].lock();
-            let band = &mut region[..len(s)];
+            if let Some(c) = chunk {
+                let p = SharedRows::new(p_rows, self.k);
+                let q = SharedRows::new(band, self.k).numbered_from(self.plan.chunks()[c].start);
+                let entries = &state.entries[state.chunk_entries[c].clone()];
+                compute(&state.spec, entries, p, q, &hogwild);
+                if let Some(sup) = sup {
+                    sup.board.beat(w, epoch);
+                }
+            }
+        });
+        let ((), pushed) = timed(telemetry, || {
+            if chunk.is_none() {
+                return;
+            }
             if let (Some(plan), Some(Fault::PoisonPush)) = (plan, fault) {
                 plan.poison(worker_id, epoch, band);
             }
             match step.to {
-                Some(next) => self.workers[next].peers[s].endpoint.push(0, band),
+                // A band has a next holder only in a fleet of more than one,
+                // where every worker has its peer link.
+                Some(next) => {
+                    if let Some(peer) = &self.workers[next].peer {
+                        peer.endpoint.push(0, band);
+                    }
+                }
                 None => {
-                    state.links[s].endpoint.push(0, band);
+                    state.link.endpoint.push(0, band);
                     // The next epoch begins on this band: once installed,
                     // the server holds it as the wire delivers it, and so
                     // does the region.
                     self.wire_precision().round(band);
                 }
             }
-        };
-
-        let slots = band.len();
-        let mut spans: [Span; 3] = if slots > 1 {
-            // The stages run on the pipeline's own threads and report only
-            // per-stage busy totals, recorded as three spans sharing the
-            // pipeline's start time. (A fault plan implies the synchronous
-            // path, so a pipelined band never stalls.)
-            let start = telemetry.now_us();
-            let busy = run_pipeline(slots, slots, pull, compute, push);
-            [busy.pull_busy, busy.compute_busy, busy.push_busy].map(|b| (start, b))
-        } else {
-            // One chunk, or none when the band is empty (fewer items than
-            // workers). An injected stall counts as compute time, so the
-            // supervisor's straggler rule sees it; it costs its length once
-            // an epoch, in the first round.
-            let ((), pulled) = timed(telemetry, || (0..slots).for_each(pull));
-            let ((), computed) = timed(telemetry, || {
-                if let (0, Some(Fault::Stall(lost))) = (round, fault) {
-                    std::thread::sleep(lost);
-                }
-                (0..slots).for_each(|s| compute(s, ()));
-            });
-            let ((), pushed) = timed(telemetry, || (0..slots).for_each(|s| push(s, ())));
-            [pulled, computed, pushed]
-        };
+        });
         // A hand-off received is this worker's pull of the band.
-        if let Some((start, took)) = received {
-            spans[0] = (start, took + spans[0].1);
-        }
+        let pulled = match received {
+            Some((start, took)) => (start, took + pulled.1),
+            None => pulled,
+        };
+        let spans = [pulled, computed, pushed];
         for (phase, (start, busy)) in [Phase::Pull, Phase::Comp, Phase::Push]
             .into_iter()
             .zip(spans)
@@ -1263,7 +1228,7 @@ impl<'a> Session<'a> {
             pull: spans[0].1,
             compute: spans[1].1,
             push: spans[2].1,
-            updates: band.map(|c| state.chunk_entries[c].len() as u64).sum(),
+            updates: chunk.map_or(0, |c| state.chunk_entries[c].len() as u64),
         }
     }
 
@@ -1484,16 +1449,6 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
     let n = work.cols() as usize;
     let mut standalone = Vec::with_capacity(p);
     for spec in &config.workers {
-        let state = WorkerState {
-            spec: spec.clone(),
-            entries: Vec::new(),
-            chunk_entries: Vec::new(),
-            row_range: 0..work.rows(),
-            regions: Vec::new(),
-            links: Vec::new(),
-            peers: Vec::new(),
-            carried: false,
-        };
         // Fresh zeroed factors for every worker: each pays the same page
         // faults, so none looks faster for coming second.
         let (mut p0, mut q0) = (FactorMatrix::zeros(m, k), FactorMatrix::zeros(n, k));
@@ -1504,7 +1459,7 @@ fn initial_fractions(config: &HccConfig, work: &CooMatrix) -> Result<Vec<f64>, H
             lambda_q: 0.0,
             schedule: config.schedule,
         };
-        let mut sweep = |entries| state.compute(entries, p0.shared(), q0.shared(), &calibration);
+        let mut sweep = |entries| compute(spec, entries, p0.shared(), q0.shared(), &calibration);
         // Warm-up pass (thread spawn, page faults), then the measured pass.
         sweep(&sample[..sample_len.min(4_096)]);
         let elapsed = sweep(sample);
@@ -1586,18 +1541,6 @@ mod tests {
         assert_eq!(report.p.rows(), 100);
         assert_eq!(report.q.rows(), 400);
         assert!(report.rmse_history.last().unwrap() < &report.rmse_history[0]);
-    }
-
-    #[test]
-    fn async_streams_train() {
-        let ds = dataset(200, 120, 6_000);
-        let cfg = base_config().streams(3).build();
-        let report = HccMf::new(cfg).train(&ds.matrix).unwrap();
-        assert!(
-            report.rmse_history.last().unwrap() < &(report.rmse_history[0] * 0.7),
-            "async no convergence: {:?}",
-            report.rmse_history
-        );
     }
 
     #[test]
@@ -1740,29 +1683,30 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_has_one_link_a_stream_slot_and_is_alone_on_it() {
-        // Four workers over TCP x 2 shards, and over shared memory in two
-        // streams: `p · streams` links to the server and as many peer links
-        // a band is handed over, each serving one worker, beside one region
-        // a slot.
+    fn a_worker_has_one_link_one_peer_link_and_one_region() {
+        // Four workers over TCP x 2 shards and over shared memory: `p`
+        // links to the server and `p` peer links a band is handed over,
+        // each serving one worker, beside one region a worker, sized for
+        // the longest band (90 items in bands of 22 and 23). A fleet of one
+        // has no peer link.
         let ds = dataset(200, 90, 3_000);
-        for (transport, shards, streams) in
-            [(TransportKind::Tcp, 2, 1), (TransportKind::Shared, 1, 2)]
-        {
-            let config = base_config()
-                .workers(vec![WorkerSpec::cpu(1); 4])
-                .partition(PartitionMode::Uniform)
-                .transport(transport)
-                .server_shards(shards)
-                .streams(streams)
-                .build();
-            let session = Session::create(&config, ds.matrix.clone()).unwrap();
-            let workers: Vec<usize> = session.links().map(|l| l.endpoint.workers()).collect();
-            assert_eq!(workers, vec![1; 2 * 4 * streams], "{transport:?}");
-            for state in &session.workers {
-                assert_eq!(state.regions.len(), streams, "{transport:?}");
-                assert_eq!(state.links.len(), streams, "{transport:?}");
-                assert_eq!(state.peers.len(), streams, "{transport:?}");
+        for (transport, shards) in [(TransportKind::Tcp, 2), (TransportKind::Shared, 1)] {
+            for p in [4, 1] {
+                let config = base_config()
+                    .workers(vec![WorkerSpec::cpu(1); p])
+                    .partition(PartitionMode::Uniform)
+                    .transport(transport)
+                    .server_shards(shards)
+                    .build();
+                let session = Session::create(&config, ds.matrix.clone()).unwrap();
+                let workers: Vec<usize> = session.links().map(|l| l.endpoint.workers()).collect();
+                let links = if p == 1 { 1 } else { 2 * p };
+                assert_eq!(workers, vec![1; links], "{transport:?}, p = {p}");
+                for state in &session.workers {
+                    assert_eq!(state.peer.is_some(), p > 1, "{transport:?}, p = {p}");
+                    let longest = if p == 1 { 90 } else { 23 };
+                    assert_eq!(state.region.lock().len(), longest * 8, "{transport:?}");
+                }
             }
         }
     }
@@ -1977,8 +1921,8 @@ mod tests {
         }
     }
 
-    /// A session over `ds` whose worker `w` has the link `fake(w, len)` for
-    /// each slot of `len` floats.
+    /// A session over `ds` whose worker `w` has the link `fake(w, len)` to
+    /// the server, for its region of `len` floats.
     fn session_over<'a>(
         config: &'a HccConfig,
         ds: &SyntheticDataset,
@@ -1986,9 +1930,7 @@ mod tests {
     ) -> Session<'a> {
         let mut session = Session::create(config, ds.matrix.clone()).unwrap();
         for (w, state) in session.workers.iter_mut().enumerate() {
-            for (link, region) in state.links.iter_mut().zip(&state.regions) {
-                link.endpoint = Arc::new(fake(w, region.lock().len()));
-            }
+            state.link.endpoint = Arc::new(fake(w, state.region.lock().len()));
         }
         session
     }
@@ -2047,7 +1989,7 @@ mod tests {
         let buffers = |session: &mut Session| -> Vec<(*const f32, usize)> {
             let server = session.server.get_mut();
             let slices = [server.p.as_slice(), server.q.as_slice()];
-            let regions = session.workers.iter().flat_map(|w| &w.regions);
+            let regions = session.workers.iter().map(|w| &w.region);
             let place = |s: &[f32]| (s.as_ptr(), s.len());
             slices
                 .into_iter()
@@ -2065,9 +2007,7 @@ mod tests {
 
         // Over working links the same session runs its next epoch.
         for state in &mut session.workers {
-            for (link, region) in state.links.iter_mut().zip(&state.regions) {
-                link.endpoint = Arc::new(FakeTransport::new(1, region.lock().len()));
-            }
+            state.link.endpoint = Arc::new(FakeTransport::new(1, state.region.lock().len()));
         }
         let q_before = session.server.get_mut().q.clone();
         let outcome = session.run_epoch(0.02, 1, None).unwrap();
@@ -2180,11 +2120,6 @@ mod tests {
                 &even,
                 with(2, Tcp, QOnly).server_shards(2).build(),
             ),
-            (
-                "2 streams",
-                &even,
-                with(2, Shared, QOnly).streams(2).build(),
-            ),
             ("uneven", &uneven, with(3, Socket, QOnly).build()),
         ];
         for (case, ds, config) in cases {
@@ -2215,21 +2150,20 @@ mod tests {
 
     #[test]
     fn a_carried_band_is_the_servers_as_the_wire_delivers_it() {
-        // Before every carried step, the first epoch's too, each region of
-        // the worker holds its chunk of the server's band rounded to the
-        // wire's precision: the bits a pull would have written there.
+        // Before every carried step, the first epoch's too, each worker's
+        // region holds the server's band rounded to the wire's precision:
+        // the bits a pull would have written there.
         let ds = dataset(60, 30, 600);
-        for (transport, strategy, streams) in [
-            (TransportKind::Shared, TransferStrategy::QOnly, 1),
-            (TransportKind::Shared, TransferStrategy::HalfQ, 2),
-            (TransportKind::Socket, TransferStrategy::HalfQ, 1),
+        for (transport, strategy) in [
+            (TransportKind::Shared, TransferStrategy::QOnly),
+            (TransportKind::Shared, TransferStrategy::HalfQ),
+            (TransportKind::Socket, TransferStrategy::HalfQ),
         ] {
-            let case = format!("{transport:?} x {strategy:?} x {streams}");
+            let case = format!("{transport:?} x {strategy:?}");
             let config = base_config()
                 .partition(PartitionMode::Uniform)
                 .transport(transport)
                 .strategy(strategy)
-                .streams(streams)
                 .build();
             let mut session = Session::create(&config, ds.matrix.clone()).unwrap();
             let precision = session.wire_precision();
@@ -2242,11 +2176,11 @@ mod tests {
                 for (w, state) in session.workers.iter().enumerate() {
                     let step = session.plan.step(epoch, 0, w);
                     assert!(step.carried && state.carried, "{case}, epoch {epoch}");
-                    for (region, c) in state.regions.iter().zip(step.chunks) {
+                    for c in step.chunks {
                         let chunk = session.chunk(c);
                         let mut band = server.q.as_slice()[chunk.clone()].to_vec();
                         precision.round(&mut band);
-                        let held: Vec<u32> = region.lock()[..chunk.len()]
+                        let held: Vec<u32> = state.region.lock()[..chunk.len()]
                             .iter()
                             .map(|v| v.to_bits())
                             .collect();
@@ -2421,7 +2355,7 @@ mod tests {
                     .unwrap();
             }
             let chunk = session.chunk(session.plan.step(0, 1, 1).chunks.start);
-            let pushed = &session.workers[1].regions[0].lock()[..chunk.len()];
+            let pushed = &session.workers[1].region.lock()[..chunk.len()];
             q1.as_mut_slice()[chunk].copy_from_slice(pushed);
             (outcome.missed, session.server.get_mut().q.clone(), q1)
         };
@@ -2476,7 +2410,7 @@ mod tests {
         // No peer link holds a hand-off once the epoch is over: a later
         // round's collect waits for one sent in its own round.
         for (w, state) in session.workers.iter().enumerate() {
-            for peer in &state.peers {
+            if let Some(peer) = &state.peer {
                 let mut taken = false;
                 let left = peer
                     .endpoint

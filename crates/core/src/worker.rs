@@ -2,15 +2,15 @@
 //!
 //! A worker owns a contiguous row range of `P` outright (row grid, §3.3)
 //! and trains on those rows where the session keeps them. Of `Q` it holds
-//! one region per stream slot, each with a link of its own to the server
-//! and a peer link the worker before it in the ring hands it bands over:
-//! in every round slot `s` receives chunk `s` of the band the worker
-//! holds, is trained on where it landed, and is sent on from there — to
-//! the next holder, or in the epoch's last round to the server. Shard entries
-//! are stored rebased, once, when the shards are dealt (`deal`): the row to
-//! the worker's range, so the hot loop indexes its rows of `P` directly.
-//! Their items are positions in the band order already, as the session's
-//! ratings and `Q` store them, so a chunk is a contiguous range of them.
+//! one region, with one link to the server and one peer link the worker
+//! before it in the ring hands it bands over: in every round the region
+//! receives the band the worker holds, is trained on where it landed, and
+//! is sent on from there — to the next holder, or in the epoch's last round
+//! to the server. Shard entries are stored rebased, once, when the shards
+//! are dealt (`deal`): the row to the worker's range, so the hot loop
+//! indexes its rows of `P` directly. Their items are positions in the band
+//! order already, as the session's ratings and `Q` store them, so a band is
+//! a contiguous range of them.
 
 use crate::config::WorkerSpec;
 use hcc_comm::{ChaosTransport, Transport};
@@ -34,35 +34,31 @@ pub(crate) struct WorkerState {
     /// `i` the item's position in the band order, stably grouped by chunk.
     pub entries: Vec<Rating>,
     /// `entries[chunk_entries[c]]` are the entries whose item falls in
-    /// chunk `c` of the round plan — the work of one pipeline step.
+    /// chunk `c` of the round plan, a band's one chunk.
     pub chunk_entries: Vec<Range<usize>>,
     /// Owned global `P` rows.
     pub row_range: Range<u32>,
-    /// `regions[s]`: this worker's copy of chunk `s` of the band it holds,
-    /// in its first `chunk.len() · k` floats — the buffer the chunk is
-    /// pulled into is the one the kernel trains on and the push leaves
-    /// from. Sized for the longest chunk of any band when the worker is
-    /// built — on the session's thread, not by the first epoch's worker
-    /// thread — so an epoch allocates none. Only the stage working on slot
-    /// `s` locks it.
-    pub regions: Vec<Mutex<Vec<f32>>>,
-    /// `links[s]`: the wire to the server `regions[s]` is pulled into and
-    /// pushed from.
-    pub links: Vec<Link>,
-    /// `peers[s]`: the wire chunk `s` of a band is handed to this worker
-    /// over. It is this worker's, and its one client the worker that hands
-    /// it bands; it carries a band's `Q` rows, one way. None for a fleet of
-    /// one.
-    pub peers: Vec<Link>,
-    /// `regions` hold the band of a carried step as a pull would deliver it.
+    /// This worker's copy of the band it holds, in its first
+    /// `band.len() · k` floats — the buffer the band is pulled into is the
+    /// one the kernel trains on and the push leaves from. Sized for the
+    /// longest band when the worker is built — on the session's thread, not
+    /// by the first epoch's worker thread — so an epoch allocates none.
+    pub region: Mutex<Vec<f32>>,
+    /// The wire to the server `region` is pulled into and pushed from.
+    pub link: Link,
+    /// The wire a band is handed to this worker over. It is this worker's,
+    /// and its one client the worker that hands it bands; it carries a
+    /// band's `Q` rows, one way. None for a fleet of one.
+    pub peer: Option<Link>,
+    /// `region` holds the band of a carried step as a pull would deliver it.
     pub carried: bool,
 }
 
-/// One end of the wire for one stream slot: to the server, or from the
-/// worker that hands this one its bands. It serves one pushing worker, as
-/// worker 0, and carries whichever band's chunk the slot holds in a round.
+/// One end of the wire: to the server, or from the worker that hands this
+/// one its bands. It serves one pushing worker, as worker 0, and carries
+/// whichever band the worker holds in a round.
 pub(crate) struct Link {
-    /// Carries the slot's regions: `chaos`, when there is one.
+    /// Carries the worker's region: `chaos`, when there is one.
     pub endpoint: Arc<dyn Transport>,
     /// The wrapper that enacts the wire faults of `config.fault_plan`;
     /// every epoch tells it its number.
@@ -70,33 +66,33 @@ pub(crate) struct Link {
 }
 
 impl WorkerState {
-    /// Runs one Hogwild SGD epoch over the shard (or one chunk of it) on
-    /// this worker's rows of `P` and the rows of `Q` the entries name,
-    /// honouring the throttle. Returns elapsed compute time.
-    pub fn compute(
-        &self,
-        entries: &[Rating],
-        p: SharedRows<'_>,
-        q: SharedRows<'_>,
-        config: &HogwildConfig,
-    ) -> Duration {
-        let start = Instant::now();
-        if self.spec.speed_factor >= 1.0 {
-            hogwild_epoch(entries, p, q, config);
-        } else {
-            for chunk in entries.chunks(THROTTLE_CHUNK) {
-                let t0 = Instant::now();
-                hogwild_epoch(chunk, p, q, config);
-                std::thread::sleep(throttle_penalty(t0.elapsed(), self.spec.speed_factor));
-            }
-        }
-        start.elapsed()
-    }
-
     /// The rows of the global `P` this worker owns.
     pub fn p_rows(&self) -> Range<usize> {
         self.row_range.start as usize..self.row_range.end as usize
     }
+}
+
+/// Runs one Hogwild SGD epoch of a worker of `spec` over `entries` on the
+/// rows of `P` and `Q` they name, honouring the throttle. Returns elapsed
+/// compute time.
+pub(crate) fn compute(
+    spec: &WorkerSpec,
+    entries: &[Rating],
+    p: SharedRows<'_>,
+    q: SharedRows<'_>,
+    config: &HogwildConfig,
+) -> Duration {
+    let start = Instant::now();
+    if spec.speed_factor >= 1.0 {
+        hogwild_epoch(entries, p, q, config);
+    } else {
+        for chunk in entries.chunks(THROTTLE_CHUNK) {
+            let t0 = Instant::now();
+            hogwild_epoch(chunk, p, q, config);
+            std::thread::sleep(throttle_penalty(t0.elapsed(), spec.speed_factor));
+        }
+    }
+    start.elapsed()
 }
 
 /// The sleep that makes a slice that computed for `elapsed` take
@@ -154,20 +150,8 @@ pub(crate) fn deal(entries: &[Rating], bounds: &[u32], ends: &[usize]) -> Vec<Sh
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_comm::{CommShared, Precision};
     use hcc_sgd::FactorMatrix;
-
-    fn make_state(speed: f64, entries: Vec<Rating>) -> WorkerState {
-        WorkerState {
-            spec: WorkerSpec::cpu(2).throttled(speed),
-            entries,
-            chunk_entries: Vec::new(),
-            row_range: 0..10,
-            regions: Vec::new(),
-            links: Vec::new(),
-            peers: Vec::new(),
-            carried: false,
-        }
-    }
 
     /// Unregularized steps of `lr` on the two threads the spec names.
     fn config(lr: f32) -> HogwildConfig {
@@ -193,10 +177,10 @@ mod tests {
 
     #[test]
     fn compute_updates_factors() {
-        let state = make_state(1.0, entries(500));
         let (mut p, mut q) = factors();
         let before = (p.clone(), q.clone());
-        let elapsed = state.compute(&state.entries, p.shared(), q.shared(), &config(0.05));
+        let spec = WorkerSpec::cpu(2);
+        let elapsed = compute(&spec, &entries(500), p.shared(), q.shared(), &config(0.05));
         assert!(elapsed > Duration::ZERO);
         assert_ne!(p, before.0);
         assert_ne!(q, before.1);
@@ -262,7 +246,20 @@ mod tests {
 
     #[test]
     fn rows_counts_range() {
-        let state = make_state(1.0, vec![]);
+        let link = Link {
+            endpoint: Arc::new(CommShared::new(1, 0, 0, Precision::Fp32)),
+            chaos: None,
+        };
+        let state = WorkerState {
+            spec: WorkerSpec::cpu(2),
+            entries: Vec::new(),
+            chunk_entries: Vec::new(),
+            row_range: 0..10,
+            region: Mutex::new(Vec::new()),
+            link,
+            peer: None,
+            carried: false,
+        };
         assert_eq!(state.p_rows(), 0..10);
     }
 }

@@ -4,10 +4,13 @@
 //! `Q`'s rows are addressed by *position* `0..n` in some order the caller
 //! keeps (the threaded engine's seeded band order; the simulator's rows as
 //! they are). A band is a contiguous range of positions and a chunk a
-//! contiguous piece of a band, the unit one stream slot receives, trains
-//! and sends on. The plan holds no clock and no randomness: the threaded
-//! engine walks it, the simulator times it and the cost model prices it,
-//! so all three run the same epoch.
+//! contiguous piece of a band. Chunks and stream slots are the twin's: the
+//! simulator gives each chunk of a band a stream of its own, as many as
+//! the processor has copy engines (Strategy 3), while the threaded engine
+//! plans one stream, so a band is one chunk, or none when it is empty. The
+//! plan holds no clock and no randomness: the threaded engine walks it,
+//! the simulator times it and the cost model prices it, so all three run
+//! the same epoch.
 //!
 //! Its edges: a band held in round `r` is held by another worker in round
 //! `r + 1` ([`RoundPlan::edges`]), and every round ends in a barrier —
@@ -48,7 +51,9 @@ pub struct Step {
     /// That band's positions.
     pub rows: Range<usize>,
     /// Ids (indices into [`RoundPlan::chunks`]) of that band's chunks, in
-    /// order: the `s`-th travels over the worker's stream slot `s`.
+    /// order: in the twin the `s`-th travels over the worker's stream slot
+    /// `s`; in the threaded engine, which plans one stream, there is one
+    /// (none for an empty band).
     pub chunks: Range<usize>,
     /// The worker holds this band already, as nobody has trained it since
     /// its own step before (or since its fleet was built), and pulls nothing.

@@ -152,15 +152,15 @@ fn base(epochs: usize) -> HccConfigBuilder {
 
 type Case = (&'static str, fn(HccConfigBuilder) -> HccConfigBuilder, f64);
 
-/// The three wires the budgets are pinned over, with what each one's links
+/// The two wires the budgets are pinned over, with what each one's links
 /// hold, in units of `R` (`Q`'s bytes at f32). The two workers deal `Q`
 /// into two bands of `R/2`, and each worker has a link of its own to the
-/// server (per stream), which serves it alone and is sized for its band,
+/// server, which serves it alone and is sized for its band,
 /// and a peer link of its own the other worker hands it bands over, sized
 /// for a band's `Q` rows one way: a slot, and on a socket a block at each
 /// end. At this shape a link's block (`hcc_comm::block::BLOCK`, 256 KiB) is
 /// a quarter of `R`.
-const CASES: [Case; 3] = [
+const CASES: [Case; 2] = [
     // Two ShardedServers, one a worker: published R/2, where a collect
     // decodes the push too, and encoded R/4 each (1.5 R in all). Each of four links (two workers x
     // two shards) carries a quarter of `Q`: published and a slot, 2 R in
@@ -185,13 +185,6 @@ const CASES: [Case; 3] = [
                 .strategy(TransferStrategy::HalfQ)
         },
         2.0 + 1.0 + 2.0,
-    ),
-    // Four links of R/4, two a worker: published and a slot each; four
-    // peer links: a slot of R/4 each.
-    (
-        "shared x 2 streams",
-        |b| b.transport(TransportKind::Shared).streams(2),
-        2.0 + 1.0,
     ),
 ];
 

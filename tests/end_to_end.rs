@@ -124,18 +124,6 @@ fn sharded_server_converges_on_every_wire() {
 }
 
 #[test]
-fn async_pipeline_converges_and_reports_overlap() {
-    let ds = dataset();
-    let report = HccMf::new(hcc_base().streams(4).build())
-        .train(&ds.matrix)
-        .unwrap();
-    assert_converged(&report.rmse_history, "async-4-streams");
-    // Stats still recorded per worker/epoch.
-    assert_eq!(report.worker_stats.len(), 15);
-    assert_eq!(report.worker_stats[0].len(), 2);
-}
-
-#[test]
 fn hcc_matches_serial_quality_on_held_out_data() {
     let ds = dataset();
     let (train, test) = train_test_split(&ds.matrix, 0.15, 3).unwrap();

@@ -452,11 +452,9 @@ fn sim_letter(phase: Phase) -> char {
 
 #[test]
 fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
-    // Bands of 50 / 50 / 51 rows in one and two streams, and of 1, 1, 1
-    // and 2 rows in two streams, so that chunk counts differ by band.
-    for (cols, nnz, workers, streams) in [(151, 6_000, 3, 1), (151, 6_000, 3, 2), (5, 1_000, 4, 2)]
-    {
-        let case = format!("{workers} workers on 300 x {cols}, {streams} stream(s)");
+    // Bands of 50 / 50 / 51 rows, and of 1, 1, 1 and 2 rows.
+    for (cols, nnz, workers) in [(151, 6_000, 3), (5, 1_000, 4)] {
+        let case = format!("{workers} workers on 300 x {cols}");
         let ds = SyntheticDataset::generate(GenConfig {
             rows: 300,
             cols,
@@ -464,13 +462,12 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
             seed: 5,
             ..GenConfig::default()
         });
-        let path = std::env::temp_dir().join(format!("hcc_round_plan_{cols}_{streams}.jsonl"));
+        let path = std::env::temp_dir().join(format!("hcc_round_plan_{cols}.jsonl"));
         let config = HccConfig::builder()
             .k(8)
             .epochs(2)
             .workers(vec![WorkerSpec::cpu(1); workers])
             .partition(PartitionMode::Uniform)
-            .streams(streams)
             .seed(5)
             .telemetry(&path)
             .build();
@@ -478,12 +475,11 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
         std::fs::remove_file(&path).ok();
         let timeline = report.timeline.expect("telemetry was enabled");
         assert_eq!(timeline.dropped, 0, "{case}");
-        let plan = &RoundPlan::ring(workers, cols as usize, streams);
+        let plan = &RoundPlan::ring(workers, cols as usize, 1);
 
         // The threaded engine: per epoch, each worker lane is the plan's
-        // rounds x [pull, comp, push], the server lane installs one chunk
-        // at a time of the last round's bands, in the plan's (worker,
-        // chunk) order, and the wire carries every step's band once — a
+        // rounds x [pull, comp, push], the server lane installs the last
+        // round's bands one at a time, in worker order, and the wire carries every step's band once — a
         // hand-off, or the last round's push — and pulls none: the first
         // is carried and every later one handed over.
         let letter = |phase| match phase {
@@ -498,7 +494,7 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
         for e in 0..2u32 {
             let holders: Vec<u32> = steps(e as usize)
                 .filter(|(_, step)| step.to.is_none())
-                .flat_map(|(w, step)| vec![w as u32; step.chunks.len()])
+                .map(|(w, _)| w as u32)
                 .collect();
             let bytes = |moved: &dyn Fn(&hcc_partition::Step) -> bool| -> u64 {
                 let moved = steps(e as usize).filter(|(_, step)| moved(step));
@@ -559,8 +555,7 @@ fn the_engine_walks_the_round_plan_and_the_twin_times_it() {
             assert_eq!(installs, holders, "{case}, epoch {e}");
         }
 
-        // The twin on the same plan: identical GPUs with enough copy
-        // engines that no step's chunks are capped.
+        // The twin on the same plan: identical GPUs.
         let mut platform = Platform::new("round-plan twin");
         for w in 0..workers {
             let gpu = ProcessorProfile::custom_gpu(&format!("gpu{w}"), 50.0e6, 12.5e9, 0.0);

@@ -42,7 +42,9 @@
 //! wire's precision delivers the bits the server's install and publish
 //! did. Only `FAULTED` moved, re-recorded with its reason beside it. When
 //! `Q` came to be stored in band order, published and installed as slices
-//! of it, every pin held unedited.
+//! of it, every pin held unedited. The pins of bands tiled into 2 and 4
+//! chunks (`STREAMS_2`, `STREAMS_4`, `UNEVEN_STREAMS_2`) left with the
+//! engine's stream pipeline; every other pin held unedited.
 
 use hcc_comm::{Fault, FaultPlan};
 use hcc_mf::{
@@ -61,10 +63,6 @@ const EPOCHS: usize = 6;
 const CLEAN: u64 = 0xf6d2_9270_f591_c724;
 /// The fp16 wire rounds `Q` every round.
 const HALF_Q: u64 = 0x92d3_021b_225e_bf58;
-/// Each band tiled into 2 and into 4 chunks (the shuffled entries of a
-/// chunk keep their order, the chunks run in turn).
-const STREAMS_2: u64 = 0xc9f1_131d_0d24_a56c;
-const STREAMS_4: u64 = 0x1d0a_42f2_1b3b_75b2;
 /// [`fault_plan`]: three epochs install none of one worker's pushes.
 /// Re-recorded once for the ring (DESIGN §8): a poisoned worker's
 /// hand-offs are lost with its push, so their receivers train the server's
@@ -85,7 +83,6 @@ const ONE_WORKER_WIDE: u64 = 0x0a94_6302_7c9a_eead;
 /// band still had an endpoint of its own length; the sharded run lands on
 /// the shared one's bits, as [`CLEAN`]'s do.
 const UNEVEN: u64 = 0xfd4b_9b54_3c90_7d10;
-const UNEVEN_STREAMS_2: u64 = 0x78fb_7f23_eeb9_72da;
 
 fn dataset() -> SyntheticDataset {
     dataset_of(300, 150)
@@ -223,31 +220,19 @@ fn one_worker_on_a_tall_and_a_wide_matrix() {
 #[test]
 fn bands_of_unequal_length() {
     let uneven = dataset_of(300, 151);
-    let with = |transport, shards, streams| {
-        base()
-            .transport(transport)
-            .server_shards(shards)
-            .streams(streams)
-            .build()
-    };
+    let with = |transport, shards| base().transport(transport).server_shards(shards).build();
     check_on(vec![
         (
             "uneven shared",
-            with(TransportKind::Shared, 1, 1),
+            with(TransportKind::Shared, 1),
             &uneven,
             UNEVEN,
         ),
         (
             "uneven tcp x2",
-            with(TransportKind::Tcp, 2, 1),
+            with(TransportKind::Tcp, 2),
             &uneven,
             UNEVEN,
-        ),
-        (
-            "uneven 2 streams",
-            with(TransportKind::Shared, 1, 2),
-            &uneven,
-            UNEVEN_STREAMS_2,
         ),
     ]);
 }
@@ -256,15 +241,6 @@ fn bands_of_unequal_length() {
 fn plain_epochs_under_every_transfer_strategy() {
     let with = |strategy| base().strategy(strategy).build();
     check(vec![("half-q", with(TransferStrategy::HalfQ), HALF_Q)]);
-}
-
-#[test]
-fn pipelined_epochs_over_shared_memory() {
-    let streamed = |streams| base().streams(streams).build();
-    check(vec![
-        ("2 streams", streamed(2), STREAMS_2),
-        ("4 streams", streamed(4), STREAMS_4),
-    ]);
 }
 
 #[test]

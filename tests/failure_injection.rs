@@ -2,7 +2,9 @@
 //! pathological matrices, NaN guards.
 
 use hcc_comm::{Fault, FaultPlan};
-use hcc_mf::{HccConfig, HccMf, LearningRate, PartitionMode, SupervisorConfig, WorkerSpec};
+use hcc_mf::{
+    HccConfig, HccMf, LearningRate, PartitionMode, SupervisorConfig, TransportKind, WorkerSpec,
+};
 use hcc_sparse::{CooMatrix, GenConfig, Rating, SyntheticDataset};
 use std::time::Duration;
 
@@ -204,18 +206,52 @@ fn zero_adapt_epochs_freezes_partition() {
 }
 
 #[test]
-fn more_streams_than_columns_still_trains() {
+fn fewer_items_than_workers_trains_over_every_wire() {
+    // Three workers over two items: one of the three bands is empty, and
+    // its holder moves and trains nothing in its round, on every wire and
+    // shard count alike, while the others train, hand on and push theirs:
+    // every rating is trained once an epoch, and an unsharded wire carries
+    // each of the two one-row bands three times an epoch (two hand-offs
+    // and a push), at k = 4 and four bytes an element.
     let ds = SyntheticDataset::generate(GenConfig {
         rows: 60,
-        cols: 3,
-        nnz: 150,
+        cols: 2,
+        nnz: 100,
         ..GenConfig::default()
     });
-    let report = HccMf::new(base().streams(8).epochs(3).build())
-        .train(&ds.matrix)
-        .unwrap();
-    assert_eq!(report.epoch_times.len(), 3);
-    assert!(report.q.as_slice().iter().all(|v| v.is_finite()));
+    let train = |transport, shards| {
+        let config = base()
+            .epochs(3)
+            .workers(vec![WorkerSpec::cpu(1); 3])
+            .partition(PartitionMode::Uniform)
+            .transport(transport)
+            .server_shards(shards)
+            .build();
+        let report = HccMf::new(config).train(&ds.matrix).unwrap();
+        let case = format!("{transport:?} x {shards}");
+        let factors = report.p.as_slice().iter().chain(report.q.as_slice());
+        assert!(factors.into_iter().all(|v| v.is_finite()), "{case}");
+        assert_eq!(report.total_updates, 3 * ds.matrix.nnz() as u64, "{case}");
+        if shards == 1 {
+            assert_eq!(report.wire_bytes, 3 * 3 * 2 * 4 * 4, "{case}");
+        }
+        report.rmse_history
+    };
+    let reference = train(TransportKind::Shared, 1);
+    assert_eq!(reference.len(), 3);
+    for transport in [
+        TransportKind::Shared,
+        TransportKind::Socket,
+        TransportKind::Tcp,
+    ] {
+        for shards in [1, 2] {
+            assert_eq!(
+                train(transport, shards),
+                reference,
+                "{transport:?} x {shards}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -257,8 +293,8 @@ fn all_workers_throttled_still_finish() {
 }
 
 #[test]
-fn streams_with_comm_strategy_halfq_converges() {
-    // FP16 wire + async chunked pipeline together: the lossiest path.
+fn comm_strategy_halfq_converges() {
+    // The FP16 wire: the lossiest path.
     let ds = SyntheticDataset::generate(GenConfig {
         rows: 200,
         cols: 120,
@@ -270,7 +306,6 @@ fn streams_with_comm_strategy_halfq_converges() {
         base()
             .epochs(12)
             .strategy(hcc_mf::TransferStrategy::HalfQ)
-            .streams(3)
             .learning_rate(LearningRate::Constant(0.02))
             .build(),
     )

@@ -303,75 +303,6 @@ fn every_user_routes_to_exactly_one_live_shard() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined epochs: `streams > 1` tiles `Q`'s columns across chunk endpoints
-// the way the sharded server tiles rows across shard endpoints, and is held
-// to the same standard — chunking must not move a bit.
-// ---------------------------------------------------------------------------
-
-/// The dataset with its entries stably sorted by column, so that every
-/// column chunking visits a worker's entries in the order the unchunked
-/// run does.
-fn column_sorted_matrix() -> hcc_sparse::CooMatrix {
-    let matrix = dataset().matrix;
-    let mut entries = matrix.entries().to_vec();
-    entries.sort_by_key(|e| e.i);
-    hcc_sparse::CooMatrix::new(matrix.rows(), matrix.cols(), entries).unwrap()
-}
-
-fn train_streams(
-    strategy: hcc_mf::TransferStrategy,
-    transport: TransportKind,
-    streams: usize,
-) -> HccReport {
-    let config = base()
-        .strategy(strategy)
-        .transport(transport)
-        .streams(streams)
-        .shuffle(false)
-        .build();
-    HccMf::new(config).train(&column_sorted_matrix()).unwrap()
-}
-
-#[test]
-fn pipelined_training_is_bit_identical_to_synchronous() {
-    // A chunk is merged like any region — q + α·Σ(qᵢ − q) in worker order — so on
-    // entries ordered by column chunk the pipeline only reorders *when*
-    // bytes move, never what is computed. Fails if the merge rule, the
-    // merge order or the chunk/entry grouping drifts.
-    for strategy in [
-        hcc_mf::TransferStrategy::QOnly,
-        hcc_mf::TransferStrategy::HalfQ,
-    ] {
-        let reference = train_streams(strategy, TransportKind::Shared, 1);
-        assert!(
-            reference.rmse_history.last().unwrap() < &(reference.rmse_history[0] * 0.5),
-            "{strategy:?} reference did not converge: {:?}",
-            reference.rmse_history
-        );
-        for streams in [2, 3, 8] {
-            let pipelined = train_streams(strategy, TransportKind::Shared, streams);
-            assert_bit_identical(
-                &reference,
-                &pipelined,
-                &format!("{strategy:?}, {streams} streams"),
-            );
-        }
-    }
-}
-
-#[test]
-fn pipelining_over_every_wire_matches_shared_memory() {
-    // A chunk endpoint is an ordinary transport, so the wire under a
-    // pipelined run is as invisible as under a synchronous one.
-    let strategy = hcc_mf::TransferStrategy::QOnly;
-    let reference = train_streams(strategy, TransportKind::Shared, 3);
-    for transport in [TransportKind::Socket, TransportKind::Tcp] {
-        let wired = train_streams(strategy, transport, 3);
-        assert_bit_identical(&reference, &wired, &format!("3 streams over {transport:?}"));
-    }
-}
-
 /// A sharded server whose workers each touch their own rows ships only
 /// those rows: over every worker and epoch the row count is exact, and the
 /// push bytes stay below full buffers.
